@@ -4,7 +4,8 @@ Subcommands load a JSON specification (or run the shipped fixtures with
 --fixtures), run the corresponding check suite and emit a human-readable
 summary plus optional JSON lines.  Exit codes: 0 all checks passed (a
 recorded paper-discrepancy does not fail the run), 1 at least one check
-failed, 2 malformed input, 3 an internal capability guard tripped.
+failed, 2 malformed input, 3 an internal capability guard tripped, 4 an
+internal error (a ValueError escaping a --fixtures run).
 """
 
 from __future__ import annotations
@@ -225,6 +226,12 @@ def main(argv=None):
         print("capability exceeded: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
+        if args.fixtures:
+            # the fixtures are shipped code, not user input: this is a bug
+            import traceback  # error path only; not a start-up import
+            traceback.print_exc()
+            print("internal error: %s" % exc, file=sys.stderr)
+            return 4
         # scalar/polynomial parse failures and structural rejections from
         # user-supplied objects are input errors too
         print("input error: %s" % exc, file=sys.stderr)

@@ -579,12 +579,11 @@ class AlgebraMap:
         return out
 
 
-def check_map(m, degree=None):
+def check_map(m):
     """Verify the map preserves every rewrite rule of its source.
 
     For a rule L -> R the images of L and R must agree after normal form.
-    Anti-maps check the reversed products.  ``degree`` is unused for rules
-    (they are binomial) but kept so callers can sweep monomials too.
+    Anti-maps check the reversed products.
     """
     src = m.source
     failures = []

@@ -4,20 +4,22 @@ Every structure constant, polynomial coefficient and rewrite-rule coefficient
 in this package lives in one of three rings:
 
 * ``Fraction``            -- exact rationals (stdlib),
-* ``GaussRational``       -- Q(i), rationals with an exact imaginary part,
+* ``GaussRational``       -- Q(i), stored as an integer triple (a + b*i)/d,
 * ``HSeries``             -- Q(i)[[hbar]] truncated at a session order N.
 
-All arithmetic is exact; there is no floating point anywhere.  Series keep
-track of their own truncation order, operations return the minimum order of
-the operands, and equality only compares coefficients up to that minimum
-order, so a value divided by hbar can never silently pretend to more
-precision than it has.
+All arithmetic is exact; there is no floating point anywhere.  A Gaussian
+rational keeps three Python ints normalised so that d > 0 and
+gcd(a, b, d) == 1: every value has exactly one triple, and equality is a
+comparison of triples.  Series keep track of their own truncation order,
+operations return the minimum order of the operands, and equality only
+compares coefficients up to that minimum order, so a value divided by hbar
+can never silently pretend to more precision than it has.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 
 DEFAULT_ORDER = 6
@@ -35,68 +37,129 @@ def get_default_order():
     return DEFAULT_ORDER
 
 
-class GaussRational:
-    """An element p + q*i of Q(i) with exact Fraction parts."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _raw(a, b, d):
+    """GaussRational from a triple that already satisfies the invariant."""
+    g = _new(GaussRational)
+    g._a = a
+    g._b = b
+    g._d = d
+    return g
+
+
+def _make(a, b, d):
+    """GaussRational from any triple with d > 0: divide out gcd(a, b, d)."""
+    k = gcd(a, b, d)
+    if k != 1:
+        a //= k
+        b //= k
+        d //= k
+    g = _new(GaussRational)
+    g._a = a
+    g._b = b
+    g._d = d
+    return g
+
+
+class GaussRational:
+    """An element (a + b*i)/d of Q(i), stored as three Python ints.
+
+    The triple is normalised: d > 0 and gcd(a, b, d) == 1.  ``re`` and
+    ``im`` read back as Fractions.  The triple is private and ``re``/``im``
+    have no setter, so a value never changes once built.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re = Fraction(re)
+            im = Fraction(im)
+            p, q = re.denominator, im.denominator
+            d = lcm(p, q)
+            # each part is in lowest terms, so the triple is normalised
+            a = re.numerator * (d // p)
+            b = im.numerator * (d // q)
+        self._a = a
+        self._b = b
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
 
-    @staticmethod
-    def _mk(re, im):
-        g = object.__new__(GaussRational)
-        object.__setattr__(g, "re", re)
-        object.__setattr__(g, "im", im)
-        return g
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = gauss(other)
-        return GaussRational._mk(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRational:
+            other = gauss(other)
+        d, e = self._d, other._d
+        if d == e:
+            if d == 1:
+                return _raw(self._a + other._a, self._b + other._b, 1)
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d,
+                     d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = gauss(other)
-        return GaussRational._mk(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussRational:
+            other = gauss(other)
+        d, e = self._d, other._d
+        if d == e:
+            if d == 1:
+                return _raw(self._a - other._a, self._b - other._b, 1)
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d,
+                     d * e)
 
     def __rsub__(self, other):
         return gauss(other) - self
 
     def __mul__(self, other):
-        other = gauss(other)
-        if not self.im and not other.im:
-            return GaussRational._mk(self.re * other.re, _FR0)
-        return GaussRational._mk(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRational:
+            other = gauss(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:
+            return _make(a * c, 0, self._d * other._d)
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = gauss(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return self * GaussRational._mk(other.re / n, -other.im / n)
+        if other.__class__ is not GaussRational:
+            other = gauss(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        f = other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            if c < 0:
+                return _make(-a * f, -b * f, -self._d * c)
+            return _make(a * f, b * f, self._d * c)
+        return _make((a * c + b * e) * f, (b * c - a * e) * f,
+                     self._d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return gauss(other) / self
 
     def __neg__(self):
-        return GaussRational._mk(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pow__(self, k):
         if k < 0:
-            return GaussRational(1) / self ** (-k)
-        out = GaussRational(1)
+            return ONE / self ** (-k)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -106,25 +169,28 @@ class GaussRational:
         return out
 
     def conjugate(self):
-        return GaussRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def norm_sq(self):
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b,
+                        self._d * self._d)
 
     # -- structure --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        try:
-            other = gauss(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussRational:
+            try:
+                other = gauss(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
-        if not self.im:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -132,12 +198,12 @@ class GaussRational:
         return "GaussRational(%r)" % (str(self),)
 
     def __str__(self):
-        if not self.im:
-            return _frac_str(self.re)
-        if not self.re:
-            return _frac_str(self.im) + "*i"
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%s*i" % (_frac_str(self.re), sign, _frac_str(abs(self.im)))
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return "%s*i" % im
+        return "%s%s%s*i" % (re, "+" if im > 0 else "-", abs(im))
 
     @staticmethod
     def parse(text):
@@ -169,11 +235,6 @@ class GaussRational:
         return GaussRational(re, im)
 
 
-def _frac_str(f):
-    return str(f)
-
-
-_FR0 = Fraction(0)
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 I = GaussRational(0, 1)
@@ -213,8 +274,8 @@ class HSeries:
         cs = [gauss(c) for c in coeffs[:order]]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
+        _set_coeffs(self, tuple(cs))
+        _set_order(self, order)
 
     def __setattr__(self, name, value):
         raise AttributeError("HSeries is immutable")
@@ -225,9 +286,9 @@ class HSeries:
         n = len(coeffs)
         while n and not coeffs[n - 1]:
             n -= 1
-        s = object.__new__(HSeries)
-        object.__setattr__(s, "coeffs", tuple(coeffs[:n]))
-        object.__setattr__(s, "order", order)
+        s = _new(HSeries)
+        _set_coeffs(s, tuple(coeffs[:n]))
+        _set_order(s, order)
         return s
 
     # -- constructors -----------------------------------------------------
@@ -285,11 +346,17 @@ class HSeries:
     def __add__(self, other):
         other = self._coerced(other)
         order = min(self.order, other.order)
-        n = max(len(self.coeffs), len(other.coeffs))
+        sc, oc = self.coeffs, other.coeffs
+        if len(sc) <= 1 and len(oc) <= 1:
+            # constant series: no loop; the window may still be order 0
+            if sc and oc:
+                return HSeries._mk((sc[0] + oc[0],), order)
+            return HSeries._mk((sc or oc)[:order], order)
+        n = max(len(sc), len(oc))
         out = []
         for k in range(min(n, order)):
-            a = self.coeffs[k] if k < len(self.coeffs) else ZERO
-            b = other.coeffs[k] if k < len(other.coeffs) else ZERO
+            a = sc[k] if k < len(sc) else ZERO
+            b = oc[k] if k < len(oc) else ZERO
             out.append(a + b)
         return HSeries._mk(out, order)
 
@@ -305,23 +372,35 @@ class HSeries:
         return HSeries._mk([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
-        other = self._coerced(other)
+        if other.__class__ is not HSeries:
+            other = self._coerced(other)
         order = min(self.order, other.order)
-        if not self.coeffs or not other.coeffs:
+        sc, oc = self.coeffs, other.coeffs
+        if not sc or not oc:
             return HSeries._mk((), order)
-        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
-            return HSeries._mk((self.coeffs[0] * other.coeffs[0],), order)
-        n = min(order, len(self.coeffs) + len(other.coeffs) - 1)
-        out = [ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if not a or i >= n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return HSeries._mk(out, order)
+        if len(sc) > len(oc):
+            sc, oc = oc, sc
+        if len(sc) == 1:
+            # a scalar multiple: one product per coefficient
+            c = sc[0]
+            a, b, d = c._a, c._b, c._d
+            if a == d == 1 and not b:
+                return HSeries._mk(oc[:order], order)
+            return HSeries._mk([_make(x._a * a - x._b * b, x._a * b + x._b * a,
+                                      x._d * d) for x in oc[:order]], order)
+        # Convolve integer parts over one common denominator per operand,
+        # then normalise each output coefficient once.
+        n = min(order, len(sc) + len(oc) - 1)
+        xs, dx = _over_common_den(sc[:n])
+        ys, dy = _over_common_den(oc[:n])
+        den = dx * dy
+        re = [0] * n
+        im = [0] * n
+        for i, (a, b) in enumerate(xs):
+            for k, (c, e) in enumerate(ys[:n - i], i):
+                re[k] += a * c - b * e
+                im[k] += a * e + b * c
+        return HSeries._mk([_make(r, m, den) for r, m in zip(re, im)], order)
 
     __rmul__ = __mul__
 
@@ -341,16 +420,18 @@ class HSeries:
         """Multiplicative inverse; defined iff the constant term is nonzero."""
         if not self.is_unit():
             raise ValueError("series with zero constant term is not a unit")
-        c0 = self.coeffs[0]
-        inv = [ONE / c0]
+        inv0 = ONE / self.coeffs[0]
+        if len(self.coeffs) == 1:
+            return HSeries._mk((inv0,), self.order)
+        inv = [inv0]
         for k in range(1, self.order):
             acc = ZERO
             for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                cj = self.coeffs[j] if j < len(self.coeffs) else ZERO
+                cj = self.coeffs[j]
                 if cj:
                     acc = acc + cj * inv[k - j]
-            inv.append(-acc / c0)
-        return HSeries(inv, self.order)
+            inv.append(-acc * inv0)
+        return HSeries._mk(inv, self.order)
 
     def __truediv__(self, other):
         other = self._coerced(other)
@@ -441,6 +522,17 @@ class HSeries:
     def serialize(self):
         """List of scalar strings, one per coefficient up to the order."""
         return [str(self.coeff(k)) for k in range(self.order)]
+
+
+# HSeries refuses attribute writes; its own constructors set the slots.
+_set_coeffs = HSeries.coeffs.__set__
+_set_order = HSeries.order.__set__
+
+
+def _over_common_den(coeffs):
+    """([(a, b), ...], D): each coefficient as (a + b*i)/D for one D."""
+    den = lcm(*[c._d for c in coeffs])
+    return [(c._a * (den // c._d), c._b * (den // c._d)) for c in coeffs], den
 
 
 class ValuationError(ArithmeticError):

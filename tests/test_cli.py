@@ -192,3 +192,19 @@ def test_non_invariant_symmetric_part_fails_check(tmp_path, capsys):
     assert run(["check-bialgebra", str(path), "r"]) == 1
     out = capsys.readouterr().out
     assert "symmetric-part" in out
+
+
+def test_value_error_in_fixture_run_is_internal_error(monkeypatch, capsys):
+    # fixtures are shipped code: a ValueError escaping them is a bug (exit
+    # 4 with a traceback), not malformed input (exit 2)
+    from poisson_forge import suites
+
+    def broken(command, degree, seed):
+        raise ValueError("fixture went wrong")
+
+    monkeypatch.setattr(suites, "run_fixture_suite", broken)
+    assert run(["check-bialgebra", "--fixtures"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: fixture went wrong" in err
+    assert "Traceback" in err
+    assert "input error" not in err

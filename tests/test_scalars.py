@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from poisson_forge.scalars import (
-    GaussRational, HSeries, ValuationError, gauss, series, series_exp, hexp,
+    GaussRational, HSeries, ONE, ZERO, ValuationError, gauss, series,
+    series_exp, hexp,
 )
 
 
@@ -133,3 +134,344 @@ def test_equality_respects_minimum_order():
 def test_serialize():
     s = HSeries([1, Fraction(1, 2), GaussRational(0, 1)], order=4)
     assert s.serialize() == ["1", "1/2", "1*i", "0"]
+
+
+# -- oracle: Q(i) on a pair of Fractions ----------------------------------
+
+class PairGauss:
+    """Reference Q(i) arithmetic on a pair of exact Fractions, the
+    representation GaussRational had before it moved to integer triples."""
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, PairGauss):
+            return x
+        if isinstance(x, str):
+            return PairGauss.parse(x)
+        return PairGauss(x)
+
+    def __add__(self, other):
+        other = PairGauss.of(other)
+        return PairGauss(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = PairGauss.of(other)
+        return PairGauss(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = PairGauss.of(other)
+        return PairGauss(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        other = PairGauss.of(other)
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return self * PairGauss(other.re / n, -other.im / n)
+
+    def __neg__(self):
+        return PairGauss(-self.re, -self.im)
+
+    def __pow__(self, k):
+        if k < 0:
+            return PairGauss(1) / self ** (-k)
+        out, base = PairGauss(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def conjugate(self):
+        return PairGauss(self.re, -self.im)
+
+    def norm_sq(self):
+        return self.re * self.re + self.im * self.im
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        try:
+            other = PairGauss.of(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return str(self.im) + "*i"
+        sign = "+" if self.im > 0 else "-"
+        return "%s%s%s*i" % (self.re, sign, abs(self.im))
+
+    @staticmethod
+    def parse(text):
+        s = text.replace(" ", "")
+        if not s:
+            raise ValueError("empty scalar")
+        pieces, start = [], 0
+        for k in range(1, len(s)):
+            if s[k] in "+-" and s[k - 1] not in "+-/*":
+                pieces.append(s[start:k])
+                start = k
+        pieces.append(s[start:])
+        re, im = Fraction(0), Fraction(0)
+        for piece in pieces:
+            if piece in ("i", "+i"):
+                im += 1
+            elif piece == "-i":
+                im -= 1
+            elif piece.endswith("*i"):
+                im += Fraction(piece[:-2])
+            elif piece.endswith("i"):
+                im += Fraction(piece[:-1])
+            else:
+                re += Fraction(piece)
+        return PairGauss(re, im)
+
+
+def rand_fraction(rng):
+    kind = rng.random()
+    if kind < 0.15:
+        return Fraction(0)
+    if kind < 0.35:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-60, 60), rng.randint(1, 36))
+
+
+def rand_pair(rng):
+    """The same random value as a (GaussRational, PairGauss) pair."""
+    re, im = rand_fraction(rng), rand_fraction(rng)
+    form = rng.randrange(3)
+    if form == 0:
+        args = (re, im)
+    elif form == 1:
+        args = (str(re), str(im))
+    else:
+        args = (re,) if rng.random() < 0.5 else (re.numerator, im.numerator)
+    return GaussRational(*args), PairGauss(*args)
+
+
+def assert_agrees(g, r):
+    assert isinstance(g, GaussRational)
+    assert (g.re, g.im) == (r.re, r.im)
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    a, b, d = g._a, g._b, g._d
+    assert d > 0 and gcd(a, b, d) == 1
+
+
+def test_gauss_agrees_with_fraction_pair_oracle():
+    rng = random.Random(2012)
+    for _ in range(600):
+        (g, r), (h, q) = rand_pair(rng), rand_pair(rng)
+        assert_agrees(g, r)
+        assert_agrees(g + h, r + q)
+        assert_agrees(g - h, r - q)
+        assert_agrees(g * h, r * q)
+        assert_agrees(-g, -r)
+        assert_agrees(g.conjugate(), r.conjugate())
+        assert g.norm_sq() == r.norm_sq()
+        assert type(g.norm_sq()) is Fraction
+        if q:
+            assert_agrees(g / h, r / q)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                g / h
+        for k in range(-3, 5):
+            if k < 0 and not r:
+                with pytest.raises(ZeroDivisionError):
+                    g ** k
+            else:
+                assert_agrees(g ** k, r ** k)
+        assert (g == h) == (r == q)
+        assert hash(g) == hash(r)
+        assert str(g) == str(r)
+        assert repr(g) == "GaussRational(%r)" % str(r)
+        assert_agrees(GaussRational.parse(str(g)), PairGauss.parse(str(r)))
+        assert GaussRational.parse(str(g)) == g
+
+
+def test_gauss_mixed_operands_agree_with_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        g, r = rand_pair(rng)
+        x = rand_fraction(rng)
+        for other in (x, x.numerator, str(x), str(PairGauss(x, -x))):
+            o = PairGauss.of(other)
+            assert_agrees(g + other, r + o)
+            assert_agrees(g - other, r - o)
+            assert_agrees(g * other, r * o)
+            if not isinstance(other, str):
+                assert_agrees(other + g, o + r)
+                assert_agrees(other - g, o - r)
+                assert_agrees(other * g, o * r)
+            if o:
+                assert_agrees(g / other, r / o)
+            if r and not isinstance(other, str):
+                assert_agrees(other / g, o / r)
+            assert (g == other) == (r == o)
+        assert (g == "no-such-scalar") is False
+
+
+def test_gauss_hash_matches_fraction_on_reals():
+    rng = random.Random(5)
+    for _ in range(300):
+        x = rand_fraction(rng)
+        g = GaussRational(x)
+        assert g == x and x == g
+        assert hash(g) == hash(x)
+        assert len({g, x}) == 1
+        if x.denominator == 1:
+            assert hash(g) == hash(int(x)) and g == int(x)
+
+
+def test_gauss_division_by_zero_raises():
+    x = GaussRational(Fraction(3, 4), -2)
+    for zero in (ZERO, 0, Fraction(0), "0", GaussRational(0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+
+
+# -- constant-series fast paths against the general loops ------------------
+
+def add_loop(s, t):
+    """Coefficientwise sum, the general loop for any two series."""
+    order = min(s.order, t.order)
+    n = max(len(s.coeffs), len(t.coeffs))
+    return [(s.coeffs[k] if k < len(s.coeffs) else ZERO)
+            + (t.coeffs[k] if k < len(t.coeffs) else ZERO)
+            for k in range(min(n, order))], order
+
+
+def mul_loop(s, t):
+    """Schoolbook product mod hbar^min(order), one coefficient at a time."""
+    order = min(s.order, t.order)
+    out = [ZERO] * order
+    for i, a in enumerate(s.coeffs):
+        for j, b in enumerate(t.coeffs):
+            if i + j < order:
+                out[i + j] = out[i + j] + a * b
+    return out, order
+
+
+def inverse_loop(s):
+    """Term-by-term inverse of a unit: c0*inv_k = -sum_j c_j*inv_{k-j}."""
+    c = list(s.coeffs) + [ZERO] * s.order
+    inv = [ONE / c[0]]
+    for k in range(1, s.order):
+        acc = ZERO
+        for j in range(1, k + 1):
+            acc = acc + c[j] * inv[k - j]
+        inv.append(-acc / c[0])
+    return inv, s.order
+
+
+def assert_series(result, expected):
+    coeffs, order = expected
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    assert result.order == order
+    assert result.coeffs == tuple(coeffs)
+    assert all(isinstance(c, GaussRational) for c in result.coeffs)
+
+
+def constant_series(rng, order):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return HSeries.zero(order)
+    if kind == 1:
+        return HSeries.one(order)
+    return HSeries([rand_pair(rng)[0]], order)
+
+
+def test_constant_fast_paths_match_general_loops():
+    rng = random.Random(23)
+    for _ in range(400):
+        s = constant_series(rng, rng.randint(0, 8))
+        t = constant_series(rng, rng.randint(0, 8))
+        u = rand_series(rng, rng.randint(0, 8))
+        assert_series(s + t, add_loop(s, t))
+        assert_series(s - t, add_loop(s, -t))
+        assert_series(s * t, mul_loop(s, t))
+        assert_series(s * u, mul_loop(s, u))
+        assert_series(u * s, mul_loop(u, s))
+        assert_series(s + u, add_loop(s, u))
+
+
+def test_constant_fast_paths_order_zero():
+    empty = HSeries([5, 1], order=0)
+    assert empty.coeffs == () and empty.order == 0
+    c = HSeries.from_scalar(GaussRational(2, 3), 4)
+    for result in (empty + c, c + empty, empty - c, empty * c, c * empty,
+                   empty + empty, HSeries.one(6) * empty):
+        assert result.order == 0 and result.coeffs == ()
+    with pytest.raises(ValueError):
+        empty.inverse()
+
+
+def test_constant_sum_takes_minimum_order():
+    a = HSeries.from_scalar(Fraction(1, 2), 3)
+    b = HSeries.from_scalar(GaussRational(1, -1), 7)
+    for s in (a + b, b + a):
+        assert s.order == 3
+        assert s.coeffs == (GaussRational(Fraction(3, 2), -1),)
+    assert (a + HSeries.zero(2)).order == 2
+    assert (HSeries.zero(9) + b).coeffs == b.coeffs
+    assert (a * b).order == 3 and (b * a).order == 3
+
+
+def test_constant_sum_cancels_to_zero():
+    x = GaussRational(Fraction(-7, 3), Fraction(5, 6))
+    s = HSeries.from_scalar(x, 6) + HSeries.from_scalar(-x, 4)
+    assert s.coeffs == () and s.is_zero() and s.order == 4
+    assert (HSeries.from_scalar(x, 6) - x).is_zero()
+    assert (HSeries.zero(6) + HSeries.zero(6)).coeffs == ()
+
+
+def test_constant_inverse_at_every_order():
+    rng = random.Random(29)
+    for n in range(1, 9):
+        for _ in range(20):
+            g = rand_pair(rng)[0]
+            if not g:
+                continue
+            s = HSeries.from_scalar(g, n)
+            inv = s.inverse()
+            assert_series(inv, inverse_loop(s))
+            assert inv.coeffs == (ONE / g,)
+            assert s * inv == 1 and (s * inv).order == n
+
+
+def test_inverse_of_non_unit_raises_value_error():
+    for n in range(0, 9):
+        with pytest.raises(ValueError):
+            HSeries.zero(n).inverse()
+    with pytest.raises(ValueError):
+        HSeries([0, 1], 6).inverse()
+    with pytest.raises(ValueError):
+        HSeries.one(6) / 0
+
+
+def test_general_inverse_matches_loop():
+    rng = random.Random(31)
+    for _ in range(60):
+        s = rand_series(rng, rng.randint(1, 8))
+        if s.is_unit():
+            assert_series(s.inverse(), inverse_loop(s))
