@@ -29,7 +29,7 @@ if __name__ == "__main__":
     print("   (the truncated q-number (q^H - q^{-H})/(q - q^{-1}))")
     print()
 
-    reports = check_all_axioms(hopf, degree=3)
+    reports = check_all_axioms(hopf)
     for key in ("coassociativity", "counit", "antipode", "delta-hom"):
         print("%-18s %s" % (key + ":", reports[key].verdict))
 
@@ -57,7 +57,7 @@ if __name__ == "__main__":
         (("E",), ("F",)): h * gauss(Fraction(1, 2)),
     })
     R = classical.square.one() + r
-    reports = check_quasitriangular(classical, R, degree=3)
+    reports = check_quasitriangular(classical, R)
     print("  QYBE defect valuation:",
           reports["qybe"].data["defect_valuation"],
           "(>= 3 because <r,r> = 0)")

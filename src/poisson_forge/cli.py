@@ -5,7 +5,7 @@ Subcommands load a JSON specification (or run the shipped fixtures with
 summary plus optional JSON lines.  Exit codes: 0 all checks passed (a
 recorded paper-discrepancy does not fail the run), 1 at least one check
 failed, 2 malformed input, 3 an internal capability guard tripped, 4 an
-internal error (a ValueError escaping a --fixtures run).
+internal error (any other exception, a ValueError too under --fixtures).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def run_spec_command(command, spec, args):
             raise SpecError("check-hopf needs a Hopf structure name")
         from .hopf import check_all_axioms
         hopf = spec.hopf_structure(name)
-        reports = check_all_axioms(hopf, args.degree)
+        reports = check_all_axioms(hopf)
         return [("%s/%s" % (name, key), reports[key])
                 for key in ("coassociativity", "counit", "antipode",
                             "delta-hom")]
@@ -225,17 +225,17 @@ def main(argv=None):
     except (CapabilityError, ValuationError) as exc:
         print("capability exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except ValueError as exc:
-        if args.fixtures:
-            # the fixtures are shipped code, not user input: this is a bug
-            import traceback  # error path only; not a start-up import
-            traceback.print_exc()
-            print("internal error: %s" % exc, file=sys.stderr)
-            return 4
-        # scalar/polynomial parse failures and structural rejections from
-        # user-supplied objects are input errors too
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
+    except Exception as exc:
+        if isinstance(exc, ValueError) and not args.fixtures:
+            # scalar/polynomial parse failures and structural rejections
+            # from user-supplied objects are input errors too
+            print("input error: %s" % exc, file=sys.stderr)
+            return 2
+        # anything else is a bug; the fixtures are shipped code, not input
+        import traceback  # error path only; not a start-up import
+        traceback.print_exc()
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
     worst = emit(results, json_out=args.json_out)
     elapsed = time.time() - started
     print("elapsed: %.2fs" % elapsed)

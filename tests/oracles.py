@@ -1,0 +1,132 @@
+"""Test-only oracles: the degree-bounded sweeps that the production
+certificates replaced.
+
+The Hopf axioms are checked on every normal-form monomial up to a degree,
+and confluence by reducing every word up to a length in all one-step ways.
+A sweep is evidence for the degrees it covers only; the tests use it to
+cross-check the verdicts of the generator and overlap certificates.
+"""
+
+import itertools
+
+from poisson_forge.hopf import (
+    apply_in_slot, antipode_in_slot, counit_in_slot, multiply_factors,
+)
+from poisson_forge.ncalg import (
+    NCPoly, TensorAlgebra, TensorElement, _terms_equal, check_map,
+)
+from poisson_forge.report import Report, merge
+from poisson_forge.scalars import HSeries
+
+
+def sweep_coassociativity(hopf, degree=3):
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on monomials <= degree."""
+    pres = hopf.algebra
+    t3 = TensorAlgebra(pres, 3)
+    failures = []
+    for word in pres.monomials_up_to(degree):
+        d = hopf.coproduct.apply_word(word)
+        lhs = apply_in_slot(hopf.coproduct, d, 0, t3)
+        rhs = apply_in_slot(hopf.coproduct, d, 1, t3)
+        if not (lhs - rhs).is_zero():
+            failures.append("coassociativity fails on %s: defect %r"
+                            % (pres.word_name(word), lhs - rhs))
+            break
+    return Report.from_failures("coassociativity", failures)
+
+
+def sweep_counit(hopf, degree=3):
+    """(eps (x) id) Delta = id = (id (x) eps) Delta on monomials <= degree."""
+    pres = hopf.algebra
+    t1 = TensorAlgebra(pres, 1)
+    failures = []
+    for word in pres.monomials_up_to(degree):
+        d = hopf.coproduct.apply_word(word)
+        left = counit_in_slot(hopf.counit, d, 0, t1)
+        right = counit_in_slot(hopf.counit, d, 1, t1)
+        target = TensorElement(t1, {(word,): HSeries.one()})
+        if not (left - target).is_zero():
+            failures.append("(eps x id)Delta != id at %s" % pres.word_name(word))
+        if not (right - target).is_zero():
+            failures.append("(id x eps)Delta != id at %s" % pres.word_name(word))
+        if failures:
+            break
+    return Report.from_failures("counit", failures)
+
+
+def sweep_antipode(hopf, degree=3):
+    """m(S (x) id)Delta = iota o eps = m(id (x) S)Delta on monomials."""
+    pres = hopf.algebra
+    failures = []
+    for word in pres.monomials_up_to(degree):
+        d = hopf.coproduct.apply_word(word)
+        target = pres.one() * hopf.counit.apply_word(word)
+        left = multiply_factors(antipode_in_slot(hopf.antipode, d, 0))
+        right = multiply_factors(antipode_in_slot(hopf.antipode, d, 1))
+        if not (left - target).is_zero():
+            failures.append("m(S x id)Delta defect at %s: %r"
+                            % (pres.word_name(word), left - target))
+        if not (right - target).is_zero():
+            failures.append("m(id x S)Delta defect at %s: %r"
+                            % (pres.word_name(word), right - target))
+        if failures:
+            break
+    return Report.from_failures("antipode", failures)
+
+
+def sweep_delta_hom(hopf, degree=3):
+    """Delta(x * y) = Delta(x) * Delta(y), including the rule check."""
+    rep = check_map(hopf.coproduct)
+    failures = list(rep.failures)
+    pres = hopf.algebra
+    monos = pres.monomials_up_to(degree)
+    for w1 in monos:
+        for w2 in monos:
+            if len(w1) + len(w2) > degree or not w1 or not w2:
+                continue
+            x = NCPoly(pres, {w1: HSeries.one()})
+            y = NCPoly(pres, {w2: HSeries.one()})
+            lhs = hopf.coproduct(x * y)
+            rhs = hopf.coproduct(x) * hopf.coproduct(y)
+            if not (lhs - rhs).is_zero():
+                failures.append("Delta(xy) != Delta(x)Delta(y) at %s, %s"
+                                % (pres.word_name(w1), pres.word_name(w2)))
+    return Report.from_failures("delta-homomorphism", failures)
+
+
+def sweep_all_axioms(hopf, degree=3):
+    reports = {
+        "coassociativity": sweep_coassociativity(hopf, degree),
+        "counit": sweep_counit(hopf, degree),
+        "antipode": sweep_antipode(hopf, degree),
+        "delta-hom": sweep_delta_hom(hopf, degree),
+    }
+    reports["all"] = merge("hopf-axioms", list(reports.values()))
+    return reports
+
+
+def sweep_confluence(pres, degree=4):
+    """Reduce every word of length <= degree by every applicable first
+    step and compare the fully reduced results."""
+    failures = []
+    for length in range(2, degree + 1):
+        for word in itertools.product(range(len(pres.gens)), repeat=length):
+            results = []
+            for k in range(length - 1):
+                rule = pres.rules.get((word[k], word[k + 1]))
+                if rule is None:
+                    continue
+                acc = {}
+                head, tail = word[:k], word[k + 2:]
+                for t, c in rule.items():
+                    for w2, c2 in pres._nf(head + t + tail).items():
+                        v = acc.get(w2, HSeries.zero()) + c * c2
+                        acc[w2] = v
+                acc = {w: c for w, c in acc.items() if not c.is_zero()}
+                results.append(acc)
+            for r in results[1:]:
+                if not _terms_equal(r, results[0]):
+                    failures.append("overlap %s reduces ambiguously"
+                                    % pres.word_name(word))
+                    break
+    return Report.from_failures("confluence", failures)

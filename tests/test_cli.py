@@ -208,3 +208,24 @@ def test_value_error_in_fixture_run_is_internal_error(monkeypatch, capsys):
     assert "internal error: fixture went wrong" in err
     assert "Traceback" in err
     assert "input error" not in err
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    # any exception other than the mapped ones is a bug: exit 4 with a
+    # traceback on both paths, never exit 1 ("a check failed")
+    from poisson_forge import cli, suites
+
+    def broken(*args, **kwargs):
+        raise KeyError("missing entry")
+
+    monkeypatch.setattr(suites, "run_fixture_suite", broken)
+    assert run(["check-bialgebra", "--fixtures"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: 'missing entry'" in err
+    assert "Traceback" in err and "KeyError" in err
+
+    monkeypatch.setattr(cli, "run_spec_command", broken)
+    assert run(["check-bialgebra", SPEC, "plane_r"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: 'missing entry'" in err
+    assert "Traceback" in err

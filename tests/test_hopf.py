@@ -16,13 +16,13 @@ from poisson_forge.scalars import HSeries, gauss, hexp
 
 def test_primitive_hopf_axioms():
     hopf = fixtures.usl2_hopf()
-    reports = check_all_axioms(hopf, degree=3)
+    reports = check_all_axioms(hopf)
     assert reports["all"].ok, reports["all"].failures
 
 
 def test_uhsl2_hopf_axioms():
     hopf = fixtures.uhsl2_hopf()
-    reports = check_all_axioms(hopf, degree=3)
+    reports = check_all_axioms(hopf)
     assert reports["all"].ok, reports["all"].failures
 
 
@@ -38,8 +38,8 @@ def test_grouplike_counit():
     antipode = AlgebraMap(pres, {"g": pres.gen("g")}, pres.one(),
                           anti=True, name="S")
     hopf = HopfStructure(pres, cop, counit, antipode)
-    assert check_counit(hopf, 3).ok
-    assert check_coassociativity(hopf, 3).ok
+    assert check_counit(hopf).ok
+    assert check_coassociativity(hopf).ok
 
 
 def test_wrong_counit_fails():
@@ -50,7 +50,7 @@ def test_wrong_counit_fails():
                             HSeries.one(), name="eps-bad")
     bad = HopfStructure(hopf.algebra, hopf.coproduct, bad_counit,
                         hopf.antipode, validate=False)
-    assert not check_counit(bad, 2).ok
+    assert not check_counit(bad).ok
 
 
 def test_wrong_antipode_fails():
@@ -60,7 +60,7 @@ def test_wrong_antipode_fails():
                               hopf.algebra.one(), anti=True, name="S-bad")
     bad = HopfStructure(hopf.algebra, hopf.coproduct, hopf.counit,
                         bad_antipode, validate=False)
-    assert not check_antipode(bad, 2).ok
+    assert not check_antipode(bad).ok
 
 
 def test_perturbed_coproduct_fails_delta_hom():
@@ -78,7 +78,7 @@ def test_perturbed_coproduct_fails_delta_hom():
                          t2.one(), name="Delta-bad")
     bad = HopfStructure(pres, bad_cop, good.counit, good.antipode,
                         validate=False)
-    assert not check_delta_hom(bad, 2).ok
+    assert not check_delta_hom(bad).ok
 
 
 def test_semiclassical_cobracket_uhsl2():
@@ -162,7 +162,7 @@ def test_co_poisson_compatibility_uhsl2():
 def test_quasitriangular_trivial_R():
     hopf = fixtures.usl2_hopf()
     R = hopf.square.one()
-    reports = check_quasitriangular(hopf, R, R_inverse=R, degree=3)
+    reports = check_quasitriangular(hopf, R, R_inverse=R)
     for name in ("invertible", "coproduct-1", "coproduct-2", "qybe", "counit"):
         assert reports[name].ok, (name, reports[name].failures)
 
@@ -178,7 +178,7 @@ def test_quasitriangular_first_order_r():
     half = gauss(Fraction(1, 2))
     r = t2.element({(("H",), ("H",)): h * eighth, (("E",), ("F",)): h * half})
     R = t2.one() + r
-    reports = check_quasitriangular(hopf, R, degree=3)
+    reports = check_quasitriangular(hopf, R)
     assert reports["qybe"].data["defect_valuation"] >= 3
     assert reports["coproduct-1"].data["defect_valuation"] == 2
     assert reports["coproduct-2"].data["defect_valuation"] == 2
@@ -189,7 +189,7 @@ def test_quasitriangular_violation_detected():
     hopf = fixtures.usl2_hopf()
     t2 = hopf.square
     R = t2.element({(("E",), ("F",)): 1})  # no unit term: axioms fail outright
-    reports = check_quasitriangular(hopf, R, degree=2)
+    reports = check_quasitriangular(hopf, R)
     assert not reports["coproduct-1"].ok
     assert not reports["counit"].ok
 
@@ -215,7 +215,7 @@ def test_truncated_q_factor_fails_coassociativity():
         + t2.from_factors([qm, pres.gen("E")])
     cop = AlgebraMap(pres, images, t2.one(), name="Delta-trunc")
     bad = HopfStructure(pres, cop, good.counit, good.antipode, validate=False)
-    rep = check_coassociativity(bad, 2)
+    rep = check_coassociativity(bad)
     assert not rep.ok
     assert "E" in rep.failures[0]
 
@@ -234,3 +234,169 @@ def test_hopf_suite_exact_at_other_truncation_orders():
                 assert rep.ok, (order, check_id, rep.failures)
     finally:
         set_default_order(old)
+
+
+# -- the generator certificates against the degree-3 sweep oracle ------------
+
+def _grouplike_hopf():
+    from poisson_forge.ncalg import Presentation
+    pres = Presentation(["g"], {}, name="grouplike")
+    t2 = TensorAlgebra(pres, 2)
+    cop = AlgebraMap(pres, {"g": t2.element({(("g",), ("g",)): 1})},
+                     t2.one(), name="Delta")
+    counit = AlgebraMap(pres, {"g": HSeries.one()}, HSeries.one(),
+                        name="eps")
+    antipode = AlgebraMap(pres, {"g": pres.gen("g")}, pres.one(),
+                          anti=True, name="S")
+    return HopfStructure(pres, cop, counit, antipode)
+
+
+def _with_maps(hopf, coproduct=None, counit=None, antipode=None):
+    return HopfStructure(hopf.algebra, coproduct or hopf.coproduct,
+                         counit or hopf.counit, antipode or hopf.antipode,
+                         validate=False)
+
+
+def _with_coproduct_images(hopf, name, **images):
+    pres = hopf.algebra
+    merged = {pres.gens[i]: img for i, img in hopf.coproduct.images.items()}
+    merged.update(images)
+    return _with_maps(hopf, coproduct=AlgebraMap(pres, merged,
+                                                 hopf.square.one(), name=name))
+
+
+def _wrong_counit_hopf():
+    hopf = fixtures.usl2_hopf()
+    return _with_maps(hopf, counit=AlgebraMap(
+        hopf.algebra, {"E": HSeries.zero(), "F": HSeries.zero(),
+                       "H": HSeries.one()}, HSeries.one(), name="eps-bad"))
+
+
+def _wrong_antipode_hopf():
+    hopf = fixtures.usl2_hopf()
+    pres = hopf.algebra
+    return _with_maps(hopf, antipode=AlgebraMap(
+        pres, {g: pres.gen(g) for g in ("F", "H", "E")}, pres.one(),
+        anti=True, name="S-bad"))
+
+
+def _perturbed_coproduct_hopf():
+    hopf = fixtures.uhsl2_hopf()
+    pres, t2 = hopf.algebra, hopf.square
+    qh_plus = fixtures.h_exponential(pres, Fraction(1, 8))
+    return _with_coproduct_images(
+        hopf, "Delta-bad", E=t2.from_factors([pres.gen("E"), qh_plus])
+        + t2.embed(pres.gen("E"), 1))
+
+
+def _truncated_q_factor_hopf():
+    from poisson_forge.ncalg import NCPoly
+    hopf = fixtures.uhsl2_hopf()
+    pres, t2 = hopf.algebra, hopf.square
+    trunc = NCPoly(pres, {(): HSeries.one(),
+                          (pres.index("H"),): HSeries([0, Fraction(1, 8)])})
+    qm = fixtures.h_exponential(pres, Fraction(-1, 8))
+    return _with_coproduct_images(
+        hopf, "Delta-trunc", E=t2.from_factors([pres.gen("E"), trunc])
+        + t2.from_factors([qm, pres.gen("E")]))
+
+
+def _shifted_coproduct_hopf():
+    # Delta(F) = F (x) 1 + 1 (x) F + 1 (x) 1 is coassociative on F, but
+    # [Delta(H), Delta(F)] = -2 (F (x) 1 + 1 (x) F) != -2 Delta(F)
+    hopf = fixtures.usl2_hopf()
+    t2 = hopf.square
+    f = hopf.coproduct.images[hopf.algebra.index("F")]
+    return _with_coproduct_images(hopf, "Delta-shift", F=f + t2.one())
+
+
+def _plane_hopf(**bad):
+    # the commutative plane x, y with x, y primitive; ``bad`` replaces the
+    # coproduct, counit or antipode image of y only, keeping every rule
+    from poisson_forge.ncalg import Presentation
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}},
+                        name="plane")
+    t2 = TensorAlgebra(pres, 2)
+    x, y = pres.gen("x"), pres.gen("y")
+    cop = {g: t2.embed(pres.gen(g), 0) + t2.embed(pres.gen(g), 1)
+           for g in ("x", "y")}
+    eps = {"x": HSeries.zero(), "y": HSeries.zero()}
+    anti = {"x": -x, "y": -y}
+    if "coproduct" in bad:
+        cop["y"] = cop["y"] + t2.embed(x, 0)
+    if "counit" in bad:
+        eps["y"] = HSeries.one()
+    if "antipode" in bad:
+        anti["y"] = y
+    return HopfStructure(
+        pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
+        AlgebraMap(pres, eps, HSeries.one(), name="eps"),
+        AlgebraMap(pres, anti, pres.one(), anti=True, name="S"))
+
+
+def _spec_usl2_hopf():
+    import os
+    from poisson_forge.specfile import SpecFile
+    spec = os.path.join(os.path.dirname(__file__), "..", "demos",
+                        "sample_spec.json")
+    return SpecFile.load(spec).hopf_structure("usl2_hopf")
+
+
+ORACLE_CASES = {
+    "usl2": fixtures.usl2_hopf,
+    "uhsl2": fixtures.uhsl2_hopf,
+    "grouplike": _grouplike_hopf,
+    "spec-usl2": _spec_usl2_hopf,
+    "wrong-counit": _wrong_counit_hopf,
+    "wrong-antipode": _wrong_antipode_hopf,
+    "perturbed-coproduct": _perturbed_coproduct_hopf,
+    "truncated-q-factor": _truncated_q_factor_hopf,
+    "shifted-coproduct": _shifted_coproduct_hopf,
+    "plane": _plane_hopf,
+    "plane-bad-coproduct-on-y": lambda: _plane_hopf(coproduct=True),
+    "plane-bad-counit-on-y": lambda: _plane_hopf(counit=True),
+    "plane-bad-antipode-on-y": lambda: _plane_hopf(antipode=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_certificates_agree_with_sweep_oracle(case):
+    from oracles import sweep_all_axioms
+    hopf = ORACLE_CASES[case]()
+    cert = check_all_axioms(hopf)
+    sweep = sweep_all_axioms(hopf, degree=3)
+    assert cert["all"].verdict == sweep["all"].verdict, case
+    maps_ok = (hopf.coproduct_report.ok and hopf.counit_report.ok
+               and hopf.antipode_report.ok)
+    for key in ("coassociativity", "counit", "antipode", "delta-hom"):
+        # a sweep failure is always a certificate failure; with maps that
+        # preserve every rule the two verdicts coincide
+        if not sweep[key].ok:
+            assert not cert[key].ok, (case, key)
+        if maps_ok:
+            assert cert[key].verdict == sweep[key].verdict, (case, key)
+
+
+def test_certificate_names_broken_rule_missed_by_generator_check():
+    from oracles import sweep_coassociativity
+    bad = _shifted_coproduct_hopf()
+    rep = check_coassociativity(bad)
+    assert not rep.ok
+    # the only failure is Delta's broken rule: on the generators the
+    # identity holds, and so it does on every monomial of degree <= 3
+    assert len(rep.failures) == 1
+    assert rep.failures[0].startswith(
+        "map:Delta-shift: rule H*F is not preserved")
+    assert sweep_coassociativity(bad, degree=3).ok
+    assert check_delta_hom(bad).failures == \
+        ["rule H*F is not preserved: defect (2)*[1 (x) 1]"]
+
+
+def test_map_reports_kept_and_validate_raises():
+    hopf = fixtures.uhsl2_hopf()
+    assert hopf.coproduct_report.ok and hopf.counit_report.ok \
+        and hopf.antipode_report.ok
+    bad = _wrong_antipode_hopf()
+    assert not bad.antipode_report.ok and bad.coproduct_report.ok
+    with pytest.raises(ValueError, match="S-bad does not preserve"):
+        HopfStructure(bad.algebra, bad.coproduct, bad.counit, bad.antipode)
