@@ -1,8 +1,10 @@
 """Classical Poisson reduction at polynomial scale.
 
 Invariant functions are computed by exact linear algebra on graded monomial
-components; ideal membership is multivariate division against the small,
-explicit generator sets of the fixtures (no general Groebner machinery).
+components.  Ideal membership is decided by division against the reduced
+lex Groebner basis that Buchberger's algorithm computes once for each
+ReductionSetup, so remainders are canonical normal forms; the quotient
+bracket's well-definedness is then a finite certificate on the generators.
 The two reduction pipelines -- the quotient bracket on invariant
 representatives modulo the momentum ideal, and the invariants-of-quotient
 algebra -- are built to be cross-checkable on a shared fixture.
@@ -11,13 +13,12 @@ algebra -- are built to be cross-checkable on a shared fixture.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .coordpoly import Chart, CoordPoly, poly
 from .errors import CapabilityError
 from .linalg import kernel_basis, rref, in_row_span
 from .report import Report
-from .scalars import ZERO, ONE, gauss
+from .scalars import ZERO, ONE, HSeries
 
 
 class ReductionSetup:
@@ -30,6 +31,7 @@ class ReductionSetup:
         self.action = action
         self.hamiltonians = hamiltonians or {}
         self.ideal = [poly(g, self.chart) for g in ideal]
+        self.basis = groebner_basis(self.ideal)
 
 
 def monomial_basis(chart, degree):
@@ -132,44 +134,149 @@ def _raw_invariants(setup, degree):
 
 
 # ---------------------------------------------------------------------------
-# Ideal arithmetic: multivariate division against explicit generators
+# Ideal arithmetic: a reduced lex Groebner basis and division against it
 # ---------------------------------------------------------------------------
 
-def _lead(p):
-    """Lex-largest monomial of p with its coefficient."""
-    m = max(p.terms)
-    return m, p.terms[m]
+def _lead(terms):
+    """Lex-largest monomial of a term dict with its coefficient."""
+    m = max(terms)
+    return m, terms[m]
 
 
 def _divides(m, t):
     return all(a <= b for a, b in zip(m, t))
 
 
-def reduce_mod_ideal(p, gens, max_steps=10000):
-    """Remainder of p under division by the generators (lex order)."""
-    if not gens:
-        return p
-    p = poly(p, gens[0].chart)
+# Division steps allowed for one remainder before the guard trips.
+MAX_STEPS = 10000
+
+
+class GroebnerBasis(tuple):
+    """The reduced lex Groebner basis of an ideal, as built by
+    ``groebner_basis``: monic polynomials sorted by leading monomial."""
+
+    __slots__ = ()
+
+
+def _sub_multiple(terms, coeff, shift, g):
+    """terms -= coeff * x^shift * g, in place on a term dict."""
+    for e, c in g.items():
+        k = tuple(a + b for a, b in zip(shift, e))
+        old = terms.get(k)
+        v = -(coeff * c) if old is None else old - coeff * c
+        if v.is_zero():
+            terms.pop(k, None)
+        else:
+            terms[k] = v
+
+
+def _remainder(terms, basis, max_steps):
+    """Full remainder of a term dict on monic term dicts (lex order)."""
+    heads = [(_lead(g)[0], g) for g in basis]
+    p = dict(terms)
+    rem = {}
     steps = 0
-    changed = True
-    while changed and not p.is_zero():
-        changed = False
-        for g in gens:
-            gm, gc = _lead(g)
-            for t in sorted(p.terms, reverse=True):
-                if _divides(gm, t):
-                    shift = tuple(a - b for a, b in zip(t, gm))
-                    factor = CoordPoly(p.chart, {shift: p.terms[t] * gc.inverse()})
-                    p = p - factor * g
-                    changed = True
-                    steps += 1
-                    if steps > max_steps:
-                        raise CapabilityError("ideal reduction did not "
-                                              "terminate within %d steps" % max_steps)
-                    break
-            if changed:
+    while p:
+        t = max(p)
+        for lead, g in heads:
+            if _divides(lead, t):
+                steps += 1
+                if steps > max_steps:
+                    raise CapabilityError(
+                        "guard division.max_steps: ideal division did not "
+                        "terminate within %d steps" % max_steps,
+                        guard="division.max_steps",
+                        counters={"steps": steps, "max_steps": max_steps})
+                _sub_multiple(p, p[t],
+                              tuple(a - b for a, b in zip(t, lead)), g)
                 break
-    return p
+        else:
+            rem[t] = p.pop(t)
+    return rem
+
+
+def _monic(terms):
+    inv = _lead(terms)[1].inverse()
+    return {e: c * inv for e, c in terms.items()}
+
+
+def groebner_basis(gens, max_pairs=1000):
+    """Reduced Groebner basis of the ideal <gens> in lex order.
+
+    Buchberger's algorithm (Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 2): the S-polynomial of every pair of basis elements
+    is divided by the basis and a nonzero remainder joins it, until every
+    S-polynomial reduces to 0.  A pair whose leading monomials are coprime
+    reduces to 0 anyway (Buchberger's first criterion) and is skipped.  The
+    result is then made minimal and interreduced, so it depends on the
+    ideal alone, and p lies in the ideal exactly when its remainder on the
+    basis is 0.
+
+    Coefficients must be hbar-free (Q(i) is a field), and exponents
+    nonnegative: ideals of Laurent polynomials are out of scope.  Each
+    S-pair reduction counts against ``max_pairs``.
+    """
+    gens = list(gens)
+    basis = []
+    for n, g in enumerate(gens):
+        for exps, c in g.terms.items():
+            if min(exps, default=0) < 0:
+                raise CapabilityError(
+                    "guard groebner.laurent: ideal generator %d of %d (%s) "
+                    "has exponent %d; Laurent ideals are out of scope"
+                    % (n + 1, len(gens), g, min(exps)),
+                    guard="groebner.laurent",
+                    counters={"generator": n + 1, "exponent": min(exps)})
+            _scalar_coeff(c)  # refuses hbar-dependent coefficients
+        if g.terms:
+            basis.append(_monic(g.terms))
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    one = HSeries.one()
+    reductions = 0
+    while pairs:
+        i, j = pairs.pop()
+        li, lj = _lead(basis[i])[0], _lead(basis[j])[0]
+        if not any(a and b for a, b in zip(li, lj)):
+            continue
+        reductions += 1
+        if reductions > max_pairs:
+            raise CapabilityError(
+                "guard groebner.max_pairs: S-pair reduction %d exceeds the "
+                "budget of %d" % (reductions, max_pairs),
+                guard="groebner.max_pairs",
+                counters={"s_pairs": reductions, "max_pairs": max_pairs})
+        lcm = tuple(max(a, b) for a, b in zip(li, lj))
+        s = {}
+        _sub_multiple(s, -one, tuple(a - b for a, b in zip(lcm, li)),
+                      basis[i])
+        _sub_multiple(s, one, tuple(a - b for a, b in zip(lcm, lj)),
+                      basis[j])
+        r = _remainder(s, basis, MAX_STEPS)
+        if r:
+            basis.append(_monic(r))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    basis.sort(key=max)
+    minimal = []
+    for g in basis:
+        if not any(_divides(max(h), max(g)) for h in minimal):
+            minimal.append(g)
+    reduced = [_remainder(g, minimal[:k] + minimal[k + 1:], MAX_STEPS)
+               for k, g in enumerate(minimal)]
+    chart = gens[0].chart if gens else None
+    return GroebnerBasis(CoordPoly._mk(chart, g) for g in reduced)
+
+
+def reduce_mod_ideal(p, gens, max_steps=MAX_STEPS):
+    """Normal form of p modulo the ideal: its remainder on the reduced lex
+    Groebner basis.  ``gens`` is a GroebnerBasis or any generator list,
+    which is completed first."""
+    basis = gens if isinstance(gens, GroebnerBasis) else groebner_basis(gens)
+    if not basis:
+        return p
+    chart = basis[0].chart
+    p = poly(p, chart)
+    return CoordPoly._mk(chart, _remainder(p.terms, [g.terms for g in basis],
+                                           max_steps))
 
 
 def in_ideal(p, gens):
@@ -179,10 +286,9 @@ def in_ideal(p, gens):
 def check_ideal_poisson_closed(setup):
     """{I, I} subset I on the generators: each pairwise bracket reduces to 0."""
     failures = []
-    gens = setup.ideal
-    for f, g in itertools.combinations(gens, 2):
+    for f, g in itertools.combinations(setup.ideal, 2):
         b = setup.pi.bracket(f, g)
-        r = reduce_mod_ideal(b, gens)
+        r = reduce_mod_ideal(b, setup.basis)
         if not r.is_zero():
             failures.append("{%s, %s} = %s escapes the ideal (remainder %s)"
                             % (f, g, b, r))
@@ -195,48 +301,46 @@ def check_ideal_invariant(setup):
     failures = []
     for name, field in setup.action.items():
         for g in setup.ideal:
-            r = reduce_mod_ideal(field.apply(g), setup.ideal)
+            r = reduce_mod_ideal(field.apply(g), setup.basis)
             if not r.is_zero():
                 failures.append("%s_M(%s) = %s escapes the ideal"
                                 % (name, g, field.apply(g)))
     return Report.from_failures("ideal-invariant", failures)
 
 
-def reduced_bracket(setup, f, g, perturbations=20, seed=0, perturb_degree=1):
-    """Bracket of two invariant-mod-I representatives on the quotient.
+def reduced_bracket(setup, f, g):
+    """Bracket of two representatives on the quotient by I = <g_1, ..., g_m>.
 
-    Returns (class representative, well-definedness report): the class is
-    re-computed after perturbing each representative by random ideal
-    elements and must not move.
+    Returns (class representative, well-definedness report).  The class is
+    the normal form of {f, g} on the Groebner basis.  For f' = f + sum a_i g_i
+    and g' = g + sum b_j g_j the Leibniz rule gives
+
+        {f', g'} - {f, g} = sum_j b_j {f, g_j} + sum_i a_i {g_i, g}
+                            + sum_ij a_i b_j {g_i, g_j}   (mod I),
+
+    so the class of {f, g} is independent of the representatives if and only
+    if every {g_i, f}, {g_i, g} and {g_i, g_j} lies in I (for "only if" take
+    a single a_i or b_j equal to 1).  Each membership is decided by its
+    normal form, so a pass proves the class well defined and each failure
+    names a generator, a representative and the remainder that moves it.
     """
     gens = setup.ideal
-    chart = setup.chart
-    f = poly(f, chart)
-    g = poly(g, chart)
-    base = reduce_mod_ideal(setup.pi.bracket(f, g), gens)
-    rng = random.Random(seed)
-    monos = monomial_basis(chart, perturb_degree)
+    f = poly(f, setup.chart)
+    g = poly(g, setup.chart)
+    base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.basis)
     failures = []
-    for trial in range(perturbations):
-        fp = f
-        gp = g
-        for gen in gens:
-            fp = fp + _random_poly(rng, chart, monos) * gen
-            gp = gp + _random_poly(rng, chart, monos) * gen
-        got = reduce_mod_ideal(setup.pi.bracket(fp, gp), gens)
-        if not (got - base).is_zero():
-            failures.append("perturbation %d moved the class: %s vs %s"
-                            % (trial, got, base))
+    for gi in gens:
+        for rep in (f, g):
+            r = reduce_mod_ideal(setup.pi.bracket(gi, rep), setup.basis)
+            if not r.is_zero():
+                failures.append("{%s, %s} escapes the ideal (remainder %s)"
+                                % (gi, rep, r))
+    for gi, gj in itertools.combinations(gens, 2):
+        r = reduce_mod_ideal(setup.pi.bracket(gi, gj), setup.basis)
+        if not r.is_zero():
+            failures.append("{%s, %s} escapes the ideal (remainder %s)"
+                            % (gi, gj, r))
     return base, Report.from_failures("reduced-bracket-well-defined", failures)
-
-
-def _random_poly(rng, chart, monos):
-    out = chart.zero()
-    for m in monos:
-        c = rng.randint(-2, 2)
-        if c:
-            out = out + CoordPoly(chart, {m: gauss(c)})
-    return out
 
 
 def sw_reduced_algebra(setup, degree):
@@ -250,9 +354,9 @@ def sw_reduced_algebra(setup, degree):
     Jacobi holds for the quotient bracket on tested triples.
     """
     invariants, closure = invariant_functions(setup, degree)
-    gens = setup.ideal
+    basis = setup.basis
     chart = setup.chart
-    reduced = [reduce_mod_ideal(p, gens) for p in invariants]
+    reduced = [reduce_mod_ideal(p, basis) for p in invariants]
     # independent classes via row reduction over the ambient monomial basis
     max_deg = max([p.total_degree() for p in reduced] + [degree])
     monos = monomial_basis(chart, max_deg)
@@ -277,9 +381,10 @@ def sw_reduced_algebra(setup, degree):
     for i, j, k in itertools.combinations(range(len(classes)), 3):
         acc = chart.zero()
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = reduce_mod_ideal(setup.pi.bracket(classes[a], classes[b]), gens)
+            inner = reduce_mod_ideal(setup.pi.bracket(classes[a], classes[b]),
+                                     basis)
             acc = acc + setup.pi.bracket(inner, classes[c])
-        if not reduce_mod_ideal(acc, gens).is_zero():
+        if not reduce_mod_ideal(acc, basis).is_zero():
             failures.append("quotient Jacobi fails on classes (%d,%d,%d)"
                             % (i, j, k))
     report = Report.from_failures("sw-reduced-algebra", failures,

@@ -344,7 +344,7 @@ def quantum_action_fixture_suite(degree=2):
     return out
 
 
-def reduction_fixture_suite(degree=2, seed=0):
+def reduction_fixture_suite(degree=2):
     from .coordpoly import Chart, poly
     from .poisson import PolyBivector, PolyVectorField
     from .reduction import (
@@ -362,8 +362,7 @@ def reduction_fixture_suite(degree=2, seed=0):
     out.append(("case3/ideal-invariant", check_ideal_invariant(setup)))
     basis, closure = invariant_functions(setup, degree)
     out.append(("case3/invariant-closure", closure))
-    cls, rep = reduced_bracket(setup, poly("u", chart), poly("v", chart),
-                               seed=seed)
+    cls, rep = reduced_bracket(setup, poly("u", chart), poly("v", chart))
     ok = rep.ok and cls == poly(1, chart)
     out.append(("case3/reduced-bracket-canonical",
                 Report("reduced-bracket", PASS if ok else FAIL,
@@ -373,7 +372,7 @@ def reduction_fixture_suite(degree=2, seed=0):
     # cross-check the two pipelines on the shared fixture
     failures = []
     for (i, j), cls in sorted(table.items()):
-        direct, rep2 = reduced_bracket(setup, classes[i], classes[j], seed=seed)
+        direct, rep2 = reduced_bracket(setup, classes[i], classes[j])
         if not (direct - cls).is_zero() or not rep2.ok:
             failures.append("pipelines disagree on classes (%d,%d)" % (i, j))
     out.append(("case3/pipelines-agree",
@@ -381,7 +380,7 @@ def reduction_fixture_suite(degree=2, seed=0):
     return out
 
 
-def run_fixture_suite(command, degree=3, seed=0):
+def run_fixture_suite(command, degree=3):
     """The shipped suite for one CLI command."""
     if command == "check-bialgebra":
         return bialgebra_fixture_suite()
@@ -398,7 +397,7 @@ def run_fixture_suite(command, degree=3, seed=0):
     if command == "check-action":
         return quantum_action_fixture_suite(degree)
     if command == "reduce":
-        return reduction_fixture_suite(seed=seed)
+        return reduction_fixture_suite()
     if command == "qreduce":
         from .qmomentum import check_ideal_invariance, invariant_subalgebra
         act = fixtures.su2_action()

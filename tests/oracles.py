@@ -1,13 +1,16 @@
-"""Test-only oracles: the degree-bounded sweeps that the production
-certificates replaced.
+"""Test-only oracles: the sweeps that the production certificates
+replaced.
 
 The Hopf axioms are checked on every normal-form monomial up to a degree,
-and confluence by reducing every word up to a length in all one-step ways.
-A sweep is evidence for the degrees it covers only; the tests use it to
-cross-check the verdicts of the generator and overlap certificates.
+confluence by reducing every word up to a length in all one-step ways, and
+the quotient bracket's well-definedness by bracketing randomly perturbed
+representatives.  A sweep is evidence for the cases it tries only; the
+tests use it to cross-check the verdicts of the generator, overlap and
+Leibniz certificates.
 """
 
 import itertools
+import random
 
 from poisson_forge.hopf import (
     apply_in_slot, antipode_in_slot, counit_in_slot, multiply_factors,
@@ -15,8 +18,10 @@ from poisson_forge.hopf import (
 from poisson_forge.ncalg import (
     NCPoly, TensorAlgebra, TensorElement, _terms_equal, check_map,
 )
+from poisson_forge.coordpoly import CoordPoly, poly
+from poisson_forge.reduction import monomial_basis, reduce_mod_ideal
 from poisson_forge.report import Report, merge
-from poisson_forge.scalars import HSeries
+from poisson_forge.scalars import HSeries, gauss
 
 
 def sweep_coassociativity(hopf, degree=3):
@@ -130,3 +135,36 @@ def sweep_confluence(pres, degree=4):
                                     % pres.word_name(word))
                     break
     return Report.from_failures("confluence", failures)
+
+
+def sweep_reduced_bracket(setup, f, g, perturbations=20, seed=0,
+                          perturb_degree=1):
+    """Bracket f + sum r_i g_i and g + sum s_i g_i for random r_i, s_i of
+    degree <= perturb_degree; the class of the bracket must not move."""
+    chart = setup.chart
+    f = poly(f, chart)
+    g = poly(g, chart)
+    base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.basis)
+    rng = random.Random(seed)
+    monos = monomial_basis(chart, perturb_degree)
+    failures = []
+    for trial in range(perturbations):
+        fp = f
+        gp = g
+        for gen in setup.ideal:
+            fp = fp + _random_poly(rng, chart, monos) * gen
+            gp = gp + _random_poly(rng, chart, monos) * gen
+        got = reduce_mod_ideal(setup.pi.bracket(fp, gp), setup.basis)
+        if not (got - base).is_zero():
+            failures.append("perturbation %d moved the class: %s vs %s"
+                            % (trial, got, base))
+    return base, Report.from_failures("reduced-bracket-well-defined", failures)
+
+
+def _random_poly(rng, chart, monos):
+    out = chart.zero()
+    for m in monos:
+        c = rng.randint(-2, 2)
+        if c:
+            out = out + CoordPoly(chart, {m: gauss(c)})
+    return out

@@ -198,9 +198,8 @@ def test_criterion_8_reduction_suite():
         setup = ReductionSetup(pi, L, action, ideal=["a-1", "b"])
         assert check_ideal_poisson_closed(setup).ok
         assert check_ideal_invariant(setup).ok
-        # representative independence under 20 randomized perturbations
-        cls, rep = reduced_bracket(setup, poly("u", chart), poly("v", chart),
-                                   perturbations=20)
+        # representative independence, certified on the generators (Leibniz)
+        cls, rep = reduced_bracket(setup, poly("u", chart), poly("v", chart))
         assert rep.ok and cls == poly(1, chart)
         # invariants bracket-closed at degree 3
         _, closure = invariant_functions(setup, 3)

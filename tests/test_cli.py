@@ -199,7 +199,7 @@ def test_value_error_in_fixture_run_is_internal_error(monkeypatch, capsys):
     # 4 with a traceback), not malformed input (exit 2)
     from poisson_forge import suites
 
-    def broken(command, degree, seed):
+    def broken(command, degree):
         raise ValueError("fixture went wrong")
 
     monkeypatch.setattr(suites, "run_fixture_suite", broken)
@@ -229,3 +229,52 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal error: 'missing entry'" in err
     assert "Traceback" in err
+
+
+def test_spec_check_hopf_reports_non_confluent_presentation(tmp_path, capsys):
+    # y*x -> x*y + z, z*x -> x*z + x, z*y -> y*z: the overlap z*y*x has two
+    # normal forms, so the axiom certificates would prove nothing; the run
+    # reports the presentation instead of the axioms
+    rules = [(("y", "x"), [("1", ["x", "y"]), ("1", ["z"])]),
+             (("z", "x"), [("1", ["x", "z"]), ("1", ["x"])]),
+             (("z", "y"), [("1", ["y", "z"])])]
+    doc = {
+        "presentations": {"nc": {"generators": ["x", "y", "z"], "rules": [
+            {"pair": list(pair),
+             "terms": [{"coeff": c, "word": w} for c, w in terms]}
+            for pair, terms in rules]}},
+        "hopf_structures": {"nc_hopf": {
+            "algebra": "nc",
+            "coproduct": {g: [{"coeff": "1", "pair": [[g], []]},
+                              {"coeff": "1", "pair": [[], [g]]}]
+                          for g in "xyz"},
+            "counit": {g: "0" for g in "xyz"},
+            "antipode": {g: [{"coeff": "-1", "word": [g]}] for g in "xyz"},
+        }},
+    }
+    path = tmp_path / "non_confluent.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-hopf", str(path), "nc_hopf"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] nc_hopf/confluence" in out
+    assert "defect: overlap z*y*x reduces ambiguously" in out
+    assert "note: Hopf axioms not checked" in out
+    assert "coassociativity" not in out and "1 checks:" in out
+
+    assert run(["check-hopf", SPEC, "usl2_hopf"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] usl2_hopf/confluence" in out
+    assert "[PASS] usl2_hopf/coassociativity" in out
+
+
+def test_spec_reduce_laurent_ideal_is_capability_error(tmp_path, capsys):
+    doc = json.load(open(SPEC))
+    doc["reductions"]["laurent"] = {
+        "bivector": "pi_dual_plane", "algebra": "plane",
+        "action": {"xi": {"b": "b"}}, "ideal": ["a^-1-b"]}
+    path = tmp_path / "laurent.json"
+    path.write_text(json.dumps(doc))
+    assert run(["reduce", str(path), "laurent"]) == 3
+    err = capsys.readouterr().err
+    assert "capability exceeded: guard groebner.laurent" in err
+    assert "exponent -1" in err

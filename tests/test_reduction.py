@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -10,9 +11,15 @@ from poisson_forge.linalg import in_row_span
 from poisson_forge.poisson import PolyBivector, PolyVectorField, hamiltonian_field
 from poisson_forge.reduction import (
     ReductionSetup, invariant_functions, monomial_basis,
-    check_ideal_poisson_closed, check_ideal_invariant,
+    check_ideal_poisson_closed, check_ideal_invariant, groebner_basis,
     reduce_mod_ideal, in_ideal, reduced_bracket, sw_reduced_algebra, _expand,
 )
+from poisson_forge.specfile import SpecFile
+
+from oracles import sweep_reduced_bracket
+
+SPEC = os.path.join(os.path.dirname(__file__), "..", "demos",
+                    "sample_spec.json")
 
 
 def case3_setup(spectators=True):
@@ -207,6 +214,151 @@ def test_reduction_step_guard():
     # the step budget is a capability guard: reductions that need more work
     # than allowed raise instead of grinding on
     chart = Chart(["x", "y"])
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError) as exc:
         reduce_mod_ideal(poly("x", chart) ** 6 * poly("y", chart),
                          [poly("x-y", chart)], max_steps=3)
+    assert exc.value.guard == "division.max_steps"
+
+
+def translation_setup():
+    """Free translation along q1 on T*R^2 at the level p1 = 2."""
+    chart, pi = fixtures.canonical_chart(2)
+    L = LieAlgebra(["t"], {})
+    action = {"t": hamiltonian_field(pi, "p1")}
+    return ReductionSetup(pi, L, action, hamiltonians={"t": poly("p1", chart)},
+                          ideal=["p1-2"])
+
+
+def angular_setup():
+    pi, L, hams, action = fixtures.angular_momentum_fixture()
+    return ReductionSetup(pi, L, action, hamiltonians=hams,
+                          ideal=[hams["L1"], hams["L2"], hams["L3"]])
+
+
+def test_membership_needs_the_groebner_basis():
+    # x - y = y(xy - 1) - x(y^2 - 1), but no leading term of the raw
+    # generators divides x or y, so plain division leaves x - y behind
+    chart = Chart(["x", "y"])
+    gens = [poly("x*y-1", chart), poly("y^2-1", chart)]
+    assert in_ideal(poly("x-y", chart), gens)
+    assert [str(g) for g in groebner_basis(gens)] == ["-1 + y^2", "-y + x"]
+    # remainders are normal forms: equal classes give equal remainders
+    assert reduce_mod_ideal(poly("x^3+y", chart), gens) == \
+        reduce_mod_ideal(poly("2*y", chart), gens)
+    # the field (x-y) d/dy maps xy-1 to x(x-y), which lies in the ideal but
+    # leaves x^2-1 on division by the raw generators
+    setup = ReductionSetup(PolyBivector(chart, {("x", "y"): 1}),
+                           LieAlgebra(["t"], {}),
+                           {"t": PolyVectorField(chart, {"y": "x-y"})},
+                           ideal=gens)
+    assert check_ideal_invariant(setup).ok
+    # with {x, y} = x - y every bracket lies in the ideal, yet
+    # {xy-1, x} = xy - x^2 also leaves x^2-1 on the raw generators
+    pi = PolyBivector(chart, {("x", "y"): "x-y"})
+    setup = ReductionSetup(pi, LieAlgebra(["t"], {}), {}, ideal=gens)
+    cls, rep = reduced_bracket(setup, poly("x", chart), poly("y", chart))
+    assert rep.ok, rep.failures
+    assert cls.is_zero()
+    # the basis is interreduced: no tail term is divisible by a leading one
+    assert [str(g) for g in groebner_basis(
+        [poly("x-y^2", chart), poly("y^2-1", chart)])] == ["-1 + y^2", "-1 + x"]
+
+
+def _to_sympy(p, symbols):
+    import sympy
+    out = 0
+    for exps, c in p.terms.items():
+        z = c.constant_term()
+        coeff = sympy.Rational(z.re.numerator, z.re.denominator) \
+            + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+        term = coeff
+        for s, e in zip(symbols, exps):
+            term = term * s ** e
+        out = out + term
+    return sympy.expand(out)
+
+
+def test_groebner_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    plane = Chart(["x", "y"])
+    cases = [
+        case3_setup().ideal,
+        angular_setup().ideal,
+        translation_setup().ideal,
+        [poly("x*y-1", plane), poly("y^2-1", plane)],
+        [poly("x-y^2", plane), poly("y^2-1", plane)],
+        [poly("x^2-i*y", plane), poly("x*y^2-x+1", plane)],
+    ]
+    for gens in cases:
+        chart = gens[0].chart
+        symbols = sympy.symbols(chart.names)
+        ours = groebner_basis(gens)
+        ref = sympy.groebner([_to_sympy(g, symbols) for g in gens], *symbols,
+                             order="lex", extension=True)
+        # the reduced basis is unique once monic: compare as sets
+        monic = {sympy.expand(e / sympy.Poly(e, *symbols).LC())
+                 for e in ref.exprs}
+        assert {_to_sympy(g, symbols) for g in ours} == monic, chart
+
+
+def test_groebner_pair_budget_guard():
+    chart = Chart(["x", "y"])
+    gens = [poly("x*y-1", chart), poly("y^2-1", chart)]
+    with pytest.raises(CapabilityError) as exc:
+        groebner_basis(gens, max_pairs=0)
+    assert exc.value.guard == "groebner.max_pairs"
+    assert exc.value.counters == {"s_pairs": 1, "max_pairs": 0}
+    assert "groebner.max_pairs" in str(exc.value)
+    assert len(groebner_basis(gens, max_pairs=2)) == 2
+
+
+def test_laurent_ideal_refused():
+    chart = Chart(["a", "b"], invertible=["a"])
+    pi = PolyBivector(chart, {("a", "b"): "a*b"})
+    with pytest.raises(CapabilityError) as exc:
+        ReductionSetup(pi, LieAlgebra(["t"], {}), {}, ideal=["b", "a^-1-b"])
+    assert exc.value.guard == "groebner.laurent"
+    assert exc.value.counters == {"generator": 2, "exponent": -1}
+    assert "groebner.laurent" in str(exc.value)
+
+
+def _shipped_setups():
+    spec_setup, _ = SpecFile.load(SPEC).reduction("case3")
+    return [case3_setup(), spec_setup, translation_setup(), angular_setup()]
+
+
+def test_certificate_agrees_with_perturbation_sweep():
+    for setup in _shipped_setups():
+        classes, table, rep = sw_reduced_algebra(setup, 2)
+        assert rep.ok, rep.failures
+        pairs = list(itertools.combinations(classes, 2))
+        if "u" in setup.chart.names:
+            pairs.append((poly("u", setup.chart), poly("v", setup.chart)))
+        for f, g in pairs:
+            cls, cert = reduced_bracket(setup, f, g)
+            swept, sweep = sweep_reduced_bracket(setup, f, g)
+            assert cert.ok and sweep.ok, (f, g, cert.failures, sweep.failures)
+            assert cls == swept
+
+
+def test_certificate_and_sweep_fail_on_escaping_bracket():
+    # I = <u> on the case-3 chart: {u, v} = 1 escapes the ideal, so the
+    # class of {v, a} moves with the representative of a: {v, a + u} = -1
+    setup = case3_setup()
+    setup = ReductionSetup(setup.pi, setup.algebra, setup.action, ideal=["u"])
+    chart = setup.chart
+    cls, cert = reduced_bracket(setup, poly("v", chart), poly("a", chart))
+    assert cls.is_zero()
+    assert cert.failures == ["{u, v} escapes the ideal (remainder 1)"]
+    _, sweep = sweep_reduced_bracket(setup, poly("v", chart), poly("a", chart))
+    assert not sweep.ok
+    # I = <a, b> with {a, b} = 1: the constants bracket to 0, but
+    # {1 + a, 1 + b} = 1, so only the generator pair moves the class
+    chart = Chart(["a", "b"])
+    pi = PolyBivector(chart, {("a", "b"): 1})
+    setup = ReductionSetup(pi, LieAlgebra(["t"], {}), {}, ideal=["a", "b"])
+    cls, cert = reduced_bracket(setup, 1, 1)
+    assert cls.is_zero()
+    assert cert.failures == ["{a, b} escapes the ideal (remainder 1)"]
+    _, sweep = sweep_reduced_bracket(setup, 1, 1)
+    assert not sweep.ok
