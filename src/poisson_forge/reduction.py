@@ -5,6 +5,9 @@ components.  Ideal membership is decided by division against the reduced
 lex Groebner basis that Buchberger's algorithm computes once for each
 ReductionSetup, so remainders are canonical normal forms; the quotient
 bracket's well-definedness is then a finite certificate on the generators.
+Ideals on charts with invertible variables (Laurent ideals) are refused:
+there a monomial unit can carry a polynomial into the ideal (b = a^-1 * ab)
+that division in the polynomial ring never finds.
 The two reduction pipelines -- the quotient bracket on invariant
 representatives modulo the momentum ideal, and the invariants-of-quotient
 algebra -- are built to be cross-checkable on a shared fixture.
@@ -149,6 +152,8 @@ def _divides(m, t):
 
 # Division steps allowed for one remainder before the guard trips.
 MAX_STEPS = 10000
+# S-pair reductions allowed for one Groebner completion.
+MAX_PAIRS = 1000
 
 
 class GroebnerBasis(tuple):
@@ -200,7 +205,7 @@ def _monic(terms):
     return {e: c * inv for e, c in terms.items()}
 
 
-def groebner_basis(gens, max_pairs=1000):
+def groebner_basis(gens):
     """Reduced Groebner basis of the ideal <gens> in lex order.
 
     Buchberger's algorithm (Cox-Little-O'Shea, *Ideals, Varieties, and
@@ -209,27 +214,31 @@ def groebner_basis(gens, max_pairs=1000):
     S-polynomial reduces to 0.  A pair whose leading monomials are coprime
     reduces to 0 anyway (Buchberger's first criterion) and is skipped.  The
     result is then made minimal and interreduced, so it depends on the
-    ideal alone, and p lies in the ideal exactly when its remainder on the
-    basis is 0.
+    ideal alone, and a polynomial lies in the ideal exactly when its
+    remainder on the basis is 0.
 
-    Coefficients must be hbar-free (Q(i) is a field), and exponents
-    nonnegative: ideals of Laurent polynomials are out of scope.  Each
-    S-pair reduction counts against ``max_pairs``.
+    Coefficients must be hbar-free (Q(i) is a field), and the chart must
+    have no invertible variables: in the Laurent ring <a*b> contains b and
+    <a - 1> contains a^-1 - 1, which division never shows, so a nonzero
+    ideal there is refused.  Each S-pair reduction counts against
+    ``MAX_PAIRS``.
     """
-    gens = list(gens)
+    gens = [g for g in gens if g.terms]
+    chart = gens[0].chart if gens else None
+    if chart is not None and chart.invertible:
+        raise CapabilityError(
+            "guard groebner.laurent: an ideal of %d generator(s) on a chart "
+            "with %d invertible variable(s) (%s); Laurent ideals are out of "
+            "scope" % (len(gens), len(chart.invertible),
+                       ", ".join(sorted(chart.invertible))),
+            guard="groebner.laurent",
+            counters={"generators": len(gens),
+                      "invertible": len(chart.invertible)})
     basis = []
-    for n, g in enumerate(gens):
-        for exps, c in g.terms.items():
-            if min(exps, default=0) < 0:
-                raise CapabilityError(
-                    "guard groebner.laurent: ideal generator %d of %d (%s) "
-                    "has exponent %d; Laurent ideals are out of scope"
-                    % (n + 1, len(gens), g, min(exps)),
-                    guard="groebner.laurent",
-                    counters={"generator": n + 1, "exponent": min(exps)})
+    for g in gens:
+        for c in g.terms.values():
             _scalar_coeff(c)  # refuses hbar-dependent coefficients
-        if g.terms:
-            basis.append(_monic(g.terms))
+        basis.append(_monic(g.terms))
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     one = HSeries.one()
     reductions = 0
@@ -239,12 +248,12 @@ def groebner_basis(gens, max_pairs=1000):
         if not any(a and b for a, b in zip(li, lj)):
             continue
         reductions += 1
-        if reductions > max_pairs:
+        if reductions > MAX_PAIRS:
             raise CapabilityError(
                 "guard groebner.max_pairs: S-pair reduction %d exceeds the "
-                "budget of %d" % (reductions, max_pairs),
+                "budget of %d" % (reductions, MAX_PAIRS),
                 guard="groebner.max_pairs",
-                counters={"s_pairs": reductions, "max_pairs": max_pairs})
+                counters={"s_pairs": reductions, "max_pairs": MAX_PAIRS})
         lcm = tuple(max(a, b) for a, b in zip(li, lj))
         s = {}
         _sub_multiple(s, -one, tuple(a - b for a, b in zip(lcm, li)),
@@ -262,7 +271,6 @@ def groebner_basis(gens, max_pairs=1000):
             minimal.append(g)
     reduced = [_remainder(g, minimal[:k] + minimal[k + 1:], MAX_STEPS)
                for k, g in enumerate(minimal)]
-    chart = gens[0].chart if gens else None
     return GroebnerBasis(CoordPoly._mk(chart, g) for g in reduced)
 
 
@@ -323,23 +331,20 @@ def reduced_bracket(setup, f, g):
     a single a_i or b_j equal to 1).  Each membership is decided by its
     normal form, so a pass proves the class well defined and each failure
     names a generator, a representative and the remainder that moves it.
+    The {g_i, g_j} part is check_ideal_poisson_closed, whose failures are
+    folded in.
     """
-    gens = setup.ideal
     f = poly(f, setup.chart)
     g = poly(g, setup.chart)
     base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.basis)
     failures = []
-    for gi in gens:
+    for gi in setup.ideal:
         for rep in (f, g):
             r = reduce_mod_ideal(setup.pi.bracket(gi, rep), setup.basis)
             if not r.is_zero():
                 failures.append("{%s, %s} escapes the ideal (remainder %s)"
                                 % (gi, rep, r))
-    for gi, gj in itertools.combinations(gens, 2):
-        r = reduce_mod_ideal(setup.pi.bracket(gi, gj), setup.basis)
-        if not r.is_zero():
-            failures.append("{%s, %s} escapes the ideal (remainder %s)"
-                            % (gi, gj, r))
+    failures.extend(check_ideal_poisson_closed(setup).failures)
     return base, Report.from_failures("reduced-bracket-well-defined", failures)
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from poisson_forge import fixtures
+from poisson_forge import fixtures, reduction
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
 from poisson_forge.errors import CapabilityError
 from poisson_forge.lie import LieAlgebra
@@ -301,25 +301,40 @@ def test_groebner_agrees_with_sympy():
         assert {_to_sympy(g, symbols) for g in ours} == monic, chart
 
 
-def test_groebner_pair_budget_guard():
+def test_groebner_pair_budget_guard(monkeypatch):
     chart = Chart(["x", "y"])
     gens = [poly("x*y-1", chart), poly("y^2-1", chart)]
+    monkeypatch.setattr(reduction, "MAX_PAIRS", 0)
     with pytest.raises(CapabilityError) as exc:
-        groebner_basis(gens, max_pairs=0)
+        groebner_basis(gens)
     assert exc.value.guard == "groebner.max_pairs"
     assert exc.value.counters == {"s_pairs": 1, "max_pairs": 0}
     assert "groebner.max_pairs" in str(exc.value)
-    assert len(groebner_basis(gens, max_pairs=2)) == 2
+    monkeypatch.setattr(reduction, "MAX_PAIRS", 2)
+    assert len(groebner_basis(gens)) == 2
 
 
 def test_laurent_ideal_refused():
+    # a invertible: a^-1 - 1 = -a^-1 (a - 1) lies in <a - 1> and b in <ab>,
+    # but neither has remainder 0 on the polynomial basis
     chart = Chart(["a", "b"], invertible=["a"])
     pi = PolyBivector(chart, {("a", "b"): "a*b"})
+    L = LieAlgebra(["t"], {})
+    for ideal in (["a-1"], ["a*b"], ["b", "a^-1-b"]):
+        with pytest.raises(CapabilityError) as exc:
+            ReductionSetup(pi, L, {}, ideal=ideal)
+        assert exc.value.guard == "groebner.laurent"
+        assert exc.value.counters == {"generators": len(ideal),
+                                      "invertible": 1}
+        assert "groebner.laurent" in str(exc.value)
     with pytest.raises(CapabilityError) as exc:
-        ReductionSetup(pi, LieAlgebra(["t"], {}), {}, ideal=["b", "a^-1-b"])
+        in_ideal(poly("a^-1-1", chart), [poly("a-1", chart)])
     assert exc.value.guard == "groebner.laurent"
-    assert exc.value.counters == {"generator": 2, "exponent": -1}
-    assert "groebner.laurent" in str(exc.value)
+    # the zero ideal needs no basis and stays in scope
+    setup = ReductionSetup(pi, L, {}, ideal=[])
+    assert not setup.basis
+    assert reduce_mod_ideal(poly("a^-1", chart), setup.basis) == \
+        poly("a^-1", chart)
 
 
 def _shipped_setups():
@@ -359,6 +374,6 @@ def test_certificate_and_sweep_fail_on_escaping_bracket():
     setup = ReductionSetup(pi, LieAlgebra(["t"], {}), {}, ideal=["a", "b"])
     cls, cert = reduced_bracket(setup, 1, 1)
     assert cls.is_zero()
-    assert cert.failures == ["{a, b} escapes the ideal (remainder 1)"]
+    assert cert.failures == ["{a, b} = 1 escapes the ideal (remainder 1)"]
     _, sweep = sweep_reduced_bracket(setup, 1, 1)
     assert not sweep.ok
