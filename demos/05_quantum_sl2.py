@@ -45,7 +45,7 @@ if __name__ == "__main__":
     print("  (delta(E) = 1/4 (E(x)H - H(x)E): the published (1/2) E^H in")
     print("   the half-wedge convention)")
     print("co-Poisson compatibility mod hbar:",
-          check_co_poisson_compatibility(hopf, table, 3).verdict)
+          check_co_poisson_compatibility(hopf, table).verdict)
 
     print()
     print("first-order quasi-triangular structure R = 1 + hbar r:")

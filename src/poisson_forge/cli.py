@@ -41,7 +41,8 @@ def build_parser():
         p.add_argument("--order", type=int, default=6,
                        help="hbar truncation order N (default 6)")
         p.add_argument("--degree", type=int, default=3,
-                       help="monomial degree bound d (default 3)")
+                       help="monomial degree bound d of check-action's "
+                            "witness search and of qreduce (default 3)")
         p.add_argument("--fixtures", action="store_true",
                        help="run the shipped fixtures for this command")
         p.add_argument("--json", dest="json_out", metavar="OUT.JSONL",
@@ -119,7 +120,15 @@ def run_spec_command(command, spec, args):
             raise SpecError("check-action needs an action name")
         from .qmomentum import check_module_algebra, check_action_lie_hom
         action, extras = spec.quantum_action(name)
-        out = []
+        confluence = action.algebra.check_confluence()
+        out = [("%s/confluence" % name, confluence)]
+        if not confluence.ok:
+            # a witness found on non-unique normal forms would not be
+            # conclusive: report the presentation instead
+            confluence.notes.append("action identities not checked: "
+                                    "presentation %s is not confluent"
+                                    % action.algebra.name)
+            return out
         degree = min(args.degree, extras["degree"])
         if extras["coproducts"]:
             out.append(("%s/module-algebra" % name,

@@ -104,17 +104,25 @@ class Presentation:
         if hit is not None:
             return hit
         if len(word) > self.max_word_len:
-            raise CapabilityError("word length %d exceeds the guard (%d); "
-                                  "presentation %r may not terminate"
-                                  % (len(word), self.max_word_len, self.name))
+            raise CapabilityError(
+                "guard ncalg.max_word_len: word length %d exceeds %d; "
+                "presentation %r may not terminate"
+                % (len(word), self.max_word_len, self.name),
+                guard="ncalg.max_word_len",
+                counters={"word_len": len(word),
+                          "max_word_len": self.max_word_len})
         for k in range(len(word) - 1):
             rule = self.rules.get((word[k], word[k + 1]))
             if rule is None:
                 continue
             self._steps += 1
             if self._steps > self.max_steps:
-                raise CapabilityError("rewriting exceeded %d steps in %r"
-                                      % (self.max_steps, self.name))
+                raise CapabilityError(
+                    "guard ncalg.max_steps: rewriting exceeded %d steps in "
+                    "%r" % (self.max_steps, self.name),
+                    guard="ncalg.max_steps",
+                    counters={"steps": self._steps,
+                              "max_steps": self.max_steps})
             out = {}
             head, tail = word[:k], word[k + 2:]
             for t, c in rule.items():

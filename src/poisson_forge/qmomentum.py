@@ -2,11 +2,16 @@
 
 Actions are formal endomorphism expressions over a presented algebra:
 left/right multiplications, commutators, sums, compositions, scalar
-multiples and hbar-divisions (the latter only densely defined -- validity
-is certified per expression and test domain, and a division below the
-valuation raises with the offending coefficient).  This covers both the
-single-commutator actions (1/hbar) a [b, .] and conjugation actions
-a (.) a^-1.
+multiples and hbar-divisions (the latter only densely defined -- applied
+to an element, a division below the valuation raises with the offending
+coefficient).  This covers both the single-commutator actions
+(1/hbar) a [b, .] and conjugation actions a (.) a^-1.
+
+Every expression compiles to a two-sided multiplication operator
+f -> hbar^-k sum c L f R, an element of A (x) A^op with an hbar shift
+(``Operator``).  The module-algebra and Lie-homomorphism identities are
+certified on these tensors, which proves them in every degree; a monomial
+sweep runs only to locate a witness when a tensor is nonzero.
 
 Noncommutative 1-forms are sums of pairs a db with an explicit hbar
 offset; their product is normalized so that the sharp map
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import CapabilityError
 from .linalg import solve_series
 from .ncalg import NCPoly, TensorAlgebra, TensorElement
 from .report import Report, PASS, FAIL, DISCREPANCY
@@ -30,6 +36,10 @@ from .scalars import HSeries, series, get_default_order, ZERO as _Z
 
 class ActionExpr:
     def apply(self, f):
+        raise NotImplementedError
+
+    def compile(self, algebra):
+        """The expression as an Operator on ``algebra``."""
         raise NotImplementedError
 
     def __call__(self, f):
@@ -57,6 +67,9 @@ class Identity(ActionExpr):
     def apply(self, f):
         return f
 
+    def compile(self, algebra):
+        return Operator.multiplication(algebra, algebra.one(), algebra.one())
+
     def __repr__(self):
         return "id"
 
@@ -67,6 +80,9 @@ class LMul(ActionExpr):
 
     def apply(self, f):
         return self.c * f
+
+    def compile(self, algebra):
+        return Operator.multiplication(algebra, self.c, algebra.one())
 
     def __repr__(self):
         return "L[%r]" % self.c
@@ -79,6 +95,9 @@ class RMul(ActionExpr):
     def apply(self, f):
         return f * self.c
 
+    def compile(self, algebra):
+        return Operator.multiplication(algebra, algebra.one(), self.c)
+
     def __repr__(self):
         return "R[%r]" % self.c
 
@@ -89,6 +108,9 @@ class Commutator(ActionExpr):
 
     def apply(self, f):
         return self.c * f - f * self.c
+
+    def compile(self, algebra):
+        return LMul(self.c).compile(algebra) - RMul(self.c).compile(algebra)
 
     def __repr__(self):
         return "ad[%r]" % self.c
@@ -101,6 +123,9 @@ class Scale(ActionExpr):
 
     def apply(self, f):
         return self.expr.apply(f) * self.scalar
+
+    def compile(self, algebra):
+        return self.expr.compile(algebra).scaled(self.scalar)
 
     def __repr__(self):
         return "(%s)*%r" % (self.scalar, self.expr)
@@ -115,6 +140,13 @@ class Sum(ActionExpr):
         for e in self.exprs:
             v = e.apply(f)
             out = v if out is None else out + v
+        return out
+
+    def compile(self, algebra):
+        out = None
+        for e in self.exprs:
+            op = e.compile(algebra)
+            out = op if out is None else out + op
         return out
 
     def __repr__(self):
@@ -132,6 +164,12 @@ class Compose(ActionExpr):
             f = e.apply(f)
         return f
 
+    def compile(self, algebra):
+        out = Identity().compile(algebra)
+        for e in self.exprs:
+            out = out.compose(e.compile(algebra))
+        return out
+
     def __repr__(self):
         return " o ".join(map(repr, self.exprs))
 
@@ -148,8 +186,102 @@ class HbarDiv(ActionExpr):
     def apply(self, f):
         return self.expr.apply(f).divide_by_hbar(self.k)
 
+    def compile(self, algebra):
+        op = self.expr.compile(algebra)
+        return Operator(algebra, op.k + self.k, op.terms, op.order)
+
     def __repr__(self):
         return "hbar^-%d (%r)" % (self.k, self.expr)
+
+
+def _acc(out, key, value):
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _min_order(coeffs):
+    return min((c.order for c in coeffs), default=HSeries.zero().order)
+
+
+class Operator:
+    """hbar^-k sum c [L | M ... | R]: a multilinear multiplication operator.
+
+    ``terms`` maps tuples of normal-form words to series.  With two slots
+    the tuple (L, R) is the operator f -> hbar^-k sum c L f R, an element
+    of A (x) A^op, where composition is (L1, R1) o (L2, R2) = (L1 L2, R2 R1);
+    with three slots (L, M, R) it is (f, g) -> hbar^-k sum c L f M g R.
+    The coefficients are known mod hbar^order, so the operator is known mod
+    hbar^(order - k), its ``window``.  Sums align the shifts: a term of
+    shift k is multiplied by hbar^(K - k), which raises its order as much.
+    """
+
+    __slots__ = ("algebra", "k", "terms", "order")
+
+    def __init__(self, algebra, k, terms, order):
+        self.algebra = algebra
+        self.k = k
+        self.terms = terms
+        self.order = order
+
+    @staticmethod
+    def multiplication(algebra, left, right):
+        """f -> left f right."""
+        terms = {}
+        for l, cl in left.terms.items():
+            for r, cr in right.terms.items():
+                _acc(terms, (l, r), cl * cr)
+        return Operator(algebra, 0, terms,
+                        min(_min_order(left.terms.values()),
+                            _min_order(right.terms.values())))
+
+    @property
+    def window(self):
+        return self.order - self.k
+
+    def is_zero(self):
+        return not self.terms
+
+    def shifted(self, k):
+        """The coefficients of hbar^k times the operator (k >= self.k)."""
+        j = k - self.k
+        if not j:
+            return self.terms
+        return {key: c.shift(j) for key, c in self.terms.items()}
+
+    def __add__(self, other):
+        k = max(self.k, other.k)
+        terms = dict(self.shifted(k))
+        for key, c in other.shifted(k).items():
+            _acc(terms, key, c)
+        return Operator(self.algebra, k, terms,
+                        min(self.window, other.window) + k)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, scalar):
+        s = series(scalar)
+        terms = {}
+        for key, c in self.terms.items():
+            _acc(terms, key, c * s)
+        return Operator(self.algebra, self.k, terms, min(self.order, s.order))
+
+    def compose(self, other):
+        """self o other (other acts first), on two-slot operators."""
+        nf = self.algebra.nf_word
+        terms = {}
+        for (l1, r1), c1 in self.terms.items():
+            for (l2, r2), c2 in other.terms.items():
+                c = c1 * c2
+                for lw, lc in nf(l1 + l2).items():
+                    for rw, rc in nf(r2 + r1).items():
+                        _acc(terms, (lw, rw), c * lc * rc)
+        return Operator(self.algebra, self.k + other.k, terms,
+                        min(self.order, other.order))
 
 
 def hamiltonian_pair(a, b):
@@ -170,9 +302,33 @@ class QuantumAction:
         self.group = group
         self.algebra = algebra
         self.exprs = dict(generator_exprs)
+        self._operators = {}
 
     def expr(self, name):
         return self.exprs[name]
+
+    def operator(self, word):
+        """Phi(word) as an Operator, compiled once per word: the composite
+        of its letters' operators, the identity for the empty word."""
+        word = tuple(g if isinstance(g, str) else self.group.gens[g]
+                     for g in word)
+        op = self._operators.get(word)
+        if op is None:
+            if len(word) == 1:
+                op = self.exprs[word[0]].compile(self.algebra)
+            elif not word:
+                op = Identity().compile(self.algebra)
+            else:
+                op = self.operator(word[:1]).compose(self.operator(word[1:]))
+            self._operators[word] = op
+        return op
+
+    def element_operator(self, x):
+        """Phi(x) for a quantum-group element x in normal form."""
+        out = Operator(self.algebra, 0, {}, HSeries.zero().order)
+        for word, coeff in x.terms.items():
+            out = out + self.operator(word).scaled(coeff)
+        return out
 
     def apply_word(self, word, f):
         for g in reversed(word):
@@ -199,67 +355,162 @@ def apply_action(action, x, f):
 # Hopf-action checks
 # ---------------------------------------------------------------------------
 
+def _monomials(alg, degree):
+    return [NCPoly(alg, {w: HSeries.one()})
+            for w in alg.monomials_up_to(degree)]
+
+
+def _certified(kind, defect):
+    """Refuse a certificate whose hbar window is empty: a zero tensor known
+    only mod hbar^0 would prove nothing."""
+    if defect.window < 1:
+        raise CapabilityError(
+            "guard %s.window: the operator tensor is known only mod hbar^%d "
+            "(shift %d)" % (kind, defect.window, defect.k),
+            guard="%s.window" % kind,
+            counters={"window": defect.window, "shift": defect.k})
+    return defect.is_zero()
+
+
+def _inconclusive(kind, what, defect, degree):
+    return CapabilityError(
+        "guard %s.inconclusive: the operator tensor of %s has %d term(s), "
+        "but no monomial of degree <= %d is a witness"
+        % (kind, what, len(defect.terms), degree),
+        guard="%s.inconclusive" % kind,
+        counters={"tensor_terms": len(defect.terms), "degree": degree})
+
+
+def module_algebra_defect(action, name, coproduct):
+    """L (x) 1 (x) R - sum c L_u (x) R_u L_v (x) R_v in A (x) A (x) A.
+
+    Phi(name) = hbar^-k sum L (.) R puts xi.(f g) at L f 1 g R, and each
+    term c u (x) v of Delta(xi) puts c (u.f)(v.g) at L_u f R_u L_v g R_v,
+    so the three-slot operator returned is (f, g) -> xi.(f g) - sum
+    c (u.f)(v.g), with every term scaled to the common hbar^K.
+    """
+    nf = action.algebra.nf_word
+    op = action.operator((name,))
+    out = Operator(action.algebra, op.k,
+                   {(l, (), r): c for (l, r), c in op.terms.items()},
+                   op.order)
+    for (u, v), coeff in coproduct.terms.items():
+        ou, ov = action.operator(u), action.operator(v)
+        terms = {}
+        for (lu, ru), cu in ou.terms.items():
+            for (lv, rv), cv in ov.terms.items():
+                c = coeff * cu * cv
+                for mid, cm in nf(ru + lv).items():
+                    _acc(terms, (lu, mid, rv), c * cm)
+        out = out - Operator(action.algebra, ou.k + ov.k, terms,
+                             min(coeff.order, ou.order, ov.order))
+    return out
+
+
+def _module_algebra_witness(action, name, coproduct, degree):
+    """The first monomial pair where xi.(f g) != sum (u.f)(v.g), or None."""
+    alg = action.algebra
+    monos = _monomials(alg, degree)
+    for f in monos:
+        for g in monos:
+            lhs = action.exprs[name].apply(f * g)
+            rhs = alg.zero()
+            for (u, v), coeff in coproduct.terms.items():
+                rhs = rhs + action.apply_word(u, f) * action.apply_word(v, g) \
+                    * coeff
+            if not (lhs - rhs).is_zero():
+                return ("module-algebra defect for %s at (%r, %r): %r"
+                        % (name, f, g, lhs - rhs))
+    return None
+
+
 def check_module_algebra(action, coproducts, degree=2):
-    """Phi(xi)(f * g) = m((Phi (x) Phi)(Delta(xi))(f (x) g)) on monomials.
+    """xi.(f g) = sum (u.f)(v.g) for Delta(xi) = sum u (x) v, all f, g.
 
     ``coproducts`` maps generator names of the quantum group to tensor
-    elements of group (x) group.
+    elements of group (x) group, and Phi extends to words by composition.
+    Theorem: if the tensor of ``module_algebra_defect`` is zero, the
+    identity holds for all f and g in every degree, wherever the actions'
+    hbar-divisions are exact (the tensor is the identity's two-sided
+    multiplication form; Montgomery, *Hopf Algebras and Their Actions on
+    Rings*, ch. 4).
+    With coefficients known mod hbar^N and shift K it is exact mod
+    hbar^(N - K); an empty window raises ``module-algebra.window``.  The
+    condition is sufficient only (a (x) 1 - 1 (x) a acts as 0 when a is
+    central), so a nonzero tensor is followed by a sweep of monomial pairs
+    up to ``degree`` for a witness: the first one found is a conclusive
+    fail; none raises CapabilityError ``module-algebra.inconclusive``.
+    Generators go in order and the report stops at the first witness.
     """
-    alg = action.algebra
-    monos = [NCPoly(alg, {w: HSeries.one()})
-             for w in alg.monomials_up_to(degree)]
-    failures = []
+    inconclusive = None
     for name, cop in coproducts.items():
-        for f in monos:
-            for g in monos:
-                lhs = action.exprs[name].apply(f * g)
-                rhs = None
-                for (u, v), coeff in cop.terms.items():
-                    term = action.apply_word(u, f) * action.apply_word(v, g) \
-                        * coeff
-                    rhs = term if rhs is None else rhs + term
-                if rhs is None:
-                    rhs = alg.zero()
-                if not (lhs - rhs).is_zero():
-                    failures.append(
-                        "module-algebra defect for %s at (%r, %r): %r"
-                        % (name, f, g, lhs - rhs))
-                    break
-            if failures:
-                break
-        if failures:
-            break
-    return Report.from_failures("module-algebra", failures)
+        defect = module_algebra_defect(action, name, cop)
+        if _certified("module-algebra", defect):
+            continue
+        witness = _module_algebra_witness(action, name, cop, degree)
+        if witness is not None:
+            return Report.from_failures("module-algebra", [witness])
+        inconclusive = inconclusive or (name, defect)
+    if inconclusive is not None:
+        name, defect = inconclusive
+        raise _inconclusive("module-algebra", name, defect, degree)
+    return Report.from_failures("module-algebra", [])
+
+
+def lie_hom_defect(action, xn, yn, expected):
+    """[Phi(xn), Phi(yn)] - Phi(expected) in A (x) A^op.  ``expected`` is a
+    quantum-group element (extended through Phi) or an ActionExpr."""
+    ox, oy = action.operator((xn,)), action.operator((yn,))
+    if isinstance(expected, ActionExpr):
+        rhs = expected.compile(action.algebra)
+    else:
+        rhs = action.element_operator(expected)
+    return ox.compose(oy) - oy.compose(ox) - rhs
+
+
+def _lie_hom_witnesses(action, xn, yn, expected, degree):
+    """Every monomial f of degree <= degree where the relation fails."""
+    ex = action.exprs[xn]
+    ey = action.exprs[yn]
+    defects = []
+    for f in _monomials(action.algebra, degree):
+        lhs = ex.apply(ey.apply(f)) - ey.apply(ex.apply(f))
+        if isinstance(expected, ActionExpr):
+            rhs = expected.apply(f)
+        else:
+            rhs = action.apply(expected, f)
+        if not (lhs - rhs).is_zero():
+            defects.append("[Phi(%s),Phi(%s)] defect at %r: %r"
+                           % (xn, yn, f, lhs - rhs))
+    return defects
 
 
 def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
                          diagnose_words=None):
-    """[Phi(xi), Phi(eta)] = Phi([xi, eta]) as endomorphisms on monomials.
+    """[Phi(xi), Phi(eta)] = Phi([xi, eta]) as endomorphisms.
 
     ``relations`` maps pairs of generator names to the expected right side,
     given either as a quantum-group element (extended through Phi) or as an
-    explicit ActionExpr.  When a pair appears in ``paper_claims`` and the
-    oracle contradicts the claim, the verdict is "paper-discrepancy" and
-    the diagnostic solver expresses the true commutator in the span of
+    explicit ActionExpr.  Theorem: if the tensor of ``lie_hom_defect`` is
+    zero, the relation holds on every element, in every degree, wherever
+    the hbar-divisions are exact; with coefficients known mod hbar^N and
+    shift K it is exact mod hbar^(N - K) (an empty window raises
+    ``lie-hom.window``).  A nonzero tensor is followed by a sweep of
+    monomials up to ``degree``: its defects make a conclusive fail; none
+    raises CapabilityError ``lie-hom.inconclusive``.  When a failing pair
+    appears in ``paper_claims`` the verdict is "paper-discrepancy" and the
+    diagnostic solver expresses the true commutator in the span of
     Phi-images of the candidate words (``diagnose_words``).
     """
-    alg = action.algebra
-    monos = [NCPoly(alg, {w: HSeries.one()})
-             for w in alg.monomials_up_to(degree)]
     reports = {}
     for (xn, yn), expected in relations.items():
-        ex = action.exprs[xn]
-        ey = action.exprs[yn]
+        defect = lie_hom_defect(action, xn, yn, expected)
         defects = []
-        for f in monos:
-            lhs = ex.apply(ey.apply(f)) - ey.apply(ex.apply(f))
-            if isinstance(expected, ActionExpr):
-                rhs = expected.apply(f)
-            else:
-                rhs = action.apply(expected, f)
-            if not (lhs - rhs).is_zero():
-                defects.append("[Phi(%s),Phi(%s)] defect at %r: %r"
-                               % (xn, yn, f, lhs - rhs))
+        if not _certified("lie-hom", defect):
+            defects = _lie_hom_witnesses(action, xn, yn, expected, degree)
+            if not defects:
+                raise _inconclusive("lie-hom", "[Phi(%s),Phi(%s)]" % (xn, yn),
+                                    defect, degree)
         verdict = PASS if not defects else FAIL
         data = {}
         if defects and paper_claims and (xn, yn) in paper_claims:
@@ -280,10 +531,8 @@ def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
     Returns a string like "-1*eta + hbar*eta*eta", or None if the
     commutator is not in the span on the tested domain.
     """
-    alg = action.algebra
     order = get_default_order()
-    monos = [NCPoly(alg, {w: HSeries.one()})
-             for w in alg.monomials_up_to(degree)]
+    monos = _monomials(action.algebra, degree)
     ex = action.exprs[xn]
     ey = action.exprs[yn]
     lhs_vals = [ex.apply(ey.apply(f)) - ey.apply(ex.apply(f))
@@ -337,7 +586,8 @@ class NCOneForm:
         if other.presentation is not self.presentation:
             raise ValueError("forms over different presentations")
         if other.offset != self.offset:
-            # align offsets by raising the lower one
+            # offsets are not aligned: the sum of forms with different
+            # hbar offsets is refused
             raise ValueError("cannot add forms of different hbar offsets: "
                              "%d vs %d" % (self.offset, other.offset))
         return NCOneForm(self.presentation, [], self.offset)._with(

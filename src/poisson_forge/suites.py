@@ -243,8 +243,7 @@ def momentum_fixture_suite():
     return out
 
 
-def hopf_fixture_suite(degree=3):
-    """``degree`` bounds only the co-Poisson sweep."""
+def hopf_fixture_suite():
     from .hopf import (
         check_all_axioms, semiclassical_cobracket,
         check_co_poisson_compatibility, classical_limit_check,
@@ -278,7 +277,7 @@ def hopf_fixture_suite(degree=3):
                     notes=["(1/4)E^H in the (x)-(x) convention = the "
                            "published (1/2)E^H in the half-wedge convention"])))
     out.append(("uhsl2/co-poisson",
-                check_co_poisson_compatibility(quantum, table, degree)))
+                check_co_poisson_compatibility(quantum, table)))
     out.append(("uhsl2/classical-limit",
                 classical_limit_check(quantum, classical)))
     return out
@@ -393,7 +392,7 @@ def run_fixture_suite(command, degree=3):
     if command == "check-mm":
         return momentum_fixture_suite()
     if command == "check-hopf":
-        return hopf_fixture_suite(degree)
+        return hopf_fixture_suite()
     if command == "check-action":
         return quantum_action_fixture_suite(degree)
     if command == "reduce":

@@ -1,12 +1,14 @@
 """Test-only oracles: the sweeps that the production certificates
 replaced.
 
-The Hopf axioms are checked on every normal-form monomial up to a degree,
-confluence by reducing every word up to a length in all one-step ways, and
-the quotient bracket's well-definedness by bracketing randomly perturbed
+The Hopf axioms, co-Poisson compatibility and the module-algebra and
+Lie-homomorphism identities of quantum actions are checked on every
+normal-form monomial (or pair of monomials) up to a degree, confluence by
+reducing every word up to a length in all one-step ways, and the quotient
+bracket's well-definedness by bracketing randomly perturbed
 representatives.  A sweep is evidence for the cases it tries only; the
-tests use it to cross-check the verdicts of the generator, overlap and
-Leibniz certificates.
+tests use it to cross-check the verdicts of the generator, overlap,
+operator-tensor and Leibniz certificates.
 """
 
 import itertools
@@ -19,9 +21,10 @@ from poisson_forge.ncalg import (
     NCPoly, TensorAlgebra, TensorElement, _terms_equal, check_map,
 )
 from poisson_forge.coordpoly import CoordPoly, poly
+from poisson_forge.qmomentum import ActionExpr
 from poisson_forge.reduction import monomial_basis, reduce_mod_ideal
 from poisson_forge.report import Report, merge
-from poisson_forge.scalars import HSeries, gauss
+from poisson_forge.scalars import HSeries, gauss, series
 
 
 def sweep_coassociativity(hopf, degree=3):
@@ -168,3 +171,95 @@ def _random_poly(rng, chart, monos):
         if c:
             out = out + CoordPoly(chart, {m: gauss(c)})
     return out
+
+
+def sweep_co_poisson(hopf, generator_table, degree=3, primitive=True):
+    """delta(x) = sum_k Delta0(x1..x_{k-1}) delta(x_k) Delta0(x_{k+1}..xn)
+    mod hbar on every normal-form word x of length <= degree.
+
+    With ``primitive`` Delta0 is g (x) 1 + 1 (x) g, as the sweep had it;
+    otherwise Delta0(g) = Delta(g) mod hbar.
+    """
+    pres = hopf.algebra
+    t2 = hopf.square
+    failures = []
+
+    def delta0(idx):
+        if primitive:
+            return t2.element({((idx,), ()): 1, ((), (idx,)): 1})
+        d = hopf.coproduct.apply_word((idx,))
+        return TensorElement(t2, {key: c.truncate(1)
+                                  for key, c in d.terms.items()})
+
+    lifted = {}
+    for g, entries in generator_table.items():
+        lifted[pres.index(g)] = TensorElement(
+            t2, {key: series(c) for key, c in entries.items()})
+
+    for word in pres.monomials_up_to(degree):
+        if not word:
+            continue
+        d = hopf.coproduct.apply_word(word)
+        anti = d - d.flip()
+        if not anti.is_zero() and anti.hbar_valuation() < 1:
+            failures.append("Delta - tau Delta has classical part at %s"
+                            % pres.word_name(word))
+            continue
+        got = anti.divide_by_hbar()
+        want = t2.zero()
+        for k in range(len(word)):
+            term = t2.one()
+            for i, g in enumerate(word):
+                term = term * (lifted[g] if i == k else delta0(g))
+            want = want + term
+        defect = got - want
+        if not all(c.valuation() >= 1 for c in defect.terms.values()):
+            failures.append("co-Poisson compatibility fails mod hbar at %s"
+                            % pres.word_name(word))
+    return Report.from_failures("co-poisson-compatibility", failures)
+
+
+def _monomials(alg, degree):
+    return [NCPoly(alg, {w: HSeries.one()})
+            for w in alg.monomials_up_to(degree)]
+
+
+def sweep_module_algebra(action, coproducts, degree=2):
+    """xi.(f g) = sum (u.f)(v.g) on all pairs of monomials <= degree; stops
+    at the first defect."""
+    alg = action.algebra
+    monos = _monomials(alg, degree)
+    for name, cop in coproducts.items():
+        for f in monos:
+            for g in monos:
+                lhs = action.exprs[name].apply(f * g)
+                rhs = alg.zero()
+                for (u, v), coeff in cop.terms.items():
+                    rhs = rhs + action.apply_word(u, f) \
+                        * action.apply_word(v, g) * coeff
+                if not (lhs - rhs).is_zero():
+                    return Report.from_failures("module-algebra", [
+                        "module-algebra defect for %s at (%r, %r): %r"
+                        % (name, f, g, lhs - rhs)])
+    return Report.from_failures("module-algebra", [])
+
+
+def sweep_action_lie_hom(action, relations, degree=2):
+    """[Phi(xi), Phi(eta)] = Phi(rhs) on every monomial <= degree, as one
+    report per pair."""
+    reports = {}
+    for (xn, yn), expected in relations.items():
+        ex, ey = action.exprs[xn], action.exprs[yn]
+        defects = []
+        for f in _monomials(action.algebra, degree):
+            lhs = ex.apply(ey.apply(f)) - ey.apply(ex.apply(f))
+            if isinstance(expected, ActionExpr):
+                rhs = expected.apply(f)
+            else:
+                rhs = action.apply(expected, f)
+            if not (lhs - rhs).is_zero():
+                defects.append("[Phi(%s),Phi(%s)] defect at %r: %r"
+                               % (xn, yn, f, lhs - rhs))
+        reports[(xn, yn)] = Report.from_failures(
+            "lie-hom(%s,%s)" % (xn, yn), defects)
+    return reports

@@ -115,7 +115,7 @@ def test_criterion_4_momentum_map_suite():
 
 def test_criterion_5_hopf_suite():
     def run():
-        results = suites.hopf_fixture_suite(degree=3)
+        results = suites.hopf_fixture_suite()
         for check_id, rep in results:
             assert rep.ok, (check_id, rep.failures)
         ids = [c for c, _ in results]
@@ -123,7 +123,7 @@ def test_criterion_5_hopf_suite():
                     "uhsl2/delta-hom", "uhsl2/ef-commutator",
                     "uhsl2/semiclassical-cobracket", "uhsl2/co-poisson"):
             assert key in ids
-    _timed("5: Hopf suite (N=6, d=3)", 30.0, run)
+    _timed("5: Hopf suite (N=6)", 30.0, run)
 
 
 def test_criterion_6_quantum_action_suite():

@@ -278,3 +278,62 @@ def test_spec_reduce_laurent_ideal_is_capability_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "capability exceeded: guard groebner.laurent" in err
     assert "1 invertible variable(s) (a)" in err
+
+
+def _action_spec(algebra_rules, generator_expr, coproduct):
+    return {
+        "presentations": {
+            "grp": {"generators": ["t"], "rules": []},
+            "alg": {"generators": ["x", "y", "z"], "rules": [
+                {"pair": list(pair),
+                 "terms": [{"coeff": c, "word": w} for c, w in terms]}
+                for pair, terms in algebra_rules]},
+        },
+        "actions": {"act": {
+            "group": "grp", "algebra": "alg", "degree": 2,
+            "generators": {"t": generator_expr},
+            "coproducts": {"t": [{"coeff": "1", "pair": pair}
+                                 for pair in coproduct]},
+        }},
+    }
+
+
+def test_spec_check_action_reports_non_confluent_presentation(tmp_path,
+                                                              capsys):
+    # the overlap z*y*x of the check-hopf test: a witness found on
+    # non-unique normal forms would prove nothing
+    rules = [(("y", "x"), [("1", ["x", "y"]), ("1", ["z"])]),
+             (("z", "x"), [("1", ["x", "z"]), ("1", ["x"])]),
+             (("z", "y"), [("1", ["y", "z"])])]
+    doc = _action_spec(rules, {"op": "lmul", "element": "x"},
+                       [[["t"], []], [[], ["t"]]])
+    path = tmp_path / "non_confluent.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-action", str(path), "act"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] act/confluence" in out
+    assert "defect: overlap z*y*x reduces ambiguously" in out
+    assert "note: action identities not checked" in out
+    assert "module-algebra" not in out and "1 checks:" in out
+
+    assert run(["check-action", SPEC, "qplane_action"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] qplane_action/confluence" in out
+    assert "[PASS] qplane_action/module-algebra" in out
+
+
+def test_spec_check_action_without_witness_exits_three(tmp_path, capsys):
+    # on a commutative algebra Phi(t) = [x, .] acts as 0, so Delta(t) =
+    # t (x) t holds, but the operator tensor is not 0 and no monomial is a
+    # witness: no verdict is printed
+    rules = [((b, a), [("1", [a, b])])
+             for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]
+    doc = _action_spec(rules, {"op": "commutator", "element": "x"},
+                       [[["t"], ["t"]]])
+    path = tmp_path / "central.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-action", str(path), "act"]) == 3
+    captured = capsys.readouterr()
+    assert "capability exceeded: guard module-algebra.inconclusive" \
+        in captured.err
+    assert "module-algebra" not in captured.out

@@ -155,7 +155,7 @@ def test_case1_coproduct_semiclassical_table():
 def test_co_poisson_compatibility_uhsl2():
     hopf = fixtures.uhsl2_hopf()
     table = semiclassical_cobracket(hopf)
-    rep = check_co_poisson_compatibility(hopf, table, degree=3)
+    rep = check_co_poisson_compatibility(hopf, table)
     assert rep.ok, rep.failures
 
 
@@ -229,7 +229,7 @@ def test_hopf_suite_exact_at_other_truncation_orders():
     try:
         for order in (4, 5):
             set_default_order(order)
-            results = suites.hopf_fixture_suite(degree=2)
+            results = suites.hopf_fixture_suite()
             for check_id, rep in results:
                 assert rep.ok, (order, check_id, rep.failures)
     finally:
@@ -342,6 +342,47 @@ def _spec_usl2_hopf():
     return SpecFile.load(spec).hopf_structure("usl2_hopf")
 
 
+def _twisted_grouplike_hopf():
+    # the commutative algebra of x, y, m, m^-1 with x, y primitive and
+    # Delta(m) = (m (x) m) exp(hbar x (x) y): coassociative since x (x) y
+    # commutes with its images, S(m) = m^-1 exp(hbar x y).  m is group-like
+    # mod hbar, and delta(m) = (m (x) m)(x (x) y - y (x) x) != 0
+    from math import factorial
+    from poisson_forge.ncalg import Presentation
+    commuting = (("x", "m"), ("x", "m_inv"), ("y", "m"), ("y", "m_inv"),
+                 ("y", "x"))
+    pres = Presentation(["m_inv", "m", "x", "y"],
+                        {(a, b): {(b, a): 1} for a, b in commuting},
+                        inverses={"m_inv": "m"}, name="twisted-plane")
+    t2 = TensorAlgebra(pres, 2)
+    x, y, m, m_inv = (pres.gen(g) for g in ("x", "y", "m", "m_inv"))
+    n = HSeries.one().order
+
+    def coeff(sign, k):
+        return HSeries([0] * k + [Fraction(sign ** k, factorial(k))])
+
+    def exp_tensor(sign):
+        return t2.element({(("x",) * k, ("y",) * k): coeff(sign, k)
+                           for k in range(n)})
+
+    def exp_product(sign):
+        return pres.element([(coeff(sign, k), ["x"] * k + ["y"] * k)
+                             for k in range(n)])
+
+    cop = {"x": t2.embed(x, 0) + t2.embed(x, 1),
+           "y": t2.embed(y, 0) + t2.embed(y, 1),
+           "m": t2.from_factors([m, m]) * exp_tensor(1),
+           "m_inv": t2.from_factors([m_inv, m_inv]) * exp_tensor(-1)}
+    eps = {"x": HSeries.zero(), "y": HSeries.zero(), "m": HSeries.one(),
+           "m_inv": HSeries.one()}
+    anti = {"x": -x, "y": -y, "m": m_inv * exp_product(1),
+            "m_inv": m * exp_product(-1)}
+    return HopfStructure(pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
+                         AlgebraMap(pres, eps, HSeries.one(), name="eps"),
+                         AlgebraMap(pres, anti, pres.one(), anti=True,
+                                    name="S"))
+
+
 ORACLE_CASES = {
     "usl2": fixtures.usl2_hopf,
     "uhsl2": fixtures.uhsl2_hopf,
@@ -356,6 +397,7 @@ ORACLE_CASES = {
     "plane-bad-coproduct-on-y": lambda: _plane_hopf(coproduct=True),
     "plane-bad-counit-on-y": lambda: _plane_hopf(counit=True),
     "plane-bad-antipode-on-y": lambda: _plane_hopf(antipode=True),
+    "twisted-grouplike": _twisted_grouplike_hopf,
 }
 
 
@@ -400,3 +442,105 @@ def test_map_reports_kept_and_validate_raises():
     assert not bad.antipode_report.ok and bad.coproduct_report.ok
     with pytest.raises(ValueError, match="S-bad does not preserve"):
         HopfStructure(bad.algebra, bad.coproduct, bad.counit, bad.antipode)
+
+
+# -- the co-Poisson certificate against the sweep oracle -----------------------
+
+def _r2_hopf():
+    # the 2D cases' quantum group with its deformed coproducts
+    pres = fixtures.r2_quantum_group()
+    t2 = TensorAlgebra(pres, 2)
+    return HopfStructure(
+        pres, AlgebraMap(pres, fixtures.r2_coproducts(pres), t2.one(),
+                         name="Delta"),
+        AlgebraMap(pres, {"xi": HSeries.zero(), "eta": HSeries.zero()},
+                   HSeries.one(), name="eps"),
+        AlgebraMap(pres, {"xi": -pres.gen("xi"), "eta": -pres.gen("eta")},
+                   pres.one(), anti=True, name="S"), validate=False)
+
+
+def _wrong_table(table):
+    # delta(E) with the sign of one entry flipped
+    entries = dict(table["E"])
+    key = min(entries)
+    entries[key] = -entries[key]
+    return dict(table, E=entries)
+
+
+CO_POISSON_CASES = {
+    "usl2": (fixtures.usl2_hopf, None),
+    "uhsl2": (fixtures.uhsl2_hopf, None),
+    "spec-usl2": (_spec_usl2_hopf, None),
+    "r2": (_r2_hopf, None),
+    "twisted-grouplike": (_twisted_grouplike_hopf, None),
+    "uhsl2-wrong-table": (fixtures.uhsl2_hopf, _wrong_table),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CO_POISSON_CASES))
+def test_co_poisson_certificate_agrees_with_sweep(case):
+    from oracles import sweep_co_poisson
+    build, mutate = CO_POISSON_CASES[case]
+    hopf = build()
+    table = semiclassical_cobracket(hopf)
+    if mutate:
+        table = mutate(table)
+    cert = check_co_poisson_compatibility(hopf, table)
+    # with Delta0 = Delta mod hbar the sweep agrees on every case
+    sweep = sweep_co_poisson(hopf, table, degree=3, primitive=False)
+    assert cert.verdict == sweep.verdict, (case, cert.failures)
+    assert cert.ok == (mutate is None)
+    if mutate:
+        assert cert.failures == ["co-Poisson compatibility fails mod hbar "
+                                 "at E"]
+        assert "co-Poisson compatibility fails mod hbar at E" \
+            in sweep.failures
+    # the old primitive-Delta0 sweep agrees except on the group-like
+    # generator m, where it fails falsely on m*m
+    primitive = sweep_co_poisson(hopf, table, degree=3)
+    if case == "twisted-grouplike":
+        assert cert.ok and check_all_axioms(hopf)["all"].ok
+        assert table["m"] and not primitive.ok
+        assert "co-Poisson compatibility fails mod hbar at m*m" \
+            in primitive.failures
+    else:
+        assert primitive.verdict == cert.verdict
+
+
+def test_co_poisson_lists_map_failures_and_classical_parts():
+    # a coproduct that breaks rule H*F is reported first, as map:<name>
+    bad = _shifted_coproduct_hopf()
+    rep = check_co_poisson_compatibility(bad, semiclassical_cobracket(
+        fixtures.usl2_hopf()))
+    assert rep.failures[0].startswith(
+        "map:Delta-shift: rule H*F is not preserved")
+    # Delta(y) = y (x) 1 + 1 (x) y + x (x) y is not cocommutative mod hbar
+    plane = _plane_hopf(coproduct=True)
+    table = {"x": {}, "y": {}}
+    rep = check_co_poisson_compatibility(plane, table)
+    assert rep.failures == ["Delta - tau Delta has classical part at y"]
+
+
+def test_hopf_suite_runs_no_monomial_sweep(monkeypatch):
+    from poisson_forge import suites
+    from poisson_forge.ncalg import Presentation
+
+    def no_sweep(self, degree):
+        raise AssertionError("monomial sweep in the Hopf suite")
+
+    monkeypatch.setattr(Presentation, "monomials_up_to", no_sweep)
+    assert all(rep.ok for _, rep in suites.hopf_fixture_suite())
+
+
+def test_co_poisson_needs_the_hbar_window():
+    from poisson_forge.errors import CapabilityError
+    from poisson_forge.scalars import set_default_order, get_default_order
+    old = get_default_order()
+    try:
+        set_default_order(1)
+        hopf = fixtures.usl2_hopf()
+        with pytest.raises(CapabilityError) as info:
+            check_co_poisson_compatibility(hopf, {g: {} for g in "EFH"})
+        assert info.value.guard == "co-poisson.window"
+    finally:
+        set_default_order(old)

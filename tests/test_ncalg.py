@@ -104,8 +104,21 @@ def test_normal_form_linear_over_series():
 
 def test_word_length_guard():
     pres = Presentation(["x"], {}, max_word_len=4)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError) as exc:
         pres.nf_word((0,) * 5)
+    assert exc.value.guard == "ncalg.max_word_len"
+    assert exc.value.counters == {"word_len": 5, "max_word_len": 4}
+
+
+def test_rewrite_step_guard():
+    # y y y x needs three swaps to reach x y y y
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}},
+                        max_steps=2)
+    with pytest.raises(CapabilityError) as exc:
+        pres.nf_word((1, 1, 1, 0))
+    assert exc.value.guard == "ncalg.max_steps"
+    assert exc.value.counters == {"steps": 3, "max_steps": 2}
+    assert "guard ncalg.max_steps" in str(exc.value)
 
 
 def test_tensor_square_flip():

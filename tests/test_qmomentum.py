@@ -414,3 +414,244 @@ def test_case1_quantum_reduction_nonzero_level():
                                       ideal_gens=ideal)
     assert rep.ok
     assert len(basis) == 1
+
+
+# -- operator-tensor certificates against the monomial sweep oracle -----------
+
+def _spec_action():
+    import os
+    from poisson_forge.specfile import SpecFile
+    spec = os.path.join(os.path.dirname(__file__), "..", "demos",
+                        "sample_spec.json")
+    action, extras = SpecFile.load(spec).quantum_action("qplane_action")
+    return action, extras["coproducts"]
+
+
+def _operator_apply(op, f):
+    """hbar^-k sum c L f R, evaluated on an element."""
+    alg = op.algebra
+    out = alg.zero()
+    for (l, r), c in op.terms.items():
+        out = out + NCPoly(alg, {l: c}) * f * NCPoly(alg, {r: HSeries.one()})
+    return out.divide_by_hbar(op.k)
+
+
+def _su2_target(sign=1, hbar_div=True):
+    # fixtures.su2_commutator_target_for with the outer sign or the
+    # division by hbar changed
+    act = fixtures.su2_action()
+    u = (hexp(-1) - hexp(1)).divide_by_hbar()
+    body = Sum([act.exprs["zeta_inv"], Scale(act.exprs["zeta"], -1)])
+    return act, Scale(HbarDiv(body, 1) if hbar_div else body,
+                      u.inverse() * sign)
+
+
+def _case1_without_eta_hbar_div():
+    act = fixtures.case_action(1)
+    a = act.algebra.gen("a")
+    return QuantumAction(act.group, act.algebra, {
+        "xi": act.exprs["xi"],
+        "eta": Compose([LMul(a), Commutator(act.algebra.gen("a_inv"))])})
+
+
+def _r2_coproducts_wrong_sign(pres):
+    # Delta(xi) with + hbar eta (x) xi in place of - hbar eta (x) xi
+    cops = fixtures.r2_coproducts(pres)
+    cops["xi"] = cops["xi"] + TensorAlgebra(pres, 2).element(
+        {(("eta",), ("xi",)): 2 * HSeries.hbar()})
+    return cops
+
+
+def _case(action, coproducts):
+    return action, coproducts(action.group)
+
+
+MODULE_ALGEBRA_CASES = {
+    "case1": lambda: _case(fixtures.case_action(1), fixtures.r2_coproducts),
+    "case2": lambda: _case(fixtures.case_action(2), fixtures.r2_coproducts),
+    "case3": lambda: _case(fixtures.case_action(3), fixtures.r2_coproducts),
+    "case1-primitive": lambda: _case(fixtures.case_action(1),
+                                     fixtures.r2_primitive_coproducts),
+    "case2-primitive": lambda: _case(fixtures.case_action(2),
+                                     fixtures.r2_primitive_coproducts),
+    "case3-primitive": lambda: _case(fixtures.case_action(3),
+                                     fixtures.r2_primitive_coproducts),
+    "su2": lambda: _case(fixtures.su2_action(), fixtures.su2_coproducts),
+    "spec-qplane": _spec_action,
+    # mutants
+    "case1-wrong-delta-sign": lambda: _case(fixtures.case_action(1),
+                                            _r2_coproducts_wrong_sign),
+    "case1-dropped-hbar-div": lambda: _case(_case1_without_eta_hbar_div(),
+                                            fixtures.r2_coproducts),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODULE_ALGEBRA_CASES))
+def test_module_algebra_certificate_agrees_with_sweep(case):
+    from oracles import sweep_module_algebra
+    act, cops = MODULE_ALGEBRA_CASES[case]()
+    cert = check_module_algebra(act, cops, degree=2)
+    sweep = sweep_module_algebra(act, cops, degree=2)
+    assert (cert.verdict, cert.failures) == (sweep.verdict, sweep.failures)
+    expected_pass = "primitive" not in case and "-wrong-" not in case \
+        and "dropped" not in case
+    assert cert.ok == expected_pass, (case, cert.failures)
+    if not cert.ok:
+        assert cert.failures[0].startswith("module-algebra defect for ")
+        assert " at (" in cert.failures[0]
+
+
+def _lie_hom_cases():
+    case1 = fixtures.case_action(1)
+    case2 = fixtures.case_action(2)
+    h = HSeries.hbar()
+    su2 = fixtures.su2_action()
+    return {
+        "case1": (case1, case1.group.zero()),
+        "case2-paper": (case2, case2.group.element(
+            [(3, ["eta"]), (-h, ["eta", "eta"])])),
+        "case2-oracle": (case2, case2.group.element(
+            [(-1, ["eta"]), (h, ["eta", "eta"])])),
+        "su2": (su2, fixtures.su2_commutator_target_for(su2)),
+        "su2-wrong-scale-sign": _su2_target(sign=-1),
+        "su2-dropped-hbar-div": _su2_target(hbar_div=False),
+    }
+
+
+@pytest.mark.parametrize("case", ["case1", "case2-paper", "case2-oracle",
+                                  "su2", "su2-wrong-scale-sign",
+                                  "su2-dropped-hbar-div"])
+def test_lie_hom_certificate_agrees_with_sweep(case):
+    from oracles import sweep_action_lie_hom
+    act, rhs = _lie_hom_cases()[case]
+    cert = check_action_lie_hom(act, {("xi", "eta"): rhs}, degree=2)
+    sweep = sweep_action_lie_hom(act, {("xi", "eta"): rhs}, degree=2)
+    cert, sweep = cert[("xi", "eta")], sweep[("xi", "eta")]
+    assert (cert.verdict, cert.failures) == (sweep.verdict, sweep.failures)
+    assert cert.ok == (case in ("case1", "case2-oracle", "su2"))
+    if not cert.ok:
+        assert cert.failures[0].startswith("[Phi(xi),Phi(eta)] defect at ")
+
+
+def test_compiled_operators_agree_with_expressions():
+    # every shipped generator expression, and the su2 target, compiles to
+    # an operator with the same values on the monomials of degree <= 2
+    actions = [fixtures.case_action(c) for c in (1, 2, 3)] \
+        + [fixtures.su2_action(), _spec_action()[0]]
+    for act in actions:
+        exprs = dict(act.exprs)
+        if act.algebra.name == "su2-module-algebra":
+            exprs["target"] = fixtures.su2_commutator_target_for(act)
+        for name, expr in exprs.items():
+            op = expr.compile(act.algebra)
+            for m in monomials(act.algebra, 2):
+                assert (_operator_apply(op, m) - expr.apply(m)).is_zero(), \
+                    (act.algebra.name, name, m)
+
+
+def test_operator_composition_and_shift_alignment():
+    alg = fixtures.case2_module_algebra()
+    a, b = alg.gen("a"), alg.gen("b")
+    # (L1, R1) o (L2, R2) = (L1 L2, R2 R1)
+    op = Compose([LMul(a), RMul(b)]).compile(alg).compose(
+        Compose([LMul(b), RMul(a)]).compile(alg))
+    assert op.k == 0
+    for m in monomials(alg, 2):
+        assert _operator_apply(op, m) == a * b * m * a * b
+    # a sum aligns shifts: hbar^-1 [b, .] + id is hbar^-1 ([b, .] + hbar id)
+    s = (HbarDiv(Commutator(b), 1) + Identity()).compile(alg)
+    assert s.k == 1 and s.window == s.order - 1
+    assert s.terms[((), ())] == HSeries.hbar()
+    for m in monomials(alg, 2):
+        assert _operator_apply(s, m) == b.commutator(m).divide_by_hbar() + m
+
+
+def test_shipped_obligations_are_zero_tensors():
+    from poisson_forge.qmomentum import lie_hom_defect, module_algebra_defect
+    for act, cops in [(fixtures.case_action(c), fixtures.r2_coproducts)
+                      for c in (1, 2, 3)] \
+            + [(fixtures.su2_action(), fixtures.su2_coproducts)]:
+        for name, cop in cops(act.group).items():
+            defect = module_algebra_defect(act, name, cop)
+            assert defect.is_zero() and defect.window >= 1, \
+                (act.algebra.name, name)
+    act = fixtures.case_action(1)
+    assert lie_hom_defect(act, "xi", "eta", act.group.zero()).is_zero()
+    act = fixtures.su2_action()
+    assert lie_hom_defect(act, "xi", "eta",
+                          fixtures.su2_commutator_target_for(act)).is_zero()
+    act = fixtures.case_action(2)
+    h = HSeries.hbar()
+    paper = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
+    assert len(lie_hom_defect(act, "xi", "eta", paper).terms) == 2
+
+
+def test_fixture_suite_sweeps_only_the_case2_witness(monkeypatch):
+    # every pass of the shipped suite comes from a zero tensor: the witness
+    # sweeps are never entered, except for case 2's paper relation
+    import json
+    import os
+    from poisson_forge import qmomentum, suites
+    calls = []
+    real = qmomentum._lie_hom_witnesses
+
+    def no_sweep(*args):
+        raise AssertionError("module-algebra witness sweep entered")
+
+    def recorded(action, xn, yn, expected, degree):
+        calls.append((action.algebra.name, xn, yn))
+        return real(action, xn, yn, expected, degree)
+
+    monkeypatch.setattr(qmomentum, "_module_algebra_witness", no_sweep)
+    monkeypatch.setattr(qmomentum, "_lie_hom_witnesses", recorded)
+    results = suites.quantum_action_fixture_suite(degree=2)
+    assert calls == [("case2-algebra", "xi", "eta")]
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "check_action_fixtures.jsonl")
+    stored = [json.loads(line) for line in open(golden)]
+    assert [dict(check=c, **r.to_json()) for c, r in results] == stored
+
+
+def _central_action(expr):
+    # the commutative algebra of a, a^-1, b: every element is central
+    from poisson_forge.ncalg import Presentation
+    alg = fixtures.case1_reduction_algebra()
+    grp = Presentation(["xi"], {}, name="one-generator")
+    return QuantumAction(grp, alg, {"xi": expr(alg)}), grp
+
+
+def test_nonzero_tensor_without_witness_is_inconclusive():
+    from oracles import sweep_action_lie_hom, sweep_module_algebra
+    from poisson_forge.errors import CapabilityError
+    # Phi(xi) = L(b) - R(b) acts as 0, but its tensor b (x) 1 - 1 (x) b is
+    # not 0; with Delta(xi) = xi (x) xi no monomial pair is a witness
+    act, grp = _central_action(lambda alg: Commutator(alg.gen("b")))
+    cops = {"xi": TensorAlgebra(grp, 2).element({(("xi",), ("xi",)): 1})}
+    assert sweep_module_algebra(act, cops, degree=2).ok
+    with pytest.raises(CapabilityError) as info:
+        check_module_algebra(act, cops, degree=2)
+    assert info.value.guard == "module-algebra.inconclusive"
+    assert info.value.counters == {"tensor_terms": 6, "degree": 2}
+    assert "guard module-algebra.inconclusive" in str(info.value)
+    # [Phi(xi), Phi(xi)] = ad b holds (both sides act as 0), but ad b is a
+    # nonzero tensor
+    rhs = Commutator(act.algebra.gen("b"))
+    assert sweep_action_lie_hom(act, {("xi", "xi"): rhs})[("xi", "xi")].ok
+    with pytest.raises(CapabilityError) as info:
+        check_action_lie_hom(act, {("xi", "xi"): rhs}, degree=2)
+    assert info.value.guard == "lie-hom.inconclusive"
+    assert info.value.counters == {"tensor_terms": 2, "degree": 2}
+
+
+def test_empty_hbar_window_is_refused():
+    from poisson_forge.errors import CapabilityError
+    # hbar^-6 L(b) at N = 6: the zero tensor would be known mod hbar^0 only
+    act, grp = _central_action(lambda alg: HbarDiv(LMul(alg.gen("b")), 6))
+    cops = {"xi": TensorAlgebra(grp, 2).element({(("xi",), ()): 1})}
+    with pytest.raises(CapabilityError) as info:
+        check_module_algebra(act, cops, degree=2)
+    assert info.value.guard == "module-algebra.window"
+    assert info.value.counters == {"window": 0, "shift": 6}
+    with pytest.raises(CapabilityError) as info:
+        check_action_lie_hom(act, {("xi", "xi"): grp.zero()}, degree=2)
+    assert info.value.guard == "lie-hom.window"
