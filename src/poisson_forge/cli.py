@@ -42,7 +42,8 @@ def build_parser():
                        help="hbar truncation order N (default 6)")
         p.add_argument("--degree", type=int, default=3,
                        help="monomial degree bound d of check-action's "
-                            "witness search and of qreduce (default 3)")
+                            "witness search and of qreduce's invariant "
+                            "subalgebra (default 3)")
         p.add_argument("--fixtures", action="store_true",
                        help="run the shipped fixtures for this command")
         p.add_argument("--json", dest="json_out", metavar="OUT.JSONL",
@@ -172,11 +173,18 @@ def run_spec_command(command, spec, args):
             raise SpecError("qreduce needs an action name")
         from .qmomentum import check_ideal_invariance, invariant_subalgebra
         action, extras = spec.quantum_action(name)
-        out = []
+        confluence = action.algebra.check_confluence()
+        out = [("%s/confluence" % name, confluence)]
+        if not confluence.ok:
+            # the quotient's normal forms are unique only on a confluent
+            # presentation: report the presentation instead
+            confluence.notes.append("quantum reduction not checked: "
+                                    "presentation %s is not confluent"
+                                    % action.algebra.name)
+            return out
         degree = min(args.degree, extras["degree"])
         out.append(("%s/ideal-invariance" % name,
-                    check_ideal_invariance(action, extras["ideal"],
-                                           degree=1)))
+                    check_ideal_invariance(action, extras["ideal"])))
         _, rep = invariant_subalgebra(action, extras["counit"],
                                       degree=degree,
                                       ideal_gens=extras["ideal"])

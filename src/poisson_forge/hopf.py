@@ -339,20 +339,19 @@ def classical_limit_check(hopf, classical_hopf):
     if pres.gens != cpres.gens:
         return Report("classical-limit", "fail",
                       ["generator lists differ"], [])
-    for (a, b), rhs in sorted(pres.rules.items()):
-        crhs = cpres.rules.get((a, b))
+    for lhs, rhs in sorted(pres.rules.items()):
+        crhs = cpres.rules.get(lhs)
         if crhs is None:
-            failures.append("rule %s*%s missing classically"
-                            % (pres.gens[a], pres.gens[b]))
+            failures.append("rule %s missing classically"
+                            % pres.word_name(lhs))
             continue
         words = set(rhs) | set(crhs)
         for w in words:
             qc = rhs.get(w, HSeries.zero()).constant_term()
             cc = crhs.get(w, HSeries.zero()).constant_term()
             if qc != cc:
-                failures.append("rule %s*%s differs at hbar^0 on %s"
-                                % (pres.gens[a], pres.gens[b],
-                                   pres.word_name(w)))
+                failures.append("rule %s differs at hbar^0 on %s"
+                                % (pres.word_name(lhs), pres.word_name(w)))
     for g in pres.gens:
         dq = hopf.coproduct.apply_word((pres.index(g),))
         dc = classical_hopf.coproduct.apply_word((cpres.index(g),))

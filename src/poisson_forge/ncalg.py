@@ -1,15 +1,19 @@
 """Presented noncommutative algebras over the truncated hbar-series ring.
 
 A Presentation is a list of generators with a total order and rewrite rules
-indexed by *adjacent pairs* of generators; a rule says how to rewrite the
-two-letter word g_j g_i into a combination of other words.  Reduction is
-leftmost-innermost with memoized normal forms per word.  Termination is by
-construction: every shipped rule rewrites a pair either into strictly
+keyed by their *leading words*, of any length; a rule says how to rewrite
+its leading word into a combination of other words.  The shipped
+presentations only have rules on adjacent pairs g_j g_i; the quotient by a
+two-sided ideal (``Presentation.quotient``, completed in ``ncgroebner``)
+adds rules of other lengths.  Reduction rewrites the leftmost matching
+subword, with memoized normal forms per word.  Termination is by
+construction: every rule rewrites its leading word either into strictly
 smaller words in (degree, lex) order or into terms whose coefficients carry
 strictly higher hbar-valuation; an explicit word-length/step guard catches
 anything else.  Confluence is certified by Bergman's Diamond Lemma: with
-that order, read on hbar^k * w, every ambiguity is an overlap a*b*c of two
-rules, and resolving each of them proves unique normal forms.
+that order, read on hbar^k * w, the ambiguities are the overlaps and the
+inclusions of leading words, and resolving each of them proves unique
+normal forms.
 
 Inverse generators are ordinary generators with two-sided cancellation
 rules, placed adjacent to their base generator in the order.
@@ -29,7 +33,7 @@ _SCALARS = (int, Fraction, GaussRational, str)
 
 
 class Presentation:
-    """Ordered generators plus rewrite rules on adjacent pairs.
+    """Ordered generators plus rewrite rules keyed by their leading words.
 
     Immutable after construction except for the per-instance normal-form
     memo, which is a cache: concurrent use requires task-local instances or
@@ -39,7 +43,8 @@ class Presentation:
 
     def __init__(self, gens, rules, inverses=None, name="",
                  max_word_len=32, max_steps=200000):
-        """``rules`` maps (left_name, right_name) to a terms dict
+        """``rules`` maps a leading word (a tuple of generator names, such
+        as the pair (left_name, right_name)) to a terms dict
         {word-of-names: coefficient}; ``inverses`` maps an inverse generator
         name to its base name (cancellation rules are added automatically).
         """
@@ -49,34 +54,57 @@ class Presentation:
         self.inverses = dict(inverses or {})
         self.max_word_len = max_word_len
         self.max_steps = max_steps
-        self.rules = {}
-        for (a, b), terms in rules.items():
-            self.rules[(self._index[a], self._index[b])] = self._terms(terms)
+        indexed = {}
+        for lhs, terms in rules.items():
+            indexed[tuple(self._index[g] for g in lhs)] = self._terms(terms)
         for inv, base in self.inverses.items():
             one = {(): HSeries.one()}
-            self.rules[(self._index[inv], self._index[base])] = dict(one)
-            self.rules[(self._index[base], self._index[inv])] = dict(one)
+            indexed[(self._index[inv], self._index[base])] = dict(one)
+            indexed[(self._index[base], self._index[inv])] = dict(one)
+        self._set_rules(indexed)
+
+    def _set_rules(self, rules):
+        """Adopt ``rules`` ({leading word: terms}, in generator indices) and
+        empty the memo."""
+        self.rules = rules
+        self._lengths = tuple(sorted({len(lhs) for lhs in rules}))
+        self._pairs_only = self._lengths == (2,)
         self._check_termination_order()
         self._memo = {}
         self._steps = 0
+
+    def _with_rules(self, rules, name):
+        """A presentation on the same generators with other rules."""
+        out = Presentation(self.gens, {}, name=name,
+                           max_word_len=self.max_word_len,
+                           max_steps=self.max_steps)
+        out.inverses = dict(self.inverses)
+        out._set_rules(rules)
+        return out
+
+    def quotient(self, ideal_gens):
+        """The presentation of A / J for the two-sided ideal J generated by
+        ``ideal_gens``: its normal forms are the normal forms modulo J, and
+        1 in J gives the zero quotient.  See ``ncgroebner.complete``."""
+        from .ncgroebner import complete
+        return complete(self, [self.element(j) for j in ideal_gens])
 
     def _check_termination_order(self):
         """Every rule must rewrite into strictly smaller words in
         (degree, lex) order; terms that grow are only allowed when their
         coefficient carries a strictly positive hbar valuation."""
-        for (a, b), terms in self.rules.items():
-            lhs_key = (2, (a, b))
+        for lhs, terms in self.rules.items():
+            lhs_key = (len(lhs), lhs)
             for word, coeff in terms.items():
                 if (len(word), word) < lhs_key:
                     continue
                 if coeff.valuation() >= 1:
                     continue
                 raise ValueError(
-                    "rule %s*%s -> ... %s is not decreasing and its "
+                    "rule %s -> ... %s is not decreasing and its "
                     "coefficient has no hbar gain; rewriting in %r could "
                     "fail to terminate"
-                    % (self.gens[a], self.gens[b], self.word_name(word),
-                       self.name))
+                    % (self.word_name(lhs), self.word_name(word), self.name))
 
     def index(self, name):
         return self._index[name]
@@ -111,10 +139,29 @@ class Presentation:
                 guard="ncalg.max_word_len",
                 counters={"word_len": len(word),
                           "max_word_len": self.max_word_len})
-        for k in range(len(word) - 1):
-            rule = self.rules.get((word[k], word[k + 1]))
-            if rule is None:
-                continue
+        # the leftmost subword that is a leading word, shortest first
+        rules = self.rules
+        rule = None
+        if self._pairs_only:
+            # the shipped presentations: one lookup per adjacent pair
+            m = 2
+            for k in range(len(word) - 1):
+                rule = rules.get((word[k], word[k + 1]))
+                if rule is not None:
+                    break
+        else:
+            lengths = self._lengths
+            n = len(word)
+            for k in range(n - lengths[0] + 1 if lengths else 0):
+                for m in lengths:
+                    if k + m > n:
+                        break
+                    rule = rules.get(word[k:k + m])
+                    if rule is not None:
+                        break
+                if rule is not None:
+                    break
+        if rule is not None:
             self._steps += 1
             if self._steps > self.max_steps:
                 raise CapabilityError(
@@ -124,7 +171,7 @@ class Presentation:
                     counters={"steps": self._steps,
                               "max_steps": self.max_steps})
             out = {}
-            head, tail = word[:k], word[k + 2:]
+            head, tail = word[:k], word[k + m:]
             for t, c in rule.items():
                 sub = self._nf(head + t + tail)
                 for w2, c2 in sub.items():
@@ -168,10 +215,26 @@ class Presentation:
     # -- element constructors ----------------------------------------------
 
     def gen(self, name):
-        return NCPoly(self, {(self._index[name],): HSeries.one()})
+        return self._word_element((self._index[name],))
 
     def one(self):
-        return NCPoly(self, {(): HSeries.one()})
+        return self._word_element(())
+
+    def scalar(self, c):
+        """The scalar c as an element in normal form."""
+        s = series(c)
+        if self._lengths[:1] == (0,):
+            # only a rule on the empty word (the zero quotient) rewrites 1
+            return self.one() * s
+        return NCPoly(self, {(): s})
+
+    def _word_element(self, word):
+        """A word as an element in normal form: a word shorter than every
+        leading word (every word of a shipped presentation up to length 1)
+        is already normal."""
+        if self._lengths and self._lengths[0] <= len(word):
+            return NCPoly(self, self._nf(word))
+        return NCPoly(self, {word: HSeries.one()})
 
     def zero(self):
         return NCPoly(self, {})
@@ -184,7 +247,7 @@ class Presentation:
         if isinstance(spec, str):
             return self.gen(spec)
         if isinstance(spec, (int, Fraction, GaussRational, HSeries)):
-            return NCPoly(self, {(): series(spec)})
+            return self.scalar(spec)
         terms = {}
         for coeff, word in spec:
             w = tuple(self._index[g] for g in word)
@@ -207,33 +270,57 @@ class Presentation:
     # -- confluence ---------------------------------------------------------
 
     def check_confluence(self):
-        """For rules on (a, b) and (b, c), nf(rule_ab * c) must equal
-        nf(a * rule_bc).
+        """Every ambiguity of two rules must resolve: its two one-step
+        reductions must have the same normal form.
 
         Bergman's Diamond Lemma (Adv. Math. 29, 1978): normal forms are
         unique when every ambiguity resolves and each rule decreases a
-        monoid order with DCC.  Left-hand sides are distinct adjacent
-        pairs, so the overlaps a*b*c are the only ambiguities; the order is
-        the one ``_check_termination_order`` enforces, read on hbar^k * w
-        (higher k is smaller, then degree-lex on w), with DCC as k < N.
+        monoid order with DCC.  The ambiguities are the overlaps u = x s,
+        v = s y (word x s y) and the inclusions u = x v y of leading words
+        (``ambiguities``); the order is the one ``_check_termination_order``
+        enforces, read on hbar^k * w (higher k is smaller, then degree-lex
+        on w), with DCC as k < N.
         """
         failures = []
-        for (a, b), left in sorted(self.rules.items()):
-            for c in range(len(self.gens)):
-                right = self.rules.get((b, c))
-                if right is None:
-                    continue
-                ab_first = self.normal_form(
-                    {t + (c,): k for t, k in left.items()})
-                bc_first = self.normal_form(
-                    {(a,) + t: k for t, k in right.items()})
-                if not ab_first == bc_first:
-                    failures.append("overlap %s reduces ambiguously"
-                                    % self.word_name((a, b, c)))
+        lhs_words = sorted(self.rules)
+        for u in lhs_words:
+            for v in lhs_words:
+                for kind, word, left, right in ambiguities(self.rules, u, v):
+                    if self.normal_form(left) == self.normal_form(right):
+                        continue
+                    where = self.word_name(word)
+                    if kind == "inclusion":
+                        where = "%s in %s" % (self.word_name(v), where)
+                    failures.append("%s %s reduces ambiguously"
+                                    % (kind, where))
         return Report.from_failures("confluence", failures)
 
     def __repr__(self):
         return "Presentation(%s: %s)" % (self.name, list(self.gens))
+
+
+def ambiguities(rules, u, v):
+    """The ambiguities of the rules with leading words u and v.
+
+    Yields (kind, word, by_u, by_v): ``word`` reduces by rule u to the
+    terms ``by_u`` and by rule v to ``by_v`` in one step.  An overlap puts
+    u first and v second, sharing a proper nonempty suffix of u and prefix
+    of v; an inclusion (u != v) has v inside u, so ``word`` is u.
+    """
+    ru, rv = rules[u], rules[v]
+    for s in range(1, min(len(u), len(v))):
+        if u[-s:] == v[:s]:
+            head, tail = u[:-s], v[s:]
+            yield ("overlap", u + tail,
+                   {t + tail: c for t, c in ru.items()},
+                   {head + t: c for t, c in rv.items()})
+    if u != v:
+        m = len(v)
+        for i in range(len(u) - m + 1):
+            if u[i:i + m] == v:
+                head, tail = u[:i], u[i + m:]
+                yield ("inclusion", u, dict(ru),
+                       {head + t + tail: c for t, c in rv.items()})
 
 
 def _terms_equal(a, b):
@@ -259,7 +346,7 @@ class NCPoly:
             if other.presentation is not self.presentation:
                 raise ValueError("elements of different presentations")
             return other
-        return NCPoly(self.presentation, {(): series(other)})
+        return self.presentation.scalar(other)
 
     def __add__(self, other):
         other = self._coerced(other)
@@ -594,11 +681,12 @@ def check_map(m):
     """
     src = m.source
     failures = []
-    for (a, b), rhs in sorted(src.rules.items()):
-        if m.anti:
-            lhs_img = m.images[b] * m.images[a]
-        else:
-            lhs_img = m.images[a] * m.images[b]
+    for lhs, rhs in sorted(src.rules.items()):
+        lhs_img = None
+        for g in (reversed(lhs) if m.anti else lhs):
+            lhs_img = m.images[g] if lhs_img is None else lhs_img * m.images[g]
+        if lhs_img is None:
+            lhs_img = m.one
         rhs_img = None
         for word, coeff in rhs.items():
             v = m.apply_word(word) * coeff
@@ -606,8 +694,8 @@ def check_map(m):
         if rhs_img is None:
             rhs_img = m.one * series(0)
         if not lhs_img == rhs_img:
-            failures.append("rule %s*%s is not preserved: defect %r"
-                            % (src.gens[a], src.gens[b], lhs_img - rhs_img))
+            failures.append("rule %s is not preserved: defect %r"
+                            % (src.word_name(lhs), lhs_img - rhs_img))
     return Report.from_failures("map:%s" % m.name, failures)
 
 

@@ -13,6 +13,14 @@ f -> hbar^-k sum c L f R, an element of A (x) A^op with an hbar shift
 certified on these tensors, which proves them in every degree; a monomial
 sweep runs only to locate a witness when a tensor is nonzero.
 
+Quantum reduction quotients A by a two-sided ideal J, such as su(2)'s
+<H>.  Membership in J is decided on the completed presentation of A / J
+(``Presentation.quotient``, a Groebner-Shirshov basis): an element lies in
+J exactly when its normal form there is 0.  Invariance of J under the
+action is then a certificate: a two-sided multiplication operator maps J
+into J, so Phi(g) = hbar^-k T does mod hbar^(N - k) wherever Phi(g) maps
+A into A (``check_ideal_invariance``).
+
 Noncommutative 1-forms are sums of pairs a db with an explicit hbar
 offset; their product is normalized so that the sharp map
 a db -> (1/hbar) a [b, .] is a homomorphism into endomorphism composition,
@@ -27,7 +35,7 @@ from .errors import CapabilityError
 from .linalg import solve_series
 from .ncalg import NCPoly, TensorAlgebra, TensorElement
 from .report import Report, PASS, FAIL, DISCREPANCY
-from .scalars import HSeries, series, get_default_order, ZERO as _Z
+from .scalars import HSeries, series, get_default_order
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +368,19 @@ def _monomials(alg, degree):
             for w in alg.monomials_up_to(degree)]
 
 
-def _certified(kind, defect):
-    """Refuse a certificate whose hbar window is empty: a zero tensor known
+def _check_window(kind, op):
+    """Refuse a certificate whose hbar window is empty: an operator known
     only mod hbar^0 would prove nothing."""
-    if defect.window < 1:
+    if op.window < 1:
         raise CapabilityError(
             "guard %s.window: the operator tensor is known only mod hbar^%d "
-            "(shift %d)" % (kind, defect.window, defect.k),
+            "(shift %d)" % (kind, op.window, op.k),
             guard="%s.window" % kind,
-            counters={"window": defect.window, "shift": defect.k})
+            counters={"window": op.window, "shift": op.k})
+
+
+def _certified(kind, defect):
+    _check_window(kind, defect)
     return defect.is_zero()
 
 
@@ -700,108 +712,79 @@ def tensor_coproduct_extension(coproduct, presentation, max_len=3):
 # Quantum reduction
 # ---------------------------------------------------------------------------
 
-def _flatten(poly, word_index, order):
-    row = [_Z] * (len(word_index) * order)
-    for w, c in poly.terms.items():
-        base = word_index[w] * order
-        for k in range(min(order, c.order)):
-            row[base + k] = c.coeff(k)
-    return row
+def check_ideal_invariance(action, ideal_gens):
+    """Phi(g)(J) lies in J = <ideal_gens> for every quantum-group
+    generator g.
 
-
-def ideal_span_closure(presentation, ideal_gens, max_degree):
-    """Echelonized span of the two-sided ideal component of degree <= bound.
-
-    Built by closing the generators under left/right multiplication by
-    single generators and linear span.  Sound provided the presentation's
-    rules never raise word degree (true for all module algebras here);
-    products whose normal form exceeds the bound are dropped.
+    Theorem.  Phi(g) compiles to hbar^-k T with T = sum c L (x) R in
+    A (x) A^op (``Operator``), and T(x) = sum c L x R lies in J for every x
+    in J.  ``Presentation.quotient`` presents A / J with unit leading
+    coefficients, so A / J is free over Q(i)[hbar]/(hbar^N) on its
+    irreducible words (Bergman's Diamond Lemma).  For x in J the element
+    hbar^k Phi(g)(x) = T(x) is then 0 in A / J, so the normal form of
+    Phi(g)(x) modulo J vanishes mod hbar^(N - k): Phi(g)(J) lies in J
+    mod hbar^(N - k), in every degree.
+    Hypothesis: Phi(g) maps A into A, that is, its hbar-divisions are
+    exact on A.  Nothing here certifies that.
+    An empty window N - k < 1 raises ``ideal-invariance.window``; the
+    completion raises ``ncgroebner.nonunit_lead`` or
+    ``ncgroebner.max_pairs`` when it cannot present A / J.  As a
+    cross-check Phi(g)(s) is reduced on the quotient for each g and each s
+    in ``ideal_gens``: a nonzero remainder is a conclusive fail with that
+    witness.
     """
-    from .linalg import SeriesSpan
-    order = get_default_order()
-    span = SeriesSpan(order)
-    letters = [presentation.gen(g) for g in presentation.gens]
-    work = [presentation.element(j) for j in ideal_gens]
-    while work:
-        x = work.pop()
-        if x.is_zero() or x.degree() > max_degree:
-            continue
-        if not span.insert(dict(x.terms)):
-            continue
-        for l in letters:
-            work.append(l * x)
-            work.append(x * l)
-    return span
-
-
-def check_ideal_invariance(action, ideal_gens, degree=1, span_degree=None):
-    """Phi(gen)(u * J * v) lies in the two-sided ideal span, for all
-    quantum-group generators and normal monomials u, v up to ``degree``."""
     alg = action.algebra
     ideal_gens = [alg.element(j) for j in ideal_gens]
     if not ideal_gens:
         return Report("ideal-invariance", PASS,
                       notes=["zero ideal is trivially invariant"])
-    monos = alg.monomials_up_to(degree)
-    candidates = []
-    for j in ideal_gens:
-        for u in monos:
-            for v in monos:
-                x = NCPoly(alg, {u: HSeries.one()}) * j \
-                    * NCPoly(alg, {v: HSeries.one()})
-                for name in action.exprs:
-                    y = action.exprs[name].apply(x)
-                    if not y.is_zero():
-                        candidates.append((name, u, v, y))
-    if not candidates:
-        return Report("ideal-invariance", PASS)
-    max_deg = max(y.degree() for _, _, _, y in candidates)
-    if span_degree is not None:
-        max_deg = max(max_deg, span_degree)
-    span = ideal_span_closure(alg, ideal_gens, max_deg)
+    quotient = alg.quotient(ideal_gens)
     failures = []
-    for name, u, v, y in candidates:
-        if not span.contains(dict(y.terms)):
-            failures.append("Phi(%s)(%s * J * %s) = %r escapes the ideal"
-                            % (name, alg.word_name(u), alg.word_name(v), y))
+    for name, expr in action.exprs.items():
+        _check_window("ideal-invariance", action.operator((name,)))
+        for s in ideal_gens:
+            y = expr.apply(s)
+            rest = quotient.normal_form(y.terms)
+            if not rest.is_zero():
+                failures.append("Phi(%s)(%r) = %r escapes the ideal "
+                                "(remainder %r)" % (name, s, y, rest))
     return Report.from_failures("ideal-invariance", failures)
 
 
 def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
                          check_closure=True):
     """Basis of the joint kernel of Phi(gen) - eps(gen) id on the degree
-    component, modulo the two-sided ideal span when generators are given.
+    component, modulo the two-sided ideal J = <ideal_gens> when generators
+    are given.
 
+    Modulo J every element is replaced by its normal form on
+    ``Presentation.quotient``, which is 0 exactly for the elements of J.
     Returns (basis NCPolys, report); the basis is closed under the product
     up to ``degree`` (verified when check_closure is set).
     """
     from .linalg import SeriesSpan, kernel_series
     alg = action.algebra
     order = get_default_order()
-    ideal_gens = [alg.element(j) for j in ideal_gens]
+    if ideal_gens:
+        quotient = alg.quotient(ideal_gens)
+
+        def residue(x):
+            return dict(quotient.normal_form(x.terms).terms)
+    else:
+        def residue(x):
+            return dict(x.terms)
     monos = alg.monomials_up_to(degree)
-    images = {}
-    out_words = set()
+
+    # unknowns: one series per input monomial; condition per generator and
+    # output word: residue(sum_m x_m * image_m) = 0 over the series ring
+    reduced_cols = {}
     for name, expr in action.exprs.items():
         eps = series(counit_values.get(name, 0))
         col = []
         for w in monos:
             x = NCPoly(alg, {w: HSeries.one()})
-            y = expr.apply(x) - x * eps
-            col.append(y)
-            out_words.update(y.terms)
-        images[name] = col
-
-    span = SeriesSpan(order)
-    if ideal_gens:
-        max_deg = max([y.degree() for col in images.values() for y in col]
-                      + [degree + max(j.degree() for j in ideal_gens)])
-        span = ideal_span_closure(alg, ideal_gens, max_deg)
-
-    # unknowns: one series per input monomial; condition per generator and
-    # output word: reduce(sum_m x_m * image_m) = 0 over the series ring
-    reduced_cols = {name: [span.reduce(dict(y.terms)) for y in col]
-                    for name, col in images.items()}
+            col.append(residue(expr.apply(x) - x * eps))
+        reduced_cols[name] = col
     words = sorted({w for col in reduced_cols.values()
                     for vec in col for w in vec},
                    key=lambda t: (len(t), t))
@@ -821,23 +804,23 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     if ideal_gens:
         # independent classes modulo the ideal: growing the span decides
         # independence over the series ring (x and hbar x collapse)
-        accum = span.copy()
+        accum = SeriesSpan(order)
         selected = []
         for b in basis:
-            r = accum.reduce(dict(b.terms))
+            r = accum.reduce(residue(b))
             if r and accum.insert(dict(r)):
                 selected.append(NCPoly(alg, r))
         basis = selected
 
     failures = []
     if check_closure:
-        closure_span = span.copy()
+        closure_span = SeriesSpan(order)
         for b in basis:
             closure_span.insert(dict(b.terms))
         for x, y in itertools.combinations_with_replacement(basis, 2):
             prod = x * y
             if prod.degree() > degree:
                 continue
-            if not closure_span.contains(dict(prod.terms)):
+            if not closure_span.contains(residue(prod)):
                 failures.append("product %r leaves the invariant span" % prod)
     return basis, Report.from_failures("invariant-subalgebra", failures)

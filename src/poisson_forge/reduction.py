@@ -58,17 +58,26 @@ def _scalar_coeff(series):
     """The Q(i) value of a coefficient that must be hbar-free."""
     for k in range(1, len(series.coeffs)):
         if series.coeffs[k]:
-            raise CapabilityError("classical reduction met an hbar-dependent "
-                                  "coefficient: %s" % series)
+            raise CapabilityError(
+                "guard reduction.hbar_coefficient: classical reduction met "
+                "an hbar-dependent coefficient: %s" % series,
+                guard="reduction.hbar_coefficient",
+                counters={"hbar_power": k, "order": series.order})
     return series.constant_term()
 
 
 def _expand(p, basis_index):
+    """The coefficient row of p over the monomials of ``basis_index``, a
+    graded component {exponent tuple: column}."""
     row = [ZERO] * len(basis_index)
     for exps, c in p.terms.items():
         if exps not in basis_index:
-            raise CapabilityError("polynomial leaves the graded component: "
-                                  "monomial %s" % (exps,))
+            raise CapabilityError(
+                "guard reduction.graded_component: polynomial leaves the "
+                "graded component: monomial %s" % (exps,),
+                guard="reduction.graded_component",
+                counters={"monomial_degree": sum(exps),
+                          "component_monomials": len(basis_index)})
         row[basis_index[exps]] = _scalar_coeff(c)
     return row
 

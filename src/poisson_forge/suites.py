@@ -339,7 +339,7 @@ def quantum_action_fixture_suite(degree=2):
     out.append(("su2-3d/ideal-relations",
                 Report.from_failures("ideal-relations", failures)))
     out.append(("su2-3d/ideal-invariance",
-                check_ideal_invariance(act, [H], degree=1)))
+                check_ideal_invariance(act, [H])))
     return out
 
 
@@ -402,7 +402,7 @@ def run_fixture_suite(command, degree=3):
         act = fixtures.su2_action()
         alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
         out = [("su2-3d/ideal-invariance",
-                check_ideal_invariance(act, [H], degree=1))]
+                check_ideal_invariance(act, [H]))]
         act3 = fixtures.case_action(3)
         basis, rep = invariant_subalgebra(act3, {"xi": 0, "eta": 0}, degree=2)
         out.append(("case3/invariant-subalgebra", rep))

@@ -6,9 +6,10 @@ Lie-homomorphism identities of quantum actions are checked on every
 normal-form monomial (or pair of monomials) up to a degree, confluence by
 reducing every word up to a length in all one-step ways, and the quotient
 bracket's well-definedness by bracketing randomly perturbed
-representatives.  A sweep is evidence for the cases it tries only; the
-tests use it to cross-check the verdicts of the generator, overlap,
-operator-tensor and Leibniz certificates.
+representatives, and quantum ideal membership in a span of the ideal
+closed up to a degree bound.  A sweep is evidence for the cases it tries
+only; the tests use it to cross-check the verdicts of the generator,
+overlap, operator-tensor, Leibniz and Groebner-Shirshov certificates.
 """
 
 import itertools
@@ -24,7 +25,8 @@ from poisson_forge.coordpoly import CoordPoly, poly
 from poisson_forge.qmomentum import ActionExpr
 from poisson_forge.reduction import monomial_basis, reduce_mod_ideal
 from poisson_forge.report import Report, merge
-from poisson_forge.scalars import HSeries, gauss, series
+from poisson_forge.linalg import SeriesSpan, kernel_series
+from poisson_forge.scalars import HSeries, gauss, get_default_order, series
 
 
 def sweep_coassociativity(hopf, degree=3):
@@ -114,18 +116,18 @@ def sweep_all_axioms(hopf, degree=3):
 
 
 def sweep_confluence(pres, degree=4):
-    """Reduce every word of length <= degree by every applicable first
+    """Reduce every word of length 2..degree by every applicable first
     step and compare the fully reduced results."""
     failures = []
     for length in range(2, degree + 1):
         for word in itertools.product(range(len(pres.gens)), repeat=length):
             results = []
-            for k in range(length - 1):
-                rule = pres.rules.get((word[k], word[k + 1]))
-                if rule is None:
+            for k, (lhs, rule) in itertools.product(range(length),
+                                                    pres.rules.items()):
+                if word[k:k + len(lhs)] != lhs:
                     continue
                 acc = {}
-                head, tail = word[:k], word[k + 2:]
+                head, tail = word[:k], word[k + len(lhs):]
                 for t, c in rule.items():
                     for w2, c2 in pres._nf(head + t + tail).items():
                         v = acc.get(w2, HSeries.zero()) + c * c2
@@ -263,3 +265,90 @@ def sweep_action_lie_hom(action, relations, degree=2):
         reports[(xn, yn)] = Report.from_failures(
             "lie-hom(%s,%s)" % (xn, yn), defects)
     return reports
+
+
+def ideal_span_closure(presentation, ideal_gens, max_degree):
+    """Echelonized span of the two-sided ideal component of degree <= bound.
+
+    Built by closing the generators under left/right multiplication by
+    single generators and linear span.  Sound provided the presentation's
+    rules never raise word degree (true for all module algebras here);
+    products whose normal form exceeds the bound are dropped, so an element
+    of the ideal reached only through them is missed.
+    """
+    span = SeriesSpan(get_default_order())
+    letters = [presentation.gen(g) for g in presentation.gens]
+    work = [presentation.element(j) for j in ideal_gens]
+    while work:
+        x = work.pop()
+        if x.is_zero() or x.degree() > max_degree:
+            continue
+        if not span.insert(dict(x.terms)):
+            continue
+        for l in letters:
+            work.append(l * x)
+            work.append(x * l)
+    return span
+
+
+def sweep_ideal_invariance(action, ideal_gens, degree=1):
+    """Phi(gen)(u * J * v) lies in the ideal span closed up to the largest
+    degree met, for all quantum-group generators and normal monomials u, v
+    up to ``degree``."""
+    alg = action.algebra
+    ideal_gens = [alg.element(j) for j in ideal_gens]
+    monos = alg.monomials_up_to(degree)
+    candidates = []
+    for j in ideal_gens:
+        for u in monos:
+            for v in monos:
+                x = NCPoly(alg, {u: HSeries.one()}) * j \
+                    * NCPoly(alg, {v: HSeries.one()})
+                for name in action.exprs:
+                    y = action.exprs[name].apply(x)
+                    if not y.is_zero():
+                        candidates.append((name, u, v, y))
+    if not candidates:
+        return Report.from_failures("ideal-invariance", [])
+    span = ideal_span_closure(alg, ideal_gens,
+                              max(y.degree() for _, _, _, y in candidates))
+    failures = []
+    for name, u, v, y in candidates:
+        if not span.contains(dict(y.terms)):
+            failures.append("Phi(%s)(%s * J * %s) = %r escapes the ideal"
+                            % (name, alg.word_name(u), alg.word_name(v), y))
+    return Report.from_failures("ideal-invariance", failures)
+
+
+def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
+    """Classes of the joint kernel of Phi(gen) - eps(gen) id on the degree
+    component, independent modulo the ideal span closed up to the largest
+    degree met."""
+    alg = action.algebra
+    order = get_default_order()
+    ideal_gens = [alg.element(j) for j in ideal_gens]
+    monos = alg.monomials_up_to(degree)
+    cols = {}
+    for name, expr in action.exprs.items():
+        eps = series(counit_values.get(name, 0))
+        cols[name] = [expr.apply(x) - x * eps
+                      for x in (NCPoly(alg, {w: HSeries.one()})
+                                for w in monos)]
+    span = ideal_span_closure(
+        alg, ideal_gens,
+        max([y.degree() for col in cols.values() for y in col]
+            + [degree + max(j.degree() for j in ideal_gens)]))
+    reduced = {name: [span.reduce(dict(y.terms)) for y in col]
+               for name, col in cols.items()}
+    words = sorted({w for col in reduced.values() for vec in col
+                    for w in vec}, key=lambda t: (len(t), t))
+    rows = [[vec.get(w, HSeries.zero(order)) for vec in col]
+            for col in reduced.values() for w in words]
+    accum = span.copy()
+    classes = []
+    for vec in kernel_series(rows, len(monos), order):
+        terms = {w: c for c, w in zip(vec, monos) if not c.is_zero()}
+        r = accum.reduce(terms)
+        if r and accum.insert(dict(r)):
+            classes.append(NCPoly(alg, r))
+    return classes

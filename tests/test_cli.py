@@ -280,6 +280,19 @@ def test_spec_reduce_laurent_ideal_is_capability_error(tmp_path, capsys):
     assert "1 invertible variable(s) (a)" in err
 
 
+def test_spec_reduce_hbar_coefficient_is_capability_error(tmp_path, capsys):
+    # classical reduction is over Q(i): an ideal generator with an hbar
+    # coefficient trips the named guard
+    doc = json.load(open(SPEC))
+    doc["reductions"]["hbar"] = dict(doc["reductions"]["case3"],
+                                     ideal=["hbar*a-1", "b"])
+    path = tmp_path / "hbar.json"
+    path.write_text(json.dumps(doc))
+    assert run(["reduce", str(path), "hbar"]) == 3
+    err = capsys.readouterr().err
+    assert "capability exceeded: guard reduction.hbar_coefficient:" in err
+
+
 def _action_spec(algebra_rules, generator_expr, coproduct):
     return {
         "presentations": {
@@ -337,3 +350,29 @@ def test_spec_check_action_without_witness_exits_three(tmp_path, capsys):
     assert "capability exceeded: guard module-algebra.inconclusive" \
         in captured.err
     assert "module-algebra" not in captured.out
+
+
+def test_spec_qreduce_reports_non_confluent_presentation(tmp_path, capsys):
+    # the quotient's normal forms presuppose confluence: the overlap z*y*x
+    # is reported and nothing else is checked
+    rules = [(("y", "x"), [("1", ["x", "y"]), ("1", ["z"])]),
+             (("z", "x"), [("1", ["x", "z"]), ("1", ["x"])]),
+             (("z", "y"), [("1", ["y", "z"])])]
+    doc = _action_spec(rules, {"op": "lmul", "element": "x"},
+                       [[["t"], []], [[], ["t"]]])
+    doc["actions"]["act"].update(
+        counit={"t": "0"}, ideal=[[{"coeff": "1", "word": ["x"]}]])
+    path = tmp_path / "non_confluent.json"
+    path.write_text(json.dumps(doc))
+    assert run(["qreduce", str(path), "act"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] act/confluence" in out
+    assert "note: quantum reduction not checked" in out
+    assert "ideal-invariance" not in out and "1 checks:" in out
+
+    assert run(["qreduce", SPEC, "qplane_action"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:3] == [
+        "[PASS] qplane_action/confluence",
+        "[PASS] qplane_action/ideal-invariance",
+        "[PASS] qplane_action/invariant-subalgebra"]

@@ -253,3 +253,37 @@ def test_non_confluent_overlap_reported():
     sweep = sweep_confluence(make(), degree=4)
     assert not sweep.ok
     assert sweep.failures[0] == "overlap z*y*x reduces ambiguously"
+
+
+def test_length_three_rule_inclusion_reported():
+    # y*x*x -> x contains the leading word y*x: y*x*x reduces to x by the
+    # long rule and to x*x*y by the pair rule
+    from oracles import sweep_confluence
+
+    def make():
+        return Presentation(["x", "y"], {
+            ("y", "x"): {("x", "y"): 1},
+            ("y", "x", "x"): {("x",): 1},
+        }, name="inclusion")
+
+    rep = make().check_confluence()
+    assert rep.failures == ["inclusion y*x in y*x*x reduces ambiguously"]
+    sweep = sweep_confluence(make(), degree=3)
+    assert sweep.failures == ["overlap y*x*x reduces ambiguously"]
+
+
+def test_rules_of_other_lengths_rewrite_leftmost_subword():
+    # z -> x + hbar*y*y (an hbar gain may grow words) and y*x*y -> x
+    h = HSeries.hbar()
+    pres = Presentation(["x", "y", "z"], {
+        ("z",): {("x",): 1, ("y", "y"): h},
+        ("y", "x", "y"): {("x",): 1},
+    })
+    x, y, z = (pres.gen(g) for g in "xyz")
+    assert z == x + y * y * h
+    assert y * x * y * z == x * x + x * y * y * h
+    # the self-overlap of y*x*y: (y*x*y)*x*y -> x*x*y, y*x*(y*x*y) -> y*x*x
+    assert pres.check_confluence().failures == [
+        "overlap y*x*y*x*y reduces ambiguously"]
+    with pytest.raises(ValueError, match="not decreasing"):
+        Presentation(["x", "y"], {("x",): {("y",): 1}})

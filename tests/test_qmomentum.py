@@ -15,6 +15,8 @@ from poisson_forge.qmomentum import (
 from poisson_forge.report import DISCREPANCY, PASS
 from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp, series
 
+from oracles import sweep_ideal_invariance, sweep_invariant_classes
+
 
 def monomials(alg, degree):
     return [NCPoly(alg, {w: HSeries.one()}) for w in alg.monomials_up_to(degree)]
@@ -296,13 +298,14 @@ def test_su2_momentum_ideal_relations():
 def test_su2_ideal_invariance():
     act = fixtures.su2_action()
     alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
-    rep = check_ideal_invariance(act, [H], degree=1)
+    rep = check_ideal_invariance(act, [H])
     assert rep.ok, rep.failures
+    assert sweep_ideal_invariance(act, [H], degree=1).ok
 
 
 def test_zero_ideal_trivially_invariant():
     act = fixtures.case_action(1)
-    rep = check_ideal_invariance(act, [], degree=1)
+    rep = check_ideal_invariance(act, [])
     assert rep.ok
 
 
@@ -312,8 +315,9 @@ def test_ideal_b_under_case3_eta():
     act = fixtures.case_action(3)
     alg = act.algebra
     eta_only = QuantumAction(act.group, alg, {"eta": act.exprs["eta"]})
-    rep = check_ideal_invariance(eta_only, [alg.gen("b")], degree=1)
+    rep = check_ideal_invariance(eta_only, [alg.gen("b")])
     assert rep.ok, rep.failures
+    assert sweep_ideal_invariance(eta_only, [alg.gen("b")], degree=1).ok
 
 
 def test_invariant_subalgebra_trivial_action():
@@ -349,6 +353,8 @@ def test_case1_quantum_reduction():
                                       ideal_gens=ideal)
     assert rep.ok, rep.failures
     assert len(basis) == 1
+    assert len(sweep_invariant_classes(act, {"xi": 0, "eta": 0}, 2,
+                                       ideal)) == 1
 
 
 def test_semiclassical_limit_of_actions_matches_classical_fields():
@@ -414,6 +420,65 @@ def test_case1_quantum_reduction_nonzero_level():
                                       ideal_gens=ideal)
     assert rep.ok
     assert len(basis) == 1
+    assert len(sweep_invariant_classes(act, {"xi": 0, "eta": 0}, 2,
+                                       ideal)) == 1
+
+
+def test_ideal_invariance_needs_no_monomial_sweep(monkeypatch):
+    # the certificate reduces Phi(g)(H) on the completed quotient only
+    from poisson_forge.ncalg import Presentation
+    act = fixtures.su2_action()
+    alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
+
+    def refuse(self, degree):
+        raise AssertionError("monomial sweep")
+
+    monkeypatch.setattr(Presentation, "monomials_up_to", refuse)
+    assert check_ideal_invariance(act, [H]).ok
+
+
+def test_actions_breaking_module_algebra_keep_the_ideal():
+    # T(J) lies in J for every two-sided multiplication operator T, so the
+    # ideal <H> stays invariant under these variants, although they break
+    # the module-algebra identity; the span oracle agrees
+    act = fixtures.su2_action()
+    alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
+    a, b, c = (alg.gen(g) for g in ("a", "b", "c"))
+    variants = {
+        "eta": HbarDiv(Compose([LMul(a), Commutator(c)]), 1),
+        "xi": HbarDiv(Compose([RMul(a), Commutator(b)]), 1),
+    }
+    for name, expr in variants.items():
+        variant = QuantumAction(act.group, alg, dict(act.exprs, **{name: expr}))
+        cops = fixtures.su2_coproducts(act.group)
+        assert not check_module_algebra(variant, {name: cops[name]}).ok
+        assert check_ideal_invariance(variant, [H]).ok, name
+        assert sweep_ideal_invariance(variant, [H], degree=1).ok, name
+
+
+def test_torsion_ideal_refused_where_the_sweep_failed():
+    # <a - 1> on the quantum plane contains hbar b but not b, and
+    # Phi(xi)(a - 1) = a b a is b modulo it: the span oracle's fail is
+    # true, while the quotient has hbar-torsion and is refused (exit 3)
+    from poisson_forge.errors import CapabilityError
+    act = fixtures.case_action(3)
+    alg = act.algebra
+    ideal = [alg.gen("a") - 1]
+    assert not sweep_ideal_invariance(act, ideal, degree=1).ok
+    with pytest.raises(CapabilityError) as exc:
+        check_ideal_invariance(act, ideal)
+    assert exc.value.guard == "ncgroebner.nonunit_lead"
+
+
+def test_ideal_invariance_empty_window_is_refused():
+    from poisson_forge.errors import CapabilityError
+    alg = fixtures.case1_reduction_algebra()
+    grp = fixtures.r2_quantum_group()
+    deep = QuantumAction(grp, alg, {"xi": HbarDiv(LMul(alg.gen("b")), 6)})
+    with pytest.raises(CapabilityError) as exc:
+        check_ideal_invariance(deep, [alg.gen("b")])
+    assert exc.value.guard == "ideal-invariance.window"
+    assert exc.value.counters == {"window": 0, "shift": 6}
 
 
 # -- operator-tensor certificates against the monomial sweep oracle -----------

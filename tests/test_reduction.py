@@ -76,6 +76,27 @@ def test_invariants_rotation():
     assert in_row_span(span, _expand(r2, index))
 
 
+def test_expand_guards_name_themselves():
+    # a monomial outside the graded component, and an hbar-dependent
+    # coefficient, each trip their own guard
+    setup = rotation_setup()
+    monos = monomial_basis(setup.chart, 1)
+    index = {m: i for i, m in enumerate(monos)}
+    row = _expand(poly("2*q1 - p1", setup.chart), index)
+    assert len(row) == len(monos) and sum(1 for c in row if c) == 2
+    with pytest.raises(CapabilityError) as exc:
+        _expand(poly("q1*p1", setup.chart), index)
+    assert exc.value.guard == "reduction.graded_component"
+    assert exc.value.counters == {"monomial_degree": 2,
+                                  "component_monomials": len(monos)}
+    assert str(exc.value).startswith("guard reduction.graded_component:")
+    with pytest.raises(CapabilityError) as exc:
+        _expand(poly("q1 + hbar^2*p1", setup.chart), index)
+    assert exc.value.guard == "reduction.hbar_coefficient"
+    assert exc.value.counters["hbar_power"] == 2
+    assert str(exc.value).startswith("guard reduction.hbar_coefficient:")
+
+
 def test_invariants_case3():
     setup = case3_setup(spectators=False)
     basis, closure = invariant_functions(setup, 3)
