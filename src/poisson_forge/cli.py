@@ -176,18 +176,22 @@ def run_spec_command(command, spec, args):
         confluence = action.algebra.check_confluence()
         out = [("%s/confluence" % name, confluence)]
         if not confluence.ok:
-            # the quotient's normal forms are unique only on a confluent
-            # presentation: report the presentation instead
+            # the action's images are normal forms, unique only on a
+            # confluent presentation: report the presentation instead
             confluence.notes.append("quantum reduction not checked: "
                                     "presentation %s is not confluent"
                                     % action.algebra.name)
             return out
         degree = min(args.degree, extras["degree"])
+        # one completion serves both checks
+        quotient = action.algebra.quotient(extras["ideal"])
         out.append(("%s/ideal-invariance" % name,
-                    check_ideal_invariance(action, extras["ideal"])))
+                    check_ideal_invariance(action, extras["ideal"],
+                                           quotient=quotient)))
         _, rep = invariant_subalgebra(action, extras["counit"],
                                       degree=degree,
-                                      ideal_gens=extras["ideal"])
+                                      ideal_gens=extras["ideal"],
+                                      quotient=quotient)
         out.append(("%s/invariant-subalgebra" % name, rep))
         return out
     raise SpecError("unknown command %r" % command)

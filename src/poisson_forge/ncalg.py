@@ -68,7 +68,6 @@ class Presentation:
         empty the memo."""
         self.rules = rules
         self._lengths = tuple(sorted({len(lhs) for lhs in rules}))
-        self._pairs_only = self._lengths == (2,)
         self._check_termination_order()
         self._memo = {}
         self._steps = 0
@@ -85,7 +84,9 @@ class Presentation:
     def quotient(self, ideal_gens):
         """The presentation of A / J for the two-sided ideal J generated by
         ``ideal_gens``: its normal forms are the normal forms modulo J, and
-        1 in J gives the zero quotient.  See ``ncgroebner.complete``."""
+        1 in J gives the zero quotient.  The completion resolves the
+        ambiguities among the rules of A as well, so this holds whether or
+        not A passes ``check_confluence``.  See ``ncgroebner.complete``."""
         from .ncgroebner import complete
         return complete(self, [self.element(j) for j in ideal_gens])
 
@@ -142,24 +143,14 @@ class Presentation:
         # the leftmost subword that is a leading word, shortest first
         rules = self.rules
         rule = None
-        if self._pairs_only:
-            # the shipped presentations: one lookup per adjacent pair
-            m = 2
-            for k in range(len(word) - 1):
-                rule = rules.get((word[k], word[k + 1]))
-                if rule is not None:
-                    break
-        else:
-            lengths = self._lengths
-            n = len(word)
-            for k in range(n - lengths[0] + 1 if lengths else 0):
-                for m in lengths:
-                    if k + m > n:
-                        break
-                    rule = rules.get(word[k:k + m])
-                    if rule is not None:
-                        break
-                if rule is not None:
+        n = len(word)
+        start = n + 1
+        for m in self._lengths:
+            for k in range(n - m + 1):
+                hit = rules.get(word[k:k + m])
+                if hit is not None:
+                    if k < start:
+                        rule, start, size = hit, k, m
                     break
         if rule is not None:
             self._steps += 1
@@ -171,7 +162,7 @@ class Presentation:
                     counters={"steps": self._steps,
                               "max_steps": self.max_steps})
             out = {}
-            head, tail = word[:k], word[k + m:]
+            head, tail = word[:start], word[start + size:]
             for t, c in rule.items():
                 sub = self._nf(head + t + tail)
                 for w2, c2 in sub.items():
@@ -215,26 +206,10 @@ class Presentation:
     # -- element constructors ----------------------------------------------
 
     def gen(self, name):
-        return self._word_element((self._index[name],))
+        return NCPoly(self, {(self._index[name],): HSeries.one()})
 
     def one(self):
-        return self._word_element(())
-
-    def scalar(self, c):
-        """The scalar c as an element in normal form."""
-        s = series(c)
-        if self._lengths[:1] == (0,):
-            # only a rule on the empty word (the zero quotient) rewrites 1
-            return self.one() * s
-        return NCPoly(self, {(): s})
-
-    def _word_element(self, word):
-        """A word as an element in normal form: a word shorter than every
-        leading word (every word of a shipped presentation up to length 1)
-        is already normal."""
-        if self._lengths and self._lengths[0] <= len(word):
-            return NCPoly(self, self._nf(word))
-        return NCPoly(self, {word: HSeries.one()})
+        return NCPoly(self, {(): HSeries.one()})
 
     def zero(self):
         return NCPoly(self, {})
@@ -247,7 +222,7 @@ class Presentation:
         if isinstance(spec, str):
             return self.gen(spec)
         if isinstance(spec, (int, Fraction, GaussRational, HSeries)):
-            return self.scalar(spec)
+            return NCPoly(self, {(): series(spec)})
         terms = {}
         for coeff, word in spec:
             w = tuple(self._index[g] for g in word)
@@ -346,7 +321,7 @@ class NCPoly:
             if other.presentation is not self.presentation:
                 raise ValueError("elements of different presentations")
             return other
-        return self.presentation.scalar(other)
+        return NCPoly(self.presentation, {(): series(other)})
 
     def __add__(self, other):
         other = self._coerced(other)

@@ -17,20 +17,25 @@ element whose every coefficient is divisible by hbar is refused (guard
 basis.  A leading word 1 makes J the whole algebra: 1 - hbar s is a unit
 because hbar is nilpotent, and the quotient is zero.
 
-Completion.  Every pending element is reduced to normal form under the
-current rules; a nonzero remainder becomes a rule, each rule whose leading
-word contains the new one is withdrawn into the pending elements, and each
-ambiguity of the new rule with a current rule adds the difference of its
-two reductions.  When nothing is pending every ambiguity of the final
-rules resolves, so by Bergman's Diamond Lemma (Adv. Math. 29, 1978) the
-quotient is confluent and, all leading coefficients being units, A / J is
-free over Q(i)[hbar]/(hbar^N) on the irreducible words: x lies in J
-exactly when its normal form is 0.  Membership in a noncommutative ideal
-is undecidable in general, so the number of ambiguities resolved is
-bounded by ``MAX_PAIRS`` (guard ``ncgroebner.max_pairs``).
+Completion.  The ambiguities among the rules of A are resolved first, so
+a presentation that is not confluent is completed too.  Every pending
+element is reduced to normal form under the current rules; a nonzero
+remainder becomes a rule, each rule whose leading word contains the new
+one is withdrawn into the pending elements, and each ambiguity of the new
+rule with a current rule adds the difference of its two reductions.  When
+nothing is pending every ambiguity of the final rules resolves, so by
+Bergman's Diamond Lemma (Adv. Math. 29, 1978) the quotient is confluent
+and, all leading coefficients being units, A / J is free over
+Q(i)[hbar]/(hbar^N) on the irreducible words: x lies in J exactly when its
+normal form is 0.  Membership in a noncommutative ideal is undecidable in
+general, so the number of ambiguities of added rules resolved is bounded
+by ``MAX_PAIRS`` (guard ``ncgroebner.max_pairs``); those among the rules
+of A are finitely many and are not counted.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import CapabilityError
 from .ncalg import ambiguities
@@ -42,7 +47,9 @@ def complete(pres, ideal_gens):
     """The presentation of pres / <ideal_gens> (NCPolys of ``pres``)."""
     name = "%s/<%s>" % (pres.name, ", ".join(repr(g) for g in ideal_gens))
     work = pres._with_rules(dict(pres.rules), name)
-    pending = [dict(g.terms) for g in ideal_gens]
+    pending = []
+    _resolve(work, itertools.product(sorted(work.rules), repeat=2), pending)
+    pending += [dict(g.terms) for g in ideal_gens]
     pairs = 0
     while pending:
         terms = work.normal_form(pending.pop(0)).terms
@@ -59,23 +66,39 @@ def complete(pres, ideal_gens):
                 pending.append(withdrawn)
         rules[lhs] = rhs
         work._set_rules(rules)
-        for u in sorted(rules):
-            for first, second in ((lhs, u), (u, lhs)) if u != lhs \
-                    else ((lhs, lhs),):
-                for _, _, left, right in ambiguities(rules, first, second):
-                    pairs += 1
-                    if pairs > MAX_PAIRS:
-                        raise CapabilityError(
-                            "guard ncgroebner.max_pairs: completing %r "
-                            "resolved more than %d ambiguities (%d rules)"
-                            % (name, MAX_PAIRS, len(rules)),
-                            guard="ncgroebner.max_pairs",
-                            counters={"pairs": pairs, "max_pairs": MAX_PAIRS,
-                                      "rules": len(rules)})
-                    diff = work.normal_form(left) - work.normal_form(right)
-                    if not diff.is_zero():
-                        pending.append(dict(diff.terms))
+        pairs = _resolve(work, _partners(lhs, rules), pending, pairs)
     return work
+
+
+def _resolve(work, word_pairs, pending, pairs=None):
+    """Append to ``pending`` the difference of the two reductions of each
+    ambiguity of the leading-word pairs ``word_pairs`` that does not
+    resolve.  ``pairs`` counts the ambiguities against ``MAX_PAIRS`` and is
+    returned; it is None for the ambiguities among the rules of A."""
+    for first, second in word_pairs:
+        for _, _, left, right in ambiguities(work.rules, first, second):
+            if pairs is not None:
+                pairs += 1
+                if pairs > MAX_PAIRS:
+                    raise CapabilityError(
+                        "guard ncgroebner.max_pairs: completing %r resolved "
+                        "more than %d ambiguities (%d rules)"
+                        % (work.name, MAX_PAIRS, len(work.rules)),
+                        guard="ncgroebner.max_pairs",
+                        counters={"pairs": pairs, "max_pairs": MAX_PAIRS,
+                                  "rules": len(work.rules)})
+            diff = work.normal_form(left) - work.normal_form(right)
+            if not diff.is_zero():
+                pending.append(dict(diff.terms))
+    return pairs
+
+
+def _partners(lhs, rules):
+    """The pairs of leading words whose ambiguities involve ``lhs``."""
+    for u in sorted(rules):
+        yield lhs, u
+        if u != lhs:
+            yield u, lhs
 
 
 def _rule(pres, terms, pairs):

@@ -712,7 +712,7 @@ def tensor_coproduct_extension(coproduct, presentation, max_len=3):
 # Quantum reduction
 # ---------------------------------------------------------------------------
 
-def check_ideal_invariance(action, ideal_gens):
+def check_ideal_invariance(action, ideal_gens, quotient=None):
     """Phi(g)(J) lies in J = <ideal_gens> for every quantum-group
     generator g.
 
@@ -731,14 +731,16 @@ def check_ideal_invariance(action, ideal_gens):
     ``ncgroebner.max_pairs`` when it cannot present A / J.  As a
     cross-check Phi(g)(s) is reduced on the quotient for each g and each s
     in ``ideal_gens``: a nonzero remainder is a conclusive fail with that
-    witness.
+    witness.  ``quotient``, when given, is ``alg.quotient(ideal_gens)``
+    already completed.
     """
     alg = action.algebra
     ideal_gens = [alg.element(j) for j in ideal_gens]
     if not ideal_gens:
         return Report("ideal-invariance", PASS,
                       notes=["zero ideal is trivially invariant"])
-    quotient = alg.quotient(ideal_gens)
+    if quotient is None:
+        quotient = alg.quotient(ideal_gens)
     failures = []
     for name, expr in action.exprs.items():
         _check_window("ideal-invariance", action.operator((name,)))
@@ -752,13 +754,14 @@ def check_ideal_invariance(action, ideal_gens):
 
 
 def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
-                         check_closure=True):
+                         check_closure=True, quotient=None):
     """Basis of the joint kernel of Phi(gen) - eps(gen) id on the degree
     component, modulo the two-sided ideal J = <ideal_gens> when generators
     are given.
 
     Modulo J every element is replaced by its normal form on
-    ``Presentation.quotient``, which is 0 exactly for the elements of J.
+    ``Presentation.quotient``, which is 0 exactly for the elements of J;
+    ``quotient``, when given, is that presentation already completed.
     Returns (basis NCPolys, report); the basis is closed under the product
     up to ``degree`` (verified when check_closure is set).
     """
@@ -766,7 +769,8 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     alg = action.algebra
     order = get_default_order()
     if ideal_gens:
-        quotient = alg.quotient(ideal_gens)
+        if quotient is None:
+            quotient = alg.quotient(ideal_gens)
 
         def residue(x):
             return dict(quotient.normal_form(x.terms).terms)

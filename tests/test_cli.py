@@ -353,8 +353,8 @@ def test_spec_check_action_without_witness_exits_three(tmp_path, capsys):
 
 
 def test_spec_qreduce_reports_non_confluent_presentation(tmp_path, capsys):
-    # the quotient's normal forms presuppose confluence: the overlap z*y*x
-    # is reported and nothing else is checked
+    # the action's images are normal forms, unique only on a confluent
+    # presentation: the overlap z*y*x is reported and nothing else checked
     rules = [(("y", "x"), [("1", ["x", "y"]), ("1", ["z"])]),
              (("z", "x"), [("1", ["x", "z"]), ("1", ["x"])]),
              (("z", "y"), [("1", ["y", "z"])])]
@@ -376,3 +376,17 @@ def test_spec_qreduce_reports_non_confluent_presentation(tmp_path, capsys):
         "[PASS] qplane_action/confluence",
         "[PASS] qplane_action/ideal-invariance",
         "[PASS] qplane_action/invariant-subalgebra"]
+
+
+def test_spec_qreduce_completes_the_quotient_once(monkeypatch, capsys):
+    from poisson_forge import ncgroebner
+    calls = []
+    complete = ncgroebner.complete
+
+    def counted(pres, ideal_gens):
+        calls.append(pres.name)
+        return complete(pres, ideal_gens)
+
+    monkeypatch.setattr(ncgroebner, "complete", counted)
+    assert run(["qreduce", SPEC, "qplane_action"]) == 0
+    assert len(calls) == 1

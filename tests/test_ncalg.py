@@ -272,6 +272,22 @@ def test_length_three_rule_inclusion_reported():
     assert sweep.failures == ["overlap y*x*x reduces ambiguously"]
 
 
+def test_leftmost_then_shortest_leading_word_is_rewritten():
+    # neither presentation is confluent, so the choice shows: y*z*y is
+    # rewritten at position 0 before z at position 1, and at position 0 of
+    # y*x*x the pair y*x before y*x*x
+    pres = Presentation(["x", "y", "z"], {
+        ("z",): {("x",): 1},
+        ("y", "z", "y"): {},
+    })
+    assert pres.nf_word((1, 2, 1)) == {}
+    pres = Presentation(["x", "y"], {
+        ("y", "x"): {("x", "y"): 1},
+        ("y", "x", "x"): {("x",): 1},
+    })
+    assert pres.nf_word((1, 0, 0)) == {(0, 0, 1): HSeries.one()}
+
+
 def test_rules_of_other_lengths_rewrite_leftmost_subword():
     # z -> x + hbar*y*y (an hbar gain may grow words) and y*x*y -> x
     h = HSeries.hbar()
@@ -280,7 +296,7 @@ def test_rules_of_other_lengths_rewrite_leftmost_subword():
         ("y", "x", "y"): {("x",): 1},
     })
     x, y, z = (pres.gen(g) for g in "xyz")
-    assert z == x + y * y * h
+    assert pres.normal_form(z) == x + y * y * h
     assert y * x * y * z == x * x + x * y * y * h
     # the self-overlap of y*x*y: (y*x*y)*x*y -> x*x*y, y*x*(y*x*y) -> y*x*x
     assert pres.check_confluence().failures == [
