@@ -14,7 +14,7 @@ confluent.  No checker here sweeps monomials.
 from __future__ import annotations
 
 from .errors import CapabilityError
-from .ncalg import NCPoly, TensorAlgebra, TensorElement, check_map
+from .ncalg import NCPoly, TensorAlgebra, TensorElement, _acc, check_map
 from .report import Report
 from .scalars import HSeries, series
 
@@ -37,15 +37,6 @@ class HopfStructure:
 
 
 # -- tensor plumbing ---------------------------------------------------------
-
-def _acc(out, key, value):
-    s = out.get(key)
-    s = value if s is None else s + value
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
 
 def apply_in_slot(amap, element, slot, out_algebra):
     """Apply a map A -> A (x) A to one slot of a tensor element, producing

@@ -116,8 +116,11 @@ def flatten_series_system(rows, rhs, order):
     return scal_rows, scal_rhs, nunk
 
 
-def solve_series(rows, rhs, order):
-    """Solve A x = b where entries and unknowns are HSeries mod hbar^order."""
+def solve_series(rows, rhs):
+    """Solve A x = b where entries and unknowns are HSeries, mod hbar^N for
+    the least order N of the series entries: the window all the data is
+    known in (scalar entries are exact)."""
+    order = _least_order(rows + [rhs])
     rows = [[_as_series(a, order) for a in r] for r in rows]
     rhs = [_as_series(b, order) for b in rhs]
     scal_rows, scal_rhs, nunk = flatten_series_system(rows, rhs, order)
@@ -127,14 +130,16 @@ def solve_series(rows, rhs, order):
     return [HSeries(x[j * order:(j + 1) * order], order) for j in range(nunk)]
 
 
-def kernel_series(rows, ncols, order):
-    """Module generators of the kernel of a series matrix.
+def kernel_series(rows, ncols):
+    """Module generators of the kernel of a series matrix, mod hbar^N for
+    the least order N of its series entries (as in ``solve_series``).
 
     The flattened scalar kernel is a Q(i)-vector space closed under
     multiplication by hbar; we return representatives of a basis of
     kernel / hbar*kernel, which generate the kernel as a series module and
     avoid listing x and hbar*x separately.
     """
+    order = _least_order(rows)
     rows = [[_as_series(a, order) for a in r] for r in rows]
     scal_rows, _, _ = flatten_series_system(
         rows, [HSeries.zero(order)] * len(rows), order)
@@ -162,6 +167,13 @@ def _shift_flat(v, ncols, order):
         block = v[j * order:(j + 1) * order]
         out.extend([ZERO] + block[:-1])
     return out
+
+
+def _least_order(rows):
+    """The least order of the series entries, or the default series order
+    when there are none."""
+    return min((x.order for r in rows for x in r if isinstance(x, HSeries)),
+               default=HSeries.zero().order)
 
 
 def _as_series(x, order):

@@ -32,6 +32,16 @@ from fractions import Fraction
 _SCALARS = (int, Fraction, GaussRational, str)
 
 
+def _acc(out, key, value):
+    """Add ``value`` to ``out[key]``, dropping the key when the sum is 0."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 class Presentation:
     """Ordered generators plus rewrite rules keyed by their leading words.
 
@@ -180,9 +190,11 @@ class Presentation:
         return out
 
     def normal_form(self, terms):
-        """Normal form of a terms dict or NCPoly; returns an NCPoly."""
+        """Normal form of a terms dict or NCPoly; returns an NCPoly.  The
+        ``max_steps`` budget applies to each call, as in ``nf_word``."""
         if isinstance(terms, NCPoly):
             terms = terms.terms
+        self._steps = 0
         out = {}
         for word, coeff in terms.items():
             if isinstance(word, str):
@@ -524,6 +536,7 @@ class TensorElement:
                                  {w: c * s for w, c in self.terms.items()})
         other = self._coerced(other)
         pres = self.algebra.presentation
+        pres._steps = 0  # one max_steps budget per product
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

@@ -2,16 +2,18 @@
 
 Actions are formal endomorphism expressions over a presented algebra:
 left/right multiplications, commutators, sums, compositions, scalar
-multiples and hbar-divisions (the latter only densely defined -- applied
-to an element, a division below the valuation raises with the offending
-coefficient).  This covers both the single-commutator actions
-(1/hbar) a [b, .] and conjugation actions a (.) a^-1.
+multiples and hbar-divisions.  This covers both the single-commutator
+actions (1/hbar) a [b, .] and conjugation actions a (.) a^-1.
 
 Every expression compiles to a two-sided multiplication operator
 f -> hbar^-k sum c L f R, an element of A (x) A^op with an hbar shift
-(``Operator``).  The module-algebra and Lie-homomorphism identities are
+(``Operator``), and the operator is the only evaluator of an action: it
+divides by hbar^k once, on its value, so an action is only densely
+defined -- where that division is inexact it raises with the offending
+coefficient.  The module-algebra and Lie-homomorphism identities are
 certified on these tensors, which proves them in every degree; a monomial
-sweep runs only to locate a witness when a tensor is nonzero.
+sweep of the same operators runs only to locate a witness when a tensor is
+nonzero.
 
 Quantum reduction quotients A by a two-sided ideal J, such as su(2)'s
 <H>.  Membership in J is decided on the completed presentation of A / J
@@ -33,9 +35,9 @@ import itertools
 
 from .errors import CapabilityError
 from .linalg import solve_series
-from .ncalg import NCPoly, TensorAlgebra, TensorElement
+from .ncalg import NCPoly, TensorAlgebra, TensorElement, _acc
 from .report import Report, PASS, FAIL, DISCREPANCY
-from .scalars import HSeries, series, get_default_order
+from .scalars import HSeries, series
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +45,14 @@ from .scalars import HSeries, series, get_default_order
 # ---------------------------------------------------------------------------
 
 class ActionExpr:
-    def apply(self, f):
-        raise NotImplementedError
-
     def compile(self, algebra):
         """The expression as an Operator on ``algebra``."""
         raise NotImplementedError
 
-    def __call__(self, f):
-        return self.apply(f)
+    def apply(self, f):
+        return self.compile(f.presentation)(f)
+
+    __call__ = apply
 
     def __add__(self, other):
         return Sum([self, other])
@@ -72,9 +73,6 @@ class ActionExpr:
 
 
 class Identity(ActionExpr):
-    def apply(self, f):
-        return f
-
     def compile(self, algebra):
         return Operator.multiplication(algebra, algebra.one(), algebra.one())
 
@@ -85,9 +83,6 @@ class Identity(ActionExpr):
 class LMul(ActionExpr):
     def __init__(self, c):
         self.c = c
-
-    def apply(self, f):
-        return self.c * f
 
     def compile(self, algebra):
         return Operator.multiplication(algebra, self.c, algebra.one())
@@ -100,9 +95,6 @@ class RMul(ActionExpr):
     def __init__(self, c):
         self.c = c
 
-    def apply(self, f):
-        return f * self.c
-
     def compile(self, algebra):
         return Operator.multiplication(algebra, algebra.one(), self.c)
 
@@ -113,9 +105,6 @@ class RMul(ActionExpr):
 class Commutator(ActionExpr):
     def __init__(self, c):
         self.c = c
-
-    def apply(self, f):
-        return self.c * f - f * self.c
 
     def compile(self, algebra):
         return LMul(self.c).compile(algebra) - RMul(self.c).compile(algebra)
@@ -129,9 +118,6 @@ class Scale(ActionExpr):
         self.expr = expr
         self.scalar = series(scalar)
 
-    def apply(self, f):
-        return self.expr.apply(f) * self.scalar
-
     def compile(self, algebra):
         return self.expr.compile(algebra).scaled(self.scalar)
 
@@ -142,13 +128,6 @@ class Scale(ActionExpr):
 class Sum(ActionExpr):
     def __init__(self, exprs):
         self.exprs = list(exprs)
-
-    def apply(self, f):
-        out = None
-        for e in self.exprs:
-            v = e.apply(f)
-            out = v if out is None else out + v
-        return out
 
     def compile(self, algebra):
         out = None
@@ -167,11 +146,6 @@ class Compose(ActionExpr):
     def __init__(self, exprs):
         self.exprs = list(exprs)
 
-    def apply(self, f):
-        for e in reversed(self.exprs):
-            f = e.apply(f)
-        return f
-
     def compile(self, algebra):
         out = Identity().compile(algebra)
         for e in self.exprs:
@@ -183,16 +157,14 @@ class Compose(ActionExpr):
 
 
 class HbarDiv(ActionExpr):
-    """Divide the result by hbar^k; raises ValuationError when the child's
-    output is not divisible: the documented failure mode for
-    expressions that are only densely defined."""
+    """hbar^-k times the child: it raises the compiled operator's shift by
+    k, and the operator divides by hbar^k once, on its value, raising
+    ValuationError where that value is not divisible -- the documented
+    failure mode for expressions that are only densely defined."""
 
     def __init__(self, expr, k=1):
         self.expr = expr
         self.k = k
-
-    def apply(self, f):
-        return self.expr.apply(f).divide_by_hbar(self.k)
 
     def compile(self, algebra):
         op = self.expr.compile(algebra)
@@ -200,15 +172,6 @@ class HbarDiv(ActionExpr):
 
     def __repr__(self):
         return "hbar^-%d (%r)" % (self.k, self.expr)
-
-
-def _acc(out, key, value):
-    s = out.get(key)
-    s = value if s is None else s + value
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def _min_order(coeffs):
@@ -249,6 +212,19 @@ class Operator:
     @property
     def window(self):
         return self.order - self.k
+
+    def __call__(self, f):
+        """hbar^-k sum c nf(L f R) on an element f (two-slot operators).
+        The division by hbar^k happens once, on the sum, and raises
+        ValuationError with the offending coefficient when it is inexact."""
+        nf = self.algebra.nf_word
+        out = {}
+        for (l, r), c in self.terms.items():
+            for w, cf in f.terms.items():
+                cw = c * cf
+                for v, cv in nf(l + w + r).items():
+                    _acc(out, v, cw * cv)
+        return NCPoly(self.algebra, out).divide_by_hbar(self.k)
 
     def is_zero(self):
         return not self.terms
@@ -339,20 +315,14 @@ class QuantumAction:
         return out
 
     def apply_word(self, word, f):
-        for g in reversed(word):
-            name = g if isinstance(g, str) else self.group.gens[g]
-            f = self.exprs[name].apply(f)
-        return f
+        return self.operator(word)(f)
 
     def apply(self, x, f):
-        """x: quantum-group element (NCPoly) in normal form."""
+        """x: a generator name or a quantum-group element (NCPoly) in
+        normal form."""
         if isinstance(x, str):
-            return self.exprs[x].apply(f)
-        out = None
-        for word, coeff in x.terms.items():
-            v = self.apply_word(word, f) * coeff
-            out = v if out is None else out + v
-        return out if out is not None else self.algebra.zero()
+            return self.operator((x,))(f)
+        return self.element_operator(x)(f)
 
 
 def apply_action(action, x, f):
@@ -423,12 +393,13 @@ def _module_algebra_witness(action, name, coproduct, degree):
     """The first monomial pair where xi.(f g) != sum (u.f)(v.g), or None."""
     alg = action.algebra
     monos = _monomials(alg, degree)
+    op = action.operator((name,))
     for f in monos:
         for g in monos:
-            lhs = action.exprs[name].apply(f * g)
+            lhs = op(f * g)
             rhs = alg.zero()
             for (u, v), coeff in coproduct.terms.items():
-                rhs = rhs + action.apply_word(u, f) * action.apply_word(v, g) \
+                rhs = rhs + action.operator(u)(f) * action.operator(v)(g) \
                     * coeff
             if not (lhs - rhs).is_zero():
                 return ("module-algebra defect for %s at (%r, %r): %r"
@@ -469,28 +440,31 @@ def check_module_algebra(action, coproducts, degree=2):
     return Report.from_failures("module-algebra", [])
 
 
+def _expected_operator(action, expected):
+    """Phi(expected) for a quantum-group element, or an ActionExpr
+    compiled."""
+    if isinstance(expected, ActionExpr):
+        return expected.compile(action.algebra)
+    return action.element_operator(expected)
+
+
 def lie_hom_defect(action, xn, yn, expected):
     """[Phi(xn), Phi(yn)] - Phi(expected) in A (x) A^op.  ``expected`` is a
     quantum-group element (extended through Phi) or an ActionExpr."""
     ox, oy = action.operator((xn,)), action.operator((yn,))
-    if isinstance(expected, ActionExpr):
-        rhs = expected.compile(action.algebra)
-    else:
-        rhs = action.element_operator(expected)
-    return ox.compose(oy) - oy.compose(ox) - rhs
+    return ox.compose(oy) - oy.compose(ox) \
+        - _expected_operator(action, expected)
 
 
 def _lie_hom_witnesses(action, xn, yn, expected, degree):
-    """Every monomial f of degree <= degree where the relation fails."""
-    ex = action.exprs[xn]
-    ey = action.exprs[yn]
+    """Every monomial f of degree <= degree where the relation fails,
+    evaluated one generator's operator at a time."""
+    ox, oy = action.operator((xn,)), action.operator((yn,))
+    rhs_op = _expected_operator(action, expected)
     defects = []
     for f in _monomials(action.algebra, degree):
-        lhs = ex.apply(ey.apply(f)) - ey.apply(ex.apply(f))
-        if isinstance(expected, ActionExpr):
-            rhs = expected.apply(f)
-        else:
-            rhs = action.apply(expected, f)
+        lhs = ox(oy(f)) - oy(ox(f))
+        rhs = rhs_op(f)
         if not (lhs - rhs).is_zero():
             defects.append("[Phi(%s),Phi(%s)] defect at %r: %r"
                            % (xn, yn, f, lhs - rhs))
@@ -541,15 +515,13 @@ def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
     """Express [Phi(xn), Phi(yn)] in the span of Phi-images of words.
 
     Returns a string like "-1*eta + hbar*eta*eta", or None if the
-    commutator is not in the span on the tested domain.
+    commutator is not in the span on the tested domain.  The system is
+    solved in the hbar window its values are known in.
     """
-    order = get_default_order()
     monos = _monomials(action.algebra, degree)
-    ex = action.exprs[xn]
-    ey = action.exprs[yn]
-    lhs_vals = [ex.apply(ey.apply(f)) - ey.apply(ex.apply(f))
-                for f in monos]
-    cand_vals = [[action.apply_word(w, f) for f in monos]
+    ox, oy = action.operator((xn,)), action.operator((yn,))
+    lhs_vals = [ox(oy(f)) - oy(ox(f)) for f in monos]
+    cand_vals = [[action.operator(w)(f) for f in monos]
                  for w in candidate_words]
     out_words = set()
     for v in lhs_vals:
@@ -565,7 +537,7 @@ def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
             rows.append([cand_vals[ci][mi].terms.get(w, HSeries.zero())
                          for ci in range(len(candidate_words))])
             rhs.append(lhs_vals[mi].terms.get(w, HSeries.zero()))
-    sol = solve_series(rows, rhs, order)
+    sol = solve_series(rows, rhs)
     if sol is None:
         return None
     parts = []
@@ -742,10 +714,11 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     if quotient is None:
         quotient = alg.quotient(ideal_gens)
     failures = []
-    for name, expr in action.exprs.items():
-        _check_window("ideal-invariance", action.operator((name,)))
+    for name in action.exprs:
+        op = action.operator((name,))
+        _check_window("ideal-invariance", op)
         for s in ideal_gens:
-            y = expr.apply(s)
+            y = op(s)
             rest = quotient.normal_form(y.terms)
             if not rest.is_zero():
                 failures.append("Phi(%s)(%r) = %r escapes the ideal "
@@ -767,7 +740,9 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     """
     from .linalg import SeriesSpan, kernel_series
     alg = action.algebra
-    order = get_default_order()
+    ops = {name: action.operator((name,)) for name in action.exprs}
+    order = min((op.window for op in ops.values()),
+                default=HSeries.zero().order)
     if ideal_gens:
         if quotient is None:
             quotient = alg.quotient(ideal_gens)
@@ -782,12 +757,12 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     # unknowns: one series per input monomial; condition per generator and
     # output word: residue(sum_m x_m * image_m) = 0 over the series ring
     reduced_cols = {}
-    for name, expr in action.exprs.items():
+    for name, op in ops.items():
         eps = series(counit_values.get(name, 0))
         col = []
         for w in monos:
             x = NCPoly(alg, {w: HSeries.one()})
-            col.append(residue(expr.apply(x) - x * eps))
+            col.append(residue(op(x) - x * eps))
         reduced_cols[name] = col
     words = sorted({w for col in reduced_cols.values()
                     for vec in col for w in vec},
@@ -796,7 +771,7 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     for name, col in reduced_cols.items():
         for w in words:
             rows.append([vec.get(w, HSeries.zero(order)) for vec in col])
-    kern = kernel_series(rows, len(monos), order)
+    kern = kernel_series(rows, len(monos))
     basis = []
     for vec in kern:
         terms = {}

@@ -121,6 +121,37 @@ def test_rewrite_step_guard():
     assert "guard ncalg.max_steps" in str(exc.value)
 
 
+def _swap_presentation(max_steps):
+    # y^k x needs k swaps to reach x y^k
+    return Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}},
+                        max_steps=max_steps)
+
+
+def test_step_budget_applies_to_each_normal_form():
+    # 15 rewrites in all, at most 5 in any one call
+    pres = _swap_presentation(10)
+    for k in range(1, 6):
+        got = pres.normal_form({("y",) * k + ("x",): 1})
+        assert got.terms == {(0,) + (1,) * k: HSeries.one()}
+    with pytest.raises(CapabilityError) as exc:
+        _swap_presentation(10).normal_form({("y",) * 11 + ("x",): 1})
+    assert exc.value.guard == "ncalg.max_steps"
+    assert exc.value.counters == {"steps": 11, "max_steps": 10}
+
+
+def test_step_budget_applies_to_each_tensor_product():
+    pres = _swap_presentation(10)
+    t2 = TensorAlgebra(pres, 2)
+    x = t2.element({(("x",), ()): 1})
+    for k in range(1, 6):
+        ys = t2.element({(("y",) * k, ()): 1})
+        assert (ys * x).terms == {((0,) + (1,) * k, ()): HSeries.one()}
+    ys = t2.element({(("y",) * 11, ()): 1})
+    with pytest.raises(CapabilityError) as exc:
+        ys * x
+    assert exc.value.counters == {"steps": 11, "max_steps": 10}
+
+
 def test_tensor_square_flip():
     u = fixtures.usl2_presentation()
     t2 = TensorAlgebra(u, 2)

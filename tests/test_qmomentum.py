@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,13 @@ from poisson_forge.qmomentum import (
     tensor_coproduct_extension, check_ideal_invariance, invariant_subalgebra,
 )
 from poisson_forge.report import DISCREPANCY, PASS
-from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp, series
+from poisson_forge.scalars import (
+    HSeries, ValuationError, gauss, get_default_order, hexp, series,
+    set_default_order,
+)
+from poisson_forge.specfile import SpecFile
 
-from oracles import sweep_ideal_invariance, sweep_invariant_classes
+from oracles import eval_expr, sweep_ideal_invariance, sweep_invariant_classes
 
 
 def monomials(alg, degree):
@@ -68,6 +73,51 @@ def test_valuation_violation_reported():
     bad = HbarDiv(Commutator(alg.gen("b")), 2)
     with pytest.raises(ValuationError):
         bad.apply(alg.gen("f"))
+
+
+def test_division_happens_once_on_the_operator_value():
+    # hbar (hbar^-1 L(b)) compiles to L(b), so it maps 1 to b, although the
+    # inner division alone is inexact on 1
+    alg = fixtures.case2_module_algebra()
+    b = alg.gen("b")
+    expr = Compose([Scale(Identity(), HSeries.hbar()), HbarDiv(LMul(b))])
+    assert expr.apply(alg.one()) == b
+    with pytest.raises(ValuationError):
+        eval_expr(expr, alg.one())
+
+
+SPEC = os.path.join(os.path.dirname(__file__), "..", "demos",
+                    "sample_spec.json")
+
+# one expression of each spec op kind on the quantum plane, with the class
+# the spec builder must make of it
+SPEC_OPS = {
+    "id": ({"op": "id"}, Identity),
+    "lmul": ({"op": "lmul", "element": "a"}, LMul),
+    "rmul": ({"op": "rmul", "element": [{"coeff": "2", "word": ["a", "b"]}]},
+             RMul),
+    "commutator": ({"op": "commutator", "element": "b"}, Commutator),
+    "scale": ({"op": "scale", "scalar": ["1", "-1"],
+               "arg": {"op": "rmul", "element": "b"}}, Scale),
+    "sum": ({"op": "sum", "args": [{"op": "lmul", "element": "b"},
+                                   {"op": "rmul", "element": "a_inv"}]}, Sum),
+    "compose": ({"op": "compose", "args": [{"op": "lmul", "element": "a"},
+                                           {"op": "rmul", "element": "b"}]},
+                Compose),
+    "hbar_div": ({"op": "hbar_div", "k": 1,
+                  "arg": {"op": "commutator", "element": "b"}}, HbarDiv),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SPEC_OPS))
+def test_spec_action_ops_agree_with_recursive_evaluator(op):
+    spec = SpecFile.load(SPEC)
+    alg = spec.presentation("qplane")
+    doc, cls = SPEC_OPS[op]
+    expr = spec.action_expr(alg, doc)
+    assert type(expr) is cls
+    for m in monomials(alg, 2):
+        assert (expr.apply(m) - eval_expr(expr, m)).is_zero(), m
 
 
 def test_apply_action_respects_group_relations():
@@ -149,6 +199,46 @@ def test_case2_paper_discrepancy_and_oracle():
         paper_claims={("xi", "eta")},
         diagnose_words=[(), ("xi",), ("eta",), ("xi", "eta"), ("eta", "eta")])
     assert reports3[("xi", "eta")].data["oracle_relation"] == oracle
+
+
+def _at_order(order, fn):
+    old = get_default_order()
+    set_default_order(order)
+    try:
+        return fn()
+    finally:
+        set_default_order(old)
+
+
+def _case2_paper_report(degree):
+    act = fixtures.case_action(2)
+    paper_rhs = act.group.element([(3, ["eta"]),
+                                   (-HSeries.hbar(), ["eta", "eta"])])
+    return check_action_lie_hom(
+        act, {("xi", "eta"): paper_rhs}, degree,
+        paper_claims={("xi", "eta")},
+        diagnose_words=[(), ("xi",), ("eta",), ("xi", "eta"),
+                        ("eta", "eta")])[("xi", "eta")]
+
+
+def test_case2_witness_is_known_only_in_its_window():
+    # [Phi(xi), Phi(eta)] has shift 2: at N = 4 its values are known mod
+    # hbar^2, and the hbar^2 coefficient at b*b*b appears from N = 5 on
+    def at_bbb(order):
+        rep = _at_order(order, lambda: _case2_paper_report(3))
+        line, = [f for f in rep.failures if " defect at b*b*b: " in f]
+        return line
+    assert "hbar^2" not in at_bbb(4)
+    assert "(-48*hbar^2)*a_inv*a_inv*a_inv" in at_bbb(5)
+
+
+def test_oracle_relation_is_solved_in_its_window():
+    # at N = 3 the commutator is known mod hbar only, so the hbar eta*eta
+    # term of the relation cannot be seen yet
+    rep = _at_order(3, lambda: _case2_paper_report(2))
+    assert rep.data["oracle_relation"] == "(-1)*eta"
+    rep = _at_order(4, lambda: _case2_paper_report(2))
+    assert rep.data["oracle_relation"] == "(-1)*eta + (hbar)*eta*eta"
 
 
 def test_su2_commutator_relation_exact():
@@ -484,21 +574,8 @@ def test_ideal_invariance_empty_window_is_refused():
 # -- operator-tensor certificates against the monomial sweep oracle -----------
 
 def _spec_action():
-    import os
-    from poisson_forge.specfile import SpecFile
-    spec = os.path.join(os.path.dirname(__file__), "..", "demos",
-                        "sample_spec.json")
-    action, extras = SpecFile.load(spec).quantum_action("qplane_action")
+    action, extras = SpecFile.load(SPEC).quantum_action("qplane_action")
     return action, extras["coproducts"]
-
-
-def _operator_apply(op, f):
-    """hbar^-k sum c L f R, evaluated on an element."""
-    alg = op.algebra
-    out = alg.zero()
-    for (l, r), c in op.terms.items():
-        out = out + NCPoly(alg, {l: c}) * f * NCPoly(alg, {r: HSeries.one()})
-    return out.divide_by_hbar(op.k)
 
 
 def _su2_target(sign=1, hbar_div=True):
@@ -600,7 +677,8 @@ def test_lie_hom_certificate_agrees_with_sweep(case):
 
 def test_compiled_operators_agree_with_expressions():
     # every shipped generator expression, and the su2 target, compiles to
-    # an operator with the same values on the monomials of degree <= 2
+    # an operator with the values of the recursive reference evaluator on
+    # the monomials of degree <= 2
     actions = [fixtures.case_action(c) for c in (1, 2, 3)] \
         + [fixtures.su2_action(), _spec_action()[0]]
     for act in actions:
@@ -610,7 +688,7 @@ def test_compiled_operators_agree_with_expressions():
         for name, expr in exprs.items():
             op = expr.compile(act.algebra)
             for m in monomials(act.algebra, 2):
-                assert (_operator_apply(op, m) - expr.apply(m)).is_zero(), \
+                assert (op(m) - eval_expr(expr, m)).is_zero(), \
                     (act.algebra.name, name, m)
 
 
@@ -622,13 +700,13 @@ def test_operator_composition_and_shift_alignment():
         Compose([LMul(b), RMul(a)]).compile(alg))
     assert op.k == 0
     for m in monomials(alg, 2):
-        assert _operator_apply(op, m) == a * b * m * a * b
+        assert op(m) == a * b * m * a * b
     # a sum aligns shifts: hbar^-1 [b, .] + id is hbar^-1 ([b, .] + hbar id)
     s = (HbarDiv(Commutator(b), 1) + Identity()).compile(alg)
     assert s.k == 1 and s.window == s.order - 1
     assert s.terms[((), ())] == HSeries.hbar()
     for m in monomials(alg, 2):
-        assert _operator_apply(s, m) == b.commutator(m).divide_by_hbar() + m
+        assert s(m) == b.commutator(m).divide_by_hbar() + m
 
 
 def test_shipped_obligations_are_zero_tensors():
