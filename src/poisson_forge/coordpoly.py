@@ -1,18 +1,21 @@
 """Multivariate (Laurent-capable) polynomials on a named coordinate chart.
 
-Coefficients are truncated hbar-series, so the same polynomial type serves
-the classical layer (where every coefficient is a plain scalar) and the
-semiclassical computations.  Negative exponents are only allowed on chart
-variables that were explicitly declared invertible; this mirrors localized
-coordinate functions like a^-1 without dragging in general rational
-functions.
+Coefficients are Gaussian rationals: the classical layers (Lie bialgebras,
+Poisson-Lie groups, momentum maps, Poisson reduction) all live over Q(i),
+and the semiclassical limit of a quantum algebra is read off at hbar^0
+before it becomes a CoordPoly.  An hbar-series is refused as a coefficient,
+and the parser's ``hbar`` atom trips the ``coordpoly.hbar`` guard.
+Negative exponents are only allowed on chart variables that were
+explicitly declared invertible; this mirrors localized coordinate functions
+like a^-1 without dragging in general rational functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import HSeries, GaussRational, gauss, series
+from .errors import CapabilityError
+from .scalars import GaussRational, ONE, ZERO, gauss
 
 
 class Chart:
@@ -62,17 +65,17 @@ class Chart:
         n = len(self.names)
         exps = [0] * n
         exps[self.index(name)] = 1
-        return CoordPoly(self, {tuple(exps): HSeries.one()})
+        return CoordPoly(self, {tuple(exps): ONE})
 
     def zero(self):
         return CoordPoly(self, {})
 
     def one(self):
-        return CoordPoly(self, {(0,) * len(self.names): HSeries.one()})
+        return CoordPoly(self, {(0,) * len(self.names): ONE})
 
 
 class CoordPoly:
-    """Exact polynomial: map from exponent vectors to HSeries coefficients."""
+    """Exact polynomial: map from exponent vectors to Q(i) coefficients."""
 
     __slots__ = ("chart", "terms")
 
@@ -86,12 +89,12 @@ class CoordPoly:
             for e, name in zip(exps, chart.names):
                 if e < 0 and name not in chart.invertible:
                     raise ValueError("negative exponent on non-invertible %r" % name)
-            coeff = series(coeff)
-            if coeff.is_zero():
+            coeff = gauss(coeff)
+            if not coeff:
                 continue
             if exps in clean:
                 s = clean[exps] + coeff
-                if s.is_zero():
+                if not s:
                     del clean[exps]
                 else:
                     clean[exps] = s
@@ -105,7 +108,7 @@ class CoordPoly:
 
     @staticmethod
     def _mk(chart, terms):
-        """Fast path: terms already canonical (HSeries values, no zeros)."""
+        """Fast path: terms already canonical (Q(i) values, no zeros)."""
         p = object.__new__(CoordPoly)
         object.__setattr__(p, "chart", chart)
         object.__setattr__(p, "terms", terms)
@@ -113,7 +116,7 @@ class CoordPoly:
 
     # -- ring operations --------------------------------------------------
 
-    _SCALARS = (int, Fraction, GaussRational, HSeries, str)
+    _SCALARS = (int, Fraction, GaussRational, str)
 
     def _coerced(self, other):
         if isinstance(other, CoordPoly):
@@ -121,7 +124,7 @@ class CoordPoly:
                 raise ValueError("charts differ: %r vs %r" % (self.chart, other.chart))
             return other
         zero = (0,) * len(self.chart.names)
-        return CoordPoly(self.chart, {zero: series(other)})
+        return CoordPoly(self.chart, {zero: gauss(other)})
 
     def __add__(self, other):
         if not isinstance(other, (CoordPoly,) + self._SCALARS):
@@ -131,7 +134,7 @@ class CoordPoly:
         for exps, c in other.terms.items():
             if exps in out:
                 s = out[exps] + c
-                if s.is_zero():
+                if not s:
                     del out[exps]
                 else:
                     out[exps] = s
@@ -154,11 +157,11 @@ class CoordPoly:
 
     def __mul__(self, other):
         if isinstance(other, self._SCALARS):
-            s = series(other) if not isinstance(other, HSeries) else other
+            s = gauss(other)
             out = {}
             for e, c in self.terms.items():
                 p = c * s
-                if not p.is_zero():
+                if p:
                     out[e] = p
             return CoordPoly._mk(self.chart, out)
         if not isinstance(other, CoordPoly):
@@ -174,7 +177,7 @@ class CoordPoly:
                 else:
                     out[e] = c
         return CoordPoly._mk(self.chart,
-                             {e: c for e, c in out.items() if not c.is_zero()})
+                             {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -199,7 +202,7 @@ class CoordPoly:
         for e, name in zip(exps, self.chart.names):
             if e != 0 and name not in self.chart.invertible:
                 raise ValueError("%r is not invertible on this chart" % name)
-        return CoordPoly(self.chart, {tuple(-e for e in exps): coeff.inverse()})
+        return CoordPoly(self.chart, {tuple(-e for e in exps): ONE / coeff})
 
     # -- calculus ---------------------------------------------------------
 
@@ -241,13 +244,13 @@ class CoordPoly:
         return out
 
     def eval_scalar(self, assignment):
-        """Evaluate at a scalar point; returns an HSeries."""
-        out = HSeries.zero()
+        """Evaluate at a scalar point; returns a GaussRational."""
+        out = ZERO
         for exps, c in self.terms.items():
             val = c
             for e, name in zip(exps, self.chart.names):
                 if e:
-                    val = val * series(gauss(assignment[name])) ** e
+                    val = val * gauss(assignment[name]) ** e
             out = out + val
         return out
 
@@ -257,24 +260,18 @@ class CoordPoly:
         return not self.terms
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * len(self.chart.names), HSeries.zero())
+        return self.terms.get((0,) * len(self.chart.names), ZERO)
 
     def total_degree(self):
         if not self.terms:
             return 0
         return max(sum(abs(e) for e in exps) for exps in self.terms)
 
-    def coefficient_of(self, exps):
-        return self.terms.get(tuple(exps), HSeries.zero())
-
     def monomials(self):
         return sorted(self.terms)
 
-    def map_coefficients(self, fn):
-        return CoordPoly(self.chart, {e: fn(c) for e, c in self.terms.items()})
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, HSeries, str)):
+        if isinstance(other, self._SCALARS):
             other = self._coerced(other)
         if not isinstance(other, CoordPoly):
             return NotImplemented
@@ -321,14 +318,15 @@ def poly(x, chart):
     if isinstance(x, str):
         return _parse_poly(x, chart)
     zero = (0,) * len(chart.names)
-    return CoordPoly(chart, {zero: series(x)})
+    return CoordPoly(chart, {zero: gauss(x)})
 
 
 # ---------------------------------------------------------------------------
 # A tiny expression parser so fixtures and JSON files can state polynomials
 # the way the tables in the literature do: "1-a^2", "c*(a+d)", "2*i*b*c",
-# "hbar*x" ...  Grammar: sum of products of powers of atoms; atoms are
-# integers, "i", "hbar", variable names and parenthesized sums.
+# "a^-1" ...  Grammar: sum of products of powers of atoms; atoms are
+# integers, "i", variable names and parenthesized sums.  "hbar" is refused:
+# a classical polynomial has no hbar-dependent coefficients.
 # ---------------------------------------------------------------------------
 
 class _Tok:
@@ -427,7 +425,9 @@ def _parse_atom(tok, chart):
         if name == "i":
             return poly(GaussRational(0, 1), chart)
         if name == "hbar":
-            zero = (0,) * len(chart.names)
-            return CoordPoly(chart, {zero: HSeries.hbar()})
+            raise CapabilityError(
+                "guard coordpoly.hbar: %r names hbar, but classical "
+                "polynomials have Q(i) coefficients" % tok.text,
+                guard="coordpoly.hbar")
         return chart.var(name)
     raise ValueError("cannot parse at %r" % tok.text[tok.pos:])

@@ -355,31 +355,19 @@ def _solve_poly_system(rows, rhs_polys, chart):
     """Solve A x = b where A has scalar entries and b has CoordPoly entries.
 
     The solution vector has CoordPoly entries; solves independently for each
-    monomial/series coefficient.
+    monomial coefficient.
     """
     from .linalg import solve
-    # collect all (monomial, series-slot) into separate scalar systems
-    keys = set()
-    for p in rhs_polys:
-        for exps, c in p.terms.items():
-            for k in range(c.order):
-                if c.coeff(k):
-                    keys.add((exps, k))
-    sols = [chart.zero() for _ in range(len(rows[0]))]
-    from .scalars import HSeries
-    for (exps, k) in sorted(keys):
-        b = []
-        for p in rhs_polys:
-            c = p.terms.get(exps)
-            b.append(c.coeff(k) if c is not None and k < c.order else ZERO)
-        x = solve(rows, b)
+    monos = sorted({exps for p in rhs_polys for exps in p.terms})
+    sols = [{} for _ in range(len(rows[0]))]
+    for exps in monos:
+        x = solve(rows, [p.terms.get(exps, ZERO) for p in rhs_polys])
         if x is None:
             return None
-        for a, val in enumerate(x):
+        for sol, val in zip(sols, x):
             if val:
-                coeffs = [ZERO] * k + [val]
-                sols[a] = sols[a] + CoordPoly(chart, {exps: HSeries(coeffs)})
-    return sols
+                sol[exps] = val
+    return [CoordPoly(chart, sol) for sol in sols]
 
 
 def check_maurer_cartan(thetas, cobracket, names=None):

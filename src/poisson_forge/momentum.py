@@ -152,7 +152,7 @@ def heisenberg_obstruction(pi, alpha):
     d_defect = alpha["zeta"].d() - alpha["xi"].wedge(alpha["eta"])
     if not d_defect.is_zero():
         failures.append("d alpha_zeta - alpha_xi^alpha_eta = %s" % d_defect)
-    if constant and not value.is_zero():
+    if constant and value:
         failures.append("obstruction c = %s nonzero: no momentum map" % value)
     return Report.from_failures("heisenberg-obstruction", failures,
                                 data={"c": value})

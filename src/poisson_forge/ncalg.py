@@ -25,7 +25,7 @@ import itertools
 
 from .errors import CapabilityError
 from .report import Report
-from .scalars import HSeries, GaussRational, series
+from .scalars import HSeries, GaussRational, ZERO, series
 from fractions import Fraction
 
 
@@ -395,10 +395,6 @@ class NCPoly:
         return NCPoly(self.presentation,
                       {w: c.divide_by_hbar(k) for w, c in self.terms.items()})
 
-    def map_coefficients(self, fn):
-        return NCPoly(self.presentation,
-                      {w: fn(c) for w, c in self.terms.items()})
-
     def is_zero(self):
         return not self.terms
 
@@ -701,7 +697,8 @@ def abelianization_chart(presentation):
 
 
 def abelianize(x, chart=None):
-    """Commutative image of a normal-form element as a CoordPoly."""
+    """Classical limit of a normal-form element: its commutative image as a
+    CoordPoly, each coefficient taken at hbar^0."""
     from .coordpoly import Chart, CoordPoly
     pres = x.presentation
     if chart is None:
@@ -716,7 +713,7 @@ def abelianize(x, chart=None):
             else:
                 exps[chart.index(name)] += 1
         key = tuple(exps)
-        terms[key] = terms.get(key, HSeries.zero()) + coeff
+        terms[key] = terms.get(key, ZERO) + coeff.constant_term()
     return CoordPoly(chart, terms)
 
 
@@ -731,6 +728,4 @@ def semiclassical_bracket(presentation, x, y, chart=None):
     comm = xe.commutator(ye)
     if not comm.is_zero() and comm.hbar_valuation() < 1:
         raise ValueError("[%r, %r] has a classical (hbar^0) part" % (x, y))
-    shifted = comm.divide_by_hbar()
-    poly = abelianize(shifted, chart)
-    return poly.map_coefficients(lambda c: c.truncate(1))
+    return abelianize(comm.divide_by_hbar(), chart)

@@ -338,15 +338,20 @@ def _monomials(alg, degree):
             for w in alg.monomials_up_to(degree)]
 
 
-def _check_window(kind, op):
+def _check_window(kind, op, order=None):
     """Refuse a certificate whose hbar window is empty: an operator known
-    only mod hbar^0 would prove nothing."""
-    if op.window < 1:
+    only mod hbar^0 would prove nothing.  With ``order``, the window is that
+    of the value op(s) on an argument s known mod hbar^order."""
+    if order is None:
+        what, window = "operator tensor", op.window
+    else:
+        what, window = "operator's value", min(op.order, order) - op.k
+    if window < 1:
         raise CapabilityError(
-            "guard %s.window: the operator tensor is known only mod hbar^%d "
-            "(shift %d)" % (kind, op.window, op.k),
+            "guard %s.window: the %s is known only mod hbar^%d (shift %d)"
+            % (kind, what, window, op.k),
             guard="%s.window" % kind,
-            counters={"window": op.window, "shift": op.k})
+            counters={"window": window, "shift": op.k})
 
 
 def _certified(kind, defect):
@@ -698,7 +703,10 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     mod hbar^(N - k), in every degree.
     Hypothesis: Phi(g) maps A into A, that is, its hbar-divisions are
     exact on A.  Nothing here certifies that.
-    An empty window N - k < 1 raises ``ideal-invariance.window``; the
+    The value Phi(g)(s) is known mod hbar^(min(N_s, N) - k) for a generator
+    s known mod hbar^N_s; an empty window raises
+    ``ideal-invariance.window`` before Phi(g)(s) is evaluated, since the
+    value would drop every term of s known too coarsely.  The
     completion raises ``ncgroebner.nonunit_lead`` or
     ``ncgroebner.max_pairs`` when it cannot present A / J.  As a
     cross-check Phi(g)(s) is reduced on the quotient for each g and each s
@@ -716,8 +724,8 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     failures = []
     for name in action.exprs:
         op = action.operator((name,))
-        _check_window("ideal-invariance", op)
         for s in ideal_gens:
+            _check_window("ideal-invariance", op, _min_order(s.terms.values()))
             y = op(s)
             rest = quotient.normal_form(y.terms)
             if not rest.is_zero():

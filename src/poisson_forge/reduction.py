@@ -21,7 +21,7 @@ from .coordpoly import Chart, CoordPoly, poly
 from .errors import CapabilityError
 from .linalg import kernel_basis, rref, in_row_span
 from .report import Report
-from .scalars import ZERO, ONE, HSeries
+from .scalars import ZERO, ONE
 
 
 class ReductionSetup:
@@ -54,18 +54,6 @@ def monomial_basis(chart, degree):
     return out
 
 
-def _scalar_coeff(series):
-    """The Q(i) value of a coefficient that must be hbar-free."""
-    for k in range(1, len(series.coeffs)):
-        if series.coeffs[k]:
-            raise CapabilityError(
-                "guard reduction.hbar_coefficient: classical reduction met "
-                "an hbar-dependent coefficient: %s" % series,
-                guard="reduction.hbar_coefficient",
-                counters={"hbar_power": k, "order": series.order})
-    return series.constant_term()
-
-
 def _expand(p, basis_index):
     """The coefficient row of p over the monomials of ``basis_index``, a
     graded component {exponent tuple: column}."""
@@ -78,7 +66,7 @@ def _expand(p, basis_index):
                 guard="reduction.graded_component",
                 counters={"monomial_degree": sum(exps),
                           "component_monomials": len(basis_index)})
-        row[basis_index[exps]] = _scalar_coeff(c)
+        row[basis_index[exps]] = c
     return row
 
 
@@ -178,7 +166,7 @@ def _sub_multiple(terms, coeff, shift, g):
         k = tuple(a + b for a, b in zip(shift, e))
         old = terms.get(k)
         v = -(coeff * c) if old is None else old - coeff * c
-        if v.is_zero():
+        if not v:
             terms.pop(k, None)
         else:
             terms[k] = v
@@ -210,7 +198,7 @@ def _remainder(terms, basis, max_steps):
 
 
 def _monic(terms):
-    inv = _lead(terms)[1].inverse()
+    inv = ONE / _lead(terms)[1]
     return {e: c * inv for e, c in terms.items()}
 
 
@@ -226,8 +214,8 @@ def groebner_basis(gens):
     ideal alone, and a polynomial lies in the ideal exactly when its
     remainder on the basis is 0.
 
-    Coefficients must be hbar-free (Q(i) is a field), and the chart must
-    have no invertible variables: in the Laurent ring <a*b> contains b and
+    Coefficients lie in the field Q(i), and the chart must have no
+    invertible variables: in the Laurent ring <a*b> contains b and
     <a - 1> contains a^-1 - 1, which division never shows, so a nonzero
     ideal there is refused.  Each S-pair reduction counts against
     ``MAX_PAIRS``.
@@ -243,13 +231,8 @@ def groebner_basis(gens):
             guard="groebner.laurent",
             counters={"generators": len(gens),
                       "invertible": len(chart.invertible)})
-    basis = []
-    for g in gens:
-        for c in g.terms.values():
-            _scalar_coeff(c)  # refuses hbar-dependent coefficients
-        basis.append(_monic(g.terms))
+    basis = [_monic(g.terms) for g in gens]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    one = HSeries.one()
     reductions = 0
     while pairs:
         i, j = pairs.pop()
@@ -265,9 +248,9 @@ def groebner_basis(gens):
                 counters={"s_pairs": reductions, "max_pairs": MAX_PAIRS})
         lcm = tuple(max(a, b) for a, b in zip(li, lj))
         s = {}
-        _sub_multiple(s, -one, tuple(a - b for a, b in zip(lcm, li)),
+        _sub_multiple(s, -ONE, tuple(a - b for a, b in zip(lcm, li)),
                       basis[i])
-        _sub_multiple(s, one, tuple(a - b for a, b in zip(lcm, lj)),
+        _sub_multiple(s, ONE, tuple(a - b for a, b in zip(lcm, lj)),
                       basis[j])
         r = _remainder(s, basis, MAX_STEPS)
         if r:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+from .errors import CapabilityError
+
 
 DEFAULT_ORDER = 6
 
@@ -417,7 +419,15 @@ class HSeries:
         return out
 
     def inverse(self):
-        """Multiplicative inverse; defined iff the constant term is nonzero."""
+        """Multiplicative inverse; defined iff the constant term is nonzero.
+
+        A series of order 0 has no known constant term at all: that is a
+        window too short for the computation (exit 3), not a non-unit."""
+        if not self.order:
+            raise CapabilityError(
+                "guard series.empty_window: cannot invert a series of "
+                "order 0, whose constant term is unknown",
+                guard="series.empty_window", counters={"order": 0})
         if not self.is_unit():
             raise ValueError("series with zero constant term is not a unit")
         inv0 = ONE / self.coeffs[0]

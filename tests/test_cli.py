@@ -141,6 +141,52 @@ def test_json_output_deterministic_more_suites(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.fixture
+def default_order():
+    # main() sets the process-wide series order; put the default back
+    from poisson_forge.scalars import get_default_order, set_default_order
+    old = get_default_order()
+    yield
+    set_default_order(old)
+
+
+@pytest.mark.parametrize("command", ["check-hopf", "qreduce"])
+def test_fixtures_at_order_one_trip_empty_window_guard(command, capsys,
+                                                       default_order):
+    # a fixture series divided by hbar down to order 0 has no constant term
+    # to invert: a window too short, not an internal error
+    assert run([command, "--fixtures", "--order", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "capability exceeded: guard series.empty_window:" in captured.err
+    assert "[FAIL]" not in captured.out
+
+
+def test_qreduce_order_two_trips_ideal_window_guard(capsys, default_order):
+    # H's b*c coefficient is known only mod hbar at N = 2, so Phi(xi)(H)
+    # would be known mod hbar^0: refused before any value is compared
+    assert run(["qreduce", "--fixtures", "--order", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "capability exceeded: guard ideal-invariance.window:" \
+        in captured.err
+    assert "[FAIL]" not in captured.out
+    assert run(["qreduce", "--fixtures", "--order", "3"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check-bialgebra", "poisson-group",
+                                     "check-poisson", "check-mm", "reduce"])
+def test_classical_records_do_not_depend_on_order(command, tmp_path,
+                                                  default_order):
+    # the classical layers compute over Q(i): the hbar order is not theirs
+    low = tmp_path / "order1.jsonl"
+    high = tmp_path / "order6.jsonl"
+    assert run([command, "--fixtures", "--order", "1", "--json",
+                str(low)]) == 0
+    assert run([command, "--fixtures", "--order", "6", "--json",
+                str(high)]) == 0
+    assert low.read_bytes() == high.read_bytes()
+
+
 def test_capability_guard_exit_three(tmp_path, capsys):
     # an action whose expression divides by hbar^7 at order 6 trips the
     # valuation guard: exit code 3
@@ -281,8 +327,8 @@ def test_spec_reduce_laurent_ideal_is_capability_error(tmp_path, capsys):
 
 
 def test_spec_reduce_hbar_coefficient_is_capability_error(tmp_path, capsys):
-    # classical reduction is over Q(i): an ideal generator with an hbar
-    # coefficient trips the named guard
+    # classical polynomials are over Q(i): an ideal generator naming hbar
+    # trips the parser's named guard
     doc = json.load(open(SPEC))
     doc["reductions"]["hbar"] = dict(doc["reductions"]["case3"],
                                      ideal=["hbar*a-1", "b"])
@@ -290,7 +336,7 @@ def test_spec_reduce_hbar_coefficient_is_capability_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["reduce", str(path), "hbar"]) == 3
     err = capsys.readouterr().err
-    assert "capability exceeded: guard reduction.hbar_coefficient:" in err
+    assert "capability exceeded: guard coordpoly.hbar:" in err
 
 
 def _action_spec(algebra_rules, generator_expr, coproduct):

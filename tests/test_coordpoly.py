@@ -1,10 +1,13 @@
+import ast
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
-from poisson_forge.scalars import HSeries, GaussRational
+from poisson_forge.errors import CapabilityError
+from poisson_forge.scalars import GaussRational, HSeries, gauss
 
 
 AB = Chart(["a", "b"], invertible=["a"])
@@ -19,7 +22,7 @@ def rand_poly(rng, chart, deg=3, laurent=False):
             lo = -deg if (laurent and name in chart.invertible) else 0
             exps.append(rng.randint(lo, deg))
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        out = out + CoordPoly(chart, {tuple(exps): HSeries.from_scalar(c)})
+        out = out + CoordPoly(chart, {tuple(exps): gauss(c)})
     return out
 
 
@@ -91,7 +94,22 @@ def test_subs_commutes_with_product():
 def test_eval_scalar():
     p = poly("a^2+b", AB)
     assert p.eval_scalar({"a": 2, "b": GaussRational(0, 1)}) == \
-        HSeries.from_scalar(GaussRational(4, 1))
+        GaussRational(4, 1)
+
+
+def test_hbar_atom_trips_named_guard():
+    # classical polynomials are over Q(i); hbar is no coefficient of them
+    with pytest.raises(CapabilityError) as exc:
+        poly("a + hbar^2*b", AB)
+    assert exc.value.guard == "coordpoly.hbar"
+    assert str(exc.value).startswith("guard coordpoly.hbar:")
+
+
+def test_series_coefficients_refused():
+    with pytest.raises(TypeError):
+        CoordPoly(AB, {(1, 0): HSeries.hbar()})
+    with pytest.raises(TypeError):
+        poly(HSeries.one(), AB)
 
 
 def test_monomial_inverse():
@@ -99,3 +117,14 @@ def test_monomial_inverse():
     assert p.inverse() * p == poly(1, AB)
     with pytest.raises(ValueError):
         poly("1+a", AB).inverse()
+
+
+def test_classical_layers_name_no_series_type():
+    # one coefficient path: the classical modules compute over Q(i) only
+    for mod in ("coordpoly", "lie", "poisson", "matgroup", "momentum",
+                "reduction"):
+        path = importlib.import_module("poisson_forge." + mod).__file__
+        tree = ast.parse(open(path).read())
+        names = {getattr(node, attr, None) for node in ast.walk(tree)
+                 for attr in ("id", "attr", "name")}
+        assert "HSeries" not in names, mod

@@ -4,6 +4,7 @@ from math import factorial, gcd
 
 import pytest
 
+from poisson_forge.errors import CapabilityError
 from poisson_forge.scalars import (
     GaussRational, HSeries, ONE, ZERO, ValuationError, gauss, series,
     series_exp, hexp,
@@ -422,8 +423,10 @@ def test_constant_fast_paths_order_zero():
     for result in (empty + c, c + empty, empty - c, empty * c, c * empty,
                    empty + empty, HSeries.one(6) * empty):
         assert result.order == 0 and result.coeffs == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(CapabilityError) as exc:
         empty.inverse()
+    assert exc.value.guard == "series.empty_window"
+    assert exc.value.counters == {"order": 0}
 
 
 def test_constant_sum_takes_minimum_order():
@@ -460,7 +463,11 @@ def test_constant_inverse_at_every_order():
 
 
 def test_inverse_of_non_unit_raises_value_error():
-    for n in range(0, 9):
+    # order 0 is an empty window, not a non-unit: it trips a guard instead
+    with pytest.raises(CapabilityError) as exc:
+        HSeries.zero(0).inverse()
+    assert exc.value.guard == "series.empty_window"
+    for n in range(1, 9):
         with pytest.raises(ValueError):
             HSeries.zero(n).inverse()
     with pytest.raises(ValueError):
