@@ -22,10 +22,10 @@ from poisson_forge.reduction import (
 if __name__ == "__main__":
     chart = Chart(["a", "b", "u", "v"])
     pi = PolyBivector(chart, {("a", "b"): "a*b", ("u", "v"): 1})
-    L, d = fixtures.r2_bialgebra()
+    _, d = fixtures.r2_bialgebra()
     action = {"xi": PolyVectorField(chart, {"b": "b"}),
               "eta": PolyVectorField(chart, {"a": "-b"})}
-    setup = ReductionSetup(pi, L, action, ideal=["a-1", "b"])
+    setup = ReductionSetup(pi, d, action, ideal=["a-1", "b"])
 
     print("ideal I = <a-1, b>")
     print("  closed under {,}:", check_ideal_poisson_closed(setup).verdict)

@@ -163,7 +163,7 @@ def check_all_axioms(hopf):
 
 # -- semiclassical limit -----------------------------------------------------
 
-def semiclassical_cobracket(hopf, generators=None):
+def semiclassical_cobracket(hopf):
     """delta(g) = ((Delta - tau Delta)(g) / hbar) mod hbar per generator.
 
     Returns a dict mapping generator names to {(word, word): GaussRational}
@@ -171,7 +171,7 @@ def semiclassical_cobracket(hopf, generators=None):
     """
     pres = hopf.algebra
     out = {}
-    for g in (generators or pres.gens):
+    for g in pres.gens:
         d = hopf.coproduct.apply_word((pres.index(g),))
         anti = d - d.flip()
         if not anti.is_zero() and anti.hbar_valuation() < 1:

@@ -59,19 +59,6 @@ class LieAlgebra:
                 out[k] = v
         return out
 
-    def bracket_vectors(self, x, y):
-        """Bracket of two coefficient vectors (dicts index -> scalar)."""
-        out = {}
-        for i, xi in x.items():
-            if not xi:
-                continue
-            for j, yj in y.items():
-                if not yj:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out.get(k, ZERO) + xi * yj * c
-        return {k: v for k, v in out.items() if v}
-
     def __repr__(self):
         return "LieAlgebra(%s)" % (list(self.basis_names),)
 

@@ -78,11 +78,6 @@ def solve(rows, rhs):
     return x
 
 
-def rank(rows):
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
 def in_row_span(rows, vector):
     """Is ``vector`` a Q(i)-linear combination of ``rows``?"""
     if not rows:

@@ -23,12 +23,11 @@ from .scalars import gauss
 def _action_homomorphism_failures(L, action):
     names = L.basis_names
     failures = []
-    chart = next(iter(action.values())).chart
     for i, j in itertools.combinations(range(L.dim), 2):
         lhs = action[names[i]].bracket(action[names[j]])
-        rhs = PolyVectorField(chart, {})
+        rhs = PolyVectorField(lhs.chart, {})
         for k, c in L.bracket_basis(i, j).items():
-            rhs = rhs + action[names[k]] * poly(c, chart)
+            rhs = rhs + action[names[k]] * poly(c, lhs.chart)
         if not (lhs - rhs).is_zero():
             failures.append("[%s_M, %s_M] != [%s,%s]_M"
                             % (names[i], names[j], names[i], names[j]))

@@ -735,7 +735,7 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
 
 
 def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
-                         check_closure=True, quotient=None):
+                         quotient=None):
     """Basis of the joint kernel of Phi(gen) - eps(gen) id on the degree
     component, modulo the two-sided ideal J = <ideal_gens> when generators
     are given.
@@ -743,8 +743,8 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     Modulo J every element is replaced by its normal form on
     ``Presentation.quotient``, which is 0 exactly for the elements of J;
     ``quotient``, when given, is that presentation already completed.
-    Returns (basis NCPolys, report); the basis is closed under the product
-    up to ``degree`` (verified when check_closure is set).
+    Returns (basis NCPolys, report); the report verifies that the basis is
+    closed under the product up to ``degree``.
     """
     from .linalg import SeriesSpan, kernel_series
     alg = action.algebra
@@ -800,14 +800,13 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
         basis = selected
 
     failures = []
-    if check_closure:
-        closure_span = SeriesSpan(order)
-        for b in basis:
-            closure_span.insert(dict(b.terms))
-        for x, y in itertools.combinations_with_replacement(basis, 2):
-            prod = x * y
-            if prod.degree() > degree:
-                continue
-            if not closure_span.contains(residue(prod)):
-                failures.append("product %r leaves the invariant span" % prod)
+    closure_span = SeriesSpan(order)
+    for b in basis:
+        closure_span.insert(dict(b.terms))
+    for x, y in itertools.combinations_with_replacement(basis, 2):
+        prod = x * y
+        if prod.degree() > degree:
+            continue
+        if not closure_span.contains(residue(prod)):
+            failures.append("product %r leaves the invariant span" % prod)
     return basis, Report.from_failures("invariant-subalgebra", failures)

@@ -284,16 +284,29 @@ class SpecFile:
         return pi, L, d, fields
 
     def reduction(self, name):
+        """The setup of a ``reductions`` entry and its degree.  The acting
+        bialgebra is a ``cobracket`` name, or an ``algebra`` name that
+        carries the zero cobracket; the action names each basis element."""
         from .reduction import ReductionSetup
         entry = self._entry("reductions", name)
+        if ("cobracket" in entry) == ("algebra" in entry):
+            raise SpecError("reduction %r: give exactly one of 'cobracket' "
+                            "and 'algebra'" % name)
         pi = self.bivector(entry["bivector"])
-        L = self.lie_algebra(entry["algebra"])
+        if "cobracket" in entry:
+            L, d = self.cobracket(entry["cobracket"])
+        else:
+            L = self.lie_algebra(entry["algebra"])
+            d = Cobracket.zero(L)
+        missing = sorted(set(L.basis_names) - set(entry["action"]))
+        extra = sorted(set(entry["action"]) - set(L.basis_names))
+        if missing or extra:
+            raise SpecError("reduction %r: the action must name exactly the "
+                            "basis of %s (missing %s, extra %s)"
+                            % (name, L.basis_names, missing, extra))
         action = {g: self.vector_field(pi.chart, comps)
                   for g, comps in entry["action"].items()}
-        hams = {g: poly(t, pi.chart)
-                for g, t in entry.get("hamiltonians", {}).items()}
-        setup = ReductionSetup(pi, L, action, hamiltonians=hams,
-                               ideal=entry.get("ideal", ()))
+        setup = ReductionSetup(pi, d, action, ideal=entry.get("ideal", ()))
         return setup, entry.get("degree", 2)
 
 

@@ -6,10 +6,13 @@ Lie-homomorphism identities of quantum actions are checked on every
 normal-form monomial (or pair of monomials) up to a degree, confluence by
 reducing every word up to a length in all one-step ways, and the quotient
 bracket's well-definedness by bracketing randomly perturbed
-representatives, and quantum ideal membership in a span of the ideal
-closed up to a degree bound.  A sweep is evidence for the cases it tries
-only; the tests use it to cross-check the verdicts of the generator,
-overlap, operator-tensor, Leibniz and Groebner-Shirshov certificates.
+representatives, the bracket closure of classical invariants by span
+membership at each bracket degree, quotient Jacobi on every triple of
+classes, and quantum ideal membership in a span of the ideal closed up to
+a degree bound.  A sweep is evidence for the cases it tries only; the
+tests use it to cross-check the verdicts of the generator, overlap,
+operator-tensor, Leibniz, Groebner-Shirshov, Poisson-action and Jacobi
+certificates.
 The action sweeps evaluate expressions by recursion on the expression
 (``eval_expr``), independently of the compiled ``qmomentum.Operator``
 that production code evaluates.
@@ -28,9 +31,11 @@ from poisson_forge.coordpoly import CoordPoly, poly
 from poisson_forge.qmomentum import (
     ActionExpr, Commutator, Compose, HbarDiv, Identity, LMul, RMul, Scale, Sum,
 )
-from poisson_forge.reduction import monomial_basis, reduce_mod_ideal
+from poisson_forge.reduction import (
+    _expand, _raw_invariants, monomial_basis, reduce_mod_ideal,
+)
 from poisson_forge.report import Report, merge
-from poisson_forge.linalg import SeriesSpan, kernel_series
+from poisson_forge.linalg import SeriesSpan, in_row_span, kernel_series
 from poisson_forge.scalars import HSeries, gauss, get_default_order, series
 
 
@@ -178,6 +183,44 @@ def _random_poly(rng, chart, monos):
         if c:
             out = out + CoordPoly(chart, {m: gauss(c)})
     return out
+
+
+def sweep_invariant_closure(setup, basis):
+    """{f, g} of invariants is invariant: verify membership in the invariant
+    span at the bracket's degree."""
+    failures = []
+    cache = {}
+    for f, g in itertools.combinations(basis, 2):
+        b = setup.pi.bracket(f, g)
+        if b.is_zero():
+            continue
+        deg = b.total_degree()
+        if deg not in cache:
+            monos = monomial_basis(setup.chart, deg)
+            index = {m: i for i, m in enumerate(monos)}
+            inv, _ = _raw_invariants(setup, deg)
+            cache[deg] = (index, [_expand(p, index) for p in inv])
+        index, span = cache[deg]
+        if not in_row_span(span, _expand(b, index)):
+            failures.append("{%s, %s} = %s leaves the invariant span"
+                            % (f, g, b))
+    return Report.from_failures("invariant-closure", failures)
+
+
+def sweep_quotient_jacobi(setup, classes):
+    """Jacobi for the quotient bracket on every triple of classes, with each
+    inner bracket replaced by its normal form."""
+    failures = []
+    for i, j, k in itertools.combinations(range(len(classes)), 3):
+        acc = setup.chart.zero()
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = reduce_mod_ideal(setup.pi.bracket(classes[a], classes[b]),
+                                     setup.basis)
+            acc = acc + setup.pi.bracket(inner, classes[c])
+        if not reduce_mod_ideal(acc, setup.basis).is_zero():
+            failures.append("quotient Jacobi fails on classes (%d,%d,%d)"
+                            % (i, j, k))
+    return Report.from_failures("quotient-jacobi", failures)
 
 
 def sweep_co_poisson(hopf, generator_table, degree=3, primitive=True):

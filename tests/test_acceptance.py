@@ -192,10 +192,10 @@ def test_criterion_8_reduction_suite():
         )
         chart = Chart(["a", "b", "u", "v"])
         pi = PolyBivector(chart, {("a", "b"): "a*b", ("u", "v"): 1})
-        L, d = fixtures.r2_bialgebra()
+        _, d = fixtures.r2_bialgebra()
         action = {"xi": PolyVectorField(chart, {"b": "b"}),
                   "eta": PolyVectorField(chart, {"a": "-b"})}
-        setup = ReductionSetup(pi, L, action, ideal=["a-1", "b"])
+        setup = ReductionSetup(pi, d, action, ideal=["a-1", "b"])
         assert check_ideal_poisson_closed(setup).ok
         assert check_ideal_invariant(setup).ok
         # representative independence, certified on the generators (Leibniz)

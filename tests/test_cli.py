@@ -90,6 +90,41 @@ def test_spec_reduce(capsys):
     assert run(["reduce", SPEC, "case3"]) == 0
 
 
+def _reduce_variant(tmp_path, **changes):
+    doc = json.load(open(SPEC))
+    entry = dict(doc["reductions"]["case3"], **changes)
+    doc["reductions"]["case3"] = {k: v for k, v in entry.items()
+                                  if v is not None}
+    path = tmp_path / "reduce.json"
+    path.write_text(json.dumps(doc))
+    return run(["reduce", str(path), "case3"])
+
+
+def test_spec_reduce_action_must_name_the_basis(tmp_path, capsys):
+    assert _reduce_variant(tmp_path, action={"xi": {"b": "b"},
+                                             "zeta": {"a": "-b"}}) == 2
+    err = capsys.readouterr().err
+    assert "input error: reduction 'case3':" in err
+    assert "(missing ['eta'], extra ['zeta'])" in err
+
+
+def test_spec_reduce_takes_one_bialgebra(tmp_path, capsys):
+    assert _reduce_variant(tmp_path, algebra="plane") == 2
+    assert "give exactly one of 'cobracket' and 'algebra'" in \
+        capsys.readouterr().err
+    assert _reduce_variant(tmp_path, cobracket=None) == 2
+
+
+def test_spec_reduce_without_poisson_action_is_capability_error(tmp_path,
+                                                               capsys):
+    # the plane action is Poisson for delta(eta) = xi ^ eta, not for the
+    # zero cobracket that an "algebra" entry means
+    assert _reduce_variant(tmp_path, cobracket=None, algebra="plane") == 3
+    err = capsys.readouterr().err
+    assert "capability exceeded: guard reduction.poisson_action:" in err
+    assert "Poisson-action defect for eta" in err
+
+
 def test_json_output_deterministic(tmp_path, capsys):
     out1 = tmp_path / "run1.jsonl"
     out2 = tmp_path / "run2.jsonl"
@@ -317,7 +352,8 @@ def test_spec_reduce_laurent_ideal_is_capability_error(tmp_path, capsys):
     doc = json.load(open(SPEC))
     doc["reductions"]["laurent"] = {
         "bivector": "pi_dual_plane", "algebra": "plane",
-        "action": {"xi": {"b": "b"}}, "ideal": ["a^-1-b"]}
+        "action": {"xi": {"b": "b"}, "eta": {"a": "-b"}},
+        "ideal": ["a^-1-b"]}
     path = tmp_path / "laurent.json"
     path.write_text(json.dumps(doc))
     assert run(["reduce", str(path), "laurent"]) == 3

@@ -6,7 +6,7 @@ import pytest
 from poisson_forge import fixtures, reduction
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
 from poisson_forge.errors import CapabilityError
-from poisson_forge.lie import LieAlgebra
+from poisson_forge.lie import Cobracket, LieAlgebra
 from poisson_forge.linalg import in_row_span
 from poisson_forge.poisson import PolyBivector, PolyVectorField, hamiltonian_field
 from poisson_forge.reduction import (
@@ -16,7 +16,9 @@ from poisson_forge.reduction import (
 )
 from poisson_forge.specfile import SpecFile
 
-from oracles import sweep_reduced_bracket
+from oracles import (
+    sweep_invariant_closure, sweep_quotient_jacobi, sweep_reduced_bracket,
+)
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "demos",
                     "sample_spec.json")
@@ -31,12 +33,12 @@ def case3_setup(spectators=True):
     if spectators:
         comp[("u", "v")] = 1
     pi = PolyBivector(chart, comp)
-    L, d = fixtures.r2_bialgebra()
+    _, d = fixtures.r2_bialgebra()
     action = {
         "xi": PolyVectorField(chart, {"b": "b"}),
         "eta": PolyVectorField(chart, {"a": "-b"}),
     }
-    return ReductionSetup(pi, L, action, ideal=["a-1", "b"])
+    return ReductionSetup(pi, d, action, ideal=["a-1", "b"])
 
 
 def rotation_setup():
@@ -44,7 +46,7 @@ def rotation_setup():
     L = LieAlgebra(["rot"], {})
     h = poly("q1^2+p1^2", chart)
     action = {"rot": hamiltonian_field(pi, h)}
-    return ReductionSetup(pi, L, action, hamiltonians={"rot": h})
+    return ReductionSetup(pi, Cobracket.zero(L), action)
 
 
 def test_monomial_basis_counts():
@@ -57,7 +59,8 @@ def test_invariants_trivial_action():
     chart = Chart(["x", "y"])
     pi = PolyBivector(chart, {("x", "y"): 1})
     L = LieAlgebra(["t"], {})
-    setup = ReductionSetup(pi, L, {"t": PolyVectorField(chart, {})})
+    setup = ReductionSetup(pi, Cobracket.zero(L),
+                           {"t": PolyVectorField(chart, {})})
     basis, closure = invariant_functions(setup, 2)
     assert len(basis) == 6  # the whole degree-2 component
     assert closure.ok
@@ -101,7 +104,7 @@ def test_invariants_case3():
 
 def test_invariants_angular_momentum():
     pi, L, hams, action = fixtures.angular_momentum_fixture()
-    setup = ReductionSetup(pi, L, action, hamiltonians=hams)
+    setup = ReductionSetup(pi, Cobracket.zero(L), action)
     basis, closure = invariant_functions(setup, 2)
     assert closure.ok
     assert len(basis) == 4  # 1, |q|^2, q.p, |p|^2
@@ -137,8 +140,8 @@ def test_ideal_not_closed_detected():
     chart = Chart(["a", "b"])
     pi = PolyBivector(chart, {("a", "b"): 1})  # {a, b} = 1
     L = LieAlgebra(["t"], {})
-    setup = ReductionSetup(pi, L, {"t": PolyVectorField(chart, {})},
-                           ideal=["a", "b"])
+    setup = ReductionSetup(pi, Cobracket.zero(L),
+                           {"t": PolyVectorField(chart, {})}, ideal=["a", "b"])
     rep = check_ideal_poisson_closed(setup)
     assert not rep.ok
 
@@ -196,8 +199,7 @@ def test_sw_translation_action():
     chart, pi = fixtures.canonical_chart(2)
     L = LieAlgebra(["t"], {})
     action = {"t": hamiltonian_field(pi, "p1")}
-    setup = ReductionSetup(pi, L, action, hamiltonians={"t": poly("p1", chart)},
-                           ideal=["p1-2"])
+    setup = ReductionSetup(pi, Cobracket.zero(L), action, ideal=["p1-2"])
     assert check_ideal_poisson_closed(setup).ok
     classes, table, rep = sw_reduced_algebra(setup, 1)
     assert rep.ok
@@ -217,7 +219,7 @@ def test_sw_translation_action():
 
 def test_sw_angular_momentum_regular_level():
     pi, L, hams, action = fixtures.angular_momentum_fixture()
-    setup = ReductionSetup(pi, L, action, hamiltonians=hams,
+    setup = ReductionSetup(pi, Cobracket.zero(L), action,
                            ideal=[hams["L1"], hams["L2"], hams["L3"]])
     assert check_ideal_poisson_closed(setup).ok
     classes, table, rep = sw_reduced_algebra(setup, 2)
@@ -240,13 +242,12 @@ def translation_setup():
     chart, pi = fixtures.canonical_chart(2)
     L = LieAlgebra(["t"], {})
     action = {"t": hamiltonian_field(pi, "p1")}
-    return ReductionSetup(pi, L, action, hamiltonians={"t": poly("p1", chart)},
-                          ideal=["p1-2"])
+    return ReductionSetup(pi, Cobracket.zero(L), action, ideal=["p1-2"])
 
 
 def angular_setup():
     pi, L, hams, action = fixtures.angular_momentum_fixture()
-    return ReductionSetup(pi, L, action, hamiltonians=hams,
+    return ReductionSetup(pi, Cobracket.zero(L), action,
                           ideal=[hams["L1"], hams["L2"], hams["L3"]])
 
 
@@ -263,14 +264,15 @@ def test_membership_needs_the_groebner_basis():
     # the field (x-y) d/dy maps xy-1 to x(x-y), which lies in the ideal but
     # leaves x^2-1 on division by the raw generators
     setup = ReductionSetup(PolyBivector(chart, {("x", "y"): 1}),
-                           LieAlgebra(["t"], {}),
+                           Cobracket.zero(LieAlgebra(["t"], {})),
                            {"t": PolyVectorField(chart, {"y": "x-y"})},
                            ideal=gens)
     assert check_ideal_invariant(setup).ok
     # with {x, y} = x - y every bracket lies in the ideal, yet
     # {xy-1, x} = xy - x^2 also leaves x^2-1 on the raw generators
     pi = PolyBivector(chart, {("x", "y"): "x-y"})
-    setup = ReductionSetup(pi, LieAlgebra(["t"], {}), {}, ideal=gens)
+    setup = ReductionSetup(pi, Cobracket.zero(LieAlgebra(["t"], {})), {},
+                           ideal=gens)
     cls, rep = reduced_bracket(setup, poly("x", chart), poly("y", chart))
     assert rep.ok, rep.failures
     assert cls.is_zero()
@@ -336,7 +338,7 @@ def test_laurent_ideal_refused():
     L = LieAlgebra(["t"], {})
     for ideal in (["a-1"], ["a*b"], ["b", "a^-1-b"]):
         with pytest.raises(CapabilityError) as exc:
-            ReductionSetup(pi, L, {}, ideal=ideal)
+            ReductionSetup(pi, Cobracket.zero(L), {}, ideal=ideal)
         assert exc.value.guard == "groebner.laurent"
         assert exc.value.counters == {"generators": len(ideal),
                                       "invertible": 1}
@@ -345,7 +347,7 @@ def test_laurent_ideal_refused():
         in_ideal(poly("a^-1-1", chart), [poly("a-1", chart)])
     assert exc.value.guard == "groebner.laurent"
     # the zero ideal needs no basis and stays in scope
-    setup = ReductionSetup(pi, L, {}, ideal=[])
+    setup = ReductionSetup(pi, Cobracket.zero(L), {}, ideal=[])
     assert not setup.basis
     assert reduce_mod_ideal(poly("a^-1", chart), setup.basis) == \
         poly("a^-1", chart)
@@ -374,7 +376,8 @@ def test_certificate_and_sweep_fail_on_escaping_bracket():
     # I = <u> on the case-3 chart: {u, v} = 1 escapes the ideal, so the
     # class of {v, a} moves with the representative of a: {v, a + u} = -1
     setup = case3_setup()
-    setup = ReductionSetup(setup.pi, setup.algebra, setup.action, ideal=["u"])
+    setup = ReductionSetup(setup.pi, setup.cobracket, setup.action,
+                           ideal=["u"])
     chart = setup.chart
     cls, cert = reduced_bracket(setup, poly("v", chart), poly("a", chart))
     assert cls.is_zero()
@@ -385,9 +388,94 @@ def test_certificate_and_sweep_fail_on_escaping_bracket():
     # {1 + a, 1 + b} = 1, so only the generator pair moves the class
     chart = Chart(["a", "b"])
     pi = PolyBivector(chart, {("a", "b"): 1})
-    setup = ReductionSetup(pi, LieAlgebra(["t"], {}), {}, ideal=["a", "b"])
+    setup = ReductionSetup(pi, Cobracket.zero(LieAlgebra(["t"], {})), {},
+                           ideal=["a", "b"])
     cls, cert = reduced_bracket(setup, 1, 1)
     assert cls.is_zero()
     assert cert.failures == ["{a, b} = 1 escapes the ideal (remainder 1)"]
     _, sweep = sweep_reduced_bracket(setup, 1, 1)
     assert not sweep.ok
+
+
+def test_closure_and_jacobi_certificates_agree_with_sweeps():
+    setups = _shipped_setups() + [case3_setup(spectators=False),
+                                  rotation_setup()]
+    for setup in setups:
+        basis, closure = invariant_functions(setup, 3)
+        sweep = sweep_invariant_closure(setup, basis)
+        assert closure.ok and sweep.ok, sweep.failures
+        classes, _, rep = sw_reduced_algebra(setup, 2)
+        sweep = sweep_quotient_jacobi(setup, classes)
+        assert rep.ok and sweep.ok, sweep.failures
+
+
+def _trivial_algebra_setup(pi, field, ideal=()):
+    L = LieAlgebra(["t"], {})
+    return ReductionSetup(pi, Cobracket.zero(L),
+                          {"t": PolyVectorField(pi.chart, field)}, ideal=ideal)
+
+
+def test_closure_premise_holds_for_the_trivial_group():
+    # no action fields: every monomial is invariant, and the empty action
+    # is a Poisson action of the zero algebra
+    chart = Chart(["x", "y"])
+    setup = ReductionSetup(PolyBivector(chart, {("x", "y"): 1}),
+                           Cobracket.zero(LieAlgebra([], {})), {})
+    basis, closure = invariant_functions(setup, 2)
+    assert closure.ok and len(basis) == 6
+
+
+def test_failed_poisson_action_premise_is_a_guard_not_a_fail():
+    # x d/dx with {x, y} = 1 is no Poisson action, yet its invariants are
+    # the polynomials in y and are closed: the sweep passes, while the
+    # certificate's premise fails and trips its named guard
+    chart = Chart(["x", "y"])
+    setup = _trivial_algebra_setup(PolyBivector(chart, {("x", "y"): 1}),
+                                   {"x": "x"})
+    basis, _ = reduction._raw_invariants(setup, 4)
+    assert sweep_invariant_closure(setup, basis).ok
+    with pytest.raises(CapabilityError) as exc:
+        invariant_functions(setup, 4)
+    assert exc.value.guard == "reduction.poisson_action"
+    assert exc.value.counters == {"failures": 1}
+    assert str(exc.value).startswith(
+        "guard reduction.poisson_action: premise poisson-action does not "
+        "hold: Poisson-action defect for t:")
+    # {x, y} = z with d/dz: x and y are invariant, {x, y} = z is not
+    chart = Chart(["x", "y", "z"])
+    setup = _trivial_algebra_setup(PolyBivector(chart, {("x", "y"): "z"}),
+                                   {"z": 1})
+    basis, _ = reduction._raw_invariants(setup, 1)
+    assert not sweep_invariant_closure(setup, basis).ok
+    with pytest.raises(CapabilityError) as exc:
+        invariant_functions(setup, 1)
+    assert exc.value.guard == "reduction.poisson_action"
+
+
+def test_failed_jacobi_premise_is_a_guard_not_a_fail():
+    spec = SpecFile.load(SPEC)
+    setup = _trivial_algebra_setup(spec.bivector("pi_not_poisson"), {},
+                                   ideal=["p1"])
+    classes = [poly(v, setup.chart) for v in ("q1", "q2", "q3")]
+    assert sweep_quotient_jacobi(setup, classes).failures == [
+        "quotient Jacobi fails on classes (0,1,2)"]
+    with pytest.raises(CapabilityError) as exc:
+        sw_reduced_algebra(setup, 1)
+    assert exc.value.guard == "reduction.jacobi"
+    assert exc.value.counters == {"failures": 1}
+    assert "jacobi defect at (q1,q2,q3): -q2" in str(exc.value)
+
+
+def test_jacobi_premise_needs_a_well_defined_triple(monkeypatch):
+    def refuse(pi):
+        raise AssertionError("Jacobi premise consulted")
+    monkeypatch.setattr(reduction, "check_jacobi_coords", refuse)
+    # one class: the constants
+    classes, _, rep = sw_reduced_algebra(case3_setup(spectators=False), 2)
+    assert rep.ok and len(classes) == 1
+    # {u, v} = 1 escapes I = <u>: the table is not well defined
+    setup = case3_setup()
+    setup = ReductionSetup(setup.pi, setup.cobracket, setup.action,
+                           ideal=["u"])
+    classes, _, rep = sw_reduced_algebra(setup, 2)
+    assert not rep.ok and len(classes) >= 3
