@@ -1,64 +1,105 @@
 """Exact linear algebra over Q(i), plus the flattening trick for series.
 
-Everything downstream that needs a kernel or a solve (invariant functions,
-quotient bases, diagnostic relation solving) reduces to Gaussian elimination
-over GaussRational.  Systems whose unknowns are truncated hbar-series are
-flattened: one series unknown of order N becomes N scalar unknowns, and the
-truncated Cauchy product turns series-linear equations into scalar-linear
-ones.
+Everything downstream that needs a kernel, a solve or a span (invariant
+functions, quotient bases, diagnostic relation solving) goes through one
+elimination kernel: ``Span``, a sparse reduced row echelon form over
+GaussRational.  Dense matrices are read as sparse rows {column: entry}.
+
+Systems whose unknowns are truncated hbar-series are flattened: one series
+unknown of order N becomes N scalar unknowns, and the truncated Cauchy
+product turns series-linear equations into scalar-linear ones.  Spans over
+Q(i)[hbar]/(hbar^N) are flattened the same way (``SeriesSpan``): the
+coordinate (j, key) holds the coefficient of hbar^j, and a vector enters
+with all its hbar-multiples, so module membership is field membership.
+
+Window rule: as in series arithmetic, a span's order is the least order it
+has met.  Inserting a vector known mod hbar^m lowers it to m, and a vector
+is tested (and reduced) mod hbar^min(m, N).
 """
 
 from __future__ import annotations
 
-from .scalars import GaussRational, HSeries, ZERO, ONE, gauss
+from .scalars import HSeries, ZERO, ONE, gauss
+
+
+class Span:
+    """A Q(i)-span of sparse vectors {key: GaussRational} in reduced row
+    echelon form.
+
+    Each row's pivot is its least key, has coefficient 1 and appears in no
+    other row, so ``reduce`` is one pass over the pivots a vector meets.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot key -> row
+
+    def reduce(self, vec):
+        """The remainder of ``vec`` on the rows: 0 exactly on the span."""
+        vec = {k: c for k, c in vec.items() if c}
+        # subtracting a row brings in no pivot key, so one pass suffices
+        for key in [k for k in vec if k in self.rows]:
+            _axpy(vec, -vec.pop(key), self.rows[key], key)
+        return vec
+
+    def insert(self, vec):
+        """Adopt the remainder of ``vec`` as a row; True when the span grew."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = ONE / vec[pivot]
+        if inv != ONE:
+            vec = {k: c * inv for k, c in vec.items()}
+        for row in self.rows.values():
+            c = row.pop(pivot, None)
+            if c is not None:
+                _axpy(row, -c, vec, pivot)
+        self.rows[pivot] = vec
+        return True
+
+
+def _axpy(vec, a, row, skip):
+    """vec += a * row in place, except at the key ``skip``."""
+    for k, x in row.items():
+        if k != skip:
+            s = vec.get(k, ZERO) + a * x
+            if s:
+                vec[k] = s
+            else:
+                vec.pop(k, None)
+
+
+def _span_of(rows):
+    span = Span()
+    for r in rows:
+        span.insert(dict(enumerate(r)))
+    return span
 
 
 def rref(rows):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
     if not rows:
-        return rows, []
+        return [], []
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + [[ZERO] * ncols] * (len(rows) - r), pivots
+    span = _span_of(rows)
+    pivots = sorted(span.rows)
+    out = [[span.rows[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
+    return out + [[ZERO] * ncols] * (len(rows) - len(out)), pivots
 
 
 def kernel_basis(rows, ncols=None):
     """Basis of the right kernel of the matrix given as a list of rows."""
-    if not rows:
-        return [] if not ncols else [
-            [ONE if i == j else ZERO for j in range(ncols)] for i in range(ncols)
-        ]
-    ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    span = _span_of(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in span.rows:
+            continue
         v = [ZERO] * ncols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in span.rows.items():
+            v[pc] = -row.get(fc, ZERO)
         basis.append(v)
     return basis
 
@@ -68,23 +109,18 @@ def solve(rows, rhs):
     if not rows:
         return [] if all(not b for b in rhs) else None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    span = _span_of(list(r) + [b] for r, b in zip(rows, rhs))
+    if ncols in span.rows:
         return None  # pivot in augmented column: inconsistent
     x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for pc, row in span.rows.items():
+        x[pc] = row.get(ncols, ZERO)
     return x
 
 
 def in_row_span(rows, vector):
     """Is ``vector`` a Q(i)-linear combination of ``rows``?"""
-    if not rows:
-        return all(not x for x in vector)
-    cols = list(zip(*rows))
-    a = [list(col) for col in cols]  # transpose: rows^T x = vector
-    return solve(a, list(vector)) is not None
+    return not _span_of(rows).reduce(dict(enumerate(vector)))
 
 
 # -- flattened series systems ------------------------------------------------
@@ -139,16 +175,8 @@ def kernel_series(rows, ncols):
     scal_rows, _, _ = flatten_series_system(
         rows, [HSeries.zero(order)] * len(rows), order)
     vecs = kernel_basis(scal_rows, ncols * order)
-    if not vecs:
-        return []
-    shifted = [_shift_flat(v, ncols, order) for v in vecs]
-    span, _ = rref([v for v in shifted if any(v)])
-    span = [r for r in span if any(r)]
-    out = []
-    for v in vecs:
-        if not in_row_span(span, v):
-            out.append(v)
-            span = [r for r in rref(span + [v])[0] if any(r)]
+    span = _span_of(_shift_flat(v, ncols, order) for v in vecs)
+    out = [v for v in vecs if span.insert(dict(enumerate(v)))]
     return [
         [HSeries(v[j * order:(j + 1) * order], order) for j in range(ncols)]
         for v in out
@@ -157,11 +185,7 @@ def kernel_series(rows, ncols):
 
 def _shift_flat(v, ncols, order):
     """Flattened image of multiplication by hbar (drop the top coefficient)."""
-    out = []
-    for j in range(ncols):
-        block = v[j * order:(j + 1) * order]
-        out.extend([ZERO] + block[:-1])
-    return out
+    return [v[i - 1] if i % order else ZERO for i in range(ncols * order)]
 
 
 def _least_order(rows):
@@ -177,96 +201,65 @@ def _as_series(x, order):
     return HSeries.from_scalar(gauss(x), order)
 
 
-# -- sparse echelon spans over the truncated series ring ----------------------
+# -- spans over the truncated series ring ------------------------------------
 
 class SeriesSpan:
-    """An inter-reduced echelon span of sparse vectors over Q(i)[[hbar]]/hbar^N.
+    """The Q(i)[hbar]/(hbar^N)-module spanned by sparse vectors
+    {key: HSeries}, kept as a ``Span`` in flattened coordinates (j, key).
 
-    Vectors are dicts {key: HSeries}; keys are ordered by ``key_order``
-    (default: (len, key) for word tuples).  Pivots are normalized so the
-    pivot coefficient is exactly hbar^v with v its valuation; with unit
-    pivots (v = 0, the common case here) no hbar-precision is lost during
-    elimination.  Membership over the series ring, including multiples of
-    hbar, comes for free: this is module span, not just Q(i) span.
+    ``insert`` adds v, hbar v, hbar^2 v, ... up to the first multiple
+    already in the span (the span is closed under hbar, so the later ones
+    are too); membership is then plain Q(i)-membership.  Window rule: the
+    order N is the least order met.  Inserting a vector known mod hbar^m
+    with m < N lowers N to m and truncates the rows to j < m, which leaves
+    an echelon form since pivots sit at the least j.  ``reduce`` and
+    ``contains`` compare a vector known mod hbar^m mod hbar^min(m, N), and
+    ``reduce`` returns series of that order.
     """
 
-    def __init__(self, order, key_order=None):
+    def __init__(self, order):
         self.order = order
-        self.key_order = key_order or (lambda k: (len(k), k))
-        self.pivots = {}  # key -> (valuation, vector)
+        self.span = Span()
 
     def copy(self):
-        out = SeriesSpan(self.order, self.key_order)
-        out.pivots = {k: (v, dict(vec)) for k, (v, vec) in self.pivots.items()}
+        out = SeriesSpan(self.order)
+        out.span.rows = {p: dict(row) for p, row in self.span.rows.items()}
         return out
 
+    def _window(self, vec):
+        return min([c.order for c in vec.values()] + [self.order])
+
     def reduce(self, vec):
-        vec = {k: c for k, c in vec.items() if not c.is_zero()}
-        # loop to a fixpoint: with non-unit pivots an elimination may
-        # reintroduce an earlier pivot key (pivot vectors are only
-        # inter-reduced down to their valuations)
-        for _ in range(64 * (len(self.pivots) + 1)):
-            changed = False
-            for key in sorted(self.pivots, key=self.key_order):
-                c = vec.get(key)
-                if c is None or c.is_zero():
-                    continue
-                pv, pvec = self.pivots[key]
-                if c.valuation() < pv:
-                    continue  # cannot eliminate below the pivot valuation
-                factor = c.divide_by_hbar(pv)
-                for k2, c2 in pvec.items():
-                    s = vec.get(k2, HSeries.zero(self.order)) - factor * c2
-                    if s.is_zero():
-                        vec.pop(k2, None)
-                    else:
-                        vec[k2] = s
-                changed = True
-            if not changed:
-                return {k: c for k, c in vec.items() if not c.is_zero()}
-        raise AssertionError("series-span reduction did not stabilize")
+        m = self._window(vec)
+        flat = self.span.reduce(_flat_series(vec, 0, m))
+        blocks = {}
+        for (j, key), c in flat.items():
+            if j < m:
+                blocks.setdefault(key, [ZERO] * m)[j] = c
+        return {key: HSeries._mk(cs, m) for key, cs in blocks.items()}
 
     def contains(self, vec):
         return not self.reduce(vec)
 
     def insert(self, vec):
-        """Reduce and, if nonzero, adopt as a new pivot.  Returns True when
-        the span grew.  Keeps the pivot set inter-reduced."""
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        key = min(vec, key=lambda k: (vec[k].valuation(),) +
-                  tuple_key(self.key_order(k)))
-        val = vec[key].valuation()
-        unit = vec[key].divide_by_hbar(val)
-        inv = unit.inverse()
-        vec = {k: c * inv for k, c in vec.items()}
-        old = self.pivots.get(key)
-        if old is not None and old[0] <= val:
-            raise AssertionError("reduction left a reducible pivot entry")
-        self.pivots[key] = (val, vec)
-        if old is not None:
-            self.insert(old[1])
-        # eliminate the new pivot key from the other pivot vectors
-        for k2 in list(self.pivots):
-            if k2 == key:
-                continue
-            pv2, pvec2 = self.pivots[k2]
-            c = pvec2.get(key)
-            if c is None or c.is_zero() or c.valuation() < val:
-                continue
-            factor = c.divide_by_hbar(val)
-            for k3, c3 in vec.items():
-                s = pvec2.get(k3, HSeries.zero(self.order)) - factor * c3
-                if s.is_zero():
-                    pvec2.pop(k3, None)
-                else:
-                    pvec2[k3] = s
-        return True
-
-    def __len__(self):
-        return len(self.pivots)
+        """Add the module generated by ``vec``.  Returns True when the span
+        grew."""
+        m = self._window(vec)
+        if m < self.order:
+            self.order = m
+            self.span.rows = {
+                p: {k: c for k, c in row.items() if k[0] < m}
+                for p, row in self.span.rows.items() if p[0] < m}
+        grew = False
+        for s in range(self.order):
+            if not self.span.insert(_flat_series(vec, s, self.order)):
+                break
+            grew = True
+        return grew
 
 
-def tuple_key(x):
-    return x if isinstance(x, tuple) else (x,)
+def _flat_series(vec, shift, order):
+    """Flattened hbar^shift * vec mod hbar^order: {(j, key): coefficient}."""
+    return {(j + shift, key): c
+            for key, s in vec.items()
+            for j, c in enumerate(s.coeffs[:order - shift]) if c}

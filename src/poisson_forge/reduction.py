@@ -22,7 +22,7 @@ import itertools
 
 from .coordpoly import CoordPoly, poly
 from .errors import CapabilityError
-from .linalg import kernel_basis, rref, in_row_span
+from .linalg import Span, kernel_basis
 from .momentum import check_poisson_action
 from .poisson import check_jacobi_coords
 from .report import Report
@@ -361,22 +361,9 @@ def sw_reduced_algebra(setup, degree):
     failed premise raises the guard ``reduction.jacobi``.
     """
     invariants, _ = _raw_invariants(setup, degree)
-    basis = setup.basis
-    chart = setup.chart
-    reduced = [reduce_mod_ideal(p, basis) for p in invariants]
-    # independent classes via row reduction over the ambient monomial basis
-    max_deg = max([p.total_degree() for p in reduced] + [degree])
-    monos = monomial_basis(chart, max_deg)
-    index = {m: i for i, m in enumerate(monos)}
-    classes = []
-    span = []
-    for p in reduced:
-        if p.is_zero():
-            continue
-        row = _expand(p, index)
-        if not in_row_span(span, row):
-            classes.append(p)
-            span = [r for r in rref(span + [row])[0] if any(r)]
+    reduced = [reduce_mod_ideal(p, setup.basis) for p in invariants]
+    span = Span()
+    classes = [p for p in reduced if span.insert(p.terms)]
     table = {}
     failures = []
     for i, j in itertools.combinations(range(len(classes)), 2):

@@ -28,6 +28,17 @@ class SpecError(ValueError):
     """Malformed input document; the CLI maps this to exit code 2."""
 
 
+class _Entry(dict):
+    """A spec entry whose missing required key is an input error."""
+
+    def __init__(self, section, name, fields):
+        super().__init__(fields)
+        self.where = "%s %r" % (section[:-1], name)
+
+    def __missing__(self, key):
+        raise SpecError("%s: missing required key %r" % (self.where, key))
+
+
 class SpecFile:
     """A parsed specification with lazy, cached object resolution."""
 
@@ -58,9 +69,13 @@ class SpecFile:
 
     def _entry(self, section, name):
         try:
-            return self.doc[section][name]
+            entry = self.doc[section][name]
         except KeyError:
             raise SpecError("no %s named %r" % (section[:-1], name))
+        if not isinstance(entry, dict):
+            raise SpecError("%s %r must be a JSON object"
+                            % (section[:-1], name))
+        return _Entry(section, name, entry)
 
     # -- resolvers ----------------------------------------------------------
 

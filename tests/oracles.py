@@ -9,13 +9,18 @@ bracket's well-definedness by bracketing randomly perturbed
 representatives, the bracket closure of classical invariants by span
 membership at each bracket degree, quotient Jacobi on every triple of
 classes, and quantum ideal membership in a span of the ideal closed up to
-a degree bound.  A sweep is evidence for the cases it tries only; the
-tests use it to cross-check the verdicts of the generator, overlap,
-operator-tensor, Leibniz, Groebner-Shirshov, Poisson-action and Jacobi
-certificates.
+a degree bound, and the nilpotency of the tensor coproduct extension on
+every word up to a length.  A sweep is evidence for the cases it tries
+only; the tests use it to cross-check the verdicts of the generator,
+overlap, operator-tensor, Leibniz, Groebner-Shirshov, Poisson-action and
+Jacobi certificates.
 The action sweeps evaluate expressions by recursion on the expression
 (``eval_expr``), independently of the compiled ``qmomentum.Operator``
 that production code evaluates.
+Linear algebra has a dense reference: ``dense_rref`` is the textbook
+Gauss-Jordan loop over Q(i), and ``module_member`` decides membership in a
+Q(i)[hbar]/(hbar^N)-module by the rank of the dense flattened system of all
+hbar-multiples of its generators.
 """
 
 import itertools
@@ -36,7 +41,9 @@ from poisson_forge.reduction import (
 )
 from poisson_forge.report import Report, merge
 from poisson_forge.linalg import SeriesSpan, in_row_span, kernel_series
-from poisson_forge.scalars import HSeries, gauss, get_default_order, series
+from poisson_forge.scalars import (
+    HSeries, ONE, ZERO, gauss, get_default_order, series,
+)
 
 
 def sweep_coassociativity(hopf, degree=3):
@@ -446,3 +453,82 @@ def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
         if r and accum.insert(dict(r)):
             classes.append(NCPoly(alg, r))
     return classes
+
+
+def sweep_tensor_nilpotency(coproduct, presentation, max_len=3):
+    """Delta^2 = 0 for the odd-derivation extension of Delta to T(U[1]),
+    on every word of generators of length <= max_len."""
+    pres = presentation
+    failures = []
+
+    def delta_n(element, rank):
+        out_alg = TensorAlgebra(pres, rank + 1)
+        total = out_alg.zero()
+        for slot in range(rank):
+            term = apply_in_slot(coproduct, element, slot, out_alg)
+            if slot % 2:
+                term = -term
+            total = total + term
+        return total
+
+    gens = [(g,) for g in range(len(pres.gens))]
+    for length in range(1, max_len + 1):
+        for combo in itertools.product(gens, repeat=length):
+            alg = TensorAlgebra(pres, length)
+            x = TensorElement(alg, {tuple(combo): HSeries.one()})
+            dd = delta_n(delta_n(x, length), length + 1)
+            if not dd.is_zero():
+                failures.append("Delta^2 != 0 on %s"
+                                % " (x) ".join(pres.gens[g[0]] for g in combo))
+    return Report.from_failures("tensor-coproduct-nilpotency", failures)
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by dense Gauss-Jordan elimination.
+    Returns (new_rows, pivot_columns), zero rows last."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for k in range(r, len(rows)):
+            if rows[k][c]:
+                pivot = k
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r] + [[ZERO] * ncols] * (len(rows) - r), pivots
+
+
+def module_member(gens, v, order):
+    """Is ``v`` in the Q(i)[hbar]/(hbar^order)-module spanned by ``gens``?
+
+    Vectors are dicts {key: HSeries} known to at least ``order``.  Every
+    hbar^s * g (s < order) is flattened to a dense row over the
+    coordinates (j, key), and v is a member when appending it leaves the
+    rank unchanged.
+    """
+    keys = sorted({k for g in list(gens) + [v] for k in g})
+    cols = [(j, k) for j in range(order) for k in keys]
+
+    def flat(vec, s):
+        return [vec[k].coeff(j - s) if k in vec and j >= s else ZERO
+                for j, k in cols]
+
+    rows = [flat(g, s) for g in gens for s in range(order)]
+    rank = len(dense_rref(rows)[1])
+    return len(dense_rref(rows + [flat(v, 0)])[1]) == rank

@@ -125,6 +125,35 @@ def test_spec_reduce_without_poisson_action_is_capability_error(tmp_path,
     assert "Poisson-action defect for eta" in err
 
 
+def test_spec_reduce_missing_action_is_input_error(tmp_path, capsys):
+    assert _reduce_variant(tmp_path, action=None) == 2
+    err = capsys.readouterr().err
+    assert "input error: reduction 'case3': missing required key 'action'" \
+        in err
+
+
+def test_spec_presentation_missing_generators_is_input_error(tmp_path,
+                                                             capsys):
+    doc = json.load(open(SPEC))
+    del doc["presentations"]["qplane"]["generators"]
+    path = tmp_path / "no_generators.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-action", str(path), "qplane_action"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: presentation 'qplane': missing required key " \
+        "'generators'" in err
+
+
+def test_spec_entry_must_be_an_object(tmp_path, capsys):
+    doc = json.load(open(SPEC))
+    doc["reductions"]["case3"] = ["not", "an", "object"]
+    path = tmp_path / "list_entry.json"
+    path.write_text(json.dumps(doc))
+    assert run(["reduce", str(path), "case3"]) == 2
+    assert "input error: reduction 'case3' must be a JSON object" in \
+        capsys.readouterr().err
+
+
 def test_json_output_deterministic(tmp_path, capsys):
     out1 = tmp_path / "run1.jsonl"
     out2 = tmp_path / "run2.jsonl"

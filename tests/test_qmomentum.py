@@ -346,17 +346,17 @@ def test_multi_action():
 
 def test_tensor_coproduct_nilpotency_primitive():
     hopf = fixtures.usl2_hopf()
-    rep = tensor_coproduct_extension(hopf.coproduct, hopf.algebra, max_len=3)
+    rep = tensor_coproduct_extension(hopf.coproduct, hopf.algebra)
     assert rep.ok, rep.failures
 
 
 def test_tensor_coproduct_nilpotency_quantized():
     hopf = fixtures.uhsl2_hopf()
-    rep = tensor_coproduct_extension(hopf.coproduct, hopf.algebra, max_len=3)
+    rep = tensor_coproduct_extension(hopf.coproduct, hopf.algebra)
     assert rep.ok, rep.failures
 
 
-def test_non_coassociative_perturbation_detected():
+def _non_coassociative_coproduct():
     from poisson_forge.ncalg import AlgebraMap, Presentation
     pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}})
     t2 = TensorAlgebra(pres, 2)
@@ -367,8 +367,28 @@ def test_non_coassociative_perturbation_detected():
                          (("x",), ("y",)): 1}),
         "y": t2.element({(("y",), ()): 1, ((), ("y",)): 1}),
     }, t2.one(), name="Delta-bad")
-    rep = tensor_coproduct_extension(cop, pres, max_len=2)
+    return cop, pres
+
+
+def test_non_coassociative_perturbation_detected():
+    cop, pres = _non_coassociative_coproduct()
+    rep = tensor_coproduct_extension(cop, pres)
     assert not rep.ok
+    assert rep.failures == ["Delta^2 != 0 on x"]
+
+
+@pytest.mark.parametrize("case", ["usl2", "uhsl2", "Delta-bad"])
+def test_tensor_nilpotency_certificate_matches_sweep(case):
+    from oracles import sweep_tensor_nilpotency
+    if case == "Delta-bad":
+        cop, pres = _non_coassociative_coproduct()
+    else:
+        hopf = getattr(fixtures, case + "_hopf")()
+        cop, pres = hopf.coproduct, hopf.algebra
+    cert = tensor_coproduct_extension(cop, pres)
+    sweep = sweep_tensor_nilpotency(cop, pres, max_len=3)
+    assert cert.ok == sweep.ok
+    assert cert.failures == [f for f in sweep.failures if "(x)" not in f]
 
 
 # -- quantum reduction ----------------------------------------------------------
