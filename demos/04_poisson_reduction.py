@@ -41,7 +41,7 @@ if __name__ == "__main__":
     print("induced bracket {u, v} on the quotient =", cls,
           "| representative-independent:", rep.verdict)
 
-    classes, table, rep = sw_reduced_algebra(setup, 2)
+    classes, table, rep = sw_reduced_algebra(setup, basis)
     print("reduced algebra classes (%d), induced table verdict: %s"
           % (len(classes), rep.verdict))
 

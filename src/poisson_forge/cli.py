@@ -42,8 +42,11 @@ def build_parser():
                        help="hbar truncation order N (default 6)")
         p.add_argument("--degree", type=int, default=3,
                        help="monomial degree bound d of check-action's "
-                            "witness search and of qreduce's invariant "
-                            "subalgebra (default 3)")
+                            "witness search and of a spec qreduce's "
+                            "invariant subalgebra, in a spec run capped by "
+                            "the action's own degree; --fixtures runs of "
+                            "reduce and qreduce use the fixtures' degree 2 "
+                            "(default 3)")
         p.add_argument("--fixtures", action="store_true",
                        help="run the shipped fixtures for this command")
         p.add_argument("--json", dest="json_out", metavar="OUT.JSONL",
@@ -163,9 +166,9 @@ def run_spec_command(command, spec, args):
         out = [("%s/ideal-poisson-closed" % name,
                 check_ideal_poisson_closed(setup)),
                ("%s/ideal-invariant" % name, check_ideal_invariant(setup))]
-        _, closure = invariant_functions(setup, degree)
+        basis, closure = invariant_functions(setup, degree)
         out.append(("%s/invariant-closure" % name, closure))
-        _, _, rep = sw_reduced_algebra(setup, degree)
+        _, _, rep = sw_reduced_algebra(setup, basis)
         out.append(("%s/sw-reduced-algebra" % name, rep))
         return out
     if command == "qreduce":

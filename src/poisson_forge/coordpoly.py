@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CapabilityError
-from .scalars import GaussRational, ONE, ZERO, gauss
+from .scalars import GaussRational, LinComb, ONE, ZERO, _acc, gauss
 
 
 class Chart:
@@ -74,7 +74,7 @@ class Chart:
         return CoordPoly(self, {(0,) * len(self.names): ONE})
 
 
-class CoordPoly:
+class CoordPoly(LinComb):
     """Exact polynomial: map from exponent vectors to Q(i) coefficients."""
 
     __slots__ = ("chart", "terms")
@@ -89,17 +89,7 @@ class CoordPoly:
             for e, name in zip(exps, chart.names):
                 if e < 0 and name not in chart.invertible:
                     raise ValueError("negative exponent on non-invertible %r" % name)
-            coeff = gauss(coeff)
-            if not coeff:
-                continue
-            if exps in clean:
-                s = clean[exps] + coeff
-                if not s:
-                    del clean[exps]
-                else:
-                    clean[exps] = s
-            else:
-                clean[exps] = coeff
+            _acc(clean, exps, gauss(coeff))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
 
@@ -114,59 +104,25 @@ class CoordPoly:
         object.__setattr__(p, "terms", terms)
         return p
 
+    def _like(self, terms):
+        return CoordPoly._mk(self.chart, terms)
+
+    def _same_space(self, other):
+        if other.chart is not self.chart and other.chart != self.chart:
+            raise ValueError("charts differ: %r vs %r" % (self.chart, other.chart))
+        return True
+
+    _coeff = staticmethod(gauss)
+
+    def _unit(self):
+        return (0,) * len(self.chart.names)
+
     # -- ring operations --------------------------------------------------
 
-    _SCALARS = (int, Fraction, GaussRational, str)
-
-    def _coerced(self, other):
-        if isinstance(other, CoordPoly):
-            if other.chart != self.chart:
-                raise ValueError("charts differ: %r vs %r" % (self.chart, other.chart))
-            return other
-        zero = (0,) * len(self.chart.names)
-        return CoordPoly(self.chart, {zero: gauss(other)})
-
-    def __add__(self, other):
-        if not isinstance(other, (CoordPoly,) + self._SCALARS):
-            return NotImplemented
-        other = self._coerced(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in out:
-                s = out[exps] + c
-                if not s:
-                    del out[exps]
-                else:
-                    out[exps] = s
-            else:
-                out[exps] = c
-        return CoordPoly._mk(self.chart, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (CoordPoly,) + self._SCALARS):
-            return NotImplemented
-        return self + (-self._coerced(other))
-
-    def __rsub__(self, other):
-        return self._coerced(other) - self
-
-    def __neg__(self):
-        return CoordPoly._mk(self.chart, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
-            s = gauss(other)
-            out = {}
-            for e, c in self.terms.items():
-                p = c * s
-                if p:
-                    out[e] = p
-            return CoordPoly._mk(self.chart, out)
-        if not isinstance(other, CoordPoly):
-            return NotImplemented
-        other = self._coerced(other)
+        if other.__class__ is not CoordPoly:
+            return LinComb.__mul__(self, other)
+        self._same_space(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -178,8 +134,6 @@ class CoordPoly:
                     out[e] = c
         return CoordPoly._mk(self.chart,
                              {e: c for e, c in out.items() if c})
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
@@ -256,9 +210,6 @@ class CoordPoly:
 
     # -- structure --------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def constant_coefficient(self):
         return self.terms.get((0,) * len(self.chart.names), ZERO)
 
@@ -269,18 +220,6 @@ class CoordPoly:
 
     def monomials(self):
         return sorted(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, self._SCALARS):
-            other = self._coerced(other)
-        if not isinstance(other, CoordPoly):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __repr__(self):
         return "CoordPoly(%s)" % str(self)

@@ -14,9 +14,9 @@ confluent.  No checker here sweeps monomials.
 from __future__ import annotations
 
 from .errors import CapabilityError
-from .ncalg import NCPoly, TensorAlgebra, TensorElement, _acc, check_map
+from .ncalg import NCPoly, TensorAlgebra, TensorElement, check_map
 from .report import Report
-from .scalars import HSeries, series
+from .scalars import HSeries, _acc, series
 
 
 class HopfStructure:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .scalars import ZERO, ONE, gauss
+from .scalars import LinComb, ZERO, ONE, _acc, gauss
 from .report import Report
 
 
@@ -87,46 +87,35 @@ def _vec_str(L, vec):
     return " + ".join(parts) if parts else "0"
 
 
-class Tensor:
+class Tensor(LinComb):
     """Finite-support tensor of fixed rank over a Lie algebra's basis."""
 
-    def __init__(self, algebra, rank, components=None):
+    def __init__(self, algebra, rank, terms=None):
         self.algebra = algebra
         self.rank = rank
-        comp = {}
-        for idx, v in (components or {}).items():
+        self.terms = {}
+        for idx, v in (terms or {}).items():
             idx = tuple(idx)
             if len(idx) != rank:
                 raise ValueError("index %r has wrong rank" % (idx,))
-            v = gauss(v)
-            if v:
-                comp[idx] = comp.get(idx, ZERO) + v
-        self.components = {k: v for k, v in comp.items() if v}
+            _acc(self.terms, idx, gauss(v))
 
-    def __add__(self, other):
-        out = dict(self.components)
-        for idx, v in other.components.items():
-            out[idx] = out.get(idx, ZERO) + v
-        return Tensor(self.algebra, self.rank, out)
+    def _like(self, terms):
+        out = object.__new__(Tensor)
+        out.algebra = self.algebra
+        out.rank = self.rank
+        out.terms = terms
+        return out
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _same_space(self, other):
+        return self.rank == other.rank
 
-    def __neg__(self):
-        return Tensor(self.algebra, self.rank,
-                      {k: -v for k, v in self.components.items()})
-
-    def __mul__(self, scalar):
-        scalar = gauss(scalar)
-        return Tensor(self.algebra, self.rank,
-                      {k: v * scalar for k, v in self.components.items()})
-
-    __rmul__ = __mul__
+    _coeff = staticmethod(gauss)
 
     def tensor(self, other):
         out = {}
-        for i1, v1 in self.components.items():
-            for i2, v2 in other.components.items():
+        for i1, v1 in self.terms.items():
+            for i2, v2 in other.terms.items():
                 out[i1 + i2] = v1 * v2
         return Tensor(self.algebra, self.rank + other.rank, out)
 
@@ -134,7 +123,7 @@ class Tensor:
         if self.rank != 2:
             raise ValueError("transpose defined for rank 2")
         return Tensor(self.algebra, 2,
-                      {(j, i): v for (i, j), v in self.components.items()})
+                      {(j, i): v for (i, j), v in self.terms.items()})
 
     def symmetric_part(self):
         return (self + self.transpose()) * _half()
@@ -142,27 +131,17 @@ class Tensor:
     def antisymmetric_part(self):
         return (self - self.transpose()) * _half()
 
-    def is_zero(self):
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
     def __repr__(self):
         return "Tensor(%s)" % str(self)
 
     def __str__(self):
-        if not self.components:
+        if not self.terms:
             return "0"
         names = self.algebra.basis_names
         parts = []
-        for idx in sorted(self.components):
+        for idx in sorted(self.terms):
             mono = "(x)".join(names[t] for t in idx)
-            parts.append("%s*%s" % (self.components[idx], mono))
+            parts.append("%s*%s" % (self.terms[idx], mono))
         return " + ".join(parts)
 
 
@@ -197,7 +176,7 @@ def ad_tensor(L, x, t):
     elif isinstance(x, int):
         x = {x: ONE}
     out = {}
-    for idx, v in t.components.items():
+    for idx, v in t.terms.items():
         for slot in range(t.rank):
             for xi, xc in x.items():
                 for k, c in L.bracket_basis(xi, idx[slot]).items():
@@ -228,7 +207,7 @@ class Cobracket:
         comp = {}
         for key, t in images.items():
             i = algebra.index(key) if isinstance(key, str) else key
-            for (j, k), v in t.components.items():
+            for (j, k), v in t.terms.items():
                 comp[(i, j, k)] = v
         return Cobracket(algebra, comp)
 
@@ -357,7 +336,7 @@ def schouten_rr(r):
     if isinstance(r, Tensor):
         r = RMatrix(r)
     L = r.algebra
-    t = r.tensor.components
+    t = r.tensor.terms
     out = {}
 
     def add(idx, v):

@@ -193,7 +193,7 @@ def pl_group_bivector(model, r):
     out = PolyBivector(chart)
     from .poisson import fields_wedge
     done = set()
-    for (a, b), coeff in ra.components.items():
+    for (a, b), coeff in ra.terms.items():
         if (b, a) in done:
             continue
         done.add((a, b))
@@ -213,7 +213,7 @@ def vanishes_at_identity(model, pi):
     assignment = {}
     for name, (i, j) in model.variable_positions().items():
         assignment[name] = 1 if i == j else 0
-    for (i, j), p in pi.components.items():
+    for (i, j), p in pi.terms.items():
         if p.eval_scalar(assignment):
             return False
     return True
@@ -387,7 +387,7 @@ def check_maurer_cartan(thetas, cobracket, names=None):
             theta = thetas[name]
             acc = theta.d()
             img = cobracket.image(i)
-            for (j, k), c in img.components.items():
+            for (j, k), c in img.terms.items():
                 term = thetas[names[j]].wedge(thetas[names[k]]) * (c * factor)
                 acc = acc + term
             if not acc.is_zero():

@@ -50,7 +50,7 @@ def check_poisson_action(pi, action, cobracket):
         lhs = lie_derivative_bivector(action[name], pi)
         rhs_comp = None
         img = cobracket.image(i)
-        for (j, k), c in img.components.items():
+        for (j, k), c in img.terms.items():
             term = fields_wedge(action[names[j]], action[names[k]]) * c
             rhs_comp = term if rhs_comp is None else rhs_comp + term
         rhs = rhs_comp if rhs_comp is not None else lhs - lhs
@@ -124,7 +124,7 @@ def check_infinitesimal_mm(pi, cobracket, alpha):
         failures = []
         for i, name in enumerate(names):
             acc = alpha[name].d()
-            for (j, k), c in cobracket.image(i).components.items():
+            for (j, k), c in cobracket.image(i).terms.items():
                 acc = acc + alpha[names[j]].wedge(alpha[names[k]]) * (c * factor)
             if not acc.is_zero():
                 failures.append("structure(%s) defect for %s: %s"

@@ -25,21 +25,11 @@ import itertools
 
 from .errors import CapabilityError
 from .report import Report
-from .scalars import HSeries, GaussRational, ZERO, series
-from fractions import Fraction
+from .scalars import (
+    HSeries, LinComb, ZERO, _acc, get_default_order, series,
+)
 
-
-_SCALARS = (int, Fraction, GaussRational, str)
-
-
-def _acc(out, key, value):
-    """Add ``value`` to ``out[key]``, dropping the key when the sum is 0."""
-    s = out.get(key)
-    s = value if s is None else s + value
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
+_new = object.__new__
 
 
 class Presentation:
@@ -174,15 +164,8 @@ class Presentation:
             out = {}
             head, tail = word[:start], word[start + size:]
             for t, c in rule.items():
-                sub = self._nf(head + t + tail)
-                for w2, c2 in sub.items():
-                    acc = out.get(w2)
-                    v = c * c2
-                    acc = v if acc is None else acc + v
-                    if acc.is_zero():
-                        out.pop(w2, None)
-                    else:
-                        out[w2] = acc
+                for w2, c2 in self._nf(head + t + tail).items():
+                    _acc(out, w2, c * c2)
             memo[word] = out
             return out
         out = {word: HSeries.one()}
@@ -206,13 +189,7 @@ class Presentation:
             if coeff.is_zero():
                 continue
             for w2, c2 in self._nf(word).items():
-                acc = out.get(w2)
-                v = coeff * c2
-                acc = v if acc is None else acc + v
-                if acc.is_zero():
-                    out.pop(w2, None)
-                else:
-                    out[w2] = acc
+                _acc(out, w2, coeff * c2)
         return NCPoly(self, out)
 
     # -- element constructors ----------------------------------------------
@@ -233,7 +210,7 @@ class Presentation:
             return spec
         if isinstance(spec, str):
             return self.gen(spec)
-        if isinstance(spec, (int, Fraction, GaussRational, HSeries)):
+        if isinstance(spec, LinComb._SCALARS):
             return NCPoly(self, {(): series(spec)})
         terms = {}
         for coeff, word in spec:
@@ -310,16 +287,30 @@ def ambiguities(rules, u, v):
                        {head + t + tail: c for t, c in rv.items()})
 
 
-def _terms_equal(a, b):
-    for w in set(a) | set(b):
-        ca = a.get(w, HSeries.zero())
-        cb = b.get(w, HSeries.zero())
-        if not ca == cb:
-            return False
-    return True
+class _SeriesComb(LinComb):
+    """What elements of a presented algebra and of its tensor powers share:
+    Q(i)[[hbar]] coefficients, a constant term on the empty word, and the
+    hbar-adic valuation."""
+
+    __slots__ = ()
+
+    _coeff = staticmethod(series)
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    def hbar_valuation(self):
+        return min((c.valuation() for c in self.terms.values()),
+                   default=get_default_order())
+
+    def divide_by_hbar(self, k=1):
+        # a nonzero coefficient keeps a nonzero quotient: its window shrinks
+        # by k together with its valuation
+        return self._like({w: c.divide_by_hbar(k)
+                           for w, c in self.terms.items()})
 
 
-class NCPoly:
+class NCPoly(_SeriesComb):
     """A noncommutative polynomial in normal form: {word: HSeries}."""
 
     __slots__ = ("presentation", "terms")
@@ -328,41 +319,24 @@ class NCPoly:
         self.presentation = presentation
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
-    def _coerced(self, other):
-        if isinstance(other, NCPoly):
-            if other.presentation is not self.presentation:
-                raise ValueError("elements of different presentations")
-            return other
-        return NCPoly(self.presentation, {(): series(other)})
+    def _like(self, terms):
+        out = _new(NCPoly)
+        out.presentation = self.presentation
+        out.terms = terms
+        return out
 
-    def __add__(self, other):
-        other = self._coerced(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, HSeries.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NCPoly(self.presentation, out)
+    def _same_space(self, other):
+        if other.presentation is not self.presentation:
+            raise ValueError("elements of different presentations")
+        return True
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerced(other))
-
-    def __rsub__(self, other):
-        return self._coerced(other) - self
-
-    def __neg__(self):
-        return NCPoly(self.presentation, {w: -c for w, c in self.terms.items()})
+    def _unit(self):
+        return ()
 
     def __mul__(self, other):
-        if isinstance(other, (HSeries,) + _SCALARS):
-            s = series(other)
-            return NCPoly(self.presentation,
-                          {w: c * s for w, c in self.terms.items()})
-        other = self._coerced(other)
+        if other.__class__ is not NCPoly:
+            return LinComb.__mul__(self, other)
+        self._same_space(other)
         raw = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -370,45 +344,14 @@ class NCPoly:
                 raw[w] = raw.get(w, HSeries.zero()) + c1 * c2
         return self.presentation.normal_form(raw)
 
-    def __rmul__(self, other):
-        if isinstance(other, (HSeries,) + _SCALARS):
-            return self * other
-        return self._coerced(other) * self
-
     def __pow__(self, k):
         out = self.presentation.one()
         for _ in range(k):
             out = out * self
         return out
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
-
-    def hbar_valuation(self):
-        return min((c.valuation() for c in self.terms.values()),
-                   default=series(0).order)
-
-    def divide_by_hbar(self, k=1):
-        return NCPoly(self.presentation,
-                      {w: c.divide_by_hbar(k) for w, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (HSeries,) + _SCALARS):
-            other = self._coerced(other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return _terms_equal(self.terms, other.terms)
-
-    __hash__ = None
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __repr__(self):
         if not self.terms:
@@ -425,14 +368,6 @@ class NCPoly:
             else:
                 parts.append("(%s)*%s" % (c, name))
         return " + ".join(parts)
-
-
-def normal_form(presentation, terms):
-    return presentation.normal_form(terms)
-
-
-def commutator(p, q):
-    return p.commutator(q)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +390,7 @@ class TensorAlgebra:
     def element(self, terms):
         out = {}
         for key, coeff in terms.items():
-            key = tuple(self._word(w) for w in key)
-            coeff = series(coeff)
-            if not coeff.is_zero():
-                out[key] = out.get(key, HSeries.zero()) + coeff
+            _acc(out, tuple(self._word(w) for w in key), series(coeff))
         return TensorElement(self, out)
 
     def _word(self, w):
@@ -490,47 +422,30 @@ class TensorAlgebra:
         return out
 
 
-class TensorElement:
+class TensorElement(_SeriesComb):
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
-    def _coerced(self, other):
-        if isinstance(other, TensorElement):
-            return other
-        return TensorElement(self.algebra,
-                             {((),) * self.algebra.k: series(other)})
+    def _like(self, terms):
+        out = _new(TensorElement)
+        out.algebra = self.algebra
+        out.terms = terms
+        return out
 
-    def __add__(self, other):
-        other = self._coerced(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, HSeries.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return TensorElement(self.algebra, out)
+    def _same_space(self, other):
+        return self.algebra.k == other.algebra.k
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerced(other))
-
-    def __rsub__(self, other):
-        return self._coerced(other) - self
-
-    def __neg__(self):
-        return TensorElement(self.algebra, {w: -c for w, c in self.terms.items()})
+    def _unit(self):
+        return ((),) * self.algebra.k
 
     def __mul__(self, other):
-        if isinstance(other, (HSeries,) + _SCALARS):
-            s = series(other)
-            return TensorElement(self.algebra,
-                                 {w: c * s for w, c in self.terms.items()})
-        other = self._coerced(other)
+        if other.__class__ is not TensorElement:
+            return LinComb.__mul__(self, other)
+        if not self._same_space(other):
+            raise ValueError("tensor powers of different degree")
         pres = self.algebra.presentation
         pres._steps = 0  # one max_steps budget per product
         out = {}
@@ -545,54 +460,14 @@ class TensorElement:
                     coeff = base
                     for _, c in combo:
                         coeff = coeff * c
-                    if coeff.is_zero():
-                        continue
-                    key = tuple(w for w, _ in combo)
-                    s = out.get(key)
-                    s = coeff if s is None else s + coeff
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    _acc(out, tuple(w for w, _ in combo), coeff)
         return TensorElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (HSeries,) + _SCALARS):
-            return self * other
-        return self._coerced(other) * self
-
-    def commutator(self, other):
-        return self * other - other * self
 
     def flip(self):
         if self.algebra.k != 2:
             raise ValueError("flip is defined on the tensor square")
         return TensorElement(self.algebra,
                              {(b, a): c for (a, b), c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (HSeries,) + _SCALARS):
-            other = self._coerced(other)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return _terms_equal(self.terms, other.terms)
-
-    __hash__ = None
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def hbar_valuation(self):
-        return min((c.valuation() for c in self.terms.values()),
-                   default=series(0).order)
-
-    def divide_by_hbar(self, k=1):
-        return TensorElement(self.algebra,
-                             {w: c.divide_by_hbar(k)
-                              for w, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

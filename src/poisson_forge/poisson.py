@@ -19,49 +19,39 @@ import itertools
 
 from .coordpoly import CoordPoly, poly
 from .report import Report
+from .scalars import LinComb, _acc
 
 
-class PolyVectorField:
+class PolyVectorField(LinComb):
     """A derivation with one CoordPoly component per chart variable."""
 
-    def __init__(self, chart, components):
+    def __init__(self, chart, terms):
         self.chart = chart
-        comp = {}
-        for name, p in components.items():
+        self.terms = {}
+        for name, p in terms.items():
             p = poly(p, chart)
             if not p.is_zero():
-                comp[name] = p
-        self.components = comp
+                self.terms[name] = p
+
+    def _like(self, terms):
+        out = object.__new__(PolyVectorField)
+        out.chart = self.chart
+        out.terms = terms
+        return out
+
+    _same_space = CoordPoly._same_space
 
     def component(self, name):
-        return self.components.get(name, self.chart.zero())
+        return self.terms.get(name, self.chart.zero())
 
     def apply(self, f):
         f = poly(f, self.chart)
         out = self.chart.zero()
-        for name, p in self.components.items():
+        for name, p in self.terms.items():
             out = out + p * f.diff(name)
         return out
 
     __call__ = apply
-
-    def __add__(self, other):
-        out = dict(self.components)
-        for name, p in other.components.items():
-            out[name] = out.get(name, self.chart.zero()) + p
-        return PolyVectorField(self.chart, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyVectorField(self.chart, {n: -p for n, p in self.components.items()})
-
-    def __mul__(self, f):
-        return PolyVectorField(self.chart,
-                               {n: p * f for n, p in self.components.items()})
-
-    __rmul__ = __mul__
 
     def bracket(self, other):
         """Commutator of vector fields: [X, Y]^j = X[Y^j] - Y[X^j]."""
@@ -71,28 +61,14 @@ class PolyVectorField:
                 - other.apply(self.component(name))
         return PolyVectorField(self.chart, comp)
 
-    def is_zero(self):
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVectorField):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
     def __repr__(self):
-        if not self.components:
+        if not self.terms:
             return "0"
         return " + ".join("(%s)*d/d%s" % (p, n)
-                          for n, p in sorted(self.components.items()))
+                          for n, p in sorted(self.terms.items()))
 
 
-def vector_field(chart, components):
-    return PolyVectorField(chart, components)
-
-
-class ExteriorForm:
+class ExteriorForm(LinComb):
     """A degree-k form with antisymmetric CoordPoly components.
 
     Components are stored on strictly increasing index tuples of chart
@@ -100,68 +76,43 @@ class ExteriorForm:
     sorting permutation.
     """
 
-    def __init__(self, chart, degree, components=None):
+    def __init__(self, chart, degree, terms=None):
         self.chart = chart
         self.degree = degree
-        comp = {}
-        for idx, p in (components or {}).items():
+        self.terms = {}
+        for idx, p in (terms or {}).items():
             idx = tuple(idx)
             if len(idx) != degree:
                 raise ValueError("index %r has wrong degree" % (idx,))
             key, sign = _sort_index(idx)
             if key is None:
                 continue  # repeated index: zero
-            p = poly(p, chart) * sign
-            if key in comp:
-                comp[key] = comp[key] + p
-            else:
-                comp[key] = p
-        self.components = {k: v for k, v in comp.items() if not v.is_zero()}
+            _acc(self.terms, key, poly(p, chart) * sign)
+
+    def _like(self, terms):
+        out = object.__new__(ExteriorForm)
+        out.chart = self.chart
+        out.degree = self.degree
+        out.terms = terms
+        return out
+
+    def _same_space(self, other):
+        return CoordPoly._same_space(self, other) \
+            and self.degree == other.degree
 
     def component(self, *idx):
         key, sign = _sort_index(tuple(idx))
         if key is None:
             return self.chart.zero()
-        p = self.components.get(key)
+        p = self.terms.get(key)
         if p is None:
             return self.chart.zero()
         return p * sign
 
-    def __add__(self, other):
-        out = dict(self.components)
-        for idx, p in other.components.items():
-            out[idx] = out.get(idx, self.chart.zero()) + p
-        return ExteriorForm(self.chart, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ExteriorForm(self.chart, self.degree,
-                            {k: -p for k, p in self.components.items()})
-
-    def __mul__(self, f):
-        return ExteriorForm(self.chart, self.degree,
-                            {k: p * f for k, p in self.components.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, ExteriorForm):
-            return NotImplemented
-        if self.degree != other.degree:
-            return False
-        return (self - other).is_zero()
-
-    __hash__ = None
-
     def d(self):
         """Exterior derivative; d of a k-form is a (k+1)-form, d after d is 0."""
         out = {}
-        for idx, p in self.components.items():
+        for idx, p in self.terms.items():
             for i, name in enumerate(self.chart.names):
                 dp = p.diff(name)
                 if dp.is_zero():
@@ -173,15 +124,15 @@ class ExteriorForm:
     def wedge(self, other):
         """Wedge product (enough generality for degrees used here)."""
         out = {}
-        for i1, p1 in self.components.items():
-            for i2, p2 in other.components.items():
+        for i1, p1 in self.terms.items():
+            for i2, p2 in other.terms.items():
                 out[i1 + i2] = out.get(i1 + i2, self.chart.zero()) + p1 * p2
         return ExteriorForm(self.chart, self.degree + other.degree, out)
 
     def contract(self, field):
         """Interior product with a vector field (first slot)."""
         out = {}
-        for idx, p in self.components.items():
+        for idx, p in self.terms.items():
             for pos, i in enumerate(idx):
                 name = self.chart.names[i]
                 xc = field.component(name)
@@ -196,16 +147,16 @@ class ExteriorForm:
         """A 0-form's unique component as a CoordPoly."""
         if self.degree != 0:
             raise ValueError("not a 0-form")
-        return self.components.get((), self.chart.zero())
+        return self.terms.get((), self.chart.zero())
 
     def __repr__(self):
-        if not self.components:
+        if not self.terms:
             return "0"
         names = self.chart.names
         parts = []
-        for idx in sorted(self.components):
+        for idx in sorted(self.terms):
             mono = "^".join("d%s" % names[i] for i in idx) or "1"
-            parts.append("(%s)*%s" % (self.components[idx], mono))
+            parts.append("(%s)*%s" % (self.terms[idx], mono))
         return " + ".join(parts)
 
 
@@ -238,13 +189,13 @@ def lie_derivative_form(field, form):
     return form.d().contract(field) + form.contract(field).d()
 
 
-class PolyBivector:
+class PolyBivector(LinComb):
     """Antisymmetric bivector pi^ij on a chart."""
 
-    def __init__(self, chart, components=None):
+    def __init__(self, chart, terms=None):
         self.chart = chart
-        comp = {}
-        for key, p in (components or {}).items():
+        self.terms = {}
+        for key, p in (terms or {}).items():
             i, j = key
             if isinstance(i, str):
                 i = chart.index(i)
@@ -255,11 +206,15 @@ class PolyBivector:
             p = poly(p, chart)
             if i > j:
                 i, j, p = j, i, -p
-            if (i, j) in comp:
-                comp[(i, j)] = comp[(i, j)] + p
-            else:
-                comp[(i, j)] = p
-        self.components = {k: v for k, v in comp.items() if not v.is_zero()}
+            _acc(self.terms, (i, j), p)
+
+    def _like(self, terms):
+        out = object.__new__(PolyBivector)
+        out.chart = self.chart
+        out.terms = terms
+        return out
+
+    _same_space = CoordPoly._same_space
 
     def component(self, i, j):
         if isinstance(i, str):
@@ -269,49 +224,22 @@ class PolyBivector:
         if i == j:
             return self.chart.zero()
         if i < j:
-            return self.components.get((i, j), self.chart.zero())
-        return -self.components.get((j, i), self.chart.zero())
-
-    def __add__(self, other):
-        out = dict(self.components)
-        for k, p in other.components.items():
-            out[k] = out.get(k, self.chart.zero()) + p
-        return PolyBivector(self.chart, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyBivector(self.chart, {k: -p for k, p in self.components.items()})
-
-    def __mul__(self, f):
-        return PolyBivector(self.chart, {k: p * f for k, p in self.components.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyBivector):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
+            return self.terms.get((i, j), self.chart.zero())
+        return -self.terms.get((j, i), self.chart.zero())
 
     def __repr__(self):
         names = self.chart.names
-        if not self.components:
+        if not self.terms:
             return "0"
         return " + ".join("(%s)*d_%s^d_%s" % (p, names[i], names[j])
-                          for (i, j), p in sorted(self.components.items()))
+                          for (i, j), p in sorted(self.terms.items()))
 
     # -- contraction ------------------------------------------------------
 
     def pair(self, alpha, beta):
         """pi(alpha, beta) as a polynomial."""
         out = self.chart.zero()
-        for (i, j), p in self.components.items():
+        for (i, j), p in self.terms.items():
             ai = alpha.component(i)
             aj = alpha.component(j)
             bi = beta.component(i)
@@ -322,7 +250,7 @@ class PolyBivector:
     def sharp(self, alpha):
         """pi_sharp(alpha)^j = sum_i pi^ij alpha_i."""
         comp = {}
-        for (i, j), p in self.components.items():
+        for (i, j), p in self.terms.items():
             ni = self.chart.names[i]
             nj = self.chart.names[j]
             ai = alpha.component(i)
@@ -339,7 +267,7 @@ class PolyBivector:
         g = poly(g, self.chart)
         out = self.chart.zero()
         names = self.chart.names
-        for (i, j), p in self.components.items():
+        for (i, j), p in self.terms.items():
             out = out + p * (f.diff(names[i]) * g.diff(names[j])
                              - f.diff(names[j]) * g.diff(names[i]))
         return out

@@ -35,9 +35,9 @@ import itertools
 
 from .errors import CapabilityError
 from .linalg import solve_series
-from .ncalg import NCPoly, TensorAlgebra, _acc
+from .ncalg import NCPoly, TensorAlgebra
 from .report import Report, PASS, FAIL, DISCREPANCY
-from .scalars import HSeries, series
+from .scalars import HSeries, _acc, series
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +323,6 @@ class QuantumAction:
         if isinstance(x, str):
             return self.operator((x,))(f)
         return self.element_operator(x)(f)
-
-
-def apply_action(action, x, f):
-    return action.apply(x, f)
 
 
 # ---------------------------------------------------------------------------

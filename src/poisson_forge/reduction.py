@@ -114,7 +114,7 @@ def _raw_invariants(setup, degree):
     fields = list(setup.action.values())
     max_out = degree
     for f in fields:
-        for p in f.components.values():
+        for p in f.terms.values():
             max_out = max(max_out, degree - 1 + p.total_degree())
     out_monos = monomial_basis(chart, max_out)
     out_index = {m: i for i, m in enumerate(out_monos)}
@@ -344,9 +344,9 @@ def reduced_bracket(setup, f, g):
     return base, Report.from_failures("reduced-bracket-well-defined", failures)
 
 
-def sw_reduced_algebra(setup, degree):
-    """Basis of (invariants mod I) up to the given degree with the induced
-    bracket table.
+def sw_reduced_algebra(setup, invariants):
+    """Basis of (invariants mod I) with the induced bracket table, from the
+    invariant polynomials ``invariants`` (``invariant_functions``' basis).
 
     Returns (classes, table, report): ``classes`` are reduced representatives
     of a linearly independent set, ``table`` maps index pairs to reduced
@@ -360,7 +360,6 @@ def sw_reduced_algebra(setup, degree):
     checked when the table is well defined and has a triple of classes; a
     failed premise raises the guard ``reduction.jacobi``.
     """
-    invariants, _ = _raw_invariants(setup, degree)
     reduced = [reduce_mod_ideal(p, setup.basis) for p in invariants]
     span = Span()
     classes = [p for p in reduced if span.insert(p.terms)]

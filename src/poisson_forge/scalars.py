@@ -7,6 +7,10 @@ in this package lives in one of three rings:
 * ``GaussRational``       -- Q(i), stored as an integer triple (a + b*i)/d,
 * ``HSeries``             -- Q(i)[[hbar]] truncated at a session order N.
 
+Every element built over them -- a polynomial, tensor, field, form, or an
+element of a presented algebra or its tensor powers -- is a ``LinComb``: a
+finite sum over a basis whose module arithmetic is written once here.
+
 All arithmetic is exact; there is no floating point anywhere.  A Gaussian
 rational keeps three Python ints normalised so that d > 0 and
 gcd(a, b, d) == 1: every value has exactly one triple, and equality is a
@@ -502,7 +506,7 @@ class HSeries:
     __hash__ = None
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.coeffs)
 
     def __repr__(self):
         return "HSeries(%s; order=%d)" % (str(self), self.order)
@@ -569,3 +573,126 @@ def divide_by_hbar(s, k=1):
 def hexp(scalar, order=None):
     """exp(scalar * hbar) as a truncated series; scalar is exact."""
     return (HSeries.hbar(order) * gauss(scalar)).exp()
+
+
+# ---------------------------------------------------------------------------
+# Sparse linear combinations
+# ---------------------------------------------------------------------------
+
+def _acc(out, key, value):
+    """Add ``value`` to ``out[key]``, dropping the key when the sum is 0."""
+    s = out.get(key)
+    if s is not None:
+        value = s + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
+
+
+class LinComb:
+    """A finite linear combination: ``terms`` maps basis keys to nonzero
+    coefficients.
+
+    This base does the module arithmetic of every element type once: sums,
+    differences, negation, scaling, zero tests and equality.  Equality is a
+    zero test of the difference, so HSeries coefficients compare on their
+    shared hbar window.  A subclass supplies
+
+    * ``_like(terms)``: an element of the same space from canonical terms;
+    * ``_same_space(other)``: whether ``other``, of the same class, lies in
+      the same graded piece (a form's degree, a tensor's rank); it raises
+      ValueError when ``other`` lies on another chart or presentation;
+    * ``_coeff``: the coercion of a scalar into a coefficient, or None when
+      the element scales by anything its coefficients multiply with;
+    * ``_unit()``: the basis key of 1, or None when scalars are not
+      elements (then they do not add or compare).
+    """
+
+    __slots__ = ()
+
+    _SCALARS = (int, Fraction, GaussRational, HSeries, str)
+    _coeff = None
+
+    def _unit(self):
+        return None
+
+    def _lift(self, x):
+        """The scalar ``x`` as a constant element, or None."""
+        unit = self._unit()
+        if unit is None or not isinstance(x, self._SCALARS):
+            return None
+        c = self._coeff(x)
+        return self._like({unit: c} if c else {})
+
+    def _operand(self, other):
+        """``other`` as an element of this space, or None."""
+        if other.__class__ is not self.__class__:
+            return self._lift(other)
+        if not self._same_space(other):
+            raise ValueError("%s operands of different degree or rank"
+                             % self.__class__.__name__)
+        return other
+
+    def _merged(self, terms):
+        out = dict(self.terms)
+        for k, c in terms.items():
+            _acc(out, k, c)
+        return self._like(out)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._merged(other.terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._merged({k: -c for k, c in other.terms.items()})
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, s):
+        """Scale by ``s``; zero products (truncated series have them) are
+        dropped."""
+        if self._coeff is not None:
+            if not isinstance(s, self._SCALARS):
+                return NotImplemented
+            s = self._coeff(s)
+        out = {}
+        for k, c in self.terms.items():
+            p = c * s
+            if p:
+                out[k] = p
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            if not self._same_space(other):
+                return False
+        else:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return (self - other).is_zero()
+
+    __hash__ = None

@@ -29,14 +29,30 @@ class SpecError(ValueError):
 
 
 class _Entry(dict):
-    """A spec entry whose missing required key is an input error."""
+    """A spec object whose missing required key is an input error naming
+    the object (``where``) and the key."""
 
-    def __init__(self, section, name, fields):
+    def __init__(self, where, fields):
         super().__init__(fields)
-        self.where = "%s %r" % (section[:-1], name)
+        self.where = where
 
     def __missing__(self, key):
         raise SpecError("%s: missing required key %r" % (self.where, key))
+
+
+def _fields(where, obj):
+    """``obj`` as an ``_Entry`` called ``where``; an entry keeps its name."""
+    if isinstance(obj, _Entry):
+        return obj
+    if not isinstance(obj, dict):
+        raise SpecError("%s must be a JSON object" % where)
+    return _Entry(where, obj)
+
+
+def _items(where, objs):
+    """The objects of a JSON list, each an entry named by its position."""
+    return [_fields("%s %d" % (where, k), obj)
+            for k, obj in enumerate(objs, 1)]
 
 
 class SpecFile:
@@ -72,10 +88,7 @@ class SpecFile:
             entry = self.doc[section][name]
         except KeyError:
             raise SpecError("no %s named %r" % (section[:-1], name))
-        if not isinstance(entry, dict):
-            raise SpecError("%s %r must be a JSON object"
-                            % (section[:-1], name))
-        return _Entry(section, name, entry)
+        return _fields("%s %r" % (section[:-1], name), entry)
 
     # -- resolvers ----------------------------------------------------------
 
@@ -177,10 +190,10 @@ class SpecFile:
             return self._cache[key]
         entry = self._entry(*key)
         rules = {}
-        for rule in entry.get("rules", ()):
+        for rule in _items(entry.where + " rule", entry.get("rules", ())):
             a, b = rule["pair"]
             terms = {}
-            for t in rule["terms"]:
+            for t in _items(rule.where + " term", rule["terms"]):
                 terms[tuple(t.get("word", ()))] = _series(t["coeff"])
             rules[(a, b)] = terms
         try:
@@ -197,14 +210,14 @@ class SpecFile:
         if isinstance(spec, str):
             return pres.element(spec)
         terms = []
-        for t in spec:
+        for t in _items("element term", spec):
             terms.append((_series(t["coeff"]), list(t.get("word", ()))))
         return pres.element(terms)
 
     def tensor_element(self, pres, spec):
         t2 = TensorAlgebra(pres, 2)
         terms = {}
-        for t in spec:
+        for t in _items("tensor term", spec):
             u, v = t["pair"]
             terms[(tuple(u), tuple(v))] = _series(t["coeff"])
         return t2.element(terms)
@@ -214,7 +227,9 @@ class SpecFile:
         entry = self._entry("hopf_structures", name)
         pres = self.presentation(entry["algebra"])
         t2 = TensorAlgebra(pres, 2)
-        cop = AlgebraMap(pres, {g: self.tensor_element(pres, spec)
+        cop = AlgebraMap(pres, {g: self.tensor_element(pres, _items(
+                                    "%s coproduct %r term" % (entry.where, g),
+                                    spec))
                                 for g, spec in entry["coproduct"].items()},
                          t2.one(), name="Delta")
         counit = AlgebraMap(pres, {g: _series(v)
@@ -229,6 +244,7 @@ class SpecFile:
             raise SpecError("hopf structure %r: %s" % (name, exc))
 
     def action_expr(self, pres, spec):
+        spec = _fields("action expression", spec)
         op = spec["op"]
         if op == "id":
             return Identity()
@@ -236,15 +252,18 @@ class SpecFile:
             elem = self.nc_element(pres, spec["element"])
             cls = {"lmul": LMul, "rmul": RMul, "commutator": Commutator}[op]
             return cls(elem)
+        arg, args = spec.where + " arg", spec.where + " args"
         if op == "scale":
-            return Scale(self.action_expr(pres, spec["arg"]),
+            return Scale(self.action_expr(pres, _fields(arg, spec["arg"])),
                          _series(spec["scalar"]))
         if op == "sum":
-            return Sum([self.action_expr(pres, a) for a in spec["args"]])
+            return Sum([self.action_expr(pres, a)
+                        for a in _items(args, spec["args"])])
         if op == "compose":
-            return Compose([self.action_expr(pres, a) for a in spec["args"]])
+            return Compose([self.action_expr(pres, a)
+                            for a in _items(args, spec["args"])])
         if op == "hbar_div":
-            return HbarDiv(self.action_expr(pres, spec["arg"]),
+            return HbarDiv(self.action_expr(pres, _fields(arg, spec["arg"])),
                            spec.get("k", 1))
         raise SpecError("unknown action op %r" % op)
 
@@ -252,15 +271,18 @@ class SpecFile:
         entry = self._entry("actions", name)
         group = self.presentation(entry["group"])
         algebra = self.presentation(entry["algebra"])
-        exprs = {g: self.action_expr(algebra, spec)
+        exprs = {g: self.action_expr(algebra, _fields(
+                    "%s generator %r" % (entry.where, g), spec))
                  for g, spec in entry["generators"].items()}
         action = QuantumAction(group, algebra, exprs)
         extras = {
-            "coproducts": {g: self.tensor_element(group, spec)
+            "coproducts": {g: self.tensor_element(group, _items(
+                               "%s coproduct %r term" % (entry.where, g), spec))
                            for g, spec in entry.get("coproducts", {}).items()},
             "counit": {g: _series(v)
                        for g, v in entry.get("counit", {}).items()},
-            "relations": entry.get("relations", ()),
+            "relations": _items(entry.where + " relation",
+                                entry.get("relations", ())),
             "ideal": [self.nc_element(algebra, s)
                       for s in entry.get("ideal", ())],
             "degree": entry.get("degree", 2),

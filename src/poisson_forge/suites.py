@@ -366,7 +366,7 @@ def reduction_fixture_suite(degree=2):
     out.append(("case3/reduced-bracket-canonical",
                 Report("reduced-bracket", PASS if ok else FAIL,
                        [] if ok else ["{u,v} class = %s" % cls] + rep.failures)))
-    classes, table, rep = sw_reduced_algebra(setup, degree)
+    classes, table, rep = sw_reduced_algebra(setup, basis)
     out.append(("case3/sw-reduced-algebra", rep))
     # cross-check the two pipelines on the shared fixture
     failures = []

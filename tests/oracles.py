@@ -30,7 +30,7 @@ from poisson_forge.hopf import (
     apply_in_slot, antipode_in_slot, counit_in_slot, multiply_factors,
 )
 from poisson_forge.ncalg import (
-    NCPoly, TensorAlgebra, TensorElement, _terms_equal, check_map,
+    NCPoly, TensorAlgebra, TensorElement, check_map,
 )
 from poisson_forge.coordpoly import CoordPoly, poly
 from poisson_forge.qmomentum import (
@@ -152,7 +152,7 @@ def sweep_confluence(pres, degree=4):
                 acc = {w: c for w, c in acc.items() if not c.is_zero()}
                 results.append(acc)
             for r in results[1:]:
-                if not _terms_equal(r, results[0]):
+                if NCPoly(pres, r) != NCPoly(pres, results[0]):
                     failures.append("overlap %s reduces ambiguously"
                                     % pres.word_name(word))
                     break

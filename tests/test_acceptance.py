@@ -205,7 +205,8 @@ def test_criterion_8_reduction_suite():
         _, closure = invariant_functions(setup, 3)
         assert closure.ok
         # the two reduction pipelines agree on the shared fixture
-        classes, table, rep = sw_reduced_algebra(setup, 2)
+        basis, _ = invariant_functions(setup, 2)
+        classes, table, rep = sw_reduced_algebra(setup, basis)
         assert rep.ok
         for (i, j), cls in sorted(table.items()):
             direct, rep2 = reduced_bracket(setup, classes[i], classes[j])

@@ -144,6 +144,25 @@ def test_spec_presentation_missing_generators_is_input_error(tmp_path,
         "'generators'" in err
 
 
+@pytest.mark.parametrize("path, message", [
+    (("presentations", "qplane", "rules", 0, "pair"),
+     "presentation 'qplane' rule 1: missing required key 'pair'"),
+    (("actions", "qplane_action", "generators", "xi", "arg"),
+     "action 'qplane_action' generator 'xi': missing required key 'arg'"),
+])
+def test_spec_missing_nested_key_is_input_error(path, message, tmp_path,
+                                                capsys):
+    doc = json.load(open(SPEC))
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    del obj[path[-1]]
+    spec = tmp_path / "nested.json"
+    spec.write_text(json.dumps(doc))
+    assert run(["check-action", str(spec), "qplane_action"]) == 2
+    assert "input error: " + message in capsys.readouterr().err
+
+
 def test_spec_entry_must_be_an_object(tmp_path, capsys):
     doc = json.load(open(SPEC))
     doc["reductions"]["case3"] = ["not", "an", "object"]

@@ -111,7 +111,7 @@ def test_left_invariant_alone_is_not_multiplicative():
     from poisson_forge.poisson import PolyBivector
     pi = PolyBivector(model.chart)
     done = set()
-    for (a, b), coeff in ra.components.items():
+    for (a, b), coeff in ra.terms.items():
         if (b, a) in done:
             continue
         done.add((a, b))
@@ -127,7 +127,7 @@ def test_su2_bivector_jacobi_modulo_constraint():
     reduced_chart = model.eliminate[1].chart
     from poisson_forge.poisson import PolyBivector
     comp = {}
-    for (i, j), p in pi.components.items():
+    for (i, j), p in pi.terms.items():
         ni, nj = model.chart.names[i], model.chart.names[j]
         if "d" in (ni, nj):
             continue  # components along the eliminated variable
@@ -182,7 +182,7 @@ def test_dressing_fields_r2():
     assert fields["eta"] == PolyVectorField(model.chart, {"a": "-b"})
     # both fields vanish exactly on the locus b = 0 (the closed orbit)
     for f in fields.values():
-        for comp in f.components.values():
+        for comp in f.terms.values():
             assert all(exps[model.chart.index("b")] >= 1
                        for exps in comp.terms)
 

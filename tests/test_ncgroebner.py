@@ -90,7 +90,7 @@ def test_generator_rule_and_zero_ideal():
     a = qp.gen("a")
     assert quotient.normal_form(a * qp.gen("b") * a).is_zero()
     assert quotient.normal_form(quotient.gen("b")).is_zero()
-    assert quotient.normal_form(a * a) == a * a
+    assert quotient.normal_form(a * a).terms == (a * a).terms
     assert qp.quotient([]).rules == qp.rules
 
 
@@ -107,4 +107,4 @@ def test_completion_repairs_a_non_confluent_base():
     assert sweep_confluence(quotient, degree=4).ok
     assert {pres.word_name(w) for w in quotient.rules} == {"x", "z"}
     y = pres.gen("y")
-    assert quotient.normal_form(y * y) == y * y
+    assert quotient.normal_form(y * y).terms == (y * y).terms

@@ -8,7 +8,7 @@ from poisson_forge import fixtures
 from poisson_forge.ncalg import NCPoly, TensorAlgebra
 from poisson_forge.qmomentum import (
     ActionExpr, Identity, LMul, RMul, Commutator, Scale, Sum, Compose,
-    HbarDiv, hamiltonian_pair, conjugation, QuantumAction, apply_action,
+    HbarDiv, hamiltonian_pair, conjugation, QuantumAction,
     check_module_algebra, check_action_lie_hom, solve_commutator_relation,
     NCOneForm, one_form, sharp_map, oneform_product, multi_action,
     tensor_coproduct_extension, check_ideal_invariance, invariant_subalgebra,

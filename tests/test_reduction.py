@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from poisson_forge import fixtures, reduction
+from poisson_forge import fixtures, reduction, suites
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
 from poisson_forge.errors import CapabilityError
 from poisson_forge.lie import Cobracket, LieAlgebra
@@ -39,6 +39,12 @@ def case3_setup(spectators=True):
         "eta": PolyVectorField(chart, {"a": "-b"}),
     }
     return ReductionSetup(pi, d, action, ideal=["a-1", "b"])
+
+
+def reduced_algebra(setup, degree):
+    """sw_reduced_algebra on the invariants of degree <= ``degree``."""
+    basis, _ = invariant_functions(setup, degree)
+    return sw_reduced_algebra(setup, basis)
 
 
 def rotation_setup():
@@ -174,7 +180,7 @@ def test_case1_localized_chart_is_canonical():
 
 def test_sw_reduced_algebra_case3():
     setup = case3_setup()
-    classes, table, rep = sw_reduced_algebra(setup, 2)
+    classes, table, rep = reduced_algebra(setup, 2)
     assert rep.ok, rep.failures
     # quotient = polynomials in the spectator pair: 1, u, v, u^2, uv, v^2
     assert len(classes) == 6
@@ -187,7 +193,7 @@ def test_sw_reduced_algebra_case3():
 
 def test_sw_matches_reduced_bracket_pipeline():
     setup = case3_setup()
-    classes, table, rep = sw_reduced_algebra(setup, 2)
+    classes, table, rep = reduced_algebra(setup, 2)
     for (i, j), cls in table.items():
         direct, rep2 = reduced_bracket(setup, classes[i], classes[j])
         assert rep2.ok
@@ -201,7 +207,7 @@ def test_sw_translation_action():
     action = {"t": hamiltonian_field(pi, "p1")}
     setup = ReductionSetup(pi, Cobracket.zero(L), action, ideal=["p1-2"])
     assert check_ideal_poisson_closed(setup).ok
-    classes, table, rep = sw_reduced_algebra(setup, 1)
+    classes, table, rep = reduced_algebra(setup, 1)
     assert rep.ok
     # degree-1 classes: constants plus the remaining canonical pair q2, p2
     # (p1 collapses to the constant 2); q1 is not invariant
@@ -222,7 +228,7 @@ def test_sw_angular_momentum_regular_level():
     setup = ReductionSetup(pi, Cobracket.zero(L), action,
                            ideal=[hams["L1"], hams["L2"], hams["L3"]])
     assert check_ideal_poisson_closed(setup).ok
-    classes, table, rep = sw_reduced_algebra(setup, 2)
+    classes, table, rep = reduced_algebra(setup, 2)
     assert rep.ok, rep.failures
     assert len(classes) >= 3  # 1 plus the quadratic invariants' classes
 
@@ -360,7 +366,7 @@ def _shipped_setups():
 
 def test_certificate_agrees_with_perturbation_sweep():
     for setup in _shipped_setups():
-        classes, table, rep = sw_reduced_algebra(setup, 2)
+        classes, table, rep = reduced_algebra(setup, 2)
         assert rep.ok, rep.failures
         pairs = list(itertools.combinations(classes, 2))
         if "u" in setup.chart.names:
@@ -404,7 +410,7 @@ def test_closure_and_jacobi_certificates_agree_with_sweeps():
         basis, closure = invariant_functions(setup, 3)
         sweep = sweep_invariant_closure(setup, basis)
         assert closure.ok and sweep.ok, sweep.failures
-        classes, _, rep = sw_reduced_algebra(setup, 2)
+        classes, _, rep = reduced_algebra(setup, 2)
         sweep = sweep_quotient_jacobi(setup, classes)
         assert rep.ok and sweep.ok, sweep.failures
 
@@ -460,7 +466,7 @@ def test_failed_jacobi_premise_is_a_guard_not_a_fail():
     assert sweep_quotient_jacobi(setup, classes).failures == [
         "quotient Jacobi fails on classes (0,1,2)"]
     with pytest.raises(CapabilityError) as exc:
-        sw_reduced_algebra(setup, 1)
+        reduced_algebra(setup, 1)
     assert exc.value.guard == "reduction.jacobi"
     assert exc.value.counters == {"failures": 1}
     assert "jacobi defect at (q1,q2,q3): -q2" in str(exc.value)
@@ -471,11 +477,23 @@ def test_jacobi_premise_needs_a_well_defined_triple(monkeypatch):
         raise AssertionError("Jacobi premise consulted")
     monkeypatch.setattr(reduction, "check_jacobi_coords", refuse)
     # one class: the constants
-    classes, _, rep = sw_reduced_algebra(case3_setup(spectators=False), 2)
+    classes, _, rep = reduced_algebra(case3_setup(spectators=False), 2)
     assert rep.ok and len(classes) == 1
     # {u, v} = 1 escapes I = <u>: the table is not well defined
     setup = case3_setup()
     setup = ReductionSetup(setup.pi, setup.cobracket, setup.action,
                            ideal=["u"])
-    classes, _, rep = sw_reduced_algebra(setup, 2)
+    classes, _, rep = reduced_algebra(setup, 2)
     assert not rep.ok and len(classes) >= 3
+
+
+def test_reduction_suite_computes_the_invariants_once(monkeypatch):
+    calls = []
+    raw = reduction._raw_invariants
+
+    def counted(setup, degree):
+        calls.append(degree)
+        return raw(setup, degree)
+    monkeypatch.setattr(reduction, "_raw_invariants", counted)
+    suites.reduction_fixture_suite()
+    assert calls == [2]
