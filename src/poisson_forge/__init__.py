@@ -5,52 +5,9 @@ Lie bialgebras, r-matrices, Poisson-Lie group bivectors, momentum-map
 identities, Poisson reduction, presented noncommutative algebras, Hopf
 structures and quantum momentum maps, and checks the defining identities of
 each as exact algebraic statements.
+
+The submodules are the API (``from poisson_forge.lie import LieAlgebra``);
+importing the package loads none of them.
 """
-
-from .scalars import (
-    Fraction,
-    GaussRational,
-    HSeries,
-    ValuationError,
-    gauss,
-    series,
-    series_exp,
-    divide_by_hbar,
-    hexp,
-    set_default_order,
-    get_default_order,
-)
-from .coordpoly import Chart, CoordPoly, poly
-from .errors import CapabilityError
-from .lie import (
-    LieAlgebra, Tensor, Cobracket, RMatrix, basis_tensor, wedge,
-    ad_tensor, cobracket_from_r, check_jacobi, check_cocycle,
-    check_ad_invariance, dual_bracket, schouten_rr, build_double,
-)
-from .poisson import (
-    PolyBivector, PolyVectorField, ExteriorForm, one_form, differential,
-    poisson_bracket, hamiltonian_field, check_jacobi_coords, casimir_check,
-    koszul_bracket,
-)
-from .ncalg import (
-    Presentation, NCPoly, TensorAlgebra, AlgebraMap, check_map,
-    semiclassical_bracket,
-)
-from .report import Report
-
-__all__ = [
-    "Fraction", "GaussRational", "HSeries", "ValuationError",
-    "gauss", "series", "series_exp", "divide_by_hbar", "hexp",
-    "set_default_order", "get_default_order",
-    "Chart", "CoordPoly", "poly", "CapabilityError",
-    "LieAlgebra", "Tensor", "Cobracket", "RMatrix", "basis_tensor", "wedge",
-    "ad_tensor", "cobracket_from_r", "check_jacobi", "check_cocycle",
-    "check_ad_invariance", "dual_bracket", "schouten_rr", "build_double",
-    "PolyBivector", "PolyVectorField", "ExteriorForm", "one_form",
-    "differential", "poisson_bracket", "hamiltonian_field",
-    "check_jacobi_coords", "casimir_check", "koszul_bracket",
-    "Presentation", "NCPoly", "TensorAlgebra", "AlgebraMap", "check_map",
-    "semiclassical_bracket", "Report",
-]
 
 __version__ = "0.1.0"

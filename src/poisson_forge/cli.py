@@ -1,11 +1,16 @@
 """Command-line driver.
 
-Subcommands load a JSON specification (or run the shipped fixtures with
---fixtures), run the corresponding check suite and emit a human-readable
+Each command loads a JSON specification (or runs the shipped fixtures with
+--fixtures), runs the corresponding check suite and emits a human-readable
 summary plus optional JSON lines.  Exit codes: 0 all checks passed (a
 recorded paper-discrepancy does not fail the run), 1 at least one check
 failed, 2 malformed input, 3 an internal capability guard tripped, 4 an
 internal error (any other exception, a ValueError too under --fixtures).
+
+One parser serves every command: the command is the first positional
+argument, and all commands take the same arguments, options before or after
+the positionals (``main`` parses intermixed).  A run imports only what its
+command uses: the spec reader only for a spec file.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ import sys
 import time
 
 from . import suites
-from .errors import CapabilityError
+from .errors import CapabilityError, SpecError
 from .report import DISCREPANCY, FAIL, PASS
 from .scalars import ValuationError, set_default_order
-from .specfile import SpecFile, SpecError
 
 
 COMMANDS = ("check-bialgebra", "poisson-group", "check-poisson", "check-mm",
@@ -31,26 +35,24 @@ def build_parser():
         prog="poisson-forge",
         description="exact checks for Poisson-Lie structures, momentum maps "
                     "and their quantization")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("spec", nargs="?", help="JSON specification file")
-        p.add_argument("name", nargs="?", help="object name inside the spec")
-        p.add_argument("extra", nargs="?", help="second object name "
-                       "(e.g. the r-matrix for poisson-group)")
-        p.add_argument("--order", type=int, default=6,
-                       help="hbar truncation order N (default 6)")
-        p.add_argument("--degree", type=int, default=3,
-                       help="monomial degree bound d of check-action's "
-                            "witness search and of a spec qreduce's "
-                            "invariant subalgebra, in a spec run capped by "
-                            "the action's own degree; --fixtures runs of "
-                            "reduce and qreduce use the fixtures' degree 2 "
-                            "(default 3)")
-        p.add_argument("--fixtures", action="store_true",
-                       help="run the shipped fixtures for this command")
-        p.add_argument("--json", dest="json_out", metavar="OUT.JSONL",
-                       help="append JSON-lines records to this file")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("spec", nargs="?", help="JSON specification file")
+    parser.add_argument("name", nargs="?", help="object name inside the spec")
+    parser.add_argument("extra", nargs="?", help="second object name "
+                        "(e.g. the r-matrix for poisson-group)")
+    parser.add_argument("--order", type=int, default=6,
+                        help="hbar truncation order N (default 6)")
+    parser.add_argument("--degree", type=int, default=3,
+                        help="monomial degree bound d of check-action's "
+                             "witness search and of a spec qreduce's "
+                             "invariant subalgebra, in a spec run capped by "
+                             "the action's own degree; --fixtures runs of "
+                             "reduce and qreduce use the fixtures' degree 2 "
+                             "(default 3)")
+    parser.add_argument("--fixtures", action="store_true",
+                        help="run the shipped fixtures for this command")
+    parser.add_argument("--json", dest="json_out", metavar="OUT.JSONL",
+                        help="append JSON-lines records to this file")
     return parser
 
 
@@ -141,7 +143,7 @@ def run_spec_command(command, spec, args):
         relations = {}
         claims = set()
         for rel in extras["relations"]:
-            pair = tuple(rel["pair"])
+            pair = tuple(rel.pair())
             relations[pair] = spec.nc_element(action.group, rel["rhs"])
             if rel.get("paper_claim"):
                 claims.add(pair)
@@ -234,8 +236,7 @@ def emit(results, json_out=None, stream=None):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     set_default_order(args.order)
     started = time.time()
     try:
@@ -247,6 +248,7 @@ def main(argv=None):
                 print("error: need a spec file or --fixtures",
                       file=sys.stderr)
                 return 2
+            from .specfile import SpecFile
             spec = SpecFile.load(args.spec)
             results = run_spec_command(args.command, spec, args)
     except SpecError as exc:

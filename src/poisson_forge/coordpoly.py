@@ -12,8 +12,6 @@ like a^-1 without dragging in general rational functions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import CapabilityError
 from .scalars import GaussRational, LinComb, ONE, ZERO, _acc, gauss
 
@@ -170,8 +168,8 @@ class CoordPoly(LinComb):
                 continue
             new = list(exps)
             new[i] = e - 1
-            out[tuple(new)] = c * Fraction(e)
-        return CoordPoly(self.chart, out)
+            out[tuple(new)] = c * e
+        return CoordPoly._mk(self.chart, out)
 
     def subs(self, assignment, target_chart=None):
         """Substitute variables by polynomials (a full or partial map).
@@ -188,14 +186,20 @@ class CoordPoly(LinComb):
                 values[name] = poly(assignment[name], target_chart)
             else:
                 values[name] = target_chart.var(name)
-        out = target_chart.zero()
+        unit = (0,) * len(target_chart.names)
+        powers = {}
+        out = {}
         for exps, c in self.terms.items():
-            term = CoordPoly(target_chart, {(0,) * len(target_chart.names): c})
+            term = CoordPoly._mk(target_chart, {unit: c})
             for e, name in zip(exps, self.chart.names):
                 if e:
-                    term = term * values[name] ** e
-            out = out + term
-        return out
+                    p = powers.get((name, e))
+                    if p is None:
+                        p = powers[(name, e)] = values[name] ** e
+                    term = term * p
+            for k, v in term.terms.items():
+                _acc(out, k, v)
+        return CoordPoly._mk(target_chart, out)
 
     def eval_scalar(self, assignment):
         """Evaluate at a scalar point; returns a GaussRational."""

@@ -9,3 +9,7 @@ class CapabilityError(RuntimeError):
         super().__init__(message)
         self.guard = guard
         self.counters = dict(counters or {})
+
+
+class SpecError(ValueError):
+    """Malformed input document; the CLI maps this to exit code 2."""

@@ -39,6 +39,9 @@ class LieAlgebra:
                 c[(i, j, k)] = c.get((i, j, k), ZERO) + coeff
                 c[(j, i, k)] = c.get((j, i, k), ZERO) - coeff
         self.c = {key: val for key, val in c.items() if val}
+        self._brackets = {}  # (i, j) -> {k: c_ij^k}, k increasing
+        for i, j, k in sorted(self.c):
+            self._brackets.setdefault((i, j), {})[k] = self.c[(i, j, k)]
         if validate:
             rep = check_jacobi(self)
             if not rep.ok:
@@ -52,12 +55,7 @@ class LieAlgebra:
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a dict k -> coefficient."""
-        out = {}
-        for k in range(self.dim):
-            v = self.c.get((i, j, k), ZERO)
-            if v:
-                out[k] = v
-        return out
+        return dict(self._brackets.get((i, j), ()))
 
     def __repr__(self):
         return "LieAlgebra(%s)" % (list(self.basis_names),)

@@ -436,6 +436,8 @@ class TensorElement(_SeriesComb):
         return out
 
     def _same_space(self, other):
+        if other.algebra.presentation is not self.algebra.presentation:
+            raise ValueError("elements of different presentations")
         return self.algebra.k == other.algebra.k
 
     def _unit(self):
@@ -451,11 +453,11 @@ class TensorElement(_SeriesComb):
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                # componentwise concatenation, then slotwise normal form
-                nf_slots = [pres._nf(a + b) for a, b in zip(k1, k2)]
                 base = c1 * c2
                 if base.is_zero():
                     continue
+                # componentwise concatenation, then slotwise normal form
+                nf_slots = [pres._nf(a + b) for a, b in zip(k1, k2)]
                 for combo in itertools.product(*(s.items() for s in nf_slots)):
                     coeff = base
                     for _, c in combo:

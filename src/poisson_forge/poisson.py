@@ -267,9 +267,11 @@ class PolyBivector(LinComb):
         g = poly(g, self.chart)
         out = self.chart.zero()
         names = self.chart.names
+        used = {k for ij in self.terms for k in ij}
+        df = {k: f.diff(names[k]) for k in used}
+        dg = {k: g.diff(names[k]) for k in used}
         for (i, j), p in self.terms.items():
-            out = out + p * (f.diff(names[i]) * g.diff(names[j])
-                             - f.diff(names[j]) * g.diff(names[i]))
+            out = out + p * (df[i] * dg[j] - df[j] * dg[i])
         return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 from .coordpoly import Chart, poly
+from .errors import SpecError
 from .lie import LieAlgebra, Tensor, RMatrix, Cobracket, cobracket_from_r
 from .matgroup import MatrixGroupModel
 from .ncalg import Presentation, TensorAlgebra, AlgebraMap
@@ -22,10 +23,6 @@ from .qmomentum import (
     Identity, LMul, RMul, Commutator, Scale, Sum, Compose,
     HbarDiv, QuantumAction,
 )
-
-
-class SpecError(ValueError):
-    """Malformed input document; the CLI maps this to exit code 2."""
 
 
 class _Entry(dict):
@@ -38,6 +35,14 @@ class _Entry(dict):
 
     def __missing__(self, key):
         raise SpecError("%s: missing required key %r" % (self.where, key))
+
+    def pair(self):
+        """The entry's ``pair``, which must be a list of two entries."""
+        pair = self["pair"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SpecError("%s: 'pair' must be a list of two entries, got %r"
+                            % (self.where, pair))
+        return pair
 
 
 def _fields(where, obj):
@@ -191,7 +196,7 @@ class SpecFile:
         entry = self._entry(*key)
         rules = {}
         for rule in _items(entry.where + " rule", entry.get("rules", ())):
-            a, b = rule["pair"]
+            a, b = rule.pair()
             terms = {}
             for t in _items(rule.where + " term", rule["terms"]):
                 terms[tuple(t.get("word", ()))] = _series(t["coeff"])
@@ -218,7 +223,7 @@ class SpecFile:
         t2 = TensorAlgebra(pres, 2)
         terms = {}
         for t in _items("tensor term", spec):
-            u, v = t["pair"]
+            u, v = t.pair()
             terms[(tuple(u), tuple(v))] = _series(t["coeff"])
         return t2.element(terms)
 

@@ -8,20 +8,11 @@ from __future__ import annotations
 
 import itertools
 
-from . import fixtures, report
+from . import fixtures
 from .lie import (
     check_jacobi, check_cocycle, check_ad_invariance, cobracket_from_r,
     dual_bracket, schouten_rr, build_double,
 )
-from .matgroup import (
-    pl_group_bivector, vanishes_at_identity, check_multiplicative,
-    maurer_cartan_forms, check_maurer_cartan, dressing_fields,
-)
-from .momentum import (
-    check_poisson_action, classical_mm_check, check_infinitesimal_mm,
-    heisenberg_obstruction,
-)
-from .poisson import check_jacobi_coords, casimir_check
 from .report import Report, PASS, FAIL
 from .scalars import gauss
 
@@ -80,6 +71,10 @@ def bialgebra_suite(name, L, r=None, cobracket=None):
 def poisson_group_suite(name, model, r, expected=None, casimirs=()):
     """Derived bivector table, identity vanishing, multiplicativity,
     optional published-table comparison and Casimir checks."""
+    from .matgroup import (
+        pl_group_bivector, vanishes_at_identity, check_multiplicative,
+    )
+    from .poisson import casimir_check
     out = []
     pi = pl_group_bivector(model, r)
     names = model.chart.names
@@ -151,6 +146,7 @@ def bialgebra_fixture_suite():
 
 
 def poisson_group_fixture_suite():
+    from .poisson import check_jacobi_coords
     out = []
     model = fixtures.sl2_model()
     suite, _ = poisson_group_suite(
@@ -173,10 +169,13 @@ def poisson_group_fixture_suite():
 
 
 def maurer_cartan_fixture_suite():
+    from .matgroup import (
+        maurer_cartan_forms, check_maurer_cartan, dressing_fields,
+    )
+    from .poisson import one_form
     out = []
     model = fixtures.dual_r2_model()
     thetas = maurer_cartan_forms(model, dual_basis_names=("xi", "eta"))
-    from .poisson import one_form
     chart = model.chart
     failures = []
     if thetas["xi"] != one_form(chart, {"a": "a^-1"}):
@@ -202,6 +201,11 @@ def maurer_cartan_fixture_suite():
 
 
 def momentum_fixture_suite():
+    from .matgroup import maurer_cartan_forms
+    from .momentum import (
+        check_poisson_action, classical_mm_check, check_infinitesimal_mm,
+        heisenberg_obstruction,
+    )
     out = []
     pi, L, hams, action = fixtures.linear_momentum_fixture()
     out.append(("linear-momentum/classical",
@@ -386,6 +390,7 @@ def run_fixture_suite(command, degree=3):
     if command == "poisson-group":
         return poisson_group_fixture_suite()
     if command == "check-poisson":
+        from .poisson import check_jacobi_coords
         return [("gl2plus/jacobi-coords",
                  check_jacobi_coords(fixtures.gl2_plus_bivector()))] \
             + maurer_cartan_fixture_suite()

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import poisson_forge
+from poisson_forge import cli
 from poisson_forge.cli import main
 from poisson_forge.specfile import SpecFile, SpecError
 
@@ -161,6 +165,35 @@ def test_spec_missing_nested_key_is_input_error(path, message, tmp_path,
     spec.write_text(json.dumps(doc))
     assert run(["check-action", str(spec), "qplane_action"]) == 2
     assert "input error: " + message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, argv, where", [
+    (("presentations", "qplane", "rules", 0, "pair"), ["a", "b", "a"],
+     ["check-action", "qplane_action"], "presentation 'qplane' rule 1"),
+    (("actions", "qplane_action", "coproducts", "xi", 0, "pair"), [["xi"]],
+     ["check-action", "qplane_action"],
+     "action 'qplane_action' coproduct 'xi' term 1"),
+    (("hopf_structures", "usl2_hopf", "coproduct", "E", 1, "pair"),
+     [[], ["E"], []], ["check-hopf", "usl2_hopf"],
+     "hopf_structure 'usl2_hopf' coproduct 'E' term 2"),
+    (("actions", "qplane_action", "relations", 0, "pair"), ["xi", "eta", "xi"],
+     ["check-action", "qplane_action"], "action 'qplane_action' relation 1"),
+])
+def test_spec_pair_of_wrong_arity_is_input_error(path, value, argv, where,
+                                                 tmp_path, capsys):
+    doc = json.load(open(SPEC))
+    # a well-formed relation, for the last case to break
+    doc["actions"]["qplane_action"]["relations"] = [
+        {"pair": ["xi", "eta"], "rhs": []}]
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(doc))
+    assert run([argv[0], str(spec), argv[1]]) == 2
+    assert ("input error: %s: 'pair' must be a list of two entries, got %r"
+            % (where, value)) in capsys.readouterr().err
 
 
 def test_spec_entry_must_be_an_object(tmp_path, capsys):
@@ -520,3 +553,60 @@ def test_spec_qreduce_completes_the_quotient_once(monkeypatch, capsys):
     monkeypatch.setattr(ncgroebner, "complete", counted)
     assert run(["qreduce", SPEC, "qplane_action"]) == 0
     assert len(calls) == 1
+
+
+def _loaded_submodules(code):
+    """The poisson_forge submodules a fresh interpreter has loaded after
+    running ``code``."""
+    src = os.path.dirname(os.path.dirname(poisson_forge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code += ("\nimport sys\nprint(' '.join(sorted(m for m in sys.modules "
+             "if m.startswith('poisson_forge.'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_start_up_loads_only_what_the_command_runs():
+    # the tests share one interpreter, so the import cost is checked in a
+    # fresh one
+    assert _loaded_submodules("import poisson_forge") == set()
+    loaded = _loaded_submodules(
+        "import contextlib, io\n"
+        "from poisson_forge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check-hopf', '--fixtures']) == 0")
+    assert "poisson_forge.hopf" in loaded
+    unused = {"poisson_forge." + m for m in (
+        "specfile", "matgroup", "momentum", "poisson", "reduction",
+        "qmomentum", "linalg", "ncgroebner")}
+    assert not loaded & unused
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["check-mm", SPEC, "angular", "--order", "4"],
+     dict(command="check-mm", spec=SPEC, name="angular", order=4)),
+    (["check-mm", "--order", "4", SPEC, "angular"],
+     dict(command="check-mm", spec=SPEC, name="angular", order=4)),
+    (["check-hopf", "--fixtures", "--json", "OUT"],
+     dict(command="check-hopf", fixtures=True, json_out="OUT")),
+])
+def test_one_parser_parses_as_one_subparser_per_command(argv, parsed):
+    want = dict(spec=None, name=None, extra=None, order=6, degree=3,
+                fixtures=False, json_out=None)
+    want.update(parsed)
+    assert vars(cli.build_parser().parse_intermixed_args(argv)) == want
+
+
+def test_options_before_positionals_reach_the_run(capsys, default_order):
+    assert run(["check-bialgebra", "--order", "4", SPEC, "plane_r"]) == 0
+    assert "7 checks: 7 pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate", "--fixtures"],
+                                  ["--order", "4"]])
+def test_unknown_or_missing_command_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "command" in capsys.readouterr().err

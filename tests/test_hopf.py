@@ -66,10 +66,10 @@ def test_wrong_antipode_fails():
 def test_perturbed_coproduct_fails_delta_hom():
     # drop the q^{-H/2} factor from Delta(E): the relation E*F - F*E = [H]_q
     # is no longer preserved
-    pres = fixtures.uhsl2_presentation()
+    good = fixtures.uhsl2_hopf()
+    pres = good.algebra
     t2 = TensorAlgebra(pres, 2)
     qh_plus = fixtures.h_exponential(pres, Fraction(1, 8))
-    good = fixtures.uhsl2_hopf()
     bad_images = dict(good.coproduct.images)
     bad_images[pres.index("E")] = t2.from_factors([pres.gen("E"), qh_plus]) \
         + t2.embed(pres.gen("E"), 1)
@@ -204,9 +204,9 @@ def test_truncated_q_factor_fails_coassociativity():
     # truncation 1 + hbar H/8 breaks coassociativity at order hbar^2: the
     # full exponential factor is forced
     from poisson_forge.ncalg import NCPoly
-    pres = fixtures.uhsl2_presentation()
-    t2 = TensorAlgebra(pres, 2)
     good = fixtures.uhsl2_hopf()
+    pres = good.algebra
+    t2 = TensorAlgebra(pres, 2)
     trunc = NCPoly(pres, {(): HSeries.one(),
                           (pres.index("H"),): HSeries([0, Fraction(1, 8)])})
     qm = fixtures.h_exponential(pres, Fraction(-1, 8))

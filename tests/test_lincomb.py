@@ -36,8 +36,10 @@ def _tensor_element():
     pres = fixtures.quantum_plane_presentation()
     t2 = TensorAlgebra(pres, 2)
     a = t2.embed(pres.gen("a"), 0) + t2.embed(pres.gen("b"), 1)
+    other = fixtures.quantum_plane_presentation()
     return dict(a=a, b=t2.one() * HSeries.hbar() - a.flip(),
-                s=HSeries([2, 0, 1]), t=GaussRational(1, 1), scalar=True)
+                s=HSeries([2, 0, 1]), t=GaussRational(1, 1), scalar=True,
+                foreign=TensorAlgebra(other, 2).embed(other.gen("a"), 0))
 
 
 def _tensor():
@@ -101,8 +103,8 @@ def test_equality_with_scalars(cls):
         assert a != 3 and not (a == 0)
 
 
-@pytest.mark.parametrize("cls", [CoordPoly, NCPoly, PolyVectorField,
-                                 ExteriorForm, PolyBivector],
+@pytest.mark.parametrize("cls", [CoordPoly, NCPoly, TensorElement,
+                                 PolyVectorField, ExteriorForm, PolyBivector],
                          ids=lambda c: c.__name__)
 def test_chart_or_presentation_mismatch_raises(cls):
     case = CASES[cls]()
@@ -110,6 +112,9 @@ def test_chart_or_presentation_mismatch_raises(cls):
         case["a"] + case["foreign"]
     with pytest.raises(ValueError):
         case["a"] == case["foreign"]
+    if cls in (NCPoly, TensorElement):
+        with pytest.raises(ValueError):
+            case["a"] * case["foreign"]
 
 
 def test_degree_and_rank_are_part_of_the_space():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from poisson_forge.coordpoly import Chart, poly
 from poisson_forge.poisson import (
     PolyBivector, PolyVectorField, ExteriorForm,
@@ -195,3 +197,45 @@ def test_bracket_jacobi_randomized_on_poisson_bivectors():
                 + poisson_bracket(pi, poisson_bracket(pi, g, h), f) \
                 + poisson_bracket(pi, poisson_bracket(pi, h, f), g)
             assert acc.is_zero()
+
+
+def _to_sympy(p, symbols):
+    import sympy
+    out = 0
+    for exps, c in p.terms.items():
+        term = sympy.Rational(c.re.numerator, c.re.denominator) \
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+        for s, e in zip(symbols, exps):
+            term = term * s ** e
+        out = out + term
+    return out
+
+
+def _laurent_term(rng, chart):
+    exps = [rng.randint(-2 if n in chart.invertible else 0, 2)
+            for n in chart.names]
+    return poly(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), chart) \
+        * _mono(chart, exps)
+
+
+def test_subs_and_bracket_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    chart = Chart(["a", "b", "c"], invertible=["a", "c"])
+    a, b, c = symbols = sympy.symbols(chart.names)
+    pi = PolyBivector(chart, {("a", "b"): "a*b", ("b", "c"): "a^-1*c^2",
+                              ("c", "a"): "2*i*b^2*c^-1"})
+    assignment = {"a": "a^2*c^-1", "b": "b - i*a^-1"}
+    images = {a: a ** 2 / c, b: b - sympy.I / a}
+    rng = random.Random(11)
+    for _ in range(12):
+        f = rand_poly(rng, chart) + _laurent_term(rng, chart)
+        g = rand_poly(rng, chart) + _laurent_term(rng, chart)
+        F, G = _to_sympy(f, symbols), _to_sympy(g, symbols)
+        want = sum(_to_sympy(pi.component(i, j), symbols)
+                   * (sympy.diff(F, symbols[i]) * sympy.diff(G, symbols[j])
+                      - sympy.diff(F, symbols[j]) * sympy.diff(G, symbols[i]))
+                   for i in range(3) for j in range(i + 1, 3))
+        assert sympy.expand(_to_sympy(pi.bracket(f, g), symbols) - want) == 0
+        want = F.subs(images, simultaneous=True)
+        got = _to_sympy(f.subs(assignment), symbols)
+        assert sympy.cancel(got - want) == 0
