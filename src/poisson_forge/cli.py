@@ -143,8 +143,9 @@ def run_spec_command(command, spec, args):
         relations = {}
         claims = set()
         for rel in extras["relations"]:
-            pair = tuple(rel.pair())
-            relations[pair] = spec.nc_element(action.group, rel["rhs"])
+            pair = rel.name_pair(action.group.gens)
+            relations[pair] = spec.nc_element(action.group, rel["rhs"],
+                                              rel.where + " rhs")
             if rel.get("paper_claim"):
                 claims.add(pair)
         if relations:

@@ -7,7 +7,11 @@ GaussRational.  Dense matrices are read as sparse rows {column: entry}.
 
 Systems whose unknowns are truncated hbar-series are flattened: one series
 unknown of order N becomes N scalar unknowns, and the truncated Cauchy
-product turns series-linear equations into scalar-linear ones.  Spans over
+product turns series-linear equations into scalar-linear ones.  Each scalar
+equation is written straight into a ``Span`` as a sparse row built from the
+nonzero series coefficients only, in the order (equation, power of hbar),
+so the echelon form and the chosen solution are those of the dense
+flattened matrix without ever building it.  Spans over
 Q(i)[hbar]/(hbar^N) are flattened the same way (``SeriesSpan``): the
 coordinate (j, key) holds the coefficient of hbar^j, and a vector enters
 with all its hbar-multiples, so module membership is field membership.
@@ -91,7 +95,12 @@ def kernel_basis(rows, ncols=None):
     """Basis of the right kernel of the matrix given as a list of rows."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    span = _span_of(rows)
+    return _kernel(_span_of(rows), ncols)
+
+
+def _kernel(span, ncols):
+    """Basis of the kernel of ``span``'s rows on columns 0..ncols-1: one
+    vector per free column."""
     basis = []
     for fc in range(ncols):
         if fc in span.rows:
@@ -125,26 +134,17 @@ def in_row_span(rows, vector):
 
 # -- flattened series systems ------------------------------------------------
 
-def flatten_series_system(rows, rhs, order):
-    """Turn a linear system over HSeries into one over Q(i).
-
-    Each unknown x_j (a series of ``order`` coefficients) becomes unknowns
-    x_{j,0..order-1}; each equation sum_j a_ij x_j = b_i becomes ``order``
-    scalar equations via the truncated Cauchy product.
-    """
-    scal_rows = []
-    scal_rhs = []
-    nunk = len(rows[0]) if rows else 0
-    for a_row, b in zip(rows, rhs):
+def _flat_equations(rows, order):
+    """The scalar equations of a series system mod hbar^order, in order:
+    for each row sum_j a_j x_j and each k < order, the coefficient of
+    hbar^k of the truncated Cauchy product, as a sparse row whose column
+    j*order + m holds the coefficient of hbar^(k-m) in a_j."""
+    for a_row in rows:
+        nonzero = [[(t, c) for t, c in enumerate(a.coeffs) if c][::-1]
+                   for a in a_row]
         for k in range(order):
-            row = []
-            for a in a_row:
-                for m in range(order):
-                    j = k - m
-                    row.append(a.coeff(j) if 0 <= j < a.order else ZERO)
-            scal_rows.append(row)
-            scal_rhs.append(b.coeff(k) if k < b.order else ZERO)
-    return scal_rows, scal_rhs, nunk
+            yield {j * order + k - t: c
+                   for j, cs in enumerate(nonzero) for t, c in cs if t <= k}
 
 
 def solve_series(rows, rhs):
@@ -153,11 +153,19 @@ def solve_series(rows, rhs):
     known in (scalar entries are exact)."""
     order = _least_order(rows + [rhs])
     rows = [[_as_series(a, order) for a in r] for r in rows]
-    rhs = [_as_series(b, order) for b in rhs]
-    scal_rows, scal_rhs, nunk = flatten_series_system(rows, rhs, order)
-    x = solve(scal_rows, scal_rhs)
-    if x is None:
-        return None
+    nunk = len(rows[0]) if rows else 0
+    ncols = nunk * order
+    span = Span()
+    rhs = [_as_series(b, order).coeff(k) for b in rhs for k in range(order)]
+    for vec, b in zip(_flat_equations(rows, order), rhs):
+        if b:
+            vec[ncols] = b  # the augmented column
+        span.insert(vec)
+    if ncols in span.rows:
+        return None  # pivot in augmented column: inconsistent
+    x = [ZERO] * ncols
+    for pc, row in span.rows.items():
+        x[pc] = row.get(ncols, ZERO)
     return [HSeries(x[j * order:(j + 1) * order], order) for j in range(nunk)]
 
 
@@ -172,9 +180,10 @@ def kernel_series(rows, ncols):
     """
     order = _least_order(rows)
     rows = [[_as_series(a, order) for a in r] for r in rows]
-    scal_rows, _, _ = flatten_series_system(
-        rows, [HSeries.zero(order)] * len(rows), order)
-    vecs = kernel_basis(scal_rows, ncols * order)
+    span = Span()
+    for vec in _flat_equations(rows, order):
+        span.insert(vec)
+    vecs = _kernel(span, ncols * order)
     span = _span_of(_shift_flat(v, ncols, order) for v in vecs)
     out = [v for v in vecs if span.insert(dict(enumerate(v)))]
     return [

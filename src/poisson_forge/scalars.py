@@ -268,6 +268,13 @@ class HSeries:
     hbar^min(order_a, order_b) and equality likewise only inspects the shared
     window.  Dividing by hbar^k shifts coefficients down and *reduces* the
     order by k; the lost precision is remembered, not papered over.
+
+    A product works from the hbar-adic valuations va, vb of its factors:
+    when va + vb reaches the window it is the zero series without any
+    convolution, and otherwise the convolution starts at (va, vb) and skips
+    the zero coefficients of the shorter factor.  A series is never changed
+    once built, so 1 * s and s + 0 return s itself when s already has the
+    result's order, and its truncation otherwise.
     """
 
     __slots__ = ("coeffs", "order")
@@ -328,10 +335,7 @@ class HSeries:
 
     def valuation(self):
         """Index of the first nonzero coefficient, or ``order`` if none."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order
+        return _valuation(self.coeffs) if self.coeffs else self.order
 
     def is_zero(self):
         return not self.coeffs
@@ -340,7 +344,10 @@ class HSeries:
         return bool(self.coeffs) and bool(self.coeffs[0])
 
     def truncate(self, m):
-        return HSeries(self.coeffs[:m], min(self.order, m))
+        """The series mod hbar^m: itself when m is no less than its order."""
+        if m >= self.order:
+            return self
+        return HSeries(self.coeffs[:m], m)
 
     # -- ring operations --------------------------------------------------
 
@@ -353,17 +360,19 @@ class HSeries:
         other = self._coerced(other)
         order = min(self.order, other.order)
         sc, oc = self.coeffs, other.coeffs
-        if len(sc) <= 1 and len(oc) <= 1:
-            # constant series: no loop; the window may still be order 0
-            if sc and oc:
-                return HSeries._mk((sc[0] + oc[0],), order)
-            return HSeries._mk((sc or oc)[:order], order)
-        n = max(len(sc), len(oc))
-        out = []
-        for k in range(min(n, order)):
-            a = sc[k] if k < len(sc) else ZERO
-            b = oc[k] if k < len(oc) else ZERO
-            out.append(a + b)
+        if not sc or not oc:
+            # s + 0: s itself when its window is already the sum's
+            s = other if not sc else self
+            return s if s.order == order else HSeries._mk(s.coeffs[:order],
+                                                           order)
+        if len(sc) == 1 and len(oc) == 1:
+            return HSeries._mk((sc[0] + oc[0],), order)
+        if len(sc) < len(oc):
+            sc, oc = oc, sc
+        out = list(sc[:order])
+        for k, b in enumerate(oc[:order]):
+            if b:
+                out[k] = out[k] + b
         return HSeries._mk(out, order)
 
     __radd__ = __add__
@@ -381,32 +390,45 @@ class HSeries:
         if other.__class__ is not HSeries:
             other = self._coerced(other)
         order = min(self.order, other.order)
-        sc, oc = self.coeffs, other.coeffs
-        if not sc or not oc:
+        short, long = ((other, self) if len(self.coeffs) > len(other.coeffs)
+                       else (self, other))
+        sc, oc = short.coeffs, long.coeffs
+        if not sc:
             return HSeries._mk((), order)
-        if len(sc) > len(oc):
-            sc, oc = oc, sc
+        if len(oc) == 1 and _is_one(oc[0]):
+            short, long, sc, oc = long, short, oc, sc
         if len(sc) == 1:
             # a scalar multiple: one product per coefficient
             c = sc[0]
+            if _is_one(c):
+                # 1 * s: s itself when its window is already the product's
+                return long if long.order == order else HSeries._mk(
+                    oc[:order], order)
             a, b, d = c._a, c._b, c._d
-            if a == d == 1 and not b:
-                return HSeries._mk(oc[:order], order)
             return HSeries._mk([_make(x._a * a - x._b * b, x._a * b + x._b * a,
-                                      x._d * d) for x in oc[:order]], order)
-        # Convolve integer parts over one common denominator per operand,
+                                      x._d * d) if x else ZERO
+                                for x in oc[:order]], order)
+        # Only hbar^v on, v = va + vb, survives mod hbar^order: convolve the
+        # integer parts from there, over one common denominator per operand,
         # then normalise each output coefficient once.
-        n = min(order, len(sc) + len(oc) - 1)
-        xs, dx = _over_common_den(sc[:n])
-        ys, dy = _over_common_den(oc[:n])
+        va = _valuation(sc)
+        vb = _valuation(oc)
+        v = va + vb
+        if v >= order:
+            return HSeries._mk((), order)
+        n = min(order, len(sc) + len(oc) - 1) - v
+        xs, dx = _over_common_den(sc[va:va + n])
+        ys, dy = _over_common_den(oc[vb:vb + n])
         den = dx * dy
         re = [0] * n
         im = [0] * n
         for i, (a, b) in enumerate(xs):
-            for k, (c, e) in enumerate(ys[:n - i], i):
-                re[k] += a * c - b * e
-                im[k] += a * e + b * c
-        return HSeries._mk([_make(r, m, den) for r, m in zip(re, im)], order)
+            if a or b:
+                for k, (c, e) in enumerate(ys[:n - i], i):
+                    re[k] += a * c - b * e
+                    im[k] += a * e + b * c
+        return HSeries._mk([ZERO] * v + [_make(r, m, den) if r or m else ZERO
+                                         for r, m in zip(re, im)], order)
 
     __rmul__ = __mul__
 
@@ -541,6 +563,18 @@ class HSeries:
 # HSeries refuses attribute writes; its own constructors set the slots.
 _set_coeffs = HSeries.coeffs.__set__
 _set_order = HSeries.order.__set__
+
+
+def _is_one(c):
+    return c._a == c._d == 1 and not c._b
+
+
+def _valuation(coeffs):
+    """Index of the first nonzero entry of a trimmed, nonempty tuple."""
+    k = 0
+    while not coeffs[k]:
+        k += 1
+    return k
 
 
 def _over_common_den(coeffs):

@@ -44,6 +44,26 @@ class _Entry(dict):
                             % (self.where, pair))
         return pair
 
+    def name_pair(self, gens):
+        """The entry's ``pair`` as two of the generator names ``gens``."""
+        pair = self.pair()
+        if not all(isinstance(g, str) and g in gens for g in pair):
+            raise SpecError("%s: 'pair' must be two generator names of %s, "
+                            "got %r" % (self.where, list(gens), pair))
+        return tuple(pair)
+
+    def word(self, gens, value=None):
+        """A word of the entry -- ``value``, or its ``word`` (default
+        empty) -- as a tuple; it must be a list of generator names
+        ``gens``."""
+        if value is None:
+            value = self.get("word", [])
+        if not isinstance(value, list) or not all(
+                isinstance(g, str) and g in gens for g in value):
+            raise SpecError("%s: a word must be a list of generator names of "
+                            "%s, got %r" % (self.where, list(gens), value))
+        return tuple(value)
+
 
 def _fields(where, obj):
     """``obj`` as an ``_Entry`` called ``where``; an entry keeps its name."""
@@ -194,15 +214,16 @@ class SpecFile:
         if key in self._cache:
             return self._cache[key]
         entry = self._entry(*key)
+        gens = entry["generators"]
         rules = {}
         for rule in _items(entry.where + " rule", entry.get("rules", ())):
-            a, b = rule.pair()
+            pair = rule.name_pair(gens)
             terms = {}
             for t in _items(rule.where + " term", rule["terms"]):
-                terms[tuple(t.get("word", ()))] = _series(t["coeff"])
-            rules[(a, b)] = terms
+                terms[t.word(gens)] = _series(t["coeff"])
+            rules[pair] = terms
         try:
-            out = Presentation(entry["generators"], rules,
+            out = Presentation(gens, rules,
                                inverses=entry.get("inverses"), name=name)
         except KeyError as exc:
             raise SpecError("presentation %r: unknown generator %s"
@@ -210,13 +231,17 @@ class SpecFile:
         self._cache[key] = out
         return out
 
-    def nc_element(self, pres, spec):
-        """An element from a name or a [{coeff, word}] list."""
+    def nc_element(self, pres, spec, where):
+        """An element from a name or a [{coeff, word}] list; ``where``
+        names it in input errors."""
         if isinstance(spec, str):
+            if spec not in pres.gens:
+                raise SpecError("%s: %r is not a generator name of %s"
+                                % (where, spec, list(pres.gens)))
             return pres.element(spec)
         terms = []
-        for t in _items("element term", spec):
-            terms.append((_series(t["coeff"]), list(t.get("word", ()))))
+        for t in _items(where + " term", spec):
+            terms.append((_series(t["coeff"]), list(t.word(pres.gens))))
         return pres.element(terms)
 
     def tensor_element(self, pres, spec):
@@ -224,7 +249,8 @@ class SpecFile:
         terms = {}
         for t in _items("tensor term", spec):
             u, v = t.pair()
-            terms[(tuple(u), tuple(v))] = _series(t["coeff"])
+            key = (t.word(pres.gens, u), t.word(pres.gens, v))
+            terms[key] = _series(t["coeff"])
         return t2.element(terms)
 
     def hopf_structure(self, name):
@@ -240,9 +266,11 @@ class SpecFile:
         counit = AlgebraMap(pres, {g: _series(v)
                                    for g, v in entry["counit"].items()},
                             HSeries.one(), name="epsilon")
-        antipode = AlgebraMap(pres, {g: self.nc_element(pres, spec)
-                                     for g, spec in entry["antipode"].items()},
-                              pres.one(), anti=True, name="S")
+        antipode = AlgebraMap(
+            pres, {g: self.nc_element(pres, spec, "%s antipode %r"
+                                      % (entry.where, g))
+                   for g, spec in entry["antipode"].items()},
+            pres.one(), anti=True, name="S")
         try:
             return HopfStructure(pres, cop, counit, antipode)
         except ValueError as exc:
@@ -254,7 +282,8 @@ class SpecFile:
         if op == "id":
             return Identity()
         if op in ("lmul", "rmul", "commutator"):
-            elem = self.nc_element(pres, spec["element"])
+            elem = self.nc_element(pres, spec["element"],
+                                   spec.where + " element")
             cls = {"lmul": LMul, "rmul": RMul, "commutator": Commutator}[op]
             return cls(elem)
         arg, args = spec.where + " arg", spec.where + " args"
@@ -288,8 +317,9 @@ class SpecFile:
                        for g, v in entry.get("counit", {}).items()},
             "relations": _items(entry.where + " relation",
                                 entry.get("relations", ())),
-            "ideal": [self.nc_element(algebra, s)
-                      for s in entry.get("ideal", ())],
+            "ideal": [self.nc_element(algebra, s, "%s ideal %d"
+                                      % (entry.where, k))
+                      for k, s in enumerate(entry.get("ideal", ()), 1)],
             "degree": entry.get("degree", 2),
         }
         return action, extras

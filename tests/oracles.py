@@ -18,9 +18,11 @@ The action sweeps evaluate expressions by recursion on the expression
 (``eval_expr``), independently of the compiled ``qmomentum.Operator``
 that production code evaluates.
 Linear algebra has a dense reference: ``dense_rref`` is the textbook
-Gauss-Jordan loop over Q(i), and ``module_member`` decides membership in a
+Gauss-Jordan loop over Q(i), ``module_member`` decides membership in a
 Q(i)[hbar]/(hbar^N)-module by the rank of the dense flattened system of all
-hbar-multiples of its generators.
+hbar-multiples of its generators, and ``dense_solve_series`` and
+``dense_kernel_series`` solve series systems through the dense flattened
+matrix (``flatten_series_system``).
 """
 
 import itertools
@@ -40,7 +42,9 @@ from poisson_forge.reduction import (
     _expand, _raw_invariants, monomial_basis, reduce_mod_ideal,
 )
 from poisson_forge.report import Report, merge
-from poisson_forge.linalg import SeriesSpan, in_row_span, kernel_series
+from poisson_forge.linalg import (
+    SeriesSpan, Span, in_row_span, kernel_basis, kernel_series, solve,
+)
 from poisson_forge.scalars import (
     HSeries, ONE, ZERO, gauss, get_default_order, series,
 )
@@ -532,3 +536,59 @@ def module_member(gens, v, order):
     rows = [flat(g, s) for g in gens for s in range(order)]
     rank = len(dense_rref(rows)[1])
     return len(dense_rref(rows + [flat(v, 0)])[1]) == rank
+
+
+def flatten_series_system(rows, rhs, order):
+    """A linear system over HSeries mod hbar^order as a dense one over Q(i).
+
+    Each unknown x_j becomes the unknowns x_{j,0..order-1}, in column
+    j*order + m, and each equation sum_j a_j x_j = b becomes ``order``
+    scalar equations, one per power of hbar, by the truncated Cauchy
+    product.  Entries are series of at least ``order`` coefficients."""
+    scal_rows = []
+    scal_rhs = []
+    for a_row, b in zip(rows, rhs):
+        for k in range(order):
+            scal_rows.append([a.coeff(k - m) if m <= k else ZERO
+                              for a in a_row for m in range(order)])
+            scal_rhs.append(b.coeff(k))
+    return scal_rows, scal_rhs
+
+
+def _series_window(rows):
+    """``rows`` with every entry a series mod hbar^N, N the least order of
+    their series entries (the default order when there are none), and N."""
+    order = min((x.order for r in rows for x in r if isinstance(x, HSeries)),
+                default=get_default_order())
+    return [[x.truncate(order) if isinstance(x, HSeries)
+             else HSeries.from_scalar(gauss(x), order) for x in r]
+            for r in rows], order
+
+
+def _unflatten(x, nunk, order):
+    return [HSeries(x[j * order:(j + 1) * order], order) for j in range(nunk)]
+
+
+def dense_solve_series(rows, rhs):
+    """``linalg.solve_series`` through the dense flattened matrix."""
+    rows, order = _series_window(rows + [rhs])
+    rows, rhs = rows[:-1], rows[-1]
+    x = solve(*flatten_series_system(rows, rhs, order))
+    if x is None:
+        return None
+    return _unflatten(x, len(rows[0]) if rows else 0, order)
+
+
+def dense_kernel_series(rows, ncols):
+    """``linalg.kernel_series`` through the dense flattened matrix: the
+    scalar kernel vectors that are not in the span of the earlier ones and
+    the hbar-multiples of all of them."""
+    rows, order = _series_window(rows)
+    scal_rows, _ = flatten_series_system(
+        rows, [HSeries.zero(order)] * len(rows), order)
+    vecs = kernel_basis(scal_rows, ncols * order)
+    span = Span()
+    for v in vecs:
+        span.insert({i: v[i - 1] for i in range(ncols * order) if i % order})
+    return [_unflatten(v, ncols, order) for v in vecs
+            if span.insert(dict(enumerate(v)))]

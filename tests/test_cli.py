@@ -167,6 +167,21 @@ def test_spec_missing_nested_key_is_input_error(path, message, tmp_path,
     assert "input error: " + message in capsys.readouterr().err
 
 
+def edited_spec(tmp_path, path, value):
+    """A copy of the sample spec with the entry at ``path`` set to
+    ``value``, and a well-formed qplane_action relation to edit."""
+    doc = json.load(open(SPEC))
+    doc["actions"]["qplane_action"]["relations"] = [
+        {"pair": ["xi", "eta"], "rhs": []}]
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    spec = tmp_path / "edited.json"
+    spec.write_text(json.dumps(doc))
+    return str(spec)
+
+
 @pytest.mark.parametrize("path, value, argv, where", [
     (("presentations", "qplane", "rules", 0, "pair"), ["a", "b", "a"],
      ["check-action", "qplane_action"], "presentation 'qplane' rule 1"),
@@ -181,19 +196,74 @@ def test_spec_missing_nested_key_is_input_error(path, message, tmp_path,
 ])
 def test_spec_pair_of_wrong_arity_is_input_error(path, value, argv, where,
                                                  tmp_path, capsys):
-    doc = json.load(open(SPEC))
-    # a well-formed relation, for the last case to break
-    doc["actions"]["qplane_action"]["relations"] = [
-        {"pair": ["xi", "eta"], "rhs": []}]
-    obj = doc
-    for key in path[:-1]:
-        obj = obj[key]
-    obj[path[-1]] = value
-    spec = tmp_path / "pair.json"
-    spec.write_text(json.dumps(doc))
-    assert run([argv[0], str(spec), argv[1]]) == 2
+    spec = edited_spec(tmp_path, path, value)
+    assert run([argv[0], spec, argv[1]]) == 2
     assert ("input error: %s: 'pair' must be a list of two entries, got %r"
             % (where, value)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, word, argv, where", [
+    # a string is not read letter by letter as the word E*F
+    (("hopf_structures", "usl2_hopf", "coproduct", "E", 0, "pair"),
+     ["EF", []], "EF", ["check-hopf", "usl2_hopf"],
+     "hopf_structure 'usl2_hopf' coproduct 'E' term 1"),
+    (("hopf_structures", "usl2_hopf", "coproduct", "E", 1, "pair"),
+     [[], ["E", "Z"]], ["E", "Z"], ["check-hopf", "usl2_hopf"],
+     "hopf_structure 'usl2_hopf' coproduct 'E' term 2"),
+    (("hopf_structures", "usl2_hopf", "antipode", "E", 0, "word"),
+     "E", "E", ["check-hopf", "usl2_hopf"],
+     "hopf_structure 'usl2_hopf' antipode 'E' term 1"),
+    (("presentations", "usl2", "rules", 0, "terms", 0, "word"),
+     ["H", 1], ["H", 1], ["check-hopf", "usl2_hopf"],
+     "presentation 'usl2' rule 1 term 1"),
+    (("actions", "qplane_action", "coproducts", "xi", 0, "pair"),
+     [["xi"], "eta"], "eta", ["check-action", "qplane_action"],
+     "action 'qplane_action' coproduct 'xi' term 1"),
+])
+def test_spec_word_must_list_generator_names(path, value, word, argv, where,
+                                             tmp_path, capsys):
+    spec = edited_spec(tmp_path, path, value)
+    assert run([argv[0], spec, argv[1]]) == 2
+    gens = "['F', 'H', 'E']" if argv[0] == "check-hopf" else "['xi', 'eta']"
+    assert ("input error: %s: a word must be a list of generator names of "
+            "%s, got %r" % (where, gens, word)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, argv, gens, where", [
+    (("actions", "qplane_action", "generators", "xi", "arg", "args", 0,
+      "element"), ["check-action", "qplane_action"], "['b', 'a', 'a_inv']",
+     "action 'qplane_action' generator 'xi' arg args 1 element"),
+    (("actions", "qplane_action", "relations", 0, "rhs"),
+     ["check-action", "qplane_action"], "['xi', 'eta']",
+     "action 'qplane_action' relation 1 rhs"),
+    (("hopf_structures", "usl2_hopf", "antipode", "E"),
+     ["check-hopf", "usl2_hopf"], "['F', 'H', 'E']",
+     "hopf_structure 'usl2_hopf' antipode 'E'"),
+])
+def test_spec_element_name_must_be_a_generator(path, argv, gens, where,
+                                               tmp_path, capsys):
+    spec = edited_spec(tmp_path, path, "zz")
+    assert run([argv[0], spec, argv[1]]) == 2
+    assert ("input error: %s: 'zz' is not a generator name of %s"
+            % (where, gens)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, gens, where", [
+    (("presentations", "qplane", "rules", 0, "pair"), [["a"], "b"],
+     "['b', 'a', 'a_inv']", "presentation 'qplane' rule 1"),
+    (("presentations", "qplane", "rules", 0, "pair"), ["a", "z"],
+     "['b', 'a', 'a_inv']", "presentation 'qplane' rule 1"),
+    (("actions", "qplane_action", "relations", 0, "pair"), ["xi", ["eta"]],
+     "['xi', 'eta']", "action 'qplane_action' relation 1"),
+    (("actions", "qplane_action", "relations", 0, "pair"), ["xi", "zeta"],
+     "['xi', 'eta']", "action 'qplane_action' relation 1"),
+])
+def test_spec_rule_pair_must_name_generators(path, value, gens, where,
+                                             tmp_path, capsys):
+    spec = edited_spec(tmp_path, path, value)
+    assert run(["check-action", spec, "qplane_action"]) == 2
+    assert ("input error: %s: 'pair' must be two generator names of %s, "
+            "got %r" % (where, gens, value)) in capsys.readouterr().err
 
 
 def test_spec_entry_must_be_an_object(tmp_path, capsys):

@@ -3,11 +3,14 @@ import random
 import pytest
 
 from poisson_forge.linalg import (
-    SeriesSpan, Span, in_row_span, kernel_basis, rref, solve,
+    SeriesSpan, Span, in_row_span, kernel_basis, kernel_series, rref, solve,
+    solve_series,
 )
 from poisson_forge.scalars import HSeries, ZERO, GaussRational
 
-from oracles import dense_rref, module_member
+from oracles import (
+    dense_kernel_series, dense_rref, dense_solve_series, module_member,
+)
 
 
 def _entry(rng, density=0.6):
@@ -151,3 +154,67 @@ def test_series_span_agrees_with_module_member(order):
                 for k, c in w.items():
                     v[k] = v.get(k, HSeries.zero(order)) + c
             assert span.contains(v) == module_member(gens, v, order)
+
+
+# -- flattened series systems against the dense flattening -------------------
+
+def _series_entry(rng, order):
+    """Mostly zero; else an exact scalar, or a series of random valuation
+    known mod hbar^order or to one more coefficient."""
+    r = rng.random()
+    if r < 0.5:
+        return HSeries.zero(order)
+    if r < 0.6:
+        return _entry(rng, 1.0)
+    v = rng.randrange(order)
+    n = order + rng.randrange(2)
+    return HSeries([ZERO] * v + [_entry(rng, 0.6) for _ in range(n - v)], n)
+
+
+def _apply(rows, x):
+    return [sum((b * a for a, b in zip(r, x)), HSeries.zero(x[0].order))
+            for r in rows]
+
+
+def _as_tuples(xs):
+    return None if xs is None else [(x.coeffs, x.order) for x in xs]
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_solve_and_kernel_series_match_dense_flattening(order):
+    rng = random.Random(2000 + order)
+    inconsistent = underdetermined = 0
+    for trial in range(24):
+        shape = trial % 3  # square, overdetermined, underdetermined
+        nunk = rng.randint(1, 4)
+        nrows = nunk + (0, rng.randint(1, 3), -rng.randint(1, nunk))[shape]
+        rows = [[_series_entry(rng, order) for _ in range(nunk)]
+                for _ in range(max(nrows, 0))]
+        x = [HSeries([_entry(rng, 0.7) for _ in range(order)], order)
+             for _ in range(nunk)]
+        rhs = _apply(rows, x) if rows else []
+        if shape == 1:
+            # a perturbed right-hand side: mostly inconsistent
+            rhs[rng.randrange(len(rhs))] += HSeries.hbar(order) ** \
+                rng.randrange(order)
+        sol = solve_series(rows, rhs)
+        assert _as_tuples(sol) == _as_tuples(dense_solve_series(rows, rhs))
+        if sol is None:
+            inconsistent += 1
+        else:
+            assert _apply(rows, sol) == rhs if rows else sol == []
+        kernel = kernel_series(rows, nunk)
+        assert [_as_tuples(v) for v in kernel] == \
+            [_as_tuples(v) for v in dense_kernel_series(rows, nunk)]
+        underdetermined += bool(kernel)
+    assert inconsistent and underdetermined
+
+
+def test_series_system_edge_shapes():
+    assert solve_series([], []) == dense_solve_series([], []) == []
+    assert kernel_series([], 2) == dense_kernel_series([], 2)
+    # a row known only mod hbar^0 constrains nothing
+    rows = [[HSeries.one(0), HSeries.hbar(3)]]
+    assert _as_tuples(solve_series(rows, [ZERO])) == \
+        _as_tuples(dense_solve_series(rows, [ZERO])) == [((), 0), ((), 0)]
+    assert kernel_series(rows, 2) == dense_kernel_series(rows, 2) == []

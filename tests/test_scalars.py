@@ -482,3 +482,84 @@ def test_general_inverse_matches_loop():
         s = rand_series(rng, rng.randint(1, 8))
         if s.is_unit():
             assert_series(s.inverse(), inverse_loop(s))
+
+
+# -- the valuation-aware product and shared operands against the loops -----
+
+def valued_series(rng, order, v):
+    """A series mod hbar^order of valuation v < order whose later
+    coefficients are random, about a third of them zero."""
+    lead = rand_gauss(rng) or ONE
+    rest = [rand_gauss(rng) if rng.random() < 0.65 else ZERO
+            for _ in range(rng.randint(0, order - v - 1))]
+    return HSeries([ZERO] * v + [lead] + rest, order)
+
+
+def test_product_and_sum_with_leading_zeros_match_general_loops():
+    rng = random.Random(41)
+    for order in range(1, 9):
+        for va in range(order):
+            for _ in range(4):
+                s = valued_series(rng, order, va)
+                t = rand_series(rng, rng.randint(1, 9))
+                m = rng.randint(1, 9)
+                u = valued_series(rng, m, rng.randrange(m))
+                assert s.valuation() == va
+                for a, b in ((s, t), (t, s), (s, u), (u, s)):
+                    assert_series(a * b, mul_loop(a, b))
+                    assert_series(a + b, add_loop(a, b))
+
+
+@pytest.mark.parametrize("excess", [-1, 0, 1])
+def test_product_at_the_edge_of_the_window(excess):
+    # va + vb = N - 1 leaves one coefficient; N and N + 1 vanish mod hbar^N
+    rng = random.Random(43 + excess)
+    for order in range(2, 9):
+        for va in range(order):
+            vb = order + excess - va
+            if not 0 <= vb < order + 3:
+                continue
+            s = valued_series(rng, order, va)
+            t = valued_series(rng, rng.randint(max(order, vb + 1), order + 3),
+                              vb)
+            for p in (s * t, t * s):
+                assert_series(p, mul_loop(s, t))
+                assert p.valuation() == min(va + vb, order)
+
+
+def test_order_zero_window_products_and_sums():
+    rng = random.Random(47)
+    empty = HSeries([3, 1], order=0)
+    for _ in range(60):
+        s = rand_series(rng, rng.randint(0, 8))
+        for a, b in ((s, empty), (empty, s)):
+            for result, expected in ((a * b, mul_loop(a, b)),
+                                     (a + b, add_loop(a, b))):
+                assert_series(result, expected)
+                assert result.order == 0
+
+
+def test_unit_factor_and_zero_summand_share_the_operand():
+    # 1 * s and s + 0 are s itself when s's window is the result's, and its
+    # truncation when the unit or the zero has the smaller order
+    rng = random.Random(53)
+    for _ in range(120):
+        s = rand_series(rng, rng.randint(1, 8))
+        if not s:
+            continue
+        for m in (s.order - 1, s.order, s.order + 2):
+            one, zero = HSeries.one(m), HSeries.zero(m)
+            for p in (one * s, s * one):
+                assert_series(p, mul_loop(one, s))
+                assert (p is s) == (m >= s.order)
+            for p in (zero + s, s + zero):
+                assert_series(p, add_loop(zero, s))
+                assert (p is s) == (m >= s.order)
+
+
+def test_truncate_shares_or_cuts_the_window():
+    s = HSeries([1, 2, 3, 4], 5)
+    assert s.truncate(5) is s and s.truncate(9) is s
+    for m in range(5):
+        t = s.truncate(m)
+        assert t.order == m and t.coeffs == s.coeffs[:m]
