@@ -50,8 +50,8 @@ if __name__ == "__main__":
     print()
     print("first-order quasi-triangular structure R = 1 + hbar r:")
     t2 = hopf.square
-    h = HSeries.hbar()
     classical = fixtures.usl2_hopf()
+    h = HSeries.hbar(classical.algebra.order)
     r = classical.square.element({
         (("H",), ("H",)): h * gauss(Fraction(1, 8)),
         (("E",), ("F",)): h * gauss(Fraction(1, 2)),

@@ -22,11 +22,11 @@ if __name__ == "__main__":
     print("case 2: [a,b] = -hbar")
     act = fixtures.case_action(2)
     alg = act.algebra
-    print("  Phi(xi) a =", act.apply("xi", alg.gen("a")))
-    print("  Phi(xi) b =", act.apply("xi", alg.gen("b")))
+    print("  Phi(xi) a =", act.apply_word(["xi"], alg.gen("a")))
+    print("  Phi(xi) b =", act.apply_word(["xi"], alg.gen("b")))
     print("  module algebra vs the deformed coproducts:",
           check_module_algebra(act, fixtures.r2_coproducts(act.group), 2).verdict)
-    h = HSeries.hbar()
+    h = HSeries.hbar(act.group.order)
     paper_rhs = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
     reports = check_action_lie_hom(
         act, {("xi", "eta"): paper_rhs}, degree=2,

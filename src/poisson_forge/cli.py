@@ -22,12 +22,20 @@ import time
 
 from . import suites
 from .errors import CapabilityError, SpecError
+from .fixtures import ORDER
 from .report import DISCREPANCY, FAIL, PASS
-from .scalars import ValuationError, set_default_order
+from .scalars import ValuationError
 
 
 COMMANDS = ("check-bialgebra", "poisson-group", "check-poisson", "check-mm",
             "check-hopf", "check-action", "reduce", "qreduce")
+
+
+def _order(text):
+    """The value of ``--order``, an int N >= 1."""
+    if not text.lstrip("-").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be an int >= 1, got %r" % text)
+    return int(text)
 
 
 def build_parser():
@@ -40,8 +48,9 @@ def build_parser():
     parser.add_argument("name", nargs="?", help="object name inside the spec")
     parser.add_argument("extra", nargs="?", help="second object name "
                         "(e.g. the r-matrix for poisson-group)")
-    parser.add_argument("--order", type=int, default=6,
-                        help="hbar truncation order N (default 6)")
+    parser.add_argument("--order", type=_order, default=ORDER,
+                        help="hbar truncation order N >= 1 of this run's "
+                             "series and presentations (default %d)" % ORDER)
     parser.add_argument("--degree", type=int, default=3,
                         help="monomial degree bound d of check-action's "
                              "witness search and of a spec qreduce's "
@@ -238,19 +247,18 @@ def emit(results, json_out=None, stream=None):
 
 def main(argv=None):
     args = build_parser().parse_intermixed_args(argv)
-    set_default_order(args.order)
     started = time.time()
     try:
         if args.fixtures:
-            results = suites.run_fixture_suite(args.command,
-                                               degree=args.degree)
+            results = suites.run_fixture_suite(args.command, args.degree,
+                                               args.order)
         else:
             if not args.spec:
                 print("error: need a spec file or --fixtures",
                       file=sys.stderr)
                 return 2
             from .specfile import SpecFile
-            spec = SpecFile.load(args.spec)
+            spec = SpecFile.load(args.spec, args.order)
             results = run_spec_command(args.command, spec, args)
     except SpecError as exc:
         print("input error: %s" % exc, file=sys.stderr)

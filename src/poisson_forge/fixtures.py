@@ -7,6 +7,9 @@ recorded normalization constant per table: our conventions are fixed once
 field X_f = {f, .}), while published tables mix orientations and 1/2-wedge
 factors, so `scale` records exactly the constant by which our derived table
 differs.  A scale of 1 means the table is reproduced verbatim.
+
+Each quantum fixture builder takes ``order``, the N of Q(i)[[hbar]]/(hbar^N)
+its presentations carry; ``ORDER`` is the command line's default.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from fractions import Fraction
 from .scalars import GaussRational, HSeries, gauss, hexp
 from .coordpoly import Chart, poly
 from .lie import LieAlgebra, Tensor, RMatrix, Cobracket, basis_tensor, wedge
+
+ORDER = 6
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +464,7 @@ def r2_action_fixture():
 # Quantum fixtures: presented algebras, Hopf data, actions
 # ---------------------------------------------------------------------------
 
-def usl2_presentation():
+def usl2_presentation(order=ORDER):
     """Classical U(sl2): order F < H < E, relations from the sl2 brackets."""
     from .ncalg import Presentation
     return Presentation(
@@ -469,17 +474,15 @@ def usl2_presentation():
             ("E", "H"): {("H", "E"): 1, ("E",): -2},
             ("E", "F"): {("F", "E"): 1, ("H",): 1},
         },
-        name="U(sl2)")
+        order, name="U(sl2)")
 
 
-def q_number_terms(hname="H", scale=Fraction(1, 4), order=None):
+def q_number_terms(hname="H", scale=Fraction(1, 4), order=ORDER):
     """Terms dict of (q^H - q^-H)/(q - q^-1) with q = exp(scale * hbar).
 
     Built from the scalar series oracle: exponentials plus a valuation
     shift and a unit inverse, no rewriting involved.
     """
-    from .scalars import get_default_order, HSeries
-    order = order or get_default_order()
     den_unit = (hexp(scale, order) - hexp(-scale, order)).divide_by_hbar()
     den_inv = den_unit.inverse()
     terms = {}
@@ -497,13 +500,13 @@ def q_number_terms(hname="H", scale=Fraction(1, 4), order=None):
     return terms
 
 
-def uhsl2_presentation():
+def uhsl2_presentation(order=ORDER):
     """The quantized U(sl2): [H,E] = 2E, [H,F] = -2F, [E,F] = [H]_q with
     q = exp(hbar/4) and q^H represented as the truncated series exp(hbar H/4)
     in the commutative subalgebra generated by H."""
     from .ncalg import Presentation
     ef = {("F", "E"): 1}
-    ef.update(q_number_terms())
+    ef.update(q_number_terms(order=order))
     return Presentation(
         ["F", "H", "E"],
         {
@@ -511,14 +514,14 @@ def uhsl2_presentation():
             ("E", "H"): {("H", "E"): 1, ("E",): -2},
             ("E", "F"): ef,
         },
-        name="U_hbar(sl2)")
+        order, name="U_hbar(sl2)")
 
 
-def h_exponential(pres, scale, hname="H", order=None):
-    """exp(scale * hbar * H) as an NCPoly in the H-subalgebra."""
-    from .scalars import get_default_order, HSeries
+def h_exponential(pres, scale, hname="H"):
+    """exp(scale * hbar * H) as an NCPoly in the H-subalgebra, mod hbar^N
+    for the presentation's N."""
     from .ncalg import NCPoly
-    order = order or get_default_order()
+    order = pres.order
     terms = {}
     fact = 1
     h = pres.index(hname)
@@ -531,12 +534,11 @@ def h_exponential(pres, scale, hname="H", order=None):
     return NCPoly(pres, terms)
 
 
-def usl2_hopf():
+def usl2_hopf(order=ORDER):
     """Primitive coproduct, zero counit, antipode S(x) = -x."""
     from .hopf import HopfStructure
     from .ncalg import TensorAlgebra, AlgebraMap
-    from .scalars import HSeries
-    pres = usl2_presentation()
+    pres = usl2_presentation(order)
     t2 = TensorAlgebra(pres, 2)
 
     def primitive(g):
@@ -544,14 +546,14 @@ def usl2_hopf():
 
     cop = AlgebraMap(pres, {g: primitive((g,)) for g in ("F", "H", "E")},
                      t2.one(), name="Delta")
-    counit = AlgebraMap(pres, {g: HSeries.zero() for g in ("F", "H", "E")},
-                        HSeries.one(), name="epsilon")
+    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
+                        HSeries.one(order), name="epsilon")
     antipode = AlgebraMap(pres, {g: -pres.gen(g) for g in ("F", "H", "E")},
                           pres.one(), anti=True, name="S")
     return HopfStructure(pres, cop, counit, antipode)
 
 
-def uhsl2_hopf():
+def uhsl2_hopf(order=ORDER):
     """The quantized Hopf structure on U_hbar(sl2).
 
     Coproduct: Delta(H) primitive, Delta(E) = E (x) q^{H/2} + q^{-H/2} (x) E
@@ -561,13 +563,12 @@ def uhsl2_hopf():
     """
     from .hopf import HopfStructure
     from .ncalg import TensorAlgebra, AlgebraMap
-    from .scalars import HSeries
-    pres = uhsl2_presentation()
+    pres = uhsl2_presentation(order)
     t2 = TensorAlgebra(pres, 2)
     qh_plus = h_exponential(pres, Fraction(1, 8))    # q^{H/2}
     qh_minus = h_exponential(pres, Fraction(-1, 8))  # q^{-H/2}
-    q = hexp(Fraction(1, 4))
-    q_inv = hexp(Fraction(-1, 4))
+    q = hexp(Fraction(1, 4), order)
+    q_inv = hexp(Fraction(-1, 4), order)
 
     def twisted(g):
         return t2.from_factors([pres.gen(g), qh_plus]) \
@@ -578,8 +579,8 @@ def uhsl2_hopf():
         "E": twisted("E"),
         "F": twisted("F"),
     }, t2.one(), name="Delta_hbar")
-    counit = AlgebraMap(pres, {g: HSeries.zero() for g in ("F", "H", "E")},
-                        HSeries.one(), name="epsilon_hbar")
+    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
+                        HSeries.one(order), name="epsilon_hbar")
     antipode = AlgebraMap(pres, {
         "E": pres.gen("E") * (-q),
         "F": pres.gen("F") * (-q_inv),
@@ -588,11 +589,10 @@ def uhsl2_hopf():
     return HopfStructure(pres, cop, counit, antipode)
 
 
-def quantum_plane_presentation():
+def quantum_plane_presentation(order=ORDER):
     """[a, b] = -hbar b a, i.e. a b -> (1 - hbar) b a; order b < a < a^-1."""
     from .ncalg import Presentation
-    from .scalars import HSeries
-    one_minus_h = HSeries([1, -1])
+    one_minus_h = HSeries([1, -1], order)
     inv_factor = one_minus_h.inverse()
     return Presentation(
         ["b", "a", "a_inv"],
@@ -600,17 +600,16 @@ def quantum_plane_presentation():
             ("a", "b"): {("b", "a"): one_minus_h},
             ("a_inv", "b"): {("b", "a_inv"): inv_factor},
         },
-        inverses={"a_inv": "a"},
+        order, inverses={"a_inv": "a"},
         name="quantum-plane")
 
 
-def case1_module_algebra():
+def case1_module_algebra(order=ORDER):
     """[a, b] = 0 with an extra generator f that fails to commute at order
     hbar: [a, f] = hbar a, [b, f] = hbar b (a solvable deformation), so the
     quantum action (1/hbar) a [b, .] is nonzero while a, b commute."""
     from .ncalg import Presentation
-    from .scalars import HSeries
-    h = HSeries.hbar()
+    h = HSeries.hbar(order)
     return Presentation(
         ["a_inv", "a", "b", "f"],
         {
@@ -620,34 +619,34 @@ def case1_module_algebra():
             ("f", "b"): {("b", "f"): 1, ("b",): -h},
             ("f", "a_inv"): {("a_inv", "f"): 1, ("a_inv",): h},
         },
-        inverses={"a_inv": "a"},
+        order, inverses={"a_inv": "a"},
         name="case1-algebra")
 
 
-def case2_module_algebra():
+def case2_module_algebra(order=ORDER):
     """[a, b] = -hbar (a canonical pair at order hbar); a invertible."""
     from .ncalg import Presentation
-    from .scalars import HSeries
-    h = HSeries.hbar()
+    h = HSeries.hbar(order)
     return Presentation(
         ["a_inv", "a", "b"],
         {
             ("b", "a"): {("a", "b"): 1, (): h},
             ("b", "a_inv"): {("a_inv", "b"): 1, ("a_inv", "a_inv"): -h},
         },
-        inverses={"a_inv": "a"},
+        order, inverses={"a_inv": "a"},
         name="case2-algebra")
 
 
-def su2_module_algebra():
+def su2_module_algebra(order=ORDER):
     """The 3-dimensional example: a b a^-1 = e^{2 hbar} b,
     a c a^-1 = e^{-2 hbar} c, [b, c] = hbar^2 (e^{-hbar}-e^{hbar})^{-1} a^{-2}
     - (1 - e^{2 hbar}) c b, all encoded as exact truncated series."""
     from .ncalg import Presentation
-    e2 = hexp(2)
-    em2 = hexp(-2)
+    e2 = hexp(2, order)
+    em2 = hexp(-2, order)
     # s = hbar^2 / (e^{-hbar} - e^{hbar}) : valuation 1
-    s = HSeries.hbar() * (hexp(-1) - hexp(1)).divide_by_hbar().inverse()
+    s = HSeries.hbar(order) * (hexp(-1, order)
+                               - hexp(1, order)).divide_by_hbar().inverse()
     # c b = e^{-2h} (b c - s a^-2)
     return Presentation(
         ["a_inv", "a", "b", "c"],
@@ -658,26 +657,25 @@ def su2_module_algebra():
             ("c", "a_inv"): {("a_inv", "c"): em2},
             ("c", "b"): {("b", "c"): em2, ("a_inv", "a_inv"): -em2 * s},
         },
-        inverses={"a_inv": "a"},
+        order, inverses={"a_inv": "a"},
         name="su2-module-algebra")
 
 
-def r2_quantum_group(commuting=True):
+def r2_quantum_group(commuting=True, order=ORDER):
     """U_hbar of the 2-dimensional examples: generators xi, eta; case 1 has
     [xi, eta] = 0, case 2 leaves the bracket undeclared (the checker derives
     the oracle relation instead)."""
     from .ncalg import Presentation
     rules = {("eta", "xi"): {("xi", "eta"): 1}} if commuting else {}
-    return Presentation(["xi", "eta"], rules, name="U_hbar(R2)")
+    return Presentation(["xi", "eta"], rules, order, name="U_hbar(R2)")
 
 
 def r2_coproducts(pres):
     """Delta(xi) = xi (x) 1 - hbar eta (x) xi + 1 (x) xi and
     Delta(eta) = eta (x) 1 - hbar eta (x) eta + 1 (x) eta."""
     from .ncalg import TensorAlgebra
-    from .scalars import HSeries
     t2 = TensorAlgebra(pres, 2)
-    h = HSeries.hbar()
+    h = HSeries.hbar(pres.order)
     return {
         "xi": t2.element({(("xi",), ()): 1, ((), ("xi",)): 1,
                           (("eta",), ("xi",)): -h}),
@@ -695,13 +693,13 @@ def r2_primitive_coproducts(pres):
     }
 
 
-def su2_quantum_group():
+def su2_quantum_group(order=ORDER):
     """Generators xi, eta, zeta, zeta^-1 with zeta xi zeta^-1 = e^{2hbar} xi
     and zeta eta zeta^-1 = e^{-2hbar} eta; the xi-eta relation is left to
     the operator-level oracle."""
     from .ncalg import Presentation
-    e2 = hexp(2)
-    em2 = hexp(-2)
+    e2 = hexp(2, order)
+    em2 = hexp(-2, order)
     return Presentation(
         ["xi", "eta", "zeta", "zeta_inv"],
         {
@@ -710,7 +708,7 @@ def su2_quantum_group():
             ("zeta", "eta"): {("eta", "zeta"): em2},
             ("zeta_inv", "eta"): {("eta", "zeta_inv"): e2},
         },
-        inverses={"zeta_inv": "zeta"},
+        order, inverses={"zeta_inv": "zeta"},
         name="U_hbar(su2)")
 
 
@@ -727,7 +725,7 @@ def su2_coproducts(pres):
     }
 
 
-def case_action(case):
+def case_action(case, order=ORDER):
     """QuantumAction of the 2-dimensional examples.
 
     Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on the
@@ -737,8 +735,8 @@ def case_action(case):
         1: case1_module_algebra,
         2: case2_module_algebra,
         3: quantum_plane_presentation,
-    }[case]()
-    group = r2_quantum_group(commuting=(case == 1))
+    }[case](order)
+    group = r2_quantum_group(commuting=(case == 1), order=order)
     a = algebra.gen("a")
     a_inv = algebra.gen("a_inv")
     b = algebra.gen("b")
@@ -748,15 +746,15 @@ def case_action(case):
     })
 
 
-def su2_action():
+def su2_action(order=ORDER):
     """The 3-dimensional example: Phi(xi) = (1/hbar) a [b, .],
     Phi(eta) = (1/hbar) [c, .] a, Phi(zeta) = a (.) a^-1."""
     from .qmomentum import (
         QuantumAction, hamiltonian_pair, conjugation, Compose, RMul,
         Commutator, HbarDiv,
     )
-    algebra = su2_module_algebra()
-    group = su2_quantum_group()
+    algebra = su2_module_algebra(order)
+    group = su2_quantum_group(order)
     a = algebra.gen("a")
     a_inv = algebra.gen("a_inv")
     b = algebra.gen("b")
@@ -773,13 +771,14 @@ def su2_commutator_target_for(action):
     """The right side of [Phi(xi), Phi(eta)] for the 3D example, built on
     the same module algebra as the action."""
     from .qmomentum import Scale, Sum, HbarDiv
-    u = (hexp(-1) - hexp(1)).divide_by_hbar()
+    order = action.algebra.order
+    u = (hexp(-1, order) - hexp(1, order)).divide_by_hbar()
     zeta_inv = action.exprs["zeta_inv"]
     zeta = action.exprs["zeta"]
     return Scale(HbarDiv(Sum([zeta_inv, Scale(zeta, -1)]), 1), u.inverse())
 
 
-def case1_reduction_algebra():
+def case1_reduction_algebra(order=ORDER):
     """Commutative algebra generated by a (invertible) and b, used for the
     case-1 quantum reduction with ideal <a - 1, b>."""
     from .ncalg import Presentation
@@ -789,7 +788,7 @@ def case1_reduction_algebra():
             ("b", "a"): {("a", "b"): 1},
             ("b", "a_inv"): {("a_inv", "b"): 1},
         },
-        inverses={"a_inv": "a"},
+        order, inverses={"a_inv": "a"},
         name="case1-reduction")
 
 
@@ -803,7 +802,7 @@ def su2_momentum_ideal_generator(alg=None):
     a^-1 H a = H, [b,H] = -(1-e^{2hbar}) H b and [c,H] = c (1-e^{2hbar}) H
     simultaneously (and it does so exactly)."""
     alg = alg or su2_module_algebra()
-    factor = 1 - hexp(2)            # valuation 1
-    coef = hexp(1) * factor.divide_by_hbar() ** 2
+    factor = 1 - hexp(2, alg.order)  # valuation 1
+    coef = hexp(1, alg.order) * factor.divide_by_hbar() ** 2
     return alg, alg.element([(1, ["a_inv", "a_inv"])]) \
         + alg.element([(coef, ["c", "b"])])

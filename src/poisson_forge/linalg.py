@@ -7,7 +7,9 @@ GaussRational.  Dense matrices are read as sparse rows {column: entry}.
 
 Systems whose unknowns are truncated hbar-series are flattened: one series
 unknown of order N becomes N scalar unknowns, and the truncated Cauchy
-product turns series-linear equations into scalar-linear ones.  Each scalar
+product turns series-linear equations into scalar-linear ones.  A series
+system is given by sparse rows {column: entry} that need hold only the
+nonzero cells, and by the caller's window, a ceiling on N.  Each scalar
 equation is written straight into a ``Span`` as a sparse row built from the
 nonzero series coefficients only, in the order (equation, power of hbar),
 so the echelon form and the chosen solution are those of the dense
@@ -23,7 +25,7 @@ is tested (and reduced) mod hbar^min(m, N).
 
 from __future__ import annotations
 
-from .scalars import HSeries, ZERO, ONE, gauss
+from .scalars import HSeries, ZERO, ONE, series
 
 
 class Span:
@@ -136,27 +138,28 @@ def in_row_span(rows, vector):
 
 def _flat_equations(rows, order):
     """The scalar equations of a series system mod hbar^order, in order:
-    for each row sum_j a_j x_j and each k < order, the coefficient of
-    hbar^k of the truncated Cauchy product, as a sparse row whose column
-    j*order + m holds the coefficient of hbar^(k-m) in a_j."""
+    for each row sum_j a_j x_j ({j: a_j}) and each k < order, the
+    coefficient of hbar^k of the truncated Cauchy product, as a sparse row
+    whose column j*order + m holds the coefficient of hbar^(k-m) in a_j."""
     for a_row in rows:
-        nonzero = [[(t, c) for t, c in enumerate(a.coeffs) if c][::-1]
-                   for a in a_row]
+        nonzero = [(j, [(t, c) for t, c in enumerate(series(a, order).coeffs)
+                        if c][::-1]) for j, a in a_row.items()]
         for k in range(order):
             yield {j * order + k - t: c
-                   for j, cs in enumerate(nonzero) for t, c in cs if t <= k}
+                   for j, cs in nonzero for t, c in cs if t <= k}
 
 
-def solve_series(rows, rhs):
-    """Solve A x = b where entries and unknowns are HSeries, mod hbar^N for
-    the least order N of the series entries: the window all the data is
-    known in (scalar entries are exact)."""
-    order = _least_order(rows + [rhs])
-    rows = [[_as_series(a, order) for a in r] for r in rows]
-    nunk = len(rows[0]) if rows else 0
+def solve_series(rows, rhs, nunk, ceiling):
+    """Solve A x = b for ``nunk`` series unknowns.  ``rows`` are A's rows as
+    sparse dicts {column: entry}, ``rhs`` the entries of b; an entry is an
+    HSeries or an exact scalar.  The system is solved mod hbar^N, N the
+    least of ``ceiling`` and the orders of the series entries: the window
+    all the data is known in."""
+    order = _window([a for r in rows for a in r.values()] + list(rhs),
+                    ceiling)
     ncols = nunk * order
     span = Span()
-    rhs = [_as_series(b, order).coeff(k) for b in rhs for k in range(order)]
+    rhs = [series(b, order).coeff(k) for b in rhs for k in range(order)]
     for vec, b in zip(_flat_equations(rows, order), rhs):
         if b:
             vec[ncols] = b  # the augmented column
@@ -169,17 +172,16 @@ def solve_series(rows, rhs):
     return [HSeries(x[j * order:(j + 1) * order], order) for j in range(nunk)]
 
 
-def kernel_series(rows, ncols):
-    """Module generators of the kernel of a series matrix, mod hbar^N for
-    the least order N of its series entries (as in ``solve_series``).
+def kernel_series(rows, ncols, ceiling):
+    """Module generators of the kernel of a series matrix on ``ncols``
+    columns, given by sparse rows, mod hbar^N for the N of ``solve_series``.
 
     The flattened scalar kernel is a Q(i)-vector space closed under
     multiplication by hbar; we return representatives of a basis of
     kernel / hbar*kernel, which generate the kernel as a series module and
     avoid listing x and hbar*x separately.
     """
-    order = _least_order(rows)
-    rows = [[_as_series(a, order) for a in r] for r in rows]
+    order = _window([a for r in rows for a in r.values()], ceiling)
     span = Span()
     for vec in _flat_equations(rows, order):
         span.insert(vec)
@@ -197,17 +199,10 @@ def _shift_flat(v, ncols, order):
     return [v[i - 1] if i % order else ZERO for i in range(ncols * order)]
 
 
-def _least_order(rows):
-    """The least order of the series entries, or the default series order
-    when there are none."""
-    return min((x.order for r in rows for x in r if isinstance(x, HSeries)),
-               default=HSeries.zero().order)
-
-
-def _as_series(x, order):
-    if isinstance(x, HSeries):
-        return x.truncate(order)
-    return HSeries.from_scalar(gauss(x), order)
+def _window(entries, ceiling):
+    """The least of ``ceiling`` and the orders of the series ``entries``."""
+    return min([ceiling] + [x.order for x in entries
+                            if isinstance(x, HSeries)])
 
 
 # -- spans over the truncated series ring ------------------------------------

@@ -26,22 +26,23 @@ import itertools
 from .errors import CapabilityError
 from .report import Report
 from .scalars import (
-    HSeries, LinComb, ZERO, _acc, get_default_order, series,
+    HSeries, LinComb, ZERO, _acc, series,
 )
 
 _new = object.__new__
 
 
 class Presentation:
-    """Ordered generators plus rewrite rules keyed by their leading words.
-
-    Immutable after construction except for the per-instance normal-form
-    memo, which is a cache: concurrent use requires task-local instances or
-    external guarding, and identical inputs always produce identical normal
-    forms either way.
+    """Ordered generators plus rewrite rules keyed by their leading words,
+    over Q(i)[[hbar]]/(hbar^order): every scalar that enters the algebra
+    becomes a series mod hbar^order, and its quotients and tensor powers
+    inherit the order.  Immutable after construction except for the
+    per-instance normal-form memo, which is a cache: concurrent use requires
+    task-local instances or external guarding, and identical inputs always
+    produce identical normal forms either way.
     """
 
-    def __init__(self, gens, rules, inverses=None, name="",
+    def __init__(self, gens, rules, order, inverses=None, name="",
                  max_word_len=32, max_steps=200000):
         """``rules`` maps a leading word (a tuple of generator names, such
         as the pair (left_name, right_name)) to a terms dict
@@ -49,6 +50,7 @@ class Presentation:
         name to its base name (cancellation rules are added automatically).
         """
         self.gens = tuple(gens)
+        self.order = order
         self.name = name or "algebra"
         self._index = {g: i for i, g in enumerate(self.gens)}
         self.inverses = dict(inverses or {})
@@ -58,7 +60,7 @@ class Presentation:
         for lhs, terms in rules.items():
             indexed[tuple(self._index[g] for g in lhs)] = self._terms(terms)
         for inv, base in self.inverses.items():
-            one = {(): HSeries.one()}
+            one = {(): HSeries.one(order)}
             indexed[(self._index[inv], self._index[base])] = dict(one)
             indexed[(self._index[base], self._index[inv])] = dict(one)
         self._set_rules(indexed)
@@ -74,7 +76,7 @@ class Presentation:
 
     def _with_rules(self, rules, name):
         """A presentation on the same generators with other rules."""
-        out = Presentation(self.gens, {}, name=name,
+        out = Presentation(self.gens, {}, self.order, name=name,
                            max_word_len=self.max_word_len,
                            max_steps=self.max_steps)
         out.inverses = dict(self.inverses)
@@ -114,9 +116,7 @@ class Presentation:
         out = {}
         for word, coeff in terms.items():
             w = tuple(self._index[g] for g in word)
-            coeff = series(coeff)
-            if not coeff.is_zero():
-                out[w] = out.get(w, HSeries.zero()) + coeff
+            _acc(out, w, series(coeff, self.order))
         return out
 
     # -- normal forms ------------------------------------------------------
@@ -168,7 +168,7 @@ class Presentation:
                     _acc(out, w2, c * c2)
             memo[word] = out
             return out
-        out = {word: HSeries.one()}
+        out = {word: HSeries.one(self.order)}
         memo[word] = out
         return out
 
@@ -185,7 +185,7 @@ class Presentation:
             else:
                 word = tuple(self._index[g] if isinstance(g, str) else g
                              for g in word)
-            coeff = series(coeff)
+            coeff = series(coeff, self.order)
             if coeff.is_zero():
                 continue
             for w2, c2 in self._nf(word).items():
@@ -195,10 +195,10 @@ class Presentation:
     # -- element constructors ----------------------------------------------
 
     def gen(self, name):
-        return NCPoly(self, {(self._index[name],): HSeries.one()})
+        return NCPoly(self, {(self._index[name],): HSeries.one(self.order)})
 
     def one(self):
-        return NCPoly(self, {(): HSeries.one()})
+        return NCPoly(self, {(): HSeries.one(self.order)})
 
     def zero(self):
         return NCPoly(self, {})
@@ -211,11 +211,11 @@ class Presentation:
         if isinstance(spec, str):
             return self.gen(spec)
         if isinstance(spec, LinComb._SCALARS):
-            return NCPoly(self, {(): series(spec)})
+            return NCPoly(self, {(): series(spec, self.order)})
         terms = {}
         for coeff, word in spec:
-            w = tuple(self._index[g] for g in word)
-            terms[w] = terms.get(w, HSeries.zero()) + series(coeff)
+            _acc(terms, tuple(self._index[g] for g in word),
+                 series(coeff, self.order))
         return self.normal_form(terms)
 
     def word_name(self, word):
@@ -289,19 +289,20 @@ def ambiguities(rules, u, v):
 
 class _SeriesComb(LinComb):
     """What elements of a presented algebra and of its tensor powers share:
-    Q(i)[[hbar]] coefficients, a constant term on the empty word, and the
-    hbar-adic valuation."""
+    Q(i)[[hbar]] coefficients mod hbar^N for the presentation's N, a constant
+    term on the empty word, and the hbar-adic valuation."""
 
     __slots__ = ()
 
-    _coeff = staticmethod(series)
+    def _coeff(self, x):
+        return series(x, self.presentation.order)
 
     def commutator(self, other):
         return self * other - other * self
 
     def hbar_valuation(self):
         return min((c.valuation() for c in self.terms.values()),
-                   default=get_default_order())
+                   default=self.presentation.order)
 
     def divide_by_hbar(self, k=1):
         # a nonzero coefficient keeps a nonzero quotient: its window shrinks
@@ -340,8 +341,7 @@ class NCPoly(_SeriesComb):
         raw = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                raw[w] = raw.get(w, HSeries.zero()) + c1 * c2
+                _acc(raw, w1 + w2, c1 * c2)
         return self.presentation.normal_form(raw)
 
     def __pow__(self, k):
@@ -390,7 +390,8 @@ class TensorAlgebra:
     def element(self, terms):
         out = {}
         for key, coeff in terms.items():
-            _acc(out, tuple(self._word(w) for w in key), series(coeff))
+            _acc(out, tuple(self._word(w) for w in key),
+                 series(coeff, self.presentation.order))
         return TensorElement(self, out)
 
     def _word(self, w):
@@ -400,7 +401,7 @@ class TensorAlgebra:
                      for g in w)
 
     def one(self):
-        return TensorElement(self, {((),) * self.k: HSeries.one()})
+        return self.element({((),) * self.k: 1})
 
     def zero(self):
         return TensorElement(self, {})
@@ -428,6 +429,10 @@ class TensorElement(_SeriesComb):
     def __init__(self, algebra, terms):
         self.algebra = algebra
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+
+    @property
+    def presentation(self):
+        return self.algebra.presentation
 
     def _like(self, terms):
         out = _new(TensorElement)
@@ -530,7 +535,7 @@ class AlgebraMap:
             v = self.apply_word(word) * coeff
             out = v if out is None else out + v
         if out is None:
-            return self.one * series(0)
+            return self.one * 0
         return out
 
 
@@ -548,12 +553,7 @@ def check_map(m):
             lhs_img = m.images[g] if lhs_img is None else lhs_img * m.images[g]
         if lhs_img is None:
             lhs_img = m.one
-        rhs_img = None
-        for word, coeff in rhs.items():
-            v = m.apply_word(word) * coeff
-            rhs_img = v if rhs_img is None else rhs_img + v
-        if rhs_img is None:
-            rhs_img = m.one * series(0)
+        rhs_img = m(rhs)
         if not lhs_img == rhs_img:
             failures.append("rule %s is not preserved: defect %r"
                             % (src.word_name(lhs), lhs_img - rhs_img))

@@ -37,7 +37,7 @@ from .errors import CapabilityError
 from .linalg import solve_series
 from .ncalg import NCPoly, TensorAlgebra
 from .report import Report, PASS, FAIL, DISCREPANCY
-from .scalars import HSeries, _acc, series
+from .scalars import HSeries, ZERO, _acc, gauss, series
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,12 @@ class Commutator(ActionExpr):
 
 
 class Scale(ActionExpr):
+    """The child times a series, or times an exact scalar that becomes a
+    series mod hbar^N of the algebra it is compiled on."""
+
     def __init__(self, expr, scalar):
         self.expr = expr
-        self.scalar = series(scalar)
+        self.scalar = scalar if isinstance(scalar, HSeries) else gauss(scalar)
 
     def compile(self, algebra):
         return self.expr.compile(algebra).scaled(self.scalar)
@@ -174,8 +177,9 @@ class HbarDiv(ActionExpr):
         return "hbar^-%d (%r)" % (self.k, self.expr)
 
 
-def _min_order(coeffs):
-    return min((c.order for c in coeffs), default=HSeries.zero().order)
+def _min_order(coeffs, algebra):
+    """The least order of the series ``coeffs``, else the algebra's."""
+    return min((c.order for c in coeffs), default=algebra.order)
 
 
 class Operator:
@@ -206,8 +210,8 @@ class Operator:
             for r, cr in right.terms.items():
                 _acc(terms, (l, r), cl * cr)
         return Operator(algebra, 0, terms,
-                        min(_min_order(left.terms.values()),
-                            _min_order(right.terms.values())))
+                        min(_min_order(left.terms.values(), algebra),
+                            _min_order(right.terms.values(), algebra)))
 
     @property
     def window(self):
@@ -248,7 +252,8 @@ class Operator:
         return self + other.scaled(-1)
 
     def scaled(self, scalar):
-        s = series(scalar)
+        """The operator times a scalar, known mod hbar^N of the algebra."""
+        s = series(scalar, self.algebra.order)
         terms = {}
         for key, c in self.terms.items():
             _acc(terms, key, c * s)
@@ -288,9 +293,6 @@ class QuantumAction:
         self.exprs = dict(generator_exprs)
         self._operators = {}
 
-    def expr(self, name):
-        return self.exprs[name]
-
     def operator(self, word):
         """Phi(word) as an Operator, compiled once per word: the composite
         of its letters' operators, the identity for the empty word."""
@@ -309,7 +311,7 @@ class QuantumAction:
 
     def element_operator(self, x):
         """Phi(x) for a quantum-group element x in normal form."""
-        out = Operator(self.algebra, 0, {}, HSeries.zero().order)
+        out = Operator(self.algebra, 0, {}, self.algebra.order)
         for word, coeff in x.terms.items():
             out = out + self.operator(word).scaled(coeff)
         return out
@@ -317,20 +319,13 @@ class QuantumAction:
     def apply_word(self, word, f):
         return self.operator(word)(f)
 
-    def apply(self, x, f):
-        """x: a generator name or a quantum-group element (NCPoly) in
-        normal form."""
-        if isinstance(x, str):
-            return self.operator((x,))(f)
-        return self.element_operator(x)(f)
-
 
 # ---------------------------------------------------------------------------
 # Hopf-action checks
 # ---------------------------------------------------------------------------
 
 def _monomials(alg, degree):
-    return [NCPoly(alg, {w: HSeries.one()})
+    return [NCPoly(alg, {w: HSeries.one(alg.order)})
             for w in alg.monomials_up_to(degree)]
 
 
@@ -535,10 +530,11 @@ def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
     rhs = []
     for mi in range(len(monos)):
         for w in out_words:
-            rows.append([cand_vals[ci][mi].terms.get(w, HSeries.zero())
-                         for ci in range(len(candidate_words))])
-            rhs.append(lhs_vals[mi].terms.get(w, HSeries.zero()))
-    sol = solve_series(rows, rhs)
+            rows.append({ci: col[mi].terms[w]
+                         for ci, col in enumerate(cand_vals)
+                         if w in col[mi].terms})
+            rhs.append(lhs_vals[mi].terms.get(w, ZERO))
+    sol = solve_series(rows, rhs, len(candidate_words), action.algebra.order)
     if sol is None:
         return None
     parts = []
@@ -715,7 +711,8 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     for name in action.exprs:
         op = action.operator((name,))
         for s in ideal_gens:
-            _check_window("ideal-invariance", op, _min_order(s.terms.values()))
+            _check_window("ideal-invariance", op,
+                          _min_order(s.terms.values(), alg))
             y = op(s)
             rest = quotient.normal_form(y.terms)
             if not rest.is_zero():
@@ -739,8 +736,7 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     from .linalg import SeriesSpan, kernel_series
     alg = action.algebra
     ops = {name: action.operator((name,)) for name in action.exprs}
-    order = min((op.window for op in ops.values()),
-                default=HSeries.zero().order)
+    order = min((op.window for op in ops.values()), default=alg.order)
     if ideal_gens:
         if quotient is None:
             quotient = alg.quotient(ideal_gens)
@@ -756,20 +752,18 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     # output word: residue(sum_m x_m * image_m) = 0 over the series ring
     reduced_cols = {}
     for name, op in ops.items():
-        eps = series(counit_values.get(name, 0))
+        eps = series(counit_values.get(name, 0), alg.order)
         col = []
         for w in monos:
-            x = NCPoly(alg, {w: HSeries.one()})
+            x = NCPoly(alg, {w: HSeries.one(alg.order)})
             col.append(residue(op(x) - x * eps))
         reduced_cols[name] = col
     words = sorted({w for col in reduced_cols.values()
                     for vec in col for w in vec},
                    key=lambda t: (len(t), t))
-    rows = []
-    for name, col in reduced_cols.items():
-        for w in words:
-            rows.append([vec.get(w, HSeries.zero(order)) for vec in col])
-    kern = kernel_series(rows, len(monos))
+    rows = [{j: vec[w] for j, vec in enumerate(col) if w in vec}
+            for col in reduced_cols.values() for w in words]
+    kern = kernel_series(rows, len(monos), order)
     basis = []
     for vec in kern:
         terms = {}

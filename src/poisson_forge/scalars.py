@@ -5,7 +5,7 @@ in this package lives in one of three rings:
 
 * ``Fraction``            -- exact rationals (stdlib),
 * ``GaussRational``       -- Q(i), stored as an integer triple (a + b*i)/d,
-* ``HSeries``             -- Q(i)[[hbar]] truncated at a session order N.
+* ``HSeries``             -- Q(i)[[hbar]] truncated at an order N.
 
 Every element built over them -- a polynomial, tensor, field, form, or an
 element of a presented algebra or its tensor powers -- is a ``LinComb``: a
@@ -18,6 +18,12 @@ comparison of triples.  Series keep track of their own truncation order,
 operations return the minimum order of the operands, and equality only
 compares coefficients up to that minimum order, so a value divided by hbar
 can never silently pretend to more precision than it has.
+
+The order is explicit: every series is built with one, a presented algebra
+(``ncalg.Presentation``) carries the N its coefficients are built with, and
+a command-line run passes its ``--order`` down to the algebras it builds.
+Nothing in the process holds a default N, so a forgotten order is a
+``TypeError`` instead of a computation at some other precision.
 """
 
 from __future__ import annotations
@@ -26,21 +32,6 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import CapabilityError
-
-
-DEFAULT_ORDER = 6
-
-
-def set_default_order(n):
-    """Set the session truncation order used when series are created."""
-    global DEFAULT_ORDER
-    if n < 1:
-        raise ValueError("truncation order must be >= 1")
-    DEFAULT_ORDER = n
-
-
-def get_default_order():
-    return DEFAULT_ORDER
 
 
 _new = object.__new__
@@ -106,6 +97,8 @@ class GaussRational:
 
     def __add__(self, other):
         if other.__class__ is not GaussRational:
+            if isinstance(other, HSeries):
+                return NotImplemented
             other = gauss(other)
         d, e = self._d, other._d
         if d == e:
@@ -119,6 +112,8 @@ class GaussRational:
 
     def __sub__(self, other):
         if other.__class__ is not GaussRational:
+            if isinstance(other, HSeries):
+                return NotImplemented
             other = gauss(other)
         d, e = self._d, other._d
         if d == e:
@@ -133,6 +128,8 @@ class GaussRational:
 
     def __mul__(self, other):
         if other.__class__ is not GaussRational:
+            if isinstance(other, HSeries):
+                return NotImplemented
             other = gauss(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         if not b and not e:
@@ -143,6 +140,8 @@ class GaussRational:
 
     def __truediv__(self, other):
         if other.__class__ is not GaussRational:
+            if isinstance(other, HSeries):
+                return NotImplemented
             other = gauss(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
@@ -264,7 +263,9 @@ class HSeries:
 
     Coefficients are stored as a tuple of GaussRational with trailing zeros
     trimmed, so plain scalars cost one entry.  ``order`` is the number of
-    known coefficients: arithmetic between two series is carried out modulo
+    known coefficients, and every constructor requires it: a computation
+    takes N from the presented algebra it works in (``Presentation.order``),
+    never from a default.  Arithmetic between two series is carried out modulo
     hbar^min(order_a, order_b) and equality likewise only inspects the shared
     window.  Dividing by hbar^k shifts coefficients down and *reduces* the
     order by k; the lost precision is remembered, not papered over.
@@ -279,9 +280,7 @@ class HSeries:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs, order=None):
-        if order is None:
-            order = DEFAULT_ORDER
+    def __init__(self, coeffs, order):
         if order < 0:
             raise ValueError("series order must be >= 0")
         cs = [gauss(c) for c in coeffs[:order]]
@@ -307,19 +306,19 @@ class HSeries:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_scalar(x, order=None):
+    def from_scalar(x, order):
         return HSeries((gauss(x),), order)
 
     @staticmethod
-    def hbar(order=None):
+    def hbar(order):
         return HSeries((ZERO, ONE), order)
 
     @staticmethod
-    def zero(order=None):
+    def zero(order):
         return HSeries((), order)
 
     @staticmethod
-    def one(order=None):
+    def one(order):
         return HSeries((ONE,), order)
 
     # -- inspection -------------------------------------------------------
@@ -587,24 +586,15 @@ class ValuationError(ArithmeticError):
     """Raised when an hbar-division is attempted below the valuation."""
 
 
-def series(x, order=None):
-    """Coerce scalars, scalar strings or coefficient lists into an HSeries."""
+def series(x, order):
+    """Coerce scalars, scalar strings or coefficient lists into an HSeries
+    mod hbar^order; an HSeries is returned unchanged, with its own order."""
     if isinstance(x, HSeries):
         return x
-    if isinstance(x, (list, tuple)):
-        return HSeries([gauss(c) for c in x], order)
-    return HSeries.from_scalar(gauss(x), order)
+    return HSeries(x if isinstance(x, (list, tuple)) else (x,), order)
 
 
-def series_exp(s):
-    return series(s).exp()
-
-
-def divide_by_hbar(s, k=1):
-    return series(s).divide_by_hbar(k)
-
-
-def hexp(scalar, order=None):
+def hexp(scalar, order):
     """exp(scalar * hbar) as a truncated series; scalar is exact."""
     return (HSeries.hbar(order) * gauss(scalar)).exp()
 

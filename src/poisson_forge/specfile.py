@@ -81,27 +81,29 @@ def _items(where, objs):
 
 
 class SpecFile:
-    """A parsed specification with lazy, cached object resolution."""
+    """A parsed specification with lazy, cached object resolution; its
+    series and presentations are built mod hbar^order."""
 
     SECTIONS = ("lie_algebras", "r_matrices", "cobrackets", "charts",
                 "bivectors", "matrix_groups", "presentations",
                 "hopf_structures", "actions", "momentum_maps", "reductions",
                 "poisson_actions")
 
-    def __init__(self, doc):
+    def __init__(self, doc, order):
         if not isinstance(doc, dict):
             raise SpecError("top level must be a JSON object")
         unknown = set(doc) - set(self.SECTIONS)
         if unknown:
             raise SpecError("unknown sections: %s" % sorted(unknown))
         self.doc = doc
+        self.order = order
         self._cache = {}
 
     @staticmethod
-    def load(path):
+    def load(path, order):
         try:
             with open(path) as fh:
-                return SpecFile(json.load(fh))
+                return SpecFile(json.load(fh), order)
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError("cannot read spec: %s" % exc)
 
@@ -114,6 +116,12 @@ class SpecFile:
         except KeyError:
             raise SpecError("no %s named %r" % (section[:-1], name))
         return _fields("%s %r" % (section[:-1], name), entry)
+
+    def _series(self, spec):
+        """A scalar string, or an array of them, as a series mod hbar^N."""
+        if isinstance(spec, str):
+            return series(spec, self.order)
+        return HSeries([gauss(c) for c in spec], self.order)
 
     # -- resolvers ----------------------------------------------------------
 
@@ -220,10 +228,10 @@ class SpecFile:
             pair = rule.name_pair(gens)
             terms = {}
             for t in _items(rule.where + " term", rule["terms"]):
-                terms[t.word(gens)] = _series(t["coeff"])
+                terms[t.word(gens)] = self._series(t["coeff"])
             rules[pair] = terms
         try:
-            out = Presentation(gens, rules,
+            out = Presentation(gens, rules, self.order,
                                inverses=entry.get("inverses"), name=name)
         except KeyError as exc:
             raise SpecError("presentation %r: unknown generator %s"
@@ -241,7 +249,8 @@ class SpecFile:
             return pres.element(spec)
         terms = []
         for t in _items(where + " term", spec):
-            terms.append((_series(t["coeff"]), list(t.word(pres.gens))))
+            terms.append((self._series(t["coeff"]),
+                          list(t.word(pres.gens))))
         return pres.element(terms)
 
     def tensor_element(self, pres, spec):
@@ -250,7 +259,7 @@ class SpecFile:
         for t in _items("tensor term", spec):
             u, v = t.pair()
             key = (t.word(pres.gens, u), t.word(pres.gens, v))
-            terms[key] = _series(t["coeff"])
+            terms[key] = self._series(t["coeff"])
         return t2.element(terms)
 
     def hopf_structure(self, name):
@@ -263,9 +272,9 @@ class SpecFile:
                                     spec))
                                 for g, spec in entry["coproduct"].items()},
                          t2.one(), name="Delta")
-        counit = AlgebraMap(pres, {g: _series(v)
+        counit = AlgebraMap(pres, {g: self._series(v)
                                    for g, v in entry["counit"].items()},
-                            HSeries.one(), name="epsilon")
+                            HSeries.one(self.order), name="epsilon")
         antipode = AlgebraMap(
             pres, {g: self.nc_element(pres, spec, "%s antipode %r"
                                       % (entry.where, g))
@@ -289,7 +298,7 @@ class SpecFile:
         arg, args = spec.where + " arg", spec.where + " args"
         if op == "scale":
             return Scale(self.action_expr(pres, _fields(arg, spec["arg"])),
-                         _series(spec["scalar"]))
+                         self._series(spec["scalar"]))
         if op == "sum":
             return Sum([self.action_expr(pres, a)
                         for a in _items(args, spec["args"])])
@@ -313,7 +322,7 @@ class SpecFile:
             "coproducts": {g: self.tensor_element(group, _items(
                                "%s coproduct %r term" % (entry.where, g), spec))
                            for g, spec in entry.get("coproducts", {}).items()},
-            "counit": {g: _series(v)
+            "counit": {g: self._series(v)
                        for g, v in entry.get("counit", {}).items()},
             "relations": _items(entry.where + " relation",
                                 entry.get("relations", ())),
@@ -387,9 +396,3 @@ def _split_pair(pair):
     if len(parts) != 2:
         raise SpecError("expected a name pair 'x,y', got %r" % pair)
     return parts
-
-
-def _series(spec):
-    if isinstance(spec, str):
-        return series(gauss(spec))
-    return HSeries([gauss(c) for c in spec])

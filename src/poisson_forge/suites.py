@@ -247,23 +247,24 @@ def momentum_fixture_suite():
     return out
 
 
-def hopf_fixture_suite():
+def hopf_fixture_suite(order=fixtures.ORDER):
     from .hopf import (
         check_all_axioms, semiclassical_cobracket,
         check_co_poisson_compatibility, classical_limit_check,
     )
     out = []
-    classical = fixtures.usl2_hopf()
+    classical = fixtures.usl2_hopf(order)
     reports = check_all_axioms(classical)
     for key in ("coassociativity", "counit", "antipode", "delta-hom"):
         out.append(("usl2/%s" % key, reports[key]))
-    quantum = fixtures.uhsl2_hopf()
+    quantum = fixtures.uhsl2_hopf(order)
     reports = check_all_axioms(quantum)
     for key in ("coassociativity", "counit", "antipode", "delta-hom"):
         out.append(("uhsl2/%s" % key, reports[key]))
     # [E,F] equals the q-number expansion from the scalar oracle
     pres = quantum.algebra
-    want = pres.element([(c, w) for w, c in fixtures.q_number_terms().items()])
+    want = pres.element([(c, w) for w, c in
+                         fixtures.q_number_terms(order=order).items()])
     got = pres.gen("E").commutator(pres.gen("F"))
     out.append(("uhsl2/ef-commutator",
                 Report.from_failures(
@@ -287,15 +288,15 @@ def hopf_fixture_suite():
     return out
 
 
-def quantum_action_fixture_suite(degree=2):
+def quantum_action_fixture_suite(degree=2, order=fixtures.ORDER):
     from .qmomentum import (
         check_module_algebra, check_action_lie_hom, check_ideal_invariance,
         invariant_subalgebra,
     )
-    from .scalars import HSeries
+    from .scalars import HSeries, hexp
     out = []
     # case 1
-    act = fixtures.case_action(1)
+    act = fixtures.case_action(1, order)
     cops = fixtures.r2_coproducts(act.group)
     out.append(("case1/module-algebra",
                 check_module_algebra(act, cops, degree)))
@@ -303,11 +304,11 @@ def quantum_action_fixture_suite(degree=2):
                                    degree)
     out.append(("case1/lie-hom", reports[("xi", "eta")]))
     # case 2: paper discrepancy surfaced with the oracle relation
-    act = fixtures.case_action(2)
+    act = fixtures.case_action(2, order)
     out.append(("case2/module-algebra",
                 check_module_algebra(act, fixtures.r2_coproducts(act.group),
                                      degree)))
-    h = HSeries.hbar()
+    h = HSeries.hbar(order)
     paper_rhs = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
     reports = check_action_lie_hom(
         act, {("xi", "eta"): paper_rhs}, degree,
@@ -315,14 +316,14 @@ def quantum_action_fixture_suite(degree=2):
         diagnose_words=[(), ("xi",), ("eta",), ("xi", "eta"), ("eta", "eta")])
     out.append(("case2/lie-hom-vs-paper", reports[("xi", "eta")]))
     # case 3
-    act = fixtures.case_action(3)
+    act = fixtures.case_action(3, order)
     out.append(("case3/module-algebra",
                 check_module_algebra(act, fixtures.r2_coproducts(act.group),
                                      degree)))
     basis, rep = invariant_subalgebra(act, {"xi": 0, "eta": 0}, degree=2)
     out.append(("case3/invariant-subalgebra", rep))
     # 3D
-    act = fixtures.su2_action()
+    act = fixtures.su2_action(order)
     out.append(("su2-3d/module-algebra",
                 check_module_algebra(act, fixtures.su2_coproducts(act.group),
                                      degree)))
@@ -332,8 +333,7 @@ def quantum_action_fixture_suite(degree=2):
     alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
     failures = []
     a, ainv, b, c = (alg.gen(g) for g in ("a", "a_inv", "b", "c"))
-    from .scalars import hexp
-    factor = 1 - hexp(2)
+    factor = 1 - hexp(2, order)
     if not (ainv * H * a - H).is_zero():
         failures.append("a^-1 H a != H")
     if not (b.commutator(H) + H * b * factor).is_zero():
@@ -383,8 +383,8 @@ def reduction_fixture_suite(degree=2):
     return out
 
 
-def run_fixture_suite(command, degree=3):
-    """The shipped suite for one CLI command."""
+def run_fixture_suite(command, degree=3, order=fixtures.ORDER):
+    """The shipped suite for one CLI command, quantum ones mod hbar^order."""
     if command == "check-bialgebra":
         return bialgebra_fixture_suite()
     if command == "poisson-group":
@@ -397,18 +397,18 @@ def run_fixture_suite(command, degree=3):
     if command == "check-mm":
         return momentum_fixture_suite()
     if command == "check-hopf":
-        return hopf_fixture_suite()
+        return hopf_fixture_suite(order)
     if command == "check-action":
-        return quantum_action_fixture_suite(degree)
+        return quantum_action_fixture_suite(degree, order)
     if command == "reduce":
         return reduction_fixture_suite()
     if command == "qreduce":
         from .qmomentum import check_ideal_invariance, invariant_subalgebra
-        act = fixtures.su2_action()
+        act = fixtures.su2_action(order)
         alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
         out = [("su2-3d/ideal-invariance",
                 check_ideal_invariance(act, [H]))]
-        act3 = fixtures.case_action(3)
+        act3 = fixtures.case_action(3, order)
         basis, rep = invariant_subalgebra(act3, {"xi": 0, "eta": 0}, degree=2)
         out.append(("case3/invariant-subalgebra", rep))
         return out

@@ -21,8 +21,8 @@ Linear algebra has a dense reference: ``dense_rref`` is the textbook
 Gauss-Jordan loop over Q(i), ``module_member`` decides membership in a
 Q(i)[hbar]/(hbar^N)-module by the rank of the dense flattened system of all
 hbar-multiples of its generators, and ``dense_solve_series`` and
-``dense_kernel_series`` solve series systems through the dense flattened
-matrix (``flatten_series_system``).
+``dense_kernel_series`` densify the sparse rows of a series system and
+solve it through the dense flattened matrix (``flatten_series_system``).
 """
 
 import itertools
@@ -46,7 +46,7 @@ from poisson_forge.linalg import (
     SeriesSpan, Span, in_row_span, kernel_basis, kernel_series, solve,
 )
 from poisson_forge.scalars import (
-    HSeries, ONE, ZERO, gauss, get_default_order, series,
+    HSeries, ONE, ZERO, gauss, series,
 )
 
 
@@ -75,7 +75,7 @@ def sweep_counit(hopf, degree=3):
         d = hopf.coproduct.apply_word(word)
         left = counit_in_slot(hopf.counit, d, 0, t1)
         right = counit_in_slot(hopf.counit, d, 1, t1)
-        target = TensorElement(t1, {(word,): HSeries.one()})
+        target = TensorElement(t1, {(word,): HSeries.one(pres.order)})
         if not (left - target).is_zero():
             failures.append("(eps x id)Delta != id at %s" % pres.word_name(word))
         if not (right - target).is_zero():
@@ -115,8 +115,8 @@ def sweep_delta_hom(hopf, degree=3):
         for w2 in monos:
             if len(w1) + len(w2) > degree or not w1 or not w2:
                 continue
-            x = NCPoly(pres, {w1: HSeries.one()})
-            y = NCPoly(pres, {w2: HSeries.one()})
+            x = NCPoly(pres, {w1: HSeries.one(pres.order)})
+            y = NCPoly(pres, {w2: HSeries.one(pres.order)})
             lhs = hopf.coproduct(x * y)
             rhs = hopf.coproduct(x) * hopf.coproduct(y)
             if not (lhs - rhs).is_zero():
@@ -151,7 +151,7 @@ def sweep_confluence(pres, degree=4):
                 head, tail = word[:k], word[k + len(lhs):]
                 for t, c in rule.items():
                     for w2, c2 in pres._nf(head + t + tail).items():
-                        v = acc.get(w2, HSeries.zero()) + c * c2
+                        v = acc.get(w2, HSeries.zero(pres.order)) + c * c2
                         acc[w2] = v
                 acc = {w: c for w, c in acc.items() if not c.is_zero()}
                 results.append(acc)
@@ -255,7 +255,7 @@ def sweep_co_poisson(hopf, generator_table, degree=3, primitive=True):
     lifted = {}
     for g, entries in generator_table.items():
         lifted[pres.index(g)] = TensorElement(
-            t2, {key: series(c) for key, c in entries.items()})
+            t2, {key: series(c, pres.order) for key, c in entries.items()})
 
     for word in pres.monomials_up_to(degree):
         if not word:
@@ -281,7 +281,7 @@ def sweep_co_poisson(hopf, generator_table, degree=3, primitive=True):
 
 
 def _monomials(alg, degree):
-    return [NCPoly(alg, {w: HSeries.one()})
+    return [NCPoly(alg, {w: HSeries.one(alg.order)})
             for w in alg.monomials_up_to(degree)]
 
 
@@ -381,7 +381,7 @@ def ideal_span_closure(presentation, ideal_gens, max_degree):
     products whose normal form exceeds the bound are dropped, so an element
     of the ideal reached only through them is missed.
     """
-    span = SeriesSpan(get_default_order())
+    span = SeriesSpan(presentation.order)
     letters = [presentation.gen(g) for g in presentation.gens]
     work = [presentation.element(j) for j in ideal_gens]
     while work:
@@ -407,8 +407,8 @@ def sweep_ideal_invariance(action, ideal_gens, degree=1):
     for j in ideal_gens:
         for u in monos:
             for v in monos:
-                x = NCPoly(alg, {u: HSeries.one()}) * j \
-                    * NCPoly(alg, {v: HSeries.one()})
+                x = NCPoly(alg, {u: HSeries.one(alg.order)}) * j \
+                    * NCPoly(alg, {v: HSeries.one(alg.order)})
                 for name in action.exprs:
                     y = eval_expr(action.exprs[name], x)
                     if not y.is_zero():
@@ -430,14 +430,14 @@ def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
     component, independent modulo the ideal span closed up to the largest
     degree met."""
     alg = action.algebra
-    order = get_default_order()
+    order = alg.order
     ideal_gens = [alg.element(j) for j in ideal_gens]
     monos = alg.monomials_up_to(degree)
     cols = {}
     for name, expr in action.exprs.items():
-        eps = series(counit_values.get(name, 0))
+        eps = series(counit_values.get(name, 0), order)
         cols[name] = [eval_expr(expr, x) - x * eps
-                      for x in (NCPoly(alg, {w: HSeries.one()})
+                      for x in (NCPoly(alg, {w: HSeries.one(order)})
                                 for w in monos)]
     span = ideal_span_closure(
         alg, ideal_gens,
@@ -447,11 +447,11 @@ def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
                for name, col in cols.items()}
     words = sorted({w for col in reduced.values() for vec in col
                     for w in vec}, key=lambda t: (len(t), t))
-    rows = [[vec.get(w, HSeries.zero(order)) for vec in col]
+    rows = [{j: vec.get(w, HSeries.zero(order)) for j, vec in enumerate(col)}
             for col in reduced.values() for w in words]
     accum = span.copy()
     classes = []
-    for vec in kernel_series(rows, len(monos)):
+    for vec in kernel_series(rows, len(monos), order):
         terms = {w: c for c, w in zip(vec, monos) if not c.is_zero()}
         r = accum.reduce(terms)
         if r and accum.insert(dict(r)):
@@ -479,7 +479,7 @@ def sweep_tensor_nilpotency(coproduct, presentation, max_len=3):
     for length in range(1, max_len + 1):
         for combo in itertools.product(gens, repeat=length):
             alg = TensorAlgebra(pres, length)
-            x = TensorElement(alg, {tuple(combo): HSeries.one()})
+            x = TensorElement(alg, {tuple(combo): HSeries.one(pres.order)})
             dd = delta_n(delta_n(x, length), length + 1)
             if not dd.is_zero():
                 failures.append("Delta^2 != 0 on %s"
@@ -555,11 +555,17 @@ def flatten_series_system(rows, rhs, order):
     return scal_rows, scal_rhs
 
 
-def _series_window(rows):
-    """``rows`` with every entry a series mod hbar^N, N the least order of
-    their series entries (the default order when there are none), and N."""
-    order = min((x.order for r in rows for x in r if isinstance(x, HSeries)),
-                default=get_default_order())
+def _densified(rows, ncols):
+    """Sparse rows {column: entry} as dense lists; an empty cell is an
+    exact 0."""
+    return [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
+
+
+def _series_window(rows, ceiling):
+    """``rows`` with every entry a series mod hbar^N, N the least of
+    ``ceiling`` and the orders of their series entries, and N."""
+    order = min([ceiling] + [x.order for r in rows for x in r
+                             if isinstance(x, HSeries)])
     return [[x.truncate(order) if isinstance(x, HSeries)
              else HSeries.from_scalar(gauss(x), order) for x in r]
             for r in rows], order
@@ -569,21 +575,21 @@ def _unflatten(x, nunk, order):
     return [HSeries(x[j * order:(j + 1) * order], order) for j in range(nunk)]
 
 
-def dense_solve_series(rows, rhs):
+def dense_solve_series(rows, rhs, nunk, ceiling):
     """``linalg.solve_series`` through the dense flattened matrix."""
-    rows, order = _series_window(rows + [rhs])
+    rows, order = _series_window(_densified(rows, nunk) + [rhs], ceiling)
     rows, rhs = rows[:-1], rows[-1]
     x = solve(*flatten_series_system(rows, rhs, order))
     if x is None:
         return None
-    return _unflatten(x, len(rows[0]) if rows else 0, order)
+    return _unflatten(x, nunk, order)
 
 
-def dense_kernel_series(rows, ncols):
+def dense_kernel_series(rows, ncols, ceiling):
     """``linalg.kernel_series`` through the dense flattened matrix: the
     scalar kernel vectors that are not in the span of the earlier ones and
     the hbar-multiples of all of them."""
-    rows, order = _series_window(rows)
+    rows, order = _series_window(_densified(rows, ncols), ceiling)
     scal_rows, _ = flatten_series_system(
         rows, [HSeries.zero(order)] * len(rows), order)
     vecs = kernel_basis(scal_rows, ncols * order)

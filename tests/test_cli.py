@@ -296,11 +296,11 @@ def test_fixture_action_surfaces_discrepancy(capsys):
 
 def test_unknown_section_rejected():
     with pytest.raises(SpecError):
-        SpecFile({"bogus_section": {}})
+        SpecFile({"bogus_section": {}}, 6)
 
 
 def test_specfile_roundtrip_objects():
-    spec = SpecFile.load(SPEC)
+    spec = SpecFile.load(SPEC, 6)
     L = spec.lie_algebra("plane")
     assert L.basis_names == ("xi", "eta")
     model = spec.matrix_group("sl2_group")
@@ -308,14 +308,15 @@ def test_specfile_roundtrip_objects():
     pres = spec.presentation("qplane")
     a, b = pres.gen("a"), pres.gen("b")
     from poisson_forge.scalars import HSeries
-    assert a * b == b * a * HSeries([1, -1])
+    assert pres.order == 6
+    assert a * b == b * a * HSeries([1, -1], 6)
     action, extras = spec.quantum_action("qplane_action")
     assert act_applies(action)
 
 
 def act_applies(action):
     alg = action.algebra
-    return action.apply("xi", alg.gen("b")).is_zero()
+    return action.apply_word(("xi",), alg.gen("b")).is_zero()
 
 
 def test_json_output_deterministic_more_suites(tmp_path):
@@ -327,18 +328,8 @@ def test_json_output_deterministic_more_suites(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.fixture
-def default_order():
-    # main() sets the process-wide series order; put the default back
-    from poisson_forge.scalars import get_default_order, set_default_order
-    old = get_default_order()
-    yield
-    set_default_order(old)
-
-
 @pytest.mark.parametrize("command", ["check-hopf", "qreduce"])
-def test_fixtures_at_order_one_trip_empty_window_guard(command, capsys,
-                                                       default_order):
+def test_fixtures_at_order_one_trip_empty_window_guard(command, capsys):
     # a fixture series divided by hbar down to order 0 has no constant term
     # to invert: a window too short, not an internal error
     assert run([command, "--fixtures", "--order", "1"]) == 3
@@ -347,7 +338,29 @@ def test_fixtures_at_order_one_trip_empty_window_guard(command, capsys,
     assert "[FAIL]" not in captured.out
 
 
-def test_qreduce_order_two_trips_ideal_window_guard(capsys, default_order):
+def test_order_below_one_is_an_input_error(capsys):
+    for argv in (["check-hopf", "--fixtures", "--order", "0"],
+                 ["check-bialgebra", SPEC, "plane_r", "--order", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --order: must be an int >= 1" in err
+        assert "Traceback" not in err
+
+
+def test_a_run_leaves_no_order_behind(capsys):
+    # the order of one run is that run's: an --order 1 run that trips its
+    # window guard leaves a later default-order suite in the same process
+    # at N = 6, where all 12 Hopf checks pass
+    from poisson_forge import suites
+    assert run(["check-hopf", "--fixtures", "--order", "1"]) == 3
+    results = suites.run_fixture_suite("check-hopf")
+    assert len(results) == 12
+    assert all(rep.ok for _, rep in results)
+
+
+def test_qreduce_order_two_trips_ideal_window_guard(capsys):
     # H's b*c coefficient is known only mod hbar at N = 2, so Phi(xi)(H)
     # would be known mod hbar^0: refused before any value is compared
     assert run(["qreduce", "--fixtures", "--order", "2"]) == 3
@@ -361,8 +374,7 @@ def test_qreduce_order_two_trips_ideal_window_guard(capsys, default_order):
 
 @pytest.mark.parametrize("command", ["check-bialgebra", "poisson-group",
                                      "check-poisson", "check-mm", "reduce"])
-def test_classical_records_do_not_depend_on_order(command, tmp_path,
-                                                  default_order):
+def test_classical_records_do_not_depend_on_order(command, tmp_path):
     # the classical layers compute over Q(i): the hbar order is not theirs
     low = tmp_path / "order1.jsonl"
     high = tmp_path / "order6.jsonl"
@@ -431,7 +443,7 @@ def test_value_error_in_fixture_run_is_internal_error(monkeypatch, capsys):
     # 4 with a traceback), not malformed input (exit 2)
     from poisson_forge import suites
 
-    def broken(command, degree):
+    def broken(command, degree, order):
         raise ValueError("fixture went wrong")
 
     monkeypatch.setattr(suites, "run_fixture_suite", broken)
@@ -668,7 +680,7 @@ def test_one_parser_parses_as_one_subparser_per_command(argv, parsed):
     assert vars(cli.build_parser().parse_intermixed_args(argv)) == want
 
 
-def test_options_before_positionals_reach_the_run(capsys, default_order):
+def test_options_before_positionals_reach_the_run(capsys):
     assert run(["check-bialgebra", "--order", "4", SPEC, "plane_r"]) == 0
     assert "7 checks: 7 pass" in capsys.readouterr().out
 

@@ -107,9 +107,9 @@ def test_hbar_atom_trips_named_guard():
 
 def test_series_coefficients_refused():
     with pytest.raises(TypeError):
-        CoordPoly(AB, {(1, 0): HSeries.hbar()})
+        CoordPoly(AB, {(1, 0): HSeries.hbar(6)})
     with pytest.raises(TypeError):
-        poly(HSeries.one(), AB)
+        poly(HSeries.one(6), AB)
 
 
 def test_monomial_inverse():

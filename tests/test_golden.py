@@ -4,17 +4,16 @@ import os
 import pytest
 
 from poisson_forge import suites
-from poisson_forge.scalars import get_default_order, set_default_order
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "check_action_fixtures.jsonl")
 
 
-def fresh_records(command, degree=2):
-    """The ``--json`` lines of ``command --fixtures`` at the current order."""
+def fresh_records(command, degree=2, order=6):
+    """The ``--json`` lines of ``command --fixtures --order order``."""
     fresh = []
-    for check_id, rep in suites.run_fixture_suite(command, degree=degree):
+    for check_id, rep in suites.run_fixture_suite(command, degree, order):
         record = {"check": check_id}
         record.update(rep.to_json())
         fresh.append(json.dumps(record, sort_keys=True))
@@ -42,13 +41,8 @@ def test_quantum_action_suite_matches_golden_file():
     ("qreduce", "qreduce_fixtures_order16.jsonl"),
 ])
 def test_quantum_suites_at_order_16_match_golden_files(command, golden):
-    old = get_default_order()
-    set_default_order(16)
-    try:
-        fresh = fresh_records(command)
-    finally:
-        set_default_order(old)
-    assert fresh == stored_records(os.path.join(GOLDEN_DIR, golden))
+    assert fresh_records(command, order=16) == \
+        stored_records(os.path.join(GOLDEN_DIR, golden))
 
 
 def test_golden_file_records_the_oracle_relation():

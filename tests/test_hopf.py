@@ -13,6 +13,9 @@ from poisson_forge.lie import check_cocycle, wedge, basis_tensor
 from poisson_forge.ncalg import TensorAlgebra, AlgebraMap, TensorElement
 from poisson_forge.scalars import HSeries, gauss, hexp
 
+# the hbar order of the series built here, the fixtures' default
+N = fixtures.ORDER
+
 
 def test_primitive_hopf_axioms():
     hopf = fixtures.usl2_hopf()
@@ -29,11 +32,11 @@ def test_uhsl2_hopf_axioms():
 def test_grouplike_counit():
     # a group-like g with Delta g = g (x) g, eps(g) = 1
     from poisson_forge.ncalg import Presentation
-    pres = Presentation(["g"], {}, name="grouplike")
+    pres = Presentation(["g"], {}, N, name="grouplike")
     t2 = TensorAlgebra(pres, 2)
     cop = AlgebraMap(pres, {"g": t2.element({(("g",), ("g",)): 1})},
                      t2.one(), name="Delta")
-    counit = AlgebraMap(pres, {"g": HSeries.one()}, HSeries.one(),
+    counit = AlgebraMap(pres, {"g": HSeries.one(N)}, HSeries.one(N),
                         name="eps")
     antipode = AlgebraMap(pres, {"g": pres.gen("g")}, pres.one(),
                           anti=True, name="S")
@@ -45,9 +48,9 @@ def test_grouplike_counit():
 def test_wrong_counit_fails():
     hopf = fixtures.usl2_hopf()
     bad_counit = AlgebraMap(hopf.algebra,
-                            {"E": HSeries.zero(), "F": HSeries.zero(),
-                             "H": HSeries.one()},
-                            HSeries.one(), name="eps-bad")
+                            {"E": HSeries.zero(N), "F": HSeries.zero(N),
+                             "H": HSeries.one(N)},
+                            HSeries.one(N), name="eps-bad")
     bad = HopfStructure(hopf.algebra, hopf.coproduct, bad_counit,
                         hopf.antipode, validate=False)
     assert not check_counit(bad).ok
@@ -136,8 +139,8 @@ def test_case1_coproduct_semiclassical_table():
     pres = fixtures.r2_quantum_group()
     t2 = TensorAlgebra(pres, 2)
     cop_images = fixtures.r2_coproducts(pres)
-    counit = AlgebraMap(pres, {"xi": HSeries.zero(), "eta": HSeries.zero()},
-                        HSeries.one(), name="eps")
+    counit = AlgebraMap(pres, {"xi": HSeries.zero(N), "eta": HSeries.zero(N)},
+                        HSeries.one(N), name="eps")
     antipode = AlgebraMap(pres, {"xi": -pres.gen("xi"),
                                  "eta": -pres.gen("eta")},
                           pres.one(), anti=True, name="S")
@@ -173,7 +176,7 @@ def test_quasitriangular_first_order_r():
     # hold mod hbar^2 only
     hopf = fixtures.usl2_hopf()
     t2 = hopf.square
-    h = HSeries.hbar()
+    h = HSeries.hbar(N)
     eighth = gauss(Fraction(1, 8))
     half = gauss(Fraction(1, 2))
     r = t2.element({(("H",), ("H",)): h * eighth, (("E",), ("F",)): h * half})
@@ -207,8 +210,9 @@ def test_truncated_q_factor_fails_coassociativity():
     good = fixtures.uhsl2_hopf()
     pres = good.algebra
     t2 = TensorAlgebra(pres, 2)
-    trunc = NCPoly(pres, {(): HSeries.one(),
-                          (pres.index("H"),): HSeries([0, Fraction(1, 8)])})
+    trunc = NCPoly(pres, {(): HSeries.one(N),
+                          (pres.index("H"),):
+                              HSeries([0, Fraction(1, 8)], N)})
     qm = fixtures.h_exponential(pres, Fraction(-1, 8))
     images = {pres.gens[i]: img for i, img in good.coproduct.images.items()}
     images["E"] = t2.from_factors([pres.gen("E"), trunc]) \
@@ -224,27 +228,20 @@ def test_hopf_suite_exact_at_other_truncation_orders():
     # the quantized structure is uniformly exact in the truncation order,
     # not tuned to the default: all axioms pass at N = 4 and N = 5 too
     from poisson_forge import suites
-    from poisson_forge.scalars import set_default_order, get_default_order
-    old = get_default_order()
-    try:
-        for order in (4, 5):
-            set_default_order(order)
-            results = suites.hopf_fixture_suite()
-            for check_id, rep in results:
-                assert rep.ok, (order, check_id, rep.failures)
-    finally:
-        set_default_order(old)
+    for order in (4, 5):
+        for check_id, rep in suites.hopf_fixture_suite(order):
+            assert rep.ok, (order, check_id, rep.failures)
 
 
 # -- the generator certificates against the degree-3 sweep oracle ------------
 
 def _grouplike_hopf():
     from poisson_forge.ncalg import Presentation
-    pres = Presentation(["g"], {}, name="grouplike")
+    pres = Presentation(["g"], {}, N, name="grouplike")
     t2 = TensorAlgebra(pres, 2)
     cop = AlgebraMap(pres, {"g": t2.element({(("g",), ("g",)): 1})},
                      t2.one(), name="Delta")
-    counit = AlgebraMap(pres, {"g": HSeries.one()}, HSeries.one(),
+    counit = AlgebraMap(pres, {"g": HSeries.one(N)}, HSeries.one(N),
                         name="eps")
     antipode = AlgebraMap(pres, {"g": pres.gen("g")}, pres.one(),
                           anti=True, name="S")
@@ -268,8 +265,8 @@ def _with_coproduct_images(hopf, name, **images):
 def _wrong_counit_hopf():
     hopf = fixtures.usl2_hopf()
     return _with_maps(hopf, counit=AlgebraMap(
-        hopf.algebra, {"E": HSeries.zero(), "F": HSeries.zero(),
-                       "H": HSeries.one()}, HSeries.one(), name="eps-bad"))
+        hopf.algebra, {"E": HSeries.zero(N), "F": HSeries.zero(N),
+                       "H": HSeries.one(N)}, HSeries.one(N), name="eps-bad"))
 
 
 def _wrong_antipode_hopf():
@@ -293,8 +290,9 @@ def _truncated_q_factor_hopf():
     from poisson_forge.ncalg import NCPoly
     hopf = fixtures.uhsl2_hopf()
     pres, t2 = hopf.algebra, hopf.square
-    trunc = NCPoly(pres, {(): HSeries.one(),
-                          (pres.index("H"),): HSeries([0, Fraction(1, 8)])})
+    trunc = NCPoly(pres, {(): HSeries.one(N),
+                          (pres.index("H"),):
+                              HSeries([0, Fraction(1, 8)], N)})
     qm = fixtures.h_exponential(pres, Fraction(-1, 8))
     return _with_coproduct_images(
         hopf, "Delta-trunc", E=t2.from_factors([pres.gen("E"), trunc])
@@ -314,23 +312,23 @@ def _plane_hopf(**bad):
     # the commutative plane x, y with x, y primitive; ``bad`` replaces the
     # coproduct, counit or antipode image of y only, keeping every rule
     from poisson_forge.ncalg import Presentation
-    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}},
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N,
                         name="plane")
     t2 = TensorAlgebra(pres, 2)
     x, y = pres.gen("x"), pres.gen("y")
     cop = {g: t2.embed(pres.gen(g), 0) + t2.embed(pres.gen(g), 1)
            for g in ("x", "y")}
-    eps = {"x": HSeries.zero(), "y": HSeries.zero()}
+    eps = {"x": HSeries.zero(N), "y": HSeries.zero(N)}
     anti = {"x": -x, "y": -y}
     if "coproduct" in bad:
         cop["y"] = cop["y"] + t2.embed(x, 0)
     if "counit" in bad:
-        eps["y"] = HSeries.one()
+        eps["y"] = HSeries.one(N)
     if "antipode" in bad:
         anti["y"] = y
     return HopfStructure(
         pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
-        AlgebraMap(pres, eps, HSeries.one(), name="eps"),
+        AlgebraMap(pres, eps, HSeries.one(N), name="eps"),
         AlgebraMap(pres, anti, pres.one(), anti=True, name="S"))
 
 
@@ -339,7 +337,7 @@ def _spec_usl2_hopf():
     from poisson_forge.specfile import SpecFile
     spec = os.path.join(os.path.dirname(__file__), "..", "demos",
                         "sample_spec.json")
-    return SpecFile.load(spec).hopf_structure("usl2_hopf")
+    return SpecFile.load(spec, N).hopf_structure("usl2_hopf")
 
 
 def _twisted_grouplike_hopf():
@@ -352,14 +350,14 @@ def _twisted_grouplike_hopf():
     commuting = (("x", "m"), ("x", "m_inv"), ("y", "m"), ("y", "m_inv"),
                  ("y", "x"))
     pres = Presentation(["m_inv", "m", "x", "y"],
-                        {(a, b): {(b, a): 1} for a, b in commuting},
+                        {(a, b): {(b, a): 1} for a, b in commuting}, N,
                         inverses={"m_inv": "m"}, name="twisted-plane")
     t2 = TensorAlgebra(pres, 2)
     x, y, m, m_inv = (pres.gen(g) for g in ("x", "y", "m", "m_inv"))
-    n = HSeries.one().order
+    n = pres.order
 
     def coeff(sign, k):
-        return HSeries([0] * k + [Fraction(sign ** k, factorial(k))])
+        return HSeries([0] * k + [Fraction(sign ** k, factorial(k))], n)
 
     def exp_tensor(sign):
         return t2.element({(("x",) * k, ("y",) * k): coeff(sign, k)
@@ -373,12 +371,12 @@ def _twisted_grouplike_hopf():
            "y": t2.embed(y, 0) + t2.embed(y, 1),
            "m": t2.from_factors([m, m]) * exp_tensor(1),
            "m_inv": t2.from_factors([m_inv, m_inv]) * exp_tensor(-1)}
-    eps = {"x": HSeries.zero(), "y": HSeries.zero(), "m": HSeries.one(),
-           "m_inv": HSeries.one()}
+    eps = {"x": HSeries.zero(N), "y": HSeries.zero(N), "m": HSeries.one(N),
+           "m_inv": HSeries.one(N)}
     anti = {"x": -x, "y": -y, "m": m_inv * exp_product(1),
             "m_inv": m * exp_product(-1)}
     return HopfStructure(pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
-                         AlgebraMap(pres, eps, HSeries.one(), name="eps"),
+                         AlgebraMap(pres, eps, HSeries.one(N), name="eps"),
                          AlgebraMap(pres, anti, pres.one(), anti=True,
                                     name="S"))
 
@@ -453,8 +451,8 @@ def _r2_hopf():
     return HopfStructure(
         pres, AlgebraMap(pres, fixtures.r2_coproducts(pres), t2.one(),
                          name="Delta"),
-        AlgebraMap(pres, {"xi": HSeries.zero(), "eta": HSeries.zero()},
-                   HSeries.one(), name="eps"),
+        AlgebraMap(pres, {"xi": HSeries.zero(N), "eta": HSeries.zero(N)},
+                   HSeries.one(N), name="eps"),
         AlgebraMap(pres, {"xi": -pres.gen("xi"), "eta": -pres.gen("eta")},
                    pres.one(), anti=True, name="S"), validate=False)
 
@@ -532,15 +530,19 @@ def test_hopf_suite_runs_no_monomial_sweep(monkeypatch):
     assert all(rep.ok for _, rep in suites.hopf_fixture_suite())
 
 
+def test_fixtures_at_two_orders_side_by_side():
+    # each presentation carries its own window: building one at N = 16
+    # leaves a default-order one (and every later one) at N = 6
+    high, low = fixtures.uhsl2_hopf(16), fixtures.uhsl2_hopf()
+    assert (high.algebra.order, low.algebra.order) == (16, 6)
+    for hopf in (high, low):
+        assert check_all_axioms(hopf)["all"].ok
+    assert fixtures.uhsl2_hopf().algebra.order == 6
+
+
 def test_co_poisson_needs_the_hbar_window():
     from poisson_forge.errors import CapabilityError
-    from poisson_forge.scalars import set_default_order, get_default_order
-    old = get_default_order()
-    try:
-        set_default_order(1)
-        hopf = fixtures.usl2_hopf()
-        with pytest.raises(CapabilityError) as info:
-            check_co_poisson_compatibility(hopf, {g: {} for g in "EFH"})
-        assert info.value.guard == "co-poisson.window"
-    finally:
-        set_default_order(old)
+    hopf = fixtures.usl2_hopf(1)
+    with pytest.raises(CapabilityError) as info:
+        check_co_poisson_compatibility(hopf, {g: {} for g in "EFH"})
+    assert info.value.guard == "co-poisson.window"

@@ -197,24 +197,36 @@ def test_solve_and_kernel_series_match_dense_flattening(order):
             # a perturbed right-hand side: mostly inconsistent
             rhs[rng.randrange(len(rhs))] += HSeries.hbar(order) ** \
                 rng.randrange(order)
-        sol = solve_series(rows, rhs)
-        assert _as_tuples(sol) == _as_tuples(dense_solve_series(rows, rhs))
+        # the sparse form holds only the nonzero cells
+        sparse = [{j: a for j, a in enumerate(r) if a} for r in rows]
+        sol = solve_series(sparse, rhs, nunk, order)
+        assert _as_tuples(sol) == \
+            _as_tuples(dense_solve_series(sparse, rhs, nunk, order))
         if sol is None:
             inconsistent += 1
         else:
-            assert _apply(rows, sol) == rhs if rows else sol == []
-        kernel = kernel_series(rows, nunk)
+            assert len(sol) == nunk and _apply(rows, sol) == rhs
+        kernel = kernel_series(sparse, nunk, order)
         assert [_as_tuples(v) for v in kernel] == \
-            [_as_tuples(v) for v in dense_kernel_series(rows, nunk)]
+            [_as_tuples(v) for v in dense_kernel_series(sparse, nunk, order)]
         underdetermined += bool(kernel)
     assert inconsistent and underdetermined
 
 
 def test_series_system_edge_shapes():
-    assert solve_series([], []) == dense_solve_series([], []) == []
-    assert kernel_series([], 2) == dense_kernel_series([], 2)
+    assert solve_series([], [], 0, 3) == []
+    assert dense_solve_series([], [], 0, 3) == []
+    # no equation: the kernel is free on the unknowns, mod hbar^ceiling
+    free = [[((1,), 3), ((), 3)], [((), 3), ((1,), 3)]]
+    assert [_as_tuples(v) for v in kernel_series([], 2, 3)] == free
+    assert [_as_tuples(v) for v in dense_kernel_series([], 2, 3)] == free
     # a row known only mod hbar^0 constrains nothing
-    rows = [[HSeries.one(0), HSeries.hbar(3)]]
-    assert _as_tuples(solve_series(rows, [ZERO])) == \
-        _as_tuples(dense_solve_series(rows, [ZERO])) == [((), 0), ((), 0)]
-    assert kernel_series(rows, 2) == dense_kernel_series(rows, 2) == []
+    rows = [{0: HSeries.one(0), 1: HSeries.hbar(3)}]
+    assert _as_tuples(solve_series(rows, [ZERO], 2, 3)) == \
+        _as_tuples(dense_solve_series(rows, [ZERO], 2, 3)) == \
+        [((), 0), ((), 0)]
+    assert kernel_series(rows, 2, 3) == dense_kernel_series(rows, 2, 3) == []
+    # the caller's ceiling caps a window its entries would allow
+    rows, rhs = [{0: HSeries.one(5)}], [HSeries.hbar(5)]
+    assert _as_tuples(solve_series(rows, rhs, 1, 3)) == \
+        _as_tuples(dense_solve_series(rows, rhs, 1, 3)) == [((0, 1), 3)]

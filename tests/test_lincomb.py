@@ -13,6 +13,9 @@ from poisson_forge.poisson import (
 )
 from poisson_forge.scalars import GaussRational, HSeries, LinComb
 
+# the hbar order of the series built here, the fixtures' default
+N = fixtures.ORDER
+
 XY = Chart(["x", "y"])
 XZ = Chart(["x", "z"])
 
@@ -27,8 +30,8 @@ def _ncpoly():
     pres = fixtures.quantum_plane_presentation()
     a, b = pres.gen("a"), pres.gen("b")
     other = fixtures.quantum_plane_presentation()
-    return dict(a=a * b + 2, b=b * HSeries.hbar() - a,
-                s=HSeries([1, 3]), t=Fraction(1, 2), scalar=True,
+    return dict(a=a * b + 2, b=b * HSeries.hbar(N) - a,
+                s=HSeries([1, 3], N), t=Fraction(1, 2), scalar=True,
                 foreign=other.gen("a"))
 
 
@@ -37,8 +40,8 @@ def _tensor_element():
     t2 = TensorAlgebra(pres, 2)
     a = t2.embed(pres.gen("a"), 0) + t2.embed(pres.gen("b"), 1)
     other = fixtures.quantum_plane_presentation()
-    return dict(a=a, b=t2.one() * HSeries.hbar() - a.flip(),
-                s=HSeries([2, 0, 1]), t=GaussRational(1, 1), scalar=True,
+    return dict(a=a, b=t2.one() * HSeries.hbar(N) - a.flip(),
+                s=HSeries([2, 0, 1], N), t=GaussRational(1, 1), scalar=True,
                 foreign=TensorAlgebra(other, 2).embed(other.gen("a"), 0))
 
 

@@ -9,10 +9,11 @@ from poisson_forge.ncalg import (
     Presentation, NCPoly, TensorAlgebra, AlgebraMap,
     check_map, semiclassical_bracket, abelianize, abelianization_chart,
 )
-from poisson_forge.scalars import (
-    HSeries, gauss, hexp, series, divide_by_hbar,
-)
+from poisson_forge.scalars import HSeries, gauss, hexp, series
 from poisson_forge.coordpoly import Chart, poly
+
+# the hbar order of the series built here, the fixtures' default
+N = fixtures.ORDER
 
 
 def test_usl2_normal_form_ef():
@@ -35,7 +36,7 @@ def test_quantum_plane_pattern():
     # a b^k = (1-hbar)^k b^k a
     for k in range(1, 5):
         lhs = a * b ** k
-        factor = HSeries([1, -1]) ** k
+        factor = HSeries([1, -1], N) ** k
         want = NCPoly(qp, {(0,) * k + (1,): factor})
         assert lhs == want
 
@@ -46,7 +47,7 @@ def test_quantum_plane_inverse_cancellation():
     assert a * ainv == qp.one()
     assert ainv * a == qp.one()
     # b a^-1 = (1-hbar) a^-1 b  <=>  a^-1 b = (1-hbar)^-1 b a^-1
-    assert ainv * b == b * ainv * HSeries([1, -1]).inverse()
+    assert ainv * b == b * ainv * HSeries([1, -1], N).inverse()
 
 
 def test_commutators_uhsl2():
@@ -96,14 +97,14 @@ def test_jacobi_in_normal_form():
 
 def test_normal_form_linear_over_series():
     u = fixtures.uhsl2_presentation()
-    h = HSeries.hbar()
+    h = HSeries.hbar(N)
     x = u.element([(h, ["E", "F"]), (1, ["H"])])
     y = u.element([(1, ["E", "F"])])
     assert x + y * (-h) == u.gen("H")
 
 
 def test_word_length_guard():
-    pres = Presentation(["x"], {}, max_word_len=4)
+    pres = Presentation(["x"], {}, N, max_word_len=4)
     with pytest.raises(CapabilityError) as exc:
         pres.nf_word((0,) * 5)
     assert exc.value.guard == "ncalg.max_word_len"
@@ -112,7 +113,7 @@ def test_word_length_guard():
 
 def test_rewrite_step_guard():
     # y y y x needs three swaps to reach x y y y
-    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}},
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N,
                         max_steps=2)
     with pytest.raises(CapabilityError) as exc:
         pres.nf_word((1, 1, 1, 0))
@@ -123,7 +124,7 @@ def test_rewrite_step_guard():
 
 def _swap_presentation(max_steps):
     # y^k x needs k swaps to reach x y^k
-    return Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}},
+    return Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N,
                         max_steps=max_steps)
 
 
@@ -132,7 +133,7 @@ def test_step_budget_applies_to_each_normal_form():
     pres = _swap_presentation(10)
     for k in range(1, 6):
         got = pres.normal_form({("y",) * k + ("x",): 1})
-        assert got.terms == {(0,) + (1,) * k: HSeries.one()}
+        assert got.terms == {(0,) + (1,) * k: HSeries.one(N)}
     with pytest.raises(CapabilityError) as exc:
         _swap_presentation(10).normal_form({("y",) * 11 + ("x",): 1})
     assert exc.value.guard == "ncalg.max_steps"
@@ -145,7 +146,7 @@ def test_step_budget_applies_to_each_tensor_product():
     x = t2.element({(("x",), ()): 1})
     for k in range(1, 6):
         ys = t2.element({(("y",) * k, ()): 1})
-        assert (ys * x).terms == {((0,) + (1,) * k, ()): HSeries.one()}
+        assert (ys * x).terms == {((0,) + (1,) * k, ()): HSeries.one(N)}
     ys = t2.element({(("y",) * 11, ()): 1})
     with pytest.raises(CapabilityError) as exc:
         ys * x
@@ -222,7 +223,7 @@ def test_abelianize_inverse_generators():
 def test_case2_derived_commutators():
     c2 = fixtures.case2_module_algebra()
     a, ainv, b = c2.gen("a"), c2.gen("a_inv"), c2.gen("b")
-    h = HSeries.hbar()
+    h = HSeries.hbar(N)
     assert a.commutator(b) == c2.element([(-h, [])])
     # [b, a^-1] = -hbar a^-2
     assert b.commutator(ainv) == NCPoly(c2, {(0, 0): -h})
@@ -231,22 +232,38 @@ def test_case2_derived_commutators():
 def test_su2_module_algebra_conjugation():
     alg = fixtures.su2_module_algebra()
     a, ainv, b, c = (alg.gen(g) for g in ("a", "a_inv", "b", "c"))
-    assert a * b * ainv == b * hexp(2)
-    assert a * c * ainv == c * hexp(-2)
+    assert a * b * ainv == b * hexp(2, N)
+    assert a * c * ainv == c * hexp(-2, N)
     # [b, c] reproduces the declared series relation
-    s = HSeries.hbar() * (hexp(-1) - hexp(1)).divide_by_hbar().inverse()
-    want = NCPoly(alg, {(0, 0): s}) - c * b * (1 - hexp(2))
+    s = HSeries.hbar(N) * (hexp(-1, N)
+                           - hexp(1, N)).divide_by_hbar().inverse()
+    want = NCPoly(alg, {(0, 0): s}) - c * b * (1 - hexp(2, N))
     assert b.commutator(c) == want
+
+
+def test_elements_coerce_scalars_into_their_presentation_window():
+    # every scalar entering an algebra presented at N = 4 becomes a series
+    # mod hbar^4, and its tensor powers and quotients keep that N
+    pres = fixtures.quantum_plane_presentation(4)
+    a = pres.gen("a")
+    t2 = TensorAlgebra(pres, 2)
+    for x in (a, a * 2, a + 1, pres.element(3),
+              pres.element([(1, ["a", "b"])]), t2.one(), t2.one() * 2,
+              t2.element({(("a",), ()): 1}) - 1):
+        assert {c.order for c in x.terms.values()} == {4}
+    assert pres.zero().hbar_valuation() == t2.zero().hbar_valuation() == 4
+    assert pres.quotient([pres.gen("b")]).order == 4
 
 
 def test_nondecreasing_rule_rejected():
     # (y, x) -> (x, y) is fine, but (x, y) -> (y, x) with a unit
     # coefficient would let the pair oscillate forever
     with pytest.raises(ValueError, match="not decreasing"):
-        Presentation(["x", "y"], {("x", "y"): {("y", "x"): 1}})
+        Presentation(["x", "y"], {("x", "y"): {("y", "x"): 1}}, N)
     # the same growth is allowed when the coefficient gains an hbar
     Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1,
-                                           ("y", "x", "x"): HSeries([0, 1])}})
+                                           ("y", "x", "x"): HSeries.hbar(N)}},
+                 N)
 
 
 SHIPPED_PRESENTATIONS = (
@@ -275,7 +292,7 @@ def test_non_confluent_overlap_reported():
             ("y", "x"): {("x", "y"): 1, ("z",): 1},
             ("z", "x"): {("x", "z"): 1, ("x",): 1},
             ("z", "y"): {("y", "z"): 1},
-        }, name="non-confluent")
+        }, N, name="non-confluent")
 
     rep = make().check_confluence()
     assert rep.failures == ["overlap z*y*x reduces ambiguously"]
@@ -293,7 +310,7 @@ def test_length_three_rule_inclusion_reported():
         return Presentation(["x", "y"], {
             ("y", "x"): {("x", "y"): 1},
             ("y", "x", "x"): {("x",): 1},
-        }, name="inclusion")
+        }, N, name="inclusion")
 
     rep = make().check_confluence()
     assert rep.failures == ["inclusion y*x in y*x*x reduces ambiguously"]
@@ -308,22 +325,22 @@ def test_leftmost_then_shortest_leading_word_is_rewritten():
     pres = Presentation(["x", "y", "z"], {
         ("z",): {("x",): 1},
         ("y", "z", "y"): {},
-    })
+    }, N)
     assert pres.nf_word((1, 2, 1)) == {}
     pres = Presentation(["x", "y"], {
         ("y", "x"): {("x", "y"): 1},
         ("y", "x", "x"): {("x",): 1},
-    })
-    assert pres.nf_word((1, 0, 0)) == {(0, 0, 1): HSeries.one()}
+    }, N)
+    assert pres.nf_word((1, 0, 0)) == {(0, 0, 1): HSeries.one(N)}
 
 
 def test_rules_of_other_lengths_rewrite_leftmost_subword():
     # z -> x + hbar*y*y (an hbar gain may grow words) and y*x*y -> x
-    h = HSeries.hbar()
+    h = HSeries.hbar(N)
     pres = Presentation(["x", "y", "z"], {
         ("z",): {("x",): 1, ("y", "y"): h},
         ("y", "x", "y"): {("x",): 1},
-    })
+    }, N)
     x, y, z = (pres.gen(g) for g in "xyz")
     assert pres.normal_form(z) == x + y * y * h
     assert y * x * y * z == x * x + x * y * y * h
@@ -331,4 +348,4 @@ def test_rules_of_other_lengths_rewrite_leftmost_subword():
     assert pres.check_confluence().failures == [
         "overlap y*x*y*x*y reduces ambiguously"]
     with pytest.raises(ValueError, match="not decreasing"):
-        Presentation(["x", "y"], {("x",): {("y",): 1}})
+        Presentation(["x", "y"], {("x",): {("y",): 1}}, N)

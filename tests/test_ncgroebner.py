@@ -7,9 +7,12 @@ from poisson_forge.scalars import hexp
 
 from oracles import ideal_span_closure, sweep_confluence
 
+# the hbar order of the presentations built here, the fixtures' default
+N = fixtures.ORDER
+
 
 def _commutative_xy():
-    return Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}},
+    return Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N,
                         name="k[x,y]")
 
 
@@ -58,7 +61,7 @@ def test_nonunit_lead_printed_sign_momentum_generator():
     # the printed sign of H (fixtures.su2_momentum_ideal_generator) makes
     # <H> meet hbar * (unit lead) in its completion
     alg = fixtures.su2_module_algebra()
-    coef = hexp(1) * (1 - hexp(2)).divide_by_hbar() ** 2
+    coef = hexp(1, N) * (1 - hexp(2, N)).divide_by_hbar() ** 2
     printed = alg.element([(1, ["a_inv", "a_inv"])]) \
         - alg.element([(coef, ["c", "b"])])
     with pytest.raises(CapabilityError) as exc:
@@ -100,7 +103,7 @@ def test_completion_repairs_a_non_confluent_base():
     pres = Presentation(["x", "y", "z"],
                         {("y", "x"): {("x", "y"): 1, ("z",): 1},
                          ("z", "x"): {("x", "z"): 1, ("x",): 1},
-                         ("z", "y"): {("y", "z"): 1}}, name="skew")
+                         ("z", "y"): {("y", "z"): 1}}, N, name="skew")
     assert not pres.check_confluence().ok
     quotient = pres.quotient([])
     assert quotient.check_confluence().ok

@@ -14,17 +14,18 @@ from poisson_forge.qmomentum import (
     tensor_coproduct_extension, check_ideal_invariance, invariant_subalgebra,
 )
 from poisson_forge.report import DISCREPANCY, PASS
-from poisson_forge.scalars import (
-    HSeries, ValuationError, gauss, get_default_order, hexp, series,
-    set_default_order,
-)
+from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp, series
 from poisson_forge.specfile import SpecFile
 
 from oracles import eval_expr, sweep_ideal_invariance, sweep_invariant_classes
 
+# the hbar order of the series built here, the fixtures' default
+N = fixtures.ORDER
+
 
 def monomials(alg, degree):
-    return [NCPoly(alg, {w: HSeries.one()}) for w in alg.monomials_up_to(degree)]
+    return [NCPoly(alg, {w: HSeries.one(alg.order)})
+            for w in alg.monomials_up_to(degree)]
 
 
 def operators_equal(e1, e2, alg, degree=2):
@@ -39,27 +40,27 @@ def test_case1_action_values():
     alg = act.algebra
     a, b, f = alg.gen("a"), alg.gen("b"), alg.gen("f")
     # a, b commute with a: Phi(xi) a = 0
-    assert act.apply("xi", a).is_zero()
-    assert act.apply("xi", b).is_zero()
+    assert act.apply_word(("xi",), a).is_zero()
+    assert act.apply_word(("xi",), b).is_zero()
     # [b, f] = hbar b here, so Phi(xi) f = (1/hbar) a (hbar b) = a b
-    assert act.apply("xi", f) == a * b
+    assert act.apply_word(("xi",), f) == a * b
     # [a^-1, f] = -hbar a^-1: Phi(eta) f = -a a^-1 = -1
-    assert act.apply("eta", f) == -alg.one()
+    assert act.apply_word(("eta",), f) == -alg.one()
 
 
 def test_case2_action_values():
     act = fixtures.case_action(2)
     alg = act.algebra
     a, b = alg.gen("a"), alg.gen("b")
-    assert act.apply("xi", b).is_zero()
-    assert act.apply("xi", a) == a
+    assert act.apply_word(("xi",), b).is_zero()
+    assert act.apply_word(("xi",), a) == a
 
 
 def test_su2_conjugation_action():
     act = fixtures.su2_action()
     alg = act.algebra
     b = alg.gen("b")
-    assert act.apply("zeta", b) == b * hexp(2)
+    assert act.apply_word(("zeta",), b) == b * hexp(2, N)
     # words act by composition: zeta zeta^-1 acts as the identity
     x = alg.element([(1, ["b", "c"])])
     assert act.apply_word(("zeta", "zeta_inv"), x) == x
@@ -80,7 +81,7 @@ def test_division_happens_once_on_the_operator_value():
     # inner division alone is inexact on 1
     alg = fixtures.case2_module_algebra()
     b = alg.gen("b")
-    expr = Compose([Scale(Identity(), HSeries.hbar()), HbarDiv(LMul(b))])
+    expr = Compose([Scale(Identity(), HSeries.hbar(N)), HbarDiv(LMul(b))])
     assert expr.apply(alg.one()) == b
     with pytest.raises(ValuationError):
         eval_expr(expr, alg.one())
@@ -111,7 +112,7 @@ SPEC_OPS = {
 
 @pytest.mark.parametrize("op", sorted(SPEC_OPS))
 def test_spec_action_ops_agree_with_recursive_evaluator(op):
-    spec = SpecFile.load(SPEC)
+    spec = SpecFile.load(SPEC, N)
     alg = spec.presentation("qplane")
     doc, cls = SPEC_OPS[op]
     expr = spec.action_expr(alg, doc)
@@ -179,7 +180,7 @@ def test_case1_commutator_vanishes():
 def test_case2_paper_discrepancy_and_oracle():
     act = fixtures.case_action(2)
     grp = act.group
-    h = HSeries.hbar()
+    h = HSeries.hbar(N)
     paper_rhs = grp.element([(3, ["eta"]), (-h, ["eta", "eta"])])
     reports = check_action_lie_hom(
         act, {("xi", "eta"): paper_rhs}, degree=2,
@@ -201,19 +202,10 @@ def test_case2_paper_discrepancy_and_oracle():
     assert reports3[("xi", "eta")].data["oracle_relation"] == oracle
 
 
-def _at_order(order, fn):
-    old = get_default_order()
-    set_default_order(order)
-    try:
-        return fn()
-    finally:
-        set_default_order(old)
-
-
-def _case2_paper_report(degree):
-    act = fixtures.case_action(2)
+def _case2_paper_report(degree, order):
+    act = fixtures.case_action(2, order)
     paper_rhs = act.group.element([(3, ["eta"]),
-                                   (-HSeries.hbar(), ["eta", "eta"])])
+                                   (-HSeries.hbar(order), ["eta", "eta"])])
     return check_action_lie_hom(
         act, {("xi", "eta"): paper_rhs}, degree,
         paper_claims={("xi", "eta")},
@@ -225,7 +217,7 @@ def test_case2_witness_is_known_only_in_its_window():
     # [Phi(xi), Phi(eta)] has shift 2: at N = 4 its values are known mod
     # hbar^2, and the hbar^2 coefficient at b*b*b appears from N = 5 on
     def at_bbb(order):
-        rep = _at_order(order, lambda: _case2_paper_report(3))
+        rep = _case2_paper_report(3, order)
         line, = [f for f in rep.failures if " defect at b*b*b: " in f]
         return line
     assert "hbar^2" not in at_bbb(4)
@@ -235,9 +227,9 @@ def test_case2_witness_is_known_only_in_its_window():
 def test_oracle_relation_is_solved_in_its_window():
     # at N = 3 the commutator is known mod hbar only, so the hbar eta*eta
     # term of the relation cannot be seen yet
-    rep = _at_order(3, lambda: _case2_paper_report(2))
+    rep = _case2_paper_report(2, 3)
     assert rep.data["oracle_relation"] == "(-1)*eta"
-    rep = _at_order(4, lambda: _case2_paper_report(2))
+    rep = _case2_paper_report(2, 4)
     assert rep.data["oracle_relation"] == "(-1)*eta + (hbar)*eta*eta"
 
 
@@ -323,7 +315,7 @@ def test_central_da_squared_collapses():
     for w in alg.monomials_up_to(2):
         if alg.index("f") in w:
             continue
-        m = NCPoly(alg, {w: HSeries.one()})
+        m = NCPoly(alg, {w: HSeries.one(N)})
         assert sharp_map(prod).apply(m).is_zero()
 
 
@@ -333,7 +325,7 @@ def test_multi_action():
     a, b = alg.gen("a"), alg.gen("b")
     pairs_xi = [(a, b)]
     # n = 1 reduces to the plain action
-    assert multi_action([pairs_xi], [a]) == act.apply("xi", a)
+    assert multi_action([pairs_xi], [a]) == act.apply_word(("xi",), a)
     # n = 2 on (f1, f2) = (a, b): second factor a[b,b] = 0 kills it
     assert multi_action([pairs_xi, pairs_xi], [a, b]).is_zero()
     # case 1, n = 2, both slots a: zero since [b, a] = 0
@@ -358,7 +350,7 @@ def test_tensor_coproduct_nilpotency_quantized():
 
 def _non_coassociative_coproduct():
     from poisson_forge.ncalg import AlgebraMap, Presentation
-    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}})
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N)
     t2 = TensorAlgebra(pres, 2)
     # Delta(x) = x (x) 1 + 1 (x) x + x (x) y fails coassociativity with
     # defect x (x) y (x) y, so the extension is not nilpotent
@@ -399,7 +391,7 @@ def test_su2_momentum_ideal_relations():
     # a^-1 H a = H
     assert ainv * H * a == H
     # [b, H] = -(1 - e^{2 hbar}) H b
-    factor = 1 - hexp(2)
+    factor = 1 - hexp(2, N)
     assert b.commutator(H) == -(H * b * factor)
     # [c, H] = c (1 - e^{2 hbar}) H
     assert c.commutator(H) == c * H * factor
@@ -431,13 +423,37 @@ def test_ideal_b_under_case3_eta():
 
 
 def test_invariant_subalgebra_trivial_action():
-    alg = fixtures.case1_reduction_algebra()
-    grp = fixtures.r2_quantum_group()
+    alg = fixtures.case1_reduction_algebra(4)
+    grp = fixtures.r2_quantum_group(order=4)
     trivial = QuantumAction(grp, alg, {"xi": Scale(Identity(), 0),
                                        "eta": Scale(Identity(), 0)})
     basis, rep = invariant_subalgebra(trivial, {"xi": 0, "eta": 0}, degree=2)
     assert rep.ok
     assert len(basis) == len(alg.monomials_up_to(2))
+    # no equation constrains them: they are known in the actions' window,
+    # mod hbar^N of the algebra
+    assert {c.order for b in basis for c in b.terms.values()} == {4}
+
+
+def test_scaling_coerces_into_the_algebra_window():
+    # a scalar becomes a series mod hbar^N of the algebra, whatever window
+    # the operator had; a series scalar keeps its own
+    from poisson_forge.qmomentum import Operator
+    alg = fixtures.case2_module_algebra(4)
+    wide = NCPoly(alg, {(): HSeries.one(9)})
+    op = Operator.multiplication(alg, wide, wide)
+    assert op.order == 9
+    assert op.scaled(2).order == 4
+    assert op.scaled(HSeries.one(7)).order == 7
+    assert Scale(Identity(), 3).compile(alg).order == 4
+
+
+@pytest.mark.parametrize("scalar, printed", [
+    (-1, "-1"), (0, "0"), (Fraction(1, 2), "1/2"), ("1/2+i", "1/2+1*i"),
+    (HSeries([1, 2], 6), "1 + 2*hbar"), (HSeries([0, 0, 3], 4), "3*hbar^2"),
+])
+def test_scale_prints_its_scalar_as_a_series(scalar, printed):
+    assert repr(Scale(Identity(), scalar)) == "(%s)*id" % printed
 
 
 def test_invariant_subalgebra_quantum_plane():
@@ -483,7 +499,7 @@ def test_semiclassical_limit_of_actions_matches_classical_fields():
 
         a0 = chart.var("a")
         for f in base_gens:
-            quantum = act.apply("xi", alg.gen(f))
+            quantum = act.apply_word(("xi",), alg.gen(f))
             classical = a0 * sc_bracket("b", f)
             got = abelianize(quantum, chart)
             assert (got - classical).is_zero(), (case, f, got, classical)
@@ -593,7 +609,7 @@ def test_ideal_invariance_empty_window_is_refused():
 # -- operator-tensor certificates against the monomial sweep oracle -----------
 
 def _spec_action():
-    action, extras = SpecFile.load(SPEC).quantum_action("qplane_action")
+    action, extras = SpecFile.load(SPEC, N).quantum_action("qplane_action")
     return action, extras["coproducts"]
 
 
@@ -601,7 +617,7 @@ def _su2_target(sign=1, hbar_div=True):
     # fixtures.su2_commutator_target_for with the outer sign or the
     # division by hbar changed
     act = fixtures.su2_action()
-    u = (hexp(-1) - hexp(1)).divide_by_hbar()
+    u = (hexp(-1, N) - hexp(1, N)).divide_by_hbar()
     body = Sum([act.exprs["zeta_inv"], Scale(act.exprs["zeta"], -1)])
     return act, Scale(HbarDiv(body, 1) if hbar_div else body,
                       u.inverse() * sign)
@@ -619,7 +635,7 @@ def _r2_coproducts_wrong_sign(pres):
     # Delta(xi) with + hbar eta (x) xi in place of - hbar eta (x) xi
     cops = fixtures.r2_coproducts(pres)
     cops["xi"] = cops["xi"] + TensorAlgebra(pres, 2).element(
-        {(("eta",), ("xi",)): 2 * HSeries.hbar()})
+        {(("eta",), ("xi",)): 2 * HSeries.hbar(N)})
     return cops
 
 
@@ -665,7 +681,7 @@ def test_module_algebra_certificate_agrees_with_sweep(case):
 def _lie_hom_cases():
     case1 = fixtures.case_action(1)
     case2 = fixtures.case_action(2)
-    h = HSeries.hbar()
+    h = HSeries.hbar(N)
     su2 = fixtures.su2_action()
     return {
         "case1": (case1, case1.group.zero()),
@@ -723,7 +739,7 @@ def test_operator_composition_and_shift_alignment():
     # a sum aligns shifts: hbar^-1 [b, .] + id is hbar^-1 ([b, .] + hbar id)
     s = (HbarDiv(Commutator(b), 1) + Identity()).compile(alg)
     assert s.k == 1 and s.window == s.order - 1
-    assert s.terms[((), ())] == HSeries.hbar()
+    assert s.terms[((), ())] == HSeries.hbar(N)
     for m in monomials(alg, 2):
         assert s(m) == b.commutator(m).divide_by_hbar() + m
 
@@ -743,7 +759,7 @@ def test_shipped_obligations_are_zero_tensors():
     assert lie_hom_defect(act, "xi", "eta",
                           fixtures.su2_commutator_target_for(act)).is_zero()
     act = fixtures.case_action(2)
-    h = HSeries.hbar()
+    h = HSeries.hbar(N)
     paper = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
     assert len(lie_hom_defect(act, "xi", "eta", paper).terms) == 2
 
@@ -778,7 +794,7 @@ def _central_action(expr):
     # the commutative algebra of a, a^-1, b: every element is central
     from poisson_forge.ncalg import Presentation
     alg = fixtures.case1_reduction_algebra()
-    grp = Presentation(["xi"], {}, name="one-generator")
+    grp = Presentation(["xi"], {}, N, name="one-generator")
     return QuantumAction(grp, alg, {"xi": expr(alg)}), grp
 
 

@@ -360,7 +360,7 @@ def test_laurent_ideal_refused():
 
 
 def _shipped_setups():
-    spec_setup, _ = SpecFile.load(SPEC).reduction("case3")
+    spec_setup, _ = SpecFile.load(SPEC, 6).reduction("case3")
     return [case3_setup(), spec_setup, translation_setup(), angular_setup()]
 
 
@@ -459,7 +459,7 @@ def test_failed_poisson_action_premise_is_a_guard_not_a_fail():
 
 
 def test_failed_jacobi_premise_is_a_guard_not_a_fail():
-    spec = SpecFile.load(SPEC)
+    spec = SpecFile.load(SPEC, 6)
     setup = _trivial_algebra_setup(spec.bivector("pi_not_poisson"), {},
                                    ideal=["p1"])
     classes = [poly(v, setup.chart) for v in ("q1", "q2", "q3")]

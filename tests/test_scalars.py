@@ -6,8 +6,7 @@ import pytest
 
 from poisson_forge.errors import CapabilityError
 from poisson_forge.scalars import (
-    GaussRational, HSeries, ONE, ZERO, ValuationError, gauss, series,
-    series_exp, hexp,
+    GaussRational, HSeries, ONE, ZERO, ValuationError, gauss, hexp, series,
 )
 
 
@@ -77,29 +76,29 @@ def test_hseries_unit_inverse():
 
 
 def test_exp_zero_is_one():
-    assert series_exp(HSeries.zero()) == 1
+    assert HSeries.zero(6).exp() == 1
 
 
 def test_exp_quarter_hbar_against_factorials():
     # independent oracle: coefficient of hbar^k in exp(hbar/4) is (1/4)^k / k!
-    s = HSeries.hbar() * Fraction(1, 4)
-    e = series_exp(s)
+    s = HSeries.hbar(6) * Fraction(1, 4)
+    e = s.exp()
     for k in range(6):
         assert e.coeff(k) == gauss(Fraction(1, 4 ** k) * Fraction(1, factorial(k)))
 
 
 def test_exp_group_law():
-    h = HSeries.hbar()
-    assert series_exp(h) * series_exp(-h) == 1
+    h = HSeries.hbar(6)
+    assert h.exp() * (-h).exp() == 1
     rng = random.Random(19)
     for _ in range(20):
         s = rand_series(rng).shift(1).truncate(6)
         t = rand_series(rng).shift(1).truncate(6)
-        assert series_exp(s + t) == series_exp(s) * series_exp(t)
+        assert (s + t).exp() == s.exp() * t.exp()
 
 
 def test_divide_by_hbar_shifts():
-    h = HSeries.hbar()
+    h = HSeries.hbar(6)
     s = h * h * 3
     q = s.divide_by_hbar()
     assert q == h * 3
@@ -108,7 +107,7 @@ def test_divide_by_hbar_shifts():
 
 def test_divide_by_hbar_valuation_violation():
     with pytest.raises(ValuationError):
-        HSeries.one().divide_by_hbar()
+        HSeries.one(6).divide_by_hbar()
 
 
 def test_q_number_limit():
@@ -130,6 +129,33 @@ def test_equality_respects_minimum_order():
     assert a == b            # agree on the shared window hbar^0..hbar^2
     c = HSeries([1, 2], order=3)
     assert a != c
+
+
+def test_every_series_constructor_requires_an_order():
+    # there is no process-wide default: a forgotten order fails loudly
+    for build in (lambda: HSeries([1]), HSeries.one, HSeries.zero,
+                  HSeries.hbar, lambda: HSeries.from_scalar(1),
+                  lambda: series(1), lambda: series([1, 2]),
+                  lambda: hexp(1)):
+        with pytest.raises(TypeError):
+            build()
+    s = HSeries.one(3)
+    assert series(s, 9) is s  # a series keeps its own order
+
+
+def test_gauss_rational_defers_to_series_operands():
+    # a Q(i) left operand gives what the same scalar as a series gives
+    rng = random.Random(43)
+    for _ in range(100):
+        g = rand_gauss(rng)
+        s = rand_series(rng, rng.randint(0, 6))
+        c = HSeries.from_scalar(g, s.order)
+        pairs = [(g + s, c + s), (g - s, c - s), (g * s, c * s)]
+        if s.is_unit():
+            pairs.append((g / s, c / s))
+        for got, want in pairs:
+            assert (got.coeffs, got.order) == (want.coeffs, want.order)
+        assert (g == s) == (c == s) == (s == g)
 
 
 def test_serialize():
