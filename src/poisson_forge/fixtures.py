@@ -528,10 +528,8 @@ def h_exponential(pres, scale, hname="H"):
     for k in range(order):
         if k:
             fact *= k
-        coeff = HSeries([0] * k + [gauss(Fraction(scale) ** k / fact)], order)
-        if not coeff.is_zero():
-            terms[(h,) * k] = coeff
-    return NCPoly(pres, terms)
+        terms[(k, (h,) * k)] = gauss(Fraction(scale) ** k / fact)
+    return NCPoly(pres, terms, order)
 
 
 def usl2_hopf(order=ORDER):

@@ -14,9 +14,11 @@ equation is written straight into a ``Span`` as a sparse row built from the
 nonzero series coefficients only, in the order (equation, power of hbar),
 so the echelon form and the chosen solution are those of the dense
 flattened matrix without ever building it.  Spans over
-Q(i)[hbar]/(hbar^N) are flattened the same way (``SeriesSpan``): the
-coordinate (j, key) holds the coefficient of hbar^j, and a vector enters
-with all its hbar-multiples, so module membership is field membership.
+Q(i)[hbar]/(hbar^N) work in the same coordinates (``SeriesSpan``): the
+coordinate (j, key) holds the coefficient of hbar^j, a vector is given as
+those flat terms, as the elements of presented algebras store them, and it
+enters with all its hbar-multiples, so module membership is field
+membership.
 
 Window rule: as in series arithmetic, a span's order is the least order it
 has met.  Inserting a vector known mod hbar^m lowers it to m, and a vector
@@ -159,7 +161,8 @@ def solve_series(rows, rhs, nunk, ceiling):
                     ceiling)
     ncols = nunk * order
     span = Span()
-    rhs = [series(b, order).coeff(k) for b in rhs for k in range(order)]
+    rhs = [s.coeff(k) for s in (series(b, order) for b in rhs)
+           for k in range(order)]
     for vec, b in zip(_flat_equations(rows, order), rhs):
         if b:
             vec[ncols] = b  # the augmented column
@@ -208,8 +211,10 @@ def _window(entries, ceiling):
 # -- spans over the truncated series ring ------------------------------------
 
 class SeriesSpan:
-    """The Q(i)[hbar]/(hbar^N)-module spanned by sparse vectors
-    {key: HSeries}, kept as a ``Span`` in flattened coordinates (j, key).
+    """The Q(i)[hbar]/(hbar^N)-module spanned by vectors given as flat
+    terms {(j, key): c} (the coefficient of hbar^j at ``key``, as elements
+    of a presented algebra store them), kept as a ``Span`` in those
+    coordinates.
 
     ``insert`` adds v, hbar v, hbar^2 v, ... up to the first multiple
     already in the span (the span is closed under hbar, so the later ones
@@ -218,7 +223,7 @@ class SeriesSpan:
     with m < N lowers N to m and truncates the rows to j < m, which leaves
     an echelon form since pivots sit at the least j.  ``reduce`` and
     ``contains`` compare a vector known mod hbar^m mod hbar^min(m, N), and
-    ``reduce`` returns series of that order.
+    ``reduce`` returns the flat terms of the remainder in that window.
     """
 
     def __init__(self, order):
@@ -230,40 +235,31 @@ class SeriesSpan:
         out.span.rows = {p: dict(row) for p, row in self.span.rows.items()}
         return out
 
-    def _window(self, vec):
-        return min([c.order for c in vec.values()] + [self.order])
+    def reduce(self, terms, order):
+        m = min(order, self.order)
+        rest = self.span.reduce(_shifted(terms, 0, m))
+        return {key: c for key, c in rest.items() if key[0] < m}
 
-    def reduce(self, vec):
-        m = self._window(vec)
-        flat = self.span.reduce(_flat_series(vec, 0, m))
-        blocks = {}
-        for (j, key), c in flat.items():
-            if j < m:
-                blocks.setdefault(key, [ZERO] * m)[j] = c
-        return {key: HSeries._mk(cs, m) for key, cs in blocks.items()}
+    def contains(self, terms, order):
+        return not self.reduce(terms, order)
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-    def insert(self, vec):
-        """Add the module generated by ``vec``.  Returns True when the span
-        grew."""
-        m = self._window(vec)
-        if m < self.order:
-            self.order = m
+    def insert(self, terms, order):
+        """Add the module generated by the vector ``terms`` known mod
+        hbar^order.  Returns True when the span grew."""
+        if order < self.order:
+            self.order = order
             self.span.rows = {
-                p: {k: c for k, c in row.items() if k[0] < m}
-                for p, row in self.span.rows.items() if p[0] < m}
+                p: {k: c for k, c in row.items() if k[0] < order}
+                for p, row in self.span.rows.items() if p[0] < order}
         grew = False
         for s in range(self.order):
-            if not self.span.insert(_flat_series(vec, s, self.order)):
+            if not self.span.insert(_shifted(terms, s, self.order)):
                 break
             grew = True
         return grew
 
 
-def _flat_series(vec, shift, order):
-    """Flattened hbar^shift * vec mod hbar^order: {(j, key): coefficient}."""
-    return {(j + shift, key): c
-            for key, s in vec.items()
-            for j, c in enumerate(s.coeffs[:order - shift]) if c}
+def _shifted(terms, shift, order):
+    """hbar^shift times the flat terms, mod hbar^order."""
+    return {(j + shift, key): c for (j, key), c in terms.items()
+            if j + shift < order}

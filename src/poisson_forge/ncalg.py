@@ -15,6 +15,18 @@ that order, read on hbar^k * w, the ambiguities are the overlaps and the
 inclusions of leading words, and resolving each of them proves unique
 normal forms.
 
+Elements keep hbar in the term key.  An element of the algebra or of a
+tensor power is a sum of terms c hbar^j key, stored flat as
+{(j, key): GaussRational} (``terms``), together with one window N for the
+whole element (``order``): the element is known mod hbar^N, and no term has
+j >= N.  A sum or product is known in the least window of its operands and
+of the normal forms it meets, and a product adds exponents and skips every
+pair with j1 + j2 >= N before it multiplies, so no term at or past hbar^N
+is ever formed.  Rule right sides are flattened the same way, once, when
+the presentation is built, and the memo holds flat normal forms.  Series
+(``HSeries``) are the scalars elements are scaled by, and the printed form
+of a coefficient (``series_terms``).
+
 Inverse generators are ordinary generators with two-sided cancellation
 rules, placed adjacent to their base generator in the order.
 """
@@ -26,20 +38,114 @@ import itertools
 from .errors import CapabilityError
 from .report import Report
 from .scalars import (
-    HSeries, LinComb, ZERO, _acc, series,
+    HSeries, LinComb, ONE, ValuationError, ZERO, _acc, _make,
+    _over_common_den, series,
 )
 
 _new = object.__new__
 
 
+class Flat:
+    """Flat terms {(j, word): c} known mod hbar^order, held by a
+    presentation: a rule's right side, or a memoized normal form.  Unlike
+    an element it refers to no presentation, so a dropped presentation is
+    freed at once, memo and all, instead of waiting for the cycle
+    collector."""
+
+    __slots__ = ("terms", "order")
+
+    def __init__(self, terms, order):
+        self.terms = terms
+        self.order = order
+
+
+def _flat(pairs, order):
+    """Flat terms {(j, key): c} of the (key, coefficient) ``pairs``, and
+    their window: a series coefficient is known in its own window, any other
+    scalar mod hbar^order, and the terms are known in the least of these
+    (``order`` when there are none)."""
+    pairs = [(key, series(c, order)) for key, c in pairs]
+    order = min((c.order for _, c in pairs), default=order)
+    out = {}
+    _accumulate(out, [((j, key), x) for key, c in pairs
+                      for j, x in enumerate(c.coeffs[:order]) if x])
+    return out, order
+
+
+def _scaled(terms, s, order):
+    """Flat terms times the series ``s``, mod hbar^order."""
+    out = {}
+    jcs = [(j, c) for j, c in enumerate(s.coeffs) if c]
+    if jcs:
+        _accumulate(out, _product_terms(jcs, terms, order))
+    return out
+
+
+def _accumulate(out, pairs):
+    """Add the (key, c) ``pairs`` into the flat terms ``out``, dropping a
+    key whose sum is 0: ``scalars._acc`` inlined, for the products' inner
+    loops."""
+    get = out.get
+    for key, x in pairs:
+        y = get(key)
+        if y is None:
+            out[key] = x
+        else:
+            x = x + y
+            if x:
+                out[key] = x
+            else:
+                del out[key]
+
+
+def _product_terms(jcs, terms, order):
+    """The terms ((j, w), c) of the series sum c hbar^j over ``jcs`` times
+    the flat ``terms``, mod hbar^order; a key may come more than once.  A
+    factor 1 costs nothing.  Where both sides carry several powers of hbar,
+    as in a product of series, each side is put over one denominator, the
+    integer parts convolved, and each output normalised once."""
+    if len(jcs) == 1:
+        j, c = jcs[0]
+        return [((j2 + j, w), c2 if c is ONE else c if c2 is ONE else c * c2)
+                for (j2, w), c2 in terms.items() if j2 + j < order]
+    by_word = {}
+    for (j, w), c in terms.items():
+        by_word.setdefault(w, []).append((j, c))
+    out = []
+    ys = None
+    for w, js in by_word.items():
+        if len(js) == 1:
+            j2, c2 = js[0]
+            out += [((j + j2, w), c if c2 is ONE else c * c2)
+                    for j, c in jcs if j + j2 < order]
+            continue
+        if ys is None:
+            ys, dy = _over_common_den([c for _, c in jcs])
+            ys = [(j, a, b) for (j, _), (a, b) in zip(jcs, ys)]
+        xs, dx = _over_common_den([c for _, c in js])
+        sums = {}
+        for (j, _), (a, b) in zip(js, xs):
+            for k, c, e in ys:
+                k += j
+                if k < order:
+                    re, im = sums.get(k, (0, 0))
+                    sums[k] = (re + a * c - b * e, im + a * e + b * c)
+        den = dx * dy
+        out += [((k, w), _make(re, im, den))
+                for k, (re, im) in sums.items() if re or im]
+    return out
+
+
 class Presentation:
     """Ordered generators plus rewrite rules keyed by their leading words,
-    over Q(i)[[hbar]]/(hbar^order): every scalar that enters the algebra
-    becomes a series mod hbar^order, and its quotients and tensor powers
-    inherit the order.  Immutable after construction except for the
-    per-instance normal-form memo, which is a cache: concurrent use requires
-    task-local instances or external guarding, and identical inputs always
-    produce identical normal forms either way.
+    over Q(i)[[hbar]]/(hbar^order): every scalar that enters the algebra is
+    known at most mod hbar^order, and its quotients and tensor powers
+    inherit the order.  Each rule's right side is a ``Flat`` (flat terms
+    with their own window, not necessarily in normal form).  Immutable after
+    construction except for the per-instance normal-form memo, which is a
+    cache: concurrent use requires task-local instances or external
+    guarding, and identical inputs always produce identical normal forms
+    either way.
     """
 
     def __init__(self, gens, rules, order, inverses=None, name="",
@@ -58,15 +164,16 @@ class Presentation:
         self.max_steps = max_steps
         indexed = {}
         for lhs, terms in rules.items():
-            indexed[tuple(self._index[g] for g in lhs)] = self._terms(terms)
+            indexed[self._word(lhs)] = Flat(*_flat(
+                ((self._word(w), c) for w, c in terms.items()), order))
+        one = Flat({(0, ()): ONE}, order)
         for inv, base in self.inverses.items():
-            one = {(): HSeries.one(order)}
-            indexed[(self._index[inv], self._index[base])] = dict(one)
-            indexed[(self._index[base], self._index[inv])] = dict(one)
+            indexed[(self._index[inv], self._index[base])] = one
+            indexed[(self._index[base], self._index[inv])] = one
         self._set_rules(indexed)
 
     def _set_rules(self, rules):
-        """Adopt ``rules`` ({leading word: terms}, in generator indices) and
+        """Adopt ``rules`` ({leading word: Flat}, in generator indices) and
         empty the memo."""
         self.rules = rules
         self._lengths = tuple(sorted({len(lhs) for lhs in rules}))
@@ -94,14 +201,12 @@ class Presentation:
 
     def _check_termination_order(self):
         """Every rule must rewrite into strictly smaller words in
-        (degree, lex) order; terms that grow are only allowed when their
-        coefficient carries a strictly positive hbar valuation."""
-        for lhs, terms in self.rules.items():
+        (degree, lex) order; terms that grow are only allowed at a strictly
+        positive power of hbar."""
+        for lhs, rhs in self.rules.items():
             lhs_key = (len(lhs), lhs)
-            for word, coeff in terms.items():
-                if (len(word), word) < lhs_key:
-                    continue
-                if coeff.valuation() >= 1:
+            for j, word in rhs.terms:
+                if j >= 1 or (len(word), word) < lhs_key:
                     continue
                 raise ValueError(
                     "rule %s -> ... %s is not decreasing and its "
@@ -112,18 +217,25 @@ class Presentation:
     def index(self, name):
         return self._index[name]
 
-    def _terms(self, terms):
-        out = {}
-        for word, coeff in terms.items():
-            w = tuple(self._index[g] for g in word)
-            _acc(out, w, series(coeff, self.order))
-        return out
+    def _word(self, word):
+        """A word of generator names or indices (a name alone is a word of
+        length one) as a tuple of indices."""
+        if isinstance(word, str):
+            return (self._index[word],)
+        return tuple(self._index[g] if isinstance(g, str) else g
+                     for g in word)
+
+    def _element(self, pairs):
+        """The element sum c w of (word, coefficient) ``pairs``, as given:
+        not reduced to normal form."""
+        return NCPoly(self, *_flat(((self._word(w), c) for w, c in pairs),
+                                   self.order))
 
     # -- normal forms ------------------------------------------------------
 
     def nf_word(self, word):
-        """Normal form of a word (tuple of generator indices) as a terms
-        dict {word: HSeries}."""
+        """Normal form of a word (tuple of generator indices): the memo's
+        ``Flat``, to be read, not changed."""
         self._steps = 0
         return self._nf(tuple(word))
 
@@ -161,47 +273,58 @@ class Presentation:
                     guard="ncalg.max_steps",
                     counters={"steps": self._steps,
                               "max_steps": self.max_steps})
-            out = {}
-            head, tail = word[:start], word[start + size:]
-            for t, c in rule.items():
-                for w2, c2 in self._nf(head + t + tail).items():
-                    _acc(out, w2, c * c2)
-            memo[word] = out
-            return out
-        out = {word: HSeries.one(self.order)}
+            out = _placed(rule, word[:start], word[start + size:])
+            out = self._reduce(out.terms, out.order)
+        else:
+            out = Flat({(0, word): ONE}, self.order)
         memo[word] = out
         return out
 
-    def normal_form(self, terms):
-        """Normal form of a terms dict or NCPoly; returns an NCPoly.  The
-        ``max_steps`` budget applies to each call, as in ``nf_word``."""
-        if isinstance(terms, NCPoly):
-            terms = terms.terms
-        self._steps = 0
+    def _reduce(self, terms, order):
+        """The normal form of flat terms known mod hbar^order.  It is known
+        in the least of that window and the windows of the normal forms of
+        its words; no term at or past it is formed.  Each word's normal
+        form is looked up once, for all the powers of hbar it carries."""
+        powers = {}
+        for (j, w), c in terms.items():
+            if j < order:
+                powers.setdefault(w, []).append((j, c))
+        nf = self._nf
+        parts = [(nf(w), jcs) for w, jcs in powers.items()]
+        for p, _ in parts:
+            if p.order < order:
+                order = p.order
         out = {}
-        for word, coeff in terms.items():
-            if isinstance(word, str):
-                word = (self._index[word],)
-            else:
-                word = tuple(self._index[g] if isinstance(g, str) else g
-                             for g in word)
-            coeff = series(coeff, self.order)
-            if coeff.is_zero():
-                continue
-            for w2, c2 in self._nf(word).items():
-                _acc(out, w2, coeff * c2)
-        return NCPoly(self, out)
+        for p, jcs in parts:
+            _accumulate(out, _product_terms(jcs, p.terms, order))
+        return Flat(out, order)
+
+    def normal_form(self, x):
+        """Normal form of an element (an NCPoly, or the Flat of a rule) or
+        of a terms dict {word: coefficient}, as an NCPoly.  The element may
+        belong to another presentation on the same generators (the algebra
+        a quotient was completed from).  The ``max_steps`` budget applies
+        to each call, as in ``nf_word``."""
+        if isinstance(x, dict):
+            x = self._element(x.items())
+        self._steps = 0
+        flat = self._reduce(x.terms, x.order)
+        return _ncpoly(self, flat.terms, flat.order)
 
     # -- element constructors ----------------------------------------------
 
     def gen(self, name):
-        return NCPoly(self, {(self._index[name],): HSeries.one(self.order)})
+        return self.monomial((self._index[name],))
+
+    def monomial(self, word):
+        """The word (a tuple of generator indices) with coefficient 1."""
+        return _ncpoly(self, {(0, word): ONE}, self.order)
 
     def one(self):
-        return NCPoly(self, {(): HSeries.one(self.order)})
+        return self.monomial(())
 
     def zero(self):
-        return NCPoly(self, {})
+        return _ncpoly(self, {}, self.order)
 
     def element(self, spec):
         """Build an element from a name, an NCPoly, a scalar, or a list of
@@ -211,12 +334,8 @@ class Presentation:
         if isinstance(spec, str):
             return self.gen(spec)
         if isinstance(spec, LinComb._SCALARS):
-            return NCPoly(self, {(): series(spec, self.order)})
-        terms = {}
-        for coeff, word in spec:
-            _acc(terms, tuple(self._index[g] for g in word),
-                 series(coeff, self.order))
-        return self.normal_form(terms)
+            return self._element([((), spec)])
+        return self.normal_form(self._element((w, c) for c, w in spec))
 
     def word_name(self, word):
         return "*".join(self.gens[i] for i in word) if word else "1"
@@ -226,8 +345,7 @@ class Presentation:
         out = [()]
         for length in range(1, degree + 1):
             for word in itertools.product(range(len(self.gens)), repeat=length):
-                nf = self._nf(word)
-                if list(nf) == [word] and nf[word] == 1:
+                if self._nf(word).terms == {(0, word): ONE}:
                     out.append(word)
         return out
 
@@ -267,7 +385,7 @@ def ambiguities(rules, u, v):
     """The ambiguities of the rules with leading words u and v.
 
     Yields (kind, word, by_u, by_v): ``word`` reduces by rule u to the
-    terms ``by_u`` and by rule v to ``by_v`` in one step.  An overlap puts
+    element ``by_u`` and by rule v to ``by_v`` in one step.  An overlap puts
     u first and v second, sharing a proper nonempty suffix of u and prefix
     of v; an inclusion (u != v) has v inside u, so ``word`` is u.
     """
@@ -275,56 +393,149 @@ def ambiguities(rules, u, v):
     for s in range(1, min(len(u), len(v))):
         if u[-s:] == v[:s]:
             head, tail = u[:-s], v[s:]
-            yield ("overlap", u + tail,
-                   {t + tail: c for t, c in ru.items()},
-                   {head + t: c for t, c in rv.items()})
+            yield ("overlap", u + tail, _placed(ru, (), tail),
+                   _placed(rv, head, ()))
     if u != v:
         m = len(v)
         for i in range(len(u) - m + 1):
             if u[i:i + m] == v:
-                head, tail = u[:i], u[i + m:]
-                yield ("inclusion", u, dict(ru),
-                       {head + t + tail: c for t, c in rv.items()})
+                yield ("inclusion", u, ru, _placed(rv, u[:i], u[i + m:]))
+
+
+def _placed(rule, head, tail):
+    """head * rule * tail, word by word, not reduced."""
+    return Flat({(j, head + w + tail): c for (j, w), c in rule.terms.items()},
+                rule.order)
 
 
 class _SeriesComb(LinComb):
     """What elements of a presented algebra and of its tensor powers share:
-    Q(i)[[hbar]] coefficients mod hbar^N for the presentation's N, a constant
-    term on the empty word, and the hbar-adic valuation."""
+    flat terms {(j, key): GaussRational} standing for c hbar^j key, one
+    window ``order`` (no term has j >= order), a constant term on the empty
+    word, and the hbar-adic valuation.  Sums and differences are known in
+    the least window of their operands; a scalar multiple in the least of
+    the element's and the scalar's, a scalar being known mod hbar^N of the
+    presentation unless it is a series with a window of its own.
+    """
 
     __slots__ = ()
 
+    @classmethod
+    def from_series(cls, space, terms):
+        """The element of ``space`` (a presentation or a tensor power) with
+        the series coefficients {key: coefficient}, in the least window of
+        the coefficients (see ``_flat``)."""
+        return cls(space, *_flat(terms.items(), space.order))
+
     def _coeff(self, x):
         return series(x, self.presentation.order)
+
+    def _lift(self, x):
+        if not isinstance(x, self._SCALARS):
+            return None
+        c = self._coeff(x)
+        unit = self._unit()
+        return self._like({(j, unit): v for j, v in enumerate(c.coeffs) if v},
+                          c.order)
+
+    def _sum(self, other, sign):
+        order = min(self.order, other.order)
+        if order < self.order:
+            out = {k: c for k, c in self.terms.items() if k[0] < order}
+        else:
+            out = dict(self.terms)
+        for k, c in other.terms.items():
+            if k[0] < order:
+                _acc(out, k, -c if sign else c)
+        return self._like(out, order)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._sum(other, False)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._sum(other, True)
+
+    def _scale(self, s):
+        """The element times a scalar."""
+        if not isinstance(s, self._SCALARS):
+            return NotImplemented
+        s = self._coeff(s)
+        order = min(self.order, s.order)
+        return self._like(_scaled(self.terms, s, order), order)
+
+    __rmul__ = _scale
 
     def commutator(self, other):
         return self * other - other * self
 
     def hbar_valuation(self):
-        return min((c.valuation() for c in self.terms.values()),
-                   default=self.presentation.order)
+        return min((j for j, _ in self.terms), default=self.order)
 
     def divide_by_hbar(self, k=1):
-        # a nonzero coefficient keeps a nonzero quotient: its window shrinks
-        # by k together with its valuation
-        return self._like({w: c.divide_by_hbar(k)
-                           for w, c in self.terms.items()})
+        """Exact division by hbar^k: every exponent drops by k, and so does
+        the window.  A term below hbar^k makes the division inexact; the
+        ValuationError names its word and coefficient."""
+        if not k:
+            return self
+        low = [key for key in self.terms if key[0] < k]
+        if low:
+            j, key = min(low, key=lambda t: (t[0], self._sort_key(t[1])))
+            raise ValuationError(
+                "cannot divide by hbar^%d: the coefficient of hbar^%d on %s "
+                "is %s" % (k, j, self._key_name(key), self.terms[(j, key)]))
+        return self._like({(j - k, key): c
+                           for (j, key), c in self.terms.items()},
+                          max(self.order - k, 0))
+
+    def series_terms(self):
+        """The element as {key: HSeries}, every coefficient mod
+        hbar^order: a view for printing and for readers that need series."""
+        n = self.order
+        blocks = {}
+        for (j, key), c in self.terms.items():
+            blocks.setdefault(key, [ZERO] * n)[j] = c
+        return {key: HSeries._mk(cs, n) for key, cs in blocks.items()}
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        terms = self.series_terms()
+        return " + ".join(self._term_repr(key, str(terms[key]))
+                          for key in sorted(terms, key=self._sort_key))
+
+
+def _ncpoly(presentation, terms, order):
+    """NCPoly from canonical flat terms (nonzero, j < order)."""
+    out = _new(NCPoly)
+    out.presentation = presentation
+    out.terms = terms
+    out.order = order
+    return out
 
 
 class NCPoly(_SeriesComb):
-    """A noncommutative polynomial in normal form: {word: HSeries}."""
+    """An element of a presented algebra, flat terms {(j, word): c} known
+    mod hbar^order.  Products and ``Presentation.normal_form`` return normal
+    forms."""
 
-    __slots__ = ("presentation", "terms")
+    __slots__ = ("presentation", "terms", "order")
 
-    def __init__(self, presentation, terms):
+    def __init__(self, presentation, terms, order):
         self.presentation = presentation
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in terms.items() if c and k[0] < order}
+        self.order = order
 
-    def _like(self, terms):
-        out = _new(NCPoly)
-        out.presentation = self.presentation
-        out.terms = terms
-        return out
+    def _like(self, terms, order=None):
+        return _ncpoly(self.presentation, terms,
+                       self.order if order is None else order)
 
     def _same_space(self, other):
         if other.presentation is not self.presentation:
@@ -336,13 +547,19 @@ class NCPoly(_SeriesComb):
 
     def __mul__(self, other):
         if other.__class__ is not NCPoly:
-            return LinComb.__mul__(self, other)
+            return self._scale(other)
         self._same_space(other)
+        order = min(self.order, other.order)
         raw = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _acc(raw, w1 + w2, c1 * c2)
-        return self.presentation.normal_form(raw)
+        for (j1, w1), c1 in self.terms.items():
+            for (j2, w2), c2 in other.terms.items():
+                j = j1 + j2
+                if j < order:
+                    _acc(raw, (j, w1 + w2), c1 * c2)
+        pres = self.presentation
+        pres._steps = 0  # one max_steps budget per product
+        flat = pres._reduce(raw, order)
+        return _ncpoly(pres, flat.terms, flat.order)
 
     def __pow__(self, k):
         out = self.presentation.one()
@@ -351,23 +568,22 @@ class NCPoly(_SeriesComb):
         return out
 
     def degree(self):
-        return max((len(w) for w in self.terms), default=0)
+        return max((len(w) for _, w in self.terms), default=0)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        p = self.presentation
-        parts = []
-        for w in sorted(self.terms, key=lambda t: (len(t), t)):
-            c = str(self.terms[w])
-            name = p.word_name(w)
-            if name == "1":
-                parts.append("(%s)" % c)
-            elif c == "1":
-                parts.append(name)
-            else:
-                parts.append("(%s)*%s" % (c, name))
-        return " + ".join(parts)
+    @staticmethod
+    def _sort_key(word):
+        return (len(word), word)
+
+    def _key_name(self, word):
+        return self.presentation.word_name(word)
+
+    def _term_repr(self, word, c):
+        name = self.presentation.word_name(word)
+        if name == "1":
+            return "(%s)" % c
+        if c == "1":
+            return name
+        return "(%s)*%s" % (c, name)
 
 
 # ---------------------------------------------------------------------------
@@ -377,43 +593,40 @@ class NCPoly(_SeriesComb):
 class TensorAlgebra:
     """The k-th tensor power of a presented algebra.
 
-    Elements are sums of word-tuples with series coefficients; factors
-    multiply componentwise with no cross commutation.  The flip map on the
-    square satisfies tau(x (x) y) = y (x) x and is an algebra map for the
-    componentwise product.
+    Elements are sums of word-tuples hbar^j (w_1, ..., w_k) with Q(i)
+    coefficients; factors multiply componentwise with no cross commutation.
+    The flip map on the square satisfies tau(x (x) y) = y (x) x and is an
+    algebra map for the componentwise product.
     """
 
     def __init__(self, presentation, k):
         self.presentation = presentation
         self.k = k
 
-    def element(self, terms):
-        out = {}
-        for key, coeff in terms.items():
-            _acc(out, tuple(self._word(w) for w in key),
-                 series(coeff, self.presentation.order))
-        return TensorElement(self, out)
+    @property
+    def order(self):
+        return self.presentation.order
 
-    def _word(self, w):
-        if isinstance(w, str):
-            return (self.presentation.index(w),)
-        return tuple(self.presentation.index(g) if isinstance(g, str) else g
-                     for g in w)
+    def element(self, terms):
+        word = self.presentation._word
+        return TensorElement(self, *_flat(
+            ((tuple(word(w) for w in key), c) for key, c in terms.items()),
+            self.order))
 
     def one(self):
         return self.element({((),) * self.k: 1})
 
     def zero(self):
-        return TensorElement(self, {})
+        return TensorElement(self, {}, self.order)
 
     def embed(self, x, slot):
         """x in the given tensor slot, 1 elsewhere."""
         out = {}
-        for w, c in x.terms.items():
+        for (j, w), c in x.terms.items():
             key = [()] * self.k
             key[slot] = w
-            out[tuple(key)] = c
-        return TensorElement(self, out)
+            out[(j, tuple(key))] = c
+        return TensorElement(self, out, x.order)
 
     def from_factors(self, factors):
         """factors: one NCPoly per slot."""
@@ -424,20 +637,25 @@ class TensorAlgebra:
 
 
 class TensorElement(_SeriesComb):
-    __slots__ = ("algebra", "terms")
+    """An element of a tensor power, flat terms {(j, (w_1, ..., w_k)): c}
+    known mod hbar^order."""
 
-    def __init__(self, algebra, terms):
+    __slots__ = ("algebra", "terms", "order")
+
+    def __init__(self, algebra, terms, order):
         self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        self.terms = {k: c for k, c in terms.items() if c and k[0] < order}
+        self.order = order
 
     @property
     def presentation(self):
         return self.algebra.presentation
 
-    def _like(self, terms):
+    def _like(self, terms, order=None):
         out = _new(TensorElement)
         out.algebra = self.algebra
         out.terms = terms
+        out.order = self.order if order is None else order
         return out
 
     def _same_space(self, other):
@@ -450,42 +668,49 @@ class TensorElement(_SeriesComb):
 
     def __mul__(self, other):
         if other.__class__ is not TensorElement:
-            return LinComb.__mul__(self, other)
+            return self._scale(other)
         if not self._same_space(other):
             raise ValueError("tensor powers of different degree")
         pres = self.algebra.presentation
         pres._steps = 0  # one max_steps budget per product
+        nf = pres._nf
+        top = order = min(self.order, other.order)
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                base = c1 * c2
-                if base.is_zero():
+        for (j1, k1), c1 in self.terms.items():
+            for (j2, k2), c2 in other.terms.items():
+                j = j1 + j2
+                if j >= top:
                     continue
-                # componentwise concatenation, then slotwise normal form
-                nf_slots = [pres._nf(a + b) for a, b in zip(k1, k2)]
-                for combo in itertools.product(*(s.items() for s in nf_slots)):
-                    coeff = base
-                    for _, c in combo:
-                        coeff = coeff * c
-                    _acc(out, tuple(w for w, _ in combo), coeff)
-        return TensorElement(self.algebra, out)
+                # componentwise concatenation, then slotwise normal form,
+                # one slot at a time
+                partial = [(j, (), c1 * c2)]
+                for a, b in zip(k1, k2):
+                    s = nf(a + b)
+                    if s.order < order:
+                        order = s.order
+                    partial = [(j + js, key + (w,),
+                                c if cs is ONE else c * cs)
+                               for j, key, c in partial
+                               for (js, w), cs in s.terms.items()
+                               if j + js < top]
+                _accumulate(out, [((j, key), c) for j, key, c in partial])
+        return TensorElement(self.algebra, out, order)
 
     def flip(self):
         if self.algebra.k != 2:
             raise ValueError("flip is defined on the tensor square")
-        return TensorElement(self.algebra,
-                             {(b, a): c for (a, b), c in self.terms.items()})
+        return self._like({(j, (b, a)): c
+                           for (j, (a, b)), c in self.terms.items()})
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        p = self.algebra.presentation
-        parts = []
-        for key in sorted(self.terms, key=lambda t: (sum(map(len, t)), t)):
-            c = str(self.terms[key])
-            name = " (x) ".join(p.word_name(w) for w in key)
-            parts.append("(%s)*[%s]" % (c, name))
-        return " + ".join(parts)
+    @staticmethod
+    def _sort_key(key):
+        return (sum(map(len, key)), key)
+
+    def _key_name(self, key):
+        return " (x) ".join(self.presentation.word_name(w) for w in key)
+
+    def _term_repr(self, key, c):
+        return "(%s)*[%s]" % (c, self._key_name(key))
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +751,10 @@ class AlgebraMap:
         return out
 
     def __call__(self, x):
-        if isinstance(x, NCPoly):
-            terms = x.terms
-        else:
-            terms = x
+        """The image of an element of the source, word by word, each image
+        scaled by the word's series coefficient."""
         out = None
-        for word, coeff in terms.items():
+        for word, coeff in x.series_terms().items():
             v = self.apply_word(word) * coeff
             out = v if out is None else out + v
         if out is None:
@@ -547,13 +770,14 @@ def check_map(m):
     """
     src = m.source
     failures = []
-    for lhs, rhs in sorted(src.rules.items()):
+    for lhs in sorted(src.rules):
         lhs_img = None
         for g in (reversed(lhs) if m.anti else lhs):
             lhs_img = m.images[g] if lhs_img is None else lhs_img * m.images[g]
         if lhs_img is None:
             lhs_img = m.one
-        rhs_img = m(rhs)
+        rhs = src.rules[lhs]
+        rhs_img = m(NCPoly(src, rhs.terms, rhs.order))
         if not lhs_img == rhs_img:
             failures.append("rule %s is not preserved: defect %r"
                             % (src.word_name(lhs), lhs_img - rhs_img))
@@ -576,12 +800,14 @@ def abelianization_chart(presentation):
 def abelianize(x, chart=None):
     """Classical limit of a normal-form element: its commutative image as a
     CoordPoly, each coefficient taken at hbar^0."""
-    from .coordpoly import Chart, CoordPoly
+    from .coordpoly import CoordPoly
     pres = x.presentation
     if chart is None:
         chart = abelianization_chart(pres)
     terms = {}
-    for word, coeff in x.terms.items():
+    for (j, word), coeff in x.terms.items():
+        if j:
+            continue
         exps = [0] * len(chart.names)
         for g in word:
             name = pres.gens[g]
@@ -590,7 +816,7 @@ def abelianize(x, chart=None):
             else:
                 exps[chart.index(name)] += 1
         key = tuple(exps)
-        terms[key] = terms.get(key, ZERO) + coeff.constant_term()
+        terms[key] = terms.get(key, ZERO) + coeff
     return CoordPoly(chart, terms)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapabilityError
-from .ncalg import ambiguities
+from .ncalg import Flat, NCPoly, ambiguities
 
 MAX_PAIRS = 1000
 
@@ -49,22 +49,22 @@ def complete(pres, ideal_gens):
     work = pres._with_rules(dict(pres.rules), name)
     pending = []
     _resolve(work, itertools.product(sorted(work.rules), repeat=2), pending)
-    pending += [dict(g.terms) for g in ideal_gens]
+    pending += list(ideal_gens)
     pairs = 0
     while pending:
-        terms = work.normal_form(pending.pop(0)).terms
-        if not terms:
+        x = work.normal_form(pending.pop(0))
+        if x.is_zero():
             continue
-        lhs, rhs = _rule(work, terms, pairs)
+        lhs, rhs = _rule(work, x, pairs)
         if not lhs:
-            return pres._with_rules({(): {}}, name)
+            return pres._with_rules({(): Flat({}, pres.order)}, name)
         rules = dict(work.rules)
         for u in list(rules):
             if _contains(u, lhs):
-                withdrawn = {w: -c for w, c in rules.pop(u).items()}
-                withdrawn[u] = withdrawn.get(u, 0) + 1
-                pending.append(withdrawn)
-        rules[lhs] = rhs
+                rule = rules.pop(u)
+                pending.append(work.monomial(u)
+                               - NCPoly(work, rule.terms, rule.order))
+        rules[lhs] = Flat(rhs.terms, rhs.order)
         work._set_rules(rules)
         pairs = _resolve(work, _partners(lhs, rules), pending, pairs)
     return work
@@ -89,7 +89,7 @@ def _resolve(work, word_pairs, pending, pairs=None):
                                   "rules": len(work.rules)})
             diff = work.normal_form(left) - work.normal_form(right)
             if not diff.is_zero():
-                pending.append(dict(diff.terms))
+                pending.append(diff)
     return pairs
 
 
@@ -101,22 +101,23 @@ def _partners(lhs, rules):
             yield u, lhs
 
 
-def _rule(pres, terms, pairs):
-    """(leading word, rhs) of the rule that an element in normal form
-    becomes: leading word -> -(rest) / leading coefficient."""
-    valuation = min(c.valuation() for c in terms.values())
-    lead = max((w for w, c in terms.items() if c.valuation() == valuation),
+def _rule(pres, x, pairs):
+    """(leading word, rhs) of the rule that a nonzero element in normal
+    form becomes: leading word -> -(rest) / leading coefficient."""
+    valuation = x.hbar_valuation()
+    lead = max((w for j, w in x.terms if j == valuation),
                key=lambda w: (len(w), w))
+    coeff = x.series_terms()[lead]
     if valuation >= 1:
         raise CapabilityError(
             "guard ncgroebner.nonunit_lead: an element of the ideal in %r "
             "has leading word %s with coefficient %s of hbar-valuation %d, "
-            "not a unit" % (pres.name, pres.word_name(lead), terms[lead],
+            "not a unit" % (pres.name, pres.word_name(lead), coeff,
                             valuation),
             guard="ncgroebner.nonunit_lead",
             counters={"valuation": valuation, "pairs": pairs})
-    inv = terms[lead].inverse()
-    return lead, {w: -(c * inv) for w, c in terms.items() if w != lead}
+    rest = x._like({key: c for key, c in x.terms.items() if key[1] != lead})
+    return lead, rest * -coeff.inverse()
 
 
 def _contains(word, sub):

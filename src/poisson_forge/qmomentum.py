@@ -9,8 +9,8 @@ Every expression compiles to a two-sided multiplication operator
 f -> hbar^-k sum c L f R, an element of A (x) A^op with an hbar shift
 (``Operator``), and the operator is the only evaluator of an action: it
 divides by hbar^k once, on its value, so an action is only densely
-defined -- where that division is inexact it raises with the offending
-coefficient.  The module-algebra and Lie-homomorphism identities are
+defined -- where that division is inexact it raises with the word and
+coefficient of the offending term.  The module-algebra and Lie-homomorphism identities are
 certified on these tensors, which proves them in every degree; a monomial
 sweep of the same operators runs only to locate a witness when a tensor is
 nonzero.
@@ -35,7 +35,7 @@ import itertools
 
 from .errors import CapabilityError
 from .linalg import solve_series
-from .ncalg import NCPoly, TensorAlgebra
+from .ncalg import NCPoly, TensorAlgebra, _ncpoly, _scaled
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import HSeries, ZERO, _acc, gauss, series
 
@@ -177,21 +177,21 @@ class HbarDiv(ActionExpr):
         return "hbar^-%d (%r)" % (self.k, self.expr)
 
 
-def _min_order(coeffs, algebra):
-    """The least order of the series ``coeffs``, else the algebra's."""
-    return min((c.order for c in coeffs), default=algebra.order)
-
-
 class Operator:
-    """hbar^-k sum c [L | M ... | R]: a multilinear multiplication operator.
+    """hbar^-k sum c hbar^j [L | M ... | R]: a multilinear multiplication
+    operator.
 
-    ``terms`` maps tuples of normal-form words to series.  With two slots
-    the tuple (L, R) is the operator f -> hbar^-k sum c L f R, an element
-    of A (x) A^op, where composition is (L1, R1) o (L2, R2) = (L1 L2, R2 R1);
-    with three slots (L, M, R) it is (f, g) -> hbar^-k sum c L f M g R.
-    The coefficients are known mod hbar^order, so the operator is known mod
-    hbar^(order - k), its ``window``.  Sums align the shifts: a term of
-    shift k is multiplied by hbar^(K - k), which raises its order as much.
+    ``terms`` holds flat terms {(j, (L, ..., R)): c} of normal-form words,
+    as elements do (``ncalg``).  With two slots the key (L, R) is the
+    operator f -> hbar^-k sum c hbar^j L f R, an element of A (x) A^op,
+    where composition is (L1, R1) o (L2, R2) = (L1 L2, R2 R1); with three
+    slots (L, M, R) it is (f, g) -> hbar^-k sum c hbar^j L f M g R.  The
+    tensor is known mod hbar^order (no term has j >= order), so the
+    operator is known mod hbar^(order - k), its ``window``.  Sums align the
+    shifts: a term of shift k is multiplied by hbar^(K - k), which raises
+    its exponent and its order as much.  Compositions and values are known
+    in the least window of their operands and of the normal forms they
+    meet, and form no term at or past it.
     """
 
     __slots__ = ("algebra", "k", "terms", "order")
@@ -205,48 +205,55 @@ class Operator:
     @staticmethod
     def multiplication(algebra, left, right):
         """f -> left f right."""
+        order = min(left.order, right.order)
         terms = {}
-        for l, cl in left.terms.items():
-            for r, cr in right.terms.items():
-                _acc(terms, (l, r), cl * cr)
-        return Operator(algebra, 0, terms,
-                        min(_min_order(left.terms.values(), algebra),
-                            _min_order(right.terms.values(), algebra)))
+        for (jl, l), cl in left.terms.items():
+            for (jr, r), cr in right.terms.items():
+                j = jl + jr
+                if j < order:
+                    _acc(terms, (j, (l, r)), cl * cr)
+        return Operator(algebra, 0, terms, order)
 
     @property
     def window(self):
         return self.order - self.k
 
     def __call__(self, f):
-        """hbar^-k sum c nf(L f R) on an element f (two-slot operators).
-        The division by hbar^k happens once, on the sum, and raises
-        ValuationError with the offending coefficient when it is inexact."""
-        nf = self.algebra.nf_word
-        out = {}
-        for (l, r), c in self.terms.items():
-            for w, cf in f.terms.items():
-                cw = c * cf
-                for v, cv in nf(l + w + r).items():
-                    _acc(out, v, cw * cv)
-        return NCPoly(self.algebra, out).divide_by_hbar(self.k)
+        """hbar^-k sum c hbar^j nf(L f R) on an element f (two-slot
+        operators).  The division by hbar^k happens once, on the sum, and
+        raises ValuationError with the offending word and coefficient when
+        it is inexact."""
+        order = min(self.order, f.order)
+        raw = {}
+        for (j, (l, r)), c in self.terms.items():
+            for (jf, w), cf in f.terms.items():
+                jj = j + jf
+                if jj < order:
+                    _acc(raw, (jj, l + w + r), c * cf)
+        pres = self.algebra
+        pres._steps = 0  # one max_steps budget per application
+        value = pres._reduce(raw, order)
+        return _ncpoly(pres, value.terms, value.order).divide_by_hbar(self.k)
 
     def is_zero(self):
         return not self.terms
 
     def shifted(self, k):
-        """The coefficients of hbar^k times the operator (k >= self.k)."""
-        j = k - self.k
-        if not j:
+        """The terms of hbar^k times the operator (k >= self.k)."""
+        d = k - self.k
+        if not d:
             return self.terms
-        return {key: c.shift(j) for key, c in self.terms.items()}
+        return {(j + d, key): c for (j, key), c in self.terms.items()}
 
     def __add__(self, other):
         k = max(self.k, other.k)
-        terms = dict(self.shifted(k))
+        order = min(self.window, other.window) + k
+        terms = {key: c for key, c in self.shifted(k).items()
+                 if key[0] < order}
         for key, c in other.shifted(k).items():
-            _acc(terms, key, c)
-        return Operator(self.algebra, k, terms,
-                        min(self.window, other.window) + k)
+            if key[0] < order:
+                _acc(terms, key, c)
+        return Operator(self.algebra, k, terms, order)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -254,23 +261,37 @@ class Operator:
     def scaled(self, scalar):
         """The operator times a scalar, known mod hbar^N of the algebra."""
         s = series(scalar, self.algebra.order)
-        terms = {}
-        for key, c in self.terms.items():
-            _acc(terms, key, c * s)
-        return Operator(self.algebra, self.k, terms, min(self.order, s.order))
+        order = min(self.order, s.order)
+        return Operator(self.algebra, self.k, _scaled(self.terms, s, order),
+                        order)
 
     def compose(self, other):
         """self o other (other acts first), on two-slot operators."""
-        nf = self.algebra.nf_word
+        pres = self.algebra
+        pres._steps = 0  # one max_steps budget per composition
+        nf = pres._nf
+        top = order = min(self.order, other.order)
         terms = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
+        for (j1, (l1, r1)), c1 in self.terms.items():
+            for (j2, (l2, r2)), c2 in other.terms.items():
+                j = j1 + j2
+                if j >= top:
+                    continue
+                left, right = nf(l1 + l2), nf(r2 + r1)
+                order = min(order, left.order, right.order)
                 c = c1 * c2
-                for lw, lc in nf(l1 + l2).items():
-                    for rw, rc in nf(r2 + r1).items():
-                        _acc(terms, (lw, rw), c * lc * rc)
-        return Operator(self.algebra, self.k + other.k, terms,
-                        min(self.order, other.order))
+                for (jl, lw), lc in left.terms.items():
+                    jl += j
+                    if jl >= order:
+                        continue
+                    clc = c * lc
+                    for (jr, rw), rc in right.terms.items():
+                        jr += jl
+                        if jr < order:
+                            _acc(terms, (jr, (lw, rw)), clc * rc)
+        return Operator(self.algebra, self.k + other.k,
+                        {key: c for key, c in terms.items() if key[0] < order},
+                        order)
 
 
 def hamiltonian_pair(a, b):
@@ -312,7 +333,7 @@ class QuantumAction:
     def element_operator(self, x):
         """Phi(x) for a quantum-group element x in normal form."""
         out = Operator(self.algebra, 0, {}, self.algebra.order)
-        for word, coeff in x.terms.items():
+        for word, coeff in x.series_terms().items():
             out = out + self.operator(word).scaled(coeff)
         return out
 
@@ -325,8 +346,7 @@ class QuantumAction:
 # ---------------------------------------------------------------------------
 
 def _monomials(alg, degree):
-    return [NCPoly(alg, {w: HSeries.one(alg.order)})
-            for w in alg.monomials_up_to(degree)]
+    return [alg.monomial(w) for w in alg.monomials_up_to(degree)]
 
 
 def _check_window(kind, op, order=None):
@@ -351,12 +371,13 @@ def _certified(kind, defect):
 
 
 def _inconclusive(kind, what, defect, degree):
+    terms = len({key for _, key in defect.terms})
     return CapabilityError(
         "guard %s.inconclusive: the operator tensor of %s has %d term(s), "
         "but no monomial of degree <= %d is a witness"
-        % (kind, what, len(defect.terms), degree),
+        % (kind, what, terms, degree),
         guard="%s.inconclusive" % kind,
-        counters={"tensor_terms": len(defect.terms), "degree": degree})
+        counters={"tensor_terms": terms, "degree": degree})
 
 
 def module_algebra_defect(action, name, coproduct):
@@ -367,21 +388,37 @@ def module_algebra_defect(action, name, coproduct):
     so the three-slot operator returned is (f, g) -> xi.(f g) - sum
     c (u.f)(v.g), with every term scaled to the common hbar^K.
     """
-    nf = action.algebra.nf_word
     op = action.operator((name,))
     out = Operator(action.algebra, op.k,
-                   {(l, (), r): c for (l, r), c in op.terms.items()},
+                   {(j, (l, (), r)): c for (j, (l, r)), c in op.terms.items()},
                    op.order)
-    for (u, v), coeff in coproduct.terms.items():
+    by_pair = {}
+    for (j, uv), coeff in coproduct.terms.items():
+        by_pair.setdefault(uv, []).append((j, coeff))
+    for (u, v), coeffs in by_pair.items():
         ou, ov = action.operator(u), action.operator(v)
+        top = order = min(coproduct.order, ou.order, ov.order)
+        pres = action.algebra
+        pres._steps = 0  # one max_steps budget per product
+        nf = pres._nf
         terms = {}
-        for (lu, ru), cu in ou.terms.items():
-            for (lv, rv), cv in ov.terms.items():
-                c = coeff * cu * cv
-                for mid, cm in nf(ru + lv).items():
-                    _acc(terms, (lu, mid, rv), c * cm)
-        out = out - Operator(action.algebra, ou.k + ov.k, terms,
-                             min(coeff.order, ou.order, ov.order))
+        for (ju, (lu, ru)), cu in ou.terms.items():
+            for (jv, (lv, rv)), cv in ov.terms.items():
+                juv = ju + jv
+                if juv >= top:
+                    continue
+                mid = nf(ru + lv)
+                order = min(order, mid.order)
+                cuv = cu * cv
+                for (jm, m), cm in mid.terms.items():
+                    jm += juv
+                    c = cuv * cm
+                    for j, coeff in coeffs:
+                        if j + jm < order:
+                            _acc(terms, (j + jm, (lu, m, rv)), coeff * c)
+        out = out - Operator(action.algebra, ou.k + ov.k,
+                             {key: c for key, c in terms.items()
+                              if key[0] < order}, order)
     return out
 
 
@@ -394,7 +431,7 @@ def _module_algebra_witness(action, name, coproduct, degree):
         for g in monos:
             lhs = op(f * g)
             rhs = alg.zero()
-            for (u, v), coeff in coproduct.terms.items():
+            for (u, v), coeff in coproduct.series_terms().items():
                 rhs = rhs + action.operator(u)(f) * action.operator(v)(g) \
                     * coeff
             if not (lhs - rhs).is_zero():
@@ -516,24 +553,23 @@ def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
     """
     monos = _monomials(action.algebra, degree)
     ox, oy = action.operator((xn,)), action.operator((yn,))
-    lhs_vals = [ox(oy(f)) - oy(ox(f)) for f in monos]
-    cand_vals = [[action.operator(w)(f) for f in monos]
+    lhs_vals = [(ox(oy(f)) - oy(ox(f))).series_terms() for f in monos]
+    cand_vals = [[action.operator(w)(f).series_terms() for f in monos]
                  for w in candidate_words]
     out_words = set()
     for v in lhs_vals:
-        out_words.update(v.terms)
+        out_words.update(v)
     for col in cand_vals:
         for v in col:
-            out_words.update(v.terms)
+            out_words.update(v)
     out_words = sorted(out_words, key=lambda t: (len(t), t))
     rows = []
     rhs = []
     for mi in range(len(monos)):
         for w in out_words:
-            rows.append({ci: col[mi].terms[w]
-                         for ci, col in enumerate(cand_vals)
-                         if w in col[mi].terms})
-            rhs.append(lhs_vals[mi].terms.get(w, ZERO))
+            rows.append({ci: col[mi][w]
+                         for ci, col in enumerate(cand_vals) if w in col[mi]})
+            rhs.append(lhs_vals[mi].get(w, ZERO))
     sol = solve_series(rows, rhs, len(candidate_words), action.algebra.order)
     if sol is None:
         return None
@@ -711,10 +747,9 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     for name in action.exprs:
         op = action.operator((name,))
         for s in ideal_gens:
-            _check_window("ideal-invariance", op,
-                          _min_order(s.terms.values(), alg))
+            _check_window("ideal-invariance", op, s.order)
             y = op(s)
-            rest = quotient.normal_form(y.terms)
+            rest = quotient.normal_form(y)
             if not rest.is_zero():
                 failures.append("Phi(%s)(%r) = %r escapes the ideal "
                                 "(remainder %r)" % (name, s, y, rest))
@@ -741,11 +776,10 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
         if quotient is None:
             quotient = alg.quotient(ideal_gens)
 
-        def residue(x):
-            return dict(quotient.normal_form(x.terms).terms)
+        residue = quotient.normal_form
     else:
         def residue(x):
-            return dict(x.terms)
+            return x
     monos = alg.monomials_up_to(degree)
 
     # unknowns: one series per input monomial; condition per generator and
@@ -755,8 +789,8 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
         eps = series(counit_values.get(name, 0), alg.order)
         col = []
         for w in monos:
-            x = NCPoly(alg, {w: HSeries.one(alg.order)})
-            col.append(residue(op(x) - x * eps))
+            x = alg.monomial(w)
+            col.append(residue(op(x) - x * eps).series_terms())
         reduced_cols[name] = col
     words = sorted({w for col in reduced_cols.values()
                     for vec in col for w in vec},
@@ -764,13 +798,9 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     rows = [{j: vec[w] for j, vec in enumerate(col) if w in vec}
             for col in reduced_cols.values() for w in words]
     kern = kernel_series(rows, len(monos), order)
-    basis = []
-    for vec in kern:
-        terms = {}
-        for coeff, w in zip(vec, monos):
-            if not coeff.is_zero():
-                terms[w] = coeff
-        basis.append(NCPoly(alg, terms))
+    basis = [NCPoly.from_series(alg, {w: coeff for coeff, w in zip(vec, monos)
+                                      if not coeff.is_zero()})
+             for vec in kern]
 
     if ideal_gens:
         # independent classes modulo the ideal: growing the span decides
@@ -778,19 +808,22 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
         accum = SeriesSpan(order)
         selected = []
         for b in basis:
-            r = accum.reduce(residue(b))
-            if r and accum.insert(dict(r)):
-                selected.append(NCPoly(alg, r))
+            b = residue(b)
+            window = min(b.order, accum.order)
+            r = accum.reduce(b.terms, b.order)
+            if r and accum.insert(r, window):
+                selected.append(NCPoly(alg, r, window))
         basis = selected
 
     failures = []
     closure_span = SeriesSpan(order)
     for b in basis:
-        closure_span.insert(dict(b.terms))
+        closure_span.insert(b.terms, b.order)
     for x, y in itertools.combinations_with_replacement(basis, 2):
         prod = x * y
         if prod.degree() > degree:
             continue
-        if not closure_span.contains(residue(prod)):
+        rest = residue(prod)
+        if not closure_span.contains(rest.terms, rest.order):
             failures.append("product %r leaves the invariant span" % prod)
     return basis, Report.from_failures("invariant-subalgebra", failures)

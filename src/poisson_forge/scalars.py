@@ -9,7 +9,10 @@ in this package lives in one of three rings:
 
 Every element built over them -- a polynomial, tensor, field, form, or an
 element of a presented algebra or its tensor powers -- is a ``LinComb``: a
-finite sum over a basis whose module arithmetic is written once here.
+finite sum over a basis whose module arithmetic is written once here.  An
+element of a presented algebra keeps hbar in its basis key, with Q(i)
+coefficients and one window for the whole element (``ncalg``); a series
+is a scalar it is scaled by, and the printed form of its coefficients.
 
 All arithmetic is exact; there is no floating point anywhere.  A Gaussian
 rational keeps three Python ints normalised so that d > 0 and
@@ -132,9 +135,13 @@ class GaussRational:
                 return NotImplemented
             other = gauss(other)
         a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            # Gaussian integers: the product is normalised as it stands
+            return _raw(a * c - b * e, a * e + b * c, 1)
         if not b and not e:
-            return _make(a * c, 0, self._d * other._d)
-        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
+            return _make(a * c, 0, d)
+        return _make(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
@@ -260,6 +267,12 @@ def gauss(x):
 
 class HSeries:
     """A formal power series in hbar, truncated at ``order`` (mod hbar^order).
+
+    A series is a scalar: a counit value, a factor that scales an element or
+    an operator, an entry or unknown of a series system (``linalg``), and the
+    printed form of an element's coefficient.  Elements of presented algebras
+    do not store series: their terms are c hbar^j w with c in Q(i), and one
+    window per element (``ncalg``).
 
     Coefficients are stored as a tuple of GaussRational with trailing zeros
     trimmed, so plain scalars cost one entry.  ``order`` is the number of
@@ -595,8 +608,13 @@ def series(x, order):
 
 
 def hexp(scalar, order):
-    """exp(scalar * hbar) as a truncated series; scalar is exact."""
-    return (HSeries.hbar(order) * gauss(scalar)).exp()
+    """exp(scalar * hbar) as a truncated series; scalar is exact, and the
+    coefficient of hbar^k is scalar^k / k!."""
+    s = gauss(scalar)
+    coeffs = [ONE]
+    for k in range(1, order):
+        coeffs.append(coeffs[-1] * s / k)
+    return HSeries(coeffs, order)
 
 
 # ---------------------------------------------------------------------------

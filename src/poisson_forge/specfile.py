@@ -18,7 +18,7 @@ from .lie import LieAlgebra, Tensor, RMatrix, Cobracket, cobracket_from_r
 from .matgroup import MatrixGroupModel
 from .ncalg import Presentation, TensorAlgebra, AlgebraMap
 from .poisson import PolyBivector, PolyVectorField, one_form
-from .scalars import HSeries, gauss, series
+from .scalars import HSeries, gauss
 from .qmomentum import (
     Identity, LMul, RMul, Commutator, Scale, Sum, Compose,
     HbarDiv, QuantumAction,
@@ -117,11 +117,17 @@ class SpecFile:
             raise SpecError("no %s named %r" % (section[:-1], name))
         return _fields("%s %r" % (section[:-1], name), entry)
 
-    def _series(self, spec):
-        """A scalar string, or an array of them, as a series mod hbar^N."""
-        if isinstance(spec, str):
-            return series(spec, self.order)
-        return HSeries([gauss(c) for c in spec], self.order)
+    def _series(self, spec, where):
+        """A scalar string, or an array of them, as a series mod hbar^N;
+        anything else is an input error naming ``where``."""
+        entries = [spec] if isinstance(spec, str) else spec
+        if isinstance(entries, list):
+            try:
+                return HSeries([gauss(c) for c in entries], self.order)
+            except TypeError:
+                pass
+        raise SpecError("%s: a series must be a scalar string or a list of "
+                        "scalar strings, got %r" % (where, spec))
 
     # -- resolvers ----------------------------------------------------------
 
@@ -228,7 +234,7 @@ class SpecFile:
             pair = rule.name_pair(gens)
             terms = {}
             for t in _items(rule.where + " term", rule["terms"]):
-                terms[t.word(gens)] = self._series(t["coeff"])
+                terms[t.word(gens)] = self._series(t["coeff"], t.where)
             rules[pair] = terms
         try:
             out = Presentation(gens, rules, self.order,
@@ -249,7 +255,7 @@ class SpecFile:
             return pres.element(spec)
         terms = []
         for t in _items(where + " term", spec):
-            terms.append((self._series(t["coeff"]),
+            terms.append((self._series(t["coeff"], t.where),
                           list(t.word(pres.gens))))
         return pres.element(terms)
 
@@ -259,7 +265,7 @@ class SpecFile:
         for t in _items("tensor term", spec):
             u, v = t.pair()
             key = (t.word(pres.gens, u), t.word(pres.gens, v))
-            terms[key] = self._series(t["coeff"])
+            terms[key] = self._series(t["coeff"], t.where)
         return t2.element(terms)
 
     def hopf_structure(self, name):
@@ -272,7 +278,8 @@ class SpecFile:
                                     spec))
                                 for g, spec in entry["coproduct"].items()},
                          t2.one(), name="Delta")
-        counit = AlgebraMap(pres, {g: self._series(v)
+        counit = AlgebraMap(pres, {g: self._series(v, "%s counit %r"
+                                                   % (entry.where, g))
                                    for g, v in entry["counit"].items()},
                             HSeries.one(self.order), name="epsilon")
         antipode = AlgebraMap(
@@ -298,7 +305,7 @@ class SpecFile:
         arg, args = spec.where + " arg", spec.where + " args"
         if op == "scale":
             return Scale(self.action_expr(pres, _fields(arg, spec["arg"])),
-                         self._series(spec["scalar"]))
+                         self._series(spec["scalar"], spec.where))
         if op == "sum":
             return Sum([self.action_expr(pres, a)
                         for a in _items(args, spec["args"])])
@@ -322,7 +329,7 @@ class SpecFile:
             "coproducts": {g: self.tensor_element(group, _items(
                                "%s coproduct %r term" % (entry.where, g), spec))
                            for g, spec in entry.get("coproducts", {}).items()},
-            "counit": {g: self._series(v)
+            "counit": {g: self._series(v, "%s counit %r" % (entry.where, g))
                        for g, v in entry.get("counit", {}).items()},
             "relations": _items(entry.where + " relation",
                                 entry.get("relations", ())),

@@ -23,6 +23,11 @@ Q(i)[hbar]/(hbar^N)-module by the rank of the dense flattened system of all
 hbar-multiples of its generators, and ``dense_solve_series`` and
 ``dense_kernel_series`` densify the sparse rows of a series system and
 solve it through the dense flattened matrix (``flatten_series_system``).
+The flat element kernel (terms {(j, key): c} with one window per element)
+has the product it replaced as its reference: ``SeriesReference`` keeps an
+HSeries per word, each with its own window, and computes normal forms,
+products of elements and of tensors, operator compositions and operator
+values that way; ``agrees`` compares a flat result with it.
 """
 
 import itertools
@@ -46,7 +51,7 @@ from poisson_forge.linalg import (
     SeriesSpan, Span, in_row_span, kernel_basis, kernel_series, solve,
 )
 from poisson_forge.scalars import (
-    HSeries, ONE, ZERO, gauss, series,
+    HSeries, ONE, ZERO, _acc, gauss, series,
 )
 
 
@@ -75,7 +80,7 @@ def sweep_counit(hopf, degree=3):
         d = hopf.coproduct.apply_word(word)
         left = counit_in_slot(hopf.counit, d, 0, t1)
         right = counit_in_slot(hopf.counit, d, 1, t1)
-        target = TensorElement(t1, {(word,): HSeries.one(pres.order)})
+        target = t1.element({(word,): 1})
         if not (left - target).is_zero():
             failures.append("(eps x id)Delta != id at %s" % pres.word_name(word))
         if not (right - target).is_zero():
@@ -115,8 +120,8 @@ def sweep_delta_hom(hopf, degree=3):
         for w2 in monos:
             if len(w1) + len(w2) > degree or not w1 or not w2:
                 continue
-            x = NCPoly(pres, {w1: HSeries.one(pres.order)})
-            y = NCPoly(pres, {w2: HSeries.one(pres.order)})
+            x = pres.monomial(w1)
+            y = pres.monomial(w2)
             lhs = hopf.coproduct(x * y)
             rhs = hopf.coproduct(x) * hopf.coproduct(y)
             if not (lhs - rhs).is_zero():
@@ -140,23 +145,19 @@ def sweep_confluence(pres, degree=4):
     """Reduce every word of length 2..degree by every applicable first
     step and compare the fully reduced results."""
     failures = []
+    ref = SeriesReference(pres)
     for length in range(2, degree + 1):
         for word in itertools.product(range(len(pres.gens)), repeat=length):
             results = []
             for k, (lhs, rule) in itertools.product(range(length),
-                                                    pres.rules.items()):
+                                                    ref.rules.items()):
                 if word[k:k + len(lhs)] != lhs:
                     continue
-                acc = {}
                 head, tail = word[:k], word[k + len(lhs):]
-                for t, c in rule.items():
-                    for w2, c2 in pres._nf(head + t + tail).items():
-                        v = acc.get(w2, HSeries.zero(pres.order)) + c * c2
-                        acc[w2] = v
-                acc = {w: c for w, c in acc.items() if not c.is_zero()}
-                results.append(acc)
+                results.append(NCPoly.from_series(pres, ref.normal_form(
+                    {head + t + tail: c for t, c in rule.items()})))
             for r in results[1:]:
-                if NCPoly(pres, r) != NCPoly(pres, results[0]):
+                if r != results[0]:
                     failures.append("overlap %s reduces ambiguously"
                                     % pres.word_name(word))
                     break
@@ -249,13 +250,11 @@ def sweep_co_poisson(hopf, generator_table, degree=3, primitive=True):
         if primitive:
             return t2.element({((idx,), ()): 1, ((), (idx,)): 1})
         d = hopf.coproduct.apply_word((idx,))
-        return TensorElement(t2, {key: c.truncate(1)
-                                  for key, c in d.terms.items()})
+        return TensorElement(t2, d.terms, 1)
 
     lifted = {}
     for g, entries in generator_table.items():
-        lifted[pres.index(g)] = TensorElement(
-            t2, {key: series(c, pres.order) for key, c in entries.items()})
+        lifted[pres.index(g)] = TensorElement.from_series(t2, entries)
 
     for word in pres.monomials_up_to(degree):
         if not word:
@@ -274,15 +273,14 @@ def sweep_co_poisson(hopf, generator_table, degree=3, primitive=True):
                 term = term * (lifted[g] if i == k else delta0(g))
             want = want + term
         defect = got - want
-        if not all(c.valuation() >= 1 for c in defect.terms.values()):
+        if defect.hbar_valuation() < 1:
             failures.append("co-Poisson compatibility fails mod hbar at %s"
                             % pres.word_name(word))
     return Report.from_failures("co-poisson-compatibility", failures)
 
 
 def _monomials(alg, degree):
-    return [NCPoly(alg, {w: HSeries.one(alg.order)})
-            for w in alg.monomials_up_to(degree)]
+    return [alg.monomial(w) for w in alg.monomials_up_to(degree)]
 
 
 def eval_expr(expr, f):
@@ -325,7 +323,7 @@ def eval_word(action, word, f):
 def eval_element(action, x, f):
     """Phi(x)(f) for a quantum-group element x in normal form."""
     out = action.algebra.zero()
-    for word, coeff in x.terms.items():
+    for word, coeff in x.series_terms().items():
         out = out + eval_word(action, word, f) * coeff
     return out
 
@@ -340,7 +338,7 @@ def sweep_module_algebra(action, coproducts, degree=2):
             for g in monos:
                 lhs = eval_expr(action.exprs[name], f * g)
                 rhs = alg.zero()
-                for (u, v), coeff in cop.terms.items():
+                for (u, v), coeff in cop.series_terms().items():
                     rhs = rhs + eval_word(action, u, f) \
                         * eval_word(action, v, g) * coeff
                 if not (lhs - rhs).is_zero():
@@ -388,7 +386,7 @@ def ideal_span_closure(presentation, ideal_gens, max_degree):
         x = work.pop()
         if x.is_zero() or x.degree() > max_degree:
             continue
-        if not span.insert(dict(x.terms)):
+        if not span.insert(x.terms, x.order):
             continue
         for l in letters:
             work.append(l * x)
@@ -407,8 +405,7 @@ def sweep_ideal_invariance(action, ideal_gens, degree=1):
     for j in ideal_gens:
         for u in monos:
             for v in monos:
-                x = NCPoly(alg, {u: HSeries.one(alg.order)}) * j \
-                    * NCPoly(alg, {v: HSeries.one(alg.order)})
+                x = alg.monomial(u) * j * alg.monomial(v)
                 for name in action.exprs:
                     y = eval_expr(action.exprs[name], x)
                     if not y.is_zero():
@@ -419,7 +416,7 @@ def sweep_ideal_invariance(action, ideal_gens, degree=1):
                               max(y.degree() for _, _, _, y in candidates))
     failures = []
     for name, u, v, y in candidates:
-        if not span.contains(dict(y.terms)):
+        if not span.contains(y.terms, y.order):
             failures.append("Phi(%s)(%s * J * %s) = %r escapes the ideal"
                             % (name, alg.word_name(u), alg.word_name(v), y))
     return Report.from_failures("ideal-invariance", failures)
@@ -437,13 +434,13 @@ def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
     for name, expr in action.exprs.items():
         eps = series(counit_values.get(name, 0), order)
         cols[name] = [eval_expr(expr, x) - x * eps
-                      for x in (NCPoly(alg, {w: HSeries.one(order)})
-                                for w in monos)]
+                      for x in map(alg.monomial, monos)]
     span = ideal_span_closure(
         alg, ideal_gens,
         max([y.degree() for col in cols.values() for y in col]
             + [degree + max(j.degree() for j in ideal_gens)]))
-    reduced = {name: [span.reduce(dict(y.terms)) for y in col]
+    reduced = {name: [series_view(span.reduce(y.terms, y.order),
+                                  min(y.order, span.order)) for y in col]
                for name, col in cols.items()}
     words = sorted({w for col in reduced.values() for vec in col
                     for w in vec}, key=lambda t: (len(t), t))
@@ -452,10 +449,12 @@ def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
     accum = span.copy()
     classes = []
     for vec in kernel_series(rows, len(monos), order):
-        terms = {w: c for c, w in zip(vec, monos) if not c.is_zero()}
-        r = accum.reduce(terms)
-        if r and accum.insert(dict(r)):
-            classes.append(NCPoly(alg, r))
+        x = NCPoly.from_series(
+            alg, {w: c for c, w in zip(vec, monos) if not c.is_zero()})
+        window = min(x.order, accum.order)
+        r = accum.reduce(x.terms, x.order)
+        if r and accum.insert(r, window):
+            classes.append(NCPoly(alg, r, window))
     return classes
 
 
@@ -479,7 +478,8 @@ def sweep_tensor_nilpotency(coproduct, presentation, max_len=3):
     for length in range(1, max_len + 1):
         for combo in itertools.product(gens, repeat=length):
             alg = TensorAlgebra(pres, length)
-            x = TensorElement(alg, {tuple(combo): HSeries.one(pres.order)})
+            x = TensorElement.from_series(
+                alg, {tuple(combo): HSeries.one(pres.order)})
             dd = delta_n(delta_n(x, length), length + 1)
             if not dd.is_zero():
                 failures.append("Delta^2 != 0 on %s"
@@ -598,3 +598,122 @@ def dense_kernel_series(rows, ncols, ceiling):
         span.insert({i: v[i - 1] for i in range(ncols * order) if i % order})
     return [_unflatten(v, ncols, order) for v in vecs
             if span.insert(dict(enumerate(v)))]
+
+
+# -- the {key: HSeries} reference of the flat element kernel -----------------
+
+def series_view(terms, order):
+    """Flat terms {(j, key): c} known mod hbar^order as {key: HSeries}."""
+    blocks = {}
+    for (j, key), c in terms.items():
+        blocks.setdefault(key, [ZERO] * order)[j] = c
+    return {key: HSeries(cs, order) for key, cs in blocks.items()}
+
+
+def agrees(terms, order, reference):
+    """Do flat terms known mod hbar^order equal the {key: HSeries}
+    ``reference`` mod hbar^order, with every reference coefficient known at
+    least that far (the flat window claims no precision the reference
+    lacks)?"""
+    got = series_view(terms, order)
+    for key in set(got) | set(reference):
+        want = reference.get(key, HSeries.zero(order))
+        if want.order < order:
+            return False
+        if got.get(key, HSeries.zero(order)) != want.truncate(order):
+            return False
+    return True
+
+
+class SeriesReference:
+    """Normal forms and products with one HSeries coefficient per word, as
+    the element layer computed them before hbar moved into the term key:
+    each coefficient keeps its own window, products and sums take the
+    least, and a pair of terms is multiplied whatever its valuations.  The
+    rules are the presentation's, read as {word: HSeries}; reduction
+    rewrites the leftmost, then shortest, leading word, with its own memo.
+    """
+
+    def __init__(self, pres):
+        self.pres = pres
+        self.rules = {lhs: NCPoly(pres, rhs.terms, rhs.order).series_terms()
+                      for lhs, rhs in pres.rules.items()}
+        self.lengths = sorted({len(lhs) for lhs in self.rules})
+        self.memo = {}
+
+    def nf(self, word):
+        hit = self.memo.get(word)
+        if hit is not None:
+            return hit
+        found = None
+        for m in self.lengths:
+            for k in range(len(word) - m + 1):
+                if word[k:k + m] in self.rules:
+                    if found is None or k < found[0]:
+                        found = (k, m)
+                    break
+        if found is None:
+            out = {word: HSeries.one(self.pres.order)}
+        else:
+            k, m = found
+            head, tail = word[:k], word[k + m:]
+            out = {}
+            for t, c in self.rules[word[k:k + m]].items():
+                for w, c2 in self.nf(head + t + tail).items():
+                    _acc(out, w, c * c2)
+        self.memo[word] = out
+        return out
+
+    def normal_form(self, terms):
+        out = {}
+        for w, c in terms.items():
+            for w2, c2 in self.nf(w).items():
+                _acc(out, w2, c * c2)
+        return out
+
+    def mul(self, a, b):
+        """Product of two {word: HSeries} elements, in normal form."""
+        raw = {}
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
+                _acc(raw, w1 + w2, c1 * c2)
+        return self.normal_form(raw)
+
+    def tensor_mul(self, a, b):
+        """Componentwise product of two {word tuple: HSeries} tensors."""
+        out = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                base = c1 * c2
+                if base.is_zero():
+                    continue
+                slots = [self.nf(x + y) for x, y in zip(k1, k2)]
+                for combo in itertools.product(*(s.items() for s in slots)):
+                    coeff = base
+                    for _, c in combo:
+                        coeff = coeff * c
+                    _acc(out, tuple(w for w, _ in combo), coeff)
+        return out
+
+    def compose(self, a, b):
+        """(L1, R1) o (L2, R2) = (L1 L2, R2 R1) on {(L, R): HSeries}."""
+        out = {}
+        for (l1, r1), c1 in a.items():
+            for (l2, r2), c2 in b.items():
+                c = c1 * c2
+                for lw, lc in self.nf(l1 + l2).items():
+                    for rw, rc in self.nf(r2 + r1).items():
+                        _acc(out, (lw, rw), c * lc * rc)
+        return out
+
+    def apply(self, op, k, f):
+        """hbar^-k sum c nf(L f R) for {(L, R): HSeries} and a {word:
+        HSeries} element, each coefficient divided on its own (raising
+        ValuationError where that is inexact)."""
+        out = {}
+        for (l, r), c in op.items():
+            for w, cf in f.items():
+                cw = c * cf
+                for v, cv in self.nf(l + w + r).items():
+                    _acc(out, v, cw * cv)
+        return {w: c.divide_by_hbar(k) for w, c in out.items()}

@@ -266,6 +266,33 @@ def test_spec_rule_pair_must_name_generators(path, value, gens, where,
             "got %r" % (where, gens, value)) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, argv, where", [
+    # a bare JSON number is neither a scalar string nor a list of them
+    (("presentations", "qplane", "rules", 0, "terms", 0, "coeff"), 1,
+     ["check-action", "qplane_action"], "presentation 'qplane' rule 1 term 1"),
+    (("presentations", "qplane", "rules", 0, "terms", 0, "coeff"),
+     ["1", 0.5], ["check-action", "qplane_action"],
+     "presentation 'qplane' rule 1 term 1"),
+    (("actions", "qplane_action", "coproducts", "xi", 0, "coeff"), None,
+     ["check-action", "qplane_action"],
+     "action 'qplane_action' coproduct 'xi' term 1"),
+    (("actions", "qplane_action", "counit", "xi"), {"re": "0"},
+     ["qreduce", "qplane_action"], "action 'qplane_action' counit 'xi'"),
+    (("hopf_structures", "usl2_hopf", "antipode", "E", 0, "coeff"), -1,
+     ["check-hopf", "usl2_hopf"],
+     "hopf_structure 'usl2_hopf' antipode 'E' term 1"),
+    (("hopf_structures", "usl2_hopf", "counit", "E"), 0,
+     ["check-hopf", "usl2_hopf"], "hopf_structure 'usl2_hopf' counit 'E'"),
+])
+def test_spec_series_must_be_scalar_strings(path, value, argv, where,
+                                            tmp_path, capsys):
+    spec = edited_spec(tmp_path, path, value)
+    assert run([argv[0], spec, argv[1]]) == 2
+    assert ("input error: %s: a series must be a scalar string or a list of "
+            "scalar strings, got %r" % (where, value)) \
+        in capsys.readouterr().err
+
+
 def test_spec_entry_must_be_an_object(tmp_path, capsys):
     doc = json.load(open(SPEC))
     doc["reductions"]["case3"] = ["not", "an", "object"]

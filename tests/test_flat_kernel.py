@@ -1,0 +1,204 @@
+"""The flat element kernel against its {word: HSeries} reference.
+
+Elements, tensors and operators keep hbar in the term key, {(j, key): c},
+with one window per element.  ``oracles.SeriesReference`` computes the same
+normal forms, products, compositions and operator values with an HSeries
+per word, each coefficient in its own window.  On seeded random elements
+of every quantum fixture presentation, and of a plane whose rule has an
+imaginary part at every power of hbar, at several orders and with mixed
+windows, the flat results must equal the reference in their window, and
+the reference must know every coefficient at least that far.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from poisson_forge import fixtures
+from poisson_forge.errors import CapabilityError
+from poisson_forge.ncalg import (
+    NCPoly, Presentation, TensorAlgebra, TensorElement,
+)
+from poisson_forge.qmomentum import HbarDiv, LMul, Operator, RMul
+from poisson_forge.scalars import GaussRational, HSeries, ValuationError, hexp
+
+from oracles import SeriesReference, agrees, series_view
+
+
+def _complex_plane(order):
+    """y x = exp(i hbar) x y: a rule coefficient with an imaginary part at
+    every power of hbar."""
+    return Presentation(["x", "y"],
+                        {("y", "x"): {("x", "y"): hexp("i", order)}},
+                        order, name="complex-plane")
+
+
+PRESENTATIONS = {
+    "uhsl2": fixtures.uhsl2_presentation,
+    "quantum-plane": fixtures.quantum_plane_presentation,
+    "case1": fixtures.case1_module_algebra,
+    "case2": fixtures.case2_module_algebra,
+    "case1-reduction": fixtures.case1_reduction_algebra,
+    "su2-3d": fixtures.su2_module_algebra,
+    "complex-plane": _complex_plane,
+}
+ACTIONS = {
+    "case1": lambda order: fixtures.case_action(1, order),
+    "case2": lambda order: fixtures.case_action(2, order),
+    "case3": lambda order: fixtures.case_action(3, order),
+    "su2-3d": fixtures.su2_action,
+}
+ORDERS = (1, 2, 3, 6, 9)
+# U_hbar(sl2) and the 3D algebra invert a series divided by hbar to build
+# their rules, which needs N >= 2
+NEEDS_TWO = {"uhsl2", "su2-3d"}
+
+
+def _cases(names):
+    return [(name, order) for name in names for order in ORDERS
+            if order >= 2 or name not in NEEDS_TWO]
+
+
+def _coeff(rng):
+    return GaussRational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
+                         rng.choice((0, 0, 1)))
+
+
+def _random_terms(rng, keys, order, low=0):
+    """Up to five terms c hbar^j key with low <= j < order."""
+    if order <= low:
+        return {}
+    return {(rng.randrange(low, order), rng.choice(keys)): _coeff(rng)
+            for _ in range(rng.randint(1, 5))}
+
+
+def _elements(pres, rng):
+    """Random elements of the full window, and of the window N - 1 (an
+    element divisible by hbar, divided by it)."""
+    words = pres.monomials_up_to(2)
+    n = pres.order
+    full = [NCPoly(pres, _random_terms(rng, words, n), n) for _ in range(3)]
+    low = NCPoly(pres, _random_terms(rng, words, n, 1), n).divide_by_hbar(1)
+    return full + [low]
+
+
+def _least_rule_window(pres):
+    return min([pres.order] + [r.order for r in pres.rules.values()])
+
+
+def _check_window(got, x, y, pres):
+    """A product is known in the least window of its operands and of the
+    normal forms it meets, which are known at least as far as the rules."""
+    top = min(x.order, y.order)
+    assert min(top, _least_rule_window(pres)) <= got.order <= top
+
+
+@pytest.mark.parametrize("name, order", _cases(PRESENTATIONS))
+def test_flat_products_match_the_series_reference(name, order):
+    pres = PRESENTATIONS[name](order)
+    ref = SeriesReference(pres)
+    rng = random.Random("%s-%d" % (name, order))
+    elements = _elements(pres, rng)
+    low = elements[-1]
+    assert low.order == order - 1
+    for x in elements:
+        for y in elements:
+            got = x * y
+            _check_window(got, x, y, pres)
+            assert agrees(got.terms, got.order,
+                          ref.mul(x.series_terms(), y.series_terms()))
+    # a window N - 1 element times a full one is known mod hbar^(N - 1)
+    if _least_rule_window(pres) == order:
+        assert (low * elements[0]).order == (elements[0] * low).order \
+            == order - 1
+
+
+@pytest.mark.parametrize("name, order", _cases(PRESENTATIONS))
+def test_flat_tensor_products_match_the_series_reference(name, order):
+    pres = PRESENTATIONS[name](order)
+    ref = SeriesReference(pres)
+    rng = random.Random("tensor-%s-%d" % (name, order))
+    words = pres.monomials_up_to(2)
+    t2 = TensorAlgebra(pres, 2)
+    keys = [(u, v) for u in words for v in words]
+    tensors = [TensorElement(t2, _random_terms(rng, keys, order), order)
+               for _ in range(3)]
+    tensors.append(TensorElement(
+        t2, _random_terms(rng, keys, order, 1), order).divide_by_hbar(1))
+    for x in tensors:
+        for y in tensors:
+            got = x * y
+            _check_window(got, x, y, pres)
+            assert agrees(got.terms, got.order,
+                          ref.tensor_mul(x.series_terms(), y.series_terms()))
+
+
+def _operators(action, rng):
+    """The generators' operators, and multiplications by random elements:
+    one of the window N - 1, and one divided by hbar, which is inexact on
+    most arguments."""
+    alg = action.algebra
+    ops = [action.operator((g,)) for g in action.exprs]
+    elements = _elements(alg, rng)
+    ops.append(LMul(elements[-1]).compile(alg))
+    ops.append(RMul(elements[0]).compile(alg))
+    ops.append(HbarDiv(LMul(elements[1]), 1).compile(alg))
+    return ops, elements
+
+
+INEXACT = object()
+
+
+def _value_or_inexact(fn):
+    try:
+        return fn()
+    except ValuationError:
+        return INEXACT
+
+
+@pytest.mark.parametrize("name, order", _cases(ACTIONS))
+def test_operator_compose_and_values_match_the_series_reference(name, order):
+    action = ACTIONS[name](order)
+    alg = action.algebra
+    ref = SeriesReference(alg)
+    rng = random.Random("operator-%s-%d" % (name, order))
+    ops, elements = _operators(action, rng)
+    for x in ops:
+        for y in ops:
+            got = x.compose(y)
+            assert got.k == x.k + y.k
+            top = min(x.order, y.order)
+            assert min(top, _least_rule_window(alg)) <= got.order <= top
+            assert agrees(got.terms, got.order,
+                          ref.compose(series_view(x.terms, x.order),
+                                      series_view(y.terms, y.order)))
+    for op in ops:
+        for f in elements + [alg.monomial(w) for w in alg.monomials_up_to(2)]:
+            got = _value_or_inexact(lambda: op(f))
+            want = _value_or_inexact(lambda: ref.apply(
+                series_view(op.terms, op.order), op.k, f.series_terms()))
+            if got is INEXACT or want is INEXACT:
+                assert got is want, (op.k, f)
+                continue
+            assert got.order <= max(min(op.order, f.order) - op.k, 0)
+            assert agrees(got.terms, got.order, want)
+
+
+def test_products_skip_pairs_at_or_past_the_window():
+    # a pair of terms whose exponents add up to N or more is never
+    # multiplied: x^3 x^3 would trip the word-length guard at 5 letters
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, 4,
+                        max_word_len=5)
+    h = HSeries.hbar(4)
+    cube = pres.monomial((0, 0, 0))
+    with pytest.raises(CapabilityError):
+        cube * cube
+    high, low = cube * h ** 3, cube * h
+    assert (high * low).is_zero() and (low * high).is_zero()
+    t2 = TensorAlgebra(pres, 2)
+    assert (t2.embed(high, 0) * t2.embed(low, 0)).is_zero()
+    left = Operator.multiplication(pres, high, pres.one())
+    right = Operator.multiplication(pres, low, pres.one())
+    assert left.compose(right).is_zero()
+    assert left(low).is_zero()

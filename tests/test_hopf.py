@@ -210,9 +210,9 @@ def test_truncated_q_factor_fails_coassociativity():
     good = fixtures.uhsl2_hopf()
     pres = good.algebra
     t2 = TensorAlgebra(pres, 2)
-    trunc = NCPoly(pres, {(): HSeries.one(N),
-                          (pres.index("H"),):
-                              HSeries([0, Fraction(1, 8)], N)})
+    trunc = NCPoly.from_series(pres, {
+        (): HSeries.one(N),
+        (pres.index("H"),): HSeries([0, Fraction(1, 8)], N)})
     qm = fixtures.h_exponential(pres, Fraction(-1, 8))
     images = {pres.gens[i]: img for i, img in good.coproduct.images.items()}
     images["E"] = t2.from_factors([pres.gen("E"), trunc]) \
@@ -290,9 +290,9 @@ def _truncated_q_factor_hopf():
     from poisson_forge.ncalg import NCPoly
     hopf = fixtures.uhsl2_hopf()
     pres, t2 = hopf.algebra, hopf.square
-    trunc = NCPoly(pres, {(): HSeries.one(N),
-                          (pres.index("H"),):
-                              HSeries([0, Fraction(1, 8)], N)})
+    trunc = NCPoly.from_series(pres, {
+        (): HSeries.one(N),
+        (pres.index("H"),): HSeries([0, Fraction(1, 8)], N)})
     qm = fixtures.h_exponential(pres, Fraction(-1, 8))
     return _with_coproduct_images(
         hopf, "Delta-trunc", E=t2.from_factors([pres.gen("E"), trunc])

@@ -80,42 +80,51 @@ def _h(coeffs, order):
     return HSeries(coeffs, order)
 
 
+def _flat(vec, order=None):
+    """A vector {key: HSeries} as SeriesSpan arguments: its flat terms
+    {(j, key): c} and its window, by default the least of its
+    coefficients'."""
+    if order is None:
+        order = min(c.order for c in vec.values())
+    return {(j, k): c for k, s in vec.items()
+            for j, c in enumerate(s.coeffs[:order]) if c}, order
+
+
 def test_shared_hbar_multiple_is_not_a_member():
     h = HSeries.hbar(2)
     span = SeriesSpan(2)
-    assert span.insert({"x": h, "y": h})
+    assert span.insert(*_flat({"x": h, "y": h}))
     # the multiples of hbar x + hbar y mod hbar^2 are a (hbar x + hbar y)
-    assert not span.contains({"x": h})
-    assert span.contains({"x": h, "y": h})
+    assert not span.contains(*_flat({"x": h}))
+    assert span.contains(*_flat({"x": h, "y": h}))
 
 
 def test_higher_hbar_multiple_is_a_member():
     span = SeriesSpan(3)
-    span.insert({"x": HSeries.hbar(3)})
-    assert span.contains({"x": _h([0, 0, 1], 3)})
-    assert not span.contains({"x": HSeries.one(3)})
+    span.insert(*_flat({"x": HSeries.hbar(3)}))
+    assert span.contains(*_flat({"x": _h([0, 0, 1], 3)}))
+    assert not span.contains(*_flat({"x": HSeries.one(3)}))
 
 
 def test_coarse_vector_lowers_the_order():
     span = SeriesSpan(4)
-    span.insert({"x": _h([0, 0, 0, 1], 4), "y": HSeries.one(4)})
+    span.insert(*_flat({"x": _h([0, 0, 0, 1], 4), "y": HSeries.one(4)}))
     assert span.order == 4
-    span.insert({"z": _h([0, 1], 2)})
+    span.insert(*_flat({"z": _h([0, 1], 2)}))
     assert span.order == 2
     assert all(j < 2 for row in span.span.rows.values() for j, _ in row)
     # y is still a member mod hbar^2: the hbar^3 x tail is unknown there
-    assert span.contains({"y": HSeries.one(4)})
+    assert span.contains(*_flat({"y": HSeries.one(4)}))
 
 
 def test_reduce_returns_the_tested_vector_window():
     span = SeriesSpan(4)
-    span.insert({"x": HSeries.one(4), "y": HSeries.hbar(4)})
+    span.insert(*_flat({"x": HSeries.one(4), "y": HSeries.hbar(4)}))
     # hbar x = hbar (x + hbar y) - hbar^2 y
-    r = span.reduce({"x": HSeries.hbar(3), "z": HSeries.one(3)})
-    assert r == {"y": _h([0, 0, -1], 3), "z": HSeries.one(3)}
-    assert all(c.order == 3 for c in r.values())
+    r = span.reduce(*_flat({"x": HSeries.hbar(3), "z": HSeries.one(3)}))
+    assert r == {(2, "y"): -1, (0, "z"): 1}
     # hbar^2 x = hbar^2 (x + hbar y) - hbar^3 y, and hbar^3 is 0 mod hbar^3
-    assert span.reduce({"x": _h([0, 0, 1], 3)}) == {}
+    assert span.reduce(*_flat({"x": _h([0, 0, 1], 3)})) == {}
 
 
 def _random_vector(rng, keys, order, valuation):
@@ -139,7 +148,8 @@ def test_series_span_agrees_with_module_member(order):
         gens = []
         for _ in range(rng.randint(1, 3)):
             g = _random_vector(rng, keys, order, rng.randint(0, 2))
-            assert span.insert(g) == (not module_member(gens, g, order))
+            assert span.insert(*_flat(g, order)) == \
+                (not module_member(gens, g, order))
             gens.append(g)
         for _ in range(6):
             # a combination of hbar-multiples of the generators, perturbed
@@ -153,7 +163,8 @@ def test_series_span_agrees_with_module_member(order):
                 w = _random_vector(rng, keys, order, rng.randint(0, 2))
                 for k, c in w.items():
                     v[k] = v.get(k, HSeries.zero(order)) + c
-            assert span.contains(v) == module_member(gens, v, order)
+            assert span.contains(*_flat(v, order)) == \
+                module_member(gens, v, order)
 
 
 # -- flattened series systems against the dense flattening -------------------

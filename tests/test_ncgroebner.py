@@ -36,7 +36,7 @@ def test_membership_above_the_span_bound():
     pres = _commutative_xy()
     x, y = pres.gen("x"), pres.gen("y")
     ideal = [x * y - 1, y * y]
-    assert not ideal_span_closure(pres, ideal, 2).contains(dict(y.terms))
+    assert not ideal_span_closure(pres, ideal, 2).contains(y.terms, y.order)
     quotient = pres.quotient(ideal)
     assert quotient.normal_form(y).is_zero()
     assert quotient.normal_form(pres.one()).is_zero()
