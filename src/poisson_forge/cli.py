@@ -7,18 +7,21 @@ recorded paper-discrepancy does not fail the run), 1 at least one check
 failed, 2 malformed input, 3 an internal capability guard tripped, 4 an
 internal error (any other exception, a ValueError too under --fixtures).
 
-One parser serves every command: the command is the first positional
-argument, and all commands take the same arguments, options before or after
-the positionals (``main`` parses intermixed).  A run imports only what its
-command uses: the spec reader only for a spec file.
+One fixed grammar serves every command (``parse_args``): up to four
+positionals, COMMAND [SPEC] [NAME] [EXTRA], and the options --order N,
+--degree D, --json OUT and --fixtures before, between or after them.  A
+valued option also reads ``--opt=value``; options are spelled in full, with
+no prefix abbreviation, and ``--`` ends them.  A malformed command line
+prints the usage to stderr and exits 2.  A run imports only what its
+command uses: the spec reader only for a spec file, ``json`` only for
+--json.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
+from types import SimpleNamespace
 
 from . import suites
 from .errors import CapabilityError, SpecError
@@ -31,38 +34,101 @@ COMMANDS = ("check-bialgebra", "poisson-group", "check-poisson", "check-mm",
             "check-hopf", "check-action", "reduce", "qreduce")
 
 
-def _order(text):
-    """The value of ``--order``, an int N >= 1."""
-    if not text.lstrip("-").isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError("must be an int >= 1, got %r" % text)
-    return int(text)
+USAGE = ("usage: poisson-forge [-h] [--order N] [--degree D] [--fixtures] "
+         "[--json OUT.JSONL]\n"
+         "                     COMMAND [SPEC] [NAME] [EXTRA]\n")
+
+HELP = USAGE + """
+exact checks for Poisson-Lie structures, momentum maps and their quantization
+
+commands:
+%s
+
+positional arguments:
+  COMMAND           one of the commands above
+  SPEC              JSON specification file
+  NAME              object name inside the spec
+  EXTRA             second object name (e.g. the r-matrix for poisson-group)
+
+options (before, between or after the positionals; --opt=value works too):
+  -h, --help        show this help message and exit
+  --order N         hbar truncation order N >= 1 of this run's series and
+                    presentations (default %d)
+  --degree D        monomial degree bound d >= 0 of check-action's witness
+                    search and of a spec qreduce's invariant subalgebra, in a
+                    spec run capped by the action's own degree; --fixtures
+                    runs of reduce and qreduce use the fixtures' degree 2
+                    (default 3)
+  --fixtures        run the shipped fixtures for this command
+  --json OUT.JSONL  append JSON-lines records to this file
+""" % ("\n".join("  " + c for c in COMMANDS), ORDER)
+
+POSITIONALS = ("command", "spec", "name", "extra")
+
+# option -> (field, least value for an int option, None for a path)
+VALUED = {"--order": ("order", 1), "--degree": ("degree", 0),
+          "--json": ("json_out", None)}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="poisson-forge",
-        description="exact checks for Poisson-Lie structures, momentum maps "
-                    "and their quantization")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("spec", nargs="?", help="JSON specification file")
-    parser.add_argument("name", nargs="?", help="object name inside the spec")
-    parser.add_argument("extra", nargs="?", help="second object name "
-                        "(e.g. the r-matrix for poisson-group)")
-    parser.add_argument("--order", type=_order, default=ORDER,
-                        help="hbar truncation order N >= 1 of this run's "
-                             "series and presentations (default %d)" % ORDER)
-    parser.add_argument("--degree", type=int, default=3,
-                        help="monomial degree bound d of check-action's "
-                             "witness search and of a spec qreduce's "
-                             "invariant subalgebra, in a spec run capped by "
-                             "the action's own degree; --fixtures runs of "
-                             "reduce and qreduce use the fixtures' degree 2 "
-                             "(default 3)")
-    parser.add_argument("--fixtures", action="store_true",
-                        help="run the shipped fixtures for this command")
-    parser.add_argument("--json", dest="json_out", metavar="OUT.JSONL",
-                        help="append JSON-lines records to this file")
-    return parser
+def _error(message):
+    sys.stderr.write(USAGE + "poisson-forge: error: %s\n" % message)
+    raise SystemExit(2)
+
+
+def _is_option(arg):
+    """Whether ``arg`` reads as an option, not a value: ``-`` and negative
+    numbers are values."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdigit()
+
+
+def parse_args(argv):
+    """The run's arguments from ``argv``: up to four positionals, and
+    options anywhere among them, each spelled out in full."""
+    args = SimpleNamespace(command=None, spec=None, name=None, extra=None,
+                           order=ORDER, degree=3, fixtures=False,
+                           json_out=None)
+    positionals, unknown = [], []
+    rest = iter(argv)
+    for arg in rest:
+        opt, eq, value = arg.partition("=")
+        if arg == "--":
+            positionals.extend(rest)
+        elif arg in ("-h", "--help"):
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        elif arg == "--fixtures":
+            args.fixtures = True
+        elif opt in VALUED:
+            if not eq:
+                value = next(rest, None)
+                if value is None or _is_option(value):
+                    _error("argument %s: expected one argument" % opt)
+            field, least = VALUED[opt]
+            if least is not None:
+                try:
+                    number = int(value)
+                except ValueError:
+                    _error("argument %s: invalid int value: %r"
+                           % (opt, value))
+                if number < least:
+                    _error("argument %s: must be an int >= %d, got %r"
+                           % (opt, least, value))
+                value = number
+            setattr(args, field, value)
+        elif _is_option(arg):
+            unknown.append(arg)
+        else:
+            positionals.append(arg)
+    if not positionals:
+        _error("the following arguments are required: command")
+    if positionals[0] not in COMMANDS:
+        _error("argument command: invalid choice: %r (choose from %s)"
+               % (positionals[0], ", ".join(map(repr, COMMANDS))))
+    unknown += positionals[len(POSITIONALS):]
+    if unknown:
+        _error("unrecognized arguments: %s" % " ".join(unknown))
+    vars(args).update(zip(POSITIONALS, positionals))
+    return args
 
 
 def run_spec_command(command, spec, args):
@@ -239,6 +305,7 @@ def emit(results, json_out=None, stream=None):
         sum(1 for r in records if r["verdict"] == DISCREPANCY))
     print(summary, file=stream)
     if json_out:
+        import json  # only a --json run writes records
         with open(json_out, "a") as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -246,7 +313,7 @@ def emit(results, json_out=None, stream=None):
 
 
 def main(argv=None):
-    args = build_parser().parse_intermixed_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     started = time.time()
     try:
         if args.fixtures:

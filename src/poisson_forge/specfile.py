@@ -121,11 +121,9 @@ class SpecFile:
         """A scalar string, or an array of them, as a series mod hbar^N;
         anything else is an input error naming ``where``."""
         entries = [spec] if isinstance(spec, str) else spec
-        if isinstance(entries, list):
-            try:
-                return HSeries([gauss(c) for c in entries], self.order)
-            except TypeError:
-                pass
+        if isinstance(entries, list) and all(isinstance(c, str)
+                                             for c in entries):
+            return HSeries([gauss(c) for c in entries], self.order)
         raise SpecError("%s: a series must be a scalar string or a list of "
                         "scalar strings, got %r" % (where, spec))
 

@@ -283,6 +283,13 @@ def test_spec_rule_pair_must_name_generators(path, value, gens, where,
      "hopf_structure 'usl2_hopf' antipode 'E' term 1"),
     (("hopf_structures", "usl2_hopf", "counit", "E"), 0,
      ["check-hopf", "usl2_hopf"], "hopf_structure 'usl2_hopf' counit 'E'"),
+    # a JSON boolean or number in a list is no scalar string either
+    (("presentations", "qplane", "rules", 0, "terms", 0, "coeff"),
+     [True, "-1"], ["check-action", "qplane_action"],
+     "presentation 'qplane' rule 1 term 1"),
+    (("presentations", "qplane", "rules", 0, "terms", 0, "coeff"),
+     [1, "-1"], ["check-action", "qplane_action"],
+     "presentation 'qplane' rule 1 term 1"),
 ])
 def test_spec_series_must_be_scalar_strings(path, value, argv, where,
                                             tmp_path, capsys):
@@ -664,13 +671,13 @@ def test_spec_qreduce_completes_the_quotient_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def _loaded_submodules(code):
-    """The poisson_forge submodules a fresh interpreter has loaded after
-    running ``code``."""
+def _loaded_modules(code, prefix="poisson_forge."):
+    """The modules named ``prefix``... that a fresh interpreter has loaded
+    after running ``code``."""
     src = os.path.dirname(os.path.dirname(poisson_forge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code += ("\nimport sys\nprint(' '.join(sorted(m for m in sys.modules "
-             "if m.startswith('poisson_forge.'))))")
+             "if m.startswith(%r))))" % prefix)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return set(done.stdout.splitlines()[-1].split())
@@ -679,8 +686,8 @@ def _loaded_submodules(code):
 def test_start_up_loads_only_what_the_command_runs():
     # the tests share one interpreter, so the import cost is checked in a
     # fresh one
-    assert _loaded_submodules("import poisson_forge") == set()
-    loaded = _loaded_submodules(
+    assert _loaded_modules("import poisson_forge") == set()
+    loaded = _loaded_modules(
         "import contextlib, io\n"
         "from poisson_forge.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -690,6 +697,15 @@ def test_start_up_loads_only_what_the_command_runs():
         "specfile", "matgroup", "momentum", "poisson", "reduction",
         "qmomentum", "linalg", "ncgroebner")}
     assert not loaded & unused
+    # the command line is parsed without argparse, and without --json no
+    # record is encoded
+    loaded = _loaded_modules(
+        "import contextlib, io\n"
+        "from poisson_forge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check-hopf', '--fixtures']) == 0", prefix="")
+    assert "poisson_forge.hopf" in loaded
+    assert not loaded & {"argparse", "gettext", "locale", "json"}
 
 
 @pytest.mark.parametrize("argv, parsed", [
@@ -697,6 +713,13 @@ def test_start_up_loads_only_what_the_command_runs():
      dict(command="check-mm", spec=SPEC, name="angular", order=4)),
     (["check-mm", "--order", "4", SPEC, "angular"],
      dict(command="check-mm", spec=SPEC, name="angular", order=4)),
+    (["check-mm", SPEC, "--order", "4", "angular"],
+     dict(command="check-mm", spec=SPEC, name="angular", order=4)),
+    (["check-mm", "--order=4", SPEC, "angular"],
+     dict(command="check-mm", spec=SPEC, name="angular", order=4)),
+    (["poisson-group", SPEC, "G", "R", "--degree=0", "--json=OUT"],
+     dict(command="poisson-group", spec=SPEC, name="G", extra="R",
+          degree=0, json_out="OUT")),
     (["check-hopf", "--fixtures", "--json", "OUT"],
      dict(command="check-hopf", fixtures=True, json_out="OUT")),
 ])
@@ -704,7 +727,56 @@ def test_one_parser_parses_as_one_subparser_per_command(argv, parsed):
     want = dict(spec=None, name=None, extra=None, order=6, degree=3,
                 fixtures=False, json_out=None)
     want.update(parsed)
-    assert vars(cli.build_parser().parse_intermixed_args(argv)) == want
+    assert vars(cli.parse_args(argv)) == want
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (["-h"], ["check-hopf", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: poisson-forge")
+        assert all(command in out for command in cli.COMMANDS)
+        assert "--order N" in out and "--json OUT.JSONL" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-mm", SPEC, "angular", "x", "y"], "unrecognized arguments: y"),
+    (["check-hopf", "--fixtures", "--json"],
+     "argument --json: expected one argument"),
+    (["check-hopf", "--json", "--fixtures"],
+     "argument --json: expected one argument"),
+    (["check-hopf", "--fixtures", "--frobnicate"],
+     "unrecognized arguments: --frobnicate"),
+    (["check-hopf", "--fixtures", "--ord", "4"],
+     "unrecognized arguments: --ord"),
+    (["check-action", "--fixtures", "--degree", "x"],
+     "argument --degree: invalid int value: 'x'"),
+    (["check-hopf", "--fixtures", "--order=0"],
+     "argument --order: must be an int >= 1, got '0'"),
+])
+def test_malformed_command_line_exits_two(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: poisson-forge")
+    assert err.endswith("poisson-forge: error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-action", "--fixtures", "--degree", "-1"],
+    ["qreduce", SPEC, "qplane_action", "--degree", "-1"],
+])
+def test_degree_below_zero_is_an_input_error(argv, capsys):
+    # a negative bound is malformed input, not an inconclusive search or an
+    # empty invariant subalgebra
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "argument --degree: must be an int >= 0, got '-1'" \
+        in capsys.readouterr().err
 
 
 def test_options_before_positionals_reach_the_run(capsys):
