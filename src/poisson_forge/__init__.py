@@ -11,3 +11,7 @@ importing the package loads none of them.
 """
 
 __version__ = "0.1.0"
+
+# The N of Q(i)[[hbar]]/(hbar^N) that the command line's --order and the
+# shipped fixture builders default to; no computation reads it implicitly.
+ORDER = 6

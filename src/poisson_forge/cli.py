@@ -23,9 +23,8 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import suites
+from . import ORDER, suites
 from .errors import CapabilityError, SpecError
-from .fixtures import ORDER
 from .report import DISCREPANCY, FAIL, PASS
 from .scalars import ValuationError
 

@@ -12,6 +12,8 @@ like a^-1 without dragging in general rational functions.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import CapabilityError
 from .scalars import GaussRational, LinComb, ONE, ZERO, _acc, gauss
 
@@ -63,13 +65,44 @@ class Chart:
         n = len(self.names)
         exps = [0] * n
         exps[self.index(name)] = 1
-        return CoordPoly(self, {tuple(exps): ONE})
+        return CoordPoly._mk(self, {tuple(exps): ONE})
 
     def zero(self):
-        return CoordPoly(self, {})
+        return CoordPoly._mk(self, {})
 
     def one(self):
-        return CoordPoly(self, {(0,) * len(self.names): ONE})
+        return CoordPoly._mk(self, {(0,) * len(self.names): ONE})
+
+
+def add_product(out, a, b, negate=False):
+    """``out += a * b``, or ``out -= a * b`` when ``negate``, in place.
+
+    ``out``, ``a`` and ``b`` are term dicts of one chart: exponent tuples
+    mapped to nonzero Q(i) coefficients.  Exponents add as tuples, so every
+    key stays an exponent tuple.  A sum that cancels to 0 is dropped at
+    once, so ``out`` stays canonical and ``CoordPoly._mk(chart, out)`` is a
+    valid polynomial after any call.  Returns ``out``.
+
+    Every product term goes straight into ``out``: accumulating a sum of
+    products this way builds no polynomial per product and no merged copy
+    per sum.
+    """
+    get = out.get
+    for e1, c1 in a.items():
+        if negate:
+            c1 = -c1
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = get(e)
+            if s is None:
+                out[e] = c1 * c2  # nonzero: Q(i) has no zero divisors
+            else:
+                s = s + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
 
 
 class CoordPoly(LinComb):
@@ -121,29 +154,21 @@ class CoordPoly(LinComb):
         if other.__class__ is not CoordPoly:
             return LinComb.__mul__(self, other)
         self._same_space(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in out:
-                    out[e] = out[e] + c
-                else:
-                    out[e] = c
         return CoordPoly._mk(self.chart,
-                             {e: c for e, c in out.items() if c})
+                             add_product({}, self.terms, other.terms))
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.chart.one()
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return self.chart.one() if out is None else out
 
     def inverse(self):
         """Inverse of a unit: a single term with unit coefficient whose
@@ -164,11 +189,8 @@ class CoordPoly(LinComb):
         out = {}
         for exps, c in self.terms.items():
             e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            out[tuple(new)] = c * e
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
         return CoordPoly._mk(self.chart, out)
 
     def subs(self, assignment, target_chart=None):
@@ -190,15 +212,20 @@ class CoordPoly(LinComb):
         powers = {}
         out = {}
         for exps, c in self.terms.items():
-            term = CoordPoly._mk(target_chart, {unit: c})
+            term = {unit: c}
+            factors = []
             for e, name in zip(exps, self.chart.names):
                 if e:
                     p = powers.get((name, e))
                     if p is None:
-                        p = powers[(name, e)] = values[name] ** e
-                    term = term * p
-            for k, v in term.terms.items():
-                _acc(out, k, v)
+                        p = powers[(name, e)] = (values[name] ** e).terms
+                    factors.append(p)
+            if not factors:
+                _acc(out, unit, c)
+                continue
+            for p in factors[:-1]:
+                term = add_product({}, term, p)
+            add_product(out, term, factors[-1])
         return CoordPoly._mk(target_chart, out)
 
     def eval_scalar(self, assignment):
@@ -254,14 +281,14 @@ class CoordPoly(LinComb):
 def poly(x, chart):
     """Coerce a string, scalar or CoordPoly onto the given chart."""
     if isinstance(x, CoordPoly):
-        if x.chart == chart:
+        if x.chart is chart or x.chart == chart:
             return x
         # allow silent transport between charts sharing all needed names
         return x.subs({}, chart)
     if isinstance(x, str):
         return _parse_poly(x, chart)
-    zero = (0,) * len(chart.names)
-    return CoordPoly(chart, {zero: gauss(x)})
+    c = gauss(x)
+    return CoordPoly._mk(chart, {(0,) * len(chart.names): c} if c else {})
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import ORDER
 from .scalars import GaussRational, HSeries, gauss, hexp
 from .coordpoly import Chart, poly
 from .lie import LieAlgebra, Tensor, RMatrix, Cobracket, basis_tensor, wedge
-
-ORDER = 6
 
 
 # ---------------------------------------------------------------------------

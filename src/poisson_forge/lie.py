@@ -42,8 +42,9 @@ class LieAlgebra:
         self._brackets = {}  # (i, j) -> {k: c_ij^k}, k increasing
         for i, j, k in sorted(self.c):
             self._brackets.setdefault((i, j), {})[k] = self.c[(i, j, k)]
+        self._jacobi = None
         if validate:
-            rep = check_jacobi(self)
+            rep = self.jacobi()
             if not rep.ok:
                 raise ValueError("structure constants fail Jacobi: %s" % rep.failures[0])
 
@@ -57,6 +58,14 @@ class LieAlgebra:
         """[e_i, e_j] as a dict k -> coefficient."""
         return dict(self._brackets.get((i, j), ()))
 
+    def jacobi(self):
+        """``check_jacobi(self)``, scanned once per algebra: the structure
+        constants never change after construction.  Each call returns a
+        fresh Report, so a caller may add notes to it."""
+        if self._jacobi is None:
+            self._jacobi = check_jacobi(self).failures
+        return Report.from_failures("jacobi", self._jacobi)
+
     def __repr__(self):
         return "LieAlgebra(%s)" % (list(self.basis_names),)
 
@@ -64,12 +73,13 @@ class LieAlgebra:
 def check_jacobi(L):
     """Exhaustive Jacobiator scan; reports every offending basis triple."""
     failures = []
+    brackets = L._brackets  # read in place
+    none = {}
     for i, j, k in itertools.combinations(range(L.dim), 3):
         acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = L.bracket_basis(a, b)
-            for m, coeff in inner.items():
-                for n, c2 in L.bracket_basis(m, c).items():
+            for m, coeff in brackets.get((a, b), none).items():
+                for n, c2 in brackets.get((m, c), none).items():
                     acc[n] = acc.get(n, ZERO) + coeff * c2
         acc = {n: v for n, v in acc.items() if v}
         if acc:
@@ -356,14 +366,22 @@ def schouten_rr(r):
     return Tensor(L, 3, out)
 
 
-def build_double(L, d):
+def build_double(L, d, dual=None):
     """The double g |><| g* with the canonical bracket and pairing.
 
     Basis order: e_0..e_{n-1}, then the dual basis f^0..f^{n-1}.  Returns
     (double algebra, pairing-invariance report).  Construction fails with a
-    Jacobi error exactly when (L, d) was not a Lie bialgebra.
+    Jacobi error exactly when (L, d) was not a Lie bialgebra.  ``dual`` is
+    ``dual_bracket(d)`` when the caller has already built it.
+
+    The pairing is <e_k, f^l> = <f^l, e_k> = delta_kl and 0 between two e's
+    or two f's, so each basis vector c has exactly one partner c' with
+    <x, c> = x_{c'} for every x: the invariance sum <[a,b], c> + <b, [a,c]>
+    is the coefficient of c' in [a, b] plus that of b' in [a, c], two
+    lookups instead of two sums over the basis.
     """
-    dual = dual_bracket(d)
+    if dual is None:
+        dual = dual_bracket(d)
     n = L.dim
     names = L.basis_names + dual.basis_names
     brackets = {}
@@ -373,46 +391,41 @@ def build_double(L, d):
         if comp:
             brackets[(i, j)] = comp
 
-    for i, j in itertools.combinations(range(n), 2):
-        put(i, j, dict(L.bracket_basis(i, j)))
-    for i, j in itertools.combinations(range(n), 2):
-        put(n + i, n + j, {n + k: v for k, v in dual.bracket_basis(i, j).items()})
+    for (i, j), comp in L._brackets.items():
+        if i < j:
+            put(i, j, comp)
+    for (i, j), comp in dual._brackets.items():
+        if i < j:
+            put(n + i, n + j, {n + k: v for k, v in comp.items()})
     # [e_i, f^j] = - sum_k c[i][k][j] f^k + sum_m d[i][j][m] e_m
+    c, dd = L.c, d.d
     for i in range(n):
         for j in range(n):
             comp = {}
             for k in range(n):
-                v = L.structure_constant(i, k, j)
+                v = c.get((i, k, j))
                 if v:
-                    comp[n + k] = comp.get(n + k, ZERO) - v
+                    comp[n + k] = -v
             for m in range(n):
-                v = d.d.get((i, j, m), ZERO)
+                v = dd.get((i, j, m))
                 if v:
-                    comp[m] = comp.get(m, ZERO) + v
+                    comp[m] = v
             put(i, n + j, comp)
 
     double = LieAlgebra(names, brackets)  # raises if (L, d) is not a bialgebra
 
     failures = []
     dim = 2 * n
-
-    def pairing(i, j):
-        # <e_i + f^i, ...>: nonzero only between e_k and f^k
-        if i < n <= j and j - n == i:
-            return ONE
-        if j < n <= i and i - n == j:
-            return ONE
-        return ZERO
-
+    partner = [k + n for k in range(n)] + list(range(n))
+    table = double._brackets  # read in place
+    none = {}
     for a in range(dim):
         for b in range(dim):
+            ab = table.get((a, b), none)
             for c in range(dim):
                 # <[a,b], c> + <b, [a,c]> = 0
-                acc = ZERO
-                for k, v in double.bracket_basis(a, b).items():
-                    acc = acc + v * pairing(k, c)
-                for k, v in double.bracket_basis(a, c).items():
-                    acc = acc + v * pairing(b, k)
+                acc = ab.get(partner[c], ZERO) \
+                    + table.get((a, c), none).get(partner[b], ZERO)
                 if acc:
                     failures.append("pairing not invariant at (%s,%s,%s): %s" %
                                     (names[a], names[b], names[c], acc))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coordpoly import Chart, CoordPoly, poly
+from .coordpoly import Chart, CoordPoly, add_product, poly
 from .lie import RMatrix
 from .poisson import PolyBivector, PolyVectorField, ExteriorForm, one_form
 from .report import Report
@@ -131,18 +131,16 @@ def _mat_scale(a, c):
 
 
 def _det(m):
+    """Determinant of a CoordPoly matrix by expansion along the first row,
+    every product accumulated into one term dict."""
     n = len(m)
     if n == 1:
         return m[0][0]
-    first = m[0][0]
-    chart = first.chart if isinstance(first, CoordPoly) else None
-    out = None
+    out = {}
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        term = term if j % 2 == 0 else -term
-        out = term if out is None else out + term
-    return out
+        add_product(out, m[0][j].terms, _det(minor).terms, j % 2 == 1)
+    return CoordPoly._mk(m[0][0].chart, out)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +161,15 @@ def _translated_field(model, mat, side):
 
 def _poly_mat_mul(a, b):
     n = len(a)
+    chart = a[0][0].chart
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            acc = None
+            acc = {}
             for k in range(n):
-                t = a[i][k] * b[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
+                add_product(acc, a[i][k].terms, b[k][j].terms)
+            row.append(CoordPoly._mk(chart, acc))
         out.append(row)
     return out
 
@@ -224,6 +222,11 @@ def check_multiplicative(model, pi):
 
     The identity is free in the matrix entries (no constraint needed): both
     sides are polynomials on the doubled chart and must agree exactly.
+
+    Each nonzero stored component pi^{ab} is substituted at g and at h once,
+    before the loop over the target components (u, v), and pi^{uv} at gh
+    once per (u, v); every other term of the identity is a product of those
+    with matrix entries, accumulated into the defect of (u, v) in place.
     """
     n = model.n
     pos = model.variable_positions()
@@ -246,54 +249,41 @@ def check_multiplicative(model, pi):
 
     # positions of variable entries, indexed like the bivector components
     names = list(model.chart.names)
-    entry_of = {name: pos[name] for name in pos}
 
-    def comp_at(pi_, u, v, matrices):
-        """Evaluate pi^{uv} with each chart variable replaced by the entry
-        polynomial of the given matrix."""
-        assignment = {name: matrices[entry_of[name][0]][entry_of[name][1]]
-                      for name in names}
-        return pi_.component(u, v).subs(assignment, both)
+    def at(matrix):
+        """Each chart variable replaced by its entry of ``matrix``."""
+        return {name: matrix[i][j] for name, (i, j) in pos.items()}
 
+    # pi^{ab} at h and at g for both orders of each stored pair: (position
+    # of a, position of b, pi(h) terms, pi(g) terms, negate)
+    at_h, at_g = at(hm), at(gm)
+    sources = []
+    for (a, b), p in pi.terms.items():
+        ph = p.subs(at_h, both).terms
+        pg = p.subs(at_g, both).terms
+        sources.append((pos[names[a]], pos[names[b]], ph, pg, False))
+        sources.append((pos[names[b]], pos[names[a]], ph, pg, True))
+
+    at_gh = at(prod)
     failures = []
-    for ui in range(len(names)):
-        for vi in range(ui + 1, len(names)):
-            lhs = comp_at(pi, ui, vi, prod)
-            # lambda_g pi(h): sum over source components of pi at h
-            acc = both.zero()
-            (ri, rj) = entry_of[names[ui]]
-            (si, sj) = entry_of[names[vi]]
-            for ai in range(len(names)):
-                for bi in range(len(names)):
-                    p = pi.component(ai, bi)
-                    if p.is_zero():
-                        continue
-                    (ci, cj) = entry_of[names[ai]]
-                    (di, dj) = entry_of[names[bi]]
-                    # push forward d/dh_{ci cj} along left translation:
-                    # (gh)_{r rj'} depends on h_{c cj} with coefficient g_{r c}
-                    if cj == rj and dj == sj:
-                        hcomp = {name: hm[entry_of[name][0]][entry_of[name][1]]
-                                 for name in names}
-                        pv = p.subs(hcomp, both)
-                        acc = acc + pv * gm[ri][ci] * gm[si][di]
-                    # push forward along right translation:
-                    # (gh)_{ri j'} depends on g_{ri c}? handled below
-            for ai in range(len(names)):
-                for bi in range(len(names)):
-                    p = pi.component(ai, bi)
-                    if p.is_zero():
-                        continue
-                    (ci, cj) = entry_of[names[ai]]
-                    (di, dj) = entry_of[names[bi]]
-                    if ci == ri and di == si:
-                        gcomp = {name: gm[entry_of[name][0]][entry_of[name][1]]
-                                 for name in names}
-                        pv = p.subs(gcomp, both)
-                        acc = acc + pv * hm[cj][rj] * hm[dj][sj]
-            if not (lhs - acc).is_zero():
-                failures.append("multiplicativity defect at (%s,%s): %s"
-                                % (names[ui], names[vi], lhs - acc))
+    for ui, vi in itertools.combinations(range(len(names)), 2):
+        p = pi.terms.get((ui, vi))
+        defect = dict(p.subs(at_gh, both).terms) if p is not None else {}
+        (ri, rj) = pos[names[ui]]
+        (si, sj) = pos[names[vi]]
+        for (ci, cj), (di, dj), ph, pg, neg in sources:
+            # lambda_g pi(h): (gh)_{r rj} depends on h_{c rj} through g_{r c}
+            if cj == rj and dj == sj:
+                add_product(defect, ph, (gm[ri][ci] * gm[si][di]).terms,
+                            not neg)
+            # rho_h pi(g): (gh)_{ri j} depends on g_{ri c} through h_{c j}
+            if ci == ri and di == si:
+                add_product(defect, pg, (hm[cj][rj] * hm[dj][sj]).terms,
+                            not neg)
+        if defect:
+            failures.append("multiplicativity defect at (%s,%s): %s"
+                            % (names[ui], names[vi],
+                               CoordPoly._mk(both, defect)))
     return Report.from_failures("multiplicative", failures)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coordpoly import CoordPoly, poly
+from .coordpoly import CoordPoly, add_product, poly
 from .report import Report
 from .scalars import LinComb, _acc
 
@@ -33,11 +33,16 @@ class PolyVectorField(LinComb):
             if not p.is_zero():
                 self.terms[name] = p
 
-    def _like(self, terms):
+    @staticmethod
+    def _mk(chart, terms):
+        """Fast path: terms already canonical (nonzero CoordPoly values)."""
         out = object.__new__(PolyVectorField)
-        out.chart = self.chart
+        out.chart = chart
         out.terms = terms
         return out
+
+    def _like(self, terms):
+        return PolyVectorField._mk(self.chart, terms)
 
     _same_space = CoordPoly._same_space
 
@@ -46,10 +51,10 @@ class PolyVectorField(LinComb):
 
     def apply(self, f):
         f = poly(f, self.chart)
-        out = self.chart.zero()
+        out = {}
         for name, p in self.terms.items():
-            out = out + p * f.diff(name)
-        return out
+            add_product(out, p.terms, f.diff(name).terms)
+        return CoordPoly._mk(self.chart, out)
 
     __call__ = apply
 
@@ -201,18 +206,28 @@ class PolyBivector(LinComb):
                 i = chart.index(i)
             if isinstance(j, str):
                 j = chart.index(j)
-            if i == j:
-                continue
             p = poly(p, chart)
+            if i == j:
+                if p:
+                    raise ValueError(
+                        "bivector component (%s,%s) = %s: a diagonal "
+                        "component of an antisymmetric bivector must be 0"
+                        % (chart.names[i], chart.names[i], p))
+                continue
             if i > j:
                 i, j, p = j, i, -p
             _acc(self.terms, (i, j), p)
 
-    def _like(self, terms):
+    @staticmethod
+    def _mk(chart, terms):
+        """Fast path: terms already canonical (i < j, nonzero values)."""
         out = object.__new__(PolyBivector)
-        out.chart = self.chart
+        out.chart = chart
         out.terms = terms
         return out
+
+    def _like(self, terms):
+        return PolyBivector._mk(self.chart, terms)
 
     _same_space = CoordPoly._same_space
 
@@ -227,6 +242,13 @@ class PolyBivector(LinComb):
             return self.terms.get((i, j), self.chart.zero())
         return -self.terms.get((j, i), self.chart.zero())
 
+    def _signed(self, i, j):
+        """pi^ij by chart positions, read in place: the stored term dict
+        and whether to negate it.  The dict is empty where pi^ij is 0, as
+        on the diagonal."""
+        p = self.terms.get((i, j) if i < j else (j, i))
+        return (p.terms if p is not None else {}), i > j
+
     def __repr__(self):
         names = self.chart.names
         if not self.terms:
@@ -238,41 +260,65 @@ class PolyBivector(LinComb):
 
     def pair(self, alpha, beta):
         """pi(alpha, beta) as a polynomial."""
-        out = self.chart.zero()
-        for (i, j), p in self.terms.items():
-            ai = alpha.component(i)
-            aj = alpha.component(j)
-            bi = beta.component(i)
-            bj = beta.component(j)
-            out = out + p * (ai * bj - aj * bi)
-        return out
+        return CoordPoly._mk(self.chart, self._contract(
+            _form_terms(alpha), _form_terms(beta)))
 
     def sharp(self, alpha):
         """pi_sharp(alpha)^j = sum_i pi^ij alpha_i."""
+        a = _form_terms(alpha)
         comp = {}
         for (i, j), p in self.terms.items():
-            ni = self.chart.names[i]
-            nj = self.chart.names[j]
-            ai = alpha.component(i)
-            aj = alpha.component(j)
-            if not ai.is_zero():
-                comp[nj] = comp.get(nj, self.chart.zero()) + p * ai
-            if not aj.is_zero():
-                comp[ni] = comp.get(ni, self.chart.zero()) - p * aj
-        return PolyVectorField(self.chart, comp)
+            ai = a.get(i)
+            aj = a.get(j)
+            if ai:
+                add_product(comp.setdefault(j, {}), p.terms, ai)
+            if aj:
+                add_product(comp.setdefault(i, {}), p.terms, aj, True)
+        names = self.chart.names
+        return PolyVectorField._mk(self.chart, {
+            names[k]: CoordPoly._mk(self.chart, t)
+            for k, t in comp.items() if t})
 
     def bracket(self, f, g):
         """{f, g} = pi(df, dg)."""
         f = poly(f, self.chart)
         g = poly(g, self.chart)
-        out = self.chart.zero()
-        names = self.chart.names
         used = {k for ij in self.terms for k in ij}
-        df = {k: f.diff(names[k]) for k in used}
-        dg = {k: g.diff(names[k]) for k in used}
+        return CoordPoly._mk(self.chart, self._contract(
+            _gradient(f.terms, used), _gradient(g.terms, used)))
+
+    def _contract(self, a, b):
+        """sum_{i<j} pi^ij (a_i b_j - a_j b_i) as a term dict, from term
+        dicts ``a`` and ``b`` keyed by chart position (a missing or empty
+        entry is 0)."""
+        out = {}
         for (i, j), p in self.terms.items():
-            out = out + p * (df[i] * dg[j] - df[j] * dg[i])
+            inner = {}
+            ai, aj, bi, bj = a.get(i), a.get(j), b.get(i), b.get(j)
+            if ai and bj:
+                add_product(inner, ai, bj)
+            if aj and bi:
+                add_product(inner, aj, bi, True)
+            if inner:
+                add_product(out, p.terms, inner)
         return out
+
+
+def _gradient(terms, positions):
+    """{k: d_k f as a term dict} for the chart positions ``positions`` of a
+    polynomial's term dict, in one pass over its terms."""
+    grad = {k: {} for k in positions}
+    for exps, c in terms.items():
+        for k in positions:
+            e = exps[k]
+            if e:
+                grad[k][exps[:k] + (e - 1,) + exps[k + 1:]] = c * e
+    return grad
+
+
+def _form_terms(alpha):
+    """A 1-form's components as {chart position: term dict}."""
+    return {i: p.terms for (i,), p in alpha.terms.items()}
 
 
 def poisson_bracket(pi, f, g):
@@ -289,22 +335,36 @@ def hamiltonian_field(pi, f):
 
 
 def check_jacobi_coords(pi):
-    """pi^{hi} d_h pi^{jk} + cyclic = 0 for all i<j<k, reported exactly."""
+    """pi^{hi} d_h pi^{jk} + cyclic = 0 for all i<j<k, reported exactly.
+
+    Each component and each derivative d_h pi^{jk} is read or computed once
+    per bivector; the cyclic sum of one triple accumulates in one term
+    dict."""
     chart = pi.chart
     names = chart.names
     failures = []
     n = len(names)
+    # rows[a]: the nonzero pi^{ha} as (h, terms, negate)
+    rows = [[] for _ in range(n)]
+    for a in range(n):
+        for h in range(n):
+            p, neg = pi._signed(h, a)
+            if p:
+                rows[a].append((h, p, neg))
+    # d_h pi^{bc} of each stored b < c
+    dpi = {(b, c, h): p.diff(names[h]).terms
+           for (b, c), p in pi.terms.items() for h in range(n)}
     for i, j, k in itertools.combinations(range(n), 3):
-        acc = chart.zero()
+        acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for h in range(n):
-                p = pi.component(h, a)
-                if p.is_zero():
-                    continue
-                acc = acc + p * pi.component(b, c).diff(names[h])
-        if not acc.is_zero():
+            for h, p, neg in rows[a]:
+                d = dpi.get((b, c, h) if b < c else (c, b, h))
+                if d:
+                    add_product(acc, p, d, neg is not (b > c))
+        if acc:
             failures.append("jacobi defect at (%s,%s,%s): %s"
-                            % (names[i], names[j], names[k], acc))
+                            % (names[i], names[j], names[k],
+                               CoordPoly._mk(chart, acc)))
             break
     return Report.from_failures("jacobi-coords", failures)
 
@@ -333,31 +393,47 @@ def lie_derivative_bivector(field, pi):
     chart = pi.chart
     names = chart.names
     n = len(names)
+    # dx[i][k] = d_k X^i as a term dict (empty when 0)
+    dx = []
+    for name in names:
+        xi = field.terms.get(name)
+        dx.append([xi.diff(xk).terms if xi is not None else {}
+                   for xk in names])
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
-            acc = field.apply(pi.component(i, j))
+            pij = pi.terms.get((i, j))
+            acc = {}
+            if pij is not None:
+                for name, x in field.terms.items():
+                    add_product(acc, x.terms, pij.diff(name).terms)
             for k in range(n):
-                xk = names[k]
-                acc = acc - pi.component(k, j) * field.component(names[i]).diff(xk)
-                acc = acc - pi.component(i, k) * field.component(names[j]).diff(xk)
-            if not acc.is_zero():
-                out[(i, j)] = acc
-    return PolyBivector(chart, out)
+                p, neg = pi._signed(k, j)
+                if p and dx[i][k]:
+                    add_product(acc, p, dx[i][k], not neg)
+                p, neg = pi._signed(i, k)
+                if p and dx[j][k]:
+                    add_product(acc, p, dx[j][k], not neg)
+            if acc:
+                out[(i, j)] = CoordPoly._mk(chart, acc)
+    return PolyBivector._mk(chart, out)
 
 
 def fields_wedge(x, y):
     """x ^ y as a bivector: components x^i y^j - x^j y^i."""
     chart = x.chart
     out = {}
-    names = chart.names
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            p = x.component(names[i]) * y.component(names[j]) \
-                - x.component(names[j]) * y.component(names[i])
-            if not p.is_zero():
-                out[(i, j)] = p
-    return PolyBivector(chart, out)
+    xs = [x.terms.get(name) for name in chart.names]
+    ys = [y.terms.get(name) for name in chart.names]
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        acc = {}
+        if xs[i] is not None and ys[j] is not None:
+            add_product(acc, xs[i].terms, ys[j].terms)
+        if xs[j] is not None and ys[i] is not None:
+            add_product(acc, xs[j].terms, ys[i].terms, True)
+        if acc:
+            out[(i, j)] = CoordPoly._mk(chart, acc)
+    return PolyBivector._mk(chart, out)
 
 
 def koszul_bracket(pi, alpha, beta):

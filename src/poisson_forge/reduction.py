@@ -41,6 +41,10 @@ class ReductionSetup:
         self.action = action
         self.ideal = [poly(g, self.chart) for g in ideal]
         self.basis = groebner_basis(self.ideal)
+        # what reduced_bracket decides about the ideal, once per setup: the
+        # memberships {g_i, rep} in I by representative, and {I, I} in I
+        self._escapes = {}
+        self._closure = None
 
 
 def monomial_basis(chart, degree):
@@ -333,15 +337,29 @@ def reduced_bracket(setup, f, g):
     f = poly(f, setup.chart)
     g = poly(g, setup.chart)
     base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.basis)
-    failures = []
-    for gi in setup.ideal:
-        for rep in (f, g):
-            r = reduce_mod_ideal(setup.pi.bracket(gi, rep), setup.basis)
-            if not r.is_zero():
-                failures.append("{%s, %s} escapes the ideal (remainder %s)"
-                                % (gi, rep, r))
-    failures.extend(check_ideal_poisson_closed(setup).failures)
+    failures = [m for pair in zip(_escapes(setup, f), _escapes(setup, g))
+                for m in pair if m]
+    if setup._closure is None:
+        setup._closure = check_ideal_poisson_closed(setup).failures
+    failures.extend(setup._closure)
     return base, Report.from_failures("reduced-bracket-well-defined", failures)
+
+
+def _escapes(setup, rep):
+    """For each generator g_i of the ideal, the failure that {g_i, rep}
+    leaves I, or None when it lies in I; decided once per representative
+    of a setup, since every bracket of a table meets each class again."""
+    key = frozenset(rep.terms.items())
+    out = setup._escapes.get(key)
+    if out is None:
+        out = []
+        for gi in setup.ideal:
+            r = reduce_mod_ideal(setup.pi.bracket(gi, rep), setup.basis)
+            out.append(None if r.is_zero() else
+                       "{%s, %s} escapes the ideal (remainder %s)"
+                       % (gi, rep, r))
+        out = setup._escapes[key] = tuple(out)
+    return out
 
 
 def sw_reduced_algebra(setup, invariants):

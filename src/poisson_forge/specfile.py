@@ -6,6 +6,11 @@ hopf_structures, actions, momentum_maps, reductions); cross-references are
 by name.  All scalars are strings ("p/q", "p/q+r/s*i"), series are arrays
 of scalar strings, polynomials are expression strings, so exactness
 survives the round trip.
+
+Resolvers import the layers above polynomials and Lie algebras where they
+build their objects, so a run loads only what its objects need: a
+bivector's check never loads the noncommutative algebra, a Hopf
+structure's never the matrix groups or Poisson geometry.
 """
 
 from __future__ import annotations
@@ -15,14 +20,7 @@ import json
 from .coordpoly import Chart, poly
 from .errors import SpecError
 from .lie import LieAlgebra, Tensor, RMatrix, Cobracket, cobracket_from_r
-from .matgroup import MatrixGroupModel
-from .ncalg import Presentation, TensorAlgebra, AlgebraMap
-from .poisson import PolyBivector, PolyVectorField, one_form
 from .scalars import HSeries, gauss
-from .qmomentum import (
-    Identity, LMul, RMul, Commutator, Scale, Sum, Compose,
-    HbarDiv, QuantumAction,
-)
 
 
 class _Entry(dict):
@@ -137,8 +135,8 @@ class SpecFile:
         basis = entry["basis"]
         idx = {b: i for i, b in enumerate(basis)}
         brackets = {}
-        for pair, comps in entry.get("brackets", {}).items():
-            x, y = _split_pair(pair)
+        for (x, y), comps in _pair_table(entry.where + " brackets",
+                                         entry.get("brackets", {}), basis):
             try:
                 brackets[(idx[x], idx[y])] = {idx[z]: gauss(v)
                                               for z, v in comps.items()}
@@ -186,15 +184,17 @@ class SpecFile:
         return out
 
     def bivector(self, name):
+        from .poisson import PolyBivector
         entry = self._entry("bivectors", name)
         chart = self.chart(entry["chart"])
         comps = {}
-        for pair, text in entry["components"].items():
-            x, y = _split_pair(pair)
+        for (x, y), text in _pair_table(entry.where + " components",
+                                        entry["components"], chart.names):
             comps[(x, y)] = poly(text, chart)
         return PolyBivector(chart, comps)
 
     def matrix_group(self, name):
+        from .matgroup import MatrixGroupModel
         entry = self._entry("matrix_groups", name)
         L = self.lie_algebra(entry["algebra"])
         chart = self.chart(entry["chart"])
@@ -215,13 +215,16 @@ class SpecFile:
             raise SpecError("matrix group %r: %s" % (name, exc))
 
     def vector_field(self, chart, comps):
+        from .poisson import PolyVectorField
         return PolyVectorField(chart, {v: poly(t, chart)
                                        for v, t in comps.items()})
 
     def one_form(self, chart, comps):
+        from .poisson import one_form
         return one_form(chart, {v: poly(t, chart) for v, t in comps.items()})
 
     def presentation(self, name):
+        from .ncalg import Presentation
         key = ("presentations", name)
         if key in self._cache:
             return self._cache[key]
@@ -258,6 +261,7 @@ class SpecFile:
         return pres.element(terms)
 
     def tensor_element(self, pres, spec):
+        from .ncalg import TensorAlgebra
         t2 = TensorAlgebra(pres, 2)
         terms = {}
         for t in _items("tensor term", spec):
@@ -268,6 +272,7 @@ class SpecFile:
 
     def hopf_structure(self, name):
         from .hopf import HopfStructure
+        from .ncalg import AlgebraMap, TensorAlgebra
         entry = self._entry("hopf_structures", name)
         pres = self.presentation(entry["algebra"])
         t2 = TensorAlgebra(pres, 2)
@@ -291,6 +296,9 @@ class SpecFile:
             raise SpecError("hopf structure %r: %s" % (name, exc))
 
     def action_expr(self, pres, spec):
+        from .qmomentum import (
+            Commutator, Compose, HbarDiv, Identity, LMul, RMul, Scale, Sum,
+        )
         spec = _fields("action expression", spec)
         op = spec["op"]
         if op == "id":
@@ -316,6 +324,7 @@ class SpecFile:
         raise SpecError("unknown action op %r" % op)
 
     def quantum_action(self, name):
+        from .qmomentum import QuantumAction
         entry = self._entry("actions", name)
         group = self.presentation(entry["group"])
         algebra = self.presentation(entry["algebra"])
@@ -394,6 +403,36 @@ class SpecFile:
                   for g, comps in entry["action"].items()}
         setup = ReductionSetup(pi, d, action, ideal=entry.get("ideal", ()))
         return setup, entry.get("degree", 2)
+
+
+def _pair_table(where, table, names):
+    """The ((x, y), value) entries of an antisymmetric table -- the brackets
+    of a Lie algebra or the components of a bivector -- keyed 'x,y'.
+
+    The table gives each unordered pair of distinct ``names`` at most once;
+    the other order follows by antisymmetry.  A diagonal pair, a pair given
+    in both orders (the constructors would add the two up) and a name not
+    in ``names`` are input errors naming ``where`` and the pair."""
+    if not isinstance(table, dict):
+        raise SpecError("%s must be a JSON object of 'x,y' pairs" % where)
+    seen = {}
+    out = []
+    for pair, value in table.items():
+        x, y = _split_pair(pair)
+        for z in (x, y):
+            if z not in names:
+                raise SpecError("%s: pair %r names %r, not one of %s"
+                                % (where, pair, z, list(names)))
+        if x == y:
+            raise SpecError("%s: pair %r is diagonal, which an "
+                            "antisymmetric table leaves out" % (where, pair))
+        other = seen.get((y, x), seen.get((x, y)))
+        if other is not None:
+            raise SpecError("%s: pair %r repeats pair %r; give each "
+                            "unordered pair once" % (where, pair, other))
+        seen[(x, y)] = pair
+        out.append(((x, y), value))
+    return out
 
 
 def _split_pair(pair):

@@ -28,6 +28,12 @@ has the product it replaced as its reference: ``SeriesReference`` keeps an
 HSeries per word, each with its own window, and computes normal forms,
 products of elements and of tensors, operator compositions and operator
 values that way; ``agrees`` compares a flat result with it.
+The classical layers' products have the per-term compositions they
+replaced as references: ``mul_per_term`` multiplies two polynomials term
+by term into a fresh dict, and the bracket, the pairing and sharp map, the
+coordinate Jacobi defect, the wedge of fields, the Lie derivative of a
+bivector, substitution, matrix products and determinants build one
+polynomial per product with it and add them up.
 """
 
 import itertools
@@ -40,6 +46,7 @@ from poisson_forge.ncalg import (
     NCPoly, TensorAlgebra, TensorElement, check_map,
 )
 from poisson_forge.coordpoly import CoordPoly, poly
+from poisson_forge.poisson import PolyBivector, PolyVectorField
 from poisson_forge.qmomentum import (
     ActionExpr, Commutator, Compose, HbarDiv, Identity, LMul, RMul, Scale, Sum,
 )
@@ -717,3 +724,149 @@ class SeriesReference:
                 for v, cv in self.nf(l + w + r).items():
                     _acc(out, v, cw * cv)
         return {w: c.divide_by_hbar(k) for w, c in out.items()}
+
+
+# -- per-term products of the classical layers -----------------------------
+
+def mul_per_term(p, q):
+    """p * q with every pair of terms multiplied and summed into a fresh
+    dict, zeros removed at the end."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return CoordPoly._mk(p.chart, {e: c for e, c in out.items() if c})
+
+
+def _pow_per_term(p, k):
+    if k < 0:
+        return _pow_per_term(p.inverse(), -k)
+    out = p.chart.one()
+    for _ in range(k):
+        out = mul_per_term(out, p)
+    return out
+
+
+def bracket_per_term(pi, f, g):
+    """{f, g} = sum_{i<j} pi^ij (d_i f d_j g - d_j f d_i g)."""
+    f, g = poly(f, pi.chart), poly(g, pi.chart)
+    names = pi.chart.names
+    out = pi.chart.zero()
+    for (i, j), p in pi.terms.items():
+        df_i, df_j = f.diff(names[i]), f.diff(names[j])
+        dg_i, dg_j = g.diff(names[i]), g.diff(names[j])
+        out = out + mul_per_term(p, mul_per_term(df_i, dg_j)
+                                 - mul_per_term(df_j, dg_i))
+    return out
+
+
+def pair_per_term(pi, alpha, beta):
+    """pi(alpha, beta) = sum_{i<j} pi^ij (alpha_i beta_j - alpha_j beta_i)."""
+    out = pi.chart.zero()
+    for (i, j), p in pi.terms.items():
+        ai, aj = alpha.component(i), alpha.component(j)
+        bi, bj = beta.component(i), beta.component(j)
+        out = out + mul_per_term(p, mul_per_term(ai, bj)
+                                 - mul_per_term(aj, bi))
+    return out
+
+
+def sharp_per_term(pi, alpha):
+    """pi_sharp(alpha)^j = sum_i pi^ij alpha_i."""
+    chart = pi.chart
+    comp = {name: chart.zero() for name in chart.names}
+    for (i, j), p in pi.terms.items():
+        comp[chart.names[j]] += mul_per_term(p, alpha.component(i))
+        comp[chart.names[i]] -= mul_per_term(p, alpha.component(j))
+    return PolyVectorField(chart, comp)
+
+
+def jacobi_coords_defect(pi, i, j, k):
+    """pi^{ha} d_h pi^{bc} summed over h and the cyclic (a, b, c) of
+    (i, j, k): the coordinate Jacobiator of one triple."""
+    names = pi.chart.names
+    acc = pi.chart.zero()
+    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+        for h in range(len(names)):
+            acc = acc + mul_per_term(pi.component(h, a),
+                                     pi.component(b, c).diff(names[h]))
+    return acc
+
+
+def fields_wedge_per_term(x, y):
+    """x ^ y with components x^i y^j - x^j y^i."""
+    chart = x.chart
+    names = chart.names
+    out = {}
+    for i, j in itertools.combinations(range(len(names)), 2):
+        out[(i, j)] = mul_per_term(x.component(names[i]),
+                                   y.component(names[j])) \
+            - mul_per_term(x.component(names[j]), y.component(names[i]))
+    return PolyBivector(chart, out)
+
+
+def lie_derivative_bivector_per_term(field, pi):
+    """(L_X pi)^{ij} = X[pi^{ij}] - pi^{kj} d_k X^i - pi^{ik} d_k X^j."""
+    chart = pi.chart
+    names = chart.names
+    n = len(names)
+    out = {}
+    for i, j in itertools.combinations(range(n), 2):
+        p = pi.component(i, j)
+        acc = chart.zero()
+        for name in names:
+            acc = acc + mul_per_term(field.component(name), p.diff(name))
+        for k in range(n):
+            xk = names[k]
+            acc = acc - mul_per_term(pi.component(k, j),
+                                     field.component(names[i]).diff(xk))
+            acc = acc - mul_per_term(pi.component(i, k),
+                                     field.component(names[j]).diff(xk))
+        out[(i, j)] = acc
+    return PolyBivector(chart, out)
+
+
+def subs_per_term(p, assignment, target_chart=None):
+    """p with variables replaced: each term is its coefficient times a
+    product of powers, built as a polynomial and added to the sum."""
+    target = target_chart or p.chart
+    out = target.zero()
+    for exps, c in p.terms.items():
+        term = poly(c, target)
+        for e, name in zip(exps, p.chart.names):
+            if e:
+                value = poly(assignment[name], target) \
+                    if name in assignment else target.var(name)
+                term = mul_per_term(term, _pow_per_term(value, e))
+        out = out + term
+    return out
+
+
+def mat_mul_per_term(a, b):
+    """The product of two square CoordPoly matrices."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0].chart.zero()
+            for k in range(n):
+                acc = acc + mul_per_term(a[i][k], b[k][j])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def det_per_term(m):
+    """Determinant by expansion along the first row, one polynomial per
+    product."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    out = m[0][0].chart.zero()
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = mul_per_term(m[0][j], det_per_term(minor))
+        out = out + (term if j % 2 == 0 else -term)
+    return out

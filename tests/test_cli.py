@@ -202,6 +202,39 @@ def test_spec_pair_of_wrong_arity_is_input_error(path, value, argv, where,
             % (where, value)) in capsys.readouterr().err
 
 
+BIVECTOR = ("bivectors", "pi_dual_plane", "components")
+BRACKETS = ("lie_algebras", "plane", "brackets")
+
+
+@pytest.mark.parametrize("path, value, argv, message", [
+    # each of these read without an error, as a different object
+    (BIVECTOR, {"a,a": "b", "a,b": "a*b"}, ["check-poisson", "pi_dual_plane"],
+     "bivector 'pi_dual_plane' components: pair 'a,a' is diagonal"),
+    (BIVECTOR, {"a,b": "a*b", "b,a": "a*b"}, ["check-poisson", "pi_dual_plane"],
+     "bivector 'pi_dual_plane' components: pair 'b,a' repeats pair 'a,b'"),
+    (BRACKETS, {"xi,eta": {"eta": "1"}, "eta,xi": {"eta": "-1"}},
+     ["check-bialgebra", "plane_delta"],
+     "lie_algebra 'plane' brackets: pair 'eta,xi' repeats pair 'xi,eta'"),
+    (BRACKETS, {"xi,eta": {"eta": "1"}, "xi , eta": {"eta": "1"}},
+     ["check-bialgebra", "plane_delta"],
+     "lie_algebra 'plane' brackets: pair 'xi , eta' repeats pair 'xi,eta'"),
+    (BRACKETS, {"xi,xi": {"eta": "1"}}, ["check-bialgebra", "plane_delta"],
+     "lie_algebra 'plane' brackets: pair 'xi,xi' is diagonal"),
+    # these two were internal errors (exit 4)
+    (BIVECTOR, {"a,z": "b"}, ["check-poisson", "pi_dual_plane"],
+     "bivector 'pi_dual_plane' components: pair 'a,z' names 'z', "
+     "not one of ['a', 'b']"),
+    (BIVECTOR, ["a,b"], ["check-poisson", "pi_dual_plane"],
+     "bivector 'pi_dual_plane' components must be a JSON object"),
+])
+def test_spec_antisymmetric_table_gives_each_pair_once(path, value, argv,
+                                                      message, tmp_path,
+                                                      capsys):
+    spec = edited_spec(tmp_path, path, value)
+    assert run([argv[0], spec, argv[1]]) == 2
+    assert "input error: " + message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path, value, word, argv, where", [
     # a string is not read letter by letter as the word E*F
     (("hopf_structures", "usl2_hopf", "coproduct", "E", 0, "pair"),
@@ -706,6 +739,29 @@ def test_start_up_loads_only_what_the_command_runs():
         "    assert main(['check-hopf', '--fixtures']) == 0", prefix="")
     assert "poisson_forge.hopf" in loaded
     assert not loaded & {"argparse", "gettext", "locale", "json"}
+    # the command line starts with the check suites and their fixtures
+    # loaded, and a spec run adds only the layers its objects need
+    start = {"poisson_forge." + m for m in (
+        "cli", "coordpoly", "errors", "fixtures", "lie", "report", "scalars",
+        "suites")}
+    assert _loaded_modules("import poisson_forge.cli") == start
+    for argv, used, unused in (
+            (["check-poisson", SPEC, "pi_dual_plane"], ("poisson",),
+             ("ncalg", "qmomentum", "linalg", "matgroup", "hopf", "momentum",
+              "reduction")),
+            (["check-hopf", SPEC, "usl2_hopf"], ("hopf", "ncalg"),
+             ("matgroup", "poisson", "qmomentum", "linalg", "momentum",
+              "reduction")),
+            (["check-bialgebra", SPEC, "sl2_r"], (),
+             ("poisson", "matgroup", "ncalg", "qmomentum", "linalg"))):
+        loaded = _loaded_modules(
+            "import contextlib, io\n"
+            "from poisson_forge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(%r) == 0" % (argv,))
+        assert {"poisson_forge." + m for m in ("specfile",) + used} \
+            <= loaded - start
+        assert not loaded & {"poisson_forge." + m for m in unused}
 
 
 @pytest.mark.parametrize("argv, parsed", [

@@ -1,0 +1,55 @@
+"""Work-count guards: how often the shipped classical suites call an
+expensive step.  Each removed duplicate stays removed: a count that grows
+means a Jacobi scan or a substitution is computed twice again."""
+
+import sys
+
+from poisson_forge import lie
+from poisson_forge.cli import main
+from poisson_forge.coordpoly import CoordPoly
+from poisson_forge.poisson import PolyBivector
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from anywhere in the package:
+    every module-level binding of the function is replaced too."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("poisson_forge.") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_check_bialgebra_scans_each_algebra_for_jacobi_once(monkeypatch,
+                                                            capsys):
+    # five bialgebras, each with L, g* and the double: 15 distinct algebras
+    calls = _count_calls(monkeypatch, lie, "check_jacobi")
+    assert main(["check-bialgebra", "--fixtures"]) == 0
+    assert len(calls) == 15
+
+
+def test_poisson_group_substitutes_each_component_once(monkeypatch, capsys):
+    # each stored component at g and at h, each (u, v) component at gh, the
+    # constraint eliminations of the tables, Casimirs and published values
+    calls = _count_calls(monkeypatch, CoordPoly, "subs")
+    assert main(["poisson-group", "--fixtures"]) == 0
+    assert len(calls) == 92
+
+
+def test_reduce_brackets_each_representative_with_the_ideal_once(
+        monkeypatch, capsys):
+    # 31 reduced brackets {f, g}, then {g_i, rep} for the two generators
+    # and the 6 distinct representatives they meet, and {g_1, g_2} once for
+    # the suite's closure check and once for the setup
+    calls = _count_calls(monkeypatch, PolyBivector, "bracket")
+    assert main(["reduce", "--fixtures"]) == 0
+    assert len(calls) == 45
