@@ -13,7 +13,7 @@ Run:  python3 demos/06_quantum_momentum.py
 from poisson_forge import fixtures
 from poisson_forge.qmomentum import (
     check_module_algebra, check_action_lie_hom, check_ideal_invariance,
-    invariant_subalgebra, one_form, oneform_product,
+    invariant_subalgebra, one_form,
 )
 from poisson_forge.scalars import HSeries
 
@@ -42,7 +42,7 @@ if __name__ == "__main__":
     mu_eta = one_form(alg, [("a", "a_inv")])
     print("    mu(xi)  = a db        -> sharp = (1/hbar) a [b, .]")
     print("    mu(eta) = a d(a^-1)   -> sharp = (1/hbar) a [a^-1, .]")
-    prod = oneform_product(mu_xi, mu_eta)
+    prod = mu_xi * mu_eta
     print("    mu(xi).mu(eta) =", prod)
 
     print("=" * 60)

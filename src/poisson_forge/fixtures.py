@@ -480,9 +480,12 @@ def q_number_terms(hname="H", scale=Fraction(1, 4), order=ORDER):
     """Terms dict of (q^H - q^-H)/(q - q^-1) with q = exp(scale * hbar).
 
     Built from the scalar series oracle: exponentials plus a valuation
-    shift and a unit inverse, no rewriting involved.
+    shift and a unit inverse, no rewriting involved.  The exponentials are
+    taken mod hbar^(order + 1), so the shifted denominator, and every
+    coefficient, is known mod hbar^order.
     """
-    den_unit = (hexp(scale, order) - hexp(-scale, order)).divide_by_hbar()
+    den_unit = (hexp(scale, order + 1)
+                - hexp(-scale, order + 1)).divide_by_hbar()
     den_inv = den_unit.inverse()
     terms = {}
     fact = 1
@@ -641,9 +644,10 @@ def su2_module_algebra(order=ORDER):
     from .ncalg import Presentation
     e2 = hexp(2, order)
     em2 = hexp(-2, order)
-    # s = hbar^2 / (e^{-hbar} - e^{hbar}) : valuation 1
-    s = HSeries.hbar(order) * (hexp(-1, order)
-                               - hexp(1, order)).divide_by_hbar().inverse()
+    # s = hbar^2 / (e^{-hbar} - e^{hbar}) : valuation 1; the exponentials
+    # are taken one order further, as the division by hbar costs one
+    s = HSeries.hbar(order) * (hexp(-1, order + 1)
+                               - hexp(1, order + 1)).divide_by_hbar().inverse()
     # c b = e^{-2h} (b c - s a^-2)
     return Presentation(
         ["a_inv", "a", "b", "c"],
@@ -769,7 +773,7 @@ def su2_commutator_target_for(action):
     the same module algebra as the action."""
     from .qmomentum import Scale, Sum, HbarDiv
     order = action.algebra.order
-    u = (hexp(-1, order) - hexp(1, order)).divide_by_hbar()
+    u = (hexp(-1, order + 1) - hexp(1, order + 1)).divide_by_hbar()
     zeta_inv = action.exprs["zeta_inv"]
     zeta = action.exprs["zeta"]
     return Scale(HbarDiv(Sum([zeta_inv, Scale(zeta, -1)]), 1), u.inverse())
@@ -799,7 +803,7 @@ def su2_momentum_ideal_generator(alg=None):
     a^-1 H a = H, [b,H] = -(1-e^{2hbar}) H b and [c,H] = c (1-e^{2hbar}) H
     simultaneously (and it does so exactly)."""
     alg = alg or su2_module_algebra()
-    factor = 1 - hexp(2, alg.order)  # valuation 1
+    factor = 1 - hexp(2, alg.order + 1)  # valuation 1, divided below
     coef = hexp(1, alg.order) * factor.divide_by_hbar() ** 2
     return alg, alg.element([(1, ["a_inv", "a_inv"])]) \
         + alg.element([(coef, ["c", "b"])])

@@ -1,33 +1,36 @@
-"""Exact linear algebra over Q(i), plus the flattening trick for series.
+"""Exact linear algebra over Q(i)[hbar]/(hbar^N), a Q(i) system being N = 1.
 
 Everything downstream that needs a kernel, a solve or a span (invariant
 functions, quotient bases, diagnostic relation solving) goes through one
 elimination kernel: ``Span``, a sparse reduced row echelon form over
-GaussRational.  Dense matrices are read as sparse rows {column: entry}.
+GaussRational.
 
-Systems whose unknowns are truncated hbar-series are flattened: one series
-unknown of order N becomes N scalar unknowns, and the truncated Cauchy
-product turns series-linear equations into scalar-linear ones.  A series
-system is given by sparse rows {column: entry} that need hold only the
-nonzero cells, and by the caller's window, a ceiling on N.  Each scalar
-equation is written straight into a ``Span`` as a sparse row built from the
-nonzero series coefficients only, in the order (equation, power of hbar),
-so the echelon form and the chosen solution are those of the dense
-flattened matrix without ever building it.  Spans over
-Q(i)[hbar]/(hbar^N) work in the same coordinates (``SeriesSpan``): the
-coordinate (j, key) holds the coefficient of hbar^j, a vector is given as
-those flat terms, as the elements of presented algebras store them, and it
-enters with all its hbar-multiples, so module membership is field
-membership.
+A vector is given as flat terms {(j, key): c}, the coefficient of hbar^j at
+``key``, with its window: it is known mod hbar^window.  Elements of
+presented algebras store themselves this way, and a Q(i) vector is the case
+window 1, every term at j = 0.  A linear system is given by its columns,
+{unknown: (terms, window)}, one unknown's image each, and a right side in
+the same form (``solve``, ``kernel``).  It is solved mod hbar^N, N the least
+window of the columns and the right side; a column's window counts even
+when it has no terms.  Each series unknown becomes N scalar unknowns, the
+coefficient of hbar^s of the m-th unknown in column m*N + s, and the
+truncated Cauchy product turns each equation into N scalar ones, written
+straight into one ``Span`` as sparse rows.  The reduced echelon form of a
+row space is unique once the column order is fixed, so the solution (free
+unknowns 0) and the kernel basis (one vector per free column) are those of
+the dense flattened matrix.
 
-Window rule: as in series arithmetic, a span's order is the least order it
-has met.  Inserting a vector known mod hbar^m lowers it to m, and a vector
-is tested (and reduced) mod hbar^min(m, N).
+Spans over Q(i)[hbar]/(hbar^N) work in the same coordinates
+(``SeriesSpan``): a vector enters with all its hbar-multiples, so module
+membership is field membership.  Window rule: as in series arithmetic, a
+span's order is the least order it has met.  Inserting a vector known mod
+hbar^m lowers it to m, and a vector is tested (and reduced) mod
+hbar^min(m, N).
 """
 
 from __future__ import annotations
 
-from .scalars import HSeries, ZERO, ONE, series
+from .scalars import ZERO, ONE
 
 
 class Span:
@@ -95,117 +98,75 @@ def rref(rows):
     return out + [[ZERO] * ncols] * (len(rows) - len(out)), pivots
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of the right kernel of the matrix given as a list of rows."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return _kernel(_span_of(rows), ncols)
-
-
-def _kernel(span, ncols):
-    """Basis of the kernel of ``span``'s rows on columns 0..ncols-1: one
-    vector per free column."""
-    basis = []
-    for fc in range(ncols):
-        if fc in span.rows:
-            continue
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for pc, row in span.rows.items():
-            v[pc] = -row.get(fc, ZERO)
-        basis.append(v)
-    return basis
-
-
-def solve(rows, rhs):
-    """One solution x of A x = b over Q(i), or None if inconsistent."""
-    if not rows:
-        return [] if all(not b for b in rhs) else None
-    ncols = len(rows[0])
-    span = _span_of(list(r) + [b] for r, b in zip(rows, rhs))
-    if ncols in span.rows:
-        return None  # pivot in augmented column: inconsistent
-    x = [ZERO] * ncols
-    for pc, row in span.rows.items():
-        x[pc] = row.get(ncols, ZERO)
-    return x
-
-
-def in_row_span(rows, vector):
-    """Is ``vector`` a Q(i)-linear combination of ``rows``?"""
-    return not _span_of(rows).reduce(dict(enumerate(vector)))
-
-
-# -- flattened series systems ------------------------------------------------
-
-def _flat_equations(rows, order):
-    """The scalar equations of a series system mod hbar^order, in order:
-    for each row sum_j a_j x_j ({j: a_j}) and each k < order, the
-    coefficient of hbar^k of the truncated Cauchy product, as a sparse row
-    whose column j*order + m holds the coefficient of hbar^(k-m) in a_j."""
-    for a_row in rows:
-        nonzero = [(j, [(t, c) for t, c in enumerate(series(a, order).coeffs)
-                        if c][::-1]) for j, a in a_row.items()]
-        for k in range(order):
-            yield {j * order + k - t: c
-                   for j, cs in nonzero for t, c in cs if t <= k}
-
-
-def solve_series(rows, rhs, nunk, ceiling):
-    """Solve A x = b for ``nunk`` series unknowns.  ``rows`` are A's rows as
-    sparse dicts {column: entry}, ``rhs`` the entries of b; an entry is an
-    HSeries or an exact scalar.  The system is solved mod hbar^N, N the
-    least of ``ceiling`` and the orders of the series entries: the window
-    all the data is known in."""
-    order = _window([a for r in rows for a in r.values()] + list(rhs),
-                    ceiling)
-    ncols = nunk * order
+def _echelon(columns, rhs):
+    """The flattened system of ``columns`` (and ``rhs``, unless None) in one
+    Span, and its window N: the hbar^s coefficient of the m-th unknown is
+    column m*N + s, the right side column len(columns)*N.  The scalar
+    equation of hbar^j at ``key`` is one sparse row."""
+    sides = [rhs] if rhs is not None else []
+    n = min(w for _, w in [*columns.values(), *sides])
+    rows = {}
+    for m, (terms, _) in enumerate(columns.values()):
+        for (t, key), c in terms.items():
+            for s in range(n - t):
+                rows.setdefault((t + s, key), {})[m * n + s] = c
+    if rhs is not None:
+        aug = len(columns) * n
+        for (j, key), c in rhs[0].items():
+            if j < n:
+                rows.setdefault((j, key), {})[aug] = c
     span = Span()
-    rhs = [s.coeff(k) for s in (series(b, order) for b in rhs)
-           for k in range(order)]
-    for vec, b in zip(_flat_equations(rows, order), rhs):
-        if b:
-            vec[ncols] = b  # the augmented column
-        span.insert(vec)
-    if ncols in span.rows:
-        return None  # pivot in augmented column: inconsistent
-    x = [ZERO] * ncols
-    for pc, row in span.rows.items():
-        x[pc] = row.get(ncols, ZERO)
-    return [HSeries(x[j * order:(j + 1) * order], order) for j in range(nunk)]
+    for row in rows.values():
+        span.insert(row)
+    return span, n
 
 
-def kernel_series(rows, ncols, ceiling):
-    """Module generators of the kernel of a series matrix on ``ncols``
-    columns, given by sparse rows, mod hbar^N for the N of ``solve_series``.
+def _unflat(vec, unknowns, n):
+    """A flattened vector {m*N + s: c} as flat terms {(s, unknown): c}."""
+    return {(i % n, unknowns[i // n]): c for i, c in sorted(vec.items())}
+
+
+def solve(columns, rhs):
+    """One solution x of sum_m x_m column_m = rhs mod hbar^N, the right
+    side given as (terms, window) too, as the pair (flat terms
+    {(s, unknown): c}, N), or None if there is none.  The free scalar
+    unknowns are 0."""
+    span, n = _echelon(columns, rhs)
+    aug = len(columns) * n
+    if aug in span.rows:
+        return None  # pivot in the augmented column: inconsistent
+    x = {pc: row[aug] for pc, row in span.rows.items() if aug in row}
+    return _unflat(x, list(columns), n), n
+
+
+def kernel(columns):
+    """Module generators of the kernel mod hbar^N, each as the pair (flat
+    terms {(s, unknown): c}, N).
 
     The flattened scalar kernel is a Q(i)-vector space closed under
-    multiplication by hbar; we return representatives of a basis of
-    kernel / hbar*kernel, which generate the kernel as a series module and
-    avoid listing x and hbar*x separately.
+    multiplication by hbar, with one basis vector per free column.  We
+    return those that are not in the span of the earlier ones and of the
+    hbar-multiples of all of them: representatives of a basis of
+    kernel / hbar*kernel, which generate the kernel as a series module
+    without listing x and hbar*x separately.  For N = 1 that is the whole
+    basis.
     """
-    order = _window([a for r in rows for a in r.values()], ceiling)
-    span = Span()
-    for vec in _flat_equations(rows, order):
-        span.insert(vec)
-    vecs = _kernel(span, ncols * order)
-    span = _span_of(_shift_flat(v, ncols, order) for v in vecs)
-    out = [v for v in vecs if span.insert(dict(enumerate(v)))]
-    return [
-        [HSeries(v[j * order:(j + 1) * order], order) for j in range(ncols)]
-        for v in out
-    ]
-
-
-def _shift_flat(v, ncols, order):
-    """Flattened image of multiplication by hbar (drop the top coefficient)."""
-    return [v[i - 1] if i % order else ZERO for i in range(ncols * order)]
-
-
-def _window(entries, ceiling):
-    """The least of ``ceiling`` and the orders of the series ``entries``."""
-    return min([ceiling] + [x.order for x in entries
-                            if isinstance(x, HSeries)])
+    if not columns:
+        return []
+    span, n = _echelon(columns, None)
+    vecs = []
+    for fc in range(len(columns) * n):
+        if fc not in span.rows:
+            v = {fc: ONE}
+            for pc, row in span.rows.items():
+                if fc in row:
+                    v[pc] = -row[fc]
+            vecs.append(v)
+    shifts = Span()
+    for v in vecs:
+        shifts.insert({i + 1: c for i, c in v.items() if (i + 1) % n})
+    unknowns = list(columns)
+    return [(_unflat(v, unknowns, n), n) for v in vecs if shifts.insert(v)]
 
 
 # -- spans over the truncated series ring ------------------------------------

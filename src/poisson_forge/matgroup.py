@@ -316,7 +316,6 @@ def maurer_cartan_forms(model, dual_basis_names=None):
             mc[k][l] = acc
 
     # solve mc = sum_a theta_a * E_a positionwise over Q(i)
-    from .linalg import solve
     positions = [(i, j) for i in range(n) for j in range(n)]
     rows = []
     for (i, j) in positions:
@@ -345,18 +344,20 @@ def _solve_poly_system(rows, rhs_polys, chart):
     """Solve A x = b where A has scalar entries and b has CoordPoly entries.
 
     The solution vector has CoordPoly entries; solves independently for each
-    monomial coefficient.
+    monomial coefficient, the columns of A being window-1 vectors.
     """
     from .linalg import solve
+    columns = {a: ({(0, i): r[a] for i, r in enumerate(rows) if r[a]}, 1)
+               for a in range(len(rows[0]))}
     monos = sorted({exps for p in rhs_polys for exps in p.terms})
-    sols = [{} for _ in range(len(rows[0]))]
+    sols = [{} for _ in columns]
     for exps in monos:
-        x = solve(rows, [p.terms.get(exps, ZERO) for p in rhs_polys])
+        x = solve(columns, ({(0, i): p.terms[exps] for i, p in
+                             enumerate(rhs_polys) if exps in p.terms}, 1))
         if x is None:
             return None
-        for sol, val in zip(sols, x):
-            if val:
-                sol[exps] = val
+        for (_, a), val in x[0].items():
+            sols[a][exps] = val
     return [CoordPoly(chart, sol) for sol in sols]
 
 

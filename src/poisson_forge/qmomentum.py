@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapabilityError
-from .linalg import solve_series
+from .linalg import solve
 from .ncalg import NCPoly, TensorAlgebra, _ncpoly, _scaled
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import HSeries, ZERO, _acc, gauss, series
@@ -349,6 +349,15 @@ def _monomials(alg, degree):
     return [alg.monomial(w) for w in alg.monomials_up_to(degree)]
 
 
+def _stacked(values, order):
+    """Elements as one vector of a linear system: flat terms
+    {(j, (i, key)): c} of the i-th value, known in the least of ``order``
+    and the values' windows."""
+    return ({(j, (i, key)): c for i, x in enumerate(values)
+             for (j, key), c in x.terms.items()},
+            min([order] + [x.order for x in values]))
+
+
 def _check_window(kind, op, order=None):
     """Refuse a certificate whose hbar window is empty: an operator known
     only mod hbar^0 would prove nothing.  With ``order``, the window is that
@@ -553,28 +562,17 @@ def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
     """
     monos = _monomials(action.algebra, degree)
     ox, oy = action.operator((xn,)), action.operator((yn,))
-    lhs_vals = [(ox(oy(f)) - oy(ox(f))).series_terms() for f in monos]
-    cand_vals = [[action.operator(w)(f).series_terms() for f in monos]
-                 for w in candidate_words]
-    out_words = set()
-    for v in lhs_vals:
-        out_words.update(v)
-    for col in cand_vals:
-        for v in col:
-            out_words.update(v)
-    out_words = sorted(out_words, key=lambda t: (len(t), t))
-    rows = []
-    rhs = []
-    for mi in range(len(monos)):
-        for w in out_words:
-            rows.append({ci: col[mi][w]
-                         for ci, col in enumerate(cand_vals) if w in col[mi]})
-            rhs.append(lhs_vals[mi].get(w, ZERO))
-    sol = solve_series(rows, rhs, len(candidate_words), action.algebra.order)
+    order = action.algebra.order
+    lhs = _stacked([ox(oy(f)) - oy(ox(f)) for f in monos], order)
+    columns = {w: _stacked([action.operator(w)(f) for f in monos], order)
+               for w in candidate_words}
+    sol = solve(columns, lhs)
     if sol is None:
         return None
+    x, n = sol
     parts = []
-    for coeff, w in zip(sol, candidate_words):
+    for w in candidate_words:
+        coeff = HSeries._mk([x.get((s, w), ZERO) for s in range(n)], n)
         if coeff.is_zero():
             continue
         name = "*".join(w) if w else "1"
@@ -651,14 +649,6 @@ class NCOneForm:
 
 def one_form(presentation, pairs, offset=0):
     return NCOneForm(presentation, pairs, offset)
-
-
-def sharp_map(u):
-    return u.sharp()
-
-
-def oneform_product(u, v):
-    return u * v
 
 
 def multi_action(pair_lists, fs):
@@ -768,7 +758,7 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
     Returns (basis NCPolys, report); the report verifies that the basis is
     closed under the product up to ``degree``.
     """
-    from .linalg import SeriesSpan, kernel_series
+    from .linalg import SeriesSpan, kernel
     alg = action.algebra
     ops = {name: action.operator((name,)) for name in action.exprs}
     order = min((op.window for op in ops.values()), default=alg.order)
@@ -782,25 +772,16 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
             return x
     monos = alg.monomials_up_to(degree)
 
-    # unknowns: one series per input monomial; condition per generator and
-    # output word: residue(sum_m x_m * image_m) = 0 over the series ring
-    reduced_cols = {}
-    for name, op in ops.items():
-        eps = series(counit_values.get(name, 0), alg.order)
-        col = []
-        for w in monos:
-            x = alg.monomial(w)
-            col.append(residue(op(x) - x * eps).series_terms())
-        reduced_cols[name] = col
-    words = sorted({w for col in reduced_cols.values()
-                    for vec in col for w in vec},
-                   key=lambda t: (len(t), t))
-    rows = [{j: vec[w] for j, vec in enumerate(col) if w in vec}
-            for col in reduced_cols.values() for w in words]
-    kern = kernel_series(rows, len(monos), order)
-    basis = [NCPoly.from_series(alg, {w: coeff for coeff, w in zip(vec, monos)
-                                      if not coeff.is_zero()})
-             for vec in kern]
+    # unknowns: one series per input monomial, whose column stacks
+    # residue(Phi(gen)(m) - eps(gen) m) over the generators
+    eps = {name: series(counit_values.get(name, 0), alg.order)
+           for name in ops}
+    columns = {}
+    for w in monos:
+        x = alg.monomial(w)
+        columns[w] = _stacked([residue(op(x) - x * eps[name])
+                               for name, op in ops.items()], alg.order)
+    basis = [_ncpoly(alg, v, n) for v, n in kernel(columns)]
 
     if ideal_gens:
         # independent classes modulo the ideal: growing the span decides

@@ -22,11 +22,11 @@ import itertools
 
 from .coordpoly import CoordPoly, poly
 from .errors import CapabilityError
-from .linalg import Span, kernel_basis
+from .linalg import Span, kernel
 from .momentum import check_poisson_action
 from .poisson import check_jacobi_coords
 from .report import Report
-from .scalars import ZERO, ONE
+from .scalars import ONE
 
 
 class ReductionSetup:
@@ -65,9 +65,9 @@ def monomial_basis(chart, degree):
 
 
 def _expand(p, basis_index):
-    """The coefficient row of p over the monomials of ``basis_index``, a
-    graded component {exponent tuple: column}."""
-    row = [ZERO] * len(basis_index)
+    """The coefficients of p as a sparse row {column: c} over the monomials
+    of ``basis_index``, a graded component {exponent tuple: column}."""
+    row = {}
     for exps, c in p.terms.items():
         if exps not in basis_index:
             raise CapabilityError(
@@ -122,22 +122,16 @@ def _raw_invariants(setup, degree):
             max_out = max(max_out, degree - 1 + p.total_degree())
     out_monos = monomial_basis(chart, max_out)
     out_index = {m: i for i, m in enumerate(out_monos)}
-    rows = []
+    columns = {}
     for m in monos:
         mono_poly = CoordPoly(chart, {m: ONE})
-        col = []
-        for f in fields:
-            col.extend(_expand(f.apply(mono_poly), out_index))
-        rows.append(col)
-    mat = [list(r) for r in zip(*rows)] if rows else []
-    kern = kernel_basis(mat, len(monos))
-    basis = []
-    for v in kern:
-        p = chart.zero()
-        for coeff, m in zip(v, monos):
-            if coeff:
-                p = p + CoordPoly(chart, {m: coeff})
-        basis.append(p)
+        col = {}
+        for fi, f in enumerate(fields):
+            for k, c in _expand(f.apply(mono_poly), out_index).items():
+                col[(0, (fi, k))] = c
+        columns[m] = (col, 1)
+    basis = [CoordPoly(chart, {m: v[(0, m)] for m in monos if (0, m) in v})
+             for v, _ in kernel(columns)]
     return basis, monos
 
 

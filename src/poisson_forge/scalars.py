@@ -269,8 +269,8 @@ class HSeries:
     """A formal power series in hbar, truncated at ``order`` (mod hbar^order).
 
     A series is a scalar: a counit value, a factor that scales an element or
-    an operator, an entry or unknown of a series system (``linalg``), and the
-    printed form of an element's coefficient.  Elements of presented algebras
+    an operator, and the printed form of an element's coefficient or of a
+    solved unknown.  Elements of presented algebras
     do not store series: their terms are c hbar^j w with c in Q(i), and one
     window per element (``ncalg``).
 

@@ -188,9 +188,10 @@ class SpecFile:
         entry = self._entry("bivectors", name)
         chart = self.chart(entry["chart"])
         comps = {}
-        for (x, y), text in _pair_table(entry.where + " components",
-                                        entry["components"], chart.names):
-            comps[(x, y)] = poly(text, chart)
+        where = entry.where + " components"
+        for (x, y), text in _pair_table(where, entry["components"],
+                                        chart.names):
+            comps[(x, y)] = _poly("%s %s,%s" % (where, x, y), text, chart)
         return PolyBivector(chart, comps)
 
     def matrix_group(self, name):
@@ -207,21 +208,21 @@ class SpecFile:
         if "eliminate" in entry:
             e = entry["eliminate"]
             target = self.chart(e["chart"])
-            eliminate = (e["variable"], poly(e["replacement"], target))
+            eliminate = (e["variable"], _poly(entry.where + " eliminate",
+                                              e["replacement"], target))
         try:
             return MatrixGroupModel(L, entries, chart, basis,
                                     eliminate=eliminate, name=name)
         except ValueError as exc:
             raise SpecError("matrix group %r: %s" % (name, exc))
 
-    def vector_field(self, chart, comps):
+    def vector_field(self, where, chart, comps):
         from .poisson import PolyVectorField
-        return PolyVectorField(chart, {v: poly(t, chart)
-                                       for v, t in comps.items()})
+        return PolyVectorField(chart, _components(where, comps, chart))
 
-    def one_form(self, chart, comps):
+    def one_form(self, where, chart, comps):
         from .poisson import one_form
-        return one_form(chart, {v: poly(t, chart) for v, t in comps.items()})
+        return one_form(chart, _components(where, comps, chart))
 
     def presentation(self, name):
         from .ncalg import Presentation
@@ -354,17 +355,21 @@ class SpecFile:
         out = {"type": kind, "bivector": pi}
         if kind == "classical":
             L = self.lie_algebra(entry["algebra"])
-            hams = {g: poly(t, pi.chart)
-                    for g, t in entry["hamiltonians"].items()}
+            hams = _polys(entry.where + " hamiltonians",
+                          entry["hamiltonians"], pi.chart)
+            _basis_names(entry.where, "hamiltonians", hams, L)
             out.update(algebra=L, hamiltonians=hams)
         elif kind == "infinitesimal":
             L, d = self.cobracket(entry["cobracket"])
-            alpha = {g: self.one_form(pi.chart, comps)
-                     for g, comps in entry["alpha"].items()}
+            where = entry.where + " alpha"
+            alpha = {g: self.one_form("%s %r" % (where, g), pi.chart, comps)
+                     for g, comps in _fields(where, entry["alpha"]).items()}
+            _basis_names(entry.where, "alpha", alpha, L)
             out.update(algebra=L, cobracket=d, alpha=alpha)
         elif kind == "heisenberg":
-            alpha = {g: self.one_form(pi.chart, comps)
-                     for g, comps in entry["alpha"].items()}
+            where = entry.where + " alpha"
+            alpha = {g: self.one_form("%s %r" % (where, g), pi.chart, comps)
+                     for g, comps in _fields(where, entry["alpha"]).items()}
             out.update(alpha=alpha)
         else:
             raise SpecError("unknown momentum map type %r" % kind)
@@ -374,7 +379,8 @@ class SpecFile:
         entry = self._entry("poisson_actions", name)
         pi = self.bivector(entry["bivector"])
         L, d = self.cobracket(entry["cobracket"])
-        fields = {g: self.vector_field(pi.chart, comps)
+        fields = {g: self.vector_field("%s generator %r" % (entry.where, g),
+                                       pi.chart, comps)
                   for g, comps in entry["generators"].items()}
         return pi, L, d, fields
 
@@ -393,16 +399,52 @@ class SpecFile:
         else:
             L = self.lie_algebra(entry["algebra"])
             d = Cobracket.zero(L)
-        missing = sorted(set(L.basis_names) - set(entry["action"]))
-        extra = sorted(set(entry["action"]) - set(L.basis_names))
-        if missing or extra:
-            raise SpecError("reduction %r: the action must name exactly the "
-                            "basis of %s (missing %s, extra %s)"
-                            % (name, L.basis_names, missing, extra))
-        action = {g: self.vector_field(pi.chart, comps)
+        where = entry.where + " action"
+        _basis_names(entry.where, "action", _fields(where, entry["action"]),
+                     L)
+        action = {g: self.vector_field("%s %r" % (where, g), pi.chart, comps)
                   for g, comps in entry["action"].items()}
         setup = ReductionSetup(pi, d, action, ideal=entry.get("ideal", ()))
         return setup, entry.get("degree", 2)
+
+
+def _poly(where, text, chart):
+    """A polynomial expression of the spec on ``chart``; one that does not
+    parse, or names a variable off the chart, is an input error naming
+    ``where``."""
+    try:
+        return poly(text, chart)
+    except (KeyError, ValueError) as exc:
+        raise SpecError("%s: %s" % (where, exc.args[0]))
+
+
+def _polys(where, table, chart):
+    """A JSON object {name: expression} as polynomials on ``chart``."""
+    return {k: _poly("%s %r" % (where, k), text, chart)
+            for k, text in _fields(where, table).items()}
+
+
+def _components(where, comps, chart):
+    """The components {variable: expression} of a field or a form on
+    ``chart``; a key that is not a variable of the chart is an input
+    error."""
+    off = sorted(set(_fields(where, comps)) - set(chart.names))
+    if off:
+        raise SpecError("%s: %s not variables of the chart %s"
+                        % (where, off, list(chart.names)))
+    return _polys(where, comps, chart)
+
+
+def _basis_names(where, what, table, algebra):
+    """Refuse a table, the ``what`` of the entry ``where``, that does not
+    name exactly the basis of ``algebra``."""
+    names = algebra.basis_names
+    missing = sorted(set(names) - set(table))
+    extra = sorted(set(table) - set(names))
+    if missing or extra:
+        raise SpecError("%s: the %s must name exactly the basis of %s "
+                        "(missing %s, extra %s)"
+                        % (where, what, names, missing, extra))
 
 
 def _pair_table(where, table, names):

@@ -17,12 +17,14 @@ Jacobi certificates.
 The action sweeps evaluate expressions by recursion on the expression
 (``eval_expr``), independently of the compiled ``qmomentum.Operator``
 that production code evaluates.
-Linear algebra has a dense reference: ``dense_rref`` is the textbook
-Gauss-Jordan loop over Q(i), ``module_member`` decides membership in a
-Q(i)[hbar]/(hbar^N)-module by the rank of the dense flattened system of all
-hbar-multiples of its generators, and ``dense_solve_series`` and
-``dense_kernel_series`` densify the sparse rows of a series system and
-solve it through the dense flattened matrix (``flatten_series_system``).
+Linear algebra has a dense reference that shares no code with
+``linalg.Span``: ``dense_rref`` is the textbook Gauss-Jordan loop over Q(i),
+and ``dense_solve``, ``dense_kernel`` and ``dense_in_row_span`` are built on
+it.  ``module_member`` decides membership in a Q(i)[hbar]/(hbar^N)-module by
+the rank of the dense flattened system of all hbar-multiples of its
+generators, and ``dense_solve_series`` and ``dense_kernel_series`` solve a
+system given by flat columns, as ``linalg.solve`` and ``linalg.kernel`` take
+it, through the dense flattened matrix (``flatten_series_system``).
 The flat element kernel (terms {(j, key): c} with one window per element)
 has the product it replaced as its reference: ``SeriesReference`` keeps an
 HSeries per word, each with its own window, and computes normal forms,
@@ -54,9 +56,7 @@ from poisson_forge.reduction import (
     _expand, _raw_invariants, monomial_basis, reduce_mod_ideal,
 )
 from poisson_forge.report import Report, merge
-from poisson_forge.linalg import (
-    SeriesSpan, Span, in_row_span, kernel_basis, kernel_series, solve,
-)
+from poisson_forge.linalg import SeriesSpan
 from poisson_forge.scalars import (
     HSeries, ONE, ZERO, _acc, gauss, series,
 )
@@ -220,7 +220,7 @@ def sweep_invariant_closure(setup, basis):
             inv, _ = _raw_invariants(setup, deg)
             cache[deg] = (index, [_expand(p, index) for p in inv])
         index, span = cache[deg]
-        if not in_row_span(span, _expand(b, index)):
+        if not dense_in_row_span(span, _expand(b, index)):
             failures.append("{%s, %s} = %s leaves the invariant span"
                             % (f, g, b))
     return Report.from_failures("invariant-closure", failures)
@@ -446,18 +446,19 @@ def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
         alg, ideal_gens,
         max([y.degree() for col in cols.values() for y in col]
             + [degree + max(j.degree() for j in ideal_gens)]))
-    reduced = {name: [series_view(span.reduce(y.terms, y.order),
-                                  min(y.order, span.order)) for y in col]
-               for name, col in cols.items()}
-    words = sorted({w for col in reduced.values() for vec in col
-                    for w in vec}, key=lambda t: (len(t), t))
-    rows = [{j: vec.get(w, HSeries.zero(order)) for j, vec in enumerate(col)}
-            for col in reduced.values() for w in words]
+    columns = {}
+    for mi, w in enumerate(monos):
+        terms, window = {}, order
+        for i, col in enumerate(cols.values()):
+            y = col[mi]
+            window = min(window, y.order, span.order)
+            terms.update(((j, (i, key)), c) for (j, key), c
+                         in span.reduce(y.terms, y.order).items())
+        columns[w] = (terms, window)
     accum = span.copy()
     classes = []
-    for vec in kernel_series(rows, len(monos), order):
-        x = NCPoly.from_series(
-            alg, {w: c for c, w in zip(vec, monos) if not c.is_zero()})
+    for v, n in dense_kernel_series(columns):
+        x = NCPoly(alg, v, n)
         window = min(x.order, accum.order)
         r = accum.reduce(x.terms, x.order)
         if r and accum.insert(r, window):
@@ -545,66 +546,93 @@ def module_member(gens, v, order):
     return len(dense_rref(rows + [flat(v, 0)])[1]) == rank
 
 
-def flatten_series_system(rows, rhs, order):
-    """A linear system over HSeries mod hbar^order as a dense one over Q(i).
-
-    Each unknown x_j becomes the unknowns x_{j,0..order-1}, in column
-    j*order + m, and each equation sum_j a_j x_j = b becomes ``order``
-    scalar equations, one per power of hbar, by the truncated Cauchy
-    product.  Entries are series of at least ``order`` coefficients."""
-    scal_rows = []
-    scal_rhs = []
-    for a_row, b in zip(rows, rhs):
-        for k in range(order):
-            scal_rows.append([a.coeff(k - m) if m <= k else ZERO
-                              for a in a_row for m in range(order)])
-            scal_rhs.append(b.coeff(k))
-    return scal_rows, scal_rhs
+def _rank(rows):
+    return len(dense_rref(rows)[1])
 
 
-def _densified(rows, ncols):
-    """Sparse rows {column: entry} as dense lists; an empty cell is an
-    exact 0."""
-    return [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
-
-
-def _series_window(rows, ceiling):
-    """``rows`` with every entry a series mod hbar^N, N the least of
-    ``ceiling`` and the orders of their series entries, and N."""
-    order = min([ceiling] + [x.order for r in rows for x in r
-                             if isinstance(x, HSeries)])
-    return [[x.truncate(order) if isinstance(x, HSeries)
-             else HSeries.from_scalar(gauss(x), order) for x in r]
-            for r in rows], order
-
-
-def _unflatten(x, nunk, order):
-    return [HSeries(x[j * order:(j + 1) * order], order) for j in range(nunk)]
-
-
-def dense_solve_series(rows, rhs, nunk, ceiling):
-    """``linalg.solve_series`` through the dense flattened matrix."""
-    rows, order = _series_window(_densified(rows, nunk) + [rhs], ceiling)
-    rows, rhs = rows[:-1], rows[-1]
-    x = solve(*flatten_series_system(rows, rhs, order))
-    if x is None:
+def dense_solve(rows, rhs, ncols):
+    """One solution x of A x = b over Q(i) on ``ncols`` unknowns, by dense
+    Gauss-Jordan on the augmented matrix, the free unknowns 0; None when
+    the system is inconsistent."""
+    red, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
         return None
-    return _unflatten(x, nunk, order)
+    x = [ZERO] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return x
 
 
-def dense_kernel_series(rows, ncols, ceiling):
-    """``linalg.kernel_series`` through the dense flattened matrix: the
-    scalar kernel vectors that are not in the span of the earlier ones and
+def dense_kernel(rows, ncols):
+    """Basis of the right kernel of A on ``ncols`` columns: one vector per
+    free column of the dense reduced echelon form."""
+    red, pivots = dense_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [ZERO] * ncols
+            v[fc] = ONE
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis
+
+
+def dense_in_row_span(rows, vector):
+    """Is ``vector`` a Q(i)-combination of ``rows``?  All are sparse
+    {column: entry}; the test compares dense ranks."""
+    cols = sorted(set(vector).union(*rows))
+    dense = [[r.get(c, ZERO) for c in cols] for r in rows]
+    return _rank(dense + [[vector.get(c, ZERO) for c in cols]]) == \
+        _rank(dense)
+
+
+def flatten_series_system(columns, rhs):
+    """A system given as ``linalg`` takes it -- columns {unknown: (terms,
+    window)} and a right side (terms, window) or None -- as a dense one over
+    Q(i) mod hbar^N, N the least window.  Unknown m's coefficient of hbar^s is
+    column m*N + s, and each key gives N scalar equations, one per power of
+    hbar, by the truncated Cauchy product.  Returns (rows, rhs, N)."""
+    vecs = list(columns.values()) + ([rhs] if rhs is not None else [])
+    n = min(w for _, w in vecs)
+    keys = dict.fromkeys(key for terms, _ in vecs for _, key in terms)
+    b = rhs[0] if rhs is not None else {}
+    rows, scal_rhs = [], []
+    for key in keys:
+        for j in range(n):
+            rows.append([terms.get((j - s, key), ZERO)
+                         for terms, _ in columns.values() for s in range(n)])
+            scal_rhs.append(b.get((j, key), ZERO))
+    return rows, scal_rhs, n
+
+
+def _unflatten(x, unknowns, n):
+    return {(i % n, unknowns[i // n]): c for i, c in enumerate(x) if c}
+
+
+def dense_solve_series(columns, rhs):
+    """``linalg.solve`` through the dense flattened matrix."""
+    rows, b, n = flatten_series_system(columns, rhs)
+    x = dense_solve(rows, b, len(columns) * n)
+    return None if x is None else (_unflatten(x, list(columns), n), n)
+
+
+def dense_kernel_series(columns):
+    """``linalg.kernel`` through the dense flattened matrix: the scalar
+    kernel vectors that raise the rank of the earlier ones together with
     the hbar-multiples of all of them."""
-    rows, order = _series_window(_densified(rows, ncols), ceiling)
-    scal_rows, _ = flatten_series_system(
-        rows, [HSeries.zero(order)] * len(rows), order)
-    vecs = kernel_basis(scal_rows, ncols * order)
-    span = Span()
+    if not columns:
+        return []
+    rows, _, n = flatten_series_system(columns, None)
+    ncols = len(columns) * n
+    vecs = dense_kernel(rows, ncols)
+    out = [[v[i - 1] if i % n else ZERO for i in range(ncols)] for v in vecs]
+    kept = []
     for v in vecs:
-        span.insert({i: v[i - 1] for i in range(ncols * order) if i % order})
-    return [_unflatten(v, ncols, order) for v in vecs
-            if span.insert(dict(enumerate(v)))]
+        if _rank(out + [v]) > _rank(out):
+            out.append(v)
+            kept.append((_unflatten(v, list(columns), n), n))
+    return kept
 
 
 # -- the {key: HSeries} reference of the flat element kernel -----------------

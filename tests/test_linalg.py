@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from poisson_forge.linalg import (
-    SeriesSpan, Span, in_row_span, kernel_basis, kernel_series, rref, solve,
-    solve_series,
-)
-from poisson_forge.scalars import HSeries, ZERO, GaussRational
+from poisson_forge.linalg import SeriesSpan, Span, kernel, rref, solve
+from poisson_forge.scalars import HSeries, ONE, ZERO, GaussRational
 
 from oracles import (
-    dense_kernel_series, dense_rref, dense_solve_series, module_member,
+    dense_kernel, dense_kernel_series, dense_rref, dense_solve,
+    dense_solve_series, module_member,
 )
 
 
@@ -50,18 +48,42 @@ def test_rref_edge_shapes():
     assert rref(zero) == dense_rref(zero) == (zero, [])
 
 
+def _columns(rows, ncols):
+    """A Q(i) matrix as ``linalg`` takes it: window-1 columns."""
+    return {a: ({(0, i): r[a] for i, r in enumerate(rows) if r[a]}, 1)
+            for a in range(ncols)}
+
+
+def _window1(vec):
+    return {(0, i): c for i, c in enumerate(vec) if c}, 1
+
+
+def _dense(x, ncols):
+    return [x.get((0, a), ZERO) for a in range(ncols)]
+
+
+def _times(rows, x):
+    return [sum((a * b for a, b in zip(r, x)), ZERO) for r in rows]
+
+
 def test_kernel_basis_and_solve():
     rng = random.Random(7)
     rows = _random_matrix(rng, 4, 6, rank=2)
-    for v in kernel_basis(rows):
-        assert all(not sum((a * x for a, x in zip(r, v)), ZERO)
-                   for r in rows)
-    assert len(kernel_basis(rows)) == 6 - len(dense_rref(rows)[1])
+    cols = _columns(rows, 6)
+    basis = [_dense(v, 6) for v, _ in kernel(cols)]
+    assert basis == dense_kernel(rows, 6)
+    assert len(basis) == 6 - len(dense_rref(rows)[1])
+    for v in basis:
+        assert not any(_times(rows, v))
     x = [_entry(rng, 1.0) for _ in range(6)]
-    rhs = [sum((a * b for a, b in zip(r, x)), ZERO) for r in rows]
-    y = solve(rows, rhs)
-    assert [sum((a * b for a, b in zip(r, y)), ZERO) for r in rows] == rhs
-    assert in_row_span(rows, rows[0]) and in_row_span([], [ZERO, ZERO])
+    rhs = _times(rows, x)
+    y, n = solve(cols, _window1(rhs))
+    assert n == 1 and _dense(y, 6) == dense_solve(rows, rhs, 6)
+    assert _times(rows, _dense(y, 6)) == rhs
+    # rank 2 on 4 rows: some unit vector lies outside the column space
+    units = [[ONE if i == k else ZERO for i in range(4)] for k in range(4)]
+    outside = [e for e in units if dense_solve(rows, e, 6) is None]
+    assert outside and all(solve(cols, _window1(e)) is None for e in outside)
 
 
 def test_span_rows_are_reduced_with_unit_pivots():
@@ -170,25 +192,18 @@ def test_series_span_agrees_with_module_member(order):
 # -- flattened series systems against the dense flattening -------------------
 
 def _series_entry(rng, order):
-    """Mostly zero; else an exact scalar, or a series of random valuation
-    known mod hbar^order or to one more coefficient."""
-    r = rng.random()
-    if r < 0.5:
+    """Mostly zero; else a series of random valuation known mod
+    hbar^order."""
+    if rng.random() < 0.5:
         return HSeries.zero(order)
-    if r < 0.6:
-        return _entry(rng, 1.0)
     v = rng.randrange(order)
-    n = order + rng.randrange(2)
-    return HSeries([ZERO] * v + [_entry(rng, 0.6) for _ in range(n - v)], n)
+    return HSeries([ZERO] * v + [_entry(rng, 0.6) for _ in range(order - v)],
+                   order)
 
 
 def _apply(rows, x):
     return [sum((b * a for a, b in zip(r, x)), HSeries.zero(x[0].order))
             for r in rows]
-
-
-def _as_tuples(xs):
-    return None if xs is None else [(x.coeffs, x.order) for x in xs]
 
 
 @pytest.mark.parametrize("order", range(1, 6))
@@ -199,7 +214,9 @@ def test_solve_and_kernel_series_match_dense_flattening(order):
         shape = trial % 3  # square, overdetermined, underdetermined
         nunk = rng.randint(1, 4)
         nrows = nunk + (0, rng.randint(1, 3), -rng.randint(1, nunk))[shape]
-        rows = [[_series_entry(rng, order) for _ in range(nunk)]
+        # a column is known mod hbar^order or one coefficient further
+        windows = [order + rng.randrange(2) for _ in range(nunk)]
+        rows = [[_series_entry(rng, w) for w in windows]
                 for _ in range(max(nrows, 0))]
         x = [HSeries([_entry(rng, 0.7) for _ in range(order)], order)
              for _ in range(nunk)]
@@ -208,36 +225,53 @@ def test_solve_and_kernel_series_match_dense_flattening(order):
             # a perturbed right-hand side: mostly inconsistent
             rhs[rng.randrange(len(rhs))] += HSeries.hbar(order) ** \
                 rng.randrange(order)
-        # the sparse form holds only the nonzero cells
-        sparse = [{j: a for j, a in enumerate(r) if a} for r in rows]
-        sol = solve_series(sparse, rhs, nunk, order)
-        assert _as_tuples(sol) == \
-            _as_tuples(dense_solve_series(sparse, rhs, nunk, order))
+        # each column as flat terms {(j, row): c}, holding the nonzero
+        # cells only
+        columns = {m: _flat({i: r[m] for i, r in enumerate(rows) if r[m]},
+                            windows[m]) for m in range(nunk)}
+        b = _flat({i: c for i, c in enumerate(rhs) if c}, order)
+        sol = solve(columns, b)
+        assert sol == dense_solve_series(columns, b)
         if sol is None:
             inconsistent += 1
         else:
-            assert len(sol) == nunk and _apply(rows, sol) == rhs
-        kernel = kernel_series(sparse, nunk, order)
-        assert [_as_tuples(v) for v in kernel] == \
-            [_as_tuples(v) for v in dense_kernel_series(sparse, nunk, order)]
-        underdetermined += bool(kernel)
+            y, n = sol
+            assert n == order
+            y = [HSeries([y.get((s, m), ZERO) for s in range(n)], n)
+                 for m in range(nunk)]
+            assert _apply(rows, y) == rhs
+        kern = kernel(columns)
+        assert kern == dense_kernel_series(columns)
+        underdetermined += bool(kern)
     assert inconsistent and underdetermined
 
 
 def test_series_system_edge_shapes():
-    assert solve_series([], [], 0, 3) == []
-    assert dense_solve_series([], [], 0, 3) == []
-    # no equation: the kernel is free on the unknowns, mod hbar^ceiling
-    free = [[((1,), 3), ((), 3)], [((), 3), ((1,), 3)]]
-    assert [_as_tuples(v) for v in kernel_series([], 2, 3)] == free
-    assert [_as_tuples(v) for v in dense_kernel_series([], 2, 3)] == free
-    # a row known only mod hbar^0 constrains nothing
-    rows = [{0: HSeries.one(0), 1: HSeries.hbar(3)}]
-    assert _as_tuples(solve_series(rows, [ZERO], 2, 3)) == \
-        _as_tuples(dense_solve_series(rows, [ZERO], 2, 3)) == \
-        [((), 0), ((), 0)]
-    assert kernel_series(rows, 2, 3) == dense_kernel_series(rows, 2, 3) == []
-    # the caller's ceiling caps a window its entries would allow
-    rows, rhs = [{0: HSeries.one(5)}], [HSeries.hbar(5)]
-    assert _as_tuples(solve_series(rows, rhs, 1, 3)) == \
-        _as_tuples(dense_solve_series(rows, rhs, 1, 3)) == [((0, 1), 3)]
+    # no unknowns: only the zero right side is solved, by the empty vector
+    assert solve({}, ({}, 3)) == dense_solve_series({}, ({}, 3)) == ({}, 3)
+    rhs = ({(0, "e"): ONE}, 3)
+    assert solve({}, rhs) is None and dense_solve_series({}, rhs) is None
+    assert kernel({}) == dense_kernel_series({}) == []
+    # no equation: the kernel is free on the unknowns
+    free = {0: ({}, 3), 1: ({}, 3)}
+    assert kernel(free) == dense_kernel_series(free) == \
+        [({(0, 0): 1}, 3), ({(0, 1): 1}, 3)]
+    # a column known only mod hbar^0 constrains nothing
+    cols = {0: ({}, 0), 1: ({(1, "e"): ONE}, 3)}
+    assert solve(cols, ({}, 3)) == dense_solve_series(cols, ({}, 3)) == \
+        ({}, 0)
+    assert kernel(cols) == dense_kernel_series(cols) == []
+    # the right side's window caps a window the columns would allow
+    cols, rhs = {0: ({(0, "e"): ONE}, 5)}, ({(1, "e"): ONE}, 3)
+    assert solve(cols, rhs) == dense_solve_series(cols, rhs) == \
+        ({(1, 0): 1}, 3)
+
+
+def test_a_column_without_terms_caps_the_window():
+    # x0 e + x1 0 = hbar e + hbar^3 e, the 0 known only mod hbar^2: the
+    # system is solved mod hbar^2, where hbar^3 e is 0
+    cols = {0: ({(0, "e"): ONE}, 5), 1: ({}, 2)}
+    rhs = ({(1, "e"): ONE, (3, "e"): ONE}, 5)
+    assert solve(cols, rhs) == dense_solve_series(cols, rhs) == \
+        ({(1, 0): 1}, 2)
+    assert kernel(cols) == dense_kernel_series(cols) == [({(0, 1): 1}, 2)]

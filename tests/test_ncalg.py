@@ -23,6 +23,19 @@ def test_usl2_normal_form_ef():
     assert ef == want
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 6])
+def test_fixture_rules_are_known_in_the_whole_window(order):
+    # the hexp series divided by hbar are built one order further, so the
+    # E*F rule of U_hbar(sl2), the c*b rule of the 3D algebra and the
+    # momentum ideal generator H are known mod hbar^N, not hbar^(N - 1)
+    uq = fixtures.uhsl2_presentation(order)
+    alg, h = fixtures.su2_momentum_ideal_generator(
+        fixtures.su2_module_algebra(order))
+    for pres in (uq, alg):
+        assert {rule.order for rule in pres.rules.values()} == {order}
+    assert h.order == order
+
+
 def test_normal_form_identity_and_idempotent():
     u = fixtures.usl2_presentation()
     m = u.element([(1, ["F", "H", "E"])])
