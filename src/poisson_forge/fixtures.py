@@ -782,15 +782,8 @@ def su2_commutator_target_for(action):
 def case1_reduction_algebra(order=ORDER):
     """Commutative algebra generated by a (invertible) and b, used for the
     case-1 quantum reduction with ideal <a - 1, b>."""
-    from .ncalg import Presentation
-    return Presentation(
-        ["a_inv", "a", "b"],
-        {
-            ("b", "a"): {("a", "b"): 1},
-            ("b", "a_inv"): {("a_inv", "b"): 1},
-        },
-        order, inverses={"a_inv": "a"},
-        name="case1-reduction")
+    from .ncalg import chart_presentation
+    return chart_presentation(Chart(["a", "b"], invertible=["a"]), order)
 
 
 def su2_momentum_ideal_generator(alg=None):

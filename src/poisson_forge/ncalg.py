@@ -34,6 +34,7 @@ rules, placed adjacent to their base generator in the order.
 from __future__ import annotations
 
 import itertools
+import sys
 
 from .errors import CapabilityError
 from .report import Report
@@ -317,8 +318,10 @@ class Presentation:
         return self.monomial((self._index[name],))
 
     def monomial(self, word):
-        """The word (a tuple of generator indices) with coefficient 1."""
-        return _ncpoly(self, {(0, word): ONE}, self.order)
+        """The normal form of the word (a tuple of generator indices) with
+        coefficient 1.  ``_element`` builds a word as given."""
+        flat = self.nf_word(word)
+        return _ncpoly(self, dict(flat.terms), flat.order)
 
     def one(self):
         return self.monomial(())
@@ -795,6 +798,41 @@ def abelianization_chart(presentation):
     base = [g for g in presentation.gens if g not in presentation.inverses]
     invertible = [presentation.inverses[g] for g in presentation.inverses]
     return Chart(base, invertible=[v for v in invertible if v in base])
+
+
+def chart_presentation(chart, order):
+    """The commutative presentation of the (Laurent) polynomials on
+    ``chart``, mod hbar^order: one generator per variable, an inverse
+    generator ``<v>_inv`` just before each invertible variable v, and the
+    rule y*x -> x*y for each ordered pair of generators y after x (an
+    inverse and its base cancel instead).  Its normal words are the sorted
+    words, one per monomial, so ``abelianize`` maps normal forms back to
+    polynomials term by term.
+
+    A classical ideal I is decided on the quotient by its generators
+    (``Presentation.quotient``, at order 1): the commuting rules plus a
+    commutative Groebner basis of I resolve every ambiguity (Bergman's
+    Diamond Lemma, Adv. Math. 29, 1978; Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 4 section 4 for the Laurent ring as
+    k[x, t]/<t x - 1>), so a polynomial lies in I exactly when its normal
+    form is 0.  No rule lengthens a word at hbar^0, so the word-length
+    guard is off: a long monomial is not a runaway rewrite."""
+    gens = []
+    inverses = {}
+    for v in chart.names:
+        if v in chart.invertible:
+            inverses[v + "_inv"] = v
+            gens.append(v + "_inv")
+        gens.append(v)
+    if len(set(gens)) < len(gens):
+        raise ValueError("chart %s: a variable has the name of an inverse "
+                         "generator" % list(chart.names))
+    rules = {(y, x): {(x, y): 1}
+             for x, y in itertools.combinations(gens, 2)
+             if inverses.get(x) != y}
+    return Presentation(gens, rules, order, inverses=inverses,
+                        name="Q(i)[%s]" % ", ".join(gens),
+                        max_word_len=sys.maxsize)
 
 
 def abelianize(x, chart=None):

@@ -39,6 +39,7 @@ import itertools
 
 from .errors import CapabilityError
 from .ncalg import Flat, NCPoly, ambiguities
+from .scalars import ONE
 
 MAX_PAIRS = 1000
 
@@ -62,7 +63,8 @@ def complete(pres, ideal_gens):
         for u in list(rules):
             if _contains(u, lhs):
                 rule = rules.pop(u)
-                pending.append(work.monomial(u)
+                # the raw word: its normal form under the old rules is 0
+                pending.append(work._element([(u, ONE)])
                                - NCPoly(work, rule.terms, rule.order))
         rules[lhs] = Flat(rhs.terms, rhs.order)
         work._set_rules(rules)

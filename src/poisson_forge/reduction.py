@@ -1,13 +1,14 @@
 """Classical Poisson reduction at polynomial scale.
 
 Invariant functions are computed by exact linear algebra on graded monomial
-components.  Ideal membership is decided by division against the reduced
-lex Groebner basis that Buchberger's algorithm computes once for each
-ReductionSetup, so remainders are canonical normal forms; the quotient
-bracket's well-definedness is then a finite certificate on the generators.
-Ideals on charts with invertible variables (Laurent ideals) are refused:
-there a monomial unit can carry a polynomial into the ideal (b = a^-1 * ab)
-that division in the polynomial ring never finds.
+components.  Ideal membership is a normal form: each ReductionSetup
+completes its chart's commutative presentation (``ncalg.chart_presentation``,
+at hbar order 1) modulo its ideal once, through ``ncgroebner``, and a
+polynomial lies in the ideal exactly when its normal form there is 0.  The
+quotient bracket's well-definedness is then a finite certificate on the
+generators.  Ideals on charts with invertible variables (Laurent ideals)
+are decided the same way: an inverse generator with its cancellation rules
+finds b = a^-1 * ab in <ab>.
 Bracket closure of the invariants and quotient Jacobi follow from theorems
 whose premises are checked once, in every degree; a failed premise is a
 named guard, not a ``fail``, since the identity itself may still hold.
@@ -24,6 +25,7 @@ from .coordpoly import CoordPoly, poly
 from .errors import CapabilityError
 from .linalg import Span, kernel
 from .momentum import check_poisson_action
+from .ncalg import NCPoly, abelianize, chart_presentation
 from .poisson import check_jacobi_coords
 from .report import Report
 from .scalars import ONE
@@ -40,7 +42,9 @@ class ReductionSetup:
         self.algebra = cobracket.algebra
         self.action = action
         self.ideal = [poly(g, self.chart) for g in ideal]
-        self.basis = groebner_basis(self.ideal)
+        # completed once: every membership is a normal form on it
+        pres = chart_presentation(self.chart, 1)
+        self.quotient = pres.quotient([_lift(g, pres) for g in self.ideal])
         # what reduced_bracket decides about the ideal, once per setup: the
         # memberships {g_i, rep} in I by representative, and {I, I} in I
         self._escapes = {}
@@ -136,153 +140,32 @@ def _raw_invariants(setup, degree):
 
 
 # ---------------------------------------------------------------------------
-# Ideal arithmetic: a reduced lex Groebner basis and division against it
+# Ideal arithmetic: normal forms on the chart's commutative quotient
 # ---------------------------------------------------------------------------
 
-def _lead(terms):
-    """Lex-largest monomial of a term dict with its coefficient."""
-    m = max(terms)
-    return m, terms[m]
+def _lift(p, pres):
+    """p as an element of a presentation on its chart's generators
+    (``chart_presentation`` or a quotient of it): each monomial becomes its
+    sorted word, a negative exponent a power of the inverse generator."""
+    inverse = {base: inv for inv, base in pres.inverses.items()}
+    letters = [(pres.index(v), pres.index(inverse.get(v, v)))
+               for v in p.chart.names]
+    terms = {}
+    for exps, c in p.terms.items():
+        word = ()
+        for e, (up, down) in zip(exps, letters):
+            word += (up,) * e if e >= 0 else (down,) * -e
+        terms[(0, word)] = c
+    return NCPoly(pres, terms, pres.order)
 
 
-def _divides(m, t):
-    return all(a <= b for a, b in zip(m, t))
-
-
-# Division steps allowed for one remainder before the guard trips.
-MAX_STEPS = 10000
-# S-pair reductions allowed for one Groebner completion.
-MAX_PAIRS = 1000
-
-
-class GroebnerBasis(tuple):
-    """The reduced lex Groebner basis of an ideal, as built by
-    ``groebner_basis``: monic polynomials sorted by leading monomial."""
-
-    __slots__ = ()
-
-
-def _sub_multiple(terms, coeff, shift, g):
-    """terms -= coeff * x^shift * g, in place on a term dict."""
-    for e, c in g.items():
-        k = tuple(a + b for a, b in zip(shift, e))
-        old = terms.get(k)
-        v = -(coeff * c) if old is None else old - coeff * c
-        if not v:
-            terms.pop(k, None)
-        else:
-            terms[k] = v
-
-
-def _remainder(terms, basis, max_steps):
-    """Full remainder of a term dict on monic term dicts (lex order)."""
-    heads = [(_lead(g)[0], g) for g in basis]
-    p = dict(terms)
-    rem = {}
-    steps = 0
-    while p:
-        t = max(p)
-        for lead, g in heads:
-            if _divides(lead, t):
-                steps += 1
-                if steps > max_steps:
-                    raise CapabilityError(
-                        "guard division.max_steps: ideal division did not "
-                        "terminate within %d steps" % max_steps,
-                        guard="division.max_steps",
-                        counters={"steps": steps, "max_steps": max_steps})
-                _sub_multiple(p, p[t],
-                              tuple(a - b for a, b in zip(t, lead)), g)
-                break
-        else:
-            rem[t] = p.pop(t)
-    return rem
-
-
-def _monic(terms):
-    inv = ONE / _lead(terms)[1]
-    return {e: c * inv for e, c in terms.items()}
-
-
-def groebner_basis(gens):
-    """Reduced Groebner basis of the ideal <gens> in lex order.
-
-    Buchberger's algorithm (Cox-Little-O'Shea, *Ideals, Varieties, and
-    Algorithms*, ch. 2): the S-polynomial of every pair of basis elements
-    is divided by the basis and a nonzero remainder joins it, until every
-    S-polynomial reduces to 0.  A pair whose leading monomials are coprime
-    reduces to 0 anyway (Buchberger's first criterion) and is skipped.  The
-    result is then made minimal and interreduced, so it depends on the
-    ideal alone, and a polynomial lies in the ideal exactly when its
-    remainder on the basis is 0.
-
-    Coefficients lie in the field Q(i), and the chart must have no
-    invertible variables: in the Laurent ring <a*b> contains b and
-    <a - 1> contains a^-1 - 1, which division never shows, so a nonzero
-    ideal there is refused.  Each S-pair reduction counts against
-    ``MAX_PAIRS``.
-    """
-    gens = [g for g in gens if g.terms]
-    chart = gens[0].chart if gens else None
-    if chart is not None and chart.invertible:
-        raise CapabilityError(
-            "guard groebner.laurent: an ideal of %d generator(s) on a chart "
-            "with %d invertible variable(s) (%s); Laurent ideals are out of "
-            "scope" % (len(gens), len(chart.invertible),
-                       ", ".join(sorted(chart.invertible))),
-            guard="groebner.laurent",
-            counters={"generators": len(gens),
-                      "invertible": len(chart.invertible)})
-    basis = [_monic(g.terms) for g in gens]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    reductions = 0
-    while pairs:
-        i, j = pairs.pop()
-        li, lj = _lead(basis[i])[0], _lead(basis[j])[0]
-        if not any(a and b for a, b in zip(li, lj)):
-            continue
-        reductions += 1
-        if reductions > MAX_PAIRS:
-            raise CapabilityError(
-                "guard groebner.max_pairs: S-pair reduction %d exceeds the "
-                "budget of %d" % (reductions, MAX_PAIRS),
-                guard="groebner.max_pairs",
-                counters={"s_pairs": reductions, "max_pairs": MAX_PAIRS})
-        lcm = tuple(max(a, b) for a, b in zip(li, lj))
-        s = {}
-        _sub_multiple(s, -ONE, tuple(a - b for a, b in zip(lcm, li)),
-                      basis[i])
-        _sub_multiple(s, ONE, tuple(a - b for a, b in zip(lcm, lj)),
-                      basis[j])
-        r = _remainder(s, basis, MAX_STEPS)
-        if r:
-            basis.append(_monic(r))
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    basis.sort(key=max)
-    minimal = []
-    for g in basis:
-        if not any(_divides(max(h), max(g)) for h in minimal):
-            minimal.append(g)
-    reduced = [_remainder(g, minimal[:k] + minimal[k + 1:], MAX_STEPS)
-               for k, g in enumerate(minimal)]
-    return GroebnerBasis(CoordPoly._mk(chart, g) for g in reduced)
-
-
-def reduce_mod_ideal(p, gens, max_steps=MAX_STEPS):
-    """Normal form of p modulo the ideal: its remainder on the reduced lex
-    Groebner basis.  ``gens`` is a GroebnerBasis or any generator list,
-    which is completed first."""
-    basis = gens if isinstance(gens, GroebnerBasis) else groebner_basis(gens)
-    if not basis:
-        return p
-    chart = basis[0].chart
-    p = poly(p, chart)
-    return CoordPoly._mk(chart, _remainder(p.terms, [g.terms for g in basis],
-                                           max_steps))
-
-
-def in_ideal(p, gens):
-    return reduce_mod_ideal(p, gens).is_zero()
+def reduce_mod_ideal(p, quotient):
+    """Normal form of the polynomial p modulo the ideal, read back as a
+    polynomial: ``quotient`` is the chart's presentation modulo the ideal
+    (``ReductionSetup.quotient``).  It is 0 exactly when p lies in the
+    ideal, and two polynomials have one normal form exactly when their
+    difference does."""
+    return abelianize(quotient.normal_form(_lift(p, quotient)), p.chart)
 
 
 def check_ideal_poisson_closed(setup):
@@ -290,7 +173,7 @@ def check_ideal_poisson_closed(setup):
     failures = []
     for f, g in itertools.combinations(setup.ideal, 2):
         b = setup.pi.bracket(f, g)
-        r = reduce_mod_ideal(b, setup.basis)
+        r = reduce_mod_ideal(b, setup.quotient)
         if not r.is_zero():
             failures.append("{%s, %s} = %s escapes the ideal (remainder %s)"
                             % (f, g, b, r))
@@ -303,7 +186,7 @@ def check_ideal_invariant(setup):
     failures = []
     for name, field in setup.action.items():
         for g in setup.ideal:
-            r = reduce_mod_ideal(field.apply(g), setup.basis)
+            r = reduce_mod_ideal(field.apply(g), setup.quotient)
             if not r.is_zero():
                 failures.append("%s_M(%s) = %s escapes the ideal"
                                 % (name, g, field.apply(g)))
@@ -314,7 +197,7 @@ def reduced_bracket(setup, f, g):
     """Bracket of two representatives on the quotient by I = <g_1, ..., g_m>.
 
     Returns (class representative, well-definedness report).  The class is
-    the normal form of {f, g} on the Groebner basis.  For f' = f + sum a_i g_i
+    the normal form of {f, g} modulo I.  For f' = f + sum a_i g_i
     and g' = g + sum b_j g_j the Leibniz rule gives
 
         {f', g'} - {f, g} = sum_j b_j {f, g_j} + sum_i a_i {g_i, g}
@@ -330,7 +213,7 @@ def reduced_bracket(setup, f, g):
     """
     f = poly(f, setup.chart)
     g = poly(g, setup.chart)
-    base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.basis)
+    base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.quotient)
     failures = [m for pair in zip(_escapes(setup, f), _escapes(setup, g))
                 for m in pair if m]
     if setup._closure is None:
@@ -348,7 +231,7 @@ def _escapes(setup, rep):
     if out is None:
         out = []
         for gi in setup.ideal:
-            r = reduce_mod_ideal(setup.pi.bracket(gi, rep), setup.basis)
+            r = reduce_mod_ideal(setup.pi.bracket(gi, rep), setup.quotient)
             out.append(None if r.is_zero() else
                        "{%s, %s} escapes the ideal (remainder %s)"
                        % (gi, rep, r))
@@ -372,7 +255,7 @@ def sw_reduced_algebra(setup, invariants):
     checked when the table is well defined and has a triple of classes; a
     failed premise raises the guard ``reduction.jacobi``.
     """
-    reduced = [reduce_mod_ideal(p, setup.basis) for p in invariants]
+    reduced = [reduce_mod_ideal(p, setup.quotient) for p in invariants]
     span = Span()
     classes = [p for p in reduced if span.insert(p.terms)]
     table = {}

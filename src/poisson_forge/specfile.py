@@ -84,8 +84,7 @@ class SpecFile:
 
     SECTIONS = ("lie_algebras", "r_matrices", "cobrackets", "charts",
                 "bivectors", "matrix_groups", "presentations",
-                "hopf_structures", "actions", "momentum_maps", "reductions",
-                "poisson_actions")
+                "hopf_structures", "actions", "momentum_maps", "reductions")
 
     def __init__(self, doc, order):
         if not isinstance(doc, dict):
@@ -374,15 +373,6 @@ class SpecFile:
         else:
             raise SpecError("unknown momentum map type %r" % kind)
         return out
-
-    def poisson_action(self, name):
-        entry = self._entry("poisson_actions", name)
-        pi = self.bivector(entry["bivector"])
-        L, d = self.cobracket(entry["cobracket"])
-        fields = {g: self.vector_field("%s generator %r" % (entry.where, g),
-                                       pi.chart, comps)
-                  for g, comps in entry["generators"].items()}
-        return pi, L, d, fields
 
     def reduction(self, name):
         """The setup of a ``reductions`` entry and its degree.  The acting

@@ -178,7 +178,7 @@ def sweep_reduced_bracket(setup, f, g, perturbations=20, seed=0,
     chart = setup.chart
     f = poly(f, chart)
     g = poly(g, chart)
-    base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.basis)
+    base = reduce_mod_ideal(setup.pi.bracket(f, g), setup.quotient)
     rng = random.Random(seed)
     monos = monomial_basis(chart, perturb_degree)
     failures = []
@@ -188,7 +188,7 @@ def sweep_reduced_bracket(setup, f, g, perturbations=20, seed=0,
         for gen in setup.ideal:
             fp = fp + _random_poly(rng, chart, monos) * gen
             gp = gp + _random_poly(rng, chart, monos) * gen
-        got = reduce_mod_ideal(setup.pi.bracket(fp, gp), setup.basis)
+        got = reduce_mod_ideal(setup.pi.bracket(fp, gp), setup.quotient)
         if not (got - base).is_zero():
             failures.append("perturbation %d moved the class: %s vs %s"
                             % (trial, got, base))
@@ -234,9 +234,9 @@ def sweep_quotient_jacobi(setup, classes):
         acc = setup.chart.zero()
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             inner = reduce_mod_ideal(setup.pi.bracket(classes[a], classes[b]),
-                                     setup.basis)
+                                     setup.quotient)
             acc = acc + setup.pi.bracket(inner, classes[c])
-        if not reduce_mod_ideal(acc, setup.basis).is_zero():
+        if not reduce_mod_ideal(acc, setup.quotient).is_zero():
             failures.append("quotient Jacobi fails on classes (%d,%d,%d)"
                             % (i, j, k))
     return Report.from_failures("quotient-jacobi", failures)

@@ -166,6 +166,20 @@ def test_spec_reduce_without_poisson_action_is_capability_error(tmp_path,
     assert "Poisson-action defect for eta" in err
 
 
+def test_poisson_actions_is_an_unknown_section(tmp_path, capsys):
+    # no command reads a Poisson action entry, so the section is not part
+    # of the schema: declaring it is malformed input
+    doc = json.load(open(SPEC))
+    doc["poisson_actions"] = {"dressing": {
+        "bivector": "pi_dual_plane", "cobracket": "plane_delta",
+        "generators": {"xi": {"b": "b"}, "eta": {"a": "-b"}}}}
+    path = tmp_path / "poisson_actions.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-poisson", str(path), "pi_dual_plane"]) == 2
+    assert "input error: unknown sections: ['poisson_actions']" in \
+        capsys.readouterr().err
+
+
 def test_spec_reduce_missing_action_is_input_error(tmp_path, capsys):
     assert _reduce_variant(tmp_path, action=None) == 2
     err = capsys.readouterr().err
@@ -624,18 +638,40 @@ def test_spec_check_hopf_reports_non_confluent_presentation(tmp_path, capsys):
     assert "[PASS] usl2_hopf/coassociativity" in out
 
 
-def test_spec_reduce_laurent_ideal_is_capability_error(tmp_path, capsys):
+def test_spec_reduce_laurent_ideal_is_decided(tmp_path, capsys):
+    # a is invertible on the dual-plane chart.  <a^-1 - b> = <1 - ab> is not
+    # invariant: xi_M(a^-1 - b) = -b is a unit multiple of a^-1 modulo it.
+    # <a^-1 - 1, b> = <a - 1, b> is the closed orbit of case 3.
+    from oracles import sweep_reduced_bracket
+    from poisson_forge.coordpoly import poly
+    from poisson_forge.reduction import reduced_bracket
     doc = json.load(open(SPEC))
-    doc["reductions"]["laurent"] = {
-        "bivector": "pi_dual_plane", "algebra": "plane",
-        "action": {"xi": {"b": "b"}, "eta": {"a": "-b"}},
-        "ideal": ["a^-1-b"]}
+    laurent = {"bivector": "pi_dual_plane", "cobracket": "plane_delta",
+               "action": {"xi": {"b": "b"}, "eta": {"a": "-b"}},
+               "ideal": ["a^-1-b"]}
+    doc["reductions"]["laurent"] = laurent
+    doc["reductions"]["orbit"] = dict(laurent, ideal=["a^-1-1", "b"])
     path = tmp_path / "laurent.json"
     path.write_text(json.dumps(doc))
-    assert run(["reduce", str(path), "laurent"]) == 3
-    err = capsys.readouterr().err
-    assert "capability exceeded: guard groebner.laurent" in err
-    assert "1 invertible variable(s) (a)" in err
+    assert run(["reduce", str(path), "laurent"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] laurent/ideal-invariant" in out
+    assert "defect: xi_M(a^-1 - b) = -b escapes the ideal" in out
+    assert "defect: eta_M(a^-1 - b) = a^-2*b escapes the ideal" in out
+    assert "4 checks: 3 pass, 1 fail" in out
+    assert run(["reduce", str(path), "orbit"]) == 0
+    assert "4 checks: 4 pass" in capsys.readouterr().out
+    # the certificate's verdict on a bracket class agrees with a sweep over
+    # perturbed representatives, on both ideals
+    spec = SpecFile.load(str(path), 6)
+    for name, well_defined in (("laurent", False), ("orbit", True)):
+        setup, _ = spec.reduction(name)
+        for f, g in (("a", "b"), ("a^-1", "b"), ("a^-1", "a*b")):
+            f, g = poly(f, setup.chart), poly(g, setup.chart)
+            cls, cert = reduced_bracket(setup, f, g)
+            swept, sweep = sweep_reduced_bracket(setup, f, g)
+            assert cert.ok == sweep.ok == well_defined, (name, f, g)
+            assert cls == swept
 
 
 def test_spec_reduce_hbar_coefficient_is_capability_error(tmp_path, capsys):

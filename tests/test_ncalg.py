@@ -8,6 +8,7 @@ from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import (
     Presentation, NCPoly, TensorAlgebra, AlgebraMap,
     check_map, semiclassical_bracket, abelianize, abelianization_chart,
+    chart_presentation,
 )
 from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp, series
 from poisson_forge.coordpoly import Chart, poly
@@ -232,6 +233,49 @@ def test_abelianize_inverse_generators():
     # image is the classical limit, coefficient 1 on the Laurent monomial
     p = abelianize(x)
     assert p == poly("b*a^-2", abelianization_chart(qp))
+
+
+def test_constructors_return_normal_forms():
+    # a word that a rule rewrites is built as its normal form
+    alg = fixtures.case1_reduction_algebra(3)
+    a, a_inv = alg.index("a"), alg.index("a_inv")
+    assert (alg.monomial((a, a_inv)) - alg.one()).is_zero()
+    assert alg.monomial((alg.index("b"), a)) == alg.gen("a") * alg.gen("b")
+    quotient = alg.quotient([alg.gen("a") - 1])
+    assert (quotient.gen("a") - quotient.one()).is_zero()
+    assert quotient.monomial((a_inv, alg.index("b"))) == quotient.gen("b")
+
+
+def test_chart_presentation_of_the_case1_chart():
+    # the hand-written presentation that chart_presentation replaced
+    pres = chart_presentation(Chart(["a", "b"], invertible=["a"]), 3)
+    hand = Presentation(
+        ["a_inv", "a", "b"],
+        {("b", "a"): {("a", "b"): 1}, ("b", "a_inv"): {("a_inv", "b"): 1}},
+        3, inverses={"a_inv": "a"})
+    assert pres.gens == hand.gens == ("a_inv", "a", "b")
+    assert pres.inverses == hand.inverses == {"a_inv": "a"}
+    assert {w: (r.terms, r.order) for w, r in pres.rules.items()} \
+        == {w: (r.terms, r.order) for w, r in hand.rules.items()}
+    assert fixtures.case1_reduction_algebra(3).gens == pres.gens
+    assert abelianization_chart(pres) == Chart(["a", "b"], invertible=["a"])
+
+
+def test_chart_presentation_normal_words_are_monomials():
+    # sorted words, an inverse generator never next to its base: one
+    # normal word per Laurent monomial, read back by abelianize
+    chart = Chart(["x", "y", "z"], invertible=["x", "z"])
+    pres = chart_presentation(chart, N)
+    assert pres.check_confluence().ok
+    words = pres.monomials_up_to(3)
+    images = {tuple(abelianize(pres.monomial(w), chart).terms)
+              for w in words}
+    assert len(images) == len(words)
+    x, y, z = (pres.gen(v) for v in chart.names)
+    w = z * pres.gen("x_inv") * y * x * pres.gen("z_inv") * x
+    assert abelianize(w, chart) == poly("x*y", chart)
+    with pytest.raises(ValueError, match="name of an inverse generator"):
+        chart_presentation(Chart(["x", "x_inv"], invertible=["x"]), 1)
 
 
 def test_case2_derived_commutators():

@@ -97,6 +97,16 @@ def test_generator_rule_and_zero_ideal():
     assert qp.quotient([]).rules == qp.rules
 
 
+def test_withdrawn_rule_keeps_its_relation():
+    # z*y -> x; the generator y withdraws that rule, whose relation
+    # z*y - x must stay pending as written: it then gives x = 0
+    pres = Presentation(["x", "y", "z"], {("z", "y"): {("x",): 1}}, N)
+    quotient = pres.quotient([pres.gen("y")])
+    assert quotient.normal_form(pres.gen("x")).is_zero()
+    assert {pres.word_name(w) for w in quotient.rules} == {"x", "y"}
+    assert quotient.check_confluence().ok
+
+
 def test_completion_repairs_a_non_confluent_base():
     # y*x -> x*y + z, z*x -> x*z + x, z*y -> y*z: the two reductions of the
     # overlap z*y*x differ by z, so z = 0 and then x = z*x - x*z = 0

@@ -1,17 +1,18 @@
 import itertools
 import os
+import random
 
 import pytest
 
-from poisson_forge import fixtures, reduction, suites
+from poisson_forge import fixtures, ncgroebner, reduction, suites
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
 from poisson_forge.errors import CapabilityError
 from poisson_forge.lie import Cobracket, LieAlgebra
 from poisson_forge.poisson import PolyBivector, PolyVectorField, hamiltonian_field
 from poisson_forge.reduction import (
     ReductionSetup, invariant_functions, monomial_basis,
-    check_ideal_poisson_closed, check_ideal_invariant, groebner_basis,
-    reduce_mod_ideal, in_ideal, reduced_bracket, sw_reduced_algebra, _expand,
+    check_ideal_poisson_closed, check_ideal_invariant, reduce_mod_ideal,
+    reduced_bracket, sw_reduced_algebra, _expand,
 )
 from poisson_forge.specfile import SpecFile
 
@@ -45,6 +46,16 @@ def reduced_algebra(setup, degree):
     """sw_reduced_algebra on the invariants of degree <= ``degree``."""
     basis, _ = invariant_functions(setup, degree)
     return sw_reduced_algebra(setup, basis)
+
+
+def ideal_setup(gens):
+    """A setup that only carries the ideal <gens>, on their chart."""
+    return ReductionSetup(PolyBivector(gens[0].chart, {}),
+                          Cobracket.zero(LieAlgebra([], {})), {}, ideal=gens)
+
+
+def in_ideal(p, setup):
+    return reduce_mod_ideal(p, setup.quotient).is_zero()
 
 
 def rotation_setup():
@@ -125,11 +136,10 @@ def test_invariants_angular_momentum():
 
 def test_ideal_reduction_and_membership():
     setup = case3_setup()
-    gens = setup.ideal
     # {a, b} = ab = (a-1) b + b is in the ideal
-    assert in_ideal(poly("a*b", setup.chart), gens)
-    assert not in_ideal(poly("u", setup.chart), gens)
-    assert reduce_mod_ideal(poly("a*u+b", setup.chart), gens) == \
+    assert in_ideal(poly("a*b", setup.chart), setup)
+    assert not in_ideal(poly("u", setup.chart), setup)
+    assert reduce_mod_ideal(poly("a*u+b", setup.chart), setup.quotient) == \
         poly("u", setup.chart)
 
 
@@ -236,13 +246,26 @@ def test_sw_angular_momentum_regular_level():
 
 
 def test_reduction_step_guard():
-    # the step budget is a capability guard: reductions that need more work
-    # than allowed raise instead of grinding on
-    chart = Chart(["x", "y"])
+    # the quotient's rewriting budget is a capability guard: reductions that
+    # need more work than allowed raise instead of grinding on (x^6 y takes
+    # one step x -> y per x)
+    chart = Chart(["y", "x"])
+    setup = ideal_setup([poly("x-y", chart)])
+    setup.quotient.max_steps = 3
     with pytest.raises(CapabilityError) as exc:
         reduce_mod_ideal(poly("x", chart) ** 6 * poly("y", chart),
-                         [poly("x-y", chart)], max_steps=3)
-    assert exc.value.guard == "division.max_steps"
+                         setup.quotient)
+    assert exc.value.guard == "ncalg.max_steps"
+    assert exc.value.counters == {"steps": 4, "max_steps": 3}
+
+
+def test_long_monomials_reduce_without_a_degree_bound():
+    # commuting rules never lengthen a word, so a monomial longer than the
+    # default word-length guard of a presentation still reduces
+    chart = Chart(["x"])
+    setup = ideal_setup([poly("x-1", chart)])
+    assert reduce_mod_ideal(poly("x", chart) ** 40, setup.quotient) == \
+        poly(1, chart)
 
 
 def translation_setup():
@@ -264,11 +287,17 @@ def test_membership_needs_the_groebner_basis():
     # generators divides x or y, so plain division leaves x - y behind
     chart = Chart(["x", "y"])
     gens = [poly("x*y-1", chart), poly("y^2-1", chart)]
-    assert in_ideal(poly("x-y", chart), gens)
-    assert [str(g) for g in groebner_basis(gens)] == ["-1 + y^2", "-y + x"]
+    ideal = ideal_setup(gens)
+    assert in_ideal(poly("x-y", chart), ideal)
+    # the completed rules are y -> x and x^2 -> 1 (degree, then lex with
+    # y > x)
+    assert reduce_mod_ideal(poly("y", chart), ideal.quotient) == \
+        poly("x", chart)
+    assert reduce_mod_ideal(poly("x^2", chart), ideal.quotient) == \
+        poly(1, chart)
     # remainders are normal forms: equal classes give equal remainders
-    assert reduce_mod_ideal(poly("x^3+y", chart), gens) == \
-        reduce_mod_ideal(poly("2*y", chart), gens)
+    assert reduce_mod_ideal(poly("x^3+y", chart), ideal.quotient) == \
+        reduce_mod_ideal(poly("2*y", chart), ideal.quotient)
     # the field (x-y) d/dy maps xy-1 to x(x-y), which lies in the ideal but
     # leaves x^2-1 on division by the raw generators
     setup = ReductionSetup(PolyBivector(chart, {("x", "y"): 1}),
@@ -284,20 +313,24 @@ def test_membership_needs_the_groebner_basis():
     cls, rep = reduced_bracket(setup, poly("x", chart), poly("y", chart))
     assert rep.ok, rep.failures
     assert cls.is_zero()
-    # the basis is interreduced: no tail term is divisible by a leading one
-    assert [str(g) for g in groebner_basis(
-        [poly("x-y^2", chart), poly("y^2-1", chart)])] == ["-1 + y^2", "-1 + x"]
+    # normal forms are canonical: x - y^2 and y^2 - 1 give x = y^2 = 1
+    ideal = ideal_setup([poly("x-y^2", chart), poly("y^2-1", chart)])
+    for text in ("x", "y^2"):
+        assert reduce_mod_ideal(poly(text, chart), ideal.quotient) == \
+            poly(1, chart)
 
 
-def _to_sympy(p, symbols):
+def _to_sympy(p, symbols, inverses=None):
+    """p in sympy; a negative power of a variable becomes the power of its
+    symbol in ``inverses`` (t with t*a = 1 for a^-1)."""
     import sympy
     out = 0
     for exps, c in p.terms.items():
         coeff = sympy.Rational(c.re.numerator, c.re.denominator) \
             + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
         term = coeff
-        for s, e in zip(symbols, exps):
-            term = term * s ** e
+        for k, (s, e) in enumerate(zip(symbols, exps)):
+            term = term * (s ** e if e >= 0 else inverses[k] ** -e)
         out = out + term
     return sympy.expand(out)
 
@@ -313,51 +346,81 @@ def test_groebner_agrees_with_sympy():
         [poly("x-y^2", plane), poly("y^2-1", plane)],
         [poly("x^2-i*y", plane), poly("x*y^2-x+1", plane)],
     ]
+    rng = random.Random(0)
     for gens in cases:
         chart = gens[0].chart
+        setup = ideal_setup(gens)
         symbols = sympy.symbols(chart.names)
-        ours = groebner_basis(gens)
         ref = sympy.groebner([_to_sympy(g, symbols) for g in gens], *symbols,
                              order="lex", extension=True)
-        # the reduced basis is unique once monic: compare as sets
-        monic = {sympy.expand(e / sympy.Poly(e, *symbols).LC())
-                 for e in ref.exprs}
-        assert {_to_sympy(g, symbols) for g in ours} == monic, chart
+        # every element of sympy's basis lies in the ideal
+        for e in ref.exprs:
+            p = CoordPoly(chart, {})
+            for monom, c in sympy.Poly(e, *symbols).terms():
+                re, im = c.as_real_imag()
+                p = p + poly("(%s)+(%s)*i" % (re, im), chart) \
+                    * CoordPoly(chart, {monom: 1})
+            assert in_ideal(p, setup), (chart, e)
+        # random combinations of the generators, half of them moved off the
+        # ideal by one monomial: a zero normal form exactly when sympy's
+        # remainder is 0
+        monos = monomial_basis(chart, 2)
+        seen = set()
+        for trial in range(20):
+            p = CoordPoly(chart, {})
+            for g in gens:
+                p = p + CoordPoly(chart, {m: rng.randint(-2, 2)
+                                          for m in rng.sample(monos, 2)}) * g
+            if trial % 2:
+                p = p + CoordPoly(chart, {rng.choice(monos): 1})
+            member = in_ideal(p, setup)
+            assert member == (ref.reduce(_to_sympy(p, symbols))[1] == 0), \
+                (chart, p)
+            seen.add(member)
+        assert seen == {True, False}, chart
 
 
 def test_groebner_pair_budget_guard(monkeypatch):
+    # completing <xy - 1, y^2 - 1> resolves six ambiguities of added rules
     chart = Chart(["x", "y"])
     gens = [poly("x*y-1", chart), poly("y^2-1", chart)]
-    monkeypatch.setattr(reduction, "MAX_PAIRS", 0)
+    monkeypatch.setattr(ncgroebner, "MAX_PAIRS", 0)
     with pytest.raises(CapabilityError) as exc:
-        groebner_basis(gens)
-    assert exc.value.guard == "groebner.max_pairs"
-    assert exc.value.counters == {"s_pairs": 1, "max_pairs": 0}
-    assert "groebner.max_pairs" in str(exc.value)
-    monkeypatch.setattr(reduction, "MAX_PAIRS", 2)
-    assert len(groebner_basis(gens)) == 2
+        ideal_setup(gens)
+    assert exc.value.guard == "ncgroebner.max_pairs"
+    assert exc.value.counters == {"pairs": 1, "max_pairs": 0, "rules": 2}
+    assert "ncgroebner.max_pairs" in str(exc.value)
+    monkeypatch.setattr(ncgroebner, "MAX_PAIRS", 5)
+    with pytest.raises(CapabilityError):
+        ideal_setup(gens)
+    monkeypatch.setattr(ncgroebner, "MAX_PAIRS", 6)
+    assert in_ideal(poly("x-y", chart), ideal_setup(gens))
 
 
-def test_laurent_ideal_refused():
-    # a invertible: a^-1 - 1 = -a^-1 (a - 1) lies in <a - 1> and b in <ab>,
-    # but neither has remainder 0 on the polynomial basis
-    chart = Chart(["a", "b"], invertible=["a"])
+def test_laurent_ideals_are_decided():
+    # a invertible: a^-1 - 1 = -a^-1 (a - 1) lies in <a - 1>, b = a^-1 ab in
+    # <ab>, and 1 = a (a^-1 - b) + a b in <b, a^-1 - b>; u is not in <a - 1>.
+    # sympy decides each in Q(i)[a, b, u, t] / <t a - 1>, t standing for a^-1
+    sympy = pytest.importorskip("sympy")
+    chart = Chart(["a", "b", "u"], invertible=["a"])
     pi = PolyBivector(chart, {("a", "b"): "a*b"})
     L = LieAlgebra(["t"], {})
-    for ideal in (["a-1"], ["a*b"], ["b", "a^-1-b"]):
-        with pytest.raises(CapabilityError) as exc:
-            ReductionSetup(pi, Cobracket.zero(L), {}, ideal=ideal)
-        assert exc.value.guard == "groebner.laurent"
-        assert exc.value.counters == {"generators": len(ideal),
-                                      "invertible": 1}
-        assert "groebner.laurent" in str(exc.value)
-    with pytest.raises(CapabilityError) as exc:
-        in_ideal(poly("a^-1-1", chart), [poly("a-1", chart)])
-    assert exc.value.guard == "groebner.laurent"
-    # the zero ideal needs no basis and stays in scope
+    symbols = sympy.symbols(chart.names)
+    t = sympy.Symbol("t")
+    cases = [("a^-1-1", ["a-1"], True), ("b", ["a*b"], True),
+             ("1", ["b", "a^-1-b"], True), ("u", ["a-1"], False),
+             ("a^-2*b-a*u", ["a*b", "u-a^-1"], False)]
+    for text, ideal, member in cases:
+        setup = ReductionSetup(pi, Cobracket.zero(L), {}, ideal=ideal)
+        p = poly(text, chart)
+        assert in_ideal(p, setup) == member, (text, ideal)
+        ref = sympy.groebner(
+            [_to_sympy(g, symbols, {0: t}) for g in setup.ideal]
+            + [t * symbols[0] - 1], *symbols, t, order="lex")
+        assert (ref.reduce(_to_sympy(p, symbols, {0: t}))[1] == 0) == member
+    # the zero ideal reduces nothing
     setup = ReductionSetup(pi, Cobracket.zero(L), {}, ideal=[])
-    assert not setup.basis
-    assert reduce_mod_ideal(poly("a^-1", chart), setup.basis) == \
+    assert reduce_mod_ideal(poly("a^-1", chart), setup.quotient) == \
         poly("a^-1", chart)
 
 

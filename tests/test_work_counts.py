@@ -1,10 +1,11 @@
 """Work-count guards: how often the shipped classical suites call an
 expensive step.  Each removed duplicate stays removed: a count that grows
-means a Jacobi scan or a substitution is computed twice again."""
+means a Jacobi scan, a substitution or an ideal completion is computed
+twice again."""
 
 import sys
 
-from poisson_forge import lie
+from poisson_forge import lie, ncgroebner
 from poisson_forge.cli import main
 from poisson_forge.coordpoly import CoordPoly
 from poisson_forge.poisson import PolyBivector
@@ -53,3 +54,11 @@ def test_reduce_brackets_each_representative_with_the_ideal_once(
     calls = _count_calls(monkeypatch, PolyBivector, "bracket")
     assert main(["reduce", "--fixtures"]) == 0
     assert len(calls) == 45
+
+
+def test_reduce_completes_each_ideal_once(monkeypatch, capsys):
+    # one ReductionSetup, whose ideal is completed when it is built; every
+    # membership after that is a normal form on the completed quotient
+    calls = _count_calls(monkeypatch, ncgroebner, "complete")
+    assert main(["reduce", "--fixtures"]) == 0
+    assert len(calls) == 1
