@@ -14,9 +14,12 @@ confluent.  No checker here sweeps monomials.
 from __future__ import annotations
 
 from .errors import CapabilityError
-from .ncalg import NCPoly, TensorAlgebra, TensorElement, check_map
+from .ncalg import (
+    Flat, NCPoly, TensorAlgebra, TensorElement, _accumulate, _ncpoly, _pairs,
+    check_map,
+)
 from .report import Report
-from .scalars import ZERO, _acc
+from .scalars import HSeries, ZERO
 
 
 class HopfStructure:
@@ -39,55 +42,43 @@ class HopfStructure:
 # -- tensor plumbing ---------------------------------------------------------
 
 def apply_in_slot(amap, element, slot, out_algebra):
-    """Apply a map A -> A (x) A to one slot of a tensor element, producing
-    an element with one more factor."""
-    top = order = element.order
+    """``element`` with the word in one slot of each term replaced by its
+    image under ``amap``: a tensor square splits the slot in two (a
+    coproduct), an element keeps it (an antipode) and a series contracts it
+    (a counit).  Each image is spliced in as a product of flat terms
+    (``ncalg._pairs``), in the least window of the element and the images.
+    The images are normal forms, so the spliced keys are too."""
+    by_word = {}
+    for (j, key), c in element.terms.items():
+        by_word.setdefault(key[slot], {})[(j, key)] = c
+    images = {w: _pieces(amap.apply_word(w)) for w in by_word}
+    top = min([element.order] + [img.order for img in images.values()])
     out = {}
-    for (j, key), coeff in element.terms.items():
-        img = amap.apply_word(key[slot])  # TensorElement, k = 2
-        order = min(order, img.order)
-        head, tail = key[:slot], key[slot + 1:]
-        for (i, uv), c in img.terms.items():
-            if i + j < top:
-                _acc(out, (i + j, head + uv + tail), coeff * c)
-    return TensorElement(out_algebra, out, order)
+    for w, terms in by_word.items():
+        _accumulate(out, _pairs(
+            terms, images[w].terms,
+            lambda key, piece: key[:slot] + piece + key[slot + 1:], top))
+    return TensorElement(out_algebra, out, top)
 
 
-def counit_in_slot(counit, element, slot, out_algebra):
-    """Contract one slot with the counit."""
-    top = order = element.order
-    out = {}
-    for (j, key), coeff in element.terms.items():
-        scalar = counit.apply_word(key[slot])  # HSeries
-        order = min(order, scalar.order)
-        rest = key[:slot] + key[slot + 1:]
-        for i, c in enumerate(scalar.coeffs[:top - j], j):
-            if c:
-                _acc(out, (i, rest), coeff * c)
-    return TensorElement(out_algebra, out, order)
+def _pieces(image):
+    """A map's image as flat terms keyed by the tuple of words it puts in
+    place of one slot."""
+    if isinstance(image, HSeries):
+        return Flat({(j, ()): c for j, c in enumerate(image.coeffs) if c},
+                    image.order)
+    if isinstance(image, NCPoly):
+        return Flat({(j, (w,)): c for (j, w), c in image.terms.items()},
+                    image.order)
+    return Flat(image.terms, image.order)
 
 
 def multiply_factors(element):
     """m: A (x) A -> A by multiplying the two slots."""
-    pres = element.algebra.presentation
-    out = {}
-    for (j, (u, v)), coeff in element.terms.items():
-        _acc(out, (j, u + v), coeff)
-    return pres.normal_form(NCPoly(pres, out, element.order))
-
-
-def antipode_in_slot(antipode, element, slot):
-    """Apply the antipode to one slot (staying at the same tensor rank)."""
-    top = order = element.order
-    out = {}
-    for (j, key), coeff in element.terms.items():
-        img = antipode.apply_word(key[slot])  # NCPoly
-        order = min(order, img.order)
-        head, tail = key[:slot], key[slot + 1:]
-        for (i, w), c in img.terms.items():
-            if i + j < top:
-                _acc(out, (i + j, head + (w,) + tail), coeff * c)
-    return TensorElement(element.algebra, out, order)
+    pres = element.presentation
+    flat = pres._normal([((j, u + v), c) for (j, (u, v)), c
+                         in element.terms.items()], element.order)
+    return _ncpoly(pres, flat.terms, flat.order)
 
 
 # -- axiom checkers ----------------------------------------------------------
@@ -126,7 +117,7 @@ def check_counit(hopf):
         d = hopf.coproduct.apply_word((i,))
         target = t1.element({((i,),): 1})
         for slot, side in ((0, "eps x id"), (1, "id x eps")):
-            if not (counit_in_slot(hopf.counit, d, slot, t1)
+            if not (apply_in_slot(hopf.counit, d, slot, t1)
                     - target).is_zero():
                 failures.append("(%s)Delta != id at %s" % (side, g))
     return Report.from_failures("counit", failures)
@@ -146,7 +137,7 @@ def check_antipode(hopf):
         target = pres.one() * hopf.counit.apply_word((i,))
         for slot, side in ((0, "S x id"), (1, "id x S")):
             defect = multiply_factors(
-                antipode_in_slot(hopf.antipode, d, slot)) - target
+                apply_in_slot(hopf.antipode, d, slot, d.algebra)) - target
             if not defect.is_zero():
                 failures.append("m(%s)Delta defect at %s: %r"
                                 % (side, g, defect))
@@ -304,8 +295,8 @@ def check_quasitriangular(hopf, R, R_inverse=None):
                                r13=r13, r23=r23, r12=r12))
     _verdict("qybe", r12 * r13 * r23 - r23 * r13 * r12)
 
-    eps_left = counit_in_slot(hopf.counit, R, 0, t1)
-    eps_right = counit_in_slot(hopf.counit, R, 1, t1)
+    eps_left = apply_in_slot(hopf.counit, R, 0, t1)
+    eps_right = apply_in_slot(hopf.counit, R, 1, t1)
     one1 = t1.one()
     failures = []
     if not (eps_left - one1).is_zero():

@@ -19,13 +19,17 @@ Elements keep hbar in the term key.  An element of the algebra or of a
 tensor power is a sum of terms c hbar^j key, stored flat as
 {(j, key): GaussRational} (``terms``), together with one window N for the
 whole element (``order``): the element is known mod hbar^N, and no term has
-j >= N.  A sum or product is known in the least window of its operands and
-of the normal forms it meets, and a product adds exponents and skips every
-pair with j1 + j2 >= N before it multiplies, so no term at or past hbar^N
-is ever formed.  Rule right sides are flattened the same way, once, when
-the presentation is built, and the memo holds flat normal forms.  Series
-(``HSeries``) are the scalars elements are scaled by, and the printed form
-of a coefficient (``series_terms``).
+j >= N.  Every product of flat terms -- of elements, of tensors, of
+multiplication operators and of a map's image spliced into a tensor slot --
+is formed the same way: ``_pairs`` joins the keys of every pair of terms
+whose exponents add up to less than the window, and never multiplies the
+others, and ``Presentation._normal`` takes the joined words to normal form,
+slot by slot for a tuple of words.  The product is known in the least
+window of its operands and of the normal forms it meets, so no term at or
+past hbar^N is ever formed.  Rule right sides are flattened the same way,
+once, when the presentation is built, and the memo holds flat normal forms.
+Series (``HSeries``) are the scalars elements are scaled by, and the
+printed form of a coefficient (``series_terms``).
 
 Inverse generators are ordinary generators with two-sided cancellation
 rules, placed adjacent to their base generator in the order.
@@ -97,6 +101,17 @@ def _accumulate(out, pairs):
                 out[key] = x
             else:
                 del out[key]
+
+
+def _pairs(xs, ys, join, top):
+    """The raw terms ((j1 + j2, join(k1, k2)), c1 c2) of the products of
+    the flat terms (j1, k1): c1 of ``xs`` and (j2, k2): c2 of ``ys``; a key
+    may come more than once.  A pair with j1 + j2 >= top is never
+    multiplied, and a factor 1 costs nothing."""
+    return [((j1 + j2, join(k1, k2)),
+             c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
+            for (j1, k1), c1 in xs.items()
+            for (j2, k2), c2 in ys.items() if j1 + j2 < top]
 
 
 def _product_terms(jcs, terms, order):
@@ -236,15 +251,43 @@ class Presentation:
 
     def nf_word(self, word):
         """Normal form of a word (tuple of generator indices): the memo's
-        ``Flat``, to be read, not changed."""
+        ``Flat``, to be read, not changed.  The ``max_steps`` budget applies
+        to each call."""
         self._steps = 0
         return self._nf(tuple(word))
 
     def _nf(self, word):
+        """The memoized normal form of a word, rewritten without recursion:
+        a word waits on a stack until the words its rule rewrites it into
+        have normal forms, so a chain of rewrites is bounded by
+        ``max_steps`` alone."""
         memo = self._memo
         hit = memo.get(word)
         if hit is not None:
             return hit
+        stack = [(word, None)]
+        while stack:
+            w, step = stack.pop()
+            if step is None:
+                # first visit: rewrite once, then wait for the words
+                if w in memo:
+                    continue
+                step = self._rewrite(w)
+                if step is None:
+                    memo[w] = Flat({(0, w): ONE}, self.order)
+                    continue
+                waiting = [(v, None) for _, v in step.terms if v not in memo]
+                if waiting:
+                    stack.append((w, step))
+                    stack += reversed(waiting)
+                    continue
+            memo[w] = self._normal(step.terms.items(), step.order,
+                                   nf=memo.__getitem__)
+        return memo[word]
+
+    def _rewrite(self, word):
+        """``word`` with its leftmost leading word, shortest first, rewritten
+        once (a step of the ``max_steps`` budget); None for a normal word."""
         if len(word) > self.max_word_len:
             raise CapabilityError(
                 "guard ncalg.max_word_len: word length %d exceeds %d; "
@@ -253,7 +296,6 @@ class Presentation:
                 guard="ncalg.max_word_len",
                 counters={"word_len": len(word),
                           "max_word_len": self.max_word_len})
-        # the leftmost subword that is a leading word, shortest first
         rules = self.rules
         rule = None
         n = len(word)
@@ -265,39 +307,73 @@ class Presentation:
                     if k < start:
                         rule, start, size = hit, k, m
                     break
-        if rule is not None:
-            self._steps += 1
-            if self._steps > self.max_steps:
-                raise CapabilityError(
-                    "guard ncalg.max_steps: rewriting exceeded %d steps in "
-                    "%r" % (self.max_steps, self.name),
-                    guard="ncalg.max_steps",
-                    counters={"steps": self._steps,
-                              "max_steps": self.max_steps})
-            out = _placed(rule, word[:start], word[start + size:])
-            out = self._reduce(out.terms, out.order)
-        else:
-            out = Flat({(0, word): ONE}, self.order)
-        memo[word] = out
-        return out
+        if rule is None:
+            return None
+        self._steps += 1
+        if self._steps > self.max_steps:
+            raise CapabilityError(
+                "guard ncalg.max_steps: rewriting exceeded %d steps in "
+                "%r" % (self.max_steps, self.name),
+                guard="ncalg.max_steps",
+                counters={"steps": self._steps,
+                          "max_steps": self.max_steps})
+        return _placed(rule, word[:start], word[start + size:])
 
-    def _reduce(self, terms, order):
-        """The normal form of flat terms known mod hbar^order.  It is known
-        in the least of that window and the windows of the normal forms of
-        its words; no term at or past it is formed.  Each word's normal
-        form is looked up once, for all the powers of hbar it carries."""
-        powers = {}
-        for (j, w), c in terms.items():
-            if j < order:
-                powers.setdefault(w, []).append((j, c))
-        nf = self._nf
-        parts = [(nf(w), jcs) for w, jcs in powers.items()]
-        for p, _ in parts:
-            if p.order < order:
-                order = p.order
+    def _normal(self, raw, order, slots=False, nf=None):
+        """The normal form of a product, as a ``Flat``: the one kernel that
+        every product of flat terms goes through.  ``raw`` holds its joined
+        terms ((j, key), c), each with j < ``order`` (``_pairs``); a key is
+        a word, or with ``slots`` a tuple of words, one per tensor slot.
+        The terms are summed per key, and each key's normal form (for a
+        tuple, each slot's) is looked up once for all the powers of hbar it
+        carries.  The result is known in the least of ``order`` and the
+        windows of those normal forms, and no term at or past it is formed.
+        Each product has its own ``max_steps`` budget; rewriting passes the
+        memo's lookup as ``nf`` and stays in the budget of the product it
+        serves.  Integer numerators would land here (ROADMAP item 3)."""
+        if nf is None:
+            self._steps = 0
+            nf = self._nf
+        by_key = {}
+        for (j, key), c in raw:
+            powers = by_key.get(key)
+            if powers is None:
+                by_key[key] = {j: c}
+            elif j in powers:
+                c += powers[j]
+                if c:
+                    powers[j] = c
+                else:
+                    del powers[j]
+            else:
+                powers[j] = c
         out = {}
-        for p, jcs in parts:
-            _accumulate(out, _product_terms(jcs, p.terms, order))
+        if not slots:
+            parts = [(nf(key), powers)
+                     for key, powers in by_key.items() if powers]
+            for p, _ in parts:
+                if p.order < order:
+                    order = p.order
+            for p, powers in parts:
+                _accumulate(out, _product_terms(list(powers.items()),
+                                                p.terms, order))
+            return Flat(out, order)
+        parts = [(key, [nf(w) for w in key], powers)
+                 for key, powers in by_key.items() if powers]
+        order = min([order] + [s.order for _, nfs, _ in parts for s in nfs])
+        for key, nfs, powers in parts:
+            # the powers of hbar times each slot's normal form in turn; a
+            # normal word is its own normal form, and its slot stays
+            partial = [((j, key), c) for j, c in powers.items() if j < order]
+            for i, s in enumerate(nfs):
+                if (0, key[i]) in s.terms:
+                    continue
+                partial = [((j + js, k[:i] + (w,) + k[i + 1:]),
+                            c if cs is ONE else cs if c is ONE else c * cs)
+                           for (j, k), c in partial
+                           for (js, w), cs in s.terms.items()
+                           if j + js < order]
+            _accumulate(out, partial)
         return Flat(out, order)
 
     def normal_form(self, x):
@@ -308,8 +384,7 @@ class Presentation:
         to each call, as in ``nf_word``."""
         if isinstance(x, dict):
             x = self._element(x.items())
-        self._steps = 0
-        flat = self._reduce(x.terms, x.order)
+        flat = self._normal(x.terms.items(), x.order)
         return _ncpoly(self, flat.terms, flat.order)
 
     # -- element constructors ----------------------------------------------
@@ -344,11 +419,13 @@ class Presentation:
         return "*".join(self.gens[i] for i in word) if word else "1"
 
     def monomials_up_to(self, degree):
-        """All normal-form words of length <= degree (for axiom sweeps)."""
+        """All normal-form words of length <= degree: the monomials of the
+        witness sweeps and of ``qmomentum.invariant_subalgebra``.  Each
+        word's normal form has its own ``max_steps`` budget."""
         out = [()]
         for length in range(1, degree + 1):
             for word in itertools.product(range(len(self.gens)), repeat=length):
-                if self._nf(word).terms == {(0, word): ONE}:
+                if self.nf_word(word).terms == {(0, word): ONE}:
                     out.append(word)
         return out
 
@@ -418,7 +495,10 @@ class _SeriesComb(LinComb):
     word, and the hbar-adic valuation.  Sums and differences are known in
     the least window of their operands; a scalar multiple in the least of
     the element's and the scalar's, a scalar being known mod hbar^N of the
-    presentation unless it is a series with a window of its own.
+    presentation unless it is a series with a window of its own.  Products
+    are each subclass's own: the pairs of terms joined word by word (an
+    element) or slot by slot (a tensor) by ``_pairs``, then taken to
+    normal form by ``Presentation._normal``.
     """
 
     __slots__ = ()
@@ -553,15 +633,9 @@ class NCPoly(_SeriesComb):
             return self._scale(other)
         self._same_space(other)
         order = min(self.order, other.order)
-        raw = {}
-        for (j1, w1), c1 in self.terms.items():
-            for (j2, w2), c2 in other.terms.items():
-                j = j1 + j2
-                if j < order:
-                    _acc(raw, (j, w1 + w2), c1 * c2)
         pres = self.presentation
-        pres._steps = 0  # one max_steps budget per product
-        flat = pres._reduce(raw, order)
+        flat = pres._normal(
+            _pairs(self.terms, other.terms, tuple.__add__, order), order)
         return _ncpoly(pres, flat.terms, flat.order)
 
     def __pow__(self, k):
@@ -674,30 +748,11 @@ class TensorElement(_SeriesComb):
             return self._scale(other)
         if not self._same_space(other):
             raise ValueError("tensor powers of different degree")
-        pres = self.algebra.presentation
-        pres._steps = 0  # one max_steps budget per product
-        nf = pres._nf
-        top = order = min(self.order, other.order)
-        out = {}
-        for (j1, k1), c1 in self.terms.items():
-            for (j2, k2), c2 in other.terms.items():
-                j = j1 + j2
-                if j >= top:
-                    continue
-                # componentwise concatenation, then slotwise normal form,
-                # one slot at a time
-                partial = [(j, (), c1 * c2)]
-                for a, b in zip(k1, k2):
-                    s = nf(a + b)
-                    if s.order < order:
-                        order = s.order
-                    partial = [(j + js, key + (w,),
-                                c if cs is ONE else c * cs)
-                               for j, key, c in partial
-                               for (js, w), cs in s.terms.items()
-                               if j + js < top]
-                _accumulate(out, [((j, key), c) for j, key, c in partial])
-        return TensorElement(self.algebra, out, order)
+        order = min(self.order, other.order)
+        raw = _pairs(self.terms, other.terms,
+                     lambda k1, k2: tuple(map(tuple.__add__, k1, k2)), order)
+        flat = self.presentation._normal(raw, order, True)
+        return self._like(flat.terms, flat.order)
 
     def flip(self):
         if self.algebra.k != 2:

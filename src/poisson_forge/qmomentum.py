@@ -35,7 +35,9 @@ import itertools
 
 from .errors import CapabilityError
 from .linalg import solve
-from .ncalg import NCPoly, TensorAlgebra, _ncpoly, _scaled
+from .ncalg import (
+    NCPoly, TensorAlgebra, _accumulate, _ncpoly, _pairs, _scaled,
+)
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import HSeries, ZERO, _acc, gauss, series
 
@@ -189,9 +191,12 @@ class Operator:
     tensor is known mod hbar^order (no term has j >= order), so the
     operator is known mod hbar^(order - k), its ``window``.  Sums align the
     shifts: a term of shift k is multiplied by hbar^(K - k), which raises
-    its exponent and its order as much.  Compositions and values are known
-    in the least window of their operands and of the normal forms they
-    meet, and form no term at or past it.
+    its exponent and its order as much.  A value, a composition and the
+    module-algebra defect are products of flat terms: each pair's keys are
+    joined (L w R, (L1 L2, R2 R1), (L_u, R_u L_v, R_v)) and taken to normal
+    form by the one kernel, ``ncalg.Presentation._normal``, so they are
+    known in the least window of their operands and of the normal forms
+    they meet, and form no term at or past it.
     """
 
     __slots__ = ("algebra", "k", "terms", "order")
@@ -204,15 +209,24 @@ class Operator:
 
     @staticmethod
     def multiplication(algebra, left, right):
-        """f -> left f right."""
+        """f -> left f right.  The words of two elements in normal form
+        make a normal key (L, R) as they are, so no normal form is looked
+        up, and the window is the least of the two."""
         order = min(left.order, right.order)
         terms = {}
-        for (jl, l), cl in left.terms.items():
-            for (jr, r), cr in right.terms.items():
-                j = jl + jr
-                if j < order:
-                    _acc(terms, (j, (l, r)), cl * cr)
+        _accumulate(terms, _pairs(left.terms, right.terms,
+                                  lambda l, r: (l, r), order))
         return Operator(algebra, 0, terms, order)
+
+    @staticmethod
+    def _product(algebra, k, x, y, join):
+        """The operator of shift k whose tensor is the normal form of the
+        product of the flat terms of x and y, each pair's keys joined by
+        ``join`` into a tuple of words (``ncalg.Presentation._normal``)."""
+        order = min(x.order, y.order)
+        flat = algebra._normal(_pairs(x.terms, y.terms, join, order), order,
+                               True)
+        return Operator(algebra, k, flat.terms, flat.order)
 
     @property
     def window(self):
@@ -224,15 +238,10 @@ class Operator:
         raises ValuationError with the offending word and coefficient when
         it is inexact."""
         order = min(self.order, f.order)
-        raw = {}
-        for (j, (l, r)), c in self.terms.items():
-            for (jf, w), cf in f.terms.items():
-                jj = j + jf
-                if jj < order:
-                    _acc(raw, (jj, l + w + r), c * cf)
         pres = self.algebra
-        pres._steps = 0  # one max_steps budget per application
-        value = pres._reduce(raw, order)
+        raw = _pairs(self.terms, f.terms, lambda lr, w: lr[0] + w + lr[1],
+                     order)
+        value = pres._normal(raw, order)
         return _ncpoly(pres, value.terms, value.order).divide_by_hbar(self.k)
 
     def is_zero(self):
@@ -266,32 +275,10 @@ class Operator:
                         order)
 
     def compose(self, other):
-        """self o other (other acts first), on two-slot operators."""
-        pres = self.algebra
-        pres._steps = 0  # one max_steps budget per composition
-        nf = pres._nf
-        top = order = min(self.order, other.order)
-        terms = {}
-        for (j1, (l1, r1)), c1 in self.terms.items():
-            for (j2, (l2, r2)), c2 in other.terms.items():
-                j = j1 + j2
-                if j >= top:
-                    continue
-                left, right = nf(l1 + l2), nf(r2 + r1)
-                order = min(order, left.order, right.order)
-                c = c1 * c2
-                for (jl, lw), lc in left.terms.items():
-                    jl += j
-                    if jl >= order:
-                        continue
-                    clc = c * lc
-                    for (jr, rw), rc in right.terms.items():
-                        jr += jl
-                        if jr < order:
-                            _acc(terms, (jr, (lw, rw)), clc * rc)
-        return Operator(self.algebra, self.k + other.k,
-                        {key: c for key, c in terms.items() if key[0] < order},
-                        order)
+        """self o other (other acts first), on two-slot operators:
+        (L1, R1) o (L2, R2) = (L1 L2, R2 R1)."""
+        return Operator._product(self.algebra, self.k + other.k, self, other,
+                                 lambda a, b: (a[0] + b[0], b[1] + a[1]))
 
 
 def hamiltonian_pair(a, b):
@@ -401,33 +388,11 @@ def module_algebra_defect(action, name, coproduct):
     out = Operator(action.algebra, op.k,
                    {(j, (l, (), r)): c for (j, (l, r)), c in op.terms.items()},
                    op.order)
-    by_pair = {}
-    for (j, uv), coeff in coproduct.terms.items():
-        by_pair.setdefault(uv, []).append((j, coeff))
-    for (u, v), coeffs in by_pair.items():
+    for (u, v), s in coproduct.series_terms().items():
         ou, ov = action.operator(u), action.operator(v)
-        top = order = min(coproduct.order, ou.order, ov.order)
-        pres = action.algebra
-        pres._steps = 0  # one max_steps budget per product
-        nf = pres._nf
-        terms = {}
-        for (ju, (lu, ru)), cu in ou.terms.items():
-            for (jv, (lv, rv)), cv in ov.terms.items():
-                juv = ju + jv
-                if juv >= top:
-                    continue
-                mid = nf(ru + lv)
-                order = min(order, mid.order)
-                cuv = cu * cv
-                for (jm, m), cm in mid.terms.items():
-                    jm += juv
-                    c = cuv * cm
-                    for j, coeff in coeffs:
-                        if j + jm < order:
-                            _acc(terms, (j + jm, (lu, m, rv)), coeff * c)
-        out = out - Operator(action.algebra, ou.k + ov.k,
-                             {key: c for key, c in terms.items()
-                              if key[0] < order}, order)
+        out = out - Operator._product(
+            action.algebra, ou.k + ov.k, ou.scaled(s), ov,
+            lambda a, b: (a[0], a[1] + b[0], b[1]))
     return out
 
 
@@ -649,21 +614,6 @@ class NCOneForm:
 
 def one_form(presentation, pairs, offset=0):
     return NCOneForm(presentation, pairs, offset)
-
-
-def multi_action(pair_lists, fs):
-    """Phi(xi_1 (x) ... (x) xi_n)(f_1, ..., f_n) =
-    (1/hbar^n) a_1[b_1, f_1] ... a_n[b_n, f_n], with each xi_i declared by
-    its list of (a, b) pairs."""
-    out = None
-    for pairs, f in zip(pair_lists, fs):
-        acc = None
-        for a, b in pairs:
-            v = a * (b.commutator(f))
-            acc = v if acc is None else acc + v
-        acc = acc.divide_by_hbar()
-        out = acc if out is None else out * acc
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ representatives, the bracket closure of classical invariants by span
 membership at each bracket degree, quotient Jacobi on every triple of
 classes, and quantum ideal membership in a span of the ideal closed up to
 a degree bound, and the nilpotency of the tensor coproduct extension on
-every word up to a length.  A sweep is evidence for the cases it tries
+every word up to a length.  The Hopf sweeps put a map's image into a
+tensor slot one term at a time (``apply_in_slot_per_term``) and multiply
+the two slots word by word (``multiply_per_term``), sharing no code with
+``hopf.apply_in_slot``.  A sweep is evidence for the cases it tries
 only; the tests use it to cross-check the verdicts of the generator,
 overlap, operator-tensor, Leibniz, Groebner-Shirshov, Poisson-action and
 Jacobi certificates.
@@ -41,9 +44,6 @@ polynomial per product with it and add them up.
 import itertools
 import random
 
-from poisson_forge.hopf import (
-    apply_in_slot, antipode_in_slot, counit_in_slot, multiply_factors,
-)
 from poisson_forge.ncalg import (
     NCPoly, TensorAlgebra, TensorElement, check_map,
 )
@@ -62,6 +62,39 @@ from poisson_forge.scalars import (
 )
 
 
+def apply_in_slot_per_term(amap, element, slot, out_algebra):
+    """``element`` with the word in one slot of each term replaced by its
+    image under ``amap`` (a tensor square, an element or a series), one
+    pair of terms at a time, in the least window of the element and the
+    images.  It shares no code with ``hopf.apply_in_slot``."""
+    terms = {}
+    order = element.order
+    for (j, key), c in element.terms.items():
+        image = amap.apply_word(key[slot])
+        order = min(order, image.order)
+        if isinstance(image, HSeries):
+            pieces = {(i, ()): x for i, x in enumerate(image.coeffs) if x}
+        elif isinstance(image, NCPoly):
+            pieces = {(i, (w,)): x for (i, w), x in image.terms.items()}
+        else:
+            pieces = image.terms
+        for (i, piece), x in pieces.items():
+            if i + j < order:
+                _acc(terms, (i + j, key[:slot] + piece + key[slot + 1:]),
+                     c * x)
+    return TensorElement(out_algebra, terms, order)
+
+
+def multiply_per_term(element):
+    """m: A (x) A -> A: the two words of each term joined, then the normal
+    form of the sum."""
+    pres = element.presentation
+    raw = {}
+    for (j, (u, v)), c in element.terms.items():
+        _acc(raw, (j, u + v), c)
+    return pres.normal_form(NCPoly(pres, raw, element.order))
+
+
 def sweep_coassociativity(hopf, degree=3):
     """(Delta (x) id) Delta = (id (x) Delta) Delta on monomials <= degree."""
     pres = hopf.algebra
@@ -69,8 +102,8 @@ def sweep_coassociativity(hopf, degree=3):
     failures = []
     for word in pres.monomials_up_to(degree):
         d = hopf.coproduct.apply_word(word)
-        lhs = apply_in_slot(hopf.coproduct, d, 0, t3)
-        rhs = apply_in_slot(hopf.coproduct, d, 1, t3)
+        lhs = apply_in_slot_per_term(hopf.coproduct, d, 0, t3)
+        rhs = apply_in_slot_per_term(hopf.coproduct, d, 1, t3)
         if not (lhs - rhs).is_zero():
             failures.append("coassociativity fails on %s: defect %r"
                             % (pres.word_name(word), lhs - rhs))
@@ -85,8 +118,8 @@ def sweep_counit(hopf, degree=3):
     failures = []
     for word in pres.monomials_up_to(degree):
         d = hopf.coproduct.apply_word(word)
-        left = counit_in_slot(hopf.counit, d, 0, t1)
-        right = counit_in_slot(hopf.counit, d, 1, t1)
+        left = apply_in_slot_per_term(hopf.counit, d, 0, t1)
+        right = apply_in_slot_per_term(hopf.counit, d, 1, t1)
         target = t1.element({(word,): 1})
         if not (left - target).is_zero():
             failures.append("(eps x id)Delta != id at %s" % pres.word_name(word))
@@ -104,8 +137,10 @@ def sweep_antipode(hopf, degree=3):
     for word in pres.monomials_up_to(degree):
         d = hopf.coproduct.apply_word(word)
         target = pres.one() * hopf.counit.apply_word(word)
-        left = multiply_factors(antipode_in_slot(hopf.antipode, d, 0))
-        right = multiply_factors(antipode_in_slot(hopf.antipode, d, 1))
+        left = multiply_per_term(
+            apply_in_slot_per_term(hopf.antipode, d, 0, d.algebra))
+        right = multiply_per_term(
+            apply_in_slot_per_term(hopf.antipode, d, 1, d.algebra))
         if not (left - target).is_zero():
             failures.append("m(S x id)Delta defect at %s: %r"
                             % (pres.word_name(word), left - target))
@@ -476,7 +511,7 @@ def sweep_tensor_nilpotency(coproduct, presentation, max_len=3):
         out_alg = TensorAlgebra(pres, rank + 1)
         total = out_alg.zero()
         for slot in range(rank):
-            term = apply_in_slot(coproduct, element, slot, out_alg)
+            term = apply_in_slot_per_term(coproduct, element, slot, out_alg)
             if slot % 2:
                 term = -term
             total = total + term

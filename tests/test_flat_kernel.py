@@ -4,10 +4,13 @@ Elements, tensors and operators keep hbar in the term key, {(j, key): c},
 with one window per element.  ``oracles.SeriesReference`` computes the same
 normal forms, products, compositions and operator values with an HSeries
 per word, each coefficient in its own window.  On seeded random elements
-of every quantum fixture presentation, and of a plane whose rule has an
-imaginary part at every power of hbar, at several orders and with mixed
-windows, the flat results must equal the reference in their window, and
-the reference must know every coefficient at least that far.
+of every quantum fixture presentation, of a plane whose rule has an
+imaginary part at every power of hbar and of one whose rule is known one
+power of hbar short, at several orders and with mixed windows, the flat
+results must equal the reference in their window, and the reference must
+know every coefficient at least that far.  The three-slot tensor of the
+module-algebra defect is evaluated on monomial pairs and compared with the
+defect that the reference computes from the actions.
 """
 
 import random
@@ -20,8 +23,12 @@ from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import (
     NCPoly, Presentation, TensorAlgebra, TensorElement,
 )
-from poisson_forge.qmomentum import HbarDiv, LMul, Operator, RMul
-from poisson_forge.scalars import GaussRational, HSeries, ValuationError, hexp
+from poisson_forge.qmomentum import (
+    HbarDiv, LMul, Operator, RMul, module_algebra_defect,
+)
+from poisson_forge.scalars import (
+    GaussRational, HSeries, ValuationError, _acc, hexp,
+)
 
 from oracles import SeriesReference, agrees, series_view
 
@@ -34,6 +41,15 @@ def _complex_plane(order):
                         order, name="complex-plane")
 
 
+def _coarse_plane(order):
+    """y x = exp(i hbar) x y with the rule known only mod hbar^(N - 1): a
+    product that meets it is known one power of hbar less far than its
+    operands."""
+    return Presentation(["x", "y"],
+                        {("y", "x"): {("x", "y"): hexp("i", order - 1)}},
+                        order, name="coarse-plane")
+
+
 PRESENTATIONS = {
     "uhsl2": fixtures.uhsl2_presentation,
     "quantum-plane": fixtures.quantum_plane_presentation,
@@ -42,6 +58,7 @@ PRESENTATIONS = {
     "case1-reduction": fixtures.case1_reduction_algebra,
     "su2-3d": fixtures.su2_module_algebra,
     "complex-plane": _complex_plane,
+    "coarse-plane": _coarse_plane,
 }
 ACTIONS = {
     "case1": lambda order: fixtures.case_action(1, order),
@@ -51,8 +68,9 @@ ACTIONS = {
 }
 ORDERS = (1, 2, 3, 6, 9)
 # U_hbar(sl2) and the 3D algebra invert a series divided by hbar to build
-# their rules, which needs N >= 2
-NEEDS_TWO = {"uhsl2", "su2-3d"}
+# their rules, which needs N >= 2; the coarse plane's rule window N - 1 is
+# empty at N = 1
+NEEDS_TWO = {"uhsl2", "su2-3d", "coarse-plane"}
 
 
 def _cases(names):
@@ -183,6 +201,81 @@ def test_operator_compose_and_values_match_the_series_reference(name, order):
                 continue
             assert got.order <= max(min(op.order, f.order) - op.k, 0)
             assert agrees(got.terms, got.order, want)
+
+
+def _coproduct(action, rng, order, low=0):
+    """A random coproduct on the action's group, known mod hbar^order: the
+    primitive part of a random generator plus random terms with exponents
+    from ``low`` on, and one term c hbar u (x) v that carries hbar."""
+    group = action.group
+    t2 = TensorAlgebra(group, 2)
+    words = [()] + [(g,) for g in range(len(group.gens))]
+    keys = [(u, v) for u in words for v in words]
+    xi = rng.choice(words[1:])
+    terms = _random_terms(rng, keys, order, low)
+    if low < order:
+        terms[(low, (xi, ()))] = terms[(low, ((), xi))] = GaussRational(1)
+    if low + 1 < order:
+        terms[(low + 1, rng.choice(keys))] = _coeff(rng)
+    return TensorElement(t2, terms, order).divide_by_hbar(low)
+
+
+def _three_slot_value(ref, defect, f, g):
+    """hbar^-K sum c nf(L f M g R) of a three-slot operator on monomials f
+    and g, by the series reference."""
+    out = {}
+    for (l, m, r), c in series_view(defect.terms, defect.order).items():
+        for v, cv in ref.nf(l + f + m + g + r).items():
+            _acc(out, v, c * cv)
+    return {w: c.divide_by_hbar(defect.k) for w, c in out.items()}
+
+
+def _module_algebra_value(ref, action, name, coproduct, f, g):
+    """Phi(xi)(f g) - sum c Phi(u)(f) Phi(v)(g), by the series reference."""
+    def phi(word, x):
+        op = action.operator(word)
+        return ref.apply(series_view(op.terms, op.order), op.k, x)
+
+    one = HSeries.one(action.algebra.order)
+    out = dict(phi((name,), ref.mul({f: one}, {g: one})))
+    for (u, v), c in coproduct.series_terms().items():
+        for w, cw in ref.mul(phi(u, {f: one}), phi(v, {g: one})).items():
+            _acc(out, w, -(c * cw))
+    return out
+
+
+@pytest.mark.parametrize("name, order", _cases(ACTIONS))
+def test_module_algebra_defect_matches_the_series_reference(name, order):
+    # the three-slot tensor, evaluated on monomial pairs, is the
+    # module-algebra defect of the same action, for coproducts known in the
+    # full window and in the window N - 1
+    action = ACTIONS[name](order)
+    alg = action.algebra
+    ref = SeriesReference(alg)
+    rng = random.Random("module-algebra-%s-%d" % (name, order))
+    monos = alg.monomials_up_to(1)
+    compared = 0
+    for low in (0, 1):
+        for xi in action.exprs:
+            cop = _coproduct(action, rng, order, low)
+            assert cop.order == order - low
+            defect = module_algebra_defect(action, xi, cop)
+            if defect.window < 1:
+                # an empty window certifies nothing (module-algebra.window)
+                assert order - low <= defect.k
+                continue
+            compared += 1
+            for f in monos:
+                for g in monos:
+                    got = _three_slot_value(ref, defect, f, g)
+                    want = _module_algebra_value(ref, action, xi, cop, f, g)
+                    window = min([defect.window] + [c.order for c in
+                                 list(got.values()) + list(want.values())])
+                    zero = HSeries.zero(window)
+                    for w in set(got) | set(want):
+                        assert got.get(w, zero).truncate(window) == \
+                            want.get(w, zero).truncate(window), (xi, f, g)
+    assert compared or order <= 2
 
 
 def test_products_skip_pairs_at_or_past_the_window():

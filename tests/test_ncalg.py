@@ -154,6 +154,13 @@ def test_step_budget_applies_to_each_normal_form():
     assert exc.value.counters == {"steps": 11, "max_steps": 10}
 
 
+def test_step_budget_applies_to_each_word_of_a_monomial_sweep():
+    # the words up to length 3 take 5 rewrites in all, at most 2 each
+    words = _swap_presentation(2).monomials_up_to(3)
+    assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 0),
+                     (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
 def test_step_budget_applies_to_each_tensor_product():
     pres = _swap_presentation(10)
     t2 = TensorAlgebra(pres, 2)

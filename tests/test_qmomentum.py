@@ -10,7 +10,7 @@ from poisson_forge.qmomentum import (
     ActionExpr, Identity, LMul, RMul, Commutator, Scale, Sum, Compose,
     HbarDiv, hamiltonian_pair, conjugation, QuantumAction,
     check_module_algebra, check_action_lie_hom, solve_commutator_relation,
-    NCOneForm, one_form, multi_action,
+    NCOneForm, one_form,
     tensor_coproduct_extension, check_ideal_invariance, invariant_subalgebra,
     _stacked,
 )
@@ -336,21 +336,6 @@ def test_central_da_squared_collapses():
             continue
         m = alg.monomial(w)
         assert prod.sharp().apply(m).is_zero()
-
-
-def test_multi_action():
-    act = fixtures.case_action(2)
-    alg = act.algebra
-    a, b = alg.gen("a"), alg.gen("b")
-    pairs_xi = [(a, b)]
-    # n = 1 reduces to the plain action
-    assert multi_action([pairs_xi], [a]) == act.apply_word(("xi",), a)
-    # n = 2 on (f1, f2) = (a, b): second factor a[b,b] = 0 kills it
-    assert multi_action([pairs_xi, pairs_xi], [a, b]).is_zero()
-    # case 1, n = 2, both slots a: zero since [b, a] = 0
-    act1 = fixtures.case_action(1)
-    a1, b1 = act1.algebra.gen("a"), act1.algebra.gen("b")
-    assert multi_action([[(a1, b1)], [(a1, b1)]], [a1, a1]).is_zero()
 
 
 # -- tensor coproduct extension -------------------------------------------------

@@ -268,6 +268,22 @@ def test_long_monomials_reduce_without_a_degree_bound():
         poly(1, chart)
 
 
+def test_long_rewrite_chains_reduce_without_recursion():
+    # x^1000 reduces to 1 by a chain of 1000 rewrites x -> 1, each waiting
+    # on the next: far past Python's recursion limit, within max_steps
+    chart = Chart(["x"])
+    setup = ideal_setup([poly("x-1", chart)])
+    x1000 = poly("x", chart) ** 1000
+    assert reduce_mod_ideal(x1000, setup.quotient) == poly(1, chart)
+    # the chain is bounded by the step budget alone
+    setup = ideal_setup([poly("x-1", chart)])
+    setup.quotient.max_steps = 999
+    with pytest.raises(CapabilityError) as exc:
+        reduce_mod_ideal(x1000, setup.quotient)
+    assert exc.value.guard == "ncalg.max_steps"
+    assert exc.value.counters == {"steps": 1000, "max_steps": 999}
+
+
 def translation_setup():
     """Free translation along q1 on T*R^2 at the level p1 = 2."""
     chart, pi = fixtures.canonical_chart(2)

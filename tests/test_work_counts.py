@@ -1,13 +1,14 @@
-"""Work-count guards: how often the shipped classical suites call an
-expensive step.  Each removed duplicate stays removed: a count that grows
-means a Jacobi scan, a substitution or an ideal completion is computed
-twice again."""
+"""Work-count guards: how often the shipped suites call an expensive
+step.  Each removed duplicate stays removed: a count that grows means a
+Jacobi scan, a substitution, an ideal completion or a normal form is
+computed twice again."""
 
 import sys
 
 from poisson_forge import lie, ncgroebner
 from poisson_forge.cli import main
 from poisson_forge.coordpoly import CoordPoly
+from poisson_forge.ncalg import Presentation
 from poisson_forge.poisson import PolyBivector
 
 
@@ -62,3 +63,39 @@ def test_reduce_completes_each_ideal_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, ncgroebner, "complete")
     assert main(["reduce", "--fixtures"]) == 0
     assert len(calls) == 1
+
+
+def _count_normal_forms(monkeypatch):
+    """Count the lookups of ``Presentation._nf`` and the words they
+    normalise: a miss adds the word, and every word its rewriting meets,
+    to the memo."""
+    original = Presentation._nf
+    counts = {"lookups": 0, "words": 0}
+
+    def counted(self, word):
+        counts["lookups"] += 1
+        before = len(self._memo)
+        out = original(self, word)
+        counts["words"] += len(self._memo) - before
+        return out
+
+    monkeypatch.setattr(Presentation, "_nf", counted)
+    return counts
+
+
+def test_check_hopf_normalises_each_word_once(monkeypatch, capsys):
+    # each word the suites meet is rewritten once; the products look a
+    # normal form up once per distinct word, not once per pair of terms
+    # (933 lookups when each product looked up its own)
+    counts = _count_normal_forms(monkeypatch)
+    assert main(["check-hopf", "--fixtures"]) == 0
+    assert counts["words"] == 61
+    assert counts["lookups"] <= 933
+
+
+def test_check_action_normalises_each_word_once(monkeypatch, capsys):
+    # as above; 941 lookups when each product looked up its own
+    counts = _count_normal_forms(monkeypatch)
+    assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
+    assert counts["words"] == 254
+    assert counts["lookups"] <= 941
