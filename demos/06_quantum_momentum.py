@@ -2,10 +2,11 @@
 
 The quantum momentum map sends quantum-group generators to noncommutative
 1-forms a db whose sharp (1/hbar) a [b, .] realizes the quantum action.
-This demo evaluates the actions, checks the Hopf module-algebra condition
-against the deformed coproducts, surfaces the case-2 commutator
-discrepancy with its oracle-corrected relation, and runs the quantum
-reduction of the 3D example by the ideal <H>.
+This demo evaluates the actions, compiles the sharps of the case-2 momentum
+1-forms and compares each with the action's operator, checks the Hopf
+module-algebra condition against the deformed coproducts, surfaces the
+case-2 commutator discrepancy with its oracle-corrected relation, and runs
+the quantum reduction of the 3D example by the ideal <H>.
 
 Run:  python3 demos/06_quantum_momentum.py
 """
@@ -42,6 +43,13 @@ if __name__ == "__main__":
     mu_eta = one_form(alg, [("a", "a_inv")])
     print("    mu(xi)  = a db        -> sharp = (1/hbar) a [b, .]")
     print("    mu(eta) = a d(a^-1)   -> sharp = (1/hbar) a [a^-1, .]")
+    for name, mu in (("xi", mu_xi), ("eta", mu_eta)):
+        sharp = mu.sharp().compile(alg)
+        op = act.operator((name,))
+        same = (sharp.k, sharp.order, sharp.terms) == (op.k, op.order,
+                                                       op.terms)
+        print("    sharp(mu(%s)) = Phi(%s): %s"
+              % (name, name, "pass" if same else "fail"))
     prod = mu_xi * mu_eta
     print("    mu(xi).mu(eta) =", prod)
 

@@ -17,8 +17,6 @@ command uses: the spec reader only for a spec file, ``json`` only for
 --json.
 """
 
-from __future__ import annotations
-
 import sys
 import time
 from types import SimpleNamespace

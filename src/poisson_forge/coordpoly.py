@@ -10,8 +10,6 @@ explicitly declared invertible; this mirrors localized coordinate functions
 like a^-1 without dragging in general rational functions.
 """
 
-from __future__ import annotations
-
 from operator import add
 
 from .errors import CapabilityError
@@ -56,10 +54,6 @@ class Chart:
     def __repr__(self):
         inv = (", invertible=%s" % sorted(self.invertible)) if self.invertible else ""
         return "Chart(%s%s)" % (list(self.names), inv)
-
-    def poly(self, x):
-        """Build a CoordPoly on this chart from a string, scalar or poly."""
-        return poly(x, self)
 
     def var(self, name):
         n = len(self.names)
@@ -248,9 +242,6 @@ class CoordPoly(LinComb):
         if not self.terms:
             return 0
         return max(sum(abs(e) for e in exps) for exps in self.terms)
-
-    def monomials(self):
-        return sorted(self.terms)
 
     def __repr__(self):
         return "CoordPoly(%s)" % str(self)

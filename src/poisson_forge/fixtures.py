@@ -12,8 +12,6 @@ Each quantum fixture builder takes ``order``, the N of Q(i)[[hbar]]/(hbar^N)
 its presentations carry; ``ORDER`` is the command line's default.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import ORDER
@@ -57,18 +55,6 @@ def r2_bialgebra():
     return L, d
 
 
-def heisenberg_dual_bialgebra():
-    """g with dual the Heisenberg algebra: basis xi, eta, zeta and
-    delta(zeta) = xi ^ eta, rotation-type brackets [xi,zeta] = eta,
-    [eta,zeta] = -xi, [xi,eta] = 0."""
-    L = LieAlgebra(["xi", "eta", "zeta"], {
-        (0, 2): {1: 1},
-        (1, 2): {0: -1},
-    })
-    d = Cobracket.from_tensors(L, {"zeta": wedge(L, "xi", "eta")})
-    return L, d
-
-
 def so3_algebra():
     """so(3) with [L1,L2] = L3 cyclically (same constants as su(2))."""
     return LieAlgebra(["L1", "L2", "L3"], {
@@ -107,14 +93,6 @@ def su2_r():
     """r = 2 e2 ^ e3."""
     L = su2_algebra()
     return L, RMatrix(wedge(L, "e2", "e3") * 2)
-
-
-def sl2_casimir():
-    """t = (1/8) H (x) H + (1/4)(X (x) Y + Y (x) X), ad-invariant."""
-    L = sl2_algebra()
-    t = basis_tensor(L, "H", "H") * Fraction(1, 8) \
-        + (basis_tensor(L, "X", "Y") + basis_tensor(L, "Y", "X")) * Fraction(1, 4)
-    return L, t
 
 
 # ---------------------------------------------------------------------------
@@ -280,29 +258,6 @@ def heisenberg_dual_model():
     return MatrixGroupModel(
         Lstar, [[1, "u", "w"], [0, 1, "v"], [0, 0, 1]], chart, basis,
         name="Heisenberg-dual")
-
-
-def abelian_dual_model(L):
-    """G* = g* with the Lie-Poisson bivector; thetas are the constant forms.
-
-    Returns (chart, bivector, thetas) where the chart variables m_i are the
-    coordinates dual to L's basis and {m_i, m_j} = sum_k c_ijk m_k.
-    """
-    from .poisson import PolyBivector, one_form
-    names = ["m_%s" % n for n in L.basis_names]
-    chart = Chart(names)
-    comp = {}
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            acc = chart.zero()
-            for k, c in L.bracket_basis(i, j).items():
-                acc = acc + chart.var(names[k]) * c
-            if not acc.is_zero():
-                comp[(i, j)] = acc
-    pi = PolyBivector(chart, comp)
-    thetas = {L.basis_names[i]: one_form(chart, {names[i]: 1})
-              for i in range(L.dim)}
-    return chart, pi, thetas
 
 
 # published multiplicative bracket tables; scale relates our lambda-rho
@@ -685,15 +640,6 @@ def r2_coproducts(pres):
     }
 
 
-def r2_primitive_coproducts(pres):
-    from .ncalg import TensorAlgebra
-    t2 = TensorAlgebra(pres, 2)
-    return {
-        "xi": t2.element({(("xi",), ()): 1, ((), ("xi",)): 1}),
-        "eta": t2.element({(("eta",), ()): 1, ((), ("eta",)): 1}),
-    }
-
-
 def su2_quantum_group(order=ORDER):
     """Generators xi, eta, zeta, zeta^-1 with zeta xi zeta^-1 = e^{2hbar} xi
     and zeta eta zeta^-1 = e^{-2hbar} eta; the xi-eta relation is left to
@@ -777,13 +723,6 @@ def su2_commutator_target_for(action):
     zeta_inv = action.exprs["zeta_inv"]
     zeta = action.exprs["zeta"]
     return Scale(HbarDiv(Sum([zeta_inv, Scale(zeta, -1)]), 1), u.inverse())
-
-
-def case1_reduction_algebra(order=ORDER):
-    """Commutative algebra generated by a (invertible) and b, used for the
-    case-1 quantum reduction with ideal <a - 1, b>."""
-    from .ncalg import chart_presentation
-    return chart_presentation(Chart(["a", "b"], invertible=["a"]), order)
 
 
 def su2_momentum_ideal_generator(alg=None):

@@ -11,8 +11,6 @@ a pass holds in every degree, a fail is conclusive when the presentation is
 confluent.  No checker here sweeps monomials.
 """
 
-from __future__ import annotations
-
 from .errors import CapabilityError
 from .ncalg import (
     Flat, NCPoly, TensorAlgebra, TensorElement, _accumulate, _ncpoly, _pairs,
@@ -181,24 +179,6 @@ def semiclassical_cobracket(hopf):
         out[g] = {key: c for (j, key), c in anti.divide_by_hbar().terms.items()
                   if not j}
     return out
-
-
-def cobracket_table_to_lie(table, limit_algebra, pres):
-    """Convert a single-letter semiclassical table into a Cobracket over the
-    classical limit algebra (generator g of the presentation is matched to
-    the basis element of the same name)."""
-    from .lie import Cobracket
-    comp = {}
-    for g, entries in table.items():
-        i = limit_algebra.index(g)
-        for (u, v), c in entries.items():
-            if len(u) != 1 or len(v) != 1:
-                raise ValueError("semiclassical cobracket of %s is not "
-                                 "linear in the generators" % g)
-            j = limit_algebra.index(pres.gens[u[0]])
-            k = limit_algebra.index(pres.gens[v[0]])
-            comp[(i, j, k)] = c
-    return Cobracket(limit_algebra, comp)
 
 
 def check_co_poisson_compatibility(hopf, generator_table):

@@ -13,8 +13,6 @@ fixture records one rational normalization constant per table instead of
 silently rescaling.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .scalars import LinComb, ZERO, ONE, _acc, gauss
@@ -50,9 +48,6 @@ class LieAlgebra:
 
     def index(self, name):
         return self.basis_names.index(name)
-
-    def structure_constant(self, i, j, k):
-        return self.c.get((i, j, k), ZERO)
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a dict k -> coefficient."""
@@ -232,13 +227,6 @@ class Cobracket:
             out = out + self.image(i) * c
         return out
 
-    def is_zero(self):
-        return not self.d
-
-    @staticmethod
-    def zero(algebra):
-        return Cobracket(algebra, {})
-
     def __repr__(self):
         return "Cobracket(%s)" % {self.algebra.basis_names[i]: str(self.image(i))
                                   for i in range(self.algebra.dim)}
@@ -320,19 +308,6 @@ def dual_bracket(d):
         return LieAlgebra(dual_names, brackets)
     except ValueError as exc:
         raise ValueError("delta does not define a Lie coalgebra: %s" % exc)
-
-
-def transpose_cobracket(L, dual_algebra):
-    """The cobracket on g* whose transpose is the bracket of L.
-
-    <delta*(e_i*), e_j (x) e_k> = <e_i*, [e_j, e_k]> = c[j][k][i].
-    Together with dual_bracket this realizes the duality involution: the
-    dual of (g*, t-delta) is (g, delta) again.
-    """
-    comp = {}
-    for (j, k, i), v in L.c.items():
-        comp[(i, j, k)] = v
-    return Cobracket(dual_algebra, comp)
 
 
 def schouten_rr(r):

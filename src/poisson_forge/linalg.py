@@ -28,8 +28,6 @@ hbar^m lowers it to m, and a vector is tested (and reduced) mod
 hbar^min(m, N).
 """
 
-from __future__ import annotations
-
 from .scalars import ZERO, ONE
 
 
@@ -190,11 +188,6 @@ class SeriesSpan:
     def __init__(self, order):
         self.order = order
         self.span = Span()
-
-    def copy(self):
-        out = SeriesSpan(self.order)
-        out.span.rows = {p: dict(row) for p, row in self.span.rows.items()}
-        return out
 
     def reduce(self, terms, order):
         m = min(order, self.order)

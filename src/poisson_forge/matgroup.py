@@ -12,8 +12,6 @@ X^L_e(g) = g.e and X^R_e(g) = e.g entrywise.  Several published tables use
 the opposite orientation rho - lambda; fixtures record that constant.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .coordpoly import Chart, CoordPoly, add_product, poly
@@ -402,38 +400,3 @@ def dressing_fields(pi, thetas, algebra):
             failures.append("[l(%s),l(%s)] != l([%s,%s])"
                             % (names[i], names[j], names[i], names[j]))
     return fields, Report.from_failures("dressing-homomorphism", failures)
-
-
-def left_invariant_fields(model):
-    """X^L_e(g) = g.e for each basis element, as fields on the chart."""
-    return {model.algebra.basis_names[a]: _translated_field(model, model.basis[a], "L")
-            for a in range(model.algebra.dim)}
-
-
-def check_theta_translation_identity(model, pi, thetas, dual_algebra,
-                                     coad_table):
-    """L_X pi(theta_xi, theta_eta) = x([xi,eta]) + pi(theta_{ad*_x xi}, theta_eta)
-    + pi(theta_xi, theta_{ad*_x eta}) for left-invariant X with X(e) = x.
-
-    ``coad_table[x][xi]`` is the coefficient vector of ad*_x xi on the basis
-    paired with the thetas.  The scalar x([xi,eta]) enters as a constant.
-    """
-    L = dual_algebra  # the algebra of the pairing side (g), constants c
-    names = list(thetas)
-    fields = left_invariant_fields(model)
-    failures = []
-    for xname, X in fields.items():
-        for i, j in itertools.combinations(range(len(names)), 2):
-            ti, tj = names[i], names[j]
-            lhs = X.apply(pi.pair(thetas[ti], thetas[tj]))
-            # x([xi, eta]): pairing of the dual-basis vector with the bracket
-            xi_idx = model.algebra.basis_names.index(xname)
-            acc = poly(L.structure_constant(i, j, xi_idx), pi.chart)
-            for k, c in coad_table[xname].get(ti, {}).items():
-                acc = acc + pi.pair(thetas[k], thetas[tj]) * c
-            for k, c in coad_table[xname].get(tj, {}).items():
-                acc = acc + pi.pair(thetas[ti], thetas[k]) * c
-            if not (lhs - acc).is_zero():
-                failures.append("theta-translation defect at X=%s (%s,%s): %s"
-                                % (xname, ti, tj, lhs - acc))
-    return Report.from_failures("theta-translation", failures)

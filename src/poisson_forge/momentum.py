@@ -3,11 +3,8 @@
 Covers: the Poisson-action condition for a Lie bialgebra action, classical
 momentum maps with their obstruction cocycle, infinitesimal momentum maps
 given by 1-forms (bracket identity and structure identity, both published
-variants), the Heisenberg-dual obstruction, and the identities satisfied by
-infinitesimal deformations of a momentum map.
+variants) and the Heisenberg-dual obstruction.
 """
-
-from __future__ import annotations
 
 import itertools
 
@@ -155,47 +152,3 @@ def heisenberg_obstruction(pi, alpha):
         failures.append("obstruction c = %s nonzero: no momentum map" % value)
     return Report.from_failures("heisenberg-obstruction", failures,
                                 data={"c": value})
-
-
-def deformation_identities(pi, action, cobracket, X):
-    """Identities for an infinitesimal deformation X: M -> g* of a momentum map.
-
-    1. L_xi X(eta) - L_eta X(xi) = X([xi, eta]);
-    2. {X(xi), f} = -L_{ad*_X xi} f for all chart coordinates f, where
-       ad*_X xi = sum_j X_j ad*_{f^j} xi is expanded through the dual
-       bracket defined by the cobracket.
-    """
-    L = cobracket.algebra
-    names = L.basis_names
-    chart = pi.chart
-    failures = []
-    for i, j in itertools.combinations(range(L.dim), 2):
-        lhs = action[names[i]].apply(X[names[j]]) \
-            - action[names[j]].apply(X[names[i]])
-        rhs = chart.zero()
-        for k, c in L.bracket_basis(i, j).items():
-            rhs = rhs + poly(X[names[k]], chart) * c
-        if not (lhs - rhs).is_zero():
-            failures.append("deformation identity 1 fails at (%s,%s): %s"
-                            % (names[i], names[j], lhs - rhs))
-    # identity 2: both sides are derivations; compare on chart variables
-    for i, name in enumerate(names):
-        ham = hamiltonian_field(pi, X[name])
-        # ad*_X e_i = - sum_{j,m} X_j d[i][j][m] e_m
-        coeffs = {}
-        for (i2, j, m), dv in cobracket.d.items():
-            if i2 != i:
-                continue
-            coeffs[m] = coeffs.get(m, chart.zero()) \
-                - poly(X[names[j]], chart) * dv
-        rhs_field = PolyVectorField(chart, {})
-        for m, cf in coeffs.items():
-            rhs_field = rhs_field + action[names[m]] * cf
-        for v in chart.names:
-            lhs = ham.apply(chart.var(v))
-            rhs = -rhs_field.apply(chart.var(v))
-            if not (lhs - rhs).is_zero():
-                failures.append("deformation identity 2 fails for %s at %s: %s"
-                                % (name, v, lhs - rhs))
-                break
-    return Report.from_failures("deformation-identities", failures)

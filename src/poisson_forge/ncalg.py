@@ -35,8 +35,6 @@ Inverse generators are ordinary generators with two-sided cancellation
 rules, placed adjacent to their base generator in the order.
 """
 
-from __future__ import annotations
-
 import itertools
 import sys
 
@@ -692,9 +690,6 @@ class TensorAlgebra:
 
     def one(self):
         return self.element({((),) * self.k: 1})
-
-    def zero(self):
-        return TensorElement(self, {}, self.order)
 
     def embed(self, x, slot):
         """x in the given tensor slot, 1 elsewhere."""

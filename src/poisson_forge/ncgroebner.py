@@ -33,8 +33,6 @@ by ``MAX_PAIRS`` (guard ``ncgroebner.max_pairs``); those among the rules
 of A are finitely many and are not counted.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import CapabilityError

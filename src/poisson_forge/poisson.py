@@ -13,8 +13,6 @@ Sign conventions, fixed once for the whole package:
   f -> X_f a Lie algebra homomorphism and [df, dg]_pi = d{f, g} exact.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .coordpoly import CoordPoly, add_product, poly
@@ -147,12 +145,6 @@ class ExteriorForm(LinComb):
                 nidx = idx[:pos] + idx[pos + 1:]
                 out[nidx] = out.get(nidx, self.chart.zero()) + xc * p * sign
         return ExteriorForm(self.chart, self.degree - 1, out)
-
-    def scalar(self):
-        """A 0-form's unique component as a CoordPoly."""
-        if self.degree != 0:
-            raise ValueError("not a 0-form")
-        return self.terms.get((), self.chart.zero())
 
     def __repr__(self):
         if not self.terms:
@@ -319,10 +311,6 @@ def _gradient(terms, positions):
 def _form_terms(alpha):
     """A 1-form's components as {chart position: term dict}."""
     return {i: p.terms for (i,), p in alpha.terms.items()}
-
-
-def poisson_bracket(pi, f, g):
-    return pi.bracket(f, g)
 
 
 def hamiltonian_field(pi, f):

@@ -29,15 +29,11 @@ a db -> (1/hbar) a [b, .] is a homomorphism into endomorphism composition,
 which forces db.dc = b dc - d(cb) + c db up to one global hbar power.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import CapabilityError
 from .linalg import solve
-from .ncalg import (
-    NCPoly, TensorAlgebra, _accumulate, _ncpoly, _pairs, _scaled,
-)
+from .ncalg import NCPoly, _accumulate, _ncpoly, _pairs, _scaled
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import HSeries, ZERO, _acc, gauss, series
 
@@ -50,28 +46,6 @@ class ActionExpr:
     def compile(self, algebra):
         """The expression as an Operator on ``algebra``."""
         raise NotImplementedError
-
-    def apply(self, f):
-        return self.compile(f.presentation)(f)
-
-    __call__ = apply
-
-    def __add__(self, other):
-        return Sum([self, other])
-
-    def __sub__(self, other):
-        return Sum([self, Scale(other, -1)])
-
-    def __neg__(self):
-        return Scale(self, -1)
-
-    def __mul__(self, scalar):
-        return Scale(self, scalar)
-
-    __rmul__ = __mul__
-
-    def compose(self, other):
-        return Compose([self, other])
 
 
 class Identity(ActionExpr):
@@ -562,24 +536,6 @@ class NCOneForm:
                       for a, b in pairs]
         self.offset = offset
 
-    def __add__(self, other):
-        if other.presentation is not self.presentation:
-            raise ValueError("forms over different presentations")
-        if other.offset != self.offset:
-            # offsets are not aligned: the sum of forms with different
-            # hbar offsets is refused
-            raise ValueError("cannot add forms of different hbar offsets: "
-                             "%d vs %d" % (self.offset, other.offset))
-        return NCOneForm(self.presentation, [], self.offset)._with(
-            self.pairs + other.pairs)
-
-    def _with(self, pairs):
-        out = NCOneForm.__new__(NCOneForm)
-        out.presentation = self.presentation
-        out.pairs = list(pairs)
-        out.offset = self.offset
-        return out
-
     def __mul__(self, other):
         """Product forced by sharp-multiplicativity:
         (a db)(c de) = hbar^{-1} [ a[b,c] de + acb de - ac d(eb) + ace db ].
@@ -614,37 +570,6 @@ class NCOneForm:
 
 def one_form(presentation, pairs, offset=0):
     return NCOneForm(presentation, pairs, offset)
-
-
-# ---------------------------------------------------------------------------
-# Tensor coproduct extension
-# ---------------------------------------------------------------------------
-
-def tensor_coproduct_extension(coproduct, presentation):
-    """Extend Delta as an odd derivation of T(U[1]) and certify Delta^2 = 0.
-
-    Delta(x_1 (x) ... (x) x_n) = sum_i (-1)^(i-1) x_1 (x) .. Delta(x_i) ..
-    Applying it twice, the terms that expand two different slots s < t
-    come once with the sign (-1)^(s-1) (-1)^t and once with
-    (-1)^(t-1) (-1)^(s-1), so they cancel in pairs, and
-
-        Delta^2(x_1 (x) ... (x) x_n)
-            = sum_s x_<s (x) [(Delta (x) id) Delta - (id (x) Delta) Delta](x_s)
-                     (x) x_>s.
-
-    So Delta^2 = 0 on every word of every length if and only if it is 0
-    on each generator (the words of length 1), where it is the
-    coassociativity defect.
-    """
-    from .hopf import apply_in_slot
-    t3 = TensorAlgebra(presentation, 3)
-    failures = []
-    for i, g in enumerate(presentation.gens):
-        d = coproduct.apply_word((i,))
-        if not (apply_in_slot(coproduct, d, 0, t3)
-                - apply_in_slot(coproduct, d, 1, t3)).is_zero():
-            failures.append("Delta^2 != 0 on %s" % g)
-    return Report.from_failures("tensor-coproduct-nilpotency", failures)
 
 
 # ---------------------------------------------------------------------------

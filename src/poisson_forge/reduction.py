@@ -17,8 +17,6 @@ representatives modulo the momentum ideal, and the invariants-of-quotient
 algebra -- are built to be cross-checkable on a shared fixture.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .coordpoly import CoordPoly, poly

@@ -7,9 +7,6 @@ verdict for checks that succeeded mechanically but contradict a stored
 literature claim; surfacing these is part of the job.
 """
 
-from __future__ import annotations
-
-
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "paper-discrepancy"
@@ -40,14 +37,6 @@ class Report:
         if self.failures:
             base += "; %d failure(s), first: %s" % (len(self.failures), self.failures[0])
         return base + ")"
-
-    def summary(self):
-        lines = ["[%s] %s" % (self.verdict.upper(), self.check)]
-        for f in self.failures:
-            lines.append("    defect: %s" % (f,))
-        for n in self.notes:
-            lines.append("    note: %s" % (n,))
-        return "\n".join(lines)
 
     def to_json(self):
         return {

@@ -29,10 +29,8 @@ Nothing in the process holds a default N, so a forgotten order is a
 ``TypeError`` instead of a computation at some other precision.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .errors import CapabilityError
 
@@ -180,13 +178,6 @@ class GaussRational:
             k >>= 1
         return out
 
-    def conjugate(self):
-        return _raw(self._a, -self._b, self._d)
-
-    def norm_sq(self):
-        return Fraction(self._a * self._a + self._b * self._b,
-                        self._d * self._d)
-
     # -- structure --------------------------------------------------------
 
     def __bool__(self):
@@ -261,7 +252,8 @@ def gauss(x):
     if isinstance(x, str):
         return GaussRational.parse(x)
     if isinstance(x, HSeries):
-        raise TypeError("cannot lower an HSeries to Q(i); use .constant_term()")
+        raise TypeError("cannot lower an HSeries to Q(i); its coefficients "
+                        "are in .coeffs")
     raise TypeError("cannot coerce %r into Q(i)" % (x,))
 
 
@@ -319,10 +311,6 @@ class HSeries:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_scalar(x, order):
-        return HSeries((gauss(x),), order)
-
-    @staticmethod
     def hbar(order):
         return HSeries((ZERO, ONE), order)
 
@@ -336,15 +324,6 @@ class HSeries:
 
     # -- inspection -------------------------------------------------------
 
-    def coeff(self, k):
-        """Coefficient of hbar^k; raises if k is beyond the known window."""
-        if k >= self.order:
-            raise ValueError("coefficient %d not known at order %d" % (k, self.order))
-        return self.coeffs[k] if k < len(self.coeffs) else ZERO
-
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else ZERO
-
     def valuation(self):
         """Index of the first nonzero coefficient, or ``order`` if none."""
         return _valuation(self.coeffs) if self.coeffs else self.order
@@ -354,12 +333,6 @@ class HSeries:
 
     def is_unit(self):
         return bool(self.coeffs) and bool(self.coeffs[0])
-
-    def truncate(self, m):
-        """The series mod hbar^m: itself when m is no less than its order."""
-        if m >= self.order:
-            return self
-        return HSeries(self.coeffs[:m], m)
 
     # -- ring operations --------------------------------------------------
 
@@ -504,24 +477,6 @@ class HSeries:
             )
         return HSeries(self.coeffs[k:], self.order - k)
 
-    def shift(self, k):
-        """Multiply by hbar^k (k >= 0); order grows back accordingly."""
-        if k < 0:
-            return self.divide_by_hbar(-k)
-        return HSeries((ZERO,) * k + self.coeffs, self.order + k)
-
-    def exp(self):
-        """exp of a series with valuation >= 1 (so the sum is finite mod hbar^N)."""
-        if self.valuation() < 1:
-            raise ValuationError("series_exp needs valuation >= 1, got constant term %s"
-                                 % self.constant_term())
-        out = HSeries.one(self.order)
-        term = HSeries.one(self.order)
-        for k in range(1, self.order):
-            term = term * self
-            out = out + term * Fraction(1, factorial(k))
-        return out
-
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other):
@@ -566,10 +521,6 @@ class HSeries:
                 else:
                     parts.append("%s*%s" % (cs, mono))
         return " + ".join(parts).replace("+ -", "- ")
-
-    def serialize(self):
-        """List of scalar strings, one per coefficient up to the order."""
-        return [str(self.coeff(k)) for k in range(self.order)]
 
 
 # HSeries refuses attribute writes; its own constructors set the slots.

@@ -13,8 +13,6 @@ bivector's check never loads the noncommutative algebra, a Hopf
 structure's never the matrix groups or Poisson geometry.
 """
 
-from __future__ import annotations
-
 import json
 
 from .coordpoly import Chart, poly
@@ -103,9 +101,6 @@ class SpecFile:
                 return SpecFile(json.load(fh), order)
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError("cannot read spec: %s" % exc)
-
-    def names(self, section):
-        return sorted(self.doc.get(section, {}))
 
     def _entry(self, section, name):
         try:
@@ -388,7 +383,7 @@ class SpecFile:
             L, d = self.cobracket(entry["cobracket"])
         else:
             L = self.lie_algebra(entry["algebra"])
-            d = Cobracket.zero(L)
+            d = Cobracket(L, {})
         where = entry.where + " action"
         _basis_names(entry.where, "action", _fields(where, entry["action"]),
                      L)

@@ -4,8 +4,6 @@ Each suite returns an ordered list of (check_id, Report); ordering is
 deterministic so report files are diff-able golden files.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from . import fixtures

@@ -39,16 +39,24 @@ by term into a fresh dict, and the bracket, the pairing and sharp map, the
 coordinate Jacobi defect, the wedge of fields, the Lie derivative of a
 bivector, substitution, matrix products and determinants build one
 polynomial per product with it and add them up.
+The fixtures that only tests build live here too: a bialgebra whose dual
+is the Heisenberg algebra, the sl2 Casimir tensor, the Lie-Poisson model
+of g*, the primitive coproducts of the plane group and the commutative
+case-1 reduction algebra.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
+from poisson_forge import ORDER
+from poisson_forge.fixtures import sl2_algebra
+from poisson_forge.lie import Cobracket, LieAlgebra, basis_tensor, wedge
 from poisson_forge.ncalg import (
-    NCPoly, TensorAlgebra, TensorElement, check_map,
+    NCPoly, TensorAlgebra, TensorElement, chart_presentation, check_map,
 )
-from poisson_forge.coordpoly import CoordPoly, poly
-from poisson_forge.poisson import PolyBivector, PolyVectorField
+from poisson_forge.coordpoly import Chart, CoordPoly, poly
+from poisson_forge.poisson import PolyBivector, PolyVectorField, one_form
 from poisson_forge.qmomentum import (
     ActionExpr, Commutator, Compose, HbarDiv, Identity, LMul, RMul, Scale, Sum,
 )
@@ -308,7 +316,7 @@ def sweep_co_poisson(hopf, generator_table, degree=3, primitive=True):
                             % pres.word_name(word))
             continue
         got = anti.divide_by_hbar()
-        want = t2.zero()
+        want = t2.element({})
         for k in range(len(word)):
             term = t2.one()
             for i, g in enumerate(word):
@@ -490,13 +498,12 @@ def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
             terms.update(((j, (i, key)), c) for (j, key), c
                          in span.reduce(y.terms, y.order).items())
         columns[w] = (terms, window)
-    accum = span.copy()
     classes = []
     for v, n in dense_kernel_series(columns):
         x = NCPoly(alg, v, n)
-        window = min(x.order, accum.order)
-        r = accum.reduce(x.terms, x.order)
-        if r and accum.insert(r, window):
+        window = min(x.order, span.order)
+        r = span.reduce(x.terms, x.order)
+        if r and span.insert(r, window):
             classes.append(NCPoly(alg, r, window))
     return classes
 
@@ -509,7 +516,7 @@ def sweep_tensor_nilpotency(coproduct, presentation, max_len=3):
 
     def delta_n(element, rank):
         out_alg = TensorAlgebra(pres, rank + 1)
-        total = out_alg.zero()
+        total = out_alg.element({})
         for slot in range(rank):
             term = apply_in_slot_per_term(coproduct, element, slot, out_alg)
             if slot % 2:
@@ -573,7 +580,8 @@ def module_member(gens, v, order):
     cols = [(j, k) for j in range(order) for k in keys]
 
     def flat(vec, s):
-        return [vec[k].coeff(j - s) if k in vec and j >= s else ZERO
+        return [vec[k].coeffs[j - s]
+                if k in vec and 0 <= j - s < len(vec[k].coeffs) else ZERO
                 for j, k in cols]
 
     rows = [flat(g, s) for g in gens for s in range(order)]
@@ -690,7 +698,7 @@ def agrees(terms, order, reference):
         want = reference.get(key, HSeries.zero(order))
         if want.order < order:
             return False
-        if got.get(key, HSeries.zero(order)) != want.truncate(order):
+        if got.get(key, HSeries.zero(order)) != want:
             return False
     return True
 
@@ -933,3 +941,63 @@ def det_per_term(m):
         term = mul_per_term(m[0][j], det_per_term(minor))
         out = out + (term if j % 2 == 0 else -term)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fixtures that only tests build
+# ---------------------------------------------------------------------------
+
+def heisenberg_dual_bialgebra():
+    """g with dual the Heisenberg algebra: basis xi, eta, zeta and
+    delta(zeta) = xi ^ eta, rotation-type brackets [xi,zeta] = eta,
+    [eta,zeta] = -xi, [xi,eta] = 0."""
+    L = LieAlgebra(["xi", "eta", "zeta"], {
+        (0, 2): {1: 1},
+        (1, 2): {0: -1},
+    })
+    d = Cobracket.from_tensors(L, {"zeta": wedge(L, "xi", "eta")})
+    return L, d
+
+
+def sl2_casimir():
+    """t = (1/8) H (x) H + (1/4)(X (x) Y + Y (x) X), ad-invariant."""
+    L = sl2_algebra()
+    t = basis_tensor(L, "H", "H") * Fraction(1, 8) \
+        + (basis_tensor(L, "X", "Y") + basis_tensor(L, "Y", "X")) * Fraction(1, 4)
+    return L, t
+
+
+def abelian_dual_model(L):
+    """G* = g* with the Lie-Poisson bivector; thetas are the constant forms.
+
+    Returns (chart, bivector, thetas) where the chart variables m_i are the
+    coordinates dual to L's basis and {m_i, m_j} = sum_k c_ijk m_k.
+    """
+    names = ["m_%s" % n for n in L.basis_names]
+    chart = Chart(names)
+    comp = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            acc = chart.zero()
+            for k, c in L.bracket_basis(i, j).items():
+                acc = acc + chart.var(names[k]) * c
+            if not acc.is_zero():
+                comp[(i, j)] = acc
+    pi = PolyBivector(chart, comp)
+    thetas = {L.basis_names[i]: one_form(chart, {names[i]: 1})
+              for i in range(L.dim)}
+    return chart, pi, thetas
+
+
+def r2_primitive_coproducts(pres):
+    t2 = TensorAlgebra(pres, 2)
+    return {
+        "xi": t2.element({(("xi",), ()): 1, ((), ("xi",)): 1}),
+        "eta": t2.element({(("eta",), ()): 1, ((), ("eta",)): 1}),
+    }
+
+
+def case1_reduction_algebra(order=ORDER):
+    """Commutative algebra generated by a (invertible) and b, used for the
+    case-1 quantum reduction with ideal <a - 1, b>."""
+    return chart_presentation(Chart(["a", "b"], invertible=["a"]), order)

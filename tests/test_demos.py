@@ -30,3 +30,5 @@ def test_demo_exits_zero(path):
     assert proc.returncode == 0, proc.stderr
     if os.path.basename(path) == "06_quantum_momentum.py":
         assert "ideal <H> invariant under the action: pass" in proc.stdout
+        assert "sharp(mu(xi)) = Phi(xi): pass" in proc.stdout
+        assert "sharp(mu(eta)) = Phi(eta): pass" in proc.stdout

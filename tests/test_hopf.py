@@ -6,7 +6,7 @@ from poisson_forge import fixtures
 from poisson_forge.hopf import (
     HopfStructure, check_coassociativity, check_counit, check_antipode,
     check_delta_hom, check_all_axioms, semiclassical_cobracket,
-    cobracket_table_to_lie, check_co_poisson_compatibility,
+    check_co_poisson_compatibility,
     check_quasitriangular, classical_limit_check,
 )
 from poisson_forge.lie import check_cocycle, wedge, basis_tensor

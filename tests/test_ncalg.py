@@ -13,6 +13,8 @@ from poisson_forge.ncalg import (
 from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp, series
 from poisson_forge.coordpoly import Chart, poly
 
+from oracles import case1_reduction_algebra
+
 # the hbar order of the series built here, the fixtures' default
 N = fixtures.ORDER
 
@@ -79,7 +81,7 @@ def test_commutators_uhsl2():
 def test_q_number_classical_limit_is_H():
     terms = fixtures.q_number_terms()
     # only odd H-powers appear and the H-coefficient has constant term 1
-    assert terms[("H",)].coeff(0) == gauss(1)
+    assert terms[("H",)].coeffs[0] == gauss(1)
     assert ("H", "H") not in terms
     assert terms[("H", "H", "H")].valuation() == 2
 
@@ -244,7 +246,7 @@ def test_abelianize_inverse_generators():
 
 def test_constructors_return_normal_forms():
     # a word that a rule rewrites is built as its normal form
-    alg = fixtures.case1_reduction_algebra(3)
+    alg = case1_reduction_algebra(3)
     a, a_inv = alg.index("a"), alg.index("a_inv")
     assert (alg.monomial((a, a_inv)) - alg.one()).is_zero()
     assert alg.monomial((alg.index("b"), a)) == alg.gen("a") * alg.gen("b")
@@ -264,7 +266,7 @@ def test_chart_presentation_of_the_case1_chart():
     assert pres.inverses == hand.inverses == {"a_inv": "a"}
     assert {w: (r.terms, r.order) for w, r in pres.rules.items()} \
         == {w: (r.terms, r.order) for w, r in hand.rules.items()}
-    assert fixtures.case1_reduction_algebra(3).gens == pres.gens
+    assert case1_reduction_algebra(3).gens == pres.gens
     assert abelianization_chart(pres) == Chart(["a", "b"], invertible=["a"])
 
 
@@ -335,7 +337,7 @@ def test_elements_coerce_scalars_into_their_presentation_window():
               pres.element([(1, ["a", "b"])]), t2.one(), t2.one() * 2,
               t2.element({(("a",), ()): 1}) - 1):
         assert x.order == 4
-    assert pres.zero().hbar_valuation() == t2.zero().hbar_valuation() == 4
+    assert pres.zero().hbar_valuation() == t2.element({}).hbar_valuation() == 4
     assert pres.quotient([pres.gen("b")]).order == 4
 
 

@@ -6,7 +6,7 @@ import pytest
 from poisson_forge.coordpoly import Chart, poly
 from poisson_forge.poisson import (
     PolyBivector, PolyVectorField, ExteriorForm,
-    one_form, differential, poisson_bracket, hamiltonian_field,
+    one_form, differential, hamiltonian_field,
     check_jacobi_coords, casimir_check, koszul_bracket,
     lie_derivative_form, lie_derivative_bivector, fields_wedge,
 )
@@ -35,18 +35,18 @@ def _mono(chart, exps):
 
 
 def test_bracket_examples():
-    assert poisson_bracket(PI_AB, "a", "b") == poly("a*b", AB)
+    assert PI_AB.bracket("a", "b") == poly("a*b", AB)
     f = poly("a^2*b", AB)
-    assert poisson_bracket(PI_AB, f, f).is_zero()
+    assert PI_AB.bracket(f, f).is_zero()
 
 
 def test_bracket_bilinear_antisymmetric_leibniz():
     rng = random.Random(5)
     for _ in range(25):
         f, g, h = (rand_poly(rng, AB) for _ in range(3))
-        assert poisson_bracket(PI_AB, f, g) == -poisson_bracket(PI_AB, g, f)
-        assert poisson_bracket(PI_AB, f, g * h) == \
-            poisson_bracket(PI_AB, f, g) * h + g * poisson_bracket(PI_AB, f, h)
+        assert PI_AB.bracket(f, g) == -PI_AB.bracket(g, f)
+        assert PI_AB.bracket(f, g * h) == \
+            PI_AB.bracket(f, g) * h + g * PI_AB.bracket(f, h)
 
 
 def test_jacobi_dimension_two_always():
@@ -92,7 +92,7 @@ def test_hamiltonian_leibniz_and_homomorphism():
             f, g = rand_poly(rng, chart), rand_poly(rng, chart)
             assert hamiltonian_field(pi, f * g) == \
                 f * hamiltonian_field(pi, g) + g * hamiltonian_field(pi, f)
-            lhs = hamiltonian_field(pi, poisson_bracket(pi, f, g))
+            lhs = hamiltonian_field(pi, pi.bracket(f, g))
             rhs = hamiltonian_field(pi, f).bracket(hamiltonian_field(pi, g))
             assert lhs == rhs
 
@@ -122,7 +122,7 @@ def test_koszul_on_exact_forms():
         for _ in range(15):
             f, g = rand_poly(rng, chart), rand_poly(rng, chart)
             lhs = koszul_bracket(pi, differential(f), differential(g))
-            rhs = differential(poisson_bracket(pi, f, g))
+            rhs = differential(pi.bracket(f, g))
             assert lhs == rhs
     da = differential(poly("a", AB))
     db = differential(poly("b", AB))
@@ -193,9 +193,9 @@ def test_bracket_jacobi_randomized_on_poisson_bivectors():
         assert check_jacobi_coords(pi).ok
         for _ in range(8):
             f, g, h = (rand_poly(rng, chart) for _ in range(3))
-            acc = poisson_bracket(pi, poisson_bracket(pi, f, g), h) \
-                + poisson_bracket(pi, poisson_bracket(pi, g, h), f) \
-                + poisson_bracket(pi, poisson_bracket(pi, h, f), g)
+            acc = pi.bracket(pi.bracket(f, g), h) \
+                + pi.bracket(pi.bracket(g, h), f) \
+                + pi.bracket(pi.bracket(h, f), g)
             assert acc.is_zero()
 
 

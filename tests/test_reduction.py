@@ -51,7 +51,7 @@ def reduced_algebra(setup, degree):
 def ideal_setup(gens):
     """A setup that only carries the ideal <gens>, on their chart."""
     return ReductionSetup(PolyBivector(gens[0].chart, {}),
-                          Cobracket.zero(LieAlgebra([], {})), {}, ideal=gens)
+                          Cobracket(LieAlgebra([], {}), {}), {}, ideal=gens)
 
 
 def in_ideal(p, setup):
@@ -63,7 +63,7 @@ def rotation_setup():
     L = LieAlgebra(["rot"], {})
     h = poly("q1^2+p1^2", chart)
     action = {"rot": hamiltonian_field(pi, h)}
-    return ReductionSetup(pi, Cobracket.zero(L), action)
+    return ReductionSetup(pi, Cobracket(L, {}), action)
 
 
 def test_monomial_basis_counts():
@@ -76,7 +76,7 @@ def test_invariants_trivial_action():
     chart = Chart(["x", "y"])
     pi = PolyBivector(chart, {("x", "y"): 1})
     L = LieAlgebra(["t"], {})
-    setup = ReductionSetup(pi, Cobracket.zero(L),
+    setup = ReductionSetup(pi, Cobracket(L, {}),
                            {"t": PolyVectorField(chart, {})})
     basis, closure = invariant_functions(setup, 2)
     assert len(basis) == 6  # the whole degree-2 component
@@ -102,7 +102,7 @@ def test_expand_guards_name_themselves():
     monos = monomial_basis(setup.chart, 1)
     index = {m: i for i, m in enumerate(monos)}
     row = _expand(poly("2*q1 - p1", setup.chart), index)
-    q1, p1 = (poly(v, setup.chart).monomials()[0] for v in ("q1", "p1"))
+    q1, p1 = (sorted(poly(v, setup.chart).terms)[0] for v in ("q1", "p1"))
     assert row == {index[q1]: 2, index[p1]: -1}
     with pytest.raises(CapabilityError) as exc:
         _expand(poly("q1*p1", setup.chart), index)
@@ -122,7 +122,7 @@ def test_invariants_case3():
 
 def test_invariants_angular_momentum():
     pi, L, hams, action = fixtures.angular_momentum_fixture()
-    setup = ReductionSetup(pi, Cobracket.zero(L), action)
+    setup = ReductionSetup(pi, Cobracket(L, {}), action)
     basis, closure = invariant_functions(setup, 2)
     assert closure.ok
     assert len(basis) == 4  # 1, |q|^2, q.p, |p|^2
@@ -158,7 +158,7 @@ def test_ideal_not_closed_detected():
     chart = Chart(["a", "b"])
     pi = PolyBivector(chart, {("a", "b"): 1})  # {a, b} = 1
     L = LieAlgebra(["t"], {})
-    setup = ReductionSetup(pi, Cobracket.zero(L),
+    setup = ReductionSetup(pi, Cobracket(L, {}),
                            {"t": PolyVectorField(chart, {})}, ideal=["a", "b"])
     rep = check_ideal_poisson_closed(setup)
     assert not rep.ok
@@ -217,7 +217,7 @@ def test_sw_translation_action():
     chart, pi = fixtures.canonical_chart(2)
     L = LieAlgebra(["t"], {})
     action = {"t": hamiltonian_field(pi, "p1")}
-    setup = ReductionSetup(pi, Cobracket.zero(L), action, ideal=["p1-2"])
+    setup = ReductionSetup(pi, Cobracket(L, {}), action, ideal=["p1-2"])
     assert check_ideal_poisson_closed(setup).ok
     classes, table, rep = reduced_algebra(setup, 1)
     assert rep.ok
@@ -237,7 +237,7 @@ def test_sw_translation_action():
 
 def test_sw_angular_momentum_regular_level():
     pi, L, hams, action = fixtures.angular_momentum_fixture()
-    setup = ReductionSetup(pi, Cobracket.zero(L), action,
+    setup = ReductionSetup(pi, Cobracket(L, {}), action,
                            ideal=[hams["L1"], hams["L2"], hams["L3"]])
     assert check_ideal_poisson_closed(setup).ok
     classes, table, rep = reduced_algebra(setup, 2)
@@ -289,12 +289,12 @@ def translation_setup():
     chart, pi = fixtures.canonical_chart(2)
     L = LieAlgebra(["t"], {})
     action = {"t": hamiltonian_field(pi, "p1")}
-    return ReductionSetup(pi, Cobracket.zero(L), action, ideal=["p1-2"])
+    return ReductionSetup(pi, Cobracket(L, {}), action, ideal=["p1-2"])
 
 
 def angular_setup():
     pi, L, hams, action = fixtures.angular_momentum_fixture()
-    return ReductionSetup(pi, Cobracket.zero(L), action,
+    return ReductionSetup(pi, Cobracket(L, {}), action,
                           ideal=[hams["L1"], hams["L2"], hams["L3"]])
 
 
@@ -317,14 +317,14 @@ def test_membership_needs_the_groebner_basis():
     # the field (x-y) d/dy maps xy-1 to x(x-y), which lies in the ideal but
     # leaves x^2-1 on division by the raw generators
     setup = ReductionSetup(PolyBivector(chart, {("x", "y"): 1}),
-                           Cobracket.zero(LieAlgebra(["t"], {})),
+                           Cobracket(LieAlgebra(["t"], {}), {}),
                            {"t": PolyVectorField(chart, {"y": "x-y"})},
                            ideal=gens)
     assert check_ideal_invariant(setup).ok
     # with {x, y} = x - y every bracket lies in the ideal, yet
     # {xy-1, x} = xy - x^2 also leaves x^2-1 on the raw generators
     pi = PolyBivector(chart, {("x", "y"): "x-y"})
-    setup = ReductionSetup(pi, Cobracket.zero(LieAlgebra(["t"], {})), {},
+    setup = ReductionSetup(pi, Cobracket(LieAlgebra(["t"], {}), {}), {},
                            ideal=gens)
     cls, rep = reduced_bracket(setup, poly("x", chart), poly("y", chart))
     assert rep.ok, rep.failures
@@ -427,7 +427,7 @@ def test_laurent_ideals_are_decided():
              ("1", ["b", "a^-1-b"], True), ("u", ["a-1"], False),
              ("a^-2*b-a*u", ["a*b", "u-a^-1"], False)]
     for text, ideal, member in cases:
-        setup = ReductionSetup(pi, Cobracket.zero(L), {}, ideal=ideal)
+        setup = ReductionSetup(pi, Cobracket(L, {}), {}, ideal=ideal)
         p = poly(text, chart)
         assert in_ideal(p, setup) == member, (text, ideal)
         ref = sympy.groebner(
@@ -435,7 +435,7 @@ def test_laurent_ideals_are_decided():
             + [t * symbols[0] - 1], *symbols, t, order="lex")
         assert (ref.reduce(_to_sympy(p, symbols, {0: t}))[1] == 0) == member
     # the zero ideal reduces nothing
-    setup = ReductionSetup(pi, Cobracket.zero(L), {}, ideal=[])
+    setup = ReductionSetup(pi, Cobracket(L, {}), {}, ideal=[])
     assert reduce_mod_ideal(poly("a^-1", chart), setup.quotient) == \
         poly("a^-1", chart)
 
@@ -475,7 +475,7 @@ def test_certificate_and_sweep_fail_on_escaping_bracket():
     # {1 + a, 1 + b} = 1, so only the generator pair moves the class
     chart = Chart(["a", "b"])
     pi = PolyBivector(chart, {("a", "b"): 1})
-    setup = ReductionSetup(pi, Cobracket.zero(LieAlgebra(["t"], {})), {},
+    setup = ReductionSetup(pi, Cobracket(LieAlgebra(["t"], {}), {}), {},
                            ideal=["a", "b"])
     cls, cert = reduced_bracket(setup, 1, 1)
     assert cls.is_zero()
@@ -498,7 +498,7 @@ def test_closure_and_jacobi_certificates_agree_with_sweeps():
 
 def _trivial_algebra_setup(pi, field, ideal=()):
     L = LieAlgebra(["t"], {})
-    return ReductionSetup(pi, Cobracket.zero(L),
+    return ReductionSetup(pi, Cobracket(L, {}),
                           {"t": PolyVectorField(pi.chart, field)}, ideal=ideal)
 
 
@@ -507,7 +507,7 @@ def test_closure_premise_holds_for_the_trivial_group():
     # is a Poisson action of the zero algebra
     chart = Chart(["x", "y"])
     setup = ReductionSetup(PolyBivector(chart, {("x", "y"): 1}),
-                           Cobracket.zero(LieAlgebra([], {})), {})
+                           Cobracket(LieAlgebra([], {}), {}), {})
     basis, closure = invariant_functions(setup, 2)
     assert closure.ok and len(basis) == 6
 

@@ -36,8 +36,6 @@ def test_gauss_field_axioms():
         assert a * (b + c) == a * b + a * c
         if b:
             assert (a / b) * b == a
-        assert a.conjugate().conjugate() == a
-        assert a.norm_sq() >= 0
 
 
 def test_gauss_i_squares_to_minus_one():
@@ -61,7 +59,8 @@ def test_hseries_truncation_compatible_with_product():
     for _ in range(50):
         s, t = rand_series(rng), rand_series(rng)
         for m in range(1, 7):
-            assert (s * t).truncate(m) == s.truncate(m) * t.truncate(m)
+            assert HSeries((s * t).coeffs, m) == \
+                HSeries(s.coeffs, m) * HSeries(t.coeffs, m)
 
 
 def test_hseries_unit_inverse():
@@ -76,25 +75,23 @@ def test_hseries_unit_inverse():
 
 
 def test_exp_zero_is_one():
-    assert HSeries.zero(6).exp() == 1
+    assert hexp(0, 6) == 1
 
 
 def test_exp_quarter_hbar_against_factorials():
     # independent oracle: coefficient of hbar^k in exp(hbar/4) is (1/4)^k / k!
-    s = HSeries.hbar(6) * Fraction(1, 4)
-    e = s.exp()
+    e = hexp(Fraction(1, 4), 6)
+    assert e.order == 6
     for k in range(6):
-        assert e.coeff(k) == gauss(Fraction(1, 4 ** k) * Fraction(1, factorial(k)))
+        assert e.coeffs[k] == gauss(Fraction(1, 4 ** k) * Fraction(1, factorial(k)))
 
 
 def test_exp_group_law():
-    h = HSeries.hbar(6)
-    assert h.exp() * (-h).exp() == 1
+    assert hexp(1, 6) * hexp(-1, 6) == 1
     rng = random.Random(19)
     for _ in range(20):
-        s = rand_series(rng).shift(1).truncate(6)
-        t = rand_series(rng).shift(1).truncate(6)
-        assert (s + t).exp() == s.exp() * t.exp()
+        a, b = rand_gauss(rng), rand_gauss(rng)
+        assert hexp(a + b, 6) == hexp(a, 6) * hexp(b, 6)
 
 
 def test_divide_by_hbar_shifts():
@@ -117,10 +114,10 @@ def test_q_number_limit():
     num = hexp(Fraction(1, 2), 4) - hexp(Fraction(-1, 2), 4)
     den = hexp(Fraction(1, 4), 4) - hexp(Fraction(-1, 4), 4)
     ratio = num.divide_by_hbar() * den.divide_by_hbar().inverse()
-    assert ratio.coeff(0) == gauss(2)
+    assert ratio.coeffs[0] == gauss(2)
     # same mechanics with the q^{H} normalization: constant term 1
     num2 = hexp(Fraction(1, 4), 4) - hexp(Fraction(-1, 4), 4)
-    assert (num2.divide_by_hbar() * den.divide_by_hbar().inverse()).coeff(0) == gauss(1)
+    assert (num2.divide_by_hbar() * den.divide_by_hbar().inverse()).coeffs[0] == gauss(1)
 
 
 def test_equality_respects_minimum_order():
@@ -134,8 +131,7 @@ def test_equality_respects_minimum_order():
 def test_every_series_constructor_requires_an_order():
     # there is no process-wide default: a forgotten order fails loudly
     for build in (lambda: HSeries([1]), HSeries.one, HSeries.zero,
-                  HSeries.hbar, lambda: HSeries.from_scalar(1),
-                  lambda: series(1), lambda: series([1, 2]),
+                  HSeries.hbar, lambda: series(1), lambda: series([1, 2]),
                   lambda: hexp(1)):
         with pytest.raises(TypeError):
             build()
@@ -149,18 +145,13 @@ def test_gauss_rational_defers_to_series_operands():
     for _ in range(100):
         g = rand_gauss(rng)
         s = rand_series(rng, rng.randint(0, 6))
-        c = HSeries.from_scalar(g, s.order)
+        c = series(g, s.order)
         pairs = [(g + s, c + s), (g - s, c - s), (g * s, c * s)]
         if s.is_unit():
             pairs.append((g / s, c / s))
         for got, want in pairs:
             assert (got.coeffs, got.order) == (want.coeffs, want.order)
         assert (g == s) == (c == s) == (s == g)
-
-
-def test_serialize():
-    s = HSeries([1, Fraction(1, 2), GaussRational(0, 1)], order=4)
-    assert s.serialize() == ["1", "1/2", "1*i", "0"]
 
 
 # -- oracle: Q(i) on a pair of Fractions ----------------------------------
@@ -214,12 +205,6 @@ class PairGauss:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self):
-        return PairGauss(self.re, -self.im)
-
-    def norm_sq(self):
-        return self.re * self.re + self.im * self.im
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -309,9 +294,6 @@ def test_gauss_agrees_with_fraction_pair_oracle():
         assert_agrees(g - h, r - q)
         assert_agrees(g * h, r * q)
         assert_agrees(-g, -r)
-        assert_agrees(g.conjugate(), r.conjugate())
-        assert g.norm_sq() == r.norm_sq()
-        assert type(g.norm_sq()) is Fraction
         if q:
             assert_agrees(g / h, r / q)
         else:
@@ -445,7 +427,7 @@ def test_constant_fast_paths_match_general_loops():
 def test_constant_fast_paths_order_zero():
     empty = HSeries([5, 1], order=0)
     assert empty.coeffs == () and empty.order == 0
-    c = HSeries.from_scalar(GaussRational(2, 3), 4)
+    c = series(GaussRational(2, 3), 4)
     for result in (empty + c, c + empty, empty - c, empty * c, c * empty,
                    empty + empty, HSeries.one(6) * empty):
         assert result.order == 0 and result.coeffs == ()
@@ -456,8 +438,8 @@ def test_constant_fast_paths_order_zero():
 
 
 def test_constant_sum_takes_minimum_order():
-    a = HSeries.from_scalar(Fraction(1, 2), 3)
-    b = HSeries.from_scalar(GaussRational(1, -1), 7)
+    a = series(Fraction(1, 2), 3)
+    b = series(GaussRational(1, -1), 7)
     for s in (a + b, b + a):
         assert s.order == 3
         assert s.coeffs == (GaussRational(Fraction(3, 2), -1),)
@@ -468,9 +450,9 @@ def test_constant_sum_takes_minimum_order():
 
 def test_constant_sum_cancels_to_zero():
     x = GaussRational(Fraction(-7, 3), Fraction(5, 6))
-    s = HSeries.from_scalar(x, 6) + HSeries.from_scalar(-x, 4)
+    s = series(x, 6) + series(-x, 4)
     assert s.coeffs == () and s.is_zero() and s.order == 4
-    assert (HSeries.from_scalar(x, 6) - x).is_zero()
+    assert (series(x, 6) - x).is_zero()
     assert (HSeries.zero(6) + HSeries.zero(6)).coeffs == ()
 
 
@@ -481,7 +463,7 @@ def test_constant_inverse_at_every_order():
             g = rand_pair(rng)[0]
             if not g:
                 continue
-            s = HSeries.from_scalar(g, n)
+            s = series(g, n)
             inv = s.inverse()
             assert_series(inv, inverse_loop(s))
             assert inv.coeffs == (ONE / g,)
@@ -581,11 +563,3 @@ def test_unit_factor_and_zero_summand_share_the_operand():
             for p in (zero + s, s + zero):
                 assert_series(p, add_loop(zero, s))
                 assert (p is s) == (m >= s.order)
-
-
-def test_truncate_shares_or_cuts_the_window():
-    s = HSeries([1, 2, 3, 4], 5)
-    assert s.truncate(5) is s and s.truncate(9) is s
-    for m in range(5):
-        t = s.truncate(m)
-        assert t.order == m and t.coeffs == s.coeffs[:m]
