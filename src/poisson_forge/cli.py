@@ -275,8 +275,7 @@ def run_spec_command(command, spec, args):
     raise SpecError("unknown command %r" % command)
 
 
-def emit(results, json_out=None, stream=None):
-    stream = stream or sys.stdout
+def emit(results, json_out=None):
     records = []
     worst = PASS
     for check_id, rep in results:
@@ -284,13 +283,13 @@ def emit(results, json_out=None, stream=None):
         record.update(rep.to_json())
         records.append(record)
         line = "[%s] %s" % (rep.verdict.upper(), check_id)
-        print(line, file=stream)
+        print(line)
         for f in rep.failures:
-            print("    defect: %s" % f, file=stream)
+            print("    defect: %s" % f)
         for n in rep.notes:
-            print("    note: %s" % n, file=stream)
+            print("    note: %s" % n)
         for k, v in sorted(rep.data.items()):
-            print("    %s = %s" % (k, v), file=stream)
+            print("    %s = %s" % (k, v))
         if rep.verdict == FAIL:
             worst = FAIL
         elif rep.verdict == DISCREPANCY and worst == PASS:
@@ -300,7 +299,7 @@ def emit(results, json_out=None, stream=None):
         sum(1 for r in records if r["verdict"] == PASS),
         sum(1 for r in records if r["verdict"] == FAIL),
         sum(1 for r in records if r["verdict"] == DISCREPANCY))
-    print(summary, file=stream)
+    print(summary)
     if json_out:
         import json  # only a --json run writes records
         with open(json_out, "a") as fh:

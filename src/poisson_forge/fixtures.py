@@ -325,13 +325,13 @@ def gl2_plus_bivector():
 # Momentum-map fixtures
 # ---------------------------------------------------------------------------
 
-def canonical_chart(n, q="q", p="p"):
+def canonical_chart(n):
     """T*R^n chart (q1..qn, p1..pn) with pi = sum d_qi ^ d_pi."""
     from .poisson import PolyBivector
-    names = ["%s%d" % (q, i + 1) for i in range(n)] + \
-            ["%s%d" % (p, i + 1) for i in range(n)]
+    names = ["q%d" % (i + 1) for i in range(n)] + \
+            ["p%d" % (i + 1) for i in range(n)]
     chart = Chart(names)
-    pi = PolyBivector(chart, {("%s%d" % (q, i + 1), "%s%d" % (p, i + 1)): 1
+    pi = PolyBivector(chart, {("q%d" % (i + 1), "p%d" % (i + 1)): 1
                               for i in range(n)})
     return chart, pi
 
@@ -431,14 +431,15 @@ def usl2_presentation(order=ORDER):
         order, name="U(sl2)")
 
 
-def q_number_terms(hname="H", scale=Fraction(1, 4), order=ORDER):
-    """Terms dict of (q^H - q^-H)/(q - q^-1) with q = exp(scale * hbar).
+def q_number_terms(order=ORDER):
+    """Terms dict of (q^H - q^-H)/(q - q^-1) with q = exp(hbar/4).
 
     Built from the scalar series oracle: exponentials plus a valuation
     shift and a unit inverse, no rewriting involved.  The exponentials are
     taken mod hbar^(order + 1), so the shifted denominator, and every
     coefficient, is known mod hbar^order.
     """
+    scale = Fraction(1, 4)
     den_unit = (hexp(scale, order + 1)
                 - hexp(-scale, order + 1)).divide_by_hbar()
     den_inv = den_unit.inverse()
@@ -450,10 +451,10 @@ def q_number_terms(hname="H", scale=Fraction(1, 4), order=ORDER):
             continue
         # numerator coefficient of H^k: 2 scale^k hbar^k / k!; one hbar
         # cancels against the denominator's
-        lead = gauss(2 * Fraction(scale) ** k / fact)
+        lead = gauss(2 * scale ** k / fact)
         coeff = HSeries([0] * (k - 1) + [lead], order) * den_inv
         if not coeff.is_zero():
-            terms[(hname,) * k] = coeff
+            terms[("H",) * k] = coeff
     return terms
 
 
@@ -474,14 +475,14 @@ def uhsl2_presentation(order=ORDER):
         order, name="U_hbar(sl2)")
 
 
-def h_exponential(pres, scale, hname="H"):
+def h_exponential(pres, scale):
     """exp(scale * hbar * H) as an NCPoly in the H-subalgebra, mod hbar^N
     for the presentation's N."""
     from .ncalg import NCPoly
     order = pres.order
     terms = {}
     fact = 1
-    h = pres.index(hname)
+    h = pres.index("H")
     for k in range(order):
         if k:
             fact *= k

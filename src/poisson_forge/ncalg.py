@@ -6,14 +6,19 @@ its leading word into a combination of other words.  The shipped
 presentations only have rules on adjacent pairs g_j g_i; the quotient by a
 two-sided ideal (``Presentation.quotient``, completed in ``ncgroebner``)
 adds rules of other lengths.  Reduction rewrites the leftmost matching
-subword, with memoized normal forms per word.  Termination is by
-construction: every rule rewrites its leading word either into strictly
-smaller words in (degree, lex) order or into terms whose coefficients carry
-strictly higher hbar-valuation; an explicit word-length/step guard catches
-anything else.  Confluence is certified by Bergman's Diamond Lemma: with
-that order, read on hbar^k * w, the ambiguities are the overlaps and the
-inclusions of leading words, and resolving each of them proves unique
-normal forms.
+subword, with memoized normal forms per word.  Each word is normalised
+only in the hbar-window it is needed in: a word met at hbar^j inside a word
+needed mod hbar^n is needed mod hbar^(n - j), and not at all once n - j <=
+0.  Every rule rewrites its leading word into strictly smaller words in
+(degree, lex) order at hbar^0 (``_check_termination_order``) and into
+words of any length at hbar^j, j >= 1.  So each rewrite either lowers the
+word in (degree, lex) order, a well-order, at the same window, or lowers
+the window by j >= 1, and rewriting terminates with no bound on the length
+of a word; a step budget (``MAX_STEPS``, guard ``ncalg.max_steps``) bounds
+the work of one normal form.  Confluence is certified by Bergman's Diamond
+Lemma: with that order, read on hbar^k * w, the ambiguities are the
+overlaps and the inclusions of leading words, and resolving each of them
+proves unique normal forms.
 
 Elements keep hbar in the term key.  An element of the algebra or of a
 tensor power is a sum of terms c hbar^j key, stored flat as
@@ -25,8 +30,9 @@ is formed the same way: ``_pairs`` joins the keys of every pair of terms
 whose exponents add up to less than the window, and never multiplies the
 others, and ``Presentation._normal`` takes the joined words to normal form,
 slot by slot for a tuple of words.  The product is known in the least
-window of its operands and of the normal forms it meets, so no term at or
-past hbar^N is ever formed.  Rule right sides are flattened the same way,
+window of its operands and, over the keys, of the least power of hbar on
+a key plus the window of its normal form, so no term at or past hbar^N is
+ever formed.  Rule right sides are flattened the same way,
 once, when the presentation is built, and the memo holds flat normal forms.
 Series (``HSeries``) are the scalars elements are scaled by, and the
 printed form of a coefficient (``series_terms``).
@@ -36,7 +42,6 @@ rules, placed adjacent to their base generator in the order.
 """
 
 import itertools
-import sys
 
 from .errors import CapabilityError
 from .report import Report
@@ -46,6 +51,8 @@ from .scalars import (
 )
 
 _new = object.__new__
+
+MAX_STEPS = 200000
 
 
 class Flat:
@@ -162,8 +169,7 @@ class Presentation:
     either way.
     """
 
-    def __init__(self, gens, rules, order, inverses=None, name="",
-                 max_word_len=32, max_steps=200000):
+    def __init__(self, gens, rules, order, inverses=None, name=""):
         """``rules`` maps a leading word (a tuple of generator names, such
         as the pair (left_name, right_name)) to a terms dict
         {word-of-names: coefficient}; ``inverses`` maps an inverse generator
@@ -174,8 +180,6 @@ class Presentation:
         self.name = name or "algebra"
         self._index = {g: i for i, g in enumerate(self.gens)}
         self.inverses = dict(inverses or {})
-        self.max_word_len = max_word_len
-        self.max_steps = max_steps
         indexed = {}
         for lhs, terms in rules.items():
             indexed[self._word(lhs)] = Flat(*_flat(
@@ -197,9 +201,7 @@ class Presentation:
 
     def _with_rules(self, rules, name):
         """A presentation on the same generators with other rules."""
-        out = Presentation(self.gens, {}, self.order, name=name,
-                           max_word_len=self.max_word_len,
-                           max_steps=self.max_steps)
+        out = Presentation(self.gens, {}, self.order, name=name)
         out.inverses = dict(self.inverses)
         out._set_rules(rules)
         return out
@@ -248,52 +250,54 @@ class Presentation:
     # -- normal forms ------------------------------------------------------
 
     def nf_word(self, word):
-        """Normal form of a word (tuple of generator indices): the memo's
-        ``Flat``, to be read, not changed.  The ``max_steps`` budget applies
-        to each call."""
+        """Normal form of a word (tuple of generator indices) in the full
+        window: the memo's ``Flat``, to be read, not changed.  The step
+        budget ``MAX_STEPS`` applies to each call."""
         self._steps = 0
-        return self._nf(tuple(word))
+        return self._nf(tuple(word), self.order)
 
-    def _nf(self, word):
-        """The memoized normal form of a word, rewritten without recursion:
-        a word waits on a stack until the words its rule rewrites it into
-        have normal forms, so a chain of rewrites is bounded by
-        ``max_steps`` alone."""
+    def _nf(self, word, window):
+        """The memoized normal form of a word needed mod hbar^window,
+        rewritten without recursion: a word waits on a stack, with its
+        window, until the words its rule rewrites it into have normal forms
+        in theirs (see the module docstring).  A memo entry serves a request
+        its window covers, and is recomputed and replaced by the wider one
+        otherwise; a normal word's entry has the full window."""
         memo = self._memo
         hit = memo.get(word)
-        if hit is not None:
+        if hit is not None and hit.order >= window:
             return hit
-        stack = [(word, None)]
+        stack = [(word, window, None)]
         while stack:
-            w, step = stack.pop()
+            w, n, step = stack.pop()
             if step is None:
                 # first visit: rewrite once, then wait for the words
-                if w in memo:
+                hit = memo.get(w)
+                if hit is not None and hit.order >= n:
                     continue
                 step = self._rewrite(w)
                 if step is None:
                     memo[w] = Flat({(0, w): ONE}, self.order)
                     continue
-                waiting = [(v, None) for _, v in step.terms if v not in memo]
+                # a word's terms come in rising powers of hbar, so its
+                # widest window is met first and the others find it
+                waiting = [(v, n - j, None) for j, v in step.terms
+                           if j < n and (v not in memo
+                                         or memo[v].order < n - j)]
                 if waiting:
-                    stack.append((w, step))
+                    stack.append((w, n, step))
                     stack += reversed(waiting)
                     continue
-            memo[w] = self._normal(step.terms.items(), step.order,
-                                   nf=memo.__getitem__)
+            raw = step.terms.items()
+            if n < step.order:
+                raw = [(key, c) for key, c in raw if key[0] < n]
+            memo[w] = self._normal(raw, min(n, step.order),
+                                   nf=lambda v, _: memo[v])
         return memo[word]
 
     def _rewrite(self, word):
         """``word`` with its leftmost leading word, shortest first, rewritten
-        once (a step of the ``max_steps`` budget); None for a normal word."""
-        if len(word) > self.max_word_len:
-            raise CapabilityError(
-                "guard ncalg.max_word_len: word length %d exceeds %d; "
-                "presentation %r may not terminate"
-                % (len(word), self.max_word_len, self.name),
-                guard="ncalg.max_word_len",
-                counters={"word_len": len(word),
-                          "max_word_len": self.max_word_len})
+        once (a step of the ``MAX_STEPS`` budget); None for a normal word."""
         rules = self.rules
         rule = None
         n = len(word)
@@ -308,13 +312,12 @@ class Presentation:
         if rule is None:
             return None
         self._steps += 1
-        if self._steps > self.max_steps:
+        if self._steps > MAX_STEPS:
             raise CapabilityError(
                 "guard ncalg.max_steps: rewriting exceeded %d steps in "
-                "%r" % (self.max_steps, self.name),
+                "%r" % (MAX_STEPS, self.name),
                 guard="ncalg.max_steps",
-                counters={"steps": self._steps,
-                          "max_steps": self.max_steps})
+                counters={"steps": self._steps, "max_steps": MAX_STEPS})
         return _placed(rule, word[:start], word[start + size:])
 
     def _normal(self, raw, order, slots=False, nf=None):
@@ -324,11 +327,13 @@ class Presentation:
         a word, or with ``slots`` a tuple of words, one per tensor slot.
         The terms are summed per key, and each key's normal form (for a
         tuple, each slot's) is looked up once for all the powers of hbar it
-        carries.  The result is known in the least of ``order`` and the
-        windows of those normal forms, and no term at or past it is formed.
-        Each product has its own ``max_steps`` budget; rewriting passes the
-        memo's lookup as ``nf`` and stays in the budget of the product it
-        serves.  Integer numerators would land here (ROADMAP item 3)."""
+        carries, in the window it is needed in: mod hbar^(order - j) for
+        the least power j left on the key.  The result is known in the
+        least of ``order`` and, over the keys, of j plus the window of the
+        normal form, and no term at or past it is formed.  Each product has
+        its own ``MAX_STEPS`` budget; rewriting passes the memo's lookup as
+        ``nf`` and stays in the budget of the product it serves.  Integer
+        numerators would land here (ROADMAP item 3)."""
         if nf is None:
             self._steps = 0
             nf = self._nf
@@ -345,24 +350,29 @@ class Presentation:
                     del powers[j]
             else:
                 powers[j] = c
+        top = order
+        parts = []
+        for key, powers in by_key.items():
+            if powers:
+                low = min(powers)
+                if slots:
+                    nfs = [nf(w, order - low) for w in key]
+                else:
+                    nfs = (nf(key, order - low),)
+                for s in nfs:
+                    if low + s.order < top:
+                        top = low + s.order
+                parts.append((key, nfs, powers))
         out = {}
         if not slots:
-            parts = [(nf(key), powers)
-                     for key, powers in by_key.items() if powers]
-            for p, _ in parts:
-                if p.order < order:
-                    order = p.order
-            for p, powers in parts:
+            for _, (p,), powers in parts:
                 _accumulate(out, _product_terms(list(powers.items()),
-                                                p.terms, order))
-            return Flat(out, order)
-        parts = [(key, [nf(w) for w in key], powers)
-                 for key, powers in by_key.items() if powers]
-        order = min([order] + [s.order for _, nfs, _ in parts for s in nfs])
+                                                p.terms, top))
+            return Flat(out, top)
         for key, nfs, powers in parts:
             # the powers of hbar times each slot's normal form in turn; a
             # normal word is its own normal form, and its slot stays
-            partial = [((j, key), c) for j, c in powers.items() if j < order]
+            partial = [((j, key), c) for j, c in powers.items() if j < top]
             for i, s in enumerate(nfs):
                 if (0, key[i]) in s.terms:
                     continue
@@ -370,15 +380,15 @@ class Presentation:
                             c if cs is ONE else cs if c is ONE else c * cs)
                            for (j, k), c in partial
                            for (js, w), cs in s.terms.items()
-                           if j + js < order]
+                           if j + js < top]
             _accumulate(out, partial)
-        return Flat(out, order)
+        return Flat(out, top)
 
     def normal_form(self, x):
         """Normal form of an element (an NCPoly, or the Flat of a rule) or
         of a terms dict {word: coefficient}, as an NCPoly.  The element may
         belong to another presentation on the same generators (the algebra
-        a quotient was completed from).  The ``max_steps`` budget applies
+        a quotient was completed from).  The ``MAX_STEPS`` budget applies
         to each call, as in ``nf_word``."""
         if isinstance(x, dict):
             x = self._element(x.items())
@@ -419,7 +429,7 @@ class Presentation:
     def monomials_up_to(self, degree):
         """All normal-form words of length <= degree: the monomials of the
         witness sweeps and of ``qmomentum.invariant_subalgebra``.  Each
-        word's normal form has its own ``max_steps`` budget."""
+        word's normal form has its own ``MAX_STEPS`` budget."""
         out = [()]
         for length in range(1, degree + 1):
             for word in itertools.product(range(len(self.gens)), repeat=length):
@@ -865,8 +875,8 @@ def chart_presentation(chart, order):
     Diamond Lemma, Adv. Math. 29, 1978; Cox, Little and O'Shea, *Ideals,
     Varieties, and Algorithms*, ch. 4 section 4 for the Laurent ring as
     k[x, t]/<t x - 1>), so a polynomial lies in I exactly when its normal
-    form is 0.  No rule lengthens a word at hbar^0, so the word-length
-    guard is off: a long monomial is not a runaway rewrite."""
+    form is 0.  Every rule lowers its word in (degree, lex) order, so a
+    monomial of any length reduces."""
     gens = []
     inverses = {}
     for v in chart.names:
@@ -881,8 +891,7 @@ def chart_presentation(chart, order):
              for x, y in itertools.combinations(gens, 2)
              if inverses.get(x) != y}
     return Presentation(gens, rules, order, inverses=inverses,
-                        name="Q(i)[%s]" % ", ".join(gens),
-                        max_word_len=sys.maxsize)
+                        name="Q(i)[%s]" % ", ".join(gens))
 
 
 def abelianize(x, chart=None):

@@ -285,10 +285,7 @@ class SpecFile:
                                       % (entry.where, g))
                    for g, spec in entry["antipode"].items()},
             pres.one(), anti=True, name="S")
-        try:
-            return HopfStructure(pres, cop, counit, antipode)
-        except ValueError as exc:
-            raise SpecError("hopf structure %r: %s" % (name, exc))
+        return HopfStructure(pres, cop, counit, antipode)
 
     def action_expr(self, pres, spec):
         from .qmomentum import (

@@ -260,7 +260,7 @@ def momentum_fixture_suite():
     return out
 
 
-def hopf_fixture_suite(order=fixtures.ORDER):
+def hopf_fixture_suite(order):
     from .hopf import (
         check_all_axioms, semiclassical_cobracket,
         check_co_poisson_compatibility, classical_limit_check,
@@ -301,7 +301,7 @@ def hopf_fixture_suite(order=fixtures.ORDER):
     return out
 
 
-def quantum_action_fixture_suite(degree=2, order=fixtures.ORDER):
+def quantum_action_fixture_suite(degree, order):
     from .qmomentum import (
         check_module_algebra, check_action_lie_hom, check_ideal_invariance,
         invariant_subalgebra,
@@ -360,7 +360,7 @@ def quantum_action_fixture_suite(degree=2, order=fixtures.ORDER):
     return out
 
 
-def reduction_fixture_suite(degree=2):
+def reduction_fixture_suite():
     from .coordpoly import Chart, poly
     from .poisson import PolyBivector, PolyVectorField
     from .reduction import (
@@ -376,7 +376,7 @@ def reduction_fixture_suite(degree=2):
     setup = ReductionSetup(pi, d, action, ideal=["a-1", "b"])
     out.append(("case3/ideal-poisson-closed", check_ideal_poisson_closed(setup)))
     out.append(("case3/ideal-invariant", check_ideal_invariant(setup)))
-    basis, closure = invariant_functions(setup, degree)
+    basis, closure = invariant_functions(setup, 2)
     out.append(("case3/invariant-closure", closure))
     cls, rep = reduced_bracket(setup, poly("u", chart), poly("v", chart))
     ok = rep.ok and cls == poly(1, chart)
@@ -396,7 +396,7 @@ def reduction_fixture_suite(degree=2):
     return out
 
 
-def run_fixture_suite(command, degree=3, order=fixtures.ORDER):
+def run_fixture_suite(command, degree, order):
     """The shipped suite for one CLI command, quantum ones mod hbar^order."""
     if command == "check-bialgebra":
         return bialgebra_fixture_suite()

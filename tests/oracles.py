@@ -703,13 +703,24 @@ def agrees(terms, order, reference):
     return True
 
 
+def _times(a, b):
+    """a * b for series known mod hbar^A and hbar^B, of valuations u and v:
+    the product is known mod hbar^min(A + v, u + B).  So a rule known mod
+    hbar^B and met at hbar^u gives terms known u powers of hbar further,
+    as far as the other factor's window allows."""
+    order = min(a.order + b.valuation(), a.valuation() + b.order)
+    return HSeries(a.coeffs, order) * HSeries(b.coeffs, order)
+
+
 class SeriesReference:
     """Normal forms and products with one HSeries coefficient per word, as
     the element layer computed them before hbar moved into the term key:
-    each coefficient keeps its own window, products and sums take the
-    least, and a pair of terms is multiplied whatever its valuations.  The
-    rules are the presentation's, read as {word: HSeries}; reduction
-    rewrites the leftmost, then shortest, leading word, with its own memo.
+    each coefficient keeps its own window, sums take the least, a product
+    is known as far as its factors' windows and valuations allow
+    (``_times``), and a pair of terms is multiplied whatever its
+    valuations.  The rules are the presentation's, read as {word:
+    HSeries}; reduction rewrites the leftmost, then shortest, leading word,
+    with its own memo.
     """
 
     def __init__(self, pres):
@@ -738,7 +749,7 @@ class SeriesReference:
             out = {}
             for t, c in self.rules[word[k:k + m]].items():
                 for w, c2 in self.nf(head + t + tail).items():
-                    _acc(out, w, c * c2)
+                    _acc(out, w, _times(c, c2))
         self.memo[word] = out
         return out
 
@@ -746,7 +757,7 @@ class SeriesReference:
         out = {}
         for w, c in terms.items():
             for w2, c2 in self.nf(w).items():
-                _acc(out, w2, c * c2)
+                _acc(out, w2, _times(c, c2))
         return out
 
     def mul(self, a, b):
@@ -754,7 +765,7 @@ class SeriesReference:
         raw = {}
         for w1, c1 in a.items():
             for w2, c2 in b.items():
-                _acc(raw, w1 + w2, c1 * c2)
+                _acc(raw, w1 + w2, _times(c1, c2))
         return self.normal_form(raw)
 
     def tensor_mul(self, a, b):
@@ -762,14 +773,14 @@ class SeriesReference:
         out = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                base = c1 * c2
+                base = _times(c1, c2)
                 if base.is_zero():
                     continue
                 slots = [self.nf(x + y) for x, y in zip(k1, k2)]
                 for combo in itertools.product(*(s.items() for s in slots)):
                     coeff = base
                     for _, c in combo:
-                        coeff = coeff * c
+                        coeff = _times(coeff, c)
                     _acc(out, tuple(w for w, _ in combo), coeff)
         return out
 
@@ -778,10 +789,10 @@ class SeriesReference:
         out = {}
         for (l1, r1), c1 in a.items():
             for (l2, r2), c2 in b.items():
-                c = c1 * c2
+                c = _times(c1, c2)
                 for lw, lc in self.nf(l1 + l2).items():
                     for rw, rc in self.nf(r2 + r1).items():
-                        _acc(out, (lw, rw), c * lc * rc)
+                        _acc(out, (lw, rw), _times(_times(c, lc), rc))
         return out
 
     def apply(self, op, k, f):
@@ -791,9 +802,9 @@ class SeriesReference:
         out = {}
         for (l, r), c in op.items():
             for w, cf in f.items():
-                cw = c * cf
+                cw = _times(c, cf)
                 for v, cv in self.nf(l + w + r).items():
-                    _acc(out, v, cw * cv)
+                    _acc(out, v, _times(cw, cv))
         return {w: c.divide_by_hbar(k) for w, c in out.items()}
 
 

@@ -6,19 +6,16 @@ means there are no numerical tolerances anywhere -- a check passes when a
 polynomial/series/tensor difference is identically zero.
 """
 
-import itertools
 import time
 from fractions import Fraction
-
-import pytest
 
 from poisson_forge import fixtures, suites
 from poisson_forge.coordpoly import Chart, poly
 from poisson_forge.lie import (
-    check_jacobi, check_cocycle, cobracket_from_r, dual_bracket,
+    check_jacobi, cobracket_from_r, dual_bracket,
     schouten_rr, build_double, wedge,
 )
-from poisson_forge.report import PASS, FAIL, DISCREPANCY
+from poisson_forge.report import PASS, DISCREPANCY
 from poisson_forge.scalars import HSeries, gauss, hexp
 
 # the hbar order of the series built here, the fixtures' default
@@ -118,7 +115,7 @@ def test_criterion_4_momentum_map_suite():
 
 def test_criterion_5_hopf_suite():
     def run():
-        results = suites.hopf_fixture_suite()
+        results = suites.hopf_fixture_suite(fixtures.ORDER)
         for check_id, rep in results:
             assert rep.ok, (check_id, rep.failures)
         ids = [c for c, _ in results]

@@ -85,6 +85,26 @@ def test_spec_check_hopf(capsys):
     assert run(["check-hopf", SPEC, "usl2_hopf", "--degree", "2"]) == 0
 
 
+def test_spec_hopf_map_that_breaks_a_rule_fails_the_axioms(tmp_path,
+                                                          capsys):
+    # S(E) = E breaks the rule [E, F] = H: the structure is built, and
+    # every axiom that rests on S fails and names it
+    spec = edited_spec(tmp_path, ("hopf_structures", "usl2_hopf", "antipode",
+                                  "E"), [{"coeff": "1", "word": ["E"]}])
+    assert run(["check-hopf", spec, "usl2_hopf"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] usl2_hopf/antipode" in out
+    assert "defect: map:S: rule " in out
+    assert "[PASS] usl2_hopf/coassociativity" in out
+
+
+def test_fixtures_check_hopf_past_32_letters(capsys):
+    # U_hbar(sl2)'s [E, F] rule carries H^33 at order 34: each word is
+    # normalised in the window it is needed in, with no bound on its length
+    assert run(["check-hopf", "--fixtures", "--order", "34"]) == 0
+    assert "12 checks: 12 pass, 0 fail" in capsys.readouterr().out
+
+
 def test_spec_check_action_and_qreduce(capsys):
     assert run(["check-action", SPEC, "qplane_action"]) == 0
     assert run(["qreduce", SPEC, "qplane_action"]) == 0
@@ -486,7 +506,7 @@ def test_a_run_leaves_no_order_behind(capsys):
     # at N = 6, where all 12 Hopf checks pass
     from poisson_forge import suites
     assert run(["check-hopf", "--fixtures", "--order", "1"]) == 3
-    results = suites.run_fixture_suite("check-hopf")
+    results = suites.run_fixture_suite("check-hopf", 3, poisson_forge.ORDER)
     assert len(results) == 12
     assert all(rep.ok for _, rep in results)
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 import pytest
 
 from poisson_forge import fixtures
-from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import (
     NCPoly, Presentation, TensorAlgebra, TensorElement,
 )
@@ -45,8 +44,8 @@ def _complex_plane(order):
 
 def _coarse_plane(order):
     """y x = exp(i hbar) x y with the rule known only mod hbar^(N - 1): a
-    product that meets it is known one power of hbar less far than its
-    operands."""
+    product that meets it at hbar^0 is known one power of hbar less far
+    than its operands."""
     return Presentation(["x", "y"],
                         {("y", "x"): {("x", "y"): hexp("i", order - 1)}},
                         order, name="coarse-plane")
@@ -281,15 +280,28 @@ def test_module_algebra_defect_matches_the_series_reference(name, order):
     assert compared or order <= 2
 
 
+@pytest.mark.parametrize("order", [n for n in ORDERS if n >= 2])
+def test_a_coarse_rule_met_at_hbar_j_is_known_j_powers_further(order):
+    # y x -> exp(i hbar) x y is known mod hbar^(N - 1); met at hbar^j, its
+    # normal form is needed only mod hbar^(N - j), so the product is known
+    # mod hbar^min(N, N - 1 + j), with the terms of the same product where
+    # the rule is known one power further
+    coarse, fine = _coarse_plane(order), _coarse_plane(order + 1)
+    for j in range(order):
+        got, want = (
+            pres.gen("y") * HSeries.hbar(pres.order) ** j * pres.gen("x")
+            for pres in (coarse, fine))
+        assert got.order == min(order, order - 1 + j)
+        assert got.terms == {k: c for k, c in want.terms.items()
+                             if k[0] < got.order}
+
+
 def test_products_skip_pairs_at_or_past_the_window():
     # a pair of terms whose exponents add up to N or more is never
-    # multiplied: x^3 x^3 would trip the word-length guard at 5 letters
-    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, 4,
-                        max_word_len=5)
+    # multiplied: the joined word x^6 is never normalised
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, 4)
     h = HSeries.hbar(4)
     cube = pres.monomial((0, 0, 0))
-    with pytest.raises(CapabilityError):
-        cube * cube
     high, low = cube * h ** 3, cube * h
     assert (high * low).is_zero() and (low * high).is_zero()
     t2 = TensorAlgebra(pres, 2)
@@ -298,3 +310,6 @@ def test_products_skip_pairs_at_or_past_the_window():
     right = Operator.multiplication(pres, low, pres.one())
     assert left.compose(right).is_zero()
     assert left(low).is_zero()
+    assert (0,) * 6 not in pres._memo
+    cube * cube
+    assert (0,) * 6 in pres._memo

@@ -1,11 +1,10 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from poisson_forge import fixtures
 from poisson_forge.coordpoly import Chart, poly
-from poisson_forge.lie import RMatrix, Tensor, cobracket_from_r, Cobracket, wedge
+from poisson_forge.lie import RMatrix, Tensor, Cobracket, wedge
 from poisson_forge.matgroup import (
     pl_group_bivector, vanishes_at_identity, check_multiplicative,
     maurer_cartan_forms, check_maurer_cartan, dressing_fields,

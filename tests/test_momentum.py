@@ -4,7 +4,7 @@ from fractions import Fraction
 from poisson_forge import fixtures
 from poisson_forge.coordpoly import Chart, poly
 from poisson_forge.lie import Cobracket, LieAlgebra
-from poisson_forge.matgroup import maurer_cartan_forms, dressing_fields
+from poisson_forge.matgroup import maurer_cartan_forms
 from poisson_forge.momentum import (
     check_poisson_action, classical_mm_check, check_infinitesimal_mm,
     heisenberg_obstruction,
@@ -13,7 +13,6 @@ from poisson_forge.poisson import (
     PolyBivector, PolyVectorField, hamiltonian_field, one_form, differential,
 )
 from poisson_forge.report import Report
-from poisson_forge.scalars import gauss
 
 
 def deformation_identities(pi, action, cobracket, X):

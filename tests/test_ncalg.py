@@ -1,16 +1,15 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
-from poisson_forge import fixtures
+from poisson_forge import fixtures, ncalg
 from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import (
     Presentation, NCPoly, TensorAlgebra, AlgebraMap,
     check_map, semiclassical_bracket, abelianize, abelianization_chart,
     chart_presentation,
 )
-from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp, series
+from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
 from poisson_forge.coordpoly import Chart, poly
 
 from oracles import case1_reduction_algebra
@@ -119,18 +118,18 @@ def test_normal_form_linear_over_series():
     assert x + y * (-h) == u.gen("H")
 
 
-def test_word_length_guard():
-    pres = Presentation(["x"], {}, N, max_word_len=4)
-    with pytest.raises(CapabilityError) as exc:
-        pres.nf_word((0,) * 5)
-    assert exc.value.guard == "ncalg.max_word_len"
-    assert exc.value.counters == {"word_len": 5, "max_word_len": 4}
+def test_a_rule_lengthening_at_hbar_j_is_normalised_in_its_window():
+    # x -> hbar x x lengthens the word at every rewrite and lowers the
+    # window it is needed in by one, so no word length bounds it: x is 0
+    pres = Presentation(["x"], {("x",): {("x", "x"): HSeries.hbar(N)}}, N)
+    nf = pres.nf_word((0,))
+    assert nf.terms == {} and nf.order == N
 
 
-def test_rewrite_step_guard():
+def test_rewrite_step_guard(monkeypatch):
     # y y y x needs three swaps to reach x y y y
-    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N,
-                        max_steps=2)
+    monkeypatch.setattr(ncalg, "MAX_STEPS", 2)
+    pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N)
     with pytest.raises(CapabilityError) as exc:
         pres.nf_word((1, 1, 1, 0))
     assert exc.value.guard == "ncalg.max_steps"
@@ -138,33 +137,34 @@ def test_rewrite_step_guard():
     assert "guard ncalg.max_steps" in str(exc.value)
 
 
-def _swap_presentation(max_steps):
+def _swap_presentation(monkeypatch, max_steps):
     # y^k x needs k swaps to reach x y^k
-    return Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N,
-                        max_steps=max_steps)
+    monkeypatch.setattr(ncalg, "MAX_STEPS", max_steps)
+    return Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N)
 
 
-def test_step_budget_applies_to_each_normal_form():
+def test_step_budget_applies_to_each_normal_form(monkeypatch):
     # 15 rewrites in all, at most 5 in any one call
-    pres = _swap_presentation(10)
+    pres = _swap_presentation(monkeypatch, 10)
     for k in range(1, 6):
         got = pres.normal_form({("y",) * k + ("x",): 1})
         assert got.series_terms() == {(0,) + (1,) * k: HSeries.one(N)}
     with pytest.raises(CapabilityError) as exc:
-        _swap_presentation(10).normal_form({("y",) * 11 + ("x",): 1})
+        _swap_presentation(monkeypatch, 10).normal_form(
+            {("y",) * 11 + ("x",): 1})
     assert exc.value.guard == "ncalg.max_steps"
     assert exc.value.counters == {"steps": 11, "max_steps": 10}
 
 
-def test_step_budget_applies_to_each_word_of_a_monomial_sweep():
+def test_step_budget_applies_to_each_word_of_a_monomial_sweep(monkeypatch):
     # the words up to length 3 take 5 rewrites in all, at most 2 each
-    words = _swap_presentation(2).monomials_up_to(3)
+    words = _swap_presentation(monkeypatch, 2).monomials_up_to(3)
     assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 0),
                      (0, 0, 1), (0, 1, 1), (1, 1, 1)]
 
 
-def test_step_budget_applies_to_each_tensor_product():
-    pres = _swap_presentation(10)
+def test_step_budget_applies_to_each_tensor_product(monkeypatch):
+    pres = _swap_presentation(monkeypatch, 10)
     t2 = TensorAlgebra(pres, 2)
     x = t2.element({(("x",), ()): 1})
     for k in range(1, 6):

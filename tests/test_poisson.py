@@ -5,7 +5,7 @@ import pytest
 
 from poisson_forge.coordpoly import Chart, poly
 from poisson_forge.poisson import (
-    PolyBivector, PolyVectorField, ExteriorForm,
+    PolyBivector, PolyVectorField,
     one_form, differential, hamiltonian_field,
     check_jacobi_coords, casimir_check, koszul_bracket,
     lie_derivative_form, lie_derivative_bivector, fields_wedge,

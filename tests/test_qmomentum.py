@@ -1,4 +1,3 @@
-import itertools
 import os
 from fractions import Fraction
 
@@ -7,15 +6,14 @@ import pytest
 from poisson_forge import fixtures
 from poisson_forge.ncalg import NCPoly, TensorAlgebra
 from poisson_forge.qmomentum import (
-    ActionExpr, Identity, LMul, RMul, Commutator, Scale, Sum, Compose,
-    HbarDiv, hamiltonian_pair, conjugation, QuantumAction,
-    check_module_algebra, check_action_lie_hom, solve_commutator_relation,
-    NCOneForm, one_form, check_ideal_invariance, invariant_subalgebra,
-    _stacked,
+    Identity, LMul, RMul, Commutator, Scale, Sum, Compose, HbarDiv,
+    hamiltonian_pair, QuantumAction, check_module_algebra,
+    check_action_lie_hom, one_form, check_ideal_invariance,
+    invariant_subalgebra, _stacked,
 )
 from poisson_forge.hopf import apply_in_slot
-from poisson_forge.report import DISCREPANCY, PASS, Report
-from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp, series
+from poisson_forge.report import DISCREPANCY, Report
+from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
 from poisson_forge.specfile import SpecFile
 
 from oracles import (
@@ -826,7 +824,7 @@ def test_fixture_suite_sweeps_only_the_case2_witness(monkeypatch):
 
     monkeypatch.setattr(qmomentum, "_module_algebra_witness", no_sweep)
     monkeypatch.setattr(qmomentum, "_lie_hom_witnesses", recorded)
-    results = suites.quantum_action_fixture_suite(degree=2)
+    results = suites.quantum_action_fixture_suite(2, fixtures.ORDER)
     assert calls == [("case2-algebra", "xi", "eta")]
     golden = os.path.join(os.path.dirname(__file__), "golden",
                           "check_action_fixtures.jsonl")

@@ -72,10 +72,10 @@ def _count_normal_forms(monkeypatch):
     original = Presentation._nf
     counts = {"lookups": 0, "words": 0}
 
-    def counted(self, word):
+    def counted(self, word, window):
         counts["lookups"] += 1
         before = len(self._memo)
-        out = original(self, word)
+        out = original(self, word, window)
         counts["words"] += len(self._memo) - before
         return out
 
@@ -84,8 +84,10 @@ def _count_normal_forms(monkeypatch):
 
 
 def test_check_hopf_normalises_each_word_once(monkeypatch, capsys):
-    # each word the suites meet is rewritten once; the products look a
-    # normal form up once per distinct word, not once per pair of terms
+    # each word the suites meet enters the memo once (a word first needed
+    # in a narrower window is rewritten again for a wider one, in place);
+    # the products look a normal form up once per distinct word, not once
+    # per pair of terms
     # (933 lookups when each product looked up its own)
     counts = _count_normal_forms(monkeypatch)
     assert main(["check-hopf", "--fixtures"]) == 0
