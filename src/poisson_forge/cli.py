@@ -249,7 +249,9 @@ def run_spec_command(command, spec, args):
     if command == "qreduce":
         if name is None:
             raise SpecError("qreduce needs an action name")
-        from .qmomentum import check_ideal_invariance, invariant_subalgebra
+        from .qmomentum import (
+            QuantumAction, check_ideal_invariance, invariant_subalgebra,
+        )
         action, extras = spec.quantum_action(name)
         confluence = action.algebra.check_confluence()
         out = [("%s/confluence" % name, confluence)]
@@ -261,15 +263,15 @@ def run_spec_command(command, spec, args):
                                     % action.algebra.name)
             return out
         degree = min(args.degree, extras["degree"])
-        # one completion serves both checks
+        # one completion serves both checks: the invariants are those of
+        # the action on A / J
         quotient = action.algebra.quotient(extras["ideal"])
         out.append(("%s/ideal-invariance" % name,
                     check_ideal_invariance(action, extras["ideal"],
                                            quotient=quotient)))
-        _, rep = invariant_subalgebra(action, extras["counit"],
-                                      degree=degree,
-                                      ideal_gens=extras["ideal"],
-                                      quotient=quotient)
+        _, rep = invariant_subalgebra(
+            QuantumAction(action.group, quotient, action.exprs),
+            extras["counit"], degree=degree)
         out.append(("%s/invariant-subalgebra" % name, rep))
         return out
     raise SpecError("unknown command %r" % command)

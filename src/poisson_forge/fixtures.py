@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import ORDER
 from .scalars import GaussRational, HSeries, gauss, hexp
 from .coordpoly import Chart, poly
-from .lie import LieAlgebra, Tensor, RMatrix, Cobracket, basis_tensor, wedge
+from .lie import LieAlgebra, Tensor, Cobracket, basis_tensor, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def so3_algebra():
 def axb_r():
     """r = X ^ Y, a skew solution of the classical Yang-Baxter equation."""
     L = axb_algebra()
-    return L, RMatrix(wedge(L, "X", "Y"))
+    return L, wedge(L, "X", "Y")
 
 
 def sl2_r_quasitriangular():
@@ -79,20 +79,20 @@ def sl2_r_quasitriangular():
     L = sl2_algebra()
     t = basis_tensor(L, "H", "H") * Fraction(1, 8) \
         + basis_tensor(L, "X", "Y") * Fraction(1, 2)
-    return L, RMatrix(t)
+    return L, t
 
 
 def sl2_r_triangular():
     """r = X (x) H - H (x) X, triangular."""
     L = sl2_algebra()
     t = basis_tensor(L, "X", "H") - basis_tensor(L, "H", "X")
-    return L, RMatrix(t)
+    return L, t
 
 
 def su2_r():
     """r = 2 e2 ^ e3."""
     L = su2_algebra()
-    return L, RMatrix(wedge(L, "e2", "e3") * 2)
+    return L, wedge(L, "e2", "e3") * 2
 
 
 # ---------------------------------------------------------------------------

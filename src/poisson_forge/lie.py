@@ -232,37 +232,18 @@ class Cobracket:
                                   for i in range(self.algebra.dim)}
 
 
-class RMatrix:
-    """An element r of g (x) g with cached symmetric/antisymmetric parts."""
-
-    def __init__(self, tensor):
-        if tensor.rank != 2:
-            raise ValueError("an r-matrix is a rank-2 tensor")
-        self.tensor = tensor
-        self.symmetric = tensor.symmetric_part()
-        self.antisymmetric = tensor.antisymmetric_part()
-        assert (self.symmetric + self.antisymmetric - tensor).is_zero()
-
-    @property
-    def algebra(self):
-        return self.tensor.algebra
-
-    def __repr__(self):
-        return "RMatrix(%s)" % str(self.tensor)
-
-
 def cobracket_from_r(L, r):
-    """delta(x) = ad_x(r).  The symmetric part must be ad-invariant (it then
-    contributes nothing); if it is not, that is reported as an error."""
-    if isinstance(r, Tensor):
-        r = RMatrix(r)
-    sym_check = check_ad_invariance(L, r.symmetric)
+    """delta(x) = ad_x(r) for an r-matrix r, a rank-2 tensor.  The symmetric
+    part must be ad-invariant (it then contributes nothing); if it is not,
+    that is reported as an error."""
+    sym_check = check_ad_invariance(L, r.symmetric_part())
     if not sym_check.ok:
         raise ValueError("symmetric part of r is not ad-invariant: %s"
                          % sym_check.failures[0])
+    antisymmetric = r.antisymmetric_part()
     images = {}
     for i in range(L.dim):
-        images[i] = ad_tensor(L, i, r.antisymmetric)
+        images[i] = ad_tensor(L, i, antisymmetric)
     return Cobracket.from_tensors(L, images)
 
 
@@ -316,10 +297,8 @@ def schouten_rr(r):
     Vanishing is the classical Yang-Baxter equation; r with ad-invariant
     symmetric part and <r,r> = 0 is quasi-triangular.
     """
-    if isinstance(r, Tensor):
-        r = RMatrix(r)
     L = r.algebra
-    t = r.tensor.terms
+    t = r.terms
     out = {}
 
     def add(idx, v):

@@ -15,7 +15,6 @@ the opposite orientation rho - lambda; fixtures record that constant.
 import itertools
 
 from .coordpoly import Chart, CoordPoly, add_product, poly
-from .lie import RMatrix
 from .poisson import PolyBivector, PolyVectorField, ExteriorForm, one_form
 from .report import Report
 from .scalars import gauss, ZERO
@@ -179,10 +178,7 @@ def pl_group_bivector(model, r):
     identity and is multiplicative as a free polynomial identity in the
     entries.
     """
-    if isinstance(r, RMatrix):
-        ra = r.antisymmetric
-    else:
-        ra = r.antisymmetric_part()
+    ra = r.antisymmetric_part()
     left = [_translated_field(model, mat, "L") for mat in _basis_poly(model)]
     right = [_translated_field(model, mat, "R") for mat in _basis_poly(model)]
     chart = model.chart

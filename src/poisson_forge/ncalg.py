@@ -428,14 +428,13 @@ class Presentation:
 
     def monomials_up_to(self, degree):
         """All normal-form words of length <= degree: the monomials of the
-        witness sweeps and of ``qmomentum.invariant_subalgebra``.  Each
-        word's normal form has its own ``MAX_STEPS`` budget."""
-        out = [()]
-        for length in range(1, degree + 1):
-            for word in itertools.product(range(len(self.gens)), repeat=length):
-                if self.nf_word(word).terms == {(0, word): ONE}:
-                    out.append(word)
-        return out
+        witness sweeps and of ``qmomentum.invariant_subalgebra``.  The
+        empty word is one unless 1 = 0 (the zero quotient).  Each word's
+        normal form has its own ``MAX_STEPS`` budget."""
+        words = itertools.chain([()], *(
+            itertools.product(range(len(self.gens)), repeat=length)
+            for length in range(1, degree + 1)))
+        return [w for w in words if self.nf_word(w).terms == {(0, w): ONE}]
 
     # -- confluence ---------------------------------------------------------
 

@@ -21,7 +21,10 @@ Quantum reduction quotients A by a two-sided ideal J, such as su(2)'s
 J exactly when its normal form there is 0.  Invariance of J under the
 action is then a certificate: a two-sided multiplication operator maps J
 into J, so Phi(g) = hbar^-k T does mod hbar^(N - k) wherever Phi(g) maps
-A into A (``check_ideal_invariance``).
+A into A (``check_ideal_invariance``).  The reduced algebra is the
+invariants of A / J: the same expressions, compiled on the quotient's
+presentation, act on its normal words, and the division by hbar^k is done
+on A / J (``invariant_subalgebra``).
 
 Noncommutative 1-forms are sums of pairs a db with an explicit hbar
 offset; their product is normalized so that the sharp map
@@ -33,7 +36,7 @@ import itertools
 
 from .errors import CapabilityError
 from .linalg import solve
-from .ncalg import NCPoly, _accumulate, _ncpoly, _pairs, _scaled
+from .ncalg import _accumulate, _ncpoly, _pairs, _scaled
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import HSeries, ZERO, _acc, gauss, series
 
@@ -621,55 +624,38 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     return Report.from_failures("ideal-invariance", failures)
 
 
-def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
-                         quotient=None):
-    """Basis of the joint kernel of Phi(gen) - eps(gen) id on the degree
-    component, modulo the two-sided ideal J = <ideal_gens> when generators
-    are given.
+def invariant_subalgebra(action, counit_values, degree=2):
+    """Basis of the joint kernel of Phi(gen) - eps(gen) id on the normal
+    words of ``action.algebra`` up to ``degree``, and a report that the
+    basis is closed under the product up to ``degree``; a counit value
+    omitted for a generator is 0.
 
-    Modulo J every element is replaced by its normal form on
-    ``Presentation.quotient``, which is 0 exactly for the elements of J;
-    ``quotient``, when given, is that presentation already completed.
-    Returns (basis NCPolys, report); the report verifies that the basis is
-    closed under the product up to ``degree``.
+    Quantum reduction by a two-sided ideal J passes the action on the
+    completed presentation of A / J (``Presentation.quotient``): each
+    Phi(gen) = hbar^-k T with T a two-sided multiplication operator, so
+    T(J) lies in J and T acts on A / J, where the division by hbar^k is
+    done.  A / J is free over Q(i)[hbar]/(hbar^N) on its normal words
+    (Diamond Lemma), so the kernel vectors are independent classes.
+    Each generator's operator must be known in a nonempty window
+    (``invariant-subalgebra.window``).
     """
     from .linalg import SeriesSpan, kernel
     alg = action.algebra
     ops = {name: action.operator((name,)) for name in action.exprs}
+    for op in ops.values():
+        _check_window("invariant-subalgebra", op)
     order = min((op.window for op in ops.values()), default=alg.order)
-    if ideal_gens:
-        if quotient is None:
-            quotient = alg.quotient(ideal_gens)
-
-        residue = quotient.normal_form
-    else:
-        def residue(x):
-            return x
-    monos = alg.monomials_up_to(degree)
 
     # unknowns: one series per input monomial, whose column stacks
-    # residue(Phi(gen)(m) - eps(gen) m) over the generators
+    # Phi(gen)(m) - eps(gen) m over the generators
     eps = {name: series(counit_values.get(name, 0), alg.order)
            for name in ops}
     columns = {}
-    for w in monos:
+    for w in alg.monomials_up_to(degree):
         x = alg.monomial(w)
-        columns[w] = _stacked([residue(op(x) - x * eps[name])
+        columns[w] = _stacked([op(x) - x * eps[name]
                                for name, op in ops.items()], alg.order)
     basis = [_ncpoly(alg, v, n) for v, n in kernel(columns)]
-
-    if ideal_gens:
-        # independent classes modulo the ideal: growing the span decides
-        # independence over the series ring (x and hbar x collapse)
-        accum = SeriesSpan(order)
-        selected = []
-        for b in basis:
-            b = residue(b)
-            window = min(b.order, accum.order)
-            r = accum.reduce(b.terms, b.order)
-            if r and accum.insert(r, window):
-                selected.append(NCPoly(alg, r, window))
-        basis = selected
 
     failures = []
     closure_span = SeriesSpan(order)
@@ -679,7 +665,6 @@ def invariant_subalgebra(action, counit_values, degree=2, ideal_gens=(),
         prod = x * y
         if prod.degree() > degree:
             continue
-        rest = residue(prod)
-        if not closure_span.contains(rest.terms, rest.order):
+        if not closure_span.contains(prod.terms, prod.order):
             failures.append("product %r leaves the invariant span" % prod)
     return basis, Report.from_failures("invariant-subalgebra", failures)

@@ -17,7 +17,7 @@ import json
 
 from .coordpoly import Chart, poly
 from .errors import SpecError
-from .lie import LieAlgebra, Tensor, RMatrix, Cobracket, cobracket_from_r
+from .lie import LieAlgebra, Tensor, Cobracket, cobracket_from_r
 from .scalars import HSeries, gauss
 
 
@@ -152,7 +152,7 @@ class SpecFile:
         for pair, v in entry["terms"].items():
             x, y = _split_pair(pair)
             comps[(L.index(x), L.index(y))] = gauss(v)
-        return L, RMatrix(Tensor(L, 2, comps))
+        return L, Tensor(L, 2, comps)
 
     def cobracket(self, name):
         entry = self._entry("cobrackets", name)
@@ -270,20 +270,23 @@ class SpecFile:
         from .ncalg import AlgebraMap, TensorAlgebra
         entry = self._entry("hopf_structures", name)
         pres = self.presentation(entry["algebra"])
+        maps = {what: _names(entry.where, what, entry[what], "generators",
+                             pres.gens)
+                for what in ("coproduct", "counit", "antipode")}
         t2 = TensorAlgebra(pres, 2)
         cop = AlgebraMap(pres, {g: self.tensor_element(pres, _items(
                                     "%s coproduct %r term" % (entry.where, g),
                                     spec))
-                                for g, spec in entry["coproduct"].items()},
+                                for g, spec in maps["coproduct"].items()},
                          t2.one(), name="Delta")
         counit = AlgebraMap(pres, {g: self._series(v, "%s counit %r"
                                                    % (entry.where, g))
-                                   for g, v in entry["counit"].items()},
+                                   for g, v in maps["counit"].items()},
                             HSeries.one(self.order), name="epsilon")
         antipode = AlgebraMap(
             pres, {g: self.nc_element(pres, spec, "%s antipode %r"
                                       % (entry.where, g))
-                   for g, spec in entry["antipode"].items()},
+                   for g, spec in maps["antipode"].items()},
             pres.one(), anti=True, name="S")
         return HopfStructure(pres, cop, counit, antipode)
 
@@ -320,16 +323,21 @@ class SpecFile:
         entry = self._entry("actions", name)
         group = self.presentation(entry["group"])
         algebra = self.presentation(entry["algebra"])
+        generators = _names(entry.where, "generators", entry["generators"],
+                            "generators", group.gens)
+        coproducts, counit = (_names(entry.where, what, entry.get(what, {}),
+                                     "generators", group.gens, exactly=False)
+                              for what in ("coproducts", "counit"))
         exprs = {g: self.action_expr(algebra, _fields(
                     "%s generator %r" % (entry.where, g), spec))
-                 for g, spec in entry["generators"].items()}
+                 for g, spec in generators.items()}
         action = QuantumAction(group, algebra, exprs)
         extras = {
             "coproducts": {g: self.tensor_element(group, _items(
                                "%s coproduct %r term" % (entry.where, g), spec))
-                           for g, spec in entry.get("coproducts", {}).items()},
+                           for g, spec in coproducts.items()},
             "counit": {g: self._series(v, "%s counit %r" % (entry.where, g))
-                       for g, v in entry.get("counit", {}).items()},
+                       for g, v in counit.items()},
             "relations": _items(entry.where + " relation",
                                 entry.get("relations", ())),
             "ideal": [self.nc_element(algebra, s, "%s ideal %d"
@@ -348,14 +356,14 @@ class SpecFile:
             L = self.lie_algebra(entry["algebra"])
             hams = _polys(entry.where + " hamiltonians",
                           entry["hamiltonians"], pi.chart)
-            _basis_names(entry.where, "hamiltonians", hams, L)
+            _names(entry.where, "hamiltonians", hams, "basis", L.basis_names)
             out.update(algebra=L, hamiltonians=hams)
         elif kind == "infinitesimal":
             L, d = self.cobracket(entry["cobracket"])
             where = entry.where + " alpha"
             alpha = {g: self.one_form("%s %r" % (where, g), pi.chart, comps)
                      for g, comps in _fields(where, entry["alpha"]).items()}
-            _basis_names(entry.where, "alpha", alpha, L)
+            _names(entry.where, "alpha", alpha, "basis", L.basis_names)
             out.update(algebra=L, cobracket=d, alpha=alpha)
         elif kind == "heisenberg":
             where = entry.where + " alpha"
@@ -382,8 +390,7 @@ class SpecFile:
             L = self.lie_algebra(entry["algebra"])
             d = Cobracket(L, {})
         where = entry.where + " action"
-        _basis_names(entry.where, "action", _fields(where, entry["action"]),
-                     L)
+        _names(entry.where, "action", entry["action"], "basis", L.basis_names)
         action = {g: self.vector_field("%s %r" % (where, g), pi.chart, comps)
                   for g, comps in entry["action"].items()}
         setup = ReductionSetup(pi, d, action, ideal=entry.get("ideal", ()))
@@ -417,16 +424,20 @@ def _components(where, comps, chart):
     return _polys(where, comps, chart)
 
 
-def _basis_names(where, what, table, algebra):
-    """Refuse a table, the ``what`` of the entry ``where``, that does not
-    name exactly the basis of ``algebra``."""
-    names = algebra.basis_names
-    missing = sorted(set(names) - set(table))
+def _names(where, what, table, kind, names, exactly=True):
+    """The JSON object ``table``, the ``what`` of the entry ``where``, as an
+    entry; refuse it when its keys are not exactly ``names`` (the ``kind``:
+    a basis or the generators) or, unless ``exactly``, not all among
+    them."""
+    table = _fields("%s %s" % (where, what), table)
+    missing = sorted(set(names) - set(table)) if exactly else []
     extra = sorted(set(table) - set(names))
     if missing or extra:
-        raise SpecError("%s: the %s must name exactly the basis of %s "
-                        "(missing %s, extra %s)"
-                        % (where, what, names, missing, extra))
+        raise SpecError("%s: the %s must name %s the %s %s (missing %s, "
+                        "extra %s)" % (where, what,
+                                       "exactly" if exactly else "only",
+                                       kind, list(names), missing, extra))
+    return table
 
 
 def _pair_table(where, table, names):

@@ -47,7 +47,7 @@ def _bialgebra_checks(name, L, r, cobracket):
                     Report("yang-baxter", verdict,
                            [] if verdict == PASS else
                            ["<r,r> = %s is not ad-invariant" % s], notes)))
-        sym = check_ad_invariance(L, r.symmetric)
+        sym = check_ad_invariance(L, r.symmetric_part())
         out.append(("%s/symmetric-part-invariant" % name,
                     Report("symmetric-part", sym.verdict, sym.failures)))
         if d is None:

@@ -414,6 +414,42 @@ def test_spec_entry_must_be_an_object(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def _without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+@pytest.mark.parametrize("path, edit, argv, rule, missing, extra", [
+    # these were internal errors (exit 4)
+    (("hopf_structures", "usl2_hopf", "counit"), lambda t: dict(t, Q="0"),
+     ["check-hopf", "usl2_hopf"], "counit must name exactly the "
+     "generators ['F', 'H', 'E']", [], ["Q"]),
+    (("hopf_structures", "usl2_hopf", "counit"), lambda t: _without(t, "H"),
+     ["check-hopf", "usl2_hopf"], "counit must name exactly the "
+     "generators ['F', 'H', 'E']", ["H"], []),
+    (("actions", "qplane_action", "coproducts"),
+     lambda t: dict(t, zz=t["xi"]), ["check-action", "qplane_action"],
+     "coproducts must name only the generators ['xi', 'eta']", [], ["zz"]),
+    # and these passed, with the name ignored
+    (("actions", "qplane_action", "counit"),
+     lambda t: dict(_without(t, "eta"), etq="0"), ["qreduce", "qplane_action"],
+     "counit must name only the generators ['xi', 'eta']", [], ["etq"]),
+    (("actions", "qplane_action", "generators"),
+     lambda t: dict(t, zz=t["xi"]), ["qreduce", "qplane_action"],
+     "generators must name exactly the generators ['xi', 'eta']", [], ["zz"]),
+])
+def test_spec_generator_names_are_checked(path, edit, argv, rule, missing,
+                                          extra, tmp_path, capsys):
+    doc = json.load(open(SPEC))
+    section, name, key = path
+    doc[section][name][key] = edit(doc[section][name][key])
+    spec = tmp_path / "names.json"
+    spec.write_text(json.dumps(doc))
+    assert run([argv[0], str(spec), argv[1]]) == 2
+    assert ("input error: %s %r: the %s (missing %s, extra %s)"
+            % (section[:-1], name, rule, missing, extra)) \
+        in capsys.readouterr().err
+
+
 def test_json_output_deterministic(tmp_path, capsys):
     out1 = tmp_path / "run1.jsonl"
     out2 = tmp_path / "run2.jsonl"

@@ -516,8 +516,9 @@ def test_case1_quantum_reduction():
         "eta": hamiltonian_pair(alg.gen("a"), alg.gen("a_inv")),
     })
     ideal = [alg.gen("a") - alg.one(), alg.gen("b")]
-    basis, rep = invariant_subalgebra(act, {"xi": 0, "eta": 0}, degree=2,
-                                      ideal_gens=ideal)
+    on_quotient = QuantumAction(grp, alg.quotient(ideal), act.exprs)
+    basis, rep = invariant_subalgebra(on_quotient, {"xi": 0, "eta": 0},
+                                      degree=2)
     assert rep.ok, rep.failures
     assert len(basis) == 1
     assert len(sweep_invariant_classes(act, {"xi": 0, "eta": 0}, 2,
@@ -582,12 +583,55 @@ def test_case1_quantum_reduction_nonzero_level():
         "eta": hamiltonian_pair(alg.gen("a"), alg.gen("a_inv")),
     })
     ideal = [alg.gen("a") - alg.one() * 3, alg.gen("b") - alg.one() * 2]
-    basis, rep = invariant_subalgebra(act, {"xi": 0, "eta": 0}, degree=2,
-                                      ideal_gens=ideal)
+    on_quotient = QuantumAction(grp, alg.quotient(ideal), act.exprs)
+    basis, rep = invariant_subalgebra(on_quotient, {"xi": 0, "eta": 0},
+                                      degree=2)
     assert rep.ok
     assert len(basis) == 1
     assert len(sweep_invariant_classes(act, {"xi": 0, "eta": 0}, 2,
                                        ideal)) == 1
+
+
+def test_invariants_of_the_zero_quotient_are_empty():
+    # <b, b - 1> contains 1: A / J = 0 has no normal word, not even 1
+    act = fixtures.case_action(3)
+    alg = act.algebra
+    zero = alg.quotient([alg.gen("b"), alg.gen("b") - 1])
+    assert zero.monomials_up_to(2) == []
+    basis, rep = invariant_subalgebra(
+        QuantumAction(act.group, zero, act.exprs), {"xi": 0, "eta": 0}, 2)
+    assert basis == [] and rep.ok
+
+
+@pytest.mark.parametrize("order", [6, 16])
+@pytest.mark.parametrize("degree, classes", [
+    (2, ["(1)", "a", "a_inv", "a*a", "a_inv*a_inv"]),
+    (3, ["(1)", "a", "a_inv", "a*a", "a_inv*a_inv", "a*a*a",
+         "a_inv*a_inv*a_inv"]),
+])
+def test_spec_qplane_reduction_classes(order, degree, classes):
+    # the invariants of the quantum plane modulo <b>, as the action on A
+    # reduced mod the ideal gave them
+    action, extras = SpecFile.load(SPEC, order).quantum_action(
+        "qplane_action")
+    quotient = action.algebra.quotient(extras["ideal"])
+    basis, rep = invariant_subalgebra(
+        QuantumAction(action.group, quotient, action.exprs),
+        extras["counit"], degree)
+    assert rep.ok
+    assert [repr(b) for b in basis] == classes
+    assert {b.order for b in basis} == {order - 1}
+
+
+def test_invariant_subalgebra_empty_window_is_refused():
+    # at N = 1 the hbar^-1 operators are known mod hbar^0: no basis can be
+    # certified, where an empty window used to pass with none
+    from poisson_forge.errors import CapabilityError
+    with pytest.raises(CapabilityError) as exc:
+        invariant_subalgebra(fixtures.case_action(3, 1), {"xi": 0, "eta": 0},
+                             degree=2)
+    assert exc.value.guard == "invariant-subalgebra.window"
+    assert exc.value.counters == {"window": 0, "shift": 1}
 
 
 def test_ideal_invariance_needs_no_monomial_sweep(monkeypatch):

@@ -1,4 +1,4 @@
-"""No module under src/ or tests/ imports a name it does not use.
+"""No module under src/, tests/ or demos/ imports a name it does not use.
 
 A static scan with ``ast``: every name an import statement binds (its
 ``as`` name, or the first part of a dotted module) must be read as a name
@@ -11,7 +11,7 @@ import ast
 import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-TOPS = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+TOPS = [os.path.join(ROOT, top) for top in ("src", "tests", "demos")]
 
 
 def _python_files():
