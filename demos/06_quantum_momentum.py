@@ -4,9 +4,10 @@ The quantum momentum map sends quantum-group generators to noncommutative
 1-forms a db whose sharp (1/hbar) a [b, .] realizes the quantum action.
 This demo evaluates the actions, compiles the sharps of the case-2 momentum
 1-forms and compares each with the action's operator, checks the Hopf
-module-algebra condition against the deformed coproducts, surfaces the
-case-2 commutator discrepancy with its oracle-corrected relation, and runs
-the quantum reduction of the 3D example by the ideal <H>.
+module-algebra condition against the coproduct of the acting quantum
+group's Hopf structure, surfaces the case-2 commutator discrepancy with
+its oracle-corrected relation, and runs the quantum reduction of the 3D
+example by the ideal <H>.
 
 Run:  python3 demos/06_quantum_momentum.py
 """
@@ -26,7 +27,7 @@ if __name__ == "__main__":
     print("  Phi(xi) a =", act.apply_word(["xi"], alg.gen("a")))
     print("  Phi(xi) b =", act.apply_word(["xi"], alg.gen("b")))
     print("  module algebra vs the deformed coproducts:",
-          check_module_algebra(act, fixtures.r2_coproducts(act.group), 2).verdict)
+          check_module_algebra(act, 2).verdict)
     h = HSeries.hbar(act.group.order)
     paper_rhs = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
     reports = check_action_lie_hom(
@@ -59,7 +60,7 @@ if __name__ == "__main__":
     alg = act.algebra
     print("  a b a^-1 =", alg.gen("a") * alg.gen("b") * alg.gen("a_inv"))
     print("  module algebra (all three coproducts):",
-          check_module_algebra(act, fixtures.su2_coproducts(act.group), 2).verdict)
+          check_module_algebra(act, 2).verdict)
     target = fixtures.su2_commutator_target_for(act)
     rep = check_action_lie_hom(act, {("xi", "eta"): target}, 2)[("xi", "eta")]
     print("  [Phi(xi),Phi(eta)] = (Phi(zeta)^-1 - Phi(zeta)) / "
@@ -73,6 +74,6 @@ if __name__ == "__main__":
     print("=" * 60)
     print("quantum reduction of the quantum plane (case 3)")
     act = fixtures.case_action(3)
-    basis, rep = invariant_subalgebra(act, {"xi": 0, "eta": 0}, degree=2)
+    basis, rep = invariant_subalgebra(act, degree=2)
     print("  invariants to degree 2:", [repr(b) for b in basis],
           "| closure:", rep.verdict)

@@ -208,10 +208,9 @@ def run_spec_command(command, spec, args):
                                     % action.algebra.name)
             return out
         degree = min(args.degree, extras["degree"])
-        if extras["coproducts"]:
-            out.append(("%s/module-algebra" % name,
-                        check_module_algebra(action, extras["coproducts"],
-                                             degree)))
+        gate = suites.group_gate(name, action.hopf, ["module-algebra"])
+        out += gate or [("%s/module-algebra" % name,
+                         check_module_algebra(action, degree))]
         relations = {}
         claims = set()
         for rel in extras["relations"]:
@@ -263,16 +262,18 @@ def run_spec_command(command, spec, args):
                                     % action.algebra.name)
             return out
         degree = min(args.degree, extras["degree"])
+        gate = suites.group_gate(name, action.hopf, ["invariant-subalgebra"])
         # one completion serves both checks: the invariants are those of
         # the action on A / J
         quotient = action.algebra.quotient(extras["ideal"])
-        out.append(("%s/ideal-invariance" % name,
-                    check_ideal_invariance(action, extras["ideal"],
-                                           quotient=quotient)))
-        _, rep = invariant_subalgebra(
-            QuantumAction(action.group, quotient, action.exprs),
-            extras["counit"], degree=degree)
-        out.append(("%s/invariant-subalgebra" % name, rep))
+        out += gate + [("%s/ideal-invariance" % name,
+                        check_ideal_invariance(action, extras["ideal"],
+                                               quotient=quotient))]
+        if not gate:
+            _, rep = invariant_subalgebra(
+                QuantumAction(action.hopf, quotient, action.exprs),
+                degree=degree)
+            out.append(("%s/invariant-subalgebra" % name, rep))
         return out
     raise SpecError("unknown command %r" % command)
 

@@ -627,18 +627,34 @@ def r2_quantum_group(commuting=True, order=ORDER):
     return Presentation(["xi", "eta"], rules, order, name="U_hbar(R2)")
 
 
-def r2_coproducts(pres):
-    """Delta(xi) = xi (x) 1 - hbar eta (x) xi + 1 (x) xi and
-    Delta(eta) = eta (x) 1 - hbar eta (x) eta + 1 (x) eta."""
-    from .ncalg import TensorAlgebra
+def r2_hopf(commuting=True, order=ORDER):
+    """U_hbar(R2) (``r2_quantum_group``) as a Hopf structure.
+
+    Delta(xi) = xi (x) 1 + (1 - hbar eta) (x) xi and
+    Delta(eta) = eta (x) 1 + (1 - hbar eta) (x) eta, so 1 - hbar eta is
+    group-like; counit 0 on the generators; antipode
+    S(eta) = -eta (1 - hbar eta)^-1 and S(xi) = -(1 - hbar eta)^-1 xi, with
+    (1 - hbar eta)^-1 = sum hbar^k eta^k mod hbar^N."""
+    from .hopf import HopfStructure
+    from .ncalg import AlgebraMap, TensorAlgebra
+    pres = r2_quantum_group(commuting, order)
     t2 = TensorAlgebra(pres, 2)
-    h = HSeries.hbar(pres.order)
-    return {
+    h = HSeries.hbar(order)
+    cop = AlgebraMap(pres, {
         "xi": t2.element({(("xi",), ()): 1, ((), ("xi",)): 1,
                           (("eta",), ("xi",)): -h}),
         "eta": t2.element({(("eta",), ()): 1, ((), ("eta",)): 1,
                            (("eta",), ("eta",)): -h}),
-    }
+    }, t2.one(), name="Delta")
+    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
+                        HSeries.one(order), name="epsilon")
+    geometric = pres.element([(HSeries([0] * k + [1], order), ["eta"] * k)
+                              for k in range(order)])
+    antipode = AlgebraMap(pres, {
+        "xi": -(geometric * pres.gen("xi")),
+        "eta": -(pres.gen("eta") * geometric),
+    }, pres.one(), anti=True, name="S")
+    return HopfStructure(pres, cop, counit, antipode)
 
 
 def su2_quantum_group(order=ORDER):
@@ -660,17 +676,35 @@ def su2_quantum_group(order=ORDER):
         name="U_hbar(su2)")
 
 
-def su2_coproducts(pres):
-    """Delta(zeta) = zeta (x) zeta, Delta(xi) = xi (x) 1 + zeta (x) xi,
-    Delta(eta) = 1 (x) eta + eta (x) zeta^-1."""
-    from .ncalg import TensorAlgebra
+def su2_hopf(order=ORDER):
+    """U_hbar(su2) (``su2_quantum_group``) as a Hopf structure.
+
+    Delta(zeta^+-1) = zeta^+-1 (x) zeta^+-1,
+    Delta(xi) = xi (x) 1 + zeta (x) xi and
+    Delta(eta) = 1 (x) eta + eta (x) zeta^-1; eps(zeta^+-1) = 1 and
+    eps(xi) = eps(eta) = 0; S(zeta^+-1) = zeta^-+1, S(xi) = -zeta^-1 xi and
+    S(eta) = -eta zeta."""
+    from .hopf import HopfStructure
+    from .ncalg import AlgebraMap, TensorAlgebra
+    pres = su2_quantum_group(order)
     t2 = TensorAlgebra(pres, 2)
-    return {
+    xi, eta, zeta, zeta_inv = (pres.gen(g) for g in pres.gens)
+    cop = AlgebraMap(pres, {
         "zeta": t2.element({(("zeta",), ("zeta",)): 1}),
         "zeta_inv": t2.element({(("zeta_inv",), ("zeta_inv",)): 1}),
         "xi": t2.element({(("xi",), ()): 1, (("zeta",), ("xi",)): 1}),
         "eta": t2.element({((), ("eta",)): 1, (("eta",), ("zeta_inv",)): 1}),
-    }
+    }, t2.one(), name="Delta")
+    one, zero = HSeries.one(order), HSeries.zero(order)
+    counit = AlgebraMap(pres, {"xi": zero, "eta": zero, "zeta": one,
+                               "zeta_inv": one}, one, name="epsilon")
+    antipode = AlgebraMap(pres, {
+        "xi": -(zeta_inv * xi),
+        "eta": -(eta * zeta),
+        "zeta": zeta_inv,
+        "zeta_inv": zeta,
+    }, pres.one(), anti=True, name="S")
+    return HopfStructure(pres, cop, counit, antipode)
 
 
 def case_action(case, order=ORDER):
@@ -684,11 +718,11 @@ def case_action(case, order=ORDER):
         2: case2_module_algebra,
         3: quantum_plane_presentation,
     }[case](order)
-    group = r2_quantum_group(commuting=(case == 1), order=order)
+    hopf = r2_hopf(commuting=(case == 1), order=order)
     a = algebra.gen("a")
     a_inv = algebra.gen("a_inv")
     b = algebra.gen("b")
-    return QuantumAction(group, algebra, {
+    return QuantumAction(hopf, algebra, {
         "xi": hamiltonian_pair(a, b),
         "eta": hamiltonian_pair(a, a_inv),
     })
@@ -702,12 +736,12 @@ def su2_action(order=ORDER):
         Commutator, HbarDiv,
     )
     algebra = su2_module_algebra(order)
-    group = su2_quantum_group(order)
+    hopf = su2_hopf(order)
     a = algebra.gen("a")
     a_inv = algebra.gen("a_inv")
     b = algebra.gen("b")
     c = algebra.gen("c")
-    return QuantumAction(group, algebra, {
+    return QuantumAction(hopf, algebra, {
         "xi": hamiltonian_pair(a, b),
         "eta": HbarDiv(Compose([RMul(a), Commutator(c)]), 1),
         "zeta": conjugation(a, a_inv),

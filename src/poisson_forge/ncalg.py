@@ -191,9 +191,11 @@ class Presentation:
         self._set_rules(indexed)
 
     def _set_rules(self, rules):
-        """Adopt ``rules`` ({leading word: Flat}, in generator indices) and
-        empty the memo."""
+        """Adopt ``rules`` ({leading word: Flat}, in generator indices),
+        group each right side by word once for rewriting, and empty the
+        memo."""
         self.rules = rules
+        self._right = {lhs: _by_word(rhs) for lhs, rhs in rules.items()}
         self._lengths = tuple(sorted({len(lhs) for lhs in rules}))
         self._check_termination_order()
         self._memo = {}
@@ -279,26 +281,27 @@ class Presentation:
                 if step is None:
                     memo[w] = Flat({(0, w): ONE}, self.order)
                     continue
-                # a word's terms come in rising powers of hbar, so its
-                # widest window is met first and the others find it
-                waiting = [(v, n - j, None) for j, v in step.terms
-                           if j < n and (v not in memo
-                                         or memo[v].order < n - j)]
+                # each word is needed in the window of its least power
+                waiting = [(v, n - j, None) for v, powers in step[0].items()
+                           if (j := min(powers)) < n
+                           and (v not in memo or memo[v].order < n - j)]
                 if waiting:
                     stack.append((w, n, step))
                     stack += reversed(waiting)
                     continue
-            raw = step.terms.items()
-            if n < step.order:
-                raw = [(key, c) for key, c in raw if key[0] < n]
-            memo[w] = self._normal(raw, min(n, step.order),
+            placed, top = step
+            if n < top:
+                placed = {v: {j: c for j, c in powers.items() if j < n}
+                          for v, powers in placed.items()}
+            memo[w] = self._normal(placed, min(n, top),
                                    nf=lambda v, _: memo[v])
         return memo[word]
 
     def _rewrite(self, word):
         """``word`` with its leftmost leading word, shortest first, rewritten
-        once (a step of the ``MAX_STEPS`` budget); None for a normal word."""
-        rules = self.rules
+        once (a step of the ``MAX_STEPS`` budget), as its terms summed per
+        word {word: {j: c}} and their window; None for a normal word."""
+        rules = self._right
         rule = None
         n = len(word)
         start = n + 1
@@ -318,13 +321,17 @@ class Presentation:
                 "%r" % (MAX_STEPS, self.name),
                 guard="ncalg.max_steps",
                 counters={"steps": self._steps, "max_steps": MAX_STEPS})
-        return _placed(rule, word[:start], word[start + size:])
+        head, tail = word[:start], word[start + size:]
+        groups, order = rule
+        return {head + w + tail: powers for w, powers in groups}, order
 
     def _normal(self, raw, order, slots=False, nf=None):
         """The normal form of a product, as a ``Flat``: the one kernel that
         every product of flat terms goes through.  ``raw`` holds its joined
-        terms ((j, key), c), each with j < ``order`` (``_pairs``); a key is
-        a word, or with ``slots`` a tuple of words, one per tensor slot.
+        terms ((j, key), c), each with j < ``order`` (``_pairs``), or, as a
+        rewrite step gives them, a dict of the terms summed per key
+        {key: {j: c}}; a key is a word, or with ``slots`` a tuple of words,
+        one per tensor slot.
         The terms are summed per key, and each key's normal form (for a
         tuple, each slot's) is looked up once for all the powers of hbar it
         carries, in the window it is needed in: mod hbar^(order - j) for
@@ -337,19 +344,7 @@ class Presentation:
         if nf is None:
             self._steps = 0
             nf = self._nf
-        by_key = {}
-        for (j, key), c in raw:
-            powers = by_key.get(key)
-            if powers is None:
-                by_key[key] = {j: c}
-            elif j in powers:
-                c += powers[j]
-                if c:
-                    powers[j] = c
-                else:
-                    del powers[j]
-            else:
-                powers[j] = c
+        by_key = raw if isinstance(raw, dict) else _by_key(raw)
         top = order
         parts = []
         for key, powers in by_key.items():
@@ -487,6 +482,31 @@ def ambiguities(rules, u, v):
         for i in range(len(u) - m + 1):
             if u[i:i + m] == v:
                 yield ("inclusion", u, ru, _placed(rv, u[:i], u[i + m:]))
+
+
+def _by_key(raw):
+    """The terms ((j, key), c) of ``raw`` summed per key, {key: {j: c}}, the
+    keys in the order of their first term."""
+    by_key = {}
+    for (j, key), c in raw:
+        powers = by_key.get(key)
+        if powers is None:
+            by_key[key] = {j: c}
+        elif j in powers:
+            c += powers[j]
+            if c:
+                powers[j] = c
+            else:
+                del powers[j]
+        else:
+            powers[j] = c
+    return by_key
+
+
+def _by_word(rule):
+    """A rule's right side summed per word, [(word, {j: c})], and its
+    window."""
+    return list(_by_key(rule.terms.items()).items()), rule.order
 
 
 def _placed(rule, head, tail):

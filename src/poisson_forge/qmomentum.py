@@ -3,7 +3,9 @@
 Actions are formal endomorphism expressions over a presented algebra:
 left/right multiplications, commutators, sums, compositions, scalar
 multiples and hbar-divisions.  This covers both the single-commutator
-actions (1/hbar) a [b, .] and conjugation actions a (.) a^-1.
+actions (1/hbar) a [b, .] and conjugation actions a (.) a^-1.  The group
+that acts is a ``hopf.HopfStructure``, the one source of the Delta and eps
+the checks read.
 
 Every expression compiles to a two-sided multiplication operator
 f -> hbar^-k sum c L f R, an element of A (x) A^op with an hbar shift
@@ -270,10 +272,13 @@ def conjugation(a, a_inv):
 
 class QuantumAction:
     """Per-generator endomorphism expressions, extended to words by
-    composition: Phi(x y) = Phi(x) o Phi(y)."""
+    composition: Phi(x y) = Phi(x) o Phi(y).  The group acting is a
+    ``hopf.HopfStructure``; ``group`` is its presentation, and the
+    certificates read Delta and eps from it."""
 
-    def __init__(self, group, algebra, generator_exprs):
-        self.group = group
+    def __init__(self, hopf, algebra, generator_exprs):
+        self.hopf = hopf
+        self.group = hopf.algebra
         self.algebra = algebra
         self.exprs = dict(generator_exprs)
         self._operators = {}
@@ -391,11 +396,13 @@ def _module_algebra_witness(action, name, coproduct, degree):
     return None
 
 
-def check_module_algebra(action, coproducts, degree=2):
+def check_module_algebra(action, degree=2):
     """xi.(f g) = sum (u.f)(v.g) for Delta(xi) = sum u (x) v, all f, g.
 
-    ``coproducts`` maps generator names of the quantum group to tensor
-    elements of group (x) group, and Phi extends to words by composition.
+    Delta is the coproduct of the action's Hopf structure
+    (``action.hopf``), read on each generator the action defines, and Phi
+    extends to words by composition.  Nothing here certifies the Hopf
+    structure: the commands run ``hopf.check_all_axioms`` on it first.
     Theorem: if the tensor of ``module_algebra_defect`` is zero, the
     identity holds for all f and g in every degree, wherever the actions'
     hbar-divisions are exact (the tensor is the identity's two-sided
@@ -410,7 +417,8 @@ def check_module_algebra(action, coproducts, degree=2):
     Generators go in order and the report stops at the first witness.
     """
     inconclusive = None
-    for name, cop in coproducts.items():
+    for name in action.exprs:
+        cop = action.hopf.coproduct.apply_word((action.group.index(name),))
         defect = module_algebra_defect(action, name, cop)
         if _certified("module-algebra", defect):
             continue
@@ -624,14 +632,16 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     return Report.from_failures("ideal-invariance", failures)
 
 
-def invariant_subalgebra(action, counit_values, degree=2):
+def invariant_subalgebra(action, degree=2):
     """Basis of the joint kernel of Phi(gen) - eps(gen) id on the normal
     words of ``action.algebra`` up to ``degree``, and a report that the
-    basis is closed under the product up to ``degree``; a counit value
-    omitted for a generator is 0.
+    basis is closed under the product up to ``degree``.
 
-    Quantum reduction by a two-sided ideal J passes the action on the
-    completed presentation of A / J (``Presentation.quotient``): each
+    eps is the counit of the action's Hopf structure (``action.hopf``),
+    read on each generator the action defines; nothing here certifies the
+    Hopf structure, which the commands check with ``hopf.check_all_axioms``
+    first.  Quantum reduction by a two-sided ideal J passes the action on
+    the completed presentation of A / J (``Presentation.quotient``): each
     Phi(gen) = hbar^-k T with T a two-sided multiplication operator, so
     T(J) lies in J and T acts on A / J, where the division by hbar^k is
     done.  A / J is free over Q(i)[hbar]/(hbar^N) on its normal words
@@ -648,7 +658,7 @@ def invariant_subalgebra(action, counit_values, degree=2):
 
     # unknowns: one series per input monomial, whose column stacks
     # Phi(gen)(m) - eps(gen) m over the generators
-    eps = {name: series(counit_values.get(name, 0), alg.order)
+    eps = {name: action.hopf.counit.apply_word((action.group.index(name),))
            for name in ops}
     columns = {}
     for w in alg.monomials_up_to(degree):

@@ -315,35 +315,31 @@ class SpecFile:
                             for a in _items(args, spec["args"])])
         if op == "hbar_div":
             return HbarDiv(self.action_expr(pres, _fields(arg, spec["arg"])),
-                           spec.get("k", 1))
+                           _natural(spec.where + " k", spec.get("k", 1)))
         raise SpecError("unknown action op %r" % op)
 
     def quantum_action(self, name):
+        """The action of an ``actions`` entry, whose group is the Hopf
+        structure its ``hopf`` names, and its relations, ideal and
+        degree."""
         from .qmomentum import QuantumAction
         entry = self._entry("actions", name)
-        group = self.presentation(entry["group"])
+        hopf = self.hopf_structure(entry["hopf"])
         algebra = self.presentation(entry["algebra"])
         generators = _names(entry.where, "generators", entry["generators"],
-                            "generators", group.gens)
-        coproducts, counit = (_names(entry.where, what, entry.get(what, {}),
-                                     "generators", group.gens, exactly=False)
-                              for what in ("coproducts", "counit"))
+                            "generators", hopf.algebra.gens)
         exprs = {g: self.action_expr(algebra, _fields(
                     "%s generator %r" % (entry.where, g), spec))
                  for g, spec in generators.items()}
-        action = QuantumAction(group, algebra, exprs)
+        action = QuantumAction(hopf, algebra, exprs)
         extras = {
-            "coproducts": {g: self.tensor_element(group, _items(
-                               "%s coproduct %r term" % (entry.where, g), spec))
-                           for g, spec in coproducts.items()},
-            "counit": {g: self._series(v, "%s counit %r" % (entry.where, g))
-                       for g, v in counit.items()},
             "relations": _items(entry.where + " relation",
                                 entry.get("relations", ())),
             "ideal": [self.nc_element(algebra, s, "%s ideal %d"
                                       % (entry.where, k))
                       for k, s in enumerate(entry.get("ideal", ()), 1)],
-            "degree": entry.get("degree", 2),
+            "degree": _natural(entry.where + " degree",
+                               entry.get("degree", 2)),
         }
         return action, extras
 
@@ -424,20 +420,27 @@ def _components(where, comps, chart):
     return _polys(where, comps, chart)
 
 
-def _names(where, what, table, kind, names, exactly=True):
+def _names(where, what, table, kind, names):
     """The JSON object ``table``, the ``what`` of the entry ``where``, as an
     entry; refuse it when its keys are not exactly ``names`` (the ``kind``:
-    a basis or the generators) or, unless ``exactly``, not all among
-    them."""
+    a basis or the generators)."""
     table = _fields("%s %s" % (where, what), table)
-    missing = sorted(set(names) - set(table)) if exactly else []
+    missing = sorted(set(names) - set(table))
     extra = sorted(set(table) - set(names))
     if missing or extra:
-        raise SpecError("%s: the %s must name %s the %s %s (missing %s, "
-                        "extra %s)" % (where, what,
-                                       "exactly" if exactly else "only",
-                                       kind, list(names), missing, extra))
+        raise SpecError("%s: the %s must name exactly the %s %s (missing %s, "
+                        "extra %s)" % (where, what, kind, list(names),
+                                       missing, extra))
     return table
+
+
+def _natural(where, value):
+    """``value`` if it is an int >= 0 (a bool is not); anything else is an
+    input error naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SpecError("%s must be an integer >= 0, got %r"
+                        % (where, value))
+    return value
 
 
 def _pair_table(where, table, names):

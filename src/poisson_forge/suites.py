@@ -11,7 +11,7 @@ from .lie import (
     check_cocycle, check_ad_invariance, cobracket_from_r, dual_bracket,
     schouten_rr, build_double,
 )
-from .report import Report, PASS, FAIL
+from .report import Report, PASS, FAIL, merge
 from .scalars import gauss
 
 
@@ -301,26 +301,51 @@ def hopf_fixture_suite(order):
     return out
 
 
+def group_gate(name, hopf, skipped):
+    """The certificate an action's checks on Delta and eps rest on: its
+    group's presentation is confluent (``check_confluence``) and its Hopf
+    structure passes every axiom (``hopf.check_all_axioms``).  A group that
+    passes adds no record; one that fails gives the one fail record
+    ``<name>/group-hopf``, naming the ambiguities or the failing axioms, and
+    a note that the checks ``skipped`` are not run."""
+    from .hopf import check_all_axioms
+    parts = [hopf.algebra.check_confluence()]
+    if parts[0].ok:
+        axioms = check_all_axioms(hopf)
+        parts = [axioms[key] for key in ("coassociativity", "counit",
+                                         "antipode", "delta-hom")]
+    rep = merge("group-hopf", parts)
+    if rep.ok:
+        return []
+    if skipped:
+        rep.notes.append("%s not checked: the group %s is not a certified "
+                         "Hopf algebra" % (" and ".join(skipped),
+                                           hopf.algebra.name))
+    return [("%s/group-hopf" % name, rep)]
+
+
+def _module_algebra(name, act, degree):
+    """The group gate and, when it passes, the module-algebra record."""
+    from .qmomentum import check_module_algebra
+    return group_gate(name, act.hopf, ["module-algebra"]) or [
+        ("%s/module-algebra" % name, check_module_algebra(act, degree))]
+
+
 def quantum_action_fixture_suite(degree, order):
     from .qmomentum import (
-        check_module_algebra, check_action_lie_hom, check_ideal_invariance,
+        check_action_lie_hom, check_ideal_invariance, check_module_algebra,
         invariant_subalgebra,
     )
     from .scalars import HSeries, hexp
-    out = []
     # case 1
     act = fixtures.case_action(1, order)
-    cops = fixtures.r2_coproducts(act.group)
-    out.append(("case1/module-algebra",
-                check_module_algebra(act, cops, degree)))
+    out = _module_algebra("case1", act, degree)
     reports = check_action_lie_hom(act, {("xi", "eta"): act.group.zero()},
                                    degree)
     out.append(("case1/lie-hom", reports[("xi", "eta")]))
     # case 2: paper discrepancy surfaced with the oracle relation
     act = fixtures.case_action(2, order)
-    out.append(("case2/module-algebra",
-                check_module_algebra(act, fixtures.r2_coproducts(act.group),
-                                     degree)))
+    out += _module_algebra("case2", act, degree)
     h = HSeries.hbar(order)
     paper_rhs = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
     reports = check_action_lie_hom(
@@ -330,16 +355,14 @@ def quantum_action_fixture_suite(degree, order):
     out.append(("case2/lie-hom-vs-paper", reports[("xi", "eta")]))
     # case 3
     act = fixtures.case_action(3, order)
-    out.append(("case3/module-algebra",
-                check_module_algebra(act, fixtures.r2_coproducts(act.group),
-                                     degree)))
-    basis, rep = invariant_subalgebra(act, {"xi": 0, "eta": 0}, degree=2)
-    out.append(("case3/invariant-subalgebra", rep))
+    gate = group_gate("case3", act.hopf,
+                      ["module-algebra", "invariant-subalgebra"])
+    out += gate or [
+        ("case3/module-algebra", check_module_algebra(act, degree)),
+        ("case3/invariant-subalgebra", invariant_subalgebra(act, 2)[1])]
     # 3D
     act = fixtures.su2_action(order)
-    out.append(("su2-3d/module-algebra",
-                check_module_algebra(act, fixtures.su2_coproducts(act.group),
-                                     degree)))
+    out += _module_algebra("su2-3d", act, degree)
     target = fixtures.su2_commutator_target_for(act)
     reports = check_action_lie_hom(act, {("xi", "eta"): target}, degree)
     out.append(("su2-3d/commutator-relation", reports[("xi", "eta")]))
@@ -419,10 +442,11 @@ def run_fixture_suite(command, degree, order):
         from .qmomentum import check_ideal_invariance, invariant_subalgebra
         act = fixtures.su2_action(order)
         alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
-        out = [("su2-3d/ideal-invariance",
-                check_ideal_invariance(act, [H]))]
+        out = group_gate("su2-3d", act.hopf, [])
+        out.append(("su2-3d/ideal-invariance",
+                    check_ideal_invariance(act, [H])))
         act3 = fixtures.case_action(3, order)
-        basis, rep = invariant_subalgebra(act3, {"xi": 0, "eta": 0}, degree=2)
-        out.append(("case3/invariant-subalgebra", rep))
-        return out
+        return out + (group_gate("case3", act3.hopf, ["invariant-subalgebra"])
+                      or [("case3/invariant-subalgebra",
+                           invariant_subalgebra(act3, 2)[1])])
     raise ValueError("no fixture suite for %r" % command)

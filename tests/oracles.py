@@ -41,7 +41,8 @@ bivector, substitution, matrix products and determinants build one
 polynomial per product with it and add them up.
 The fixtures that only tests build live here too: a bialgebra whose dual
 is the Heisenberg algebra, the sl2 Casimir tensor, the Lie-Poisson model
-of g*, the primitive coproducts of the plane group and the commutative
+of g*, the primitive Hopf structure of the plane group (and Hopf
+structures from given coproducts, ``hopf_from``) and the commutative
 case-1 reduction algebra.
 """
 
@@ -52,8 +53,10 @@ from fractions import Fraction
 from poisson_forge import ORDER
 from poisson_forge.fixtures import sl2_algebra
 from poisson_forge.lie import Cobracket, LieAlgebra, basis_tensor, wedge
+from poisson_forge.hopf import HopfStructure
 from poisson_forge.ncalg import (
-    NCPoly, TensorAlgebra, TensorElement, chart_presentation, check_map,
+    AlgebraMap, NCPoly, TensorAlgebra, TensorElement, chart_presentation,
+    check_map,
 )
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
 from poisson_forge.poisson import PolyBivector, PolyVectorField, one_form
@@ -378,12 +381,14 @@ def eval_element(action, x, f):
     return out
 
 
-def sweep_module_algebra(action, coproducts, degree=2):
-    """xi.(f g) = sum (u.f)(v.g) on all pairs of monomials <= degree; stops
-    at the first defect."""
+def sweep_module_algebra(action, degree=2):
+    """xi.(f g) = sum (u.f)(v.g) for Delta(xi) of the action's Hopf
+    structure, on all pairs of monomials <= degree, the generators in the
+    action's order; stops at the first defect."""
     alg = action.algebra
     monos = _monomials(alg, degree)
-    for name, cop in coproducts.items():
+    for name in action.exprs:
+        cop = action.hopf.coproduct.apply_word((action.group.index(name),))
         for f in monos:
             for g in monos:
                 lhs = eval_expr(action.exprs[name], f * g)
@@ -472,17 +477,19 @@ def sweep_ideal_invariance(action, ideal_gens, degree=1):
     return Report.from_failures("ideal-invariance", failures)
 
 
-def sweep_invariant_classes(action, counit_values, degree, ideal_gens):
+def sweep_invariant_classes(action, degree, ideal_gens):
     """Classes of the joint kernel of Phi(gen) - eps(gen) id on the degree
-    component, independent modulo the ideal span closed up to the largest
-    degree met."""
+    component, with eps the counit of the action's Hopf structure,
+    independent modulo the ideal span closed up to the largest degree
+    met."""
     alg = action.algebra
     order = alg.order
     ideal_gens = [alg.element(j) for j in ideal_gens]
     monos = alg.monomials_up_to(degree)
     cols = {}
     for name, expr in action.exprs.items():
-        eps = series(counit_values.get(name, 0), order)
+        eps = series(action.hopf.counit.apply_word(
+            (action.group.index(name),)), order)
         cols[name] = [eval_expr(expr, x) - x * eps
                       for x in map(alg.monomial, monos)]
     span = ideal_span_closure(
@@ -1000,12 +1007,30 @@ def abelian_dual_model(L):
     return chart, pi, thetas
 
 
-def r2_primitive_coproducts(pres):
+def hopf_from(pres, coproducts, counit):
+    """A HopfStructure on ``pres`` from the coproduct images {generator:
+    {(word, word): coefficient}} and the counit values {generator: scalar},
+    with the antipode g -> -g.  For the action certificates, which read
+    Delta and eps only: nothing here makes it a Hopf algebra."""
     t2 = TensorAlgebra(pres, 2)
-    return {
-        "xi": t2.element({(("xi",), ()): 1, ((), ("xi",)): 1}),
-        "eta": t2.element({(("eta",), ()): 1, ((), ("eta",)): 1}),
-    }
+    return HopfStructure(
+        pres,
+        AlgebraMap(pres, {g: t2.element(terms)
+                          for g, terms in coproducts.items()},
+                   t2.one(), name="Delta"),
+        AlgebraMap(pres, {g: series(c, pres.order)
+                          for g, c in counit.items()},
+                   series(1, pres.order), name="epsilon"),
+        AlgebraMap(pres, {g: -pres.gen(g) for g in pres.gens}, pres.one(),
+                   anti=True, name="S"))
+
+
+def r2_primitive_hopf(pres):
+    """The primitive Hopf structure on a group with generators xi, eta:
+    Delta(g) = g (x) 1 + 1 (x) g, eps(g) = 0 and S(g) = -g."""
+    return hopf_from(pres, {g: {((g,), ()): 1, ((), (g,)): 1}
+                            for g in ("xi", "eta")},
+                     {"xi": 0, "eta": 0})
 
 
 def case1_reduction_algebra(order=ORDER):

@@ -133,19 +133,16 @@ def test_criterion_6_quantum_action_suite():
         )
         # 2D case 1 at degree 3
         act = fixtures.case_action(1)
-        assert check_module_algebra(
-            act, fixtures.r2_coproducts(act.group), degree=3).ok
+        assert check_module_algebra(act, degree=3).ok
         reports = check_action_lie_hom(
             act, {("xi", "eta"): act.group.zero()}, degree=3)
         assert reports[("xi", "eta")].ok
         # 2D case 3 at degree 3
         act = fixtures.case_action(3)
-        assert check_module_algebra(
-            act, fixtures.r2_coproducts(act.group), degree=3).ok
+        assert check_module_algebra(act, degree=3).ok
         # 3D: module-algebra for all three stated coproducts, degree 3
         act = fixtures.su2_action()
-        assert check_module_algebra(
-            act, fixtures.su2_coproducts(act.group), degree=3).ok
+        assert check_module_algebra(act, degree=3).ok
         # commutator relation exactly mod hbar^6 on degree-3 monomials
         target = fixtures.su2_commutator_target_for(act)
         reports = check_action_lie_hom(act, {("xi", "eta"): target}, degree=3)

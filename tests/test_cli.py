@@ -224,6 +224,8 @@ def test_spec_presentation_missing_generators_is_input_error(tmp_path,
      "presentation 'qplane' rule 1: missing required key 'pair'"),
     (("actions", "qplane_action", "generators", "xi", "arg"),
      "action 'qplane_action' generator 'xi': missing required key 'arg'"),
+    (("actions", "qplane_action", "hopf"),
+     "action 'qplane_action': missing required key 'hopf'"),
 ])
 def test_spec_missing_nested_key_is_input_error(path, message, tmp_path,
                                                 capsys):
@@ -256,9 +258,9 @@ def edited_spec(tmp_path, path, value):
 @pytest.mark.parametrize("path, value, argv, where", [
     (("presentations", "qplane", "rules", 0, "pair"), ["a", "b", "a"],
      ["check-action", "qplane_action"], "presentation 'qplane' rule 1"),
-    (("actions", "qplane_action", "coproducts", "xi", 0, "pair"), [["xi"]],
+    (("hopf_structures", "r2q_hopf", "coproduct", "xi", 0, "pair"), [["xi"]],
      ["check-action", "qplane_action"],
-     "action 'qplane_action' coproduct 'xi' term 1"),
+     "hopf_structure 'r2q_hopf' coproduct 'xi' term 1"),
     (("hopf_structures", "usl2_hopf", "coproduct", "E", 1, "pair"),
      [[], ["E"], []], ["check-hopf", "usl2_hopf"],
      "hopf_structure 'usl2_hopf' coproduct 'E' term 2"),
@@ -320,9 +322,9 @@ def test_spec_antisymmetric_table_gives_each_pair_once(path, value, argv,
     (("presentations", "usl2", "rules", 0, "terms", 0, "word"),
      ["H", 1], ["H", 1], ["check-hopf", "usl2_hopf"],
      "presentation 'usl2' rule 1 term 1"),
-    (("actions", "qplane_action", "coproducts", "xi", 0, "pair"),
+    (("hopf_structures", "r2q_hopf", "coproduct", "xi", 0, "pair"),
      [["xi"], "eta"], "eta", ["check-action", "qplane_action"],
-     "action 'qplane_action' coproduct 'xi' term 1"),
+     "hopf_structure 'r2q_hopf' coproduct 'xi' term 1"),
 ])
 def test_spec_word_must_list_generator_names(path, value, word, argv, where,
                                              tmp_path, capsys):
@@ -377,11 +379,11 @@ def test_spec_rule_pair_must_name_generators(path, value, gens, where,
     (("presentations", "qplane", "rules", 0, "terms", 0, "coeff"),
      ["1", 0.5], ["check-action", "qplane_action"],
      "presentation 'qplane' rule 1 term 1"),
-    (("actions", "qplane_action", "coproducts", "xi", 0, "coeff"), None,
+    (("hopf_structures", "r2q_hopf", "coproduct", "xi", 0, "coeff"), None,
      ["check-action", "qplane_action"],
-     "action 'qplane_action' coproduct 'xi' term 1"),
-    (("actions", "qplane_action", "counit", "xi"), {"re": "0"},
-     ["qreduce", "qplane_action"], "action 'qplane_action' counit 'xi'"),
+     "hopf_structure 'r2q_hopf' coproduct 'xi' term 1"),
+    (("hopf_structures", "r2q_hopf", "counit", "xi"), {"re": "0"},
+     ["qreduce", "qplane_action"], "hopf_structure 'r2q_hopf' counit 'xi'"),
     (("hopf_structures", "usl2_hopf", "antipode", "E", 0, "coeff"), -1,
      ["check-hopf", "usl2_hopf"],
      "hopf_structure 'usl2_hopf' antipode 'E' term 1"),
@@ -426,13 +428,15 @@ def _without(table, key):
     (("hopf_structures", "usl2_hopf", "counit"), lambda t: _without(t, "H"),
      ["check-hopf", "usl2_hopf"], "counit must name exactly the "
      "generators ['F', 'H', 'E']", ["H"], []),
-    (("actions", "qplane_action", "coproducts"),
+    # the group of an action: a counit left out is refused, not read as 0
+    (("hopf_structures", "r2q_hopf", "coproduct"),
      lambda t: dict(t, zz=t["xi"]), ["check-action", "qplane_action"],
-     "coproducts must name only the generators ['xi', 'eta']", [], ["zz"]),
-    # and these passed, with the name ignored
-    (("actions", "qplane_action", "counit"),
+     "coproduct must name exactly the generators ['xi', 'eta']", [], ["zz"]),
+    (("hopf_structures", "r2q_hopf", "counit"),
      lambda t: dict(_without(t, "eta"), etq="0"), ["qreduce", "qplane_action"],
-     "counit must name only the generators ['xi', 'eta']", [], ["etq"]),
+     "counit must name exactly the generators ['xi', 'eta']", ["eta"],
+     ["etq"]),
+    # and this passed, with the name ignored
     (("actions", "qplane_action", "generators"),
      lambda t: dict(t, zz=t["xi"]), ["qreduce", "qplane_action"],
      "generators must name exactly the generators ['xi', 'eta']", [], ["zz"]),
@@ -568,22 +572,38 @@ def test_classical_records_do_not_depend_on_order(command, tmp_path):
     assert low.read_bytes() == high.read_bytes()
 
 
+# (presentation, Hopf structure) of the groups of the hand-built actions:
+# t primitive, and t group-like with its inverse
+PRIMITIVE_GROUP = ({"generators": ["t"], "rules": []}, {
+    "coproduct": {"t": [{"coeff": "1", "pair": [["t"], []]},
+                        {"coeff": "1", "pair": [[], ["t"]]}]},
+    "counit": {"t": "0"},
+    "antipode": {"t": [{"coeff": "-1", "word": ["t"]}]}})
+GROUPLIKE_GROUP = (
+    {"generators": ["t", "t_inv"], "inverses": {"t_inv": "t"}, "rules": []},
+    {"coproduct": {g: [{"coeff": "1", "pair": [[g], [g]]}]
+                   for g in ("t", "t_inv")},
+     "counit": {"t": "1", "t_inv": "1"},
+     "antipode": {"t": "t_inv", "t_inv": "t"}})
+
+
 def test_capability_guard_exit_three(tmp_path, capsys):
     # an action whose expression divides by hbar^7 at order 6 trips the
     # valuation guard: exit code 3
+    group, hopf = PRIMITIVE_GROUP
     doc = {
         "presentations": {
-            "grp": {"generators": ["t"], "rules": []},
+            "grp": group,
             "alg": {"generators": ["x"], "rules": []},
         },
+        "hopf_structures": {"grp_hopf": dict(hopf, algebra="grp")},
         "actions": {
             "bad": {
-                "group": "grp", "algebra": "alg", "degree": 1,
+                "hopf": "grp_hopf", "algebra": "alg", "degree": 1,
                 "generators": {
                     "t": {"op": "hbar_div", "k": 7,
                           "arg": {"op": "lmul", "element": "x"}},
                 },
-                "counit": {"t": "0"},
                 "ideal": [[{"coeff": "1", "word": ["x"]}]],
             },
         },
@@ -743,20 +763,22 @@ def test_spec_reduce_hbar_coefficient_is_capability_error(tmp_path, capsys):
     assert "capability exceeded: guard coordpoly.hbar:" in err
 
 
-def _action_spec(algebra_rules, generator_expr, coproduct):
+def _action_spec(algebra_rules, generator_expr, group_and_hopf):
+    """A spec whose action ``act`` maps every generator of the group to
+    ``generator_expr``, on the algebra of x, y, z with the given rules."""
+    group, hopf = group_and_hopf
     return {
         "presentations": {
-            "grp": {"generators": ["t"], "rules": []},
+            "grp": group,
             "alg": {"generators": ["x", "y", "z"], "rules": [
                 {"pair": list(pair),
                  "terms": [{"coeff": c, "word": w} for c, w in terms]}
                 for pair, terms in algebra_rules]},
         },
+        "hopf_structures": {"grp_hopf": dict(hopf, algebra="grp")},
         "actions": {"act": {
-            "group": "grp", "algebra": "alg", "degree": 2,
-            "generators": {"t": generator_expr},
-            "coproducts": {"t": [{"coeff": "1", "pair": pair}
-                                 for pair in coproduct]},
+            "hopf": "grp_hopf", "algebra": "alg", "degree": 2,
+            "generators": {g: generator_expr for g in group["generators"]},
         }},
     }
 
@@ -769,7 +791,7 @@ def test_spec_check_action_reports_non_confluent_presentation(tmp_path,
              (("z", "x"), [("1", ["x", "z"]), ("1", ["x"])]),
              (("z", "y"), [("1", ["y", "z"])])]
     doc = _action_spec(rules, {"op": "lmul", "element": "x"},
-                       [[["t"], []], [[], ["t"]]])
+                       PRIMITIVE_GROUP)
     path = tmp_path / "non_confluent.json"
     path.write_text(json.dumps(doc))
     assert run(["check-action", str(path), "act"]) == 1
@@ -792,7 +814,7 @@ def test_spec_check_action_without_witness_exits_three(tmp_path, capsys):
     rules = [((b, a), [("1", [a, b])])
              for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]
     doc = _action_spec(rules, {"op": "commutator", "element": "x"},
-                       [[["t"], ["t"]]])
+                       GROUPLIKE_GROUP)
     path = tmp_path / "central.json"
     path.write_text(json.dumps(doc))
     assert run(["check-action", str(path), "act"]) == 3
@@ -809,9 +831,8 @@ def test_spec_qreduce_reports_non_confluent_presentation(tmp_path, capsys):
              (("z", "x"), [("1", ["x", "z"]), ("1", ["x"])]),
              (("z", "y"), [("1", ["y", "z"])])]
     doc = _action_spec(rules, {"op": "lmul", "element": "x"},
-                       [[["t"], []], [[], ["t"]]])
-    doc["actions"]["act"].update(
-        counit={"t": "0"}, ideal=[[{"coeff": "1", "word": ["x"]}]])
+                       PRIMITIVE_GROUP)
+    doc["actions"]["act"]["ideal"] = [[{"coeff": "1", "word": ["x"]}]]
     path = tmp_path / "non_confluent.json"
     path.write_text(json.dumps(doc))
     assert run(["qreduce", str(path), "act"]) == 1
@@ -840,6 +861,95 @@ def test_spec_qreduce_completes_the_quotient_once(monkeypatch, capsys):
     monkeypatch.setattr(ncgroebner, "complete", counted)
     assert run(["qreduce", SPEC, "qplane_action"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path, value, command, where", [
+    # these three were internal errors (exit 4), and a degree of -1 ran
+    (("actions", "qplane_action", "degree"), "x", "check-action",
+     "action 'qplane_action' degree"),
+    (("actions", "qplane_action", "degree"), 1.5, "qreduce",
+     "action 'qplane_action' degree"),
+    (("actions", "qplane_action", "degree"), -1, "check-action",
+     "action 'qplane_action' degree"),
+    (("actions", "qplane_action", "generators", "xi", "k"), "x",
+     "check-action", "action 'qplane_action' generator 'xi' k"),
+    # a JSON boolean is not read as the integer 1
+    (("actions", "qplane_action", "degree"), True, "qreduce",
+     "action 'qplane_action' degree"),
+])
+def test_spec_degree_and_hbar_power_are_integers(path, value, command, where,
+                                                 tmp_path, capsys):
+    spec = edited_spec(tmp_path, path, value)
+    assert run([command, spec, "qplane_action"]) == 2
+    assert ("input error: %s must be an integer >= 0, got %r"
+            % (where, value)) in capsys.readouterr().err
+
+
+def _negated_antipode(terms):
+    return [dict(t, coeff=[c.replace("-", "") for c in t["coeff"]])
+            for t in terms]
+
+
+@pytest.mark.parametrize("command, skipped, kept", [
+    ("check-action", "module-algebra", []),
+    ("qreduce", "invariant-subalgebra", ["ideal-invariance"]),
+])
+def test_spec_group_failing_an_axiom_skips_what_reads_delta_and_eps(
+        command, skipped, kept, tmp_path, capsys):
+    # S(eta) = +eta (1 - hbar eta)^-1: the group is not a Hopf algebra, so
+    # the certificates that read its Delta or eps are not run; ideal
+    # invariance reads neither
+    doc = json.load(open(SPEC))
+    antipode = doc["hopf_structures"]["r2q_hopf"]["antipode"]
+    antipode["eta"] = _negated_antipode(antipode["eta"])
+    spec = tmp_path / "wrong_antipode.json"
+    spec.write_text(json.dumps(doc))
+    json_out = tmp_path / "records.jsonl"
+    assert run([command, str(spec), "qplane_action", "--json",
+                str(json_out)]) == 1
+    records = [json.loads(line) for line in open(json_out)]
+    assert [r["check"] for r in records] == [
+        "qplane_action/confluence", "qplane_action/group-hopf"] \
+        + ["qplane_action/%s" % k for k in kept]
+    gate = records[1]
+    assert gate["verdict"] == "fail" and gate["kind"] == "group-hopf"
+    assert gate["failures"] and all(f.startswith("antipode: ")
+                                    for f in gate["failures"])
+    assert gate["notes"] == ["%s not checked: the group r2q is not a "
+                             "certified Hopf algebra" % skipped]
+    assert all(r["verdict"] == "pass" for r in records if r is not gate)
+    capsys.readouterr()
+
+
+def test_spec_group_that_is_not_confluent_names_the_overlap(tmp_path,
+                                                            capsys):
+    # the group's rules y*x -> x*y + z, z*x -> x*z + x, z*y -> y*z leave the
+    # overlap z*y*x ambiguous: the axioms are not checked on it either
+    rules = [(("y", "x"), [("1", ["x", "y"]), ("1", ["z"])]),
+             (("z", "x"), [("1", ["x", "z"]), ("1", ["x"])]),
+             (("z", "y"), [("1", ["y", "z"])])]
+    group = {"generators": ["x", "y", "z"], "rules": [
+        {"pair": list(pair),
+         "terms": [{"coeff": c, "word": w} for c, w in terms]}
+        for pair, terms in rules]}
+    hopf = {"coproduct": {g: [{"coeff": "1", "pair": [[g], []]},
+                              {"coeff": "1", "pair": [[], [g]]}]
+                          for g in "xyz"},
+            "counit": {g: "0" for g in "xyz"},
+            "antipode": {g: [{"coeff": "-1", "word": [g]}] for g in "xyz"}}
+    commuting = [((b, a), [("1", [a, b])])
+                 for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]
+    doc = _action_spec(commuting, {"op": "lmul", "element": "x"},
+                       (group, hopf))
+    path = tmp_path / "non_confluent_group.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-action", str(path), "act"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] act/group-hopf" in out
+    assert "defect: confluence: overlap z*y*x reduces ambiguously" in out
+    assert "note: module-algebra not checked: the group grp is not a " \
+        "certified Hopf algebra" in out
+    assert "act/module-algebra" not in out and "2 checks:" in out
 
 
 def _loaded_modules(code, prefix="poisson_forge."):

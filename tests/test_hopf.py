@@ -135,16 +135,8 @@ def test_case1_coproduct_semiclassical_table():
     # delta(xi) = eta ^ xi with the (x)-(x) convention applied to
     # (tau Delta - Delta)/hbar ... recorded as computed: (Delta - tau Delta)
     # /hbar = -(eta (x) xi - xi (x) eta) = xi (x) eta - eta (x) xi
-    pres = fixtures.r2_quantum_group()
-    t2 = TensorAlgebra(pres, 2)
-    cop_images = fixtures.r2_coproducts(pres)
-    counit = AlgebraMap(pres, {"xi": HSeries.zero(N), "eta": HSeries.zero(N)},
-                        HSeries.one(N), name="eps")
-    antipode = AlgebraMap(pres, {"xi": -pres.gen("xi"),
-                                 "eta": -pres.gen("eta")},
-                          pres.one(), anti=True, name="S")
-    cop = AlgebraMap(pres, cop_images, t2.one(), name="Delta")
-    hopf = HopfStructure(pres, cop, counit, antipode)
+    hopf = fixtures.r2_hopf()
+    pres = hopf.algebra
     table = semiclassical_cobracket(hopf)
     xi, eta = pres.index("xi"), pres.index("eta")
     # delta(xi) = -(eta^xi) in our convention; published -1/2 eta^xi with
@@ -330,12 +322,16 @@ def _plane_hopf(**bad):
         AlgebraMap(pres, anti, pres.one(), anti=True, name="S"))
 
 
-def _spec_usl2_hopf():
+def _spec_hopf(name, order=N):
     import os
     from poisson_forge.specfile import SpecFile
     spec = os.path.join(os.path.dirname(__file__), "..", "demos",
                         "sample_spec.json")
-    return SpecFile.load(spec, N).hopf_structure("usl2_hopf")
+    return SpecFile.load(spec, order).hopf_structure(name)
+
+
+def _spec_usl2_hopf():
+    return _spec_hopf("usl2_hopf")
 
 
 def _twisted_grouplike_hopf():
@@ -379,6 +375,33 @@ def _twisted_grouplike_hopf():
                                     name="S"))
 
 
+# the groups of the quantum actions, as builders of their Hopf structures
+ACTION_GROUPS = {
+    "r2-commuting": lambda order: fixtures.r2_hopf(True, order),
+    "r2-free": lambda order: fixtures.r2_hopf(False, order),
+    "su2": fixtures.su2_hopf,
+    "spec-r2q": lambda order: _spec_hopf("r2q_hopf", order),
+}
+
+
+@pytest.mark.parametrize("group", sorted(ACTION_GROUPS))
+def test_action_groups_are_hopf_algebras_at_every_order(group):
+    # the group an action reads Delta and eps from is confluent and passes
+    # every axiom, with its antipode, at each order 1-16
+    for order in range(1, 17):
+        hopf = ACTION_GROUPS[group](order)
+        assert hopf.algebra.check_confluence().ok, (group, order)
+        reports = check_all_axioms(hopf)
+        assert reports["all"].ok, (group, order, reports["all"].failures)
+
+
+def test_su2_group_counit_is_one_on_zeta():
+    hopf = fixtures.su2_hopf()
+    pres = hopf.algebra
+    assert {g: hopf.counit.apply_word((pres.index(g),)) for g in pres.gens} \
+        == {"xi": 0, "eta": 0, "zeta": 1, "zeta_inv": 1}
+
+
 ORACLE_CASES = {
     "usl2": fixtures.usl2_hopf,
     "uhsl2": fixtures.uhsl2_hopf,
@@ -394,6 +417,8 @@ ORACLE_CASES = {
     "plane-bad-counit-on-y": lambda: _plane_hopf(counit=True),
     "plane-bad-antipode-on-y": lambda: _plane_hopf(antipode=True),
     "twisted-grouplike": _twisted_grouplike_hopf,
+    **{"group-" + name: lambda make=make: make(N)
+       for name, make in ACTION_GROUPS.items()},
 }
 
 
@@ -443,19 +468,6 @@ def test_map_reports_kept_and_a_broken_map_is_named_by_the_axioms():
 
 # -- the co-Poisson certificate against the sweep oracle -----------------------
 
-def _r2_hopf():
-    # the 2D cases' quantum group with its deformed coproducts
-    pres = fixtures.r2_quantum_group()
-    t2 = TensorAlgebra(pres, 2)
-    return HopfStructure(
-        pres, AlgebraMap(pres, fixtures.r2_coproducts(pres), t2.one(),
-                         name="Delta"),
-        AlgebraMap(pres, {"xi": HSeries.zero(N), "eta": HSeries.zero(N)},
-                   HSeries.one(N), name="eps"),
-        AlgebraMap(pres, {"xi": -pres.gen("xi"), "eta": -pres.gen("eta")},
-                   pres.one(), anti=True, name="S"))
-
-
 def _wrong_table(table):
     # delta(E) with the sign of one entry flipped
     entries = dict(table["E"])
@@ -468,7 +480,7 @@ CO_POISSON_CASES = {
     "usl2": (fixtures.usl2_hopf, None),
     "uhsl2": (fixtures.uhsl2_hopf, None),
     "spec-usl2": (_spec_usl2_hopf, None),
-    "r2": (_r2_hopf, None),
+    "r2": (fixtures.r2_hopf, None),
     "twisted-grouplike": (_twisted_grouplike_hopf, None),
     "uhsl2-wrong-table": (fixtures.uhsl2_hopf, _wrong_table),
 }

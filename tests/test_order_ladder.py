@@ -1,0 +1,55 @@
+"""The order ladder of the quantum fixture commands.
+
+The inputs at hbar order N are the truncations of the same inputs at any
+N' > N, so a verdict can only be lost as N falls, never turned: a check
+that passes at N' passes at every N < N' where the run concludes, a check
+that fails (or is a paper-discrepancy) at N has that verdict at every
+N' > N, and a run that does not conclude exits 3 on a named window guard,
+only below every order where it concludes.  The group gate in front of
+the action certificates must keep this relation."""
+
+import itertools
+import json
+import re
+
+import pytest
+
+from poisson_forge.cli import main
+
+ORDERS = range(1, 9)
+COMMANDS = {"check-hopf": [], "check-action": ["--degree", "2"],
+            "qreduce": []}
+# the least order at which each command concludes
+FIRST = {"check-hopf": 2, "check-action": 3, "qreduce": 2}
+
+
+def _run(command, order, tmp_path, capsys):
+    """(exit code, stderr, {check: verdict}) of one fixture run."""
+    out = tmp_path / ("%s-%d.jsonl" % (command, order))
+    code = main([command, "--fixtures", "--order", str(order),
+                 "--json", str(out)] + COMMANDS[command])
+    err = capsys.readouterr().err
+    verdicts = {} if code == 3 else {
+        r["check"]: r["verdict"] for r in map(json.loads, open(out))}
+    return code, err, verdicts
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_verdicts_are_only_lost_as_the_order_falls(command, tmp_path,
+                                                   capsys):
+    runs = {n: _run(command, n, tmp_path, capsys) for n in ORDERS}
+    guarded = [n for n in ORDERS if runs[n][0] == 3]
+    assert guarded == list(range(1, FIRST[command]))
+    for n in guarded:
+        assert re.search(r"capability exceeded: guard [\w.-]+\.window: ",
+                         runs[n][1]), (n, runs[n][1])
+    concluded = [n for n in ORDERS if n not in guarded]
+    for low, high in itertools.combinations(concluded, 2):
+        lo, hi = runs[low][2], runs[high][2]
+        assert set(lo) == set(hi), (low, high)
+        for check, verdict in lo.items():
+            # a pass at high is a pass at low, a verdict at low stays
+            assert verdict == "pass" or hi[check] == verdict, \
+                (check, low, high)
+        if runs[high][0] == 0:
+            assert runs[low][0] == 0, (low, high)

@@ -17,7 +17,7 @@ from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
 from poisson_forge.specfile import SpecFile
 
 from oracles import (
-    case1_reduction_algebra, eval_expr, r2_primitive_coproducts,
+    case1_reduction_algebra, eval_expr, hopf_from, r2_primitive_hopf,
     sweep_ideal_invariance, sweep_invariant_classes,
 )
 
@@ -160,32 +160,32 @@ def test_apply_action_respects_group_relations():
 
 # -- module-algebra checks ----------------------------------------------------
 
+def _with_hopf(act, hopf):
+    """The action's expressions, on its algebra, for another group."""
+    return QuantumAction(hopf, act.algebra, act.exprs)
+
+
 def test_case1_module_algebra_passes():
     act = fixtures.case_action(1)
-    cops = fixtures.r2_coproducts(act.group)
-    rep = check_module_algebra(act, cops, degree=2)
+    rep = check_module_algebra(act, degree=2)
     assert rep.ok, rep.failures
 
 
 def test_case1_primitive_coproduct_fails():
-    act = fixtures.case_action(1)
-    cops = r2_primitive_coproducts(act.group)
-    rep = check_module_algebra(act, cops, degree=2)
+    rep = check_module_algebra(_primitive(1), degree=2)
     assert not rep.ok
     assert "xi" in rep.failures[0] or "eta" in rep.failures[0]
 
 
 def test_case3_module_algebra_passes():
     act = fixtures.case_action(3)
-    cops = fixtures.r2_coproducts(act.group)
-    rep = check_module_algebra(act, cops, degree=2)
+    rep = check_module_algebra(act, degree=2)
     assert rep.ok, rep.failures
 
 
 def test_su2_module_algebra_passes():
     act = fixtures.su2_action()
-    cops = fixtures.su2_coproducts(act.group)
-    rep = check_module_algebra(act, cops, degree=2)
+    rep = check_module_algebra(act, degree=2)
     assert rep.ok, rep.failures
 
 
@@ -448,7 +448,7 @@ def test_ideal_b_under_case3_eta():
     # plane: Phi(eta)(u b v) is a multiple of b, so the ideal is invariant
     act = fixtures.case_action(3)
     alg = act.algebra
-    eta_only = QuantumAction(act.group, alg, {"eta": act.exprs["eta"]})
+    eta_only = QuantumAction(act.hopf, alg, {"eta": act.exprs["eta"]})
     rep = check_ideal_invariance(eta_only, [alg.gen("b")])
     assert rep.ok, rep.failures
     assert sweep_ideal_invariance(eta_only, [alg.gen("b")], degree=1).ok
@@ -465,10 +465,9 @@ def test_stacked_values_keep_the_window_of_a_zero():
 
 def test_invariant_subalgebra_trivial_action():
     alg = case1_reduction_algebra(4)
-    grp = fixtures.r2_quantum_group(order=4)
-    trivial = QuantumAction(grp, alg, {"xi": Scale(Identity(), 0),
-                                       "eta": Scale(Identity(), 0)})
-    basis, rep = invariant_subalgebra(trivial, {"xi": 0, "eta": 0}, degree=2)
+    trivial = QuantumAction(fixtures.r2_hopf(order=4), alg, {
+        "xi": Scale(Identity(), 0), "eta": Scale(Identity(), 0)})
+    basis, rep = invariant_subalgebra(trivial, degree=2)
     assert rep.ok
     assert len(basis) == len(alg.monomials_up_to(2))
     # no equation constrains them: they are known in the actions' window,
@@ -499,7 +498,7 @@ def test_scale_prints_its_scalar_as_a_series(scalar, printed):
 
 def test_invariant_subalgebra_quantum_plane():
     act = fixtures.case_action(3)
-    basis, rep = invariant_subalgebra(act, {"xi": 0, "eta": 0}, degree=2)
+    basis, rep = invariant_subalgebra(act, degree=2)
     assert rep.ok, rep.failures
     assert len(basis) == 1
     assert basis[0] == act.algebra.one()
@@ -509,20 +508,18 @@ def test_case1_quantum_reduction():
     # commutative case-1 algebra, ideal <a - 1, b>: the quotient invariants
     # to degree 2 are spanned by the class of 1
     alg = case1_reduction_algebra()
-    grp = fixtures.r2_quantum_group()
+    hopf = fixtures.r2_hopf()
     from poisson_forge.qmomentum import hamiltonian_pair
-    act = QuantumAction(grp, alg, {
+    act = QuantumAction(hopf, alg, {
         "xi": hamiltonian_pair(alg.gen("a"), alg.gen("b")),
         "eta": hamiltonian_pair(alg.gen("a"), alg.gen("a_inv")),
     })
     ideal = [alg.gen("a") - alg.one(), alg.gen("b")]
-    on_quotient = QuantumAction(grp, alg.quotient(ideal), act.exprs)
-    basis, rep = invariant_subalgebra(on_quotient, {"xi": 0, "eta": 0},
-                                      degree=2)
+    on_quotient = QuantumAction(hopf, alg.quotient(ideal), act.exprs)
+    basis, rep = invariant_subalgebra(on_quotient, degree=2)
     assert rep.ok, rep.failures
     assert len(basis) == 1
-    assert len(sweep_invariant_classes(act, {"xi": 0, "eta": 0}, 2,
-                                       ideal)) == 1
+    assert len(sweep_invariant_classes(act, 2, ideal)) == 1
 
 
 def test_semiclassical_limit_of_actions_matches_classical_fields():
@@ -553,7 +550,7 @@ def test_case2_semiclassical_coproduct_and_bracket_both_recorded():
     # classical limit is [xi, eta] = -eta; both facts are recorded rather
     # than normalized into each other
     act = fixtures.case_action(2)
-    cop = fixtures.r2_coproducts(act.group)["xi"]
+    cop = act.hopf.coproduct.apply_word((act.group.index("xi"),))
     anti = cop - cop.flip()
     assert anti.hbar_valuation() >= 1
     limit = {k: c.divide_by_hbar().coeffs[0]
@@ -564,12 +561,12 @@ def test_case2_semiclassical_coproduct_and_bracket_both_recorded():
 
 
 def test_su2_invariant_subalgebra_degree_two():
-    # the degree-2 joint kernel of the 3D action is just the constants:
-    # the ideal generator H is *not* an invariant element ([b,H] != 0),
-    # it only generates an invariant ideal
+    # the degree-2 joint kernel of the 3D action is just the constants,
+    # with eps(zeta) = 1 read from the group's Hopf structure (a counit of
+    # 0 on zeta left not even 1): the ideal generator H is *not* an
+    # invariant element ([b,H] != 0), it only generates an invariant ideal
     act = fixtures.su2_action()
-    basis, rep = invariant_subalgebra(
-        act, {"xi": 0, "eta": 0, "zeta": 1, "zeta_inv": 1}, degree=2)
+    basis, rep = invariant_subalgebra(act, degree=2)
     assert rep.ok
     assert len(basis) == 1 and basis[0] == act.algebra.one()
 
@@ -577,19 +574,17 @@ def test_su2_invariant_subalgebra_degree_two():
 def test_case1_quantum_reduction_nonzero_level():
     # same quotient story at a level with b - mu, mu != 0
     alg = case1_reduction_algebra()
-    grp = fixtures.r2_quantum_group()
-    act = QuantumAction(grp, alg, {
+    hopf = fixtures.r2_hopf()
+    act = QuantumAction(hopf, alg, {
         "xi": hamiltonian_pair(alg.gen("a"), alg.gen("b")),
         "eta": hamiltonian_pair(alg.gen("a"), alg.gen("a_inv")),
     })
     ideal = [alg.gen("a") - alg.one() * 3, alg.gen("b") - alg.one() * 2]
-    on_quotient = QuantumAction(grp, alg.quotient(ideal), act.exprs)
-    basis, rep = invariant_subalgebra(on_quotient, {"xi": 0, "eta": 0},
-                                      degree=2)
+    on_quotient = QuantumAction(hopf, alg.quotient(ideal), act.exprs)
+    basis, rep = invariant_subalgebra(on_quotient, degree=2)
     assert rep.ok
     assert len(basis) == 1
-    assert len(sweep_invariant_classes(act, {"xi": 0, "eta": 0}, 2,
-                                       ideal)) == 1
+    assert len(sweep_invariant_classes(act, 2, ideal)) == 1
 
 
 def test_invariants_of_the_zero_quotient_are_empty():
@@ -599,7 +594,7 @@ def test_invariants_of_the_zero_quotient_are_empty():
     zero = alg.quotient([alg.gen("b"), alg.gen("b") - 1])
     assert zero.monomials_up_to(2) == []
     basis, rep = invariant_subalgebra(
-        QuantumAction(act.group, zero, act.exprs), {"xi": 0, "eta": 0}, 2)
+        QuantumAction(act.hopf, zero, act.exprs), 2)
     assert basis == [] and rep.ok
 
 
@@ -616,8 +611,7 @@ def test_spec_qplane_reduction_classes(order, degree, classes):
         "qplane_action")
     quotient = action.algebra.quotient(extras["ideal"])
     basis, rep = invariant_subalgebra(
-        QuantumAction(action.group, quotient, action.exprs),
-        extras["counit"], degree)
+        QuantumAction(action.hopf, quotient, action.exprs), degree)
     assert rep.ok
     assert [repr(b) for b in basis] == classes
     assert {b.order for b in basis} == {order - 1}
@@ -628,8 +622,7 @@ def test_invariant_subalgebra_empty_window_is_refused():
     # certified, where an empty window used to pass with none
     from poisson_forge.errors import CapabilityError
     with pytest.raises(CapabilityError) as exc:
-        invariant_subalgebra(fixtures.case_action(3, 1), {"xi": 0, "eta": 0},
-                             degree=2)
+        invariant_subalgebra(fixtures.case_action(3, 1), degree=2)
     assert exc.value.guard == "invariant-subalgebra.window"
     assert exc.value.counters == {"window": 0, "shift": 1}
 
@@ -659,9 +652,10 @@ def test_actions_breaking_module_algebra_keep_the_ideal():
         "xi": HbarDiv(Compose([RMul(a), Commutator(b)]), 1),
     }
     for name, expr in variants.items():
-        variant = QuantumAction(act.group, alg, dict(act.exprs, **{name: expr}))
-        cops = fixtures.su2_coproducts(act.group)
-        assert not check_module_algebra(variant, {name: cops[name]}).ok
+        variant = QuantumAction(act.hopf, alg, dict(act.exprs, **{name: expr}))
+        rep = check_module_algebra(variant)
+        assert rep.failures[0].startswith(
+            "module-algebra defect for %s " % name), rep.failures
         assert check_ideal_invariance(variant, [H]).ok, name
         assert sweep_ideal_invariance(variant, [H], degree=1).ok, name
 
@@ -683,8 +677,8 @@ def test_torsion_ideal_refused_where_the_sweep_failed():
 def test_ideal_invariance_empty_window_is_refused():
     from poisson_forge.errors import CapabilityError
     alg = case1_reduction_algebra()
-    grp = fixtures.r2_quantum_group()
-    deep = QuantumAction(grp, alg, {"xi": HbarDiv(LMul(alg.gen("b")), 6)})
+    deep = QuantumAction(fixtures.r2_hopf(), alg,
+                         {"xi": HbarDiv(LMul(alg.gen("b")), 6)})
     with pytest.raises(CapabilityError) as exc:
         check_ideal_invariance(deep, [alg.gen("b")])
     assert exc.value.guard == "ideal-invariance.window"
@@ -694,8 +688,7 @@ def test_ideal_invariance_empty_window_is_refused():
 # -- operator-tensor certificates against the monomial sweep oracle -----------
 
 def _spec_action():
-    action, extras = SpecFile.load(SPEC, N).quantum_action("qplane_action")
-    return action, extras["coproducts"]
+    return SpecFile.load(SPEC, N).quantum_action("qplane_action")[0]
 
 
 def _su2_target(sign=1, hbar_div=True):
@@ -711,49 +704,47 @@ def _su2_target(sign=1, hbar_div=True):
 def _case1_without_eta_hbar_div():
     act = fixtures.case_action(1)
     a = act.algebra.gen("a")
-    return QuantumAction(act.group, act.algebra, {
+    return QuantumAction(act.hopf, act.algebra, {
         "xi": act.exprs["xi"],
         "eta": Compose([LMul(a), Commutator(act.algebra.gen("a_inv"))])})
 
 
-def _r2_coproducts_wrong_sign(pres):
+def _case1_wrong_delta_sign():
     # Delta(xi) with + hbar eta (x) xi in place of - hbar eta (x) xi
-    cops = fixtures.r2_coproducts(pres)
-    cops["xi"] = cops["xi"] + TensorAlgebra(pres, 2).element(
-        {(("eta",), ("xi",)): 2 * HSeries.hbar(N)})
-    return cops
+    act = fixtures.case_action(1)
+    h = HSeries.hbar(N)
+    return _with_hopf(act, hopf_from(act.group, {
+        "xi": {(("xi",), ()): 1, ((), ("xi",)): 1, (("eta",), ("xi",)): h},
+        "eta": {(("eta",), ()): 1, ((), ("eta",)): 1,
+                (("eta",), ("eta",)): -h}}, {"xi": 0, "eta": 0}))
 
 
-def _case(action, coproducts):
-    return action, coproducts(action.group)
+def _primitive(case):
+    act = fixtures.case_action(case)
+    return _with_hopf(act, r2_primitive_hopf(act.group))
 
 
 MODULE_ALGEBRA_CASES = {
-    "case1": lambda: _case(fixtures.case_action(1), fixtures.r2_coproducts),
-    "case2": lambda: _case(fixtures.case_action(2), fixtures.r2_coproducts),
-    "case3": lambda: _case(fixtures.case_action(3), fixtures.r2_coproducts),
-    "case1-primitive": lambda: _case(fixtures.case_action(1),
-                                     r2_primitive_coproducts),
-    "case2-primitive": lambda: _case(fixtures.case_action(2),
-                                     r2_primitive_coproducts),
-    "case3-primitive": lambda: _case(fixtures.case_action(3),
-                                     r2_primitive_coproducts),
-    "su2": lambda: _case(fixtures.su2_action(), fixtures.su2_coproducts),
+    "case1": lambda: fixtures.case_action(1),
+    "case2": lambda: fixtures.case_action(2),
+    "case3": lambda: fixtures.case_action(3),
+    "case1-primitive": lambda: _primitive(1),
+    "case2-primitive": lambda: _primitive(2),
+    "case3-primitive": lambda: _primitive(3),
+    "su2": fixtures.su2_action,
     "spec-qplane": _spec_action,
     # mutants
-    "case1-wrong-delta-sign": lambda: _case(fixtures.case_action(1),
-                                            _r2_coproducts_wrong_sign),
-    "case1-dropped-hbar-div": lambda: _case(_case1_without_eta_hbar_div(),
-                                            fixtures.r2_coproducts),
+    "case1-wrong-delta-sign": _case1_wrong_delta_sign,
+    "case1-dropped-hbar-div": _case1_without_eta_hbar_div,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MODULE_ALGEBRA_CASES))
 def test_module_algebra_certificate_agrees_with_sweep(case):
     from oracles import sweep_module_algebra
-    act, cops = MODULE_ALGEBRA_CASES[case]()
-    cert = check_module_algebra(act, cops, degree=2)
-    sweep = sweep_module_algebra(act, cops, degree=2)
+    act = MODULE_ALGEBRA_CASES[case]()
+    cert = check_module_algebra(act, degree=2)
+    sweep = sweep_module_algebra(act, degree=2)
     assert (cert.verdict, cert.failures) == (sweep.verdict, sweep.failures)
     expected_pass = "primitive" not in case and "-wrong-" not in case \
         and "dropped" not in case
@@ -800,7 +791,7 @@ def test_compiled_operators_agree_with_expressions():
     # an operator with the values of the recursive reference evaluator on
     # the monomials of degree <= 2
     actions = [fixtures.case_action(c) for c in (1, 2, 3)] \
-        + [fixtures.su2_action(), _spec_action()[0]]
+        + [fixtures.su2_action(), _spec_action()]
     for act in actions:
         exprs = dict(act.exprs)
         if act.algebra.name == "su2-module-algebra":
@@ -832,10 +823,10 @@ def test_operator_composition_and_shift_alignment():
 
 def test_shipped_obligations_are_zero_tensors():
     from poisson_forge.qmomentum import lie_hom_defect, module_algebra_defect
-    for act, cops in [(fixtures.case_action(c), fixtures.r2_coproducts)
-                      for c in (1, 2, 3)] \
-            + [(fixtures.su2_action(), fixtures.su2_coproducts)]:
-        for name, cop in cops(act.group).items():
+    for act in [fixtures.case_action(c) for c in (1, 2, 3)] \
+            + [fixtures.su2_action()]:
+        for name in act.exprs:
+            cop = act.hopf.coproduct.apply_word((act.group.index(name),))
             defect = module_algebra_defect(act, name, cop)
             assert defect.is_zero() and defect.window >= 1, \
                 (act.algebra.name, name)
@@ -876,12 +867,14 @@ def test_fixture_suite_sweeps_only_the_case2_witness(monkeypatch):
     assert [dict(check=c, **r.to_json()) for c, r in results] == stored
 
 
-def _central_action(expr):
-    # the commutative algebra of a, a^-1, b: every element is central
+def _central_action(expr, coproduct, counit):
+    # the commutative algebra of a, a^-1, b: every element is central;
+    # the group has one generator xi, with Delta(xi) = ``coproduct``
     from poisson_forge.ncalg import Presentation
     alg = case1_reduction_algebra()
     grp = Presentation(["xi"], {}, N, name="one-generator")
-    return QuantumAction(grp, alg, {"xi": expr(alg)}), grp
+    hopf = hopf_from(grp, {"xi": coproduct}, {"xi": counit})
+    return QuantumAction(hopf, alg, {"xi": expr(alg)}), grp
 
 
 def test_nonzero_tensor_without_witness_is_inconclusive():
@@ -889,11 +882,11 @@ def test_nonzero_tensor_without_witness_is_inconclusive():
     from poisson_forge.errors import CapabilityError
     # Phi(xi) = L(b) - R(b) acts as 0, but its tensor b (x) 1 - 1 (x) b is
     # not 0; with Delta(xi) = xi (x) xi no monomial pair is a witness
-    act, grp = _central_action(lambda alg: Commutator(alg.gen("b")))
-    cops = {"xi": TensorAlgebra(grp, 2).element({(("xi",), ("xi",)): 1})}
-    assert sweep_module_algebra(act, cops, degree=2).ok
+    act, grp = _central_action(lambda alg: Commutator(alg.gen("b")),
+                               {(("xi",), ("xi",)): 1}, 1)
+    assert sweep_module_algebra(act, degree=2).ok
     with pytest.raises(CapabilityError) as info:
-        check_module_algebra(act, cops, degree=2)
+        check_module_algebra(act, degree=2)
     assert info.value.guard == "module-algebra.inconclusive"
     assert info.value.counters == {"tensor_terms": 6, "degree": 2}
     assert "guard module-algebra.inconclusive" in str(info.value)
@@ -910,10 +903,10 @@ def test_nonzero_tensor_without_witness_is_inconclusive():
 def test_empty_hbar_window_is_refused():
     from poisson_forge.errors import CapabilityError
     # hbar^-6 L(b) at N = 6: the zero tensor would be known mod hbar^0 only
-    act, grp = _central_action(lambda alg: HbarDiv(LMul(alg.gen("b")), 6))
-    cops = {"xi": TensorAlgebra(grp, 2).element({(("xi",), ()): 1})}
+    act, grp = _central_action(lambda alg: HbarDiv(LMul(alg.gen("b")), 6),
+                               {(("xi",), ()): 1}, 0)
     with pytest.raises(CapabilityError) as info:
-        check_module_algebra(act, cops, degree=2)
+        check_module_algebra(act, degree=2)
     assert info.value.guard == "module-algebra.window"
     assert info.value.counters == {"window": 0, "shift": 6}
     with pytest.raises(CapabilityError) as info:

@@ -1,7 +1,8 @@
 """Quantum reduction's invariants, taken on the completed quotient A / J,
 against the span oracle ``oracles.sweep_invariant_classes``, which takes
 the invariants of A modulo a span of J closed up to a degree, on random
-small actions and counits."""
+small actions of the certified groups: U_hbar(R2), whose counit is 0, and
+U_hbar(su2), whose counit is 1 on zeta."""
 
 import pytest
 
@@ -91,27 +92,35 @@ def _span(elements, order):
     return span
 
 
+# group -> (its Hopf structure at an order, the generators acted by)
+GROUPS = {
+    "r2": (lambda order: fixtures.r2_hopf(order=order), ("xi", "eta")),
+    "su2": (fixtures.su2_hopf, ("xi", "zeta")),
+}
+
+
 @st.composite
 def _cases(draw):
     ideal = draw(st.sampled_from(sorted(IDEALS)))
     algebra = draw(st.sampled_from(IDEALS[ideal]))
+    group = draw(st.sampled_from(sorted(GROUPS)))
     gens = ALGEBRAS[algebra](2).gens
-    actions = {g: draw(_exprs(gens)) for g in ("xi", "eta")}
-    counit = {g: draw(st.sampled_from([0, 0, 1, 2])) for g in ("xi", "eta")}
-    return (algebra, ideal, actions, counit, draw(st.integers(2, 3)),
+    actions = {g: draw(_exprs(gens)) for g in GROUPS[group][1]}
+    return (algebra, ideal, group, actions, draw(st.integers(2, 3)),
             draw(st.integers(1, 2)))
 
 
 @PROPERTY
 @hypothesis.given(_cases())
 def test_quotient_invariants_match_the_span_oracle(case):
-    algebra, ideal_name, specs, counit, order, degree = case
+    algebra, ideal_name, group, specs, order, degree = case
     alg = ALGEBRAS[algebra](order)
-    group = fixtures.r2_quantum_group(order=order)
+    hopf = GROUPS[group][0](order)
     # Phi(g) = X + eps(g) id, so that a nonzero counit value keeps the
     # invariants of X
-    action = QuantumAction(group, alg, {
-        g: Sum([_build(alg, s), Scale(Identity(), counit[g])])
+    eps = {g: hopf.counit.apply_word((hopf.algebra.index(g),)) for g in specs}
+    action = QuantumAction(hopf, alg, {
+        g: Sum([_build(alg, s), Scale(Identity(), eps[g])])
         for g, s in specs.items()})
     ideal = _ideal(alg, ideal_name)
     if (algebra, ideal_name) in TORSION:
@@ -120,16 +129,16 @@ def test_quotient_invariants_match_the_span_oracle(case):
         assert exc.value.guard == "ncgroebner.nonunit_lead"
         return
     quotient = alg.quotient(ideal)
-    on_quotient = QuantumAction(group, quotient, action.exprs)
+    on_quotient = QuantumAction(hopf, quotient, action.exprs)
     if min(on_quotient.operator((g,)).window for g in specs) < 1:
         # hbar^-k with k >= N: nothing is known of the operator
         with pytest.raises(CapabilityError) as exc:
-            invariant_subalgebra(on_quotient, counit, degree)
+            invariant_subalgebra(on_quotient, degree)
         assert exc.value.guard == "invariant-subalgebra.window"
         return
-    basis, _ = invariant_subalgebra(on_quotient, counit, degree)
+    basis, _ = invariant_subalgebra(on_quotient, degree)
     classes = [quotient.normal_form(x) for x in
-               oracles.sweep_invariant_classes(action, counit, degree, ideal)]
+               oracles.sweep_invariant_classes(action, degree, ideal)]
     assert len(basis) == len(classes)
     spans = _span(basis, order), _span(classes, order)
     assert all(spans[0].contains(x.terms, x.order) for x in classes)
