@@ -69,7 +69,7 @@ if __name__ == "__main__":
     alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
     print("  momentum ideal generator H =", H)
     print("  ideal <H> invariant under the action:",
-          check_ideal_invariance(act, [H]).verdict)
+          check_ideal_invariance(act, [H], alg.quotient([H])).verdict)
 
     print("=" * 60)
     print("quantum reduction of the quantum plane (case 3)")

@@ -268,7 +268,7 @@ def run_spec_command(command, spec, args):
         quotient = action.algebra.quotient(extras["ideal"])
         out += gate + [("%s/ideal-invariance" % name,
                         check_ideal_invariance(action, extras["ideal"],
-                                               quotient=quotient))]
+                                               quotient))]
         if not gate:
             _, rep = invariant_subalgebra(
                 QuantumAction(action.hopf, quotient, action.exprs),

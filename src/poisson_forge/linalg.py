@@ -19,13 +19,6 @@ straight into one ``Span`` as sparse rows.  The reduced echelon form of a
 row space is unique once the column order is fixed, so the solution (free
 unknowns 0) and the kernel basis (one vector per free column) are those of
 the dense flattened matrix.
-
-Spans over Q(i)[hbar]/(hbar^N) work in the same coordinates
-(``SeriesSpan``): a vector enters with all its hbar-multiples, so module
-membership is field membership.  Window rule: as in series arithmetic, a
-span's order is the least order it has met.  Inserting a vector known mod
-hbar^m lowers it to m, and a vector is tested (and reduced) mod
-hbar^min(m, N).
 """
 
 from .scalars import ZERO, ONE
@@ -165,55 +158,3 @@ def kernel(columns):
         shifts.insert({i + 1: c for i, c in v.items() if (i + 1) % n})
     unknowns = list(columns)
     return [(_unflat(v, unknowns, n), n) for v in vecs if shifts.insert(v)]
-
-
-# -- spans over the truncated series ring ------------------------------------
-
-class SeriesSpan:
-    """The Q(i)[hbar]/(hbar^N)-module spanned by vectors given as flat
-    terms {(j, key): c} (the coefficient of hbar^j at ``key``, as elements
-    of a presented algebra store them), kept as a ``Span`` in those
-    coordinates.
-
-    ``insert`` adds v, hbar v, hbar^2 v, ... up to the first multiple
-    already in the span (the span is closed under hbar, so the later ones
-    are too); membership is then plain Q(i)-membership.  Window rule: the
-    order N is the least order met.  Inserting a vector known mod hbar^m
-    with m < N lowers N to m and truncates the rows to j < m, which leaves
-    an echelon form since pivots sit at the least j.  ``reduce`` and
-    ``contains`` compare a vector known mod hbar^m mod hbar^min(m, N), and
-    ``reduce`` returns the flat terms of the remainder in that window.
-    """
-
-    def __init__(self, order):
-        self.order = order
-        self.span = Span()
-
-    def reduce(self, terms, order):
-        m = min(order, self.order)
-        rest = self.span.reduce(_shifted(terms, 0, m))
-        return {key: c for key, c in rest.items() if key[0] < m}
-
-    def contains(self, terms, order):
-        return not self.reduce(terms, order)
-
-    def insert(self, terms, order):
-        """Add the module generated by the vector ``terms`` known mod
-        hbar^order.  Returns True when the span grew."""
-        if order < self.order:
-            self.order = order
-            self.span.rows = {
-                p: {k: c for k, c in row.items() if k[0] < order}
-                for p, row in self.span.rows.items() if p[0] < order}
-        grew = False
-        for s in range(self.order):
-            if not self.span.insert(_shifted(terms, s, self.order)):
-                break
-            grew = True
-        return grew
-
-
-def _shifted(terms, shift, order):
-    """hbar^shift times the flat terms, mod hbar^order."""
-    return {(j + shift, key): c for (j, key), c in terms.items()
-            if j + shift < order}

@@ -587,7 +587,7 @@ def one_form(presentation, pairs, offset=0):
 # Quantum reduction
 # ---------------------------------------------------------------------------
 
-def check_ideal_invariance(action, ideal_gens, quotient=None):
+def check_ideal_invariance(action, ideal_gens, quotient):
     """Phi(g)(J) lies in J = <ideal_gens> for every quantum-group
     generator g.
 
@@ -609,16 +609,14 @@ def check_ideal_invariance(action, ideal_gens, quotient=None):
     ``ncgroebner.max_pairs`` when it cannot present A / J.  As a
     cross-check Phi(g)(s) is reduced on the quotient for each g and each s
     in ``ideal_gens``: a nonzero remainder is a conclusive fail with that
-    witness.  ``quotient``, when given, is ``alg.quotient(ideal_gens)``
-    already completed.
+    witness.  ``quotient`` is ``alg.quotient(ideal_gens)``, completed by
+    the caller, which passes the same quotient to ``invariant_subalgebra``.
     """
     alg = action.algebra
     ideal_gens = [alg.element(j) for j in ideal_gens]
     if not ideal_gens:
         return Report("ideal-invariance", PASS,
                       notes=["zero ideal is trivially invariant"])
-    if quotient is None:
-        quotient = alg.quotient(ideal_gens)
     failures = []
     for name in action.exprs:
         op = action.operator((name,))
@@ -648,13 +646,21 @@ def invariant_subalgebra(action, degree=2):
     (Diamond Lemma), so the kernel vectors are independent classes.
     Each generator's operator must be known in a nonempty window
     (``invariant-subalgebra.window``).
+
+    Closure is read off the system the basis was solved from.  ``kernel``
+    returns generators of the kernel module mod hbar^n, n the least window
+    of the columns (Nakayama's lemma, Atiyah-Macdonald Prop. 2.8), so a
+    product p of basis vectors lies in their span exactly when the columns
+    map p to 0 mod hbar^n.  Each word of a product of degree <= ``degree``
+    is a normal word of that length, so it has a column.  A product known
+    only below hbar^n raises ``invariant-subalgebra.window``: a rule of A
+    known more coarsely than the operators' values can lead there.
     """
-    from .linalg import SeriesSpan, kernel
+    from .linalg import kernel
     alg = action.algebra
     ops = {name: action.operator((name,)) for name in action.exprs}
     for op in ops.values():
         _check_window("invariant-subalgebra", op)
-    order = min((op.window for op in ops.values()), default=alg.order)
 
     # unknowns: one series per input monomial, whose column stacks
     # Phi(gen)(m) - eps(gen) m over the generators
@@ -666,15 +672,32 @@ def invariant_subalgebra(action, degree=2):
         columns[w] = _stacked([op(x) - x * eps[name]
                                for name, op in ops.items()], alg.order)
     basis = [_ncpoly(alg, v, n) for v, n in kernel(columns)]
+    window = min((n for _, n in columns.values()), default=alg.order)
 
     failures = []
-    closure_span = SeriesSpan(order)
-    for b in basis:
-        closure_span.insert(b.terms, b.order)
     for x, y in itertools.combinations_with_replacement(basis, 2):
         prod = x * y
         if prod.degree() > degree:
             continue
-        if not closure_span.contains(prod.terms, prod.order):
+        if prod.order < window:
+            raise CapabilityError(
+                "guard invariant-subalgebra.window: the product %r is known "
+                "only mod hbar^%d, the invariants mod hbar^%d"
+                % (prod, prod.order, window),
+                guard="invariant-subalgebra.window",
+                counters={"window": prod.order, "kernel_window": window})
+        if _image(columns, prod, window):
             failures.append("product %r leaves the invariant span" % prod)
     return basis, Report.from_failures("invariant-subalgebra", failures)
+
+
+def _image(columns, x, window):
+    """The image of the element ``x`` under the linear system ``columns``
+    ({word: (terms, window)}, one column per normal word of x): the sum of
+    c hbar^j columns[w] over the terms (j, w): c of x, mod hbar^window."""
+    out = {}
+    _accumulate(out, [((j + t, key), c * d)
+                      for (j, w), c in x.terms.items()
+                      for (t, key), d in columns[w][0].items()
+                      if j + t < window])
+    return out

@@ -390,7 +390,8 @@ class SpecFile:
         action = {g: self.vector_field("%s %r" % (where, g), pi.chart, comps)
                   for g, comps in entry["action"].items()}
         setup = ReductionSetup(pi, d, action, ideal=entry.get("ideal", ()))
-        return setup, entry.get("degree", 2)
+        return setup, _natural(entry.where + " degree",
+                               entry.get("degree", 2))
 
 
 def _poly(where, text, chart):

@@ -379,7 +379,7 @@ def quantum_action_fixture_suite(degree, order):
     out.append(("su2-3d/ideal-relations",
                 Report.from_failures("ideal-relations", failures)))
     out.append(("su2-3d/ideal-invariance",
-                check_ideal_invariance(act, [H])))
+                check_ideal_invariance(act, [H], alg.quotient([H]))))
     return out
 
 
@@ -444,7 +444,7 @@ def run_fixture_suite(command, degree, order):
         alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
         out = group_gate("su2-3d", act.hopf, [])
         out.append(("su2-3d/ideal-invariance",
-                    check_ideal_invariance(act, [H])))
+                    check_ideal_invariance(act, [H], alg.quotient([H]))))
         act3 = fixtures.case_action(3, order)
         return out + (group_gate("case3", act3.hopf, ["invariant-subalgebra"])
                       or [("case3/invariant-subalgebra",

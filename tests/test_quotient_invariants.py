@@ -2,19 +2,25 @@
 against the span oracle ``oracles.sweep_invariant_classes``, which takes
 the invariants of A modulo a span of J closed up to a degree, on random
 small actions of the certified groups: U_hbar(R2), whose counit is 0, and
-U_hbar(su2), whose counit is 1 on zeta."""
+U_hbar(su2), whose counit is 1 on zeta.  The closure verdict, which
+``invariant_subalgebra`` reads off its column system, is compared with
+membership of the oracle classes' products in their ``oracles.SeriesSpan``."""
+
+import itertools
 
 import pytest
 
 from poisson_forge import fixtures
 from poisson_forge.errors import CapabilityError
-from poisson_forge.linalg import SeriesSpan
+from poisson_forge.ncalg import Presentation
 from poisson_forge.qmomentum import (
     Commutator, Compose, HbarDiv, Identity, LMul, QuantumAction, RMul, Scale,
     Sum, invariant_subalgebra,
 )
+from poisson_forge.scalars import HSeries
 
 import oracles
+from oracles import SeriesSpan
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -136,10 +142,29 @@ def test_quotient_invariants_match_the_span_oracle(case):
             invariant_subalgebra(on_quotient, degree)
         assert exc.value.guard == "invariant-subalgebra.window"
         return
-    basis, _ = invariant_subalgebra(on_quotient, degree)
+    basis, rep = invariant_subalgebra(on_quotient, degree)
     classes = [quotient.normal_form(x) for x in
                oracles.sweep_invariant_classes(action, degree, ideal)]
     assert len(basis) == len(classes)
     spans = _span(basis, order), _span(classes, order)
     assert all(spans[0].contains(x.terms, x.order) for x in classes)
     assert all(spans[1].contains(x.terms, x.order) for x in basis)
+    products = [x * y for x, y in
+                itertools.combinations_with_replacement(classes, 2)]
+    assert rep.ok == all(spans[1].contains(p.terms, p.order)
+                         for p in products if p.degree() <= degree)
+
+
+def test_product_known_below_the_kernel_window_is_refused():
+    # a^2 -> hbar with the rule known mod hbar^2 only: the invariants of
+    # the zero action, 1 and a, are known mod hbar^4, their product a^2 =
+    # hbar only mod hbar^2, so closure cannot be read mod hbar^4
+    order = 4
+    alg = Presentation(["a"], {("a", "a"): {(): HSeries([0, 1], order - 2)}},
+                       order)
+    action = QuantumAction(fixtures.r2_hopf(order=order), alg,
+                           {"xi": Scale(Identity(), 0)})
+    with pytest.raises(CapabilityError) as exc:
+        invariant_subalgebra(action, 2)
+    assert exc.value.guard == "invariant-subalgebra.window"
+    assert exc.value.counters == {"window": 2, "kernel_window": 4}
