@@ -4,8 +4,9 @@ Each command loads a JSON specification (or runs the shipped fixtures with
 --fixtures), runs the corresponding check suite and emits a human-readable
 summary plus optional JSON lines.  Exit codes: 0 all checks passed (a
 recorded paper-discrepancy does not fail the run), 1 at least one check
-failed, 2 malformed input, 3 an internal capability guard tripped, 4 an
-internal error (any other exception, a ValueError too under --fixtures).
+failed, 2 malformed input (a ``SpecError`` naming the spec entry), 3 an
+internal capability guard tripped, 4 an internal error (any other
+exception, a ValueError too).
 
 One fixed grammar serves every command (``parse_args``): up to four
 positionals, COMMAND [SPEC] [NAME] [EXTRA], and the options --order N,
@@ -333,12 +334,8 @@ def main(argv=None):
         print("capability exceeded: %s" % exc, file=sys.stderr)
         return 3
     except Exception as exc:
-        if isinstance(exc, ValueError) and not args.fixtures:
-            # scalar/polynomial parse failures and structural rejections
-            # from user-supplied objects are input errors too
-            print("input error: %s" % exc, file=sys.stderr)
-            return 2
-        # anything else is a bug; the fixtures are shipped code, not input
+        # anything else is a bug: the spec file's malformed entries are
+        # SpecErrors, and the fixtures are shipped code, not input
         import traceback  # error path only; not a start-up import
         traceback.print_exc()
         print("internal error: %s" % exc, file=sys.stderr)

@@ -708,17 +708,23 @@ def su2_hopf(order=ORDER):
 
 
 def case_action(case, order=ORDER):
-    """QuantumAction of the 2-dimensional examples.
-
-    Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on the
-    module algebra of the given case (1, 2 or 3)."""
-    from .qmomentum import QuantumAction, hamiltonian_pair
+    """QuantumAction of the 2-dimensional examples (``r2_action``) on the
+    module algebra of the given case (1, 2 or 3): U_hbar(R2) acts through
+    its commuting presentation in case 1 and its free one in cases 2 and
+    3."""
     algebra = {
         1: case1_module_algebra,
         2: case2_module_algebra,
         3: quantum_plane_presentation,
     }[case](order)
-    hopf = r2_hopf(commuting=(case == 1), order=order)
+    return r2_action(algebra, r2_hopf(commuting=(case == 1), order=order))
+
+
+def r2_action(algebra, hopf):
+    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on a
+    module algebra with generators a, a_inv and b, for the U_hbar(R2)
+    structure ``hopf`` (``r2_hopf``), which actions may share."""
+    from .qmomentum import QuantumAction, hamiltonian_pair
     a = algebra.gen("a")
     a_inv = algebra.gen("a_inv")
     b = algebra.gen("b")
@@ -760,16 +766,16 @@ def su2_commutator_target_for(action):
     return Scale(HbarDiv(Sum([zeta_inv, Scale(zeta, -1)]), 1), u.inverse())
 
 
-def su2_momentum_ideal_generator(alg=None):
+def su2_momentum_ideal_generator(alg):
     """H = a^-2 + e^hbar (1 - e^{2 hbar})^2 hbar^-2 c b on the 3D module
-    algebra; the generator of the quantum momentum ideal.
+    algebra ``alg`` (``su2_module_algebra``), as the pair (alg, H): the
+    generator of the quantum momentum ideal.
 
     The printed version carries a minus on the second term, but the triple
     {[b,c] relation, H, the H-relations} is then inconsistent: with the
     [b,c] relation exactly as printed, only this sign of H satisfies
     a^-1 H a = H, [b,H] = -(1-e^{2hbar}) H b and [c,H] = c (1-e^{2hbar}) H
     simultaneously (and it does so exactly)."""
-    alg = alg or su2_module_algebra()
     factor = 1 - hexp(2, alg.order + 1)  # valuation 1, divided below
     coef = hexp(1, alg.order) * factor.divide_by_hbar() ** 2
     return alg, alg.element([(1, ["a_inv", "a_inv"])]) \

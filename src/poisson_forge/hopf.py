@@ -13,11 +13,10 @@ confluent.  No checker here sweeps monomials.
 
 from .errors import CapabilityError
 from .ncalg import (
-    Flat, NCPoly, TensorAlgebra, TensorElement, _accumulate, _ncpoly, _pairs,
-    check_map,
+    Flat, NCPoly, TensorAlgebra, TensorElement, _ncpoly, _pairs, check_map,
 )
-from .report import Report
-from .scalars import HSeries, ZERO
+from .report import Report, merge
+from .scalars import ZERO, _accumulate
 
 
 class HopfStructure:
@@ -32,6 +31,22 @@ class HopfStructure:
         self.square = TensorAlgebra(algebra, 2)
         self.coproduct_report, self.counit_report, self.antipode_report = (
             check_map(m) for m in (coproduct, counit, antipode))
+        self._certificate = None
+
+    def certificate(self):
+        """The certificate that an action's checks on Delta and eps rest
+        on, computed once per structure however many actions share it: the
+        presentation is confluent (``check_confluence``) and the structure
+        passes every axiom (``check_all_axioms``).  The ``group-hopf``
+        report names the ambiguities or the failing axioms."""
+        if self._certificate is None:
+            parts = [self.algebra.check_confluence()]
+            if parts[0].ok:
+                axioms = check_all_axioms(self)
+                parts = [axioms[key] for key in ("coassociativity", "counit",
+                                                 "antipode", "delta-hom")]
+            self._certificate = merge("group-hopf", parts)
+        return self._certificate
 
 
 # -- tensor plumbing ---------------------------------------------------------
@@ -58,10 +73,8 @@ def apply_in_slot(amap, element, slot, out_algebra):
 
 def _pieces(image):
     """A map's image as flat terms keyed by the tuple of words it puts in
-    place of one slot."""
-    if isinstance(image, HSeries):
-        return Flat({(j, ()): c for j, c in enumerate(image.coeffs) if c},
-                    image.order)
+    place of one slot: a series is keyed by the empty word, which is the
+    empty tuple, so a counit contracts its slot."""
     if isinstance(image, NCPoly):
         return Flat({(j, (w,)): c for (j, w), c in image.terms.items()},
                     image.order)
@@ -147,14 +160,13 @@ def check_delta_hom(hopf):
 
 
 def check_all_axioms(hopf):
-    from . import report as report_mod
     reports = {
         "coassociativity": check_coassociativity(hopf),
         "counit": check_counit(hopf),
         "antipode": check_antipode(hopf),
         "delta-hom": check_delta_hom(hopf),
     }
-    reports["all"] = report_mod.merge("hopf-axioms", list(reports.values()))
+    reports["all"] = merge("hopf-axioms", list(reports.values()))
     return reports
 
 

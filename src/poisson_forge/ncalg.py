@@ -34,8 +34,10 @@ window of its operands and, over the keys, of the least power of hbar on
 a key plus the window of its normal form, so no term at or past hbar^N is
 ever formed.  Rule right sides are flattened the same way,
 once, when the presentation is built, and the memo holds flat normal forms.
-Series (``HSeries``) are the scalars elements are scaled by, and the
-printed form of a coefficient (``series_terms``).
+The flat terms' sums, scaling and hbar-division are ``scalars._SeriesComb``,
+which a series (``HSeries``) shares: it is flat terms on the empty word,
+the scalar elements are scaled by, and the printed form of a coefficient
+(``series_terms``).
 
 Inverse generators are ordinary generators with two-sided cancellation
 rules, placed adjacent to their base generator in the order.
@@ -46,8 +48,7 @@ import itertools
 from .errors import CapabilityError
 from .report import Report
 from .scalars import (
-    HSeries, LinComb, ONE, ValuationError, ZERO, _acc, _make,
-    _over_common_den, series,
+    LinComb, ONE, ZERO, _SeriesComb, _accumulate, _flat, _product_terms,
 )
 
 _new = object.__new__
@@ -69,45 +70,6 @@ class Flat:
         self.order = order
 
 
-def _flat(pairs, order):
-    """Flat terms {(j, key): c} of the (key, coefficient) ``pairs``, and
-    their window: a series coefficient is known in its own window, any other
-    scalar mod hbar^order, and the terms are known in the least of these
-    (``order`` when there are none)."""
-    pairs = [(key, series(c, order)) for key, c in pairs]
-    order = min((c.order for _, c in pairs), default=order)
-    out = {}
-    _accumulate(out, [((j, key), x) for key, c in pairs
-                      for j, x in enumerate(c.coeffs[:order]) if x])
-    return out, order
-
-
-def _scaled(terms, s, order):
-    """Flat terms times the series ``s``, mod hbar^order."""
-    out = {}
-    jcs = [(j, c) for j, c in enumerate(s.coeffs) if c]
-    if jcs:
-        _accumulate(out, _product_terms(jcs, terms, order))
-    return out
-
-
-def _accumulate(out, pairs):
-    """Add the (key, c) ``pairs`` into the flat terms ``out``, dropping a
-    key whose sum is 0: ``scalars._acc`` inlined, for the products' inner
-    loops."""
-    get = out.get
-    for key, x in pairs:
-        y = get(key)
-        if y is None:
-            out[key] = x
-        else:
-            x = x + y
-            if x:
-                out[key] = x
-            else:
-                del out[key]
-
-
 def _pairs(xs, ys, join, top):
     """The raw terms ((j1 + j2, join(k1, k2)), c1 c2) of the products of
     the flat terms (j1, k1): c1 of ``xs`` and (j2, k2): c2 of ``ys``; a key
@@ -117,44 +79,6 @@ def _pairs(xs, ys, join, top):
              c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2)
             for (j1, k1), c1 in xs.items()
             for (j2, k2), c2 in ys.items() if j1 + j2 < top]
-
-
-def _product_terms(jcs, terms, order):
-    """The terms ((j, w), c) of the series sum c hbar^j over ``jcs`` times
-    the flat ``terms``, mod hbar^order; a key may come more than once.  A
-    factor 1 costs nothing.  Where both sides carry several powers of hbar,
-    as in a product of series, each side is put over one denominator, the
-    integer parts convolved, and each output normalised once."""
-    if len(jcs) == 1:
-        j, c = jcs[0]
-        return [((j2 + j, w), c2 if c is ONE else c if c2 is ONE else c * c2)
-                for (j2, w), c2 in terms.items() if j2 + j < order]
-    by_word = {}
-    for (j, w), c in terms.items():
-        by_word.setdefault(w, []).append((j, c))
-    out = []
-    ys = None
-    for w, js in by_word.items():
-        if len(js) == 1:
-            j2, c2 = js[0]
-            out += [((j + j2, w), c if c2 is ONE else c * c2)
-                    for j, c in jcs if j + j2 < order]
-            continue
-        if ys is None:
-            ys, dy = _over_common_den([c for _, c in jcs])
-            ys = [(j, a, b) for (j, _), (a, b) in zip(jcs, ys)]
-        xs, dx = _over_common_den([c for _, c in js])
-        sums = {}
-        for (j, _), (a, b) in zip(js, xs):
-            for k, c, e in ys:
-                k += j
-                if k < order:
-                    re, im = sums.get(k, (0, 0))
-                    sums[k] = (re + a * c - b * e, im + a * e + b * c)
-        den = dx * dy
-        out += [((k, w), _make(re, im, den))
-                for k, (re, im) in sums.items() if re or im]
-    return out
 
 
 class Presentation:
@@ -513,113 +437,6 @@ def _placed(rule, head, tail):
     """head * rule * tail, word by word, not reduced."""
     return Flat({(j, head + w + tail): c for (j, w), c in rule.terms.items()},
                 rule.order)
-
-
-class _SeriesComb(LinComb):
-    """What elements of a presented algebra and of its tensor powers share:
-    flat terms {(j, key): GaussRational} standing for c hbar^j key, one
-    window ``order`` (no term has j >= order), a constant term on the empty
-    word, and the hbar-adic valuation.  Sums and differences are known in
-    the least window of their operands; a scalar multiple in the least of
-    the element's and the scalar's, a scalar being known mod hbar^N of the
-    presentation unless it is a series with a window of its own.  Products
-    are each subclass's own: the pairs of terms joined word by word (an
-    element) or slot by slot (a tensor) by ``_pairs``, then taken to
-    normal form by ``Presentation._normal``.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def from_series(cls, space, terms):
-        """The element of ``space`` (a presentation or a tensor power) with
-        the series coefficients {key: coefficient}, in the least window of
-        the coefficients (see ``_flat``)."""
-        return cls(space, *_flat(terms.items(), space.order))
-
-    def _coeff(self, x):
-        return series(x, self.presentation.order)
-
-    def _lift(self, x):
-        if not isinstance(x, self._SCALARS):
-            return None
-        c = self._coeff(x)
-        unit = self._unit()
-        return self._like({(j, unit): v for j, v in enumerate(c.coeffs) if v},
-                          c.order)
-
-    def _sum(self, other, sign):
-        order = min(self.order, other.order)
-        if order < self.order:
-            out = {k: c for k, c in self.terms.items() if k[0] < order}
-        else:
-            out = dict(self.terms)
-        for k, c in other.terms.items():
-            if k[0] < order:
-                _acc(out, k, -c if sign else c)
-        return self._like(out, order)
-
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self._sum(other, False)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self._sum(other, True)
-
-    def _scale(self, s):
-        """The element times a scalar."""
-        if not isinstance(s, self._SCALARS):
-            return NotImplemented
-        s = self._coeff(s)
-        order = min(self.order, s.order)
-        return self._like(_scaled(self.terms, s, order), order)
-
-    __rmul__ = _scale
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def hbar_valuation(self):
-        return min((j for j, _ in self.terms), default=self.order)
-
-    def divide_by_hbar(self, k=1):
-        """Exact division by hbar^k: every exponent drops by k, and so does
-        the window.  A term below hbar^k makes the division inexact; the
-        ValuationError names its word and coefficient."""
-        if not k:
-            return self
-        low = [key for key in self.terms if key[0] < k]
-        if low:
-            j, key = min(low, key=lambda t: (t[0], self._sort_key(t[1])))
-            raise ValuationError(
-                "cannot divide by hbar^%d: the coefficient of hbar^%d on %s "
-                "is %s" % (k, j, self._key_name(key), self.terms[(j, key)]))
-        return self._like({(j - k, key): c
-                           for (j, key), c in self.terms.items()},
-                          max(self.order - k, 0))
-
-    def series_terms(self):
-        """The element as {key: HSeries}, every coefficient mod
-        hbar^order: a view for printing and for readers that need series."""
-        n = self.order
-        blocks = {}
-        for (j, key), c in self.terms.items():
-            blocks.setdefault(key, [ZERO] * n)[j] = c
-        return {key: HSeries._mk(cs, n) for key, cs in blocks.items()}
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        terms = self.series_terms()
-        return " + ".join(self._term_repr(key, str(terms[key]))
-                          for key in sorted(terms, key=self._sort_key))
 
 
 def _ncpoly(presentation, terms, order):

@@ -38,9 +38,11 @@ import itertools
 
 from .errors import CapabilityError
 from .linalg import solve
-from .ncalg import _accumulate, _ncpoly, _pairs, _scaled
+from .ncalg import _ncpoly, _pairs
 from .report import Report, PASS, FAIL, DISCREPANCY
-from .scalars import HSeries, ZERO, _acc, gauss, series
+from .scalars import (
+    HSeries, _acc, _accumulate, _hseries, _scaled, gauss, series,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +252,8 @@ class Operator:
         """The operator times a scalar, known mod hbar^N of the algebra."""
         s = series(scalar, self.algebra.order)
         order = min(self.order, s.order)
-        return Operator(self.algebra, self.k, _scaled(self.terms, s, order),
-                        order)
+        return Operator(self.algebra, self.k,
+                        _scaled(self.terms, s.terms, order), order)
 
     def compose(self, other):
         """self o other (other acts first), on two-slot operators:
@@ -522,7 +524,8 @@ def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
     x, n = sol
     parts = []
     for w in candidate_words:
-        coeff = HSeries._mk([x.get((s, w), ZERO) for s in range(n)], n)
+        coeff = _hseries({(s, ()): c for (s, v), c in x.items() if v == w},
+                         n)
         if coeff.is_zero():
             continue
         name = "*".join(w) if w else "1"

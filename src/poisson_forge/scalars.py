@@ -10,17 +10,22 @@ in this package lives in one of three rings:
 Every element built over them -- a polynomial, tensor, field, form, or an
 element of a presented algebra or its tensor powers -- is a ``LinComb``: a
 finite sum over a basis whose module arithmetic is written once here.  An
-element of a presented algebra keeps hbar in its basis key, with Q(i)
-coefficients and one window for the whole element (``ncalg``); a series
-is a scalar it is scaled by, and the printed form of its coefficients.
+element of a presented algebra keeps hbar in its basis key: flat terms
+{(j, key): c} with Q(i) coefficients and one window for the whole element
+(``_SeriesComb``; the products are in ``ncalg``).  A series is one of
+them, the element of the presented algebra with no generators: flat terms
+on the empty word.  So Q(i)[hbar]/(hbar^N) has one representation, and a
+series that scales an element or prints its coefficient shares the
+element's sums, equality, hbar-division and product kernel.
 
 All arithmetic is exact; there is no floating point anywhere.  A Gaussian
 rational keeps three Python ints normalised so that d > 0 and
 gcd(a, b, d) == 1: every value has exactly one triple, and equality is a
-comparison of triples.  Series keep track of their own truncation order,
-operations return the minimum order of the operands, and equality only
-compares coefficients up to that minimum order, so a value divided by hbar
-can never silently pretend to more precision than it has.
+comparison of triples.  Series and elements keep track of their own
+truncation order (their window), operations return the minimum order of
+the operands, and equality only compares coefficients up to that minimum
+order, so a value divided by hbar can never silently pretend to more
+precision than it has.
 
 The order is explicit: every series is built with one, a presented algebra
 (``ncalg.Presentation``) carries the N its coefficients are built with, and
@@ -145,8 +150,6 @@ class GaussRational:
 
     def __truediv__(self, other):
         if other.__class__ is not GaussRational:
-            if isinstance(other, HSeries):
-                return NotImplemented
             other = gauss(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
@@ -257,315 +260,8 @@ def gauss(x):
     raise TypeError("cannot coerce %r into Q(i)" % (x,))
 
 
-class HSeries:
-    """A formal power series in hbar, truncated at ``order`` (mod hbar^order).
-
-    A series is a scalar: a counit value, a factor that scales an element or
-    an operator, and the printed form of an element's coefficient or of a
-    solved unknown.  Elements of presented algebras
-    do not store series: their terms are c hbar^j w with c in Q(i), and one
-    window per element (``ncalg``).
-
-    Coefficients are stored as a tuple of GaussRational with trailing zeros
-    trimmed, so plain scalars cost one entry.  ``order`` is the number of
-    known coefficients, and every constructor requires it: a computation
-    takes N from the presented algebra it works in (``Presentation.order``),
-    never from a default.  Arithmetic between two series is carried out modulo
-    hbar^min(order_a, order_b) and equality likewise only inspects the shared
-    window.  Dividing by hbar^k shifts coefficients down and *reduces* the
-    order by k; the lost precision is remembered, not papered over.
-
-    A product works from the hbar-adic valuations va, vb of its factors:
-    when va + vb reaches the window it is the zero series without any
-    convolution, and otherwise the convolution starts at (va, vb) and skips
-    the zero coefficients of the shorter factor.  A series is never changed
-    once built, so 1 * s and s + 0 return s itself when s already has the
-    result's order, and its truncation otherwise.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        cs = [gauss(c) for c in coeffs[:order]]
-        while cs and not cs[-1]:
-            cs.pop()
-        _set_coeffs(self, tuple(cs))
-        _set_order(self, order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HSeries is immutable")
-
-    @staticmethod
-    def _mk(coeffs, order):
-        """Fast path: coeffs already GaussRational, possibly untrimmed."""
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
-            n -= 1
-        s = _new(HSeries)
-        _set_coeffs(s, tuple(coeffs[:n]))
-        _set_order(s, order)
-        return s
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def hbar(order):
-        return HSeries((ZERO, ONE), order)
-
-    @staticmethod
-    def zero(order):
-        return HSeries((), order)
-
-    @staticmethod
-    def one(order):
-        return HSeries((ONE,), order)
-
-    # -- inspection -------------------------------------------------------
-
-    def valuation(self):
-        """Index of the first nonzero coefficient, or ``order`` if none."""
-        return _valuation(self.coeffs) if self.coeffs else self.order
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_unit(self):
-        return bool(self.coeffs) and bool(self.coeffs[0])
-
-    # -- ring operations --------------------------------------------------
-
-    def _coerced(self, other):
-        if isinstance(other, HSeries):
-            return other
-        return HSeries((gauss(other),), self.order)
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        order = min(self.order, other.order)
-        sc, oc = self.coeffs, other.coeffs
-        if not sc or not oc:
-            # s + 0: s itself when its window is already the sum's
-            s = other if not sc else self
-            return s if s.order == order else HSeries._mk(s.coeffs[:order],
-                                                           order)
-        if len(sc) == 1 and len(oc) == 1:
-            return HSeries._mk((sc[0] + oc[0],), order)
-        if len(sc) < len(oc):
-            sc, oc = oc, sc
-        out = list(sc[:order])
-        for k, b in enumerate(oc[:order]):
-            if b:
-                out[k] = out[k] + b
-        return HSeries._mk(out, order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerced(other))
-
-    def __rsub__(self, other):
-        return self._coerced(other) - self
-
-    def __neg__(self):
-        return HSeries._mk([-c for c in self.coeffs], self.order)
-
-    def __mul__(self, other):
-        if other.__class__ is not HSeries:
-            other = self._coerced(other)
-        order = min(self.order, other.order)
-        short, long = ((other, self) if len(self.coeffs) > len(other.coeffs)
-                       else (self, other))
-        sc, oc = short.coeffs, long.coeffs
-        if not sc:
-            return HSeries._mk((), order)
-        if len(oc) == 1 and _is_one(oc[0]):
-            short, long, sc, oc = long, short, oc, sc
-        if len(sc) == 1:
-            # a scalar multiple: one product per coefficient
-            c = sc[0]
-            if _is_one(c):
-                # 1 * s: s itself when its window is already the product's
-                return long if long.order == order else HSeries._mk(
-                    oc[:order], order)
-            a, b, d = c._a, c._b, c._d
-            return HSeries._mk([_make(x._a * a - x._b * b, x._a * b + x._b * a,
-                                      x._d * d) if x else ZERO
-                                for x in oc[:order]], order)
-        # Only hbar^v on, v = va + vb, survives mod hbar^order: convolve the
-        # integer parts from there, over one common denominator per operand,
-        # then normalise each output coefficient once.
-        va = _valuation(sc)
-        vb = _valuation(oc)
-        v = va + vb
-        if v >= order:
-            return HSeries._mk((), order)
-        n = min(order, len(sc) + len(oc) - 1) - v
-        xs, dx = _over_common_den(sc[va:va + n])
-        ys, dy = _over_common_den(oc[vb:vb + n])
-        den = dx * dy
-        re = [0] * n
-        im = [0] * n
-        for i, (a, b) in enumerate(xs):
-            if a or b:
-                for k, (c, e) in enumerate(ys[:n - i], i):
-                    re[k] += a * c - b * e
-                    im[k] += a * e + b * c
-        return HSeries._mk([ZERO] * v + [_make(r, m, den) if r or m else ZERO
-                                         for r, m in zip(re, im)], order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = HSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def inverse(self):
-        """Multiplicative inverse; defined iff the constant term is nonzero.
-
-        A series of order 0 has no known constant term at all: that is a
-        window too short for the computation (exit 3), not a non-unit."""
-        if not self.order:
-            raise CapabilityError(
-                "guard series.empty_window: cannot invert a series of "
-                "order 0, whose constant term is unknown",
-                guard="series.empty_window", counters={"order": 0})
-        if not self.is_unit():
-            raise ValueError("series with zero constant term is not a unit")
-        inv0 = ONE / self.coeffs[0]
-        if len(self.coeffs) == 1:
-            return HSeries._mk((inv0,), self.order)
-        inv = [inv0]
-        for k in range(1, self.order):
-            acc = ZERO
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                cj = self.coeffs[j]
-                if cj:
-                    acc = acc + cj * inv[k - j]
-            inv.append(-acc * inv0)
-        return HSeries._mk(inv, self.order)
-
-    def __truediv__(self, other):
-        other = self._coerced(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerced(other) / self
-
-    def divide_by_hbar(self, k=1):
-        """Exact division by hbar^k.  Requires valuation >= k.
-
-        The result's order drops to order - k: coefficients beyond the
-        original window are unknown and stay unknown.
-        """
-        if k == 0:
-            return self
-        v = self.valuation()
-        if v < k:
-            raise ValuationError(
-                "cannot divide by hbar^%d: coefficient of hbar^%d is %s"
-                % (k, v, self.coeffs[v])
-            )
-        return HSeries(self.coeffs[k:], self.order - k)
-
-    # -- comparison -------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = HSeries((gauss(other),), self.order)
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        for k in range(order):
-            a = self.coeffs[k] if k < len(self.coeffs) else ZERO
-            b = other.coeffs[k] if k < len(other.coeffs) else ZERO
-            if a != b:
-                return False
-        return True
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        return "HSeries(%s; order=%d)" % (str(self), self.order)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "hbar" if k == 1 else "hbar^%d" % k
-                cs = str(c)
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append("-" + mono)
-                elif "+" in cs[1:] or "-" in cs[1:]:
-                    parts.append("(%s)*%s" % (cs, mono))
-                else:
-                    parts.append("%s*%s" % (cs, mono))
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-# HSeries refuses attribute writes; its own constructors set the slots.
-_set_coeffs = HSeries.coeffs.__set__
-_set_order = HSeries.order.__set__
-
-
-def _is_one(c):
-    return c._a == c._d == 1 and not c._b
-
-
-def _valuation(coeffs):
-    """Index of the first nonzero entry of a trimmed, nonempty tuple."""
-    k = 0
-    while not coeffs[k]:
-        k += 1
-    return k
-
-
-def _over_common_den(coeffs):
-    """([(a, b), ...], D): each coefficient as (a + b*i)/D for one D."""
-    den = lcm(*[c._d for c in coeffs])
-    return [(c._a * (den // c._d), c._b * (den // c._d)) for c in coeffs], den
-
-
 class ValuationError(ArithmeticError):
     """Raised when an hbar-division is attempted below the valuation."""
-
-
-def series(x, order):
-    """Coerce scalars, scalar strings or coefficient lists into an HSeries
-    mod hbar^order; an HSeries is returned unchanged, with its own order."""
-    if isinstance(x, HSeries):
-        return x
-    return HSeries(x if isinstance(x, (list, tuple)) else (x,), order)
-
-
-def hexp(scalar, order):
-    """exp(scalar * hbar) as a truncated series; scalar is exact, and the
-    coefficient of hbar^k is scalar^k / k!."""
-    s = gauss(scalar)
-    coeffs = [ONE]
-    for k in range(1, order):
-        coeffs.append(coeffs[-1] * s / k)
-    return HSeries(coeffs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +279,97 @@ def _acc(out, key, value):
         out.pop(key, None)
 
 
+def _accumulate(out, pairs):
+    """Add the (key, c) ``pairs`` into the flat terms ``out``, dropping a
+    key whose sum is 0: ``_acc`` inlined, for the products' inner loops."""
+    get = out.get
+    for key, x in pairs:
+        y = get(key)
+        if y is None:
+            out[key] = x
+        else:
+            x = x + y
+            if x:
+                out[key] = x
+            else:
+                del out[key]
+
+
+def _over_common_den(coeffs):
+    """([(a, b), ...], D): each coefficient as (a + b*i)/D for one D."""
+    den = lcm(*[c._d for c in coeffs])
+    return [(c._a * (den // c._d), c._b * (den // c._d)) for c in coeffs], den
+
+
+def _product_terms(jcs, terms, order):
+    """The terms ((j, w), c) of the series sum c hbar^j over ``jcs`` times
+    the flat ``terms``, mod hbar^order; a key may come more than once.  A
+    factor 1 costs nothing.  Where both sides carry several powers of hbar,
+    as in a product of series, each side is put over one denominator, the
+    integer parts convolved, and each output normalised once."""
+    if len(jcs) == 1:
+        j, c = jcs[0]
+        return [((j2 + j, w), c2 if c is ONE else c if c2 is ONE else c * c2)
+                for (j2, w), c2 in terms.items() if j2 + j < order]
+    by_word = {}
+    for (j, w), c in terms.items():
+        by_word.setdefault(w, []).append((j, c))
+    out = []
+    ys = None
+    for w, js in by_word.items():
+        if len(js) == 1:
+            j2, c2 = js[0]
+            out += [((j + j2, w), c if c2 is ONE else c * c2)
+                    for j, c in jcs if j + j2 < order]
+            continue
+        if ys is None:
+            ys, dy = _over_common_den([c for _, c in jcs])
+            ys = [(j, a, b) for (j, _), (a, b) in zip(jcs, ys)]
+        xs, dx = _over_common_den([c for _, c in js])
+        sums = {}
+        for (j, _), (a, b) in zip(js, xs):
+            for k, c, e in ys:
+                k += j
+                if k < order:
+                    re, im = sums.get(k, (0, 0))
+                    sums[k] = (re + a * c - b * e, im + a * e + b * c)
+        den = dx * dy
+        out += [((k, w), _make(re, im, den))
+                for k, (re, im) in sums.items() if re or im]
+    return out
+
+
+def _scaled(terms, s, order):
+    """Flat terms times the series with flat terms ``s`` {(j, ()): c}, mod
+    hbar^order."""
+    out = {}
+    if s:
+        _accumulate(out, _product_terms(
+            sorted((j, c) for (j, _), c in s.items()), terms, order))
+    return out
+
+
+def _flat(pairs, order):
+    """Flat terms {(j, key): c} of the (key, coefficient) ``pairs``, and
+    their window: a series coefficient is known in its own window, any other
+    scalar mod hbar^order, and the terms are known in the least of these
+    (``order`` when there are none)."""
+    pairs = [(key, series(c, order)) for key, c in pairs]
+    order = min((c.order for _, c in pairs), default=order)
+    out = {}
+    _accumulate(out, [((j, key), x) for key, c in pairs
+                      for (j, _), x in c.terms.items() if j < order])
+    return out, order
+
+
 class LinComb:
     """A finite linear combination: ``terms`` maps basis keys to nonzero
     coefficients.
 
     This base does the module arithmetic of every element type once: sums,
     differences, negation, scaling, zero tests and equality.  Equality is a
-    zero test of the difference, so HSeries coefficients compare on their
-    shared hbar window.  A subclass supplies
+    zero test of the difference, so series compare on their shared hbar
+    window.  A subclass supplies
 
     * ``_like(terms)``: an element of the same space from canonical terms;
     * ``_same_space(other)``: whether ``other``, of the same class, lies in
@@ -604,7 +383,7 @@ class LinComb:
 
     __slots__ = ()
 
-    _SCALARS = (int, Fraction, GaussRational, HSeries, str)
+    _SCALARS = ()  # the scalar types, set once HSeries is defined
     _coeff = None
 
     def _unit(self):
@@ -689,3 +468,287 @@ class LinComb:
         return (self - other).is_zero()
 
     __hash__ = None
+
+
+class _SeriesComb(LinComb):
+    """What the elements of a presented algebra, of its tensor powers and of
+    Q(i)[hbar]/(hbar^N) itself share: flat terms {(j, key): GaussRational}
+    standing for c hbar^j key, one window ``order`` (no term has j >=
+    order), a constant term on the empty word, and the hbar-adic
+    valuation.  Sums and differences are known in the least window of their
+    operands; a scalar multiple in the least of the element's and the
+    scalar's, a scalar being known mod hbar^N of the presentation unless it
+    is a series with a window of its own.  Products are each subclass's
+    own: the pairs of terms joined word by word (an element) or slot by
+    slot (a tensor) by ``ncalg._pairs``, then taken to normal form by
+    ``Presentation._normal``; a series times flat terms is
+    ``_product_terms``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_series(cls, space, terms):
+        """The element of ``space`` (a presentation or a tensor power) with
+        the series coefficients {key: coefficient}, in the least window of
+        the coefficients (see ``_flat``)."""
+        return cls(space, *_flat(terms.items(), space.order))
+
+    def _coeff(self, x):
+        return series(x, self.presentation.order)
+
+    def _lift(self, x):
+        if not isinstance(x, self._SCALARS):
+            return None
+        c = self._coeff(x)
+        unit = self._unit()
+        return self._like({(j, unit): v for (j, _), v in c.terms.items()},
+                          c.order)
+
+    def _sum(self, other, sign):
+        order = min(self.order, other.order)
+        if order < self.order:
+            out = {k: c for k, c in self.terms.items() if k[0] < order}
+        else:
+            out = dict(self.terms)
+        for k, c in other.terms.items():
+            if k[0] < order:
+                _acc(out, k, -c if sign else c)
+        return self._like(out, order)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._sum(other, False)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._sum(other, True)
+
+    def _scale(self, s):
+        """The element times a scalar."""
+        if not isinstance(s, self._SCALARS):
+            return NotImplemented
+        s = self._coeff(s)
+        order = min(self.order, s.order)
+        return self._like(_scaled(self.terms, s.terms, order), order)
+
+    __rmul__ = _scale
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    def hbar_valuation(self):
+        return min((j for j, _ in self.terms), default=self.order)
+
+    def divide_by_hbar(self, k=1):
+        """Exact division by hbar^k: every exponent drops by k, and so does
+        the window.  A term below hbar^k makes the division inexact; the
+        ValuationError names its word and coefficient."""
+        if not k:
+            return self
+        low = [key for key in self.terms if key[0] < k]
+        if low:
+            j, key = min(low, key=lambda t: (t[0], self._sort_key(t[1])))
+            raise ValuationError(
+                "cannot divide by hbar^%d: the coefficient of hbar^%d on %s "
+                "is %s" % (k, j, self._key_name(key), self.terms[(j, key)]))
+        return self._like({(j - k, key): c
+                           for (j, key), c in self.terms.items()},
+                          max(self.order - k, 0))
+
+    def series_terms(self):
+        """The element as {key: HSeries}, every coefficient mod
+        hbar^order: a view for printing and for readers that need series."""
+        blocks = {}
+        for (j, key), c in self.terms.items():
+            blocks.setdefault(key, {})[(j, ())] = c
+        return {key: _hseries(terms, self.order)
+                for key, terms in blocks.items()}
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        terms = self.series_terms()
+        return " + ".join(self._term_repr(key, str(terms[key]))
+                          for key in sorted(terms, key=self._sort_key))
+
+
+class HSeries(_SeriesComb):
+    """A formal power series in hbar, truncated at ``order`` (mod
+    hbar^order): an element of Q(i)[hbar]/(hbar^order), the presented
+    algebra with no generators.
+
+    A series is a scalar: a counit value, a factor that scales an element or
+    an operator, and the printed form of an element's coefficient or of a
+    solved unknown.  It is stored as every element is, flat terms
+    {(j, ()): c} on the empty word with one window, so sums, differences,
+    equality on the shared window, ``hbar_valuation`` and
+    ``divide_by_hbar`` are the elements' own, and a product is the flat
+    product of a series by flat terms (``_product_terms``).  ``coeffs`` is
+    a read-only view: the coefficients of hbar^0, hbar^1, ... up to the
+    last nonzero one.  Every constructor requires the order: a computation
+    takes N from the presented algebra it works in
+    (``Presentation.order``), never from a default.  Dividing by hbar^k
+    *reduces* the order by k; the lost precision is remembered, not
+    papered over.
+    """
+
+    __slots__ = ("terms", "order")
+
+    def __init__(self, coeffs, order):
+        if order < 0:
+            raise ValueError("series order must be >= 0")
+        self.terms = {(j, ()): c
+                      for j, c in enumerate(map(gauss, coeffs[:order])) if c}
+        self.order = order
+
+    # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def hbar(order):
+        return HSeries((ZERO, ONE), order)
+
+    @staticmethod
+    def zero(order):
+        return HSeries((), order)
+
+    @staticmethod
+    def one(order):
+        return HSeries((ONE,), order)
+
+    def _like(self, terms, order=None):
+        return _hseries(terms, self.order if order is None else order)
+
+    def _coeff(self, x):
+        return series(x, self.order)
+
+    def _same_space(self, other):
+        return True
+
+    def _unit(self):
+        return ()
+
+    @staticmethod
+    def _sort_key(key):
+        return key
+
+    def _key_name(self, key):
+        return "1"
+
+    @property
+    def coeffs(self):
+        if not self.terms:
+            return ()
+        out = [ZERO] * (max(j for j, _ in self.terms) + 1)
+        for (j, _), c in self.terms.items():
+            out[j] = c
+        return tuple(out)
+
+    # -- ring operations --------------------------------------------------
+
+    def __mul__(self, other):
+        """The product mod hbar^min(order): the factor with fewer terms
+        scales the other; an element of an algebra scales by the series."""
+        if other.__class__ is HSeries and len(other.terms) > len(self.terms):
+            return other._scale(self)
+        return self._scale(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = HSeries.one(self.order)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def inverse(self):
+        """Multiplicative inverse; defined iff the constant term is nonzero.
+
+        A series of order 0 has no known constant term at all: that is a
+        window too short for the computation (exit 3), not a non-unit."""
+        if not self.order:
+            raise CapabilityError(
+                "guard series.empty_window: cannot invert a series of "
+                "order 0, whose constant term is unknown",
+                guard="series.empty_window", counters={"order": 0})
+        cs = self.coeffs
+        if not cs or not cs[0]:
+            raise ValueError("series with zero constant term is not a unit")
+        inv0 = ONE / cs[0]
+        inv = [inv0]
+        for k in range(1, self.order):
+            acc = ZERO
+            for j in range(1, min(k, len(cs) - 1) + 1):
+                if cs[j]:
+                    acc = acc + cs[j] * inv[k - j]
+            inv.append(-acc * inv0)
+        return HSeries(inv, self.order)
+
+    # -- printing ---------------------------------------------------------
+
+    def __repr__(self):
+        return "HSeries(%s; order=%d)" % (str(self), self.order)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                mono = "hbar" if k == 1 else "hbar^%d" % k
+                cs = str(c)
+                if cs == "1":
+                    parts.append(mono)
+                elif cs == "-1":
+                    parts.append("-" + mono)
+                elif "+" in cs[1:] or "-" in cs[1:]:
+                    parts.append("(%s)*%s" % (cs, mono))
+                else:
+                    parts.append("%s*%s" % (cs, mono))
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+def _hseries(terms, order):
+    """HSeries from canonical flat terms {(j, ()): c} (nonzero, j <
+    order)."""
+    out = _new(HSeries)
+    out.terms = terms
+    out.order = order
+    return out
+
+
+LinComb._SCALARS = (int, Fraction, GaussRational, HSeries, str)
+
+
+def series(x, order):
+    """Coerce scalars, scalar strings or coefficient lists into an HSeries
+    mod hbar^order; an HSeries is returned unchanged, with its own order."""
+    if isinstance(x, HSeries):
+        return x
+    return HSeries(x if isinstance(x, (list, tuple)) else (x,), order)
+
+
+def hexp(scalar, order):
+    """exp(scalar * hbar) as a truncated series; scalar is exact, and the
+    coefficient of hbar^k is scalar^k / k!."""
+    s = gauss(scalar)
+    coeffs = [ONE]
+    for k in range(1, order):
+        coeffs.append(coeffs[-1] * s / k)
+    return HSeries(coeffs, order)

@@ -115,7 +115,7 @@ class SpecFile:
         entries = [spec] if isinstance(spec, str) else spec
         if isinstance(entries, list) and all(isinstance(c, str)
                                              for c in entries):
-            return HSeries([gauss(c) for c in entries], self.order)
+            return HSeries([_scalar(where, c) for c in entries], self.order)
         raise SpecError("%s: a series must be a scalar string or a list of "
                         "scalar strings, got %r" % (where, spec))
 
@@ -129,11 +129,13 @@ class SpecFile:
         basis = entry["basis"]
         idx = {b: i for i, b in enumerate(basis)}
         brackets = {}
-        for (x, y), comps in _pair_table(entry.where + " brackets",
-                                         entry.get("brackets", {}), basis):
+        where = entry.where + " brackets"
+        for (x, y), comps in _pair_table(where, entry.get("brackets", {}),
+                                         basis):
             try:
-                brackets[(idx[x], idx[y])] = {idx[z]: gauss(v)
-                                              for z, v in comps.items()}
+                brackets[(idx[x], idx[y])] = {
+                    idx[z]: _scalar("%s %s,%s" % (where, x, y), v)
+                    for z, v in comps.items()}
             except KeyError as exc:
                 raise SpecError("lie algebra %r: unknown basis name %s"
                                 % (name, exc))
@@ -150,8 +152,9 @@ class SpecFile:
         L = self.lie_algebra(entry["algebra"])
         comps = {}
         for pair, v in entry["terms"].items():
-            x, y = _split_pair(pair)
-            comps[(L.index(x), L.index(y))] = gauss(v)
+            where = "%s terms %s" % (entry.where, pair)
+            x, y = (_basis_index(where, L, z) for z in _split_pair(pair))
+            comps[(x, y)] = _scalar(where, v)
         return L, Tensor(L, 2, comps)
 
     def cobracket(self, name):
@@ -162,18 +165,25 @@ class SpecFile:
             return L, cobracket_from_r(L, r)
         comps = {}
         for gen, table in entry.get("terms", {}).items():
-            i = L.index(gen)
+            i = _basis_index("%s terms" % entry.where, L, gen)
             for pair, v in table.items():
-                x, y = _split_pair(pair)
-                comps[(i, L.index(x), L.index(y))] = gauss(v)
-        return L, Cobracket(L, comps)
+                where = "%s terms %r %s" % (entry.where, gen, pair)
+                x, y = (_basis_index(where, L, z) for z in _split_pair(pair))
+                comps[(i, x, y)] = _scalar(where, v)
+        try:
+            return L, Cobracket(L, comps)
+        except ValueError as exc:
+            raise SpecError("%s: %s" % (entry.where, exc))
 
     def chart(self, name):
         key = ("charts", name)
         if key in self._cache:
             return self._cache[key]
         entry = self._entry(*key)
-        out = Chart(entry["variables"], entry.get("invertible", ()))
+        try:
+            out = Chart(entry["variables"], entry.get("invertible", ()))
+        except ValueError as exc:
+            raise SpecError("%s: %s" % (entry.where, exc))
         self._cache[key] = out
         return out
 
@@ -194,9 +204,10 @@ class SpecFile:
         L = self.lie_algebra(entry["algebra"])
         chart = self.chart(entry["chart"])
         entries = [[e if isinstance(e, str) and e in chart.names
-                    else gauss(e) for e in row]
+                    else _scalar(entry.where + " entries", e) for e in row]
                    for row in entry["entries"]]
-        basis = [[[gauss(x) for x in row] for row in mat]
+        basis = [[[_scalar(entry.where + " basis_matrices", x) for x in row]
+                  for row in mat]
                  for mat in entry["basis_matrices"]]
         eliminate = None
         if "eliminate" in entry:
@@ -238,6 +249,9 @@ class SpecFile:
         except KeyError as exc:
             raise SpecError("presentation %r: unknown generator %s"
                             % (name, exc))
+        except ValueError as exc:
+            # a rule that could rewrite forever
+            raise SpecError("presentation %r: %s" % (name, exc))
         self._cache[key] = out
         return out
 
@@ -389,7 +403,9 @@ class SpecFile:
         _names(entry.where, "action", entry["action"], "basis", L.basis_names)
         action = {g: self.vector_field("%s %r" % (where, g), pi.chart, comps)
                   for g, comps in entry["action"].items()}
-        setup = ReductionSetup(pi, d, action, ideal=entry.get("ideal", ()))
+        ideal = [_poly("%s ideal %d" % (entry.where, k), text, pi.chart)
+                 for k, text in enumerate(entry.get("ideal", ()), 1)]
+        setup = ReductionSetup(pi, d, action, ideal=ideal)
         return setup, _natural(entry.where + " degree",
                                entry.get("degree", 2))
 
@@ -402,6 +418,24 @@ def _poly(where, text, chart):
         return poly(text, chart)
     except (KeyError, ValueError) as exc:
         raise SpecError("%s: %s" % (where, exc.args[0]))
+
+
+def _scalar(where, value):
+    """A scalar of the spec -- a string "p/q+r/s*i" or an integer -- in
+    Q(i); anything else is an input error naming ``where``."""
+    try:
+        return gauss(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SpecError("%s: %r is not a scalar (%s)" % (where, value, exc))
+
+
+def _basis_index(where, L, name):
+    """The index of the basis name ``name`` of the Lie algebra ``L``; any
+    other name is an input error naming ``where``."""
+    if name not in L.basis_names:
+        raise SpecError("%s: %r is not a basis name of %s"
+                        % (where, name, list(L.basis_names)))
+    return L.index(name)
 
 
 def _polys(where, table, chart):

@@ -37,6 +37,9 @@ has the product it replaced as its reference: ``SeriesReference`` keeps an
 HSeries per word, each with its own window, and computes normal forms,
 products of elements and of tensors, operator compositions and operator
 values that way; ``agrees`` compares a flat result with it.
+An ``HSeries`` is itself flat terms on the empty word, so its arithmetic is
+checked against ``DenseSeries``, dense coefficient lists of Fraction pairs
+that share no code with ``scalars``.
 The classical layers' products have the per-term compositions they
 replaced as references: ``mul_per_term`` multiplies two polynomials term
 by term into a fresh dict, and the bracket, the pairing and sharp map, the
@@ -739,6 +742,86 @@ def dense_kernel_series(columns):
     return kept
 
 
+# -- the dense reference of Q(i)[hbar]/(hbar^N) --------------------------------
+
+class DenseSeries:
+    """A series mod hbar^order as the dense list of its ``order``
+    coefficients, each a pair of Fractions (re, im): the reference of
+    ``HSeries``, sharing no code with ``scalars``.  Sums and schoolbook
+    products are taken on the least window, the inverse of a unit term by
+    term, and an hbar-division below the valuation raises
+    ``InexactDivision``."""
+
+    def __init__(self, coeffs, order):
+        zero = (Fraction(0), Fraction(0))
+        cs = [(Fraction(re), Fraction(im)) for re, im in coeffs[:order]]
+        self.c = cs + [zero] * (order - len(cs))
+        self.order = order
+
+    def __add__(self, other):
+        n = min(self.order, other.order)
+        return DenseSeries([(a[0] + b[0], a[1] + b[1])
+                            for a, b in zip(self.c[:n], other.c[:n])], n)
+
+    def __neg__(self):
+        return DenseSeries([(-re, -im) for re, im in self.c], self.order)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        n = min(self.order, other.order)
+        out = [(Fraction(0), Fraction(0))] * n
+        for i in range(n):
+            for j in range(n - i):
+                out[i + j] = _dense_add(out[i + j],
+                                        _dense_mul(self.c[i], other.c[j]))
+        return DenseSeries(out, n)
+
+    def inverse(self):
+        """None for a non-unit (or an empty window)."""
+        if not self.order or not any(self.c[0]):
+            return None
+        re, im = self.c[0]
+        norm = re * re + im * im
+        inv0 = (re / norm, -im / norm)
+        inv = [inv0]
+        for k in range(1, self.order):
+            acc = (Fraction(0), Fraction(0))
+            for j in range(1, k + 1):
+                acc = _dense_add(acc, _dense_mul(self.c[j], inv[k - j]))
+            inv.append(_dense_mul((-acc[0], -acc[1]), inv0))
+        return DenseSeries(inv, self.order)
+
+    def __pow__(self, k):
+        base = self.inverse() if k < 0 else self
+        out = DenseSeries([(1, 0)], self.order)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def divide_by_hbar(self, k):
+        if any(any(c) for c in self.c[:k]):
+            raise InexactDivision(k)
+        return DenseSeries(self.c[k:], max(self.order - k, 0))
+
+    def __eq__(self, other):
+        n = min(self.order, other.order)
+        return self.c[:n] == other.c[:n]
+
+
+class InexactDivision(ArithmeticError):
+    """A ``DenseSeries`` divided by hbar^k below its valuation."""
+
+
+def _dense_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _dense_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
 # -- the {key: HSeries} reference of the flat element kernel -----------------
 
 def series_view(terms, order):
@@ -769,7 +852,7 @@ def _times(a, b):
     the product is known mod hbar^min(A + v, u + B).  So a rule known mod
     hbar^B and met at hbar^u gives terms known u powers of hbar further,
     as far as the other factor's window allows."""
-    order = min(a.order + b.valuation(), a.valuation() + b.order)
+    order = min(a.order + b.hbar_valuation(), a.hbar_valuation() + b.order)
     return HSeries(a.coeffs, order) * HSeries(b.coeffs, order)
 
 

@@ -623,7 +623,8 @@ def test_bad_scalar_in_spec_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad_scalar.json"
     path.write_text(json.dumps(doc))
     assert run(["check-bialgebra", str(path), "r"]) == 2
-    assert "input error" in capsys.readouterr().err
+    assert ("input error: lie_algebra 'L' brackets x,y: 'not-a-number' is "
+            "not a scalar") in capsys.readouterr().err
 
 
 def test_non_invariant_symmetric_part_fails_check(tmp_path, capsys):
@@ -653,6 +654,22 @@ def test_value_error_in_fixture_run_is_internal_error(monkeypatch, capsys):
     assert run(["check-bialgebra", "--fixtures"]) == 4
     err = capsys.readouterr().err
     assert "internal error: fixture went wrong" in err
+    assert "Traceback" in err
+    assert "input error" not in err
+
+
+def test_value_error_in_spec_run_is_internal_error(monkeypatch, capsys):
+    # a malformed spec entry is a SpecError (exit 2) where it is read; a
+    # ValueError raised once the objects are built is a bug in a checker
+    from poisson_forge import suites
+
+    def broken(*args, **kwargs):
+        raise ValueError("checker went wrong")
+
+    monkeypatch.setattr(suites, "bialgebra_suite", broken)
+    assert run(["check-bialgebra", SPEC, "plane_r"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: checker went wrong" in err
     assert "Traceback" in err
     assert "input error" not in err
 

@@ -45,6 +45,11 @@ def _tensor_element():
                 foreign=TensorAlgebra(other, 2).embed(other.gen("a"), 0))
 
 
+def _hseries():
+    return dict(a=HSeries([1, "1/2", 0, 3], N), b=HSeries([0, 2, "i"], N),
+                s=HSeries([1, 3], N), t=Fraction(1, 2), scalar=True)
+
+
 def _tensor():
     L = fixtures.sl2_algebra()
     return dict(a=basis_tensor(L, "H", "X") + basis_tensor(L, "X", "Y") * 3,
@@ -74,7 +79,7 @@ def _bivector():
 
 
 CASES = {CoordPoly: _coordpoly, NCPoly: _ncpoly,
-         TensorElement: _tensor_element, Tensor: _tensor,
+         TensorElement: _tensor_element, HSeries: _hseries, Tensor: _tensor,
          PolyVectorField: _field, ExteriorForm: _form,
          PolyBivector: _bivector}
 

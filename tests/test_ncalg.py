@@ -82,7 +82,7 @@ def test_q_number_classical_limit_is_H():
     # only odd H-powers appear and the H-coefficient has constant term 1
     assert terms[("H",)].coeffs[0] == gauss(1)
     assert ("H", "H") not in terms
-    assert terms[("H", "H", "H")].valuation() == 2
+    assert terms[("H", "H", "H")].hbar_valuation() == 2
 
 
 def test_confluence_of_shipped_presentations():

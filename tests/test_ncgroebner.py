@@ -17,7 +17,8 @@ def _commutative_xy():
 
 
 def test_su2_momentum_ideal_completes_with_one_rule():
-    alg, H = fixtures.su2_momentum_ideal_generator()
+    alg, H = fixtures.su2_momentum_ideal_generator(
+        fixtures.su2_module_algebra(N))
     quotient = alg.quotient([H])
     added = set(quotient.rules) - set(alg.rules)
     assert {alg.word_name(w) for w in added} == {"b*c"}
@@ -71,7 +72,8 @@ def test_nonunit_lead_printed_sign_momentum_generator():
 
 
 def test_pair_budget_guard(monkeypatch):
-    alg, H = fixtures.su2_momentum_ideal_generator()
+    alg, H = fixtures.su2_momentum_ideal_generator(
+        fixtures.su2_module_algebra(N))
     monkeypatch.setattr(ncgroebner, "MAX_PAIRS", 3)
     with pytest.raises(CapabilityError) as exc:
         alg.quotient([H])

@@ -418,7 +418,8 @@ def test_tensor_nilpotency_certificate_matches_sweep(case):
 # -- quantum reduction ----------------------------------------------------------
 
 def test_su2_momentum_ideal_relations():
-    alg, H = fixtures.su2_momentum_ideal_generator()
+    alg, H = fixtures.su2_momentum_ideal_generator(
+        fixtures.su2_module_algebra(N))
     a, ainv, b, c = (alg.gen(g) for g in ("a", "a_inv", "b", "c"))
     # a^-1 H a = H
     assert ainv * H * a == H

@@ -21,6 +21,11 @@ def rand_series(rng, order=6):
     return HSeries([rand_gauss(rng) for _ in range(rng.randint(0, order))], order)
 
 
+def is_unit(s):
+    """Whether the series has a nonzero constant term."""
+    return bool(s.coeffs) and bool(s.coeffs[0])
+
+
 def test_gauss_parse_roundtrip():
     for text in ["3", "-5/7", "1/2+3/4*i", "-i", "i", "2/3*i", "0", "1-2*i"]:
         g = GaussRational.parse(text)
@@ -67,7 +72,7 @@ def test_hseries_unit_inverse():
     rng = random.Random(17)
     for _ in range(50):
         s = rand_series(rng)
-        if not s.is_unit():
+        if not is_unit(s):
             with pytest.raises(ValueError):
                 s.inverse()
         else:
@@ -146,10 +151,7 @@ def test_gauss_rational_defers_to_series_operands():
         g = rand_gauss(rng)
         s = rand_series(rng, rng.randint(0, 6))
         c = series(g, s.order)
-        pairs = [(g + s, c + s), (g - s, c - s), (g * s, c * s)]
-        if s.is_unit():
-            pairs.append((g / s, c / s))
-        for got, want in pairs:
+        for got, want in ((g + s, c + s), (g - s, c - s), (g * s, c * s)):
             assert (got.coeffs, got.order) == (want.coeffs, want.order)
         assert (g == s) == (c == s) == (s == g)
 
@@ -480,15 +482,13 @@ def test_inverse_of_non_unit_raises_value_error():
             HSeries.zero(n).inverse()
     with pytest.raises(ValueError):
         HSeries([0, 1], 6).inverse()
-    with pytest.raises(ValueError):
-        HSeries.one(6) / 0
 
 
 def test_general_inverse_matches_loop():
     rng = random.Random(31)
     for _ in range(60):
         s = rand_series(rng, rng.randint(1, 8))
-        if s.is_unit():
+        if is_unit(s):
             assert_series(s.inverse(), inverse_loop(s))
 
 
@@ -512,7 +512,7 @@ def test_product_and_sum_with_leading_zeros_match_general_loops():
                 t = rand_series(rng, rng.randint(1, 9))
                 m = rng.randint(1, 9)
                 u = valued_series(rng, m, rng.randrange(m))
-                assert s.valuation() == va
+                assert s.hbar_valuation() == va
                 for a, b in ((s, t), (t, s), (s, u), (u, s)):
                     assert_series(a * b, mul_loop(a, b))
                     assert_series(a + b, add_loop(a, b))
@@ -532,7 +532,7 @@ def test_product_at_the_edge_of_the_window(excess):
                               vb)
             for p in (s * t, t * s):
                 assert_series(p, mul_loop(s, t))
-                assert p.valuation() == min(va + vb, order)
+                assert p.hbar_valuation() == min(va + vb, order)
 
 
 def test_order_zero_window_products_and_sums():
@@ -547,8 +547,8 @@ def test_order_zero_window_products_and_sums():
                 assert result.order == 0
 
 
-def test_unit_factor_and_zero_summand_share_the_operand():
-    # 1 * s and s + 0 are s itself when s's window is the result's, and its
+def test_unit_factor_and_zero_summand_match_the_loops():
+    # 1 * s and s + 0 are s when s's window is the result's, and its
     # truncation when the unit or the zero has the smaller order
     rng = random.Random(53)
     for _ in range(120):
@@ -559,7 +559,5 @@ def test_unit_factor_and_zero_summand_share_the_operand():
             one, zero = HSeries.one(m), HSeries.zero(m)
             for p in (one * s, s * one):
                 assert_series(p, mul_loop(one, s))
-                assert (p is s) == (m >= s.order)
             for p in (zero + s, s + zero):
                 assert_series(p, add_loop(zero, s))
-                assert (p is s) == (m >= s.order)

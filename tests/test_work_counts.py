@@ -109,5 +109,8 @@ def test_check_action_normalises_each_word_once(monkeypatch, capsys):
     assert counts["words"] == 252
     assert counts["lookups"] <= 941
     # the groups' words: 2 that case 2's relation meets, the rest from the
-    # gate that certifies each group's Hopf structure
-    assert groups["words"] == 90
+    # gate that certifies each group's Hopf structure, once per distinct
+    # group: 35 on the commuting U_hbar(R2), 13 on the free one that cases
+    # 2 and 3 share, and 29 on U_hbar(su2) (90 when cases 2 and 3 each
+    # built and certified their own free group)
+    assert groups["words"] == 77
