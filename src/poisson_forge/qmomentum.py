@@ -9,13 +9,18 @@ the checks read.
 
 Every expression compiles to a two-sided multiplication operator
 f -> hbar^-k sum c L f R, an element of A (x) A^op with an hbar shift
-(``Operator``), and the operator is the only evaluator of an action: it
+(``Operator``): flat terms with a window, whose sums, scalings and
+commutators are the elements' own and whose product is composition.  An
+action is then an algebra map Phi from the group's presentation into these
+operators (Montgomery, *Hopf Algebras and Their Actions on Rings*, ch. 4),
+one ``ncalg.AlgebraMap`` that evaluates words and elements as Delta, eps
+and S are evaluated.  The operator is the only evaluator of an action: it
 divides by hbar^k once, on its value, so an action is only densely
 defined -- where that division is inexact it raises with the word and
-coefficient of the offending term.  The module-algebra and Lie-homomorphism identities are
-certified on these tensors, which proves them in every degree; a monomial
-sweep of the same operators runs only to locate a witness when a tensor is
-nonzero.
+coefficient of the offending term.  The group's rules, the module-algebra
+and the Lie-homomorphism identities are certified on these tensors, which
+proves them in every degree; a monomial sweep of the same operators runs
+only to locate a witness when a tensor is nonzero.
 
 Quantum reduction quotients A by a two-sided ideal J, such as su(2)'s
 <H>.  Membership in J is decided on the completed presentation of A / J
@@ -34,14 +39,15 @@ a db -> (1/hbar) a [b, .] is a homomorphism into endomorphism composition,
 which forces db.dc = b dc - d(cb) + c db up to one global hbar power.
 """
 
+import functools
 import itertools
 
 from .errors import CapabilityError
 from .linalg import solve
-from .ncalg import _ncpoly, _pairs
+from .ncalg import AlgebraMap, _ncpoly, _pairs
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import (
-    HSeries, _acc, _accumulate, _hseries, _scaled, gauss, series,
+    HSeries, LinComb, _SeriesComb, _accumulate, _hseries, gauss, series,
 )
 
 
@@ -105,7 +111,7 @@ class Scale(ActionExpr):
         self.scalar = scalar if isinstance(scalar, HSeries) else gauss(scalar)
 
     def compile(self, algebra):
-        return self.expr.compile(algebra).scaled(self.scalar)
+        return self.expr.compile(algebra) * self.scalar
 
     def __repr__(self):
         return "(%s)*%r" % (self.scalar, self.expr)
@@ -116,11 +122,8 @@ class Sum(ActionExpr):
         self.exprs = list(exprs)
 
     def compile(self, algebra):
-        out = None
-        for e in self.exprs:
-            op = e.compile(algebra)
-            out = op if out is None else out + op
-        return out
+        ops = [e.compile(algebra) for e in self.exprs]
+        return sum(ops[1:], ops[0])
 
     def __repr__(self):
         return " + ".join(map(repr, self.exprs))
@@ -135,7 +138,7 @@ class Compose(ActionExpr):
     def compile(self, algebra):
         out = Identity().compile(algebra)
         for e in self.exprs:
-            out = out.compose(e.compile(algebra))
+            out = out * e.compile(algebra)
         return out
 
     def __repr__(self):
@@ -160,19 +163,24 @@ class HbarDiv(ActionExpr):
         return "hbar^-%d (%r)" % (self.k, self.expr)
 
 
-class Operator:
+class Operator(_SeriesComb):
     """hbar^-k sum c hbar^j [L | M ... | R]: a multilinear multiplication
-    operator.
+    operator, an element with a shift.
 
-    ``terms`` holds flat terms {(j, (L, ..., R)): c} of normal-form words,
-    as elements do (``ncalg``).  With two slots the key (L, R) is the
-    operator f -> hbar^-k sum c hbar^j L f R, an element of A (x) A^op,
-    where composition is (L1, R1) o (L2, R2) = (L1 L2, R2 R1); with three
-    slots (L, M, R) it is (f, g) -> hbar^-k sum c hbar^j L f M g R.  The
-    tensor is known mod hbar^order (no term has j >= order), so the
-    operator is known mod hbar^(order - k), its ``window``.  Sums align the
-    shifts: a term of shift k is multiplied by hbar^(K - k), which raises
-    its exponent and its order as much.  A value, a composition and the
+    ``terms`` holds flat terms {(j, (L, ..., R)): c} of normal-form words in
+    one window, as elements do (``ncalg``).  With two slots the key (L, R)
+    is the operator f -> hbar^-k sum c hbar^j L f R, an element of
+    A (x) A^op; with three slots (L, M, R) it is
+    (f, g) -> hbar^-k sum c hbar^j L f M g R.  The tensor is known mod
+    hbar^order (no term has j >= order), so the operator is known mod
+    hbar^(order - k), its ``window``.  Sums, differences, scalar multiples,
+    equality, ``is_zero`` and ``commutator`` are the elements' own
+    (``scalars._SeriesComb``), once both operands are raised to their
+    common shift: a term of shift k is multiplied by hbar^(K - k), which
+    raises its exponent and its order as much.  The product of two-slot
+    operators is composition, (L1, R1) (L2, R2) = (L1 L2, R2 R1), the
+    second acting first, so they form the algebra that an action maps its
+    group into (``QuantumAction``).  A value, a composition and the
     module-algebra defect are products of flat terms: each pair's keys are
     joined (L w R, (L1 L2, R2 R1), (L_u, R_u L_v, R_v)) and taken to normal
     form by the one kernel, ``ncalg.Presentation._normal``, so they are
@@ -199,15 +207,54 @@ class Operator:
                                   lambda l, r: (l, r), order))
         return Operator(algebra, 0, terms, order)
 
-    @staticmethod
-    def _product(algebra, k, x, y, join):
+    def _like(self, terms, order=None):
+        return Operator(self.algebra, self.k, terms,
+                        self.order if order is None else order)
+
+    def _same_space(self, other):
+        if other.algebra is not self.algebra:
+            raise ValueError("operators on different presentations")
+        return True
+
+    def _coeff(self, x):
+        return series(x, self.algebra.order)
+
+    # a scalar is no operator of some shift, so it adds to none (it scales
+    # one), and an operator prints as an object, not as an element
+    _lift = LinComb._lift
+    __repr__ = object.__repr__
+
+    def _raised(self, k):
+        """The operator with shift k >= self.k: its tensor times
+        hbar^(k - self.k), known as much further."""
+        d = k - self.k
+        if not d:
+            return self
+        return Operator(self.algebra, k, {(j + d, key): c for (j, key), c
+                                          in self.terms.items()},
+                        self.order + d)
+
+    def _sum(self, other, sign):
+        k = max(self.k, other.k)
+        return _SeriesComb._sum(self._raised(k), other._raised(k), sign)
+
+    def _product(self, k, other, join):
         """The operator of shift k whose tensor is the normal form of the
-        product of the flat terms of x and y, each pair's keys joined by
-        ``join`` into a tuple of words (``ncalg.Presentation._normal``)."""
-        order = min(x.order, y.order)
-        flat = algebra._normal(_pairs(x.terms, y.terms, join, order), order,
-                               True)
-        return Operator(algebra, k, flat.terms, flat.order)
+        product of the flat terms of self and other, each pair's keys
+        joined by ``join`` into a tuple of words."""
+        order = min(self.order, other.order)
+        flat = self.algebra._normal(
+            _pairs(self.terms, other.terms, join, order), order, True)
+        return Operator(self.algebra, k, flat.terms, flat.order)
+
+    def __mul__(self, other):
+        """The composite self o other of two-slot operators (other acts
+        first), or the operator times a scalar."""
+        if other.__class__ is not Operator:
+            return self._scale(other)
+        self._same_space(other)
+        return self._product(self.k + other.k, other,
+                             lambda a, b: (a[0] + b[0], b[1] + a[1]))
 
     @property
     def window(self):
@@ -225,42 +272,6 @@ class Operator:
         value = pres._normal(raw, order)
         return _ncpoly(pres, value.terms, value.order).divide_by_hbar(self.k)
 
-    def is_zero(self):
-        return not self.terms
-
-    def shifted(self, k):
-        """The terms of hbar^k times the operator (k >= self.k)."""
-        d = k - self.k
-        if not d:
-            return self.terms
-        return {(j + d, key): c for (j, key), c in self.terms.items()}
-
-    def __add__(self, other):
-        k = max(self.k, other.k)
-        order = min(self.window, other.window) + k
-        terms = {key: c for key, c in self.shifted(k).items()
-                 if key[0] < order}
-        for key, c in other.shifted(k).items():
-            if key[0] < order:
-                _acc(terms, key, c)
-        return Operator(self.algebra, k, terms, order)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, scalar):
-        """The operator times a scalar, known mod hbar^N of the algebra."""
-        s = series(scalar, self.algebra.order)
-        order = min(self.order, s.order)
-        return Operator(self.algebra, self.k,
-                        _scaled(self.terms, s.terms, order), order)
-
-    def compose(self, other):
-        """self o other (other acts first), on two-slot operators:
-        (L1, R1) o (L2, R2) = (L1 L2, R2 R1)."""
-        return Operator._product(self.algebra, self.k + other.k, self, other,
-                                 lambda a, b: (a[0] + b[0], b[1] + a[1]))
-
 
 def hamiltonian_pair(a, b):
     """(1/hbar) a [b, .] -- the sharp of the 1-form a db."""
@@ -273,40 +284,29 @@ def conjugation(a, a_inv):
 
 
 class QuantumAction:
-    """Per-generator endomorphism expressions, extended to words by
-    composition: Phi(x y) = Phi(x) o Phi(y).  The group acting is a
-    ``hopf.HopfStructure``; ``group`` is its presentation, and the
-    certificates read Delta and eps from it."""
+    """An action of a quantum group on a presented algebra: the algebra map
+    Phi (``phi``, an ``ncalg.AlgebraMap``) from the group's presentation
+    into the two-slot operators on ``algebra``, given by each generator's
+    expression, compiled once.  A word acts as the composite of its
+    letters' operators, Phi(x y) = Phi(x) Phi(y), the empty word as the
+    identity, and an element as the sum of its words' operators scaled by
+    their coefficients.  Phi is an action of the group only if it respects
+    the group's rules, which ``check_module_algebra`` certifies first.
+    The group acting is a ``hopf.HopfStructure``; ``group`` is its
+    presentation, and the certificates read Delta and eps from it."""
 
     def __init__(self, hopf, algebra, generator_exprs):
         self.hopf = hopf
         self.group = hopf.algebra
         self.algebra = algebra
         self.exprs = dict(generator_exprs)
-        self._operators = {}
+        self.phi = AlgebraMap(
+            self.group, {g: e.compile(algebra) for g, e in self.exprs.items()},
+            Identity().compile(algebra), name="Phi")
 
     def operator(self, word):
-        """Phi(word) as an Operator, compiled once per word: the composite
-        of its letters' operators, the identity for the empty word."""
-        word = tuple(g if isinstance(g, str) else self.group.gens[g]
-                     for g in word)
-        op = self._operators.get(word)
-        if op is None:
-            if len(word) == 1:
-                op = self.exprs[word[0]].compile(self.algebra)
-            elif not word:
-                op = Identity().compile(self.algebra)
-            else:
-                op = self.operator(word[:1]).compose(self.operator(word[1:]))
-            self._operators[word] = op
-        return op
-
-    def element_operator(self, x):
-        """Phi(x) for a quantum-group element x in normal form."""
-        out = Operator(self.algebra, 0, {}, self.algebra.order)
-        for word, coeff in x.series_terms().items():
-            out = out + self.operator(word).scaled(coeff)
-        return out
+        """Phi(word), for a word of generator names or indices."""
+        return self.phi.apply_word(self.group._word(word))
 
     def apply_word(self, word, f):
         return self.operator(word)(f)
@@ -374,9 +374,8 @@ def module_algebra_defect(action, name, coproduct):
                    op.order)
     for (u, v), s in coproduct.series_terms().items():
         ou, ov = action.operator(u), action.operator(v)
-        out = out - Operator._product(
-            action.algebra, ou.k + ov.k, ou.scaled(s), ov,
-            lambda a, b: (a[0], a[1] + b[0], b[1]))
+        out = out - (ou * s)._product(
+            ou.k + ov.k, ov, lambda a, b: (a[0], a[1] + b[0], b[1]))
     return out
 
 
@@ -398,6 +397,26 @@ def _module_algebra_witness(action, name, coproduct, degree):
     return None
 
 
+def _defects(label, values, rhs_op):
+    """The defect at each monomial f of the pairs (f, v) in ``values`` where
+    the value v computed there differs from rhs_op(f), lazily and in
+    order, so that a caller may stop at the first."""
+    for f, v in values:
+        d = v - rhs_op(f)
+        if not d.is_zero():
+            yield "%s defect at %r: %r" % (label, f, d)
+
+
+def _rule_witness(action, label, lhs, rhs_op, degree):
+    """The first monomial f of degree <= degree where Phi(lhs)(f), applied
+    one letter's operator at a time, differs from Phi(rhs)(f), or None."""
+    images = action.phi.images
+    values = ((f, functools.reduce(lambda v, g: images[g](v), reversed(lhs),
+                                   f))
+              for f in _monomials(action.algebra, degree))
+    return next(_defects(label, values, rhs_op), None)
+
+
 def check_module_algebra(action, degree=2):
     """xi.(f g) = sum (u.f)(v.g) for Delta(xi) = sum u (x) v, all f, g.
 
@@ -405,22 +424,41 @@ def check_module_algebra(action, degree=2):
     (``action.hopf``), read on each generator the action defines, and Phi
     extends to words by composition.  Nothing here certifies the Hopf
     structure: the commands run ``hopf.check_all_axioms`` on it first.
-    Theorem: if the tensor of ``module_algebra_defect`` is zero, the
-    identity holds for all f and g in every degree, wherever the actions'
-    hbar-divisions are exact (the tensor is the identity's two-sided
-    multiplication form; Montgomery, *Hopf Algebras and Their Actions on
-    Rings*, ch. 4).
+    The identity is one of a U-module algebra, so Phi must first be a
+    module: for each rule lhs -> rhs of the group's presentation, the tensor
+    Phi(lhs) - Phi(rhs) must be zero.  Then Phi is an algebra map on the
+    group, and the identity on generators extends to every element.
+    Theorem: if these tensors and the tensor of ``module_algebra_defect``
+    for each generator are zero, the identity holds for all f and g in
+    every degree, wherever the actions' hbar-divisions are exact (each
+    tensor is the two-sided multiplication form of its identity;
+    Montgomery, *Hopf Algebras and Their Actions on Rings*, ch. 4).
     With coefficients known mod hbar^N and shift K it is exact mod
     hbar^(N - K); an empty window raises ``module-algebra.window``.  The
     condition is sufficient only (a (x) 1 - 1 (x) a acts as 0 when a is
-    central), so a nonzero tensor is followed by a sweep of monomial pairs
-    up to ``degree`` for a witness: the first one found is a conclusive
-    fail; none raises CapabilityError ``module-algebra.inconclusive``.
-    Generators go in order and the report stops at the first witness.
+    central), so a nonzero tensor is followed by a sweep for a witness:
+    monomials f up to ``degree`` where Phi(lhs)(f) != Phi(rhs)(f) for a
+    rule, pairs of monomials for a generator.  The first witness found is a
+    conclusive fail; none raises CapabilityError
+    ``module-algebra.inconclusive``.  Rules go first, in order, then the
+    generators in order, and the report stops at the first witness.
     """
+    group, phi = action.group, action.phi
     inconclusive = None
+    for lhs in sorted(group.rules):
+        rule = group.rules[lhs]
+        rhs = _ncpoly(group, rule.terms, rule.order)
+        rhs_op = phi(rhs)
+        defect = phi.apply_word(lhs) - rhs_op
+        if _certified("module-algebra", defect):
+            continue
+        label = "rule %s -> %r" % (group.word_name(lhs), rhs)
+        witness = _rule_witness(action, label, lhs, rhs_op, degree)
+        if witness is not None:
+            return Report.from_failures("module-algebra", [witness])
+        inconclusive = inconclusive or (label, defect)
     for name in action.exprs:
-        cop = action.hopf.coproduct.apply_word((action.group.index(name),))
+        cop = action.hopf.coproduct.apply_word((group.index(name),))
         defect = module_algebra_defect(action, name, cop)
         if _certified("module-algebra", defect):
             continue
@@ -429,8 +467,8 @@ def check_module_algebra(action, degree=2):
             return Report.from_failures("module-algebra", [witness])
         inconclusive = inconclusive or (name, defect)
     if inconclusive is not None:
-        name, defect = inconclusive
-        raise _inconclusive("module-algebra", name, defect, degree)
+        what, defect = inconclusive
+        raise _inconclusive("module-algebra", what, defect, degree)
     return Report.from_failures("module-algebra", [])
 
 
@@ -439,30 +477,27 @@ def _expected_operator(action, expected):
     compiled."""
     if isinstance(expected, ActionExpr):
         return expected.compile(action.algebra)
-    return action.element_operator(expected)
+    return action.phi(expected)
 
 
 def lie_hom_defect(action, xn, yn, expected):
     """[Phi(xn), Phi(yn)] - Phi(expected) in A (x) A^op.  ``expected`` is a
     quantum-group element (extended through Phi) or an ActionExpr."""
     ox, oy = action.operator((xn,)), action.operator((yn,))
-    return ox.compose(oy) - oy.compose(ox) \
-        - _expected_operator(action, expected)
+    return ox.commutator(oy) - _expected_operator(action, expected)
 
 
 def _lie_hom_witnesses(action, xn, yn, expected, degree):
-    """Every monomial f of degree <= degree where the relation fails,
+    """The defects at every monomial f of degree <= degree where the
+    relation fails, the monomials, and the commutator's values on them,
     evaluated one generator's operator at a time."""
     ox, oy = action.operator((xn,)), action.operator((yn,))
-    rhs_op = _expected_operator(action, expected)
-    defects = []
-    for f in _monomials(action.algebra, degree):
-        lhs = ox(oy(f)) - oy(ox(f))
-        rhs = rhs_op(f)
-        if not (lhs - rhs).is_zero():
-            defects.append("[Phi(%s),Phi(%s)] defect at %r: %r"
-                           % (xn, yn, f, lhs - rhs))
-    return defects
+    monos = _monomials(action.algebra, degree)
+    values = [ox(oy(f)) - oy(ox(f)) for f in monos]
+    defects = list(_defects("[Phi(%s),Phi(%s)]" % (xn, yn),
+                            zip(monos, values),
+                            _expected_operator(action, expected)))
+    return defects, monos, values
 
 
 def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
@@ -487,7 +522,8 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
         defect = lie_hom_defect(action, xn, yn, expected)
         defects = []
         if not _certified("lie-hom", defect):
-            defects = _lie_hom_witnesses(action, xn, yn, expected, degree)
+            defects, monos, values = _lie_hom_witnesses(
+                action, xn, yn, expected, degree)
             if not defects:
                 raise _inconclusive("lie-hom", "[Phi(%s),Phi(%s)]" % (xn, yn),
                                     defect, degree)
@@ -496,8 +532,8 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
         if defects and paper_claims and (xn, yn) in paper_claims:
             verdict = DISCREPANCY
             if diagnose_words:
-                solved = solve_commutator_relation(
-                    action, xn, yn, diagnose_words, degree)
+                solved = solve_commutator_relation(action, monos, values,
+                                                   diagnose_words)
                 if solved is not None:
                     data["oracle_relation"] = solved
         reports[(xn, yn)] = Report("lie-hom(%s,%s)" % (xn, yn), verdict,
@@ -505,17 +541,17 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
     return reports
 
 
-def solve_commutator_relation(action, xn, yn, candidate_words, degree=2):
-    """Express [Phi(xn), Phi(yn)] in the span of Phi-images of words.
+def solve_commutator_relation(action, monos, values, candidate_words):
+    """Express a commutator [Phi(xn), Phi(yn)], given by its ``values`` on
+    the monomials ``monos`` (those of the witness sweep), in the span of
+    Phi-images of words.
 
     Returns a string like "-1*eta + hbar*eta*eta", or None if the
     commutator is not in the span on the tested domain.  The system is
     solved in the hbar window its values are known in.
     """
-    monos = _monomials(action.algebra, degree)
-    ox, oy = action.operator((xn,)), action.operator((yn,))
     order = action.algebra.order
-    lhs = _stacked([ox(oy(f)) - oy(ox(f)) for f in monos], order)
+    lhs = _stacked(values, order)
     columns = {w: _stacked([action.operator(w)(f) for f in monos], order)
                for w in candidate_words}
     sol = solve(columns, lhs)

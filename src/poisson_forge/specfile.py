@@ -80,9 +80,13 @@ class SpecFile:
     """A parsed specification with lazy, cached object resolution; its
     series and presentations are built mod hbar^order."""
 
-    SECTIONS = ("lie_algebras", "r_matrices", "cobrackets", "charts",
-                "bivectors", "matrix_groups", "presentations",
-                "hopf_structures", "actions", "momentum_maps", "reductions")
+    # each section and the noun that names one of its entries
+    SECTIONS = {"lie_algebras": "lie_algebra", "r_matrices": "r_matrix",
+                "cobrackets": "cobracket", "charts": "chart",
+                "bivectors": "bivector", "matrix_groups": "matrix_group",
+                "presentations": "presentation",
+                "hopf_structures": "hopf_structure", "actions": "action",
+                "momentum_maps": "momentum_map", "reductions": "reduction"}
 
     def __init__(self, doc, order):
         if not isinstance(doc, dict):
@@ -106,8 +110,8 @@ class SpecFile:
         try:
             entry = self.doc[section][name]
         except KeyError:
-            raise SpecError("no %s named %r" % (section[:-1], name))
-        return _fields("%s %r" % (section[:-1], name), entry)
+            raise SpecError("no %s named %r" % (self.SECTIONS[section], name))
+        return _fields("%s %r" % (self.SECTIONS[section], name), entry)
 
     def _series(self, spec, where):
         """A scalar string, or an array of them, as a series mod hbar^N;

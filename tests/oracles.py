@@ -391,9 +391,22 @@ def eval_element(action, x, f):
 def sweep_module_algebra(action, degree=2):
     """xi.(f g) = sum (u.f)(v.g) for Delta(xi) of the action's Hopf
     structure, on all pairs of monomials <= degree, the generators in the
-    action's order; stops at the first defect."""
+    action's order; stops at the first defect.  First Phi(lhs) = Phi(rhs)
+    on every monomial <= degree, for each rule lhs -> rhs of the group in
+    order: Phi must be an action of the group for the identity to mean
+    anything."""
     alg = action.algebra
     monos = _monomials(alg, degree)
+    group = action.group
+    for lhs in sorted(group.rules):
+        rule = group.rules[lhs]
+        rhs = NCPoly(group, rule.terms, rule.order)
+        for f in monos:
+            defect = eval_word(action, lhs, f) - eval_element(action, rhs, f)
+            if not defect.is_zero():
+                return Report.from_failures("module-algebra", [
+                    "rule %s -> %r defect at %r: %r"
+                    % (group.word_name(lhs), rhs, f, defect)])
     for name in action.exprs:
         cop = action.hopf.coproduct.apply_word((action.group.index(name),))
         for f in monos:

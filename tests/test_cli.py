@@ -110,6 +110,19 @@ def test_spec_check_action_and_qreduce(capsys):
     assert run(["qreduce", SPEC, "qplane_action"]) == 0
 
 
+def test_spec_action_must_respect_the_group_rules(tmp_path, capsys):
+    # with eta*xi -> xi*eta declared, Phi(xi) and Phi(eta) of qplane_action
+    # do not commute ([Phi(xi), Phi(eta)](a^-1) = b), so Phi is no action
+    # of that group: the module-algebra check fails and names the rule
+    spec = edited_spec(tmp_path, ("presentations", "r2q", "rules"), [
+        {"pair": ["eta", "xi"],
+         "terms": [{"coeff": "1", "word": ["xi", "eta"]}]}])
+    assert run(["check-action", spec, "qplane_action"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] qplane_action/module-algebra" in out
+    assert "defect: rule eta*xi -> xi*eta defect at a: " in out
+
+
 def test_spec_reduce(capsys):
     assert run(["reduce", SPEC, "case3"]) == 0
 
@@ -305,6 +318,22 @@ def test_spec_antisymmetric_table_gives_each_pair_once(path, value, argv,
                                                       capsys):
     spec = edited_spec(tmp_path, path, value)
     assert run([argv[0], spec, argv[1]]) == 2
+    assert "input error: " + message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    # an entry of "r_matrices" is an r_matrix, not the section's name
+    # minus its last letter
+    (("r_matrices", "plane_r", "terms"), {"xi,zz": "1"},
+     "r_matrix 'plane_r' terms xi,zz: 'zz' is not a basis name of "
+     "['xi', 'eta']"),
+    (("r_matrices", "plane_r"), ["xi", "eta"],
+     "r_matrix 'plane_r' must be a JSON object"),
+])
+def test_spec_malformed_r_matrix_names_the_entry(path, value, message,
+                                                 tmp_path, capsys):
+    spec = edited_spec(tmp_path, path, value)
+    assert run(["check-bialgebra", spec, "plane_r"]) == 2
     assert "input error: " + message in capsys.readouterr().err
 
 
@@ -825,14 +854,24 @@ def test_spec_check_action_reports_non_confluent_presentation(tmp_path,
 
 
 def test_spec_check_action_without_witness_exits_three(tmp_path, capsys):
-    # on a commutative algebra Phi(t) = [x, .] acts as 0, so Delta(t) =
-    # t (x) t holds, but the operator tensor is not 0 and no monomial is a
-    # witness: no verdict is printed
+    # on a commutative algebra [x, .] acts as 0, so Phi(t^+-1) = id +- [x, .]
+    # act as id: t t^-1 = 1 and Delta(t) = t (x) t hold, but the operator
+    # tensors are not 0 and no monomial is a witness: no verdict is printed
     rules = [((b, a), [("1", [a, b])])
              for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]
-    doc = _action_spec(rules, {"op": "commutator", "element": "x"},
-                       GROUPLIKE_GROUP)
+    ad = {"op": "commutator", "element": "x"}
+    doc = _action_spec(rules, ad, GROUPLIKE_GROUP)
     path = tmp_path / "central.json"
+    path.write_text(json.dumps(doc))
+    # Phi(t) = Phi(t^-1) = [x, .] is no action of the group: t t^-1 acts
+    # as 0, not as id, and 1 is the witness
+    assert run(["check-action", str(path), "act"]) == 1
+    assert "defect: rule t*t_inv -> (1) defect at (1): (-1)" \
+        in capsys.readouterr().out
+    doc["actions"]["act"]["generators"] = {
+        "t": {"op": "sum", "args": [{"op": "id"}, ad]},
+        "t_inv": {"op": "sum", "args": [
+            {"op": "id"}, {"op": "scale", "scalar": "-1", "arg": ad}]}}
     path.write_text(json.dumps(doc))
     assert run(["check-action", str(path), "act"]) == 3
     captured = capsys.readouterr()

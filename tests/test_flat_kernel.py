@@ -185,7 +185,7 @@ def test_operator_compose_and_values_match_the_series_reference(name, order):
     ops, elements = _operators(action, rng)
     for x in ops:
         for y in ops:
-            got = x.compose(y)
+            got = x * y
             assert got.k == x.k + y.k
             top = min(x.order, y.order)
             assert min(top, _least_rule_window(alg)) <= got.order <= top
@@ -308,7 +308,7 @@ def test_products_skip_pairs_at_or_past_the_window():
     assert (t2.embed(high, 0) * t2.embed(low, 0)).is_zero()
     left = Operator.multiplication(pres, high, pres.one())
     right = Operator.multiplication(pres, low, pres.one())
-    assert left.compose(right).is_zero()
+    assert (left * right).is_zero()
     assert left(low).is_zero()
     assert (0,) * 6 not in pres._memo
     cube * cube

@@ -3,8 +3,10 @@ package: ``perfbench/micro.py`` and ``perfbench/tracer.py`` read names of
 ``scalars`` (``HSeries(coeffs, order)``, ``*``, ``inverse`` and
 ``.coeffs``), and a traced run must leave every patched name restored."""
 
+import importlib
 import importlib.util
 import os
+import pkgutil
 
 import poisson_forge
 from poisson_forge import cli
@@ -31,6 +33,11 @@ def test_series_microbenchmarks_run():
 
 
 def test_traced_fixture_run_restores_every_name(capsys):
+    # every submodule is imported before the tracer patches the package,
+    # as perfbench/child.py does: a module first imported during the
+    # traced run would bind a wrapper that uninstall() cannot restore
+    for info in pkgutil.iter_modules(poisson_forge.__path__):
+        importlib.import_module("poisson_forge." + info.name)
     tracer = _load("tracer").Tracer(poisson_forge)
     mul, inverse = vars(HSeries)["__mul__"], vars(HSeries)["inverse"]
     tracer.install()

@@ -485,8 +485,8 @@ def test_scaling_coerces_into_the_algebra_window():
     wide = NCPoly.from_series(alg, {(): HSeries.one(9)})
     op = Operator.multiplication(alg, wide, wide)
     assert op.order == 9
-    assert op.scaled(2).order == 4
-    assert op.scaled(HSeries.one(7)).order == 7
+    assert (op * 2).order == 4
+    assert (op * HSeries.one(7)).order == 7
     assert Scale(Identity(), 3).compile(alg).order == 4
 
 
@@ -831,8 +831,8 @@ def test_operator_composition_and_shift_alignment():
     alg = fixtures.case2_module_algebra()
     a, b = alg.gen("a"), alg.gen("b")
     # (L1, R1) o (L2, R2) = (L1 L2, R2 R1)
-    op = Compose([LMul(a), RMul(b)]).compile(alg).compose(
-        Compose([LMul(b), RMul(a)]).compile(alg))
+    op = Compose([LMul(a), RMul(b)]).compile(alg) \
+        * Compose([LMul(b), RMul(a)]).compile(alg)
     assert op.k == 0
     for m in monomials(alg, 2):
         assert op(m) == a * b * m * a * b
@@ -865,6 +865,20 @@ def test_shipped_obligations_are_zero_tensors():
     assert len(lie_hom_defect(act, "xi", "eta", paper).terms) == 2
 
 
+@pytest.mark.parametrize("order", [3, 6, 16])
+def test_shipped_actions_respect_their_group_rules(order):
+    # Phi(lhs) - Phi(rhs) is a zero tensor, known in a nonempty window, for
+    # each rule of the groups with rules: the commuting U_hbar(R2) and
+    # U_hbar(su2), inverse cancellations included
+    for act in (fixtures.case_action(1, order), fixtures.su2_action(order)):
+        grp = act.group
+        for lhs, rule in grp.rules.items():
+            rhs = NCPoly(grp, rule.terms, rule.order)
+            defect = act.phi.apply_word(lhs) - act.phi(rhs)
+            assert defect.is_zero() and defect.window >= 1, \
+                (grp.name, grp.word_name(lhs))
+
+
 def test_fixture_suite_sweeps_only_the_case2_witness(monkeypatch):
     # every pass of the shipped suite comes from a zero tensor: the witness
     # sweeps are never entered, except for case 2's paper relation
@@ -882,6 +896,7 @@ def test_fixture_suite_sweeps_only_the_case2_witness(monkeypatch):
         return real(action, xn, yn, expected, degree)
 
     monkeypatch.setattr(qmomentum, "_module_algebra_witness", no_sweep)
+    monkeypatch.setattr(qmomentum, "_rule_witness", no_sweep)
     monkeypatch.setattr(qmomentum, "_lie_hom_witnesses", recorded)
     results = suites.quantum_action_fixture_suite(2, fixtures.ORDER)
     assert calls == [("case2-algebra", "xi", "eta")]

@@ -103,10 +103,12 @@ def test_check_hopf_normalises_each_word_once(monkeypatch, capsys):
 
 def test_check_action_normalises_each_word_once(monkeypatch, capsys):
     # as above, on the action algebras; 941 lookups when each product
-    # looked up its own
+    # looked up its own.  9 of the words are the su2 rule certificate's,
+    # which composes Phi(zeta^+-1) with Phi(xi) and Phi(eta) (252 before
+    # the module-algebra check certified the group's rules)
     counts, groups = _count_normal_forms(monkeypatch)
     assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
-    assert counts["words"] == 252
+    assert counts["words"] == 261
     assert counts["lookups"] <= 941
     # the groups' words: 2 that case 2's relation meets, the rest from the
     # gate that certifies each group's Hopf structure, once per distinct
@@ -114,3 +116,16 @@ def test_check_action_normalises_each_word_once(monkeypatch, capsys):
     # 2 and 3 share, and 29 on U_hbar(su2) (90 when cases 2 and 3 each
     # built and certified their own free group)
     assert groups["words"] == 77
+
+
+def test_check_action_evaluates_case2_commutator_once_per_monomial(
+        monkeypatch, capsys):
+    # case 2's witness sweep evaluates [Phi(xi), Phi(eta)] on its 9
+    # monomials (36 values) and the paper's right side (9); the solver
+    # reuses those values and evaluates only the 5 candidate words (45);
+    # then 18 in case 3's invariant subalgebra and 4 in su2's ideal
+    # invariance (148 when the solver evaluated the commutator again)
+    from poisson_forge.qmomentum import Operator
+    calls = _count_calls(monkeypatch, Operator, "__call__")
+    assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
+    assert len(calls) == 112
