@@ -491,7 +491,8 @@ def h_exponential(pres, scale):
 
 
 def usl2_hopf(order=ORDER):
-    """Primitive coproduct, zero counit, antipode S(x) = -x."""
+    """Primitive coproduct and zero counit; the antipode they fix is
+    S(x) = -x."""
     from .hopf import HopfStructure
     from .ncalg import TensorAlgebra, AlgebraMap
     pres = usl2_presentation(order)
@@ -504,18 +505,16 @@ def usl2_hopf(order=ORDER):
                      t2.one(), name="Delta")
     counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
                         HSeries.one(order), name="epsilon")
-    antipode = AlgebraMap(pres, {g: -pres.gen(g) for g in ("F", "H", "E")},
-                          pres.one(), anti=True, name="S")
-    return HopfStructure(pres, cop, counit, antipode)
+    return HopfStructure(pres, cop, counit)
 
 
 def uhsl2_hopf(order=ORDER):
     """The quantized Hopf structure on U_hbar(sl2).
 
     Coproduct: Delta(H) primitive, Delta(E) = E (x) q^{H/2} + q^{-H/2} (x) E
-    and likewise for F; antipode S(E) = -qE, S(F) = -q^{-1}F, S(H) = -H;
-    counit zero on generators.  These are the mutually consistent
-    conventions: every axiom below holds exactly mod hbar^N.
+    and likewise for F; counit zero on generators.  The antipode they fix
+    is S(E) = -qE, S(F) = -q^{-1}F, S(H) = -H.  These are the mutually
+    consistent conventions: every axiom holds exactly mod hbar^N.
     """
     from .hopf import HopfStructure
     from .ncalg import TensorAlgebra, AlgebraMap
@@ -523,8 +522,6 @@ def uhsl2_hopf(order=ORDER):
     t2 = TensorAlgebra(pres, 2)
     qh_plus = h_exponential(pres, Fraction(1, 8))    # q^{H/2}
     qh_minus = h_exponential(pres, Fraction(-1, 8))  # q^{-H/2}
-    q = hexp(Fraction(1, 4), order)
-    q_inv = hexp(Fraction(-1, 4), order)
 
     def twisted(g):
         return t2.from_factors([pres.gen(g), qh_plus]) \
@@ -537,12 +534,7 @@ def uhsl2_hopf(order=ORDER):
     }, t2.one(), name="Delta_hbar")
     counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
                         HSeries.one(order), name="epsilon_hbar")
-    antipode = AlgebraMap(pres, {
-        "E": pres.gen("E") * (-q),
-        "F": pres.gen("F") * (-q_inv),
-        "H": -pres.gen("H"),
-    }, pres.one(), anti=True, name="S_hbar")
-    return HopfStructure(pres, cop, counit, antipode)
+    return HopfStructure(pres, cop, counit)
 
 
 def quantum_plane_presentation(order=ORDER):
@@ -632,7 +624,7 @@ def r2_hopf(commuting=True, order=ORDER):
 
     Delta(xi) = xi (x) 1 + (1 - hbar eta) (x) xi and
     Delta(eta) = eta (x) 1 + (1 - hbar eta) (x) eta, so 1 - hbar eta is
-    group-like; counit 0 on the generators; antipode
+    group-like; counit 0 on the generators.  The antipode they fix is
     S(eta) = -eta (1 - hbar eta)^-1 and S(xi) = -(1 - hbar eta)^-1 xi, with
     (1 - hbar eta)^-1 = sum hbar^k eta^k mod hbar^N."""
     from .hopf import HopfStructure
@@ -648,13 +640,7 @@ def r2_hopf(commuting=True, order=ORDER):
     }, t2.one(), name="Delta")
     counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
                         HSeries.one(order), name="epsilon")
-    geometric = pres.element([(HSeries([0] * k + [1], order), ["eta"] * k)
-                              for k in range(order)])
-    antipode = AlgebraMap(pres, {
-        "xi": -(geometric * pres.gen("xi")),
-        "eta": -(pres.gen("eta") * geometric),
-    }, pres.one(), anti=True, name="S")
-    return HopfStructure(pres, cop, counit, antipode)
+    return HopfStructure(pres, cop, counit)
 
 
 def su2_quantum_group(order=ORDER):
@@ -682,13 +668,12 @@ def su2_hopf(order=ORDER):
     Delta(zeta^+-1) = zeta^+-1 (x) zeta^+-1,
     Delta(xi) = xi (x) 1 + zeta (x) xi and
     Delta(eta) = 1 (x) eta + eta (x) zeta^-1; eps(zeta^+-1) = 1 and
-    eps(xi) = eps(eta) = 0; S(zeta^+-1) = zeta^-+1, S(xi) = -zeta^-1 xi and
-    S(eta) = -eta zeta."""
+    eps(xi) = eps(eta) = 0.  The antipode they fix is
+    S(zeta^+-1) = zeta^-+1, S(xi) = -zeta^-1 xi and S(eta) = -eta zeta."""
     from .hopf import HopfStructure
     from .ncalg import AlgebraMap, TensorAlgebra
     pres = su2_quantum_group(order)
     t2 = TensorAlgebra(pres, 2)
-    xi, eta, zeta, zeta_inv = (pres.gen(g) for g in pres.gens)
     cop = AlgebraMap(pres, {
         "zeta": t2.element({(("zeta",), ("zeta",)): 1}),
         "zeta_inv": t2.element({(("zeta_inv",), ("zeta_inv",)): 1}),
@@ -698,13 +683,7 @@ def su2_hopf(order=ORDER):
     one, zero = HSeries.one(order), HSeries.zero(order)
     counit = AlgebraMap(pres, {"xi": zero, "eta": zero, "zeta": one,
                                "zeta_inv": one}, one, name="epsilon")
-    antipode = AlgebraMap(pres, {
-        "xi": -(zeta_inv * xi),
-        "eta": -(eta * zeta),
-        "zeta": zeta_inv,
-        "zeta_inv": zeta,
-    }, pres.one(), anti=True, name="S")
-    return HopfStructure(pres, cop, counit, antipode)
+    return HopfStructure(pres, cop, counit)
 
 
 def case_action(case, order=ORDER):

@@ -1,36 +1,42 @@
 """Hopf-algebra structure checks over presented algebras.
 
 A HopfStructure bundles a presentation with a coproduct into the tensor
-square, a counit into scalars and an antipode stored as an anti-map on the
-same presentation (products reverse; no opposite algebra is constructed),
-and keeps each map's report on the rewrite rules.  Given those reports the
-axiom checkers and the co-Poisson check are certificates on the
-generators (Kassel, *Quantum Groups*, ch. III; Chari and Pressley, *A Guide
-to Quantum Groups*, ch. 6), assuming each map's `one` is its target's unit:
-a pass holds in every degree, a fail is conclusive when the presentation is
-confluent.  No checker here sweeps monomials.
+square and a counit into scalars, derives the antipode from them
+(``derive_antipode``) as an anti-map on the same presentation (products
+reverse; no opposite algebra is constructed), and keeps each map's report
+on the rewrite rules.  Given those reports the axiom checkers and the
+co-Poisson check are certificates on the generators (Kassel, *Quantum
+Groups*, ch. III; Chari and Pressley, *A Guide to Quantum Groups*, ch. 6),
+assuming each map's `one` is its target's unit: a pass holds in every
+degree, a fail is conclusive when the presentation is confluent.  No
+checker here sweeps monomials.
 """
+
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import CapabilityError
 from .ncalg import (
-    Flat, NCPoly, TensorAlgebra, TensorElement, _ncpoly, _pairs, check_map,
+    AlgebraMap, Flat, NCPoly, TensorAlgebra, TensorElement, _ncpoly, _pairs,
+    check_map,
 )
 from .report import Report, merge
-from .scalars import ZERO, _accumulate
+from .scalars import ONE, ZERO, _accumulate
 
 
 class HopfStructure:
-    """The maps and their reports on the rewrite rules.  A map that breaks a
-    rule is kept: every axiom check that rests on it fails and names it."""
+    """The coproduct and counit, the antipode they fix (``derive_antipode``;
+    it is not an input), and the maps' reports on the rewrite rules.  A map
+    that breaks a rule is kept: every axiom check that rests on it fails and
+    names it."""
 
-    def __init__(self, algebra, coproduct, counit, antipode):
+    def __init__(self, algebra, coproduct, counit):
         self.algebra = algebra
         self.coproduct = coproduct
         self.counit = counit
-        self.antipode = antipode
+        self.antipode = derive_antipode(algebra, coproduct, counit)
         self.square = TensorAlgebra(algebra, 2)
         self.coproduct_report, self.counit_report, self.antipode_report = (
-            check_map(m) for m in (coproduct, counit, antipode))
+            check_map(m) for m in (coproduct, counit, self.antipode))
         self._certificate = None
 
     def certificate(self):
@@ -47,6 +53,109 @@ class HopfStructure:
                                                  "antipode", "delta-hom")]
             self._certificate = merge("group-hopf", parts)
         return self._certificate
+
+
+# -- the antipode ------------------------------------------------------------
+
+def derive_antipode(presentation, coproduct, counit):
+    """The antipode that ``coproduct`` and ``counit`` fix, as an anti-map
+    ``S`` on ``presentation`` given on the generators.
+
+    Theorem: in a Hopf algebra S is the convolution inverse of the
+    identity, so Delta and eps determine it uniquely (Kassel, *Quantum
+    Groups*, III.3; Sweedler, *Hopf Algebras*, 1969).  On a generator x,
+    write Delta(x) = x (x) a + sum u (x) v, where x (x) a collects the
+    terms whose left word is x itself.  Then m(S (x) id)Delta(x) = eps(x)
+    reads S(x) = (eps(x) - sum S(u) v) a^-1, once a is invertible: its
+    hbar^0 part must be c w, with c a nonzero scalar and w a word of
+    declared-invertible generators (the empty word too), and a^-1 is
+    Newton's b <- b(2 - a b) from c^-1 w^-1, w^-1 the reversed word of the
+    inverse letters; each step doubles the powers of hbar known.  These
+    are the group-likes and skew-primitives of the shipped groups (the
+    pointed Hopf algebras of Radford, *Hopf Algebras*, 2012).
+
+    The equations are solved by iteration from S = 0, the generators in an
+    order where the hbar^0 terms u (x) v of each read S only on generators
+    before it.  Round bound: after round k every image is exact mod
+    hbar^k.  By induction along the order, an hbar^0 term reads images of
+    round k, exact mod hbar^k, and a term at hbar^j, j >= 1, reads images
+    of round k - 1 times hbar^j.  So round N solves every equation mod
+    hbar^N, and round N + 1 changes no image.  A round solves a generator
+    again only once an image it reads has changed since it was last
+    solved; solving it again otherwise would give the same image.  The
+    iteration ends once no image has changed since it was solved: the
+    images then solve the left identity on every generator exactly.
+    Nothing more is claimed here.  ``check_antipode`` certifies both
+    identities on the whole algebra, so a Delta or eps of no Hopf algebra
+    still fails, and is named.
+
+    Guard ``antipode.derive`` (CapabilityError): a generator with no
+    invertible a, hbar^0 terms that read S cyclically, or images (or
+    Newton's a^-1) not settled within their bound; the message names the
+    generator and the cause."""
+    pres = presentation
+    square = TensorAlgebra(pres, 2)
+    equations, reads, reads0 = {}, {}, {}
+    for i, g in enumerate(pres.gens):
+        d = coproduct.apply_word((i,))
+        own = {(j, v): c for (j, (u, v)), c in d.terms.items() if u == (i,)}
+        rest = TensorElement(square, {key: c for key, c in d.terms.items()
+                                      if key[1][0] != (i,)}, d.order)
+        equations[i] = (pres.one() * counit.apply_word((i,)), rest,
+                        _unit_inverse(pres, _ncpoly(pres, own, d.order), g))
+        reads[i] = {h for _, (u, _) in rest.terms for h in u}
+        reads0[i] = {h for j, (u, _) in rest.terms if not j for h in u}
+    try:
+        order = list(TopologicalSorter(reads0).static_order())
+    except CycleError as exc:
+        cycle = exc.args[1]
+        raise _underivable(pres.gens[cycle[0]], "at hbar^0 its image reads "
+                           "S cyclically, through %s" % " -> ".join(
+                               pres.gens[i] for i in cycle))
+    images = dict.fromkeys(order, pres.zero())
+    stale = set(order)
+    for _ in range(pres.order + 1):
+        for i in order:
+            if i not in stale:
+                continue
+            stale.discard(i)
+            eps, rest, a_inv = equations[i]
+            smap = AlgebraMap(pres, images, pres.one(), anti=True)
+            new = (eps - multiply_factors(
+                apply_in_slot(smap, rest, 0, square))) * a_inv
+            if new.terms != images[i].terms or new.order != images[i].order:
+                images[i] = new
+                stale.update(k for k in order if i in reads[k])
+        if not stale:
+            return AlgebraMap(pres, images, pres.one(), anti=True, name="S")
+    raise _underivable(pres.gens[min(stale)], "the images have not settled "
+                       "after %d rounds" % (pres.order + 1))
+
+
+def _unit_inverse(pres, a, name):
+    """a^-1, where ``name`` (x) a are the terms of Delta(``name``) whose
+    left word is ``name`` (``derive_antipode``)."""
+    low = [(w, c) for (j, w), c in a.terms.items() if not j]
+    inverse = {pres.index(k): pres.index(v) for k, v in pres.inverses.items()}
+    inverse.update({v: k for k, v in inverse.items()})
+    if len(low) != 1 or not all(h in inverse for h in low[0][0]):
+        raise _underivable(name, "Delta(%s) has no term %s (x) a with a "
+                           "invertible: a = %r" % (name, name, a))
+    (w, c), = low
+    b = pres.monomial(tuple(inverse[h] for h in reversed(w))) * (ONE / c)
+    # 1 - a b is O(hbar) and squares each step, so log2 N steps suffice
+    for _ in range(pres.order.bit_length() + 1):
+        defect = 1 - a * b
+        if defect.is_zero():
+            return b
+        b = b + b * defect
+    raise _underivable(name, "Newton's iteration for a^-1 has not settled: "
+                       "a = %r" % a)
+
+
+def _underivable(name, cause):
+    return CapabilityError("guard antipode.derive: no antipode on %s: %s"
+                           % (name, cause), guard="antipode.derive")
 
 
 # -- tensor plumbing ---------------------------------------------------------

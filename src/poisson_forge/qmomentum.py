@@ -41,6 +41,7 @@ which forces db.dc = b dc - d(cb) + c db up to one global hbar power.
 
 import functools
 import itertools
+import math
 
 from .errors import CapabilityError
 from .linalg import solve
@@ -136,10 +137,8 @@ class Compose(ActionExpr):
         self.exprs = list(exprs)
 
     def compile(self, algebra):
-        out = Identity().compile(algebra)
-        for e in self.exprs:
-            out = out * e.compile(algebra)
-        return out
+        ops = [e.compile(algebra) for e in self.exprs]
+        return math.prod(ops[1:], start=ops[0])
 
     def __repr__(self):
         return " o ".join(map(repr, self.exprs))

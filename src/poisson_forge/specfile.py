@@ -287,10 +287,13 @@ class SpecFile:
         from .hopf import HopfStructure
         from .ncalg import AlgebraMap, TensorAlgebra
         entry = self._entry("hopf_structures", name)
+        if "antipode" in entry:
+            raise SpecError("%s: 'antipode' is not an input: S is derived "
+                            "from the coproduct and the counit" % entry.where)
         pres = self.presentation(entry["algebra"])
         maps = {what: _names(entry.where, what, entry[what], "generators",
                              pres.gens)
-                for what in ("coproduct", "counit", "antipode")}
+                for what in ("coproduct", "counit")}
         t2 = TensorAlgebra(pres, 2)
         cop = AlgebraMap(pres, {g: self.tensor_element(pres, _items(
                                     "%s coproduct %r term" % (entry.where, g),
@@ -301,12 +304,7 @@ class SpecFile:
                                                    % (entry.where, g))
                                    for g, v in maps["counit"].items()},
                             HSeries.one(self.order), name="epsilon")
-        antipode = AlgebraMap(
-            pres, {g: self.nc_element(pres, spec, "%s antipode %r"
-                                      % (entry.where, g))
-                   for g, spec in maps["antipode"].items()},
-            pres.one(), anti=True, name="S")
-        return HopfStructure(pres, cop, counit, antipode)
+        return HopfStructure(pres, cop, counit)
 
     def action_expr(self, pres, spec):
         from .qmomentum import (
@@ -325,12 +323,13 @@ class SpecFile:
         if op == "scale":
             return Scale(self.action_expr(pres, _fields(arg, spec["arg"])),
                          self._series(spec["scalar"], spec.where))
-        if op == "sum":
-            return Sum([self.action_expr(pres, a)
-                        for a in _items(args, spec["args"])])
-        if op == "compose":
-            return Compose([self.action_expr(pres, a)
-                            for a in _items(args, spec["args"])])
+        if op in ("sum", "compose"):
+            items = _items(args, spec["args"])
+            if not items:
+                raise SpecError("%s: a %s needs at least one arg"
+                                % (spec.where, op))
+            cls = Sum if op == "sum" else Compose
+            return cls([self.action_expr(pres, a) for a in items])
         if op == "hbar_div":
             return HbarDiv(self.action_expr(pres, _fields(arg, spec["arg"])),
                            _natural(spec.where + " k", spec.get("k", 1)))

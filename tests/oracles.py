@@ -48,19 +48,20 @@ bivector, substitution, matrix products and determinants build one
 polynomial per product with it and add them up.
 The fixtures that only tests build live here too: a bialgebra whose dual
 is the Heisenberg algebra, the sl2 Casimir tensor, the Lie-Poisson model
-of g*, the primitive Hopf structure of the plane group (and Hopf
-structures from given coproducts, ``hopf_from``) and the commutative
+of g*, the primitive Delta and eps of the plane group (and of groups with
+given coproducts, ``hopf_from``), a Hopf structure with its derived
+antipode swapped for a wrong one (``with_antipode``) and the commutative
 case-1 reduction algebra.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from poisson_forge import ORDER
 from poisson_forge.fixtures import sl2_algebra
 from poisson_forge.lie import Cobracket, LieAlgebra, basis_tensor, wedge
-from poisson_forge.hopf import HopfStructure
 from poisson_forge.ncalg import (
     AlgebraMap, NCPoly, TensorAlgebra, TensorElement, chart_presentation,
     check_map,
@@ -1158,26 +1159,39 @@ def abelian_dual_model(L):
 
 
 def hopf_from(pres, coproducts, counit):
-    """A HopfStructure on ``pres`` from the coproduct images {generator:
-    {(word, word): coefficient}} and the counit values {generator: scalar},
-    with the antipode g -> -g.  For the action certificates, which read
-    Delta and eps only: nothing here makes it a Hopf algebra."""
+    """The Delta and eps of a group on ``pres``, from the coproduct images
+    {generator: {(word, word): coefficient}} and the counit values
+    {generator: scalar}, as the action certificates read them: a stand-in
+    for a ``hopf.HopfStructure`` that derives no antipode, so a coproduct
+    with none, such as Delta(xi) = xi (x) xi with no inverse of xi, is
+    allowed.  Nothing here makes it a Hopf algebra."""
     t2 = TensorAlgebra(pres, 2)
-    return HopfStructure(
-        pres,
-        AlgebraMap(pres, {g: t2.element(terms)
-                          for g, terms in coproducts.items()},
-                   t2.one(), name="Delta"),
-        AlgebraMap(pres, {g: series(c, pres.order)
-                          for g, c in counit.items()},
-                   series(1, pres.order), name="epsilon"),
-        AlgebraMap(pres, {g: -pres.gen(g) for g in pres.gens}, pres.one(),
-                   anti=True, name="S"))
+    return SimpleNamespace(
+        algebra=pres,
+        coproduct=AlgebraMap(pres, {g: t2.element(terms)
+                                    for g, terms in coproducts.items()},
+                             t2.one(), name="Delta"),
+        counit=AlgebraMap(pres, {g: series(c, pres.order)
+                                 for g, c in counit.items()},
+                          series(1, pres.order), name="epsilon"))
+
+
+def with_antipode(hopf, images, name):
+    """``hopf``, a built ``hopf.HopfStructure``, with its derived antipode
+    swapped for the anti-map ``name`` of the generator ``images`` {name:
+    element}, and its report with that map's: a structure with a wrong S,
+    which no input can declare, for the failure path of
+    ``check_antipode``."""
+    pres = hopf.algebra
+    hopf.antipode = AlgebraMap(pres, images, pres.one(), anti=True,
+                               name=name)
+    hopf.antipode_report = check_map(hopf.antipode)
+    return hopf
 
 
 def r2_primitive_hopf(pres):
-    """The primitive Hopf structure on a group with generators xi, eta:
-    Delta(g) = g (x) 1 + 1 (x) g, eps(g) = 0 and S(g) = -g."""
+    """The primitive Delta and eps on a group with generators xi, eta:
+    Delta(g) = g (x) 1 + 1 (x) g and eps(g) = 0."""
     return hopf_from(pres, {g: {((g,), ()): 1, ((), (g,)): 1}
                             for g in ("xi", "eta")},
                      {"xi": 0, "eta": 0})

@@ -85,13 +85,21 @@ def test_spec_check_hopf(capsys):
     assert run(["check-hopf", SPEC, "usl2_hopf", "--degree", "2"]) == 0
 
 
-def test_spec_hopf_map_that_breaks_a_rule_fails_the_axioms(tmp_path,
+def test_spec_hopf_map_that_breaks_a_rule_fails_the_axioms(monkeypatch,
                                                           capsys):
-    # S(E) = E breaks the rule [E, F] = H: the structure is built, and
-    # every axiom that rests on S fails and names it
-    spec = edited_spec(tmp_path, ("hopf_structures", "usl2_hopf", "antipode",
-                                  "E"), [{"coeff": "1", "word": ["E"]}])
-    assert run(["check-hopf", spec, "usl2_hopf"]) == 1
+    # S(E) = E, swapped in for the derived S(E) = -E, breaks the rule
+    # [E, F] = H: every axiom that rests on S fails and names it
+    from oracles import with_antipode
+    built = SpecFile.hopf_structure
+
+    def wrong_antipode(self, name):
+        hopf = built(self, name)
+        pres = hopf.algebra
+        return with_antipode(hopf, {"F": -pres.gen("F"), "H": -pres.gen("H"),
+                                    "E": pres.gen("E")}, "S")
+
+    monkeypatch.setattr(SpecFile, "hopf_structure", wrong_antipode)
+    assert run(["check-hopf", SPEC, "usl2_hopf"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] usl2_hopf/antipode" in out
     assert "defect: map:S: rule " in out
@@ -345,9 +353,9 @@ def test_spec_malformed_r_matrix_names_the_entry(path, value, message,
     (("hopf_structures", "usl2_hopf", "coproduct", "E", 1, "pair"),
      [[], ["E", "Z"]], ["E", "Z"], ["check-hopf", "usl2_hopf"],
      "hopf_structure 'usl2_hopf' coproduct 'E' term 2"),
-    (("hopf_structures", "usl2_hopf", "antipode", "E", 0, "word"),
-     "E", "E", ["check-hopf", "usl2_hopf"],
-     "hopf_structure 'usl2_hopf' antipode 'E' term 1"),
+    (("actions", "qplane_action", "ideal", 0, 0, "word"),
+     "b", "b", ["qreduce", "qplane_action"],
+     "action 'qplane_action' ideal 1 term 1"),
     (("presentations", "usl2", "rules", 0, "terms", 0, "word"),
      ["H", 1], ["H", 1], ["check-hopf", "usl2_hopf"],
      "presentation 'usl2' rule 1 term 1"),
@@ -359,7 +367,10 @@ def test_spec_word_must_list_generator_names(path, value, word, argv, where,
                                              tmp_path, capsys):
     spec = edited_spec(tmp_path, path, value)
     assert run([argv[0], spec, argv[1]]) == 2
-    gens = "['F', 'H', 'E']" if argv[0] == "check-hopf" else "['xi', 'eta']"
+    # the generators of the presentation the edited word is read in: usl2,
+    # r2q (the coproduct) and qplane (the ideal)
+    gens = {"check-hopf": "['F', 'H', 'E']", "check-action": "['xi', 'eta']",
+            "qreduce": "['b', 'a', 'a_inv']"}[argv[0]]
     assert ("input error: %s: a word must be a list of generator names of "
             "%s, got %r" % (where, gens, word)) in capsys.readouterr().err
 
@@ -371,9 +382,6 @@ def test_spec_word_must_list_generator_names(path, value, word, argv, where,
     (("actions", "qplane_action", "relations", 0, "rhs"),
      ["check-action", "qplane_action"], "['xi', 'eta']",
      "action 'qplane_action' relation 1 rhs"),
-    (("hopf_structures", "usl2_hopf", "antipode", "E"),
-     ["check-hopf", "usl2_hopf"], "['F', 'H', 'E']",
-     "hopf_structure 'usl2_hopf' antipode 'E'"),
 ])
 def test_spec_element_name_must_be_a_generator(path, argv, gens, where,
                                                tmp_path, capsys):
@@ -413,9 +421,8 @@ def test_spec_rule_pair_must_name_generators(path, value, gens, where,
      "hopf_structure 'r2q_hopf' coproduct 'xi' term 1"),
     (("hopf_structures", "r2q_hopf", "counit", "xi"), {"re": "0"},
      ["qreduce", "qplane_action"], "hopf_structure 'r2q_hopf' counit 'xi'"),
-    (("hopf_structures", "usl2_hopf", "antipode", "E", 0, "coeff"), -1,
-     ["check-hopf", "usl2_hopf"],
-     "hopf_structure 'usl2_hopf' antipode 'E' term 1"),
+    (("actions", "qplane_action", "ideal", 0, 0, "coeff"), -1,
+     ["qreduce", "qplane_action"], "action 'qplane_action' ideal 1 term 1"),
     (("hopf_structures", "usl2_hopf", "counit", "E"), 0,
      ["check-hopf", "usl2_hopf"], "hopf_structure 'usl2_hopf' counit 'E'"),
     # a JSON boolean or number in a list is no scalar string either
@@ -433,6 +440,50 @@ def test_spec_series_must_be_scalar_strings(path, value, argv, where,
     assert ("input error: %s: a series must be a scalar string or a list of "
             "scalar strings, got %r" % (where, value)) \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, argv, message", [
+    # S is derived from Delta and eps; a declared one is refused
+    (("hopf_structures", "usl2_hopf", "antipode"),
+     {g: [{"coeff": "-1", "word": [g]}] for g in "EFH"},
+     ["check-hopf", "usl2_hopf"],
+     "hopf_structure 'usl2_hopf': 'antipode' is not an input: S is derived "
+     "from the coproduct and the counit"),
+    # an empty sum was an internal error (exit 4)
+    (("actions", "qplane_action", "generators", "xi"),
+     {"op": "sum", "args": []}, ["check-action", "qplane_action"],
+     "action 'qplane_action' generator 'xi': a sum needs at least one arg"),
+    (("actions", "qplane_action", "generators", "eta", "arg", "args"), [],
+     ["qreduce", "qplane_action"],
+     "action 'qplane_action' generator 'eta' arg: a compose needs at least "
+     "one arg"),
+])
+def test_spec_entry_that_is_no_input_is_refused(path, value, argv, message,
+                                                tmp_path, capsys):
+    spec = edited_spec(tmp_path, path, value)
+    assert run([argv[0], spec, argv[1]]) == 2
+    assert "input error: " + message in capsys.readouterr().err
+
+
+def test_spec_group_with_no_antipode_trips_the_derivation_guard(tmp_path,
+                                                                capsys):
+    # Delta(t) = t (x) t with no inverse of t: S(t) t = eps(t) = 1 has no
+    # solution, and no antipode is derived
+    doc = {
+        "presentations": {"grp": {"generators": ["t"], "rules": []}},
+        "hopf_structures": {"grp_hopf": {
+            "algebra": "grp",
+            "coproduct": {"t": [{"coeff": "1", "pair": [["t"], ["t"]]}]},
+            "counit": {"t": "1"}}},
+    }
+    path = tmp_path / "no_inverse.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-hopf", str(path), "grp_hopf"]) == 3
+    captured = capsys.readouterr()
+    assert ("capability exceeded: guard antipode.derive: no antipode on t: "
+            "Delta(t) has no term t (x) a with a invertible: a = t") \
+        in captured.err
+    assert captured.out == ""
 
 
 def test_spec_entry_must_be_an_object(tmp_path, capsys):
@@ -606,14 +657,12 @@ def test_classical_records_do_not_depend_on_order(command, tmp_path):
 PRIMITIVE_GROUP = ({"generators": ["t"], "rules": []}, {
     "coproduct": {"t": [{"coeff": "1", "pair": [["t"], []]},
                         {"coeff": "1", "pair": [[], ["t"]]}]},
-    "counit": {"t": "0"},
-    "antipode": {"t": [{"coeff": "-1", "word": ["t"]}]}})
+    "counit": {"t": "0"}})
 GROUPLIKE_GROUP = (
     {"generators": ["t", "t_inv"], "inverses": {"t_inv": "t"}, "rules": []},
     {"coproduct": {g: [{"coeff": "1", "pair": [[g], [g]]}]
                    for g in ("t", "t_inv")},
-     "counit": {"t": "1", "t_inv": "1"},
-     "antipode": {"t": "t_inv", "t_inv": "t"}})
+     "counit": {"t": "1", "t_inv": "1"}})
 
 
 def test_capability_guard_exit_three(tmp_path, capsys):
@@ -742,7 +791,6 @@ def test_spec_check_hopf_reports_non_confluent_presentation(tmp_path, capsys):
                               {"coeff": "1", "pair": [[], [g]]}]
                           for g in "xyz"},
             "counit": {g: "0" for g in "xyz"},
-            "antipode": {g: [{"coeff": "-1", "word": [g]}] for g in "xyz"},
         }},
     }
     path = tmp_path / "non_confluent.json"
@@ -951,24 +999,21 @@ def test_spec_degree_and_hbar_power_are_integers(path, value, command, where,
             % (where, value)) in capsys.readouterr().err
 
 
-def _negated_antipode(terms):
-    return [dict(t, coeff=[c.replace("-", "") for c in t["coeff"]])
-            for t in terms]
-
-
 @pytest.mark.parametrize("command, skipped, kept", [
     ("check-action", "module-algebra", []),
     ("qreduce", "invariant-subalgebra", ["ideal-invariance"]),
 ])
 def test_spec_group_failing_an_axiom_skips_what_reads_delta_and_eps(
         command, skipped, kept, tmp_path, capsys):
-    # S(eta) = +eta (1 - hbar eta)^-1: the group is not a Hopf algebra, so
-    # the certificates that read its Delta or eps are not run; ideal
+    # Delta(xi) with + hbar eta (x) xi in place of - hbar eta (x) xi is not
+    # coassociative, and the S derived from the left antipode identity
+    # fails the right one: the group is not a Hopf algebra, so the
+    # certificates that read its Delta or eps are not run; ideal
     # invariance reads neither
     doc = json.load(open(SPEC))
-    antipode = doc["hopf_structures"]["r2q_hopf"]["antipode"]
-    antipode["eta"] = _negated_antipode(antipode["eta"])
-    spec = tmp_path / "wrong_antipode.json"
+    doc["hopf_structures"]["r2q_hopf"]["coproduct"]["xi"][2]["coeff"] = [
+        "0", "1"]
+    spec = tmp_path / "wrong_coproduct.json"
     spec.write_text(json.dumps(doc))
     json_out = tmp_path / "records.jsonl"
     assert run([command, str(spec), "qplane_action", "--json",
@@ -979,8 +1024,8 @@ def test_spec_group_failing_an_axiom_skips_what_reads_delta_and_eps(
         + ["qplane_action/%s" % k for k in kept]
     gate = records[1]
     assert gate["verdict"] == "fail" and gate["kind"] == "group-hopf"
-    assert gate["failures"] and all(f.startswith("antipode: ")
-                                    for f in gate["failures"])
+    assert [f.split(": ")[0] for f in gate["failures"]] == [
+        "coassociativity", "antipode"]
     assert gate["notes"] == ["%s not checked: the group r2q is not a "
                              "certified Hopf algebra" % skipped]
     assert all(r["verdict"] == "pass" for r in records if r is not gate)
@@ -1001,8 +1046,7 @@ def test_spec_group_that_is_not_confluent_names_the_overlap(tmp_path,
     hopf = {"coproduct": {g: [{"coeff": "1", "pair": [[g], []]},
                               {"coeff": "1", "pair": [[], [g]]}]
                           for g in "xyz"},
-            "counit": {g: "0" for g in "xyz"},
-            "antipode": {g: [{"coeff": "-1", "word": [g]}] for g in "xyz"}}
+            "counit": {g: "0" for g in "xyz"}}
     commuting = [((b, a), [("1", [a, b])])
                  for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]
     doc = _action_spec(commuting, {"op": "lmul", "element": "x"},

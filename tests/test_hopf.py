@@ -11,7 +11,7 @@ from poisson_forge.hopf import (
 )
 from poisson_forge.lie import check_cocycle
 from poisson_forge.ncalg import TensorAlgebra, AlgebraMap
-from poisson_forge.scalars import HSeries, gauss
+from poisson_forge.scalars import HSeries, gauss, hexp
 
 # the hbar order of the series built here, the fixtures' default
 N = fixtures.ORDER
@@ -31,16 +31,7 @@ def test_uhsl2_hopf_axioms():
 
 def test_grouplike_counit():
     # a group-like g with Delta g = g (x) g, eps(g) = 1
-    from poisson_forge.ncalg import Presentation
-    pres = Presentation(["g"], {}, N, name="grouplike")
-    t2 = TensorAlgebra(pres, 2)
-    cop = AlgebraMap(pres, {"g": t2.element({(("g",), ("g",)): 1})},
-                     t2.one(), name="Delta")
-    counit = AlgebraMap(pres, {"g": HSeries.one(N)}, HSeries.one(N),
-                        name="eps")
-    antipode = AlgebraMap(pres, {"g": pres.gen("g")}, pres.one(),
-                          anti=True, name="S")
-    hopf = HopfStructure(pres, cop, counit, antipode)
+    hopf = _grouplike_hopf()
     assert check_counit(hopf).ok
     assert check_coassociativity(hopf).ok
 
@@ -51,19 +42,12 @@ def test_wrong_counit_fails():
                             {"E": HSeries.zero(N), "F": HSeries.zero(N),
                              "H": HSeries.one(N)},
                             HSeries.one(N), name="eps-bad")
-    bad = HopfStructure(hopf.algebra, hopf.coproduct, bad_counit,
-                        hopf.antipode)
+    bad = HopfStructure(hopf.algebra, hopf.coproduct, bad_counit)
     assert not check_counit(bad).ok
 
 
 def test_wrong_antipode_fails():
-    hopf = fixtures.usl2_hopf()
-    bad_antipode = AlgebraMap(hopf.algebra,
-                              {g: hopf.algebra.gen(g) for g in ("F", "H", "E")},
-                              hopf.algebra.one(), anti=True, name="S-bad")
-    bad = HopfStructure(hopf.algebra, hopf.coproduct, hopf.counit,
-                        bad_antipode)
-    assert not check_antipode(bad).ok
+    assert not check_antipode(_wrong_antipode_hopf()).ok
 
 
 def test_perturbed_coproduct_fails_delta_hom():
@@ -79,7 +63,7 @@ def test_perturbed_coproduct_fails_delta_hom():
     bad_cop = AlgebraMap(pres, {pres.gens[i]: img
                                 for i, img in bad_images.items()},
                          t2.one(), name="Delta-bad")
-    bad = HopfStructure(pres, bad_cop, good.counit, good.antipode)
+    bad = HopfStructure(pres, bad_cop, good.counit)
     assert not check_delta_hom(bad).ok
 
 
@@ -209,7 +193,7 @@ def test_truncated_q_factor_fails_coassociativity():
     images["E"] = t2.from_factors([pres.gen("E"), trunc]) \
         + t2.from_factors([qm, pres.gen("E")])
     cop = AlgebraMap(pres, images, t2.one(), name="Delta-trunc")
-    bad = HopfStructure(pres, cop, good.counit, good.antipode)
+    bad = HopfStructure(pres, cop, good.counit)
     rep = check_coassociativity(bad)
     assert not rep.ok
     assert "E" in rep.failures[0]
@@ -227,21 +211,21 @@ def test_hopf_suite_exact_at_other_truncation_orders():
 # -- the generator certificates against the degree-3 sweep oracle ------------
 
 def _grouplike_hopf():
+    # g and its inverse group-like: S(g) = g^-1 is derived
     from poisson_forge.ncalg import Presentation
-    pres = Presentation(["g"], {}, N, name="grouplike")
+    pres = Presentation(["g", "g_inv"], {}, N, inverses={"g_inv": "g"},
+                        name="grouplike")
     t2 = TensorAlgebra(pres, 2)
-    cop = AlgebraMap(pres, {"g": t2.element({(("g",), ("g",)): 1})},
-                     t2.one(), name="Delta")
-    counit = AlgebraMap(pres, {"g": HSeries.one(N)}, HSeries.one(N),
-                        name="eps")
-    antipode = AlgebraMap(pres, {"g": pres.gen("g")}, pres.one(),
-                          anti=True, name="S")
-    return HopfStructure(pres, cop, counit, antipode)
+    cop = AlgebraMap(pres, {g: t2.element({((g,), (g,)): 1})
+                            for g in pres.gens}, t2.one(), name="Delta")
+    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.one(N)),
+                        HSeries.one(N), name="eps")
+    return HopfStructure(pres, cop, counit)
 
 
-def _with_maps(hopf, coproduct=None, counit=None, antipode=None):
+def _with_maps(hopf, coproduct=None, counit=None):
     return HopfStructure(hopf.algebra, coproduct or hopf.coproduct,
-                         counit or hopf.counit, antipode or hopf.antipode)
+                         counit or hopf.counit)
 
 
 def _with_coproduct_images(hopf, name, **images):
@@ -260,11 +244,11 @@ def _wrong_counit_hopf():
 
 
 def _wrong_antipode_hopf():
+    # S = id on the generators, swapped in for the derived S(x) = -x
+    from oracles import with_antipode
     hopf = fixtures.usl2_hopf()
     pres = hopf.algebra
-    return _with_maps(hopf, antipode=AlgebraMap(
-        pres, {g: pres.gen(g) for g in ("F", "H", "E")}, pres.one(),
-        anti=True, name="S-bad"))
+    return with_antipode(hopf, {g: pres.gen(g) for g in pres.gens}, "S-bad")
 
 
 def _perturbed_coproduct_hopf():
@@ -300,7 +284,9 @@ def _shifted_coproduct_hopf():
 
 def _plane_hopf(**bad):
     # the commutative plane x, y with x, y primitive; ``bad`` replaces the
-    # coproduct, counit or antipode image of y only, keeping every rule
+    # coproduct, counit or antipode image of y only, keeping every rule;
+    # the antipode is swapped in for the derived one
+    from oracles import with_antipode
     from poisson_forge.ncalg import Presentation
     pres = Presentation(["x", "y"], {("y", "x"): {("x", "y"): 1}}, N,
                         name="plane")
@@ -309,17 +295,16 @@ def _plane_hopf(**bad):
     cop = {g: t2.embed(pres.gen(g), 0) + t2.embed(pres.gen(g), 1)
            for g in ("x", "y")}
     eps = {"x": HSeries.zero(N), "y": HSeries.zero(N)}
-    anti = {"x": -x, "y": -y}
     if "coproduct" in bad:
         cop["y"] = cop["y"] + t2.embed(x, 0)
     if "counit" in bad:
         eps["y"] = HSeries.one(N)
-    if "antipode" in bad:
-        anti["y"] = y
-    return HopfStructure(
+    hopf = HopfStructure(
         pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
-        AlgebraMap(pres, eps, HSeries.one(N), name="eps"),
-        AlgebraMap(pres, anti, pres.one(), anti=True, name="S"))
+        AlgebraMap(pres, eps, HSeries.one(N), name="eps"))
+    if "antipode" in bad:
+        with_antipode(hopf, {"x": -x, "y": y}, "S")
+    return hopf
 
 
 def _spec_hopf(name, order=N):
@@ -337,7 +322,8 @@ def _spec_usl2_hopf():
 def _twisted_grouplike_hopf():
     # the commutative algebra of x, y, m, m^-1 with x, y primitive and
     # Delta(m) = (m (x) m) exp(hbar x (x) y): coassociative since x (x) y
-    # commutes with its images, S(m) = m^-1 exp(hbar x y).  m is group-like
+    # commutes with its images; S(m) = m^-1 exp(hbar x y) is derived (see
+    # ``test_derived_antipode_is_the_closed_form``).  m is group-like
     # mod hbar, and delta(m) = (m (x) m)(x (x) y - y (x) x) != 0
     from math import factorial
     from poisson_forge.ncalg import Presentation
@@ -357,22 +343,14 @@ def _twisted_grouplike_hopf():
         return t2.element({(("x",) * k, ("y",) * k): coeff(sign, k)
                            for k in range(n)})
 
-    def exp_product(sign):
-        return pres.element([(coeff(sign, k), ["x"] * k + ["y"] * k)
-                             for k in range(n)])
-
     cop = {"x": t2.embed(x, 0) + t2.embed(x, 1),
            "y": t2.embed(y, 0) + t2.embed(y, 1),
            "m": t2.from_factors([m, m]) * exp_tensor(1),
            "m_inv": t2.from_factors([m_inv, m_inv]) * exp_tensor(-1)}
     eps = {"x": HSeries.zero(N), "y": HSeries.zero(N), "m": HSeries.one(N),
            "m_inv": HSeries.one(N)}
-    anti = {"x": -x, "y": -y, "m": m_inv * exp_product(1),
-            "m_inv": m * exp_product(-1)}
     return HopfStructure(pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
-                         AlgebraMap(pres, eps, HSeries.one(N), name="eps"),
-                         AlgebraMap(pres, anti, pres.one(), anti=True,
-                                    name="S"))
+                         AlgebraMap(pres, eps, HSeries.one(N), name="eps"))
 
 
 # the groups of the quantum actions, as builders of their Hopf structures
@@ -400,6 +378,124 @@ def test_su2_group_counit_is_one_on_zeta():
     pres = hopf.algebra
     assert {g: hopf.counit.apply_word((pres.index(g),)) for g in pres.gens} \
         == {"xi": 0, "eta": 0, "zeta": 1, "zeta_inv": 1}
+
+
+# -- the derived antipode against the closed forms ----------------------------
+
+def _usl2_antipode(pres):
+    return {g: -pres.gen(g) for g in pres.gens}
+
+
+def _uhsl2_antipode(pres):
+    # S(E) = -qE, S(F) = -q^-1 F and S(H) = -H, q = exp(hbar/4)
+    n = pres.order
+    return {"E": pres.gen("E") * -hexp(Fraction(1, 4), n),
+            "F": pres.gen("F") * -hexp(Fraction(-1, 4), n),
+            "H": -pres.gen("H")}
+
+
+def _r2_antipode(pres):
+    # S(eta) = -eta (1 - hbar eta)^-1 and S(xi) = -(1 - hbar eta)^-1 xi,
+    # (1 - hbar eta)^-1 = sum hbar^k eta^k mod hbar^N
+    n = pres.order
+    geometric = pres.element([(HSeries([0] * k + [1], n), ["eta"] * k)
+                              for k in range(n)])
+    return {"xi": -(geometric * pres.gen("xi")),
+            "eta": -(pres.gen("eta") * geometric)}
+
+
+def _su2_antipode(pres):
+    # S(zeta^+-1) = zeta^-+1, S(xi) = -zeta^-1 xi and S(eta) = -eta zeta
+    xi, eta, zeta, zeta_inv = (pres.gen(g) for g in pres.gens)
+    return {"xi": -(zeta_inv * xi), "eta": -(eta * zeta), "zeta": zeta_inv,
+            "zeta_inv": zeta}
+
+
+def _twisted_antipode(pres):
+    # S(m^+-1) = m^-+1 exp(+-hbar x y) and S(x) = -x, S(y) = -y
+    from math import factorial
+    n = pres.order
+
+    def exp_product(sign):
+        return pres.element([(HSeries([0] * k + [Fraction(sign ** k,
+                                                          factorial(k))], n),
+                              ["x"] * k + ["y"] * k) for k in range(n)])
+
+    return {"x": -pres.gen("x"), "y": -pres.gen("y"),
+            "m": pres.gen("m_inv") * exp_product(1),
+            "m_inv": pres.gen("m") * exp_product(-1)}
+
+
+CLOSED_FORMS = {
+    "usl2": (fixtures.usl2_hopf, _usl2_antipode),
+    "uhsl2": (fixtures.uhsl2_hopf, _uhsl2_antipode),
+    "r2-commuting": (lambda n: fixtures.r2_hopf(True, n), _r2_antipode),
+    "r2-free": (lambda n: fixtures.r2_hopf(False, n), _r2_antipode),
+    "su2": (fixtures.su2_hopf, _su2_antipode),
+    "spec-usl2": (lambda n: _spec_hopf("usl2_hopf", n), _usl2_antipode),
+    "spec-r2q": (lambda n: _spec_hopf("r2q_hopf", n), _r2_antipode),
+}
+
+
+@pytest.mark.parametrize("order", [1, 6, 16, 32])
+@pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+def test_derived_antipode_is_the_closed_form(case, order):
+    # the antipode derived from Delta and eps is the closed form the
+    # fixtures state, term for term and in the same window, at each order
+    build, closed = CLOSED_FORMS[case]
+    hopf = build(order)
+    pres = hopf.algebra
+    derived = hopf.antipode.images
+    for g, want in closed(pres).items():
+        got = derived[pres.index(g)]
+        assert (got.terms, got.order) == (want.terms, want.order), (case, g)
+
+
+def test_derived_antipode_of_a_twisted_grouplike():
+    # Delta(m) carries exp(hbar x (x) y), which the derivation reads at
+    # every power of hbar: S(m) = m^-1 exp(hbar x y)
+    hopf = _twisted_grouplike_hopf()
+    pres = hopf.algebra
+    for g, want in _twisted_antipode(pres).items():
+        got = hopf.antipode.images[pres.index(g)]
+        assert (got.terms, got.order) == (want.terms, want.order), g
+
+
+def _bialgebra(gens, coproducts, counit, inverses=None):
+    from poisson_forge.ncalg import Presentation
+    pres = Presentation(gens, {}, N, inverses=inverses, name="bialgebra")
+    t2 = TensorAlgebra(pres, 2)
+    return (pres,
+            AlgebraMap(pres, {g: t2.element(terms)
+                              for g, terms in coproducts.items()},
+                       t2.one(), name="Delta"),
+            AlgebraMap(pres, {g: HSeries([c], N) for g, c in counit.items()},
+                       HSeries.one(N), name="eps"))
+
+
+@pytest.mark.parametrize("gens, coproducts, counit, cause", [
+    # t group-like with no inverse: no invertible a in t (x) a
+    (["t"], {"t": {(("t",), ("t",)): 1}}, {"t": 1},
+     "no antipode on t: Delta(t) has no term t (x) a with a invertible: "
+     "a = t"),
+    # t (x) t is not t's own term, and t has no other
+    (["t"], {"t": {((), ("t",)): 1}}, {"t": 0},
+     "no antipode on t: Delta(t) has no term t (x) a with a invertible: "
+     "a = 0"),
+    # S(x) reads S(y) at hbar^0 and S(y) reads S(x)
+    (["x", "y"], {"x": {(("x",), ()): 1, (("y",), ("x",)): 1},
+                  "y": {(("y",), ()): 1, (("x",), ("y",)): 1}},
+     {"x": 0, "y": 0},
+     "at hbar^0 its image reads S cyclically, through "),
+])
+def test_underivable_antipode_trips_a_named_guard(gens, coproducts, counit,
+                                                  cause):
+    from poisson_forge.errors import CapabilityError
+    with pytest.raises(CapabilityError) as info:
+        HopfStructure(*_bialgebra(gens, coproducts, counit))
+    assert info.value.guard == "antipode.derive"
+    assert str(info.value).startswith("guard antipode.derive: ")
+    assert cause in str(info.value)
 
 
 ORACLE_CASES = {

@@ -77,3 +77,15 @@ def test_spec_verdicts_are_only_lost_as_the_order_falls(command, tmp_path,
     runs = {n: _run([command, SPEC, "qplane_action", "--order", str(n)],
                     tmp_path, capsys) for n in SPEC_ORDERS}
     _assert_ladder(runs, SPEC_FIRST[command])
+
+
+def test_spec_hopf_passes_past_the_written_series(tmp_path, capsys):
+    # the antipode is derived at the run's order, so no series written to
+    # a fixed number of terms stands in for it: at N = 33, one past the
+    # longest series of the sample spec, r2q_hopf passes every check (its
+    # 32-term antipode series failed r2q_hopf/antipode there)
+    code, _, verdicts = _run(["check-hopf", SPEC, "r2q_hopf", "--order",
+                              "33"], tmp_path, capsys)
+    assert code == 0
+    assert verdicts == {"r2q_hopf/%s" % k: "pass" for k in (
+        "confluence", "coassociativity", "counit", "antipode", "delta-hom")}
