@@ -2,7 +2,7 @@
 
 The quantum momentum map sends quantum-group generators to noncommutative
 1-forms a db whose sharp (1/hbar) a [b, .] realizes the quantum action.
-This demo evaluates the actions, compiles the sharps of the case-2 momentum
+This demo evaluates the actions, builds the sharps of the case-2 momentum
 1-forms and compares each with the action's operator, checks the Hopf
 module-algebra condition against the coproduct of the acting quantum
 group's Hopf structure, surfaces the case-2 commutator discrepancy with
@@ -45,7 +45,7 @@ if __name__ == "__main__":
     print("    mu(xi)  = a db        -> sharp = (1/hbar) a [b, .]")
     print("    mu(eta) = a d(a^-1)   -> sharp = (1/hbar) a [a^-1, .]")
     for name, mu in (("xi", mu_xi), ("eta", mu_eta)):
-        sharp = mu.sharp().compile(alg)
+        sharp = mu.sharp()
         op = act.operator((name,))
         same = (sharp.k, sharp.order, sharp.terms) == (op.k, op.order,
                                                        op.terms)

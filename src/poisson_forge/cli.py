@@ -129,6 +129,19 @@ def parse_args(argv):
     return args
 
 
+def _confluence(name, presentation, unchecked):
+    """The confluence record of ``presentation`` as a one-record result,
+    and whether it passed.  On a presentation that is not confluent normal
+    forms are not unique, so a certificate's fail or a witness found there
+    would not be conclusive: the record then notes that ``unchecked`` were
+    not checked, and the command reports the presentation instead."""
+    rep = presentation.check_confluence()
+    if not rep.ok:
+        rep.notes.append("%s not checked: presentation %s is not confluent"
+                         % (unchecked, presentation.name))
+    return [("%s/confluence" % name, rep)], rep.ok
+
+
 def run_spec_command(command, spec, args):
     """Checks for named objects from a user specification."""
     name = args.name
@@ -182,13 +195,8 @@ def run_spec_command(command, spec, args):
             raise SpecError("check-hopf needs a Hopf structure name")
         from .hopf import check_all_axioms
         hopf = spec.hopf_structure(name)
-        confluence = hopf.algebra.check_confluence()
-        out = [("%s/confluence" % name, confluence)]
-        if not confluence.ok:
-            # normal forms are not unique, so an axiom certificate's fail
-            # would not be conclusive: report the presentation instead
-            confluence.notes.append("Hopf axioms not checked: presentation "
-                                    "%s is not confluent" % hopf.algebra.name)
+        out, confluent = _confluence(name, hopf.algebra, "Hopf axioms")
+        if not confluent:
             return out
         reports = check_all_axioms(hopf)
         return out + [("%s/%s" % (name, key), reports[key])
@@ -199,14 +207,9 @@ def run_spec_command(command, spec, args):
             raise SpecError("check-action needs an action name")
         from .qmomentum import check_module_algebra, check_action_lie_hom
         action, extras = spec.quantum_action(name)
-        confluence = action.algebra.check_confluence()
-        out = [("%s/confluence" % name, confluence)]
-        if not confluence.ok:
-            # a witness found on non-unique normal forms would not be
-            # conclusive: report the presentation instead
-            confluence.notes.append("action identities not checked: "
-                                    "presentation %s is not confluent"
-                                    % action.algebra.name)
+        out, confluent = _confluence(name, action.algebra,
+                                     "action identities")
+        if not confluent:
             return out
         degree = min(args.degree, extras["degree"])
         gate = suites.group_gate(name, action.hopf, ["module-algebra"])
@@ -249,18 +252,11 @@ def run_spec_command(command, spec, args):
     if command == "qreduce":
         if name is None:
             raise SpecError("qreduce needs an action name")
-        from .qmomentum import (
-            QuantumAction, check_ideal_invariance, invariant_subalgebra,
-        )
+        from .qmomentum import check_ideal_invariance, invariant_subalgebra
         action, extras = spec.quantum_action(name)
-        confluence = action.algebra.check_confluence()
-        out = [("%s/confluence" % name, confluence)]
-        if not confluence.ok:
-            # the action's images are normal forms, unique only on a
-            # confluent presentation: report the presentation instead
-            confluence.notes.append("quantum reduction not checked: "
-                                    "presentation %s is not confluent"
-                                    % action.algebra.name)
+        out, confluent = _confluence(name, action.algebra,
+                                     "quantum reduction")
+        if not confluent:
             return out
         degree = min(args.degree, extras["degree"])
         gate = suites.group_gate(name, action.hopf, ["invariant-subalgebra"])
@@ -271,9 +267,7 @@ def run_spec_command(command, spec, args):
                         check_ideal_invariance(action, extras["ideal"],
                                                quotient))]
         if not gate:
-            _, rep = invariant_subalgebra(
-                QuantumAction(action.hopf, quotient, action.exprs),
-                degree=degree)
+            _, rep = invariant_subalgebra(action.on(quotient), degree=degree)
             out.append(("%s/invariant-subalgebra" % name, rep))
         return out
     raise SpecError("unknown command %r" % command)

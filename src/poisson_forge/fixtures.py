@@ -702,47 +702,41 @@ def case_action(case, order=ORDER):
 def r2_action(algebra, hopf):
     """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on a
     module algebra with generators a, a_inv and b, for the U_hbar(R2)
-    structure ``hopf`` (``r2_hopf``), which actions may share."""
-    from .qmomentum import QuantumAction, hamiltonian_pair
-    a = algebra.gen("a")
-    a_inv = algebra.gen("a_inv")
-    b = algebra.gen("b")
+    structure ``hopf`` (``r2_hopf``), which actions may share: the sharps
+    of the momentum 1-forms a db and a d(a^-1)."""
+    from .qmomentum import QuantumAction, one_form
     return QuantumAction(hopf, algebra, {
-        "xi": hamiltonian_pair(a, b),
-        "eta": hamiltonian_pair(a, a_inv),
+        "xi": one_form(algebra, [("a", "b")]).sharp(),
+        "eta": one_form(algebra, [("a", "a_inv")]).sharp(),
     })
 
 
 def su2_action(order=ORDER):
     """The 3-dimensional example: Phi(xi) = (1/hbar) a [b, .],
     Phi(eta) = (1/hbar) [c, .] a, Phi(zeta) = a (.) a^-1."""
-    from .qmomentum import (
-        QuantumAction, hamiltonian_pair, conjugation, Compose, RMul,
-        Commutator, HbarDiv,
-    )
+    from .qmomentum import QuantumAction, lmul, one_form, rmul
     algebra = su2_module_algebra(order)
     hopf = su2_hopf(order)
     a = algebra.gen("a")
     a_inv = algebra.gen("a_inv")
-    b = algebra.gen("b")
     c = algebra.gen("c")
+    ad_c = lmul(algebra, c) - rmul(algebra, c)
     return QuantumAction(hopf, algebra, {
-        "xi": hamiltonian_pair(a, b),
-        "eta": HbarDiv(Compose([RMul(a), Commutator(c)]), 1),
-        "zeta": conjugation(a, a_inv),
-        "zeta_inv": conjugation(a_inv, a),
+        "xi": one_form(algebra, [("a", "b")]).sharp(),
+        "eta": (rmul(algebra, a) * ad_c).divide_by_hbar(),
+        "zeta": lmul(algebra, a) * rmul(algebra, a_inv),
+        "zeta_inv": lmul(algebra, a_inv) * rmul(algebra, a),
     })
 
 
 def su2_commutator_target_for(action):
-    """The right side of [Phi(xi), Phi(eta)] for the 3D example, built on
-    the same module algebra as the action."""
-    from .qmomentum import Scale, Sum, HbarDiv
+    """The right side of [Phi(xi), Phi(eta)] for the 3D example,
+    (Phi(zeta^-1) - Phi(zeta)) hbar^-1 u^-1 with u = (e^-hbar - e^hbar) /
+    hbar, made from the action's own operators."""
     order = action.algebra.order
     u = (hexp(-1, order + 1) - hexp(1, order + 1)).divide_by_hbar()
-    zeta_inv = action.exprs["zeta_inv"]
-    zeta = action.exprs["zeta"]
-    return Scale(HbarDiv(Sum([zeta_inv, Scale(zeta, -1)]), 1), u.inverse())
+    ops = action.operators
+    return (ops["zeta_inv"] - ops["zeta"]).divide_by_hbar() * u.inverse()
 
 
 def su2_momentum_ideal_generator(alg):

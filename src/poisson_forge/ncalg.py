@@ -529,10 +529,13 @@ class TensorAlgebra:
         return self.presentation.order
 
     def element(self, terms):
-        word = self.presentation._word
-        return TensorElement(self, *_flat(
-            ((tuple(word(w) for w in key), c) for key, c in terms.items()),
-            self.order))
+        """The element sum c (w_1, ..., w_k) of {(w_1, ..., w_k): c}, each
+        slot's word taken to normal form."""
+        pres = self.presentation
+        terms, order = _flat(((tuple(map(pres._word, key)), c)
+                              for key, c in terms.items()), self.order)
+        flat = pres._normal(terms.items(), order, True)
+        return TensorElement(self, flat.terms, flat.order)
 
     def one(self):
         return self.element({((),) * self.k: 1})
@@ -638,8 +641,8 @@ class AlgebraMap:
         hit = self._cache.get(word)
         if hit is not None:
             return hit
-        if not word:
-            out = self.one
+        if len(word) < 2:
+            out = self.images[word[0]] if word else self.one
         else:
             prefix, last = word[:-1], word[-1]
             if self.anti:

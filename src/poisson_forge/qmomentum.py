@@ -1,20 +1,19 @@
 """Quantum actions, quantum momentum maps and quantum reduction checks.
 
-Actions are formal endomorphism expressions over a presented algebra:
-left/right multiplications, commutators, sums, compositions, scalar
-multiples and hbar-divisions.  This covers both the single-commutator
-actions (1/hbar) a [b, .] and conjugation actions a (.) a^-1.  The group
-that acts is a ``hopf.HopfStructure``, the one source of the Delta and eps
-the checks read.
-
-Every expression compiles to a two-sided multiplication operator
-f -> hbar^-k sum c L f R, an element of A (x) A^op with an hbar shift
-(``Operator``): flat terms with a window, whose sums, scalings and
-commutators are the elements' own and whose product is composition.  An
-action is then an algebra map Phi from the group's presentation into these
-operators (Montgomery, *Hopf Algebras and Their Actions on Rings*, ch. 4),
-one ``ncalg.AlgebraMap`` that evaluates words and elements as Delta, eps
-and S are evaluated.  The operator is the only evaluator of an action: it
+An action of a quantum group on a presented algebra A is an algebra map
+Phi from the group into the two-sided multiplication operators
+f -> hbar^-k sum c L f R on A (Montgomery, *Hopf Algebras and Their
+Actions on Rings*, ch. 4): elements of A (x) A^op with an hbar shift
+(``Operator``), flat terms with a window, whose sums, scalings and
+commutators are the elements' own and whose product is composition.  A
+generator's operator is built with that arithmetic from left and right
+multiplications (``lmul``, ``rmul``) and ``Operator.divide_by_hbar``,
+which raises the shift: the single-commutator actions (1/hbar) a [b, .],
+the sharps of 1-forms a db (``NCOneForm.sharp``), and conjugations
+a (.) a^-1.  The group that acts is a ``hopf.HopfStructure``, the one
+source of the Delta and eps the checks read, and Phi is one
+``ncalg.AlgebraMap`` that evaluates words and elements as Delta and eps
+are evaluated.  The operator is the only evaluator of an action: it
 divides by hbar^k once, on its value, so an action is only densely
 defined -- where that division is inexact it raises with the word and
 coefficient of the offending term.  The group's rules, the module-algebra
@@ -29,9 +28,9 @@ J exactly when its normal form there is 0.  Invariance of J under the
 action is then a certificate: a two-sided multiplication operator maps J
 into J, so Phi(g) = hbar^-k T does mod hbar^(N - k) wherever Phi(g) maps
 A into A (``check_ideal_invariance``).  The reduced algebra is the
-invariants of A / J: the same expressions, compiled on the quotient's
-presentation, act on its normal words, and the division by hbar^k is done
-on A / J (``invariant_subalgebra``).
+invariants of A / J: each generator's tensor, taken to normal form on the
+quotient's presentation (``QuantumAction.on``), acts on its normal words,
+and the division by hbar^k is done on A / J (``invariant_subalgebra``).
 
 Noncommutative 1-forms are sums of pairs a db with an explicit hbar
 offset; their product is normalized so that the sharp map
@@ -41,126 +40,19 @@ which forces db.dc = b dc - d(cb) + c db up to one global hbar power.
 
 import functools
 import itertools
-import math
 
 from .errors import CapabilityError
 from .linalg import solve
 from .ncalg import AlgebraMap, _ncpoly, _pairs
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import (
-    HSeries, LinComb, _SeriesComb, _accumulate, _hseries, gauss, series,
+    LinComb, _SeriesComb, _accumulate, _hseries, series,
 )
 
 
 # ---------------------------------------------------------------------------
-# Action expressions
+# Operators
 # ---------------------------------------------------------------------------
-
-class ActionExpr:
-    def compile(self, algebra):
-        """The expression as an Operator on ``algebra``."""
-        raise NotImplementedError
-
-
-class Identity(ActionExpr):
-    def compile(self, algebra):
-        return Operator.multiplication(algebra, algebra.one(), algebra.one())
-
-    def __repr__(self):
-        return "id"
-
-
-class LMul(ActionExpr):
-    def __init__(self, c):
-        self.c = c
-
-    def compile(self, algebra):
-        return Operator.multiplication(algebra, self.c, algebra.one())
-
-    def __repr__(self):
-        return "L[%r]" % self.c
-
-
-class RMul(ActionExpr):
-    def __init__(self, c):
-        self.c = c
-
-    def compile(self, algebra):
-        return Operator.multiplication(algebra, algebra.one(), self.c)
-
-    def __repr__(self):
-        return "R[%r]" % self.c
-
-
-class Commutator(ActionExpr):
-    def __init__(self, c):
-        self.c = c
-
-    def compile(self, algebra):
-        return LMul(self.c).compile(algebra) - RMul(self.c).compile(algebra)
-
-    def __repr__(self):
-        return "ad[%r]" % self.c
-
-
-class Scale(ActionExpr):
-    """The child times a series, or times an exact scalar that becomes a
-    series mod hbar^N of the algebra it is compiled on."""
-
-    def __init__(self, expr, scalar):
-        self.expr = expr
-        self.scalar = scalar if isinstance(scalar, HSeries) else gauss(scalar)
-
-    def compile(self, algebra):
-        return self.expr.compile(algebra) * self.scalar
-
-    def __repr__(self):
-        return "(%s)*%r" % (self.scalar, self.expr)
-
-
-class Sum(ActionExpr):
-    def __init__(self, exprs):
-        self.exprs = list(exprs)
-
-    def compile(self, algebra):
-        ops = [e.compile(algebra) for e in self.exprs]
-        return sum(ops[1:], ops[0])
-
-    def __repr__(self):
-        return " + ".join(map(repr, self.exprs))
-
-
-class Compose(ActionExpr):
-    """Compose([e1, e2]) applies e2 first: (e1 o e2)(f) = e1(e2(f))."""
-
-    def __init__(self, exprs):
-        self.exprs = list(exprs)
-
-    def compile(self, algebra):
-        ops = [e.compile(algebra) for e in self.exprs]
-        return math.prod(ops[1:], start=ops[0])
-
-    def __repr__(self):
-        return " o ".join(map(repr, self.exprs))
-
-
-class HbarDiv(ActionExpr):
-    """hbar^-k times the child: it raises the compiled operator's shift by
-    k, and the operator divides by hbar^k once, on its value, raising
-    ValuationError where that value is not divisible -- the documented
-    failure mode for expressions that are only densely defined."""
-
-    def __init__(self, expr, k=1):
-        self.expr = expr
-        self.k = k
-
-    def compile(self, algebra):
-        op = self.expr.compile(algebra)
-        return Operator(algebra, op.k + self.k, op.terms, op.order)
-
-    def __repr__(self):
-        return "hbar^-%d (%r)" % (self.k, self.expr)
-
 
 class Operator(_SeriesComb):
     """hbar^-k sum c hbar^j [L | M ... | R]: a multilinear multiplication
@@ -255,6 +147,11 @@ class Operator(_SeriesComb):
         return self._product(self.k + other.k, other,
                              lambda a, b: (a[0] + b[0], b[1] + a[1]))
 
+    def divide_by_hbar(self, k=1):
+        """hbar^-k times the operator: the shift rises by k, and the value
+        is still divided once, in ``__call__``."""
+        return Operator(self.algebra, self.k + k, self.terms, self.order)
+
     @property
     def window(self):
         return self.order - self.k
@@ -272,21 +169,21 @@ class Operator(_SeriesComb):
         return _ncpoly(pres, value.terms, value.order).divide_by_hbar(self.k)
 
 
-def hamiltonian_pair(a, b):
-    """(1/hbar) a [b, .] -- the sharp of the 1-form a db."""
-    return HbarDiv(Compose([LMul(a), Commutator(b)]), 1)
+def lmul(algebra, c):
+    """f -> c f on ``algebra``."""
+    return Operator.multiplication(algebra, c, algebra.one())
 
 
-def conjugation(a, a_inv):
-    """f -> a f a^-1."""
-    return Compose([LMul(a), RMul(a_inv)])
+def rmul(algebra, c):
+    """f -> f c on ``algebra``."""
+    return Operator.multiplication(algebra, algebra.one(), c)
 
 
 class QuantumAction:
     """An action of a quantum group on a presented algebra: the algebra map
     Phi (``phi``, an ``ncalg.AlgebraMap``) from the group's presentation
     into the two-slot operators on ``algebra``, given by each generator's
-    expression, compiled once.  A word acts as the composite of its
+    ``Operator`` (``operators``).  A word acts as the composite of its
     letters' operators, Phi(x y) = Phi(x) Phi(y), the empty word as the
     identity, and an element as the sum of its words' operators scaled by
     their coefficients.  Phi is an action of the group only if it respects
@@ -294,14 +191,25 @@ class QuantumAction:
     The group acting is a ``hopf.HopfStructure``; ``group`` is its
     presentation, and the certificates read Delta and eps from it."""
 
-    def __init__(self, hopf, algebra, generator_exprs):
+    def __init__(self, hopf, algebra, operators):
         self.hopf = hopf
         self.group = hopf.algebra
         self.algebra = algebra
-        self.exprs = dict(generator_exprs)
-        self.phi = AlgebraMap(
-            self.group, {g: e.compile(algebra) for g, e in self.exprs.items()},
-            Identity().compile(algebra), name="Phi")
+        self.operators = dict(operators)
+        self.phi = AlgebraMap(self.group, self.operators,
+                              lmul(algebra, algebra.one()), name="Phi")
+
+    def on(self, quotient):
+        """The action on ``quotient``, a quotient of ``algebra`` on the
+        same generators: each generator's tensor taken to normal form there,
+        slot by slot.  A two-sided multiplication operator maps an
+        invariant ideal J into J, so it acts on A / J through any
+        representatives of its words (``check_ideal_invariance``)."""
+        def carried(op):
+            flat = quotient._normal(op.terms.items(), op.order, True)
+            return Operator(quotient, op.k, flat.terms, flat.order)
+        return QuantumAction(self.hopf, quotient, {
+            g: carried(op) for g, op in self.operators.items()})
 
     def operator(self, word):
         """Phi(word), for a word of generator names or indices."""
@@ -456,7 +364,7 @@ def check_module_algebra(action, degree=2):
         if witness is not None:
             return Report.from_failures("module-algebra", [witness])
         inconclusive = inconclusive or (label, defect)
-    for name in action.exprs:
+    for name in action.operators:
         cop = action.hopf.coproduct.apply_word((group.index(name),))
         defect = module_algebra_defect(action, name, cop)
         if _certified("module-algebra", defect):
@@ -472,16 +380,16 @@ def check_module_algebra(action, degree=2):
 
 
 def _expected_operator(action, expected):
-    """Phi(expected) for a quantum-group element, or an ActionExpr
-    compiled."""
-    if isinstance(expected, ActionExpr):
-        return expected.compile(action.algebra)
+    """Phi(expected) for a quantum-group element, or an Operator as it
+    is."""
+    if isinstance(expected, Operator):
+        return expected
     return action.phi(expected)
 
 
 def lie_hom_defect(action, xn, yn, expected):
     """[Phi(xn), Phi(yn)] - Phi(expected) in A (x) A^op.  ``expected`` is a
-    quantum-group element (extended through Phi) or an ActionExpr."""
+    quantum-group element (extended through Phi) or an Operator."""
     ox, oy = action.operator((xn,)), action.operator((yn,))
     return ox.commutator(oy) - _expected_operator(action, expected)
 
@@ -505,7 +413,7 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
 
     ``relations`` maps pairs of generator names to the expected right side,
     given either as a quantum-group element (extended through Phi) or as an
-    explicit ActionExpr.  Theorem: if the tensor of ``lie_hom_defect`` is
+    explicit Operator.  Theorem: if the tensor of ``lie_hom_defect`` is
     zero, the relation holds on every element, in every degree, wherever
     the hbar-divisions are exact; with coefficients known mod hbar^N and
     shift K it is exact mod hbar^(N - K) (an empty window raises
@@ -605,10 +513,12 @@ class NCOneForm:
         return out
 
     def sharp(self):
-        """The endomorphism hbar^{-(offset+1)} sum a [b, .]."""
-        terms = [Compose([LMul(a), Commutator(b)]) for a, b in self.pairs]
-        return HbarDiv(Sum(terms) if terms else Scale(Identity(), 0),
-                       self.offset + 1)
+        """The operator hbar^{-(offset+1)} sum a [b, .]."""
+        alg = self.presentation
+        ops = [lmul(alg, a) * (lmul(alg, b) - rmul(alg, b))
+               for a, b in self.pairs]
+        total = sum(ops[1:], ops[0]) if ops else lmul(alg, alg.one()) * 0
+        return total.divide_by_hbar(self.offset + 1)
 
     def __repr__(self):
         body = " + ".join("(%r) d(%r)" % (a, b) for a, b in self.pairs) or "0"
@@ -629,7 +539,7 @@ def check_ideal_invariance(action, ideal_gens, quotient):
     """Phi(g)(J) lies in J = <ideal_gens> for every quantum-group
     generator g.
 
-    Theorem.  Phi(g) compiles to hbar^-k T with T = sum c L (x) R in
+    Theorem.  Phi(g) is hbar^-k T with T = sum c L (x) R in
     A (x) A^op (``Operator``), and T(x) = sum c L x R lies in J for every x
     in J.  ``Presentation.quotient`` presents A / J with unit leading
     coefficients, so A / J is free over Q(i)[hbar]/(hbar^N) on its
@@ -656,7 +566,7 @@ def check_ideal_invariance(action, ideal_gens, quotient):
         return Report("ideal-invariance", PASS,
                       notes=["zero ideal is trivially invariant"])
     failures = []
-    for name in action.exprs:
+    for name in action.operators:
         op = action.operator((name,))
         for s in ideal_gens:
             _check_window("ideal-invariance", op, s.order)
@@ -696,7 +606,7 @@ def invariant_subalgebra(action, degree=2):
     """
     from .linalg import kernel
     alg = action.algebra
-    ops = {name: action.operator((name,)) for name in action.exprs}
+    ops = {name: action.operator((name,)) for name in action.operators}
     for op in ops.values():
         _check_window("invariant-subalgebra", op)
 

@@ -14,6 +14,7 @@ structure's never the matrix groups or Poisson geometry.
 """
 
 import json
+import math
 
 from .coordpoly import Chart, poly
 from .errors import SpecError
@@ -307,32 +308,36 @@ class SpecFile:
         return HopfStructure(pres, cop, counit)
 
     def action_expr(self, pres, spec):
-        from .qmomentum import (
-            Commutator, Compose, HbarDiv, Identity, LMul, RMul, Scale, Sum,
-        )
+        """The ``qmomentum.Operator`` on ``pres`` of an action expression."""
+        from .qmomentum import lmul, rmul
         spec = _fields("action expression", spec)
         op = spec["op"]
         if op == "id":
-            return Identity()
+            return lmul(pres, pres.one())
         if op in ("lmul", "rmul", "commutator"):
             elem = self.nc_element(pres, spec["element"],
                                    spec.where + " element")
-            cls = {"lmul": LMul, "rmul": RMul, "commutator": Commutator}[op]
-            return cls(elem)
+            if op == "lmul":
+                return lmul(pres, elem)
+            if op == "rmul":
+                return rmul(pres, elem)
+            return lmul(pres, elem) - rmul(pres, elem)
         arg, args = spec.where + " arg", spec.where + " args"
         if op == "scale":
-            return Scale(self.action_expr(pres, _fields(arg, spec["arg"])),
-                         self._series(spec["scalar"], spec.where))
+            return self.action_expr(pres, _fields(arg, spec["arg"])) \
+                * self._series(spec["scalar"], spec.where)
         if op in ("sum", "compose"):
             items = _items(args, spec["args"])
             if not items:
                 raise SpecError("%s: a %s needs at least one arg"
                                 % (spec.where, op))
-            cls = Sum if op == "sum" else Compose
-            return cls([self.action_expr(pres, a) for a in items])
+            ops = [self.action_expr(pres, a) for a in items]
+            if op == "sum":
+                return sum(ops[1:], ops[0])
+            return math.prod(ops[1:], start=ops[0])
         if op == "hbar_div":
-            return HbarDiv(self.action_expr(pres, _fields(arg, spec["arg"])),
-                           _natural(spec.where + " k", spec.get("k", 1)))
+            return self.action_expr(pres, _fields(arg, spec["arg"])) \
+                .divide_by_hbar(_natural(spec.where + " k", spec.get("k", 1)))
         raise SpecError("unknown action op %r" % op)
 
     def quantum_action(self, name):
@@ -345,10 +350,10 @@ class SpecFile:
         algebra = self.presentation(entry["algebra"])
         generators = _names(entry.where, "generators", entry["generators"],
                             "generators", hopf.algebra.gens)
-        exprs = {g: self.action_expr(algebra, _fields(
-                    "%s generator %r" % (entry.where, g), spec))
-                 for g, spec in generators.items()}
-        action = QuantumAction(hopf, algebra, exprs)
+        operators = {g: self.action_expr(algebra, _fields(
+                        "%s generator %r" % (entry.where, g), spec))
+                     for g, spec in generators.items()}
+        action = QuantumAction(hopf, algebra, operators)
         extras = {
             "relations": _items(entry.where + " relation",
                                 entry.get("relations", ())),

@@ -17,9 +17,11 @@ the two slots word by word (``multiply_per_term``), sharing no code with
 only; the tests use it to cross-check the verdicts of the generator,
 overlap, operator-tensor, Leibniz, Groebner-Shirshov, Poisson-action and
 Jacobi certificates.
-The action sweeps evaluate expressions by recursion on the expression
-(``eval_expr``), independently of the compiled ``qmomentum.Operator``
-that production code evaluates.
+The action sweeps take an action's expressions as tuple trees beside it
+and evaluate them by recursion on the tree (``eval_expr``), independently
+of the ``qmomentum.Operator`` that production code evaluates and that
+``operator_of`` builds from the same tree; ``fixture_trees`` and
+``spec_action_trees`` restate the shipped actions' generators as trees.
 Linear algebra has a dense reference that shares no code with
 ``linalg.Span``: ``dense_rref`` is the textbook Gauss-Jordan loop over Q(i),
 and ``dense_solve``, ``dense_kernel`` and ``dense_in_row_span`` are built on
@@ -55,6 +57,7 @@ case-1 reduction algebra.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -68,16 +71,14 @@ from poisson_forge.ncalg import (
 )
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
 from poisson_forge.poisson import PolyBivector, PolyVectorField, one_form
-from poisson_forge.qmomentum import (
-    ActionExpr, Commutator, Compose, HbarDiv, Identity, LMul, RMul, Scale, Sum,
-)
+from poisson_forge.qmomentum import lmul, rmul
 from poisson_forge.reduction import (
     _expand, _raw_invariants, monomial_basis, reduce_mod_ideal,
 )
 from poisson_forge.report import Report, merge
 from poisson_forge.linalg import Span
 from poisson_forge.scalars import (
-    HSeries, ONE, ZERO, _acc, gauss, series,
+    HSeries, ONE, ZERO, _acc, gauss, hexp, series,
 )
 
 
@@ -344,58 +345,145 @@ def _monomials(alg, degree):
     return [alg.monomial(w) for w in alg.monomials_up_to(degree)]
 
 
-def eval_expr(expr, f):
-    """The value of an ActionExpr on f, by recursion on the expression; each
+# -- action trees ---------------------------------------------------------
+#
+# An action expression is a tuple tree: ("id",), ("lmul", c), ("rmul", c),
+# ("ad", c) for f -> c f - f c, ("scale", tree, s) for an integer or series
+# s, ("sum", [trees]), ("compose", [trees]), the last tree applied first,
+# and ("hbar_div", tree, k).
+
+
+def eval_expr(tree, f):
+    """The value of a tree on f, by recursion on the tree; each
     hbar-division divides its child's value and raises ValuationError when
     that value is not divisible."""
-    if isinstance(expr, Identity):
+    kind = tree[0]
+    if kind == "id":
         return f
-    if isinstance(expr, LMul):
-        return expr.c * f
-    if isinstance(expr, RMul):
-        return f * expr.c
-    if isinstance(expr, Commutator):
-        return expr.c * f - f * expr.c
-    if isinstance(expr, Scale):
-        return eval_expr(expr.expr, f) * expr.scalar
-    if isinstance(expr, Sum):
+    if kind == "lmul":
+        return tree[1] * f
+    if kind == "rmul":
+        return f * tree[1]
+    if kind == "ad":
+        return tree[1] * f - f * tree[1]
+    if kind == "scale":
+        return eval_expr(tree[1], f) * tree[2]
+    if kind == "sum":
         out = None
-        for e in expr.exprs:
-            v = eval_expr(e, f)
+        for t in tree[1]:
+            v = eval_expr(t, f)
             out = v if out is None else out + v
         return out
-    if isinstance(expr, Compose):
-        for e in reversed(expr.exprs):
-            f = eval_expr(e, f)
+    if kind == "compose":
+        for t in reversed(tree[1]):
+            f = eval_expr(t, f)
         return f
-    if isinstance(expr, HbarDiv):
-        return eval_expr(expr.expr, f).divide_by_hbar(expr.k)
-    raise TypeError("not an action expression: %r" % (expr,))
+    if kind == "hbar_div":
+        return eval_expr(tree[1], f).divide_by_hbar(tree[2])
+    raise TypeError("not an action tree: %r" % (tree,))
 
 
-def eval_word(action, word, f):
-    """Phi(word)(f), one letter's expression at a time, the last first."""
+def operator_of(tree, alg):
+    """The ``qmomentum.Operator`` of a tree on ``alg``, built with the
+    operators' own arithmetic."""
+    kind = tree[0]
+    if kind == "id":
+        return lmul(alg, alg.one())
+    if kind == "lmul":
+        return lmul(alg, tree[1])
+    if kind == "rmul":
+        return rmul(alg, tree[1])
+    if kind == "ad":
+        return lmul(alg, tree[1]) - rmul(alg, tree[1])
+    if kind == "scale":
+        return operator_of(tree[1], alg) * tree[2]
+    if kind == "hbar_div":
+        return operator_of(tree[1], alg).divide_by_hbar(tree[2])
+    ops = [operator_of(t, alg) for t in tree[1]]
+    if kind == "sum":
+        return sum(ops[1:], ops[0])
+    return math.prod(ops[1:], start=ops[0])
+
+
+def fixture_trees(action):
+    """The trees of the generators of a shipped action on ``action``'s
+    algebra: ``fixtures.r2_action``'s xi and eta, or, when the action has
+    a zeta, ``fixtures.su2_action``'s four."""
+    alg = action.algebra
+    a, a_inv, b = alg.gen("a"), alg.gen("a_inv"), alg.gen("b")
+    xi = ("hbar_div", ("compose", [("lmul", a), ("ad", b)]), 1)
+    if "zeta" not in action.operators:
+        return {"xi": xi, "eta": ("hbar_div", ("compose", [
+            ("lmul", a), ("ad", a_inv)]), 1)}
+    return {
+        "xi": xi,
+        "eta": ("hbar_div", ("compose", [("rmul", a),
+                                         ("ad", alg.gen("c"))]), 1),
+        "zeta": ("compose", [("lmul", a), ("rmul", a_inv)]),
+        "zeta_inv": ("compose", [("lmul", a_inv), ("rmul", a)]),
+    }
+
+
+def su2_target_tree(action, sign=1, hbar_div=True):
+    """The tree of ``fixtures.su2_commutator_target_for(action)``,
+    (Phi(zeta^-1) - Phi(zeta)) hbar^-1 u^-1, with the outer sign or the
+    division by hbar changeable."""
+    order = action.algebra.order
+    u = (hexp(-1, order + 1) - hexp(1, order + 1)).divide_by_hbar()
+    trees = fixture_trees(action)
+    body = ("sum", [trees["zeta_inv"], ("scale", trees["zeta"], -1)])
+    return ("scale", ("hbar_div", body, 1) if hbar_div else body,
+            u.inverse() * sign)
+
+
+def spec_tree(spec, pres, doc):
+    """The tree of a spec action expression ``doc`` (its JSON object) on
+    ``pres``, its elements and scalars read by the spec's own readers."""
+    op = doc["op"]
+    if op == "id":
+        return ("id",)
+    if op in ("lmul", "rmul", "commutator"):
+        return ("ad" if op == "commutator" else op,
+                spec.nc_element(pres, doc["element"], op))
+    if op == "scale":
+        return ("scale", spec_tree(spec, pres, doc["arg"]),
+                spec._series(doc["scalar"], op))
+    if op in ("sum", "compose"):
+        return (op, [spec_tree(spec, pres, d) for d in doc["args"]])
+    return ("hbar_div", spec_tree(spec, pres, doc["arg"]), doc.get("k", 1))
+
+
+def spec_action_trees(spec, name):
+    """The trees of the generators of the spec's action ``name``."""
+    entry = spec.doc["actions"][name]
+    pres = spec.presentation(entry["algebra"])
+    return {g: spec_tree(spec, pres, doc)
+            for g, doc in entry["generators"].items()}
+
+
+def eval_word(action, trees, word, f):
+    """Phi(word)(f), one letter's tree at a time, the last first."""
     for g in reversed(word):
         name = g if isinstance(g, str) else action.group.gens[g]
-        f = eval_expr(action.exprs[name], f)
+        f = eval_expr(trees[name], f)
     return f
 
 
-def eval_element(action, x, f):
+def eval_element(action, trees, x, f):
     """Phi(x)(f) for a quantum-group element x in normal form."""
     out = action.algebra.zero()
     for word, coeff in x.series_terms().items():
-        out = out + eval_word(action, word, f) * coeff
+        out = out + eval_word(action, trees, word, f) * coeff
     return out
 
 
-def sweep_module_algebra(action, degree=2):
+def sweep_module_algebra(action, trees, degree=2):
     """xi.(f g) = sum (u.f)(v.g) for Delta(xi) of the action's Hopf
     structure, on all pairs of monomials <= degree, the generators in the
-    action's order; stops at the first defect.  First Phi(lhs) = Phi(rhs)
-    on every monomial <= degree, for each rule lhs -> rhs of the group in
-    order: Phi must be an action of the group for the identity to mean
-    anything."""
+    order of ``trees``, each acting by its tree; stops at the first
+    defect.  First Phi(lhs) = Phi(rhs) on every monomial <= degree, for
+    each rule lhs -> rhs of the group in order: Phi must be an action of
+    the group for the identity to mean anything."""
     alg = action.algebra
     monos = _monomials(alg, degree)
     group = action.group
@@ -403,20 +491,21 @@ def sweep_module_algebra(action, degree=2):
         rule = group.rules[lhs]
         rhs = NCPoly(group, rule.terms, rule.order)
         for f in monos:
-            defect = eval_word(action, lhs, f) - eval_element(action, rhs, f)
+            defect = eval_word(action, trees, lhs, f) \
+                - eval_element(action, trees, rhs, f)
             if not defect.is_zero():
                 return Report.from_failures("module-algebra", [
                     "rule %s -> %r defect at %r: %r"
                     % (group.word_name(lhs), rhs, f, defect)])
-    for name in action.exprs:
+    for name in trees:
         cop = action.hopf.coproduct.apply_word((action.group.index(name),))
         for f in monos:
             for g in monos:
-                lhs = eval_expr(action.exprs[name], f * g)
+                lhs = eval_expr(trees[name], f * g)
                 rhs = alg.zero()
                 for (u, v), coeff in cop.series_terms().items():
-                    rhs = rhs + eval_word(action, u, f) \
-                        * eval_word(action, v, g) * coeff
+                    rhs = rhs + eval_word(action, trees, u, f) \
+                        * eval_word(action, trees, v, g) * coeff
                 if not (lhs - rhs).is_zero():
                     return Report.from_failures("module-algebra", [
                         "module-algebra defect for %s at (%r, %r): %r"
@@ -424,20 +513,21 @@ def sweep_module_algebra(action, degree=2):
     return Report.from_failures("module-algebra", [])
 
 
-def sweep_action_lie_hom(action, relations, degree=2):
-    """[Phi(xi), Phi(eta)] = Phi(rhs) on every monomial <= degree, as one
-    report per pair."""
+def sweep_action_lie_hom(action, trees, relations, degree=2):
+    """[Phi(xi), Phi(eta)] = Phi(rhs) on every monomial <= degree, each
+    generator acting by its tree, as one report per pair; ``rhs`` is a
+    quantum-group element or a tree."""
     reports = {}
     for (xn, yn), expected in relations.items():
-        ex, ey = action.exprs[xn], action.exprs[yn]
+        ex, ey = trees[xn], trees[yn]
         defects = []
         for f in _monomials(action.algebra, degree):
             lhs = eval_expr(ex, eval_expr(ey, f)) \
                 - eval_expr(ey, eval_expr(ex, f))
-            if isinstance(expected, ActionExpr):
+            if isinstance(expected, tuple):
                 rhs = eval_expr(expected, f)
             else:
-                rhs = eval_element(action, expected, f)
+                rhs = eval_element(action, trees, expected, f)
             if not (lhs - rhs).is_zero():
                 defects.append("[Phi(%s),Phi(%s)] defect at %r: %r"
                                % (xn, yn, f, lhs - rhs))
@@ -520,10 +610,10 @@ def ideal_span_closure(presentation, ideal_gens, max_degree):
     return span
 
 
-def sweep_ideal_invariance(action, ideal_gens, degree=1):
+def sweep_ideal_invariance(action, trees, ideal_gens, degree=1):
     """Phi(gen)(u * J * v) lies in the ideal span closed up to the largest
-    degree met, for all quantum-group generators and normal monomials u, v
-    up to ``degree``."""
+    degree met, for the quantum-group generators of ``trees``, each acting
+    by its tree, and normal monomials u, v up to ``degree``."""
     alg = action.algebra
     ideal_gens = [alg.element(j) for j in ideal_gens]
     monos = alg.monomials_up_to(degree)
@@ -532,8 +622,8 @@ def sweep_ideal_invariance(action, ideal_gens, degree=1):
         for u in monos:
             for v in monos:
                 x = alg.monomial(u) * j * alg.monomial(v)
-                for name in action.exprs:
-                    y = eval_expr(action.exprs[name], x)
+                for name, tree in trees.items():
+                    y = eval_expr(tree, x)
                     if not y.is_zero():
                         candidates.append((name, u, v, y))
     if not candidates:
@@ -548,20 +638,20 @@ def sweep_ideal_invariance(action, ideal_gens, degree=1):
     return Report.from_failures("ideal-invariance", failures)
 
 
-def sweep_invariant_classes(action, degree, ideal_gens):
+def sweep_invariant_classes(action, trees, degree, ideal_gens):
     """Classes of the joint kernel of Phi(gen) - eps(gen) id on the degree
-    component, with eps the counit of the action's Hopf structure,
-    independent modulo the ideal span closed up to the largest degree
-    met."""
+    component, for the generators of ``trees``, each acting by its tree,
+    with eps the counit of the action's Hopf structure, independent modulo
+    the ideal span closed up to the largest degree met."""
     alg = action.algebra
     order = alg.order
     ideal_gens = [alg.element(j) for j in ideal_gens]
     monos = alg.monomials_up_to(degree)
     cols = {}
-    for name, expr in action.exprs.items():
+    for name, tree in trees.items():
         eps = series(action.hopf.counit.apply_word(
             (action.group.index(name),)), order)
-        cols[name] = [eval_expr(expr, x) - x * eps
+        cols[name] = [eval_expr(tree, x) - x * eps
                       for x in map(alg.monomial, monos)]
     span = ideal_span_closure(
         alg, ideal_gens,

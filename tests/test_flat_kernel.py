@@ -23,7 +23,7 @@ from poisson_forge.ncalg import (
     NCPoly, Presentation, TensorAlgebra, TensorElement,
 )
 from poisson_forge.qmomentum import (
-    HbarDiv, LMul, Operator, RMul, module_algebra_defect,
+    Operator, lmul, module_algebra_defect, rmul,
 )
 from poisson_forge.scalars import (
     GaussRational, HSeries, ValuationError, _acc, hexp,
@@ -158,11 +158,11 @@ def _operators(action, rng):
     one of the window N - 1, and one divided by hbar, which is inexact on
     most arguments."""
     alg = action.algebra
-    ops = [action.operator((g,)) for g in action.exprs]
+    ops = [action.operator((g,)) for g in action.operators]
     elements = _elements(alg, rng)
-    ops.append(LMul(elements[-1]).compile(alg))
-    ops.append(RMul(elements[0]).compile(alg))
-    ops.append(HbarDiv(LMul(elements[1]), 1).compile(alg))
+    ops.append(lmul(alg, elements[-1]))
+    ops.append(rmul(alg, elements[0]))
+    ops.append(lmul(alg, elements[1]).divide_by_hbar(1))
     return ops, elements
 
 
@@ -257,7 +257,7 @@ def test_module_algebra_defect_matches_the_series_reference(name, order):
     monos = alg.monomials_up_to(1)
     compared = 0
     for low in (0, 1):
-        for xi in action.exprs:
+        for xi in action.operators:
             cop = _coproduct(action, rng, order, low)
             assert cop.order == order - low
             defect = module_algebra_defect(action, xi, cop)

@@ -319,6 +319,39 @@ def _spec_usl2_hopf():
     return _spec_hopf("usl2_hopf")
 
 
+def test_spec_coproduct_words_are_taken_to_normal_form(tmp_path, capsys):
+    # Delta(H) written with the non-normal word E*F: E F = F E + H, so
+    # E F (x) 1 - F E (x) 1 + 1 (x) H is the sample's H (x) 1 + 1 (x) H.
+    # The image is normal when the spec builds it, so the one-letter word H
+    # maps to it as it is, and the Hopf records are the sample's
+    import json
+    import os
+    from poisson_forge.cli import main
+    from poisson_forge.specfile import SpecFile
+    sample = os.path.join(os.path.dirname(__file__), "..", "demos",
+                          "sample_spec.json")
+    doc = json.load(open(sample))
+    doc["hopf_structures"]["usl2_hopf"]["coproduct"]["H"] = [
+        {"coeff": "1", "pair": [["E", "F"], []]},
+        {"coeff": "-1", "pair": [["F", "E"], []]},
+        {"coeff": "1", "pair": [[], ["H"]]}]
+    written = tmp_path / "spec.json"
+    written.write_text(json.dumps(doc))
+    hopfs = [SpecFile.load(str(path), N).hopf_structure("usl2_hopf")
+             for path in (sample, written)]
+    images = [h.coproduct.apply_word((h.algebra.index("H"),)) for h in hopfs]
+    assert [(x.order, x.terms) for x in images] \
+        == [(images[0].order, images[0].terms)] * 2
+    records = []
+    for path in (sample, written):
+        out = tmp_path / "records.jsonl"
+        assert main(["check-hopf", str(path), "usl2_hopf",
+                     "--json", str(out)]) == 0
+        records.append(out.read_text())
+        out.unlink()
+    assert records[0] == records[1]
+
+
 def _twisted_grouplike_hopf():
     # the commutative algebra of x, y, m, m^-1 with x, y primitive and
     # Delta(m) = (m (x) m) exp(hbar x (x) y): coassociative since x (x) y

@@ -16,10 +16,7 @@ import pytest
 
 from poisson_forge import fixtures
 from poisson_forge.errors import CapabilityError
-from poisson_forge.qmomentum import (
-    Commutator, Compose, HbarDiv, LMul, QuantumAction, RMul, Scale, Sum,
-    check_module_algebra,
-)
+from poisson_forge.qmomentum import QuantumAction, check_module_algebra
 from poisson_forge.scalars import ValuationError
 
 import oracles
@@ -55,20 +52,19 @@ def _exprs(gens):
         st.tuples(st.just("hbar_div"), kids)), max_leaves=3)
 
 
-def _build(action, spec):
-    alg = action.algebra
+def _tree(alg, shipped, spec):
+    """The ``oracles`` tree of a drawn expression on ``alg``; a "phi" leaf
+    is the shipped action's tree of that generator."""
     kind = spec[0]
     if kind == "phi":
-        return action.exprs[spec[1]]
+        return shipped[spec[1]]
     if kind in ("lmul", "rmul", "ad"):
-        cls = {"lmul": LMul, "rmul": RMul, "ad": Commutator}[kind]
-        return cls(alg.gen(spec[1]))
+        return (kind, alg.gen(spec[1]))
     if kind == "scale":
-        return Scale(_build(action, spec[1]), spec[2])
+        return ("scale", _tree(alg, shipped, spec[1]), spec[2])
     if kind == "hbar_div":
-        return HbarDiv(_build(action, spec[1]), 1)
-    parts = [_build(action, s) for s in spec[1:]]
-    return Compose(parts) if kind == "compose" else Sum(parts)
+        return ("hbar_div", _tree(alg, shipped, spec[1]), 1)
+    return (kind, [_tree(alg, shipped, s) for s in spec[1:]])
 
 
 @st.composite
@@ -87,9 +83,12 @@ def _cases(draw):
 def test_module_algebra_certificate_agrees_with_the_sweep(case):
     number, group, specs, order, degree = case
     shipped = fixtures.case_action(number, order)
-    action = QuantumAction(fixtures.r2_hopf(GROUPS[group], order),
-                           shipped.algebra,
-                           {g: _build(shipped, s) for g, s in specs.items()})
+    alg = shipped.algebra
+    trees = {g: _tree(alg, oracles.fixture_trees(shipped), s)
+             for g, s in specs.items()}
+    action = QuantumAction(fixtures.r2_hopf(GROUPS[group], order), alg,
+                           {g: oracles.operator_of(t, alg)
+                            for g, t in trees.items()})
     try:
         cert = check_module_algebra(action, degree)
     except CapabilityError as exc:
@@ -100,7 +99,7 @@ def test_module_algebra_certificate_agrees_with_the_sweep(case):
     except ValuationError:
         cert = None
     try:
-        sweep = oracles.sweep_module_algebra(action, degree)
+        sweep = oracles.sweep_module_algebra(action, trees, degree)
     except ValuationError:
         KNOWN_LOSSES["both" if cert is None else "sweep"] += 1
         return

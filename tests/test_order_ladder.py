@@ -19,7 +19,7 @@ import pytest
 
 from poisson_forge.cli import main
 
-ORDERS = range(1, 9)
+ORDERS = range(1, 13)
 COMMANDS = {"check-hopf": [], "check-action": ["--degree", "2"],
             "qreduce": []}
 # the least order at which each command concludes

@@ -6,10 +6,9 @@ import pytest
 from poisson_forge import fixtures
 from poisson_forge.ncalg import NCPoly, TensorAlgebra
 from poisson_forge.qmomentum import (
-    Identity, LMul, RMul, Commutator, Scale, Sum, Compose, HbarDiv,
-    hamiltonian_pair, QuantumAction, check_module_algebra,
-    check_action_lie_hom, one_form, check_ideal_invariance,
-    invariant_subalgebra, _stacked,
+    Operator, QuantumAction, check_module_algebra, check_action_lie_hom,
+    one_form, check_ideal_invariance, invariant_subalgebra, lmul, rmul,
+    _stacked,
 )
 from poisson_forge.hopf import apply_in_slot
 from poisson_forge.report import DISCREPANCY, Report
@@ -17,8 +16,9 @@ from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
 from poisson_forge.specfile import SpecFile
 
 from oracles import (
-    SeriesSpan, case1_reduction_algebra, eval_expr, hopf_from,
-    r2_primitive_hopf, sweep_ideal_invariance, sweep_invariant_classes,
+    SeriesSpan, case1_reduction_algebra, eval_expr, fixture_trees, hopf_from,
+    operator_of, r2_primitive_hopf, spec_action_trees, spec_tree,
+    su2_target_tree, sweep_ideal_invariance, sweep_invariant_classes,
 )
 
 # the hbar order of the series built here, the fixtures' default
@@ -29,12 +29,16 @@ def monomials(alg, degree):
     return [alg.monomial(w) for w in alg.monomials_up_to(degree)]
 
 
-def operators_equal(e1, e2, alg, degree=2):
-    o1, o2 = e1.compile(alg), e2.compile(alg)
+def operators_equal(o1, o2, alg, degree=2):
     return all((o1(m) - o2(m)).is_zero() for m in monomials(alg, degree))
 
 
-# -- basic expression evaluation ---------------------------------------------
+def ad(alg, c):
+    """f -> c f - f c."""
+    return lmul(alg, c) - rmul(alg, c)
+
+
+# -- basic operator evaluation -----------------------------------------------
 
 def test_case1_action_values():
     act = fixtures.case_action(1)
@@ -72,16 +76,16 @@ def test_valuation_violation_reported():
     alg = act.algebra
     # (1/hbar) [f, .] applied to a is -hbar a ... fine; applying
     # (1/hbar^2) [b, .] to f has valuation 1 < 2 and must raise
-    bad = HbarDiv(Commutator(alg.gen("b")), 2)
+    bad = ad(alg, alg.gen("b")).divide_by_hbar(2)
     with pytest.raises(ValuationError):
-        bad.compile(alg)(alg.gen("f"))
+        bad(alg.gen("f"))
 
 
 def test_inexact_division_names_its_witness():
     # hbar^-1 L(b) on the commutative case-1 algebra maps 1 to b / hbar: the
     # hbar^0 term b is the witness, found by a scan of the value's keys
     alg = case1_reduction_algebra()
-    op = HbarDiv(LMul(alg.gen("b")), 1).compile(alg)
+    op = lmul(alg, alg.gen("b")).divide_by_hbar(1)
     with pytest.raises(ValuationError) as exc:
         op(alg.one())
     assert str(exc.value) == \
@@ -90,55 +94,54 @@ def test_inexact_division_names_its_witness():
     x = alg.element([(HSeries([0, 2], N), ["a", "b"]), (-3, ["b"]),
                      (5, ["a"])])
     with pytest.raises(ValuationError) as exc:
-        HbarDiv(Identity(), 2).compile(alg)(x)
+        lmul(alg, alg.one()).divide_by_hbar(2)(x)
     assert str(exc.value) == \
         "cannot divide by hbar^2: the coefficient of hbar^0 on a is 5"
 
 
 def test_division_happens_once_on_the_operator_value():
-    # hbar (hbar^-1 L(b)) compiles to L(b), so it maps 1 to b, although the
-    # inner division alone is inexact on 1
+    # the operator hbar (hbar^-1 L(b)) is L(b), so it maps 1 to b, although
+    # the inner division alone is inexact on 1
     alg = fixtures.case2_module_algebra()
     b = alg.gen("b")
-    expr = Compose([Scale(Identity(), HSeries.hbar(N)), HbarDiv(LMul(b))])
-    assert expr.compile(alg)(alg.one()) == b
+    tree = ("compose", [("scale", ("id",), HSeries.hbar(N)),
+                        ("hbar_div", ("lmul", b), 1)])
+    assert operator_of(tree, alg)(alg.one()) == b
     with pytest.raises(ValuationError):
-        eval_expr(expr, alg.one())
+        eval_expr(tree, alg.one())
 
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "demos",
                     "sample_spec.json")
 
-# one expression of each spec op kind on the quantum plane, with the class
-# the spec builder must make of it
+# one expression of each spec op kind on the quantum plane
 SPEC_OPS = {
-    "id": ({"op": "id"}, Identity),
-    "lmul": ({"op": "lmul", "element": "a"}, LMul),
-    "rmul": ({"op": "rmul", "element": [{"coeff": "2", "word": ["a", "b"]}]},
-             RMul),
-    "commutator": ({"op": "commutator", "element": "b"}, Commutator),
-    "scale": ({"op": "scale", "scalar": ["1", "-1"],
-               "arg": {"op": "rmul", "element": "b"}}, Scale),
-    "sum": ({"op": "sum", "args": [{"op": "lmul", "element": "b"},
-                                   {"op": "rmul", "element": "a_inv"}]}, Sum),
-    "compose": ({"op": "compose", "args": [{"op": "lmul", "element": "a"},
-                                           {"op": "rmul", "element": "b"}]},
-                Compose),
-    "hbar_div": ({"op": "hbar_div", "k": 1,
-                  "arg": {"op": "commutator", "element": "b"}}, HbarDiv),
+    "id": {"op": "id"},
+    "lmul": {"op": "lmul", "element": "a"},
+    "rmul": {"op": "rmul", "element": [{"coeff": "2", "word": ["a", "b"]}]},
+    "commutator": {"op": "commutator", "element": "b"},
+    "scale": {"op": "scale", "scalar": ["1", "-1"],
+              "arg": {"op": "rmul", "element": "b"}},
+    "sum": {"op": "sum", "args": [{"op": "lmul", "element": "b"},
+                                  {"op": "rmul", "element": "a_inv"}]},
+    "compose": {"op": "compose", "args": [{"op": "lmul", "element": "a"},
+                                          {"op": "rmul", "element": "b"}]},
+    "hbar_div": {"op": "hbar_div", "k": 1,
+                 "arg": {"op": "commutator", "element": "b"}},
 }
 
 
 @pytest.mark.parametrize("op", sorted(SPEC_OPS))
 def test_spec_action_ops_agree_with_recursive_evaluator(op):
+    # the spec builds an operator; the same document read as a tree and
+    # evaluated by recursion gives the same values
     spec = SpecFile.load(SPEC, N)
     alg = spec.presentation("qplane")
-    doc, cls = SPEC_OPS[op]
-    expr = spec.action_expr(alg, doc)
-    assert type(expr) is cls
-    op = expr.compile(alg)
+    got = spec.action_expr(alg, SPEC_OPS[op])
+    assert isinstance(got, Operator)
+    tree = spec_tree(spec, alg, SPEC_OPS[op])
     for m in monomials(alg, 2):
-        assert (op(m) - eval_expr(expr, m)).is_zero(), m
+        assert (got(m) - eval_expr(tree, m)).is_zero(), m
 
 
 def test_apply_action_respects_group_relations():
@@ -161,8 +164,8 @@ def test_apply_action_respects_group_relations():
 # -- module-algebra checks ----------------------------------------------------
 
 def _with_hopf(act, hopf):
-    """The action's expressions, on its algebra, for another group."""
-    return QuantumAction(hopf, act.algebra, act.exprs)
+    """The action's operators, on its algebra, for another group."""
+    return QuantumAction(hopf, act.algebra, act.operators)
 
 
 def test_case1_module_algebra_passes():
@@ -266,7 +269,7 @@ def test_su2_commutator_relation_exact():
 def test_sharp_of_d1_is_zero():
     alg = fixtures.case2_module_algebra()
     u = one_form(alg, [(1, 1)])  # d1
-    s = u.sharp().compile(alg)
+    s = u.sharp()
     for m in monomials(alg, 2):
         assert s(m).is_zero()
 
@@ -274,10 +277,13 @@ def test_sharp_of_d1_is_zero():
 def test_sharp_reproduces_actions():
     act = fixtures.case_action(2)
     alg = act.algebra
+    trees = fixture_trees(act)
     mu_xi = one_form(alg, [("a", "b")])        # a db
     mu_eta = one_form(alg, [("a", "a_inv")])   # a d(a^-1) = d log a
-    assert operators_equal(mu_xi.sharp(), act.exprs["xi"], alg)
-    assert operators_equal(mu_eta.sharp(), act.exprs["eta"], alg)
+    for name, mu in (("xi", mu_xi), ("eta", mu_eta)):
+        sharp = mu.sharp()
+        for m in monomials(alg, 2):
+            assert sharp(m) == eval_expr(trees[name], m), (name, m)
 
 
 def test_sharp_is_multiplicative_on_products():
@@ -287,14 +293,13 @@ def test_sharp_is_multiplicative_on_products():
     v = one_form(alg, [("a", "a_inv")])
     prod = u * v
     lhs = prod.sharp()
-    rhs = Compose([u.sharp(), v.sharp()])
+    rhs = u.sharp() * v.sharp()
     assert operators_equal(lhs, rhs, alg)
     # also on the quantum plane
     qp = fixtures.case_action(3)
     u3 = one_form(qp.algebra, [("a", "b")])
     v3 = one_form(qp.algebra, [("b", "a")])
-    assert operators_equal((u3 * v3).sharp(),
-                           Compose([u3.sharp(), v3.sharp()]),
+    assert operators_equal((u3 * v3).sharp(), u3.sharp() * v3.sharp(),
                            qp.algebra)
 
 
@@ -307,8 +312,7 @@ def test_oneform_product_rule_shape():
     assert prod.offset == 1
     # sharp of the product equals ad_b ad_a / hbar^2 (which is zero here
     # on low monomials since [a, b] = 0 ... test the composite directly)
-    assert operators_equal(prod.sharp(),
-                           Compose([db.sharp(), da.sharp()]), alg)
+    assert operators_equal(prod.sharp(), db.sharp() * da.sharp(), alg)
 
 
 def test_oneform_product_associative_on_triples():
@@ -333,7 +337,7 @@ def test_central_da_squared_collapses():
     assert operators_equal(prod.sharp(), want.sharp(), alg)
     # a is central in the subalgebra generated by a and b, where the
     # operator hbar^{-2} [a, [a, .]] collapses to zero
-    sharp = prod.sharp().compile(alg)
+    sharp = prod.sharp()
     for w in alg.monomials_up_to(2):
         if alg.index("f") in w:
             continue
@@ -435,7 +439,7 @@ def test_su2_ideal_invariance():
     alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
     rep = check_ideal_invariance(act, [H], alg.quotient([H]))
     assert rep.ok, rep.failures
-    assert sweep_ideal_invariance(act, [H], degree=1).ok
+    assert sweep_ideal_invariance(act, fixture_trees(act), [H], degree=1).ok
 
 
 def test_zero_ideal_trivially_invariant():
@@ -449,11 +453,13 @@ def test_ideal_b_under_case3_eta():
     # plane: Phi(eta)(u b v) is a multiple of b, so the ideal is invariant
     act = fixtures.case_action(3)
     alg = act.algebra
-    eta_only = QuantumAction(act.hopf, alg, {"eta": act.exprs["eta"]})
+    eta_only = QuantumAction(act.hopf, alg, {"eta": act.operators["eta"]})
     rep = check_ideal_invariance(eta_only, [alg.gen("b")],
                                  alg.quotient([alg.gen("b")]))
     assert rep.ok, rep.failures
-    assert sweep_ideal_invariance(eta_only, [alg.gen("b")], degree=1).ok
+    tree = {"eta": fixture_trees(act)["eta"]}
+    assert sweep_ideal_invariance(eta_only, tree, [alg.gen("b")],
+                                  degree=1).ok
 
 
 def test_stacked_values_keep_the_window_of_a_zero():
@@ -467,8 +473,9 @@ def test_stacked_values_keep_the_window_of_a_zero():
 
 def test_invariant_subalgebra_trivial_action():
     alg = case1_reduction_algebra(4)
+    zero = lmul(alg, alg.one()) * 0
     trivial = QuantumAction(fixtures.r2_hopf(order=4), alg, {
-        "xi": Scale(Identity(), 0), "eta": Scale(Identity(), 0)})
+        "xi": zero, "eta": zero})
     basis, rep = invariant_subalgebra(trivial, degree=2)
     assert rep.ok
     assert len(basis) == len(alg.monomials_up_to(2))
@@ -487,7 +494,8 @@ def test_scaling_coerces_into_the_algebra_window():
     assert op.order == 9
     assert (op * 2).order == 4
     assert (op * HSeries.one(7)).order == 7
-    assert Scale(Identity(), 3).compile(alg).order == 4
+    identity = Operator.multiplication(alg, alg.one(), alg.one())
+    assert (identity * 3).order == 4
 
 
 @pytest.mark.parametrize("scalar, printed", [
@@ -495,7 +503,14 @@ def test_scaling_coerces_into_the_algebra_window():
     (HSeries([1, 2], 6), "1 + 2*hbar"), (HSeries([0, 0, 3], 4), "3*hbar^2"),
 ])
 def test_scale_prints_its_scalar_as_a_series(scalar, printed):
-    assert repr(Scale(Identity(), scalar)) == "(%s)*id" % printed
+    # the identity scaled by an exact scalar, a scalar string or a series
+    # carries that scalar as a series on its one key (1, 1)
+    alg = fixtures.case2_module_algebra()
+    op = lmul(alg, alg.one()) * scalar
+    assert {key for _, key in op.terms} <= {((), ())}
+    coeff = HSeries([op.terms.get((j, ((), ())), 0) for j in range(op.order)],
+                    op.order)
+    assert str(coeff) == printed
 
 
 def test_invariant_subalgebra_quantum_plane():
@@ -512,8 +527,8 @@ def test_invariant_subalgebra_closure_fail_is_pinned():
     # invariants are not a subalgebra, and the oracle span agrees
     alg = fixtures.quantum_plane_presentation(4)
     a, b = alg.gen("a"), alg.gen("b")
-    act = QuantumAction(fixtures.r2_hopf(order=4), alg, {"xi": Compose([
-        HbarDiv(Commutator(b), 1), HbarDiv(Commutator(a), 1)])})
+    act = QuantumAction(fixtures.r2_hopf(order=4), alg, {
+        "xi": ad(alg, b).divide_by_hbar() * ad(alg, a).divide_by_hbar()})
     basis, rep = invariant_subalgebra(act, degree=2)
     assert len(basis) == 6
     assert rep.verdict == "fail"
@@ -530,18 +545,13 @@ def test_case1_quantum_reduction():
     # commutative case-1 algebra, ideal <a - 1, b>: the quotient invariants
     # to degree 2 are spanned by the class of 1
     alg = case1_reduction_algebra()
-    hopf = fixtures.r2_hopf()
-    from poisson_forge.qmomentum import hamiltonian_pair
-    act = QuantumAction(hopf, alg, {
-        "xi": hamiltonian_pair(alg.gen("a"), alg.gen("b")),
-        "eta": hamiltonian_pair(alg.gen("a"), alg.gen("a_inv")),
-    })
+    act = fixtures.r2_action(alg, fixtures.r2_hopf())
     ideal = [alg.gen("a") - alg.one(), alg.gen("b")]
-    on_quotient = QuantumAction(hopf, alg.quotient(ideal), act.exprs)
-    basis, rep = invariant_subalgebra(on_quotient, degree=2)
+    basis, rep = invariant_subalgebra(act.on(alg.quotient(ideal)), degree=2)
     assert rep.ok, rep.failures
     assert len(basis) == 1
-    assert len(sweep_invariant_classes(act, 2, ideal)) == 1
+    assert len(sweep_invariant_classes(act, fixture_trees(act), 2,
+                                       ideal)) == 1
 
 
 def test_semiclassical_limit_of_actions_matches_classical_fields():
@@ -596,17 +606,13 @@ def test_su2_invariant_subalgebra_degree_two():
 def test_case1_quantum_reduction_nonzero_level():
     # same quotient story at a level with b - mu, mu != 0
     alg = case1_reduction_algebra()
-    hopf = fixtures.r2_hopf()
-    act = QuantumAction(hopf, alg, {
-        "xi": hamiltonian_pair(alg.gen("a"), alg.gen("b")),
-        "eta": hamiltonian_pair(alg.gen("a"), alg.gen("a_inv")),
-    })
+    act = fixtures.r2_action(alg, fixtures.r2_hopf())
     ideal = [alg.gen("a") - alg.one() * 3, alg.gen("b") - alg.one() * 2]
-    on_quotient = QuantumAction(hopf, alg.quotient(ideal), act.exprs)
-    basis, rep = invariant_subalgebra(on_quotient, degree=2)
+    basis, rep = invariant_subalgebra(act.on(alg.quotient(ideal)), degree=2)
     assert rep.ok
     assert len(basis) == 1
-    assert len(sweep_invariant_classes(act, 2, ideal)) == 1
+    assert len(sweep_invariant_classes(act, fixture_trees(act), 2,
+                                       ideal)) == 1
 
 
 def test_invariants_of_the_zero_quotient_are_empty():
@@ -615,8 +621,7 @@ def test_invariants_of_the_zero_quotient_are_empty():
     alg = act.algebra
     zero = alg.quotient([alg.gen("b"), alg.gen("b") - 1])
     assert zero.monomials_up_to(2) == []
-    basis, rep = invariant_subalgebra(
-        QuantumAction(act.hopf, zero, act.exprs), 2)
+    basis, rep = invariant_subalgebra(act.on(zero), 2)
     assert basis == [] and rep.ok
 
 
@@ -632,8 +637,7 @@ def test_spec_qplane_reduction_classes(order, degree, classes):
     action, extras = SpecFile.load(SPEC, order).quantum_action(
         "qplane_action")
     quotient = action.algebra.quotient(extras["ideal"])
-    basis, rep = invariant_subalgebra(
-        QuantumAction(action.hopf, quotient, action.exprs), degree)
+    basis, rep = invariant_subalgebra(action.on(quotient), degree)
     assert rep.ok
     assert [repr(b) for b in basis] == classes
     assert {b.order for b in basis} == {order - 1}
@@ -670,17 +674,19 @@ def test_actions_breaking_module_algebra_keep_the_ideal():
     alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
     a, b, c = (alg.gen(g) for g in ("a", "b", "c"))
     variants = {
-        "eta": HbarDiv(Compose([LMul(a), Commutator(c)]), 1),
-        "xi": HbarDiv(Compose([RMul(a), Commutator(b)]), 1),
+        "eta": ("hbar_div", ("compose", [("lmul", a), ("ad", c)]), 1),
+        "xi": ("hbar_div", ("compose", [("rmul", a), ("ad", b)]), 1),
     }
-    for name, expr in variants.items():
-        variant = QuantumAction(act.hopf, alg, dict(act.exprs, **{name: expr}))
+    for name, tree in variants.items():
+        variant = QuantumAction(act.hopf, alg, dict(
+            act.operators, **{name: operator_of(tree, alg)}))
         rep = check_module_algebra(variant)
         assert rep.failures[0].startswith(
             "module-algebra defect for %s " % name), rep.failures
         assert check_ideal_invariance(variant, [H],
                                       alg.quotient([H])).ok, name
-        assert sweep_ideal_invariance(variant, [H], degree=1).ok, name
+        trees = dict(fixture_trees(act), **{name: tree})
+        assert sweep_ideal_invariance(variant, trees, [H], degree=1).ok, name
 
 
 def test_torsion_ideal_refused_where_the_sweep_failed():
@@ -691,7 +697,8 @@ def test_torsion_ideal_refused_where_the_sweep_failed():
     act = fixtures.case_action(3)
     alg = act.algebra
     ideal = [alg.gen("a") - 1]
-    assert not sweep_ideal_invariance(act, ideal, degree=1).ok
+    assert not sweep_ideal_invariance(act, fixture_trees(act), ideal,
+                                      degree=1).ok
     with pytest.raises(CapabilityError) as exc:
         check_ideal_invariance(act, ideal, alg.quotient(ideal))
     assert exc.value.guard == "ncgroebner.nonunit_lead"
@@ -701,7 +708,7 @@ def test_ideal_invariance_empty_window_is_refused():
     from poisson_forge.errors import CapabilityError
     alg = case1_reduction_algebra()
     deep = QuantumAction(fixtures.r2_hopf(), alg,
-                         {"xi": HbarDiv(LMul(alg.gen("b")), 6)})
+                         {"xi": lmul(alg, alg.gen("b")).divide_by_hbar(6)})
     with pytest.raises(CapabilityError) as exc:
         check_ideal_invariance(deep, [alg.gen("b")],
                                alg.quotient([alg.gen("b")]))
@@ -712,35 +719,34 @@ def test_ideal_invariance_empty_window_is_refused():
 # -- operator-tensor certificates against the monomial sweep oracle -----------
 
 def _spec_action():
-    return SpecFile.load(SPEC, N).quantum_action("qplane_action")[0]
+    spec = SpecFile.load(SPEC, N)
+    return (spec.quantum_action("qplane_action")[0],
+            spec_action_trees(spec, "qplane_action"))
 
 
-def _su2_target(sign=1, hbar_div=True):
-    # fixtures.su2_commutator_target_for with the outer sign or the
-    # division by hbar changed
-    act = fixtures.su2_action()
-    u = (hexp(-1, N) - hexp(1, N)).divide_by_hbar()
-    body = Sum([act.exprs["zeta_inv"], Scale(act.exprs["zeta"], -1)])
-    return act, Scale(HbarDiv(body, 1) if hbar_div else body,
-                      u.inverse() * sign)
+def _shipped(act):
+    """A shipped action with the trees of its generators."""
+    return act, fixture_trees(act)
 
 
 def _case1_without_eta_hbar_div():
     act = fixtures.case_action(1)
-    a = act.algebra.gen("a")
-    return QuantumAction(act.hopf, act.algebra, {
-        "xi": act.exprs["xi"],
-        "eta": Compose([LMul(a), Commutator(act.algebra.gen("a_inv"))])})
+    alg = act.algebra
+    trees = dict(fixture_trees(act), eta=("compose", [
+        ("lmul", alg.gen("a")), ("ad", alg.gen("a_inv"))]))
+    return QuantumAction(act.hopf, alg, {
+        "xi": act.operators["xi"],
+        "eta": operator_of(trees["eta"], alg)}), trees
 
 
 def _case1_wrong_delta_sign():
     # Delta(xi) with + hbar eta (x) xi in place of - hbar eta (x) xi
     act = fixtures.case_action(1)
     h = HSeries.hbar(N)
-    return _with_hopf(act, hopf_from(act.group, {
+    return _shipped(_with_hopf(act, hopf_from(act.group, {
         "xi": {(("xi",), ()): 1, ((), ("xi",)): 1, (("eta",), ("xi",)): h},
         "eta": {(("eta",), ()): 1, ((), ("eta",)): 1,
-                (("eta",), ("eta",)): -h}}, {"xi": 0, "eta": 0}))
+                (("eta",), ("eta",)): -h}}, {"xi": 0, "eta": 0})))
 
 
 def _primitive(case):
@@ -749,13 +755,13 @@ def _primitive(case):
 
 
 MODULE_ALGEBRA_CASES = {
-    "case1": lambda: fixtures.case_action(1),
-    "case2": lambda: fixtures.case_action(2),
-    "case3": lambda: fixtures.case_action(3),
-    "case1-primitive": lambda: _primitive(1),
-    "case2-primitive": lambda: _primitive(2),
-    "case3-primitive": lambda: _primitive(3),
-    "su2": fixtures.su2_action,
+    "case1": lambda: _shipped(fixtures.case_action(1)),
+    "case2": lambda: _shipped(fixtures.case_action(2)),
+    "case3": lambda: _shipped(fixtures.case_action(3)),
+    "case1-primitive": lambda: _shipped(_primitive(1)),
+    "case2-primitive": lambda: _shipped(_primitive(2)),
+    "case3-primitive": lambda: _shipped(_primitive(3)),
+    "su2": lambda: _shipped(fixtures.su2_action()),
     "spec-qplane": _spec_action,
     # mutants
     "case1-wrong-delta-sign": _case1_wrong_delta_sign,
@@ -766,9 +772,9 @@ MODULE_ALGEBRA_CASES = {
 @pytest.mark.parametrize("case", sorted(MODULE_ALGEBRA_CASES))
 def test_module_algebra_certificate_agrees_with_sweep(case):
     from oracles import sweep_module_algebra
-    act = MODULE_ALGEBRA_CASES[case]()
+    act, trees = MODULE_ALGEBRA_CASES[case]()
     cert = check_module_algebra(act, degree=2)
-    sweep = sweep_module_algebra(act, degree=2)
+    sweep = sweep_module_algebra(act, trees, degree=2)
     assert (cert.verdict, cert.failures) == (sweep.verdict, sweep.failures)
     expected_pass = "primitive" not in case and "-wrong-" not in case \
         and "dropped" not in case
@@ -779,6 +785,8 @@ def test_module_algebra_certificate_agrees_with_sweep(case):
 
 
 def _lie_hom_cases():
+    """Each case's action and right side: a group element, or a tree (the
+    su2 target and its variants), whose operator the certificate reads."""
     case1 = fixtures.case_action(1)
     case2 = fixtures.case_action(2)
     h = HSeries.hbar(N)
@@ -789,9 +797,10 @@ def _lie_hom_cases():
             [(3, ["eta"]), (-h, ["eta", "eta"])])),
         "case2-oracle": (case2, case2.group.element(
             [(-1, ["eta"]), (h, ["eta", "eta"])])),
-        "su2": (su2, fixtures.su2_commutator_target_for(su2)),
-        "su2-wrong-scale-sign": _su2_target(sign=-1),
-        "su2-dropped-hbar-div": _su2_target(hbar_div=False),
+        "su2": (su2, su2_target_tree(su2)),
+        # the target with the outer sign or the division by hbar changed
+        "su2-wrong-scale-sign": (su2, su2_target_tree(su2, sign=-1)),
+        "su2-dropped-hbar-div": (su2, su2_target_tree(su2, hbar_div=False)),
     }
 
 
@@ -801,8 +810,11 @@ def _lie_hom_cases():
 def test_lie_hom_certificate_agrees_with_sweep(case):
     from oracles import sweep_action_lie_hom
     act, rhs = _lie_hom_cases()[case]
-    cert = check_action_lie_hom(act, {("xi", "eta"): rhs}, degree=2)
-    sweep = sweep_action_lie_hom(act, {("xi", "eta"): rhs}, degree=2)
+    expected = operator_of(rhs, act.algebra) if isinstance(rhs, tuple) \
+        else rhs
+    cert = check_action_lie_hom(act, {("xi", "eta"): expected}, degree=2)
+    sweep = sweep_action_lie_hom(act, fixture_trees(act),
+                                 {("xi", "eta"): rhs}, degree=2)
     cert, sweep = cert[("xi", "eta")], sweep[("xi", "eta")]
     assert (cert.verdict, cert.failures) == (sweep.verdict, sweep.failures)
     assert cert.ok == (case in ("case1", "case2-oracle", "su2"))
@@ -811,33 +823,37 @@ def test_lie_hom_certificate_agrees_with_sweep(case):
 
 
 def test_compiled_operators_agree_with_expressions():
-    # every shipped generator expression, and the su2 target, compiles to
-    # an operator with the values of the recursive reference evaluator on
-    # the monomials of degree <= 2
-    actions = [fixtures.case_action(c) for c in (1, 2, 3)] \
-        + [fixtures.su2_action(), _spec_action()]
-    for act in actions:
-        exprs = dict(act.exprs)
-        if act.algebra.name == "su2-module-algebra":
-            exprs["target"] = fixtures.su2_commutator_target_for(act)
-        for name, expr in exprs.items():
-            op = expr.compile(act.algebra)
-            for m in monomials(act.algebra, 2):
-                assert (op(m) - eval_expr(expr, m)).is_zero(), \
-                    (act.algebra.name, name, m)
+    # every shipped generator's operator, and the su2 target, is exactly
+    # the operator its tree builds, and has the values of the recursive
+    # reference evaluator on the monomials of degree <= 2
+    actions = [_shipped(fixtures.case_action(c)) for c in (1, 2, 3)] \
+        + [_shipped(fixtures.su2_action()), _spec_action()]
+    for act, trees in actions:
+        alg = act.algebra
+        ops = dict(act.operators)
+        if alg.name == "su2-module-algebra":
+            ops["target"] = fixtures.su2_commutator_target_for(act)
+            trees = dict(trees, target=su2_target_tree(act))
+        assert set(trees) == set(ops)
+        for name, op in ops.items():
+            built = operator_of(trees[name], alg)
+            assert (built.k, built.order, built.terms) \
+                == (op.k, op.order, op.terms), (alg.name, name)
+            for m in monomials(alg, 2):
+                assert (op(m) - eval_expr(trees[name], m)).is_zero(), \
+                    (alg.name, name, m)
 
 
 def test_operator_composition_and_shift_alignment():
     alg = fixtures.case2_module_algebra()
     a, b = alg.gen("a"), alg.gen("b")
     # (L1, R1) o (L2, R2) = (L1 L2, R2 R1)
-    op = Compose([LMul(a), RMul(b)]).compile(alg) \
-        * Compose([LMul(b), RMul(a)]).compile(alg)
+    op = (lmul(alg, a) * rmul(alg, b)) * (lmul(alg, b) * rmul(alg, a))
     assert op.k == 0
     for m in monomials(alg, 2):
         assert op(m) == a * b * m * a * b
     # a sum aligns shifts: hbar^-1 [b, .] + id is hbar^-1 ([b, .] + hbar id)
-    s = Sum([HbarDiv(Commutator(b), 1), Identity()]).compile(alg)
+    s = ad(alg, b).divide_by_hbar() + lmul(alg, alg.one())
     assert s.k == 1 and s.window == s.order - 1
     assert {j: c for (j, key), c in s.terms.items() if key == ((), ())} \
         == {1: 1}
@@ -849,7 +865,7 @@ def test_shipped_obligations_are_zero_tensors():
     from poisson_forge.qmomentum import lie_hom_defect, module_algebra_defect
     for act in [fixtures.case_action(c) for c in (1, 2, 3)] \
             + [fixtures.su2_action()]:
-        for name in act.exprs:
+        for name in act.operators:
             cop = act.hopf.coproduct.apply_word((act.group.index(name),))
             defect = module_algebra_defect(act, name, cop)
             assert defect.is_zero() and defect.window >= 1, \
@@ -906,14 +922,17 @@ def test_fixture_suite_sweeps_only_the_case2_witness(monkeypatch):
     assert [dict(check=c, **r.to_json()) for c, r in results] == stored
 
 
-def _central_action(expr, coproduct, counit):
+def _central_action(tree, coproduct, counit):
     # the commutative algebra of a, a^-1, b: every element is central;
-    # the group has one generator xi, with Delta(xi) = ``coproduct``
+    # the group has one generator xi, with Delta(xi) = ``coproduct``, acting
+    # by the tree ``tree(alg)``
     from poisson_forge.ncalg import Presentation
     alg = case1_reduction_algebra()
     grp = Presentation(["xi"], {}, N, name="one-generator")
     hopf = hopf_from(grp, {"xi": coproduct}, {"xi": counit})
-    return QuantumAction(hopf, alg, {"xi": expr(alg)}), grp
+    trees = {"xi": tree(alg)}
+    return QuantumAction(hopf, alg, {"xi": operator_of(trees["xi"], alg)}), \
+        grp, trees
 
 
 def test_nonzero_tensor_without_witness_is_inconclusive():
@@ -921,9 +940,9 @@ def test_nonzero_tensor_without_witness_is_inconclusive():
     from poisson_forge.errors import CapabilityError
     # Phi(xi) = L(b) - R(b) acts as 0, but its tensor b (x) 1 - 1 (x) b is
     # not 0; with Delta(xi) = xi (x) xi no monomial pair is a witness
-    act, grp = _central_action(lambda alg: Commutator(alg.gen("b")),
-                               {(("xi",), ("xi",)): 1}, 1)
-    assert sweep_module_algebra(act, degree=2).ok
+    act, grp, trees = _central_action(lambda alg: ("ad", alg.gen("b")),
+                                      {(("xi",), ("xi",)): 1}, 1)
+    assert sweep_module_algebra(act, trees, degree=2).ok
     with pytest.raises(CapabilityError) as info:
         check_module_algebra(act, degree=2)
     assert info.value.guard == "module-algebra.inconclusive"
@@ -931,10 +950,12 @@ def test_nonzero_tensor_without_witness_is_inconclusive():
     assert "guard module-algebra.inconclusive" in str(info.value)
     # [Phi(xi), Phi(xi)] = ad b holds (both sides act as 0), but ad b is a
     # nonzero tensor
-    rhs = Commutator(act.algebra.gen("b"))
-    assert sweep_action_lie_hom(act, {("xi", "xi"): rhs})[("xi", "xi")].ok
+    rhs = ("ad", act.algebra.gen("b"))
+    assert sweep_action_lie_hom(act, trees,
+                                {("xi", "xi"): rhs})[("xi", "xi")].ok
     with pytest.raises(CapabilityError) as info:
-        check_action_lie_hom(act, {("xi", "xi"): rhs}, degree=2)
+        check_action_lie_hom(
+            act, {("xi", "xi"): operator_of(rhs, act.algebra)}, degree=2)
     assert info.value.guard == "lie-hom.inconclusive"
     assert info.value.counters == {"tensor_terms": 2, "degree": 2}
 
@@ -942,8 +963,9 @@ def test_nonzero_tensor_without_witness_is_inconclusive():
 def test_empty_hbar_window_is_refused():
     from poisson_forge.errors import CapabilityError
     # hbar^-6 L(b) at N = 6: the zero tensor would be known mod hbar^0 only
-    act, grp = _central_action(lambda alg: HbarDiv(LMul(alg.gen("b")), 6),
-                               {(("xi",), ()): 1}, 0)
+    act, grp, _ = _central_action(
+        lambda alg: ("hbar_div", ("lmul", alg.gen("b")), 6),
+        {(("xi",), ()): 1}, 0)
     with pytest.raises(CapabilityError) as info:
         check_module_algebra(act, degree=2)
     assert info.value.guard == "module-algebra.window"

@@ -14,8 +14,7 @@ from poisson_forge import fixtures
 from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import Presentation
 from poisson_forge.qmomentum import (
-    Commutator, Compose, HbarDiv, Identity, LMul, QuantumAction, RMul, Scale,
-    Sum, invariant_subalgebra,
+    QuantumAction, invariant_subalgebra, lmul,
 )
 from poisson_forge.scalars import HSeries
 
@@ -73,22 +72,21 @@ def _exprs(gens):
         st.tuples(st.just("scale"), kids, st.integers(-2, 2))), max_leaves=3)
 
 
-def _build(alg, spec):
+def _tree(alg, spec):
+    """The ``oracles`` tree of a drawn expression on ``alg``; an "ad" leaf
+    is divided by hbar."""
     kind = spec[0]
     if kind == "id":
-        return Identity()
+        return ("id",)
     if kind == "zero":
-        return Scale(Identity(), 0)
-    if kind == "lmul":
-        return LMul(alg.gen(spec[1]))
-    if kind == "rmul":
-        return RMul(alg.gen(spec[1]))
+        return ("scale", ("id",), 0)
+    if kind in ("lmul", "rmul"):
+        return (kind, alg.gen(spec[1]))
     if kind == "ad":
-        return HbarDiv(Commutator(alg.gen(spec[1])), 1)
+        return ("hbar_div", ("ad", alg.gen(spec[1])), 1)
     if kind == "scale":
-        return Scale(_build(alg, spec[1]), spec[2])
-    parts = [_build(alg, s) for s in spec[1:]]
-    return Compose(parts) if kind == "compose" else Sum(parts)
+        return ("scale", _tree(alg, spec[1]), spec[2])
+    return (kind, [_tree(alg, s) for s in spec[1:]])
 
 
 def _span(elements, order):
@@ -125,9 +123,10 @@ def test_quotient_invariants_match_the_span_oracle(case):
     # Phi(g) = X + eps(g) id, so that a nonzero counit value keeps the
     # invariants of X
     eps = {g: hopf.counit.apply_word((hopf.algebra.index(g),)) for g in specs}
+    trees = {g: ("sum", [_tree(alg, s), ("scale", ("id",), eps[g])])
+             for g, s in specs.items()}
     action = QuantumAction(hopf, alg, {
-        g: Sum([_build(alg, s), Scale(Identity(), eps[g])])
-        for g, s in specs.items()})
+        g: oracles.operator_of(t, alg) for g, t in trees.items()})
     ideal = _ideal(alg, ideal_name)
     if (algebra, ideal_name) in TORSION:
         with pytest.raises(CapabilityError) as exc:
@@ -135,7 +134,7 @@ def test_quotient_invariants_match_the_span_oracle(case):
         assert exc.value.guard == "ncgroebner.nonunit_lead"
         return
     quotient = alg.quotient(ideal)
-    on_quotient = QuantumAction(hopf, quotient, action.exprs)
+    on_quotient = action.on(quotient)
     if min(on_quotient.operator((g,)).window for g in specs) < 1:
         # hbar^-k with k >= N: nothing is known of the operator
         with pytest.raises(CapabilityError) as exc:
@@ -144,7 +143,7 @@ def test_quotient_invariants_match_the_span_oracle(case):
         return
     basis, rep = invariant_subalgebra(on_quotient, degree)
     classes = [quotient.normal_form(x) for x in
-               oracles.sweep_invariant_classes(action, degree, ideal)]
+               oracles.sweep_invariant_classes(action, trees, degree, ideal)]
     assert len(basis) == len(classes)
     spans = _span(basis, order), _span(classes, order)
     assert all(spans[0].contains(x.terms, x.order) for x in classes)
@@ -163,7 +162,7 @@ def test_product_known_below_the_kernel_window_is_refused():
     alg = Presentation(["a"], {("a", "a"): {(): HSeries([0, 1], order - 2)}},
                        order)
     action = QuantumAction(fixtures.r2_hopf(order=order), alg,
-                           {"xi": Scale(Identity(), 0)})
+                           {"xi": lmul(alg, alg.one()) * 0})
     with pytest.raises(CapabilityError) as exc:
         invariant_subalgebra(action, 2)
     assert exc.value.guard == "invariant-subalgebra.window"

@@ -129,3 +129,23 @@ def test_check_action_evaluates_case2_commutator_once_per_monomial(
     calls = _count_calls(monkeypatch, Operator, "__call__")
     assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
     assert len(calls) == 112
+
+
+def test_check_action_composes_each_word_once(monkeypatch, capsys):
+    # the compositions of operators: a word's operator is its prefix's
+    # composed with its last letter's, a one-letter word's is the letter's
+    # own, and the su2 target is made of the action's operators (42 when
+    # each one-letter word was composed with the identity and the target
+    # compiled Phi(zeta^+-1) again)
+    from poisson_forge.qmomentum import Operator
+    original = Operator.__mul__
+    calls = []
+
+    def counted(self, other):
+        if other.__class__ is Operator:
+            calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(Operator, "__mul__", counted)
+    assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
+    assert len(calls) == 30
