@@ -13,7 +13,7 @@ like a^-1 without dragging in general rational functions.
 from operator import add
 
 from .errors import CapabilityError
-from .scalars import GaussRational, LinComb, ONE, ZERO, _acc, gauss
+from .scalars import GaussRational, LinComb, ONE, ZERO, _acc, _power, gauss
 
 
 class Chart:
@@ -152,17 +152,7 @@ class CoordPoly(LinComb):
                              add_product({}, self.terms, other.terms))
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return self.chart.one() if out is None else out
+        return _power(self, k, self.chart.one())
 
     def inverse(self):
         """Inverse of a unit: a single term with unit coefficient whose

@@ -439,19 +439,12 @@ def q_number_terms(order=ORDER):
     taken mod hbar^(order + 1), so the shifted denominator, and every
     coefficient, is known mod hbar^order.
     """
-    scale = Fraction(1, 4)
-    den_unit = (hexp(scale, order + 1)
-                - hexp(-scale, order + 1)).divide_by_hbar()
-    den_inv = den_unit.inverse()
+    num = hexp(Fraction(1, 4), order + 1) - hexp(Fraction(-1, 4), order + 1)
+    den_inv = num.divide_by_hbar().inverse()
     terms = {}
-    fact = 1
-    for k in range(1, order + 1):
-        fact *= k
-        if k % 2 == 0:
-            continue
-        # numerator coefficient of H^k: 2 scale^k hbar^k / k!; one hbar
-        # cancels against the denominator's
-        lead = gauss(2 * scale ** k / fact)
+    for (k, _), lead in num.terms.items():
+        # the numerator's coefficient of H^k is that of hbar^k in num, and
+        # one hbar cancels against the denominator's
         coeff = HSeries([0] * (k - 1) + [lead], order) * den_inv
         if not coeff.is_zero():
             terms[("H",) * k] = coeff
@@ -479,15 +472,9 @@ def h_exponential(pres, scale):
     """exp(scale * hbar * H) as an NCPoly in the H-subalgebra, mod hbar^N
     for the presentation's N."""
     from .ncalg import NCPoly
-    order = pres.order
-    terms = {}
-    fact = 1
     h = pres.index("H")
-    for k in range(order):
-        if k:
-            fact *= k
-        terms[(k, (h,) * k)] = gauss(Fraction(scale) ** k / fact)
-    return NCPoly(pres, terms, order)
+    return NCPoly(pres, {(k, (h,) * k): c for (k, _), c
+                         in hexp(scale, pres.order).terms.items()}, pres.order)
 
 
 def usl2_hopf(order=ORDER):

@@ -20,7 +20,7 @@ from .ncalg import (
     check_map,
 )
 from .report import Report, merge
-from .scalars import ONE, ZERO, _accumulate
+from .scalars import ZERO, _accumulate
 
 
 class HopfStructure:
@@ -66,13 +66,13 @@ def derive_antipode(presentation, coproduct, counit):
     Groups*, III.3; Sweedler, *Hopf Algebras*, 1969).  On a generator x,
     write Delta(x) = x (x) a + sum u (x) v, where x (x) a collects the
     terms whose left word is x itself.  Then m(S (x) id)Delta(x) = eps(x)
-    reads S(x) = (eps(x) - sum S(u) v) a^-1, once a is invertible: its
-    hbar^0 part must be c w, with c a nonzero scalar and w a word of
-    declared-invertible generators (the empty word too), and a^-1 is
-    Newton's b <- b(2 - a b) from c^-1 w^-1, w^-1 the reversed word of the
-    inverse letters; each step doubles the powers of hbar known.  These
-    are the group-likes and skew-primitives of the shipped groups (the
-    pointed Hopf algebras of Radford, *Hopf Algebras*, 2012).
+    reads S(x) = (eps(x) - sum S(u) v) a^-1, once a is a unit of the ring:
+    c w + O(hbar), with c a nonzero scalar and w a word of
+    declared-invertible generators (the empty word too), inverted by
+    ``NCPoly.inverse``.  These are the group-likes and skew-primitives of
+    the shipped groups (the pointed Hopf algebras of Radford, *Hopf
+    Algebras*, 2012).  Generators that isolate the same a, as U_hbar(sl2)'s
+    E and F isolate q^(H/2), share one inversion.
 
     The equations are solved by iteration from S = 0, the generators in an
     order where the hbar^0 terms u (x) v of each read S only on generators
@@ -89,20 +89,28 @@ def derive_antipode(presentation, coproduct, counit):
     identities on the whole algebra, so a Delta or eps of no Hopf algebra
     still fails, and is named.
 
-    Guard ``antipode.derive`` (CapabilityError): a generator with no
-    invertible a, hbar^0 terms that read S cyclically, or images (or
-    Newton's a^-1) not settled within their bound; the message names the
-    generator and the cause."""
+    Guard ``antipode.derive`` (CapabilityError): a generator whose a is no
+    unit (``NCPoly.inverse`` raises ValueError), hbar^0 terms that read S
+    cyclically, or images not settled within their bound; the message
+    names the generator and the cause."""
     pres = presentation
     square = TensorAlgebra(pres, 2)
-    equations, reads, reads0 = {}, {}, {}
+    equations, reads, reads0, inverses = {}, {}, {}, {}
     for i, g in enumerate(pres.gens):
         d = coproduct.apply_word((i,))
         own = {(j, v): c for (j, (u, v)), c in d.terms.items() if u == (i,)}
         rest = TensorElement(square, {key: c for key, c in d.terms.items()
                                       if key[1][0] != (i,)}, d.order)
+        key = (frozenset(own.items()), d.order)
+        if key not in inverses:
+            a = _ncpoly(pres, own, d.order)
+            try:
+                inverses[key] = a.inverse()
+            except ValueError:
+                raise _underivable(g, "Delta(%s) has no term %s (x) a with a "
+                                   "invertible: a = %r" % (g, g, a))
         equations[i] = (pres.one() * counit.apply_word((i,)), rest,
-                        _unit_inverse(pres, _ncpoly(pres, own, d.order), g))
+                        inverses[key])
         reads[i] = {h for _, (u, _) in rest.terms for h in u}
         reads0[i] = {h for j, (u, _) in rest.terms if not j for h in u}
     try:
@@ -130,27 +138,6 @@ def derive_antipode(presentation, coproduct, counit):
             return AlgebraMap(pres, images, pres.one(), anti=True, name="S")
     raise _underivable(pres.gens[min(stale)], "the images have not settled "
                        "after %d rounds" % (pres.order + 1))
-
-
-def _unit_inverse(pres, a, name):
-    """a^-1, where ``name`` (x) a are the terms of Delta(``name``) whose
-    left word is ``name`` (``derive_antipode``)."""
-    low = [(w, c) for (j, w), c in a.terms.items() if not j]
-    inverse = {pres.index(k): pres.index(v) for k, v in pres.inverses.items()}
-    inverse.update({v: k for k, v in inverse.items()})
-    if len(low) != 1 or not all(h in inverse for h in low[0][0]):
-        raise _underivable(name, "Delta(%s) has no term %s (x) a with a "
-                           "invertible: a = %r" % (name, name, a))
-    (w, c), = low
-    b = pres.monomial(tuple(inverse[h] for h in reversed(w))) * (ONE / c)
-    # 1 - a b is O(hbar) and squares each step, so log2 N steps suffice
-    for _ in range(pres.order.bit_length() + 1):
-        defect = 1 - a * b
-        if defect.is_zero():
-            return b
-        b = b + b * defect
-    raise _underivable(name, "Newton's iteration for a^-1 has not settled: "
-                       "a = %r" % a)
 
 
 def _underivable(name, cause):
@@ -342,17 +329,6 @@ def check_co_poisson_compatibility(hopf, generator_table):
 
 # -- quasi-triangularity -----------------------------------------------------
 
-def _embed_pair(t3, element, slots):
-    """R in A (x) A placed into two of three slots."""
-    out = {}
-    for (j, (u, v)), c in element.terms.items():
-        key = [(), (), ()]
-        key[slots[0]] = u
-        key[slots[1]] = v
-        out[(j, tuple(key))] = c
-    return TensorElement(t3, out, element.order)
-
-
 def check_quasitriangular(hopf, R):
     """The two coproduct axioms and the quantum Yang-Baxter equation.
 
@@ -368,9 +344,9 @@ def check_quasitriangular(hopf, R):
     t1 = TensorAlgebra(pres, 1)
     reports = {}
 
-    r12 = _embed_pair(t3, R, (0, 1))
-    r13 = _embed_pair(t3, R, (0, 2))
-    r23 = _embed_pair(t3, R, (1, 2))
+    r12 = t3.embed(R, 0, 1)
+    r13 = t3.embed(R, 0, 2)
+    r23 = t3.embed(R, 1, 2)
 
     def _verdict(name, defect):
         val = defect.hbar_valuation()

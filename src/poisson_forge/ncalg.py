@@ -482,11 +482,31 @@ class NCPoly(_SeriesComb):
             _pairs(self.terms, other.terms, tuple.__add__, order), order)
         return _ncpoly(pres, flat.terms, flat.order)
 
-    def __pow__(self, k):
-        out = self.presentation.one()
-        for _ in range(k):
-            out = out * self
-        return out
+    def inverse(self):
+        """The inverse of a unit c w + O(hbar): c a nonzero scalar and w a
+        word of declared-invertible generators (the empty word too).
+        Newton's b <- b (2 - a b) from b = c^-1 w^-1, w^-1 the reversed word
+        of the inverse letters: 1 - a b is O(hbar) and squares each step,
+        so log2 N steps reach the window.  On a confluent presentation the
+        right inverse found is the two-sided one.  Any other element, or
+        one whose iteration does not settle, raises ValueError."""
+        pres = self.presentation
+        low = [(w, c) for (j, w), c in self.terms.items() if not j]
+        inverse = {pres.index(k): pres.index(v)
+                   for k, v in pres.inverses.items()}
+        inverse.update({v: k for k, v in inverse.items()})
+        if len(low) != 1 or not all(h in inverse for h in low[0][0]):
+            raise ValueError("%r is not a unit: its hbar^0 part is not c w "
+                             "with w a word of invertible generators" % self)
+        (w, c), = low
+        b = pres.monomial(tuple(inverse[h] for h in reversed(w))) * (ONE / c)
+        for _ in range(self.order.bit_length() + 1):
+            defect = 1 - self * b
+            if defect.is_zero():
+                return b
+            b = b + b * defect
+        raise ValueError("Newton's iteration for the inverse of %r has not "
+                         "settled" % self)
 
     def degree(self):
         return max((len(w) for _, w in self.terms), default=0)
@@ -540,13 +560,17 @@ class TensorAlgebra:
     def one(self):
         return self.element({((),) * self.k: 1})
 
-    def embed(self, x, slot):
-        """x in the given tensor slot, 1 elsewhere."""
+    def embed(self, x, *slots):
+        """x in the given tensor slots, 1 elsewhere: an element in one
+        slot, or the i-th slot of a smaller tensor in slots[i] (so
+        ``embed(R, 0, 2)`` is R13)."""
+        tensor = isinstance(x, TensorElement)
         out = {}
-        for (j, w), c in x.terms.items():
-            key = [()] * self.k
-            key[slot] = w
-            out[(j, tuple(key))] = c
+        for (j, key), c in x.terms.items():
+            words = [()] * self.k
+            for slot, w in zip(slots, key if tensor else (key,)):
+                words[slot] = w
+            out[(j, tuple(words))] = c
         return TensorElement(self, out, x.order)
 
     def from_factors(self, factors):
@@ -667,17 +691,14 @@ class AlgebraMap:
 def check_map(m):
     """Verify the map preserves every rewrite rule of its source.
 
-    For a rule L -> R the images of L and R must agree after normal form.
-    Anti-maps check the reversed products.
+    For a rule L -> R the images of L and R must agree after normal form;
+    the image of the word L is ``apply_word``'s, so anti-maps check the
+    reversed products.
     """
     src = m.source
     failures = []
     for lhs in sorted(src.rules):
-        lhs_img = None
-        for g in (reversed(lhs) if m.anti else lhs):
-            lhs_img = m.images[g] if lhs_img is None else lhs_img * m.images[g]
-        if lhs_img is None:
-            lhs_img = m.one
+        lhs_img = m.apply_word(lhs)
         rhs = src.rules[lhs]
         rhs_img = m(NCPoly(src, rhs.terms, rhs.order))
         if not lhs_img == rhs_img:

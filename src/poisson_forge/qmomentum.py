@@ -46,7 +46,7 @@ from .linalg import solve
 from .ncalg import AlgebraMap, _ncpoly, _pairs
 from .report import Report, PASS, FAIL, DISCREPANCY
 from .scalars import (
-    LinComb, _SeriesComb, _accumulate, _hseries, series,
+    LinComb, ValuationError, _SeriesComb, _accumulate, _hseries, series,
 )
 
 
@@ -198,6 +198,36 @@ class QuantumAction:
         self.operators = dict(operators)
         self.phi = AlgebraMap(self.group, self.operators,
                               lmul(algebra, algebra.one()), name="Phi")
+        self._division_failures = None
+
+    def division_failures(self):
+        """The first place where a generator's operator leaves the
+        algebra, as a list of at most one failure, computed once per action
+        however many checks read it (as ``HopfStructure.certificate`` is
+        once per structure).
+
+        Phi(g) = hbar^-k T maps A into A only if T(m) = 0 mod hbar^k on
+        every normal word m of length < k, since Phi(g)(m) must lie in A.
+        So a ValuationError on such an m is a conclusive fail, which names
+        g, m and the coefficient.  This is the necessary half only: no
+        check here proves the divisions exact on longer words.  A
+        generator whose operator is known in an empty window is left to the
+        window guards of the checks that read it."""
+        if self._division_failures is None:
+            self._division_failures = []
+            alg = self.algebra
+            probes = ((name, op, w) for name, op in self.operators.items()
+                      if op.k and op.window >= 1
+                      for w in alg.monomials_up_to(op.k - 1))
+            for name, op, w in probes:
+                try:
+                    op(alg.monomial(w))
+                except ValuationError as exc:
+                    self._division_failures.append(
+                        "Phi(%s) leaves the algebra at %s: %s"
+                        % (name, alg.word_name(w), exc))
+                    break
+        return self._division_failures
 
     def on(self, quotient):
         """The action on ``quotient``, a quotient of ``algebra`` on the
@@ -339,7 +369,9 @@ def check_module_algebra(action, degree=2):
     for each generator are zero, the identity holds for all f and g in
     every degree, wherever the actions' hbar-divisions are exact (each
     tensor is the two-sided multiplication form of its identity;
-    Montgomery, *Hopf Algebras and Their Actions on Rings*, ch. 4).
+    Montgomery, *Hopf Algebras and Their Actions on Rings*, ch. 4).  An
+    action that ``QuantumAction.division_failures`` shows to leave A fails
+    before any tensor is formed.
     With coefficients known mod hbar^N and shift K it is exact mod
     hbar^(N - K); an empty window raises ``module-algebra.window``.  The
     condition is sufficient only (a (x) 1 - 1 (x) a acts as 0 when a is
@@ -350,6 +382,9 @@ def check_module_algebra(action, degree=2):
     ``module-algebra.inconclusive``.  Rules go first, in order, then the
     generators in order, and the report stops at the first witness.
     """
+    failures = action.division_failures()
+    if failures:
+        return Report.from_failures("module-algebra", failures)
     group, phi = action.group, action.phi
     inconclusive = None
     for lhs in sorted(group.rules):
@@ -415,7 +450,9 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
     given either as a quantum-group element (extended through Phi) or as an
     explicit Operator.  Theorem: if the tensor of ``lie_hom_defect`` is
     zero, the relation holds on every element, in every degree, wherever
-    the hbar-divisions are exact; with coefficients known mod hbar^N and
+    the hbar-divisions are exact (an action that
+    ``QuantumAction.division_failures`` shows to leave A fails every
+    relation); with coefficients known mod hbar^N and
     shift K it is exact mod hbar^(N - K) (an empty window raises
     ``lie-hom.window``).  A nonzero tensor is followed by a sweep of
     monomials up to ``degree``: its defects make a conclusive fail; none
@@ -424,6 +461,10 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
     diagnostic solver expresses the true commutator in the span of
     Phi-images of the candidate words (``diagnose_words``).
     """
+    failures = action.division_failures()
+    if failures:
+        return {pair: Report.from_failures("lie-hom(%s,%s)" % pair, failures)
+                for pair in relations}
     reports = {}
     for (xn, yn), expected in relations.items():
         defect = lie_hom_defect(action, xn, yn, expected)
@@ -548,7 +589,8 @@ def check_ideal_invariance(action, ideal_gens, quotient):
     Phi(g)(x) modulo J vanishes mod hbar^(N - k): Phi(g)(J) lies in J
     mod hbar^(N - k), in every degree.
     Hypothesis: Phi(g) maps A into A, that is, its hbar-divisions are
-    exact on A.  Nothing here certifies that.
+    exact on A.  Only its necessary half is checked, first
+    (``QuantumAction.division_failures``).
     The value Phi(g)(s) is known mod hbar^(min(N_s, N) - k) for a generator
     s known mod hbar^N_s; an empty window raises
     ``ideal-invariance.window`` before Phi(g)(s) is evaluated, since the
@@ -560,6 +602,9 @@ def check_ideal_invariance(action, ideal_gens, quotient):
     witness.  ``quotient`` is ``alg.quotient(ideal_gens)``, completed by
     the caller, which passes the same quotient to ``invariant_subalgebra``.
     """
+    failures = action.division_failures()
+    if failures:
+        return Report.from_failures("ideal-invariance", failures)
     alg = action.algebra
     ideal_gens = [alg.element(j) for j in ideal_gens]
     if not ideal_gens:

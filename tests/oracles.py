@@ -483,8 +483,17 @@ def sweep_module_algebra(action, trees, degree=2):
     order of ``trees``, each acting by its tree; stops at the first
     defect.  First Phi(lhs) = Phi(rhs) on every monomial <= degree, for
     each rule lhs -> rhs of the group in order: Phi must be an action of
-    the group for the identity to mean anything."""
+    the group for the identity to mean anything.  Before both, each tree
+    is evaluated on the monomials of length < k, k the shift of the
+    generator's operator (where its window is not empty): a tree that
+    leaves the algebra there raises ValuationError, the hypothesis that
+    ``QuantumAction.division_failures`` checks."""
     alg = action.algebra
+    for name, tree in trees.items():
+        op = action.operators[name]
+        if op.k and op.window >= 1:
+            for f in _monomials(alg, op.k - 1):
+                eval_expr(tree, f)
     monos = _monomials(alg, degree)
     group = action.group
     for lhs in sorted(group.rules):

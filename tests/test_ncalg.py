@@ -196,6 +196,68 @@ def test_tensor_embed_product():
     assert f2 * e1 == t2.element({(("E",), ("F",)): 1})
 
 
+def test_tensor_embed_places_each_slot_of_a_smaller_tensor():
+    u = fixtures.usl2_presentation()
+    t3 = TensorAlgebra(u, 3)
+    r = TensorAlgebra(u, 2).element({(("E",), ("F",)): 2, ((), ("H",)): 1})
+    assert t3.embed(r, 0, 2) == t3.element({(("E",), (), ("F",)): 2,
+                                            ((), (), ("H",)): 1})
+    assert t3.embed(r, 2, 1) == t3.element({((), ("F",), ("E",)): 2,
+                                            ((), ("H",), ()): 1})
+
+
+def _units(alg, words):
+    """Units c w + O(hbar) of ``alg``: each word of invertible letters
+    (names) with a scalar and an hbar tail."""
+    hbar = HSeries.hbar(alg.order)
+    tail = alg.element([(1, w) for w in alg.gens if w not in alg.inverses])
+    return [alg.element([(c, word)]) + tail * hbar ** j
+            for word, c, j in zip(words, ("1", "-3", "1/2+i", "2"),
+                                  (1, 1, 2, 3))]
+
+
+@pytest.mark.parametrize("alg, words", [
+    (fixtures.quantum_plane_presentation(N),
+     [(), ("a",), ("a_inv", "a_inv"), ("a",) * 3]),
+    (fixtures.su2_action().algebra,
+     [(), ("a_inv",), ("a", "a"), ("a_inv",) * 3]),
+], ids=["quantum-plane", "su2-module-algebra"])
+def test_units_invert_on_both_sides_and_negative_powers_invert(alg, words):
+    one = alg.one()
+    assert alg.gen("a") ** -1 == alg.gen("a_inv")
+    for x in _units(alg, words):
+        inv = x.inverse()
+        assert x * inv == one == inv * x
+        assert x ** -1 == inv
+        for k in (2, 3):
+            assert x ** -k == inv ** k
+            assert x ** -k * x ** k == one
+
+
+def test_a_non_unit_has_no_inverse():
+    alg = fixtures.quantum_plane_presentation(N)
+    a, b = alg.gen("a"), alg.gen("b")
+    for x in (b, a + b, a * HSeries.hbar(N), alg.zero()):
+        with pytest.raises(ValueError):
+            x ** -1
+        with pytest.raises(ValueError):
+            x.inverse()
+
+
+def test_powers_are_repeated_products_with_the_unit_of_their_space():
+    alg = fixtures.quantum_plane_presentation(N)
+    a, b = alg.gen("a"), alg.gen("b")
+    t2 = TensorAlgebra(alg, 2)
+    for x, one in ((a + b * HSeries.hbar(N), alg.one()),
+                   (t2.embed(a, 0) + t2.embed(b, 1) * 2, t2.one()),
+                   (HSeries([1, 2, 0, 3], 4), HSeries.one(4))):
+        product = one
+        for k in range(5):
+            assert x ** k == product
+            product = product * x
+        assert ((x ** 0).terms, (x ** 0).order) == (one.terms, one.order)
+
+
 def test_check_map_primitive_coproduct():
     hopf = fixtures.usl2_hopf()
     assert check_map(hopf.coproduct).ok

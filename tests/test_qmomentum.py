@@ -654,13 +654,18 @@ def test_invariant_subalgebra_empty_window_is_refused():
 
 
 def test_ideal_invariance_needs_no_monomial_sweep(monkeypatch):
-    # the certificate reduces Phi(g)(H) on the completed quotient only
+    # the certificate reduces Phi(g)(H) on the completed quotient only; the
+    # one word it evaluates an operator on besides is the empty word, where
+    # QuantumAction.division_failures probes each operator of shift 1
     from poisson_forge.ncalg import Presentation
     act = fixtures.su2_action()
     alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
+    words = Presentation.monomials_up_to
 
     def refuse(self, degree):
-        raise AssertionError("monomial sweep")
+        if degree:
+            raise AssertionError("monomial sweep")
+        return words(self, degree)
 
     monkeypatch.setattr(Presentation, "monomials_up_to", refuse)
     assert check_ideal_invariance(act, [H], alg.quotient([H])).ok
@@ -859,6 +864,40 @@ def test_operator_composition_and_shift_alignment():
         == {1: 1}
     for m in monomials(alg, 2):
         assert s(m) == b.commutator(m).divide_by_hbar() + m
+
+
+def test_operator_powers_compose_and_have_no_unit_power():
+    # the operators have no unit element: a power k >= 1 composes, and any
+    # other k is refused rather than answered with something else
+    alg = fixtures.case2_module_algebra()
+    op = ad(alg, alg.gen("b")).divide_by_hbar() + lmul(alg, alg.gen("a"))
+    assert op ** 1 is op
+    for k in (2, 3):
+        power = op ** k
+        assert power.k == k * op.k
+        assert (power - op * op ** (k - 1)).is_zero()
+    for k in (0, -1):
+        with pytest.raises(TypeError):
+            op ** k
+
+
+def test_an_inexact_division_fails_with_its_witness_word():
+    # Phi(t) = hbar^-1 L(b) sends 1 to b / hbar, which is no element; every
+    # check's tensor is zero, so only the probe of the empty word sees it
+    from poisson_forge.ncalg import Presentation
+    alg = case1_reduction_algebra(N)
+    grp = Presentation(["t"], {}, N, name="one-generator")
+    hopf = hopf_from(grp, {"t": {(("t",), ()): 1}}, {"t": 0})
+    act = QuantumAction(hopf, alg,
+                        {"t": lmul(alg, alg.gen("b")).divide_by_hbar()})
+    want = ["Phi(t) leaves the algebra at 1: cannot divide by hbar^1: the "
+            "coefficient of hbar^0 on b is 1"]
+    reports = [check_module_algebra(act, degree=2),
+               check_action_lie_hom(act, {("t", "t"): grp.zero()})[("t", "t")],
+               check_ideal_invariance(act, [alg.gen("b")],
+                                      alg.quotient([alg.gen("b")]))]
+    for rep in reports:
+        assert (rep.verdict, rep.failures) == ("fail", want), rep.check
 
 
 def test_shipped_obligations_are_zero_tensors():

@@ -5,10 +5,12 @@ computed twice again."""
 
 import sys
 
+import pytest
+
 from poisson_forge import lie, ncgroebner
 from poisson_forge.cli import main
 from poisson_forge.coordpoly import CoordPoly
-from poisson_forge.ncalg import Presentation
+from poisson_forge.ncalg import NCPoly, Presentation
 from poisson_forge.poisson import PolyBivector
 
 
@@ -63,6 +65,23 @@ def test_reduce_completes_each_ideal_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, ncgroebner, "complete")
     assert main(["reduce", "--fixtures"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, inversions", [
+    (["check-hopf", "--fixtures"], 3),
+    (["check-action", "--fixtures", "--degree", "2"], 7),
+    (["qreduce", "--fixtures"], 5),
+])
+def test_each_antipode_inverts_each_distinct_unit_once(monkeypatch, capsys,
+                                                      argv, inversions):
+    # derive_antipode inverts the a of Delta(x) = x (x) a + ... once for
+    # all the generators that isolate the same a: U(sl2)'s three
+    # primitives share a = 1, U_hbar(sl2)'s E and F share q^(H/2), and
+    # U_hbar(su2)'s zeta^-1 and eta share zeta^-1 (6, 8 and 6 inversions
+    # when each generator inverted its own)
+    calls = _count_calls(monkeypatch, NCPoly, "inverse")
+    assert main(argv) == 0
+    assert len(calls) == inversions
 
 
 def _count_normal_forms(monkeypatch):
@@ -124,11 +143,13 @@ def test_check_action_evaluates_case2_commutator_once_per_monomial(
     # monomials (36 values) and the paper's right side (9); the solver
     # reuses those values and evaluates only the 5 candidate words (45);
     # then 18 in case 3's invariant subalgebra and 4 in su2's ideal
-    # invariance (148 when the solver evaluated the commutator again)
+    # invariance (148 when the solver evaluated the commutator again);
+    # and 8 probes of the empty word, one per operator of shift 1, once per
+    # action (QuantumAction.division_failures)
     from poisson_forge.qmomentum import Operator
     calls = _count_calls(monkeypatch, Operator, "__call__")
     assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
-    assert len(calls) == 112
+    assert len(calls) == 120
 
 
 def test_check_action_composes_each_word_once(monkeypatch, capsys):
