@@ -40,7 +40,9 @@ the scalar elements are scaled by, and the printed form of a coefficient
 (``series_terms``).
 
 Inverse generators are ordinary generators with two-sided cancellation
-rules, placed adjacent to their base generator in the order.
+rules, placed adjacent to their base generator in the order.  No rule is
+written on one: each rule of its base on a pair fixes the inverse's rule
+on that pair, which ``Presentation`` derives when it is built.
 """
 
 import itertools
@@ -86,7 +88,8 @@ class Presentation:
     over Q(i)[[hbar]]/(hbar^order): every scalar that enters the algebra is
     known at most mod hbar^order, and its quotients and tensor powers
     inherit the order.  Each rule's right side is a ``Flat`` (flat terms
-    with their own window, not necessarily in normal form).  Immutable after
+    with their own window, not necessarily in normal form); ``_inverse``
+    maps each letter of an inverse pair to the other.  Immutable after
     construction except for the per-instance normal-form memo, which is a
     cache: concurrent use requires task-local instances or external
     guarding, and identical inputs always produce identical normal forms
@@ -97,22 +100,85 @@ class Presentation:
         """``rules`` maps a leading word (a tuple of generator names, such
         as the pair (left_name, right_name)) to a terms dict
         {word-of-names: coefficient}; ``inverses`` maps an inverse generator
-        name to its base name (cancellation rules are added automatically).
+        name to its base name.  No rule is written on an inverse generator:
+        its cancellation rules and its rules on pairs are derived
+        (``_derive_inverse``), and a written one raises ValueError.
         """
         self.gens = tuple(gens)
         self.order = order
         self.name = name or "algebra"
         self._index = {g: i for i, g in enumerate(self.gens)}
         self.inverses = dict(inverses or {})
+        base_of = {self._index[inv]: self._index[base]
+                   for inv, base in self.inverses.items()}
+        self._inverse = {**base_of,
+                         **{base: inv for inv, base in base_of.items()}}
         indexed = {}
         for lhs, terms in rules.items():
-            indexed[self._word(lhs)] = Flat(*_flat(
+            lhs = self._word(lhs)
+            written = [g for g in lhs if g in base_of]
+            if written:
+                raise ValueError(
+                    "rule %s in %r is written on the inverse generator %s, "
+                    "whose rules are derived from those of %s"
+                    % (self.word_name(lhs), self.name, self.gens[written[0]],
+                       self.gens[base_of[written[0]]]))
+            indexed[lhs] = Flat(*_flat(
                 ((self._word(w), c) for w, c in terms.items()), order))
+        for inv, base in base_of.items():
+            self._derive_inverse(indexed, inv, base)
         one = Flat({(0, ()): ONE}, order)
-        for inv, base in self.inverses.items():
-            indexed[(self._index[inv], self._index[base])] = one
-            indexed[(self._index[base], self._index[inv])] = one
+        for pair in self._inverse.items():
+            indexed[pair] = one
         self._set_rules(indexed)
+
+    def _derive_inverse(self, rules, inv, base):
+        """Add to ``rules`` the rule of the inverse ``inv`` of ``base`` that
+        each rule on a pair with ``base`` fixes.  The rule's relation
+        lhs - rhs = 0 is multiplied by a^-1 on both sides, adjacent inverse
+        pairs cancel (``_free``; no word is normalised), and the pair with
+        a^-1 in place of a is solved for:
+        a x -> c x a + R gives a^-1 x -> c^-1 (x a^-1 - a^-1 R a^-1), and
+        x a -> c a x + R gives x a^-1 -> c^-1 (a^-1 x - a^-1 R a^-1).  So
+        the algebra presented is the same, and where it is confluent
+        (Bergman's Diamond Lemma, ``check_confluence``) a^-1 is a two-sided
+        inverse of a.  c must be a unit series (``HSeries.inverse``), or
+        the guard ``ncalg.inverse_rule`` trips.  Run once per inverse, over
+        the rules derived so far, so two invertible letters also get their
+        (y^-1, x^-1) rule."""
+        for lhs, rule in list(rules.items()):
+            if base not in lhs:
+                continue
+            left = lhs[0] == base
+            x = lhs[-1] if left else lhs[0]
+            by_word = _ncpoly(self, rule.terms, rule.order).series_terms()
+            c = by_word.pop(lhs[::-1], None) if len(lhs) == 2 else None
+            if c is None or (0, ()) not in c.terms:
+                raise CapabilityError(
+                    "guard ncalg.inverse_rule: the rules of %s in %r cannot "
+                    "be derived from rule %s: %s"
+                    % (self.gens[inv], self.name, self.word_name(lhs),
+                       "its right side has no term %s with a unit "
+                       "coefficient" % self.word_name(lhs[::-1])
+                       if len(lhs) == 2 else "it is not a rule on a pair"),
+                    guard="ncalg.inverse_rule")
+            c_inv = c.inverse()
+            solved = (inv, x) if left else (x, inv)
+            terms = [(solved[::-1], c_inv)]
+            terms += [(self._free((inv,) + w + (inv,)), -(r * c_inv))
+                      for w, r in by_word.items()]
+            rules[solved] = Flat(*_flat(terms, rule.order))
+
+    def _free(self, word):
+        """``word`` with adjacent inverse pairs cancelled, and nothing else
+        rewritten (free reduction)."""
+        out = []
+        for g in word:
+            if out and self._inverse.get(out[-1]) == g:
+                out.pop()
+            else:
+                out.append(g)
+        return tuple(out)
 
     def _set_rules(self, rules):
         """Adopt ``rules`` ({leading word: Flat}, in generator indices),
@@ -129,6 +195,7 @@ class Presentation:
         """A presentation on the same generators with other rules."""
         out = Presentation(self.gens, {}, self.order, name=name)
         out.inverses = dict(self.inverses)
+        out._inverse = self._inverse
         out._set_rules(rules)
         return out
 
@@ -144,17 +211,22 @@ class Presentation:
     def _check_termination_order(self):
         """Every rule must rewrite into strictly smaller words in
         (degree, lex) order; terms that grow are only allowed at a strictly
-        positive power of hbar."""
+        positive power of hbar.  A rule on an inverse generator is a
+        derived one, and is named so."""
         for lhs, rhs in self.rules.items():
             lhs_key = (len(lhs), lhs)
             for j, word in rhs.terms:
                 if j >= 1 or (len(word), word) < lhs_key:
                     continue
+                inverse = [self.gens[g] for g in lhs
+                           if self.gens[g] in self.inverses]
                 raise ValueError(
-                    "rule %s -> ... %s is not decreasing and its "
+                    "rule %s -> ... %s%s is not decreasing and its "
                     "coefficient has no hbar gain; rewriting in %r could "
                     "fail to terminate"
-                    % (self.word_name(lhs), self.word_name(word), self.name))
+                    % (self.word_name(lhs), self.word_name(word),
+                       " (derived for the inverse %s)" % inverse[0]
+                       if inverse else "", self.name))
 
     def index(self, name):
         return self._index[name]
@@ -492,9 +564,7 @@ class NCPoly(_SeriesComb):
         one whose iteration does not settle, raises ValueError."""
         pres = self.presentation
         low = [(w, c) for (j, w), c in self.terms.items() if not j]
-        inverse = {pres.index(k): pres.index(v)
-                   for k, v in pres.inverses.items()}
-        inverse.update({v: k for k, v in inverse.items()})
+        inverse = pres._inverse
         if len(low) != 1 or not all(h in inverse for h in low[0][0]):
             raise ValueError("%r is not a unit: its hbar^0 part is not c w "
                              "with w a word of invertible generators" % self)
@@ -724,10 +794,10 @@ def chart_presentation(chart, order):
     """The commutative presentation of the (Laurent) polynomials on
     ``chart``, mod hbar^order: one generator per variable, an inverse
     generator ``<v>_inv`` just before each invertible variable v, and the
-    rule y*x -> x*y for each ordered pair of generators y after x (an
-    inverse and its base cancel instead).  Its normal words are the sorted
-    words, one per monomial, so ``abelianize`` maps normal forms back to
-    polynomials term by term.
+    rule y*x -> x*y for each pair of variables y after x.  The rules of the
+    inverse generators, which commute too, are derived from these.  Its
+    normal words are the sorted words, one per monomial, so ``abelianize``
+    maps normal forms back to polynomials term by term.
 
     A classical ideal I is decided on the quotient by its generators
     (``Presentation.quotient``, at order 1): the commuting rules plus a
@@ -748,8 +818,7 @@ def chart_presentation(chart, order):
         raise ValueError("chart %s: a variable has the name of an inverse "
                          "generator" % list(chart.names))
     rules = {(y, x): {(x, y): 1}
-             for x, y in itertools.combinations(gens, 2)
-             if inverses.get(x) != y}
+             for x, y in itertools.combinations(chart.names, 2)}
     return Presentation(gens, rules, order, inverses=inverses,
                         name="Q(i)[%s]" % ", ".join(gens))
 

@@ -145,9 +145,8 @@ def _lift(p, pres):
     """p as an element of a presentation on its chart's generators
     (``chart_presentation`` or a quotient of it): each monomial becomes its
     sorted word, a negative exponent a power of the inverse generator."""
-    inverse = {base: inv for inv, base in pres.inverses.items()}
-    letters = [(pres.index(v), pres.index(inverse.get(v, v)))
-               for v in p.chart.names]
+    inverse = pres._inverse
+    letters = [(i, inverse.get(i, i)) for i in map(pres.index, p.chart.names)]
     terms = {}
     for exps, c in p.terms.items():
         word = ()

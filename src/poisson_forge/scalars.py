@@ -271,13 +271,17 @@ def _power(x, k, one):
     A negative k first inverts x (``x.inverse()``, a ValueError or
     ZeroDivisionError on a non-unit), and k = 0 gives ``one``, the unit of
     x's space.  A space with no unit (``one`` None) has only the powers
-    k >= 1: any other k is a TypeError."""
+    k >= 1, and a type with no ``inverse`` only the powers k >= 0: any
+    other k is a TypeError."""
     if k <= 0:
         if one is None:
             raise TypeError("%s ** %d: the space has no unit"
                             % (type(x).__name__, k))
         if not k:
             return one
+        if not hasattr(x, "inverse"):
+            raise TypeError("%s ** %d: %s has no inverse"
+                            % (type(x).__name__, k, type(x).__name__))
         x, k = x.inverse(), -k
     out = None
     while True:

@@ -54,6 +54,10 @@ of g*, the primitive Delta and eps of the plane group (and of groups with
 given coproducts, ``hopf_from``), a Hopf structure with its derived
 antipode swapped for a wrong one (``with_antipode``) and the commutative
 case-1 reduction algebra.
+The rules on inverse generators, which ``Presentation`` derives from their
+bases' rules, have their closed forms here as the reference
+(``inverse_rules``): the rules the shipped presentations once wrote by
+hand.
 """
 
 import itertools
@@ -1300,3 +1304,37 @@ def case1_reduction_algebra(order=ORDER):
     """Commutative algebra generated by a (invertible) and b, used for the
     case-1 quantum reduction with ideal <a - 1, b>."""
     return chart_presentation(Chart(["a", "b"], invertible=["a"]), order)
+
+
+def inverse_rules(order):
+    """The rules on the inverse generators of the shipped presentations in
+    closed form, {presentation: {leading word: terms}} with words of
+    names, as they were written by hand before they were derived: a^-1 b ->
+    (1 - hbar)^-1 b a^-1 on the quantum plane, f a^-1 -> a^-1 f + hbar a^-1
+    in case 1, b a^-1 -> a^-1 b - hbar a^-2 in case 2, conjugation by a^-1
+    and zeta^-1 scaling by e^{+-2 hbar} on su(2), and the commuting rules
+    of the Laurent charts (a, b | a) and (x, y, z | x, z)."""
+    h = HSeries.hbar(order)
+    e2, em2 = hexp(2, order), hexp(-2, order)
+    commuting = {
+        "chart_a_b": ["a_inv", "a", "b"],
+        "chart_x_y_z": ["x_inv", "x", "y", "z_inv", "z"],
+    }
+    return dict({
+        "quantum_plane_presentation": {
+            ("a_inv", "b"): {("b", "a_inv"): HSeries([1] * order, order)}},
+        "case1_module_algebra": {
+            ("b", "a_inv"): {("a_inv", "b"): 1},
+            ("f", "a_inv"): {("a_inv", "f"): 1, ("a_inv",): h}},
+        "case2_module_algebra": {
+            ("b", "a_inv"): {("a_inv", "b"): 1, ("a_inv", "a_inv"): -h}},
+        "su2_module_algebra": {
+            ("b", "a_inv"): {("a_inv", "b"): e2},
+            ("c", "a_inv"): {("a_inv", "c"): em2}},
+        "su2_quantum_group": {
+            ("zeta_inv", "xi"): {("xi", "zeta_inv"): em2},
+            ("zeta_inv", "eta"): {("eta", "zeta_inv"): e2}},
+    }, **{name: {(y, x): {(x, y): 1}
+                 for x, y in itertools.combinations(gens, 2)
+                 if "_inv" in x + y and x != y + "_inv"}
+          for name, gens in commuting.items()})

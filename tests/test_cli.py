@@ -486,6 +486,35 @@ def test_spec_group_with_no_antipode_trips_the_derivation_guard(tmp_path,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["check-action", "qreduce"])
+def test_spec_rule_on_an_inverse_generator_is_an_input_error(command,
+                                                             tmp_path,
+                                                             capsys):
+    # a^-1 b -> (1 - hbar)^-1 b a^-1 follows from a b -> (1 - hbar) b a
+    # and a a^-1 = 1: writing it too is malformed input
+    rules = json.load(open(SPEC))["presentations"]["qplane"]["rules"]
+    rules.append({"pair": ["a_inv", "b"],
+                  "terms": [{"coeff": ["1", "1"], "word": ["b", "a_inv"]}]})
+    spec = edited_spec(tmp_path, ("presentations", "qplane", "rules"), rules)
+    assert run([command, spec, "qplane_action"]) == 2
+    assert ("input error: presentation 'qplane': rule a_inv*b in 'qplane' "
+            "is written on the inverse generator a_inv, whose rules are "
+            "derived from those of a") in capsys.readouterr().err
+
+
+def test_spec_rule_with_no_unit_swap_trips_the_inverse_guard(tmp_path,
+                                                             capsys):
+    # a b -> b has no term b a to solve a^-1 b from
+    spec = edited_spec(tmp_path, ("presentations", "qplane", "rules"), [
+        {"pair": ["a", "b"], "terms": [{"coeff": "1", "word": ["b"]}]}])
+    assert run(["check-action", spec, "qplane_action"]) == 3
+    captured = capsys.readouterr()
+    assert ("capability exceeded: guard ncalg.inverse_rule: the rules of "
+            "a_inv in 'qplane' cannot be derived from rule a*b: its right "
+            "side has no term b*a with a unit coefficient") in captured.err
+    assert captured.out == ""
+
+
 def test_spec_entry_must_be_an_object(tmp_path, capsys):
     doc = json.load(open(SPEC))
     doc["reductions"]["case3"] = ["not", "an", "object"]

@@ -360,8 +360,7 @@ def _twisted_grouplike_hopf():
     # mod hbar, and delta(m) = (m (x) m)(x (x) y - y (x) x) != 0
     from math import factorial
     from poisson_forge.ncalg import Presentation
-    commuting = (("x", "m"), ("x", "m_inv"), ("y", "m"), ("y", "m_inv"),
-                 ("y", "x"))
+    commuting = (("x", "m"), ("y", "m"), ("y", "x"))
     pres = Presentation(["m_inv", "m", "x", "y"],
                         {(a, b): {(b, a): 1} for a, b in commuting}, N,
                         inverses={"m_inv": "m"}, name="twisted-plane")

@@ -6,13 +6,10 @@ Where both sides conclude they give the same verdict and the same first
 witness; a certificate that stops with exit 3 names its guard, and an
 inconclusive tensor has no witness in the sweep either.  An action whose
 hbar-division is inexact on a swept monomial makes the sweep raise
-``ValuationError``.  Where the certificate names an inexact division too
-(``QuantumAction.division_failures``, which the sweep checks first) the
-two agree; otherwise the certificate assumes exact divisions on longer
-words, so such a draw is a known loss, counted in ``KNOWN_LOSSES`` and
-kept among the draws."""
-
-import collections
+``ValuationError``.  The certificate must name that inexact division too
+(``QuantumAction.division_failures``, which it checks first), and then
+the two agree; an inexact division that the certificate does not name
+fails the draw, which the failure shows."""
 
 import pytest
 
@@ -32,11 +29,6 @@ PROPERTY = hypothesis.settings(max_examples=40, deadline=None,
 
 CASES = (1, 2, 3)
 GROUPS = {"r2-commuting": True, "r2-free": False}
-
-# draws where the sweep met an inexact hbar-division, by the side that met
-# it: "sweep" alone, or "both" when the certificate's witness search met
-# one too
-KNOWN_LOSSES = collections.Counter()
 
 
 def _exprs(gens):
@@ -102,12 +94,11 @@ def test_module_algebra_certificate_agrees_with_the_sweep(case):
         cert = None
     try:
         sweep = oracles.sweep_module_algebra(action, trees, degree)
-    except ValuationError:
+    except ValuationError as exc:
         inexact = action.division_failures()
-        if inexact and not isinstance(cert, CapabilityError):
-            assert (cert.verdict, cert.failures) == ("fail", inexact)
-            return
-        KNOWN_LOSSES["both" if cert is None else "sweep"] += 1
+        assert inexact, "the sweep met an inexact division that the " \
+            "certificate does not name: %s; draw %r" % (exc, case)
+        assert (cert.verdict, cert.failures) == ("fail", inexact)
         return
     assert cert is not None, "the certificate met an inexact division " \
         "that the sweep did not"

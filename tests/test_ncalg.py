@@ -12,6 +12,7 @@ from poisson_forge.ncalg import (
 from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
 from poisson_forge.coordpoly import Chart, poly
 
+import oracles
 from oracles import case1_reduction_algebra
 
 # the hbar order of the series built here, the fixtures' default
@@ -244,6 +245,14 @@ def test_a_non_unit_has_no_inverse():
             x.inverse()
 
 
+def test_a_tensor_has_no_negative_power():
+    # tensors have no inverse, so even the unit a (x) 1 has no power -1
+    t2 = TensorAlgebra(fixtures.quantum_plane_presentation(4), 2)
+    x = t2.embed(t2.presentation.gen("a"), 0)
+    with pytest.raises(TypeError, match="TensorElement has no inverse"):
+        x ** -1
+
+
 def test_powers_are_repeated_products_with_the_unit_of_their_space():
     alg = fixtures.quantum_plane_presentation(N)
     a, b = alg.gen("a"), alg.gen("b")
@@ -322,7 +331,7 @@ def test_chart_presentation_of_the_case1_chart():
     pres = chart_presentation(Chart(["a", "b"], invertible=["a"]), 3)
     hand = Presentation(
         ["a_inv", "a", "b"],
-        {("b", "a"): {("a", "b"): 1}, ("b", "a_inv"): {("a_inv", "b"): 1}},
+        {("b", "a"): {("a", "b"): 1}},
         3, inverses={"a_inv": "a"})
     assert pres.gens == hand.gens == ("a_inv", "a", "b")
     assert pres.inverses == hand.inverses == {"a_inv": "a"}
@@ -330,6 +339,45 @@ def test_chart_presentation_of_the_case1_chart():
         == {w: (r.terms, r.order) for w, r in hand.rules.items()}
     assert case1_reduction_algebra(3).gens == pres.gens
     assert abelianization_chart(pres) == Chart(["a", "b"], invertible=["a"])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 6, 16, 33])
+def test_derived_inverse_rules_are_the_closed_forms(order):
+    # every rule on an inverse generator but its cancellation rules is
+    # derived from its base's rules; term for term, in the same order and
+    # window, it is the closed form the presentation once wrote by hand
+    built = {name: getattr(fixtures, name)(order)
+             for name in ("quantum_plane_presentation",
+                          "case1_module_algebra", "case2_module_algebra",
+                          "su2_module_algebra", "su2_quantum_group")}
+    built["chart_a_b"] = chart_presentation(
+        Chart(["a", "b"], invertible=["a"]), order)
+    built["chart_x_y_z"] = chart_presentation(
+        Chart(["x", "y", "z"], invertible=["x", "z"]), order)
+    closed = oracles.inverse_rules(order)
+    assert set(built) == set(closed)
+    for name, pres in built.items():
+        inverse = {pres.index(g) for g in pres.inverses}
+        derived = {lhs: rule for lhs, rule in pres.rules.items()
+                   if inverse & set(lhs)
+                   and pres._inverse.get(lhs[0]) != lhs[1]}
+        assert {pres.word_name(w) for w in derived} \
+            == {pres.word_name(pres._word(w)) for w in closed[name]}, name
+        for lhs, terms in closed[name].items():
+            want = pres._element(terms.items())
+            rule = derived[pres._word(lhs)]
+            assert list(rule.terms.items()) == list(want.terms.items()), \
+                (name, lhs)
+            assert rule.order == want.order == order
+
+
+def test_a_derived_rule_that_does_not_decrease_is_named():
+    # with a^-1 before b, a b -> b a fixes a^-1 b -> b a^-1, which grows
+    with pytest.raises(ValueError, match=r"rule a_inv\*b -> \.\.\. "
+                       r"b\*a_inv \(derived for the inverse a_inv\) is "
+                       r"not decreasing"):
+        Presentation(["a_inv", "b", "a"], {("a", "b"): {("b", "a"): 1}}, N,
+                     inverses={"a_inv": "a"})
 
 
 def test_chart_presentation_normal_words_are_monomials():

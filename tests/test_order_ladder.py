@@ -27,7 +27,8 @@ FIRST = {"check-hopf": 2, "check-action": 3, "qreduce": 2}
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "demos",
                     "sample_spec.json")
-SPEC_ORDERS = range(1, 13)
+# past 32 too: a series written to 32 terms once failed confluence there
+SPEC_ORDERS = [*range(1, 13), 33, 40]
 # the same for the spec runs on its action qplane_action
 SPEC_FIRST = {"check-action": 3, "qreduce": 2}
 
@@ -80,10 +81,10 @@ def test_spec_verdicts_are_only_lost_as_the_order_falls(command, tmp_path,
 
 
 def test_spec_hopf_passes_past_the_written_series(tmp_path, capsys):
-    # the antipode is derived at the run's order, so no series written to
-    # a fixed number of terms stands in for it: at N = 33, one past the
-    # longest series of the sample spec, r2q_hopf passes every check (its
-    # 32-term antipode series failed r2q_hopf/antipode there)
+    # the antipode is derived at the run's order, and no series of the
+    # sample spec has more than 2 terms, so no truncated closed form stands
+    # in for an input: at N = 33 r2q_hopf passes every check (a 32-term
+    # antipode series once failed r2q_hopf/antipode there)
     code, _, verdicts = _run(["check-hopf", SPEC, "r2q_hopf", "--order",
                               "33"], tmp_path, capsys)
     assert code == 0
