@@ -489,9 +489,9 @@ def usl2_hopf(order=ORDER):
         return t2.element({(g, ()): 1, ((), g): 1})
 
     cop = AlgebraMap(pres, {g: primitive((g,)) for g in ("F", "H", "E")},
-                     t2.one(), name="Delta")
+                     name="Delta")
     counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
-                        HSeries.one(order), name="epsilon")
+                        name="epsilon")
     return HopfStructure(pres, cop, counit)
 
 
@@ -518,9 +518,9 @@ def uhsl2_hopf(order=ORDER):
         "H": t2.element({(("H",), ()): 1, ((), ("H",)): 1}),
         "E": twisted("E"),
         "F": twisted("F"),
-    }, t2.one(), name="Delta_hbar")
+    }, name="Delta_hbar")
     counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
-                        HSeries.one(order), name="epsilon_hbar")
+                        name="epsilon_hbar")
     return HopfStructure(pres, cop, counit)
 
 
@@ -617,9 +617,9 @@ def r2_hopf(commuting=True, order=ORDER):
                           (("eta",), ("xi",)): -h}),
         "eta": t2.element({(("eta",), ()): 1, ((), ("eta",)): 1,
                            (("eta",), ("eta",)): -h}),
-    }, t2.one(), name="Delta")
+    }, name="Delta")
     counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
-                        HSeries.one(order), name="epsilon")
+                        name="epsilon")
     return HopfStructure(pres, cop, counit)
 
 
@@ -641,10 +641,10 @@ def su2_quantum_group(order=ORDER):
 def su2_hopf(order=ORDER):
     """U_hbar(su2) (``su2_quantum_group``) as a Hopf structure.
 
-    Delta(zeta^+-1) = zeta^+-1 (x) zeta^+-1,
-    Delta(xi) = xi (x) 1 + zeta (x) xi and
-    Delta(eta) = 1 (x) eta + eta (x) zeta^-1; eps(zeta^+-1) = 1 and
-    eps(xi) = eps(eta) = 0.  The antipode they fix is
+    Delta(zeta) = zeta (x) zeta, Delta(xi) = xi (x) 1 + zeta (x) xi and
+    Delta(eta) = 1 (x) eta + eta (x) zeta^-1; eps(zeta) = 1 and
+    eps(xi) = eps(eta) = 0.  The maps' values on zeta^-1, the inverses
+    zeta^-1 (x) zeta^-1 and 1, are derived.  The antipode they fix is
     S(zeta^+-1) = zeta^-+1, S(xi) = -zeta^-1 xi and S(eta) = -eta zeta."""
     from .hopf import HopfStructure
     from .ncalg import AlgebraMap, TensorAlgebra
@@ -652,13 +652,12 @@ def su2_hopf(order=ORDER):
     t2 = TensorAlgebra(pres, 2)
     cop = AlgebraMap(pres, {
         "zeta": t2.element({(("zeta",), ("zeta",)): 1}),
-        "zeta_inv": t2.element({(("zeta_inv",), ("zeta_inv",)): 1}),
         "xi": t2.element({(("xi",), ()): 1, (("zeta",), ("xi",)): 1}),
         "eta": t2.element({((), ("eta",)): 1, (("eta",), ("zeta_inv",)): 1}),
-    }, t2.one(), name="Delta")
-    one, zero = HSeries.one(order), HSeries.zero(order)
-    counit = AlgebraMap(pres, {"xi": zero, "eta": zero, "zeta": one,
-                               "zeta_inv": one}, one, name="epsilon")
+    }, name="Delta")
+    zero = HSeries.zero(order)
+    counit = AlgebraMap(pres, {"xi": zero, "eta": zero,
+                               "zeta": HSeries.one(order)}, name="epsilon")
     return HopfStructure(pres, cop, counit)
 
 
@@ -689,7 +688,8 @@ def r2_action(algebra, hopf):
 
 def su2_action(order=ORDER):
     """The 3-dimensional example: Phi(xi) = (1/hbar) a [b, .],
-    Phi(eta) = (1/hbar) [c, .] a, Phi(zeta) = a (.) a^-1."""
+    Phi(eta) = (1/hbar) [c, .] a, Phi(zeta) = a (.) a^-1; Phi(zeta^-1) =
+    a^-1 (.) a is derived."""
     from .qmomentum import QuantumAction, lmul, one_form, rmul
     algebra = su2_module_algebra(order)
     hopf = su2_hopf(order)
@@ -701,7 +701,6 @@ def su2_action(order=ORDER):
         "xi": one_form(algebra, [("a", "b")]).sharp(),
         "eta": (rmul(algebra, a) * ad_c).divide_by_hbar(),
         "zeta": lmul(algebra, a) * rmul(algebra, a_inv),
-        "zeta_inv": lmul(algebra, a_inv) * rmul(algebra, a),
     })
 
 

@@ -6,10 +6,12 @@ square and a counit into scalars, derives the antipode from them
 reverse; no opposite algebra is constructed), and keeps each map's report
 on the rewrite rules.  Given those reports the axiom checkers and the
 co-Poisson check are certificates on the generators (Kassel, *Quantum
-Groups*, ch. III; Chari and Pressley, *A Guide to Quantum Groups*, ch. 6),
-assuming each map's `one` is its target's unit: a pass holds in every
-degree, a fail is conclusive when the presentation is confluent.  No
-checker here sweeps monomials.
+Groups*, ch. III; Chari and Pressley, *A Guide to Quantum Groups*, ch. 6):
+a pass holds in every degree, a fail is conclusive when the presentation
+is confluent.  Each map's 1 is the unit of the ring its images lie in,
+and its value on an inverse generator is derived (``ncalg.AlgebraMap``),
+so Delta and eps are given on the base generators.  No checker here
+sweeps monomials.
 """
 
 from graphlib import CycleError, TopologicalSorter
@@ -128,14 +130,14 @@ def derive_antipode(presentation, coproduct, counit):
                 continue
             stale.discard(i)
             eps, rest, a_inv = equations[i]
-            smap = AlgebraMap(pres, images, pres.one(), anti=True)
+            smap = AlgebraMap(pres, images, anti=True)
             new = (eps - multiply_factors(
                 apply_in_slot(smap, rest, 0, square))) * a_inv
             if new.terms != images[i].terms or new.order != images[i].order:
                 images[i] = new
                 stale.update(k for k in order if i in reads[k])
         if not stale:
-            return AlgebraMap(pres, images, pres.one(), anti=True, name="S")
+            return AlgebraMap(pres, images, anti=True, name="S")
     raise _underivable(pres.gens[min(stale)], "the images have not settled "
                        "after %d rounds" % (pres.order + 1))
 

@@ -42,7 +42,9 @@ the scalar elements are scaled by, and the printed form of a coefficient
 Inverse generators are ordinary generators with two-sided cancellation
 rules, placed adjacent to their base generator in the order.  No rule is
 written on one: each rule of its base on a pair fixes the inverse's rule
-on that pair, which ``Presentation`` derives when it is built.
+on that pair, which ``Presentation`` derives when it is built.  Nor does
+an algebra map need an image of one: m(a^-1) = m(a)^-1, which
+``AlgebraMap`` derives.
 """
 
 import itertools
@@ -168,6 +170,20 @@ class Presentation:
             terms += [(self._free((inv,) + w + (inv,)), -(r * c_inv))
                       for w, r in by_word.items()]
             rules[solved] = Flat(*_flat(terms, rule.order))
+
+    def _inverse_word(self, word):
+        """The inverse of a word of invertible generators, its inverse
+        letters in reverse order, or None when a letter has no inverse."""
+        inverse = self._inverse
+        if all(g in inverse for g in word):
+            return tuple(inverse[g] for g in reversed(word))
+        return None
+
+    def _inverse_slots(self, key):
+        """The inverse of a tuple of words of invertible generators, slot
+        by slot, or None."""
+        words = [self._inverse_word(w) for w in key]
+        return None if None in words else tuple(words)
 
     def _free(self, word):
         """``word`` with adjacent inverse pairs cancelled, and nothing else
@@ -544,39 +560,20 @@ class NCPoly(_SeriesComb):
     def _unit(self):
         return ()
 
+    def _normalised(self, raw, order):
+        flat = self.presentation._normal(raw, order)
+        return _ncpoly(self.presentation, flat.terms, flat.order)
+
+    def _inverse_key(self, word):
+        return self.presentation._inverse_word(word)
+
     def __mul__(self, other):
         if other.__class__ is not NCPoly:
             return self._scale(other)
         self._same_space(other)
         order = min(self.order, other.order)
-        pres = self.presentation
-        flat = pres._normal(
+        return self._normalised(
             _pairs(self.terms, other.terms, tuple.__add__, order), order)
-        return _ncpoly(pres, flat.terms, flat.order)
-
-    def inverse(self):
-        """The inverse of a unit c w + O(hbar): c a nonzero scalar and w a
-        word of declared-invertible generators (the empty word too).
-        Newton's b <- b (2 - a b) from b = c^-1 w^-1, w^-1 the reversed word
-        of the inverse letters: 1 - a b is O(hbar) and squares each step,
-        so log2 N steps reach the window.  On a confluent presentation the
-        right inverse found is the two-sided one.  Any other element, or
-        one whose iteration does not settle, raises ValueError."""
-        pres = self.presentation
-        low = [(w, c) for (j, w), c in self.terms.items() if not j]
-        inverse = pres._inverse
-        if len(low) != 1 or not all(h in inverse for h in low[0][0]):
-            raise ValueError("%r is not a unit: its hbar^0 part is not c w "
-                             "with w a word of invertible generators" % self)
-        (w, c), = low
-        b = pres.monomial(tuple(inverse[h] for h in reversed(w))) * (ONE / c)
-        for _ in range(self.order.bit_length() + 1):
-            defect = 1 - self * b
-            if defect.is_zero():
-                return b
-            b = b + b * defect
-        raise ValueError("Newton's iteration for the inverse of %r has not "
-                         "settled" % self)
 
     def degree(self):
         return max((len(w) for _, w in self.terms), default=0)
@@ -681,16 +678,22 @@ class TensorElement(_SeriesComb):
     def _unit(self):
         return ((),) * self.algebra.k
 
+    def _normalised(self, raw, order):
+        flat = self.presentation._normal(raw, order, True)
+        return self._like(flat.terms, flat.order)
+
+    def _inverse_key(self, key):
+        return self.presentation._inverse_slots(key)
+
     def __mul__(self, other):
         if other.__class__ is not TensorElement:
             return self._scale(other)
         if not self._same_space(other):
             raise ValueError("tensor powers of different degree")
         order = min(self.order, other.order)
-        raw = _pairs(self.terms, other.terms,
-                     lambda k1, k2: tuple(map(tuple.__add__, k1, k2)), order)
-        flat = self.presentation._normal(raw, order, True)
-        return self._like(flat.terms, flat.order)
+        return self._normalised(_pairs(
+            self.terms, other.terms,
+            lambda k1, k2: tuple(map(tuple.__add__, k1, k2)), order), order)
 
     def flip(self):
         if self.algebra.k != 2:
@@ -716,19 +719,49 @@ class TensorElement(_SeriesComb):
 class AlgebraMap:
     """A (anti-)homomorphism given by generator images.
 
-    The target may be another presentation's elements, a tensor power, or
-    plain series (a counit); images just need +, * and ==.  With
-    ``anti=True`` words are reversed before multiplying (an antipode).
+    The target may be another presentation's elements, a tensor power, the
+    multiplication operators, or plain series (a counit): a ring whose
+    elements have +, *, == and ``** 0``, so the map's 1 is read off its
+    images, and whose units have ``inverse``.  An algebra map sends a unit
+    to a unit, so m(a^-1) = m(a)^-1 (Kassel, *Quantum Groups*, ch. III):
+    the image of a declared inverse generator whose base has an image is
+    derived when the images leave it out.  A written one is kept (the
+    derived antipode gives every letter), and ``check_map`` checks the
+    cancellation rules on it as on every rule.  With ``anti=True`` words
+    are reversed before multiplying (an antipode).
+
+    Guard ``ncalg.map_inverse`` (CapabilityError): m(a^-1) is to be
+    derived, but m(a) is no unit; the message names the map and both
+    letters.
     """
 
-    def __init__(self, source, images, one, anti=False, name="map"):
+    def __init__(self, source, images, anti=False, name="map"):
         self.source = source
         self.images = {source.index(g) if isinstance(g, str) else g: img
                        for g, img in images.items()}
-        self.one = one
         self.anti = anti
         self.name = name
         self._cache = {}
+        for inv, base in source.inverses.items():
+            i, b = source.index(inv), source.index(base)
+            if b not in self.images or i in self.images:
+                continue
+            try:
+                self.images[i] = self.images[b].inverse()
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CapabilityError(
+                    "guard ncalg.map_inverse: %s(%s) is derived as "
+                    "%s(%s)^-1, but %s(%s) is no unit: %s"
+                    % (name, inv, name, base, name, base, exc),
+                    guard="ncalg.map_inverse")
+
+    def _one(self):
+        """1 of the target, the images' ring; a map with no images has no
+        known target."""
+        for image in self.images.values():
+            return image ** 0
+        raise ValueError("map %s has no images, so the ring of its values "
+                         "is unknown" % self.name)
 
     def apply_word(self, word):
         word = tuple(word)
@@ -736,7 +769,7 @@ class AlgebraMap:
         if hit is not None:
             return hit
         if len(word) < 2:
-            out = self.images[word[0]] if word else self.one
+            out = self.images[word[0]] if word else self._one()
         else:
             prefix, last = word[:-1], word[-1]
             if self.anti:
@@ -754,7 +787,7 @@ class AlgebraMap:
             v = self.apply_word(word) * coeff
             out = v if out is None else out + v
         if out is None:
-            return self.one * 0
+            return self.apply_word(()) * 0
         return out
 
 

@@ -71,7 +71,9 @@ class Operator(_SeriesComb):
     raises its exponent and its order as much.  The product of two-slot
     operators is composition, (L1, R1) (L2, R2) = (L1 L2, R2 R1), the
     second acting first, so they form the algebra that an action maps its
-    group into (``QuantumAction``).  A value, a composition and the
+    group into (``QuantumAction``): its 1 is the identity, of shift 0, and
+    its units of shift 0 are inverted as elements are
+    (``_SeriesComb.inverse``).  A value, a composition and the
     module-algebra defect are products of flat terms: each pair's keys are
     joined (L w R, (L1 L2, R2 R1), (L_u, R_u L_v, R_v)) and taken to normal
     form by the one kernel, ``ncalg.Presentation._normal``, so they are
@@ -114,6 +116,22 @@ class Operator(_SeriesComb):
     # one), and an operator prints as an object, not as an element
     _lift = LinComb._lift
     __repr__ = object.__repr__
+
+    def _one(self):
+        """The identity, of shift 0."""
+        return lmul(self.algebra, self.algebra.one())
+
+    def _normalised(self, raw, order):
+        flat = self.algebra._normal(raw, order, True)
+        return self._like(flat.terms, flat.order)
+
+    def _inverse_key(self, key):
+        """(L^-1, R^-1) for a two-slot key of shift 0: composition is
+        (L1 L2, R2 R1), so (L, R) (L^-1, R^-1) = (1, 1).  An operator of
+        another shift is no unit of the composition ring."""
+        if self.k or len(key) != 2:
+            return None
+        return self.algebra._inverse_slots(key)
 
     def _raised(self, k):
         """The operator with shift k >= self.k: its tensor times
@@ -183,10 +201,14 @@ class QuantumAction:
     """An action of a quantum group on a presented algebra: the algebra map
     Phi (``phi``, an ``ncalg.AlgebraMap``) from the group's presentation
     into the two-slot operators on ``algebra``, given by each generator's
-    ``Operator`` (``operators``).  A word acts as the composite of its
-    letters' operators, Phi(x y) = Phi(x) Phi(y), the empty word as the
-    identity, and an element as the sum of its words' operators scaled by
-    their coefficients.  Phi is an action of the group only if it respects
+    ``Operator`` (``operators``); an inverse generator's is derived as the
+    inverse of its base's (``AlgebraMap``) unless it is given, and is
+    listed, after the given ones, in ``operators`` too, so that every check
+    runs on it: Phi(g)(J) in J does not give Phi(g)^-1(J) in J.  A word
+    acts as the composite of its letters' operators, Phi(x y) =
+    Phi(x) Phi(y), the empty word as the identity, and an element as the
+    sum of its words' operators scaled by their coefficients.  Phi is an
+    action of the group only if it respects
     the group's rules, which ``check_module_algebra`` certifies first.
     The group acting is a ``hopf.HopfStructure``; ``group`` is its
     presentation, and the certificates read Delta and eps from it."""
@@ -195,9 +217,9 @@ class QuantumAction:
         self.hopf = hopf
         self.group = hopf.algebra
         self.algebra = algebra
-        self.operators = dict(operators)
-        self.phi = AlgebraMap(self.group, self.operators,
-                              lmul(algebra, algebra.one()), name="Phi")
+        self.phi = AlgebraMap(self.group, operators, name="Phi")
+        self.operators = {self.group.gens[i]: op
+                          for i, op in self.phi.images.items()}
         self._division_failures = None
 
     def division_failures(self):

@@ -19,12 +19,16 @@ series that scales an element or prints its coefficient shares the
 element's sums, equality, hbar-division and product kernel.
 
 The ring operations are the rings' own.  Every power is ``_power``
-(binary powering; a negative exponent inverts first), and every unit is
-inverted by its ring: a Gaussian rational by division, a series by its
-dense recurrence (``HSeries.inverse``), a polynomial monomial on a chart by
-``coordpoly.CoordPoly.inverse``, and an element c w + O(hbar) of a
-presented algebra by Newton's iteration (``ncalg.NCPoly.inverse``).  So
-``x ** -1`` is the inverse of a unit and raises on a non-unit.
+(binary powering; a negative exponent inverts first, and the exponent 0
+gives the unit of the ring), and every unit is inverted by its ring: a
+Gaussian rational by division, a series by its dense recurrence
+(``HSeries.inverse``), a polynomial monomial on a chart by
+``coordpoly.CoordPoly.inverse``, and every other ring of flat terms -- the
+elements of a presented algebra, of its tensor powers and the
+multiplication operators of shift 0 -- by one Newton iteration
+(``_SeriesComb.inverse``), from the inverse of the unit key its hbar^0
+part is on.  So ``x ** -1`` is the inverse of a unit and raises on a
+non-unit, and ``x ** 0`` is the 1 of x's ring.
 
 All arithmetic is exact; there is no floating point anywhere.  A Gaussian
 rational keeps three Python ints normalised so that d > 0 and
@@ -268,20 +272,12 @@ class ValuationError(ArithmeticError):
 
 def _power(x, k, one):
     """x ** k by binary powering, the one power loop of every ring here.
-    A negative k first inverts x (``x.inverse()``, a ValueError or
-    ZeroDivisionError on a non-unit), and k = 0 gives ``one``, the unit of
-    x's space.  A space with no unit (``one`` None) has only the powers
-    k >= 1, and a type with no ``inverse`` only the powers k >= 0: any
-    other k is a TypeError."""
+    k = 0 gives ``one``, the unit of x's ring, and a negative k first
+    inverts x (``x.inverse()``, a ValueError or ZeroDivisionError on a
+    non-unit)."""
     if k <= 0:
-        if one is None:
-            raise TypeError("%s ** %d: the space has no unit"
-                            % (type(x).__name__, k))
         if not k:
             return one
-        if not hasattr(x, "inverse"):
-            raise TypeError("%s ** %d: %s has no inverse"
-                            % (type(x).__name__, k, type(x).__name__))
         x, k = x.inverse(), -k
     out = None
     while True:
@@ -510,8 +506,11 @@ class _SeriesComb(LinComb):
     is a series with a window of its own.  Products are each subclass's
     own: the pairs of terms joined word by word (an element) or slot by
     slot (a tensor) by ``ncalg._pairs``, then taken to normal form by
-    ``Presentation._normal``; a series times flat terms is
-    ``_product_terms``.
+    ``Presentation._normal`` (``_normalised``); a series times flat terms
+    is ``_product_terms``.  The unit (``_one``) and the inverse of a unit
+    are written once here for every such ring; a space supplies only
+    ``_inverse_key(u)``, the key of u^-1 for a unit key u (not yet in
+    normal form), or None when u is no unit.
     """
 
     __slots__ = ()
@@ -572,8 +571,38 @@ class _SeriesComb(LinComb):
     def commutator(self, other):
         return self * other - other * self
 
+    def _one(self):
+        """The 1 of the element's ring."""
+        return self._lift(1)
+
     def __pow__(self, k):
-        return _power(self, k, self._lift(1))
+        return _power(self, k, self._one())
+
+    def inverse(self):
+        """The inverse of a unit c u + O(hbar): c a nonzero scalar and u a
+        key that ``_inverse_key`` inverts.  Newton's b <- b (2 - a b) from
+        b = c^-1 u^-1, u^-1 in normal form (``_normalised``): 1 - a b is
+        O(hbar) and squares each step, so log2 N steps reach the window.
+        The start, and so the inverse, is known in the element's own
+        window.  On a confluent presentation the right inverse found is
+        the two-sided one.  Any other element, or one whose iteration does
+        not settle, raises ValueError."""
+        low = [(key, c) for (j, key), c in self.terms.items() if not j]
+        start = self._inverse_key(low[0][0]) if len(low) == 1 else None
+        if start is None:
+            raise ValueError(
+                "%s is not a unit: its hbar^0 part is not c w with w a unit "
+                "key (a word of invertible generators, in each slot)"
+                % self.__class__.__name__)
+        b = self._normalised([((0, start), ONE / low[0][1])], self.order)
+        one = self._one()
+        for _ in range(self.order.bit_length() + 1):
+            defect = one - self * b
+            if defect.is_zero():
+                return b
+            b = b + b * defect
+        raise ValueError("Newton's iteration for the inverse of this %s has "
+                         "not settled" % self.__class__.__name__)
 
     def hbar_valuation(self):
         return min((j for j, _ in self.terms), default=self.order)
@@ -697,7 +726,7 @@ class HSeries(_SeriesComb):
         """Multiplicative inverse; defined iff the constant term is nonzero.
 
         A series keeps the dense recurrence inv_k = -inv_0 sum c_j inv_(k-j)
-        rather than the elements' Newton iteration (``NCPoly.inverse``):
+        rather than the elements' Newton iteration (``_SeriesComb.inverse``):
         Newton's products of whole series took 2 to 6 times as long, at
         N = 6 and N = 32 (Python 3.11, one Xeon core).  So the two
         algorithms stay, chosen by type, and ``perfbench`` counts and times

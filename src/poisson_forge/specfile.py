@@ -167,7 +167,10 @@ class SpecFile:
         L = self.lie_algebra(entry["algebra"])
         if "from_r" in entry:
             _, r = self.r_matrix(entry["from_r"])
-            return L, cobracket_from_r(L, r)
+            try:
+                return L, cobracket_from_r(L, r)
+            except ValueError as exc:
+                raise SpecError("%s: %s" % (entry.where, exc))
         comps = {}
         for gen, table in entry.get("terms", {}).items():
             i = _basis_index("%s terms" % entry.where, L, gen)
@@ -286,25 +289,23 @@ class SpecFile:
 
     def hopf_structure(self, name):
         from .hopf import HopfStructure
-        from .ncalg import AlgebraMap, TensorAlgebra
+        from .ncalg import AlgebraMap
         entry = self._entry("hopf_structures", name)
         if "antipode" in entry:
             raise SpecError("%s: 'antipode' is not an input: S is derived "
                             "from the coproduct and the counit" % entry.where)
         pres = self.presentation(entry["algebra"])
-        maps = {what: _names(entry.where, what, entry[what], "generators",
-                             pres.gens)
+        maps = {what: _images(entry.where, what, entry[what], pres)
                 for what in ("coproduct", "counit")}
-        t2 = TensorAlgebra(pres, 2)
         cop = AlgebraMap(pres, {g: self.tensor_element(pres, _items(
                                     "%s coproduct %r term" % (entry.where, g),
                                     spec))
                                 for g, spec in maps["coproduct"].items()},
-                         t2.one(), name="Delta")
+                         name="Delta")
         counit = AlgebraMap(pres, {g: self._series(v, "%s counit %r"
                                                    % (entry.where, g))
                                    for g, v in maps["counit"].items()},
-                            HSeries.one(self.order), name="epsilon")
+                            name="epsilon")
         return HopfStructure(pres, cop, counit)
 
     def action_expr(self, pres, spec):
@@ -348,8 +349,8 @@ class SpecFile:
         entry = self._entry("actions", name)
         hopf = self.hopf_structure(entry["hopf"])
         algebra = self.presentation(entry["algebra"])
-        generators = _names(entry.where, "generators", entry["generators"],
-                            "generators", hopf.algebra.gens)
+        generators = _images(entry.where, "generators", entry["generators"],
+                             hopf.algebra)
         operators = {g: self.action_expr(algebra, _fields(
                         "%s generator %r" % (entry.where, g), spec))
                      for g, spec in generators.items()}
@@ -430,7 +431,10 @@ def _poly(where, text, chart):
 
 def _scalar(where, value):
     """A scalar of the spec -- a string "p/q+r/s*i" or an integer -- in
-    Q(i); anything else is an input error naming ``where``."""
+    Q(i); anything else, a JSON boolean too, is an input error naming
+    ``where``."""
+    if isinstance(value, bool):
+        raise SpecError("%s: %r is not a scalar (a boolean)" % (where, value))
     try:
         return gauss(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -475,6 +479,21 @@ def _names(where, what, table, kind, names):
                         "extra %s)" % (where, what, kind, list(names),
                                        missing, extra))
     return table
+
+
+def _images(where, what, table, pres):
+    """The generator images ``table`` of a map on ``pres``, the ``what`` of
+    the entry ``where``: they name exactly the base generators.  The image
+    of an inverse generator is derived, m(a^-1) = m(a)^-1, so naming one
+    is an input error that names it."""
+    table = _fields("%s %s" % (where, what), table)
+    for g in table:
+        if g in pres.inverses:
+            raise SpecError("%s %s: %r is an inverse generator, whose image "
+                            "is derived from that of %r"
+                            % (where, what, g, pres.inverses[g]))
+    return _names(where, what, table, "generators",
+                  [g for g in pres.gens if g not in pres.inverses])
 
 
 def _natural(where, value):

@@ -1273,10 +1273,10 @@ def hopf_from(pres, coproducts, counit):
         algebra=pres,
         coproduct=AlgebraMap(pres, {g: t2.element(terms)
                                     for g, terms in coproducts.items()},
-                             t2.one(), name="Delta"),
+                             name="Delta"),
         counit=AlgebraMap(pres, {g: series(c, pres.order)
                                  for g, c in counit.items()},
-                          series(1, pres.order), name="epsilon"))
+                          name="epsilon"))
 
 
 def with_antipode(hopf, images, name):
@@ -1286,8 +1286,7 @@ def with_antipode(hopf, images, name):
     which no input can declare, for the failure path of
     ``check_antipode``."""
     pres = hopf.algebra
-    hopf.antipode = AlgebraMap(pres, images, pres.one(), anti=True,
-                               name=name)
+    hopf.antipode = AlgebraMap(pres, images, anti=True, name=name)
     hopf.antipode_report = check_map(hopf.antipode)
     return hopf
 

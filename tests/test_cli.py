@@ -689,9 +689,8 @@ PRIMITIVE_GROUP = ({"generators": ["t"], "rules": []}, {
     "counit": {"t": "0"}})
 GROUPLIKE_GROUP = (
     {"generators": ["t", "t_inv"], "inverses": {"t_inv": "t"}, "rules": []},
-    {"coproduct": {g: [{"coeff": "1", "pair": [[g], [g]]}]
-                   for g in ("t", "t_inv")},
-     "counit": {"t": "1", "t_inv": "1"}})
+    {"coproduct": {"t": [{"coeff": "1", "pair": [["t"], ["t"]]}]},
+     "counit": {"t": "1"}})
 
 
 def test_capability_guard_exit_three(tmp_path, capsys):
@@ -732,6 +731,32 @@ def test_bad_scalar_in_spec_is_input_error(tmp_path, capsys):
     assert run(["check-bialgebra", str(path), "r"]) == 2
     assert ("input error: lie_algebra 'L' brackets x,y: 'not-a-number' is "
             "not a scalar") in capsys.readouterr().err
+
+
+def test_boolean_scalar_in_spec_is_input_error(tmp_path, capsys):
+    # JSON true is no scalar, though Python reads it as the int 1 (the run
+    # passed, with [X, Y] = H)
+    doc = json.load(open(SPEC))
+    doc["lie_algebras"]["sl2"]["brackets"]["X,Y"] = {"H": True}
+    path = tmp_path / "bool_scalar.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-bialgebra", str(path), "sl2_r"]) == 2
+    assert ("input error: lie_algebra 'sl2' brackets X,Y: True is not a "
+            "scalar") in capsys.readouterr().err
+
+
+def test_cobracket_from_non_invariant_r_is_input_error(tmp_path, capsys):
+    # the cobracket of r is defined only when r's symmetric part is
+    # ad-invariant, so an entry from such an r is malformed input (exit 2;
+    # it was an internal error, exit 4), named; the r itself still fails
+    # its own check (exit 1, test_non_invariant_symmetric_part_fails_check)
+    doc = json.load(open(SPEC))
+    doc["r_matrices"]["sl2_r"]["terms"]["H,H"] = "1/4"
+    path = tmp_path / "non_invariant_r.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-bialgebra", str(path), "sl2_delta"]) == 2
+    assert ("input error: cobracket 'sl2_delta': symmetric part of r is not "
+            "ad-invariant") in capsys.readouterr().err
 
 
 def test_non_invariant_symmetric_part_fails_check(tmp_path, capsys):
@@ -887,9 +912,12 @@ def test_spec_reduce_hbar_coefficient_is_capability_error(tmp_path, capsys):
 
 
 def _action_spec(algebra_rules, generator_expr, group_and_hopf):
-    """A spec whose action ``act`` maps every generator of the group to
-    ``generator_expr``, on the algebra of x, y, z with the given rules."""
-    group, hopf = group_and_hopf
+    """A spec whose action ``act`` maps every base generator of the group
+    to ``generator_expr``, on the algebra of x, y, z with the given
+    rules.  It shares no object with ``group_and_hopf``, so a test may edit
+    it."""
+    group, hopf = json.loads(json.dumps(group_and_hopf))
+    inverses = group.get("inverses", {})
     return {
         "presentations": {
             "grp": group,
@@ -901,7 +929,8 @@ def _action_spec(algebra_rules, generator_expr, group_and_hopf):
         "hopf_structures": {"grp_hopf": dict(hopf, algebra="grp")},
         "actions": {"act": {
             "hopf": "grp_hopf", "algebra": "alg", "degree": 2,
-            "generators": {g: generator_expr for g in group["generators"]},
+            "generators": {g: generator_expr for g in group["generators"]
+                           if g not in inverses},
         }},
     }
 
@@ -931,30 +960,88 @@ def test_spec_check_action_reports_non_confluent_presentation(tmp_path,
 
 
 def test_spec_check_action_without_witness_exits_three(tmp_path, capsys):
-    # on a commutative algebra [x, .] acts as 0, so Phi(t^+-1) = id +- [x, .]
-    # act as id: t t^-1 = 1 and Delta(t) = t (x) t hold, but the operator
-    # tensors are not 0 and no monomial is a witness: no verdict is printed
     rules = [((b, a), [("1", [a, b])])
              for a, b in (("x", "y"), ("x", "z"), ("y", "z"))]
-    ad = {"op": "commutator", "element": "x"}
-    doc = _action_spec(rules, ad, GROUPLIKE_GROUP)
+    # Phi(t^-1) = Phi(t)^-1 is derived, and Phi(t) = [x, .] is no unit:
+    # its hbar^0 part has two terms.  The guard names the map and the
+    # letter, in the same words on every run
+    doc = _action_spec(rules, {"op": "commutator", "element": "x"},
+                       GROUPLIKE_GROUP)
     path = tmp_path / "central.json"
     path.write_text(json.dumps(doc))
-    # Phi(t) = Phi(t^-1) = [x, .] is no action of the group: t t^-1 acts
-    # as 0, not as id, and 1 is the witness
-    assert run(["check-action", str(path), "act"]) == 1
-    assert "defect: rule t*t_inv -> (1) defect at (1): (-1)" \
-        in capsys.readouterr().out
-    doc["actions"]["act"]["generators"] = {
-        "t": {"op": "sum", "args": [{"op": "id"}, ad]},
-        "t_inv": {"op": "sum", "args": [
-            {"op": "id"}, {"op": "scale", "scalar": "-1", "arg": ad}]}}
+    errors = []
+    for _ in range(2):
+        assert run(["check-action", str(path), "act"]) == 3
+        errors.append(capsys.readouterr().err)
+    assert "capability exceeded: guard ncalg.map_inverse: Phi(t_inv) is " \
+        "derived as Phi(t)^-1, but Phi(t) is no unit: Operator is not a " \
+        "unit" in errors[0]
+    assert errors[0] == errors[1] and "0x" not in errors[0]
+    # on a commutative algebra L_x R_y - L_y R_x acts as 0, so the
+    # primitive t satisfies the module-algebra identity, but the operator
+    # tensor is not 0 and no monomial is a witness: no verdict is printed
+    def two_sided(left, right):
+        return {"op": "compose", "args": [{"op": "lmul", "element": left},
+                                          {"op": "rmul", "element": right}]}
+    doc = _action_spec(rules, {"op": "sum", "args": [
+        two_sided("x", "y"),
+        {"op": "scale", "scalar": "-1", "arg": two_sided("y", "x")}]},
+        PRIMITIVE_GROUP)
     path.write_text(json.dumps(doc))
     assert run(["check-action", str(path), "act"]) == 3
     captured = capsys.readouterr()
     assert "capability exceeded: guard module-algebra.inconclusive" \
         in captured.err
     assert "module-algebra" not in captured.out
+
+
+@pytest.mark.parametrize("section, what, image", [
+    ("hopf_structures", "coproduct",
+     [{"coeff": "1", "pair": [["t_inv"], ["t_inv"]]}]),
+    ("hopf_structures", "counit", "1"),
+    ("actions", "generators", {"op": "id"}),
+])
+def test_spec_image_on_an_inverse_generator_is_an_input_error(
+        section, what, image, tmp_path, capsys):
+    # m(t^-1) = m(t)^-1 is derived, so a written one is refused (it was
+    # read as it stood), and the error names the entry and the letter
+    rules = [(("y", "x"), [("1", ["x", "y"])])]
+    doc = _action_spec(rules, {"op": "id"}, GROUPLIKE_GROUP)
+    name = "grp_hopf" if section == "hopf_structures" else "act"
+    doc[section][name][what]["t_inv"] = image
+    path = tmp_path / "written_inverse.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-action", str(path), "act"]) == 2
+    noun = {"hopf_structures": "hopf_structure", "actions": "action"}
+    assert ("input error: %s %r %s: 't_inv' is an inverse generator, whose "
+            "image is derived from that of 't'" % (noun[section], name, what)
+            ) in capsys.readouterr().err
+
+
+def test_spec_group_with_no_generators_passes(tmp_path, capsys):
+    # a map with no images has no value to read its unit from, and needs
+    # none: each command passes every record
+    doc = {
+        "presentations": {"grp": {"generators": [], "rules": []},
+                          "alg": {"generators": ["x"], "rules": []}},
+        "hopf_structures": {"grp_hopf": {"algebra": "grp", "coproduct": {},
+                                         "counit": {}}},
+        "actions": {"act": {"hopf": "grp_hopf", "algebra": "alg",
+                            "generators": {},
+                            "ideal": [[{"coeff": "1", "word": ["x"]}]]}},
+    }
+    path = tmp_path / "empty_group.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "records.jsonl"
+    for argv, records in ((["check-hopf", str(path), "grp_hopf"], 5),
+                          (["check-action", str(path), "act"], 2),
+                          (["qreduce", str(path), "act"], 3)):
+        if out.exists():
+            out.unlink()
+        assert run(argv + ["--json", str(out)]) == 0
+        verdicts = [json.loads(line)["verdict"]
+                    for line in out.read_text().splitlines()]
+        assert verdicts == ["pass"] * records, argv
 
 
 def test_spec_qreduce_reports_non_confluent_presentation(tmp_path, capsys):

@@ -40,8 +40,7 @@ def test_wrong_counit_fails():
     hopf = fixtures.usl2_hopf()
     bad_counit = AlgebraMap(hopf.algebra,
                             {"E": HSeries.zero(N), "F": HSeries.zero(N),
-                             "H": HSeries.one(N)},
-                            HSeries.one(N), name="eps-bad")
+                             "H": HSeries.one(N)}, name="eps-bad")
     bad = HopfStructure(hopf.algebra, hopf.coproduct, bad_counit)
     assert not check_counit(bad).ok
 
@@ -62,7 +61,7 @@ def test_perturbed_coproduct_fails_delta_hom():
         + t2.embed(pres.gen("E"), 1)
     bad_cop = AlgebraMap(pres, {pres.gens[i]: img
                                 for i, img in bad_images.items()},
-                         t2.one(), name="Delta-bad")
+                         name="Delta-bad")
     bad = HopfStructure(pres, bad_cop, good.counit)
     assert not check_delta_hom(bad).ok
 
@@ -192,7 +191,7 @@ def test_truncated_q_factor_fails_coassociativity():
     images = {pres.gens[i]: img for i, img in good.coproduct.images.items()}
     images["E"] = t2.from_factors([pres.gen("E"), trunc]) \
         + t2.from_factors([qm, pres.gen("E")])
-    cop = AlgebraMap(pres, images, t2.one(), name="Delta-trunc")
+    cop = AlgebraMap(pres, images, name="Delta-trunc")
     bad = HopfStructure(pres, cop, good.counit)
     rep = check_coassociativity(bad)
     assert not rep.ok
@@ -211,15 +210,14 @@ def test_hopf_suite_exact_at_other_truncation_orders():
 # -- the generator certificates against the degree-3 sweep oracle ------------
 
 def _grouplike_hopf():
-    # g and its inverse group-like: S(g) = g^-1 is derived
+    # g group-like: Delta and eps on g^-1, and S(g) = g^-1, are derived
     from poisson_forge.ncalg import Presentation
     pres = Presentation(["g", "g_inv"], {}, N, inverses={"g_inv": "g"},
                         name="grouplike")
     t2 = TensorAlgebra(pres, 2)
-    cop = AlgebraMap(pres, {g: t2.element({((g,), (g,)): 1})
-                            for g in pres.gens}, t2.one(), name="Delta")
-    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.one(N)),
-                        HSeries.one(N), name="eps")
+    cop = AlgebraMap(pres, {"g": t2.element({(("g",), ("g",)): 1})},
+                     name="Delta")
+    counit = AlgebraMap(pres, {"g": HSeries.one(N)}, name="eps")
     return HopfStructure(pres, cop, counit)
 
 
@@ -232,15 +230,14 @@ def _with_coproduct_images(hopf, name, **images):
     pres = hopf.algebra
     merged = {pres.gens[i]: img for i, img in hopf.coproduct.images.items()}
     merged.update(images)
-    return _with_maps(hopf, coproduct=AlgebraMap(pres, merged,
-                                                 hopf.square.one(), name=name))
+    return _with_maps(hopf, coproduct=AlgebraMap(pres, merged, name=name))
 
 
 def _wrong_counit_hopf():
     hopf = fixtures.usl2_hopf()
     return _with_maps(hopf, counit=AlgebraMap(
         hopf.algebra, {"E": HSeries.zero(N), "F": HSeries.zero(N),
-                       "H": HSeries.one(N)}, HSeries.one(N), name="eps-bad"))
+                       "H": HSeries.one(N)}, name="eps-bad"))
 
 
 def _wrong_antipode_hopf():
@@ -300,8 +297,8 @@ def _plane_hopf(**bad):
     if "counit" in bad:
         eps["y"] = HSeries.one(N)
     hopf = HopfStructure(
-        pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
-        AlgebraMap(pres, eps, HSeries.one(N), name="eps"))
+        pres, AlgebraMap(pres, cop, name="Delta"),
+        AlgebraMap(pres, eps, name="eps"))
     if "antipode" in bad:
         with_antipode(hopf, {"x": -x, "y": y}, "S")
     return hopf
@@ -352,37 +349,37 @@ def test_spec_coproduct_words_are_taken_to_normal_form(tmp_path, capsys):
     assert records[0] == records[1]
 
 
-def _twisted_grouplike_hopf():
+def _twisted_grouplike_hopf(order=N):
     # the commutative algebra of x, y, m, m^-1 with x, y primitive and
     # Delta(m) = (m (x) m) exp(hbar x (x) y): coassociative since x (x) y
-    # commutes with its images; S(m) = m^-1 exp(hbar x y) is derived (see
-    # ``test_derived_antipode_is_the_closed_form``).  m is group-like
-    # mod hbar, and delta(m) = (m (x) m)(x (x) y - y (x) x) != 0
-    from math import factorial
+    # commutes with its images; Delta and eps on m^-1 and S(m) =
+    # m^-1 exp(hbar x y) are derived (see the tests of the derived inverse
+    # images and of the derived antipode).  m is group-like mod hbar, and
+    # delta(m) = (m (x) m)(x (x) y - y (x) x) != 0
     from poisson_forge.ncalg import Presentation
     commuting = (("x", "m"), ("y", "m"), ("y", "x"))
     pres = Presentation(["m_inv", "m", "x", "y"],
-                        {(a, b): {(b, a): 1} for a, b in commuting}, N,
+                        {(a, b): {(b, a): 1} for a, b in commuting}, order,
                         inverses={"m_inv": "m"}, name="twisted-plane")
     t2 = TensorAlgebra(pres, 2)
-    x, y, m, m_inv = (pres.gen(g) for g in ("x", "y", "m", "m_inv"))
-    n = pres.order
-
-    def coeff(sign, k):
-        return HSeries([0] * k + [Fraction(sign ** k, factorial(k))], n)
-
-    def exp_tensor(sign):
-        return t2.element({(("x",) * k, ("y",) * k): coeff(sign, k)
-                           for k in range(n)})
-
+    x, y, m = (pres.gen(g) for g in ("x", "y", "m"))
     cop = {"x": t2.embed(x, 0) + t2.embed(x, 1),
            "y": t2.embed(y, 0) + t2.embed(y, 1),
-           "m": t2.from_factors([m, m]) * exp_tensor(1),
-           "m_inv": t2.from_factors([m_inv, m_inv]) * exp_tensor(-1)}
-    eps = {"x": HSeries.zero(N), "y": HSeries.zero(N), "m": HSeries.one(N),
-           "m_inv": HSeries.one(N)}
-    return HopfStructure(pres, AlgebraMap(pres, cop, t2.one(), name="Delta"),
-                         AlgebraMap(pres, eps, HSeries.one(N), name="eps"))
+           "m": t2.from_factors([m, m]) * _exp_tensor(t2, 1)}
+    eps = {"x": HSeries.zero(order), "y": HSeries.zero(order),
+           "m": HSeries.one(order)}
+    return HopfStructure(pres, AlgebraMap(pres, cop, name="Delta"),
+                         AlgebraMap(pres, eps, name="eps"))
+
+
+def _exp_tensor(t2, sign):
+    """exp(sign hbar x (x) y) on the twisted plane's tensor square."""
+    from math import factorial
+    n = t2.order
+    return t2.element({(("x",) * k, ("y",) * k):
+                       HSeries([0] * k + [Fraction(sign ** k, factorial(k))],
+                               n)
+                       for k in range(n)})
 
 
 # the groups of the quantum actions, as builders of their Hopf structures
@@ -493,6 +490,33 @@ def test_derived_antipode_of_a_twisted_grouplike():
         assert (got.terms, got.order) == (want.terms, want.order), g
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 6, 16])
+def test_derived_inverse_images_are_the_closed_forms(order):
+    # m(a^-1) = m(a)^-1 is derived, and is the closed form that was written
+    # by hand, term for term and in the same window: Delta(zeta^-1) =
+    # zeta^-1 (x) zeta^-1, eps(zeta^-1) = 1, Phi(zeta^-1) = a^-1 (.) a and
+    # the twisted group's Delta(m^-1) = (m^-1 (x) m^-1) exp(-hbar x (x) y)
+    from poisson_forge.qmomentum import lmul, rmul
+    su2 = fixtures.su2_hopf(order)
+    zeta_inv = su2.algebra.index("zeta_inv")
+    action = fixtures.su2_action(order)
+    alg = action.algebra
+    twisted = _twisted_grouplike_hopf(order)
+    t2 = TensorAlgebra(twisted.algebra, 2)
+    m_inv = twisted.algebra.gen("m_inv")
+    cases = [
+        (su2.coproduct.images[zeta_inv], su2.square.element(
+            {(("zeta_inv",), ("zeta_inv",)): 1})),
+        (su2.counit.images[zeta_inv], HSeries.one(order)),
+        (action.operators["zeta_inv"],
+         lmul(alg, alg.gen("a_inv")) * rmul(alg, alg.gen("a"))),
+        (twisted.coproduct.images[twisted.algebra.index("m_inv")],
+         t2.from_factors([m_inv, m_inv]) * _exp_tensor(t2, -1)),
+    ]
+    for got, want in cases:
+        assert (got.terms, got.order) == (want.terms, want.order)
+
+
 def _bialgebra(gens, coproducts, counit, inverses=None):
     from poisson_forge.ncalg import Presentation
     pres = Presentation(gens, {}, N, inverses=inverses, name="bialgebra")
@@ -500,9 +524,9 @@ def _bialgebra(gens, coproducts, counit, inverses=None):
     return (pres,
             AlgebraMap(pres, {g: t2.element(terms)
                               for g, terms in coproducts.items()},
-                       t2.one(), name="Delta"),
+                       name="Delta"),
             AlgebraMap(pres, {g: HSeries([c], N) for g, c in counit.items()},
-                       HSeries.one(N), name="eps"))
+                       name="eps"))
 
 
 @pytest.mark.parametrize("gens, coproducts, counit, cause", [

@@ -245,12 +245,29 @@ def test_a_non_unit_has_no_inverse():
             x.inverse()
 
 
-def test_a_tensor_has_no_negative_power():
-    # tensors have no inverse, so even the unit a (x) 1 has no power -1
+def test_a_tensor_unit_has_its_inverse_as_power_minus_one():
+    # a tensor unit is inverted slot by slot: (a (x) 1)^-1 = a^-1 (x) 1,
+    # and a tensor with no unit key in some slot is refused
     t2 = TensorAlgebra(fixtures.quantum_plane_presentation(4), 2)
-    x = t2.embed(t2.presentation.gen("a"), 0)
-    with pytest.raises(TypeError, match="TensorElement has no inverse"):
-        x ** -1
+    pres = t2.presentation
+    x = t2.embed(pres.gen("a"), 0)
+    got = x ** -1
+    want = t2.embed(pres.gen("a_inv"), 0)
+    assert (got.terms, got.order) == (want.terms, want.order)
+    assert x ** 0 == t2.one()
+    with pytest.raises(ValueError, match="TensorElement is not a unit"):
+        t2.embed(pres.gen("b"), 1) ** -1
+
+
+def test_an_inverse_is_known_only_in_the_window_of_its_unit():
+    # a known mod hbar^3 in an algebra of order 6 may be a + hbar^3 b, so
+    # its inverse is known mod hbar^3 only (it was claimed mod hbar^6, and
+    # differed from the inverse of a + hbar^3 b at hbar^3)
+    pres = fixtures.quantum_plane_presentation(6)
+    a, b = pres.gen("a"), pres.gen("b")
+    inverse = NCPoly(pres, a.terms, 3).inverse()
+    assert inverse.order == 3
+    assert (inverse - (a + b * HSeries.hbar(6) ** 3).inverse()).is_zero()
 
 
 def test_powers_are_repeated_products_with_the_unit_of_their_space():
@@ -281,7 +298,7 @@ def test_check_map_quantized_coproduct():
 def test_check_map_detects_bad_map():
     u = fixtures.usl2_presentation()
     bad = AlgebraMap(u, {"E": u.gen("E"), "F": u.gen("F"),
-                         "H": u.gen("H") * 2}, u.one(), name="bad")
+                         "H": u.gen("H") * 2}, name="bad")
     rep = check_map(bad)
     assert not rep.ok
     assert any("E*F" in f for f in rep.failures)

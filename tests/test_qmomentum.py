@@ -394,7 +394,7 @@ def _non_coassociative_coproduct():
         "x": t2.element({(("x",), ()): 1, ((), ("x",)): 1,
                          (("x",), ("y",)): 1}),
         "y": t2.element({(("y",), ()): 1, ((), ("y",)): 1}),
-    }, t2.one(), name="Delta-bad")
+    }, name="Delta-bad")
     return cop, pres
 
 
@@ -866,9 +866,10 @@ def test_operator_composition_and_shift_alignment():
         assert s(m) == b.commutator(m).divide_by_hbar() + m
 
 
-def test_operator_powers_compose_and_have_no_unit_power():
-    # the operators have no unit element: a power k >= 1 composes, and any
-    # other k is refused rather than answered with something else
+def test_operator_powers_compose_and_power_zero_is_the_identity():
+    # a power k >= 1 composes, k = 0 is the identity of shift 0, and an
+    # operator of shift 1 is no unit of the composition ring, so its power
+    # -1 is refused
     alg = fixtures.case2_module_algebra()
     op = ad(alg, alg.gen("b")).divide_by_hbar() + lmul(alg, alg.gen("a"))
     assert op ** 1 is op
@@ -876,9 +877,14 @@ def test_operator_powers_compose_and_have_no_unit_power():
         power = op ** k
         assert power.k == k * op.k
         assert (power - op * op ** (k - 1)).is_zero()
-    for k in (0, -1):
-        with pytest.raises(TypeError):
-            op ** k
+    identity = op ** 0
+    assert identity.k == 0
+    assert (identity.terms, identity.order) == ({(0, ((), ())): 1},
+                                                alg.order)
+    f = alg.gen("b") * alg.gen("a")
+    assert identity(f) == f
+    with pytest.raises(ValueError, match="Operator is not a unit"):
+        op ** -1
 
 
 def test_an_inexact_division_fails_with_its_witness_word():

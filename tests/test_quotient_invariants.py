@@ -55,17 +55,23 @@ def _ideal(alg, name):
             "b,b-1": [b, b - 1]}[name]
 
 
-def _exprs(gens):
+def _exprs(gens, commutators=True):
     """Action expressions built from the generators' names: one- and
     two-sided multiplications and hbar^-1 commutators, which are exact on
     these algebras, under sums, compositions and integer scalings.  Most
     leaves are commutators, which kill 1, so that most actions have
-    invariants."""
-    leaves = st.one_of(
-        st.tuples(st.just("ad"), st.sampled_from(gens)),
-        st.sampled_from([("id",), ("zero",)]),
-        st.tuples(st.sampled_from(["lmul", "rmul", "ad"]),
-                  st.sampled_from(gens)))
+    invariants.  Without ``commutators`` the expressions have shift 0."""
+    if commutators:
+        leaves = st.one_of(
+            st.tuples(st.just("ad"), st.sampled_from(gens)),
+            st.sampled_from([("id",), ("zero",)]),
+            st.tuples(st.sampled_from(["lmul", "rmul", "ad"]),
+                      st.sampled_from(gens)))
+    else:
+        leaves = st.one_of(
+            st.sampled_from([("id",), ("zero",)]),
+            st.tuples(st.sampled_from(["lmul", "rmul"]),
+                      st.sampled_from(gens)))
     return st.recursive(leaves, lambda kids: st.one_of(
         st.tuples(st.just("compose"), kids, kids),
         st.tuples(st.just("sum"), kids, kids),
@@ -96,10 +102,12 @@ def _span(elements, order):
     return span
 
 
-# group -> (its Hopf structure at an order, the generators acted by)
+# group -> (its Hopf structure at an order, the generators acted by, the
+# invertible ones among them, whose operators must be units, as
+# Phi(zeta^-1) = Phi(zeta)^-1 is derived)
 GROUPS = {
-    "r2": (lambda order: fixtures.r2_hopf(order=order), ("xi", "eta")),
-    "su2": (fixtures.su2_hopf, ("xi", "zeta")),
+    "r2": (lambda order: fixtures.r2_hopf(order=order), ("xi", "eta"), ()),
+    "su2": (fixtures.su2_hopf, ("xi", "zeta"), ("zeta",)),
 }
 
 
@@ -109,7 +117,9 @@ def _cases(draw):
     algebra = draw(st.sampled_from(IDEALS[ideal]))
     group = draw(st.sampled_from(sorted(GROUPS)))
     gens = ALGEBRAS[algebra](2).gens
-    actions = {g: draw(_exprs(gens)) for g in GROUPS[group][1]}
+    units = GROUPS[group][2]
+    actions = {g: draw(_exprs(gens, commutators=g not in units))
+               for g in GROUPS[group][1]}
     return (algebra, ideal, group, actions, draw(st.integers(2, 3)),
             draw(st.integers(1, 2)))
 
@@ -121,9 +131,13 @@ def test_quotient_invariants_match_the_span_oracle(case):
     alg = ALGEBRAS[algebra](order)
     hopf = GROUPS[group][0](order)
     # Phi(g) = X + eps(g) id, so that a nonzero counit value keeps the
-    # invariants of X
+    # invariants of X; an invertible g acts by id + hbar X, X of shift 0,
+    # a unit whose inverse acts on the same invariants
     eps = {g: hopf.counit.apply_word((hopf.algebra.index(g),)) for g in specs}
-    trees = {g: ("sum", [_tree(alg, s), ("scale", ("id",), eps[g])])
+    hbar = HSeries.hbar(order)
+    trees = {g: ("sum", [("scale", _tree(alg, s), hbar), ("id",)])
+             if g in GROUPS[group][2] else
+             ("sum", [_tree(alg, s), ("scale", ("id",), eps[g])])
              for g, s in specs.items()}
     action = QuantumAction(hopf, alg, {
         g: oracles.operator_of(t, alg) for g, t in trees.items()})

@@ -26,7 +26,7 @@ KEPT = ("error or witness path that a failing input reaches",
 
 # name -> (one of KEPT, why it stays)
 ALLOWED = {
-    "semiclassical_bracket": (KEPT[3], "item 5 takes the classical Poisson "
+    "semiclassical_bracket": (KEPT[3], "item 8 takes the classical Poisson "
                               "bracket pi_0 = [x, y] / hbar mod hbar from "
                               "it"),
 }
