@@ -142,35 +142,34 @@ def _confluence(name, presentation, unchecked):
     return [("%s/confluence" % name, rep)], rep.ok
 
 
+# the object names each command needs
+NAMES = {"check-bialgebra": "an object name",
+         "poisson-group": "a group name and an r-matrix name",
+         "check-poisson": "a bivector name", "reduce": "a reduction name",
+         "check-mm": "a momentum map name",
+         "check-hopf": "a Hopf structure name",
+         "check-action": "an action name", "qreduce": "an action name"}
+
+
 def run_spec_command(command, spec, args):
     """Checks for named objects from a user specification."""
     name = args.name
+    if name is None or command == "poisson-group" and args.extra is None:
+        raise SpecError("%s needs %s" % (command, NAMES[command]))
     if command == "check-bialgebra":
-        if name is None:
-            raise SpecError("check-bialgebra needs an object name")
-        if name in spec.doc.get("r_matrices", {}):
-            L, r = spec.r_matrix(name)
-            return suites.bialgebra_suite(name, L, r=r)
-        L, d = spec.cobracket(name)
-        return suites.bialgebra_suite(name, L, cobracket=d)
+        L, given = spec.bialgebra(name)
+        return suites.bialgebra_suite(name, L, **given)
     if command == "poisson-group":
-        if name is None or args.extra is None:
-            raise SpecError("poisson-group needs a group name and an "
-                            "r-matrix name")
         model = spec.matrix_group(name)
         _, r = spec.r_matrix(args.extra)
         out, _ = suites.poisson_group_suite("%s+%s" % (name, args.extra),
                                             model, r)
         return out
     if command == "check-poisson":
-        if name is None:
-            raise SpecError("check-poisson needs a bivector name")
         from .poisson import check_jacobi_coords
         return [("%s/jacobi-coords" % name,
                  check_jacobi_coords(spec.bivector(name)))]
     if command == "check-mm":
-        if name is None:
-            raise SpecError("check-mm needs a momentum map name")
         mm = spec.momentum_map(name)
         from .momentum import (
             classical_mm_check, check_infinitesimal_mm, heisenberg_obstruction,
@@ -191,8 +190,6 @@ def run_spec_command(command, spec, args):
         return [("%s/heisenberg" % name,
                  heisenberg_obstruction(mm["bivector"], mm["alpha"]))]
     if command == "check-hopf":
-        if name is None:
-            raise SpecError("check-hopf needs a Hopf structure name")
         from .hopf import check_all_axioms
         hopf = spec.hopf_structure(name)
         out, confluent = _confluence(name, hopf.algebra, "Hopf axioms")
@@ -203,8 +200,6 @@ def run_spec_command(command, spec, args):
                       for key in ("coassociativity", "counit", "antipode",
                                   "delta-hom")]
     if command == "check-action":
-        if name is None:
-            raise SpecError("check-action needs an action name")
         from .qmomentum import check_module_algebra, check_action_lie_hom
         action, extras = spec.quantum_action(name)
         out, confluent = _confluence(name, action.algebra,
@@ -215,27 +210,18 @@ def run_spec_command(command, spec, args):
         gate = suites.group_gate(name, action.hopf, ["module-algebra"])
         out += gate or [("%s/module-algebra" % name,
                          check_module_algebra(action, degree))]
-        relations = {}
-        claims = set()
-        for rel in extras["relations"]:
-            pair = rel.name_pair(action.group.gens)
-            relations[pair] = spec.nc_element(action.group, rel["rhs"],
-                                              rel.where + " rhs")
-            if rel.get("paper_claim"):
-                claims.add(pair)
+        relations = extras["relations"]
         if relations:
             group_monos = [tuple(action.group.gens[g] for g in w)
                            for w in action.group.monomials_up_to(2)]
             reports = check_action_lie_hom(action, relations, degree,
-                                           paper_claims=claims,
+                                           paper_claims=extras["claims"],
                                            diagnose_words=group_monos)
             for pair in sorted(relations):
                 out.append(("%s/lie-hom-%s-%s" % ((name,) + pair),
                             reports[pair]))
         return out
     if command == "reduce":
-        if name is None:
-            raise SpecError("reduce needs a reduction name")
         from .reduction import (
             check_ideal_poisson_closed, check_ideal_invariant,
             invariant_functions, sw_reduced_algebra,
@@ -250,8 +236,6 @@ def run_spec_command(command, spec, args):
         out.append(("%s/sw-reduced-algebra" % name, rep))
         return out
     if command == "qreduce":
-        if name is None:
-            raise SpecError("qreduce needs an action name")
         from .qmomentum import check_ideal_invariance, invariant_subalgebra
         action, extras = spec.quantum_action(name)
         out, confluent = _confluence(name, action.algebra,
@@ -308,6 +292,14 @@ def emit(results, json_out=None):
 
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    if args.json_out:
+        # opened before any check runs: an unusable OUT is a malformed
+        # command line, not a traceback after the verdicts
+        try:
+            open(args.json_out, "a").close()
+        except OSError as exc:
+            _error("argument --json: can't open %r: %s"
+                   % (args.json_out, exc.strerror))
     started = time.time()
     try:
         if args.fixtures:

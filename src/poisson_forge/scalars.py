@@ -586,7 +586,14 @@ class _SeriesComb(LinComb):
         The start, and so the inverse, is known in the element's own
         window.  On a confluent presentation the right inverse found is
         the two-sided one.  Any other element, or one whose iteration does
-        not settle, raises ValueError."""
+        not settle, raises ValueError.  One known mod hbar^0 has no known
+        hbar^0 part: that is a window too short for the computation, the
+        guard ``series.empty_window`` (exit 3), not a non-unit."""
+        if not self.order:
+            raise CapabilityError(
+                "guard series.empty_window: cannot invert a series of "
+                "order 0, whose constant term is unknown",
+                guard="series.empty_window", counters={"order": 0})
         low = [(key, c) for (j, key), c in self.terms.items() if not j]
         start = self._inverse_key(low[0][0]) if len(low) == 1 else None
         if start is None:
@@ -731,13 +738,10 @@ class HSeries(_SeriesComb):
         N = 6 and N = 32 (Python 3.11, one Xeon core).  So the two
         algorithms stay, chosen by type, and ``perfbench`` counts and times
         this one as ``HSeries.inverse``.
-        A series of order 0 has no known constant term at all: that is a
-        window too short for the computation (exit 3), not a non-unit."""
+        A series of order 0 trips the window guard of the elements'
+        inverse."""
         if not self.order:
-            raise CapabilityError(
-                "guard series.empty_window: cannot invert a series of "
-                "order 0, whose constant term is unknown",
-                guard="series.empty_window", counters={"order": 0})
+            return super().inverse()
         cs = self.coeffs
         if not cs or not cs[0]:
             raise ValueError("series with zero constant term is not a unit")

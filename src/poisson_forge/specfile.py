@@ -3,14 +3,13 @@
 One JSON file declares named objects in sections (lie_algebras, r_matrices,
 cobrackets, charts, bivectors, matrix_groups, presentations,
 hopf_structures, actions, momentum_maps, reductions); cross-references are
-by name.  All scalars are strings ("p/q", "p/q+r/s*i"), series are arrays
-of scalar strings, polynomials are expression strings, so exactness
-survives the round trip.
-
-Resolvers import the layers above polynomials and Lie algebras where they
-build their objects, so a run loads only what its objects need: a
-bivector's check never loads the noncommutative algebra, a Hopf
-structure's never the matrix groups or Poisson geometry.
+by name.  README's spec-format table gives each field's kind and default.
+The document is read only through ``Node``'s typed readers, which name the
+path of a malformed value, the kind expected and the value found; the
+resolvers add the checks across values (names resolve in their basis,
+generators or chart).  Resolvers import the layers above polynomials and
+Lie algebras where they build their objects, so a run loads only what its
+objects need.
 """
 
 import json
@@ -21,60 +20,195 @@ from .errors import SpecError
 from .lie import LieAlgebra, Tensor, Cobracket, cobracket_from_r
 from .scalars import HSeries, gauss
 
+_REQUIRED = object()
+_SCALAR = 'a scalar (a string "p/q+r/s*i" or an integer)'
 
-class _Entry(dict):
-    """A spec object whose missing required key is an input error naming
-    the object (``where``) and the key."""
 
-    def __init__(self, where, fields):
-        super().__init__(fields)
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class Node:
+    """A JSON value of the spec and its path ``where``.  Each reader
+    returns the value as one kind, or raises a SpecError that names the
+    path, the kind and the value."""
+
+    __slots__ = ("value", "where")
+
+    def __init__(self, value, where):
+        self.value = value
         self.where = where
 
-    def __missing__(self, key):
-        raise SpecError("%s: missing required key %r" % (self.where, key))
+    def error(self, message):
+        """A SpecError about this value, which names its path."""
+        return SpecError("%s: %s" % (self.where, message))
+
+    def expect(self, ok, kind):
+        """The value, when ``ok``; else refuse it as not of ``kind``."""
+        if not ok:
+            raise SpecError("%s must be %s, got %r"
+                            % (self.where, kind, self.value))
+        return self.value
+
+    # -- containers ---------------------------------------------------------
+
+    def _object(self):
+        return self.expect(isinstance(self.value, dict), "a JSON object")
+
+    def __contains__(self, key):
+        return key in self._object()
+
+    def field(self, key, default=_REQUIRED, label=None):
+        """The field ``key`` of this object, ``default`` when it is absent
+        (no default: a required key); its path ends in ``label``, the key
+        if none."""
+        fields = self._object()
+        if key in fields:
+            value = fields[key]
+        elif default is _REQUIRED:
+            raise self.error("missing required key %r" % key)
+        else:
+            value = default
+        return Node(value, "%s %s" % (self.where, label or key))
+
+    def items(self, noun=None):
+        """The entries of this list, each numbered from 1 after ``noun``."""
+        values = self.expect(isinstance(self.value, list), "a JSON list")
+        where = "%s %s" % (self.where, noun) if noun else self.where
+        return [Node(v, "%s %d" % (where, k))
+                for k, v in enumerate(values, 1)]
+
+    def table(self, names=None, what=None):
+        """The (key, value) entries of this object; with ``names``, each key
+        must be one of them (a ``what`` name)."""
+        fields = self._object()
+        for key in fields if names is not None else ():
+            if key not in names:
+                raise self.error("%r is not a %s name of %s"
+                                 % (key, what, list(names)))
+        return [(k, Node(v, "%s %r" % (self.where, k)))
+                for k, v in fields.items()]
+
+    def exactly(self, key, names, kind, label=None):
+        """The table of this entry's field ``key``, whose keys must be
+        exactly ``names`` (the ``kind``: a basis or the generators)."""
+        table = self.field(key, label=label).table()
+        keys = {k for k, _ in table}
+        missing, extra = sorted(set(names) - keys), sorted(keys - set(names))
+        if missing or extra:
+            raise self.error("the %s must name exactly the %s %s (missing %s, "
+                             "extra %s)" % (key, kind, list(names), missing,
+                                            extra))
+        return table
+
+    def pairs(self, names, what, antisymmetric=False):
+        """The ((x, y), value) entries of a table keyed 'x,y', x and y
+        ``what`` names of ``names``.  An antisymmetric table gives each
+        unordered pair of distinct names at most once: the other order
+        follows (the constructors would add the two up)."""
+        seen = {}
+        out = []
+        for key, value in self._object().items():
+            node = Node(value, "%s %s" % (self.where, key))
+            pair = tuple(p.strip() for p in key.split(","))
+            if len(pair) != 2:
+                raise self.error("%r is not a name pair 'x,y'" % key)
+            for z in pair:
+                if z not in names and antisymmetric:
+                    raise self.error("pair %r names %r, not one of %s"
+                                     % (key, z, list(names)))
+                if z not in names:
+                    raise node.error("%r is not a %s name of %s"
+                                     % (z, what, list(names)))
+            if antisymmetric and pair[0] == pair[1]:
+                raise self.error("pair %r is diagonal, which an "
+                                 "antisymmetric table leaves out" % key)
+            other = seen.get(pair, seen.get(pair[::-1]))
+            if antisymmetric and other is not None:
+                raise self.error("pair %r repeats pair %r; give each "
+                                 "unordered pair once" % (key, other))
+            seen[pair] = key
+            out.append((pair, node))
+        return out
+
+    # -- values -------------------------------------------------------------
+
+    def name(self, names=None, what=None):
+        """A name; with ``names``, one of them (a ``what`` name)."""
+        value = self.expect(isinstance(self.value, str), "a name")
+        if names is not None and value not in names:
+            raise self.error("%r is not a %s name of %s"
+                             % (value, what, list(names)))
+        return value
+
+    def names(self):
+        return list(self.expect(
+            isinstance(self.value, list)
+            and all(isinstance(n, str) for n in self.value)
+            and len(set(self.value)) == len(self.value),
+            "a list of distinct names"))
+
+    def scalar(self, kind=_SCALAR):
+        """A scalar "p/q+r/s*i" or an integer, in Q(i); a JSON boolean or
+        a float is none.  ``kind`` names what was expected instead."""
+        value = self.expect(isinstance(self.value, str)
+                            or _is_int(self.value), kind)
+        try:
+            return gauss(value)
+        except (ValueError, ZeroDivisionError):
+            return self.expect(False, kind)
+
+    def series(self, order):
+        """A scalar string, or a list of them, as a series mod hbar^order:
+        an exact polynomial in hbar, its missing coefficients 0."""
+        value = self.expect(
+            isinstance(self.value, str) or isinstance(self.value, list)
+            and all(isinstance(c, str) for c in self.value),
+            "a series (a scalar string or a list of scalar strings)")
+        coeffs = [self] if isinstance(value, str) else self.items()
+        return HSeries([c.scalar() for c in coeffs], order)
+
+    def poly(self, chart):
+        """A polynomial expression (or an integer) on ``chart``."""
+        value = self.expect(
+            isinstance(self.value, str) or _is_int(self.value),
+            "a polynomial (an expression string or an integer)")
+        try:
+            return poly(value, chart)
+        except (KeyError, ValueError) as exc:
+            raise self.error(exc.args[0])
+
+    def components(self, chart):
+        """The components {variable: polynomial} of a field or a form on
+        ``chart``."""
+        return {x: node.poly(chart)
+                for x, node in self.table(chart.names, "variable")}
+
+    def natural(self):
+        return self.expect(_is_int(self.value) and self.value >= 0,
+                           "an integer >= 0")
+
+    def flag(self):
+        return self.expect(isinstance(self.value, bool), "true or false")
+
+    def word(self, gens):
+        """A word, a list of generator names of ``gens``, as a tuple."""
+        return tuple(self.expect(
+            isinstance(self.value, list)
+            and all(isinstance(g, str) and g in gens for g in self.value),
+            "a word (a list of generator names of %s)" % list(gens)))
 
     def pair(self):
-        """The entry's ``pair``, which must be a list of two entries."""
-        pair = self["pair"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SpecError("%s: 'pair' must be a list of two entries, got %r"
-                            % (self.where, pair))
-        return pair
+        self.expect(isinstance(self.value, list) and len(self.value) == 2,
+                    "a list of two entries")
+        return self.items()
 
     def name_pair(self, gens):
-        """The entry's ``pair`` as two of the generator names ``gens``."""
-        pair = self.pair()
-        if not all(isinstance(g, str) and g in gens for g in pair):
-            raise SpecError("%s: 'pair' must be two generator names of %s, "
-                            "got %r" % (self.where, list(gens), pair))
-        return tuple(pair)
-
-    def word(self, gens, value=None):
-        """A word of the entry -- ``value``, or its ``word`` (default
-        empty) -- as a tuple; it must be a list of generator names
-        ``gens``."""
-        if value is None:
-            value = self.get("word", [])
-        if not isinstance(value, list) or not all(
-                isinstance(g, str) and g in gens for g in value):
-            raise SpecError("%s: a word must be a list of generator names of "
-                            "%s, got %r" % (self.where, list(gens), value))
-        return tuple(value)
-
-
-def _fields(where, obj):
-    """``obj`` as an ``_Entry`` called ``where``; an entry keeps its name."""
-    if isinstance(obj, _Entry):
-        return obj
-    if not isinstance(obj, dict):
-        raise SpecError("%s must be a JSON object" % where)
-    return _Entry(where, obj)
-
-
-def _items(where, objs):
-    """The objects of a JSON list, each an entry named by its position."""
-    return [_fields("%s %d" % (where, k), obj)
-            for k, obj in enumerate(objs, 1)]
+        """Two generator names of ``gens``, as a tuple."""
+        self.pair()
+        return tuple(self.expect(
+            all(isinstance(g, str) and g in gens for g in self.value),
+            "two generator names of %s" % list(gens)))
 
 
 class SpecFile:
@@ -90,9 +224,8 @@ class SpecFile:
                 "momentum_maps": "momentum_map", "reductions": "reduction"}
 
     def __init__(self, doc, order):
-        if not isinstance(doc, dict):
-            raise SpecError("top level must be a JSON object")
-        unknown = set(doc) - set(self.SECTIONS)
+        unknown = ({k for k, _ in Node(doc, "top level").table()}
+                   - set(self.SECTIONS))
         if unknown:
             raise SpecError("unknown sections: %s" % sorted(unknown))
         self.doc = doc
@@ -101,28 +234,33 @@ class SpecFile:
 
     @staticmethod
     def load(path, order):
+        """The spec in the UTF-8 JSON file ``path`` (no NaN or Infinity)."""
+        def refuse(constant):
+            raise ValueError("%s is not a JSON number" % constant)
         try:
-            with open(path) as fh:
-                return SpecFile(json.load(fh), order)
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh, parse_constant=refuse)
+        except (OSError, ValueError) as exc:
             raise SpecError("cannot read spec: %s" % exc)
+        return SpecFile(doc, order)
+
+    def _section(self, section):
+        return Node(self.doc.get(section, {}), section)
+
+    def _ref(self, entry, key, section):
+        """The name in ``entry``'s field ``key``: an entry of ``section``."""
+        node = entry.field(key)
+        if node.name() not in self._section(section):
+            raise node.error("no %s named %r"
+                             % (self.SECTIONS[section], node.value))
+        return node.value
 
     def _entry(self, section, name):
-        try:
-            entry = self.doc[section][name]
-        except KeyError:
+        entries = self._section(section)
+        if name not in entries:
             raise SpecError("no %s named %r" % (self.SECTIONS[section], name))
-        return _fields("%s %r" % (self.SECTIONS[section], name), entry)
-
-    def _series(self, spec, where):
-        """A scalar string, or an array of them, as a series mod hbar^N;
-        anything else is an input error naming ``where``."""
-        entries = [spec] if isinstance(spec, str) else spec
-        if isinstance(entries, list) and all(isinstance(c, str)
-                                             for c in entries):
-            return HSeries([_scalar(where, c) for c in entries], self.order)
-        raise SpecError("%s: a series must be a scalar string or a list of "
-                        "scalar strings, got %r" % (where, spec))
+        return Node(entries.value[name],
+                    "%s %r" % (self.SECTIONS[section], name))
 
     # -- resolvers ----------------------------------------------------------
 
@@ -131,111 +269,115 @@ class SpecFile:
         if key in self._cache:
             return self._cache[key]
         entry = self._entry(*key)
-        basis = entry["basis"]
+        basis = entry.field("basis").names()
         idx = {b: i for i, b in enumerate(basis)}
         brackets = {}
-        where = entry.where + " brackets"
-        for (x, y), comps in _pair_table(where, entry.get("brackets", {}),
-                                         basis):
-            try:
-                brackets[(idx[x], idx[y])] = {
-                    idx[z]: _scalar("%s %s,%s" % (where, x, y), v)
-                    for z, v in comps.items()}
-            except KeyError as exc:
-                raise SpecError("lie algebra %r: unknown basis name %s"
-                                % (name, exc))
+        for (x, y), comps in entry.field("brackets", {}).pairs(
+                basis, "basis", antisymmetric=True):
+            brackets[(idx[x], idx[y])] = {
+                idx[z]: c.scalar() for z, c in comps.table(basis, "basis")}
         # construction-time Jacobi validation is deliberately skipped: the
         # check suites run and *report* it, so a broken input fails a check
         # (exit 1 with the located triple) instead of being rejected as
         # malformed
-        out = LieAlgebra(basis, brackets, validate=False)
-        self._cache[key] = out
+        out = self._cache[key] = LieAlgebra(basis, brackets, validate=False)
         return out
 
     def r_matrix(self, name):
         entry = self._entry("r_matrices", name)
-        L = self.lie_algebra(entry["algebra"])
-        comps = {}
-        for pair, v in entry["terms"].items():
-            where = "%s terms %s" % (entry.where, pair)
-            x, y = (_basis_index(where, L, z) for z in _split_pair(pair))
-            comps[(x, y)] = _scalar(where, v)
+        L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
+        comps = {(L.index(x), L.index(y)): c.scalar() for (x, y), c in
+                 entry.field("terms").pairs(L.basis_names, "basis")}
         return L, Tensor(L, 2, comps)
 
     def cobracket(self, name):
         entry = self._entry("cobrackets", name)
-        L = self.lie_algebra(entry["algebra"])
+        L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
         if "from_r" in entry:
-            _, r = self.r_matrix(entry["from_r"])
+            _, r = self.r_matrix(self._ref(entry, "from_r", "r_matrices"))
             try:
                 return L, cobracket_from_r(L, r)
-            except ValueError as exc:
-                raise SpecError("%s: %s" % (entry.where, exc))
+            except ValueError as exc:  # r's symmetric part not ad-invariant
+                raise entry.error(exc)
         comps = {}
-        for gen, table in entry.get("terms", {}).items():
-            i = _basis_index("%s terms" % entry.where, L, gen)
-            for pair, v in table.items():
-                where = "%s terms %r %s" % (entry.where, gen, pair)
-                x, y = (_basis_index(where, L, z) for z in _split_pair(pair))
-                comps[(i, x, y)] = _scalar(where, v)
+        for gen, table in entry.field("terms", {}).table(L.basis_names,
+                                                         "basis"):
+            for (x, y), c in table.pairs(L.basis_names, "basis"):
+                comps[(L.index(gen), L.index(x), L.index(y))] = c.scalar()
         try:
             return L, Cobracket(L, comps)
         except ValueError as exc:
-            raise SpecError("%s: %s" % (entry.where, exc))
+            raise entry.error(exc)
+
+    def bialgebra(self, name):
+        """The Lie algebra of the r-matrix ``name``, or else of the
+        cobracket ``name``, and the bialgebra suite's keyword giving it."""
+        if name in self._section("r_matrices"):
+            L, r = self.r_matrix(name)
+            return L, {"r": r}
+        if name not in self._section("cobrackets"):
+            raise SpecError("no r_matrix or cobracket named %r" % name)
+        L, d = self.cobracket(name)
+        return L, {"cobracket": d}
 
     def chart(self, name):
         key = ("charts", name)
         if key in self._cache:
             return self._cache[key]
         entry = self._entry(*key)
-        try:
-            out = Chart(entry["variables"], entry.get("invertible", ()))
-        except ValueError as exc:
-            raise SpecError("%s: %s" % (entry.where, exc))
-        self._cache[key] = out
+        names = entry.field("variables").names()
+        invertible = [x.name(names, "variable") for x in
+                      entry.field("invertible", []).items()]
+        out = self._cache[key] = Chart(names, invertible)
         return out
 
     def bivector(self, name):
         from .poisson import PolyBivector
         entry = self._entry("bivectors", name)
-        chart = self.chart(entry["chart"])
-        comps = {}
-        where = entry.where + " components"
-        for (x, y), text in _pair_table(where, entry["components"],
-                                        chart.names):
-            comps[(x, y)] = _poly("%s %s,%s" % (where, x, y), text, chart)
+        chart = self.chart(self._ref(entry, "chart", "charts"))
+        comps = {pair: text.poly(chart) for pair, text in
+                 entry.field("components").pairs(chart.names, "variable",
+                                                 antisymmetric=True)}
         return PolyBivector(chart, comps)
 
     def matrix_group(self, name):
+        """The model of a ``matrix_groups`` entry: n x n ``entries``, each
+        chart variable once and scalars, and n x n scalar basis matrices."""
         from .matgroup import MatrixGroupModel
         entry = self._entry("matrix_groups", name)
-        L = self.lie_algebra(entry["algebra"])
-        chart = self.chart(entry["chart"])
-        entries = [[e if isinstance(e, str) and e in chart.names
-                    else _scalar(entry.where + " entries", e) for e in row]
-                   for row in entry["entries"]]
-        basis = [[[_scalar(entry.where + " basis_matrices", x) for x in row]
-                  for row in mat]
-                 for mat in entry["basis_matrices"]]
+        L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
+        chart = self.chart(self._ref(entry, "chart", "charts"))
+        rows = entry.field("entries").items()
+        square = "a list of %d lists of %d entries" % (len(rows), len(rows))
+        cell = "a variable of %s or %s" % (list(chart.names), _SCALAR)
+        entries = [[e.value if e.value in chart.names else e.scalar(cell)
+                    for e in row.items()] for row in rows]
+        if any(len(row) != len(rows) for row in entries):
+            entry.field("entries").expect(False, square)
+        named = [e for row in entries for e in row if isinstance(e, str)]
+        if sorted(named) != sorted(chart.names):
+            raise entry.error("the entries must name each variable of the "
+                              "chart %s once, got %s"
+                              % (list(chart.names), named))
+        matrices = entry.field("basis_matrices")
+        basis = [[[x.scalar() for x in row.items()] for row in m.items()]
+                 for m in matrices.items()]
+        if len(basis) != L.dim or any(
+                len(m) != len(rows) or any(len(r) != len(rows) for r in m)
+                for m in basis):
+            matrices.expect(False, "a list of %d matrices, each %s"
+                            % (L.dim, square))
         eliminate = None
         if "eliminate" in entry:
-            e = entry["eliminate"]
-            target = self.chart(e["chart"])
-            eliminate = (e["variable"], _poly(entry.where + " eliminate",
-                                              e["replacement"], target))
+            e = entry.field("eliminate")
+            target = self.chart(self._ref(e, "chart", "charts"))
+            eliminate = (e.field("variable").name(chart.names, "variable"),
+                         e.field("replacement").poly(target))
         try:
             return MatrixGroupModel(L, entries, chart, basis,
                                     eliminate=eliminate, name=name)
-        except ValueError as exc:
-            raise SpecError("matrix group %r: %s" % (name, exc))
-
-    def vector_field(self, where, chart, comps):
-        from .poisson import PolyVectorField
-        return PolyVectorField(chart, _components(where, comps, chart))
-
-    def one_form(self, where, chart, comps):
-        from .poisson import one_form
-        return one_form(chart, _components(where, comps, chart))
+        except ValueError as exc:  # the basis does not realize a bracket
+            raise entry.error(exc)
 
     def presentation(self, name):
         from .ncalg import Presentation
@@ -243,300 +385,165 @@ class SpecFile:
         if key in self._cache:
             return self._cache[key]
         entry = self._entry(*key)
-        gens = entry["generators"]
+        gens = entry.field("generators").names()
+        inverses = {inv: base.name(gens, "generator") for inv, base in
+                    entry.field("inverses", {}).table(gens, "generator")}
         rules = {}
-        for rule in _items(entry.where + " rule", entry.get("rules", ())):
-            pair = rule.name_pair(gens)
-            terms = {}
-            for t in _items(rule.where + " term", rule["terms"]):
-                terms[t.word(gens)] = self._series(t["coeff"], t.where)
-            rules[pair] = terms
+        for rule in entry.field("rules", [], label="rule").items():
+            rules[rule.field("pair").name_pair(gens)] = {
+                t.field("word", []).word(gens):
+                    t.field("coeff").series(self.order)
+                for t in rule.field("terms", label="term").items()}
         try:
-            out = Presentation(gens, rules, self.order,
-                               inverses=entry.get("inverses"), name=name)
-        except KeyError as exc:
-            raise SpecError("presentation %r: unknown generator %s"
-                            % (name, exc))
+            out = Presentation(gens, rules, self.order, inverses=inverses,
+                               name=name)
         except ValueError as exc:
-            # a rule that could rewrite forever
-            raise SpecError("presentation %r: %s" % (name, exc))
+            # a rule written on an inverse, or one that rewrites forever
+            raise entry.error(exc)
         self._cache[key] = out
         return out
 
-    def nc_element(self, pres, spec, where):
-        """An element from a name or a [{coeff, word}] list; ``where``
-        names it in input errors."""
-        if isinstance(spec, str):
-            if spec not in pres.gens:
-                raise SpecError("%s: %r is not a generator name of %s"
-                                % (where, spec, list(pres.gens)))
-            return pres.element(spec)
-        terms = []
-        for t in _items(where + " term", spec):
-            terms.append((self._series(t["coeff"], t.where),
-                          list(t.word(pres.gens))))
-        return pres.element(terms)
+    def nc_element(self, pres, node):
+        """An element from a generator name or a [{coeff, word}] list."""
+        if isinstance(node.value, str):
+            return pres.element(node.name(pres.gens, "generator"))
+        return pres.element([
+            (t.field("coeff").series(self.order),
+             list(t.field("word", []).word(pres.gens)))
+            for t in node.items("term")])
 
-    def tensor_element(self, pres, spec):
+    def tensor_element(self, pres, node):
         from .ncalg import TensorAlgebra
-        t2 = TensorAlgebra(pres, 2)
-        terms = {}
-        for t in _items("tensor term", spec):
-            u, v = t.pair()
-            key = (t.word(pres.gens, u), t.word(pres.gens, v))
-            terms[key] = self._series(t["coeff"], t.where)
-        return t2.element(terms)
+        return TensorAlgebra(pres, 2).element({
+            tuple(w.word(pres.gens) for w in t.field("pair").pair()):
+                t.field("coeff").series(self.order)
+            for t in node.items("term")})
+
+    def _images(self, entry, key, pres, label=None):
+        """The generator images of a map on ``pres``, the field ``key`` of
+        ``entry``: they name exactly the base generators.  The image of an
+        inverse generator is derived, m(a^-1) = m(a)^-1, so naming one is
+        an input error that names it."""
+        for g, _ in entry.field(key).table():
+            if g in pres.inverses:
+                raise SpecError("%s %s: %r is an inverse generator, whose "
+                                "image is derived from that of %r"
+                                % (entry.where, key, g, pres.inverses[g]))
+        return entry.exactly(key, [g for g in pres.gens
+                                   if g not in pres.inverses],
+                             "generators", label)
 
     def hopf_structure(self, name):
         from .hopf import HopfStructure
         from .ncalg import AlgebraMap
         entry = self._entry("hopf_structures", name)
         if "antipode" in entry:
-            raise SpecError("%s: 'antipode' is not an input: S is derived "
-                            "from the coproduct and the counit" % entry.where)
-        pres = self.presentation(entry["algebra"])
-        maps = {what: _images(entry.where, what, entry[what], pres)
-                for what in ("coproduct", "counit")}
-        cop = AlgebraMap(pres, {g: self.tensor_element(pres, _items(
-                                    "%s coproduct %r term" % (entry.where, g),
-                                    spec))
-                                for g, spec in maps["coproduct"].items()},
+            raise entry.error("'antipode' is not an input: S is derived "
+                              "from the coproduct and the counit")
+        pres = self.presentation(self._ref(entry, "algebra", "presentations"))
+        cop = AlgebraMap(pres, {g: self.tensor_element(pres, spec) for g, spec
+                                in self._images(entry, "coproduct", pres)},
                          name="Delta")
-        counit = AlgebraMap(pres, {g: self._series(v, "%s counit %r"
-                                                   % (entry.where, g))
-                                   for g, v in maps["counit"].items()},
+        counit = AlgebraMap(pres, {g: v.series(self.order) for g, v in
+                                   self._images(entry, "counit", pres)},
                             name="epsilon")
         return HopfStructure(pres, cop, counit)
 
-    def action_expr(self, pres, spec):
+    def action_expr(self, pres, node):
         """The ``qmomentum.Operator`` on ``pres`` of an action expression."""
         from .qmomentum import lmul, rmul
-        spec = _fields("action expression", spec)
-        op = spec["op"]
+        op = node.field("op").name(("id", "lmul", "rmul", "commutator",
+                                    "scale", "sum", "compose", "hbar_div"),
+                                   "action op")
         if op == "id":
             return lmul(pres, pres.one())
         if op in ("lmul", "rmul", "commutator"):
-            elem = self.nc_element(pres, spec["element"],
-                                   spec.where + " element")
+            elem = self.nc_element(pres, node.field("element"))
             if op == "lmul":
                 return lmul(pres, elem)
             if op == "rmul":
                 return rmul(pres, elem)
             return lmul(pres, elem) - rmul(pres, elem)
-        arg, args = spec.where + " arg", spec.where + " args"
         if op == "scale":
-            return self.action_expr(pres, _fields(arg, spec["arg"])) \
-                * self._series(spec["scalar"], spec.where)
+            return self.action_expr(pres, node.field("arg")) \
+                * node.field("scalar").series(self.order)
         if op in ("sum", "compose"):
-            items = _items(args, spec["args"])
-            if not items:
-                raise SpecError("%s: a %s needs at least one arg"
-                                % (spec.where, op))
-            ops = [self.action_expr(pres, a) for a in items]
+            args = node.field("args").items()
+            if not args:
+                raise node.error("a %s needs at least one arg" % op)
+            ops = [self.action_expr(pres, a) for a in args]
             if op == "sum":
                 return sum(ops[1:], ops[0])
             return math.prod(ops[1:], start=ops[0])
-        if op == "hbar_div":
-            return self.action_expr(pres, _fields(arg, spec["arg"])) \
-                .divide_by_hbar(_natural(spec.where + " k", spec.get("k", 1)))
-        raise SpecError("unknown action op %r" % op)
+        return self.action_expr(pres, node.field("arg")) \
+            .divide_by_hbar(node.field("k", 1).natural())
 
     def quantum_action(self, name):
         """The action of an ``actions`` entry, whose group is the Hopf
-        structure its ``hopf`` names, and its relations, ideal and
-        degree."""
+        structure its ``hopf`` names, and its relations {pair: element},
+        the pairs whose relation is a paper claim, its ideal and degree."""
         from .qmomentum import QuantumAction
         entry = self._entry("actions", name)
-        hopf = self.hopf_structure(entry["hopf"])
-        algebra = self.presentation(entry["algebra"])
-        generators = _images(entry.where, "generators", entry["generators"],
-                             hopf.algebra)
-        operators = {g: self.action_expr(algebra, _fields(
-                        "%s generator %r" % (entry.where, g), spec))
-                     for g, spec in generators.items()}
-        action = QuantumAction(hopf, algebra, operators)
-        extras = {
-            "relations": _items(entry.where + " relation",
-                                entry.get("relations", ())),
-            "ideal": [self.nc_element(algebra, s, "%s ideal %d"
-                                      % (entry.where, k))
-                      for k, s in enumerate(entry.get("ideal", ()), 1)],
-            "degree": _natural(entry.where + " degree",
-                               entry.get("degree", 2)),
-        }
-        return action, extras
+        hopf = self.hopf_structure(self._ref(entry, "hopf", "hopf_structures"))
+        alg = self.presentation(self._ref(entry, "algebra", "presentations"))
+        operators = {g: self.action_expr(alg, spec) for g, spec in
+                     self._images(entry, "generators", hopf.algebra,
+                                  label="generator")}
+        action = QuantumAction(hopf, alg, operators)
+        group = hopf.algebra
+        relations, claims = {}, set()
+        for rel in entry.field("relations", [], label="relation").items():
+            pair = rel.field("pair").name_pair(group.gens)
+            relations[pair] = self.nc_element(group, rel.field("rhs"))
+            if rel.field("paper_claim", False).flag():
+                claims.add(pair)
+        return action, {
+            "relations": relations, "claims": claims,
+            "ideal": [self.nc_element(alg, s)
+                      for s in entry.field("ideal", []).items()],
+            "degree": entry.field("degree", 2).natural()}
 
     def momentum_map(self, name):
         entry = self._entry("momentum_maps", name)
-        kind = entry.get("type", "classical")
-        pi = self.bivector(entry["bivector"])
+        kind = entry.field("type", "classical").name(
+            ("classical", "infinitesimal", "heisenberg"), "momentum map type")
+        pi = self.bivector(self._ref(entry, "bivector", "bivectors"))
         out = {"type": kind, "bivector": pi}
         if kind == "classical":
-            L = self.lie_algebra(entry["algebra"])
-            hams = _polys(entry.where + " hamiltonians",
-                          entry["hamiltonians"], pi.chart)
-            _names(entry.where, "hamiltonians", hams, "basis", L.basis_names)
-            out.update(algebra=L, hamiltonians=hams)
-        elif kind == "infinitesimal":
-            L, d = self.cobracket(entry["cobracket"])
-            where = entry.where + " alpha"
-            alpha = {g: self.one_form("%s %r" % (where, g), pi.chart, comps)
-                     for g, comps in _fields(where, entry["alpha"]).items()}
-            _names(entry.where, "alpha", alpha, "basis", L.basis_names)
-            out.update(algebra=L, cobracket=d, alpha=alpha)
-        elif kind == "heisenberg":
-            where = entry.where + " alpha"
-            alpha = {g: self.one_form("%s %r" % (where, g), pi.chart, comps)
-                     for g, comps in _fields(where, entry["alpha"]).items()}
-            out.update(alpha=alpha)
-        else:
-            raise SpecError("unknown momentum map type %r" % kind)
+            L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
+            out.update(algebra=L, hamiltonians={
+                g: h.poly(pi.chart) for g, h in
+                entry.exactly("hamiltonians", L.basis_names, "basis")})
+            return out
+        from .poisson import one_form
+        basis = ("xi", "eta", "zeta")
+        if kind == "infinitesimal":
+            L, d = self.cobracket(self._ref(entry, "cobracket", "cobrackets"))
+            out.update(algebra=L, cobracket=d)
+            basis = L.basis_names
+        out["alpha"] = {g: one_form(pi.chart, comps.components(pi.chart))
+                        for g, comps in entry.exactly("alpha", basis, "basis")}
         return out
 
     def reduction(self, name):
         """The setup of a ``reductions`` entry and its degree.  The acting
         bialgebra is a ``cobracket`` name, or an ``algebra`` name that
         carries the zero cobracket; the action names each basis element."""
+        from .poisson import PolyVectorField
         from .reduction import ReductionSetup
         entry = self._entry("reductions", name)
         if ("cobracket" in entry) == ("algebra" in entry):
-            raise SpecError("reduction %r: give exactly one of 'cobracket' "
-                            "and 'algebra'" % name)
-        pi = self.bivector(entry["bivector"])
+            raise entry.error("give exactly one of 'cobracket' and "
+                              "'algebra'")
+        pi = self.bivector(self._ref(entry, "bivector", "bivectors"))
         if "cobracket" in entry:
-            L, d = self.cobracket(entry["cobracket"])
+            L, d = self.cobracket(self._ref(entry, "cobracket", "cobrackets"))
         else:
-            L = self.lie_algebra(entry["algebra"])
+            L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
             d = Cobracket(L, {})
-        where = entry.where + " action"
-        _names(entry.where, "action", entry["action"], "basis", L.basis_names)
-        action = {g: self.vector_field("%s %r" % (where, g), pi.chart, comps)
-                  for g, comps in entry["action"].items()}
-        ideal = [_poly("%s ideal %d" % (entry.where, k), text, pi.chart)
-                 for k, text in enumerate(entry.get("ideal", ()), 1)]
+        action = {g: PolyVectorField(pi.chart, comps.components(pi.chart))
+                  for g, comps in entry.exactly("action", L.basis_names,
+                                                "basis")}
+        ideal = [p.poly(pi.chart) for p in entry.field("ideal", []).items()]
         setup = ReductionSetup(pi, d, action, ideal=ideal)
-        return setup, _natural(entry.where + " degree",
-                               entry.get("degree", 2))
-
-
-def _poly(where, text, chart):
-    """A polynomial expression of the spec on ``chart``; one that does not
-    parse, or names a variable off the chart, is an input error naming
-    ``where``."""
-    try:
-        return poly(text, chart)
-    except (KeyError, ValueError) as exc:
-        raise SpecError("%s: %s" % (where, exc.args[0]))
-
-
-def _scalar(where, value):
-    """A scalar of the spec -- a string "p/q+r/s*i" or an integer -- in
-    Q(i); anything else, a JSON boolean too, is an input error naming
-    ``where``."""
-    if isinstance(value, bool):
-        raise SpecError("%s: %r is not a scalar (a boolean)" % (where, value))
-    try:
-        return gauss(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SpecError("%s: %r is not a scalar (%s)" % (where, value, exc))
-
-
-def _basis_index(where, L, name):
-    """The index of the basis name ``name`` of the Lie algebra ``L``; any
-    other name is an input error naming ``where``."""
-    if name not in L.basis_names:
-        raise SpecError("%s: %r is not a basis name of %s"
-                        % (where, name, list(L.basis_names)))
-    return L.index(name)
-
-
-def _polys(where, table, chart):
-    """A JSON object {name: expression} as polynomials on ``chart``."""
-    return {k: _poly("%s %r" % (where, k), text, chart)
-            for k, text in _fields(where, table).items()}
-
-
-def _components(where, comps, chart):
-    """The components {variable: expression} of a field or a form on
-    ``chart``; a key that is not a variable of the chart is an input
-    error."""
-    off = sorted(set(_fields(where, comps)) - set(chart.names))
-    if off:
-        raise SpecError("%s: %s not variables of the chart %s"
-                        % (where, off, list(chart.names)))
-    return _polys(where, comps, chart)
-
-
-def _names(where, what, table, kind, names):
-    """The JSON object ``table``, the ``what`` of the entry ``where``, as an
-    entry; refuse it when its keys are not exactly ``names`` (the ``kind``:
-    a basis or the generators)."""
-    table = _fields("%s %s" % (where, what), table)
-    missing = sorted(set(names) - set(table))
-    extra = sorted(set(table) - set(names))
-    if missing or extra:
-        raise SpecError("%s: the %s must name exactly the %s %s (missing %s, "
-                        "extra %s)" % (where, what, kind, list(names),
-                                       missing, extra))
-    return table
-
-
-def _images(where, what, table, pres):
-    """The generator images ``table`` of a map on ``pres``, the ``what`` of
-    the entry ``where``: they name exactly the base generators.  The image
-    of an inverse generator is derived, m(a^-1) = m(a)^-1, so naming one
-    is an input error that names it."""
-    table = _fields("%s %s" % (where, what), table)
-    for g in table:
-        if g in pres.inverses:
-            raise SpecError("%s %s: %r is an inverse generator, whose image "
-                            "is derived from that of %r"
-                            % (where, what, g, pres.inverses[g]))
-    return _names(where, what, table, "generators",
-                  [g for g in pres.gens if g not in pres.inverses])
-
-
-def _natural(where, value):
-    """``value`` if it is an int >= 0 (a bool is not); anything else is an
-    input error naming ``where``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SpecError("%s must be an integer >= 0, got %r"
-                        % (where, value))
-    return value
-
-
-def _pair_table(where, table, names):
-    """The ((x, y), value) entries of an antisymmetric table -- the brackets
-    of a Lie algebra or the components of a bivector -- keyed 'x,y'.
-
-    The table gives each unordered pair of distinct ``names`` at most once;
-    the other order follows by antisymmetry.  A diagonal pair, a pair given
-    in both orders (the constructors would add the two up) and a name not
-    in ``names`` are input errors naming ``where`` and the pair."""
-    if not isinstance(table, dict):
-        raise SpecError("%s must be a JSON object of 'x,y' pairs" % where)
-    seen = {}
-    out = []
-    for pair, value in table.items():
-        x, y = _split_pair(pair)
-        for z in (x, y):
-            if z not in names:
-                raise SpecError("%s: pair %r names %r, not one of %s"
-                                % (where, pair, z, list(names)))
-        if x == y:
-            raise SpecError("%s: pair %r is diagonal, which an "
-                            "antisymmetric table leaves out" % (where, pair))
-        other = seen.get((y, x), seen.get((x, y)))
-        if other is not None:
-            raise SpecError("%s: pair %r repeats pair %r; give each "
-                            "unordered pair once" % (where, pair, other))
-        seen[(x, y)] = pair
-        out.append(((x, y), value))
-    return out
-
-
-def _split_pair(pair):
-    parts = [p.strip() for p in pair.split(",")]
-    if len(parts) != 2:
-        raise SpecError("expected a name pair 'x,y', got %r" % pair)
-    return parts
+        return setup, entry.field("degree", 2).natural()

@@ -80,6 +80,7 @@ from poisson_forge.reduction import (
     _expand, _raw_invariants, monomial_basis, reduce_mod_ideal,
 )
 from poisson_forge.report import Report, merge
+from poisson_forge.specfile import Node
 from poisson_forge.linalg import Span
 from poisson_forge.scalars import (
     HSeries, ONE, ZERO, _acc, gauss, hexp, series,
@@ -448,10 +449,10 @@ def spec_tree(spec, pres, doc):
         return ("id",)
     if op in ("lmul", "rmul", "commutator"):
         return ("ad" if op == "commutator" else op,
-                spec.nc_element(pres, doc["element"], op))
+                spec.nc_element(pres, Node(doc["element"], op)))
     if op == "scale":
         return ("scale", spec_tree(spec, pres, doc["arg"]),
-                spec._series(doc["scalar"], op))
+                Node(doc["scalar"], op).series(spec.order))
     if op in ("sum", "compose"):
         return (op, [spec_tree(spec, pres, d) for d in doc["args"]])
     return ("hbar_div", spec_tree(spec, pres, doc["arg"]), doc.get("k", 1))

@@ -158,8 +158,8 @@ def test_spec_field_component_off_the_chart_is_an_input_error(tmp_path,
     assert _reduce_variant(tmp_path, action={"xi": {"z": "b"},
                                              "eta": {"a": "-b"}}) == 2
     err = capsys.readouterr().err
-    assert "input error: reduction 'case3' action 'xi': ['z'] not " \
-        "variables of the chart" in err
+    assert "input error: reduction 'case3' action 'xi': 'z' is not a " \
+        "variable name of ['a', 'b', 'u', 'v']" in err
     assert "Traceback" not in err
 
 
@@ -292,7 +292,7 @@ def test_spec_pair_of_wrong_arity_is_input_error(path, value, argv, where,
                                                  tmp_path, capsys):
     spec = edited_spec(tmp_path, path, value)
     assert run([argv[0], spec, argv[1]]) == 2
-    assert ("input error: %s: 'pair' must be a list of two entries, got %r"
+    assert ("input error: %s pair must be a list of two entries, got %r"
             % (where, value)) in capsys.readouterr().err
 
 
@@ -371,8 +371,12 @@ def test_spec_word_must_list_generator_names(path, value, word, argv, where,
     # r2q (the coproduct) and qplane (the ideal)
     gens = {"check-hopf": "['F', 'H', 'E']", "check-action": "['xi', 'eta']",
             "qreduce": "['b', 'a', 'a_inv']"}[argv[0]]
-    assert ("input error: %s: a word must be a list of generator names of "
-            "%s, got %r" % (where, gens, word)) in capsys.readouterr().err
+    # the path ends at the word: the term's word, or one side of its pair
+    side = " word" if path[-1] == "word" else " pair %d" % (
+        value.index(word) + 1)
+    assert ("input error: %s%s must be a word (a list of generator names of "
+            "%s), got %r" % (where, side, gens, word)) \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path, argv, gens, where", [
@@ -405,7 +409,7 @@ def test_spec_rule_pair_must_name_generators(path, value, gens, where,
                                              tmp_path, capsys):
     spec = edited_spec(tmp_path, path, value)
     assert run(["check-action", spec, "qplane_action"]) == 2
-    assert ("input error: %s: 'pair' must be two generator names of %s, "
+    assert ("input error: %s pair must be two generator names of %s, "
             "got %r" % (where, gens, value)) in capsys.readouterr().err
 
 
@@ -437,8 +441,9 @@ def test_spec_series_must_be_scalar_strings(path, value, argv, where,
                                             tmp_path, capsys):
     spec = edited_spec(tmp_path, path, value)
     assert run([argv[0], spec, argv[1]]) == 2
-    assert ("input error: %s: a series must be a scalar string or a list of "
-            "scalar strings, got %r" % (where, value)) \
+    field = " coeff" if path[-1] == "coeff" else ""
+    assert ("input error: %s%s must be a series (a scalar string or a list "
+            "of scalar strings), got %r" % (where, field, value)) \
         in capsys.readouterr().err
 
 
@@ -729,8 +734,9 @@ def test_bad_scalar_in_spec_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad_scalar.json"
     path.write_text(json.dumps(doc))
     assert run(["check-bialgebra", str(path), "r"]) == 2
-    assert ("input error: lie_algebra 'L' brackets x,y: 'not-a-number' is "
-            "not a scalar") in capsys.readouterr().err
+    assert ("input error: lie_algebra 'L' brackets x,y 'y' must be a scalar "
+            "(a string \"p/q+r/s*i\" or an integer), got 'not-a-number'") \
+        in capsys.readouterr().err
 
 
 def test_boolean_scalar_in_spec_is_input_error(tmp_path, capsys):
@@ -741,8 +747,9 @@ def test_boolean_scalar_in_spec_is_input_error(tmp_path, capsys):
     path = tmp_path / "bool_scalar.json"
     path.write_text(json.dumps(doc))
     assert run(["check-bialgebra", str(path), "sl2_r"]) == 2
-    assert ("input error: lie_algebra 'sl2' brackets X,Y: True is not a "
-            "scalar") in capsys.readouterr().err
+    assert ("input error: lie_algebra 'sl2' brackets X,Y 'H' must be a "
+            "scalar (a string \"p/q+r/s*i\" or an integer), got True") \
+        in capsys.readouterr().err
 
 
 def test_cobracket_from_non_invariant_r_is_input_error(tmp_path, capsys):
@@ -1321,3 +1328,44 @@ def test_unknown_or_missing_command_exits_two(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "command" in capsys.readouterr().err
+
+
+def test_spec_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    # the decoder's error was an internal error (exit 4)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(open(SPEC, "rb").read().replace(b'"xi"', b'"\xe9"'))
+    assert run(["check-poisson", str(path), "pi_xy"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: cannot read spec: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_spec_nan_or_infinity_is_input_error(constant, tmp_path, capsys):
+    # JSON has no such numbers; Python's reader took NaN, and a component
+    # NaN was an internal error (exit 4: cannot coerce nan into Q(i))
+    text = open(SPEC).read().replace('{"x,y": "1"}', '{"x,y": %s}' % constant)
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    assert run(["check-poisson", str(path), "pi_xy"]) == 2
+    assert ("input error: cannot read spec: %s is not a JSON number"
+            % constant) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-poisson", SPEC, "pi_xy"], ["check-bialgebra", "--fixtures"]])
+@pytest.mark.parametrize("out", ["missing/out.jsonl", "."])
+def test_unusable_json_out_exits_two_before_any_check(argv, out, tmp_path,
+                                                      capsys):
+    # it printed the verdicts, then a traceback, and exited 1 ("a check
+    # failed"): a directory, or a file in a directory that is not there
+    path = str(tmp_path / out)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--json", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("poisson-forge: error: argument --json: "
+                                 "can't open %r: %s\n" % (path, (
+                                     "Is a directory" if out == "." else
+                                     "No such file or directory")))

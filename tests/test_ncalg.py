@@ -7,7 +7,7 @@ from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import (
     Presentation, NCPoly, TensorAlgebra, AlgebraMap,
     check_map, semiclassical_bracket, abelianize, abelianization_chart,
-    chart_presentation,
+    chart_presentation, TensorElement,
 )
 from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
 from poisson_forge.coordpoly import Chart, poly
@@ -562,3 +562,19 @@ def test_rules_of_other_lengths_rewrite_leftmost_subword():
         "overlap y*x*y*x*y reduces ambiguously"]
     with pytest.raises(ValueError, match="not decreasing"):
         Presentation(["x", "y"], {("x",): {("y",): 1}}, N)
+
+
+def test_an_inverse_known_mod_hbar_zero_trips_the_window_guard():
+    # an element, a tensor and a shift-0 operator known mod hbar^0 have no
+    # known hbar^0 part: a window too short, as for a series, not a
+    # non-unit (the element and the operator raised ValueError)
+    from poisson_forge.qmomentum import lmul
+    pres = fixtures.quantum_plane_presentation(6)
+    t2 = TensorAlgebra(pres, 2)
+    empty = NCPoly(pres, {}, 0)
+    for x in (HSeries([1], 0), empty, TensorElement(t2, {}, 0),
+              lmul(pres, empty)):
+        with pytest.raises(CapabilityError) as exc:
+            x.inverse()
+        assert exc.value.guard == "series.empty_window"
+        assert exc.value.counters == {"order": 0}

@@ -13,7 +13,7 @@ from poisson_forge.qmomentum import (
 from poisson_forge.hopf import apply_in_slot
 from poisson_forge.report import DISCREPANCY, Report
 from poisson_forge.scalars import HSeries, ValuationError, gauss, hexp
-from poisson_forge.specfile import SpecFile
+from poisson_forge.specfile import Node, SpecFile
 
 from oracles import (
     SeriesSpan, case1_reduction_algebra, eval_expr, fixture_trees, hopf_from,
@@ -137,7 +137,7 @@ def test_spec_action_ops_agree_with_recursive_evaluator(op):
     # evaluated by recursion gives the same values
     spec = SpecFile.load(SPEC, N)
     alg = spec.presentation("qplane")
-    got = spec.action_expr(alg, SPEC_OPS[op])
+    got = spec.action_expr(alg, Node(SPEC_OPS[op], op))
     assert isinstance(got, Operator)
     tree = spec_tree(spec, alg, SPEC_OPS[op])
     for m in monomials(alg, 2):
