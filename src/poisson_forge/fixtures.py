@@ -8,10 +8,18 @@ field X_f = {f, .}), while published tables mix orientations and 1/2-wedge
 factors, so `scale` records exactly the constant by which our derived table
 differs.  A scale of 1 means the table is reproduced verbatim.
 
-Each quantum fixture builder takes ``order``, the N of Q(i)[[hbar]]/(hbar^N)
-its presentations carry; ``ORDER`` is the command line's default.
+The quantum examples of the momentum-map paper -- the module algebras of
+cases 1-3 and of the 3-dimensional su(2) example, their groups, Hopf
+structures and actions, and the momentum ideal <H> -- are entries of the
+shipped spec ``paper_spec.json``, read by ``specfile.SpecFile``
+(``paper_spec``); the names below that return them are readers of it.
+U(sl2) and U_hbar(sl2) of check-hopf stay built here.  Each quantum
+fixture takes ``order``, the N of Q(i)[[hbar]]/(hbar^N) its presentations
+carry; ``ORDER`` is the command line's default.
 """
 
+import functools
+import os
 from fractions import Fraction
 
 from . import ORDER
@@ -415,7 +423,7 @@ def r2_action_fixture():
 
 
 # ---------------------------------------------------------------------------
-# Quantum fixtures: presented algebras, Hopf data, actions
+# Quantum fixtures of check-hopf: U(sl2) and U_hbar(sl2)
 # ---------------------------------------------------------------------------
 
 def usl2_presentation(order=ORDER):
@@ -524,184 +532,53 @@ def uhsl2_hopf(order=ORDER):
     return HopfStructure(pres, cop, counit)
 
 
-def quantum_plane_presentation(order=ORDER):
-    """[a, b] = -hbar b a, i.e. a b -> (1 - hbar) b a; order b < a < a^-1.
-    The rule a^-1 b -> (1 - hbar)^-1 b a^-1 is derived."""
-    from .ncalg import Presentation
-    return Presentation(
-        ["b", "a", "a_inv"],
-        {("a", "b"): {("b", "a"): HSeries([1, -1], order)}},
-        order, inverses={"a_inv": "a"},
-        name="quantum-plane")
+# ---------------------------------------------------------------------------
+# The quantum momentum-map examples: entries of the shipped spec
+# ---------------------------------------------------------------------------
+
+PAPER_SPEC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "paper_spec.json")
 
 
-def case1_module_algebra(order=ORDER):
-    """[a, b] = 0 with an extra generator f that fails to commute at order
-    hbar: [a, f] = hbar a, [b, f] = hbar b (a solvable deformation), so the
-    quantum action (1/hbar) a [b, .] is nonzero while a, b commute.  The
-    rules of a^-1, b a^-1 -> a^-1 b and f a^-1 -> a^-1 f + hbar a^-1, are
-    derived."""
-    from .ncalg import Presentation
-    h = HSeries.hbar(order)
-    return Presentation(
-        ["a_inv", "a", "b", "f"],
-        {
-            ("b", "a"): {("a", "b"): 1},
-            ("f", "a"): {("a", "f"): 1, ("a",): -h},
-            ("f", "b"): {("b", "f"): 1, ("b",): -h},
-        },
-        order, inverses={"a_inv": "a"},
-        name="case1-algebra")
+@functools.cache
+def _paper_document():
+    from .specfile import SpecFile
+    return SpecFile.load(PAPER_SPEC, ORDER).doc
 
 
-def case2_module_algebra(order=ORDER):
-    """[a, b] = -hbar (a canonical pair at order hbar); a invertible, and
-    the rule b a^-1 -> a^-1 b - hbar a^-2 is derived."""
-    from .ncalg import Presentation
-    return Presentation(
-        ["a_inv", "a", "b"],
-        {("b", "a"): {("a", "b"): 1, (): HSeries.hbar(order)}},
-        order, inverses={"a_inv": "a"},
-        name="case2-algebra")
+def paper_spec(order=ORDER):
+    """A fresh reader of the shipped spec mod hbar^order, so no structure,
+    memo or work count is shared with another call's; the document is
+    parsed once."""
+    from .specfile import SpecFile
+    return SpecFile(_paper_document(), order)
 
 
-def su2_module_algebra(order=ORDER):
-    """The 3-dimensional example: a b a^-1 = e^{2 hbar} b,
-    a c a^-1 = e^{-2 hbar} c, [b, c] = hbar^2 (e^{-hbar}-e^{hbar})^{-1} a^{-2}
-    - (1 - e^{2 hbar}) c b, all encoded as exact truncated series.  The
-    rules of a^-1, b a^-1 -> e^{2 hbar} a^-1 b and
-    c a^-1 -> e^{-2 hbar} a^-1 c, are derived."""
-    from .ncalg import Presentation
-    e2 = hexp(2, order)
-    em2 = hexp(-2, order)
-    # s = hbar^2 / (e^{-hbar} - e^{hbar}) : valuation 1; the exponentials
-    # are taken one order further, as the division by hbar costs one
-    s = HSeries.hbar(order) * (hexp(-1, order + 1)
-                               - hexp(1, order + 1)).divide_by_hbar().inverse()
-    # c b = e^{-2h} (b c - s a^-2)
-    return Presentation(
-        ["a_inv", "a", "b", "c"],
-        {
-            ("b", "a"): {("a", "b"): em2},
-            ("c", "a"): {("a", "c"): e2},
-            ("c", "b"): {("b", "c"): em2, ("a_inv", "a_inv"): -em2 * s},
-        },
-        order, inverses={"a_inv": "a"},
-        name="su2-module-algebra")
+def _reader(resolver, name):
+    """order -> the entry ``name`` of the shipped spec, by ``resolver``."""
+    return lambda order=ORDER: getattr(paper_spec(order), resolver)(name)
 
 
-def r2_quantum_group(commuting=True, order=ORDER):
-    """U_hbar of the 2-dimensional examples: generators xi, eta; case 1 has
-    [xi, eta] = 0, case 2 leaves the bracket undeclared (the checker derives
-    the oracle relation instead)."""
-    from .ncalg import Presentation
-    rules = {("eta", "xi"): {("xi", "eta"): 1}} if commuting else {}
-    return Presentation(["xi", "eta"], rules, order, name="U_hbar(R2)")
-
-
-def r2_hopf(commuting=True, order=ORDER):
-    """U_hbar(R2) (``r2_quantum_group``) as a Hopf structure.
-
-    Delta(xi) = xi (x) 1 + (1 - hbar eta) (x) xi and
-    Delta(eta) = eta (x) 1 + (1 - hbar eta) (x) eta, so 1 - hbar eta is
-    group-like; counit 0 on the generators.  The antipode they fix is
-    S(eta) = -eta (1 - hbar eta)^-1 and S(xi) = -(1 - hbar eta)^-1 xi, with
-    (1 - hbar eta)^-1 = sum hbar^k eta^k mod hbar^N."""
-    from .hopf import HopfStructure
-    from .ncalg import AlgebraMap, TensorAlgebra
-    pres = r2_quantum_group(commuting, order)
-    t2 = TensorAlgebra(pres, 2)
-    h = HSeries.hbar(order)
-    cop = AlgebraMap(pres, {
-        "xi": t2.element({(("xi",), ()): 1, ((), ("xi",)): 1,
-                          (("eta",), ("xi",)): -h}),
-        "eta": t2.element({(("eta",), ()): 1, ((), ("eta",)): 1,
-                           (("eta",), ("eta",)): -h}),
-    }, name="Delta")
-    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
-                        name="epsilon")
-    return HopfStructure(pres, cop, counit)
-
-
-def su2_quantum_group(order=ORDER):
-    """Generators xi, eta, zeta, zeta^-1 with zeta xi zeta^-1 = e^{2hbar} xi
-    and zeta eta zeta^-1 = e^{-2hbar} eta; the xi-eta relation is left to
-    the operator-level oracle.  The rules of zeta^-1 are derived."""
-    from .ncalg import Presentation
-    return Presentation(
-        ["xi", "eta", "zeta", "zeta_inv"],
-        {
-            ("zeta", "xi"): {("xi", "zeta"): hexp(2, order)},
-            ("zeta", "eta"): {("eta", "zeta"): hexp(-2, order)},
-        },
-        order, inverses={"zeta_inv": "zeta"},
-        name="U_hbar(su2)")
-
-
-def su2_hopf(order=ORDER):
-    """U_hbar(su2) (``su2_quantum_group``) as a Hopf structure.
-
-    Delta(zeta) = zeta (x) zeta, Delta(xi) = xi (x) 1 + zeta (x) xi and
-    Delta(eta) = 1 (x) eta + eta (x) zeta^-1; eps(zeta) = 1 and
-    eps(xi) = eps(eta) = 0.  The maps' values on zeta^-1, the inverses
-    zeta^-1 (x) zeta^-1 and 1, are derived.  The antipode they fix is
-    S(zeta^+-1) = zeta^-+1, S(xi) = -zeta^-1 xi and S(eta) = -eta zeta."""
-    from .hopf import HopfStructure
-    from .ncalg import AlgebraMap, TensorAlgebra
-    pres = su2_quantum_group(order)
-    t2 = TensorAlgebra(pres, 2)
-    cop = AlgebraMap(pres, {
-        "zeta": t2.element({(("zeta",), ("zeta",)): 1}),
-        "xi": t2.element({(("xi",), ()): 1, (("zeta",), ("xi",)): 1}),
-        "eta": t2.element({((), ("eta",)): 1, (("eta",), ("zeta_inv",)): 1}),
-    }, name="Delta")
-    zero = HSeries.zero(order)
-    counit = AlgebraMap(pres, {"xi": zero, "eta": zero,
-                               "zeta": HSeries.one(order)}, name="epsilon")
-    return HopfStructure(pres, cop, counit)
+quantum_plane_presentation = _reader("presentation", "quantum-plane")
+case1_module_algebra = _reader("presentation", "case1-algebra")
+case2_module_algebra = _reader("presentation", "case2-algebra")
+su2_module_algebra = _reader("presentation", "su2-module-algebra")
+su2_quantum_group = _reader("presentation", "U_hbar(su2)")
+r2_hopf = _reader("hopf_structure", "r2")
+r2_free_hopf = _reader("hopf_structure", "r2-free")
+su2_hopf = _reader("hopf_structure", "su2")
 
 
 def case_action(case, order=ORDER):
-    """QuantumAction of the 2-dimensional examples (``r2_action``) on the
-    module algebra of the given case (1, 2 or 3): U_hbar(R2) acts through
-    its commuting presentation in case 1 and its free one in cases 2 and
-    3."""
-    algebra = {
-        1: case1_module_algebra,
-        2: case2_module_algebra,
-        3: quantum_plane_presentation,
-    }[case](order)
-    return r2_action(algebra, r2_hopf(commuting=(case == 1), order=order))
-
-
-def r2_action(algebra, hopf):
-    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on a
-    module algebra with generators a, a_inv and b, for the U_hbar(R2)
-    structure ``hopf`` (``r2_hopf``), which actions may share: the sharps
-    of the momentum 1-forms a db and a d(a^-1)."""
-    from .qmomentum import QuantumAction, one_form
-    return QuantumAction(hopf, algebra, {
-        "xi": one_form(algebra, [("a", "b")]).sharp(),
-        "eta": one_form(algebra, [("a", "a_inv")]).sharp(),
-    })
+    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on the
+    module algebra of case 1, 2 or 3."""
+    return paper_spec(order).quantum_action("case%d" % case)[0]
 
 
 def su2_action(order=ORDER):
-    """The 3-dimensional example: Phi(xi) = (1/hbar) a [b, .],
-    Phi(eta) = (1/hbar) [c, .] a, Phi(zeta) = a (.) a^-1; Phi(zeta^-1) =
-    a^-1 (.) a is derived."""
-    from .qmomentum import QuantumAction, lmul, one_form, rmul
-    algebra = su2_module_algebra(order)
-    hopf = su2_hopf(order)
-    a = algebra.gen("a")
-    a_inv = algebra.gen("a_inv")
-    c = algebra.gen("c")
-    ad_c = lmul(algebra, c) - rmul(algebra, c)
-    return QuantumAction(hopf, algebra, {
-        "xi": one_form(algebra, [("a", "b")]).sharp(),
-        "eta": (rmul(algebra, a) * ad_c).divide_by_hbar(),
-        "zeta": lmul(algebra, a) * rmul(algebra, a_inv),
-    })
+    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) [c, .] a and
+    Phi(zeta) = a (.) a^-1 on the 3D module algebra."""
+    return paper_spec(order).quantum_action("su2")[0]
 
 
 def su2_commutator_target_for(action):
@@ -715,16 +592,16 @@ def su2_commutator_target_for(action):
 
 
 def su2_momentum_ideal_generator(alg):
-    """H = a^-2 + e^hbar (1 - e^{2 hbar})^2 hbar^-2 c b on the 3D module
-    algebra ``alg`` (``su2_module_algebra``), as the pair (alg, H): the
-    generator of the quantum momentum ideal.
+    """(alg, H): the generator H = a^-2 + e^hbar (1 - e^{2 hbar})^2
+    hbar^-2 c b of the quantum momentum ideal, the su2 action's ``ideal``
+    in the shipped spec, on ``alg``, a presentation of the 3D module
+    algebra (``su2_module_algebra``).
 
     The printed version carries a minus on the second term, but the triple
     {[b,c] relation, H, the H-relations} is then inconsistent: with the
     [b,c] relation exactly as printed, only this sign of H satisfies
     a^-1 H a = H, [b,H] = -(1-e^{2hbar}) H b and [c,H] = c (1-e^{2hbar}) H
     simultaneously (and it does so exactly)."""
-    factor = 1 - hexp(2, alg.order + 1)  # valuation 1, divided below
-    coef = hexp(1, alg.order) * factor.divide_by_hbar() ** 2
-    return alg, alg.element([(1, ["a_inv", "a_inv"])]) \
-        + alg.element([(coef, ["c", "b"])])
+    spec = paper_spec(alg.order)
+    (h,) = spec._entry("actions", "su2").field("ideal").items()
+    return alg, spec.nc_element(alg, h)

@@ -8,15 +8,19 @@ Actions on Rings*, ch. 4): elements of A (x) A^op with an hbar shift
 commutators are the elements' own and whose product is composition.  A
 generator's operator is built with that arithmetic from left and right
 multiplications (``lmul``, ``rmul``) and ``Operator.divide_by_hbar``,
-which raises the shift: the single-commutator actions (1/hbar) a [b, .],
-the sharps of 1-forms a db (``NCOneForm.sharp``), and conjugations
-a (.) a^-1.  The group that acts is a ``hopf.HopfStructure``, the one
+which raises the shift: the single-commutator actions (1/hbar) a [b, .]
+and conjugations a (.) a^-1, written as expressions of a spec (the shipped
+examples are ``paper_spec.json``), and the sharp of a 1-form a db
+(``NCOneForm.sharp``), which is the same operator as (1/hbar) a [b, .].
+The group that acts is a ``hopf.HopfStructure``, the one
 source of the Delta and eps the checks read, and Phi is one
 ``ncalg.AlgebraMap`` that evaluates words and elements as Delta and eps
 are evaluated.  The operator is the only evaluator of an action: it
 divides by hbar^k once, on its value, so an action is only densely
 defined -- where that division is inexact it raises with the word and
-coefficient of the offending term.  The group's rules, the module-algebra
+coefficient of the offending term, and a check that meets it there fails
+conclusively, naming the operator and the word: Phi does not map A into A
+(``QuantumAction.apply_word``).  The group's rules, the module-algebra
 and the Lie-homomorphism identities are certified on these tensors, which
 proves them in every degree; a monomial sweep of the same operators runs
 only to locate a witness when a tensor is nonzero.
@@ -187,6 +191,30 @@ class Operator(_SeriesComb):
         return _ncpoly(pres, value.terms, value.order).divide_by_hbar(self.k)
 
 
+class _Leaves(ValuationError):
+    """An operator Phi(g) whose hbar-division is inexact on a word w: Phi
+    does not map A into A, so every identity that reads Phi(g) fails
+    conclusively, with this text (``QuantumAction.division_failures``'s
+    wording) as its failure."""
+
+
+def _located(op, label, x):
+    """op(x), where op is ``label`` (e.g. Phi(xi)).  An inexact division
+    raises _Leaves naming the first normal word of x on which op's division
+    is inexact: op is linear, so one is."""
+    try:
+        return op(x)
+    except ValuationError:
+        alg = op.algebra
+        for w in sorted({w for _, w in x.terms}):
+            try:
+                op(alg.monomial(w))
+            except ValuationError as exc:
+                raise _Leaves("%s leaves the algebra at %s: %s"
+                              % (label, alg.word_name(w), exc)) from None
+        raise
+
+
 def lmul(algebra, c):
     """f -> c f on ``algebra``."""
     return Operator.multiplication(algebra, c, algebra.one())
@@ -243,11 +271,9 @@ class QuantumAction:
                       for w in alg.monomials_up_to(op.k - 1))
             for name, op, w in probes:
                 try:
-                    op(alg.monomial(w))
-                except ValuationError as exc:
-                    self._division_failures.append(
-                        "Phi(%s) leaves the algebra at %s: %s"
-                        % (name, alg.word_name(w), exc))
+                    _located(op, "Phi(%s)" % name, alg.monomial(w))
+                except _Leaves as exc:
+                    self._division_failures.append(str(exc))
                     break
         return self._division_failures
 
@@ -268,7 +294,11 @@ class QuantumAction:
         return self.phi.apply_word(self.group._word(word))
 
     def apply_word(self, word, f):
-        return self.operator(word)(f)
+        """Phi(word)(f); an inexact division raises ``_Leaves``, which
+        names the word of f where it is inexact."""
+        word = self.group._word(word)
+        return _located(self.operator(word),
+                        "Phi(%s)" % self.group.word_name(word), f)
 
 
 # ---------------------------------------------------------------------------
@@ -339,41 +369,50 @@ def module_algebra_defect(action, name, coproduct):
 
 
 def _module_algebra_witness(action, name, coproduct, degree):
-    """The first monomial pair where xi.(f g) != sum (u.f)(v.g), or None."""
+    """The first monomial pair where xi.(f g) != sum (u.f)(v.g), or the
+    first word where an operator it evaluates leaves the algebra, or
+    None."""
     alg = action.algebra
     monos = _monomials(alg, degree)
-    op = action.operator((name,))
-    for f in monos:
-        for g in monos:
-            lhs = op(f * g)
-            rhs = alg.zero()
-            for (u, v), coeff in coproduct.series_terms().items():
-                rhs = rhs + action.operator(u)(f) * action.operator(v)(g) \
-                    * coeff
-            if not (lhs - rhs).is_zero():
-                return ("module-algebra defect for %s at (%r, %r): %r"
-                        % (name, f, g, lhs - rhs))
+    try:
+        for f in monos:
+            for g in monos:
+                lhs = action.apply_word((name,), f * g)
+                rhs = alg.zero()
+                for (u, v), coeff in coproduct.series_terms().items():
+                    rhs = rhs + action.apply_word(u, f) \
+                        * action.apply_word(v, g) * coeff
+                if not (lhs - rhs).is_zero():
+                    return ("module-algebra defect for %s at (%r, %r): %r"
+                            % (name, f, g, lhs - rhs))
+    except _Leaves as exc:
+        return str(exc)
     return None
 
 
-def _defects(label, values, rhs_op):
+def _defects(label, values, rhs):
     """The defect at each monomial f of the pairs (f, v) in ``values`` where
-    the value v computed there differs from rhs_op(f), lazily and in
-    order, so that a caller may stop at the first."""
+    the value v computed there differs from op(f), for rhs = (op, its
+    label), lazily and in order, so that a caller may stop at the
+    first."""
     for f, v in values:
-        d = v - rhs_op(f)
+        d = v - _located(*rhs, f)
         if not d.is_zero():
             yield "%s defect at %r: %r" % (label, f, d)
 
 
-def _rule_witness(action, label, lhs, rhs_op, degree):
+def _rule_witness(action, label, lhs, rhs, degree):
     """The first monomial f of degree <= degree where Phi(lhs)(f), applied
-    one letter's operator at a time, differs from Phi(rhs)(f), or None."""
-    images = action.phi.images
-    values = ((f, functools.reduce(lambda v, g: images[g](v), reversed(lhs),
-                                   f))
-              for f in _monomials(action.algebra, degree))
-    return next(_defects(label, values, rhs_op), None)
+    one letter's operator at a time, differs from Phi(rhs)(f), for rhs =
+    (Phi(rhs), its label), or the first word where an operator leaves the
+    algebra, or None."""
+    values = ((f, functools.reduce(
+        lambda v, g: action.apply_word((g,), v), reversed(lhs), f))
+        for f in _monomials(action.algebra, degree))
+    try:
+        return next(_defects(label, values, rhs), None)
+    except _Leaves as exc:
+        return str(exc)
 
 
 def check_module_algebra(action, degree=2):
@@ -393,7 +432,8 @@ def check_module_algebra(action, degree=2):
     tensor is the two-sided multiplication form of its identity;
     Montgomery, *Hopf Algebras and Their Actions on Rings*, ch. 4).  An
     action that ``QuantumAction.division_failures`` shows to leave A fails
-    before any tensor is formed.
+    before any tensor is formed, and one that the witness sweep finds
+    leaving A fails there, naming the word.
     With coefficients known mod hbar^N and shift K it is exact mod
     hbar^(N - K); an empty window raises ``module-algebra.window``.  The
     condition is sufficient only (a (x) 1 - 1 (x) a acts as 0 when a is
@@ -417,7 +457,8 @@ def check_module_algebra(action, degree=2):
         if _certified("module-algebra", defect):
             continue
         label = "rule %s -> %r" % (group.word_name(lhs), rhs)
-        witness = _rule_witness(action, label, lhs, rhs_op, degree)
+        witness = _rule_witness(action, label, lhs,
+                                (rhs_op, "Phi(%r)" % rhs), degree)
         if witness is not None:
             return Report.from_failures("module-algebra", [witness])
         inconclusive = inconclusive or (label, defect)
@@ -438,26 +479,27 @@ def check_module_algebra(action, degree=2):
 
 def _expected_operator(action, expected):
     """Phi(expected) for a quantum-group element, or an Operator as it
-    is."""
+    is, and its label."""
     if isinstance(expected, Operator):
-        return expected
-    return action.phi(expected)
+        return expected, "the expected operator"
+    return action.phi(expected), "Phi(%r)" % expected
 
 
 def lie_hom_defect(action, xn, yn, expected):
     """[Phi(xn), Phi(yn)] - Phi(expected) in A (x) A^op.  ``expected`` is a
     quantum-group element (extended through Phi) or an Operator."""
     ox, oy = action.operator((xn,)), action.operator((yn,))
-    return ox.commutator(oy) - _expected_operator(action, expected)
+    return ox.commutator(oy) - _expected_operator(action, expected)[0]
 
 
 def _lie_hom_witnesses(action, xn, yn, expected, degree):
     """The defects at every monomial f of degree <= degree where the
     relation fails, the monomials, and the commutator's values on them,
     evaluated one generator's operator at a time."""
-    ox, oy = action.operator((xn,)), action.operator((yn,))
+    def phi(name, f):
+        return action.apply_word((name,), f)
     monos = _monomials(action.algebra, degree)
-    values = [ox(oy(f)) - oy(ox(f)) for f in monos]
+    values = [phi(xn, phi(yn, f)) - phi(yn, phi(xn, f)) for f in monos]
     defects = list(_defects("[Phi(%s),Phi(%s)]" % (xn, yn),
                             zip(monos, values),
                             _expected_operator(action, expected)))
@@ -481,33 +523,39 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
     raises CapabilityError ``lie-hom.inconclusive``.  When a failing pair
     appears in ``paper_claims`` the verdict is "paper-discrepancy" and the
     diagnostic solver expresses the true commutator in the span of
-    Phi-images of the candidate words (``diagnose_words``).
+    Phi-images of the candidate words (``diagnose_words``).  An operator
+    that the sweep or the solver finds leaving the algebra fails every
+    relation too, naming the word.
     """
     failures = action.division_failures()
+    reports = {}
+    try:
+        for (xn, yn), expected in relations.items() if not failures else ():
+            defect = lie_hom_defect(action, xn, yn, expected)
+            defects = []
+            if not _certified("lie-hom", defect):
+                defects, monos, values = _lie_hom_witnesses(
+                    action, xn, yn, expected, degree)
+                if not defects:
+                    raise _inconclusive("lie-hom",
+                                        "[Phi(%s),Phi(%s)]" % (xn, yn),
+                                        defect, degree)
+            verdict = PASS if not defects else FAIL
+            data = {}
+            if defects and paper_claims and (xn, yn) in paper_claims:
+                verdict = DISCREPANCY
+                if diagnose_words:
+                    solved = solve_commutator_relation(action, monos, values,
+                                                       diagnose_words)
+                    if solved is not None:
+                        data["oracle_relation"] = solved
+            reports[(xn, yn)] = Report("lie-hom(%s,%s)" % (xn, yn), verdict,
+                                       defects, [], data)
+    except _Leaves as exc:
+        failures = [str(exc)]
     if failures:
         return {pair: Report.from_failures("lie-hom(%s,%s)" % pair, failures)
                 for pair in relations}
-    reports = {}
-    for (xn, yn), expected in relations.items():
-        defect = lie_hom_defect(action, xn, yn, expected)
-        defects = []
-        if not _certified("lie-hom", defect):
-            defects, monos, values = _lie_hom_witnesses(
-                action, xn, yn, expected, degree)
-            if not defects:
-                raise _inconclusive("lie-hom", "[Phi(%s),Phi(%s)]" % (xn, yn),
-                                    defect, degree)
-        verdict = PASS if not defects else FAIL
-        data = {}
-        if defects and paper_claims and (xn, yn) in paper_claims:
-            verdict = DISCREPANCY
-            if diagnose_words:
-                solved = solve_commutator_relation(action, monos, values,
-                                                   diagnose_words)
-                if solved is not None:
-                    data["oracle_relation"] = solved
-        reports[(xn, yn)] = Report("lie-hom(%s,%s)" % (xn, yn), verdict,
-                                   defects, [], data)
     return reports
 
 
@@ -522,7 +570,7 @@ def solve_commutator_relation(action, monos, values, candidate_words):
     """
     order = action.algebra.order
     lhs = _stacked(values, order)
-    columns = {w: _stacked([action.operator(w)(f) for f in monos], order)
+    columns = {w: _stacked([action.apply_word(w, f) for f in monos], order)
                for w in candidate_words}
     sol = solve(columns, lhs)
     if sol is None:
@@ -612,7 +660,8 @@ def check_ideal_invariance(action, ideal_gens, quotient):
     mod hbar^(N - k), in every degree.
     Hypothesis: Phi(g) maps A into A, that is, its hbar-divisions are
     exact on A.  Only its necessary half is checked, first
-    (``QuantumAction.division_failures``).
+    (``QuantumAction.division_failures``); a division found inexact on an
+    ideal generator is a conclusive fail too, naming the word.
     The value Phi(g)(s) is known mod hbar^(min(N_s, N) - k) for a generator
     s known mod hbar^N_s; an empty window raises
     ``ideal-invariance.window`` before Phi(g)(s) is evaluated, since the
@@ -637,7 +686,10 @@ def check_ideal_invariance(action, ideal_gens, quotient):
         op = action.operator((name,))
         for s in ideal_gens:
             _check_window("ideal-invariance", op, s.order)
-            y = op(s)
+            try:
+                y = _located(op, "Phi(%s)" % name, s)
+            except _Leaves as exc:
+                return Report.from_failures("ideal-invariance", [str(exc)])
             rest = quotient.normal_form(y)
             if not rest.is_zero():
                 failures.append("Phi(%s)(%r) = %r escapes the ideal "
@@ -660,7 +712,9 @@ def invariant_subalgebra(action, degree=2):
     done.  A / J is free over Q(i)[hbar]/(hbar^N) on its normal words
     (Diamond Lemma), so the kernel vectors are independent classes.
     Each generator's operator must be known in a nonempty window
-    (``invariant-subalgebra.window``).
+    (``invariant-subalgebra.window``).  One whose division is inexact on a
+    normal word leaves the algebra: a conclusive fail naming the word, with
+    no basis.
 
     Closure is read off the system the basis was solved from.  ``kernel``
     returns generators of the kernel module mod hbar^n, n the least window
@@ -682,10 +736,14 @@ def invariant_subalgebra(action, degree=2):
     eps = {name: action.hopf.counit.apply_word((action.group.index(name),))
            for name in ops}
     columns = {}
-    for w in alg.monomials_up_to(degree):
-        x = alg.monomial(w)
-        columns[w] = _stacked([op(x) - x * eps[name]
-                               for name, op in ops.items()], alg.order)
+    try:
+        for w in alg.monomials_up_to(degree):
+            x = alg.monomial(w)
+            columns[w] = _stacked([_located(op, "Phi(%s)" % name, x)
+                                   - x * eps[name]
+                                   for name, op in ops.items()], alg.order)
+    except _Leaves as exc:
+        return [], Report.from_failures("invariant-subalgebra", [str(exc)])
     basis = [_ncpoly(alg, v, n) for v, n in kernel(columns)]
     window = min((n for _, n in columns.values()), default=alg.order)
 

@@ -12,20 +12,39 @@ Lie algebras where they build their objects, so a run loads only what its
 objects need.
 """
 
+import functools
 import json
 import math
 
 from .coordpoly import Chart, poly
 from .errors import SpecError
 from .lie import LieAlgebra, Tensor, Cobracket, cobracket_from_r
-from .scalars import HSeries, gauss
+from .scalars import HSeries, gauss, hexp
 
 _REQUIRED = object()
 _SCALAR = 'a scalar (a string "p/q+r/s*i" or an integer)'
+_SERIES_FORMS = ("exp", "sum", "product", "quotient")
+# how far past the run's order a quotient's denominator is read for its
+# hbar-valuation when it vanishes mod hbar^N
+_VALUATION_REACH = 64
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _cached(section):
+    """A resolver of ``section`` that builds each entry once per SpecFile,
+    so every reference to it shares one object."""
+    def wrap(resolve):
+        @functools.wraps(resolve)
+        def cached(self, name):
+            key = (section, name)
+            if key not in self._cache:
+                self._cache[key] = resolve(self, name)
+            return self._cache[key]
+        return cached
+    return wrap
 
 
 class Node:
@@ -159,14 +178,53 @@ class Node:
             return self.expect(False, kind)
 
     def series(self, order):
-        """A scalar string, or a list of them, as a series mod hbar^order:
-        an exact polynomial in hbar, its missing coefficients 0."""
+        """A series mod hbar^order, exact: a scalar string, or a list of
+        them (a polynomial in hbar, its missing coefficients 0), or an
+        object with one key: ``exp`` c is e^(c hbar), ``sum`` and
+        ``product`` a nonempty list of series, and ``quotient`` a pair
+        [numerator, denominator] (``_quotient``)."""
+        if isinstance(self.value, dict) and len(self.value) == 1 \
+                and next(iter(self.value)) in _SERIES_FORMS:
+            key = next(iter(self.value))
+            node = self.field(key)
+            if key == "exp":
+                return hexp(node.scalar(), order)
+            if key == "quotient":
+                return node._quotient(order)
+            terms = [t.series(order) for t in node.items()]
+            if not terms:
+                node.expect(False, "a nonempty list of series")
+            if key == "sum":
+                return sum(terms[1:], terms[0])
+            return math.prod(terms[1:], start=terms[0])
         value = self.expect(
             isinstance(self.value, str) or isinstance(self.value, list)
             and all(isinstance(c, str) for c in self.value),
-            "a series (a scalar string or a list of scalar strings)")
+            "a series (a scalar string, a list of scalar strings or an "
+            "object with one key of %s)" % ", ".join(_SERIES_FORMS))
         coeffs = [self] if isinstance(value, str) else self.items()
         return HSeries([c.scalar() for c in coeffs], order)
+
+    def _quotient(self, order):
+        """n / d mod hbar^order for this pair [n, d].  The hbar-valuation v
+        of d cancels exactly: n and d are evaluated mod hbar^(order + v)
+        and both divided by hbar^v, so d / hbar^v is a unit and the
+        quotient is known mod hbar^order.  v is read off d mod hbar^order,
+        or, if d vanishes there, mod hbar^(order + _VALUATION_REACH); a d
+        that vanishes there too, or an n of valuation below v, is
+        refused."""
+        num, den = self.pair()
+        d = den.series(order)
+        if d.is_zero():
+            d = den.series(order + _VALUATION_REACH)
+        if d.is_zero():
+            raise den.error("the denominator is 0 mod hbar^%d" % d.order)
+        v = d.hbar_valuation()
+        n, d = num.series(order + v), den.series(order + v)
+        if n.hbar_valuation() < v:
+            raise self.error("the numerator has hbar-valuation %d, below the "
+                             "denominator's %d" % (n.hbar_valuation(), v))
+        return n.divide_by_hbar(v) * d.divide_by_hbar(v).inverse()
 
     def poly(self, chart):
         """A polynomial expression (or an integer) on ``chart``."""
@@ -264,11 +322,9 @@ class SpecFile:
 
     # -- resolvers ----------------------------------------------------------
 
+    @_cached("lie_algebras")
     def lie_algebra(self, name):
-        key = ("lie_algebras", name)
-        if key in self._cache:
-            return self._cache[key]
-        entry = self._entry(*key)
+        entry = self._entry("lie_algebras", name)
         basis = entry.field("basis").names()
         idx = {b: i for i, b in enumerate(basis)}
         brackets = {}
@@ -280,8 +336,7 @@ class SpecFile:
         # check suites run and *report* it, so a broken input fails a check
         # (exit 1 with the located triple) instead of being rejected as
         # malformed
-        out = self._cache[key] = LieAlgebra(basis, brackets, validate=False)
-        return out
+        return LieAlgebra(basis, brackets, validate=False)
 
     def r_matrix(self, name):
         entry = self._entry("r_matrices", name)
@@ -320,16 +375,13 @@ class SpecFile:
         L, d = self.cobracket(name)
         return L, {"cobracket": d}
 
+    @_cached("charts")
     def chart(self, name):
-        key = ("charts", name)
-        if key in self._cache:
-            return self._cache[key]
-        entry = self._entry(*key)
+        entry = self._entry("charts", name)
         names = entry.field("variables").names()
         invertible = [x.name(names, "variable") for x in
                       entry.field("invertible", []).items()]
-        out = self._cache[key] = Chart(names, invertible)
-        return out
+        return Chart(names, invertible)
 
     def bivector(self, name):
         from .poisson import PolyBivector
@@ -379,12 +431,10 @@ class SpecFile:
         except ValueError as exc:  # the basis does not realize a bracket
             raise entry.error(exc)
 
+    @_cached("presentations")
     def presentation(self, name):
         from .ncalg import Presentation
-        key = ("presentations", name)
-        if key in self._cache:
-            return self._cache[key]
-        entry = self._entry(*key)
+        entry = self._entry("presentations", name)
         gens = entry.field("generators").names()
         inverses = {inv: base.name(gens, "generator") for inv, base in
                     entry.field("inverses", {}).table(gens, "generator")}
@@ -395,13 +445,11 @@ class SpecFile:
                     t.field("coeff").series(self.order)
                 for t in rule.field("terms", label="term").items()}
         try:
-            out = Presentation(gens, rules, self.order, inverses=inverses,
-                               name=name)
+            return Presentation(gens, rules, self.order, inverses=inverses,
+                                name=name)
         except ValueError as exc:
             # a rule written on an inverse, or one that rewrites forever
             raise entry.error(exc)
-        self._cache[key] = out
-        return out
 
     def nc_element(self, pres, node):
         """An element from a generator name or a [{coeff, word}] list."""
@@ -433,6 +481,7 @@ class SpecFile:
                                    if g not in pres.inverses],
                              "generators", label)
 
+    @_cached("hopf_structures")
     def hopf_structure(self, name):
         from .hopf import HopfStructure
         from .ncalg import AlgebraMap

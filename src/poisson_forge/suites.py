@@ -318,53 +318,63 @@ def group_gate(name, hopf, skipped):
              Report(rep.check, rep.verdict, rep.failures, notes))]
 
 
-def _module_algebra(name, act, degree):
-    """The group gate and, when it passes, the module-algebra record."""
+def _gated(name, hopf, checks):
+    """The group gate and, when it passes, the record ``<name>/<check>`` of
+    each check of ``checks`` {check: run}, in order."""
+    return group_gate(name, hopf, list(checks)) or [
+        ("%s/%s" % (name, check), run()) for check, run in checks.items()]
+
+
+def _module_algebra(act, degree):
     from .qmomentum import check_module_algebra
-    return group_gate(name, act.hopf, ["module-algebra"]) or [
-        ("%s/module-algebra" % name, check_module_algebra(act, degree))]
+    return {"module-algebra": lambda: check_module_algebra(act, degree)}
+
+
+def _invariant_subalgebra(act):
+    """Case 3's invariants to degree 2, which check-action and qreduce
+    both check."""
+    from .qmomentum import invariant_subalgebra
+    return {"invariant-subalgebra": lambda: invariant_subalgebra(act, 2)[1]}
+
+
+def _ideal_invariance(act, ideal):
+    """su2's record of <H>, which check-action and qreduce both give."""
+    from .qmomentum import check_ideal_invariance
+    return ("su2-3d/ideal-invariance",
+            check_ideal_invariance(act, ideal, act.algebra.quotient(ideal)))
 
 
 def quantum_action_fixture_suite(degree, order):
-    from .qmomentum import (
-        check_action_lie_hom, check_ideal_invariance, check_module_algebra,
-        invariant_subalgebra,
-    )
-    from .scalars import HSeries, hexp
+    """The actions of the shipped spec, from one reader, so cases 2 and 3
+    share the free U_hbar(R2), built and certified once."""
+    from .qmomentum import check_action_lie_hom
+    from .scalars import hexp
+    spec = fixtures.paper_spec(order)
     # case 1
-    act = fixtures.case_action(1, order)
-    out = _module_algebra("case1", act, degree)
-    reports = check_action_lie_hom(act, {("xi", "eta"): act.group.zero()},
-                                   degree)
+    act, extras = spec.quantum_action("case1")
+    out = _gated("case1", act.hopf, _module_algebra(act, degree))
+    reports = check_action_lie_hom(act, extras["relations"], degree)
     out.append(("case1/lie-hom", reports[("xi", "eta")]))
-    # case 2: paper discrepancy surfaced with the oracle relation; cases 2
-    # and 3 share the free U_hbar(R2), built and certified once
-    free = fixtures.r2_hopf(False, order)
-    act = fixtures.r2_action(fixtures.case2_module_algebra(order), free)
-    out += _module_algebra("case2", act, degree)
-    h = HSeries.hbar(order)
-    paper_rhs = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
+    # case 2: paper discrepancy surfaced with the oracle relation
+    act, extras = spec.quantum_action("case2")
+    out += _gated("case2", act.hopf, _module_algebra(act, degree))
     reports = check_action_lie_hom(
-        act, {("xi", "eta"): paper_rhs}, degree,
-        paper_claims={("xi", "eta")},
+        act, extras["relations"], degree, paper_claims=extras["claims"],
         diagnose_words=[(), ("xi",), ("eta",), ("xi", "eta"), ("eta", "eta")])
     out.append(("case2/lie-hom-vs-paper", reports[("xi", "eta")]))
     # case 3
-    act = fixtures.r2_action(fixtures.quantum_plane_presentation(order), free)
-    gate = group_gate("case3", act.hopf,
-                      ["module-algebra", "invariant-subalgebra"])
-    out += gate or [
-        ("case3/module-algebra", check_module_algebra(act, degree)),
-        ("case3/invariant-subalgebra", invariant_subalgebra(act, 2)[1])]
+    act = spec.quantum_action("case3")[0]
+    out += _gated("case3", act.hopf, {**_module_algebra(act, degree),
+                                      **_invariant_subalgebra(act)})
     # 3D
-    act = fixtures.su2_action(order)
-    out += _module_algebra("su2-3d", act, degree)
+    act, extras = spec.quantum_action("su2")
+    out += _gated("su2-3d", act.hopf, _module_algebra(act, degree))
     target = fixtures.su2_commutator_target_for(act)
     reports = check_action_lie_hom(act, {("xi", "eta"): target}, degree)
     out.append(("su2-3d/commutator-relation", reports[("xi", "eta")]))
-    alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
+    (H,) = extras["ideal"]
     failures = []
-    a, ainv, b, c = (alg.gen(g) for g in ("a", "a_inv", "b", "c"))
+    a, ainv, b, c = (act.algebra.gen(g) for g in ("a", "a_inv", "b", "c"))
     factor = 1 - hexp(2, order)
     if not (ainv * H * a - H).is_zero():
         failures.append("a^-1 H a != H")
@@ -374,9 +384,17 @@ def quantum_action_fixture_suite(degree, order):
         failures.append("[c,H] != c (1-e^{2hbar}) H")
     out.append(("su2-3d/ideal-relations",
                 Report.from_failures("ideal-relations", failures)))
-    out.append(("su2-3d/ideal-invariance",
-                check_ideal_invariance(act, [H], alg.quotient([H]))))
-    return out
+    return out + [_ideal_invariance(act, extras["ideal"])]
+
+
+def quantum_reduction_fixture_suite(order):
+    """su2's ideal <H> and case 3's invariants, from the shipped spec."""
+    spec = fixtures.paper_spec(order)
+    act, extras = spec.quantum_action("su2")
+    out = group_gate("su2-3d", act.hopf, []) \
+        + [_ideal_invariance(act, extras["ideal"])]
+    act = spec.quantum_action("case3")[0]
+    return out + _gated("case3", act.hopf, _invariant_subalgebra(act))
 
 
 def reduction_fixture_suite():
@@ -435,14 +453,5 @@ def run_fixture_suite(command, degree, order):
     if command == "reduce":
         return reduction_fixture_suite()
     if command == "qreduce":
-        from .qmomentum import check_ideal_invariance, invariant_subalgebra
-        act = fixtures.su2_action(order)
-        alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
-        out = group_gate("su2-3d", act.hopf, [])
-        out.append(("su2-3d/ideal-invariance",
-                    check_ideal_invariance(act, [H], alg.quotient([H]))))
-        act3 = fixtures.case_action(3, order)
-        return out + (group_gate("case3", act3.hopf, ["invariant-subalgebra"])
-                      or [("case3/invariant-subalgebra",
-                           invariant_subalgebra(act3, 2)[1])])
+        return quantum_reduction_fixture_suite(order)
     raise ValueError("no fixture suite for %r" % command)

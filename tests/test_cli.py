@@ -413,6 +413,37 @@ def test_spec_rule_pair_must_name_generators(path, value, gens, where,
             "got %r" % (where, gens, value)) in capsys.readouterr().err
 
 
+def test_an_inexact_division_on_a_word_is_a_conclusive_fail(tmp_path,
+                                                           capsys):
+    # with qplane's inverse undeclared, a_inv is a letter of its own, and
+    # the actions' divisions by hbar are inexact past the empty word that
+    # QuantumAction.division_failures probes: each check that meets one
+    # fails, naming the operator and the word (exit 3 with a bare
+    # ValuationError before)
+    doc = json.load(open(SPEC))
+    del doc["presentations"]["qplane"]["inverses"]
+    spec = tmp_path / "no_inverse.json"
+    spec.write_text(json.dumps(doc))
+    cannot = "cannot divide by hbar^1: the coefficient of hbar^0 on"
+    want = {
+        "check-action": [
+            "[FAIL] qplane_action/module-algebra",
+            "    defect: Phi(xi) leaves the algebra at a_inv: %s b*a*a_inv "
+            "is 1" % cannot],
+        "qreduce": [
+            "[FAIL] qplane_action/ideal-invariance",
+            "    defect: Phi(eta) leaves the algebra at b: %s b*a*a_inv is -1"
+            % cannot,
+            "[FAIL] qplane_action/invariant-subalgebra",
+            "    defect: Phi(eta) leaves the algebra at a: %s a*a*a_inv is -1"
+            % cannot]}
+    for command, lines in want.items():
+        assert run([command, str(spec), "qplane_action"]) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[1:1 + len(lines)] == lines
+
+
 @pytest.mark.parametrize("path, value, argv, where", [
     # a bare JSON number is neither a scalar string nor a list of them
     (("presentations", "qplane", "rules", 0, "terms", 0, "coeff"), 1,
@@ -442,8 +473,9 @@ def test_spec_series_must_be_scalar_strings(path, value, argv, where,
     spec = edited_spec(tmp_path, path, value)
     assert run([argv[0], spec, argv[1]]) == 2
     field = " coeff" if path[-1] == "coeff" else ""
-    assert ("input error: %s%s must be a series (a scalar string or a list "
-            "of scalar strings), got %r" % (where, field, value)) \
+    assert ("input error: %s%s must be a series (a scalar string, a list "
+            "of scalar strings or an object with one key of exp, sum, "
+            "product, quotient), got %r" % (where, field, value)) \
         in capsys.readouterr().err
 
 

@@ -384,8 +384,8 @@ def _exp_tensor(t2, sign):
 
 # the groups of the quantum actions, as builders of their Hopf structures
 ACTION_GROUPS = {
-    "r2-commuting": lambda order: fixtures.r2_hopf(True, order),
-    "r2-free": lambda order: fixtures.r2_hopf(False, order),
+    "r2-commuting": fixtures.r2_hopf,
+    "r2-free": fixtures.r2_free_hopf,
     "su2": fixtures.su2_hopf,
     "spec-r2q": lambda order: _spec_hopf("r2q_hopf", order),
 }
@@ -458,8 +458,8 @@ def _twisted_antipode(pres):
 CLOSED_FORMS = {
     "usl2": (fixtures.usl2_hopf, _usl2_antipode),
     "uhsl2": (fixtures.uhsl2_hopf, _uhsl2_antipode),
-    "r2-commuting": (lambda n: fixtures.r2_hopf(True, n), _r2_antipode),
-    "r2-free": (lambda n: fixtures.r2_hopf(False, n), _r2_antipode),
+    "r2-commuting": (fixtures.r2_hopf, _r2_antipode),
+    "r2-free": (fixtures.r2_free_hopf, _r2_antipode),
     "su2": (fixtures.su2_hopf, _su2_antipode),
     "spec-usl2": (lambda n: _spec_hopf("usl2_hopf", n), _usl2_antipode),
     "spec-r2q": (lambda n: _spec_hopf("r2q_hopf", n), _r2_antipode),

@@ -28,7 +28,8 @@ PROPERTY = hypothesis.settings(max_examples=40, deadline=None,
                                database=None, derandomize=True)
 
 CASES = (1, 2, 3)
-GROUPS = {"r2-commuting": True, "r2-free": False}
+GROUPS = {"r2-commuting": fixtures.r2_hopf,
+          "r2-free": fixtures.r2_free_hopf}
 
 
 def _exprs(gens):
@@ -80,7 +81,7 @@ def test_module_algebra_certificate_agrees_with_the_sweep(case):
     alg = shipped.algebra
     trees = {g: _tree(alg, oracles.fixture_trees(shipped), s)
              for g, s in specs.items()}
-    action = QuantumAction(fixtures.r2_hopf(GROUPS[group], order), alg,
+    action = QuantumAction(GROUPS[group](order), alg,
                            {g: oracles.operator_of(t, alg)
                             for g, t in trees.items()})
     try:

@@ -545,7 +545,9 @@ def test_case1_quantum_reduction():
     # commutative case-1 algebra, ideal <a - 1, b>: the quotient invariants
     # to degree 2 are spanned by the class of 1
     alg = case1_reduction_algebra()
-    act = fixtures.r2_action(alg, fixtures.r2_hopf())
+    act = QuantumAction(fixtures.r2_hopf(), alg, {
+        "xi": one_form(alg, [("a", "b")]).sharp(),
+        "eta": one_form(alg, [("a", "a_inv")]).sharp()})
     ideal = [alg.gen("a") - alg.one(), alg.gen("b")]
     basis, rep = invariant_subalgebra(act.on(alg.quotient(ideal)), degree=2)
     assert rep.ok, rep.failures
@@ -606,7 +608,9 @@ def test_su2_invariant_subalgebra_degree_two():
 def test_case1_quantum_reduction_nonzero_level():
     # same quotient story at a level with b - mu, mu != 0
     alg = case1_reduction_algebra()
-    act = fixtures.r2_action(alg, fixtures.r2_hopf())
+    act = QuantumAction(fixtures.r2_hopf(), alg, {
+        "xi": one_form(alg, [("a", "b")]).sharp(),
+        "eta": one_form(alg, [("a", "a_inv")]).sharp()})
     ideal = [alg.gen("a") - alg.one() * 3, alg.gen("b") - alg.one() * 2]
     basis, rep = invariant_subalgebra(act.on(alg.quotient(ideal)), degree=2)
     assert rep.ok

@@ -1,12 +1,13 @@
 """README's spec-format table lists exactly the fields the readers read.
 
-The sample spec's runs, and three additions that reach the fields it
-leaves out (a commutator relation, a ``scale`` and a ``sum`` expression
-with an element written as terms, and a reduction by an ``algebra``), run
-in process while ``Node``'s readers are wrapped to record each field read
-as (section, field): ``x[]`` is an item of the list ``x`` and ``x{}`` a
-value of the object ``x``, and action expressions and elements, which
-nest, are their own rows.
+The sample spec's runs, three additions that reach the fields it leaves
+out (a commutator relation, a ``scale`` and a ``sum`` expression with an
+element written as terms, and a reduction by an ``algebra``), and the
+shipped spec's su2 action, whose coefficients are series forms, run in
+process while ``Node``'s readers are wrapped to record each field read as
+(section, field): ``x[]`` is an item of the list ``x`` and ``x{}`` a value
+of the object ``x``, and action expressions, elements and series forms,
+which nest, are their own rows.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import io
 import json
 import os
 
-from poisson_forge import cli
+from poisson_forge import cli, fixtures
 from poisson_forge.specfile import Node, SpecFile
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -97,6 +98,12 @@ def _fields_read(monkeypatch, runs):
             tag(node, kind, "")
             return inner(self, pres, node)
         monkeypatch.setattr(SpecFile, method, retag)
+
+    def series(self, order, inner=Node.series):
+        if isinstance(self.value, dict):
+            tag(self, "series", "")
+        return inner(self, order)
+    monkeypatch.setattr(Node, "series", series)
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -117,5 +124,6 @@ def test_readme_table_lists_exactly_the_fields_read(monkeypatch, tmp_path):
             + [["reduce", SPEC, "case3"]])
     extended = _extended_spec(tmp_path)
     runs += [["check-action", extended, "qplane_action"],
-             ["reduce", extended, "by_algebra"]]
+             ["reduce", extended, "by_algebra"],
+             ["check-action", fixtures.PAPER_SPEC, "su2"]]
     assert _fields_read(monkeypatch, runs) == _readme_fields()

@@ -105,7 +105,7 @@ def _count_normal_forms(monkeypatch):
     return counts, groups
 
 
-GROUPS = ("U_hbar(R2)", "U_hbar(su2)")
+GROUPS = ("U_hbar(R2)", "U_hbar(R2)-free", "U_hbar(su2)")
 
 
 def test_check_hopf_normalises_each_word_once(monkeypatch, capsys):
