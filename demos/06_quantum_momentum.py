@@ -2,7 +2,8 @@
 
 The quantum momentum map sends quantum-group generators to noncommutative
 1-forms a db whose sharp (1/hbar) a [b, .] realizes the quantum action.
-This demo evaluates the actions, builds the sharps of the case-2 momentum
+This demo reads the actions, their relations and the ideal <H> from the
+shipped spec, evaluates the actions, builds the sharps of the case-2 momentum
 1-forms and compares each with the action's operator, checks the Hopf
 module-algebra condition against the coproduct of the acting quantum
 group's Hopf structure, surfaces the case-2 commutator discrepancy with
@@ -17,23 +18,20 @@ from poisson_forge.qmomentum import (
     check_module_algebra, check_action_lie_hom, check_ideal_invariance,
     invariant_subalgebra, one_form,
 )
-from poisson_forge.scalars import HSeries
 
 if __name__ == "__main__":
+    spec = fixtures.paper_spec()
     print("=" * 60)
     print("case 2: [a,b] = -hbar")
-    act = fixtures.case_action(2)
+    act, extras = spec.quantum_action("case2")
     alg = act.algebra
     print("  Phi(xi) a =", act.apply_word(["xi"], alg.gen("a")))
     print("  Phi(xi) b =", act.apply_word(["xi"], alg.gen("b")))
     print("  module algebra vs the deformed coproducts:",
           check_module_algebra(act, 2).verdict)
-    h = HSeries.hbar(act.group.order)
-    paper_rhs = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
-    reports = check_action_lie_hom(
-        act, {("xi", "eta"): paper_rhs}, degree=2,
-        paper_claims={("xi", "eta")},
-        diagnose_words=[(), ("xi",), ("eta",), ("xi", "eta"), ("eta", "eta")])
+    # the paper's claim [xi, eta] = 3 eta - hbar eta^2, from the spec
+    reports = check_action_lie_hom(act, extras["relations"], degree=2,
+                                   paper_claims=extras["claims"])
     rep = reports[("xi", "eta")]
     print("  [Phi(xi), Phi(eta)] vs Phi(3 eta - hbar eta^2):", rep.verdict)
     print("  oracle relation: [xi, eta] =", rep.data["oracle_relation"])
@@ -56,24 +54,23 @@ if __name__ == "__main__":
 
     print("=" * 60)
     print("3D su(2)-type action")
-    act = fixtures.su2_action()
+    act, extras = spec.quantum_action("su2")
     alg = act.algebra
     print("  a b a^-1 =", alg.gen("a") * alg.gen("b") * alg.gen("a_inv"))
     print("  module algebra (all three coproducts):",
           check_module_algebra(act, 2).verdict)
-    target = fixtures.su2_commutator_target_for(act)
-    rep = check_action_lie_hom(act, {("xi", "eta"): target}, 2)[("xi", "eta")]
+    rep = check_action_lie_hom(act, extras["relations"], 2)[("xi", "eta")]
     print("  [Phi(xi),Phi(eta)] = (Phi(zeta)^-1 - Phi(zeta)) / "
           "(e^-hbar - e^hbar):", rep.verdict)
 
-    alg, H = fixtures.su2_momentum_ideal_generator(act.algebra)
+    (H,) = extras["ideal"]
     print("  momentum ideal generator H =", H)
     print("  ideal <H> invariant under the action:",
           check_ideal_invariance(act, [H], alg.quotient([H])).verdict)
 
     print("=" * 60)
     print("quantum reduction of the quantum plane (case 3)")
-    act = fixtures.case_action(3)
+    act = spec.quantum_action("case3")[0]
     basis, rep = invariant_subalgebra(act, degree=2)
     print("  invariants to degree 2:", [repr(b) for b in basis],
           "| closure:", rep.verdict)

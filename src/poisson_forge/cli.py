@@ -212,11 +212,8 @@ def run_spec_command(command, spec, args):
                          check_module_algebra(action, degree))]
         relations = extras["relations"]
         if relations:
-            group_monos = [tuple(action.group.gens[g] for g in w)
-                           for w in action.group.monomials_up_to(2)]
             reports = check_action_lie_hom(action, relations, degree,
-                                           paper_claims=extras["claims"],
-                                           diagnose_words=group_monos)
+                                           paper_claims=extras["claims"])
             for pair in sorted(relations):
                 out.append(("%s/lie-hom-%s-%s" % ((name,) + pair),
                             reports[pair]))

@@ -10,9 +10,10 @@ differs.  A scale of 1 means the table is reproduced verbatim.
 
 The quantum examples of the momentum-map paper -- the module algebras of
 cases 1-3 and of the 3-dimensional su(2) example, their groups, Hopf
-structures and actions, and the momentum ideal <H> -- are entries of the
-shipped spec ``paper_spec.json``, read by ``specfile.SpecFile``
-(``paper_spec``); the names below that return them are readers of it.
+structures and actions, the actions' relations (su2's [xi, eta] =
+(zeta^-1 - zeta) / (q - q^-1) as a quotient, case 2's paper claim) and
+the momentum ideal <H> -- are entries of the shipped spec
+``paper_spec.json``, read by ``specfile.SpecFile`` (``paper_spec``).
 U(sl2) and U_hbar(sl2) of check-hopf stay built here.  Each quantum
 fixture takes ``order``, the N of Q(i)[[hbar]]/(hbar^N) its presentations
 carry; ``ORDER`` is the command line's default.
@@ -552,56 +553,3 @@ def paper_spec(order=ORDER):
     parsed once."""
     from .specfile import SpecFile
     return SpecFile(_paper_document(), order)
-
-
-def _reader(resolver, name):
-    """order -> the entry ``name`` of the shipped spec, by ``resolver``."""
-    return lambda order=ORDER: getattr(paper_spec(order), resolver)(name)
-
-
-quantum_plane_presentation = _reader("presentation", "quantum-plane")
-case1_module_algebra = _reader("presentation", "case1-algebra")
-case2_module_algebra = _reader("presentation", "case2-algebra")
-su2_module_algebra = _reader("presentation", "su2-module-algebra")
-su2_quantum_group = _reader("presentation", "U_hbar(su2)")
-r2_hopf = _reader("hopf_structure", "r2")
-r2_free_hopf = _reader("hopf_structure", "r2-free")
-su2_hopf = _reader("hopf_structure", "su2")
-
-
-def case_action(case, order=ORDER):
-    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on the
-    module algebra of case 1, 2 or 3."""
-    return paper_spec(order).quantum_action("case%d" % case)[0]
-
-
-def su2_action(order=ORDER):
-    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) [c, .] a and
-    Phi(zeta) = a (.) a^-1 on the 3D module algebra."""
-    return paper_spec(order).quantum_action("su2")[0]
-
-
-def su2_commutator_target_for(action):
-    """The right side of [Phi(xi), Phi(eta)] for the 3D example,
-    (Phi(zeta^-1) - Phi(zeta)) hbar^-1 u^-1 with u = (e^-hbar - e^hbar) /
-    hbar, made from the action's own operators."""
-    order = action.algebra.order
-    u = (hexp(-1, order + 1) - hexp(1, order + 1)).divide_by_hbar()
-    ops = action.operators
-    return (ops["zeta_inv"] - ops["zeta"]).divide_by_hbar() * u.inverse()
-
-
-def su2_momentum_ideal_generator(alg):
-    """(alg, H): the generator H = a^-2 + e^hbar (1 - e^{2 hbar})^2
-    hbar^-2 c b of the quantum momentum ideal, the su2 action's ``ideal``
-    in the shipped spec, on ``alg``, a presentation of the 3D module
-    algebra (``su2_module_algebra``).
-
-    The printed version carries a minus on the second term, but the triple
-    {[b,c] relation, H, the H-relations} is then inconsistent: with the
-    [b,c] relation exactly as printed, only this sign of H satisfies
-    a^-1 H a = H, [b,H] = -(1-e^{2hbar}) H b and [c,H] = c (1-e^{2hbar}) H
-    simultaneously (and it does so exactly)."""
-    spec = paper_spec(alg.order)
-    (h,) = spec._entry("actions", "su2").field("ideal").items()
-    return alg, spec.nc_element(alg, h)

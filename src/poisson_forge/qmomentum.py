@@ -506,8 +506,7 @@ def _lie_hom_witnesses(action, xn, yn, expected, degree):
     return defects, monos, values
 
 
-def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
-                         diagnose_words=None):
+def check_action_lie_hom(action, relations, degree=2, paper_claims=None):
     """[Phi(xi), Phi(eta)] = Phi([xi, eta]) as endomorphisms.
 
     ``relations`` maps pairs of generator names to the expected right side,
@@ -522,10 +521,11 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
     monomials up to ``degree``: its defects make a conclusive fail; none
     raises CapabilityError ``lie-hom.inconclusive``.  When a failing pair
     appears in ``paper_claims`` the verdict is "paper-discrepancy" and the
-    diagnostic solver expresses the true commutator in the span of
-    Phi-images of the candidate words (``diagnose_words``).  An operator
-    that the sweep or the solver finds leaving the algebra fails every
-    relation too, naming the word.
+    diagnostic solver expresses the true commutator [Phi(x), Phi(y)] in the
+    span of the Phi-images of the group's normal words of length <= 2 but
+    y x, which would only restate the commutator.  An operator that the
+    sweep or the solver finds leaving the algebra fails every relation too,
+    naming the word.
     """
     failures = action.division_failures()
     reports = {}
@@ -544,11 +544,10 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
             data = {}
             if defects and paper_claims and (xn, yn) in paper_claims:
                 verdict = DISCREPANCY
-                if diagnose_words:
-                    solved = solve_commutator_relation(action, monos, values,
-                                                       diagnose_words)
-                    if solved is not None:
-                        data["oracle_relation"] = solved
+                solved = solve_commutator_relation(action, xn, yn, monos,
+                                                   values)
+                if solved is not None:
+                    data["oracle_relation"] = solved
             reports[(xn, yn)] = Report("lie-hom(%s,%s)" % (xn, yn), verdict,
                                        defects, [], data)
     except _Leaves as exc:
@@ -559,16 +558,21 @@ def check_action_lie_hom(action, relations, degree=2, paper_claims=None,
     return reports
 
 
-def solve_commutator_relation(action, monos, values, candidate_words):
+def solve_commutator_relation(action, xn, yn, monos, values):
     """Express a commutator [Phi(xn), Phi(yn)], given by its ``values`` on
     the monomials ``monos`` (those of the witness sweep), in the span of
-    Phi-images of words.
+    Phi-images of the group's normal words of length <= 2 but yn xn, whose
+    image would only restate the commutator.
 
     Returns a string like "-1*eta + hbar*eta*eta", or None if the
     commutator is not in the span on the tested domain.  The system is
     solved in the hbar window its values are known in.
     """
     order = action.algebra.order
+    gens = action.group.gens
+    words = [tuple(gens[g] for g in w)
+             for w in action.group.monomials_up_to(2)]
+    candidate_words = [w for w in words if w != (yn, xn)]
     lhs = _stacked(values, order)
     columns = {w: _stacked([action.apply_word(w, f) for f in monos], order)
                for w in candidate_words}

@@ -249,7 +249,6 @@ class GaussRational:
 
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
-I = GaussRational(0, 1)
 
 
 def gauss(x):

@@ -206,25 +206,31 @@ class Node:
         return HSeries([c.scalar() for c in coeffs], order)
 
     def _quotient(self, order):
-        """n / d mod hbar^order for this pair [n, d].  The hbar-valuation v
-        of d cancels exactly: n and d are evaluated mod hbar^(order + v)
-        and both divided by hbar^v, so d / hbar^v is a unit and the
-        quotient is known mod hbar^order.  v is read off d mod hbar^order,
-        or, if d vanishes there, mod hbar^(order + _VALUATION_REACH); a d
-        that vanishes there too, or an n of valuation below v, is
-        refused."""
+        """n / d mod hbar^order for this pair [n, d]: n is evaluated mod
+        hbar^(order + v) and divided by hbar^v, v the hbar-valuation of d
+        (``denominator``); an n of valuation below v is refused."""
         num, den = self.pair()
-        d = den.series(order)
-        if d.is_zero():
-            d = den.series(order + _VALUATION_REACH)
-        if d.is_zero():
-            raise den.error("the denominator is 0 mod hbar^%d" % d.order)
-        v = d.hbar_valuation()
-        n, d = num.series(order + v), den.series(order + v)
+        v, unit = den.denominator(order)
+        n = num.series(order + v)
         if n.hbar_valuation() < v:
             raise self.error("the numerator has hbar-valuation %d, below the "
                              "denominator's %d" % (n.hbar_valuation(), v))
-        return n.divide_by_hbar(v) * d.divide_by_hbar(v).inverse()
+        return n.divide_by_hbar(v) * unit
+
+    def denominator(self, order):
+        """(v, hbar^v / d mod hbar^order) for this series d of
+        hbar-valuation v, so a quotient by d cancels v exactly: d is
+        evaluated mod hbar^(order + v) and divided by hbar^v, a unit.  v is
+        read off d mod hbar^order, or, if d vanishes there, mod
+        hbar^(order + _VALUATION_REACH); a d that vanishes there too is
+        refused."""
+        d = self.series(order)
+        if d.is_zero():
+            d = self.series(order + _VALUATION_REACH)
+        if d.is_zero():
+            raise self.error("the denominator is 0 mod hbar^%d" % d.order)
+        v = d.hbar_valuation()
+        return v, self.series(order + v).divide_by_hbar(v).inverse()
 
     def poly(self, chart):
         """A polynomial expression (or an integer) on ``chart``."""
@@ -529,8 +535,11 @@ class SpecFile:
 
     def quantum_action(self, name):
         """The action of an ``actions`` entry, whose group is the Hopf
-        structure its ``hopf`` names, and its relations {pair: element},
-        the pairs whose relation is a paper claim, its ideal and degree."""
+        structure its ``hopf`` names, and its relations {pair: right side},
+        the pairs whose relation is a paper claim, its ideal and degree.  A
+        right side is an element of the group, or {"quotient": [e, d]}, the
+        operator Phi(e) d^-1: d's hbar-valuation v moves onto its shift and
+        d / hbar^v is inverted (``Node.denominator``)."""
         from .qmomentum import QuantumAction
         entry = self._entry("actions", name)
         hopf = self.hopf_structure(self._ref(entry, "hopf", "hopf_structures"))
@@ -543,7 +552,16 @@ class SpecFile:
         relations, claims = {}, set()
         for rel in entry.field("relations", [], label="relation").items():
             pair = rel.field("pair").name_pair(group.gens)
-            relations[pair] = self.nc_element(group, rel.field("rhs"))
+            rhs = rel.field("rhs")
+            if isinstance(rhs.value, dict):
+                rhs.expect(list(rhs.value) == ["quotient"],
+                           'an element or {"quotient": [element, series]}')
+                num, den = rhs.field("quotient").pair()
+                v, unit = den.denominator(self.order)
+                relations[pair] = action.phi(self.nc_element(group, num)) \
+                    .divide_by_hbar(v) * unit
+            else:
+                relations[pair] = self.nc_element(group, rhs)
             if rel.field("paper_claim", False).flag():
                 claims.add(pair)
         return action, {

@@ -358,9 +358,8 @@ def quantum_action_fixture_suite(degree, order):
     # case 2: paper discrepancy surfaced with the oracle relation
     act, extras = spec.quantum_action("case2")
     out += _gated("case2", act.hopf, _module_algebra(act, degree))
-    reports = check_action_lie_hom(
-        act, extras["relations"], degree, paper_claims=extras["claims"],
-        diagnose_words=[(), ("xi",), ("eta",), ("xi", "eta"), ("eta", "eta")])
+    reports = check_action_lie_hom(act, extras["relations"], degree,
+                                   paper_claims=extras["claims"])
     out.append(("case2/lie-hom-vs-paper", reports[("xi", "eta")]))
     # case 3
     act = spec.quantum_action("case3")[0]
@@ -369,8 +368,7 @@ def quantum_action_fixture_suite(degree, order):
     # 3D
     act, extras = spec.quantum_action("su2")
     out += _gated("su2-3d", act.hopf, _module_algebra(act, degree))
-    target = fixtures.su2_commutator_target_for(act)
-    reports = check_action_lie_hom(act, {("xi", "eta"): target}, degree)
+    reports = check_action_lie_hom(act, extras["relations"], degree)
     out.append(("su2-3d/commutator-relation", reports[("xi", "eta")]))
     (H,) = extras["ideal"]
     failures = []

@@ -18,7 +18,8 @@ only; the tests use it to cross-check the verdicts of the generator,
 overlap, operator-tensor, Leibniz, Groebner-Shirshov, Poisson-action and
 Jacobi certificates.
 The action sweeps take an action's expressions as tuple trees beside it
-and evaluate them by recursion on the tree (``eval_expr``), independently
+and evaluate them by recursion on the tree (``eval_expr``, which divides
+by hbar once, on the tree's value, as an operator does), independently
 of the ``qmomentum.Operator`` that production code evaluates and that
 ``operator_of`` builds from the same tree; ``fixture_trees`` and
 ``spec_action_trees`` restate the shipped actions' generators as trees.
@@ -52,8 +53,12 @@ The fixtures that only tests build live here too: a bialgebra whose dual
 is the Heisenberg algebra, the sl2 Casimir tensor, the Lie-Poisson model
 of g*, the primitive Delta and eps of the plane group (and of groups with
 given coproducts, ``hopf_from``), a Hopf structure with its derived
-antipode swapped for a wrong one (``with_antipode``) and the commutative
-case-1 reduction algebra.
+antipode swapped for a wrong one (``with_antipode``), the commutative
+case-1 reduction algebra, and readers of single entries of the shipped
+spec by order (``quantum_plane_presentation``, ``su2_hopf``, ...).
+The 3D example's relation [xi, eta] = (zeta^-1 - zeta) / (q - q^-1), which
+the shipped spec states as a quotient, has its closed form here as the
+reference (``su2_commutator_target``).
 The rules on inverse generators, which ``Presentation`` derives from their
 bases' rules, have their closed forms here as the reference
 (``inverse_rules``): the rules the shipped presentations once wrote by
@@ -67,7 +72,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from poisson_forge import ORDER
-from poisson_forge.fixtures import sl2_algebra
+from poisson_forge.fixtures import paper_spec, sl2_algebra
 from poisson_forge.lie import Cobracket, LieAlgebra, basis_tensor, wedge
 from poisson_forge.ncalg import (
     AlgebraMap, NCPoly, TensorAlgebra, TensorElement, chart_presentation,
@@ -359,32 +364,56 @@ def _monomials(alg, degree):
 
 
 def eval_expr(tree, f):
-    """The value of a tree on f, by recursion on the tree; each
-    hbar-division divides its child's value and raises ValuationError when
-    that value is not divisible."""
+    """The value of a tree on f, by recursion on the tree.  As an operator
+    does, the value is divided by hbar once: the recursion carries
+    hbar^s times the value (``_times_hbar_value``), and the division by
+    hbar^s at the end raises ValuationError when it is inexact, so an
+    inner value need not be divisible on its own."""
+    value, shift = _times_hbar_value(tree, f)
+    return value.divide_by_hbar(shift)
+
+
+def _raise_hbar(x, d):
+    """hbar^d x, known as much further."""
+    if not d:
+        return x
+    return x._like({(j + d, key): c for (j, key), c in x.terms.items()},
+                   x.order + d)
+
+
+def _times_hbar_value(tree, f):
+    """(v, s) with v = hbar^s times the value of the tree on f: an
+    hbar-division adds to s, a composition adds its parts' s, and a sum
+    raises its parts to their largest s."""
     kind = tree[0]
     if kind == "id":
-        return f
+        return f, 0
     if kind == "lmul":
-        return tree[1] * f
+        return tree[1] * f, 0
     if kind == "rmul":
-        return f * tree[1]
+        return f * tree[1], 0
     if kind == "ad":
-        return tree[1] * f - f * tree[1]
+        return tree[1] * f - f * tree[1], 0
     if kind == "scale":
-        return eval_expr(tree[1], f) * tree[2]
+        value, shift = _times_hbar_value(tree[1], f)
+        return value * tree[2], shift
     if kind == "sum":
+        parts = [_times_hbar_value(t, f) for t in tree[1]]
+        shift = max(s for _, s in parts)
         out = None
-        for t in tree[1]:
-            v = eval_expr(t, f)
-            out = v if out is None else out + v
-        return out
+        for value, s in parts:
+            value = _raise_hbar(value, shift - s)
+            out = value if out is None else out + value
+        return out, shift
     if kind == "compose":
+        shift = 0
         for t in reversed(tree[1]):
-            f = eval_expr(t, f)
-        return f
+            f, s = _times_hbar_value(t, f)
+            shift += s
+        return f, shift
     if kind == "hbar_div":
-        return eval_expr(tree[1], f).divide_by_hbar(tree[2])
+        value, shift = _times_hbar_value(tree[1], f)
+        return value, shift + tree[2]
     raise TypeError("not an action tree: %r" % (tree,))
 
 
@@ -412,8 +441,8 @@ def operator_of(tree, alg):
 
 def fixture_trees(action):
     """The trees of the generators of a shipped action on ``action``'s
-    algebra: ``fixtures.r2_action``'s xi and eta, or, when the action has
-    a zeta, ``fixtures.su2_action``'s four."""
+    algebra: ``case_action``'s xi and eta, or, when the action has a zeta,
+    ``su2_action``'s four."""
     alg = action.algebra
     a, a_inv, b = alg.gen("a"), alg.gen("a_inv"), alg.gen("b")
     xi = ("hbar_div", ("compose", [("lmul", a), ("ad", b)]), 1)
@@ -429,8 +458,19 @@ def fixture_trees(action):
     }
 
 
+def su2_commutator_target(action):
+    """The right side of [Phi(xi), Phi(eta)] for the 3D example in closed
+    form, (Phi(zeta^-1) - Phi(zeta)) hbar^-1 u^-1 with u = (e^-hbar -
+    e^hbar) / hbar, made from the action's own operators: the builder that
+    the su2 entry's quotient relation in the shipped spec replaced."""
+    order = action.algebra.order
+    u = (hexp(-1, order + 1) - hexp(1, order + 1)).divide_by_hbar()
+    ops = action.operators
+    return (ops["zeta_inv"] - ops["zeta"]).divide_by_hbar() * u.inverse()
+
+
 def su2_target_tree(action, sign=1, hbar_div=True):
-    """The tree of ``fixtures.su2_commutator_target_for(action)``,
+    """The tree of ``su2_commutator_target(action)``,
     (Phi(zeta^-1) - Phi(zeta)) hbar^-1 u^-1, with the outer sign or the
     division by hbar changeable."""
     order = action.algebra.order
@@ -1298,6 +1338,49 @@ def r2_primitive_hopf(pres):
     return hopf_from(pres, {g: {((g,), ()): 1, ((), (g,)): 1}
                             for g in ("xi", "eta")},
                      {"xi": 0, "eta": 0})
+
+
+def _reader(resolver, name):
+    """order -> the entry ``name`` of the shipped spec, by ``resolver``."""
+    return lambda order=ORDER: getattr(paper_spec(order), resolver)(name)
+
+
+quantum_plane_presentation = _reader("presentation", "quantum-plane")
+case1_module_algebra = _reader("presentation", "case1-algebra")
+case2_module_algebra = _reader("presentation", "case2-algebra")
+su2_module_algebra = _reader("presentation", "su2-module-algebra")
+su2_quantum_group = _reader("presentation", "U_hbar(su2)")
+r2_hopf = _reader("hopf_structure", "r2")
+r2_free_hopf = _reader("hopf_structure", "r2-free")
+su2_hopf = _reader("hopf_structure", "su2")
+
+
+def case_action(case, order=ORDER):
+    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) a [a^-1, .] on the
+    module algebra of case 1, 2 or 3."""
+    return paper_spec(order).quantum_action("case%d" % case)[0]
+
+
+def su2_action(order=ORDER):
+    """Phi(xi) = (1/hbar) a [b, .], Phi(eta) = (1/hbar) [c, .] a and
+    Phi(zeta) = a (.) a^-1 on the 3D module algebra."""
+    return paper_spec(order).quantum_action("su2")[0]
+
+
+def su2_momentum_ideal_generator(alg):
+    """(alg, H): the generator H = a^-2 + e^hbar (1 - e^{2 hbar})^2
+    hbar^-2 c b of the quantum momentum ideal, the su2 action's ``ideal``
+    in the shipped spec, on ``alg``, a presentation of the 3D module
+    algebra (the spec's ``su2-module-algebra``).
+
+    The printed version carries a minus on the second term, but the triple
+    {[b,c] relation, H, the H-relations} is then inconsistent: with the
+    [b,c] relation exactly as printed, only this sign of H satisfies
+    a^-1 H a = H, [b,H] = -(1-e^{2hbar}) H b and [c,H] = c (1-e^{2hbar}) H
+    simultaneously (and it does so exactly)."""
+    spec = paper_spec(alg.order)
+    (h,) = spec._entry("actions", "su2").field("ideal").items()
+    return alg, spec.nc_element(alg, h)
 
 
 def case1_reduction_algebra(order=ORDER):

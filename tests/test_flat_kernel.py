@@ -29,6 +29,7 @@ from poisson_forge.scalars import (
     GaussRational, HSeries, ValuationError, _acc, hexp,
 )
 
+import oracles
 from oracles import (
     SeriesReference, agrees, case1_reduction_algebra, series_view,
 )
@@ -53,19 +54,19 @@ def _coarse_plane(order):
 
 PRESENTATIONS = {
     "uhsl2": fixtures.uhsl2_presentation,
-    "quantum-plane": fixtures.quantum_plane_presentation,
-    "case1": fixtures.case1_module_algebra,
-    "case2": fixtures.case2_module_algebra,
+    "quantum-plane": oracles.quantum_plane_presentation,
+    "case1": oracles.case1_module_algebra,
+    "case2": oracles.case2_module_algebra,
     "case1-reduction": case1_reduction_algebra,
-    "su2-3d": fixtures.su2_module_algebra,
+    "su2-3d": oracles.su2_module_algebra,
     "complex-plane": _complex_plane,
     "coarse-plane": _coarse_plane,
 }
 ACTIONS = {
-    "case1": lambda order: fixtures.case_action(1, order),
-    "case2": lambda order: fixtures.case_action(2, order),
-    "case3": lambda order: fixtures.case_action(3, order),
-    "su2-3d": fixtures.su2_action,
+    "case1": lambda order: oracles.case_action(1, order),
+    "case2": lambda order: oracles.case_action(2, order),
+    "case3": lambda order: oracles.case_action(3, order),
+    "su2-3d": oracles.su2_action,
 }
 ORDERS = (1, 2, 3, 6, 9)
 # U_hbar(sl2) and the 3D algebra invert a series divided by hbar to build

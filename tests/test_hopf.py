@@ -13,6 +13,8 @@ from poisson_forge.lie import check_cocycle
 from poisson_forge.ncalg import TensorAlgebra, AlgebraMap
 from poisson_forge.scalars import HSeries, gauss, hexp
 
+import oracles
+
 # the hbar order of the series built here, the fixtures' default
 N = fixtures.ORDER
 
@@ -118,7 +120,7 @@ def test_case1_coproduct_semiclassical_table():
     # delta(xi) = eta ^ xi with the (x)-(x) convention applied to
     # (tau Delta - Delta)/hbar ... recorded as computed: (Delta - tau Delta)
     # /hbar = -(eta (x) xi - xi (x) eta) = xi (x) eta - eta (x) xi
-    hopf = fixtures.r2_hopf()
+    hopf = oracles.r2_hopf()
     pres = hopf.algebra
     table = semiclassical_cobracket(hopf)
     xi, eta = pres.index("xi"), pres.index("eta")
@@ -384,9 +386,9 @@ def _exp_tensor(t2, sign):
 
 # the groups of the quantum actions, as builders of their Hopf structures
 ACTION_GROUPS = {
-    "r2-commuting": fixtures.r2_hopf,
-    "r2-free": fixtures.r2_free_hopf,
-    "su2": fixtures.su2_hopf,
+    "r2-commuting": oracles.r2_hopf,
+    "r2-free": oracles.r2_free_hopf,
+    "su2": oracles.su2_hopf,
     "spec-r2q": lambda order: _spec_hopf("r2q_hopf", order),
 }
 
@@ -403,7 +405,7 @@ def test_action_groups_are_hopf_algebras_at_every_order(group):
 
 
 def test_su2_group_counit_is_one_on_zeta():
-    hopf = fixtures.su2_hopf()
+    hopf = oracles.su2_hopf()
     pres = hopf.algebra
     assert {g: hopf.counit.apply_word((pres.index(g),)) for g in pres.gens} \
         == {"xi": 0, "eta": 0, "zeta": 1, "zeta_inv": 1}
@@ -458,9 +460,9 @@ def _twisted_antipode(pres):
 CLOSED_FORMS = {
     "usl2": (fixtures.usl2_hopf, _usl2_antipode),
     "uhsl2": (fixtures.uhsl2_hopf, _uhsl2_antipode),
-    "r2-commuting": (fixtures.r2_hopf, _r2_antipode),
-    "r2-free": (fixtures.r2_free_hopf, _r2_antipode),
-    "su2": (fixtures.su2_hopf, _su2_antipode),
+    "r2-commuting": (oracles.r2_hopf, _r2_antipode),
+    "r2-free": (oracles.r2_free_hopf, _r2_antipode),
+    "su2": (oracles.su2_hopf, _su2_antipode),
     "spec-usl2": (lambda n: _spec_hopf("usl2_hopf", n), _usl2_antipode),
     "spec-r2q": (lambda n: _spec_hopf("r2q_hopf", n), _r2_antipode),
 }
@@ -497,9 +499,9 @@ def test_derived_inverse_images_are_the_closed_forms(order):
     # zeta^-1 (x) zeta^-1, eps(zeta^-1) = 1, Phi(zeta^-1) = a^-1 (.) a and
     # the twisted group's Delta(m^-1) = (m^-1 (x) m^-1) exp(-hbar x (x) y)
     from poisson_forge.qmomentum import lmul, rmul
-    su2 = fixtures.su2_hopf(order)
+    su2 = oracles.su2_hopf(order)
     zeta_inv = su2.algebra.index("zeta_inv")
-    action = fixtures.su2_action(order)
+    action = oracles.su2_action(order)
     alg = action.algebra
     twisted = _twisted_grouplike_hopf(order)
     t2 = TensorAlgebra(twisted.algebra, 2)
@@ -632,7 +634,7 @@ CO_POISSON_CASES = {
     "usl2": (fixtures.usl2_hopf, None),
     "uhsl2": (fixtures.uhsl2_hopf, None),
     "spec-usl2": (_spec_usl2_hopf, None),
-    "r2": (fixtures.r2_hopf, None),
+    "r2": (oracles.r2_hopf, None),
     "twisted-grouplike": (_twisted_grouplike_hopf, None),
     "uhsl2-wrong-table": (fixtures.uhsl2_hopf, _wrong_table),
 }

@@ -13,6 +13,8 @@ from poisson_forge.poisson import (
 )
 from poisson_forge.scalars import GaussRational, HSeries, LinComb
 
+import oracles
+
 # the hbar order of the series built here, the fixtures' default
 N = fixtures.ORDER
 
@@ -27,19 +29,19 @@ def _coordpoly():
 
 
 def _ncpoly():
-    pres = fixtures.quantum_plane_presentation()
+    pres = oracles.quantum_plane_presentation()
     a, b = pres.gen("a"), pres.gen("b")
-    other = fixtures.quantum_plane_presentation()
+    other = oracles.quantum_plane_presentation()
     return dict(a=a * b + 2, b=b * HSeries.hbar(N) - a,
                 s=HSeries([1, 3], N), t=Fraction(1, 2), scalar=True,
                 foreign=other.gen("a"))
 
 
 def _tensor_element():
-    pres = fixtures.quantum_plane_presentation()
+    pres = oracles.quantum_plane_presentation()
     t2 = TensorAlgebra(pres, 2)
     a = t2.embed(pres.gen("a"), 0) + t2.embed(pres.gen("b"), 1)
-    other = fixtures.quantum_plane_presentation()
+    other = oracles.quantum_plane_presentation()
     return dict(a=a, b=t2.one() * HSeries.hbar(N) - a.flip(),
                 s=HSeries([2, 0, 1], N), t=GaussRational(1, 1), scalar=True,
                 foreign=TensorAlgebra(other, 2).embed(other.gen("a"), 0))
@@ -135,7 +137,7 @@ def test_degree_and_rank_are_part_of_the_space():
 
 
 def test_ncpoly_equality_reads_the_shared_hbar_window():
-    pres = fixtures.quantum_plane_presentation()
+    pres = oracles.quantum_plane_presentation()
     a = pres.gen("a")
     p = a * HSeries([1, 2, 3], 3)
     assert p == a * HSeries([1, 2], 2)

@@ -13,7 +13,6 @@ fails the draw, which the failure shows."""
 
 import pytest
 
-from poisson_forge import fixtures
 from poisson_forge.errors import CapabilityError
 from poisson_forge.qmomentum import QuantumAction, check_module_algebra
 from poisson_forge.scalars import ValuationError
@@ -28,8 +27,8 @@ PROPERTY = hypothesis.settings(max_examples=40, deadline=None,
                                database=None, derandomize=True)
 
 CASES = (1, 2, 3)
-GROUPS = {"r2-commuting": fixtures.r2_hopf,
-          "r2-free": fixtures.r2_free_hopf}
+GROUPS = {"r2-commuting": oracles.r2_hopf,
+          "r2-free": oracles.r2_free_hopf}
 
 
 def _exprs(gens):
@@ -65,7 +64,7 @@ def _tree(alg, shipped, spec):
 @st.composite
 def _cases(draw):
     case = draw(st.sampled_from(CASES))
-    gens = fixtures.case_action(case, 2).algebra.gens
+    gens = oracles.case_action(case, 2).algebra.gens
     # the shipped Phi(g) itself now and then, so that some draws pass
     return (case, draw(st.sampled_from(sorted(GROUPS))),
             {g: draw(st.one_of(st.just(("phi", g)), _exprs(gens)))
@@ -77,7 +76,7 @@ def _cases(draw):
 @hypothesis.given(_cases())
 def test_module_algebra_certificate_agrees_with_the_sweep(case):
     number, group, specs, order, degree = case
-    shipped = fixtures.case_action(number, order)
+    shipped = oracles.case_action(number, order)
     alg = shipped.algebra
     trees = {g: _tree(alg, oracles.fixture_trees(shipped), s)
              for g, s in specs.items()}

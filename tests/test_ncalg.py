@@ -32,8 +32,8 @@ def test_fixture_rules_are_known_in_the_whole_window(order):
     # E*F rule of U_hbar(sl2), the c*b rule of the 3D algebra and the
     # momentum ideal generator H are known mod hbar^N, not hbar^(N - 1)
     uq = fixtures.uhsl2_presentation(order)
-    alg, h = fixtures.su2_momentum_ideal_generator(
-        fixtures.su2_module_algebra(order))
+    alg, h = oracles.su2_momentum_ideal_generator(
+        oracles.su2_module_algebra(order))
     for pres in (uq, alg):
         assert {rule.order for rule in pres.rules.values()} == {order}
     assert h.order == order
@@ -47,7 +47,7 @@ def test_normal_form_identity_and_idempotent():
 
 
 def test_quantum_plane_pattern():
-    qp = fixtures.quantum_plane_presentation()
+    qp = oracles.quantum_plane_presentation()
     a, b = qp.gen("a"), qp.gen("b")
     # a b^k = (1-hbar)^k b^k a
     for k in range(1, 5):
@@ -58,7 +58,7 @@ def test_quantum_plane_pattern():
 
 
 def test_quantum_plane_inverse_cancellation():
-    qp = fixtures.quantum_plane_presentation()
+    qp = oracles.quantum_plane_presentation()
     a, ainv, b = qp.gen("a"), qp.gen("a_inv"), qp.gen("b")
     assert a * ainv == qp.one()
     assert ainv * a == qp.one()
@@ -88,9 +88,9 @@ def test_q_number_classical_limit_is_H():
 
 def test_confluence_of_shipped_presentations():
     for make in (fixtures.usl2_presentation, fixtures.uhsl2_presentation,
-                 fixtures.quantum_plane_presentation,
-                 fixtures.case1_module_algebra, fixtures.case2_module_algebra,
-                 fixtures.su2_module_algebra, fixtures.su2_quantum_group):
+                 oracles.quantum_plane_presentation,
+                 oracles.case1_module_algebra, oracles.case2_module_algebra,
+                 oracles.su2_module_algebra, oracles.su2_quantum_group):
         pres = make()
         rep = pres.check_confluence()
         assert rep.ok, (pres.name, rep.failures)
@@ -98,10 +98,10 @@ def test_confluence_of_shipped_presentations():
 
 def test_jacobi_in_normal_form():
     for make in (fixtures.usl2_presentation, fixtures.uhsl2_presentation,
-                 fixtures.su2_module_algebra, fixtures.case1_module_algebra,
-                 fixtures.case2_module_algebra,
-                 fixtures.quantum_plane_presentation,
-                 fixtures.su2_quantum_group):
+                 oracles.su2_module_algebra, oracles.case1_module_algebra,
+                 oracles.case2_module_algebra,
+                 oracles.quantum_plane_presentation,
+                 oracles.su2_quantum_group):
         pres = make()
         gens = [pres.gen(g) for g in pres.gens]
         for x, y, z in itertools.combinations(gens, 3):
@@ -218,9 +218,9 @@ def _units(alg, words):
 
 
 @pytest.mark.parametrize("alg, words", [
-    (fixtures.quantum_plane_presentation(N),
+    (oracles.quantum_plane_presentation(N),
      [(), ("a",), ("a_inv", "a_inv"), ("a",) * 3]),
-    (fixtures.su2_action().algebra,
+    (oracles.su2_action().algebra,
      [(), ("a_inv",), ("a", "a"), ("a_inv",) * 3]),
 ], ids=["quantum-plane", "su2-module-algebra"])
 def test_units_invert_on_both_sides_and_negative_powers_invert(alg, words):
@@ -236,7 +236,7 @@ def test_units_invert_on_both_sides_and_negative_powers_invert(alg, words):
 
 
 def test_a_non_unit_has_no_inverse():
-    alg = fixtures.quantum_plane_presentation(N)
+    alg = oracles.quantum_plane_presentation(N)
     a, b = alg.gen("a"), alg.gen("b")
     for x in (b, a + b, a * HSeries.hbar(N), alg.zero()):
         with pytest.raises(ValueError):
@@ -248,7 +248,7 @@ def test_a_non_unit_has_no_inverse():
 def test_a_tensor_unit_has_its_inverse_as_power_minus_one():
     # a tensor unit is inverted slot by slot: (a (x) 1)^-1 = a^-1 (x) 1,
     # and a tensor with no unit key in some slot is refused
-    t2 = TensorAlgebra(fixtures.quantum_plane_presentation(4), 2)
+    t2 = TensorAlgebra(oracles.quantum_plane_presentation(4), 2)
     pres = t2.presentation
     x = t2.embed(pres.gen("a"), 0)
     got = x ** -1
@@ -263,7 +263,7 @@ def test_an_inverse_is_known_only_in_the_window_of_its_unit():
     # a known mod hbar^3 in an algebra of order 6 may be a + hbar^3 b, so
     # its inverse is known mod hbar^3 only (it was claimed mod hbar^6, and
     # differed from the inverse of a + hbar^3 b at hbar^3)
-    pres = fixtures.quantum_plane_presentation(6)
+    pres = oracles.quantum_plane_presentation(6)
     a, b = pres.gen("a"), pres.gen("b")
     inverse = NCPoly(pres, a.terms, 3).inverse()
     assert inverse.order == 3
@@ -271,7 +271,7 @@ def test_an_inverse_is_known_only_in_the_window_of_its_unit():
 
 
 def test_powers_are_repeated_products_with_the_unit_of_their_space():
-    alg = fixtures.quantum_plane_presentation(N)
+    alg = oracles.quantum_plane_presentation(N)
     a, b = alg.gen("a"), alg.gen("b")
     t2 = TensorAlgebra(alg, 2)
     for x, one in ((a + b * HSeries.hbar(N), alg.one()),
@@ -305,7 +305,7 @@ def test_check_map_detects_bad_map():
 
 
 def test_semiclassical_bracket_quantum_plane():
-    qp = fixtures.quantum_plane_presentation()
+    qp = oracles.quantum_plane_presentation()
     sc = semiclassical_bracket(qp, "a", "b")
     chart = abelianization_chart(qp)
     # [a, b] = -hbar b a: the semiclassical limit is -ab (abelianized)
@@ -313,7 +313,7 @@ def test_semiclassical_bracket_quantum_plane():
 
 
 def test_semiclassical_bracket_zero():
-    c1 = fixtures.case1_module_algebra()
+    c1 = oracles.case1_module_algebra()
     assert semiclassical_bracket(c1, "a", "b").is_zero()
 
 
@@ -324,7 +324,7 @@ def test_semiclassical_bracket_rejects_classical_part():
 
 
 def test_abelianize_inverse_generators():
-    qp = fixtures.quantum_plane_presentation()
+    qp = oracles.quantum_plane_presentation()
     x = qp.gen("a_inv") * qp.gen("a_inv") * qp.gen("b")
     # normal form picks up (1-hbar)^-2 moving b past a^-2; the abelianized
     # image is the classical limit, coefficient 1 on the Laurent monomial
@@ -363,7 +363,7 @@ def test_derived_inverse_rules_are_the_closed_forms(order):
     # every rule on an inverse generator but its cancellation rules is
     # derived from its base's rules; term for term, in the same order and
     # window, it is the closed form the presentation once wrote by hand
-    built = {name: getattr(fixtures, name)(order)
+    built = {name: getattr(oracles, name)(order)
              for name in ("quantum_plane_presentation",
                           "case1_module_algebra", "case2_module_algebra",
                           "su2_module_algebra", "su2_quantum_group")}
@@ -415,7 +415,7 @@ def test_chart_presentation_normal_words_are_monomials():
 
 
 def test_case2_derived_commutators():
-    c2 = fixtures.case2_module_algebra()
+    c2 = oracles.case2_module_algebra()
     a, ainv, b = c2.gen("a"), c2.gen("a_inv"), c2.gen("b")
     h = HSeries.hbar(N)
     assert a.commutator(b) == c2.element([(-h, [])])
@@ -424,7 +424,7 @@ def test_case2_derived_commutators():
 
 
 def test_su2_module_algebra_conjugation():
-    alg = fixtures.su2_module_algebra()
+    alg = oracles.su2_module_algebra()
     a, ainv, b, c = (alg.gen(g) for g in ("a", "a_inv", "b", "c"))
     assert a * b * ainv == b * hexp(2, N)
     assert a * c * ainv == c * hexp(-2, N)
@@ -438,7 +438,7 @@ def test_su2_module_algebra_conjugation():
 def test_division_by_hbar_lowers_the_window():
     # dividing by hbar^k shifts every exponent down by k and lowers the
     # element's window from N to N - k; hbar^0 has nothing to shift
-    pres = fixtures.quantum_plane_presentation(6)
+    pres = oracles.quantum_plane_presentation(6)
     t2 = TensorAlgebra(pres, 2)
     h = HSeries.hbar(6)
     x = pres.element([(h * h, ["a"]), (HSeries([0, 0, 0, 4], 6), ["b"])])
@@ -457,7 +457,7 @@ def test_division_by_hbar_lowers_the_window():
 def test_elements_coerce_scalars_into_their_presentation_window():
     # every scalar entering an algebra presented at N = 4 becomes a series
     # mod hbar^4, and its tensor powers and quotients keep that N
-    pres = fixtures.quantum_plane_presentation(4)
+    pres = oracles.quantum_plane_presentation(4)
     a = pres.gen("a")
     t2 = TensorAlgebra(pres, 2)
     for x in (a, a * 2, a + 1, pres.element(3),
@@ -481,9 +481,9 @@ def test_nondecreasing_rule_rejected():
 
 SHIPPED_PRESENTATIONS = (
     fixtures.usl2_presentation, fixtures.uhsl2_presentation,
-    fixtures.quantum_plane_presentation, fixtures.case1_module_algebra,
-    fixtures.case2_module_algebra, fixtures.su2_module_algebra,
-    fixtures.su2_quantum_group)
+    oracles.quantum_plane_presentation, oracles.case1_module_algebra,
+    oracles.case2_module_algebra, oracles.su2_module_algebra,
+    oracles.su2_quantum_group)
 
 
 def test_overlap_confluence_agrees_with_length_four_sweep():
@@ -569,7 +569,7 @@ def test_an_inverse_known_mod_hbar_zero_trips_the_window_guard():
     # known hbar^0 part: a window too short, as for a series, not a
     # non-unit (the element and the operator raised ValueError)
     from poisson_forge.qmomentum import lmul
-    pres = fixtures.quantum_plane_presentation(6)
+    pres = oracles.quantum_plane_presentation(6)
     t2 = TensorAlgebra(pres, 2)
     empty = NCPoly(pres, {}, 0)
     for x in (HSeries([1], 0), empty, TensorElement(t2, {}, 0),

@@ -5,6 +5,7 @@ from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import Presentation
 from poisson_forge.scalars import hexp
 
+import oracles
 from oracles import ideal_span_closure, sweep_confluence
 
 # the hbar order of the presentations built here, the fixtures' default
@@ -17,8 +18,8 @@ def _commutative_xy():
 
 
 def test_su2_momentum_ideal_completes_with_one_rule():
-    alg, H = fixtures.su2_momentum_ideal_generator(
-        fixtures.su2_module_algebra(N))
+    alg, H = oracles.su2_momentum_ideal_generator(
+        oracles.su2_module_algebra(N))
     quotient = alg.quotient([H])
     added = set(quotient.rules) - set(alg.rules)
     assert {alg.word_name(w) for w in added} == {"b*c"}
@@ -49,7 +50,7 @@ def test_membership_above_the_span_bound():
 def test_nonunit_lead_quantum_plane():
     # a = 1 forces hbar b = a b - (1 - hbar) b a into the ideal, and b is
     # not in it: the quotient has hbar-torsion
-    qp = fixtures.quantum_plane_presentation()
+    qp = oracles.quantum_plane_presentation()
     with pytest.raises(CapabilityError) as exc:
         qp.quotient([qp.gen("a") - 1])
     assert exc.value.guard == "ncgroebner.nonunit_lead"
@@ -59,9 +60,9 @@ def test_nonunit_lead_quantum_plane():
 
 
 def test_nonunit_lead_printed_sign_momentum_generator():
-    # the printed sign of H (fixtures.su2_momentum_ideal_generator) makes
+    # the printed sign of H (oracles.su2_momentum_ideal_generator) makes
     # <H> meet hbar * (unit lead) in its completion
-    alg = fixtures.su2_module_algebra()
+    alg = oracles.su2_module_algebra()
     coef = hexp(1, N) * (1 - hexp(2, N)).divide_by_hbar() ** 2
     printed = alg.element([(1, ["a_inv", "a_inv"])]) \
         - alg.element([(coef, ["c", "b"])])
@@ -72,8 +73,8 @@ def test_nonunit_lead_printed_sign_momentum_generator():
 
 
 def test_pair_budget_guard(monkeypatch):
-    alg, H = fixtures.su2_momentum_ideal_generator(
-        fixtures.su2_module_algebra(N))
+    alg, H = oracles.su2_momentum_ideal_generator(
+        oracles.su2_module_algebra(N))
     monkeypatch.setattr(ncgroebner, "MAX_PAIRS", 3)
     with pytest.raises(CapabilityError) as exc:
         alg.quotient([H])
@@ -87,7 +88,7 @@ def test_pair_budget_guard(monkeypatch):
 
 def test_generator_rule_and_zero_ideal():
     # <b> on the quantum plane: b -> 0 withdraws the rules on a*b, a_inv*b
-    qp = fixtures.quantum_plane_presentation()
+    qp = oracles.quantum_plane_presentation()
     quotient = qp.quotient([qp.gen("b")])
     assert {qp.word_name(w) for w in quotient.rules} \
         == {"b", "a*a_inv", "a_inv*a"}

@@ -1,6 +1,8 @@
 """The shipped spec ``paper_spec.json``, the one input of the quantum
-momentum-map fixtures: its exact series forms, its runs as a spec against
-the ``--fixtures`` suites, and how the package finds it."""
+momentum-map fixtures: its exact series forms, its actions' relations (su2's
+quotient right side against its closed form in ``oracles``, case 2's paper
+claim and the relation derived for it), its runs as a spec against the
+``--fixtures`` suites, and how the package finds it."""
 
 import json
 import os
@@ -14,8 +16,11 @@ import pytest
 import poisson_forge
 from poisson_forge import fixtures
 from poisson_forge.cli import main
+from poisson_forge.qmomentum import check_action_lie_hom
 from poisson_forge.scalars import HSeries, hexp
 from poisson_forge.specfile import Node
+
+import oracles
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 PAPER = fixtures.PAPER_SPEC
@@ -113,18 +118,85 @@ def test_malformed_series_forms_exit_2_naming_their_path(value, message,
     assert capsys.readouterr().err == "input error: %s\n" % message
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_su2_quotient_relation_is_the_closed_form(order):
+    # [xi, eta] = quotient([zeta_inv - zeta], e^-hbar - e^hbar) is the
+    # operator (Phi(zeta^-1) - Phi(zeta)) hbar^-1 u^-1, u = (e^-hbar -
+    # e^hbar) / hbar: the same terms, window and shift
+    action, extras = fixtures.paper_spec(order).quantum_action("su2")
+    got = extras["relations"][("xi", "eta")]
+    want = oracles.su2_commutator_target(action)
+    assert (got.k, got.order, got.terms) == (want.k, want.order, want.terms)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("order", ORDERS[2:])
+def test_case2_claim_is_corrected_from_the_groups_words(order, degree):
+    # the claim [xi, eta] = 3 eta - hbar eta^2 fails, and the true
+    # commutator is solved over the group's normal words of length <= 2
+    # but eta*xi; at N = 3 it is known mod hbar only
+    action, extras = fixtures.paper_spec(order).quantum_action("case2")
+    assert extras["claims"] == {("xi", "eta")}
+    rep = check_action_lie_hom(action, extras["relations"], degree,
+                               paper_claims=extras["claims"])[("xi", "eta")]
+    assert rep.verdict == "paper-discrepancy"
+    assert rep.data["oracle_relation"] == (
+        "(-1)*eta" if order == 3 else "(-1)*eta + (hbar)*eta*eta")
+
+
+def _edited_relation(tmp_path, rhs):
+    """A copy of the shipped spec with su2's relation's right side set to
+    ``rhs``."""
+    doc = _doc()
+    doc["actions"]["su2"]["relations"][0]["rhs"] = rhs
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+RHS = "action 'su2' relation 1 rhs"
+ZETAS = [{"coeff": "1", "word": ["zeta_inv"]},
+         {"coeff": "-1", "word": ["zeta"]}]
+SINH = {"sum": [{"exp": "-1"}, {"product": ["-1", {"exp": "1"}]}]}
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ({"quotient": ["a", SINH]}, RHS + " quotient 1: 'a' is not a generator "
+     "name of ['xi', 'eta', 'zeta', 'zeta_inv']"),
+    ({"quotient": [ZETAS, {"log": "2"}]},
+     RHS + " quotient 2 " + SERIES + "{'log': '2'}"),
+    ({"quotient": [ZETAS, {"sum": [{"exp": "1"}, {"product": [
+        "-1", {"exp": "1"}]}]}]},
+     RHS + " quotient 2: the denominator is 0 mod hbar^70"),
+    ({"quotient": [ZETAS]}, RHS + " quotient must be a list of two "
+     "entries, got [%r]" % ZETAS),
+    ({"quotient": [ZETAS, SINH], "exp": "1"}, RHS + ' must be an element '
+     'or {"quotient": [element, series]}, got %r'
+     % {"quotient": [ZETAS, SINH], "exp": "1"}),
+    ({}, RHS + ' must be an element or {"quotient": [element, series]}, '
+     'got {}'),
+])
+def test_malformed_quotient_relations_exit_2_naming_their_path(
+        rhs, message, tmp_path, capsys):
+    assert main(["check-action", _edited_relation(tmp_path, rhs),
+                 "su2"]) == 2
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
 def _verdicts(argv, tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     if out.exists():
         out.unlink()
     main(argv + ["--json", str(out)])
     capsys.readouterr()
-    return {r["check"]: (r["verdict"], r["failures"])
+    return {r["check"]: (r["verdict"], r["failures"], r["data"])
             for r in map(json.loads, open(out))}
 
 
 @pytest.mark.parametrize("command, name, spec_check, fixture_check", [
     ("check-action", "su2", "su2/module-algebra", "su2-3d/module-algebra"),
+    ("check-action", "su2", "su2/lie-hom-xi-eta",
+     "su2-3d/commutator-relation"),
     ("check-action", "case3", "case3/module-algebra", "case3/module-algebra"),
     ("qreduce", "su2", "su2/ideal-invariance", "su2-3d/ideal-invariance"),
 ])
@@ -133,7 +205,21 @@ def test_spec_runs_agree_with_the_fixture_suites(command, name, spec_check,
                                                  capsys):
     spec = _verdicts([command, PAPER, name], tmp_path, capsys)
     shipped = _verdicts([command, "--fixtures"], tmp_path, capsys)
-    assert spec[spec_check] == shipped[fixture_check] == ("pass", [])
+    assert spec[spec_check] == shipped[fixture_check] == ("pass", [], {})
+
+
+def test_case2_spec_run_reports_the_fixture_suites_oracle_relation(
+        tmp_path, capsys):
+    # a spec run derives the diagnostic words as the suite does: no
+    # tautology (1)*xi*eta + (-1)*eta*xi from offering eta*xi back
+    spec = _verdicts(["check-action", PAPER, "case2"], tmp_path, capsys)
+    shipped = _verdicts(["check-action", "--fixtures"], tmp_path, capsys)
+    # (the witnesses differ: the spec entry sweeps to degree 2, the suite
+    # to its default 3)
+    verdict, _, data = spec["case2/lie-hom-xi-eta"]
+    assert (verdict, data) == shipped["case2/lie-hom-vs-paper"][::2] == (
+        "paper-discrepancy",
+        {"oracle_relation": "(-1)*eta + (hbar)*eta*eta"})
 
 
 def test_the_package_declares_and_finds_its_spec(tmp_path):

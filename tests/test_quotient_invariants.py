@@ -10,7 +10,6 @@ import itertools
 
 import pytest
 
-from poisson_forge import fixtures
 from poisson_forge.errors import CapabilityError
 from poisson_forge.ncalg import Presentation
 from poisson_forge.qmomentum import (
@@ -29,8 +28,8 @@ PROPERTY = hypothesis.settings(max_examples=40, deadline=None,
                                database=None, derandomize=True)
 
 ALGEBRAS = {
-    "plane": fixtures.quantum_plane_presentation,
-    "case1": fixtures.case1_module_algebra,
+    "plane": oracles.quantum_plane_presentation,
+    "case1": oracles.case1_module_algebra,
     "case1-commutative": oracles.case1_reduction_algebra,
 }
 
@@ -106,8 +105,8 @@ def _span(elements, order):
 # invertible ones among them, whose operators must be units, as
 # Phi(zeta^-1) = Phi(zeta)^-1 is derived)
 GROUPS = {
-    "r2": (lambda order: fixtures.r2_hopf(order=order), ("xi", "eta"), ()),
-    "su2": (fixtures.su2_hopf, ("xi", "zeta"), ("zeta",)),
+    "r2": (lambda order: oracles.r2_hopf(order=order), ("xi", "eta"), ()),
+    "su2": (oracles.su2_hopf, ("xi", "zeta"), ("zeta",)),
 }
 
 
@@ -175,7 +174,7 @@ def test_product_known_below_the_kernel_window_is_refused():
     order = 4
     alg = Presentation(["a"], {("a", "a"): {(): HSeries([0, 1], order - 2)}},
                        order)
-    action = QuantumAction(fixtures.r2_hopf(order=order), alg,
+    action = QuantumAction(oracles.r2_hopf(order=order), alg,
                            {"xi": lmul(alg, alg.one()) * 0})
     with pytest.raises(CapabilityError) as exc:
         invariant_subalgebra(action, 2)

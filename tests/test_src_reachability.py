@@ -1,7 +1,8 @@
 """Every name defined under src/poisson_forge is used by the program.
 
 A static scan, by name: each function, method and class defined in the
-package must be referenced somewhere other than its own definition -- in
+package, and each name a module binds by assignment, must be referenced
+(read, not assigned) somewhere other than its own definition -- in
 src/, in a demo or in perfbench/ (whose tracer and report read some names
 from strings).  Tests do not count, so code that only tests run fails here
 and belongs in tests/ instead.  Dunder names are exempt: the interpreter
@@ -41,13 +42,24 @@ def _python_files(top):
                 yield os.path.join(base, name)
 
 
+def _assigned(node):
+    """The names a module-level statement binds by assignment."""
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
 def _definitions():
     names = set()
     for path in _python_files(PACKAGE):
-        for node in ast.walk(ast.parse(open(path).read(), path)):
+        tree = ast.parse(open(path).read(), path)
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 names.add(node.name)
+        for node in tree.body:
+            names |= _assigned(node)
     return names
 
 
@@ -61,7 +73,7 @@ def _references(tree, strings):
                              ast.ClassDef)):
             inside = inside | {node.name}
         name = None
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr

@@ -124,32 +124,35 @@ def test_check_action_normalises_each_word_once(monkeypatch, capsys):
     # as above, on the action algebras; 941 lookups when each product
     # looked up its own.  9 of the words are the su2 rule certificate's,
     # which composes Phi(zeta^+-1) with Phi(xi) and Phi(eta) (252 before
-    # the module-algebra check certified the group's rules)
+    # the module-algebra check certified the group's rules), and 12 are
+    # case 2's solver column xi*xi
     counts, groups = _count_normal_forms(monkeypatch)
     assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
-    assert counts["words"] == 261
+    assert counts["words"] == 273
     assert counts["lookups"] <= 941
-    # the groups' words: 2 that case 2's relation meets, the rest from the
+    # the groups' words: 2 that case 2's relation meets, 2 (xi*xi and
+    # xi*eta) that its solver's candidate words add, the rest from the
     # gate that certifies each group's Hopf structure, once per distinct
     # group: 35 on the commuting U_hbar(R2), 13 on the free one that cases
     # 2 and 3 share, and 29 on U_hbar(su2) (90 when cases 2 and 3 each
     # built and certified their own free group)
-    assert groups["words"] == 77
+    assert groups["words"] == 79
 
 
 def test_check_action_evaluates_case2_commutator_once_per_monomial(
         monkeypatch, capsys):
     # case 2's witness sweep evaluates [Phi(xi), Phi(eta)] on its 9
     # monomials (36 values) and the paper's right side (9); the solver
-    # reuses those values and evaluates only the 5 candidate words (45);
-    # then 18 in case 3's invariant subalgebra and 4 in su2's ideal
-    # invariance (148 when the solver evaluated the commutator again);
-    # and 8 probes of the empty word, one per operator of shift 1, once per
-    # action (QuantumAction.division_failures)
+    # reuses those values and evaluates only the 6 candidate words, the
+    # group's normal words of length <= 2 but eta*xi (54); then 18 in case
+    # 3's invariant subalgebra and 4 in su2's ideal invariance (148 when
+    # the solver evaluated the commutator again); and 8 probes of the
+    # empty word, one per operator of shift 1, once per action
+    # (QuantumAction.division_failures)
     from poisson_forge.qmomentum import Operator
     calls = _count_calls(monkeypatch, Operator, "__call__")
     assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
-    assert len(calls) == 120
+    assert len(calls) == 129
 
 
 def test_check_action_composes_each_word_once(monkeypatch, capsys):
@@ -157,7 +160,7 @@ def test_check_action_composes_each_word_once(monkeypatch, capsys):
     # composed with its last letter's, a one-letter word's is the letter's
     # own, and the su2 target is made of the action's operators (42 when
     # each one-letter word was composed with the identity and the target
-    # compiled Phi(zeta^+-1) again)
+    # compiled Phi(zeta^+-1) again); one is case 2's solver column xi*xi
     from poisson_forge.qmomentum import Operator
     original = Operator.__mul__
     calls = []
@@ -169,4 +172,4 @@ def test_check_action_composes_each_word_once(monkeypatch, capsys):
 
     monkeypatch.setattr(Operator, "__mul__", counted)
     assert main(["check-action", "--fixtures", "--degree", "2"]) == 0
-    assert len(calls) == 30
+    assert len(calls) == 31
