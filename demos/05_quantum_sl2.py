@@ -1,8 +1,9 @@
 """The quantized enveloping algebra of sl(2), exactly mod hbar^6.
 
-Builds the presentation with [H,E] = 2E, [H,F] = -2F and
-[E,F] = (q^H - q^{-H})/(q - q^{-1}), q = exp(hbar/4), where q-powers of H
-are truncated exponential series in the commutative H-subalgebra.  Checks
+Reads the presentation with [H,E] = 2E, [H,F] = -2F and
+[E,F] = (q^H - q^{-H})/(q - q^{-1}), q = exp(hbar/4), from the shipped
+spec, where q-powers of H are exponential series forms on the element H,
+evaluated in the commutative H-subalgebra.  Checks
 every Hopf axiom exactly, extracts the semiclassical cobracket and
 verifies it agrees tensor-for-tensor with the coboundary of the classical
 r-matrix.
@@ -19,7 +20,8 @@ from poisson_forge.scalars import HSeries, gauss
 from fractions import Fraction
 
 if __name__ == "__main__":
-    hopf = fixtures.uhsl2_hopf()
+    spec = fixtures.paper_spec()
+    hopf = spec.hopf_structure("U_hbar(sl2)")
     pres = hopf.algebra
     E, F, H = pres.gen("E"), pres.gen("F"), pres.gen("H")
 
@@ -50,7 +52,7 @@ if __name__ == "__main__":
     print()
     print("first-order quasi-triangular structure R = 1 + hbar r:")
     t2 = hopf.square
-    classical = fixtures.usl2_hopf()
+    classical = spec.hopf_structure("U(sl2)")
     h = HSeries.hbar(classical.algebra.order)
     r = classical.square.element({
         (("H",), ("H",)): h * gauss(Fraction(1, 8)),

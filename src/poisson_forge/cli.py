@@ -12,10 +12,11 @@ One fixed grammar serves every command (``parse_args``): up to four
 positionals, COMMAND [SPEC] [NAME] [EXTRA], and the options --order N,
 --degree D, --json OUT and --fixtures before, between or after them.  A
 valued option also reads ``--opt=value``; options are spelled in full, with
-no prefix abbreviation, and ``--`` ends them.  A malformed command line
-prints the usage to stderr and exits 2.  A run imports only what its
-command uses: the spec reader only for a spec file, ``json`` only for
---json.
+no prefix abbreviation, and ``--`` ends them.  A malformed command line,
+one with a positional its run does not read too, prints the usage to
+stderr and exits 2.  A run imports only what its command uses: the spec
+reader and ``json`` for a spec or the shipped one of a quantum command's
+--fixtures, and ``json`` otherwise only for --json.
 """
 
 import sys
@@ -125,6 +126,11 @@ def parse_args(argv):
     unknown += positionals[len(POSITIONALS):]
     if unknown:
         _error("unrecognized arguments: %s" % " ".join(unknown))
+    if args.fixtures and positionals[1:]:
+        _error("--fixtures reads no SPEC, NAME or EXTRA, got %s"
+               % " ".join(positionals[1:]))
+    if positionals[3:] and positionals[0] != "poisson-group":
+        _error("%s reads no EXTRA, got %s" % (positionals[0], positionals[3]))
     vars(args).update(zip(POSITIONALS, positionals))
     return args
 

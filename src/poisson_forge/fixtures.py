@@ -8,15 +8,13 @@ field X_f = {f, .}), while published tables mix orientations and 1/2-wedge
 factors, so `scale` records exactly the constant by which our derived table
 differs.  A scale of 1 means the table is reproduced verbatim.
 
-The quantum examples of the momentum-map paper -- the module algebras of
-cases 1-3 and of the 3-dimensional su(2) example, their groups, Hopf
-structures and actions, the actions' relations (su2's [xi, eta] =
-(zeta^-1 - zeta) / (q - q^-1) as a quotient, case 2's paper claim) and
-the momentum ideal <H> -- are entries of the shipped spec
-``paper_spec.json``, read by ``specfile.SpecFile`` (``paper_spec``).
-U(sl2) and U_hbar(sl2) of check-hopf stay built here.  Each quantum
-fixture takes ``order``, the N of Q(i)[[hbar]]/(hbar^N) its presentations
-carry; ``ORDER`` is the command line's default.
+Every quantum structure is an entry of the shipped spec
+``paper_spec.json``, read by ``specfile.SpecFile`` (``paper_spec``): U(sl2)
+and U_hbar(sl2) of check-hopf, and the module algebras, groups, actions,
+relations and momentum ideal of the momentum-map paper's examples.  So
+this module builds only the classical fixtures.  A reader of the spec
+takes ``order``, the N of Q(i)[[hbar]]/(hbar^N) its presentations carry;
+``ORDER`` is the command line's default.
 """
 
 import functools
@@ -424,118 +422,26 @@ def r2_action_fixture():
 
 
 # ---------------------------------------------------------------------------
-# Quantum fixtures of check-hopf: U(sl2) and U_hbar(sl2)
+# The quantum examples: entries of the shipped spec
 # ---------------------------------------------------------------------------
 
-def usl2_presentation(order=ORDER):
-    """Classical U(sl2): order F < H < E, relations from the sl2 brackets."""
-    from .ncalg import Presentation
-    return Presentation(
-        ["F", "H", "E"],
-        {
-            ("H", "F"): {("F", "H"): 1, ("F",): -2},
-            ("E", "H"): {("H", "E"): 1, ("E",): -2},
-            ("E", "F"): {("F", "E"): 1, ("H",): 1},
-        },
-        order, name="U(sl2)")
-
-
 def q_number_terms(order=ORDER):
-    """Terms dict of (q^H - q^-H)/(q - q^-1) with q = exp(hbar/4).
+    """Terms dict of (q^H - q^-H)/(q - q^-1) with q = exp(hbar/4), the
+    closed form that ``uhsl2/ef-commutator`` compares the shipped spec's
+    [E, F] with.
 
     Built from the scalar series oracle: exponentials plus a valuation
     shift and a unit inverse, no rewriting involved.  The exponentials are
     taken mod hbar^(order + 1), so the shifted denominator, and every
-    coefficient, is known mod hbar^order.
+    coefficient, is known mod hbar^order.  The numerator's coefficient of
+    H^k is that of hbar^k in num, and one hbar cancels against the
+    denominator's.
     """
     num = hexp(Fraction(1, 4), order + 1) - hexp(Fraction(-1, 4), order + 1)
     den_inv = num.divide_by_hbar().inverse()
-    terms = {}
-    for (k, _), lead in num.terms.items():
-        # the numerator's coefficient of H^k is that of hbar^k in num, and
-        # one hbar cancels against the denominator's
-        coeff = HSeries([0] * (k - 1) + [lead], order) * den_inv
-        if not coeff.is_zero():
-            terms[("H",) * k] = coeff
-    return terms
+    return {("H",) * k: HSeries([0] * (k - 1) + [lead], order) * den_inv
+            for (k, _), lead in num.terms.items()}
 
-
-def uhsl2_presentation(order=ORDER):
-    """The quantized U(sl2): [H,E] = 2E, [H,F] = -2F, [E,F] = [H]_q with
-    q = exp(hbar/4) and q^H represented as the truncated series exp(hbar H/4)
-    in the commutative subalgebra generated by H."""
-    from .ncalg import Presentation
-    ef = {("F", "E"): 1}
-    ef.update(q_number_terms(order=order))
-    return Presentation(
-        ["F", "H", "E"],
-        {
-            ("H", "F"): {("F", "H"): 1, ("F",): -2},
-            ("E", "H"): {("H", "E"): 1, ("E",): -2},
-            ("E", "F"): ef,
-        },
-        order, name="U_hbar(sl2)")
-
-
-def h_exponential(pres, scale):
-    """exp(scale * hbar * H) as an NCPoly in the H-subalgebra, mod hbar^N
-    for the presentation's N."""
-    from .ncalg import NCPoly
-    h = pres.index("H")
-    return NCPoly(pres, {(k, (h,) * k): c for (k, _), c
-                         in hexp(scale, pres.order).terms.items()}, pres.order)
-
-
-def usl2_hopf(order=ORDER):
-    """Primitive coproduct and zero counit; the antipode they fix is
-    S(x) = -x."""
-    from .hopf import HopfStructure
-    from .ncalg import TensorAlgebra, AlgebraMap
-    pres = usl2_presentation(order)
-    t2 = TensorAlgebra(pres, 2)
-
-    def primitive(g):
-        return t2.element({(g, ()): 1, ((), g): 1})
-
-    cop = AlgebraMap(pres, {g: primitive((g,)) for g in ("F", "H", "E")},
-                     name="Delta")
-    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
-                        name="epsilon")
-    return HopfStructure(pres, cop, counit)
-
-
-def uhsl2_hopf(order=ORDER):
-    """The quantized Hopf structure on U_hbar(sl2).
-
-    Coproduct: Delta(H) primitive, Delta(E) = E (x) q^{H/2} + q^{-H/2} (x) E
-    and likewise for F; counit zero on generators.  The antipode they fix
-    is S(E) = -qE, S(F) = -q^{-1}F, S(H) = -H.  These are the mutually
-    consistent conventions: every axiom holds exactly mod hbar^N.
-    """
-    from .hopf import HopfStructure
-    from .ncalg import TensorAlgebra, AlgebraMap
-    pres = uhsl2_presentation(order)
-    t2 = TensorAlgebra(pres, 2)
-    qh_plus = h_exponential(pres, Fraction(1, 8))    # q^{H/2}
-    qh_minus = h_exponential(pres, Fraction(-1, 8))  # q^{-H/2}
-
-    def twisted(g):
-        return t2.from_factors([pres.gen(g), qh_plus]) \
-            + t2.from_factors([qh_minus, pres.gen(g)])
-
-    cop = AlgebraMap(pres, {
-        "H": t2.element({(("H",), ()): 1, ((), ("H",)): 1}),
-        "E": twisted("E"),
-        "F": twisted("F"),
-    }, name="Delta_hbar")
-    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
-                        name="epsilon_hbar")
-    return HopfStructure(pres, cop, counit)
-
-
-# ---------------------------------------------------------------------------
-# The quantum momentum-map examples: entries of the shipped spec
-# ---------------------------------------------------------------------------
 
 PAPER_SPEC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "paper_spec.json")
@@ -553,3 +459,8 @@ def paper_spec(order=ORDER):
     parsed once."""
     from .specfile import SpecFile
     return SpecFile(_paper_document(), order)
+
+
+def uhsl2_hopf(order=ORDER):
+    """The shipped spec's U_hbar(sl2) Hopf structure mod hbar^order."""
+    return paper_spec(order).hopf_structure("U_hbar(sl2)")

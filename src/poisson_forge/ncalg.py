@@ -640,13 +640,6 @@ class TensorAlgebra:
             out[(j, tuple(words))] = c
         return TensorElement(self, out, x.order)
 
-    def from_factors(self, factors):
-        """factors: one NCPoly per slot."""
-        out = self.one()
-        for slot, x in enumerate(factors):
-            out = out * self.embed(x, slot)
-        return out
-
 
 class TensorElement(_SeriesComb):
     """An element of a tensor power, flat terms {(j, (w_1, ..., w_k)): c}

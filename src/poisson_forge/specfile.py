@@ -19,11 +19,15 @@ import math
 from .coordpoly import Chart, poly
 from .errors import SpecError
 from .lie import LieAlgebra, Tensor, Cobracket, cobracket_from_r
-from .scalars import HSeries, gauss, hexp
+from .scalars import (
+    HSeries, ONE, _SeriesComb, _accumulate, _flat, gauss, hexp, series,
+)
 
 _REQUIRED = object()
 _SCALAR = 'a scalar (a string "p/q+r/s*i" or an integer)'
-_SERIES_FORMS = ("exp", "sum", "product", "quotient")
+_FORMS = ("exp", "sum", "product", "quotient")
+_ELEMENT = ("an element (a generator name, a scalar string, a list of terms "
+            "or an object with one key of %s)" % ", ".join(_FORMS))
 # how far past the run's order a quotient's denominator is read for its
 # hbar-valuation when it vanishes mod hbar^N
 _VALUATION_REACH = 64
@@ -45,6 +49,42 @@ def _cached(section):
             return self._cache[key]
         return cached
     return wrap
+
+
+class _Free(_SeriesComb):
+    """An element of the free algebra on a presentation's generators mod
+    hbar^order, as the spec writes it, before any rule applies: flat terms
+    {(j, word): c}, a word a tuple of generator indices, and a product
+    joins the words.  A constant stays an HSeries, which scales it."""
+
+    __slots__ = ("terms", "order")
+
+    def __init__(self, terms, order):
+        self.terms = terms
+        self.order = order
+
+    def _like(self, terms, order=None):
+        return _Free(terms, self.order if order is None else order)
+
+    def _coeff(self, x):
+        return series(x, self.order)
+
+    def _same_space(self, other):
+        return True
+
+    def _unit(self):
+        return ()
+
+    def __mul__(self, other):
+        if other.__class__ is not _Free:
+            return self._scale(other)
+        order = min(self.order, other.order)
+        out = {}
+        _accumulate(out, [((j1 + j2, w1 + w2), c1 * c2)
+                          for (j1, w1), c1 in self.terms.items()
+                          for (j2, w2), c2 in other.terms.items()
+                          if j1 + j2 < order])
+        return _Free(out, order)
 
 
 class Node:
@@ -80,7 +120,7 @@ class Node:
     def field(self, key, default=_REQUIRED, label=None):
         """The field ``key`` of this object, ``default`` when it is absent
         (no default: a required key); its path ends in ``label``, the key
-        if none."""
+        if none, and an empty label keeps this object's path."""
         fields = self._object()
         if key in fields:
             value = fields[key]
@@ -88,7 +128,9 @@ class Node:
             raise self.error("missing required key %r" % key)
         else:
             value = default
-        return Node(value, "%s %s" % (self.where, label or key))
+        label = key if label is None else label
+        return Node(value, "%s %s" % (self.where, label) if label
+                    else self.where)
 
     def items(self, noun=None):
         """The entries of this list, each numbered from 1 after ``noun``."""
@@ -178,40 +220,76 @@ class Node:
             return self.expect(False, kind)
 
     def series(self, order):
-        """A series mod hbar^order, exact: a scalar string, or a list of
-        them (a polynomial in hbar, its missing coefficients 0), or an
-        object with one key: ``exp`` c is e^(c hbar), ``sum`` and
-        ``product`` a nonempty list of series, and ``quotient`` a pair
-        [numerator, denominator] (``_quotient``)."""
+        """A series mod hbar^order, exact: an element on no generators
+        (``element``)."""
+        return self.element(order)
+
+    def element(self, order, gens=None):
+        """This value mod hbar^order, exact: with ``gens``, a
+        presentation's generator names, an element of the free algebra on
+        them (``_Free``), a generator name, else a scalar string, or a list
+        of terms {coeff: series, word}; with none a series, a scalar string
+        or a list of them (a polynomial in hbar).  Either may be an object
+        with one key, the same forms for both: ``exp`` (``_exp``), ``sum``
+        and ``product`` of a nonempty list, and ``quotient`` [n, d] of a
+        series d (``_quotient``)."""
         if isinstance(self.value, dict) and len(self.value) == 1 \
-                and next(iter(self.value)) in _SERIES_FORMS:
+                and next(iter(self.value)) in _FORMS:
             key = next(iter(self.value))
             node = self.field(key)
             if key == "exp":
-                return hexp(node.scalar(), order)
+                return node._exp(order, gens)
             if key == "quotient":
-                return node._quotient(order)
-            terms = [t.series(order) for t in node.items()]
+                return node._quotient(order, gens)
+            terms = [t.element(order, gens) for t in node.items()]
             if not terms:
-                node.expect(False, "a nonempty list of series")
+                node.expect(False, "a nonempty list of %s" % (
+                    "series" if gens is None else "elements"))
             if key == "sum":
                 return sum(terms[1:], terms[0])
             return math.prod(terms[1:], start=terms[0])
+        if gens is not None and isinstance(self.value, str):
+            if self.value in gens:
+                return _Free({(0, (gens.index(self.value),)): ONE}, order)
+            try:
+                gauss(self.value)
+            except (ValueError, ZeroDivisionError):
+                raise self.error("%r is not a generator name of %s"
+                                 % (self.value, list(gens)))
+        elif gens is not None:
+            self.expect(isinstance(self.value, list), _ELEMENT)
+            terms = [(t.field("coeff").series(order),
+                      t.field("word", []).word(gens))
+                     for t in self.items("term")]
+            return _Free(*_flat(((w, c) for c, w in terms), order))
         value = self.expect(
             isinstance(self.value, str) or isinstance(self.value, list)
             and all(isinstance(c, str) for c in self.value),
             "a series (a scalar string, a list of scalar strings or an "
-            "object with one key of %s)" % ", ".join(_SERIES_FORMS))
+            "object with one key of %s)" % ", ".join(_FORMS))
         coeffs = [self] if isinstance(value, str) else self.items()
         return HSeries([c.scalar() for c in coeffs], order)
 
-    def _quotient(self, order):
+    def _exp(self, order, gens):
+        """e^(c hbar w) = sum_k (c hbar)^k w^k / k! for this argument of
+        ``exp``: a term {coeff: scalar, word} c w, or a scalar c (w = 1)."""
+        term = isinstance(self.value, dict)
+        if term:
+            self.expect(set(self.value) <= {"coeff", "word"},
+                        "a term {coeff: scalar, word}")
+        s = hexp(self.field("coeff").scalar() if term else self.scalar(),
+                 order)
+        word = self.field("word", []).word(gens or ()) if term else ()
+        return _Free({(j, word * j): x for (j, _), x in s.terms.items()},
+                     order) if word else s
+
+    def _quotient(self, order, gens):
         """n / d mod hbar^order for this pair [n, d]: n is evaluated mod
         hbar^(order + v) and divided by hbar^v, v the hbar-valuation of d
         (``denominator``); an n of valuation below v is refused."""
         num, den = self.pair()
         v, unit = den.denominator(order)
-        n = num.series(order + v)
+        n = num.element(order + v, gens)
         if n.hbar_valuation() < v:
             raise self.error("the numerator has hbar-valuation %d, below the "
                              "denominator's %d" % (n.hbar_valuation(), v))
@@ -256,11 +334,12 @@ class Node:
         return self.expect(isinstance(self.value, bool), "true or false")
 
     def word(self, gens):
-        """A word, a list of generator names of ``gens``, as a tuple."""
-        return tuple(self.expect(
+        """A word, a list of generator names of ``gens``, as the tuple of
+        their indices."""
+        return tuple(map(gens.index, self.expect(
             isinstance(self.value, list)
             and all(isinstance(g, str) and g in gens for g in self.value),
-            "a word (a list of generator names of %s)" % list(gens)))
+            "a word (a list of generator names of %s)" % list(gens))))
 
     def pair(self):
         self.expect(isinstance(self.value, list) and len(self.value) == 2,
@@ -444,12 +523,12 @@ class SpecFile:
         gens = entry.field("generators").names()
         inverses = {inv: base.name(gens, "generator") for inv, base in
                     entry.field("inverses", {}).table(gens, "generator")}
-        rules = {}
-        for rule in entry.field("rules", [], label="rule").items():
-            rules[rule.field("pair").name_pair(gens)] = {
-                t.field("word", []).word(gens):
-                    t.field("coeff").series(self.order)
-                for t in rule.field("terms", label="term").items()}
+        # a rule's right side is an element of the free algebra (its terms
+        # read at the rule's own path): its words are rewritten later
+        rules = {rule.field("pair").name_pair(gens):
+                 rule.field("terms", label="").element(self.order, gens)
+                 .series_terms()
+                 for rule in entry.field("rules", [], label="rule").items()}
         try:
             return Presentation(gens, rules, self.order, inverses=inverses,
                                 name=name)
@@ -458,20 +537,24 @@ class SpecFile:
             raise entry.error(exc)
 
     def nc_element(self, pres, node):
-        """An element from a generator name or a [{coeff, word}] list."""
-        if isinstance(node.value, str):
-            return pres.element(node.name(pres.gens, "generator"))
-        return pres.element([
-            (t.field("coeff").series(self.order),
-             list(t.field("word", []).word(pres.gens)))
-            for t in node.items("term")])
+        """The element of ``pres`` that ``node`` writes (``Node.element``),
+        in normal form."""
+        return pres.normal_form(node.element(self.order, pres.gens))
 
     def tensor_element(self, pres, node):
+        """The element of the tensor square of ``pres`` of a list of terms
+        {coeff: series, pair: [x, y]}, x and y each a word or an element
+        form (an object)."""
         from .ncalg import TensorAlgebra
-        return TensorAlgebra(pres, 2).element({
-            tuple(w.word(pres.gens) for w in t.field("pair").pair()):
-                t.field("coeff").series(self.order)
-            for t in node.items("term")})
+        t2 = TensorAlgebra(pres, 2)
+        out = t2.element({})
+        for t in node.items("term"):
+            x, y = (self.nc_element(pres, s) if isinstance(s.value, dict)
+                    else pres.monomial(s.word(pres.gens))
+                    for s in t.field("pair").pair())
+            out = out + t2.embed(x, 0) * t2.embed(y, 1) \
+                * t.field("coeff").series(self.order)
+        return out
 
     def _images(self, entry, key, pres, label=None):
         """The generator images of a map on ``pres``, the field ``key`` of
@@ -554,8 +637,10 @@ class SpecFile:
             pair = rel.field("pair").name_pair(group.gens)
             rhs = rel.field("rhs")
             if isinstance(rhs.value, dict):
-                rhs.expect(list(rhs.value) == ["quotient"],
-                           'an element or {"quotient": [element, series]}')
+                rhs.expect(len(rhs.value) == 1 and next(iter(rhs.value))
+                           in _FORMS, 'an element or {"quotient": '
+                           '[element, series]}')
+            if isinstance(rhs.value, dict) and "quotient" in rhs:
                 num, den = rhs.field("quotient").pair()
                 v, unit = den.denominator(self.order)
                 relations[pair] = action.phi(self.nc_element(group, num)) \

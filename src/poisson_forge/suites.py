@@ -266,18 +266,18 @@ def hopf_fixture_suite(order):
         check_co_poisson_compatibility, classical_limit_check,
     )
     out = []
-    classical = fixtures.usl2_hopf(order)
+    spec = fixtures.paper_spec(order)
+    classical = spec.hopf_structure("U(sl2)")
     reports = check_all_axioms(classical)
     for key in ("coassociativity", "counit", "antipode", "delta-hom"):
         out.append(("usl2/%s" % key, reports[key]))
-    quantum = fixtures.uhsl2_hopf(order)
+    quantum = spec.hopf_structure("U_hbar(sl2)")
     reports = check_all_axioms(quantum)
     for key in ("coassociativity", "counit", "antipode", "delta-hom"):
         out.append(("uhsl2/%s" % key, reports[key]))
     # [E,F] equals the q-number expansion from the scalar oracle
     pres = quantum.algebra
-    want = pres.element([(c, w) for w, c in
-                         fixtures.q_number_terms(order=order).items()])
+    want = pres.normal_form(fixtures.q_number_terms(order=order))
     got = pres.gen("E").commutator(pres.gen("F"))
     out.append(("uhsl2/ef-commutator",
                 Report.from_failures(

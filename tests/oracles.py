@@ -59,6 +59,10 @@ spec by order (``quantum_plane_presentation``, ``su2_hopf``, ...).
 The 3D example's relation [xi, eta] = (zeta^-1 - zeta) / (q - q^-1), which
 the shipped spec states as a quotient, has its closed form here as the
 reference (``su2_commutator_target``).
+check-hopf's U(sl2) and U_hbar(sl2), which the shipped spec writes with
+the series forms on elements, have their closed forms here as the
+reference (``usl2_hopf``, ``uhsl2_hopf``, with ``h_exponential`` and
+``from_factors``), built directly on ``Presentation`` and ``AlgebraMap``.
 The rules on inverse generators, which ``Presentation`` derives from their
 bases' rules, have their closed forms here as the reference
 (``inverse_rules``): the rules the shipped presentations once wrote by
@@ -72,11 +76,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from poisson_forge import ORDER
-from poisson_forge.fixtures import paper_spec, sl2_algebra
+from poisson_forge.fixtures import paper_spec, q_number_terms, sl2_algebra
+from poisson_forge.hopf import HopfStructure
 from poisson_forge.lie import Cobracket, LieAlgebra, basis_tensor, wedge
 from poisson_forge.ncalg import (
-    AlgebraMap, NCPoly, TensorAlgebra, TensorElement, chart_presentation,
-    check_map,
+    AlgebraMap, NCPoly, Presentation, TensorAlgebra, TensorElement,
+    chart_presentation, check_map,
 )
 from poisson_forge.coordpoly import Chart, CoordPoly, poly
 from poisson_forge.poisson import PolyBivector, PolyVectorField, one_form
@@ -1338,6 +1343,94 @@ def r2_primitive_hopf(pres):
     return hopf_from(pres, {g: {((g,), ()): 1, ((), (g,)): 1}
                             for g in ("xi", "eta")},
                      {"xi": 0, "eta": 0})
+
+
+def from_factors(t2, factors):
+    """The product in the tensor power ``t2`` of ``factors``, one NCPoly
+    per slot: x (x) y for [x, y]."""
+    out = t2.one()
+    for slot, x in enumerate(factors):
+        out = out * t2.embed(x, slot)
+    return out
+
+
+def usl2_presentation(order=ORDER):
+    """Classical U(sl2): order F < H < E, relations from the sl2 brackets."""
+    return Presentation(
+        ["F", "H", "E"],
+        {
+            ("H", "F"): {("F", "H"): 1, ("F",): -2},
+            ("E", "H"): {("H", "E"): 1, ("E",): -2},
+            ("E", "F"): {("F", "E"): 1, ("H",): 1},
+        },
+        order, name="U(sl2)")
+
+
+def uhsl2_presentation(order=ORDER):
+    """The quantized U(sl2): [H,E] = 2E, [H,F] = -2F, [E,F] = [H]_q with
+    q = exp(hbar/4) and q^H represented as the truncated series exp(hbar H/4)
+    in the commutative subalgebra generated by H (``q_number_terms``)."""
+    ef = {("F", "E"): 1}
+    ef.update(q_number_terms(order=order))
+    return Presentation(
+        ["F", "H", "E"],
+        {
+            ("H", "F"): {("F", "H"): 1, ("F",): -2},
+            ("E", "H"): {("H", "E"): 1, ("E",): -2},
+            ("E", "F"): ef,
+        },
+        order, name="U_hbar(sl2)")
+
+
+def h_exponential(pres, scale):
+    """exp(scale * hbar * H) as an NCPoly in the H-subalgebra, mod hbar^N
+    for the presentation's N."""
+    h = pres.index("H")
+    return NCPoly(pres, {(k, (h,) * k): c for (k, _), c
+                         in hexp(scale, pres.order).terms.items()}, pres.order)
+
+
+def usl2_hopf(order=ORDER):
+    """Primitive coproduct and zero counit on U(sl2); the antipode they fix
+    is S(x) = -x."""
+    pres = usl2_presentation(order)
+    t2 = TensorAlgebra(pres, 2)
+
+    def primitive(g):
+        return t2.element({(g, ()): 1, ((), g): 1})
+
+    cop = AlgebraMap(pres, {g: primitive((g,)) for g in ("F", "H", "E")},
+                     name="Delta")
+    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
+                        name="epsilon")
+    return HopfStructure(pres, cop, counit)
+
+
+def uhsl2_hopf(order=ORDER):
+    """The quantized Hopf structure on U_hbar(sl2).
+
+    Coproduct: Delta(H) primitive, Delta(E) = E (x) q^{H/2} + q^{-H/2} (x) E
+    and likewise for F; counit zero on generators.  The antipode they fix
+    is S(E) = -qE, S(F) = -q^{-1}F, S(H) = -H.  These are the mutually
+    consistent conventions: every axiom holds exactly mod hbar^N.
+    """
+    pres = uhsl2_presentation(order)
+    t2 = TensorAlgebra(pres, 2)
+    qh_plus = h_exponential(pres, Fraction(1, 8))    # q^{H/2}
+    qh_minus = h_exponential(pres, Fraction(-1, 8))  # q^{-H/2}
+
+    def twisted(g):
+        return from_factors(t2, [pres.gen(g), qh_plus]) \
+            + from_factors(t2, [qh_minus, pres.gen(g)])
+
+    cop = AlgebraMap(pres, {
+        "H": t2.element({(("H",), ()): 1, ((), ("H",)): 1}),
+        "E": twisted("E"),
+        "F": twisted("F"),
+    }, name="Delta_hbar")
+    counit = AlgebraMap(pres, dict.fromkeys(pres.gens, HSeries.zero(order)),
+                        name="epsilon_hbar")
+    return HopfStructure(pres, cop, counit)
 
 
 def _reader(resolver, name):

@@ -251,7 +251,7 @@ def test_criterion_9_property_suites():
             assert pi.sharp(koszul_bracket(pi, alpha, beta)) == \
                 pi.sharp(alpha).bracket(pi.sharp(beta))
         # rewriting confluence on all overlaps (Diamond Lemma)
-        for make in (fixtures.usl2_presentation, fixtures.uhsl2_presentation,
+        for make in (oracles.usl2_presentation, oracles.uhsl2_presentation,
                      oracles.quantum_plane_presentation,
                      oracles.case1_module_algebra,
                      oracles.case2_module_algebra,

@@ -1238,20 +1238,21 @@ def test_start_up_loads_only_what_the_command_runs():
         "from poisson_forge.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['check-hopf', '--fixtures']) == 0")
-    assert "poisson_forge.hopf" in loaded
+    # its U(sl2) and U_hbar(sl2) are read from the shipped spec
+    assert {"poisson_forge.hopf", "poisson_forge.specfile"} <= loaded
     unused = {"poisson_forge." + m for m in (
-        "specfile", "matgroup", "momentum", "poisson", "reduction",
-        "qmomentum", "linalg", "ncgroebner")}
+        "matgroup", "momentum", "poisson", "reduction", "qmomentum",
+        "linalg", "ncgroebner")}
     assert not loaded & unused
-    # the command line is parsed without argparse, and without --json no
-    # record is encoded
+    # the command line is parsed without argparse; the spec reader parses
+    # the shipped spec with json
     loaded = _loaded_modules(
         "import contextlib, io\n"
         "from poisson_forge.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['check-hopf', '--fixtures']) == 0", prefix="")
-    assert "poisson_forge.hopf" in loaded
-    assert not loaded & {"argparse", "gettext", "locale", "json"}
+    assert {"poisson_forge.hopf", "json"} <= loaded
+    assert not loaded & {"argparse", "gettext", "locale"}
     # the command line starts with the check suites and their fixtures
     # loaded, and a spec run adds only the layers its objects need
     start = {"poisson_forge." + m for m in (
@@ -1326,6 +1327,31 @@ def test_help_lists_every_command(capsys):
      "argument --order: must be an int >= 1, got '0'"),
 ])
 def test_malformed_command_line_exits_two(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: poisson-forge")
+    assert err.endswith("poisson-forge: error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-poisson", "--fixtures", SPEC, "pi_xy"],
+     "--fixtures reads no SPEC, NAME or EXTRA, got %s pi_xy" % SPEC),
+    (["check-hopf", SPEC, "--fixtures"],
+     "--fixtures reads no SPEC, NAME or EXTRA, got %s" % SPEC),
+    (["poisson-group", "--fixtures", SPEC, "sl2_group", "sl2_r"],
+     "--fixtures reads no SPEC, NAME or EXTRA, got %s sl2_group sl2_r"
+     % SPEC),
+    (["check-poisson", SPEC, "pi_xy", "extra_name"],
+     "check-poisson reads no EXTRA, got extra_name"),
+    (["check-mm", SPEC, "angular", "x"], "check-mm reads no EXTRA, got x"),
+    (["qreduce", "--", SPEC, "qplane_action", "extra"],
+     "qreduce reads no EXTRA, got extra"),
+])
+def test_a_positional_the_run_does_not_read_exits_two(argv, message, capsys):
+    # it was ignored, and the run exited 0: the fixtures ran instead of the
+    # spec, or NAME ran without the EXTRA that only poisson-group reads
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import pytest
 
-from poisson_forge import fixtures
 from poisson_forge.ncalg import (
     NCPoly, Presentation, TensorAlgebra, TensorElement,
 )
@@ -53,7 +52,7 @@ def _coarse_plane(order):
 
 
 PRESENTATIONS = {
-    "uhsl2": fixtures.uhsl2_presentation,
+    "uhsl2": oracles.uhsl2_presentation,
     "quantum-plane": oracles.quantum_plane_presentation,
     "case1": oracles.case1_module_algebra,
     "case2": oracles.case2_module_algebra,

@@ -20,7 +20,7 @@ N = fixtures.ORDER
 
 
 def test_primitive_hopf_axioms():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     reports = check_all_axioms(hopf)
     assert reports["all"].ok, reports["all"].failures
 
@@ -39,7 +39,7 @@ def test_grouplike_counit():
 
 
 def test_wrong_counit_fails():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     bad_counit = AlgebraMap(hopf.algebra,
                             {"E": HSeries.zero(N), "F": HSeries.zero(N),
                              "H": HSeries.one(N)}, name="eps-bad")
@@ -57,10 +57,10 @@ def test_perturbed_coproduct_fails_delta_hom():
     good = fixtures.uhsl2_hopf()
     pres = good.algebra
     t2 = TensorAlgebra(pres, 2)
-    qh_plus = fixtures.h_exponential(pres, Fraction(1, 8))
+    qh_plus = oracles.h_exponential(pres, Fraction(1, 8))
     bad_images = dict(good.coproduct.images)
-    bad_images[pres.index("E")] = t2.from_factors([pres.gen("E"), qh_plus]) \
-        + t2.embed(pres.gen("E"), 1)
+    bad_images[pres.index("E")] = oracles.from_factors(
+        t2, [pres.gen("E"), qh_plus]) + t2.embed(pres.gen("E"), 1)
     bad_cop = AlgebraMap(pres, {pres.gens[i]: img
                                 for i, img in bad_images.items()},
                          name="Delta-bad")
@@ -83,7 +83,7 @@ def test_semiclassical_cobracket_uhsl2():
 
 
 def test_semiclassical_cobracket_primitive_is_zero():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     table = semiclassical_cobracket(hopf)
     assert all(not entries for entries in table.values())
 
@@ -139,7 +139,7 @@ def test_co_poisson_compatibility_uhsl2():
 
 
 def test_quasitriangular_trivial_R():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     R = hopf.square.one()
     reports = check_quasitriangular(hopf, R)
     for name in ("coproduct-1", "coproduct-2", "qybe", "counit"):
@@ -150,7 +150,7 @@ def test_quasitriangular_first_order_r():
     # R = 1 (x) 1 + hbar r with r the classical sl2 r-matrix: the QYBE
     # defect starts at hbar^3 because <r,r> = 0, while the coproduct axioms
     # hold mod hbar^2 only
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     t2 = hopf.square
     h = HSeries.hbar(N)
     eighth = gauss(Fraction(1, 8))
@@ -165,7 +165,7 @@ def test_quasitriangular_first_order_r():
 
 
 def test_quasitriangular_violation_detected():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     t2 = hopf.square
     R = t2.element({(("E",), ("F",)): 1})  # no unit term: axioms fail outright
     reports = check_quasitriangular(hopf, R)
@@ -174,7 +174,7 @@ def test_quasitriangular_violation_detected():
 
 
 def test_classical_limit_of_uhsl2():
-    rep = classical_limit_check(fixtures.uhsl2_hopf(), fixtures.usl2_hopf())
+    rep = classical_limit_check(fixtures.uhsl2_hopf(), oracles.usl2_hopf())
     assert rep.ok, rep.failures
 
 
@@ -189,10 +189,10 @@ def test_truncated_q_factor_fails_coassociativity():
     trunc = NCPoly.from_series(pres, {
         (): HSeries.one(N),
         (pres.index("H"),): HSeries([0, Fraction(1, 8)], N)})
-    qm = fixtures.h_exponential(pres, Fraction(-1, 8))
+    qm = oracles.h_exponential(pres, Fraction(-1, 8))
     images = {pres.gens[i]: img for i, img in good.coproduct.images.items()}
-    images["E"] = t2.from_factors([pres.gen("E"), trunc]) \
-        + t2.from_factors([qm, pres.gen("E")])
+    images["E"] = oracles.from_factors(t2, [pres.gen("E"), trunc]) \
+        + oracles.from_factors(t2, [qm, pres.gen("E")])
     cop = AlgebraMap(pres, images, name="Delta-trunc")
     bad = HopfStructure(pres, cop, good.counit)
     rep = check_coassociativity(bad)
@@ -236,7 +236,7 @@ def _with_coproduct_images(hopf, name, **images):
 
 
 def _wrong_counit_hopf():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     return _with_maps(hopf, counit=AlgebraMap(
         hopf.algebra, {"E": HSeries.zero(N), "F": HSeries.zero(N),
                        "H": HSeries.one(N)}, name="eps-bad"))
@@ -245,7 +245,7 @@ def _wrong_counit_hopf():
 def _wrong_antipode_hopf():
     # S = id on the generators, swapped in for the derived S(x) = -x
     from oracles import with_antipode
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     pres = hopf.algebra
     return with_antipode(hopf, {g: pres.gen(g) for g in pres.gens}, "S-bad")
 
@@ -253,9 +253,9 @@ def _wrong_antipode_hopf():
 def _perturbed_coproduct_hopf():
     hopf = fixtures.uhsl2_hopf()
     pres, t2 = hopf.algebra, hopf.square
-    qh_plus = fixtures.h_exponential(pres, Fraction(1, 8))
+    qh_plus = oracles.h_exponential(pres, Fraction(1, 8))
     return _with_coproduct_images(
-        hopf, "Delta-bad", E=t2.from_factors([pres.gen("E"), qh_plus])
+        hopf, "Delta-bad", E=oracles.from_factors(t2, [pres.gen("E"), qh_plus])
         + t2.embed(pres.gen("E"), 1))
 
 
@@ -266,16 +266,16 @@ def _truncated_q_factor_hopf():
     trunc = NCPoly.from_series(pres, {
         (): HSeries.one(N),
         (pres.index("H"),): HSeries([0, Fraction(1, 8)], N)})
-    qm = fixtures.h_exponential(pres, Fraction(-1, 8))
+    qm = oracles.h_exponential(pres, Fraction(-1, 8))
     return _with_coproduct_images(
-        hopf, "Delta-trunc", E=t2.from_factors([pres.gen("E"), trunc])
-        + t2.from_factors([qm, pres.gen("E")]))
+        hopf, "Delta-trunc", E=oracles.from_factors(t2, [pres.gen("E"), trunc])
+        + oracles.from_factors(t2, [qm, pres.gen("E")]))
 
 
 def _shifted_coproduct_hopf():
     # Delta(F) = F (x) 1 + 1 (x) F + 1 (x) 1 is coassociative on F, but
     # [Delta(H), Delta(F)] = -2 (F (x) 1 + 1 (x) F) != -2 Delta(F)
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     t2 = hopf.square
     f = hopf.coproduct.images[hopf.algebra.index("F")]
     return _with_coproduct_images(hopf, "Delta-shift", F=f + t2.one())
@@ -367,7 +367,7 @@ def _twisted_grouplike_hopf(order=N):
     x, y, m = (pres.gen(g) for g in ("x", "y", "m"))
     cop = {"x": t2.embed(x, 0) + t2.embed(x, 1),
            "y": t2.embed(y, 0) + t2.embed(y, 1),
-           "m": t2.from_factors([m, m]) * _exp_tensor(t2, 1)}
+           "m": oracles.from_factors(t2, [m, m]) * _exp_tensor(t2, 1)}
     eps = {"x": HSeries.zero(order), "y": HSeries.zero(order),
            "m": HSeries.one(order)}
     return HopfStructure(pres, AlgebraMap(pres, cop, name="Delta"),
@@ -458,7 +458,7 @@ def _twisted_antipode(pres):
 
 
 CLOSED_FORMS = {
-    "usl2": (fixtures.usl2_hopf, _usl2_antipode),
+    "usl2": (oracles.usl2_hopf, _usl2_antipode),
     "uhsl2": (fixtures.uhsl2_hopf, _uhsl2_antipode),
     "r2-commuting": (oracles.r2_hopf, _r2_antipode),
     "r2-free": (oracles.r2_free_hopf, _r2_antipode),
@@ -513,7 +513,7 @@ def test_derived_inverse_images_are_the_closed_forms(order):
         (action.operators["zeta_inv"],
          lmul(alg, alg.gen("a_inv")) * rmul(alg, alg.gen("a"))),
         (twisted.coproduct.images[twisted.algebra.index("m_inv")],
-         t2.from_factors([m_inv, m_inv]) * _exp_tensor(t2, -1)),
+         oracles.from_factors(t2, [m_inv, m_inv]) * _exp_tensor(t2, -1)),
     ]
     for got, want in cases:
         assert (got.terms, got.order) == (want.terms, want.order)
@@ -557,7 +557,7 @@ def test_underivable_antipode_trips_a_named_guard(gens, coproducts, counit,
 
 
 ORACLE_CASES = {
-    "usl2": fixtures.usl2_hopf,
+    "usl2": oracles.usl2_hopf,
     "uhsl2": fixtures.uhsl2_hopf,
     "grouplike": _grouplike_hopf,
     "spec-usl2": _spec_usl2_hopf,
@@ -631,7 +631,7 @@ def _wrong_table(table):
 
 
 CO_POISSON_CASES = {
-    "usl2": (fixtures.usl2_hopf, None),
+    "usl2": (oracles.usl2_hopf, None),
     "uhsl2": (fixtures.uhsl2_hopf, None),
     "spec-usl2": (_spec_usl2_hopf, None),
     "r2": (oracles.r2_hopf, None),
@@ -674,7 +674,7 @@ def test_co_poisson_lists_map_failures_and_classical_parts():
     # a coproduct that breaks rule H*F is reported first, as map:<name>
     bad = _shifted_coproduct_hopf()
     rep = check_co_poisson_compatibility(bad, semiclassical_cobracket(
-        fixtures.usl2_hopf()))
+        oracles.usl2_hopf()))
     assert rep.failures[0].startswith(
         "map:Delta-shift: rule H*F is not preserved")
     # Delta(y) = y (x) 1 + 1 (x) y + x (x) y is not cocommutative mod hbar
@@ -707,7 +707,7 @@ def test_fixtures_at_two_orders_side_by_side():
 
 def test_co_poisson_needs_the_hbar_window():
     from poisson_forge.errors import CapabilityError
-    hopf = fixtures.usl2_hopf(1)
+    hopf = oracles.usl2_hopf(1)
     with pytest.raises(CapabilityError) as info:
         check_co_poisson_compatibility(hopf, {g: {} for g in "EFH"})
     assert info.value.guard == "co-poisson.window"

@@ -20,7 +20,7 @@ N = fixtures.ORDER
 
 
 def test_usl2_normal_form_ef():
-    u = fixtures.usl2_presentation()
+    u = oracles.usl2_presentation()
     ef = u.gen("E") * u.gen("F")
     want = u.element([(1, ["F", "E"]), (1, ["H"])])
     assert ef == want
@@ -31,7 +31,7 @@ def test_fixture_rules_are_known_in_the_whole_window(order):
     # the hexp series divided by hbar are built one order further, so the
     # E*F rule of U_hbar(sl2), the c*b rule of the 3D algebra and the
     # momentum ideal generator H are known mod hbar^N, not hbar^(N - 1)
-    uq = fixtures.uhsl2_presentation(order)
+    uq = oracles.uhsl2_presentation(order)
     alg, h = oracles.su2_momentum_ideal_generator(
         oracles.su2_module_algebra(order))
     for pres in (uq, alg):
@@ -40,7 +40,7 @@ def test_fixture_rules_are_known_in_the_whole_window(order):
 
 
 def test_normal_form_identity_and_idempotent():
-    u = fixtures.usl2_presentation()
+    u = oracles.usl2_presentation()
     m = u.element([(1, ["F", "H", "E"])])
     assert u.one() * m == m
     assert u.normal_form(m) == m
@@ -67,7 +67,7 @@ def test_quantum_plane_inverse_cancellation():
 
 
 def test_commutators_uhsl2():
-    u = fixtures.uhsl2_presentation()
+    u = oracles.uhsl2_presentation()
     H, E, F = u.gen("H"), u.gen("E"), u.gen("F")
     assert H.commutator(E) == E * 2
     assert H.commutator(F) == F * (-2)
@@ -87,7 +87,7 @@ def test_q_number_classical_limit_is_H():
 
 
 def test_confluence_of_shipped_presentations():
-    for make in (fixtures.usl2_presentation, fixtures.uhsl2_presentation,
+    for make in (oracles.usl2_presentation, oracles.uhsl2_presentation,
                  oracles.quantum_plane_presentation,
                  oracles.case1_module_algebra, oracles.case2_module_algebra,
                  oracles.su2_module_algebra, oracles.su2_quantum_group):
@@ -97,7 +97,7 @@ def test_confluence_of_shipped_presentations():
 
 
 def test_jacobi_in_normal_form():
-    for make in (fixtures.usl2_presentation, fixtures.uhsl2_presentation,
+    for make in (oracles.usl2_presentation, oracles.uhsl2_presentation,
                  oracles.su2_module_algebra, oracles.case1_module_algebra,
                  oracles.case2_module_algebra,
                  oracles.quantum_plane_presentation,
@@ -112,7 +112,7 @@ def test_jacobi_in_normal_form():
 
 
 def test_normal_form_linear_over_series():
-    u = fixtures.uhsl2_presentation()
+    u = oracles.uhsl2_presentation()
     h = HSeries.hbar(N)
     x = u.element([(h, ["E", "F"]), (1, ["H"])])
     y = u.element([(1, ["E", "F"])])
@@ -179,7 +179,7 @@ def test_step_budget_applies_to_each_tensor_product(monkeypatch):
 
 
 def test_tensor_square_flip():
-    u = fixtures.usl2_presentation()
+    u = oracles.usl2_presentation()
     t2 = TensorAlgebra(u, 2)
     x = t2.element({(("E",), ("F",)): 1, (("H",), ()): 2})
     assert x.flip().flip() == x
@@ -189,7 +189,7 @@ def test_tensor_square_flip():
 
 
 def test_tensor_embed_product():
-    u = fixtures.usl2_presentation()
+    u = oracles.usl2_presentation()
     t2 = TensorAlgebra(u, 2)
     e1 = t2.embed(u.gen("E"), 0)
     f2 = t2.embed(u.gen("F"), 1)
@@ -198,7 +198,7 @@ def test_tensor_embed_product():
 
 
 def test_tensor_embed_places_each_slot_of_a_smaller_tensor():
-    u = fixtures.usl2_presentation()
+    u = oracles.usl2_presentation()
     t3 = TensorAlgebra(u, 3)
     r = TensorAlgebra(u, 2).element({(("E",), ("F",)): 2, ((), ("H",)): 1})
     assert t3.embed(r, 0, 2) == t3.element({(("E",), (), ("F",)): 2,
@@ -285,7 +285,7 @@ def test_powers_are_repeated_products_with_the_unit_of_their_space():
 
 
 def test_check_map_primitive_coproduct():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     assert check_map(hopf.coproduct).ok
 
 
@@ -296,7 +296,7 @@ def test_check_map_quantized_coproduct():
 
 
 def test_check_map_detects_bad_map():
-    u = fixtures.usl2_presentation()
+    u = oracles.usl2_presentation()
     bad = AlgebraMap(u, {"E": u.gen("E"), "F": u.gen("F"),
                          "H": u.gen("H") * 2}, name="bad")
     rep = check_map(bad)
@@ -318,7 +318,7 @@ def test_semiclassical_bracket_zero():
 
 
 def test_semiclassical_bracket_rejects_classical_part():
-    u = fixtures.usl2_presentation()
+    u = oracles.usl2_presentation()
     with pytest.raises(ValueError):
         semiclassical_bracket(u, "E", "F")  # [E,F] = H at hbar^0
 
@@ -480,7 +480,7 @@ def test_nondecreasing_rule_rejected():
 
 
 SHIPPED_PRESENTATIONS = (
-    fixtures.usl2_presentation, fixtures.uhsl2_presentation,
+    oracles.usl2_presentation, oracles.uhsl2_presentation,
     oracles.quantum_plane_presentation, oracles.case1_module_algebra,
     oracles.case2_module_algebra, oracles.su2_module_algebra,
     oracles.su2_quantum_group)

@@ -18,7 +18,7 @@ from poisson_forge import fixtures
 from poisson_forge.cli import main
 from poisson_forge.qmomentum import check_action_lie_hom
 from poisson_forge.scalars import HSeries, hexp
-from poisson_forge.specfile import Node
+from poisson_forge.specfile import Node, SpecFile
 
 import oracles
 
@@ -183,6 +183,19 @@ def test_malformed_quotient_relations_exit_2_naming_their_path(
     assert capsys.readouterr().err == "input error: %s\n" % message
 
 
+def test_a_relation_right_side_may_be_an_element_form(tmp_path):
+    # a right side other than {"quotient": ...} is an element, so it may
+    # use the forms: case 1's [xi, eta] = 0 written as 1 * 0
+    doc = _doc()
+    doc["actions"]["case1"]["relations"][0]["rhs"] = {"product": ["1", []]}
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(doc))
+    got = SpecFile.load(str(path), 6).quantum_action("case1")[1]
+    want = fixtures.paper_spec(6).quantum_action("case1")[1]
+    x, y = (e["relations"][("xi", "eta")] for e in (got, want))
+    assert (x.terms, x.order) == (y.terms, y.order) == ({}, 6)
+
+
 def _verdicts(argv, tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     if out.exists():
@@ -222,6 +235,87 @@ def test_case2_spec_run_reports_the_fixture_suites_oracle_relation(
         {"oracle_relation": "(-1)*eta + (hbar)*eta*eta"})
 
 
+def _structure(hopf):
+    """The rules of a Hopf structure's presentation and the images of its
+    Delta, eps and derived S, as flat terms with their windows."""
+    return [{key: (x.terms, x.order) for key, x in table.items()}
+            for table in (hopf.algebra.rules, hopf.coproduct.images,
+                          hopf.counit.images, hopf.antipode.images)]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_sl2_entries_are_the_closed_forms(order):
+    # U_hbar(sl2)'s [E, F] = (q^H - q^-H) / (q - q^-1) and Delta(E) = E (x)
+    # q^{H/2} + q^{-H/2} (x) E, written with series forms on the element H,
+    # are the closed forms in oracles: the rules, Delta, eps and the derived
+    # S term for term and in the same window (q^H has N terms at N)
+    spec = fixtures.paper_spec(order)
+    for name, closed in (("U(sl2)", oracles.usl2_hopf),
+                         ("U_hbar(sl2)", oracles.uhsl2_hopf)):
+        got, want = spec.hopf_structure(name), closed(order)
+        assert (got.algebra.name, got.algebra.gens) == (want.algebra.name,
+                                                        want.algebra.gens)
+        assert _structure(got) == _structure(want)
+
+
+def _records(argv, tmp_path, capsys):
+    """The JSON records of a run, by check id, without the id."""
+    out = tmp_path / "records.jsonl"
+    if out.exists():
+        out.unlink()
+    main(argv + ["--json", str(out)])
+    capsys.readouterr()
+    return {r.pop("check"): r for r in map(json.loads, open(out))}
+
+
+def test_uhsl2_spec_run_gives_the_fixture_suites_axiom_records(tmp_path,
+                                                             capsys):
+    spec = _records(["check-hopf", PAPER, "U_hbar(sl2)"], tmp_path, capsys)
+    shipped = _records(["check-hopf", "--fixtures"], tmp_path, capsys)
+    assert spec.pop("U_hbar(sl2)/confluence")["verdict"] == "pass"
+    assert spec == {"U_hbar(sl2)/%s" % key: shipped["uhsl2/%s" % key]
+                    for key in ("coassociativity", "counit", "antipode",
+                                "delta-hom")}
+
+
+DELTA_E = ("hopf_structures", "U_hbar(sl2)", "coproduct", "E", 0, "pair", 1,
+           "exp")
+EF_EXP = ("presentations", "U_hbar(sl2)", "rules", 2, "terms", "sum", 1,
+          "quotient", 0, "sum", 0, "exp")
+DELTA_E_AT = "hopf_structure 'U_hbar(sl2)' coproduct 'E' term 1 pair 2 exp"
+EF_AT = ("presentation 'U_hbar(sl2)' rule 3 sum 2 quotient 1 sum 1 exp")
+FEH = "['F', 'H', 'E']"
+
+
+@pytest.mark.parametrize("path, term, message", [
+    (DELTA_E, {"coeff": "1/8", "word": ["Z"]}, DELTA_E_AT + " word must be "
+     "a word (a list of generator names of %s), got ['Z']" % FEH),
+    (EF_EXP, {"coeff": "1/4", "word": ["H", "h"]}, EF_AT + " word must be "
+     "a word (a list of generator names of %s), got ['H', 'h']" % FEH),
+    (DELTA_E, {"coeff": ["1/8", "1"], "word": ["H"]}, DELTA_E_AT + " coeff "
+     'must be a scalar (a string "p/q+r/s*i" or an integer), got '
+     "['1/8', '1']"),
+    (EF_EXP, {"coeff": {"exp": "1"}, "word": ["H"]}, EF_AT + " coeff must "
+     'be a scalar (a string "p/q+r/s*i" or an integer), got {\'exp\': '
+     "'1'}"),
+    (DELTA_E, {"coeff": "1/8", "word": ["H"], "power": 2}, DELTA_E_AT
+     + " must be a term {coeff: scalar, word}, got {'coeff': '1/8', "
+     "'word': ['H'], 'power': 2}"),
+    (EF_EXP, {"word": ["H"]}, EF_AT + ": missing required key 'coeff'"),
+])
+def test_malformed_exp_terms_exit_2_naming_their_path(path, term, message,
+                                                     tmp_path, capsys):
+    doc = _doc()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = term
+    spec = tmp_path / "paper.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["check-hopf", str(spec), "U_hbar(sl2)"]) == 2
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
 def test_the_package_declares_and_finds_its_spec(tmp_path):
     # setuptools ships the file as package data, and fixtures finds it next
     # to its own module, wherever the package is installed
@@ -242,17 +336,22 @@ def test_the_package_declares_and_finds_its_spec(tmp_path):
     assert "2 checks: 2 pass" in run.stdout
 
 
-def test_only_the_action_commands_load_the_spec_reader():
-    # cli's docstring: a run imports only what its command uses
+def test_only_the_quantum_commands_load_the_spec_reader():
+    # cli's docstring: a run imports only what its command uses, and the
+    # quantum commands' structures are the shipped spec's
     script = """
 import contextlib, io, sys
 from poisson_forge.cli import main
+reader = {"json", "poisson_forge.specfile"}
 for argv in (["check-bialgebra"], ["poisson-group"], ["check-poisson"],
-             ["check-mm"], ["reduce"], ["check-hopf", "--order", "2"]):
+             ["check-mm"], ["reduce"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["--fixtures"]) == 0, argv
-    loaded = {"json", "poisson_forge.specfile"} & set(sys.modules)
+    loaded = reader & set(sys.modules)
     assert not loaded, (argv, loaded)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["check-hopf", "--fixtures", "--order", "2"]) == 0
+assert reader <= set(sys.modules)
 """
     run = subprocess.run([sys.executable, "-c", script],
                          env=dict(os.environ, PYTHONPATH=os.path.join(

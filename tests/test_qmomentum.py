@@ -374,7 +374,7 @@ def tensor_coproduct_extension(coproduct, presentation):
 
 
 def test_tensor_coproduct_nilpotency_primitive():
-    hopf = fixtures.usl2_hopf()
+    hopf = oracles.usl2_hopf()
     rep = tensor_coproduct_extension(hopf.coproduct, hopf.algebra)
     assert rep.ok, rep.failures
 
@@ -412,7 +412,8 @@ def test_tensor_nilpotency_certificate_matches_sweep(case):
     if case == "Delta-bad":
         cop, pres = _non_coassociative_coproduct()
     else:
-        hopf = getattr(fixtures, case + "_hopf")()
+        hopf = {"usl2": oracles.usl2_hopf,
+                "uhsl2": fixtures.uhsl2_hopf}[case]()
         cop, pres = hopf.coproduct, hopf.algebra
     cert = tensor_coproduct_extension(cop, pres)
     sweep = sweep_tensor_nilpotency(cop, pres, max_len=3)

@@ -2,8 +2,9 @@
 
 The sample spec's runs, three additions that reach the fields it leaves
 out (a commutator relation, a ``scale`` and a ``sum`` expression with an
-element written as terms, and a reduction by an ``algebra``), and the
-shipped spec's su2 action, whose coefficients are series forms, run in
+element written as terms, and a reduction by an ``algebra``), the shipped
+spec's su2 action, whose coefficients are series forms, and its
+U_hbar(sl2), whose [E, F] rule and coproduct are element forms, run in
 process while ``Node``'s readers are wrapped to record each field read as
 (section, field): ``x[]`` is an item of the list ``x`` and ``x{}`` a value
 of the object ``x``, and action expressions, elements and series forms,
@@ -91,19 +92,19 @@ def _fields_read(monkeypatch, runs):
         tag(out, section, "")
         return out
     monkeypatch.setattr(SpecFile, "_entry", tagged_entry)
-    for method, kind in (("action_expr", "expression"),
-                         ("nc_element", "element")):
-        def retag(self, pres, node, inner=getattr(SpecFile, method),
-                  kind=kind):
-            tag(node, kind, "")
-            return inner(self, pres, node)
-        monkeypatch.setattr(SpecFile, method, retag)
+    def expression(self, pres, node, inner=SpecFile.action_expr):
+        tag(node, "expression", "")
+        return inner(self, pres, node)
+    monkeypatch.setattr(SpecFile, "action_expr", expression)
 
-    def series(self, order, inner=Node.series):
-        if isinstance(self.value, dict):
+    def element(self, order, gens=None, inner=Node.element):
+        # one reader for both: an element on generators, a series on none
+        if gens is not None:
+            tag(self, "element", "")
+        elif isinstance(self.value, dict):
             tag(self, "series", "")
-        return inner(self, order)
-    monkeypatch.setattr(Node, "series", series)
+        return inner(self, order, gens)
+    monkeypatch.setattr(Node, "element", element)
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -125,5 +126,6 @@ def test_readme_table_lists_exactly_the_fields_read(monkeypatch, tmp_path):
     extended = _extended_spec(tmp_path)
     runs += [["check-action", extended, "qplane_action"],
              ["reduce", extended, "by_algebra"],
-             ["check-action", fixtures.PAPER_SPEC, "su2"]]
+             ["check-action", fixtures.PAPER_SPEC, "su2"],
+             ["check-hopf", fixtures.PAPER_SPEC, "U_hbar(sl2)"]]
     assert _fields_read(monkeypatch, runs) == _readme_fields()

@@ -2,7 +2,8 @@
 
 Each path of ``demos/sample_spec.json`` -- each section, entry, field and
 list item -- is deleted, and set to values of the wrong kind, one at a
-time.  One spec run that reads the mutated entry then runs in process at
+time; so is each path of the shipped spec's U(sl2) and U_hbar(sl2), whose
+elements use the series forms, under ``check-hopf``.  One spec run that reads the mutated entry then runs in process at
 ``--order 3`` (the runs that read an entry take turns, mutant by mutant).
 A malformed spec must exit 2 naming an entry that the run reads (or the
 mutated section), and a well-formed one 0, 1 or 3: never 4, the exit of an
@@ -16,7 +17,7 @@ import json
 import os
 import re
 
-from poisson_forge import cli
+from poisson_forge import cli, fixtures
 from poisson_forge.specfile import SpecFile
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "demos",
@@ -48,8 +49,8 @@ def _paths(value, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def _mutant(path, value):
-    doc = json.loads(TEXT)  # a fresh copy, faster than copy.deepcopy
+def _mutant(path, value, text=TEXT):
+    doc = json.loads(text)  # a fresh copy, faster than copy.deepcopy
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -123,4 +124,37 @@ def test_no_mutation_of_the_sample_spec_exits_four(monkeypatch, tmp_path):
                 " at %s:%s" % where[-1] if where
                 else ": " + err.strip()[-200:]))
     assert count > 3000
+    assert not failures, "\n".join(failures)
+
+
+# the shipped spec's U(sl2) and U_hbar(sl2), whose [E, F] rule and
+# coproduct write element forms (exp of a term, sum, product, quotient),
+# mutated the same way; each mutant document holds the two structures only
+PAPER = json.load(open(fixtures.PAPER_SPEC))
+SL2 = ("U(sl2)", "U_hbar(sl2)")
+SL2_DOC = {section: {n: PAPER[section][n] for n in SL2}
+           for section in ("presentations", "hopf_structures")}
+SL2_TEXT = json.dumps(SL2_DOC)
+
+
+def test_no_mutation_of_the_shipped_sl2_entries_exits_four(tmp_path):
+    noun = SpecFile.SECTIONS
+    path_file = tmp_path / "mutant.json"
+    failures, count = [], 0
+    for path in _paths(SL2_DOC):
+        if len(path) < 2:
+            continue
+        name = path[1]
+        read = {(noun[s], name) for s in SL2_DOC}
+        for value in VALUES:
+            count += 1
+            path_file.write_text(json.dumps(_mutant(path, value, SL2_TEXT)))
+            code, err = _run(["check-hopf", str(path_file), name])
+            if code in (0, 1, 3) or code == 2 and _names_one_of(err, read):
+                continue
+            failures.append("%s = %s: exits %d: %s" % (
+                "/".join(map(str, path)),
+                "<deleted>" if value is DELETE else json.dumps(value), code,
+                err.strip()[-200:]))
+    assert count > 1500
     assert not failures, "\n".join(failures)
