@@ -2,11 +2,12 @@
 
 Each command loads a JSON specification (or runs the shipped fixtures with
 --fixtures), runs the corresponding check suite and emits a human-readable
-summary plus optional JSON lines.  Exit codes: 0 all checks passed (a
-recorded paper-discrepancy does not fail the run), 1 at least one check
-failed, 2 malformed input (a ``SpecError`` naming the spec entry), 3 an
-internal capability guard tripped, 4 an internal error (any other
-exception, a ValueError too).
+summary plus optional JSON lines; a quantum command's checks are one
+function each for both (``suites.QUANTUM_CHECKS``).  Exit codes: 0 all
+checks passed (a recorded paper-discrepancy does not fail the run), 1 at
+least one check failed, 2 malformed input (a ``SpecError`` naming the spec
+entry), 3 an internal capability guard tripped, 4 an internal error (any
+other exception, a ValueError too).
 
 One fixed grammar serves every command (``parse_args``): up to four
 positionals, COMMAND [SPEC] [NAME] [EXTRA], and the options --order N,
@@ -135,19 +136,6 @@ def parse_args(argv):
     return args
 
 
-def _confluence(name, presentation, unchecked):
-    """The confluence record of ``presentation`` as a one-record result,
-    and whether it passed.  On a presentation that is not confluent normal
-    forms are not unique, so a certificate's fail or a witness found there
-    would not be conclusive: the record then notes that ``unchecked`` were
-    not checked, and the command reports the presentation instead."""
-    rep = presentation.check_confluence()
-    if not rep.ok:
-        rep.notes.append("%s not checked: presentation %s is not confluent"
-                         % (unchecked, presentation.name))
-    return [("%s/confluence" % name, rep)], rep.ok
-
-
 # the object names each command needs
 NAMES = {"check-bialgebra": "an object name",
          "poisson-group": "a group name and an r-matrix name",
@@ -162,6 +150,8 @@ def run_spec_command(command, spec, args):
     name = args.name
     if name is None or command == "poisson-group" and args.extra is None:
         raise SpecError("%s needs %s" % (command, NAMES[command]))
+    if command in suites.SPEC_RUNS:
+        return suites.spec_run(spec, command, name, args.degree)
     if command == "check-bialgebra":
         L, given = spec.bialgebra(name)
         return suites.bialgebra_suite(name, L, **given)
@@ -195,35 +185,6 @@ def run_spec_command(command, spec, args):
                     ("%s/structure-plain" % name, reports["plain"])]
         return [("%s/heisenberg" % name,
                  heisenberg_obstruction(mm["bivector"], mm["alpha"]))]
-    if command == "check-hopf":
-        from .hopf import check_all_axioms
-        hopf = spec.hopf_structure(name)
-        out, confluent = _confluence(name, hopf.algebra, "Hopf axioms")
-        if not confluent:
-            return out
-        reports = check_all_axioms(hopf)
-        return out + [("%s/%s" % (name, key), reports[key])
-                      for key in ("coassociativity", "counit", "antipode",
-                                  "delta-hom")]
-    if command == "check-action":
-        from .qmomentum import check_module_algebra, check_action_lie_hom
-        action, extras = spec.quantum_action(name)
-        out, confluent = _confluence(name, action.algebra,
-                                     "action identities")
-        if not confluent:
-            return out
-        degree = min(args.degree, extras["degree"])
-        gate = suites.group_gate(name, action.hopf, ["module-algebra"])
-        out += gate or [("%s/module-algebra" % name,
-                         check_module_algebra(action, degree))]
-        relations = extras["relations"]
-        if relations:
-            reports = check_action_lie_hom(action, relations, degree,
-                                           paper_claims=extras["claims"])
-            for pair in sorted(relations):
-                out.append(("%s/lie-hom-%s-%s" % ((name,) + pair),
-                            reports[pair]))
-        return out
     if command == "reduce":
         from .reduction import (
             check_ideal_poisson_closed, check_ideal_invariant,
@@ -238,26 +199,6 @@ def run_spec_command(command, spec, args):
         _, _, rep = sw_reduced_algebra(setup, basis)
         out.append(("%s/sw-reduced-algebra" % name, rep))
         return out
-    if command == "qreduce":
-        from .qmomentum import check_ideal_invariance, invariant_subalgebra
-        action, extras = spec.quantum_action(name)
-        out, confluent = _confluence(name, action.algebra,
-                                     "quantum reduction")
-        if not confluent:
-            return out
-        degree = min(args.degree, extras["degree"])
-        gate = suites.group_gate(name, action.hopf, ["invariant-subalgebra"])
-        # one completion serves both checks: the invariants are those of
-        # the action on A / J
-        quotient = action.algebra.quotient(extras["ideal"])
-        out += gate + [("%s/ideal-invariance" % name,
-                        check_ideal_invariance(action, extras["ideal"],
-                                               quotient))]
-        if not gate:
-            _, rep = invariant_subalgebra(action.on(quotient), degree=degree)
-            out.append(("%s/invariant-subalgebra" % name, rep))
-        return out
-    raise SpecError("unknown command %r" % command)
 
 
 def emit(results, json_out=None):

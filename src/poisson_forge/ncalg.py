@@ -52,7 +52,7 @@ import itertools
 from .errors import CapabilityError
 from .report import Report
 from .scalars import (
-    LinComb, ONE, ZERO, _SeriesComb, _accumulate, _flat, _product_terms,
+    ONE, ZERO, _SeriesComb, _accumulate, _flat, _product_terms,
 )
 
 _new = object.__new__
@@ -420,15 +420,12 @@ class Presentation:
         return _ncpoly(self, {}, self.order)
 
     def element(self, spec):
-        """Build an element from a name, an NCPoly, a scalar, or a list of
-        (coefficient, word-of-names) pairs."""
+        """Build an element from a name, an NCPoly or a scalar."""
         if isinstance(spec, NCPoly):
             return spec
         if isinstance(spec, str):
             return self.gen(spec)
-        if isinstance(spec, LinComb._SCALARS):
-            return self._element([((), spec)])
-        return self.normal_form(self._element((w, c) for c, w in spec))
+        return self._element([((), spec)])
 
     def word_name(self, word):
         return "*".join(self.gens[i] for i in word) if word else "1"

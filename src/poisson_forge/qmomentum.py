@@ -260,14 +260,14 @@ class QuantumAction:
         every normal word m of length < k, since Phi(g)(m) must lie in A.
         So a ValuationError on such an m is a conclusive fail, which names
         g, m and the coefficient.  This is the necessary half only: no
-        check here proves the divisions exact on longer words.  A
-        generator whose operator is known in an empty window is left to the
-        window guards of the checks that read it."""
+        check here proves the divisions exact on longer words.  T is known
+        mod hbar^k in window 0 too; an operator of a negative window is
+        left to the window guards of the checks that read it."""
         if self._division_failures is None:
             self._division_failures = []
             alg = self.algebra
             probes = ((name, op, w) for name, op in self.operators.items()
-                      if op.k and op.window >= 1
+                      if op.k and op.window >= 0
                       for w in alg.monomials_up_to(op.k - 1))
             for name, op, w in probes:
                 try:
@@ -674,8 +674,8 @@ def check_ideal_invariance(action, ideal_gens, quotient):
     ``ncgroebner.max_pairs`` when it cannot present A / J.  As a
     cross-check Phi(g)(s) is reduced on the quotient for each g and each s
     in ``ideal_gens``: a nonzero remainder is a conclusive fail with that
-    witness.  ``quotient`` is ``alg.quotient(ideal_gens)``, completed by
-    the caller, which passes the same quotient to ``invariant_subalgebra``.
+    witness.  ``quotient`` is ``alg.quotient(ideal_gens)`` (unread for no
+    generators), completed by the caller, which reuses it for invariants.
     """
     failures = action.division_failures()
     if failures:

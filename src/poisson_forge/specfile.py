@@ -2,14 +2,14 @@
 
 One JSON file declares named objects in sections (lie_algebras, r_matrices,
 cobrackets, charts, bivectors, matrix_groups, presentations,
-hopf_structures, actions, momentum_maps, reductions); cross-references are
-by name.  README's spec-format table gives each field's kind and default.
-The document is read only through ``Node``'s typed readers, which name the
-path of a malformed value, the kind expected and the value found; the
-resolvers add the checks across values (names resolve in their basis,
-generators or chart).  Resolvers import the layers above polynomials and
-Lie algebras where they build their objects, so a run loads only what its
-objects need.
+hopf_structures, actions, momentum_maps, reductions, fixtures: the record
+table of --fixtures); cross-references are by name.  README's spec-format
+table gives each field's kind and default.  The document is read only
+through ``Node``'s typed readers, which name the path of a malformed
+value, the kind expected and the value found; the resolvers add the checks
+across values (names resolve in their basis, generators or chart).
+Resolvers import the layers above polynomials and Lie algebras where they
+build their objects, so a run loads only what its objects need.
 """
 
 import functools
@@ -43,10 +43,7 @@ def _cached(section):
     def wrap(resolve):
         @functools.wraps(resolve)
         def cached(self, name):
-            key = (section, name)
-            if key not in self._cache:
-                self._cache[key] = resolve(self, name)
-            return self._cache[key]
+            return self.once((section, name), lambda: resolve(self, name))
         return cached
     return wrap
 
@@ -224,7 +221,7 @@ class Node:
         (``element``)."""
         return self.element(order)
 
-    def element(self, order, gens=None):
+    def element(self, order, gens=None, ideal=None):
         """This value mod hbar^order, exact: with ``gens``, a
         presentation's generator names, an element of the free algebra on
         them (``_Free``), a generator name, else a scalar string, or a list
@@ -232,16 +229,23 @@ class Node:
         or a list of them (a polynomial in hbar).  Either may be an object
         with one key, the same forms for both: ``exp`` (``_exp``), ``sum``
         and ``product`` of a nonempty list, and ``quotient`` [n, d] of a
-        series d (``_quotient``)."""
+        series d (``_quotient``).  With ``ideal``, an ideal's generators, an
+        element may also be {"ideal": k}, the k-th of them."""
+        forms = _FORMS if ideal is None else _FORMS + ("ideal",)
         if isinstance(self.value, dict) and len(self.value) == 1 \
-                and next(iter(self.value)) in _FORMS:
+                and next(iter(self.value)) in forms:
             key = next(iter(self.value))
             node = self.field(key)
             if key == "exp":
                 return node._exp(order, gens)
             if key == "quotient":
-                return node._quotient(order, gens)
-            terms = [t.element(order, gens) for t in node.items()]
+                return node._quotient(order, gens, ideal)
+            if key == "ideal":
+                j = ideal[node.expect(_is_int(node.value) and 0 < node.value
+                                      <= len(ideal), "the number of an ideal "
+                                      "generator, 1 to %d" % len(ideal)) - 1]
+                return _Free(j.terms, j.order)
+            terms = [t.element(order, gens, ideal) for t in node.items()]
             if not terms:
                 node.expect(False, "a nonempty list of %s" % (
                     "series" if gens is None else "elements"))
@@ -254,8 +258,8 @@ class Node:
             try:
                 gauss(self.value)
             except (ValueError, ZeroDivisionError):
-                raise self.error("%r is not a generator name of %s"
-                                 % (self.value, list(gens)))
+                self.expect(False, "a generator name of %s or a scalar"
+                            % list(gens))
         elif gens is not None:
             self.expect(isinstance(self.value, list), _ELEMENT)
             terms = [(t.field("coeff").series(order),
@@ -283,13 +287,13 @@ class Node:
         return _Free({(j, word * j): x for (j, _), x in s.terms.items()},
                      order) if word else s
 
-    def _quotient(self, order, gens):
+    def _quotient(self, order, gens, ideal=None):
         """n / d mod hbar^order for this pair [n, d]: n is evaluated mod
         hbar^(order + v) and divided by hbar^v, v the hbar-valuation of d
         (``denominator``); an n of valuation below v is refused."""
         num, den = self.pair()
         v, unit = den.denominator(order)
-        n = num.element(order + v, gens)
+        n = num.element(order + v, gens, ideal)
         if n.hbar_valuation() < v:
             raise self.error("the numerator has hbar-valuation %d, below the "
                              "denominator's %d" % (n.hbar_valuation(), v))
@@ -364,7 +368,8 @@ class SpecFile:
                 "bivectors": "bivector", "matrix_groups": "matrix_group",
                 "presentations": "presentation",
                 "hopf_structures": "hopf_structure", "actions": "action",
-                "momentum_maps": "momentum_map", "reductions": "reduction"}
+                "momentum_maps": "momentum_map", "reductions": "reduction",
+                "fixtures": "fixture"}
 
     def __init__(self, doc, order):
         unknown = ({k for k, _ in Node(doc, "top level").table()}
@@ -387,10 +392,16 @@ class SpecFile:
             raise SpecError("cannot read spec: %s" % exc)
         return SpecFile(doc, order)
 
+    def once(self, key, build):
+        """``build()``, computed once per SpecFile for ``key``."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def _section(self, section):
         return Node(self.doc.get(section, {}), section)
 
-    def _ref(self, entry, key, section):
+    def ref(self, entry, key, section):
         """The name in ``entry``'s field ``key``: an entry of ``section``."""
         node = entry.field(key)
         if node.name() not in self._section(section):
@@ -398,7 +409,8 @@ class SpecFile:
                              % (self.SECTIONS[section], node.value))
         return node.value
 
-    def _entry(self, section, name):
+    def entry(self, section, name):
+        """The node of the entry ``name`` of ``section``."""
         entries = self._section(section)
         if name not in entries:
             raise SpecError("no %s named %r" % (self.SECTIONS[section], name))
@@ -409,7 +421,7 @@ class SpecFile:
 
     @_cached("lie_algebras")
     def lie_algebra(self, name):
-        entry = self._entry("lie_algebras", name)
+        entry = self.entry("lie_algebras", name)
         basis = entry.field("basis").names()
         idx = {b: i for i, b in enumerate(basis)}
         brackets = {}
@@ -424,17 +436,17 @@ class SpecFile:
         return LieAlgebra(basis, brackets, validate=False)
 
     def r_matrix(self, name):
-        entry = self._entry("r_matrices", name)
-        L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
+        entry = self.entry("r_matrices", name)
+        L = self.lie_algebra(self.ref(entry, "algebra", "lie_algebras"))
         comps = {(L.index(x), L.index(y)): c.scalar() for (x, y), c in
                  entry.field("terms").pairs(L.basis_names, "basis")}
         return L, Tensor(L, 2, comps)
 
     def cobracket(self, name):
-        entry = self._entry("cobrackets", name)
-        L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
+        entry = self.entry("cobrackets", name)
+        L = self.lie_algebra(self.ref(entry, "algebra", "lie_algebras"))
         if "from_r" in entry:
-            _, r = self.r_matrix(self._ref(entry, "from_r", "r_matrices"))
+            _, r = self.r_matrix(self.ref(entry, "from_r", "r_matrices"))
             try:
                 return L, cobracket_from_r(L, r)
             except ValueError as exc:  # r's symmetric part not ad-invariant
@@ -462,7 +474,7 @@ class SpecFile:
 
     @_cached("charts")
     def chart(self, name):
-        entry = self._entry("charts", name)
+        entry = self.entry("charts", name)
         names = entry.field("variables").names()
         invertible = [x.name(names, "variable") for x in
                       entry.field("invertible", []).items()]
@@ -470,8 +482,8 @@ class SpecFile:
 
     def bivector(self, name):
         from .poisson import PolyBivector
-        entry = self._entry("bivectors", name)
-        chart = self.chart(self._ref(entry, "chart", "charts"))
+        entry = self.entry("bivectors", name)
+        chart = self.chart(self.ref(entry, "chart", "charts"))
         comps = {pair: text.poly(chart) for pair, text in
                  entry.field("components").pairs(chart.names, "variable",
                                                  antisymmetric=True)}
@@ -481,9 +493,9 @@ class SpecFile:
         """The model of a ``matrix_groups`` entry: n x n ``entries``, each
         chart variable once and scalars, and n x n scalar basis matrices."""
         from .matgroup import MatrixGroupModel
-        entry = self._entry("matrix_groups", name)
-        L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
-        chart = self.chart(self._ref(entry, "chart", "charts"))
+        entry = self.entry("matrix_groups", name)
+        L = self.lie_algebra(self.ref(entry, "algebra", "lie_algebras"))
+        chart = self.chart(self.ref(entry, "chart", "charts"))
         rows = entry.field("entries").items()
         square = "a list of %d lists of %d entries" % (len(rows), len(rows))
         cell = "a variable of %s or %s" % (list(chart.names), _SCALAR)
@@ -507,7 +519,7 @@ class SpecFile:
         eliminate = None
         if "eliminate" in entry:
             e = entry.field("eliminate")
-            target = self.chart(self._ref(e, "chart", "charts"))
+            target = self.chart(self.ref(e, "chart", "charts"))
             eliminate = (e.field("variable").name(chart.names, "variable"),
                          e.field("replacement").poly(target))
         try:
@@ -519,7 +531,7 @@ class SpecFile:
     @_cached("presentations")
     def presentation(self, name):
         from .ncalg import Presentation
-        entry = self._entry("presentations", name)
+        entry = self.entry("presentations", name)
         gens = entry.field("generators").names()
         inverses = {inv: base.name(gens, "generator") for inv, base in
                     entry.field("inverses", {}).table(gens, "generator")}
@@ -574,11 +586,11 @@ class SpecFile:
     def hopf_structure(self, name):
         from .hopf import HopfStructure
         from .ncalg import AlgebraMap
-        entry = self._entry("hopf_structures", name)
+        entry = self.entry("hopf_structures", name)
         if "antipode" in entry:
             raise entry.error("'antipode' is not an input: S is derived "
                               "from the coproduct and the counit")
-        pres = self.presentation(self._ref(entry, "algebra", "presentations"))
+        pres = self.presentation(self.ref(entry, "algebra", "presentations"))
         cop = AlgebraMap(pres, {g: self.tensor_element(pres, spec) for g, spec
                                 in self._images(entry, "coproduct", pres)},
                          name="Delta")
@@ -616,6 +628,7 @@ class SpecFile:
         return self.action_expr(pres, node.field("arg")) \
             .divide_by_hbar(node.field("k", 1).natural())
 
+    @_cached("actions")
     def quantum_action(self, name):
         """The action of an ``actions`` entry, whose group is the Hopf
         structure its ``hopf`` names, and its relations {pair: right side},
@@ -624,9 +637,9 @@ class SpecFile:
         operator Phi(e) d^-1: d's hbar-valuation v moves onto its shift and
         d / hbar^v is inverted (``Node.denominator``)."""
         from .qmomentum import QuantumAction
-        entry = self._entry("actions", name)
-        hopf = self.hopf_structure(self._ref(entry, "hopf", "hopf_structures"))
-        alg = self.presentation(self._ref(entry, "algebra", "presentations"))
+        entry = self.entry("actions", name)
+        hopf = self.hopf_structure(self.ref(entry, "hopf", "hopf_structures"))
+        alg = self.presentation(self.ref(entry, "algebra", "presentations"))
         operators = {g: self.action_expr(alg, spec) for g, spec in
                      self._images(entry, "generators", hopf.algebra,
                                   label="generator")}
@@ -656,13 +669,13 @@ class SpecFile:
             "degree": entry.field("degree", 2).natural()}
 
     def momentum_map(self, name):
-        entry = self._entry("momentum_maps", name)
+        entry = self.entry("momentum_maps", name)
         kind = entry.field("type", "classical").name(
             ("classical", "infinitesimal", "heisenberg"), "momentum map type")
-        pi = self.bivector(self._ref(entry, "bivector", "bivectors"))
+        pi = self.bivector(self.ref(entry, "bivector", "bivectors"))
         out = {"type": kind, "bivector": pi}
         if kind == "classical":
-            L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
+            L = self.lie_algebra(self.ref(entry, "algebra", "lie_algebras"))
             out.update(algebra=L, hamiltonians={
                 g: h.poly(pi.chart) for g, h in
                 entry.exactly("hamiltonians", L.basis_names, "basis")})
@@ -670,7 +683,7 @@ class SpecFile:
         from .poisson import one_form
         basis = ("xi", "eta", "zeta")
         if kind == "infinitesimal":
-            L, d = self.cobracket(self._ref(entry, "cobracket", "cobrackets"))
+            L, d = self.cobracket(self.ref(entry, "cobracket", "cobrackets"))
             out.update(algebra=L, cobracket=d)
             basis = L.basis_names
         out["alpha"] = {g: one_form(pi.chart, comps.components(pi.chart))
@@ -683,15 +696,15 @@ class SpecFile:
         carries the zero cobracket; the action names each basis element."""
         from .poisson import PolyVectorField
         from .reduction import ReductionSetup
-        entry = self._entry("reductions", name)
+        entry = self.entry("reductions", name)
         if ("cobracket" in entry) == ("algebra" in entry):
             raise entry.error("give exactly one of 'cobracket' and "
                               "'algebra'")
-        pi = self.bivector(self._ref(entry, "bivector", "bivectors"))
+        pi = self.bivector(self.ref(entry, "bivector", "bivectors"))
         if "cobracket" in entry:
-            L, d = self.cobracket(self._ref(entry, "cobracket", "cobrackets"))
+            L, d = self.cobracket(self.ref(entry, "cobracket", "cobrackets"))
         else:
-            L = self.lie_algebra(self._ref(entry, "algebra", "lie_algebras"))
+            L = self.lie_algebra(self.ref(entry, "algebra", "lie_algebras"))
             d = Cobracket(L, {})
         action = {g: PolyVectorField(pi.chart, comps.components(pi.chart))
                   for g, comps in entry.exactly("action", L.basis_names,

@@ -1,7 +1,10 @@
 """Composite check suites shared by the CLI and the acceptance tests.
 
 Each suite returns an ordered list of (check_id, Report); ordering is
-deterministic so report files are diff-able golden files.
+deterministic so report files are diff-able golden files.  The quantum
+commands' checks are one function each (``QUANTUM_CHECKS``), which a spec
+run (``spec_run``) and --fixtures (``run_fixture_suite``, on the record
+table in the shipped spec) both run through ``run_checks``.
 """
 
 import itertools
@@ -260,139 +263,180 @@ def momentum_fixture_suite():
     return out
 
 
-def hopf_fixture_suite(order):
-    from .hopf import (
-        check_all_axioms, semiclassical_cobracket,
-        check_co_poisson_compatibility, classical_limit_check,
-    )
-    out = []
-    spec = fixtures.paper_spec(order)
-    classical = spec.hopf_structure("U(sl2)")
-    reports = check_all_axioms(classical)
-    for key in ("coassociativity", "counit", "antipode", "delta-hom"):
-        out.append(("usl2/%s" % key, reports[key]))
-    quantum = spec.hopf_structure("U_hbar(sl2)")
-    reports = check_all_axioms(quantum)
-    for key in ("coassociativity", "counit", "antipode", "delta-hom"):
-        out.append(("uhsl2/%s" % key, reports[key]))
-    # [E,F] equals the q-number expansion from the scalar oracle
-    pres = quantum.algebra
-    want = pres.normal_form(fixtures.q_number_terms(order=order))
+# -- the quantum checks: one function each, of (spec, entry name, record node
+# with the check's parameters, degree of its witness search or invariants)
+
+def _axiom(check):
+    def run(spec, name, record, degree):
+        from .hopf import check_all_axioms
+        return spec.once(("axioms", name), lambda: check_all_axioms(
+            spec.hopf_structure(name)))[check]
+    return run
+
+
+def _ef_commutator(spec, name, record, degree):
+    """[E, F] against the scalar layer's q-number expansion."""
+    pres = spec.hopf_structure(name).algebra
     got = pres.gen("E").commutator(pres.gen("F"))
-    out.append(("uhsl2/ef-commutator",
-                Report.from_failures(
-                    "ef-commutator",
-                    [] if (got - want).is_zero() else
-                    ["[E,F] = %r != q-number expansion" % got])))
-    table = semiclassical_cobracket(quantum)
-    e, h = pres.index("E"), pres.index("H")
-    want_e = {((e,), (h,)): gauss("1/4"), ((h,), (e,)): gauss("-1/4")}
-    out.append(("uhsl2/semiclassical-cobracket",
-                Report.from_failures(
-                    "semiclassical-cobracket",
-                    [] if table["E"] == want_e else
-                    ["delta(E) = %s" % table["E"]],
-                    notes=["(1/4)E^H in the (x)-(x) convention = the "
-                           "published (1/2)E^H in the half-wedge convention"])))
-    out.append(("uhsl2/co-poisson",
-                check_co_poisson_compatibility(quantum, table)))
-    out.append(("uhsl2/classical-limit",
-                classical_limit_check(quantum, classical)))
-    return out
+    want = pres.normal_form(fixtures.q_number_terms(order=spec.order))
+    return Report.from_failures("ef-commutator", [] if (got - want).is_zero()
+                                else ["[E,F] = %r != q-number expansion"
+                                      % got])
 
 
-def group_gate(name, hopf, skipped):
-    """The certificate an action's checks on Delta and eps rest on
-    (``HopfStructure.certificate``) as records: a group that passes adds no
-    record; one that fails gives the one fail record ``<name>/group-hopf``,
-    naming the ambiguities or the failing axioms, and a note that the checks
-    ``skipped`` are not run."""
-    rep = hopf.certificate()
-    if rep.ok:
-        return []
-    notes = list(rep.notes)
-    if skipped:
-        notes.append("%s not checked: the group %s is not a certified Hopf "
-                     "algebra" % (" and ".join(skipped), hopf.algebra.name))
-    return [("%s/group-hopf" % name,
-             Report(rep.check, rep.verdict, rep.failures, notes))]
+def _delta(spec, name):
+    from .hopf import semiclassical_cobracket
+    return spec.once(("delta", name), lambda: semiclassical_cobracket(
+        spec.hopf_structure(name)))
 
 
-def _gated(name, hopf, checks):
-    """The group gate and, when it passes, the record ``<name>/<check>`` of
-    each check of ``checks`` {check: run}, in order."""
-    return group_gate(name, hopf, list(checks)) or [
-        ("%s/%s" % (name, check), run()) for check, run in checks.items()]
-
-
-def _module_algebra(act, degree):
-    from .qmomentum import check_module_algebra
-    return {"module-algebra": lambda: check_module_algebra(act, degree)}
-
-
-def _invariant_subalgebra(act):
-    """Case 3's invariants to degree 2, which check-action and qreduce
-    both check."""
-    from .qmomentum import invariant_subalgebra
-    return {"invariant-subalgebra": lambda: invariant_subalgebra(act, 2)[1]}
-
-
-def _ideal_invariance(act, ideal):
-    """su2's record of <H>, which check-action and qreduce both give."""
-    from .qmomentum import check_ideal_invariance
-    return ("su2-3d/ideal-invariance",
-            check_ideal_invariance(act, ideal, act.algebra.quotient(ideal)))
-
-
-def quantum_action_fixture_suite(degree, order):
-    """The actions of the shipped spec, from one reader, so cases 2 and 3
-    share the free U_hbar(R2), built and certified once."""
-    from .qmomentum import check_action_lie_hom
-    from .scalars import hexp
-    spec = fixtures.paper_spec(order)
-    # case 1
-    act, extras = spec.quantum_action("case1")
-    out = _gated("case1", act.hopf, _module_algebra(act, degree))
-    reports = check_action_lie_hom(act, extras["relations"], degree)
-    out.append(("case1/lie-hom", reports[("xi", "eta")]))
-    # case 2: paper discrepancy surfaced with the oracle relation
-    act, extras = spec.quantum_action("case2")
-    out += _gated("case2", act.hopf, _module_algebra(act, degree))
-    reports = check_action_lie_hom(act, extras["relations"], degree,
-                                   paper_claims=extras["claims"])
-    out.append(("case2/lie-hom-vs-paper", reports[("xi", "eta")]))
-    # case 3
-    act = spec.quantum_action("case3")[0]
-    out += _gated("case3", act.hopf, {**_module_algebra(act, degree),
-                                      **_invariant_subalgebra(act)})
-    # 3D
-    act, extras = spec.quantum_action("su2")
-    out += _gated("su2-3d", act.hopf, _module_algebra(act, degree))
-    reports = check_action_lie_hom(act, extras["relations"], degree)
-    out.append(("su2-3d/commutator-relation", reports[("xi", "eta")]))
-    (H,) = extras["ideal"]
+def _semiclassical_cobracket(spec, name, record, degree):
+    """delta(g) against the record's ``expected`` terms, with its note."""
+    gens, table = spec.hopf_structure(name).algebra.gens, _delta(spec, name)
     failures = []
-    a, ainv, b, c = (act.algebra.gen(g) for g in ("a", "a_inv", "b", "c"))
-    factor = 1 - hexp(2, order)
-    if not (ainv * H * a - H).is_zero():
-        failures.append("a^-1 H a != H")
-    if not (b.commutator(H) + H * b * factor).is_zero():
-        failures.append("[b,H] != -(1-e^{2hbar}) H b")
-    if not (c.commutator(H) - c * H * factor).is_zero():
-        failures.append("[c,H] != c (1-e^{2hbar}) H")
-    out.append(("su2-3d/ideal-relations",
-                Report.from_failures("ideal-relations", failures)))
-    return out + [_ideal_invariance(act, extras["ideal"])]
+    for g, terms in record.field("expected").table(gens, "generator"):
+        want = {tuple(w.word(gens) for w in t.field("pair").pair()):
+                t.field("coeff").scalar() for t in terms.items("term")}
+        if table[g] != want:
+            failures.append("delta(%s) = %s" % (g, table[g]))
+    return Report.from_failures("semiclassical-cobracket", failures, [
+        record.field("note").name()] if "note" in record else [])
 
 
-def quantum_reduction_fixture_suite(order):
-    """su2's ideal <H> and case 3's invariants, from the shipped spec."""
-    spec = fixtures.paper_spec(order)
-    act, extras = spec.quantum_action("su2")
-    out = group_gate("su2-3d", act.hopf, []) \
-        + [_ideal_invariance(act, extras["ideal"])]
-    act = spec.quantum_action("case3")[0]
-    return out + _gated("case3", act.hopf, _invariant_subalgebra(act))
+def _co_poisson(spec, name, record, degree):
+    from .hopf import check_co_poisson_compatibility
+    return check_co_poisson_compatibility(spec.hopf_structure(name),
+                                          _delta(spec, name))
+
+
+def _classical_limit(spec, name, record, degree):
+    from .hopf import classical_limit_check
+    classical = spec.ref(record, "classical", "hopf_structures")
+    return classical_limit_check(spec.hopf_structure(name),
+                                 spec.hopf_structure(classical))
+
+
+def _module_algebra(spec, name, record, degree):
+    from .qmomentum import check_module_algebra
+    return check_module_algebra(spec.quantum_action(name)[0], degree)
+
+
+def _lie_hom(spec, name, record, degree):
+    """The record's ``pair``, checked with all the action's relations."""
+    from .qmomentum import check_action_lie_hom
+    action, extras = spec.quantum_action(name)
+    pair = record.field("pair").name_pair(action.group.gens)
+    if pair not in extras["relations"]:
+        raise record.error("action %r has no relation on %s" % (name, pair))
+    return spec.once(("lie-hom", name, degree), lambda: check_action_lie_hom(
+        action, extras["relations"], degree,
+        paper_claims=extras["claims"]))[pair]
+
+
+def _ideal_relations(spec, name, record, degree):
+    """Each lhs = rhs of the action's ``ideal_relations``."""
+    action, extras = spec.quantum_action(name)
+    alg, failures = action.algebra, []
+    for k, rel in enumerate(spec.entry("actions", name).field(
+            "ideal_relations", [], label="ideal relation").items(), 1):
+        lhs, rhs = (rel.field(s).element(spec.order, alg.gens, extras["ideal"])
+                    for s in ("lhs", "rhs"))
+        defect = alg.normal_form(lhs - rhs)
+        if not defect.is_zero():
+            failures.append("ideal relation %d: lhs - rhs = %r" % (k, defect))
+    return Report.from_failures("ideal-relations", failures)
+
+
+def _quotient(spec, name):
+    """A / J, J the action's ideal, completed once per run; A if J is 0."""
+    action, extras = spec.quantum_action(name)
+    return spec.once(("quotient", name), lambda: action.algebra.quotient(
+        extras["ideal"])) if extras["ideal"] else action.algebra
+
+
+def _ideal_invariance(spec, name, record, degree):
+    from .qmomentum import check_ideal_invariance
+    action, extras = spec.quantum_action(name)
+    return check_ideal_invariance(action, extras["ideal"],
+                                  _quotient(spec, name))
+
+
+def _invariant_subalgebra(spec, name, record, degree):
+    from .qmomentum import invariant_subalgebra
+    action, extras = spec.quantum_action(name)
+    return invariant_subalgebra(action.on(_quotient(spec, name))
+                                if extras["ideal"] else action, degree)[1]
+
+
+# the checks that read the acting group's Delta and eps
+GATED = ("module-algebra", "invariant-subalgebra")
+# a spec run: what a failing confluence record stops, and the checks
+SPEC_RUNS = {
+    "check-hopf": ("Hopf axioms", ("coassociativity", "counit", "antipode",
+                                   "delta-hom")),
+    "check-action": ("action identities", ("module-algebra", "lie-hom")),
+    "qreduce": ("quantum reduction",
+                ("ideal-invariance", "invariant-subalgebra"))}
+# each quantum command's checks, {check: its one function}
+QUANTUM_CHECKS = {
+    "check-hopf": {**{a: _axiom(a) for a in SPEC_RUNS["check-hopf"][1]},
+                   "ef-commutator": _ef_commutator,
+                   "semiclassical-cobracket": _semiclassical_cobracket,
+                   "co-poisson": _co_poisson,
+                   "classical-limit": _classical_limit},
+    "check-action": {"module-algebra": _module_algebra, "lie-hom": _lie_hom,
+                     "ideal-relations": _ideal_relations,
+                     "ideal-invariance": _ideal_invariance,
+                     "invariant-subalgebra": _invariant_subalgebra}}
+QUANTUM_CHECKS["qreduce"] = QUANTUM_CHECKS["check-action"]
+
+
+def run_checks(spec, command, name, records, degree):
+    """The (id, Report) of each of ``records`` (id, check, record node) on
+    the entry ``name``, at ``degree`` or the record's own.  A failing group
+    certificate of an action comes first, as ``P/group-hopf`` for the prefix
+    P of the first id, and the GATED checks are then not run."""
+    out, skipped = [], [c for _, c, _ in records if c in GATED]
+    hopf = command != "check-hopf" and spec.quantum_action(name)[0].hopf
+    if hopf and not hopf.certificate().ok:
+        rep = hopf.certificate()
+        notes = list(rep.notes)
+        if skipped:
+            notes.append("%s not checked: the group %s is not a certified "
+                         "Hopf algebra" % (" and ".join(skipped),
+                                           hopf.algebra.name))
+        out = [("%s/group-hopf" % records[0][0].rpartition("/")[0],
+                Report(rep.check, rep.verdict, rep.failures, notes))]
+    return out + [
+        (rid, QUANTUM_CHECKS[command][check](
+            spec, name, record, record.field("degree", degree).natural()))
+        for rid, check, record in records if not (out and check in GATED)]
+
+
+def spec_run(spec, command, name, degree):
+    """A spec run on the entry ``name``: NAME/confluence, which stops it when
+    it fails (normal forms are then not unique, so no fail would be
+    conclusive), then NAME/<check> for each check of SPEC_RUNS (lie-hom once
+    per relation, NAME/lie-hom-X-Y), at ``degree`` capped by an action's."""
+    from .specfile import Node
+    unchecked, checks = SPEC_RUNS[command]
+    if command == "check-hopf":
+        algebra, relations = spec.hopf_structure(name).algebra, {}
+    else:
+        action, extras = spec.quantum_action(name)
+        algebra, degree = action.algebra, min(degree, extras["degree"])
+        relations = extras["relations"] if "lie-hom" in checks else {}
+    rep = algebra.check_confluence()
+    if not rep.ok:
+        rep.notes.append("%s not checked: presentation %s is not confluent"
+                         % (unchecked, algebra.name))
+        return [("%s/confluence" % name, rep)]
+    records = [("%s/%s" % (name, c), c, Node({}, name)) for c in checks
+               if c != "lie-hom"] + [
+        ("%s/lie-hom-%s-%s" % ((name,) + pair), "lie-hom",
+         Node({"pair": list(pair)}, name)) for pair in sorted(relations)]
+    return [("%s/confluence" % name, rep)] + run_checks(
+        spec, command, name, records, degree)
 
 
 def reduction_fixture_suite():
@@ -444,12 +488,16 @@ def run_fixture_suite(command, degree, order):
             + maurer_cartan_fixture_suite()
     if command == "check-mm":
         return momentum_fixture_suite()
-    if command == "check-hopf":
-        return hopf_fixture_suite(order)
-    if command == "check-action":
-        return quantum_action_fixture_suite(degree, order)
+    if command in QUANTUM_CHECKS:
+        spec, out = fixtures.paper_spec(order), []
+        section = "hopf_structures" if command == "check-hopf" else "actions"
+        table = [(r.field("id").name(), spec.ref(r, "entry", section),
+                  r.field("check").name(QUANTUM_CHECKS[command], "check"), r)
+                 for r in spec.entry("fixtures", command).items("record")]
+        for name, group in itertools.groupby(table, key=lambda r: r[1]):
+            out += run_checks(spec, command, name,
+                              [(i, c, r) for i, _, c, r in group], degree)
+        return out
     if command == "reduce":
         return reduction_fixture_suite()
-    if command == "qreduce":
-        return quantum_reduction_fixture_suite(order)
     raise ValueError("no fixture suite for %r" % command)

@@ -97,6 +97,13 @@ from poisson_forge.scalars import (
 )
 
 
+def element_of(pres, pairs):
+    """The element sum c w of (coefficient, word) ``pairs`` on ``pres``, in
+    normal form: a word is a list of generator names, or one name."""
+    return sum((pres.normal_form({w if isinstance(w, str) else tuple(w): c})
+                for c, w in pairs), pres.zero())
+
+
 def apply_in_slot_per_term(amap, element, slot, out_algebra):
     """``element`` with the word in one slot of each term replaced by its
     image under ``amap`` (a tensor square, an element or a series), one
@@ -1472,7 +1479,7 @@ def su2_momentum_ideal_generator(alg):
     a^-1 H a = H, [b,H] = -(1-e^{2hbar}) H b and [c,H] = c (1-e^{2hbar}) H
     simultaneously (and it does so exactly)."""
     spec = paper_spec(alg.order)
-    (h,) = spec._entry("actions", "su2").field("ideal").items()
+    (h,) = spec.entry("actions", "su2").field("ideal").items()
     return alg, spec.nc_element(alg, h)
 
 

@@ -117,7 +117,7 @@ def test_criterion_4_momentum_map_suite():
 
 def test_criterion_5_hopf_suite():
     def run():
-        results = suites.hopf_fixture_suite(fixtures.ORDER)
+        results = suites.run_fixture_suite("check-hopf", 3, fixtures.ORDER)
         for check_id, rep in results:
             assert rep.ok, (check_id, rep.failures)
         ids = [c for c, _ in results]
@@ -165,7 +165,8 @@ def test_criterion_7_discrepancy_surfacing():
         from poisson_forge.qmomentum import check_action_lie_hom
         act = oracles.case_action(2)
         h = HSeries.hbar(N)
-        paper_rhs = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
+        paper_rhs = oracles.element_of(act.group,
+                                       [(3, ["eta"]), (-h, ["eta", "eta"])])
         runs = []
         for _ in range(2):
             reports = check_action_lie_hom(

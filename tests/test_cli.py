@@ -391,8 +391,8 @@ def test_spec_element_name_must_be_a_generator(path, argv, gens, where,
                                                tmp_path, capsys):
     spec = edited_spec(tmp_path, path, "zz")
     assert run([argv[0], spec, argv[1]]) == 2
-    assert ("input error: %s: 'zz' is not a generator name of %s"
-            % (where, gens)) in capsys.readouterr().err
+    assert ("input error: %s must be a generator name of %s or a scalar, "
+            "got 'zz'" % (where, gens)) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path, value, gens, where", [

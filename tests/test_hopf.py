@@ -205,7 +205,8 @@ def test_hopf_suite_exact_at_other_truncation_orders():
     # not tuned to the default: all axioms pass at N = 4 and N = 5 too
     from poisson_forge import suites
     for order in (4, 5):
-        for check_id, rep in suites.hopf_fixture_suite(order):
+        for check_id, rep in suites.run_fixture_suite("check-hopf", 3,
+                                                      order):
             assert rep.ok, (order, check_id, rep.failures)
 
 
@@ -429,8 +430,8 @@ def _r2_antipode(pres):
     # S(eta) = -eta (1 - hbar eta)^-1 and S(xi) = -(1 - hbar eta)^-1 xi,
     # (1 - hbar eta)^-1 = sum hbar^k eta^k mod hbar^N
     n = pres.order
-    geometric = pres.element([(HSeries([0] * k + [1], n), ["eta"] * k)
-                              for k in range(n)])
+    geometric = oracles.element_of(pres, [(HSeries([0] * k + [1], n),
+                                           ["eta"] * k) for k in range(n)])
     return {"xi": -(geometric * pres.gen("xi")),
             "eta": -(pres.gen("eta") * geometric)}
 
@@ -448,9 +449,9 @@ def _twisted_antipode(pres):
     n = pres.order
 
     def exp_product(sign):
-        return pres.element([(HSeries([0] * k + [Fraction(sign ** k,
-                                                          factorial(k))], n),
-                              ["x"] * k + ["y"] * k) for k in range(n)])
+        return oracles.element_of(pres, [
+            (HSeries([0] * k + [Fraction(sign ** k, factorial(k))], n),
+             ["x"] * k + ["y"] * k) for k in range(n)])
 
     return {"x": -pres.gen("x"), "y": -pres.gen("y"),
             "m": pres.gen("m_inv") * exp_product(1),
@@ -692,7 +693,8 @@ def test_hopf_suite_runs_no_monomial_sweep(monkeypatch):
         raise AssertionError("monomial sweep in the Hopf suite")
 
     monkeypatch.setattr(Presentation, "monomials_up_to", no_sweep)
-    assert all(rep.ok for _, rep in suites.hopf_fixture_suite(N))
+    assert all(rep.ok for _, rep in
+               suites.run_fixture_suite("check-hopf", 3, N))
 
 
 def test_fixtures_at_two_orders_side_by_side():

@@ -22,7 +22,7 @@ N = fixtures.ORDER
 def test_usl2_normal_form_ef():
     u = oracles.usl2_presentation()
     ef = u.gen("E") * u.gen("F")
-    want = u.element([(1, ["F", "E"]), (1, ["H"])])
+    want = oracles.element_of(u, [(1, ["F", "E"]), (1, ["H"])])
     assert ef == want
 
 
@@ -41,7 +41,7 @@ def test_fixture_rules_are_known_in_the_whole_window(order):
 
 def test_normal_form_identity_and_idempotent():
     u = oracles.usl2_presentation()
-    m = u.element([(1, ["F", "H", "E"])])
+    m = oracles.element_of(u, [(1, ["F", "H", "E"])])
     assert u.one() * m == m
     assert u.normal_form(m) == m
 
@@ -73,8 +73,7 @@ def test_commutators_uhsl2():
     assert H.commutator(F) == F * (-2)
     assert E.commutator(E).is_zero()
     # [E, F] equals the q-number expansion computed by the scalar oracle
-    want = u.element(
-        [(c, w) for w, c in fixtures.q_number_terms().items()])
+    want = u.normal_form(fixtures.q_number_terms())
     assert E.commutator(F) == want
 
 
@@ -114,8 +113,8 @@ def test_jacobi_in_normal_form():
 def test_normal_form_linear_over_series():
     u = oracles.uhsl2_presentation()
     h = HSeries.hbar(N)
-    x = u.element([(h, ["E", "F"]), (1, ["H"])])
-    y = u.element([(1, ["E", "F"])])
+    x = oracles.element_of(u, [(h, ["E", "F"]), (1, ["H"])])
+    y = oracles.element_of(u, [(1, ["E", "F"])])
     assert x + y * (-h) == u.gen("H")
 
 
@@ -211,8 +210,9 @@ def _units(alg, words):
     """Units c w + O(hbar) of ``alg``: each word of invertible letters
     (names) with a scalar and an hbar tail."""
     hbar = HSeries.hbar(alg.order)
-    tail = alg.element([(1, w) for w in alg.gens if w not in alg.inverses])
-    return [alg.element([(c, word)]) + tail * hbar ** j
+    tail = oracles.element_of(alg, [(1, w) for w in alg.gens
+                                    if w not in alg.inverses])
+    return [oracles.element_of(alg, [(c, word)]) + tail * hbar ** j
             for word, c, j in zip(words, ("1", "-3", "1/2+i", "2"),
                                   (1, 1, 2, 3))]
 
@@ -418,7 +418,7 @@ def test_case2_derived_commutators():
     c2 = oracles.case2_module_algebra()
     a, ainv, b = c2.gen("a"), c2.gen("a_inv"), c2.gen("b")
     h = HSeries.hbar(N)
-    assert a.commutator(b) == c2.element([(-h, [])])
+    assert a.commutator(b) == oracles.element_of(c2, [(-h, [])])
     # [b, a^-1] = -hbar a^-2
     assert b.commutator(ainv) == NCPoly.from_series(c2, {(0, 0): -h})
 
@@ -441,7 +441,8 @@ def test_division_by_hbar_lowers_the_window():
     pres = oracles.quantum_plane_presentation(6)
     t2 = TensorAlgebra(pres, 2)
     h = HSeries.hbar(6)
-    x = pres.element([(h * h, ["a"]), (HSeries([0, 0, 0, 4], 6), ["b"])])
+    x = oracles.element_of(pres, [(h * h, ["a"]),
+                                  (HSeries([0, 0, 0, 4], 6), ["b"])])
     for k in range(3):
         y = x.divide_by_hbar(k)
         assert y.order == 6 - k
@@ -461,7 +462,8 @@ def test_elements_coerce_scalars_into_their_presentation_window():
     a = pres.gen("a")
     t2 = TensorAlgebra(pres, 2)
     for x in (a, a * 2, a + 1, pres.element(3),
-              pres.element([(1, ["a", "b"])]), t2.one(), t2.one() * 2,
+              oracles.element_of(pres, [(1, ["a", "b"])]), t2.one(),
+              t2.one() * 2,
               t2.element({(("a",), ()): 1}) - 1):
         assert x.order == 4
     assert pres.zero().hbar_valuation() == t2.element({}).hbar_valuation() == 4

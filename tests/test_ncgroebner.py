@@ -64,8 +64,8 @@ def test_nonunit_lead_printed_sign_momentum_generator():
     # <H> meet hbar * (unit lead) in its completion
     alg = oracles.su2_module_algebra()
     coef = hexp(1, N) * (1 - hexp(2, N)).divide_by_hbar() ** 2
-    printed = alg.element([(1, ["a_inv", "a_inv"])]) \
-        - alg.element([(coef, ["c", "b"])])
+    printed = oracles.element_of(alg, [(1, ["a_inv", "a_inv"])]) \
+        - oracles.element_of(alg, [(coef, ["c", "b"])])
     with pytest.raises(CapabilityError) as exc:
         alg.quotient([printed])
     assert exc.value.guard == "ncgroebner.nonunit_lead"

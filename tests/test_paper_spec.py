@@ -4,6 +4,9 @@ quotient right side against its closed form in ``oracles``, case 2's paper
 claim and the relation derived for it), its runs as a spec against the
 ``--fixtures`` suites, and how the package finds it."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import shutil
@@ -14,7 +17,7 @@ import tomllib
 import pytest
 
 import poisson_forge
-from poisson_forge import fixtures
+from poisson_forge import fixtures, suites
 from poisson_forge.cli import main
 from poisson_forge.qmomentum import check_action_lie_hom
 from poisson_forge.scalars import HSeries, hexp
@@ -161,8 +164,8 @@ SINH = {"sum": [{"exp": "-1"}, {"product": ["-1", {"exp": "1"}]}]}
 
 
 @pytest.mark.parametrize("rhs, message", [
-    ({"quotient": ["a", SINH]}, RHS + " quotient 1: 'a' is not a generator "
-     "name of ['xi', 'eta', 'zeta', 'zeta_inv']"),
+    ({"quotient": ["a", SINH]}, RHS + " quotient 1 must be a generator "
+     "name of ['xi', 'eta', 'zeta', 'zeta_inv'] or a scalar, got 'a'"),
     ({"quotient": [ZETAS, {"log": "2"}]},
      RHS + " quotient 2 " + SERIES + "{'log': '2'}"),
     ({"quotient": [ZETAS, {"sum": [{"exp": "1"}, {"product": [
@@ -206,19 +209,49 @@ def _verdicts(argv, tmp_path, capsys):
             for r in map(json.loads, open(out))}
 
 
-@pytest.mark.parametrize("command, name, spec_check, fixture_check", [
-    ("check-action", "su2", "su2/module-algebra", "su2-3d/module-algebra"),
-    ("check-action", "su2", "su2/lie-hom-xi-eta",
-     "su2-3d/commutator-relation"),
-    ("check-action", "case3", "case3/module-algebra", "case3/module-algebra"),
-    ("qreduce", "su2", "su2/ideal-invariance", "su2-3d/ideal-invariance"),
-])
-def test_spec_runs_agree_with_the_fixture_suites(command, name, spec_check,
-                                                 fixture_check, tmp_path,
-                                                 capsys):
-    spec = _verdicts([command, PAPER, name], tmp_path, capsys)
-    shipped = _verdicts([command, "--fixtures"], tmp_path, capsys)
-    assert spec[spec_check] == shipped[fixture_check] == ("pass", [], {})
+@pytest.fixture(scope="module")
+def records_of(tmp_path_factory):
+    """The JSON records of a run by check id, without the id; each run is
+    made once per module."""
+    out = tmp_path_factory.mktemp("runs") / "records.jsonl"
+
+    @functools.cache
+    def run(*argv):
+        if out.exists():
+            out.unlink()
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(list(argv) + ["--json", str(out)])
+        return {r.pop("check"): r for r in map(json.loads, open(out))}
+    return run
+
+
+# the command whose spec run gives each check, and the records of the
+# shipped table whose check one does
+SPEC_COMMAND = {check: command
+                for command, (_, checks) in suites.SPEC_RUNS.items()
+                for check in checks}
+SHARED = [(command, record)
+          for command, table in _doc()["fixtures"].items()
+          for record in table if record["check"] in SPEC_COMMAND]
+
+
+@pytest.mark.parametrize("command, record", SHARED, ids=[
+    "%s-%s" % (command, record["id"]) for command, record in SHARED])
+def test_spec_runs_agree_with_the_record_table(command, record, records_of):
+    # one function per check: the spec run on the record's entry gives the
+    # same verdict and data as --fixtures at either degree, and the same
+    # record at --degree 2, the degree of the spec run (each shipped
+    # action's own degree)
+    check, entry = record["check"], record["entry"]
+    spec_id = "%s/%s" % (entry, check) if check != "lie-hom" else \
+        "%s/lie-hom-%s-%s" % (entry, *record["pair"])
+    spec = records_of(SPEC_COMMAND[check], PAPER, entry)[spec_id]
+    for degree in ("3", "2"):
+        shipped = records_of(command, "--fixtures", "--degree",
+                             degree)[record["id"]]
+        assert (shipped["verdict"], shipped["data"]) == (spec["verdict"],
+                                                         spec["data"])
+    assert shipped == spec
 
 
 def test_case2_spec_run_reports_the_fixture_suites_oracle_relation(

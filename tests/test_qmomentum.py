@@ -68,7 +68,7 @@ def test_su2_conjugation_action():
     b = alg.gen("b")
     assert act.apply_word(("zeta",), b) == b * hexp(2, N)
     # words act by composition: zeta zeta^-1 acts as the identity
-    x = alg.element([(1, ["b", "c"])])
+    x = oracles.element_of(alg, [(1, ["b", "c"])])
     assert act.apply_word(("zeta", "zeta_inv"), x) == x
 
 
@@ -92,8 +92,8 @@ def test_inexact_division_names_its_witness():
     assert str(exc.value) == \
         "cannot divide by hbar^1: the coefficient of hbar^0 on b is 1"
     # the least exponent first, then the least word in (degree, lex) order
-    x = alg.element([(HSeries([0, 2], N), ["a", "b"]), (-3, ["b"]),
-                     (5, ["a"])])
+    x = oracles.element_of(alg, [(HSeries([0, 2], N), ["a", "b"]),
+                                 (-3, ["b"]), (5, ["a"])])
     with pytest.raises(ValuationError) as exc:
         lmul(alg, alg.one()).divide_by_hbar(2)(x)
     assert str(exc.value) == \
@@ -210,7 +210,8 @@ def test_case2_paper_discrepancy_and_oracle():
     act = oracles.case_action(2)
     grp = act.group
     h = HSeries.hbar(N)
-    paper_rhs = grp.element([(3, ["eta"]), (-h, ["eta", "eta"])])
+    paper_rhs = oracles.element_of(grp,
+                                   [(3, ["eta"]), (-h, ["eta", "eta"])])
     reports = check_action_lie_hom(
         act, {("xi", "eta"): paper_rhs}, degree=2,
         paper_claims={("xi", "eta")})
@@ -219,7 +220,8 @@ def test_case2_paper_discrepancy_and_oracle():
     oracle = rep.data["oracle_relation"]
     assert oracle == "(-1)*eta + (hbar)*eta*eta"
     # the oracle relation actually holds as an operator identity
-    true_rhs = grp.element([(-1, ["eta"]), (h, ["eta", "eta"])])
+    true_rhs = oracles.element_of(grp,
+                                  [(-1, ["eta"]), (h, ["eta", "eta"])])
     reports2 = check_action_lie_hom(act, {("xi", "eta"): true_rhs}, degree=2)
     assert reports2[("xi", "eta")].ok
     # and it is stable across runs
@@ -231,8 +233,8 @@ def test_case2_paper_discrepancy_and_oracle():
 
 def _case2_paper_report(degree, order):
     act = oracles.case_action(2, order)
-    paper_rhs = act.group.element([(3, ["eta"]),
-                                   (-HSeries.hbar(order), ["eta", "eta"])])
+    paper_rhs = oracles.element_of(act.group, [
+        (3, ["eta"]), (-HSeries.hbar(order), ["eta", "eta"])])
     return check_action_lie_hom(
         act, {("xi", "eta"): paper_rhs}, degree,
         paper_claims={("xi", "eta")})[("xi", "eta")]
@@ -719,7 +721,7 @@ def test_ideal_invariance_empty_window_is_refused():
     from poisson_forge.errors import CapabilityError
     alg = case1_reduction_algebra()
     deep = QuantumAction(oracles.r2_hopf(), alg,
-                         {"xi": lmul(alg, alg.gen("b")).divide_by_hbar(6)})
+                         {"xi": lmul(alg, alg.zero()).divide_by_hbar(6)})
     with pytest.raises(CapabilityError) as exc:
         check_ideal_invariance(deep, [alg.gen("b")],
                                alg.quotient([alg.gen("b")]))
@@ -804,10 +806,10 @@ def _lie_hom_cases():
     su2 = oracles.su2_action()
     return {
         "case1": (case1, case1.group.zero()),
-        "case2-paper": (case2, case2.group.element(
-            [(3, ["eta"]), (-h, ["eta", "eta"])])),
-        "case2-oracle": (case2, case2.group.element(
-            [(-1, ["eta"]), (h, ["eta", "eta"])])),
+        "case2-paper": (case2, oracles.element_of(
+            case2.group, [(3, ["eta"]), (-h, ["eta", "eta"])])),
+        "case2-oracle": (case2, oracles.element_of(
+            case2.group, [(-1, ["eta"]), (h, ["eta", "eta"])])),
         "su2": (su2, su2_target_tree(su2)),
         # the target with the outer sign or the division by hbar changed
         "su2-wrong-scale-sign": (su2, su2_target_tree(su2, sign=-1)),
@@ -928,7 +930,8 @@ def test_shipped_obligations_are_zero_tensors():
                           oracles.su2_commutator_target(act)).is_zero()
     act = oracles.case_action(2)
     h = HSeries.hbar(N)
-    paper = act.group.element([(3, ["eta"]), (-h, ["eta", "eta"])])
+    paper = oracles.element_of(act.group,
+                               [(3, ["eta"]), (-h, ["eta", "eta"])])
     assert len(lie_hom_defect(act, "xi", "eta", paper).terms) == 2
 
 
@@ -965,7 +968,8 @@ def test_fixture_suite_sweeps_only_the_case2_witness(monkeypatch):
     monkeypatch.setattr(qmomentum, "_module_algebra_witness", no_sweep)
     monkeypatch.setattr(qmomentum, "_rule_witness", no_sweep)
     monkeypatch.setattr(qmomentum, "_lie_hom_witnesses", recorded)
-    results = suites.quantum_action_fixture_suite(2, fixtures.ORDER)
+    results = suites.run_fixture_suite("check-action", 2,
+                                       fixtures.ORDER)
     assert calls == [("case2-algebra", "xi", "eta")]
     golden = os.path.join(os.path.dirname(__file__), "golden",
                           "check_action_fixtures.jsonl")
@@ -1013,9 +1017,10 @@ def test_nonzero_tensor_without_witness_is_inconclusive():
 
 def test_empty_hbar_window_is_refused():
     from poisson_forge.errors import CapabilityError
-    # hbar^-6 L(b) at N = 6: the zero tensor would be known mod hbar^0 only
+    # a zero tensor of shift 6 at N = 6 stays in A, but would be known mod
+    # hbar^0 only
     act, grp, _ = _central_action(
-        lambda alg: ("hbar_div", ("lmul", alg.gen("b")), 6),
+        lambda alg: ("hbar_div", ("lmul", alg.zero()), 6),
         {(("xi",), ()): 1}, 0)
     with pytest.raises(CapabilityError) as info:
         check_module_algebra(act, degree=2)
@@ -1024,3 +1029,34 @@ def test_empty_hbar_window_is_refused():
     with pytest.raises(CapabilityError) as info:
         check_action_lie_hom(act, {("xi", "xi"): grp.zero()}, degree=2)
     assert info.value.guard == "lie-hom.window"
+
+
+def test_window_zero_operators_that_leave_the_algebra_are_named():
+    # an operator of window 0 is known mod hbar^k, so a nonzero T(m) mod
+    # hbar^k is a conclusive inexact division: hbar^-6 L(b) at N = 6 leaves
+    # A at the word 1, and case 1's Phi(xi) replaced by (hbar^-1
+    # Phi(xi))^2 or hbar^-1 Phi(xi)^3 at N = 4 leaves it at f*f and f*f*f
+    act, _, _ = _central_action(
+        lambda alg: ("hbar_div", ("lmul", alg.gen("b")), 6),
+        {(("xi",), ()): 1}, 0)
+    shipped = oracles.case_action(1, 4)
+    alg = shipped.algebra
+    trees = oracles.fixture_trees(shipped)
+    down = ("hbar_div", trees["xi"], 1)
+    cases = [(act, "1", "hbar^0 on b is 1")]
+    for tree, word, coeff in (
+            (("compose", [down, down]), "f*f", "hbar^2 on a*a*b*b is 2"),
+            (("compose", [down, trees["xi"], trees["xi"]]), "f*f*f",
+             "hbar^3 on a*a*a*b*b*b is 6")):
+        ops = {g: oracles.operator_of(t, alg)
+               for g, t in dict(trees, xi=tree).items()}
+        cases.append((QuantumAction(oracles.r2_hopf(4), alg, ops), word,
+                       coeff))
+    for action, word, coeff in cases:
+        assert action.operators["xi"].window == 0
+        failure = ("Phi(xi) leaves the algebra at %s: cannot divide by "
+                   "hbar^%d: the coefficient of %s"
+                   % (word, action.operators["xi"].k, coeff))
+        assert action.division_failures() == [failure]
+        rep = check_module_algebra(action, degree=2)
+        assert (rep.verdict, rep.failures) == ("fail", [failure])

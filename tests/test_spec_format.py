@@ -4,8 +4,11 @@ The sample spec's runs, three additions that reach the fields it leaves
 out (a commutator relation, a ``scale`` and a ``sum`` expression with an
 element written as terms, and a reduction by an ``algebra``), the shipped
 spec's su2 action, whose coefficients are series forms, and its
-U_hbar(sl2), whose [E, F] rule and coproduct are element forms, run in
-process while ``Node``'s readers are wrapped to record each field read as
+U_hbar(sl2), whose [E, F] rule and coproduct are element forms, and the
+quantum commands' --fixtures runs, which read its record table and su2's
+ideal relations (check-action's at ``--order 3``, where its window guards
+pass), run in process while ``Node``'s readers are wrapped to record each
+field read as
 (section, field): ``x[]`` is an item of the list ``x`` and ``x{}`` a value
 of the object ``x``, and action expressions, elements and series forms,
 which nest, are their own rows.
@@ -85,30 +88,30 @@ def _fields_read(monkeypatch, runs):
     wrap(Node, "items", children("[]"))
     wrap(Node, "table", children("{}"))
     wrap(Node, "pairs", children("{}"))
-    entry = SpecFile._entry
+    entry = SpecFile.entry
 
     def tagged_entry(self, section, name):
         out = entry(self, section, name)
         tag(out, section, "")
         return out
-    monkeypatch.setattr(SpecFile, "_entry", tagged_entry)
+    monkeypatch.setattr(SpecFile, "entry", tagged_entry)
     def expression(self, pres, node, inner=SpecFile.action_expr):
         tag(node, "expression", "")
         return inner(self, pres, node)
     monkeypatch.setattr(SpecFile, "action_expr", expression)
 
-    def element(self, order, gens=None, inner=Node.element):
+    def element(self, order, gens=None, ideal=None, inner=Node.element):
         # one reader for both: an element on generators, a series on none
         if gens is not None:
             tag(self, "element", "")
         elif isinstance(self.value, dict):
             tag(self, "series", "")
-        return inner(self, order, gens)
+        return inner(self, order, gens, ideal)
     monkeypatch.setattr(Node, "element", element)
     for argv in runs:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            assert cli.main(argv + ["--order", "2"]) in (0, 1, 3), argv
+            assert cli.main(["--order", "2"] + argv) in (0, 1, 3), argv
     return read
 
 
@@ -127,5 +130,7 @@ def test_readme_table_lists_exactly_the_fields_read(monkeypatch, tmp_path):
     runs += [["check-action", extended, "qplane_action"],
              ["reduce", extended, "by_algebra"],
              ["check-action", fixtures.PAPER_SPEC, "su2"],
-             ["check-hopf", fixtures.PAPER_SPEC, "U_hbar(sl2)"]]
+             ["check-hopf", fixtures.PAPER_SPEC, "U_hbar(sl2)"],
+             ["check-hopf", "--fixtures"], ["qreduce", "--fixtures"],
+             ["check-action", "--fixtures", "--order", "3"]]
     assert _fields_read(monkeypatch, runs) == _readme_fields()

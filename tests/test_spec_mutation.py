@@ -3,7 +3,9 @@
 Each path of ``demos/sample_spec.json`` -- each section, entry, field and
 list item -- is deleted, and set to values of the wrong kind, one at a
 time; so is each path of the shipped spec's U(sl2) and U_hbar(sl2), whose
-elements use the series forms, under ``check-hopf``.  One spec run that reads the mutated entry then runs in process at
+elements use the series forms, under ``check-hopf``, and of its record
+table and su2's ideal relations, under the ``--fixtures`` run that reads
+them.  One run that reads the mutated entry then runs in process at
 ``--order 3`` (the runs that read an entry take turns, mutant by mutant).
 A malformed spec must exit 2 naming an entry that the run reads (or the
 mutated section), and a well-formed one 0, 1 or 3: never 4, the exit of an
@@ -71,13 +73,13 @@ def _run(argv):
 def _entries_read(monkeypatch):
     """The entries (section, name) that each run reads on the sample."""
     reads = {}
-    entry = SpecFile._entry
+    entry = SpecFile.entry
 
     def spy(self, section, name):
         reads[key].add((section, name))
         return entry(self, section, name)
 
-    monkeypatch.setattr(SpecFile, "_entry", spy)
+    monkeypatch.setattr(SpecFile, "entry", spy)
     for argv in RUNS:
         key = tuple(argv)
         reads[key] = set()
@@ -157,4 +159,56 @@ def test_no_mutation_of_the_shipped_sl2_entries_exits_four(tmp_path):
                 "<deleted>" if value is DELETE else json.dumps(value), code,
                 err.strip()[-200:]))
     assert count > 1500
+    assert not failures, "\n".join(failures)
+
+
+# the shipped spec's record table and su2's ideal relations, mutated the
+# same way under the --fixtures run of the command that reads them; the
+# structures they name are built once, as they are not mutated, and the
+# ideal relations' mutants run check-action's one record that reads them
+TABLE_PATHS = [p for p in _paths(PAPER) if p[0] == "fixtures"
+               or p[:3] == ("actions", "su2", "ideal_relations")]
+COMMANDS = ("check-hopf", "check-action", "qreduce")
+TEXTS = {"fixtures": json.dumps(PAPER), "actions": json.dumps(dict(
+    PAPER, fixtures={"check-action": [
+        r for r in PAPER["fixtures"]["check-action"]
+        if r["check"] == "ideal-relations"]}))}
+
+
+def test_no_mutation_of_the_shipped_record_table_exits_four(monkeypatch):
+    warm, reads, doc = {}, {}, [PAPER]
+    entry = SpecFile.entry
+
+    def spy(self, section, name):
+        reads.setdefault(command, set()).add(
+            (SpecFile.SECTIONS[section], name))
+        return entry(self, section, name)
+
+    def paper_spec(order):
+        spec = SpecFile(doc[0], order)
+        spec._cache = warm
+        return spec
+
+    monkeypatch.setattr(fixtures, "paper_spec", paper_spec)
+    monkeypatch.setattr(SpecFile, "entry", spy)
+    for command in COMMANDS:
+        assert _run([command, "--fixtures"])[0] == 0, command
+    failures, count = [], 0
+    for path in TABLE_PATHS:
+        commands = list(set(path[1:2]) & set(COMMANDS)) or (
+            ["check-action"] if path[0] == "actions" else COMMANDS)
+        for value in VALUES:
+            command = commands[count % len(commands)]
+            count += 1
+            doc[0] = _mutant(path, value, TEXTS[path[0]])
+            code, err = _run([command, "--fixtures"])
+            if code in (0, 1, 3) or code == 2 and (
+                    _names_one_of(err, reads[command])
+                    or len(path) == 1 and "fixtures" in err):
+                continue
+            failures.append("%s = %s: %s exits %d: %s" % (
+                "/".join(map(str, path)),
+                "<deleted>" if value is DELETE else json.dumps(value),
+                command, code, err.strip()[-200:]))
+    assert count > 1000
     assert not failures, "\n".join(failures)
